@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"vmmk/internal/hw"
 )
 
 // TestExperimentsPooledVsFresh is the engine's no-cycle-leakage guarantee:
@@ -14,7 +17,9 @@ import (
 // twice on one persistent Runner: the first sweep warms its pools, so by
 // the second sweep every pool-keyed machine a cell asks for is a recycled
 // one. Any state Reset failed to clear — a leftover cycle, a dirty page, a
-// stale TLB entry or queued event — shows up as a table diff.
+// stale TLB entry or queued event — shows up as a table diff. Every machine
+// a probe cell releases must also pass the frame allocator's conservation
+// audit, before its Reset and after it.
 func TestExperimentsPooledVsFresh(t *testing.T) {
 	fresh := map[string]string{}
 	for _, e := range SerialRunner().Experiments() {
@@ -26,8 +31,23 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	}
 
 	r := SerialRunner()
+	var cell string
+	audited := 0
+	pool := hw.NewMachinePool()
+	pool.Inspect(func(m *hw.Machine) {
+		audited++
+		if err := m.Mem.Audit(); err != nil {
+			t.Errorf("%s: released machine fails the frame audit: %v", cell, err)
+		}
+		m.Mem.Reset()
+		if err := m.Mem.Audit(); err != nil {
+			t.Errorf("%s: reset memory fails the frame audit: %v", cell, err)
+		}
+	})
+	r.pools = []*hw.MachinePool{pool}
 	for sweep := 1; sweep <= 2; sweep++ {
 		for _, e := range r.Experiments() {
+			cell = fmt.Sprintf("%s (sweep %d)", e.ID, sweep)
 			var buf bytes.Buffer
 			if err := e.Run(&buf); err != nil {
 				t.Fatalf("%s (sweep %d): %v", e.ID, sweep, err)
@@ -49,4 +69,8 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	if hits, _ := r.pools[0].Stats(); hits == 0 {
 		t.Error("two sweeps never reused a pooled machine — the differential test tested nothing")
 	}
+	if audited == 0 {
+		t.Error("no released machine was audited")
+	}
+	t.Logf("audited %d released machines", audited)
 }

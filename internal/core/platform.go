@@ -580,7 +580,7 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 			s.rxQueue++
 		}
 		for s.NIC.PostedBuffers() < 32 {
-			f, err := m.Mem.Alloc(NativeComponent)
+			f, err := m.Mem.Alloc(s.comp)
 			if err != nil {
 				break
 			}
@@ -593,7 +593,7 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 	m.IRQ.SetHandler(2, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
 	m.IRQ.SetHandler(3, func(hw.IRQLine) { m.CPU.Work(s.comp, 200) })
 	for i := 0; i < 32; i++ {
-		f, err := m.Mem.Alloc(NativeComponent)
+		f, err := m.Mem.Alloc(s.comp)
 		if err != nil {
 			break
 		}
@@ -679,7 +679,7 @@ func (s *NativeStack) SendPackets(n, size, from int) error {
 	}
 	for i := 0; i < n; i++ {
 		s.syscall(300 + s.Mach.CPU.CopyCost(uint64(size)))
-		f, err := s.Mach.Mem.Alloc(NativeComponent)
+		f, err := s.Mach.Mem.Alloc(s.comp)
 		if err != nil {
 			return err
 		}
@@ -721,7 +721,7 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 		return errors.New("core: native kernel dead")
 	}
 	s.syscall(500 + s.Mach.CPU.CopyCost(s.Mach.Mem.PageSize()))
-	f, err := s.Mach.Mem.Alloc(NativeComponent)
+	f, err := s.Mach.Mem.Alloc(s.comp)
 	if err != nil {
 		return err
 	}
@@ -741,7 +741,7 @@ func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
 		return nil, errors.New("core: native kernel dead")
 	}
 	s.syscall(500 + s.Mach.CPU.CopyCost(s.Mach.Mem.PageSize()))
-	f, err := s.Mach.Mem.Alloc(NativeComponent)
+	f, err := s.Mach.Mem.Alloc(s.comp)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ func devMachine(t testing.TB) *hw.Machine {
 func TestNICRxPath(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	if !nic.PostRxBuffer(f) {
 		t.Fatal("post failed")
 	}
@@ -52,9 +52,9 @@ func TestNICDropWithoutBuffers(t *testing.T) {
 func TestNICRingFull(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 2})
-	f1, _ := m.Mem.Alloc("d")
-	f2, _ := m.Mem.Alloc("d")
-	f3, _ := m.Mem.Alloc("d")
+	f1, _ := m.Mem.Alloc(m.Rec.Intern("d"))
+	f2, _ := m.Mem.Alloc(m.Rec.Intern("d"))
+	f3, _ := m.Mem.Alloc(m.Rec.Intern("d"))
 	if !nic.PostRxBuffer(f1) || !nic.PostRxBuffer(f2) {
 		t.Fatal("posts failed")
 	}
@@ -66,7 +66,7 @@ func TestNICRingFull(t *testing.T) {
 func TestNICTxCompletes(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, WireLatency: 500})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	copy(m.Mem.Data(f), []byte("pong"))
 	nic.Transmit(f, 4)
 	if len(nic.Transmitted()) != 0 {
@@ -85,7 +85,7 @@ func TestNICTxCompletes(t *testing.T) {
 func TestNICInjectAt(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	nic.PostRxBuffer(f)
 	nic.InjectAt(1000, []byte("later"))
 	m.Events.RunUntilIdle(0)
@@ -101,7 +101,7 @@ func TestNICCoalescing(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 16, CoalesceRx: 4})
 	for i := 0; i < 16; i++ {
-		f, _ := m.Mem.Alloc("drv")
+		f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 		nic.PostRxBuffer(f)
 	}
 	for i := 0; i < 6; i++ {
@@ -127,8 +127,8 @@ func TestNICCoalescing(t *testing.T) {
 func TestDiskWriteReadRoundTrip(t *testing.T) {
 	m := devMachine(t)
 	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
-	fw, _ := m.Mem.Alloc("drv")
-	fr, _ := m.Mem.Alloc("drv")
+	fw, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
+	fr, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	copy(m.Mem.Data(fw), []byte("block-7-data"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 7, Frame: fw, Tag: 1})
 	m.Events.RunUntilIdle(0)
@@ -149,7 +149,7 @@ func TestDiskWriteReadRoundTrip(t *testing.T) {
 func TestDiskReadUnwrittenIsZero(t *testing.T) {
 	m := devMachine(t)
 	d := NewDisk(m, DiskConfig{IRQ: 3})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Data(f)[0] = 0xFF
 	d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: f})
 	m.Events.RunUntilIdle(0)
@@ -161,7 +161,7 @@ func TestDiskReadUnwrittenIsZero(t *testing.T) {
 func TestDiskOutOfRange(t *testing.T) {
 	m := devMachine(t)
 	d := NewDisk(m, DiskConfig{IRQ: 3, Blocks: 8})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	d.Submit(DiskReq{Op: DiskRead, Block: 8, Frame: f})
 	m.Events.RunUntilIdle(0)
 	comps := d.Reap()
@@ -176,7 +176,7 @@ func TestDiskOutOfRange(t *testing.T) {
 func TestDiskLatencyOrdering(t *testing.T) {
 	m := devMachine(t)
 	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 1, Frame: f, Tag: 1})
 	m.Clock.Advance(50)
 	d.Submit(DiskReq{Op: DiskWrite, Block: 2, Frame: f, Tag: 2})
@@ -199,7 +199,7 @@ func TestDiskPeekBlock(t *testing.T) {
 	if d.PeekBlock(5) != nil {
 		t.Fatal("unwritten block should peek nil")
 	}
-	f, _ := m.Mem.Alloc("drv")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	copy(m.Mem.Data(f), []byte("abc"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 5, Frame: f})
 	m.Events.RunUntilIdle(0)

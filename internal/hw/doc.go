@@ -25,6 +25,15 @@
 // configuration experiments E1–E11 always run — behaves bit-for-bit as it
 // did before SMP support existed; only experiment E12 sweeps NCPUs.
 //
+// Physical memory (PhysMem) is a frame allocator whose owners are the
+// trace.Comp handles of the components holding the frames, with an O(1)
+// per-owner count. Page contents are allocated on first touch and scrubbed
+// lazily: Free and Reset mark a page stale, a stale page reads as zero, and
+// Data clears it only when it is touched again. CopyPage moves whole pages
+// between frames, across machines too, and a source that reads zero costs
+// neither an allocation nor a copy. PhysMem.Audit checks the allocator's
+// conservation laws for tests.
+//
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core
 // instantiates one Machine per experiment cell.

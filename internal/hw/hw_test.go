@@ -148,38 +148,40 @@ func TestEventQueueRunUntil(t *testing.T) {
 
 func TestPhysMemAllocFree(t *testing.T) {
 	m := NewPhysMem(4, 4096)
-	f1, err := m.Alloc("a")
+	a := trace.NewRegistry().Intern("a")
+	f1, err := m.Alloc(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Owner(f1) != "a" || m.FreeFrames() != 3 {
+	if m.Owner(f1) != a || m.OwnedBy(a) != 1 || m.FreeFrames() != 3 {
 		t.Fatal("alloc bookkeeping wrong")
 	}
 	m.Free(f1)
-	if m.Owner(f1) != "" || m.FreeFrames() != 4 {
+	if m.Owner(f1) != trace.CompNone || m.OwnedBy(a) != 0 || m.FreeFrames() != 4 {
 		t.Fatal("free bookkeeping wrong")
 	}
 }
 
 func TestPhysMemExhaustion(t *testing.T) {
 	m := NewPhysMem(2, 4096)
-	if _, err := m.AllocN("a", 3); err != ErrOutOfMemory {
+	reg := trace.NewRegistry()
+	if _, err := m.AllocN(reg.Intern("a"), 3); err != ErrOutOfMemory {
 		t.Fatalf("AllocN(3 of 2) err = %v, want ErrOutOfMemory", err)
 	}
 	if m.FreeFrames() != 2 {
 		t.Fatal("failed AllocN leaked frames")
 	}
-	if _, err := m.AllocN("a", 2); err != nil {
+	if _, err := m.AllocN(reg.Intern("a"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Alloc("b"); err != ErrOutOfMemory {
+	if _, err := m.Alloc(reg.Intern("b")); err != ErrOutOfMemory {
 		t.Fatalf("Alloc on empty err = %v", err)
 	}
 }
 
 func TestPhysMemDoubleFreePanics(t *testing.T) {
 	m := NewPhysMem(2, 4096)
-	f, _ := m.Alloc("a")
+	f, _ := m.Alloc(trace.NewRegistry().Intern("a"))
 	m.Free(f)
 	defer func() {
 		if recover() == nil {
@@ -191,10 +193,12 @@ func TestPhysMemDoubleFreePanics(t *testing.T) {
 
 func TestPhysMemTransfer(t *testing.T) {
 	m := NewPhysMem(2, 4096)
-	f, _ := m.Alloc("dom0")
+	reg := trace.NewRegistry()
+	dom0, domU := reg.Intern("dom0"), reg.Intern("domU")
+	f, _ := m.Alloc(dom0)
 	copy(m.Data(f), []byte("payload"))
-	m.Transfer(f, "domU")
-	if m.Owner(f) != "domU" {
+	m.Transfer(f, domU)
+	if m.Owner(f) != domU || m.OwnedBy(dom0) != 0 || m.OwnedBy(domU) != 1 {
 		t.Fatal("transfer did not change owner")
 	}
 	if string(m.Data(f)[:7]) != "payload" {
@@ -208,8 +212,9 @@ func TestPhysMemTransfer(t *testing.T) {
 
 func TestPhysMemCopy(t *testing.T) {
 	m := NewPhysMem(2, 4096)
-	a, _ := m.Alloc("x")
-	b, _ := m.Alloc("x")
+	x := trace.NewRegistry().Intern("x")
+	a, _ := m.Alloc(x)
+	b, _ := m.Alloc(x)
 	copy(m.Data(a), []byte("hello"))
 	if n := m.Copy(b, a, 5); n != 5 {
 		t.Fatalf("copied %d bytes, want 5", n)
@@ -412,7 +417,7 @@ func TestCPUSwitchSpaceSameIsFree(t *testing.T) {
 func TestCPUTranslate(t *testing.T) {
 	m := testMachine(t)
 	pt := NewPageTable(1)
-	f, _ := m.Mem.Alloc("a")
+	f, _ := m.Mem.Alloc(m.Rec.Intern("a"))
 	pt.Map(5, PTE{Frame: f, Perms: PermRW, User: true})
 	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt)
 	m.CPU.SetRing(Ring3)
@@ -544,10 +549,11 @@ func TestQuickTLBNeverExceedsCapacity(t *testing.T) {
 func TestQuickPhysMemConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := NewPhysMem(16, 4096)
+		q := trace.NewRegistry().Intern("q")
 		var held []FrameID
 		for _, op := range ops {
 			if op%2 == 0 {
-				if f, err := m.Alloc("q"); err == nil {
+				if f, err := m.Alloc(q); err == nil {
 					held = append(held, f)
 				}
 			} else if len(held) > 0 {

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Perm is a page permission bitmask.
 type Perm uint8
@@ -258,24 +255,6 @@ func (pt *PageTable) FramesMapped(f FrameID) int {
 		return 1
 	}
 	return len(ref.multi)
-}
-
-// WritableByFrame returns, for every mapped frame, the VPNs referencing it
-// with write permission, each list in ascending order. Dirty-page logging
-// write-protects exactly these in one arm pass (read-only mappings must
-// stay read-only when the log is disarmed), so the index is built in a
-// single O(entries) sweep rather than one scan per frame.
-func (pt *PageTable) WritableByFrame() map[FrameID][]VPN {
-	out := make(map[FrameID][]VPN)
-	pt.Each(func(v VPN, e PTE) {
-		if e.Perms&PermW != 0 {
-			out[e.Frame] = append(out[e.Frame], v)
-		}
-	})
-	for _, vpns := range out {
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	}
-	return out
 }
 
 // UnmapFrame removes every mapping of frame f and returns how many were

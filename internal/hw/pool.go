@@ -10,9 +10,10 @@ package hw
 // own pool, which keeps the hot path lock-free and the reuse pattern
 // deterministic per worker.
 type MachinePool struct {
-	free map[poolKey][]*Machine
-	hits uint64
-	miss uint64
+	free    map[poolKey][]*Machine
+	hits    uint64
+	miss    uint64
+	inspect func(*Machine) // see Inspect
 }
 
 // poolKey identifies interchangeable machines. Arch is keyed by value —
@@ -54,10 +55,17 @@ func (p *MachinePool) Put(m *Machine) {
 	if p == nil || m == nil {
 		return
 	}
+	if p.inspect != nil {
+		p.inspect(m)
+	}
 	m.Reset()
 	k := poolKey{arch: *m.Arch, cfg: m.Cfg}
 	p.free[k] = append(p.free[k], m)
 }
+
+// Inspect registers fn to run on every machine handed to Put, before its
+// Reset: the hook tests use to audit the state each cell leaves behind.
+func (p *MachinePool) Inspect(fn func(*Machine)) { p.inspect = fn }
 
 // Stats returns how many Gets were served from the pool vs built fresh.
 func (p *MachinePool) Stats() (hits, misses uint64) {

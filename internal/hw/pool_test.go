@@ -12,7 +12,7 @@ import (
 func exercise(t *testing.T, m *Machine) {
 	t.Helper()
 	comp := m.Rec.Intern("test.comp")
-	frames, err := m.Mem.AllocN("test", 8)
+	frames, err := m.Mem.AllocN(m.Rec.Intern("test"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +37,9 @@ func exercise(t *testing.T, m *Machine) {
 	m.IRQ.Raise(3)
 	m.Events.ScheduleAfter(10_000, "never", func() { t.Error("stale event fired") })
 	m.Mem.Free(frames[0])
+	if err := m.Mem.Audit(); err != nil {
+		t.Fatalf("after exercise: %v", err)
+	}
 }
 
 // fingerprint captures everything a fresh machine exposes that an
@@ -55,7 +58,7 @@ type machineFP struct {
 }
 
 func fingerprint(m *Machine) machineFP {
-	f, err := m.Mem.Alloc("fp")
+	f, err := m.Mem.Alloc(m.Rec.Intern("fp"))
 	if err != nil {
 		panic(err)
 	}
@@ -85,6 +88,9 @@ func TestMachineResetRestoresFreshState(t *testing.T) {
 		used := NewMachine(X86(), cfg)
 		exercise(t, used)
 		used.Reset()
+		if err := used.Mem.Audit(); err != nil {
+			t.Errorf("ncpus=%d: after Reset: %v", ncpus, err)
+		}
 
 		fresh := NewMachine(X86(), cfg)
 		if got, want := fingerprint(used), fingerprint(fresh); got != want {
@@ -154,6 +160,9 @@ func TestPoolReturnsCleanMachine(t *testing.T) {
 	got := p.Get(X86(), cfg)
 	if got != m {
 		t.Fatal("pool did not recycle the machine")
+	}
+	if err := got.Mem.Audit(); err != nil {
+		t.Errorf("recycled machine: %v", err)
 	}
 	fresh := NewMachine(X86(), cfg)
 	if a, b := fingerprint(got), fingerprint(fresh); a != b {

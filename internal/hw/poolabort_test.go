@@ -67,6 +67,11 @@ func TestPoolCleanAfterAbortedMigration(t *testing.T) {
 		if _, _, err := vmm.MigrateLive(src, d.ID, dst, opts); !errors.Is(err, vmm.ErrMigrationAborted) {
 			t.Fatalf("migration returned %v, want ErrMigrationAborted", err)
 		}
+		for _, m := range []*hw.Machine{srcM, dstM} {
+			if err := m.Mem.Audit(); err != nil {
+				t.Errorf("after the abort: %v", err)
+			}
+		}
 
 		// Recycle both machines; the pool is LIFO, so dstM comes back
 		// first. Each must be indistinguishable from a fresh boot.
@@ -76,6 +81,9 @@ func TestPoolCleanAfterAbortedMigration(t *testing.T) {
 			fresh := hw.NewMachine(hw.X86(), cfg)
 			if got, want := observe(m), observe(fresh); got != want {
 				t.Errorf("recycled machine %+v, fresh machine %+v", got, want)
+			}
+			if err := m.Mem.Audit(); err != nil {
+				t.Errorf("recycled machine: %v", err)
 			}
 		}
 	}

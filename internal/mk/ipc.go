@@ -100,7 +100,7 @@ func (k *Kernel) applyMapItems(src, dst *Space, items []MapItem) error {
 				// Frame accounting follows the grant, and the sender's
 				// node leaves the derivation tree: a gift carries no
 				// revocation authority.
-				k.M.Mem.Transfer(e.Frame, dst.Component())
+				k.M.Mem.Transfer(e.Frame, dst.comp)
 				k.mapdb.drop(srcNode)
 			} else {
 				// A map is a loan: record the derivation so the sender

@@ -100,12 +100,8 @@ type Space struct {
 	ExcHandler ThreadID
 	Dead       bool
 
-	comp     trace.Comp // "mk."+Name, interned at creation
-	compName string     // "mk."+Name, cached for per-allocation owner tags
+	comp trace.Comp // "mk."+Name, interned at creation; owns its frames
 }
-
-// Component returns the trace attribution name for work done in the space.
-func (s *Space) Component() string { return s.compName }
 
 // Comp returns the space's interned trace attribution handle.
 func (s *Space) Comp() trace.Comp { return s.comp }
@@ -123,7 +119,6 @@ func (k *Kernel) NewSpace(name string, pager ThreadID) (*Space, error) {
 		Pager: pager,
 		comp:  k.M.Rec.Intern("mk." + name),
 	}
-	s.compName = "mk." + name
 	k.nextASID++
 	k.spaces[s.ID] = s
 	k.M.CPU.Work(k.comp, 300) // space construction
@@ -182,8 +177,7 @@ type Thread struct {
 	ipcIn  uint64
 	ipcOut uint64
 
-	comp     trace.Comp // "mk."+Name, interned at creation
-	compName string     // "mk."+Name, cached for per-allocation owner tags
+	comp trace.Comp // "mk."+Name, interned at creation
 }
 
 // Envelope is a queued one-way message.
@@ -191,9 +185,6 @@ type Envelope struct {
 	From ThreadID
 	Msg  Msg
 }
-
-// Component returns the thread's trace attribution name.
-func (t *Thread) Component() string { return t.compName }
 
 // Comp returns the thread's interned trace attribution handle.
 func (t *Thread) Comp() trace.Comp { return t.comp }
@@ -211,7 +202,6 @@ func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thre
 		onCPU:   -1,
 		comp:    k.M.Rec.Intern("mk." + name),
 	}
-	t.compName = "mk." + name
 	k.nextTID++
 	k.threads[t.ID] = t
 	k.sched.add(t)
@@ -263,7 +253,7 @@ func (k *Kernel) UnmapPage(s *Space, vpn hw.VPN) {
 // AllocAndMap allocates n frames to the space's name and maps them starting
 // at base. It returns the frames.
 func (k *Kernel) AllocAndMap(s *Space, base hw.VPN, n int, perms hw.Perm) ([]hw.FrameID, error) {
-	frames, err := k.M.Mem.AllocN(s.Component(), n)
+	frames, err := k.M.Mem.AllocN(s.comp, n)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestRemapSeversOldDerivation(t *testing.T) {
 	// old chain... here C's parent was B@0x20 which now refers to the new
 	// mapping; L4 semantics tie derivation to the page, and our model
 	// severs on overwrite).
-	f2, err := r.m.Mem.Alloc("mk.b")
+	f2, err := r.m.Mem.Alloc(r.m.Rec.Intern("mk.b"))
 	if err != nil {
 		t.Fatal(err)
 	}

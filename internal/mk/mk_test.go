@@ -171,8 +171,8 @@ func TestGrantMovesOwnership(t *testing.T) {
 	if _, ok := r.client.Space.PT.Lookup(0x100); ok {
 		t.Fatal("grant left the sender's mapping")
 	}
-	if r.m.Mem.Owner(frames[0]) != "mk.server" {
-		t.Fatalf("frame owner = %q, want mk.server", r.m.Mem.Owner(frames[0]))
+	if got := r.m.Mem.Owner(frames[0]); got != r.server.Comp() {
+		t.Fatalf("frame owner = %q, want mk.server", r.m.Rec.Registry().Name(got))
 	}
 }
 
@@ -290,7 +290,7 @@ func TestPagerResolvesFault(t *testing.T) {
 		vpn := hw.VPN(msg.Words[0])
 		// Allocate backing, map it into the pager's own window, then
 		// delegate to the faulter.
-		f, err := k.M.Mem.Alloc("mk.pager")
+		f, err := k.M.Mem.Alloc(k.M.Rec.Intern("mk.pager"))
 		if err != nil {
 			return Msg{}, err
 		}
@@ -519,9 +519,9 @@ func TestQuickMapTransferPreservesFrameOwnership(t *testing.T) {
 			if _, ok := ss.PT.Lookup(0x100 + hw.VPN(i)); !ok {
 				return false
 			}
-			wantOwner := "mk.c"
+			wantOwner := c.Comp()
 			if grant {
-				wantOwner = "mk.s"
+				wantOwner = srv.Comp()
 			}
 			if m.Mem.Owner(fr) != wantOwner {
 				return false

@@ -53,9 +53,6 @@ func NewBlkDriver(k *mk.Kernel, disk *dev.Disk) (*BlkDriver, error) {
 	return d, nil
 }
 
-// Component returns the driver's trace attribution name.
-func (d *BlkDriver) Component() string { return d.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (d *BlkDriver) Comp() trace.Comp { return d.Thread.Comp() }
 
@@ -93,7 +90,7 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			return mk.Msg{}, ErrBadRequest
 		}
 		k.M.CPU.Work(comp, 300) // request validation, translation
-		f, err := k.M.Mem.Alloc(d.Component())
+		f, err := k.M.Mem.Alloc(d.Comp())
 		if err != nil {
 			return mk.Msg{}, err
 		}

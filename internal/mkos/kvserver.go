@@ -40,9 +40,6 @@ func NewKVServer(k *mk.Kernel) (*KVServer, error) {
 	return s, nil
 }
 
-// Component returns the server's trace attribution name.
-func (s *KVServer) Component() string { return s.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (s *KVServer) Comp() trace.Comp { return s.Thread.Comp() }
 

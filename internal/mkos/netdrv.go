@@ -77,9 +77,6 @@ func NewNetDriver(k *mk.Kernel, nic *dev.NIC) (*NetDriver, error) {
 	return d, nil
 }
 
-// Component returns the driver's trace attribution name.
-func (d *NetDriver) Component() string { return d.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (d *NetDriver) Comp() trace.Comp { return d.Thread.Comp() }
 
@@ -95,7 +92,7 @@ func (d *NetDriver) Attach(os *OSServer) *NetClient {
 // replenish posts driver-owned frames to the NIC.
 func (d *NetDriver) replenish() {
 	for d.NIC.PostedBuffers() < d.rxPoolTarget {
-		f, err := d.K.M.Mem.Alloc(d.Component())
+		f, err := d.K.M.Mem.Alloc(d.Comp())
 		if err != nil {
 			return
 		}
@@ -132,7 +129,7 @@ func (d *NetDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 func (d *NetDriver) tx(k *mk.Kernel, msg mk.Msg) (mk.Msg, error) {
 	comp := d.Comp()
 	k.M.CPU.Work(comp, 350) // driver TX path
-	f, err := k.M.Mem.Alloc(d.Component())
+	f, err := k.M.Mem.Alloc(d.Comp())
 	if err != nil {
 		return mk.Msg{}, err
 	}

@@ -109,9 +109,6 @@ func NewOSServer(k *mk.Kernel, name string) (*OSServer, error) {
 	return os, nil
 }
 
-// Component returns the server's trace attribution name.
-func (os *OSServer) Component() string { return os.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (os *OSServer) Comp() trace.Comp { return os.Thread.Comp() }
 
@@ -224,7 +221,7 @@ func (os *OSServer) handleFault(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.
 		return mk.Msg{}, ErrBadRequest
 	}
 	vpn := hw.VPN(msg.Words[0])
-	f, err := k.M.Mem.Alloc(os.Component())
+	f, err := k.M.Mem.Alloc(os.Comp())
 	if err != nil {
 		return mk.Msg{}, err
 	}

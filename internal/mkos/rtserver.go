@@ -72,9 +72,6 @@ func NewRTServer(k *mk.Kernel, timerLine hw.IRQLine, tickInterval hw.Cycles, uti
 	return s, nil
 }
 
-// Component returns the server's trace attribution name.
-func (s *RTServer) Component() string { return s.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (s *RTServer) Comp() trace.Comp { return s.Thread.Comp() }
 

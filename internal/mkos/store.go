@@ -58,9 +58,6 @@ func NewStoreServerIn(k *mk.Kernel, sp *mk.Space, name string, blk BlockService)
 	return s, nil
 }
 
-// Component returns the server's trace attribution name.
-func (s *StoreServer) Component() string { return s.Thread.Component() }
-
 // Comp returns the server's interned trace attribution handle.
 func (s *StoreServer) Comp() trace.Comp { return s.Thread.Comp() }
 

@@ -97,7 +97,7 @@ func init() {
 			if env.Armed {
 				n = env.M.Mem.TotalFrames() + 1
 			}
-			_, err := env.M.Mem.AllocN("scenario", n)
+			_, err := env.M.Mem.AllocN(env.M.Rec.Intern("scenario"), n)
 			return err
 		},
 	})
@@ -125,7 +125,7 @@ func init() {
 		},
 		Run: func(env *Env) error {
 			disk := dev.NewDisk(env.M, dev.DiskConfig{IRQ: 3, Blocks: 128, Latency: 1000})
-			f, err := env.M.Mem.Alloc("scenario")
+			f, err := env.M.Mem.Alloc(env.M.Rec.Intern("scenario"))
 			if err != nil {
 				return err
 			}

@@ -181,7 +181,7 @@ func init() {
 			pager := k.NewThread(pgSp, "pager", 5,
 				func(k *mk.Kernel, _ mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
 					vpn := hw.VPN(msg.Words[0])
-					f, err := k.M.Mem.Alloc(pgSp.Component())
+					f, err := k.M.Mem.Alloc(pgSp.Comp())
 					if err != nil {
 						return mk.Msg{}, err
 					}
@@ -235,7 +235,7 @@ func init() {
 				func(_ *mk.Kernel, _ mk.ThreadID, _ mk.Msg) (mk.Msg, error) {
 					return mk.Msg{Words: []uint64{0}}, nil
 				})
-			f, err := k.M.Mem.Alloc(sa.Component())
+			f, err := k.M.Mem.Alloc(sa.Comp())
 			if err != nil {
 				return err
 			}

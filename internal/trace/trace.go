@@ -217,21 +217,16 @@ func (r *Recorder) Intern(name string) Comp {
 	return c
 }
 
-// ensure grows the ledger to cover handle c.
+// ensure grows the ledger to cover handle c. Growth goes through append, so
+// a stream of freshly interned names (a fleet's guests) costs amortized
+// constant time per name, not a copy of the whole ledger each.
 func (r *Recorder) ensure(c Comp) {
 	if int(c) < len(r.cycles) {
 		return
 	}
-	n := len(r.reg.names)
-	if n <= int(c) {
-		n = int(c) + 1
-	}
-	cycles := make([]uint64, n)
-	copy(cycles, r.cycles)
-	r.cycles = cycles
-	seen := make([]bool, n)
-	copy(seen, r.seen)
-	r.seen = seen
+	n := max(len(r.reg.names), int(c)+1)
+	r.cycles = append(r.cycles, make([]uint64, n-len(r.cycles))...)
+	r.seen = append(r.seen, make([]bool, n-len(r.seen))...)
 }
 
 // Count increments the counter for kind.

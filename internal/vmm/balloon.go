@@ -46,7 +46,9 @@ func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 }
 
 // BalloonIn allocates n fresh pages to the domain, filling P2M holes first
-// and appending beyond them. It returns how many pages were obtained.
+// and appending beyond them. It returns how many pages were obtained. With
+// a dirty log enabled the new pages arrive armed, so the guest's first
+// store to each is logged.
 func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -56,7 +58,7 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 	defer h.hypercallExit(d)
 	got := 0
 	fill := func(gpn int) bool {
-		f, err := h.M.Mem.Alloc(d.Component())
+		f, err := h.M.Mem.Alloc(d.comp)
 		if err != nil {
 			return false
 		}
@@ -67,6 +69,9 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 			d.pruneHole(gpn)
 		} else {
 			d.frames = append(d.frames, f)
+		}
+		if dl := d.dirtyLog; dl != nil {
+			dl.armNew(gpn)
 		}
 		h.M.CPU.Work(h.comp, 80)
 		got++
@@ -90,9 +95,9 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 // OwnedPages returns the number of machine pages the domain currently owns
 // (holes excluded).
 func (d *Domain) OwnedPages() int {
-	n := 0
+	mem, n := d.hyp.M.Mem, 0
 	for _, f := range d.frames {
-		if f != hw.NoFrame && d.OwnsFrame(f) {
+		if f != hw.NoFrame && mem.Owner(f) == d.comp {
 			n++
 		}
 	}

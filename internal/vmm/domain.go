@@ -55,17 +55,13 @@ type Domain struct {
 	syscalls     uint64
 	fastSyscalls uint64
 
-	comp     trace.Comp // "vmm."+Name, interned at creation
-	compName string     // "vmm."+Name, cached: OwnsFrame checks it per packet
+	comp trace.Comp // "vmm."+Name, interned at creation; owns its frames
 
 	// remote0 caches remotePCPUs(0) — the shootdown/kick target set every
 	// hypervisor-side caller wants — invalidated when placement changes.
 	remote0   []int
 	remote0OK bool
 }
-
-// Component returns the domain's trace attribution name.
-func (d *Domain) Component() string { return d.compName }
 
 // Comp returns the domain's interned trace attribution handle.
 func (d *Domain) Comp() trace.Comp { return d.comp }
@@ -88,7 +84,7 @@ func (d *Domain) OwnsFrame(f hw.FrameID) bool {
 	if f == hw.NoFrame {
 		return false
 	}
-	return d.hyp.M.Mem.Owner(f) == d.Component()
+	return d.hyp.M.Mem.Owner(f) == d.comp
 }
 
 // ReleaseFrame returns an owned frame to the machine pool (balloon-out),

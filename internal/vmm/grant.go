@@ -186,7 +186,7 @@ func (h *Hypervisor) GrantTransfer(user DomID, owner DomID, ref GrantRef) (hw.Fr
 	removed := od.PT.UnmapFrame(e.frame)
 	h.M.CPU.Work(h.comp, hw.Cycles(removed)*h.M.Arch.Costs.PTEUpdate)
 	// Ownership moves in the physical ledger and in both frame lists.
-	h.M.Mem.Transfer(e.frame, ud.Component())
+	h.M.Mem.Transfer(e.frame, ud.comp)
 	od.removeFrame(e.frame)
 	ud.addFrame(e.frame)
 	e.revoked = true

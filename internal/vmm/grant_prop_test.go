@@ -104,7 +104,7 @@ func TestQuickGrantOwnershipInvariants(t *testing.T) {
 					if f == hw.NoFrame {
 						continue
 					}
-					if m.Mem.Owner(f) != d.Component() {
+					if m.Mem.Owner(f) != d.Comp() {
 						return false
 					}
 				}

@@ -66,6 +66,10 @@ type Hypervisor struct {
 
 	hypercalls uint64
 	worldSw    uint64
+
+	// gpnScratch maps a machine frame to 1 + the guest page it backs, for
+	// whichever domain a dirty-log arm is indexing; all zero between uses.
+	gpnScratch []int32
 }
 
 // New boots a hypervisor on machine m and creates Dom0 with the given
@@ -91,6 +95,20 @@ func New(m *hw.Machine, dom0Frames int) (*Hypervisor, *Domain, error) {
 // guests see machine frames through a physical-to-machine map; the identity
 // layout keeps the simulation readable without changing any accounting).
 func (h *Hypervisor) CreateDomain(name string, frames int) (*Domain, error) {
+	d, err := h.buildDomain(name, frames)
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range d.frames {
+		// Guest kernel mappings; guest user pages are re-flagged later.
+		d.PT.Map(hw.VPN(i), hw.PTE{Frame: f, Perms: hw.PermRWX, User: true})
+	}
+	return d, nil
+}
+
+// buildDomain is CreateDomain without the identity mappings: the domain
+// gets its frames and an empty page table sized for them.
+func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 	id := h.nextDom
 	h.nextDom++
 	d := &Domain{
@@ -101,22 +119,26 @@ func (h *Hypervisor) CreateDomain(name string, frames int) (*Domain, error) {
 		hyp:    h,
 		comp:   h.M.Rec.Intern("vmm." + name),
 	}
-	d.compName = "vmm." + name
-	mem, err := h.M.Mem.AllocN(d.Component(), frames)
+	mem, err := h.M.Mem.AllocN(d.comp, frames)
 	if err != nil {
 		return nil, err
 	}
 	d.frames = mem
-	for i, f := range mem {
-		// Guest kernel mappings; guest user pages are re-flagged later.
-		d.PT.Map(hw.VPN(i), hw.PTE{Frame: f, Perms: hw.PermRWX, User: true})
-	}
 	h.M.CPU.Charge(h.comp, trace.KHypercall, 600) // domain-build hypercall
 	h.hypercalls++
 	h.domains = append(h.domains, d)
 	h.order = append(h.order, id)
 	h.sched.add(d)
 	return d, nil
+}
+
+// frameGPN returns the monitor's frame -> gpn scratch, sized to the
+// machine's frames on first use. Callers hand it back all zero.
+func (h *Hypervisor) frameGPN() []int32 {
+	if h.gpnScratch == nil {
+		h.gpnScratch = make([]int32, h.M.Mem.TotalFrames())
+	}
+	return h.gpnScratch
 }
 
 // Comp returns the monitor's interned trace attribution handle.
@@ -302,7 +324,7 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		if f == hw.NoFrame {
 			continue
 		}
-		if h.M.Mem.Owner(f) == d.Component() {
+		if h.M.Mem.Owner(f) == d.comp {
 			h.M.Mem.Free(f)
 		}
 	}

@@ -107,7 +107,7 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 	if n == 0 {
 		return nil, fmt.Errorf("vmm: domain %q has no memory", name)
 	}
-	d, err := h.CreateDomain(name, n)
+	d, err := h.buildDomain(name, n)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,6 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 		next++
 	}
 	d.frames = frames
-	d.PT = hw.NewPageTable(d.PT.ASID())
 	// Shells start paused, like migrated VMs pre-resume.
 	d.paused = true
 	h.sched.remove(d)
@@ -258,7 +257,7 @@ func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 		if sf == hw.NoFrame {
 			continue
 		}
-		copy(dst.M.Mem.Data(shell.frames[gpn]), src.M.Mem.Data(sf))
+		dst.M.Mem.CopyPage(shell.frames[gpn], src.M.Mem, sf)
 		pages++
 	}
 	src.M.CPU.WorkN(src.comp, src.M.CPU.CopyCost(ps), pages)
@@ -378,11 +377,11 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	sendAll := func(gpns []int) {
 		moved := uint64(0)
 		for _, gpn := range gpns {
-			sf, df := d.frames[gpn], shell.frames[gpn]
+			sf, df := d.frames[gpn], shell.FrameAt(gpn)
 			if sf == hw.NoFrame || df == hw.NoFrame {
 				continue
 			}
-			copy(dst.M.Mem.Data(df), src.M.Mem.Data(sf))
+			dst.M.Mem.CopyPage(df, src.M.Mem, sf)
 			moved++
 		}
 		// Reading out and landing the pages are monitor work on each end.
@@ -450,7 +449,7 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 		perms := e.Perms
 		// Mappings still write-protected by the log regain PermW on the
 		// destination: the protection was the log's, not the guest's.
-		for _, v := range dl.wprot[e.GPN] {
+		for _, v := range dl.protected(e.GPN) {
 			if v == e.VPN {
 				perms |= hw.PermW
 				break

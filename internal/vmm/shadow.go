@@ -3,7 +3,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
@@ -94,20 +93,26 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 // faults into the monitor, which logs the guest page number, restores the
 // page's write permissions and resumes the guest. Each pre-copy round
 // re-arms the log and consumes the pages dirtied during the previous round
-// — exactly the mechanism behind Xen's log-dirty mode.
+// — exactly the mechanism behind Xen's log-dirty mode. Pages BalloonIn adds
+// while the log is enabled arrive armed, so their first stores are logged
+// too.
 
 // ErrDirtyLogActive is returned when enabling a second dirty log on a
 // domain whose log is already armed.
 var ErrDirtyLogActive = errors.New("vmm: dirty log already enabled")
 
 // DirtyLog tracks which guest pages a domain wrote since the last (re)arm.
+// Its state is dense, indexed by guest page number: the slices grow with
+// the domain's P2M and are reused from round to round, so once the first
+// round has sized them a round allocates only the list Rearm returns.
 type DirtyLog struct {
 	h *Hypervisor
 	d *Domain
 
-	armed map[int]bool     // gpn -> write-protected, next store faults
-	dirty map[int]bool     // gpn -> written since the last (re)arm
-	wprot map[int][]hw.VPN // gpn -> mappings whose PermW the log removed
+	armed  []bool     // gpn -> write-protected, next store faults
+	dirty  []bool     // gpn -> written since the last (re)arm
+	ndirty int        // how many dirty entries are set
+	wprot  [][]hw.VPN // gpn -> mappings whose PermW the log removed
 
 	faults uint64
 }
@@ -123,13 +128,7 @@ func (h *Hypervisor) EnableDirtyLog(dom DomID) (*DirtyLog, error) {
 	if d.dirtyLog != nil {
 		return nil, ErrDirtyLogActive
 	}
-	dl := &DirtyLog{
-		h:     h,
-		d:     d,
-		armed: make(map[int]bool),
-		dirty: make(map[int]bool),
-		wprot: make(map[int][]hw.VPN),
-	}
+	dl := &DirtyLog{h: h, d: d}
 	d.dirtyLog = dl
 	h.M.CPU.Work(h.comp, 400) // log-dirty mode switch
 	dl.arm()
@@ -144,34 +143,56 @@ func (h *Hypervisor) DisableDirtyLog(dom DomID) {
 		return
 	}
 	dl := d.dirtyLog
-	for gpn := range dl.armed {
-		dl.disarm(gpn)
+	for gpn, armed := range dl.armed {
+		if armed {
+			dl.disarm(gpn)
+		}
 	}
 	d.dirtyLog = nil
+}
+
+// grow extends the per-gpn state to cover n guest pages.
+func (dl *DirtyLog) grow(n int) {
+	if n <= len(dl.armed) {
+		return
+	}
+	dl.armed = append(dl.armed, make([]bool, n-len(dl.armed))...)
+	dl.dirty = append(dl.dirty, make([]bool, n-len(dl.dirty))...)
+	dl.wprot = append(dl.wprot, make([][]hw.VPN, n-len(dl.wprot))...)
 }
 
 // arm write-protects every owned page not already protected. Pages still
 // armed from a previous round are skipped — their write permissions are
 // already stripped, and their wprot record (which mappings to restore on
-// disarm) must survive untouched. One pass over the page table builds the
-// frame -> writable-VPNs index, so a round costs O(entries), not
+// disarm) must survive untouched. The monitor's frame -> gpn scratch marks
+// the pages this round protects, and one pass over the page table strips
+// PermW from their writable mappings (read-only mappings stay read-only
+// when the log disarms), so a round costs O(frames + entries), not
 // O(frames × entries).
 func (dl *DirtyLog) arm() {
 	h, d := dl.h, dl.d
-	byFrame := d.PT.WritableByFrame()
+	dl.grow(len(d.frames))
+	gpnOf := h.frameGPN()
 	for gpn, f := range d.frames {
-		if f == hw.NoFrame || !d.OwnsFrame(f) || dl.armed[gpn] {
-			continue
+		if f != hw.NoFrame && !dl.armed[gpn] && d.OwnsFrame(f) {
+			gpnOf[f] = int32(gpn) + 1
 		}
-		vpns := byFrame[f]
-		for _, vpn := range vpns {
-			e, _ := d.PT.Lookup(vpn)
-			e.Perms &^= hw.PermW
-			d.PT.Map(vpn, e)
-			h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
+	}
+	d.PT.Each(func(vpn hw.VPN, e hw.PTE) {
+		g := gpnOf[e.Frame]
+		if g == 0 || e.Perms&hw.PermW == 0 {
+			return
 		}
-		dl.wprot[gpn] = vpns
-		dl.armed[gpn] = true
+		e.Perms &^= hw.PermW
+		d.PT.Map(vpn, e)
+		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
+		dl.wprot[g-1] = append(dl.wprot[g-1], vpn)
+	})
+	for gpn, f := range d.frames {
+		if f != hw.NoFrame && gpnOf[f] != 0 {
+			gpnOf[f] = 0
+			dl.armed[gpn] = true
+		}
 	}
 	// Stale writable translations must go before protection is real — on
 	// every pCPU hosting one of the domain's vCPUs, not just the boot CPU
@@ -179,6 +200,22 @@ func (dl *DirtyLog) arm() {
 	// gets more expensive with core count (E12's dirty-scan workload).
 	h.M.CPU.FlushTLB(h.comp)
 	h.shootdownAll(d)
+}
+
+// armNew protects a page BalloonIn just installed at gpn. It has no
+// mappings yet, so there is nothing to strip: the guest's first store to
+// it faults and is logged like any other armed page's.
+func (dl *DirtyLog) armNew(gpn int) {
+	dl.grow(gpn + 1)
+	dl.armed[gpn] = true
+}
+
+// protected returns the mappings of gpn whose PermW the log removed.
+func (dl *DirtyLog) protected(gpn int) []hw.VPN {
+	if gpn < len(dl.wprot) {
+		return dl.wprot[gpn]
+	}
+	return nil
 }
 
 // disarm restores the write permissions the log removed from gpn's
@@ -191,8 +228,8 @@ func (dl *DirtyLog) disarm(gpn int) {
 			d.PT.Map(vpn, e)
 		}
 	}
-	delete(dl.wprot, gpn)
-	delete(dl.armed, gpn)
+	dl.wprot[gpn] = dl.wprot[gpn][:0]
+	dl.armed[gpn] = false
 }
 
 // fault is the write-protect fault path: trap, decode, log, unprotect.
@@ -203,7 +240,10 @@ func (dl *DirtyLog) fault(gpn int) {
 	h.M.CPU.Trap(h.comp, false)
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	h.M.CPU.Work(h.comp, 120) // decode + log-dirty bookkeeping
-	dl.dirty[gpn] = true
+	if !dl.dirty[gpn] {
+		dl.dirty[gpn] = true
+		dl.ndirty++
+	}
 	nvpns := len(dl.wprot[gpn])
 	dl.disarm(gpn) // later stores to this page are full speed until re-arm
 	if nvpns == 0 {
@@ -216,11 +256,12 @@ func (dl *DirtyLog) fault(gpn int) {
 
 // Dirty returns the pages written since the last (re)arm, ascending.
 func (dl *DirtyLog) Dirty() []int {
-	out := make([]int, 0, len(dl.dirty))
-	for gpn := range dl.dirty {
-		out = append(out, gpn)
+	out := make([]int, 0, dl.ndirty)
+	for gpn, dirty := range dl.dirty {
+		if dirty {
+			out = append(out, gpn)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -229,7 +270,8 @@ func (dl *DirtyLog) Dirty() []int {
 // dirtied since the previous arm, ascending.
 func (dl *DirtyLog) Rearm() []int {
 	out := dl.Dirty()
-	dl.dirty = make(map[int]bool)
+	clear(dl.dirty)
+	dl.ndirty = 0
 	dl.arm()
 	return out
 }
@@ -254,7 +296,7 @@ func (h *Hypervisor) GuestMemWrite(dom DomID, gpn, off int, data []byte) error {
 	if off < 0 || off+len(data) > len(page) {
 		return fmt.Errorf("vmm: guest write [%d,%d) outside page", off, off+len(data))
 	}
-	if dl := d.dirtyLog; dl != nil && dl.armed[gpn] {
+	if dl := d.dirtyLog; dl != nil && gpn < len(dl.armed) && dl.armed[gpn] {
 		dl.fault(gpn)
 	}
 	h.M.CPU.Work(d.comp, h.M.CPU.CopyCost(uint64(len(data))))

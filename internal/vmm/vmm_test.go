@@ -41,8 +41,8 @@ func TestBootCreatesDom0Privileged(t *testing.T) {
 	if len(r.h.Domains()) != 2 {
 		t.Fatalf("domains = %d, want 2", len(r.h.Domains()))
 	}
-	if r.m.Mem.OwnedBy("vmm.dom0") != 64 {
-		t.Fatalf("dom0 owns %d frames, want 64", r.m.Mem.OwnedBy("vmm.dom0"))
+	if r.m.Mem.OwnedBy(r.dom0.Comp()) != 64 {
+		t.Fatalf("dom0 owns %d frames, want 64", r.m.Mem.OwnedBy(r.dom0.Comp()))
 	}
 }
 
@@ -545,8 +545,8 @@ func TestDestroyDomainDoesNotFreeFlippedFrames(t *testing.T) {
 	// Destroy the *previous* owner; the flipped frame now belongs to domU
 	// and must survive.
 	r.h.DestroyDomain(r.dom0.ID)
-	if r.m.Mem.Owner(f) != "vmm.domU1" {
-		t.Fatalf("flipped frame owner = %q after donor death", r.m.Mem.Owner(f))
+	if got := r.m.Mem.Owner(f); got != r.domU.Comp() {
+		t.Fatalf("flipped frame owner = %q after donor death", r.m.Rec.Registry().Name(got))
 	}
 }
 

@@ -28,7 +28,7 @@ func ConnectBlk(dd *DriverDomain, gk *GuestKernel, blocks uint64) (*BlkFront, er
 	if err != nil {
 		return nil, err
 	}
-	buf, err := dd.H.M.Mem.Alloc(gk.Component())
+	buf, err := dd.H.M.Mem.Alloc(gk.Comp())
 	if err != nil {
 		return nil, err
 	}

@@ -129,9 +129,6 @@ func NewDriverDomain(h *vmm.Hypervisor, d0 *vmm.Domain, nic *dev.NIC, disk *dev.
 	return dd, nil
 }
 
-// Component returns Dom0's trace attribution name.
-func (dd *DriverDomain) Component() string { return dd.GK.Component() }
-
 // Comp returns the interned trace attribution handle.
 func (dd *DriverDomain) Comp() trace.Comp { return dd.GK.Comp() }
 
@@ -139,7 +136,7 @@ func (dd *DriverDomain) Comp() trace.Comp { return dd.GK.Comp() }
 // depth is reached. Pool management is real driver work and is charged.
 func (dd *DriverDomain) replenishRxPool() {
 	for dd.NIC.PostedBuffers() < dd.rxPoolTarget {
-		f, err := dd.H.M.Mem.Alloc(dd.Component())
+		f, err := dd.H.M.Mem.Alloc(dd.Comp())
 		if err != nil {
 			return // memory pressure: run with a shallower pool
 		}

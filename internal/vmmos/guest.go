@@ -100,9 +100,6 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 	return gk
 }
 
-// Component returns the domain's trace attribution name.
-func (gk *GuestKernel) Component() string { return gk.Dom.Component() }
-
 // Comp returns the interned trace attribution handle.
 func (gk *GuestKernel) Comp() trace.Comp { return gk.Dom.Comp() }
 

@@ -56,9 +56,6 @@ func NewKVAppliance(h *vmm.Hypervisor, dom *vmm.Domain) *KVAppliance {
 	return a
 }
 
-// Component returns the appliance's trace attribution name.
-func (a *KVAppliance) Component() string { return a.Dom.Component() }
-
 // Comp returns the interned trace attribution handle.
 func (a *KVAppliance) Comp() trace.Comp { return a.Dom.Comp() }
 
@@ -69,7 +66,7 @@ func (a *KVAppliance) Connect(gk *GuestKernel) (*KVClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := a.H.M.Mem.Alloc(gk.Component())
+	buf, err := a.H.M.Mem.Alloc(gk.Comp())
 	if err != nil {
 		return nil, err
 	}

@@ -37,11 +37,11 @@ func ConnectNet(dd *DriverDomain, gk *GuestKernel) (*NetFront, error) {
 	}
 	nf := &NetFront{gk: gk, dd: dd, localPort: frontPort, mode: dd.Mode}
 	// Dedicated guest-owned buffers for copy-mode RX and for TX staging.
-	rxb, err := dd.H.M.Mem.Alloc(gk.Component())
+	rxb, err := dd.H.M.Mem.Alloc(gk.Comp())
 	if err != nil {
 		return nil, err
 	}
-	txb, err := dd.H.M.Mem.Alloc(gk.Component())
+	txb, err := dd.H.M.Mem.Alloc(gk.Comp())
 	if err != nil {
 		return nil, err
 	}

@@ -95,9 +95,6 @@ func NewParallaxOn(gk *GuestKernel, dd *DriverDomain, persistBlocks uint64) (*Pa
 	return px, nil
 }
 
-// Component returns the appliance's trace attribution name.
-func (px *Parallax) Component() string { return px.GK.Component() }
-
 // Comp returns the interned trace attribution handle.
 func (px *Parallax) Comp() trace.Comp { return px.GK.Comp() }
 
@@ -109,7 +106,7 @@ func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*PxFront, error)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := px.H.M.Mem.Alloc(gk.Component())
+	buf, err := px.H.M.Mem.Alloc(gk.Comp())
 	if err != nil {
 		return nil, err
 	}
