@@ -53,11 +53,9 @@ func main() {
 	// Distinctive memory pattern to verify the move end to end.
 	copy(src.M().Mem.Data(guest.Dom.FrameAt(9)), []byte("memory travels whole"))
 
-	// Machine B: an empty destination hypervisor.
-	dst, err := core.NewXenStack(core.Config{Guests: 0})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Machine B: the destination, with its stock guest destroyed. That
+	// guest is a domU1 too, and live domain names are unique.
+	dst := emptyXenStack()
 
 	s0, d0 := src.M().Now(), dst.M().Now()
 	moved, err := vmm.Migrate(src.H, guest.Dom.ID, dst.H)
@@ -117,10 +115,7 @@ func main() {
 	if _, err := srcB.PX.Snapshot(gB.Dom.ID); err != nil {
 		log.Fatal(err)
 	}
-	dstB, err := core.NewXenStack(core.Config{Guests: 0})
-	if err != nil {
-		log.Fatal(err)
-	}
+	dstB := emptyXenStack()
 
 	// The concurrent workload: every pre-copy round the guest keeps
 	// scribbling into a small hot set, plus one late page the final
@@ -176,6 +171,21 @@ func main() {
 	fmt.Println()
 	fmt.Println("This is the workload the paper's debate is really about: whole-OS")
 	fmt.Println("mobility and storage management as ordinary operations over components.")
+}
+
+// emptyXenStack boots a full stack and destroys its stock guest, leaving
+// a destination that can receive a migrating guest of any name.
+func emptyXenStack() *core.XenStack {
+	s, err := core.NewXenStack(core.Config{Guests: 0})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, g := range s.Guests {
+		if err := s.H.DestroyDomain(g.Dom.ID); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return s
 }
 
 func maxCycles(a, b hw.Cycles) hw.Cycles {

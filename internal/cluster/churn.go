@@ -55,47 +55,72 @@ func (o *ChurnOpts) defaults() {
 // for Spread — with the departing workload's neighbours dirtying pages
 // while they move. Stats() and Log() record what happened.
 func (c *Cluster) RunChurn(o ChurnOpts) error {
-	o.defaults()
-	rng := simrand.New(o.Seed)
-	dirt := func(g *Guest) func(round int) {
-		// Capture the guest's placement at migration start; the writes go
-		// through the source hypervisor, where the dirty log sees them.
-		hv, dom := g.host.hv, g.dom
-		return func(round int) {
-			d := hv.Domain(dom)
-			if d == nil {
-				return
-			}
-			span := len(d.Frames())
-			if span == 0 {
-				return
-			}
-			for k := 0; k < o.DirtyPerRound; k++ {
-				gpn := rng.Intn(span)
-				// Writes to ballooned-out holes fail by design; the draw
-				// still advances the stream deterministically.
-				_ = hv.GuestMemWrite(dom, gpn, 0, []byte{byte(round + k)})
-			}
-		}
-	}
-	for i := 0; i < o.Events; i++ {
-		arrival := len(c.guests) == 0 || int(rng.Uint64n(100)) < o.ArrivalPct
-		if arrival {
-			pages := o.MinPages + rng.Intn(o.MaxPages-o.MinPages+1)
-			name := fmt.Sprintf("d%03d", c.seq)
-			c.seq++
-			if _, err := c.Place(name, pages); err != nil && !errors.Is(err, ErrNoHostFits) {
-				return fmt.Errorf("cluster: churn event %d: %w", i, err)
-			}
-			continue
-		}
-		victim := c.guests[rng.Intn(len(c.guests))]
-		if err := c.Remove(victim.Name); err != nil {
-			return fmt.Errorf("cluster: churn event %d: %w", i, err)
-		}
-		if _, err := c.rebalance(dirt); err != nil {
-			return fmt.Errorf("cluster: churn event %d rebalance: %w", i, err)
+	ch := c.newChurn(o)
+	for i := 0; i < ch.o.Events; i++ {
+		if err := ch.event(i); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// churn is a churn run in progress: the normalized options and the one
+// simrand stream every decision draws from.
+type churn struct {
+	c   *Cluster
+	o   ChurnOpts
+	rng *simrand.Rand
+}
+
+func (c *Cluster) newChurn(o ChurnOpts) *churn {
+	o.defaults()
+	return &churn{c: c, o: o, rng: simrand.New(o.Seed)}
+}
+
+// event draws and runs churn event i: one arrival, or one departure and
+// the rebalance pass after it.
+func (ch *churn) event(i int) error {
+	c, o, rng := ch.c, ch.o, ch.rng
+	arrival := len(c.guests) == 0 || int(rng.Uint64n(100)) < o.ArrivalPct
+	if arrival {
+		pages := o.MinPages + rng.Intn(o.MaxPages-o.MinPages+1)
+		name := fmt.Sprintf("d%03d", c.seq)
+		c.seq++
+		if _, err := c.Place(name, pages); err != nil && !errors.Is(err, ErrNoHostFits) {
+			return fmt.Errorf("cluster: churn event %d: %w", i, err)
+		}
+		return nil
+	}
+	victim := c.guests[rng.Intn(len(c.guests))]
+	if err := c.Remove(victim.Name); err != nil {
+		return fmt.Errorf("cluster: churn event %d: %w", i, err)
+	}
+	if _, err := c.rebalance(ch.dirt); err != nil {
+		return fmt.Errorf("cluster: churn event %d rebalance: %w", i, err)
+	}
+	return nil
+}
+
+// dirt is the churn's workFactory: the migrating guest writes
+// DirtyPerRound random pages per pre-copy round.
+func (ch *churn) dirt(g *Guest) func(round int) {
+	// Capture the guest's placement at migration start; the writes go
+	// through the source hypervisor, where the dirty log sees them.
+	hv, dom := g.host.hv, g.dom
+	return func(round int) {
+		d := hv.Domain(dom)
+		if d == nil {
+			return
+		}
+		span := len(d.Frames())
+		if span == 0 {
+			return
+		}
+		for k := 0; k < ch.o.DirtyPerRound; k++ {
+			gpn := ch.rng.Intn(span)
+			// Writes to ballooned-out holes fail by design; the draw
+			// still advances the stream deterministically.
+			_ = hv.GuestMemWrite(dom, gpn, 0, []byte{byte(round + k)})
+		}
+	}
 }

@@ -146,6 +146,7 @@ type Cluster struct {
 	seq    int // next churn guest number; names are unique per cluster
 	log    []string
 	stats  Stats
+	cand   []*Host // candidates' reusable result
 }
 
 // New boots a fleet of cfg.Hosts hosts on machines from src (nil src boots

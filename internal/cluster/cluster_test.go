@@ -2,10 +2,39 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vmmk/internal/vmm"
 )
+
+// auditHosts fails the test at the first bookkeeping violation on any
+// host: the hypervisor's P2M, M2P and resident counts, and the frame
+// store's ledger.
+func auditHosts(t *testing.T, c *Cluster, when string) {
+	t.Helper()
+	for _, h := range c.Hosts() {
+		if err := h.Hypervisor().Audit(); err != nil {
+			t.Fatalf("%s, host%d: %v", when, h.Index(), err)
+		}
+		if err := h.Machine().Mem.Audit(); err != nil {
+			t.Fatalf("%s, host%d: %v", when, h.Index(), err)
+		}
+	}
+}
+
+// churnAudited runs a churn event by event, auditing every host after
+// each one.
+func churnAudited(t *testing.T, c *Cluster, o ChurnOpts) {
+	t.Helper()
+	ch := c.newChurn(o)
+	for i := 0; i < ch.o.Events; i++ {
+		if err := ch.event(i); err != nil {
+			t.Fatal(err)
+		}
+		auditHosts(t, c, fmt.Sprintf("after churn event %d", i))
+	}
+}
 
 // small boots a 2-host cluster sized so a few guests fill it.
 func small(t *testing.T, p Policy) *Cluster {
@@ -90,6 +119,7 @@ func TestOvercommitSqueezes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("overcommitted place failed: %v", err)
 	}
+	auditHosts(t, c, "after the squeeze")
 	if first.Resident() >= first.Nominal {
 		t.Fatalf("first guest not squeezed: resident %d of %d", first.Resident(), first.Nominal)
 	}
@@ -103,6 +133,7 @@ func TestOvercommitSqueezes(t *testing.T) {
 	if err := c.Remove("second"); err != nil {
 		t.Fatal(err)
 	}
+	auditHosts(t, c, "after the reflate")
 	if first.Resident() <= squeezed {
 		t.Fatalf("first guest not reflated: resident %d, was %d", first.Resident(), squeezed)
 	}
@@ -123,6 +154,7 @@ func TestMigrateGuestMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditHosts(t, c, "after the migration")
 	if stats.Downtime <= 0 {
 		t.Fatal("migration reported zero downtime")
 	}
@@ -165,6 +197,7 @@ func TestMigrateDeadLinkLeavesHostsClean(t *testing.T) {
 	if !errors.Is(err, vmm.ErrMigrationAborted) || !errors.Is(err, vmm.ErrLinkDown) {
 		t.Fatalf("err = %v, want ErrMigrationAborted wrapping ErrLinkDown", err)
 	}
+	auditHosts(t, c, "after the abort")
 	if g.Host() != src.Index() {
 		t.Fatal("control plane moved the guest despite the abort")
 	}
@@ -188,9 +221,7 @@ func TestChurnRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunChurn(ChurnOpts{Events: 64, Seed: 7, MinPages: 12, MaxPages: 44}); err != nil {
-			t.Fatalf("%s churn: %v", p, err)
-		}
+		churnAudited(t, c, ChurnOpts{Events: 64, Seed: 7, MinPages: 12, MaxPages: 44})
 		s := c.Stats()
 		if s.Placed == 0 || s.Removed == 0 {
 			t.Fatalf("%s churn did nothing: %+v", p, s)

@@ -7,8 +7,9 @@ import (
 	"vmmk/internal/hw"
 )
 
-// churnRun drives one cluster through a fixed churn and returns its
-// placement log, stats and final per-host clocks.
+// churnRun drives one cluster through a fixed churn, auditing every host
+// after each event, and returns its placement log, stats and final
+// per-host clocks.
 func churnRun(t *testing.T, fleet int, p Policy, seed uint64, src MachineSource) ([]string, Stats, []hw.Cycles) {
 	t.Helper()
 	c, err := New(Config{Hosts: fleet, Policy: p}, src)
@@ -16,9 +17,7 @@ func churnRun(t *testing.T, fleet int, p Policy, seed uint64, src MachineSource)
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.RunChurn(ChurnOpts{Events: 48, Seed: seed, MinPages: 12, MaxPages: 44}); err != nil {
-		t.Fatal(err)
-	}
+	churnAudited(t, c, ChurnOpts{Events: 48, Seed: seed, MinPages: 12, MaxPages: 44})
 	clocks := make([]hw.Cycles, 0, fleet)
 	for _, h := range c.Hosts() {
 		clocks = append(clocks, h.Machine().Now())

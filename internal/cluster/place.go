@@ -22,7 +22,7 @@ func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
 	if _, dup := c.byName[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyPlaced, name)
 	}
-	for _, h := range c.candidates(nominal, -1) {
+	for _, h := range c.candidates(nominal) {
 		free := h.m.Mem.FreeFrames()
 		if free < nominal && free+c.reclaimable(h) < nominal {
 			continue // admitted by commitment but physically hopeless

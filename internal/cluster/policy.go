@@ -59,14 +59,14 @@ func (c *Cluster) admits(h *Host, nominal int) bool {
 
 // candidates returns the hosts that admit nominal pages, best-preference
 // first under the cluster's policy. The scan is by host index with strict
-// comparisons, so ties deterministically favor the lower index.
-func (c *Cluster) candidates(nominal, exclude int) []*Host {
-	var out []*Host
+// comparisons, so ties deterministically favor the lower index. The result
+// reuses the cluster's scratch slice: it is valid until the next call.
+func (c *Cluster) candidates(nominal int) []*Host {
+	out := c.cand[:0]
 	for _, h := range c.hosts {
-		if h.index == exclude || !c.admits(h, nominal) {
-			continue
+		if c.admits(h, nominal) {
+			out = append(out, h)
 		}
-		out = append(out, h)
 	}
 	// Insertion sort by preference keeps the index-order tie-break stable
 	// without a comparison function ranging over anything unordered.
@@ -75,6 +75,7 @@ func (c *Cluster) candidates(nominal, exclude int) []*Host {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
+	c.cand = out
 	return out
 }
 

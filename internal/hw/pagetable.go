@@ -1,6 +1,9 @@
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Perm is a page permission bitmask.
 type Perm uint8
@@ -77,6 +80,7 @@ type PageTable struct {
 	byFrame map[FrameID]frameRef
 
 	asid  uint16
+	top   int32  // dense[top:] has never been mapped, so scans stop at top
 	epoch uint64 // bumped on any mutation; lets shadow tables detect drift
 }
 
@@ -173,6 +177,7 @@ func (pt *PageTable) Map(vpn VPN, e PTE) {
 		} else {
 			pt.n++
 			pt.index(e.Frame, vpn)
+			pt.top = max(pt.top, int32(vpn)+1)
 		}
 		d.frame, d.perms, d.user, d.present = e.Frame, e.Perms, e.User, true
 		pt.epoch++
@@ -233,7 +238,7 @@ func (pt *PageTable) Len() int { return pt.n }
 // Each calls fn for every mapping. Iteration order is unspecified; callers
 // needing determinism must sort.
 func (pt *PageTable) Each(fn func(VPN, PTE)) {
-	for v := range pt.dense {
+	for v := range pt.top {
 		if d := pt.dense[v]; d.present {
 			fn(VPN(v), PTE{Frame: d.frame, Perms: d.perms, User: d.user})
 		}
@@ -277,6 +282,48 @@ func (pt *PageTable) UnmapFrame(f FrameID) int {
 	}
 	delete(pt.byFrame, f)
 	pt.epoch++
+	return n
+}
+
+// UnmapFrames removes every mapping of every frame in fs and returns how
+// many were removed. With the reverse index built it unmaps frame by frame
+// through the index. Without it, it clears them in one pass over the table
+// and leaves the index unbuilt, so a table that is only ever unmapped in
+// batches (ballooning) never pays to build one. The pass tests each entry
+// against fs linearly, which suits the small batches ballooning hands it.
+func (pt *PageTable) UnmapFrames(fs []FrameID) int {
+	if len(fs) == 0 {
+		return 0
+	}
+	if pt.byFrame != nil {
+		n := 0
+		for _, f := range fs {
+			n += pt.UnmapFrame(f)
+		}
+		return n
+	}
+	lo, hi := fs[0], fs[0]
+	for _, f := range fs[1:] {
+		lo, hi = min(lo, f), max(hi, f)
+	}
+	hit := func(f FrameID) bool { return f >= lo && f <= hi && slices.Contains(fs, f) }
+	n := 0
+	for v := range pt.top {
+		if d := &pt.dense[v]; d.present && hit(d.frame) {
+			*d = densePTE{}
+			n++
+		}
+	}
+	for v, e := range pt.sparse {
+		if hit(e.Frame) {
+			delete(pt.sparse, v)
+			n++
+		}
+	}
+	if n > 0 {
+		pt.n -= n
+		pt.epoch++
+	}
 	return n
 }
 

@@ -1,0 +1,61 @@
+package vmm
+
+import (
+	"fmt"
+
+	"vmmk/internal/hw"
+	"vmmk/internal/trace"
+)
+
+// Audit checks the monitor's P2M bookkeeping against the physical-memory
+// ledger and returns the first violation it finds, or nil. It checks that
+//   - no two live domains share a name (the name is the frame owner);
+//   - every frame in a live P2M is owned by its domain;
+//   - the M2P and the live P2Ms agree in both directions;
+//   - each domain's resident count equals a scan of its P2M;
+//   - every recorded hole is an empty P2M slot.
+//
+// Audit allocates and walks every table, so it is a test oracle, not
+// something the simulation calls.
+func (h *Hypervisor) Audit() error {
+	byComp := make(map[trace.Comp]*Domain, len(h.order))
+	for _, id := range h.order {
+		d := h.domains[id]
+		if other, ok := byComp[d.comp]; ok {
+			return fmt.Errorf("vmm audit: domains %d and %d are both named %q", other.ID, d.ID, d.Name)
+		}
+		byComp[d.comp] = d
+		n := 0
+		for gpn, f := range d.frames {
+			if f == hw.NoFrame {
+				continue
+			}
+			n++
+			if o := h.M.Mem.Owner(f); o != d.comp {
+				return fmt.Errorf("vmm audit: %s gpn %d: frame %d is owned by %q",
+					d.Name, gpn, f, h.M.Rec.Registry().Name(o))
+			}
+			if int(f) >= len(h.m2p) || int(h.m2p[f]) != gpn+1 {
+				return fmt.Errorf("vmm audit: %s gpn %d: frame %d is missing from the M2P", d.Name, gpn, f)
+			}
+		}
+		if n != d.resident {
+			return fmt.Errorf("vmm audit: %s holds %d frames, resident count says %d", d.Name, n, d.resident)
+		}
+		for _, gpn := range d.holes {
+			if gpn < 0 || gpn >= len(d.frames) || d.frames[gpn] != hw.NoFrame {
+				return fmt.Errorf("vmm audit: %s hole list names gpn %d, which is not a hole", d.Name, gpn)
+			}
+		}
+	}
+	for f, g := range h.m2p {
+		if g == 0 {
+			continue
+		}
+		d := byComp[h.M.Mem.Owner(hw.FrameID(f))]
+		if d == nil || d.FrameAt(int(g)-1) != hw.FrameID(f) {
+			return fmt.Errorf("vmm audit: M2P maps frame %d to gpn %d, which no live P2M holds", f, g-1)
+		}
+	}
+	return nil
+}

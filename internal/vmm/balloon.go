@@ -18,7 +18,8 @@ var ErrBalloonEmpty = errors.New("vmm: no free machine memory to balloon in")
 
 // BalloonOut releases n owned pages (highest guest page numbers first) to
 // the machine pool. It returns how many were actually released — holes and
-// flipped-away slots are skipped.
+// flipped-away slots are skipped. The released frames leave the page table
+// in one batch unmap, which never builds the table's reverse index.
 func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -26,23 +27,26 @@ func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 	}
 	h.hypercallEntry(d)
 	defer h.hypercallExit(d)
-	released := 0
-	for gpn := len(d.frames) - 1; gpn >= 0 && released < n; gpn-- {
+	victims := h.victims[:0]
+	for gpn := len(d.frames) - 1; gpn >= 0 && len(victims) < n; gpn-- {
 		f := d.frames[gpn]
 		if f == hw.NoFrame || !d.OwnsFrame(f) {
 			continue
 		}
-		d.PT.UnmapFrame(f)
-		d.frames[gpn] = hw.NoFrame
-		d.holes = append(d.holes, gpn)
+		d.punch(gpn)
+		victims = append(victims, f)
+	}
+	h.victims = victims
+	if len(victims) == 0 {
+		return 0, nil
+	}
+	d.PT.UnmapFrames(victims)
+	for _, f := range victims {
 		h.M.Mem.Free(f)
-		h.M.CPU.Work(h.comp, hw.Cycles(60)+h.M.Arch.Costs.PTEUpdate)
-		released++
 	}
-	if released > 0 {
-		h.M.CPU.FlushTLB(h.comp)
-	}
-	return released, nil
+	h.M.CPU.WorkN(h.comp, hw.Cycles(60)+h.M.Arch.Costs.PTEUpdate, uint64(len(victims)))
+	h.M.CPU.FlushTLB(h.comp)
+	return len(victims), nil
 }
 
 // BalloonIn allocates n fresh pages to the domain, filling P2M holes first
@@ -63,13 +67,11 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 			return false
 		}
 		if gpn < len(d.frames) {
-			d.frames[gpn] = f
 			// The slot is no longer a hole: prune it from the free list so
 			// churn does not accumulate stale entries for addFrame to skip.
 			d.pruneHole(gpn)
-		} else {
-			d.frames = append(d.frames, f)
 		}
+		d.install(gpn, f)
 		if dl := d.dirtyLog; dl != nil {
 			dl.armNew(gpn)
 		}
@@ -93,13 +95,6 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 }
 
 // OwnedPages returns the number of machine pages the domain currently owns
-// (holes excluded).
-func (d *Domain) OwnedPages() int {
-	mem, n := d.hyp.M.Mem, 0
-	for _, f := range d.frames {
-		if f != hw.NoFrame && mem.Owner(f) == d.comp {
-			n++
-		}
-	}
-	return n
-}
+// (holes excluded): its P2M's resident count, which the P2M mutators keep
+// current.
+func (d *Domain) OwnedPages() int { return d.resident }

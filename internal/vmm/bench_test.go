@@ -64,3 +64,38 @@ func BenchmarkMigrateLive64(b *testing.B) {
 		i++
 	}
 }
+
+// BenchmarkBalloonOutIn is one squeeze-and-reflate cycle of a 64-page
+// guest: 8 pages ballooned out (P2M holes, one batch unmap, frames freed)
+// and ballooned back in.
+func BenchmarkBalloonOutIn(b *testing.B) {
+	r := newVrig(b, hw.X86())
+	b.ReportAllocs()
+	for b.Loop() {
+		if n, err := r.h.BalloonOut(r.domU.ID, 8); err != nil || n != 8 {
+			b.Fatalf("BalloonOut = %d, %v", n, err)
+		}
+		if n, err := r.h.BalloonIn(r.domU.ID, 8); err != nil || n != 8 {
+			b.Fatalf("BalloonIn = %d, %v", n, err)
+		}
+	}
+}
+
+// BenchmarkGrantCopy is one hypervisor-mediated copy of a 1500-byte packet
+// from a page dom0 granted read-only into a guest buffer frame: the
+// copy-mode alternative to the page flip.
+func BenchmarkGrantCopy(b *testing.B) {
+	r := newVrig(b, hw.X86())
+	src, dst := r.dom0.FrameAt(0), r.domU.FrameAt(0)
+	r.m.Mem.Data(src)[0] = 1 // a written source: the copy moves real bytes
+	ref, err := r.h.GrantAccess(r.dom0.ID, src, r.domU.ID, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := r.h.GrantCopy(r.domU.ID, r.dom0.ID, ref, dst, 1500); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -17,6 +17,7 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	audit(t, r.h)
 	aliases := []hw.VPN{6, 0xB00, 0xB01}
 	writable := func() (n int) {
 		for _, vpn := range aliases {
@@ -30,6 +31,7 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if n := writable(); n != 0 {
 		t.Fatalf("%d aliases still writable after arm", n)
 	}
@@ -41,6 +43,7 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 	if err := r.h.GuestMemWrite(r.domU.ID, 6, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if n := writable(); n != 3 {
 		t.Fatalf("fault restored PermW on %d of 3 aliases", n)
 	}
@@ -55,10 +58,12 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 	if got := dl.Rearm(); !slices.Equal(got, []int{6}) {
 		t.Fatalf("rearm = %v, want [6]", got)
 	}
+	audit(t, r.h)
 	if n := writable(); n != 0 {
 		t.Fatalf("%d aliases writable after rearm", n)
 	}
 	r.h.DisableDirtyLog(r.domU.ID)
+	audit(t, r.h)
 	if n := writable(); n != 3 {
 		t.Fatalf("disable restored %d of 3 aliases", n)
 	}
@@ -76,6 +81,7 @@ func TestDirtyLogReadOnlyAliasStaysReadOnly(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
+		audit(t, r.h)
 		if e, _ := r.domU.PT.Lookup(0xC00); e.Perms != hw.PermR {
 			t.Fatalf("%s: read-only alias perms %v", when, e.Perms)
 		}
@@ -99,6 +105,7 @@ func TestDirtyLogLogsPagesBalloonedInWhileArmed(t *testing.T) {
 	if _, err := r.h.BalloonOut(r.domU.ID, 1); err != nil { // hole at gpn 63
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	dl, err := r.h.EnableDirtyLog(r.domU.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +114,13 @@ func TestDirtyLogLogsPagesBalloonedInWhileArmed(t *testing.T) {
 	if got, err := r.h.BalloonIn(r.domU.ID, 3); err != nil || got != 3 {
 		t.Fatalf("BalloonIn = %d, %v", got, err)
 	}
+	audit(t, r.h)
 	for _, gpn := range []int{65, 63} {
 		faults := dl.Faults()
 		if err := r.h.GuestMemWrite(r.domU.ID, gpn, 0, []byte("new")); err != nil {
 			t.Fatal(err)
 		}
+		audit(t, r.h)
 		if dl.Faults() != faults+1 {
 			t.Fatalf("store to ballooned-in gpn %d did not fault", gpn)
 		}
@@ -119,6 +128,7 @@ func TestDirtyLogLogsPagesBalloonedInWhileArmed(t *testing.T) {
 	if got := dl.Rearm(); !slices.Equal(got, []int{63, 65}) {
 		t.Fatalf("rearm = %v, want [63 65]", got)
 	}
+	audit(t, r.h)
 	// Rearm protects the page that was never written, too.
 	if err := r.h.GuestMemWrite(r.domU.ID, 64, 0, []byte("late")); err != nil {
 		t.Fatal(err)
@@ -138,6 +148,7 @@ func TestDirtyLogDirtyIsAscending(t *testing.T) {
 		if err := r.h.GuestMemWrite(r.domU.ID, gpn, 0, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
+		audit(t, r.h)
 	}
 	want := []int{0, 3, 17, 40, 63}
 	if got := dl.Dirty(); !slices.Equal(got, want) {
@@ -146,6 +157,7 @@ func TestDirtyLogDirtyIsAscending(t *testing.T) {
 	if got := dl.Rearm(); !slices.Equal(got, want) {
 		t.Fatalf("rearm = %v, want %v", got, want)
 	}
+	audit(t, r.h)
 	if got := dl.Dirty(); len(got) != 0 {
 		t.Fatalf("dirty after rearm = %v", got)
 	}
@@ -164,6 +176,7 @@ func recycledHost(t *testing.T) (*hw.Machine, *Hypervisor) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, h)
 	junk := bytes.Repeat([]byte{0xEE}, int(m.Mem.PageSize()))
 	for gpn := range prev.Frames() {
 		if err := h.GuestMemWrite(prev.ID, gpn, 0, junk); err != nil {
@@ -173,6 +186,7 @@ func recycledHost(t *testing.T) (*hw.Machine, *Hypervisor) {
 	if err := h.DestroyDomain(prev.ID); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, h)
 	return m, h
 }
 
@@ -199,6 +213,7 @@ func TestMigrateOntoRecycledFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(want[gpn][off:], data)
+			audit(t, src, dst)
 		}
 		for gpn := 0; gpn < pages; gpn += 3 {
 			write(gpn, gpn, []byte("written"))
@@ -216,6 +231,7 @@ func TestMigrateOntoRecycledFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		audit(t, src, dst)
 		for gpn := range want {
 			if got := dstM.Mem.Data(moved.FrameAt(gpn)); !bytes.Equal(got, want[gpn]) {
 				i := 0

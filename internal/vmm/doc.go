@@ -25,4 +25,15 @@
 // placed domain pays a kick IPI. Domains that are never placed keep the
 // free uniprocessor arrangement, which is how E1–E11 stay bit-for-bit
 // unchanged; experiment E12 sweeps core counts.
+//
+// Memory model: each domain's P2M (Domain.Frames) maps its guest page
+// numbers to machine frames, with NoFrame holes where pages were
+// ballooned out or flipped away. The hypervisor keeps the inverse, Xen's
+// machine-to-phys (M2P) table, mapping each frame a live P2M holds to its
+// guest page number, plus a per-domain count of P2M frames. Every P2M
+// mutation (domain build, restore and migration shells, BalloonIn and
+// BalloonOut, page flips, DestroyDomain) updates both, so frame -> gpn
+// lookups and OwnedPages are O(1). Live domain names are unique, because
+// a domain's name is its frames' owner in the physical-memory ledger.
+// Hypervisor.Audit checks these invariants; it is a test oracle.
 package vmm

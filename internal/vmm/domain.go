@@ -30,10 +30,11 @@ type Domain struct {
 
 	Hooks GuestHooks
 
-	frames []hw.FrameID
-	holes  []int // free P2M slots (frames[i] == NoFrame), reused on fill
-	grants *grantTable
-	hyp    *Hypervisor
+	frames   []hw.FrameID // the P2M: guest page -> machine frame
+	holes    []int        // free P2M slots (frames[i] == NoFrame), reused on fill
+	resident int          // P2M slots holding a frame
+	grants   *grantTable
+	hyp      *Hypervisor
 
 	// fastPathOK tracks whether the trap-gate syscall shortcut is
 	// currently safe for this domain (see LoadGuestSegment).
@@ -76,6 +77,40 @@ func (d *Domain) FrameAt(gpn int) hw.FrameID {
 		return hw.NoFrame
 	}
 	return d.frames[gpn]
+}
+
+// gpnOf returns the guest page f backs in d's P2M, or -1 when f is not in
+// it. The monitor's M2P names a gpn for every frame some live P2M holds;
+// the P2M check confirms that the P2M is d's.
+func (d *Domain) gpnOf(f hw.FrameID) int {
+	m2p := d.hyp.m2p
+	if int(f) >= len(m2p) || m2p[f] == 0 {
+		return -1
+	}
+	if g := int(m2p[f]) - 1; g < len(d.frames) && d.frames[g] == f {
+		return g
+	}
+	return -1
+}
+
+// install puts frame f in P2M slot gpn, which must be a hole or the end.
+func (d *Domain) install(gpn int, f hw.FrameID) {
+	if gpn == len(d.frames) {
+		d.frames = append(d.frames, f)
+	} else {
+		d.frames[gpn] = f
+	}
+	d.hyp.setM2P(f, gpn)
+	d.resident++
+}
+
+// punch empties P2M slot gpn and remembers it as a hole for reuse. The
+// frame it held is the caller's to release or hand on.
+func (d *Domain) punch(gpn int) {
+	d.hyp.m2p[d.frames[gpn]] = 0
+	d.frames[gpn] = hw.NoFrame
+	d.holes = append(d.holes, gpn)
+	d.resident--
 }
 
 // OwnsFrame reports whether the machine frame currently belongs to d

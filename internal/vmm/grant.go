@@ -200,14 +200,11 @@ func (h *Hypervisor) GrantTransfer(user DomID, owner DomID, ref GrantRef) (hw.Fr
 // removeFrame punches a hole in the pseudo-physical map: after a flip the
 // donor's guest page number maps to nothing until a replacement page is
 // ballooned in, exactly like Xen's physical-to-machine table. The slot is
-// remembered for reuse.
+// remembered for reuse. A frame outside the P2M (a ring or driver buffer
+// the domain allocated directly) leaves the map untouched.
 func (d *Domain) removeFrame(f hw.FrameID) {
-	for i, x := range d.frames {
-		if x == f {
-			d.frames[i] = hw.NoFrame
-			d.holes = append(d.holes, i)
-			return
-		}
+	if gpn := d.gpnOf(f); gpn >= 0 {
+		d.punch(gpn)
 	}
 }
 
@@ -220,11 +217,11 @@ func (d *Domain) addFrame(f hw.FrameID) int {
 		// BalloonIn prunes the holes it fills, so entries here should
 		// always be genuine; the check stays as a defensive guard.
 		if d.frames[i] == hw.NoFrame {
-			d.frames[i] = f
+			d.install(i, f)
 			return i
 		}
 	}
-	d.frames = append(d.frames, f)
+	d.install(len(d.frames), f)
 	return len(d.frames) - 1
 }
 

@@ -98,16 +98,11 @@ func TestQuickGrantOwnershipInvariants(t *testing.T) {
 				}
 			}
 			// Property 1: ledger consistency — every domain's non-hole
-			// frame list entry is owned by that domain.
-			for _, d := range doms {
-				for _, f := range d.Frames() {
-					if f == hw.NoFrame {
-						continue
-					}
-					if m.Mem.Owner(f) != d.Comp() {
-						return false
-					}
-				}
+			// frame list entry is owned by that domain, and the M2P and
+			// resident counts agree with the frame lists.
+			if err := h.Audit(); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
+				return false
 			}
 		}
 		return true

@@ -29,6 +29,7 @@ var (
 	ErrNoFastPath    = errors.New("vmm: fast path unavailable")
 	ErrFrameNotOwned = errors.New("vmm: domain does not own frame")
 	ErrBadPCPU       = errors.New("vmm: physical CPU index out of range")
+	ErrDomainExists  = errors.New("vmm: a live domain already has that name")
 )
 
 // HypervisorComponent is the trace attribution name of monitor-mode work.
@@ -67,9 +68,15 @@ type Hypervisor struct {
 	hypercalls uint64
 	worldSw    uint64
 
-	// gpnScratch maps a machine frame to 1 + the guest page it backs, for
-	// whichever domain a dirty-log arm is indexing; all zero between uses.
-	gpnScratch []int32
+	// m2p is the machine-to-phys table: frame -> 1 + the guest page it
+	// backs in whichever live P2M holds it, 0 for a frame no P2M holds.
+	// The P2M mutators keep it current, so frame -> gpn lookups (dirty-log
+	// arming, page-table capture, flips) are O(1). It grows on demand to
+	// the highest frame a P2M has held, not to the machine's size.
+	m2p []int32
+
+	// victims is BalloonOut's reusable list of frames to release.
+	victims []hw.FrameID
 }
 
 // New boots a hypervisor on machine m and creates Dom0 with the given
@@ -107,10 +114,20 @@ func (h *Hypervisor) CreateDomain(name string, frames int) (*Domain, error) {
 }
 
 // buildDomain is CreateDomain without the identity mappings: the domain
-// gets its frames and an empty page table sized for them.
+// gets its frames and an empty page table sized for them. Names must be
+// unique among live domains, because the name is the frame owner's
+// identity in the physical-memory ledger.
 func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
+	for _, id := range h.order {
+		if h.domains[id].Name == name {
+			return nil, fmt.Errorf("%w: %q", ErrDomainExists, name)
+		}
+	}
 	id := h.nextDom
 	h.nextDom++
+	// The slot is taken even if the build fails, so ids stay aligned with
+	// their slots.
+	h.domains = append(h.domains, nil)
 	d := &Domain{
 		ID:     id,
 		Name:   name,
@@ -124,21 +141,34 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 		return nil, err
 	}
 	d.frames = mem
+	d.resident = len(mem)
+	top := hw.FrameID(0)
+	for _, f := range mem {
+		top = max(top, f)
+	}
+	h.growM2P(top) // one growth for the batch, not one per frame
+	for gpn, f := range mem {
+		h.m2p[f] = int32(gpn) + 1
+	}
 	h.M.CPU.Charge(h.comp, trace.KHypercall, 600) // domain-build hypercall
 	h.hypercalls++
-	h.domains = append(h.domains, d)
+	h.domains[id] = d
 	h.order = append(h.order, id)
 	h.sched.add(d)
 	return d, nil
 }
 
-// frameGPN returns the monitor's frame -> gpn scratch, sized to the
-// machine's frames on first use. Callers hand it back all zero.
-func (h *Hypervisor) frameGPN() []int32 {
-	if h.gpnScratch == nil {
-		h.gpnScratch = make([]int32, h.M.Mem.TotalFrames())
+// growM2P extends the M2P to cover frame f.
+func (h *Hypervisor) growM2P(f hw.FrameID) {
+	if int(f) >= len(h.m2p) {
+		h.m2p = append(h.m2p, make([]int32, int(f)+1-len(h.m2p))...)
 	}
-	return h.gpnScratch
+}
+
+// setM2P records that frame f backs guest page gpn.
+func (h *Hypervisor) setM2P(f hw.FrameID, gpn int) {
+	h.growM2P(f)
+	h.m2p[f] = int32(gpn) + 1
 }
 
 // Comp returns the monitor's interned trace attribution handle.
@@ -324,10 +354,12 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		if f == hw.NoFrame {
 			continue
 		}
+		h.m2p[f] = 0
 		if h.M.Mem.Owner(f) == d.comp {
 			h.M.Mem.Free(f)
 		}
 	}
+	d.resident = 0
 	if h.current == d {
 		h.current = nil
 	}

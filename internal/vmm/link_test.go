@@ -41,6 +41,7 @@ func TestLinkChargesBothEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, src, dst)
 	if moved == nil || stats == nil {
 		t.Fatal("no result from migration")
 	}
@@ -67,6 +68,7 @@ func TestLinkZeroIsFree(t *testing.T) {
 	if _, _, err := MigrateLive(src, dom, dst, LiveOpts{Transport: l.Transport(srcM, dstM)}); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, src, dst)
 	if got := srcM.Rec.Cycles(LinkComponent); got != 0 {
 		t.Fatalf("free link charged %d cycles", got)
 	}
@@ -85,6 +87,7 @@ func TestLinkBudgetAborts(t *testing.T) {
 	if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("err = %v, want ErrMigrationAborted wrapping ErrLinkDown", err)
 	}
+	audit(t, src, dst)
 	if l.Pages() != 0 {
 		t.Fatalf("down link still carried %d pages", l.Pages())
 	}

@@ -19,6 +19,7 @@ func TestDirtyLogCatchesFirstWritePerRound(t *testing.T) {
 	if err := r.h.GuestMemWrite(r.domU.ID, 5, 0, []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if got := dl.Dirty(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("dirty = %v, want [5]", got)
 	}
@@ -39,6 +40,7 @@ func TestDirtyLogCatchesFirstWritePerRound(t *testing.T) {
 	if got := dl.Rearm(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("rearm returned %v, want [5]", got)
 	}
+	audit(t, r.h)
 	if got := dl.Dirty(); len(got) != 0 {
 		t.Fatalf("dirty after rearm = %v, want empty", got)
 	}
@@ -62,6 +64,7 @@ func TestDirtyLogWriteProtectsAndRestoresPerms(t *testing.T) {
 	if _, err := r.h.EnableDirtyLog(r.domU.ID); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if e, _ := r.domU.PT.Lookup(0xA00); e.Perms&hw.PermW != 0 {
 		t.Fatal("armed page still writable")
 	}
@@ -73,6 +76,7 @@ func TestDirtyLogWriteProtectsAndRestoresPerms(t *testing.T) {
 		t.Fatal("fault did not restore write permission")
 	}
 	r.h.DisableDirtyLog(r.domU.ID)
+	audit(t, r.h)
 	if e, _ := r.domU.PT.Lookup(0xA00); e.Perms&hw.PermW == 0 {
 		t.Fatal("disable did not restore write permission")
 	}
@@ -94,8 +98,10 @@ func TestDirtyLogRearmKeepsCleanPagesRestorable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl.Rearm()
+	audit(t, r.h)
 	dl.Rearm()
 	r.h.DisableDirtyLog(r.domU.ID)
+	audit(t, r.h)
 	if e, ok := r.domU.PT.Lookup(hw.VPN(4)); !ok || e.Perms&hw.PermW == 0 {
 		t.Fatalf("clean page left write-protected after rearm cycle: %+v ok=%v", e, ok)
 	}
@@ -116,6 +122,7 @@ func TestDirtyLogLifecycleErrors(t *testing.T) {
 		t.Fatal("page-overrunning write accepted")
 	}
 	r.h.DestroyDomain(r.domU.ID)
+	audit(t, r.h)
 	if err := r.h.GuestMemWrite(r.domU.ID, 0, 0, []byte("x")); !errors.Is(err, ErrDomainDead) {
 		t.Fatalf("write to destroyed domain err = %v, want ErrDomainDead", err)
 	}
@@ -154,11 +161,13 @@ func TestMigrateLiveMovesMemoryAndMappings(t *testing.T) {
 		if err := r.h.GuestMemWrite(r.domU.ID, 9, 0, []byte{'r', byte('0' + round)}); err != nil {
 			t.Fatal(err)
 		}
+		audit(t, r.h, r.dstH)
 	}
 	d2, stats, err := MigrateLive(r.h, r.domU.ID, r.dstH, LiveOpts{MaxRounds: 3, GuestWork: work})
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h, r.dstH)
 	if r.h.Alive(r.domU.ID) {
 		t.Fatal("domain still alive at source")
 	}
@@ -219,6 +228,7 @@ func TestMigrateLiveDowntimeBeatsStopAndCopy(t *testing.T) {
 	if _, err := Migrate(stop.h, stop.domU.ID, stop.dstH); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, stop.h, stop.dstH)
 	stopDowntime := (stop.m.Now() - s0) + (stop.m2.Now() - d0)
 
 	live := prep()
@@ -234,6 +244,7 @@ func TestMigrateLiveDowntimeBeatsStopAndCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, live.h, live.dstH)
 	if stats.Downtime >= stopDowntime {
 		t.Fatalf("live downtime %d not below stop-and-copy %d", stats.Downtime, stopDowntime)
 	}
@@ -258,6 +269,7 @@ func TestMigrateLivePreservesP2MHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h, r.dstH)
 	if d2.FrameAt(2) != hw.NoFrame {
 		t.Fatal("hole not preserved across live migration")
 	}
@@ -283,6 +295,7 @@ func TestMigrateLiveWSSCutoffBoundsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h, r.dstH)
 	if stats.Rounds != 1 {
 		t.Fatalf("non-converging guest ran %d rounds, want the cutoff after 1", stats.Rounds)
 	}
@@ -310,6 +323,7 @@ func TestMigrateLiveErrors(t *testing.T) {
 	if _, _, err := MigrateLive(r2.h, r2.domU.ID, tinyH, LiveOpts{}); err == nil {
 		t.Fatal("migration into an out-of-memory destination should fail")
 	}
+	audit(t, r2.h, tinyH)
 	if r2.domU.dirtyLog != nil {
 		t.Fatal("failed migration left the dirty log enabled")
 	}
@@ -317,6 +331,7 @@ func TestMigrateLiveErrors(t *testing.T) {
 	if _, _, err := MigrateLive(r2.h, r2.domU.ID, r2.dstH, LiveOpts{}); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r2.h, r2.dstH)
 }
 
 // --- transport hook and abort unwinding --------------------------------------
@@ -341,6 +356,7 @@ func TestMigrateLiveTransportSeesEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h, r.dstH)
 	if len(batches) < 2 {
 		t.Fatalf("transport saw %d batches, want >= 2 (pre-copy + blackout)", len(batches))
 	}
@@ -376,6 +392,7 @@ func TestMigrateLiveLinkFailureAborts(t *testing.T) {
 			if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, linkDown) {
 				t.Fatalf("err = %v, want ErrMigrationAborted wrapping the link error", err)
 			}
+			audit(t, r.h, r.dstH)
 			if r.domU.dirtyLog != nil {
 				t.Error("abort left the dirty log enabled")
 			}
@@ -388,6 +405,7 @@ func TestMigrateLiveLinkFailureAborts(t *testing.T) {
 			if _, _, err := MigrateLive(r.h, r.domU.ID, r.dstH, LiveOpts{}); err != nil {
 				t.Fatalf("source not migratable after abort: %v", err)
 			}
+			audit(t, r.h, r.dstH)
 		})
 	}
 }
@@ -406,11 +424,13 @@ func TestMigrateLiveSourceDeathAborts(t *testing.T) {
 			} else if err := r.h.GuestMemWrite(r.domU.ID, round, 0, []byte("dirty")); err != nil {
 				t.Error(err)
 			}
+			audit(t, r.h, r.dstH)
 		},
 	})
 	if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, ErrDomainDead) {
 		t.Fatalf("err = %v, want ErrMigrationAborted wrapping ErrDomainDead", err)
 	}
+	audit(t, r.h, r.dstH)
 	if got := r.m2.Mem.FreeFrames(); got != dstFree {
 		t.Errorf("destination frames leaked: %d free after abort, want %d", got, dstFree)
 	}
@@ -430,6 +450,7 @@ func TestMigrateLiveCallerPausedStaysPaused(t *testing.T) {
 	if !errors.Is(err, ErrMigrationAborted) {
 		t.Fatalf("err = %v, want ErrMigrationAborted", err)
 	}
+	audit(t, r.h, r.dstH)
 	if !r.h.Paused(r.domU.ID) {
 		t.Error("abort resumed a domain the caller had paused")
 	}

@@ -1,9 +1,10 @@
 package vmm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmmk/internal/hw"
 )
@@ -78,19 +79,13 @@ func (h *Hypervisor) Paused(dom DomID) bool {
 // machine frame), sorted by VPN. Entries referencing foreign frames
 // (grant maps) are dropped, like real migration drops grant mappings.
 func capturePT(d *Domain) []savedPTE {
-	gpnOf := make(map[hw.FrameID]int, len(d.frames))
-	for gpn, f := range d.frames {
-		if f != hw.NoFrame {
-			gpnOf[f] = gpn
-		}
-	}
-	var out []savedPTE
+	out := make([]savedPTE, 0, d.PT.Len())
 	d.PT.Each(func(v hw.VPN, e hw.PTE) {
-		if gpn, ok := gpnOf[e.Frame]; ok {
+		if gpn := d.gpnOf(e.Frame); gpn >= 0 {
 			out = append(out, savedPTE{VPN: v, GPN: gpn, Perms: e.Perms, User: e.User})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].VPN < out[j].VPN })
+	slices.SortFunc(out, func(a, b savedPTE) int { return cmp.Compare(a.VPN, b.VPN) })
 	return out
 }
 
@@ -120,6 +115,7 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 			continue
 		}
 		frames[gpn] = d.frames[next]
+		h.setM2P(frames[gpn], gpn)
 		next++
 	}
 	d.frames = frames

@@ -64,6 +64,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if !r.h.Paused(d2.ID) {
 		t.Fatal("restored domain must start paused")
 	}
@@ -104,6 +105,7 @@ func TestSavePreservesP2MHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if d2.FrameAt(0) != hw.NoFrame {
 		t.Fatal("hole not preserved after restore")
 	}
@@ -126,6 +128,7 @@ func TestMigrateBetweenHypervisors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, src.h, dstH)
 	// Gone at the source, alive (paused) at the destination.
 	if src.h.Alive(src.domU.ID) {
 		t.Fatal("domain still alive at source")

@@ -164,33 +164,29 @@ func (dl *DirtyLog) grow(n int) {
 // arm write-protects every owned page not already protected. Pages still
 // armed from a previous round are skipped — their write permissions are
 // already stripped, and their wprot record (which mappings to restore on
-// disarm) must survive untouched. The monitor's frame -> gpn scratch marks
-// the pages this round protects, and one pass over the page table strips
-// PermW from their writable mappings (read-only mappings stay read-only
-// when the log disarms), so a round costs O(frames + entries), not
-// O(frames × entries).
+// disarm) must survive untouched. One pass over the page table strips
+// PermW from the writable mappings of the pages this round protects,
+// resolving each mapped frame to its gpn through the monitor's M2P
+// (read-only mappings stay read-only when the log disarms), so a round
+// costs O(frames + entries), not O(frames × entries).
 func (dl *DirtyLog) arm() {
 	h, d := dl.h, dl.d
 	dl.grow(len(d.frames))
-	gpnOf := h.frameGPN()
-	for gpn, f := range d.frames {
-		if f != hw.NoFrame && !dl.armed[gpn] && d.OwnsFrame(f) {
-			gpnOf[f] = int32(gpn) + 1
-		}
-	}
 	d.PT.Each(func(vpn hw.VPN, e hw.PTE) {
-		g := gpnOf[e.Frame]
-		if g == 0 || e.Perms&hw.PermW == 0 {
+		if e.Perms&hw.PermW == 0 {
+			return
+		}
+		g := d.gpnOf(e.Frame)
+		if g < 0 || dl.armed[g] {
 			return
 		}
 		e.Perms &^= hw.PermW
 		d.PT.Map(vpn, e)
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
-		dl.wprot[g-1] = append(dl.wprot[g-1], vpn)
+		dl.wprot[g] = append(dl.wprot[g], vpn)
 	})
 	for gpn, f := range d.frames {
-		if f != hw.NoFrame && gpnOf[f] != 0 {
-			gpnOf[f] = 0
+		if f != hw.NoFrame {
 			dl.armed[gpn] = true
 		}
 	}

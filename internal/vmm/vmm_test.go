@@ -30,6 +30,17 @@ func newVrig(t testing.TB, arch *hw.Arch) *vrig {
 	return &vrig{m: m, h: h, dom0: d0, domU: dU}
 }
 
+// audit fails the test at the first P2M bookkeeping violation on any of
+// the hypervisors.
+func audit(t testing.TB, hs ...*Hypervisor) {
+	t.Helper()
+	for _, h := range hs {
+		if err := h.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBootCreatesDom0Privileged(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	if r.dom0.ID != Dom0 || !r.dom0.Privileged {
@@ -232,6 +243,7 @@ func TestGrantTransferFlipsOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if got != f {
 		t.Fatal("wrong frame returned")
 	}
@@ -277,6 +289,7 @@ func TestDanglingGrantsAfterFlipRefused(t *testing.T) {
 	if _, err := r.h.GrantTransfer(r.domU.ID, r.dom0.ID, ref1); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	// Transfer through the dangling grant must refuse, leaving the ledger
 	// and both P2M maps untouched.
 	if _, err := r.h.GrantTransfer(other.ID, r.dom0.ID, ref2); !errors.Is(err, ErrGrantRevoked) {
@@ -285,6 +298,7 @@ func TestDanglingGrantsAfterFlipRefused(t *testing.T) {
 	if !r.domU.OwnsFrame(f) {
 		t.Fatal("dangling transfer moved ownership")
 	}
+	audit(t, r.h)
 	if len(other.Frames()) != 8 {
 		t.Fatal("dangling transfer grew the receiver's frame list")
 	}
@@ -302,6 +316,7 @@ func TestDanglingGrantsAfterFlipRefused(t *testing.T) {
 	if _, err := r.h.GrantTransfer(other.ID, r.dom0.ID, refRO); !errors.Is(err, ErrGrantReadOnly) {
 		t.Fatalf("ro dangling transfer err = %v, want ErrGrantReadOnly", err)
 	}
+	audit(t, r.h)
 }
 
 func TestGrantTransferReadOnlyRefused(t *testing.T) {
@@ -542,9 +557,11 @@ func TestDestroyDomainDoesNotFreeFlippedFrames(t *testing.T) {
 	f := r.dom0.FrameAt(0)
 	ref, _ := r.h.GrantAccess(r.dom0.ID, f, r.domU.ID, false)
 	r.h.GrantTransfer(r.domU.ID, r.dom0.ID, ref)
+	audit(t, r.h)
 	// Destroy the *previous* owner; the flipped frame now belongs to domU
 	// and must survive.
 	r.h.DestroyDomain(r.dom0.ID)
+	audit(t, r.h)
 	if got := r.m.Mem.Owner(f); got != r.domU.Comp() {
 		t.Fatalf("flipped frame owner = %q after donor death", r.m.Rec.Registry().Name(got))
 	}
@@ -588,6 +605,7 @@ func TestDomainChurnReturnsToBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		audit(t, r.h)
 		p0, _, err := r.h.BindChannel(r.dom0.ID, d.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -599,6 +617,7 @@ func TestDomainChurnReturnsToBaseline(t *testing.T) {
 		if err := r.h.DestroyDomain(d.ID); err != nil {
 			t.Fatal(err)
 		}
+		audit(t, r.h)
 	}
 
 	if n := liveDomains(); n != baseDomains {
@@ -698,10 +717,12 @@ func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
 		if err != nil || out != 8 {
 			t.Fatalf("cycle %d: ballooned out %d, %v", i, out, err)
 		}
+		audit(t, r.h)
 		in, err := r.h.BalloonIn(d.ID, 8)
 		if err != nil || in != 8 {
 			t.Fatalf("cycle %d: ballooned in %d, %v", i, in, err)
 		}
+		audit(t, r.h)
 		if got, want := len(d.holes), countHoles(); got != want {
 			t.Fatalf("cycle %d: hole list has %d entries for %d real holes", i, got, want)
 		}
@@ -718,12 +739,14 @@ func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
 	if _, err := r.h.GrantTransfer(r.dom0.ID, d.ID, ref); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if len(d.holes) != 1 {
 		t.Fatalf("flip should punch one hole, have %d", len(d.holes))
 	}
 	if _, err := r.h.BalloonIn(d.ID, 1); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if len(d.holes) != 0 || countHoles() != 0 {
 		t.Fatalf("hole not pruned after fill: list=%d real=%d", len(d.holes), countHoles())
 	}

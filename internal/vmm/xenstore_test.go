@@ -136,6 +136,7 @@ func TestBalloonOutIn(t *testing.T) {
 	if err != nil || out != 10 {
 		t.Fatalf("balloon out = %d, %v", out, err)
 	}
+	audit(t, r.h)
 	if r.domU.OwnedPages() != owned0-10 {
 		t.Fatal("owned pages wrong after deflate")
 	}
@@ -147,6 +148,7 @@ func TestBalloonOutIn(t *testing.T) {
 	if err != nil || in != 10 {
 		t.Fatalf("balloon in = %d, %v", in, err)
 	}
+	audit(t, r.h)
 	if r.domU.OwnedPages() != owned0 {
 		t.Fatal("owned pages wrong after inflate")
 	}
@@ -167,6 +169,7 @@ func TestBalloonOutUnmapsPages(t *testing.T) {
 	if _, err := r.h.BalloonOut(r.domU.ID, 1); err != nil {
 		t.Fatal(err)
 	}
+	audit(t, r.h)
 	if _, ok := r.domU.PT.Lookup(0x600); ok {
 		t.Fatal("ballooned-out page still mapped — guest could touch free memory")
 	}
@@ -186,4 +189,5 @@ func TestBalloonInExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrBalloonEmpty) {
 		t.Fatalf("err = %v, want ErrBalloonEmpty", err)
 	}
+	audit(t, h)
 }
