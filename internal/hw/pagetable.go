@@ -286,21 +286,14 @@ func (pt *PageTable) UnmapFrame(f FrameID) int {
 }
 
 // UnmapFrames removes every mapping of every frame in fs and returns how
-// many were removed. With the reverse index built it unmaps frame by frame
-// through the index. Without it, it clears them in one pass over the table
-// and leaves the index unbuilt, so a table that is only ever unmapped in
-// batches (ballooning) never pays to build one. The pass tests each entry
-// against fs linearly, which suits the small batches ballooning hands it.
+// many were removed. It clears them in one pass over the table and never
+// builds the reverse index (it keeps one current if it exists), so a table
+// that is only ever unmapped in batches (ballooning) never pays for it. The
+// pass tests each entry against fs linearly, which suits the small batches
+// ballooning hands it.
 func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	if len(fs) == 0 {
 		return 0
-	}
-	if pt.byFrame != nil {
-		n := 0
-		for _, f := range fs {
-			n += pt.UnmapFrame(f)
-		}
-		return n
 	}
 	lo, hi := fs[0], fs[0]
 	for _, f := range fs[1:] {
@@ -310,12 +303,14 @@ func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	n := 0
 	for v := range pt.top {
 		if d := &pt.dense[v]; d.present && hit(d.frame) {
+			pt.unindex(d.frame, VPN(v))
 			*d = densePTE{}
 			n++
 		}
 	}
 	for v, e := range pt.sparse {
 		if hit(e.Frame) {
+			pt.unindex(e.Frame, v)
 			delete(pt.sparse, v)
 			n++
 		}

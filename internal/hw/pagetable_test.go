@@ -35,6 +35,29 @@ func TestPageTableUnmapFramesWithoutIndex(t *testing.T) {
 	}
 }
 
+// TestPageTableUnmapFramesKeepsIndex: on a table whose reverse index a
+// flip already built, the batch unmap keeps the index current.
+func TestPageTableUnmapFramesKeepsIndex(t *testing.T) {
+	pt := NewPageTableSized(1, 8)
+	pt.Map(1, PTE{Frame: 3, Perms: PermRW})
+	pt.Map(2, PTE{Frame: 3, Perms: PermR})
+	pt.Map(0x2000, PTE{Frame: 3, Perms: PermR})
+	pt.Map(4, PTE{Frame: 8, Perms: PermR})
+	if n := pt.FramesMapped(3); n != 3 {
+		t.Fatalf("frame 3 mapped %d times, want 3", n)
+	}
+	if n := pt.UnmapFrames([]FrameID{3}); n != 3 {
+		t.Fatalf("unmapped %d entries, want 3", n)
+	}
+	if pt.FramesMapped(3) != 0 || pt.FramesMapped(8) != 1 {
+		t.Fatalf("index after the batch: frame 3 x%d, frame 8 x%d", pt.FramesMapped(3), pt.FramesMapped(8))
+	}
+	pt.Map(5, PTE{Frame: 3, Perms: PermR})
+	if n := pt.UnmapFrame(3); n != 1 {
+		t.Fatalf("UnmapFrame after the batch removed %d entries, want 1", n)
+	}
+}
+
 // ptModel is the reference page table: a plain map.
 type ptModel map[VPN]PTE
 

@@ -48,8 +48,8 @@ func TestDomainNamesAreUnique(t *testing.T) {
 	if _, _, err := MigrateLive(r.h, r.domU.ID, dst.h, LiveOpts{}); !errors.Is(err, ErrDomainExists) {
 		t.Fatalf("MigrateLive onto a live name: err = %v, want ErrDomainExists", err)
 	}
-	if !r.h.Alive(r.domU.ID) || len(dst.h.Domains()) != 2 {
-		t.Fatal("a rejected migration must leave the source live and the destination as it was")
+	if !r.h.Alive(r.domU.ID) || r.h.Paused(r.domU.ID) || len(dst.h.Domains()) != 2 {
+		t.Fatal("a rejected migration must leave the source running and the destination as it was")
 	}
 	audit(t, r.h, dst.h)
 
@@ -59,6 +59,64 @@ func TestDomainNamesAreUnique(t *testing.T) {
 	}
 	if _, err := r.h.RestoreDomain(img); err != nil {
 		t.Fatalf("restore after the original died: %v", err)
+	}
+	audit(t, r.h)
+}
+
+// TestMigrateOutOfMemoryResumesSource: a destination too small for the
+// guest refuses the stop-and-copy migration, and the source keeps running.
+func TestMigrateOutOfMemoryResumesSource(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	dm := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 96})
+	dst, _, err := New(dm, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Migrate(r.h, r.domU.ID, dst); !errors.Is(err, hw.ErrOutOfMemory) {
+		t.Fatalf("Migrate onto a full machine: err = %v, want ErrOutOfMemory", err)
+	}
+	if !r.h.Alive(r.domU.ID) || r.h.Paused(r.domU.ID) {
+		t.Fatal("a refused migration left the source paused or dead")
+	}
+	// A guest its caller paused stays paused.
+	if err := r.h.Pause(r.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Migrate(r.h, r.domU.ID, dst); !errors.Is(err, hw.ErrOutOfMemory) {
+		t.Fatalf("second Migrate: err = %v, want ErrOutOfMemory", err)
+	}
+	if !r.h.Paused(r.domU.ID) {
+		t.Fatal("a refused migration resumed a guest its caller had paused")
+	}
+	audit(t, r.h, dst)
+}
+
+// TestStaleDomainOwnsNothing: a destroyed domain's handle must not reach
+// the frames of a new domain that reuses its name (and so its ledger
+// owner). The LIFO free list hands the new domain the same frames at the
+// same gpns, so an unguarded release would punch the new domain's P2M.
+func TestStaleDomainOwnsNothing(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	a, err := r.h.CreateDomain("g", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.h.DestroyDomain(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.h.CreateDomain("g", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := b.FrameAt(0)
+	if a.OwnsFrame(f) {
+		t.Fatal("a destroyed domain owns its successor's frame")
+	}
+	if err := a.ReleaseFrame(f); !errors.Is(err, ErrDomainDead) {
+		t.Fatalf("stale release err = %v, want ErrDomainDead", err)
+	}
+	if !b.OwnsFrame(f) || b.FrameAt(0) != f || b.OwnedPages() != 8 {
+		t.Fatal("a stale release touched the live domain's memory")
 	}
 	audit(t, r.h)
 }

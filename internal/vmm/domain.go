@@ -114,9 +114,11 @@ func (d *Domain) punch(gpn int) {
 }
 
 // OwnsFrame reports whether the machine frame currently belongs to d
-// according to the physical-memory ledger.
+// according to the physical-memory ledger. A destroyed domain owns
+// nothing, even once a new domain of the same name (and so the same
+// ledger owner) holds its old frames.
 func (d *Domain) OwnsFrame(f hw.FrameID) bool {
-	if f == hw.NoFrame {
+	if f == hw.NoFrame || d.Dead {
 		return false
 	}
 	return d.hyp.M.Mem.Owner(f) == d.comp
@@ -126,6 +128,9 @@ func (d *Domain) OwnsFrame(f hw.FrameID) bool {
 // punching a hole in the pseudo-physical map. Guests use this to return
 // pages received by flipping once consumed.
 func (d *Domain) ReleaseFrame(f hw.FrameID) error {
+	if d.Dead {
+		return ErrDomainDead
+	}
 	if !d.OwnsFrame(f) {
 		return ErrFrameNotOwned
 	}

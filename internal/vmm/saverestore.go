@@ -216,6 +216,8 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 // accounting cannot differ — only the simulator's own buffering does.
 // Same-hypervisor migration still round-trips through the image, because
 // there the source must be torn down before its frames can back the copy.
+// A cross-hypervisor migration the destination refuses (a live domain of
+// that name, or too little memory) leaves the source as it found it.
 func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 	if src == dst {
 		if err := src.Pause(dom); err != nil {
@@ -235,6 +237,7 @@ func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
+	wasPaused := d.paused
 	if err := src.Pause(dom); err != nil {
 		return nil, err
 	}
@@ -245,6 +248,9 @@ func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 	}
 	shell, err := dst.allocShell(d.Name, d.Privileged, exists)
 	if err != nil {
+		if !wasPaused {
+			src.Unpause(dom)
+		}
 		return nil, err
 	}
 	ps := src.M.Mem.PageSize()
