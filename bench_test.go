@@ -279,6 +279,19 @@ func BenchmarkAllExperiments(b *testing.B) {
 	}
 }
 
+// BenchmarkAllExperimentsCold runs the entire evaluation on a fresh serial
+// runner per iteration, as the benchmark's sweep workload and a fresh
+// `vmmklab all` process do, so every machine boots and every frame is
+// written for the first time. BenchmarkAllExperiments reuses serialEng's
+// warm machine pool and pays for neither.
+func BenchmarkAllExperimentsCold(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if err := core.NewRunner(1).RunAll(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllExperimentsParallel is the same evaluation with every
 // experiment's cells fanned across the worker pool — the wall-clock win the
 // engine exists for.

@@ -51,7 +51,8 @@ func main() {
 		guest.Dom.Name, captured)
 
 	// Distinctive memory pattern to verify the move end to end.
-	copy(src.M().Mem.Data(guest.Dom.FrameAt(9)), []byte("memory travels whole"))
+	const pattern = "memory travels whole"
+	src.M().Mem.Write(guest.Dom.FrameAt(9), 0, []byte(pattern))
 
 	// Machine B: the destination, with its stock guest destroyed. That
 	// guest is a domU1 too, and live domain names are unique.
@@ -66,7 +67,9 @@ func main() {
 	fmt.Printf("migrated: source alive=%v, destination domain %q paused=%v\n",
 		src.H.Alive(guest.Dom.ID), moved.Name, dst.H.Paused(moved.ID))
 
-	if got := string(dst.M().Mem.Data(moved.FrameAt(9))[:20]); got != "memory travels whole" {
+	got := make([]byte, len(pattern))
+	dst.M().Mem.Read(moved.FrameAt(9), 0, got)
+	if string(got) != pattern {
 		log.Fatalf("memory corrupted in flight: %q", got)
 	}
 	fmt.Println("memory verified at destination: \"memory travels whole\"")
@@ -143,8 +146,9 @@ func main() {
 	// The last round's writes made it, even though the guest never paused
 	// until the final instant.
 	want := fmt.Sprintf("hot page %d, round %d", hot[0], stats.Rounds)
-	got := string(dstB.M().Mem.Data(movedB.FrameAt(hot[0]))[:len(want)])
-	if got != want {
+	got = make([]byte, len(want))
+	dstB.M().Mem.Read(movedB.FrameAt(hot[0]), 0, got)
+	if string(got) != want {
 		log.Fatalf("live write lost in flight: %q != %q", got, want)
 	}
 	fmt.Printf("last live round's write verified at destination: %q\n", got)

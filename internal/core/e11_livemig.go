@@ -168,9 +168,9 @@ func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, err
 	// the move — the experiment doubles as an end-to-end correctness check.
 	const marker = "e11-travels-whole"
 	for gpn := 0; gpn < frames; gpn++ {
-		srcM.Mem.Data(dom.FrameAt(gpn))[0] = byte(gpn)
+		srcM.Mem.Write(dom.FrameAt(gpn), 0, []byte{byte(gpn)})
 	}
-	copy(srcM.Mem.Data(dom.FrameAt(frames - 1))[16:], marker)
+	srcM.Mem.Write(dom.FrameAt(frames-1), 16, []byte(marker))
 
 	dstM, releaseDst := acquireMachine(ctx, hw.X86(), e11Mach(frames))
 	defer releaseDst()
@@ -225,9 +225,10 @@ func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, err
 		row.DowntimeCyc = uint64(stats.Downtime)
 		row.TotalCyc = uint64(stats.Total)
 	}
-	got := dstM.Mem.Data(moved.FrameAt(frames - 1))[16 : 16+len(marker)]
-	if string(got) != marker {
-		return E11Row{}, fmt.Errorf("E11 rate=%d budget=%d: memory corrupted in flight: %q", rate, budget, got)
+	var got [len(marker)]byte
+	dstM.Mem.Read(moved.FrameAt(frames-1), 16, got[:])
+	if string(got[:]) != marker {
+		return E11Row{}, fmt.Errorf("E11 rate=%d budget=%d: memory corrupted in flight: %q", rate, budget, got[:])
 	}
 	if err := dstH.Unpause(moved.ID); err != nil {
 		return E11Row{}, err

@@ -107,6 +107,8 @@ type Platform interface {
 	// DoSyscall issues one system call on guest from.
 	DoSyscall(from int, no uint32, arg uint64) error
 	// StorageWrite / StorageRead exercise the guest's storage service.
+	// The block StorageRead returns is valid until the stack's next
+	// StorageRead: the Xen stack hands out PxFront's reused buffer.
 	StorageWrite(from int, block uint64, data []byte) error
 	StorageRead(from int, block uint64) ([]byte, error)
 	// KillStorage crashes the shared storage service (Parallax / store
@@ -727,8 +729,7 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 	}
 	defer s.Mach.Mem.Free(f)
 	defer s.smpUnmapBuffer(f)
-	buf := s.Mach.Mem.Data(f)
-	copy(buf, data)
+	s.Mach.Mem.Write(f, 0, data)
 	s.Disk.Submit(dev.DiskReq{Op: dev.DiskWrite, Block: block, Frame: f})
 	s.Pump()
 	s.store[block] = append([]byte(nil), data...)

@@ -1,8 +1,6 @@
 package dev
 
 import (
-	"encoding/binary"
-
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
@@ -101,23 +99,13 @@ func (d *Disk) Submit(req DiskReq) {
 			ps := d.m.Mem.PageSize()
 			switch req.Op {
 			case DiskRead:
-				dst := d.m.Mem.Data(req.Frame)
-				n := copy(dst, d.store[req.Block])
-				clear(dst[n:])
+				d.m.Mem.Load(req.Frame, d.store[req.Block])
 			case DiskWrite:
-				// The store keeps only each block's non-zero prefix: pages
-				// are dominated by zero padding, and reads reconstruct the
-				// tail with clear. Purely a simulator-memory optimisation —
-				// the DMA charge below is per page either way.
-				src := d.m.Mem.Data(req.Frame)
-				n := trimZeros(src)
-				blk := d.store[req.Block]
-				if cap(blk) < n {
-					blk = make([]byte, n)
-				}
-				blk = blk[:n]
-				copy(blk, src[:n])
-				d.store[req.Block] = blk
+				// The store keeps only the frame's written prefix, and
+				// reads load it back with its zero tail. Purely a
+				// simulator-memory optimisation: the DMA charge below is
+				// per page either way.
+				d.store[req.Block] = append(d.store[req.Block][:0], d.m.Mem.Bytes(req.Frame)...)
 			}
 			d.m.CPU.Rec.Charge(uint64(d.m.Clock.Now()), trace.KDMATransfer, d.comp, uint64(ps/8))
 			d.served++
@@ -125,20 +113,6 @@ func (d *Disk) Submit(req DiskReq) {
 		d.completed = append(d.completed, DiskCompletion{Req: req, OK: ok})
 		d.m.IRQ.Raise(d.irq)
 	})
-}
-
-// trimZeros returns the length of b without its all-zero tail, scanning
-// word-at-a-time (pages are mostly zero padding, so the scan covers nearly
-// the whole page on every write).
-func trimZeros(b []byte) int {
-	n := len(b)
-	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
-		n -= 8
-	}
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	return n
 }
 
 // Reap returns and clears completed requests.

@@ -127,8 +127,7 @@ func (n *NIC) Inject(data []byte) bool {
 	f := n.rxRing[n.rxTail]
 	n.rxTail = (n.rxTail + 1) % len(n.rxRing)
 	n.rxCount--
-	buf := n.m.Mem.Data(f)
-	nn := copy(buf, data)
+	nn := n.m.Mem.Write(f, 0, data)
 	n.rxSeq++
 	n.completed = append(n.completed, RxCompletion{Frame: f, Len: nn, Seq: n.rxSeq})
 	words := hw.Cycles((nn + 7) / 8)
@@ -174,7 +173,7 @@ func (n *NIC) Transmit(f hw.FrameID, length int) {
 		panic(fmt.Sprintf("dev: negative tx length %d", length))
 	}
 	data := make([]byte, length)
-	copy(data, n.m.Mem.Data(f))
+	n.m.Mem.Read(f, 0, data)
 	words := hw.Cycles((length + 7) / 8)
 	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words*n.dmaWord))
 	n.txInFlight++

@@ -27,12 +27,15 @@
 //
 // Physical memory (PhysMem) is a frame allocator whose owners are the
 // trace.Comp handles of the components holding the frames, with an O(1)
-// per-owner count. Page contents are allocated on first touch and scrubbed
-// lazily: Free and Reset mark a page stale, a stale page reads as zero, and
-// Data clears it only when it is touched again. CopyPage moves whole pages
-// between frames, across machines too, and a source that reads zero costs
-// neither an allocation nor a copy. PhysMem.Audit checks the allocator's
-// conservation laws for tests.
+// per-owner count. A frame's contents are stored as a prefix: the bytes up
+// to the furthest one written since the frame was last freed, with the rest
+// of the page reading zero. Write, Read, Load and Bytes work on prefixes;
+// Data makes the page whole for a caller that needs one. Free and Reset
+// truncate the prefix and keep its buffer. CopyPage moves a frame's prefix
+// to another frame, across machines too, and a source that reads zero costs
+// neither an allocation nor a copy. The simulated costs never read a
+// prefix's length. PhysMem.Audit checks the allocator's conservation laws
+// for tests.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

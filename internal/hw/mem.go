@@ -27,16 +27,19 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // frame. A handle is only meaningful against the Registry of the recorder
 // it was interned in, which in practice is the Machine's own.
 //
-// Contents are scrubbed lazily. A frame's page is allocated on its first
-// Data call and kept for the life of the memory. Free and Reset only mark
-// a page stale; a stale page reads as all zero, and Data clears it on its
-// next touch. So every free frame reads zero (its page is absent, stale or
-// already clean), and no page is zeroed unless somebody looks at it again.
+// Contents are stored as prefixes. A frame keeps only the bytes up to the
+// furthest one written since it was last freed, and everything past them
+// reads as zero, so a guest that stores one byte into a page costs the
+// host a few dozen bytes, not a page. Free and Reset truncate the prefix
+// and keep its buffer for the frame's next writer; an empty prefix is what
+// a zero page is. A frame's first write allocates a buffer of its own
+// length (at least minPrefix bytes), and any later growth past it
+// allocates the whole page. Growth inside a buffer zeroes only the bytes it
+// adds. The simulated costs never depend on a prefix's length.
 type PhysMem struct {
 	pageSize uint64
 	frames   int
-	data     [][]byte     // frame contents, allocated on first Data
-	stale    []bool       // data[f] is logically zero; Data clears it
+	data     [][]byte     // frame contents: the written prefix; the rest reads zero
 	owner    []trace.Comp // CompNone = free
 	owned    []int        // frames held per owner, indexed by Comp
 	free     []FrameID
@@ -53,7 +56,6 @@ func NewPhysMem(frames int, pageSize uint64) *PhysMem {
 		pageSize: pageSize,
 		frames:   frames,
 		data:     make([][]byte, frames),
-		stale:    make([]bool, frames),
 		owner:    make([]trace.Comp, frames),
 		free:     make([]FrameID, frames),
 	}
@@ -123,8 +125,9 @@ func (m *PhysMem) own(f FrameID, owner trace.Comp) {
 }
 
 // Free returns a frame to the allocator and clears its owner. Its contents
-// read as zero from now on: the page, if any, is marked stale and cleared
-// only when Data next touches it.
+// read as zero from now on: the prefix is truncated, not cleared, and its
+// buffer stays with the frame. A frame that was never written costs no
+// write at all.
 func (m *PhysMem) Free(f FrameID) {
 	m.checkFrame(f)
 	o := m.owner[f]
@@ -133,19 +136,21 @@ func (m *PhysMem) Free(f FrameID) {
 	}
 	m.owned[o]--
 	m.owner[f] = trace.CompNone
-	m.stale[f] = m.data[f] != nil
+	if len(m.data[f]) != 0 {
+		m.data[f] = m.data[f][:0]
+	}
 	m.free = append(m.free, f)
 }
 
 // Reset restores the memory to its post-NewPhysMem state: every frame free
-// and unowned and reading zero (pages are kept and marked stale, not
-// cleared), statistics cleared, and the free stack rebuilt in construction
-// order so a reused machine allocates the same frame IDs as a fresh one.
+// and unowned and reading zero (prefixes truncated, buffers kept),
+// statistics cleared, and the free stack rebuilt in construction order so
+// a reused machine allocates the same frame IDs as a fresh one.
 func (m *PhysMem) Reset() {
 	for f, o := range m.owner {
 		if o != trace.CompNone {
 			m.owner[f] = trace.CompNone
-			m.stale[f] = m.data[f] != nil
+			m.data[f] = m.data[f][:0]
 		}
 	}
 	clear(m.owned)
@@ -174,57 +179,151 @@ func (m *PhysMem) Transfer(f FrameID, newOwner trace.Comp) {
 	m.flips++
 }
 
-// Data returns the writable contents of f, allocating them on first touch
-// and scrubbing a stale page.
-func (m *PhysMem) Data(f FrameID) []byte {
-	m.checkFrame(f)
+// minPrefix is the smallest buffer a frame's first write allocates. Most
+// writers store a few bytes (a dirtied byte, a small packet), and later
+// growth jumps straight to a whole page, so a recycled frame regrows at
+// most once.
+const minPrefix = 64
+
+// grow extends f's prefix to end bytes and returns it. The caller
+// overwrites bytes from off onward, so only the bytes between the old
+// prefix's end and off are cleared; a new buffer arrives zeroed.
+func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 	p := m.data[f]
-	if p == nil {
-		p = make([]byte, m.pageSize)
-		m.data[f] = p
-	} else if m.stale[f] {
-		clear(p)
-		m.stale[f] = false
+	if end <= cap(p) {
+		q := p[:end]
+		if off > len(p) {
+			clear(q[len(p):off])
+		}
+		m.data[f] = q
+		return q
 	}
-	return p
+	q := make([]byte, end, m.bufSize(p, end))
+	copy(q, p)
+	m.data[f] = q
+	return q
 }
 
-// zero reports whether f reads as all zero without looking at its bytes:
-// its page was never touched or is stale.
-func (m *PhysMem) zero(f FrameID) bool { return m.data[f] == nil || m.stale[f] }
-
-// Copy copies min(len, pageSize) bytes between two frames and returns the
-// number of bytes copied.
-func (m *PhysMem) Copy(dst, src FrameID, n uint64) uint64 {
-	if n > m.pageSize {
-		n = m.pageSize
+// bufSize is the capacity of a new buffer for a frame whose old buffer is
+// p and whose prefix must reach end bytes: the write's own length for a
+// frame's first buffer, and the whole page after that.
+func (m *PhysMem) bufSize(p []byte, end int) int {
+	ps := int(m.pageSize)
+	if cap(p) == 0 {
+		return min(max(end, minPrefix), ps)
 	}
-	copy(m.Data(dst)[:n], m.Data(src)[:n])
+	return ps
+}
+
+// span checks a byte range's start against the page and returns how many
+// of n bytes from off fit before the page end.
+func (m *PhysMem) span(f FrameID, off, n int) int {
+	m.checkFrame(f)
+	if off < 0 || off > int(m.pageSize) {
+		panic(fmt.Sprintf("hw: offset %d outside a %d-byte page", off, m.pageSize))
+	}
+	return min(n, int(m.pageSize)-off)
+}
+
+// Write stores b into f at byte offset off, extending the prefix if b
+// ends past it, and returns the number of bytes stored: b is cut at the
+// page end, as copy would cut it. An offset past the page end panics.
+func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
+	n := m.span(f, off, len(b))
+	if n == 0 {
+		return 0
+	}
+	p := m.data[f]
+	if end := off + n; end > len(p) {
+		p = m.grow(f, off, end)
+	}
+	return copy(p[off:], b[:n])
+}
+
+// Read fills b with f's bytes from offset off, zeros past the prefix, and
+// returns the number of bytes filled: b is cut at the page end, as copy
+// would cut it. An offset past the page end panics.
+func (m *PhysMem) Read(f FrameID, off int, b []byte) int {
+	n := m.span(f, off, len(b))
+	k := 0
+	if p := m.data[f]; off < len(p) {
+		k = copy(b[:n], p[off:])
+	}
+	clear(b[k:n])
 	return n
 }
 
-// CopyPage overwrites frame df with the whole page of frame sf in src,
-// which may be m itself or another machine's memory of the same page size.
-// A source that reads zero (never touched, or stale) costs nothing: df is
-// marked zero without allocating or copying. Otherwise df's page is
-// overwritten without being cleared first.
+// Load makes f's contents b followed by zeros, whatever f held before. A
+// b longer than a page is cut at the page end. Loading an empty b zeroes
+// the frame without allocating.
+func (m *PhysMem) Load(f FrameID, b []byte) {
+	m.checkFrame(f)
+	p := m.data[f]
+	if len(b) == 0 {
+		if len(p) != 0 {
+			m.data[f] = p[:0]
+		}
+		return
+	}
+	b = b[:min(len(b), int(m.pageSize))]
+	if len(b) > cap(p) {
+		p = make([]byte, len(b), m.bufSize(p, len(b)))
+	}
+	p = p[:len(b)]
+	copy(p, b)
+	m.data[f] = p
+}
+
+// Bytes returns f's prefix: its contents without the zero tail, possibly
+// empty. The slice is a read-only view, valid until f is next written,
+// loaded or freed.
+func (m *PhysMem) Bytes(f FrameID) []byte {
+	m.checkFrame(f)
+	p := m.data[f]
+	return p[:len(p):len(p)]
+}
+
+// Data returns f's contents as a writable whole page. It extends the
+// prefix to the full page, so a frame read through Data costs a page from
+// then on; callers that store or load a few bytes use Write, Read, Load or
+// Bytes instead.
+func (m *PhysMem) Data(f FrameID) []byte {
+	m.checkFrame(f)
+	ps := int(m.pageSize)
+	if len(m.data[f]) < ps {
+		m.grow(f, ps, ps)
+	}
+	return m.data[f]
+}
+
+// Copy copies the first min(n, pageSize) bytes of src over dst and returns
+// the number of bytes copied. Only src's prefix moves; the rest of the
+// range reads zero in dst.
+func (m *PhysMem) Copy(dst, src FrameID, n uint64) uint64 {
+	m.checkFrame(dst)
+	m.checkFrame(src)
+	n = min(n, m.pageSize)
+	sp := m.data[src]
+	k := min(int(n), len(sp))
+	if dp := m.data[dst]; int(n) < len(dp) {
+		copy(dp, sp[:k])
+		clear(dp[k:n])
+	} else {
+		m.Load(dst, sp[:k])
+	}
+	return n
+}
+
+// CopyPage overwrites frame df with the contents of frame sf in src, which
+// may be m itself or another machine's memory of the same page size. Only
+// the source's prefix moves: a source that reads zero costs neither an
+// allocation nor a copy, and leaves df reading zero.
 func (m *PhysMem) CopyPage(df FrameID, src *PhysMem, sf FrameID) {
-	m.checkFrame(df)
 	src.checkFrame(sf)
 	if src.pageSize != m.pageSize {
 		panic(fmt.Sprintf("hw: page copy between %d- and %d-byte pages", src.pageSize, m.pageSize))
 	}
-	if src.zero(sf) {
-		m.stale[df] = m.data[df] != nil
-		return
-	}
-	p := m.data[df]
-	if p == nil {
-		p = make([]byte, m.pageSize)
-		m.data[df] = p
-	}
-	copy(p, src.data[sf])
-	m.stale[df] = false
+	m.Load(df, src.data[sf])
 }
 
 // Stats returns cumulative allocation and ownership-transfer counts.
@@ -240,9 +339,9 @@ func (m *PhysMem) OwnedBy(owner trace.Comp) int {
 
 // Audit checks the allocator's conservation laws: every frame is either
 // owned or on the free stack, exactly once (so free plus owned frames equal
-// the total), each per-owner count equals a scan of the owners, and every
-// free frame reads zero. It is a test oracle, O(frames × pageSize), and
-// never runs on the simulation path.
+// the total), each per-owner count equals a scan of the owners, no prefix
+// outgrows its page, and every free frame's prefix is empty, so it reads
+// zero. It is a test oracle and never runs on the simulation path.
 func (m *PhysMem) Audit() error {
 	onStack := make([]bool, m.frames)
 	for _, f := range m.free {
@@ -259,19 +358,15 @@ func (m *PhysMem) Audit() error {
 	}
 	owned := make([]int, len(m.owned))
 	for f, o := range m.owner {
-		if m.stale[f] && m.data[f] == nil {
-			return fmt.Errorf("hw: frame %d is stale without a page", f)
+		if n := len(m.data[f]); uint64(n) > m.pageSize {
+			return fmt.Errorf("hw: frame %d holds a %d-byte prefix in a %d-byte page", f, n, m.pageSize)
 		}
 		if o == trace.CompNone {
 			if !onStack[f] {
 				return fmt.Errorf("hw: frame %d is neither owned nor free", f)
 			}
-			if !m.zero(FrameID(f)) {
-				for i, b := range m.data[f] {
-					if b != 0 {
-						return fmt.Errorf("hw: free frame %d reads %#x at byte %d", f, b, i)
-					}
-				}
+			if n := len(m.data[f]); n != 0 {
+				return fmt.Errorf("hw: free frame %d holds a %d-byte prefix", f, n)
 			}
 			continue
 		}

@@ -100,7 +100,7 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			op = dev.DiskWrite
 			// Freshly allocated frames are all-zero by PhysMem invariant,
 			// so staging is just the payload copy.
-			copy(k.M.Mem.Data(f), msg.Data)
+			k.M.Mem.Write(f, 0, msg.Data)
 			k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(msg.Data))))
 		}
 		d.nextTag++
@@ -127,7 +127,7 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 				d.replyBuf = make([]byte, ps)
 			}
 			out := d.replyBuf[:ps]
-			copy(out, k.M.Mem.Data(f))
+			k.M.Mem.Read(f, 0, out)
 			k.M.CPU.Work(comp, k.M.CPU.CopyCost(ps))
 			return mk.Msg{Data: out}, nil
 		}

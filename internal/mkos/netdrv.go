@@ -133,7 +133,7 @@ func (d *NetDriver) tx(k *mk.Kernel, msg mk.Msg) (mk.Msg, error) {
 	if err != nil {
 		return mk.Msg{}, err
 	}
-	copy(k.M.Mem.Data(f), msg.Data)
+	k.M.Mem.Write(f, 0, msg.Data)
 	d.NIC.Transmit(f, len(msg.Data))
 	d.txHandled++
 	// The NIC copied the payload out during Transmit; release the staging
@@ -152,7 +152,9 @@ func (d *NetDriver) rx(k *mk.Kernel) {
 			k.M.Mem.Free(c.Frame)
 			continue
 		}
-		dst := int(k.M.Mem.Data(c.Frame)[0]) % len(d.clients)
+		var first [1]byte
+		k.M.Mem.Read(c.Frame, 0, first[:])
+		dst := int(first[0]) % len(d.clients)
 		client := d.clients[dst]
 		if !k.Alive(client.os.Thread.ID) {
 			k.M.Mem.Free(c.Frame)
@@ -161,7 +163,7 @@ func (d *NetDriver) rx(k *mk.Kernel) {
 		// The kernel clones message bodies on delivery, so the frame's
 		// live bytes can ride in the descriptor directly — one copy per
 		// packet (the clone), not two.
-		payload := k.M.Mem.Data(c.Frame)[:c.Len]
+		payload := k.M.Mem.Bytes(c.Frame)[:c.Len]
 		switch d.Mode {
 		case RxGrant:
 			// Zero-copy delivery: grant the packet page to the client

@@ -70,7 +70,7 @@ func (r *ShmRegion) Write(page int, data []byte) error {
 	if page < 0 || page >= r.Pages {
 		return mk.ErrBadMapping
 	}
-	copy(r.K.M.Mem.Data(r.frames[page]), data)
+	r.K.M.Mem.Write(r.frames[page], 0, data)
 	r.K.M.CPU.Work(r.Owner.Comp(), r.K.M.CPU.CopyCost(uint64(len(data))))
 	return nil
 }
@@ -83,7 +83,7 @@ func (v *ShmView) Read(page int, n int) ([]byte, error) {
 		return nil, ErrShmRevoked
 	}
 	out := make([]byte, n)
-	copy(out, v.region.K.M.Mem.Data(e.Frame))
+	v.region.K.M.Mem.Read(e.Frame, 0, out)
 	v.region.K.M.CPU.Work(v.Space.Comp(), v.region.K.M.CPU.CopyCost(uint64(n)))
 	return out, nil
 }

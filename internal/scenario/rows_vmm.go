@@ -511,7 +511,9 @@ func init() {
 			if err := dst.Unpause(mig.ID); err != nil {
 				return err
 			}
-			if got := m2.Mem.Data(mig.FrameAt(0))[:len(payload)]; !bytes.Equal(got, payload) {
+			got := make([]byte, len(payload))
+			m2.Mem.Read(mig.FrameAt(0), 0, got)
+			if !bytes.Equal(got, payload) {
 				return fmt.Errorf("migrated memory corrupted: %q", got)
 			}
 			return nil

@@ -30,33 +30,53 @@ func BenchmarkDirtyLogRearm(b *testing.B) {
 // BenchmarkMigrateLive64 live-migrates a 64-page guest, half its pages
 // written and 4 dirtied per pre-copy round, back and forth between two
 // hosts: one op is one whole migration.
-func BenchmarkMigrateLive64(b *testing.B) {
-	var hs [2]*Hypervisor
-	for i := range hs {
-		h, _, err := New(hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512}), 64)
-		if err != nil {
+func BenchmarkMigrateLive64(b *testing.B) { benchMigrateLive64(b, 2, []byte("page"), 8) }
+
+// BenchmarkMigrateLive64OneBytePages is the same migration of a guest that
+// stores one byte per page, as E13's churn does: every page written and the
+// round's dirtied pages rewritten at the same byte.
+func BenchmarkMigrateLive64OneBytePages(b *testing.B) { benchMigrateLive64(b, 1, []byte{1}, 0) }
+
+// benchMigrateLive64 writes fill into every stride-th page of a 64-page
+// guest, then migrates it back and forth, each pre-copy round dirtying
+// pages 0–3 with one byte at offset dirtyOff. Domain IDs are 16 bits and
+// never reused, so the two hosts reboot every 1<<14 migrations, with the
+// reboot amortized into the ops.
+func benchMigrateLive64(b *testing.B, stride int, fill []byte, dirtyOff int) {
+	var (
+		hs  [2]*Hypervisor
+		d   *Domain
+		err error
+	)
+	boot := func() {
+		for i := range hs {
+			if hs[i], _, err = New(hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512}), 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if d, err = hs[0].CreateDomain("guest", 64); err != nil {
 			b.Fatal(err)
 		}
-		hs[i] = h
-	}
-	d, err := hs[0].CreateDomain("guest", 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for gpn := 0; gpn < 64; gpn += 2 {
-		if err := hs[0].GuestMemWrite(d.ID, gpn, 0, []byte("page")); err != nil {
-			b.Fatal(err)
+		for gpn := 0; gpn < 64; gpn += stride {
+			if err := hs[0].GuestMemWrite(d.ID, gpn, 0, fill); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	var src *Hypervisor
 	opts := LiveOpts{MaxRounds: 3, GuestWork: func(round int) {
 		for gpn := 0; gpn < 4; gpn++ {
-			_ = src.GuestMemWrite(d.ID, gpn, 8, []byte{byte(round)})
+			_ = src.GuestMemWrite(d.ID, gpn, dirtyOff, []byte{byte(round)})
 		}
 	}}
+	boot()
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
+		if i == 1<<14 {
+			boot()
+			i = 0
+		}
 		src = hs[i%2]
 		if d, _, err = MigrateLive(src, d.ID, hs[(i+1)%2], opts); err != nil {
 			b.Fatal(err)

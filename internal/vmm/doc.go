@@ -36,4 +36,11 @@
 // lookups and OwnedPages are O(1). Live domain names are unique, because
 // a domain's name is its frames' owner in the physical-memory ledger.
 // Hypervisor.Audit checks these invariants; it is a test oracle.
+//
+// Mobility moves page contents as hw.PhysMem prefixes (a DomainImage holds
+// each page's written bytes, and migration copies frame to frame), while
+// every copy is still charged per whole page. Guest page numbers name pages
+// of one size, so RestoreDomain, Migrate and MigrateLive refuse a machine
+// whose pages differ in size with ErrPageSize, before the source is paused
+// or logged and before any shell is built.
 package vmm

@@ -22,6 +22,21 @@ import (
 // ErrDomainLive is returned when saving a domain that was not paused.
 var ErrDomainLive = errors.New("vmm: domain must be paused for save")
 
+// ErrPageSize is returned when a domain would move between machines whose
+// pages differ in size: restoring an image saved on one, or migrating from
+// one to the other. Guest page numbers name pages of one size, so the move
+// is refused before the source is paused, logged or copied.
+var ErrPageSize = errors.New("vmm: page size differs between machines")
+
+// checkPageSize refuses a move from pages of size from onto pages of size
+// to.
+func checkPageSize(from, to uint64) error {
+	if from != to {
+		return fmt.Errorf("%w: %d-byte pages onto %d-byte pages", ErrPageSize, from, to)
+	}
+	return nil
+}
+
 // savedPTE is one page-table entry in guest terms (gpn, not machine frame).
 type savedPTE struct {
 	VPN   hw.VPN
@@ -34,8 +49,16 @@ type savedPTE struct {
 type DomainImage struct {
 	Name       string
 	Privileged bool
-	Memory     [][]byte // index = guest pseudo-physical page number; nil = hole
-	PT         []savedPTE
+	// PageSize is the byte size of the saving machine's pages. Only a
+	// machine with the same page size can restore the image.
+	PageSize uint64
+	// Memory holds one entry per guest pseudo-physical page number. A
+	// hole is nil. A present page holds its written prefix: the bytes up
+	// to the furthest one written, with the rest of the page reading zero,
+	// so a present page that reads all zero is an empty, non-nil slice.
+	// No entry is longer than PageSize.
+	Memory [][]byte
+	PT     []savedPTE
 }
 
 // Pause takes the domain off the scheduler; a paused domain's vCPU never
@@ -135,27 +158,28 @@ func (h *Hypervisor) SaveDomain(dom DomID) (*DomainImage, error) {
 	if !d.paused {
 		return nil, ErrDomainLive
 	}
-	img := &DomainImage{Name: d.Name, Privileged: d.Privileged, PT: capturePT(d)}
 	ps := h.M.Mem.PageSize()
-	pages := uint64(0)
-	live := 0
+	img := &DomainImage{Name: d.Name, Privileged: d.Privileged, PageSize: ps, PT: capturePT(d)}
+	size := 0
 	for _, f := range d.frames {
 		if f != hw.NoFrame {
-			live++
+			size += len(h.M.Mem.Bytes(f))
 		}
 	}
-	// One arena backs every captured page; the per-page slices just view
-	// into it, which keeps a big save at one allocation.
-	arena := make([]byte, uint64(live)*ps)
+	// One arena backs every captured prefix; the per-page slices just view
+	// into it, which keeps a big save at one allocation. The copy is still
+	// charged per whole page.
+	arena := make([]byte, 0, size)
 	img.Memory = make([][]byte, 0, len(d.frames))
+	pages := uint64(0)
 	for _, f := range d.frames {
 		if f == hw.NoFrame {
 			img.Memory = append(img.Memory, nil)
 			continue
 		}
-		page := arena[pages*ps : (pages+1)*ps : (pages+1)*ps]
-		copy(page, h.M.Mem.Data(f))
-		img.Memory = append(img.Memory, page)
+		start := len(arena)
+		arena = append(arena, h.M.Mem.Bytes(f)...)
+		img.Memory = append(img.Memory, arena[start:len(arena):len(arena)])
 		pages++
 	}
 	h.M.CPU.WorkN(h.comp, h.M.CPU.CopyCost(ps), pages)
@@ -163,14 +187,22 @@ func (h *Hypervisor) SaveDomain(dom DomID) (*DomainImage, error) {
 }
 
 // RestoreDomain materialises an image as a new (paused) domain on this
-// hypervisor — which may be a different machine than the one that saved it.
-// The caller unpauses after reconnecting devices.
+// hypervisor — which may be a different machine than the one that saved it,
+// as long as its pages are the same size (ErrPageSize otherwise). The caller
+// unpauses after reconnecting devices.
 func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 	if img == nil || img.Name == "" {
 		return nil, fmt.Errorf("vmm: empty domain image")
 	}
+	ps := h.M.Mem.PageSize()
+	if err := checkPageSize(img.PageSize, ps); err != nil {
+		return nil, err
+	}
 	exists := make([]bool, len(img.Memory))
 	for gpn, page := range img.Memory {
+		if uint64(len(page)) > ps {
+			return nil, fmt.Errorf("%w: page %d holds %d bytes", ErrPageSize, gpn, len(page))
+		}
 		exists[gpn] = page != nil
 	}
 	d, err := h.allocShell(img.Name, img.Privileged, exists)
@@ -180,13 +212,12 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 	// Lay pages back down (gpn numbering is the shell's layout). The copy
 	// work lands as one batched charge per phase: the cost per page is
 	// constant, so the aggregate is cycle-identical to the per-page loop.
-	ps := h.M.Mem.PageSize()
 	pages := uint64(0)
 	for gpn, page := range img.Memory {
 		if page == nil {
 			continue
 		}
-		copy(h.M.Mem.Data(d.FrameAt(gpn)), page)
+		h.M.Mem.Load(d.FrameAt(gpn), page)
 		pages++
 	}
 	h.M.CPU.WorkN(h.comp, h.M.CPU.CopyCost(ps), pages)
@@ -216,9 +247,13 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 // accounting cannot differ — only the simulator's own buffering does.
 // Same-hypervisor migration still round-trips through the image, because
 // there the source must be torn down before its frames can back the copy.
-// A cross-hypervisor migration the destination refuses (a live domain of
-// that name, or too little memory) leaves the source as it found it.
+// A cross-hypervisor migration the destination refuses (pages of another
+// size, a live domain of that name, or too little memory) leaves the source
+// as it found it.
 func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
+	if err := checkPageSize(src.M.Mem.PageSize(), dst.M.Mem.PageSize()); err != nil {
+		return nil, err
+	}
 	if src == dst {
 		if err := src.Pause(dom); err != nil {
 			return nil, err
@@ -323,8 +358,12 @@ type LiveStats struct {
 // the final round falls back to pause + stop-and-copy for whatever is
 // still dirty (plus the page table) and resumes on the destination. The
 // returned domain is paused on dst, exactly like RestoreDomain's — the
-// caller reconnects devices and unpauses.
+// caller reconnects devices and unpauses. Machines whose pages differ in
+// size refuse the move with ErrPageSize before anything starts.
 func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*Domain, *LiveStats, error) {
+	if err := checkPageSize(src.M.Mem.PageSize(), dst.M.Mem.PageSize()); err != nil {
+		return nil, nil, err
+	}
 	d, err := src.lookup(dom)
 	if err != nil {
 		return nil, nil, err

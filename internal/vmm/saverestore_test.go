@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -145,6 +146,164 @@ func TestMigrateBetweenHypervisors(t *testing.T) {
 	if err := dstH.Hypercall(d2.ID, "probe", 10); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMovesBetweenPageSizesAreRefused moves a guest of a 64 KiB-page ppc64
+// hypervisor toward a 4 KiB-page x86 one by every route. Guest page
+// numbers name pages of one size, so each route must refuse with
+// ErrPageSize before it starts: the source stays live, unpaused and
+// unlogged, and the destination builds no shell. The image itself still
+// restores, byte 5000 included, on a machine of its own page size.
+func TestMovesBetweenPageSizesAreRefused(t *testing.T) {
+	src, dst := newVrig(t, hw.PPC64()), newVrig(t, hw.X86())
+	// The destination's own domU1 goes, so no route is refused for the
+	// name.
+	if err := dst.h.DestroyDomain(dst.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	const gpn, off, mark = 3, 5000, "past 4 KiB"
+	if err := src.h.GuestMemWrite(src.domU.ID, gpn, off, []byte(mark)); err != nil {
+		t.Fatal(err)
+	}
+	doms, free := len(dst.h.Domains()), dst.m.Mem.FreeFrames()
+	refused := func(route string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrPageSize) {
+			t.Fatalf("%s: err = %v, want ErrPageSize", route, err)
+		}
+		if !src.h.Alive(src.domU.ID) || src.h.Paused(src.domU.ID) {
+			t.Fatalf("%s: source alive=%v paused=%v, want live and running", route, src.h.Alive(src.domU.ID), src.h.Paused(src.domU.ID))
+		}
+		if src.domU.dirtyLog != nil {
+			t.Fatalf("%s left the source's dirty log enabled", route)
+		}
+		if len(dst.h.Domains()) != doms || dst.m.Mem.FreeFrames() != free {
+			t.Fatalf("%s built a destination shell", route)
+		}
+		audit(t, src.h, dst.h)
+	}
+
+	_, err := Migrate(src.h, src.domU.ID, dst.h)
+	refused("Migrate", err)
+	_, _, err = MigrateLive(src.h, src.domU.ID, dst.h, LiveOpts{})
+	refused("MigrateLive", err)
+
+	if err := src.h.Pause(src.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	img, err := src.h.SaveDomain(src.domU.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.h.Unpause(src.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	if img.PageSize != 1<<16 {
+		t.Fatalf("image page size = %d, want 65536", img.PageSize)
+	}
+	_, err = dst.h.RestoreDomain(img)
+	refused("RestoreDomain", err)
+	// Pages that would all fit 4 KiB do not make the image portable: its
+	// guest page numbers still name 64 KiB pages.
+	short := *img
+	short.Memory = make([][]byte, len(img.Memory))
+	for gpn, page := range img.Memory {
+		if page != nil {
+			short.Memory[gpn] = page[:0]
+		}
+	}
+	_, err = dst.h.RestoreDomain(&short)
+	refused("RestoreDomain of an image with short pages", err)
+
+	same := newVrig(t, hw.PPC64())
+	if err := same.h.DestroyDomain(same.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	d, err := same.h.RestoreDomain(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit(t, same.h)
+	got := make([]byte, len(mark))
+	same.m.Mem.Read(d.FrameAt(gpn), off, got)
+	if string(got) != mark {
+		t.Fatalf("restored page reads %q at byte %d, want %q", got, off, mark)
+	}
+}
+
+// TestImageHoldsPrefixes pins DomainImage.Memory's encoding: a hole is nil,
+// a page that reads zero is empty but not nil, and a written page holds
+// its bytes up to the last one written. Restore loads each prefix with a
+// zero tail over whatever the new frames held.
+func TestImageHoldsPrefixes(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	if err := r.h.GuestMemWrite(r.domU.ID, 5, 10, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.h.BalloonOut(r.domU.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.h.Pause(r.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.h.SaveDomain(r.domU.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holes := 0
+	for gpn, page := range img.Memory {
+		switch {
+		case page == nil:
+			holes++
+		case gpn == 5:
+			if want := "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00abc"; string(page) != want {
+				t.Fatalf("page 5 saved as %q, want %q", page, want)
+			}
+		case len(page) != 0:
+			t.Fatalf("untouched page %d saved as %d bytes", gpn, len(page))
+		}
+	}
+	if holes != 1 {
+		t.Fatalf("image has %d holes, want the 1 ballooned out", holes)
+	}
+	if err := r.h.DestroyDomain(r.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Dirty every free frame, so the restored domain's frames hold old
+	// bytes that the loaded prefixes must hide.
+	var scratch []hw.FrameID
+	for r.m.Mem.FreeFrames() > 0 {
+		f, _ := r.m.Mem.Alloc(r.dom0.Comp())
+		r.m.Mem.Write(f, 0, []byte("stale stale stale"))
+		scratch = append(scratch, f)
+	}
+	for _, f := range scratch {
+		r.m.Mem.Free(f)
+	}
+	d, err := r.h.RestoreDomain(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit(t, r.h)
+	for gpn, page := range img.Memory {
+		if page == nil {
+			continue
+		}
+		got := make([]byte, r.m.Mem.PageSize())
+		r.m.Mem.Read(d.FrameAt(gpn), 0, got)
+		if want := append(append([]byte(nil), page...), make([]byte, len(got)-len(page))...); !bytes.Equal(got, want) {
+			t.Fatalf("restored page %d reads %q...", gpn, got[:16])
+		}
+	}
+	// An entry longer than the image's page size is malformed.
+	bad := *img
+	bad.Name = "bad"
+	bad.Memory = append([][]byte(nil), img.Memory...)
+	bad.Memory[5] = make([]byte, img.PageSize+1)
+	if _, err := r.h.RestoreDomain(&bad); !errors.Is(err, ErrPageSize) {
+		t.Fatalf("image with a %d-byte page restored: err = %v, want ErrPageSize", len(bad.Memory[5]), err)
+	}
+	audit(t, r.h)
 }
 
 func TestRestoreEmptyImage(t *testing.T) {

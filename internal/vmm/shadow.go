@@ -288,15 +288,14 @@ func (h *Hypervisor) GuestMemWrite(dom DomID, gpn, off int, data []byte) error {
 	if f == hw.NoFrame || !d.OwnsFrame(f) {
 		return ErrFrameNotOwned
 	}
-	page := h.M.Mem.Data(f)
-	if off < 0 || off+len(data) > len(page) {
+	if off < 0 || uint64(off+len(data)) > h.M.Mem.PageSize() {
 		return fmt.Errorf("vmm: guest write [%d,%d) outside page", off, off+len(data))
 	}
 	if dl := d.dirtyLog; dl != nil && gpn < len(dl.armed) && dl.armed[gpn] {
 		dl.fault(gpn)
 	}
 	h.M.CPU.Work(d.comp, h.M.CPU.CopyCost(uint64(len(data))))
-	copy(page[off:], data)
+	h.M.Mem.Write(f, off, data)
 	return nil
 }
 

@@ -98,15 +98,13 @@ func (bf *BlkFront) Read(block uint64) ([]byte, error) {
 	}
 	bf.reads++
 	out := make([]byte, bf.gk.H.M.Mem.PageSize())
-	copy(out, bf.gk.H.M.Mem.Data(bf.buf))
+	bf.gk.H.M.Mem.Read(bf.buf, 0, out)
 	return out, nil
 }
 
 // Write stores data into a partition-relative block.
 func (bf *BlkFront) Write(block uint64, data []byte) error {
-	buf := bf.gk.H.M.Mem.Data(bf.buf)
-	n := copy(buf, data)
-	clear(buf[n:])
+	bf.gk.H.M.Mem.Load(bf.buf, data)
 	if _, err := bf.submit(dev.DiskWrite, block); err != nil {
 		return err
 	}

@@ -171,7 +171,9 @@ func (dd *DriverDomain) netbackRx() {
 			dd.H.M.Mem.Free(c.Frame) // nobody to deliver to
 			continue
 		}
-		dst := int(dd.H.M.Mem.Data(c.Frame)[0]) % len(dd.netConns)
+		var first [1]byte
+		dd.H.M.Mem.Read(c.Frame, 0, first[:])
+		dst := int(first[0]) % len(dd.netConns)
 		conn := dd.netConns[dst]
 		if !dd.H.Alive(conn.guest) {
 			dd.H.M.Mem.Free(c.Frame)

@@ -97,14 +97,13 @@ func (a *KVAppliance) serve(conn *kvConn) {
 		return
 	}
 	e, _ := a.Dom.PT.Lookup(window)
-	page := h.M.Mem.Data(e.Frame)
-	key, value := splitKVPage(page[:r.n])
+	key, value := splitKVPage(h.M.Mem.Bytes(e.Frame)[:r.n])
 	switch r.op {
 	case 0x200: // get
 		if v, ok := a.data[key]; ok {
 			a.gets++
 			r.found = true
-			r.respN = copy(page, v)
+			r.respN = h.M.Mem.Write(e.Frame, 0, v)
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(uint64(r.respN)))
 		}
 	case 0x201: // put
@@ -148,8 +147,7 @@ func (c *KVClient) call(op uint32, key string, value []byte) (*kvReq, error) {
 	if !h.Alive(c.app.Dom.ID) {
 		return nil, ErrBackendDead
 	}
-	page := h.M.Mem.Data(c.buf)
-	n := copy(page, append(append([]byte(key), 0), value...))
+	n := h.M.Mem.Write(c.buf, 0, append(append([]byte(key), 0), value...))
 	ref, err := h.GrantAccess(c.gk.Dom.ID, c.buf, c.app.Dom.ID, false)
 	if err != nil {
 		return nil, err
@@ -180,7 +178,7 @@ func (c *KVClient) Get(key string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	out := make([]byte, req.respN)
-	copy(out, c.gk.H.M.Mem.Data(c.buf)[:req.respN])
+	c.gk.H.M.Mem.Read(c.buf, 0, out)
 	return out, true, nil
 }
 

@@ -121,7 +121,7 @@ func (nf *NetFront) Send(data []byte) error {
 		return ErrBackendDead
 	}
 	h.M.CPU.Work(comp, 300+h.M.CPU.CopyCost(uint64(len(data))))
-	copy(h.M.Mem.Data(nf.txBuf), data)
+	h.M.Mem.Write(nf.txBuf, 0, data)
 	ref, err := h.GrantAccess(nf.gk.Dom.ID, nf.txBuf, nf.dd.GK.Dom.ID, true)
 	if err != nil {
 		return err

@@ -1,8 +1,6 @@
 package vmmos
 
 import (
-	"encoding/binary"
-
 	"errors"
 
 	"vmmk/internal/hw"
@@ -144,12 +142,11 @@ func (px *Parallax) serve(conn *pxConn) {
 		e, _ := px.GK.Dom.PT.Lookup(window)
 		ps := h.M.Mem.PageSize()
 		if r.write {
-			// Cache only the non-zero prefix (reads pad the tail back);
-			// the write-through sees the whole granted page, which
-			// BlkFront copies out before returning.
-			src := h.M.Mem.Data(e.Frame)
-			n := trimZeros(src)
-			vd.write(r.block, append([]byte(nil), src[:n]...))
+			// Cache only the page's written prefix (reads load the zero
+			// tail back); the write-through passes the same prefix, which
+			// BlkFront loads into its own frame before returning.
+			src := h.M.Mem.Bytes(e.Frame)
+			vd.write(r.block, append([]byte(nil), src...))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 			if px.blk != nil {
 				// Write-through to the physical partition via Dom0.
@@ -161,29 +158,13 @@ func (px *Parallax) serve(conn *pxConn) {
 				}
 			}
 		} else {
-			data := vd.read(r.block)
-			buf := h.M.Mem.Data(e.Frame)
-			nc := copy(buf, data)
-			clear(buf[nc:])
+			h.M.Mem.Load(e.Frame, vd.read(r.block))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 		}
 		h.GrantUnmap(px.GK.Dom.ID, conn.client, r.ref, window)
 		r.done, r.ok = true, true
 		h.NotifyChannel(px.GK.Dom.ID, conn.pxPort)
 	}
-}
-
-// trimZeros returns the length of b without its all-zero tail (word-wise
-// scan; cached blocks are mostly zero padding).
-func trimZeros(b []byte) int {
-	n := len(b)
-	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
-		n -= 8
-	}
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	return n
 }
 
 func (vd *VDisk) read(block uint64) []byte {
@@ -293,15 +274,13 @@ func (pf *PxFront) Read(block uint64) ([]byte, error) {
 		pf.readBuf = make([]byte, ps)
 	}
 	out := pf.readBuf[:ps]
-	copy(out, pf.gk.H.M.Mem.Data(pf.buf))
+	pf.gk.H.M.Mem.Read(pf.buf, 0, out)
 	return out, nil
 }
 
 // Write stores data into a virtual block.
 func (pf *PxFront) Write(block uint64, data []byte) error {
-	buf := pf.gk.H.M.Mem.Data(pf.buf)
-	n := copy(buf, data)
-	clear(buf[n:])
+	pf.gk.H.M.Mem.Load(pf.buf, data)
 	if _, err := pf.submit(true, block); err != nil {
 		return err
 	}
