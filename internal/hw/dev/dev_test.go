@@ -29,7 +29,7 @@ func TestNICRxPath(t *testing.T) {
 	if len(comps) != 1 || comps[0].Len != 4 || comps[0].Frame != f {
 		t.Fatalf("bad completion %+v", comps)
 	}
-	if string(m.Mem.Data(f)[:4]) != "ping" {
+	if got := m.Mem.Bytes(f); string(got) != "ping" {
 		t.Fatal("DMA did not write packet data")
 	}
 	if len(nic.ReapRx()) != 0 {
@@ -67,7 +67,7 @@ func TestNICTxCompletes(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, WireLatency: 500})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
-	copy(m.Mem.Data(f), []byte("pong"))
+	m.Mem.Write(f, 0, []byte("pong"))
 	nic.Transmit(f, 4)
 	if len(nic.Transmitted()) != 0 {
 		t.Fatal("tx completed before wire latency")
@@ -129,7 +129,7 @@ func TestDiskWriteReadRoundTrip(t *testing.T) {
 	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
 	fw, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	fr, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
-	copy(m.Mem.Data(fw), []byte("block-7-data"))
+	m.Mem.Write(fw, 0, []byte("block-7-data"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 7, Frame: fw, Tag: 1})
 	m.Events.RunUntilIdle(0)
 	d.Submit(DiskReq{Op: DiskRead, Block: 7, Frame: fr, Tag: 2})
@@ -138,7 +138,8 @@ func TestDiskWriteReadRoundTrip(t *testing.T) {
 	if len(comps) != 2 || !comps[0].OK || !comps[1].OK {
 		t.Fatalf("completions %+v", comps)
 	}
-	if string(m.Mem.Data(fr)[:12]) != "block-7-data" {
+	got := make([]byte, 12)
+	if m.Mem.Read(fr, 0, got); string(got) != "block-7-data" {
 		t.Fatal("read did not return written data")
 	}
 	if d.Served() != 2 {
@@ -150,10 +151,11 @@ func TestDiskReadUnwrittenIsZero(t *testing.T) {
 	m := devMachine(t)
 	d := NewDisk(m, DiskConfig{IRQ: 3})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
-	m.Mem.Data(f)[0] = 0xFF
+	m.Mem.Write(f, 0, []byte{0xFF})
 	d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: f})
 	m.Events.RunUntilIdle(0)
-	if m.Mem.Data(f)[0] != 0 {
+	got := []byte{0xEE}
+	if m.Mem.Read(f, 0, got); got[0] != 0 {
 		t.Fatal("unwritten block must read as zeros")
 	}
 }
@@ -200,7 +202,7 @@ func TestDiskPeekBlock(t *testing.T) {
 		t.Fatal("unwritten block should peek nil")
 	}
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
-	copy(m.Mem.Data(f), []byte("abc"))
+	m.Mem.Write(f, 0, []byte("abc"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 5, Frame: f})
 	m.Events.RunUntilIdle(0)
 	got := d.PeekBlock(5)

@@ -29,13 +29,13 @@
 // trace.Comp handles of the components holding the frames, with an O(1)
 // per-owner count. A frame's contents are stored as a prefix: the bytes up
 // to the furthest one written since the frame was last freed, with the rest
-// of the page reading zero. Write, Read, Load and Bytes work on prefixes;
-// Data makes the page whole for a caller that needs one. Free and Reset
-// truncate the prefix and keep its buffer. CopyPage moves a frame's prefix
-// to another frame, across machines too, and a source that reads zero costs
-// neither an allocation nor a copy. The simulated costs never read a
-// prefix's length. PhysMem.Audit checks the allocator's conservation laws
-// for tests.
+// of the page reading zero. Callers store and fetch bytes through Write,
+// Read, Load and Bytes; nothing hands out a writable whole page. Free and
+// Reset truncate the prefix and keep its buffer. CopyPage moves a frame's
+// prefix to another frame, across machines too, and a source that reads
+// zero costs neither an allocation nor a copy. The simulated costs never
+// read a prefix's length. PhysMem.Audit checks the allocator's
+// conservation laws for tests.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

@@ -196,12 +196,12 @@ func TestPhysMemTransfer(t *testing.T) {
 	reg := trace.NewRegistry()
 	dom0, domU := reg.Intern("dom0"), reg.Intern("domU")
 	f, _ := m.Alloc(dom0)
-	copy(m.Data(f), []byte("payload"))
+	m.Write(f, 0, []byte("payload"))
 	m.Transfer(f, domU)
 	if m.Owner(f) != domU || m.OwnedBy(dom0) != 0 || m.OwnedBy(domU) != 1 {
 		t.Fatal("transfer did not change owner")
 	}
-	if string(m.Data(f)[:7]) != "payload" {
+	if string(peek(m, f)[:7]) != "payload" {
 		t.Fatal("transfer must not disturb contents — that is the whole point of page flipping")
 	}
 	_, flips := m.Stats()
@@ -215,11 +215,11 @@ func TestPhysMemCopy(t *testing.T) {
 	x := trace.NewRegistry().Intern("x")
 	a, _ := m.Alloc(x)
 	b, _ := m.Alloc(x)
-	copy(m.Data(a), []byte("hello"))
+	m.Write(a, 0, []byte("hello"))
 	if n := m.Copy(b, a, 5); n != 5 {
 		t.Fatalf("copied %d bytes, want 5", n)
 	}
-	if string(m.Data(b)[:5]) != "hello" {
+	if string(peek(m, b)[:5]) != "hello" {
 		t.Fatal("copy corrupted data")
 	}
 	if n := m.Copy(b, a, 1<<40); n != 4096 {

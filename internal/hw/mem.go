@@ -187,7 +187,9 @@ const minPrefix = 64
 
 // grow extends f's prefix to end bytes and returns it. The caller
 // overwrites bytes from off onward, so only the bytes between the old
-// prefix's end and off are cleared; a new buffer arrives zeroed.
+// prefix's end and off are cleared; a new buffer arrives zeroed. A frame's
+// first buffer is the write's own length (at least minPrefix bytes), and
+// any later one the whole page.
 func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 	p := m.data[f]
 	if end <= cap(p) {
@@ -198,21 +200,14 @@ func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 		m.data[f] = q
 		return q
 	}
-	q := make([]byte, end, m.bufSize(p, end))
+	size := int(m.pageSize)
+	if cap(p) == 0 {
+		size = min(max(end, minPrefix), size)
+	}
+	q := make([]byte, end, size)
 	copy(q, p)
 	m.data[f] = q
 	return q
-}
-
-// bufSize is the capacity of a new buffer for a frame whose old buffer is
-// p and whose prefix must reach end bytes: the write's own length for a
-// frame's first buffer, and the whole page after that.
-func (m *PhysMem) bufSize(p []byte, end int) int {
-	ps := int(m.pageSize)
-	if cap(p) == 0 {
-		return min(max(end, minPrefix), ps)
-	}
-	return ps
 }
 
 // span checks a byte range's start against the page and returns how many
@@ -258,20 +253,10 @@ func (m *PhysMem) Read(f FrameID, off int, b []byte) int {
 // the frame without allocating.
 func (m *PhysMem) Load(f FrameID, b []byte) {
 	m.checkFrame(f)
-	p := m.data[f]
-	if len(b) == 0 {
-		if len(p) != 0 {
-			m.data[f] = p[:0]
-		}
-		return
+	if len(m.data[f]) != 0 {
+		m.data[f] = m.data[f][:0]
 	}
-	b = b[:min(len(b), int(m.pageSize))]
-	if len(b) > cap(p) {
-		p = make([]byte, len(b), m.bufSize(p, len(b)))
-	}
-	p = p[:len(b)]
-	copy(p, b)
-	m.data[f] = p
+	m.Write(f, 0, b)
 }
 
 // Bytes returns f's prefix: its contents without the zero tail, possibly
@@ -281,19 +266,6 @@ func (m *PhysMem) Bytes(f FrameID) []byte {
 	m.checkFrame(f)
 	p := m.data[f]
 	return p[:len(p):len(p)]
-}
-
-// Data returns f's contents as a writable whole page. It extends the
-// prefix to the full page, so a frame read through Data costs a page from
-// then on; callers that store or load a few bytes use Write, Read, Load or
-// Bytes instead.
-func (m *PhysMem) Data(f FrameID) []byte {
-	m.checkFrame(f)
-	ps := int(m.pageSize)
-	if len(m.data[f]) < ps {
-		m.grow(f, ps, ps)
-	}
-	return m.data[f]
 }
 
 // Copy copies the first min(n, pageSize) bytes of src over dst and returns

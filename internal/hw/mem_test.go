@@ -43,7 +43,7 @@ func TestPhysMemFreedFrameReadsZeroWithoutNewPage(t *testing.T) {
 	if got := m.Bytes(g); string(got) != "\x00\x00\x00x" {
 		t.Fatalf("recycled frame reads %q, want zeros before the new byte", got)
 	}
-	if got := m.Data(g); !bytes.Equal(got[4:], make([]byte, 60)) {
+	if got := peek(m, g); !bytes.Equal(got[4:], make([]byte, 60)) {
 		t.Fatalf("recycled frame's whole page reads %q past the write", got[4:12])
 	}
 }
@@ -72,7 +72,7 @@ func TestPhysMemResetTruncatesOwnedPrefixes(t *testing.T) {
 	if f, _ := m.Alloc(a); f != 0 {
 		t.Fatalf("first frame after Reset = %d, want 0", f)
 	}
-	if m.Data(0)[3] != 0 {
+	if peek(m, 0)[3] != 0 {
 		t.Fatal("reset frame kept its contents")
 	}
 }
@@ -139,9 +139,6 @@ func TestPhysMemRecycledFrameRewrittenShorter(t *testing.T) {
 	if got := peek(m, g); !bytes.Equal(got, want) {
 		t.Fatalf("rewritten frame reads %x", got)
 	}
-	if got := m.Data(g); !bytes.Equal(got, want) {
-		t.Fatalf("rewritten frame's whole page reads %x", got)
-	}
 }
 
 func TestPhysMemLoadShorterZeroesTail(t *testing.T) {
@@ -174,7 +171,6 @@ func TestPhysMemGrowthInsideBufferHidesOldBytes(t *testing.T) {
 	}{
 		{"write past the prefix", func(m *PhysMem, f FrameID) { m.Write(f, 30, []byte{1}) }},
 		{"write overlapping the prefix", func(m *PhysMem, f FrameID) { m.Write(f, 0, []byte{1, 2, 3}) }},
-		{"whole page", func(m *PhysMem, f FrameID) { m.Data(f) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewPhysMem(1, 64)
@@ -345,7 +341,7 @@ func (pm *physModel) release(f FrameID) {
 }
 
 // FuzzPhysMem drives two memories and their reference models through a
-// byte-decoded sequence of Alloc, Free, Transfer, Data-write, Copy,
+// byte-decoded sequence of Alloc, Free, Transfer, one-byte Write, Copy,
 // CopyPage (within and across memories), Reset, Write, Read, Load and
 // Bytes, and after every op checks contents, owners, per-owner counts, the
 // free count and Audit. Write, Read and Load take random offsets and
@@ -407,12 +403,12 @@ func FuzzPhysMem(f *testing.F) {
 				m.Transfer(f1, comps[o])
 				pm.owner[f1] = names[o]
 				desc = fmt.Sprintf("transfer %d to %s", f1, names[o])
-			case 3: // Data write
+			case 3: // one-byte Write
 				if pm.owner[f1] == "" {
 					break
 				}
 				off, v := arg(i+3)%pageSize, byte(arg(i+4))
-				m.Data(f1)[off] = v
+				m.Write(f1, off, []byte{v})
 				pm.pages[f1][off] = v
 				desc = fmt.Sprintf("write %d[%d]=%d", f1, off, v)
 			case 4: // Copy
@@ -519,7 +515,7 @@ func BenchmarkPhysMemAllocFree(b *testing.B) {
 	m := NewPhysMem(4096, 4096)
 	c := trace.NewRegistry().Intern("bench")
 	f, _ := m.Alloc(c)
-	m.Data(f)[0] = 1 // a touched page: Free must not pay to zero it
+	m.Write(f, 0, []byte{1}) // a written frame: Free must not pay to zero it
 	m.Free(f)
 	b.ReportAllocs()
 	for b.Loop() {
@@ -529,17 +525,19 @@ func BenchmarkPhysMemAllocFree(b *testing.B) {
 }
 
 // BenchmarkPhysMemReset is one pooled-machine lifetime in miniature: 256
-// of 4096 frames allocated and written through Data, then Reset. Reset
-// only truncates each prefix; Data regrows it to a whole page inside the
-// kept buffer, zeroing it, so each op pays one page clear per frame.
+// of 4096 frames allocated and each written a whole page, then Reset.
+// Reset only truncates each prefix, and the next op's writes land in the
+// kept buffers, so after the first op nothing allocates but AllocN's
+// result.
 func BenchmarkPhysMemReset(b *testing.B) {
 	m := NewPhysMem(4096, 4096)
 	c := trace.NewRegistry().Intern("bench")
+	page := bytes.Repeat([]byte{1}, 4096)
 	b.ReportAllocs()
 	for b.Loop() {
 		fs, _ := m.AllocN(c, 256)
 		for _, f := range fs {
-			m.Data(f)[0] = 1
+			m.Write(f, 0, page)
 		}
 		m.Reset()
 	}
@@ -556,7 +554,7 @@ func BenchmarkCopyPage(b *testing.B) {
 	}{
 		{"zero-source", func(*PhysMem, FrameID) {}},
 		{"one-byte-source", func(m *PhysMem, f FrameID) { m.Write(f, 0, []byte{1}) }},
-		{"whole-page-source", func(m *PhysMem, f FrameID) { m.Data(f)[9] = 1 }},
+		{"whole-page-source", func(m *PhysMem, f FrameID) { m.Write(f, 0, bytes.Repeat([]byte{1}, 4096)) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			src, dst := NewPhysMem(1, 4096), NewPhysMem(1, 4096)

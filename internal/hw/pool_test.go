@@ -17,7 +17,7 @@ func exercise(t *testing.T, m *Machine) {
 		t.Fatal(err)
 	}
 	for i, f := range frames {
-		m.Mem.Data(f)[0] = byte(i + 1)
+		m.Mem.Write(f, 0, []byte{byte(i + 1)})
 	}
 	pt := NewPageTable(1)
 	for i, f := range frames {
@@ -62,7 +62,7 @@ func fingerprint(m *Machine) machineFP {
 	if err != nil {
 		panic(err)
 	}
-	b0 := m.Mem.Data(f)[0]
+	b0 := peek(m.Mem, f)[0]
 	fp := machineFP{
 		now:      m.Now(),
 		pending:  m.Events.Pending(),

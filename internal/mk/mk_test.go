@@ -136,7 +136,7 @@ func TestMapTransferSharesFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(r.m.Mem.Data(frames[0]), []byte("shared"))
+	r.m.Mem.Write(frames[0], 0, []byte("shared"))
 	_, err = r.k.Call(r.client.ID, r.server.ID, Msg{
 		Map: []MapItem{{SrcVPN: 0x100, DstVPN: 0x200, Count: 1, Perms: hw.PermR}},
 	})

@@ -107,7 +107,7 @@ func BenchmarkBalloonOutIn(b *testing.B) {
 func BenchmarkGrantCopy(b *testing.B) {
 	r := newVrig(b, hw.X86())
 	src, dst := r.dom0.FrameAt(0), r.domU.FrameAt(0)
-	r.m.Mem.Data(src)[0] = 1 // a written source: the copy moves real bytes
+	r.m.Mem.Write(src, 0, make([]byte, 1500)) // a 1500-byte prefix: the copy moves real bytes
 	ref, err := r.h.GrantAccess(r.dom0.ID, src, r.domU.ID, true)
 	if err != nil {
 		b.Fatal(err)

@@ -233,7 +233,7 @@ func TestMigrateOntoRecycledFrames(t *testing.T) {
 		}
 		audit(t, src, dst)
 		for gpn := range want {
-			if got := dstM.Mem.Data(moved.FrameAt(gpn)); !bytes.Equal(got, want[gpn]) {
+			if got := readFrame(dstM.Mem, moved.FrameAt(gpn), len(want[gpn])); !bytes.Equal(got, want[gpn]) {
 				i := 0
 				for got[i] == want[gpn][i] {
 					i++

@@ -151,7 +151,7 @@ func newLiveRig(t *testing.T) *liveRig {
 
 func TestMigrateLiveMovesMemoryAndMappings(t *testing.T) {
 	r := newLiveRig(t)
-	copy(r.m.Mem.Data(r.domU.FrameAt(7)), []byte("steady-state-page"))
+	r.m.Mem.Write(r.domU.FrameAt(7), 0, []byte("steady-state-page"))
 	if err := r.h.MMUUpdate(r.domU.ID, 0x700, 7, hw.PermR, true); err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestMigrateLiveMovesMemoryAndMappings(t *testing.T) {
 	if !r.dstH.Paused(d2.ID) {
 		t.Fatal("migrated domain must arrive paused")
 	}
-	if got := string(r.m2.Mem.Data(d2.FrameAt(7))[:17]); got != "steady-state-page" {
+	if got := string(readFrame(r.m2.Mem, d2.FrameAt(7), 17)); got != "steady-state-page" {
 		t.Fatalf("memory corrupted in flight: %q", got)
 	}
 	wantLast := []byte{'r', byte('0' + stats.Rounds)}
-	if got := r.m2.Mem.Data(d2.FrameAt(9))[:2]; string(got) != string(wantLast) {
+	if got := readFrame(r.m2.Mem, d2.FrameAt(9), 2); string(got) != string(wantLast) {
 		t.Fatalf("last-round write lost: %q, want %q", got, wantLast)
 	}
 	if e, ok := d2.PT.Lookup(0x700); !ok || e.Perms != hw.PermR {
@@ -218,7 +218,7 @@ func TestMigrateLiveDowntimeBeatsStopAndCopy(t *testing.T) {
 	prep := func() *liveRig {
 		r := newLiveRig(t)
 		for gpn := 0; gpn < 16; gpn++ {
-			copy(r.m.Mem.Data(r.domU.FrameAt(gpn)), []byte{byte(gpn)})
+			r.m.Mem.Write(r.domU.FrameAt(gpn), 0, []byte{byte(gpn)})
 		}
 		return r
 	}

@@ -3,6 +3,7 @@ package vmm
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -46,7 +47,7 @@ func TestSaveRequiresPause(t *testing.T) {
 func TestSaveRestoreRoundTrip(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	// Distinctive memory and a mapping.
-	copy(r.m.Mem.Data(r.domU.FrameAt(3)), []byte("page-three-data"))
+	r.m.Mem.Write(r.domU.FrameAt(3), 0, []byte("page-three-data"))
 	if err := r.h.MMUUpdate(r.domU.ID, 0x500, 3, hw.PermRW, true); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	if !r.h.Paused(d2.ID) {
 		t.Fatal("restored domain must start paused")
 	}
-	if string(r.m.Mem.Data(d2.FrameAt(3))[:15]) != "page-three-data" {
+	if string(readFrame(r.m.Mem, d2.FrameAt(3), 15)) != "page-three-data" {
 		t.Fatal("memory contents lost in save/restore")
 	}
 	e, ok := d2.PT.Lookup(0x500)
@@ -120,7 +121,7 @@ func TestMigrateBetweenHypervisors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(src.m.Mem.Data(src.domU.FrameAt(7)), []byte("travels-with-me"))
+	src.m.Mem.Write(src.domU.FrameAt(7), 0, []byte("travels-with-me"))
 	if err := src.h.MMUUpdate(src.domU.ID, 0x700, 7, hw.PermR, true); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestMigrateBetweenHypervisors(t *testing.T) {
 	if src.h.Alive(src.domU.ID) {
 		t.Fatal("domain still alive at source")
 	}
-	if string(m2.Mem.Data(d2.FrameAt(7))[:15]) != "travels-with-me" {
+	if string(readFrame(m2.Mem, d2.FrameAt(7), 15)) != "travels-with-me" {
 		t.Fatal("memory did not travel")
 	}
 	if e, ok := d2.PT.Lookup(0x700); !ok || e.Perms != hw.PermR {
@@ -311,8 +312,9 @@ func TestRestoreEmptyImage(t *testing.T) {
 	if _, err := r.h.RestoreDomain(nil); err == nil {
 		t.Fatal("nil image accepted")
 	}
-	if _, err := r.h.RestoreDomain(&DomainImage{Name: "x"}); err == nil {
-		t.Fatal("memoryless image accepted")
+	_, err := r.h.RestoreDomain(&DomainImage{Name: "x", PageSize: r.m.Mem.PageSize()})
+	if err == nil || errors.Is(err, ErrPageSize) || !strings.Contains(err.Error(), "no memory") {
+		t.Fatalf("memoryless image: err = %v, want a no-memory refusal", err)
 	}
 }
 

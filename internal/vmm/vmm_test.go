@@ -41,6 +41,13 @@ func audit(t testing.TB, hs ...*Hypervisor) {
 	}
 }
 
+// readFrame returns the first n bytes frame f reads as.
+func readFrame(m *hw.PhysMem, f hw.FrameID, n int) []byte {
+	b := make([]byte, n)
+	m.Read(f, 0, b)
+	return b
+}
+
 func TestBootCreatesDom0Privileged(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	if r.dom0.ID != Dom0 || !r.dom0.Privileged {
@@ -180,7 +187,7 @@ func TestNotifyBadPort(t *testing.T) {
 func TestGrantMapAndCopy(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	src := r.dom0.FrameAt(1)
-	copy(r.m.Mem.Data(src), []byte("grant-payload"))
+	r.m.Mem.Write(src, 0, []byte("grant-payload"))
 	ref, err := r.h.GrantAccess(r.dom0.ID, src, r.domU.ID, true)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +211,7 @@ func TestGrantMapAndCopy(t *testing.T) {
 	if err := r.h.GrantCopy(r.domU.ID, r.dom0.ID, ref, dst, 13); err != nil {
 		t.Fatal(err)
 	}
-	if string(r.m.Mem.Data(dst)[:13]) != "grant-payload" {
+	if string(readFrame(r.m.Mem, dst, 13)) != "grant-payload" {
 		t.Fatal("grant copy corrupted data")
 	}
 	if r.m.Rec.Counts(trace.KGrantCopy) != 1 || r.m.Rec.Counts(trace.KGrantMap) != 1 {
@@ -236,7 +243,7 @@ func TestGrantValidation(t *testing.T) {
 func TestGrantTransferFlipsOwnership(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	f := r.dom0.FrameAt(2)
-	copy(r.m.Mem.Data(f), []byte("flipped"))
+	r.m.Mem.Write(f, 0, []byte("flipped"))
 	nU := len(r.domU.Frames())
 	ref, _ := r.h.GrantAccess(r.dom0.ID, f, r.domU.ID, false)
 	got, err := r.h.GrantTransfer(r.domU.ID, r.dom0.ID, ref)
@@ -256,7 +263,7 @@ func TestGrantTransferFlipsOwnership(t *testing.T) {
 	if r.dom0.FrameAt(2) != hw.NoFrame {
 		t.Fatal("donor pseudo-physical map must have a hole after the flip")
 	}
-	if string(r.m.Mem.Data(f)[:7]) != "flipped" {
+	if string(readFrame(r.m.Mem, f, 7)) != "flipped" {
 		t.Fatal("flip must not disturb contents")
 	}
 	if r.m.Rec.Counts(trace.KPageFlip) != 1 {
@@ -336,9 +343,11 @@ func TestPageFlipCostIndependentOfPayload(t *testing.T) {
 	cost := func(fill int) hw.Cycles {
 		f := r.dom0.FrameAt(gpn)
 		gpn++
-		for i := 0; i < fill; i++ {
-			r.m.Mem.Data(f)[i] = byte(i)
+		payload := make([]byte, fill)
+		for i := range payload {
+			payload[i] = byte(i)
 		}
+		r.m.Mem.Write(f, 0, payload)
 		ref, err := r.h.GrantAccess(r.dom0.ID, f, r.domU.ID, false)
 		if err != nil {
 			t.Fatal(err)

@@ -513,7 +513,8 @@ func TestGuestWriteMemorySeenByDirtyLog(t *testing.T) {
 	if err := s.guest.WriteMemory(5, 0, []byte("plain store")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.m.Mem.Data(s.guest.Dom.FrameAt(5))[:11]; string(got) != "plain store" {
+	got := make([]byte, 11)
+	if s.m.Mem.Read(s.guest.Dom.FrameAt(5), 0, got); string(got) != "plain store" {
 		t.Fatalf("store lost: %q", got)
 	}
 	dl, err := s.h.EnableDirtyLog(s.guest.Dom.ID)
