@@ -26,8 +26,8 @@ import (
 )
 
 var (
-	serialEng   = core.SerialRunner()
-	parallelEng = core.DefaultRunner() // GOMAXPROCS workers
+	serialEng   = core.NewRunner(1)
+	parallelEng = core.NewRunner(0) // GOMAXPROCS workers
 )
 
 // BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"vmmk/internal/core"
-	"vmmk/internal/trace"
 )
 
 func main() {
@@ -22,7 +21,8 @@ func main() {
 	fmt.Println("faultlab — blast radius of a storage-service crash")
 	fmt.Println()
 
-	table := trace.NewTable("", "platform", "component", "before", "after crash")
+	table := core.NewResultTable("",
+		core.Col("platform", ""), core.Col("component", ""), core.Col("before", ""), core.Col("after crash", ""))
 	builders := []func() (core.Platform, error){
 		func() (core.Platform, error) { return core.NewMKStack(core.Config{Guests: guests}) },
 		func() (core.Platform, error) { return core.NewXenStack(core.Config{Guests: guests}) },

@@ -21,7 +21,9 @@ func main() {
 	fmt.Println("ioserver — driver-domain CPU under receive load (CG05 reproduction)")
 	fmt.Println()
 
-	table := trace.NewTable("", "mode", "pkt size", "flips", "evtchn", "driver cyc/pkt", "driver CPU share")
+	table := core.NewResultTable("",
+		core.Col("mode", ""), core.Col("pkt size", "bytes"), core.Col("flips", "flips"), core.Col("evtchn", "events"),
+		core.Col("driver cyc/pkt", "cycles/packet"), core.Col("driver CPU share", "%"))
 	for _, copyMode := range []bool{false, true} {
 		for _, size := range []int{64, 512, 1500, 4096} {
 			s, err := core.NewXenStack(core.Config{CopyMode: copyMode})

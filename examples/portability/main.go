@@ -14,7 +14,6 @@ import (
 
 	"vmmk/internal/core"
 	"vmmk/internal/hw"
-	"vmmk/internal/trace"
 )
 
 func main() {
@@ -23,11 +22,12 @@ func main() {
 	fmt.Println("portability — one component, nine architectures")
 	fmt.Println()
 
-	rows, err := core.RunE6()
+	rows, err := core.NewRunner(0).E6()
 	if err != nil {
 		log.Fatal(err)
 	}
-	table := trace.NewTable("", "architecture", "mk personality", "VMM guest port items")
+	table := core.NewResultTable("",
+		core.Col("architecture", ""), core.Col("mk personality", ""), core.Col("VMM guest port items", "items"))
 	for _, r := range rows {
 		status := "runs unchanged"
 		if !r.MKRuns {

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"vmmk/internal/core"
-	"vmmk/internal/trace"
 )
 
 func main() {
@@ -38,7 +37,9 @@ func main() {
 		}
 	}
 
-	table := trace.NewTable("", "system", "IPC-equivalent ops", "kernel/monitor cyc", "driver-side cyc", "total cyc")
+	table := core.NewResultTable("",
+		core.Col("system", ""), core.Col("IPC-equivalent ops", "ops"), core.Col("kernel/monitor cyc", "cycles"),
+		core.Col("driver-side cyc", "cycles"), core.Col("total cyc", "cycles"))
 	for _, build := range []func() (core.Platform, error){
 		func() (core.Platform, error) { return core.NewMKStack(core.Config{}) },
 		func() (core.Platform, error) { return core.NewXenStack(core.Config{}) },

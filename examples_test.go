@@ -1,7 +1,11 @@
 package vmmk
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,35 +32,40 @@ func TestQuickstartRuns(t *testing.T) {
 	}
 }
 
-// TestExamplesRun builds and runs every example program, checking each
-// completes successfully and prints its expected marker line. This keeps
-// the documentation-facing code from rotting.
+// updateExamples regenerates the example goldens under testdata/examples
+// from the current output: go test -run TestExamplesRun -update-examples .
+var updateExamples = flag.Bool("update-examples", false, "rewrite the example goldens")
+
+// TestExamplesRun builds and runs every example program and compares its
+// stdout byte for byte with testdata/examples/<name>.txt.golden. The
+// simulation is deterministic, so any diff is a real change to what the
+// documentation-facing code prints.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs six example binaries")
+		t.Skip("builds and runs five example binaries")
 	}
-	cases := []struct {
-		dir     string
-		markers []string
-	}{
-		{"quickstart", []string{"IPC-equivalent ops"}},
-		{"ioserver", []string{"driver-domain CPU"}},
-		{"faultlab", []string{"blast radius"}},
-		{"portability", []string{"nine architectures"}},
-		{"migration", []string{"memory travels whole", "live pre-copy blacked out"}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.dir, func(t *testing.T) {
-			cmd := exec.Command("go", "run", "./examples/"+c.dir)
-			out, err := cmd.CombinedOutput()
+	for _, dir := range []string{"quickstart", "ioserver", "faultlab", "portability", "migration"} {
+		t.Run(dir, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command("go", "run", "./examples/"+dir)
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("example failed: %v\n%s", err, out)
+				t.Fatalf("example failed: %v\n%s%s", err, out, stderr.Bytes())
 			}
-			for _, marker := range c.markers {
-				if !strings.Contains(string(out), marker) {
-					t.Fatalf("output missing marker %q:\n%s", marker, out)
+			golden := filepath.Join("testdata", "examples", dir+".txt.golden")
+			if *updateExamples {
+				if err := os.WriteFile(golden, out, 0o644); err != nil {
+					t.Fatal(err)
 				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update-examples)", err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s: output differs from golden\n--- got ---\n%s\n--- want ---\n%s", golden, out, want)
 			}
 		})
 	}

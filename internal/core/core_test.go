@@ -64,7 +64,7 @@ func TestPlatformGuestIndexValidation(t *testing.T) {
 // --- E1 ------------------------------------------------------------------
 
 func TestE1FlipCostFlatInSize(t *testing.T) {
-	rows, err := RunE1(E1Config{Sizes: []int{64, 4096}, Packets: 40})
+	rows, err := NewRunner(0).E1(E1Config{Sizes: []int{64, 4096}, Packets: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestE1FlipCostFlatInSize(t *testing.T) {
 }
 
 func TestE1RateSweepShape(t *testing.T) {
-	rows, err := RunE1Rates([]int{1000, 20000, 100000}, 80, 1500)
+	rows, err := NewRunner(0).E1Rates([]int{1000, 20000, 100000}, 80, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestE1RateSweepShape(t *testing.T) {
 // --- E2 ------------------------------------------------------------------
 
 func TestE2CountsEssentiallyEqual(t *testing.T) {
-	rows, err := RunE2()
+	rows, err := NewRunner(0).E2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestE2CountsEssentiallyEqual(t *testing.T) {
 // --- E3 ------------------------------------------------------------------
 
 func TestE3FastPathStory(t *testing.T) {
-	rows, err := RunE3(100)
+	rows, err := NewRunner(0).E3(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestE3FastPathStory(t *testing.T) {
 // --- E4 ------------------------------------------------------------------
 
 func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
-	rows, err := RunE4(3)
+	rows, err := NewRunner(0).E4(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
 // --- E5 ------------------------------------------------------------------
 
 func TestE5CensusOneVsTen(t *testing.T) {
-	rows, err := RunE5()
+	rows, err := NewRunner(0).E5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestE5CensusOneVsTen(t *testing.T) {
 // --- E6 ------------------------------------------------------------------
 
 func TestE6NinePlatformsUnchanged(t *testing.T) {
-	rows, err := RunE6()
+	rows, err := NewRunner(0).E6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestE6NinePlatformsUnchanged(t *testing.T) {
 // --- E7 ------------------------------------------------------------------
 
 func TestE7CostStructure(t *testing.T) {
-	rows, err := RunE7(50)
+	rows, err := NewRunner(0).E7(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestE7OrderingHoldsOnAllArchitectures(t *testing.T) {
 // --- E8 ------------------------------------------------------------------
 
 func TestE8BothParavirtStacksViable(t *testing.T) {
-	rows, err := RunE8(20)
+	rows, err := NewRunner(0).E8(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestE8BothParavirtStacksViable(t *testing.T) {
 // --- E9 ------------------------------------------------------------------
 
 func TestE9Ablations(t *testing.T) {
-	rows, err := RunE9()
+	rows, err := NewRunner(0).E9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestConsolidatedStorageStillWorks(t *testing.T) {
 // --- E10 -----------------------------------------------------------------
 
 func TestE10ExtensionComplexity(t *testing.T) {
-	rows, err := RunE10(50)
+	rows, err := NewRunner(0).E10(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestE10ExtensionComplexity(t *testing.T) {
 
 func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 	cfg := E11Config{Frames: 64, DirtyRates: []int{0, 4, 16}, Budgets: []int{0, 1, 4}, Cutoff: 2}
-	rows, err := RunE11(cfg)
+	rows, err := NewRunner(0).E11(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,13 +650,13 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 		t.Skip("full experiment suite in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
+	if err := NewRunner(0).RunAll(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, e := range Experiments() {
-		if !strings.Contains(out, "== "+e.ID+":") {
-			t.Errorf("output missing experiment %s", e.ID)
+	for _, s := range Specs() {
+		if !strings.Contains(out, "== "+s.ID+":") {
+			t.Errorf("output missing experiment %s", s.ID)
 		}
 	}
 }
@@ -715,10 +715,10 @@ func TestWholeEvaluationIsReproducible(t *testing.T) {
 	// The repository's headline determinism property: the entire
 	// evaluation, byte for byte, twice.
 	var a, b bytes.Buffer
-	if err := RunAll(&a); err != nil {
+	if err := NewRunner(0).RunAll(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAll(&b); err != nil {
+	if err := NewRunner(0).RunAll(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

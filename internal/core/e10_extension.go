@@ -44,9 +44,6 @@ type E10Row struct {
 	CyclesPerGet    uint64
 }
 
-// RunE10 boots the extension on both systems and serves n get requests.
-func RunE10(n int) ([]E10Row, error) { return DefaultRunner().E10(n) }
-
 // E10 boots each platform's extension in its own cell.
 func (r *Runner) E10(n int) ([]E10Row, error) {
 	if n <= 0 {
@@ -55,7 +52,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 	cells := []func(context.Context) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.
 		func(ctx context.Context) ([]E10Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
 			defer release()
 			k := mk.New(m)
 			snap := m.Rec.Snapshot()
@@ -91,7 +88,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 		},
 		// --- VMM: a domain with hooks, channels and grants.
 		func(ctx context.Context) ([]E10Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 1024})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 1024})
 			defer release()
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
@@ -164,7 +161,3 @@ func e10Table(rows []E10Row) *ResultTable {
 	}
 	return t
 }
-
-// E10Table renders the comparison (compatibility wrapper over the
-// registry's Result model).
-func E10Table(rows []E10Row) *trace.Table { return e10Table(rows).Trace() }

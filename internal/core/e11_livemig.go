@@ -6,7 +6,6 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/simrand"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 )
 
@@ -119,9 +118,6 @@ type E11Row struct {
 	TotalCyc    uint64 // whole-migration cycles, both machines
 }
 
-// RunE11 runs the sweep on the default parallel runner.
-func RunE11(cfg E11Config) ([]E11Row, error) { return DefaultRunner().E11(cfg) }
-
 // E11 fans one cell out per (dirty rate, round budget) pair. Every cell
 // boots its own source and destination machines and seeds its own write
 // stream, so the table is byte-identical at any -parallel width.
@@ -134,7 +130,7 @@ func (r *Runner) E11(cfg E11Config) ([]E11Row, error) {
 			cells = append(cells, cellCfg{rate, budget})
 		}
 	}
-	return runCells(r, len(cells), func(ctx context.Context, i int) (E11Row, error) {
+	return RunCells(r, len(cells), func(ctx context.Context, i int) (E11Row, error) {
 		c := cells[i]
 		return e11Cell(ctx, cfg.Frames, c.rate, c.budget, cfg.Cutoff)
 	})
@@ -154,7 +150,7 @@ func e11Mach(frames int) *hw.MachineConfig {
 // e11Cell boots a source stack with one guest and an empty destination
 // hypervisor, then migrates the guest while it writes rate pages per round.
 func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, error) {
-	srcM, releaseSrc := acquireMachine(ctx, hw.X86(), e11Mach(frames))
+	srcM, releaseSrc := AcquireMachine(ctx, hw.X86(), e11Mach(frames))
 	defer releaseSrc()
 	srcH, _, err := vmm.New(srcM, 64)
 	if err != nil {
@@ -172,7 +168,7 @@ func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, err
 	}
 	srcM.Mem.Write(dom.FrameAt(frames-1), 16, []byte(marker))
 
-	dstM, releaseDst := acquireMachine(ctx, hw.X86(), e11Mach(frames))
+	dstM, releaseDst := AcquireMachine(ctx, hw.X86(), e11Mach(frames))
 	defer releaseDst()
 	dstH, _, err := vmm.New(dstM, 64)
 	if err != nil {
@@ -252,7 +248,3 @@ func e11Table(rows []E11Row) *ResultTable {
 	}
 	return t
 }
-
-// E11Table renders the sweep (compatibility wrapper over the registry's
-// Result model).
-func E11Table(rows []E11Row) *trace.Table { return e11Table(rows).Trace() }

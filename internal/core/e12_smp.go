@@ -100,9 +100,6 @@ type E12Row struct {
 	TotalCyc   uint64 // whole-machine virtual time consumed
 }
 
-// RunE12 runs the sweep on the default parallel runner.
-func RunE12(cfg E12Config) ([]E12Row, error) { return DefaultRunner().E12(cfg) }
-
 // E12 fans one cell out per (workload, platform, core count) triple. Rows
 // group each (workload, platform) pair's cores-vs-cost curve contiguously.
 func (r *Runner) E12(cfg E12Config) ([]E12Row, error) {
@@ -119,7 +116,7 @@ func (r *Runner) E12(cfg E12Config) ([]E12Row, error) {
 			}
 		}
 	}
-	return runCells(r, len(cells), func(ctx context.Context, i int) (E12Row, error) {
+	return RunCells(r, len(cells), func(ctx context.Context, i int) (E12Row, error) {
 		c := cells[i]
 		if c.ncpus < 1 {
 			return E12Row{}, fmt.Errorf("E12: core count must be positive (got %d)", c.ncpus)
@@ -196,7 +193,7 @@ func e12Row(m *hw.Machine, workload, platform string, ncpus, ops int) E12Row {
 // CPU, round-robin. Calls to servers homed on other CPUs pay the wake and
 // reply IPIs the kernel's cross-CPU IPC path charges.
 func e12PingPongMK(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12PingPongMKMach, ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12PingPongMKMach, ncpus))
 	defer release()
 	k := mk.New(m)
 	cs, err := k.NewSpace("client", mk.NilThread)
@@ -235,7 +232,7 @@ func e12PingPongMK(ctx context.Context, ncpus, ops int) (E12Row, error) {
 // CPU, round-robin. Delivery into a domain whose vCPU is placed on another
 // pCPU pays the kick IPI.
 func e12PingPongVMM(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12PingPongVMMMach, ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12PingPongVMMMach, ncpus))
 	defer release()
 	h, _, err := vmm.New(m, 128)
 	if err != nil {
@@ -271,7 +268,7 @@ func e12PingPongVMM(ctx context.Context, ncpus, ops int) (E12Row, error) {
 // reschedule IPI each direction. No protection-domain crossing, but the
 // hardware coordination cost is the same order as the structured systems'.
 func e12PingPongNative(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
 	defer release()
 	comp := m.Rec.Intern(NativeComponent)
 	// The per-round-trip costs are uniform, so the whole run lands as
@@ -297,7 +294,7 @@ func e12PingPongNative(ctx context.Context, ncpus, ops int) (E12Row, error) {
 // shoot the stale writable translations out of every pCPU hosting one of
 // its vCPUs — Xen's log-dirty broadcast, growing linearly with placement.
 func e12DirtyScanVMM(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12ScanVMMMach(pages), ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12ScanVMMMach(pages), ncpus))
 	defer release()
 	h, _, err := vmm.New(m, 64)
 	if err != nil {
@@ -335,7 +332,7 @@ func e12DirtyScanVMM(ctx context.Context, ncpus, pages int) (E12Row, error) {
 // pages mapped and unmapped under it, twice. Each unmap invalidates
 // locally and shoots down every other CPU currently running the space.
 func e12DirtyScanMK(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12ScanMKMach(pages), ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12ScanMKMach(pages), ncpus))
 	defer release()
 	k := mk.New(m)
 	s, err := k.NewSpace("scan", mk.NilThread)
@@ -369,7 +366,7 @@ func e12DirtyScanMK(ctx context.Context, ncpus, pages int) (E12Row, error) {
 // pool — per-page PTE update, local invalidation, and on SMP a
 // single-entry shootdown broadcast to every other core.
 func e12DirtyScanNative(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := acquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
+	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
 	defer release()
 	comp := m.Rec.Intern(NativeComponent)
 	var targets []int
@@ -451,7 +448,3 @@ func e12Table(rows []E12Row) *ResultTable {
 	}
 	return t
 }
-
-// E12Table renders the sweep (compatibility wrapper over the registry's
-// Result model).
-func E12Table(rows []E12Row) *trace.Table { return e12Table(rows).Trace() }

@@ -96,9 +96,6 @@ type E13Row struct {
 	SLOViol    int     // rejections + downtime SLO misses
 }
 
-// RunE13 runs the sweep on the default parallel runner.
-func RunE13(cfg E13Config) ([]E13Row, error) { return DefaultRunner().E13(cfg) }
-
 // E13 fans one cell out per (fleet size, churn count, policy) triple.
 // Every cell boots its own fleet from the worker's machine pool and seeds
 // its own churn stream from the cell parameters, so the table is
@@ -117,7 +114,7 @@ func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
 			}
 		}
 	}
-	return runCells(r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
+	return RunCells(r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
 		c := cells[i]
 		return e13Cell(ctx, c.fleet, c.churn, cfg.HostFrames, c.policy, cfg.SLO)
 	})
@@ -126,7 +123,7 @@ func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
 // e13Cell boots one fleet, runs its churn, and reads the meters.
 func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Policy, slo hw.Cycles) (E13Row, error) {
 	src := func(mc *hw.MachineConfig) (*hw.Machine, func()) {
-		return acquireMachine(ctx, hw.X86(), mc)
+		return AcquireMachine(ctx, hw.X86(), mc)
 	}
 	cl, err := cluster.New(cluster.Config{
 		Hosts:      fleet,

@@ -15,7 +15,7 @@ func e13SmallConfig() E13Config {
 // even though the parallel run slices the fleet boots across per-worker
 // machine pools.
 func TestE13SerialMatchesParallel(t *testing.T) {
-	serial, err := SerialRunner().E13(e13SmallConfig())
+	serial, err := NewRunner(1).E13(e13SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestE13SerialMatchesParallel(t *testing.T) {
 // column distinguishing the two policies somewhere in the sweep.
 func TestE13RowsShaped(t *testing.T) {
 	cfg := E13Defaults()
-	rows, err := SerialRunner().E13(cfg)
+	rows, err := NewRunner(1).E13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,6 @@ func E1Defaults() E1Config {
 	return E1Config{Sizes: []int{64, 256, 1024, 1500, 4096}, Packets: 100}
 }
 
-// RunE1 sweeps packet sizes in both delivery modes on a fresh Xen stack per
-// point and returns the rows, fanning the points across GOMAXPROCS workers.
-func RunE1(cfg E1Config) ([]E1Row, error) { return DefaultRunner().E1(cfg) }
-
 // E1 runs the sweep on this runner's worker pool: one cell per
 // (delivery mode, packet size) point, each booting its own stack.
 func (r *Runner) E1(cfg E1Config) ([]E1Row, error) {
@@ -70,7 +66,7 @@ func (r *Runner) E1(cfg E1Config) ([]E1Row, error) {
 		cfg.Packets = E1Defaults().Packets
 	}
 	modes := []bool{false, true}
-	return runCells(r, len(modes)*len(cfg.Sizes), func(ctx context.Context, i int) (E1Row, error) {
+	return RunCells(r, len(modes)*len(cfg.Sizes), func(ctx context.Context, i int) (E1Row, error) {
 		copyMode := modes[i/len(cfg.Sizes)]
 		size := cfg.Sizes[i%len(cfg.Sizes)]
 		s, err := NewXenStack(Config{CopyMode: copyMode}.WithPool(ctx))
@@ -122,11 +118,6 @@ type E1RateRow struct {
 	Delivered     int
 }
 
-// RunE1Rates sweeps offered load at a fixed packet size in flip mode.
-func RunE1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
-	return DefaultRunner().E1Rates(rates, packets, size)
-}
-
 // E1Rates runs the offered-load sweep, one cell per rate point.
 func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
 	if len(rates) == 0 {
@@ -135,7 +126,7 @@ func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
 	if packets <= 0 {
 		packets = 100
 	}
-	return runCells(r, len(rates), func(ctx context.Context, i int) (E1RateRow, error) {
+	return RunCells(r, len(rates), func(ctx context.Context, i int) (E1RateRow, error) {
 		rate := rates[i]
 		s, err := NewXenStack(Config{}.WithPool(ctx))
 		if err != nil {
@@ -175,24 +166,6 @@ func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
 	})
 }
 
-// e1RateTable builds the offered-load sweep's registry table.
-func e1RateTable(rows []E1RateRow) *ResultTable {
-	t := NewResultTable(
-		"E1b — driver-side CPU utilisation vs offered load (flip mode, 1500B)",
-		Col("rate pkt/s", "packets/s"), Col("pkts", "packets"), Col("delivered", "packets"),
-		Col("driver cyc", "cycles"), Col("window cyc", "cycles"), Col("driver load", "%"),
-	)
-	for _, r := range rows {
-		t.AddRow(r.RatePktPerSec, r.Packets, r.Delivered, r.DriverCyc, r.WindowCyc,
-			fmt.Sprintf("%.1f%%", 100*r.DriverLoad))
-	}
-	return t
-}
-
-// E1RateTable renders the offered-load sweep (compatibility wrapper over
-// the registry's Result model).
-func E1RateTable(rows []E1RateRow) *trace.Table { return e1RateTable(rows).Trace() }
-
 // e1Table builds the main sweep's registry table.
 func e1Table(rows []E1Row) *ResultTable {
 	t := NewResultTable(
@@ -207,7 +180,3 @@ func e1Table(rows []E1Row) *ResultTable {
 	}
 	return t
 }
-
-// E1Table renders the rows as the experiment's result table (compatibility
-// wrapper over the registry's Result model).
-func E1Table(rows []E1Row) *trace.Table { return e1Table(rows).Trace() }

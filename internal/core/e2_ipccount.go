@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"vmmk/internal/trace"
 	"vmmk/internal/workload"
 )
 
@@ -103,15 +102,11 @@ func E2Workloads() []E2Workload {
 	}
 }
 
-// RunE2 runs every workload on fresh stacks of both kinds and counts
-// IPC-equivalent operations.
-func RunE2() ([]E2Row, error) { return DefaultRunner().E2() }
-
 // E2 runs the comparison on this runner's worker pool: one cell per
 // workload, each booting a fresh pair of stacks.
 func (r *Runner) E2() ([]E2Row, error) {
 	ws := E2Workloads()
-	return runCells(r, len(ws), func(ctx context.Context, i int) (E2Row, error) {
+	return RunCells(r, len(ws), func(ctx context.Context, i int) (E2Row, error) {
 		w := ws[i]
 		counts := map[string]uint64{}
 		for _, build := range []func(Config) (Platform, error){
@@ -148,7 +143,3 @@ func e2Table(rows []E2Row) *ResultTable {
 	}
 	return t
 }
-
-// E2Table renders the comparison (compatibility wrapper over the registry's
-// Result model).
-func E2Table(rows []E2Row) *trace.Table { return e2Table(rows).Trace() }

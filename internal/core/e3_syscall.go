@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"vmmk/internal/hw"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
 )
@@ -38,9 +37,6 @@ type E3Row struct {
 	MonitorCyc   uint64 // monitor/kernel share per op (0 = untouched)
 	FastPathLive bool
 }
-
-// RunE3 measures the four configurations with n syscalls each.
-func RunE3(n int) ([]E3Row, error) { return DefaultRunner().E3(n) }
 
 // E3 runs the four configurations as independent cells, each on its own
 // freshly booted stack.
@@ -153,7 +149,3 @@ func e3Table(rows []E3Row) *ResultTable {
 	}
 	return t
 }
-
-// E3Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E3Table(rows []E3Row) *trace.Table { return e3Table(rows).Trace() }

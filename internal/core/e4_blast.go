@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"strconv"
-
-	"vmmk/internal/trace"
 )
 
 // E4 measures failure blast radii, §3.1's liability-inversion argument:
@@ -43,10 +41,6 @@ type E4Row struct {
 	GuestsTotal   int
 }
 
-// RunE4 runs the kill-the-storage-service and kill-the-driver scenarios on
-// all three platforms with nGuests guests each.
-func RunE4(nGuests int) ([]E4Row, error) { return DefaultRunner().E4(nGuests) }
-
 // E4 runs the scenario × platform grid as independent cells: each crash
 // happens on its own freshly booted system.
 func (r *Runner) E4(nGuests int) ([]E4Row, error) {
@@ -66,7 +60,7 @@ func (r *Runner) E4(nGuests int) ([]E4Row, error) {
 		func(c Config) (Platform, error) { return NewXenStack(c) },
 		func(c Config) (Platform, error) { return NewNativeStack(c) },
 	}
-	return runCells(r, len(scenarios)*len(builders), func(ctx context.Context, i int) (E4Row, error) {
+	return RunCells(r, len(scenarios)*len(builders), func(ctx context.Context, i int) (E4Row, error) {
 		sc := scenarios[i/len(builders)]
 		p, err := builders[i%len(builders)](Config{Guests: nGuests}.WithPool(ctx))
 		if err != nil {
@@ -118,7 +112,3 @@ func e4Table(rows []E4Row) *ResultTable {
 	}
 	return t
 }
-
-// E4Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E4Table(rows []E4Row) *trace.Table { return e4Table(rows).Trace() }

@@ -99,9 +99,6 @@ func censusWorkload(p Platform) error {
 	return nil
 }
 
-// RunE5 runs the census on fresh stacks.
-func RunE5() ([]E5Row, error) { return DefaultRunner().E5() }
-
 // E5 runs the two platform censuses as independent cells.
 func (r *Runner) E5() ([]E5Row, error) {
 	cells := []func(context.Context) ([]E5Row, error){
@@ -178,7 +175,3 @@ func e5Table(rows []E5Row) *ResultTable {
 	}
 	return t
 }
-
-// E5Table renders the census (compatibility wrapper over the registry's
-// Result model).
-func E5Table(rows []E5Row) *trace.Table { return e5Table(rows).Trace() }

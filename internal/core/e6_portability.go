@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"vmmk/internal/hw"
-	"vmmk/internal/trace"
 )
 
 // E6 tests the portability claim of §2.2: "software that is written for an
@@ -72,15 +71,11 @@ func vmmInterfaceDeltas(base, a *hw.Arch) []string {
 	return deltas
 }
 
-// RunE6 boots the mk stack on all nine architectures and computes VMM
-// interface deltas against x86.
-func RunE6() ([]E6Row, error) { return DefaultRunner().E6() }
-
 // E6 boots each architecture in its own cell.
 func (r *Runner) E6() ([]E6Row, error) {
 	base := hw.X86()
 	archs := hw.AllArchs()
-	return runCells(r, len(archs), func(ctx context.Context, i int) (E6Row, error) {
+	return RunCells(r, len(archs), func(ctx context.Context, i int) (E6Row, error) {
 		arch := archs[i]
 		row := E6Row{Arch: arch.Name}
 		s, err := NewMKStack(Config{Arch: arch}.WithPool(ctx))
@@ -120,7 +115,3 @@ func e6Table(rows []E6Row) *ResultTable {
 	}
 	return t
 }
-
-// E6Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E6Table(rows []E6Row) *trace.Table { return e6Table(rows).Trace() }

@@ -5,7 +5,6 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 )
 
@@ -37,10 +36,6 @@ type E7Row struct {
 	Cycles uint64
 }
 
-// RunE7 measures each primitive n times on fresh stacks and reports the
-// mean.
-func RunE7(n int) ([]E7Row, error) { return DefaultRunner().E7(n) }
-
 // E7 runs the three measurement blocks — microkernel, VMM and bare
 // hardware — as independent cells, each on its own machine. Primitives
 // within a block stay sequential because they share that block's stack.
@@ -58,7 +53,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	mkCell := func(ctx context.Context) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := acquireMachine(ctx, hw.X86(), &e7MKMach)
+		m, release := AcquireMachine(ctx, hw.X86(), &e7MKMach)
 		defer release()
 		k := mk.New(m)
 		cs, err := k.NewSpace("c", mk.NilThread)
@@ -127,7 +122,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	vmmCell := func(ctx context.Context) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := acquireMachine(ctx, hw.X86(), &e7VMMMach)
+		m, release := AcquireMachine(ctx, hw.X86(), &e7VMMMach)
 		defer release()
 		h, d0, err := vmm.New(m, 300)
 		if err != nil {
@@ -211,7 +206,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	hwCell := func(ctx context.Context) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := acquireMachine(ctx, hw.X86(), nil)
+		m, release := AcquireMachine(ctx, hw.X86(), nil)
 		defer release()
 		hwc := m.Rec.Intern("hw")
 		t0 := m.Now()
@@ -252,7 +247,3 @@ func e7Table(rows []E7Row) *ResultTable {
 	}
 	return t
 }
-
-// E7Table renders the microbenchmarks (compatibility wrapper over the
-// registry's Result model).
-func E7Table(rows []E7Row) *trace.Table { return e7Table(rows).Trace() }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"vmmk/internal/trace"
 	"vmmk/internal/workload"
 )
 
@@ -48,9 +47,6 @@ type E8Row struct {
 // microbenchmark costs; without it the experiment would measure only
 // crossing overhead, which is E7's job.
 const thinkCycles = 100_000
-
-// RunE8 serves n web requests on each platform.
-func RunE8(n int) ([]E8Row, error) { return DefaultRunner().E8(n) }
 
 // E8 serves the same request stream on each platform in its own cell; the
 // relative-cost column is derived from the native row after the cells join,
@@ -97,7 +93,7 @@ func (r *Runner) E8(n int) ([]E8Row, error) {
 		func(c Config) (Platform, error) { return NewMKStack(c) },
 		func(c Config) (Platform, error) { return NewXenStack(c) },
 	}
-	rows, err := runCells(r, len(builders), func(ctx context.Context, i int) (E8Row, error) {
+	rows, err := RunCells(r, len(builders), func(ctx context.Context, i int) (E8Row, error) {
 		p, err := builders[i](Config{}.WithPool(ctx))
 		if err != nil {
 			return E8Row{}, err
@@ -140,7 +136,3 @@ func e8Table(rows []E8Row) *ResultTable {
 	}
 	return t
 }
-
-// E8Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E8Table(rows []E8Row) *trace.Table { return e8Table(rows).Trace() }

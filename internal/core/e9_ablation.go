@@ -7,7 +7,6 @@ import (
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
 )
@@ -44,9 +43,6 @@ type E9Row struct {
 	Metric   string
 	Value    float64
 }
-
-// RunE9 runs all four ablations.
-func RunE9() ([]E9Row, error) { return DefaultRunner().E9() }
 
 // E9 runs every ablation variant as its own cell — each builds its own
 // machine, so the whole table fans out at once.
@@ -98,7 +94,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 			if tagged {
 				arch.Costs.ASSwitch = 150 // no full flush needed
 			}
-			m, release := acquireMachine(ctx, arch, &hw.MachineConfig{Frames: 256})
+			m, release := AcquireMachine(ctx, arch, &hw.MachineConfig{Frames: 256})
 			defer release()
 			k := mk.New(m)
 			cs, err := k.NewSpace("c", mk.NilThread)
@@ -197,7 +193,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// a large-footprint one (thrashes the cache on every switch).
 	for _, fat := range []bool{false, true} {
 		one(func(ctx context.Context) (E9Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 256})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 256})
 			defer release()
 			cache := hw.NewCache(512, 10)
 			serverLines := 120 // small server: both fit in 512
@@ -249,7 +245,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// as a metric here; the count is the point).
 	for _, batch := range []int{1, 8} {
 		one(func(ctx context.Context) (E9Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 2048, IRQLines: 16})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 2048, IRQLines: 16})
 			defer release()
 			h, d0, err := vmm.New(m, 128)
 			if err != nil {
@@ -296,7 +292,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// of the underlying hardware".
 	for _, shadowMode := range []bool{true, false} {
 		one(func(ctx context.Context) (E9Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
 			defer release()
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
@@ -352,7 +348,3 @@ func e9Table(rows []E9Row) *ResultTable {
 	}
 	return t
 }
-
-// E9Table renders the ablations (compatibility wrapper over the registry's
-// Result model).
-func E9Table(rows []E9Row) *trace.Table { return e9Table(rows).Trace() }

@@ -36,20 +36,14 @@ func poolFrom(ctx context.Context) *hw.MachinePool {
 	return p
 }
 
-// acquireMachine hands out a machine for arch/cfg from the cell's worker
+// AcquireMachine hands out a machine for arch/cfg from the cell's worker
 // pool and returns it together with the release that puts it back (Reset)
-// for the next cell. Without a pool in the context both degrade gracefully:
-// the machine is a plain NewMachine and the release is a no-op.
-func acquireMachine(ctx context.Context, arch *hw.Arch, cfg *hw.MachineConfig) (*hw.Machine, func()) {
+// for the next cell. The experiments and any harness built on RunCells (the
+// scenario matrix) acquire their machines here. Without a pool in the
+// context both degrade gracefully: the machine is a plain NewMachine and
+// the release is a no-op.
+func AcquireMachine(ctx context.Context, arch *hw.Arch, cfg *hw.MachineConfig) (*hw.Machine, func()) {
 	p := poolFrom(ctx)
 	m := p.Get(arch, cfg)
 	return m, func() { p.Put(m) }
-}
-
-// AcquireMachine is acquireMachine for harnesses built on RunCells (the
-// scenario matrix): inside a cell it hands out a machine from the worker's
-// pool and the release that Resets it for the next cell; outside a runner
-// it degrades to a fresh boot and a no-op release.
-func AcquireMachine(ctx context.Context, arch *hw.Arch, cfg *hw.MachineConfig) (*hw.Machine, func()) {
-	return acquireMachine(ctx, arch, cfg)
 }

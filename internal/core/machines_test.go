@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,25 +12,27 @@ import (
 // every experiment must render byte-identical tables whether its cells run
 // on freshly booted machines or on pooled machines Reset from earlier work.
 //
-// The baseline binds each experiment to its own brand-new Runner (empty
-// pools — every machine is a fresh boot). The probe runs the whole registry
-// twice on one persistent Runner: the first sweep warms its pools, so by
-// the second sweep every pool-keyed machine a cell asks for is a recycled
-// one. Any state Reset failed to clear — a leftover cycle, a dirty page, a
-// stale TLB entry or queued event — shows up as a table diff. Every machine
-// a probe cell releases must also pass the frame allocator's conservation
+// The baseline runs each experiment on a nil *Runner, which carries no
+// machine pool: every machine a cell asks for is a fresh boot. The probe
+// runs the whole registry twice on one persistent serial Runner: the first
+// sweep already reuses machines its earlier cells released, and by the
+// second sweep every pool-keyed machine a cell asks for is a recycled one.
+// Any state Reset failed to clear — a leftover cycle, a dirty page, a stale
+// TLB entry or queued event — shows up as a table diff. Every machine a
+// probe cell releases must also pass the frame allocator's conservation
 // audit, before its Reset and after it.
 func TestExperimentsPooledVsFresh(t *testing.T) {
-	fresh := map[string]string{}
-	for _, e := range SerialRunner().Experiments() {
-		var buf bytes.Buffer
-		if err := e.Run(&buf); err != nil {
-			t.Fatalf("%s (fresh): %v", e.ID, err)
+	var fresh *Runner
+	baseline := map[string]string{}
+	for _, s := range Specs() {
+		res, err := fresh.RunExperiment(context.Background(), s.ID, nil)
+		if err != nil {
+			t.Fatalf("%s (fresh): %v", s.ID, err)
 		}
-		fresh[e.ID] = buf.String()
+		baseline[s.ID] = res.Text()
 	}
 
-	r := SerialRunner()
+	r := NewRunner(1)
 	var cell string
 	audited := 0
 	pool := hw.NewMachinePool()
@@ -46,21 +48,21 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	})
 	r.pools = []*hw.MachinePool{pool}
 	for sweep := 1; sweep <= 2; sweep++ {
-		for _, e := range r.Experiments() {
-			cell = fmt.Sprintf("%s (sweep %d)", e.ID, sweep)
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
-				t.Fatalf("%s (sweep %d): %v", e.ID, sweep, err)
+		for _, s := range Specs() {
+			cell = fmt.Sprintf("%s (sweep %d)", s.ID, sweep)
+			res, err := r.RunExperiment(context.Background(), s.ID, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
 			}
-			if got := buf.String(); got != fresh[e.ID] {
+			if got := res.Text(); got != baseline[s.ID] {
 				t.Errorf("%s: sweep %d on pooled machines diverged from fresh machines\nfresh:\n%s\npooled:\n%s",
-					e.ID, sweep, fresh[e.ID], got)
+					s.ID, sweep, baseline[s.ID], got)
 			}
 		}
 	}
 
 	// The probe must actually have exercised the pool: the serial runner
-	// keeps one pool, and the second sweep's Gets should have hit it.
+	// keeps one pool, and its Gets should have hit it.
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
 	if len(r.pools) != 1 {

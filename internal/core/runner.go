@@ -32,13 +32,6 @@ type Runner struct {
 // NewRunner returns a runner with the given worker cap (<= 0: GOMAXPROCS).
 func NewRunner(parallel int) *Runner { return &Runner{Parallel: parallel} }
 
-// DefaultRunner fans out across GOMAXPROCS workers — what the plain RunE*
-// helpers use.
-func DefaultRunner() *Runner { return &Runner{} }
-
-// SerialRunner executes one cell at a time, in index order.
-func SerialRunner() *Runner { return &Runner{Parallel: 1} }
-
 func (r *Runner) workers() int {
 	if r == nil || r.Parallel <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -54,8 +47,8 @@ func (r *Runner) ctx() context.Context {
 }
 
 // borrowPool hands a worker an idle machine pool, creating one when all are
-// in use. A nil Runner (direct cell calls in tests) gets a nil pool, which
-// acquireMachine treats as "always build fresh".
+// in use. A nil Runner gets a nil pool, which AcquireMachine treats as
+// "always build fresh".
 func (r *Runner) borrowPool() *hw.MachinePool {
 	if r == nil {
 		return nil
@@ -82,12 +75,15 @@ func (r *Runner) returnPool(p *hw.MachinePool) {
 	r.poolMu.Unlock()
 }
 
-// runCells executes n independent cells on up to r.Parallel workers and
-// returns their results in cell order. A failure cancels the cells not yet
-// started; the lowest-indexed failure actually observed is returned after
-// in-flight cells drain. Cancellation of the runner's own context wins only
-// when no cell failed outright.
-func runCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// RunCells executes n independent cells on up to r.Parallel workers and
+// returns their results in cell order. Each worker carries its own machine
+// pool in the cell context (AcquireMachine), so serial and parallel runs are
+// identical. Every experiment fans out through it, and so does any
+// deterministic harness outside the registry (the scenario matrix). A
+// failure cancels the cells not yet started; the lowest-indexed failure
+// actually observed is returned after in-flight cells drain. Cancellation
+// of the runner's own context wins only when no cell failed outright.
+func RunCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -167,19 +163,10 @@ func runCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T,
 	return out, nil
 }
 
-// RunCells is the exported face of runCells for deterministic harnesses
-// outside the experiment registry (the scenario matrix): n independent
-// cells fan out across the runner's bounded worker pool, each worker
-// carrying its own machine pool in the cell context (AcquireMachine), and
-// results land in cell order — serial and parallel runs are identical.
-func RunCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return runCells(r, n, cell)
-}
-
-// runFlat is runCells for experiments whose cells each yield a slice of
+// runFlat is RunCells for experiments whose cells each yield a slice of
 // rows: the per-cell groups are concatenated in cell order.
 func runFlat[T any](r *Runner, n int, cell func(ctx context.Context, i int) ([]T, error)) ([]T, error) {
-	groups, err := runCells(r, n, cell)
+	groups, err := RunCells(r, n, cell)
 	if err != nil {
 		return nil, err
 	}

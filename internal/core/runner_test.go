@@ -15,7 +15,7 @@ import (
 func TestRunCellsOrderAndValues(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8, 64} {
 		r := NewRunner(parallel)
-		out, err := runCells(r, 100, func(_ context.Context, i int) (int, error) {
+		out, err := RunCells(r, 100, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -34,7 +34,7 @@ func TestRunCellsOrderAndValues(t *testing.T) {
 
 // TestRunCellsEmpty checks the degenerate case.
 func TestRunCellsEmpty(t *testing.T) {
-	out, err := runCells(NewRunner(4), 0, func(_ context.Context, i int) (int, error) {
+	out, err := RunCells(NewRunner(4), 0, func(_ context.Context, i int) (int, error) {
 		t.Fatal("cell ran for n=0")
 		return 0, nil
 	})
@@ -50,7 +50,7 @@ func TestRunCellsFirstError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("cell %d exploded", i) }
 	for _, parallel := range []int{1, 4} {
 		r := NewRunner(parallel)
-		_, err := runCells(r, 50, func(_ context.Context, i int) (int, error) {
+		_, err := RunCells(r, 50, func(_ context.Context, i int) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, boom(i)
 			}
@@ -72,7 +72,7 @@ func TestRunCellsFirstError(t *testing.T) {
 // work: with one worker, nothing after the failing cell may run.
 func TestRunCellsErrorStopsLaterCells(t *testing.T) {
 	var ran atomic.Int32
-	_, err := runCells(SerialRunner(), 100, func(_ context.Context, i int) (int, error) {
+	_, err := RunCells(NewRunner(1), 100, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 5 {
 			return 0, errors.New("stop here")
@@ -93,7 +93,7 @@ func TestRunCellsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Runner{Parallel: 4, Ctx: ctx}
 	var ran atomic.Int32
-	_, err := runCells(r, 1000, func(_ context.Context, i int) (int, error) {
+	_, err := RunCells(r, 1000, func(_ context.Context, i int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -134,7 +134,7 @@ func TestRunFlatConcatenatesInOrder(t *testing.T) {
 // block cells) are the representative shapes; E8 adds a cross-cell derived
 // column (relative cost vs native).
 func TestSerialParallelIdentical(t *testing.T) {
-	serial, par := SerialRunner(), NewRunner(4)
+	serial, par := NewRunner(1), NewRunner(4)
 
 	cfg := E1Config{Sizes: []int{64, 1500, 4096}, Packets: 30}
 	s1, err := serial.E1(cfg)
@@ -203,7 +203,7 @@ func TestSerialParallelIdenticalAll(t *testing.T) {
 		}
 		return buf.String()
 	}
-	a := render(SerialRunner())
+	a := render(NewRunner(1))
 	b := render(NewRunner(4))
 	if a != b {
 		t.Error("serial and parallel full reports differ")

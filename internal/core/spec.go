@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -354,16 +355,11 @@ func FlagParams() []Param {
 	return out
 }
 
-// RunExperiment runs the registered experiment id on the default parallel
-// runner with the given parameters (nil means all defaults).
-func RunExperiment(id string, p Params) (*Result, error) {
-	return DefaultRunner().RunExperiment(context.Background(), id, p)
-}
-
 // RunExperiment normalizes p against the experiment's spec, runs it on this
 // runner and returns the Result stamped with the experiment's id, title and
 // the echoed normalized parameters. A non-background ctx cancels in-flight
-// cells.
+// cells. A nil Runner runs GOMAXPROCS-wide with no machine pool, so every
+// cell boots fresh machines; it ignores ctx.
 func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Result, error) {
 	s, ok := Lookup(id)
 	if !ok {
@@ -376,10 +372,7 @@ func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Resul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if r == nil {
-		r = DefaultRunner()
-	}
-	if ctx != context.Background() {
+	if r != nil && ctx != context.Background() {
 		// Rebind the context on a fresh Runner rather than copying r: a
 		// Runner now owns a mutex-guarded machine-pool stack and must not
 		// be duplicated. The bound runner starts with cold pools, which
@@ -394,6 +387,23 @@ func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Resul
 	res.Title = s.Title
 	res.Params = np
 	return res, nil
+}
+
+// RunAll runs every registered experiment at its defaults on this runner,
+// writing each one's header line and text tables to w. Experiments run one
+// after another; parallelism lives inside each, across its cells, so the
+// tables stream out in their canonical order.
+func (r *Runner) RunAll(w io.Writer) error {
+	for _, s := range Specs() {
+		res, err := r.RunExperiment(context.Background(), s.ID, nil)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.ID, err)
+		}
+		if _, err := fmt.Fprintf(w, "== %s: %s ==\n%s", s.ID, s.Title, res.Text()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RegistryMarkdown renders the registered experiments and their parameters

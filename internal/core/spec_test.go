@@ -140,7 +140,7 @@ func TestSpecNormalize(t *testing.T) {
 // TestRunExperimentStampsResult checks the uniform entry point: the Result
 // carries the spec's id and title and echoes the normalized params.
 func TestRunExperimentStampsResult(t *testing.T) {
-	res, err := SerialRunner().RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
+	res, err := NewRunner(1).RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRunExperimentStampsResult(t *testing.T) {
 	if len(res.Tables) != 1 || len(res.Tables[0].Rows) == 0 {
 		t.Fatalf("degenerate tables: %+v", res.Tables)
 	}
-	if _, err := RunExperiment("e99", nil); err == nil {
+	if _, err := NewRunner(1).RunExperiment(context.Background(), "e99", nil); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -169,12 +169,12 @@ func TestRunExperimentHonorsContext(t *testing.T) {
 	}
 }
 
-// TestRegistryTextMatchesLegacyBuilders: the registry's Result renderer and
-// the kept compatibility wrappers (EnTable over the same rows) must agree
-// byte for byte — the in-package half of the byte-identity guarantee the
-// CLI golden files pin end to end.
+// TestRegistryTextMatchesLegacyBuilders: the registry's entry point and the
+// typed-row API (Runner.En, rendered through the experiment's table builder)
+// must agree byte for byte — the in-package half of the byte-identity
+// guarantee the CLI golden files pin end to end.
 func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
-	r := SerialRunner()
+	r := NewRunner(1)
 
 	rows3, err := r.E3(40)
 	if err != nil {
@@ -184,11 +184,11 @@ func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res3.Text(), E3Table(rows3).String()+"\n"; got != want {
-		t.Errorf("e3 registry text diverged from E3Table:\n%s\nvs\n%s", got, want)
+	if got, want := res3.Text(), e3Table(rows3).String()+"\n"; got != want {
+		t.Errorf("e3 registry text diverged from the typed rows:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := res3.CSV(), E3Table(rows3).CSV(); got != want {
-		t.Errorf("e3 registry CSV diverged from E3Table:\n%s\nvs\n%s", got, want)
+	if got, want := res3.CSV(), e3Table(rows3).CSV(); got != want {
+		t.Errorf("e3 registry CSV diverged from the typed rows:\n%s\nvs\n%s", got, want)
 	}
 
 	cfg := E12Config{CPUCounts: []int{1, 2}}
@@ -200,8 +200,8 @@ func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res12.Text(), E12Table(rows12).String()+"\n"; got != want {
-		t.Errorf("e12 registry text diverged from E12Table:\n%s\nvs\n%s", got, want)
+	if got, want := res12.Text(), e12Table(rows12).String()+"\n"; got != want {
+		t.Errorf("e12 registry text diverged from the typed rows:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
 // encoding is stable across runs.
 func TestResultJSONRoundTrip(t *testing.T) {
 	run := func() []byte {
-		res, err := SerialRunner().RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
+		res, err := NewRunner(1).RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,16 +6,13 @@ import (
 
 	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
+	"vmmk/internal/simrand"
 	"vmmk/internal/vmm"
 )
 
-// Errors the fault hooks inject. Rows declare them as expected outcomes.
-var (
-	// ErrDeviceFault is what FaultDev returns from a failed block operation.
-	ErrDeviceFault = errors.New("scenario: injected device fault")
-	// ErrLinkDown is what Link reports when its page budget is exhausted.
-	ErrLinkDown = errors.New("scenario: migration link failed")
-)
+// ErrDeviceFault is what FaultDev returns from a failed block operation.
+// Rows declare it as an expected outcome.
+var ErrDeviceFault = errors.New("scenario: injected device fault")
 
 // MemDev is a deterministic in-memory block device — the substrate FaultDev
 // wraps for the fslite rows.
@@ -91,41 +88,6 @@ func (d *FaultDev) Write(block uint64, data []byte) error {
 	return d.Inner.Write(block, data)
 }
 
-// Link is the lossy, latency-bounded migration link shim around
-// vmm.MigrateLive: it carries at most MaxPages page transfers (0: no
-// budget, the link never drops) and charges PerPage cycles of link time to
-// both machines for every page that crosses. Feed Transport into
-// vmm.LiveOpts; when the budget is exhausted the migration aborts with
-// vmm.ErrMigrationAborted wrapping ErrLinkDown.
-type Link struct {
-	MaxPages int
-	PerPage  hw.Cycles
-
-	pages int
-}
-
-// Pages returns how many page transfers the link has carried.
-func (l *Link) Pages() int { return l.pages }
-
-// Transport returns the vmm.LiveOpts.Transport hook for a migration from
-// src to dst over this link.
-func (l *Link) Transport(src, dst *hw.Machine) func(round, pages int) error {
-	srcComp := src.Rec.Intern("link")
-	dstComp := dst.Rec.Intern("link")
-	return func(round, pages int) error {
-		if l.MaxPages > 0 && l.pages+pages > l.MaxPages {
-			return fmt.Errorf("%w: round %d needs %d pages, %d of %d remain",
-				ErrLinkDown, round, pages, l.MaxPages-l.pages, l.MaxPages)
-		}
-		l.pages += pages
-		if l.PerPage > 0 && pages > 0 {
-			src.CPU.WorkN(srcComp, l.PerPage, uint64(pages))
-			dst.CPU.WorkN(dstComp, l.PerPage, uint64(pages))
-		}
-		return nil
-	}
-}
-
 // KillAtRound returns a vmm.LiveOpts.GuestWork hook that destroys dom at
 // the given pre-copy round — the DestroyDomain-mid-operation trigger for
 // the crash-mid-migration rows.
@@ -137,76 +99,56 @@ func KillAtRound(h *vmm.Hypervisor, dom vmm.DomID, round int) func(int) {
 	}
 }
 
-// rng is a deterministic xorshift64* stream — the fuzzer's only source of
-// variation, seeded per row so runs are reproducible byte for byte.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // FuzzHypercalls feeds n deterministic malformed or out-of-range hypercalls
 // at the hypervisor — bogus domain ids, wild grant refs and ports, guest
 // page numbers beyond the P2M, illegal pCPU placements — through victim, an
 // unprivileged live domain. Every call must come back with a typed error
 // (the arguments are invalid by construction) and none may panic; the first
-// silent acceptance or panic is returned.
+// silent acceptance or panic is returned. The seed alone fixes the call
+// sequence, so a failing run replays byte for byte.
 func FuzzHypercalls(h *vmm.Hypervisor, victim vmm.DomID, n int, seed uint64) error {
-	r := newRNG(seed)
-	badDom := func() vmm.DomID { return vmm.DomID(40000 + r.intn(20000)) }
-	bigGPN := func() int { return 1 << (20 + r.intn(10)) }
+	r := simrand.New(seed)
+	badDom := func() vmm.DomID { return vmm.DomID(40000 + r.Intn(20000)) }
+	bigGPN := func() int { return 1 << (20 + r.Intn(10)) }
 	ops := []struct {
 		name string
 		call func() error
 	}{
 		{"hypercall-bad-dom", func() error {
-			return h.Hypercall(badDom(), "fuzz", hw.Cycles(1+r.intn(50)))
+			return h.Hypercall(badDom(), "fuzz", hw.Cycles(1+r.Intn(50)))
 		}},
 		{"mmu-update-wild-gpn", func() error {
-			return h.MMUUpdate(victim, hw.VPN(r.intn(1<<20)), bigGPN(), hw.PermRW, true)
+			return h.MMUUpdate(victim, hw.VPN(r.Intn(1<<20)), bigGPN(), hw.PermRW, true)
 		}},
 		{"grant-map-wild-ref", func() error {
-			return h.GrantMap(victim, victim, vmm.GrantRef(1<<20+r.intn(1<<20)), hw.VPN(r.intn(256)))
+			return h.GrantMap(victim, victim, vmm.GrantRef(1<<20+r.Intn(1<<20)), hw.VPN(r.Intn(256)))
 		}},
 		{"grant-copy-wild-ref", func() error {
-			return h.GrantCopy(victim, victim, vmm.GrantRef(1<<20+r.intn(1<<20)), hw.NoFrame, 64)
+			return h.GrantCopy(victim, victim, vmm.GrantRef(1<<20+r.Intn(1<<20)), hw.NoFrame, 64)
 		}},
 		{"grant-transfer-wild-ref", func() error {
-			_, err := h.GrantTransfer(victim, victim, vmm.GrantRef(1<<20+r.intn(1<<20)))
+			_, err := h.GrantTransfer(victim, victim, vmm.GrantRef(1<<20+r.Intn(1<<20)))
 			return err
 		}},
 		{"notify-wild-port", func() error {
-			return h.NotifyChannel(victim, vmm.Port(1<<20+r.intn(1<<20)))
+			return h.NotifyChannel(victim, vmm.Port(1<<20+r.Intn(1<<20)))
 		}},
 		{"balloon-out-bad-dom", func() error {
-			_, err := h.BalloonOut(badDom(), 1+r.intn(16))
+			_, err := h.BalloonOut(badDom(), 1+r.Intn(16))
 			return err
 		}},
 		{"place-bad-pcpu", func() error {
-			return h.PlaceVCPUs(victim, h.M.NCPUs()+1+r.intn(64))
+			return h.PlaceVCPUs(victim, h.M.NCPUs()+1+r.Intn(64))
 		}},
 		{"route-irq-unprivileged", func() error {
-			return h.RouteIRQ(hw.IRQLine(1+r.intn(8)), victim)
+			return h.RouteIRQ(hw.IRQLine(1+r.Intn(8)), victim)
 		}},
 		{"guest-write-wild-gpn", func() error {
 			return h.GuestMemWrite(victim, bigGPN(), 0, []byte{0xAA})
 		}},
 	}
 	for i := 0; i < n; i++ {
-		op := ops[r.intn(len(ops))]
+		op := ops[r.Intn(len(ops))]
 		err, panicMsg := callRecovered(op.call)
 		if panicMsg != "" {
 			return fmt.Errorf("fuzz op %d (%s) panicked: %s", i, op.name, panicMsg)

@@ -24,7 +24,7 @@ type vmmState struct {
 	domU     vmm.DomID
 	free     int
 	dstFree0 int
-	link     *Link
+	link     *vmm.Link
 
 	dirtyFaults uint64
 	dstCycles   uint64
@@ -571,9 +571,9 @@ func init() {
 			if err != nil {
 				return err
 			}
-			link := &Link{PerPage: 100}
+			link := &vmm.Link{PerPage: 100}
 			if env.Armed {
-				link.MaxPages = 16
+				link.Budget = 16
 			}
 			env.State = &vmmState{h: h, dst: dst, dstM: m2, domU: d.ID,
 				dstFree0: m2.Mem.FreeFrames(), link: link}

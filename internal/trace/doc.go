@@ -23,5 +23,5 @@
 // registry once per call.
 //
 // The optional bounded event log is a ring buffer (cmd/tracedump prints
-// it), and table.go renders the aligned/CSV tables every experiment emits.
+// it).
 package trace

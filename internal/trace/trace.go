@@ -254,15 +254,11 @@ func (r *Recorder) ChargeN(at uint64, kind Kind, c Comp, cycles, count uint64) {
 	if count == 0 {
 		return
 	}
-	r.chargeAggregate(at, kind, c, cycles*count, count)
-}
-
-// chargeAggregate lands count events totalling totalCycles in one update.
-func (r *Recorder) chargeAggregate(at uint64, kind Kind, c Comp, totalCycles, count uint64) {
+	total := cycles * count
 	r.counts[kind] += count
-	r.chargeCycles(c, totalCycles)
+	r.chargeCycles(c, total)
 	if r.logCap > 0 {
-		r.logAppend(Record{At: at, Kind: kind, Component: r.reg.Name(c), Cycles: totalCycles, Count: count})
+		r.logAppend(Record{At: at, Kind: kind, Component: r.reg.Name(c), Cycles: total, Count: count})
 	}
 }
 
@@ -403,73 +399,6 @@ func (r *Recorder) Reset() {
 	r.charged = r.charged[:0]
 	r.log = r.log[:0]
 	r.logHead = 0
-}
-
-// Batch accumulates charges against a single component so a hot loop's
-// costs land in the flat ledger as one increment per kind — the deferred
-// counterpart of ChargeN for loops whose per-item costs vary or mix counted
-// events with plain work. Flush applies everything accumulated since the
-// last flush: one aggregate log record per kind (in first-charge order,
-// carrying the count and total cycles) plus a single uncounted-work add,
-// then resets the batch for the next round. Counters and cycle totals are
-// exactly what the equivalent Charge/ChargeCycles loop would have produced.
-//
-// A Batch does not advance any clock; callers advance virtual time as they
-// accumulate (or in one step) and pass the flush-time timestamp to Flush.
-type Batch struct {
-	rec    *Recorder
-	comp   Comp
-	counts [kindCount]uint64
-	cycles [kindCount]uint64
-	work   uint64
-	kinds  []Kind // kinds with pending counts, in first-charge order
-}
-
-// NewBatch returns an empty accumulator charging component c.
-func (r *Recorder) NewBatch(c Comp) *Batch { return &Batch{rec: r, comp: c} }
-
-// Comp returns the component the batch charges.
-func (b *Batch) Comp() Comp { return b.comp }
-
-// Charge accumulates one event of kind costing cycles.
-func (b *Batch) Charge(kind Kind, cycles uint64) { b.ChargeN(kind, cycles, 1) }
-
-// ChargeN accumulates count events of kind costing cycles each.
-func (b *Batch) ChargeN(kind Kind, cycles, count uint64) {
-	if count == 0 {
-		return
-	}
-	if b.counts[kind] == 0 {
-		b.kinds = append(b.kinds, kind)
-	}
-	b.counts[kind] += count
-	b.cycles[kind] += cycles * count
-}
-
-// Work accumulates uncounted cycles (plain execution time).
-func (b *Batch) Work(cycles uint64) { b.work += cycles }
-
-// Pending returns the total cycles accumulated and not yet flushed.
-func (b *Batch) Pending() uint64 {
-	sum := b.work
-	for _, k := range b.kinds {
-		sum += b.cycles[k]
-	}
-	return sum
-}
-
-// Flush lands the accumulated charges in the recorder at timestamp at and
-// resets the batch. Flushing an empty batch is a no-op.
-func (b *Batch) Flush(at uint64) {
-	for _, k := range b.kinds {
-		b.rec.chargeAggregate(at, k, b.comp, b.cycles[k], b.counts[k])
-		b.counts[k], b.cycles[k] = 0, 0
-	}
-	b.kinds = b.kinds[:0]
-	if b.work > 0 {
-		b.rec.chargeCycles(b.comp, b.work)
-		b.work = 0
-	}
 }
 
 // Snapshot captures the current counter values so a caller can later compute

@@ -156,83 +156,6 @@ func TestChargeNZeroCount(t *testing.T) {
 	}
 }
 
-// TestBatchFlush pins the accumulator: kinds land in first-charge order, each
-// as one aggregate record, with uncounted work folded into the ledger.
-func TestBatchFlush(t *testing.T) {
-	r := NewRecorder(16)
-	b := r.NewBatch(r.Intern("cpu0"))
-	b.Charge(KTLBShootdown, 90)
-	b.ChargeN(KIPI, 400, 3)
-	b.Charge(KTLBShootdown, 90)
-	b.Work(1000)
-	if got := b.Pending(); got != 90+3*400+90+1000 {
-		t.Errorf("pending = %d", got)
-	}
-	b.Flush(77)
-
-	if got := r.Counts(KTLBShootdown); got != 2 {
-		t.Errorf("shootdown count = %d, want 2", got)
-	}
-	if got := r.Counts(KIPI); got != 3 {
-		t.Errorf("ipi count = %d, want 3", got)
-	}
-	if got := r.Cycles("cpu0"); got != 90+3*400+90+1000 {
-		t.Errorf("cpu0 cycles = %d", got)
-	}
-	log := r.Log()
-	if len(log) != 2 {
-		t.Fatalf("log has %d records, want 2 aggregates", len(log))
-	}
-	// First-charge order: shootdown before IPI, both stamped at flush time.
-	if log[0].Kind != KTLBShootdown || log[0].Count != 2 || log[0].Cycles != 180 || log[0].At != 77 {
-		t.Errorf("first aggregate = %+v", log[0])
-	}
-	if log[1].Kind != KIPI || log[1].Count != 3 || log[1].Cycles != 1200 || log[1].At != 77 {
-		t.Errorf("second aggregate = %+v", log[1])
-	}
-
-	// The flush reset the batch: a second flush adds nothing.
-	before := r.TotalCycles()
-	b.Flush(99)
-	if r.TotalCycles() != before || len(r.Log()) != 2 {
-		t.Fatal("flushing an empty batch changed the recorder")
-	}
-	if b.Pending() != 0 {
-		t.Fatal("pending not cleared by flush")
-	}
-}
-
-// TestBatchMatchesLoop is the differential form: a batch over a mixed charge
-// sequence produces exactly the counters and ledger of the per-item loop.
-func TestBatchMatchesLoop(t *testing.T) {
-	loop := NewRecorder(0)
-	lc := loop.Intern("hw.cpu1")
-	for i := 0; i < 5; i++ {
-		loop.Charge(uint64(i), KShadowPTUpdate, lc, 60)
-		loop.Charge(uint64(i), KTLBFlush, lc, 95)
-		loop.ChargeCycles(lc, 11)
-	}
-
-	batched := NewRecorder(0)
-	b := batched.NewBatch(batched.Intern("hw.cpu1"))
-	b.ChargeN(KShadowPTUpdate, 60, 5)
-	b.ChargeN(KTLBFlush, 95, 5)
-	b.Work(5 * 11)
-	b.Flush(4)
-
-	for k := Kind(0); k < kindCount; k++ {
-		if loop.Counts(k) != batched.Counts(k) {
-			t.Errorf("counts(%v): loop %d, batch %d", k, loop.Counts(k), batched.Counts(k))
-		}
-	}
-	if loop.Cycles("hw.cpu1") != batched.Cycles("hw.cpu1") {
-		t.Errorf("cycles: loop %d, batch %d", loop.Cycles("hw.cpu1"), batched.Cycles("hw.cpu1"))
-	}
-	if loop.TotalCycles() != batched.TotalCycles() {
-		t.Errorf("total: loop %d, batch %d", loop.TotalCycles(), batched.TotalCycles())
-	}
-}
-
 func TestCyclesPrefix(t *testing.T) {
 	r := NewRecorder(0)
 	r.ChargeCycles(r.Intern("vmm.dom0"), 10)
@@ -355,46 +278,5 @@ func TestQuickChargeTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("T1", "workload", "ops", "ratio")
-	tb.AddRow("netrx", 1000, 1.03)
-	tb.AddRow("syscall", 5, "0.99x")
-	s := tb.String()
-	if !strings.Contains(s, "T1") || !strings.Contains(s, "netrx") {
-		t.Fatalf("bad table:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Fatalf("table has %d lines, want 5:\n%s", len(lines), s)
-	}
-	for _, l := range lines {
-		if strings.TrimRight(l, " ") != l {
-			t.Fatalf("line has trailing spaces: %q", l)
-		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow(`x,y`, `he said "hi"`)
-	csv := tb.CSV()
-	want := "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n"
-	if csv != want {
-		t.Fatalf("csv = %q, want %q", csv, want)
-	}
-}
-
-func TestLooksNumeric(t *testing.T) {
-	cases := map[string]bool{
-		"123": true, "-4.5": true, "87%": true, "1.03x": true,
-		"abc": false, "": false, "1.2.3": false, "x": false,
-	}
-	for s, want := range cases {
-		if got := looksNumeric(s); got != want {
-			t.Errorf("looksNumeric(%q) = %v, want %v", s, got, want)
-		}
 	}
 }

@@ -7,7 +7,11 @@ import (
 	"vmmk/internal/hw"
 )
 
-// linkRig boots two hypervisors with one 24-page guest on the source.
+// rigPages is the size of linkRig's guest: the pages a full pre-copy
+// round sends.
+const rigPages = 24
+
+// linkRig boots two hypervisors with one rigPages-page guest on the source.
 func linkRig(t *testing.T) (srcM, dstM *hw.Machine, src, dst *Hypervisor, dom DomID) {
 	t.Helper()
 	cfg := &hw.MachineConfig{Frames: 256}
@@ -21,7 +25,7 @@ func linkRig(t *testing.T) (srcM, dstM *hw.Machine, src, dst *Hypervisor, dom Do
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := src.CreateDomain("lnk", 24)
+	d, err := src.CreateDomain("lnk", rigPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +81,49 @@ func TestLinkZeroIsFree(t *testing.T) {
 	}
 }
 
-// TestLinkBudgetAborts pins the failure mode: a link whose budget cannot
-// carry the first round reports ErrLinkDown and the migration aborts
-// cleanly (shell gone, source still running).
+// TestLinkBudgetAborts pins the failure mode: a round that would exceed the
+// budget reports ErrLinkDown without crossing, so Pages stays where the
+// last carried round left it, and the migration aborts cleanly (shell gone,
+// source still running). The budget either cannot carry the first round,
+// or the first round reaches it exactly and the page the guest dirties
+// meanwhile is one over.
 func TestLinkBudgetAborts(t *testing.T) {
-	srcM, dstM, src, dst, dom := linkRig(t)
-	l := &Link{Budget: 4}
-	_, _, err := MigrateLive(src, dom, dst, LiveOpts{Transport: l.Transport(srcM, dstM)})
-	if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("err = %v, want ErrMigrationAborted wrapping ErrLinkDown", err)
-	}
-	audit(t, src, dst)
-	if l.Pages() != 0 {
-		t.Fatalf("down link still carried %d pages", l.Pages())
-	}
-	if !src.Alive(dom) || src.Paused(dom) {
-		t.Fatal("source guest not left running after abort")
-	}
-	if n := len(dst.Domains()); n != 1 { // dom0 only
-		t.Fatalf("destination kept %d domains, want 1", n)
+	for _, tc := range []struct {
+		name   string
+		budget int
+		dirty  bool // the guest writes one page during round 1
+		want   int  // pages carried before the link went down
+	}{
+		{"first-round-over", 4, false, 0},
+		{"exact-then-one-over", rigPages, true, rigPages},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srcM, dstM, src, dst, dom := linkRig(t)
+			l := &Link{Budget: tc.budget}
+			opts := LiveOpts{Transport: l.Transport(srcM, dstM)}
+			if tc.dirty {
+				opts.GuestWork = func(round int) {
+					if round == 1 {
+						if err := src.GuestMemWrite(dom, 0, 0, []byte{1}); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}
+			_, _, err := MigrateLive(src, dom, dst, opts)
+			if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, ErrLinkDown) {
+				t.Fatalf("err = %v, want ErrMigrationAborted wrapping ErrLinkDown", err)
+			}
+			audit(t, src, dst)
+			if l.Pages() != tc.want {
+				t.Fatalf("link carried %d pages, want %d (the refused round must not count)", l.Pages(), tc.want)
+			}
+			if !src.Alive(dom) || src.Paused(dom) {
+				t.Fatal("source guest not left running after abort")
+			}
+			if n := len(dst.Domains()); n != 1 { // dom0 only
+				t.Fatalf("destination kept %d domains, want 1", n)
+			}
+		})
 	}
 }
