@@ -412,7 +412,9 @@ func BenchmarkVMMPageFlip(b *testing.B) {
 // BenchmarkMachinePool measures the engine's machine-recycling path — one
 // Get (a Reset machine after the first iteration) plus one Put — against
 // booting the same machine from scratch, the fixed cost every experiment
-// cell used to pay.
+// cell used to pay. fresh-2^20 boots a machine at E13's -hostframes
+// maximum, which costs what a small one does: per-frame state comes with
+// the frames a machine touches.
 func BenchmarkMachinePool(b *testing.B) {
 	cfg := &hw.MachineConfig{Frames: 2048}
 	b.Run("pooled", func(b *testing.B) {
@@ -423,13 +425,19 @@ func BenchmarkMachinePool(b *testing.B) {
 			p.Put(p.Get(hw.X86(), cfg))
 		}
 	})
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if m := hw.NewMachine(hw.X86(), cfg); m == nil {
-				b.Fatal("nil machine")
+	for _, bc := range []struct {
+		name   string
+		frames int
+	}{{"fresh", cfg.Frames}, {"fresh-2^20", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := &hw.MachineConfig{Frames: bc.frames}
+			for i := 0; i < b.N; i++ {
+				if m := hw.NewMachine(hw.X86(), cfg); m == nil {
+					b.Fatal("nil machine")
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkChargeN compares charging 64 homogeneous events through the CPU

@@ -27,7 +27,11 @@
 //
 // Physical memory (PhysMem) is a frame allocator whose owners are the
 // trace.Comp handles of the components holding the frames, with an O(1)
-// per-owner count. A frame's contents are stored as a prefix: the bytes up
+// per-owner count. It keeps per-frame state only below a watermark: Alloc
+// pops the LIFO of freed frames, or else hands out the watermark frame and
+// advances it, which is the ID sequence a full free stack would yield. So
+// a boot costs nothing per installed frame and Reset costs what the
+// machine touched. A frame's contents are stored as a prefix: the bytes up
 // to the furthest one written since the frame was last freed, with the rest
 // of the page reading zero. Callers store and fetch bytes through Write,
 // Read, Load and Bytes; nothing hands out a writable whole page. Free and
@@ -35,7 +39,8 @@
 // prefix to another frame, across machines too, and a source that reads
 // zero costs neither an allocation nor a copy. The simulated costs never
 // read a prefix's length. PhysMem.Audit checks the allocator's
-// conservation laws for tests.
+// conservation laws for tests. Page tables built without a size hint and
+// TLB entry maps likewise grow with use.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

@@ -3,6 +3,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"vmmk/internal/trace"
 )
@@ -27,6 +28,18 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // frame. A handle is only meaningful against the Registry of the recorder
 // it was interned in, which in practice is the Machine's own.
 //
+// Per-frame state costs what a machine uses, not what it installs. Frames
+// are handed out from below a watermark, which starts at frame 0: Alloc
+// pops the LIFO of freed frames, or else hands out the watermark frame and
+// advances the watermark. Those are the IDs a stack of every free frame,
+// built in descending order, would hand out, because such a stack always
+// holds the untouched frames in descending order beneath the freed ones.
+// Frames at or past the watermark are free, unowned and read zero. The
+// per-frame slices grow in steps as the watermark advances, and the free
+// stack grows to their length when a Free first needs room, so a boot
+// allocates nothing per frame, a machine that never frees has no free
+// stack, and Reset walks only the frames handed out since the last one.
+//
 // Contents are stored as prefixes. A frame keeps only the bytes up to the
 // furthest one written since it was last freed, and everything past them
 // reads as zero, so a guest that stores one byte into a page costs the
@@ -39,38 +52,40 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 type PhysMem struct {
 	pageSize uint64
 	frames   int
+	next     int          // the watermark: frames at or past it have never been handed out
 	data     [][]byte     // frame contents: the written prefix; the rest reads zero
-	owner    []trace.Comp // CompNone = free
+	owner    []trace.Comp // CompNone = free; as long as data
 	owned    []int        // frames held per owner, indexed by Comp
-	free     []FrameID
+	free     []FrameID    // freed frames below the watermark, LIFO
 	allocs   uint64
 	flips    uint64
 }
 
-// NewPhysMem returns a memory of frames pages of pageSize bytes each.
+// NewPhysMem returns a memory of frames pages of pageSize bytes each. It
+// allocates no per-frame state: that comes with the frames handed out.
 func NewPhysMem(frames int, pageSize uint64) *PhysMem {
 	if frames <= 0 || pageSize == 0 {
 		panic("hw: invalid physical memory geometry")
 	}
-	m := &PhysMem{
-		pageSize: pageSize,
-		frames:   frames,
-		data:     make([][]byte, frames),
-		owner:    make([]trace.Comp, frames),
-		free:     make([]FrameID, frames),
+	if uint64(frames) > uint64(NoFrame) {
+		panic(fmt.Sprintf("hw: %d frames would reach frame ID NoFrame", frames))
 	}
-	m.fillFree()
-	return m
+	return &PhysMem{pageSize: pageSize, frames: frames}
 }
 
-// fillFree rebuilds the full free stack. Popping from the end yields
-// ascending IDs first, which keeps traces readable and makes a Reset
-// memory allocate the same frame IDs as a fresh one.
-func (m *PhysMem) fillFree() {
-	m.free = m.free[:m.frames]
-	for i := range m.free {
-		m.free[i] = FrameID(m.frames - 1 - i)
-	}
+// extendStep is the fewest frames the per-frame slices grow by.
+const extendStep = 256
+
+// extend grows the per-frame slices to cover frame f: to max(twice their
+// length, f+1, extendStep) entries, capped at the frame count, so a machine
+// that touches its frames one by one reallocates them O(log frames) times.
+func (m *PhysMem) extend(f FrameID) {
+	n := min(max(2*len(m.owner), int(f)+1, extendStep), m.frames)
+	data := make([][]byte, n)
+	copy(data, m.data)
+	owner := make([]trace.Comp, n)
+	copy(owner, m.owner)
+	m.data, m.owner = data, owner
 }
 
 // PageSize returns the frame size in bytes.
@@ -79,8 +94,9 @@ func (m *PhysMem) PageSize() uint64 { return m.pageSize }
 // TotalFrames returns the number of frames in the machine.
 func (m *PhysMem) TotalFrames() int { return m.frames }
 
-// FreeFrames returns the number of unallocated frames.
-func (m *PhysMem) FreeFrames() int { return len(m.free) }
+// FreeFrames returns the number of unallocated frames: the freed ones and
+// those at or past the watermark.
+func (m *PhysMem) FreeFrames() int { return len(m.free) + m.frames - m.next }
 
 // Alloc takes a frame for owner. It returns ErrOutOfMemory when exhausted.
 // The owner must be an interned component, not CompNone: a frame owned by
@@ -89,11 +105,19 @@ func (m *PhysMem) Alloc(owner trace.Comp) (FrameID, error) {
 	if owner == trace.CompNone {
 		panic("hw: allocating a frame to no owner")
 	}
-	if len(m.free) == 0 {
+	var f FrameID
+	if n := len(m.free); n > 0 {
+		f = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else if m.next < m.frames {
+		f = FrameID(m.next)
+		if m.next == len(m.owner) {
+			m.extend(f)
+		}
+		m.next++
+	} else {
 		return NoFrame, ErrOutOfMemory
 	}
-	f := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
 	m.own(f, owner)
 	m.allocs++
 	return f, nil
@@ -101,7 +125,7 @@ func (m *PhysMem) Alloc(owner trace.Comp) (FrameID, error) {
 
 // AllocN allocates n frames for owner, or fails atomically.
 func (m *PhysMem) AllocN(owner trace.Comp, n int) ([]FrameID, error) {
-	if n > len(m.free) {
+	if n > m.FreeFrames() {
 		return nil, ErrOutOfMemory
 	}
 	out := make([]FrameID, n)
@@ -130,7 +154,7 @@ func (m *PhysMem) own(f FrameID, owner trace.Comp) {
 // write at all.
 func (m *PhysMem) Free(f FrameID) {
 	m.checkFrame(f)
-	o := m.owner[f]
+	o := m.Owner(f)
 	if o == trace.CompNone {
 		panic(fmt.Sprintf("hw: double free of frame %d", f))
 	}
@@ -139,35 +163,52 @@ func (m *PhysMem) Free(f FrameID) {
 	if len(m.data[f]) != 0 {
 		m.data[f] = m.data[f][:0]
 	}
+	if len(m.free) == cap(m.free) {
+		// Only frames below the watermark are ever freed, so the
+		// per-frame slices' length bounds the stack until they grow.
+		m.free = slices.Grow(m.free, len(m.owner)-len(m.free))
+	}
 	m.free = append(m.free, f)
 }
 
 // Reset restores the memory to its post-NewPhysMem state: every frame free
-// and unowned and reading zero (prefixes truncated, buffers kept),
-// statistics cleared, and the free stack rebuilt in construction order so
-// a reused machine allocates the same frame IDs as a fresh one.
+// and unowned and reading zero, statistics cleared, the free stack empty
+// and the watermark back at frame 0, so a reused machine allocates the same
+// frame IDs as a fresh one. It walks only the frames below the watermark,
+// the ones handed out since the last Reset, truncating the owned ones'
+// prefixes; it keeps their buffers, the per-frame slices and the free
+// stack's capacity.
 func (m *PhysMem) Reset() {
-	for f, o := range m.owner {
+	for f, o := range m.owner[:m.next] {
 		if o != trace.CompNone {
 			m.owner[f] = trace.CompNone
 			m.data[f] = m.data[f][:0]
 		}
 	}
 	clear(m.owned)
-	m.fillFree()
+	m.free = m.free[:0]
+	m.next = 0
 	m.allocs, m.flips = 0, 0
 }
 
 // Owner returns the bookkeeping owner of f (CompNone if free). It is the
-// ownership check on every page-table update and packet, so it is left to
-// the slice's own bounds check to stay inlinable.
-func (m *PhysMem) Owner(f FrameID) trace.Comp { return m.owner[f] }
+// ownership check on every page-table update and packet, so it stays
+// inlinable: a frame past the per-frame slices is free if it exists at all.
+func (m *PhysMem) Owner(f FrameID) trace.Comp {
+	if int(f) < len(m.owner) {
+		return m.owner[f]
+	}
+	if int(f) >= m.frames {
+		panic("hw: owner of an out-of-range frame")
+	}
+	return trace.CompNone
+}
 
 // Transfer reassigns ownership of f to newOwner, modelling a page flip. It
 // panics if the frame is free: flipping an unowned page is a kernel bug.
 func (m *PhysMem) Transfer(f FrameID, newOwner trace.Comp) {
 	m.checkFrame(f)
-	o := m.owner[f]
+	o := m.Owner(f)
 	if o == trace.CompNone {
 		panic(fmt.Sprintf("hw: transferring free frame %d", f))
 	}
@@ -189,7 +230,7 @@ const minPrefix = 64
 // overwrites bytes from off onward, so only the bytes between the old
 // prefix's end and off are cleared; a new buffer arrives zeroed. A frame's
 // first buffer is the write's own length (at least minPrefix bytes), and
-// any later one the whole page.
+// any later one the whole page. f must lie within the per-frame slices.
 func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 	p := m.data[f]
 	if end <= cap(p) {
@@ -210,6 +251,15 @@ func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 	return q
 }
 
+// prefix returns f's written prefix, empty for a frame past the per-frame
+// slices. f must be in range.
+func (m *PhysMem) prefix(f FrameID) []byte {
+	if int(f) < len(m.data) {
+		return m.data[f]
+	}
+	return nil
+}
+
 // span checks a byte range's start against the page and returns how many
 // of n bytes from off fit before the page end.
 func (m *PhysMem) span(f FrameID, off, n int) int {
@@ -222,14 +272,18 @@ func (m *PhysMem) span(f FrameID, off, n int) int {
 
 // Write stores b into f at byte offset off, extending the prefix if b
 // ends past it, and returns the number of bytes stored: b is cut at the
-// page end, as copy would cut it. An offset past the page end panics.
+// page end, as copy would cut it. An offset past the page end panics. A
+// write to a frame past the per-frame slices extends them.
 func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 	n := m.span(f, off, len(b))
 	if n == 0 {
 		return 0
 	}
-	p := m.data[f]
+	p := m.prefix(f)
 	if end := off + n; end > len(p) {
+		if int(f) >= len(m.data) {
+			m.extend(f)
+		}
 		p = m.grow(f, off, end)
 	}
 	return copy(p[off:], b[:n])
@@ -241,7 +295,7 @@ func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 func (m *PhysMem) Read(f FrameID, off int, b []byte) int {
 	n := m.span(f, off, len(b))
 	k := 0
-	if p := m.data[f]; off < len(p) {
+	if p := m.prefix(f); off < len(p) {
 		k = copy(b[:n], p[off:])
 	}
 	clear(b[k:n])
@@ -253,7 +307,7 @@ func (m *PhysMem) Read(f FrameID, off int, b []byte) int {
 // the frame without allocating.
 func (m *PhysMem) Load(f FrameID, b []byte) {
 	m.checkFrame(f)
-	if len(m.data[f]) != 0 {
+	if len(m.prefix(f)) != 0 {
 		m.data[f] = m.data[f][:0]
 	}
 	m.Write(f, 0, b)
@@ -264,7 +318,7 @@ func (m *PhysMem) Load(f FrameID, b []byte) {
 // loaded or freed.
 func (m *PhysMem) Bytes(f FrameID) []byte {
 	m.checkFrame(f)
-	p := m.data[f]
+	p := m.prefix(f)
 	return p[:len(p):len(p)]
 }
 
@@ -275,9 +329,9 @@ func (m *PhysMem) Copy(dst, src FrameID, n uint64) uint64 {
 	m.checkFrame(dst)
 	m.checkFrame(src)
 	n = min(n, m.pageSize)
-	sp := m.data[src]
+	sp := m.prefix(src)
 	k := min(int(n), len(sp))
-	if dp := m.data[dst]; int(n) < len(dp) {
+	if dp := m.prefix(dst); int(n) < len(dp) {
 		copy(dp, sp[:k])
 		clear(dp[k:n])
 	} else {
@@ -295,7 +349,7 @@ func (m *PhysMem) CopyPage(df FrameID, src *PhysMem, sf FrameID) {
 	if src.pageSize != m.pageSize {
 		panic(fmt.Sprintf("hw: page copy between %d- and %d-byte pages", src.pageSize, m.pageSize))
 	}
-	m.Load(df, src.data[sf])
+	m.Load(df, src.prefix(sf))
 }
 
 // Stats returns cumulative allocation and ownership-transfer counts.
@@ -309,16 +363,22 @@ func (m *PhysMem) OwnedBy(owner trace.Comp) int {
 	return m.owned[owner]
 }
 
-// Audit checks the allocator's conservation laws: every frame is either
-// owned or on the free stack, exactly once (so free plus owned frames equal
-// the total), each per-owner count equals a scan of the owners, no prefix
-// outgrows its page, and every free frame's prefix is empty, so it reads
-// zero. It is a test oracle and never runs on the simulation path.
+// Audit checks the allocator's conservation laws. Below the watermark,
+// every frame is either owned or on the free stack, exactly once, and the
+// free stack holds no other frame. At or past it, no frame is owned or
+// holds a prefix. So free plus owned frames equal the total. Each
+// per-owner count equals a scan of the owners, no prefix outgrows its
+// page, and every free frame's prefix is empty, so it reads zero. Audit
+// allocates in proportion to the watermark, not to the frames installed.
+// It is a test oracle and never runs on the simulation path.
 func (m *PhysMem) Audit() error {
-	onStack := make([]bool, m.frames)
+	if len(m.data) != len(m.owner) || m.next > len(m.owner) || len(m.owner) > m.frames {
+		return fmt.Errorf("hw: %d contents and %d owners for a watermark at %d of %d frames", len(m.data), len(m.owner), m.next, m.frames)
+	}
+	onStack := make([]bool, m.next)
 	for _, f := range m.free {
-		if int(f) >= m.frames {
-			return fmt.Errorf("hw: free stack holds out-of-range frame %d", f)
+		if int(f) >= m.next {
+			return fmt.Errorf("hw: free stack holds untouched frame %d (watermark %d)", f, m.next)
 		}
 		if onStack[f] {
 			return fmt.Errorf("hw: frame %d is on the free stack twice", f)
@@ -330,14 +390,24 @@ func (m *PhysMem) Audit() error {
 	}
 	owned := make([]int, len(m.owned))
 	for f, o := range m.owner {
-		if n := len(m.data[f]); uint64(n) > m.pageSize {
+		n := len(m.data[f])
+		if uint64(n) > m.pageSize {
 			return fmt.Errorf("hw: frame %d holds a %d-byte prefix in a %d-byte page", f, n, m.pageSize)
+		}
+		if f >= m.next {
+			if o != trace.CompNone {
+				return fmt.Errorf("hw: untouched frame %d (watermark %d) is owned by component %d", f, m.next, o)
+			}
+			if n != 0 {
+				return fmt.Errorf("hw: untouched frame %d holds a %d-byte prefix", f, n)
+			}
+			continue
 		}
 		if o == trace.CompNone {
 			if !onStack[f] {
 				return fmt.Errorf("hw: frame %d is neither owned nor free", f)
 			}
-			if n := len(m.data[f]); n != 0 {
+			if n != 0 {
 				return fmt.Errorf("hw: free frame %d holds a %d-byte prefix", f, n)
 			}
 			continue

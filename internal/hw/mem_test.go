@@ -3,6 +3,8 @@ package hw
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"vmmk/internal/trace"
@@ -252,6 +254,13 @@ func TestPhysMemWriteReadAtPageEnd(t *testing.T) {
 	}
 }
 
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
 func mustAlloc(t *testing.T, m *PhysMem, owner trace.Comp) FrameID {
 	t.Helper()
 	f, err := m.Alloc(owner)
@@ -261,29 +270,147 @@ func mustAlloc(t *testing.T, m *PhysMem, owner trace.Comp) FrameID {
 	return f
 }
 
+// TestPhysMemWatermarkGrowsInSteps hands out the frames of a memory bigger
+// than one growth step one by one. The per-frame slices grow in steps,
+// every frame keeps its contents across them, frames past the watermark
+// stay free and read zero, the free stack grows once to the slices' length
+// when frees need it, and Reset keeps what was grown.
+func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
+	const frames, used = 1000, 600
+	m := NewPhysMem(frames, 64)
+	a := trace.NewRegistry().Intern("a")
+	var steps []int
+	for i := range used {
+		if f := mustAlloc(t, m, a); f != FrameID(i) {
+			t.Fatalf("allocation %d handed out frame %d", i, f)
+		}
+		m.Write(FrameID(i), 0, []byte{byte(i), byte(i >> 8)})
+		if n := len(m.owner); len(steps) == 0 || steps[len(steps)-1] != n {
+			steps = append(steps, n)
+		}
+		if len(m.data) != len(m.owner) || m.free != nil {
+			t.Fatalf("after %d frames: %d contents, %d owners, free stack %v", i+1, len(m.data), len(m.owner), m.free)
+		}
+	}
+	if want := []int{256, 512, frames}; !slices.Equal(steps, want) {
+		t.Fatalf("per-frame slices grew through %v entries, want %v", steps, want)
+	}
+	for i := range used {
+		if got := m.Bytes(FrameID(i)); !bytes.Equal(got, []byte{byte(i), byte(i >> 8)}) {
+			t.Fatalf("frame %d reads %x after the slices grew", i, got)
+		}
+	}
+	if m.FreeFrames() != frames-used || m.Owner(used) != trace.CompNone || len(m.Bytes(frames-1)) != 0 {
+		t.Fatalf("%d free frames; frame %d owned by %d", m.FreeFrames(), used, m.Owner(used))
+	}
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	m.Free(0)
+	stack := cap(m.free)
+	for f := FrameID(1); f < used; f++ {
+		m.Free(f)
+	}
+	if stack < frames || cap(m.free) != stack {
+		t.Fatalf("the first free grew the free stack to %d entries and %d frees to %d; want the slices' %d, once", stack, used, cap(m.free), frames)
+	}
+	m.Reset()
+	if len(m.owner) != frames || cap(m.free) < frames || m.next != 0 || m.FreeFrames() != frames {
+		t.Fatalf("after Reset: %d-entry slices, free stack capacity %d, watermark %d, %d free", len(m.owner), cap(m.free), m.next, m.FreeFrames())
+	}
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPhysMemFramesPastTheSlices pins what a frame the memory has never
+// touched looks like: free and zero, with the free-frame panics of Free and
+// Transfer, and the out-of-range panic one frame past the end. A Write to
+// one extends the slices to it, and Audit reports the write.
+func TestPhysMemFramesPastTheSlices(t *testing.T) {
+	const frames = 1 << 20
+	m := NewPhysMem(frames, 4096)
+	a := trace.NewRegistry().Intern("a")
+	m.Write(mustAlloc(t, m, a), 0, []byte("touched"))
+	far := FrameID(frames - 1)
+	if int(far) < len(m.owner) {
+		t.Fatalf("frame %d lies within %d-entry slices", far, len(m.owner))
+	}
+	page := bytes.Repeat([]byte{0xEE}, 4096)
+	if m.Read(far, 0, page); !bytes.Equal(page, make([]byte, 4096)) {
+		t.Fatal("an untouched frame does not read zero")
+	}
+	if m.Owner(far) != trace.CompNone || len(m.Bytes(far)) != 0 {
+		t.Fatalf("untouched frame owned by %d with a %d-byte prefix", m.Owner(far), len(m.Bytes(far)))
+	}
+	for name, op := range map[string]func(){
+		"Free of an untouched frame":     func() { m.Free(far) },
+		"Transfer of an untouched frame": func() { m.Transfer(far, a) },
+		"Owner past the end":             func() { m.Owner(frames) },
+		"Transfer past the end":          func() { m.Transfer(frames, a) },
+	} {
+		if !panics(op) {
+			t.Errorf("%s did not panic", name)
+		}
+	}
+	m.Write(5000, 1, []byte{7})
+	if len(m.owner) != 5001 || len(m.data) != 5001 || string(m.Bytes(5000)) != "\x00\x07" {
+		t.Fatalf("write past the slices: %d-entry slices, frame reads %x", len(m.owner), m.Bytes(5000))
+	}
+	if err := m.Audit(); err == nil || !strings.Contains(err.Error(), "untouched frame 5000 holds a 2-byte prefix") {
+		t.Fatalf("Audit after writing an untouched frame = %v", err)
+	}
+}
+
+// TestNewPhysMemRejectsNoFrameIDs: the frame IDs of a memory must stay
+// below NoFrame. The largest such memory costs nothing until used.
+func TestNewPhysMemRejectsNoFrameIDs(t *testing.T) {
+	most := int(uint64(NoFrame))
+	if !panics(func() { NewPhysMem(most+1, 4096) }) {
+		t.Fatal("a memory whose last frame is NoFrame was built")
+	}
+	m := NewPhysMem(most, 4096)
+	if last := FrameID(most - 1); m.Owner(last) != trace.CompNone || m.FreeFrames() != most {
+		t.Fatalf("largest memory: frame %d owned by %d, %d free", last, m.Owner(last), m.FreeFrames())
+	}
+}
+
 // TestPhysMemAuditCatchesCorruption breaks each conservation law by hand
-// and checks Audit names it.
+// and checks Audit names it. The memory has four frames: frame 0 is owned
+// and written, frame 1 was freed, so the watermark is at 2, and frames 2
+// and 3 are untouched but inside the per-frame slices.
 func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 	a := trace.NewRegistry().Intern("a")
+	const untouched = FrameID(3)
 	for _, tc := range []struct {
 		name    string
-		corrupt func(m *PhysMem, owned, free FrameID)
+		corrupt func(m *PhysMem, owned, freed FrameID)
 		want    string
 	}{
-		{"dirty free frame", func(m *PhysMem, _, free FrameID) {
-			m.data[free] = []byte{0, 1}
-		}, "2-byte prefix"},
+		{"dirty free frame", func(m *PhysMem, _, freed FrameID) {
+			m.data[freed] = []byte{0, 1}
+		}, "free frame 1 holds a 2-byte prefix"},
 		{"prefix past the page", func(m *PhysMem, owned, _ FrameID) {
 			m.data[owned] = make([]byte, m.pageSize+1)
 		}, "in a 64-byte page"},
-		{"duplicate on free stack", func(m *PhysMem, _, free FrameID) {
-			m.free = append(m.free, free)
+		{"free-stack entry past the watermark", func(m *PhysMem, _, _ FrameID) {
+			m.free = append(m.free, untouched)
+		}, "free stack holds untouched frame 3"},
+		{"owned frame past the watermark", func(m *PhysMem, _, _ FrameID) {
+			m.owner[untouched] = a
+			m.owned[a]++
+		}, "untouched frame 3 (watermark 2) is owned"},
+		{"prefix on an untouched frame", func(m *PhysMem, _, _ FrameID) {
+			m.data[untouched] = []byte{0, 1}
+		}, "untouched frame 3 holds a 2-byte prefix"},
+		{"duplicate on free stack", func(m *PhysMem, _, freed FrameID) {
+			m.free = append(m.free, freed)
 		}, "twice"},
 		{"owned frame on free stack", func(m *PhysMem, owned, _ FrameID) {
 			m.free = append(m.free, owned)
-		}, "owned by"},
+		}, "free-stack frame 0 is owned"},
 		{"lost frame", func(m *PhysMem, _, _ FrameID) {
-			m.free = m.free[:len(m.free)-1]
+			m.free = m.free[:0]
 		}, "neither owned nor free"},
 		{"miscounted owner", func(m *PhysMem, _, _ FrameID) {
 			m.owned[a]++
@@ -291,15 +418,18 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewPhysMem(4, 64)
-			owned := mustAlloc(t, m, a)
+			owned, freed := mustAlloc(t, m, a), mustAlloc(t, m, a)
 			m.Write(owned, 0, []byte{1})
-			free := FrameID(3)
+			m.Free(freed)
 			if err := m.Audit(); err != nil {
 				t.Fatalf("clean memory: %v", err)
 			}
-			tc.corrupt(m, owned, free)
+			if m.next != 2 || len(m.owner) != 4 {
+				t.Fatalf("watermark %d with %d-entry slices, want 2 with 4", m.next, len(m.owner))
+			}
+			tc.corrupt(m, owned, freed)
 			err := m.Audit()
-			if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Audit = %v, want an error mentioning %q", err, tc.want)
 			}
 		})
@@ -308,8 +438,9 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 
 // physModel is FuzzPhysMem's reference: the plainest memory that meets
 // PhysMem's contract. It keeps every page whole, zeroes it the moment it
-// is freed and names owners by string, so any difference from PhysMem is a
-// prefix or owner-handle bug.
+// is freed, names owners by string and keeps a free stack of every free
+// frame, untouched ones included, so any difference from PhysMem is a
+// prefix, owner-handle or watermark bug.
 type physModel struct {
 	pages [][]byte
 	owner []string
@@ -342,10 +473,12 @@ func (pm *physModel) release(f FrameID) {
 
 // FuzzPhysMem drives two memories and their reference models through a
 // byte-decoded sequence of Alloc, Free, Transfer, one-byte Write, Copy,
-// CopyPage (within and across memories), Reset, Write, Read, Load and
-// Bytes, and after every op checks contents, owners, per-owner counts, the
-// free count and Audit. Write, Read and Load take random offsets and
-// lengths, empty ones and ones that cross the page end included.
+// CopyPage (within and across memories), Reset, Write, Read, Load, Bytes,
+// a probe of any frame and AllocN, and after every op checks contents,
+// owners, per-owner counts, the free count and Audit. Write, Read and Load
+// take random offsets and lengths, empty ones and ones that cross the page
+// end included. The probe reaches one frame past the end too, and frames
+// a memory has not touched yet.
 func FuzzPhysMem(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 0, 5, 9, 5, 0, 0, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 1, 0, 7, 1, 0, 1, 0, 5, 1, 0, 0, 1, 6, 0})
@@ -367,7 +500,7 @@ func FuzzPhysMem(f *testing.F) {
 			return 0
 		}
 		for i := 0; i < len(ops); i += 5 {
-			op, k := ops[i]%11, arg(i+1)%2
+			op, k := ops[i]%13, arg(i+1)%2
 			m, pm := mems[k], models[k]
 			f1, f2 := FrameID(arg(i+2)%frames), FrameID(arg(i+3)%frames)
 			var desc string
@@ -467,6 +600,48 @@ func FuzzPhysMem(f *testing.F) {
 					t.Fatalf("op %d: Bytes(%d) = %x (cap %d); model page %x", i, f1, p, cap(p), page)
 				}
 				desc = fmt.Sprintf("bytes %d", f1)
+			case 11: // probe a frame, handed out or not, or one past the end
+				f := FrameID(arg(i+2) % (frames + 1))
+				if f == frames {
+					for name, probe := range map[string]func(){
+						"Owner": func() { m.Owner(f) },
+						"Read":  func() { m.Read(f, 0, nil) },
+						"Bytes": func() { m.Bytes(f) },
+					} {
+						if !panics(probe) {
+							t.Fatalf("op %d: %s of out-of-range frame %d did not panic", i, name, f)
+						}
+					}
+					desc = fmt.Sprintf("probe out-of-range %d", f)
+					break
+				}
+				page := bytes.Repeat([]byte{0xEE}, pageSize)
+				m.Read(f, 0, page)
+				o, p := m.Owner(f), m.Bytes(f)
+				if pm.owner[f] == "" && (o != trace.CompNone || len(p) != 0 || !bytes.Equal(page, make([]byte, pageSize))) {
+					t.Fatalf("op %d: free frame %d probes as owned by %d with a %d-byte prefix, reading %x", i, f, o, len(p), page)
+				}
+				desc = fmt.Sprintf("probe %d", f)
+			case 12: // AllocN, all or nothing
+				o, n := arg(i+2)%len(names), arg(i+3)%(frames+2)
+				got, err := m.AllocN(comps[o], n)
+				if n > len(pm.free) {
+					if err != ErrOutOfMemory || got != nil {
+						t.Fatalf("op %d: AllocN(%d) with %d free = %v, %v", i, n, len(pm.free), got, err)
+					}
+					desc = fmt.Sprintf("allocN %d refused", n)
+					break
+				}
+				want := make([]FrameID, n)
+				for j := range want {
+					want[j] = pm.free[len(pm.free)-1]
+					pm.free = pm.free[:len(pm.free)-1]
+					pm.owner[want[j]] = names[o]
+				}
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("op %d: AllocN(%d) = %v, %v; want %v", i, n, got, err, want)
+				}
+				desc = fmt.Sprintf("allocN %v to %s", got, names[o])
 			}
 			for j, m := range mems {
 				checkAgainstModel(t, fmt.Sprintf("op %d (mem%d %s), mem%d", i, k, desc, j), m, models[j], reg, comps)

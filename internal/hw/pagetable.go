@@ -60,14 +60,20 @@ type densePTE struct {
 // (Arch.PTLevels) affects only walk cost, not the data structure.
 //
 // Layout: domains and spaces map their pages densely from VPN 0 (identity
-// maps, process images), so the low VPN range lives in a flat array —
-// constant-time, allocation-free, hash-free. The occasional high mapping
-// (pager and grant windows at 0x1000+) overflows into a map. Map/Lookup
-// dispatch on the VPN alone, so the split is invisible to callers.
+// maps, process images), so the low VPN range, up to the table's span,
+// lives in a flat array — constant-time, allocation-free, hash-free. The
+// occasional high mapping (pager and grant windows at 0x1000+) overflows
+// into a map. Map/Lookup dispatch on the VPN alone, so the split is
+// invisible to callers. A sized table allocates its whole span up front;
+// a NewPageTable table grows its array only as Map reaches into the span,
+// so a space that maps a handful of pages costs a handful of entries. A
+// VPN below the span never enters the map, so a VPN past the array's
+// current end is simply unmapped.
 type PageTable struct {
-	dense  []densePTE  // VPNs in [0, len(dense))
-	sparse map[VPN]PTE // VPNs >= len(dense); allocated on first use
+	dense  []densePTE  // VPNs in [0, len(dense)); Map grows it up to span
+	sparse map[VPN]PTE // VPNs >= span; allocated on first use
 	n      int         // total live mappings across both regions
+	span   int         // the dense region's reach
 
 	// byFrame is the reverse index frame -> VPNs mapping it. Page flipping
 	// revokes by frame on every packet, so revocation must not scan the
@@ -84,25 +90,44 @@ type PageTable struct {
 	epoch uint64 // bumped on any mutation; lets shadow tables detect drift
 }
 
-// denseDefault is the dense-region size for tables built without a hint
+// denseDefault is the dense-region span for tables built without a hint
 // (microkernel spaces): big enough for every process image the workloads
-// fault in, 2KB of pointer-free memory per space.
+// fault in, at most 2KB of pointer-free memory per space.
 const denseDefault = 256
 
-// NewPageTable returns an empty page table tagged with asid.
+// denseStep is the dense array's first size once Map reaches into an
+// unsized table's span; each later growth doubles it, up to the span.
+const denseStep = 16
+
+// NewPageTable returns an empty page table tagged with asid. Its dense
+// region spans denseDefault VPNs and allocates nothing until Map reaches
+// into it.
 func NewPageTable(asid uint16) *PageTable {
-	return &PageTable{dense: make([]densePTE, denseDefault), asid: asid}
+	return &PageTable{span: denseDefault, asid: asid}
 }
 
 // NewPageTableSized is NewPageTable with a capacity hint for callers that
-// know how many pages they are about to map (domain build maps one entry
-// per frame; growing the tables incrementally showed up in profiles).
+// know how many pages they are about to map. It allocates the whole dense
+// region at once, because a domain build maps one entry per frame and
+// growing the tables incrementally showed up in profiles.
 func NewPageTableSized(asid uint16, hint int) *PageTable {
 	size := denseDefault
 	if hint > 0 {
 		size = hint + 64
 	}
-	return &PageTable{dense: make([]densePTE, size), asid: asid}
+	return &PageTable{dense: make([]densePTE, size), span: size, asid: asid}
+}
+
+// growDense grows the dense array to cover vpn, which lies below the span:
+// from denseStep entries, doubling, capped at the span.
+func (pt *PageTable) growDense(vpn VPN) {
+	n := max(len(pt.dense), denseStep)
+	for VPN(n) <= vpn {
+		n *= 2
+	}
+	d := make([]densePTE, min(n, pt.span))
+	copy(d, pt.dense)
+	pt.dense = d
 }
 
 // frameRef is one reverse-index slot: the single mapping inline (the
@@ -167,6 +192,9 @@ func (pt *PageTable) Epoch() uint64 { return pt.epoch }
 
 // Map installs or replaces the entry for vpn.
 func (pt *PageTable) Map(vpn VPN, e PTE) {
+	if vpn >= VPN(len(pt.dense)) && vpn < VPN(pt.span) {
+		pt.growDense(vpn)
+	}
 	if vpn < VPN(len(pt.dense)) {
 		d := &pt.dense[vpn]
 		if d.present {

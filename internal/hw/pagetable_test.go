@@ -75,89 +75,103 @@ func (m ptModel) unmapFrame(f FrameID) int {
 // FuzzPageTable runs Map/Unmap/Lookup/Len/UnmapFrame/UnmapFrames streams
 // over dense, boundary and sparse VPNs with aliased frames, before and
 // after the reverse index is built, and checks the whole table against a
-// plain-map model after every op.
+// plain-map model after every op. Each stream runs on two tables at once:
+// a sized one, whose dense region is VPNs 0..71, and a NewPageTable one,
+// whose dense array grows from 16 entries as Map reaches into its 256-VPN
+// span.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 2, 2, 3, 4, 1, 2, 3, 0, 9, 2, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 0x80, 2, 1, 5, 2, 0, 0, 0, 0x50, 2, 3, 4, 2, 5, 1})
 	f.Add([]byte{0, 71, 1, 3, 0, 72, 1, 3, 0, 0x8f, 1, 3, 11, 1, 0, 0, 6, 0, 0, 0})
-	const asid, hint, frames = 1, 8, 6 // dense region: VPNs 0..71
+	const asid, hint, frames = 1, 8, 6
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		pt, model := NewPageTableSized(asid, hint), ptModel{}
+		tables := []*PageTable{NewPageTableSized(asid, hint), NewPageTable(asid)}
+		models := []ptModel{{}, {}}
 		indexed := false
-		// VPNs below 0x80 cover the dense region, its edge and the sparse
-		// map just past it; the rest land far out in the sparse map.
+		// VPNs below 0x80 cover the sized table's dense region, its edge
+		// and the sparse map just past it, and the unsized table's growth
+		// steps. Bytes 0xa8..0xb7 give VPNs 248..263, astride the unsized
+		// table's span; no committed seed uses that window for a VPN, so
+		// they decode as before. The rest land far out in the sparse map.
 		vpn := func(b byte) VPN {
-			if b < 0x80 {
+			switch {
+			case b < 0x80:
 				return VPN(b)
+			case b >= 0xa8 && b < 0xb8:
+				return 0xf8 + VPN(b-0xa8)
 			}
 			return 0x1000 + VPN(b&0x0f)
 		}
 		frame := func(b byte) FrameID { return FrameID(b % frames) }
 		for i := 0; i+4 <= len(ops); i += 4 {
 			op, a, b, c := ops[i], ops[i+1], ops[i+2], ops[i+3]
-			ep, before := pt.Epoch(), maps.Clone(model)
-			var desc string
-			switch op % 7 {
-			case 0:
-				e := PTE{Frame: frame(b), Perms: Perm(c % 8), User: c&8 != 0}
-				pt.Map(vpn(a), e)
-				model[vpn(a)] = e
-				desc = fmt.Sprintf("map %#x -> %+v", vpn(a), e)
-			case 1:
-				pt.Unmap(vpn(a))
-				delete(model, vpn(a))
-				desc = fmt.Sprintf("unmap %#x", vpn(a))
-			case 2:
-				got, ok := pt.Lookup(vpn(a))
-				want, wok := model[vpn(a)]
-				if ok != wok || got != want {
-					t.Fatalf("op %d: lookup %#x = %+v, %v; model %+v, %v", i, vpn(a), got, ok, want, wok)
-				}
-				desc = "lookup"
-			case 3:
-				if got, want := pt.UnmapFrame(frame(a)), model.unmapFrame(frame(a)); got != want {
-					t.Fatalf("op %d: UnmapFrame(%d) removed %d, model %d", i, frame(a), got, want)
-				}
-				indexed = true
-				desc = fmt.Sprintf("unmap frame %d", frame(a))
-			case 4:
-				fs := []FrameID{frame(a), frame(b), frame(c)}[:1+op/7%3]
-				want := 0
-				for _, f := range fs {
-					want += model.unmapFrame(f)
-				}
-				if got := pt.UnmapFrames(fs); got != want {
-					t.Fatalf("op %d: UnmapFrames(%v) removed %d, model %d", i, fs, got, want)
-				}
-				if !indexed && pt.byFrame != nil {
-					t.Fatalf("op %d: UnmapFrames built the reverse index", i)
-				}
-				desc = fmt.Sprintf("unmap frames %v", fs)
-			case 5:
-				indexed = true // FramesMapped builds the index
-				desc = "build index"
-			case 6:
-				if pt.Len() != len(model) {
-					t.Fatalf("op %d: Len = %d, model %d", i, pt.Len(), len(model))
-				}
-				desc = "len"
-			}
-			if indexed {
-				for f := range FrameID(frames) {
+			for k, pt := range tables {
+				model := models[k]
+				ep, before := pt.Epoch(), maps.Clone(model)
+				var desc string
+				switch op % 7 {
+				case 0:
+					e := PTE{Frame: frame(b), Perms: Perm(c % 8), User: c&8 != 0}
+					pt.Map(vpn(a), e)
+					model[vpn(a)] = e
+					desc = fmt.Sprintf("map %#x -> %+v", vpn(a), e)
+				case 1:
+					pt.Unmap(vpn(a))
+					delete(model, vpn(a))
+					desc = fmt.Sprintf("unmap %#x", vpn(a))
+				case 2:
+					got, ok := pt.Lookup(vpn(a))
+					want, wok := model[vpn(a)]
+					if ok != wok || got != want {
+						t.Fatalf("op %d, table %d: lookup %#x = %+v, %v; model %+v, %v", i, k, vpn(a), got, ok, want, wok)
+					}
+					desc = "lookup"
+				case 3:
+					if got, want := pt.UnmapFrame(frame(a)), model.unmapFrame(frame(a)); got != want {
+						t.Fatalf("op %d, table %d: UnmapFrame(%d) removed %d, model %d", i, k, frame(a), got, want)
+					}
+					indexed = true
+					desc = fmt.Sprintf("unmap frame %d", frame(a))
+				case 4:
+					fs := []FrameID{frame(a), frame(b), frame(c)}[:1+op/7%3]
 					want := 0
-					for _, e := range model {
-						if e.Frame == f {
-							want++
+					for _, f := range fs {
+						want += model.unmapFrame(f)
+					}
+					if got := pt.UnmapFrames(fs); got != want {
+						t.Fatalf("op %d, table %d: UnmapFrames(%v) removed %d, model %d", i, k, fs, got, want)
+					}
+					if !indexed && pt.byFrame != nil {
+						t.Fatalf("op %d, table %d: UnmapFrames built the reverse index", i, k)
+					}
+					desc = fmt.Sprintf("unmap frames %v", fs)
+				case 5:
+					indexed = true // FramesMapped builds the index
+					desc = "build index"
+				case 6:
+					if pt.Len() != len(model) {
+						t.Fatalf("op %d, table %d: Len = %d, model %d", i, k, pt.Len(), len(model))
+					}
+					desc = "len"
+				}
+				where := fmt.Sprintf("op %d, table %d (%s)", i, k, desc)
+				if indexed {
+					for f := range FrameID(frames) {
+						want := 0
+						for _, e := range model {
+							if e.Frame == f {
+								want++
+							}
+						}
+						if got := pt.FramesMapped(f); got != want {
+							t.Fatalf("%s: FramesMapped(%d) = %d, model %d", where, f, got, want)
 						}
 					}
-					if got := pt.FramesMapped(f); got != want {
-						t.Fatalf("op %d (%s): FramesMapped(%d) = %d, model %d", i, desc, f, got, want)
-					}
 				}
-			}
-			checkPageTable(t, fmt.Sprintf("op %d (%s)", i, desc), pt, model)
-			if pt.Epoch() < ep || (!maps.Equal(before, model) && pt.Epoch() == ep) {
-				t.Fatalf("op %d (%s): epoch %d -> %d", i, desc, ep, pt.Epoch())
+				checkPageTable(t, where, pt, model)
+				if pt.Epoch() < ep || (!maps.Equal(before, model) && pt.Epoch() == ep) {
+					t.Fatalf("%s: epoch %d -> %d", where, ep, pt.Epoch())
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"runtime"
 	"testing"
 
 	"vmmk/internal/trace"
@@ -113,6 +114,51 @@ func TestMachineResetClearsEvents(t *testing.T) {
 	m.RunUntilIdle(0) // would fire the stale event if Reset leaked it
 	if m.Now() != 0 {
 		t.Errorf("clock = %d after Reset+idle drain, want 0", m.Now())
+	}
+}
+
+// bootBytes returns the fewest heap bytes one NewMachine of frames frames
+// allocated over a few boots.
+func bootBytes(frames int) uint64 {
+	best := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := NewMachine(X86(), &MachineConfig{Frames: frames})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestBootAndResetCostWhatAMachineUses pins that a machine pays for the
+// frames it touches, not for those it installs: a 2^20-frame boot
+// allocates no more than a 4096-frame one, and once a machine has touched
+// a few hundred frames, touching them again and resetting allocates
+// nothing.
+func TestBootAndResetCostWhatAMachineUses(t *testing.T) {
+	if small, huge := bootBytes(4096), bootBytes(1<<20); huge > small+1024 {
+		t.Errorf("booting 2^20 frames allocates %d bytes, 4096 frames %d", huge, small)
+	}
+	m := NewMachine(X86(), &MachineConfig{Frames: 1 << 20})
+	c := m.Rec.Intern("test")
+	touch := func() {
+		for i := range 300 {
+			f, err := m.Mem.Alloc(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Mem.Write(f, i%64, []byte{byte(i)})
+		}
+		m.Reset()
+	}
+	touch()
+	if n := testing.AllocsPerRun(10, touch); n != 0 {
+		t.Errorf("touching 300 frames and resetting allocates %.1f times", n)
+	}
+	if n := len(m.Mem.owner); n > 512 {
+		t.Errorf("a machine that touched 300 frames keeps %d entries of per-frame state", n)
 	}
 }
 

@@ -23,6 +23,9 @@ type TLB struct {
 }
 
 // NewTLB returns a TLB of the given capacity. tagged selects ASID tagging.
+// The entry map is not sized to the capacity: it grows with the
+// translations actually inserted, which for a short-lived machine is far
+// fewer, and flushes keep what it has grown to.
 func NewTLB(capacity int, tagged bool) *TLB {
 	if capacity <= 0 {
 		panic("hw: TLB capacity must be positive")
@@ -30,7 +33,7 @@ func NewTLB(capacity int, tagged bool) *TLB {
 	return &TLB{
 		capacity: capacity,
 		tagged:   tagged,
-		entries:  make(map[tlbKey]PTE, capacity),
+		entries:  make(map[tlbKey]PTE),
 	}
 }
 
