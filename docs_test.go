@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,34 @@ func TestExperimentsRegistryTableCurrent(t *testing.T) {
 			return
 		}
 		t.Errorf("%s: generated registry table is stale; run\n  go test -run TestExperimentsRegistryTableCurrent -update-docs .\ngot:\n%s\nwant:\n%s", file, got, want)
+	}
+}
+
+// TestReadmeExperimentIndexCurrent pins README.md's "Experiment index" to
+// the registry: one row per core.Specs() id, in registry order, so a newly
+// registered experiment fails this test until the index gains its row.
+func TestReadmeExperimentIndexCurrent(t *testing.T) {
+	const heading = "## Experiment index"
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), heading)
+	if !ok {
+		t.Fatalf("README.md: no %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile(`(?m)^\| (E\d+) +\|`)
+	var got []string
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		got = append(got, m[1])
+	}
+	var want []string
+	for _, s := range core.Specs() {
+		want = append(want, strings.ToUpper(s.ID))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("README.md experiment index lists %v, the registry has %v", got, want)
 	}
 }
 

@@ -30,39 +30,30 @@ func (c *Clock) AdvanceTo(t Cycles) {
 // never travel backwards in time).
 func (c *Clock) Reset() { c.now = 0 }
 
-// Event is a scheduled callback in the discrete-event queue.
-type Event struct {
-	At   Cycles
-	Name string
-	Fn   func()
+// event is a scheduled callback in the discrete-event queue.
+type event struct {
+	at   Cycles
+	name string
+	fn   func()
 	seq  uint64 // tie-breaker for deterministic ordering
-	idx  int
 }
 
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -81,29 +72,18 @@ func NewEventQueue(clock *Clock) *EventQueue {
 }
 
 // Schedule arranges for fn to run at absolute cycle time at. Scheduling in
-// the past clamps to now. It returns the event so callers may cancel it.
-func (q *EventQueue) Schedule(at Cycles, name string, fn func()) *Event {
+// the past clamps to now.
+func (q *EventQueue) Schedule(at Cycles, name string, fn func()) {
 	if at < q.clock.Now() {
 		at = q.clock.Now()
 	}
-	e := &Event{At: at, Name: name, Fn: fn, seq: q.seq}
+	heap.Push(&q.heap, &event{at: at, name: name, fn: fn, seq: q.seq})
 	q.seq++
-	heap.Push(&q.heap, e)
-	return e
 }
 
 // ScheduleAfter arranges for fn to run d cycles from now.
-func (q *EventQueue) ScheduleAfter(d Cycles, name string, fn func()) *Event {
-	return q.Schedule(q.clock.Now()+d, name, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (q *EventQueue) Cancel(e *Event) {
-	if e == nil || e.idx < 0 || e.idx >= len(q.heap) || q.heap[e.idx] != e {
-		return
-	}
-	heap.Remove(&q.heap, e.idx)
+func (q *EventQueue) ScheduleAfter(d Cycles, name string, fn func()) {
+	q.Schedule(q.clock.Now()+d, name, fn)
 }
 
 // Pending returns the number of queued events.
@@ -113,33 +93,9 @@ func (q *EventQueue) Pending() int { return len(q.heap) }
 // reused machine schedules from the same deterministic starting point as a
 // fresh one.
 func (q *EventQueue) Reset() {
-	for i := range q.heap {
-		q.heap[i].idx = -1
-		q.heap[i] = nil
-	}
+	clear(q.heap)
 	q.heap = q.heap[:0]
 	q.seq = 0
-}
-
-// NextAt returns the time of the earliest pending event, or false if none.
-func (q *EventQueue) NextAt() (Cycles, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].At, true
-}
-
-// RunDue fires, in order, every event whose time is <= the current clock.
-// Handlers may schedule further events; those are honoured if also due. It
-// returns the number of events fired.
-func (q *EventQueue) RunDue() int {
-	n := 0
-	for len(q.heap) > 0 && q.heap[0].At <= q.clock.Now() {
-		e := heap.Pop(&q.heap).(*Event)
-		e.Fn()
-		n++
-	}
-	return n
 }
 
 // RunUntilIdle advances the clock to each pending event in turn and fires
@@ -151,11 +107,11 @@ func (q *EventQueue) RunUntilIdle(maxEvents int) int {
 		if maxEvents > 0 && n >= maxEvents {
 			break
 		}
-		e := heap.Pop(&q.heap).(*Event)
-		if e.At > q.clock.Now() {
-			q.clock.AdvanceTo(e.At)
+		e := heap.Pop(&q.heap).(*event)
+		if e.at > q.clock.Now() {
+			q.clock.AdvanceTo(e.at)
 		}
-		e.Fn()
+		e.fn()
 		n++
 	}
 	return n
@@ -165,12 +121,12 @@ func (q *EventQueue) RunUntilIdle(maxEvents int) int {
 // strictly after t remain queued and the clock is left at t.
 func (q *EventQueue) RunUntil(t Cycles) int {
 	n := 0
-	for len(q.heap) > 0 && q.heap[0].At <= t {
-		e := heap.Pop(&q.heap).(*Event)
-		if e.At > q.clock.Now() {
-			q.clock.AdvanceTo(e.At)
+	for len(q.heap) > 0 && q.heap[0].at <= t {
+		e := heap.Pop(&q.heap).(*event)
+		if e.at > q.clock.Now() {
+			q.clock.AdvanceTo(e.at)
 		}
-		e.Fn()
+		e.fn()
 		n++
 	}
 	if q.clock.Now() < t {

@@ -214,33 +214,3 @@ func TestDiskPeekBlock(t *testing.T) {
 		t.Fatal("PeekBlock leaked internal storage")
 	}
 }
-
-func TestTimerTicks(t *testing.T) {
-	m := devMachine(t)
-	tm := NewTimer(m, 0, 1000)
-	tm.Start()
-	tm.Start() // idempotent
-	m.Events.RunUntil(3500)
-	if tm.Ticks() != 3 {
-		t.Fatalf("ticks = %d, want 3", tm.Ticks())
-	}
-	tm.Stop()
-	m.Events.RunUntil(10000)
-	if tm.Ticks() != 3 {
-		t.Fatal("timer ticked after Stop")
-	}
-}
-
-func TestConsole(t *testing.T) {
-	m := devMachine(t)
-	c := NewConsole(m)
-	before := m.Clock.Now()
-	c.Write(m.Rec.Intern("os"), []byte("hello "))
-	c.Write(m.Rec.Intern("os"), []byte("world"))
-	if c.Contents() != "hello world" {
-		t.Fatalf("contents = %q", c.Contents())
-	}
-	if m.Clock.Now() == before {
-		t.Fatal("console writes must cost cycles")
-	}
-}

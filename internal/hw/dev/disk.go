@@ -139,67 +139,3 @@ func (d *Disk) PeekBlock(block uint64) []byte {
 	copy(out, blk)
 	return out
 }
-
-// Timer raises a periodic interrupt, driving preemptive scheduling in both
-// kernels.
-type Timer struct {
-	m      *hw.Machine
-	irq    hw.IRQLine
-	period hw.Cycles
-	on     bool
-	ticks  uint64
-}
-
-// NewTimer attaches a periodic timer to machine m.
-func NewTimer(m *hw.Machine, irq hw.IRQLine, period hw.Cycles) *Timer {
-	if period == 0 {
-		period = 1_000_000
-	}
-	return &Timer{m: m, irq: irq, period: period}
-}
-
-// Start begins ticking from now.
-func (t *Timer) Start() {
-	if t.on {
-		return
-	}
-	t.on = true
-	t.arm()
-}
-
-// Stop ceases future ticks (the currently armed tick still fires but is
-// ignored).
-func (t *Timer) Stop() { t.on = false }
-
-// Ticks returns the number of delivered ticks.
-func (t *Timer) Ticks() uint64 { return t.ticks }
-
-func (t *Timer) arm() {
-	t.m.Events.ScheduleAfter(t.period, "timer.tick", func() {
-		if !t.on {
-			return
-		}
-		t.ticks++
-		t.m.IRQ.Raise(t.irq)
-		t.arm()
-	})
-}
-
-// Console is a byte sink with a cycle cost per write, standing in for the
-// serial console both systems log to.
-type Console struct {
-	m   *hw.Machine
-	buf []byte
-}
-
-// NewConsole attaches a console to machine m.
-func NewConsole(m *hw.Machine) *Console { return &Console{m: m} }
-
-// Write appends p to the console transcript, charging MMIO cost per chunk.
-func (c *Console) Write(component trace.Comp, p []byte) {
-	c.m.CPU.Work(component, c.m.Arch.Costs.DeviceMMIO)
-	c.buf = append(c.buf, p...)
-}
-
-// Contents returns the transcript so far.
-func (c *Console) Contents() string { return string(c.buf) }

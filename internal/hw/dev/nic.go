@@ -1,8 +1,8 @@
 // Package dev provides the simulated devices both driver stacks program:
-// a DMA-capable NIC, a block disk, a periodic timer and a console. Devices
-// interact with the rest of the machine only through the event queue, DMA
-// into physical frames, and interrupt lines — the same contract real
-// devices have with a real kernel.
+// a DMA-capable NIC and a block disk. Devices interact with the rest of the
+// machine only through the event queue, DMA into physical frames, and
+// interrupt lines — the same contract real devices have with a real
+// kernel.
 package dev
 
 import (

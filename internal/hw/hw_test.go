@@ -83,33 +83,6 @@ func TestEventQueueOrdering(t *testing.T) {
 	}
 }
 
-func TestEventQueueRunDueDoesNotAdvance(t *testing.T) {
-	clock := &Clock{}
-	q := NewEventQueue(clock)
-	fired := false
-	q.Schedule(100, "later", func() { fired = true })
-	if q.RunDue() != 0 || fired {
-		t.Fatal("future event fired early")
-	}
-	clock.Advance(100)
-	if q.RunDue() != 1 || !fired {
-		t.Fatal("due event did not fire")
-	}
-}
-
-func TestEventQueueCancel(t *testing.T) {
-	clock := &Clock{}
-	q := NewEventQueue(clock)
-	fired := false
-	e := q.Schedule(10, "x", func() { fired = true })
-	q.Cancel(e)
-	q.Cancel(e) // double cancel is a no-op
-	q.RunUntilIdle(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestEventQueueCascade(t *testing.T) {
 	clock := &Clock{}
 	q := NewEventQueue(clock)
@@ -480,7 +453,7 @@ func TestSegmentsExcludeNonSegmented(t *testing.T) {
 	}
 }
 
-func TestIRQDispatchOrderAndMask(t *testing.T) {
+func TestIRQDispatchOrder(t *testing.T) {
 	m := testMachine(t)
 	var got []IRQLine
 	h := func(l IRQLine) { got = append(got, l) }
@@ -488,17 +461,14 @@ func TestIRQDispatchOrderAndMask(t *testing.T) {
 	m.IRQ.SetHandler(5, h)
 	m.IRQ.Raise(5)
 	m.IRQ.Raise(2)
-	m.IRQ.Mask(5)
-	if n := m.IRQ.DispatchPending(m.Rec.Intern("k")); n != 1 {
-		t.Fatalf("dispatched %d, want 1 (line 5 masked)", n)
+	if n := m.IRQ.DispatchPending(m.Rec.Intern("k")); n != 2 {
+		t.Fatalf("dispatched %d, want 2", n)
 	}
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("got %v, want [2]", got)
+	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
+		t.Fatalf("got %v, want [2 5] (ascending line order)", got)
 	}
-	m.IRQ.Unmask(5)
-	m.IRQ.DispatchPending(m.Rec.Intern("k"))
-	if len(got) != 2 || got[1] != 5 {
-		t.Fatal("masked line lost its pending state")
+	if m.IRQ.Pending(2) || m.IRQ.Pending(5) {
+		t.Fatal("dispatched lines still pending")
 	}
 }
 

@@ -12,11 +12,11 @@ type IRQLine int
 // Handler receives a dispatched interrupt.
 type Handler func(line IRQLine)
 
-// IRQController models a simple PIC/APIC: lines can be raised by devices,
-// masked by the kernel, and are dispatched in ascending line order (fixed
-// priority) when the kernel asks. Dispatch is explicit rather than
-// preemptive: the kernels poll at their scheduling points, which matches
-// how the simulation serialises work and keeps traces deterministic.
+// IRQController models a simple PIC/APIC: lines are raised by devices and
+// dispatched in ascending line order (fixed priority) when the kernel
+// asks. Dispatch is explicit rather than preemptive: the kernels poll at
+// their scheduling points, which matches how the simulation serialises
+// work and keeps traces deterministic.
 //
 // On a multi-CPU machine the controller doubles as the local-APIC mesh:
 // external device interrupts are routed to the boot CPU (CPUs[0], the
@@ -27,14 +27,13 @@ type IRQController struct {
 	comp     trace.Comp // "hw.irq", interned at construction
 	lines    int
 	pending  []bool
-	masked   []bool
 	handlers []Handler
 	raised   uint64
 	spurious uint64
 	ipis     uint64
 }
 
-// NewIRQController returns a controller with n lines, all unmasked and
+// NewIRQController returns a controller with n lines, none pending and
 // without handlers, fielding external interrupts on cpus[0]. (IPIs are
 // point-to-point — deliverIPI takes both endpoints — so the controller
 // itself only needs the boot CPU.)
@@ -50,7 +49,6 @@ func NewIRQController(cpus []*CPU, n int) *IRQController {
 		comp:     cpus[0].Rec.Intern("hw.irq"),
 		lines:    n,
 		pending:  make([]bool, n),
-		masked:   make([]bool, n),
 		handlers: make([]Handler, n),
 	}
 }
@@ -62,18 +60,6 @@ func (ic *IRQController) Lines() int { return ic.lines }
 func (ic *IRQController) SetHandler(line IRQLine, h Handler) {
 	ic.check(line)
 	ic.handlers[line] = h
-}
-
-// Mask disables delivery for a line; pending state is retained.
-func (ic *IRQController) Mask(line IRQLine) {
-	ic.check(line)
-	ic.masked[line] = true
-}
-
-// Unmask re-enables delivery for a line.
-func (ic *IRQController) Unmask(line IRQLine) {
-	ic.check(line)
-	ic.masked[line] = false
 }
 
 // Raise asserts a line (typically from a device completion event). The
@@ -91,23 +77,13 @@ func (ic *IRQController) Pending(line IRQLine) bool {
 	return ic.pending[line]
 }
 
-// AnyPending reports whether any unmasked line is asserted.
-func (ic *IRQController) AnyPending() bool {
-	for i, p := range ic.pending {
-		if p && !ic.masked[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// DispatchPending delivers every unmasked pending line in ascending order,
+// DispatchPending delivers every pending line in ascending order,
 // charging dispatch cost to component per delivery. Lines without handlers
 // are counted as spurious and dropped. It returns the number delivered.
 func (ic *IRQController) DispatchPending(component trace.Comp) int {
 	n := 0
 	for i := 0; i < ic.lines; i++ {
-		if !ic.pending[i] || ic.masked[i] {
+		if !ic.pending[i] {
 			continue
 		}
 		ic.pending[i] = false
@@ -147,10 +123,9 @@ func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
 }
 
 // Reset restores the controller to its post-NewIRQController state: no
-// pending or masked lines, no handlers, statistics cleared.
+// pending lines, no handlers, statistics cleared.
 func (ic *IRQController) Reset() {
 	clear(ic.pending)
-	clear(ic.masked)
 	clear(ic.handlers)
 	ic.raised, ic.spurious, ic.ipis = 0, 0, 0
 }

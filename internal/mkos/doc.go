@@ -3,9 +3,8 @@
 // processes make system calls by IPC, user-level NIC and disk driver
 // servers that receive interrupts as IPC, a storage server with
 // copy-on-write snapshots — the microkernel-side twin of package vmmos's
-// Parallax appliance, used by the liability-inversion experiment E4 — plus
-// a KV server (E10's minimal extension) and shared-memory and real-time
-// helpers.
+// Parallax appliance, used by the liability-inversion experiment E4 — and
+// a KV server (E10's minimal extension).
 //
 // Together with package mk this is "system A" of the paper's comparison.
 // Structurally it is the DROPS/L4Linux arrangement §3.3 cites: the OS is

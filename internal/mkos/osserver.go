@@ -73,12 +73,11 @@ type OSServer struct {
 	Net *NetClient
 	Blk BlockService
 
-	console     []byte
-	rxQueue     [][]byte
-	syscallWork hw.Cycles
-	argScratch  []uint64 // reused Syscall word buffer (see Syscall)
-	zeroTx      []byte   // reused all-zero TX payload (see SysNetSend)
-	homeCPU     int      // CPU the server and its processes are pinned to (Pin)
+	console    []byte
+	rxQueue    [][]byte
+	argScratch []uint64 // reused Syscall word buffer (see Syscall)
+	zeroTx     []byte   // reused all-zero TX payload (see SysNetSend)
+	homeCPU    int      // CPU the server and its processes are pinned to (Pin)
 
 	pagerWindow hw.VPN // next free window page for fault service
 }
@@ -102,7 +101,6 @@ func NewOSServer(k *mk.Kernel, name string) (*OSServer, error) {
 		procs:       make(map[PID]*Proc),
 		byTID:       make(map[mk.ThreadID]*Proc),
 		nextPID:     1,
-		syscallWork: 150,
 		pagerWindow: 0x9000,
 	}
 	os.Thread = k.NewThread(sp, name, 5, os.handle)
@@ -111,9 +109,6 @@ func NewOSServer(k *mk.Kernel, name string) (*OSServer, error) {
 
 // Comp returns the server's interned trace attribution handle.
 func (os *OSServer) Comp() trace.Comp { return os.Thread.Comp() }
-
-// SetSyscallWork tunes the modelled per-syscall in-server work.
-func (os *OSServer) SetSyscallWork(c hw.Cycles) { os.syscallWork = c }
 
 // Spawn creates a process: a fresh space paged by the OS server, plus its
 // thread.
@@ -236,10 +231,13 @@ func (os *OSServer) handleFault(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.
 
 func errno(v uint64) mk.Msg { return mk.Msg{Words: []uint64{v}} }
 
+// syscallWork is the modelled in-server work of one system call.
+const syscallWork hw.Cycles = 150
+
 // handleSyscall dispatches one system call inside the OS server.
 func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
 	comp := os.Comp()
-	k.M.CPU.Work(comp, os.syscallWork)
+	k.M.CPU.Work(comp, syscallWork)
 	if len(msg.Words) == 0 {
 		return mk.Msg{}, ErrBadRequest
 	}

@@ -40,8 +40,9 @@ func BenchmarkMigrateLive64OneBytePages(b *testing.B) { benchMigrateLive64(b, 1,
 // benchMigrateLive64 writes fill into every stride-th page of a 64-page
 // guest, then migrates it back and forth, each pre-copy round dirtying
 // pages 0–3 with one byte at offset dirtyOff. Domain IDs are 16 bits and
-// never reused, so the two hosts reboot every 1<<14 migrations, with the
-// reboot amortized into the ops.
+// never reused, and a hypervisor that has handed out all of them refuses
+// the next build with ErrDomIDsExhausted, so the two hosts reboot every
+// 1<<14 migrations, with the reboot amortized into the ops.
 func benchMigrateLive64(b *testing.B, stride int, fill []byte, dirtyOff int) {
 	var (
 		hs  [2]*Hypervisor

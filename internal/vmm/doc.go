@@ -3,12 +3,11 @@
 // interface, asynchronous event channels, grant tables with page flipping
 // and hypervisor-mediated copy, validated (shadow) page-table updates with
 // a write-fault dirty log, exception virtualisation with the x86 trap-gate
-// syscall shortcut, a virtual interrupt controller, whole-domain mobility
-// (pause/save/restore, stop-and-copy Migrate and live pre-copy
-// MigrateLive), and a credit scheduler. It is "system B" of the paper's
-// comparison; package mk is its L4-shaped counterpart, package vmmos the
-// guest side that runs on it, and package core boots and measures the two
-// side by side.
+// syscall shortcut, a virtual interrupt controller, and whole-domain
+// mobility (pause/save/restore, stop-and-copy Migrate and live pre-copy
+// MigrateLive). It is "system B" of the paper's comparison; package mk is
+// its L4-shaped counterpart, package vmmos the guest side that runs on it,
+// and package core boots and measures the two side by side.
 //
 // The package deliberately exposes the ten primitives the paper's §2.2
 // enumerates as "the common subset … found in most VMMs", each with its own
@@ -17,14 +16,13 @@
 // this difference.
 //
 // Multiprocessor model: a domain may be given several virtual CPUs, each
-// pinned to a physical CPU (PlaceVCPUs); ScheduleSMP runs the credit
-// scheduler's placement epoch, one decision per pCPU, and never installs
-// the same vCPU on two pCPUs. Shadow-page-table invalidation (trap-and-
-// emulate writes, MMUUnmap, dirty-log arming) shoots down every pCPU
-// hosting one of the domain's vCPUs, and event delivery into a remotely
-// placed domain pays a kick IPI. Domains that are never placed keep the
-// free uniprocessor arrangement, which is how E1–E11 stay bit-for-bit
-// unchanged; experiment E12 sweeps core counts.
+// pinned to a physical CPU (PlaceVCPUs). Placement alone decides the SMP
+// costs: shadow-page-table invalidation (trap-and-emulate writes,
+// MMUUnmap, dirty-log arming) shoots down every pCPU hosting one of the
+// domain's vCPUs, and event delivery into a remotely placed domain pays a
+// kick IPI. Domains that are never placed keep the free uniprocessor
+// arrangement, which is how E1–E11 stay bit-for-bit unchanged; experiment
+// E12 sweeps core counts.
 //
 // Memory model: each domain's P2M (Domain.Frames) maps its guest page
 // numbers to machine frames, with NoFrame holes where pages were
@@ -35,6 +33,8 @@
 // BalloonOut, page flips, DestroyDomain) updates both, so frame -> gpn
 // lookups and OwnedPages are O(1). Live domain names are unique, because
 // a domain's name is its frames' owner in the physical-memory ledger.
+// Domain IDs are handed out in sequence and never reused; once all 2^16
+// are spent, a build fails with ErrDomIDsExhausted.
 // Hypervisor.Audit checks these invariants; it is a test oracle.
 //
 // Mobility moves page contents as hw.PhysMem prefixes (a DomainImage holds

@@ -26,7 +26,7 @@ type Domain struct {
 	PT         *hw.PageTable
 	Privileged bool // Dom0: may touch real devices and other domains
 	Dead       bool
-	paused     bool // off the run queue, state intact (save/migrate)
+	paused     bool // not running, state intact (save/migrate)
 
 	Hooks GuestHooks
 
@@ -43,10 +43,6 @@ type Domain struct {
 	// dirtyLog, when non-nil, write-protects this domain's pages and logs
 	// guest stores (live pre-copy migration; see shadow.go).
 	dirtyLog *DirtyLog
-
-	// masked, when true, defers event upcalls (guest cli on events).
-	masked  bool
-	pending []Port
 
 	// placement maps vCPU index -> physical CPU. Empty means the
 	// uniprocessor arrangement every pre-SMP caller gets: one implicit
@@ -195,11 +191,10 @@ func (d *Domain) remotePCPUs(except int) []int {
 
 // PlaceVCPUs gives a domain one virtual CPU per argument, each pinned to
 // the named physical CPU (vCPU i on pcpus[i]). Placement is the SMP
-// control-plane operation Dom0's toolstack performs at domain build; the
-// credit scheduler (ScheduleSMP) honours it, shadow-page-table
-// invalidation shoots down every placed pCPU, and event delivery to a
-// remotely placed domain pays an IPI. Calling it with no arguments resets
-// the domain to the unplaced uniprocessor arrangement.
+// control-plane operation Dom0's toolstack performs at domain build:
+// shadow-page-table invalidation shoots down every placed pCPU, and event
+// delivery to a remotely placed domain pays an IPI. Calling it with no
+// arguments resets the domain to the unplaced uniprocessor arrangement.
 func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -208,15 +203,6 @@ func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
 	for _, p := range pcpus {
 		if p < 0 || p >= h.M.NCPUs() {
 			return ErrBadPCPU
-		}
-	}
-	// Re-placement deschedules the domain's vCPUs wherever they currently
-	// run; the next ScheduleSMP epoch installs them at their new homes.
-	// Without this scrub a moved vCPU could appear installed on its old
-	// pCPU and its new one at once.
-	for p, cur := range h.sched.currentOn {
-		if cur.dom == dom {
-			h.sched.currentOn[p] = noVCPU
 		}
 	}
 	d.remote0, d.remote0OK = nil, false
@@ -272,25 +258,3 @@ func (h *Hypervisor) MMUUnmap(dom DomID, vpn hw.VPN) error {
 // SetHooks registers the guest kernel's entry points (done once at guest
 // boot by vmmos).
 func (d *Domain) SetHooks(hooks GuestHooks) { d.Hooks = hooks }
-
-// MaskEvents defers upcall delivery (guest critical section).
-func (h *Hypervisor) MaskEvents(dom DomID) {
-	if d := h.dom(dom); d != nil {
-		d.masked = true
-	}
-}
-
-// UnmaskEvents re-enables upcalls and delivers anything pending, in port
-// order of arrival.
-func (h *Hypervisor) UnmaskEvents(dom DomID) {
-	d := h.dom(dom)
-	if d == nil || !d.masked {
-		return
-	}
-	d.masked = false
-	pend := d.pending
-	d.pending = nil
-	for _, p := range pend {
-		h.deliverEvent(d, p)
-	}
-}

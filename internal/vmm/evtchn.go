@@ -16,9 +16,8 @@ type endpoint struct {
 
 // channel is an interdomain event channel: the paper's primitive 3
 // ("asynchronous communication channels across domains"). Signalling a
-// channel sets the remote side's pending bit and, if the remote has events
-// unmasked, delivers an upcall — which requires scheduling (a world switch)
-// when the remote is not the current domain. This is precisely the
+// channel delivers an upcall to the remote side — which requires a world
+// switch when the remote is not the current domain. This is precisely the
 // "simple asynchronous unidirectional event mechanism" the original paper
 // described and the rebuttal identifies as asynchronous IPC.
 type channel struct {
@@ -105,10 +104,6 @@ func (h *Hypervisor) NotifyChannel(from DomID, port Port) error {
 	h.M.CPU.Charge(h.comp, trace.KEvtchnSend, 80)
 	h.hypercallExit(d)
 
-	if rd.masked {
-		rd.pending = append(rd.pending, remote.port)
-		return nil
-	}
 	h.deliverEvent(rd, remote.port)
 	return nil
 }

@@ -114,7 +114,7 @@ func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VP
 			return ErrBadGrant
 		}
 		e = &d.grants.entries[ref]
-	} else if owner >= h.nextDom {
+	} else if int(owner) >= len(h.domains) {
 		return ErrNoSuchDomain
 	}
 	h.hypercallEntry(ud)

@@ -32,6 +32,11 @@ var (
 	ErrDomainExists  = errors.New("vmm: a live domain already has that name")
 )
 
+// ErrDomIDsExhausted is returned by a domain build once every DomID has
+// been handed out. IDs are never reused, and the next one would wrap to
+// Dom0's.
+var ErrDomIDsExhausted = errors.New("vmm: out of domain IDs")
+
 // HypervisorComponent is the trace attribution name of monitor-mode work.
 const HypervisorComponent = "vmm.xen"
 
@@ -47,19 +52,18 @@ type Hypervisor struct {
 
 	comp trace.Comp // HypervisorComponent, interned at boot
 
-	// domains is indexed by DomID (ids are allocated sequentially and
-	// never reused); destroyed domains leave a nil slot, which is what
-	// keeps the id watermark semantics while letting the hot lookup path
-	// be a bounds-checked load instead of a map probe.
+	// domains is indexed by DomID: ids are allocated sequentially and
+	// never reused, so its length is the next id and the watermark that
+	// tells a destroyed id from one never handed out. Destroyed domains
+	// leave a nil slot, which lets the hot lookup path be a bounds-checked
+	// load instead of a map probe.
 	domains []*Domain
 	order   []DomID // creation order, for deterministic iteration
-	nextDom DomID
 
 	ports     []*channel
 	chanGen   []int // per-slot reuse generation: stale ports never alias
 	freeChans []int // reclaimed channel slots, reused by BindChannel
 	current   *Domain
-	sched     *scheduler
 
 	// FastPathPolicy globally enables the trap-gate syscall shortcut
 	// (ablation switch for E9; per-domain validity is tracked separately).
@@ -87,7 +91,6 @@ func New(m *hw.Machine, dom0Frames int) (*Hypervisor, *Domain, error) {
 		comp:           m.Rec.Intern(HypervisorComponent),
 		FastPathPolicy: true,
 	}
-	h.sched = newScheduler(h)
 	m.CPU.Work(h.comp, 8000) // monitor boot
 	d0, err := h.CreateDomain("dom0", dom0Frames)
 	if err != nil {
@@ -123,8 +126,10 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 			return nil, fmt.Errorf("%w: %q", ErrDomainExists, name)
 		}
 	}
-	id := h.nextDom
-	h.nextDom++
+	if len(h.domains) > int(^DomID(0)) {
+		return nil, ErrDomIDsExhausted
+	}
+	id := DomID(len(h.domains))
 	// The slot is taken even if the build fails, so ids stay aligned with
 	// their slots.
 	h.domains = append(h.domains, nil)
@@ -154,7 +159,6 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 	h.hypercalls++
 	h.domains[id] = d
 	h.order = append(h.order, id)
-	h.sched.add(d)
 	return d, nil
 }
 
@@ -188,9 +192,9 @@ func (h *Hypervisor) dom(id DomID) *Domain {
 
 // lookup resolves id to a live domain. DestroyDomain reclaims a domain's
 // bookkeeping outright (so a create/destroy churn loop stays bounded), which
-// means destroyed ids hold a nil slot; the nextDom watermark keeps their
-// error distinct: an id that was once allocated reports ErrDomainDead, an id
-// that never existed reports ErrNoSuchDomain.
+// means destroyed ids hold a nil slot; the slot watermark keeps their error
+// distinct: an id that was once allocated reports ErrDomainDead, an id that
+// never existed reports ErrNoSuchDomain.
 func (h *Hypervisor) lookup(id DomID) (*Domain, error) {
 	if d := h.dom(id); d != nil {
 		if d.Dead {
@@ -198,7 +202,7 @@ func (h *Hypervisor) lookup(id DomID) (*Domain, error) {
 		}
 		return d, nil
 	}
-	if id < h.nextDom {
+	if int(id) < len(h.domains) {
 		return nil, ErrDomainDead
 	}
 	return nil, ErrNoSuchDomain
@@ -316,15 +320,15 @@ func (h *Hypervisor) Stats() (hypercalls, worldSwitches uint64) {
 // through their own references to it — the E4 blast-radius property.
 //
 // All per-domain monitor state is reclaimed here, not just marked dead:
-// the domain map and creation-order entries, the scheduler's weight and
-// credit entries, and the channel slots of every event channel either of
-// whose endpoints was this domain. A create/destroy churn loop therefore
-// returns the monitor to its baseline footprint (the churn regression test
-// asserts exactly this). Holders of a stale *Domain still observe Dead.
+// the domain map and creation-order entries, and the channel slots of
+// every event channel either of whose endpoints was this domain. A
+// create/destroy churn loop therefore returns the monitor to its baseline
+// footprint (the churn regression test asserts exactly this). Holders of a
+// stale *Domain still observe Dead.
 func (h *Hypervisor) DestroyDomain(id DomID) error {
 	d := h.dom(id)
 	if d == nil {
-		if id < h.nextDom {
+		if int(id) < len(h.domains) {
 			return nil // already destroyed and reclaimed: idempotent
 		}
 		return ErrNoSuchDomain
@@ -363,15 +367,7 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 	if h.current == d {
 		h.current = nil
 	}
-	for p, cur := range h.sched.currentOn {
-		if cur.dom == id {
-			h.sched.currentOn[p] = noVCPU
-		}
-	}
 	d.dirtyLog = nil
-	h.sched.remove(d)
-	delete(h.sched.weights, id)
-	delete(h.sched.credits, id)
 	h.domains[id] = nil
 	for i, oid := range h.order {
 		if oid == id {

@@ -61,15 +61,14 @@ type DomainImage struct {
 	PT     []savedPTE
 }
 
-// Pause takes the domain off the scheduler; a paused domain's vCPU never
-// runs, but its state remains intact.
+// Pause stops the domain: it is no longer the current domain and its
+// state stays intact, so SaveDomain may capture it.
 func (h *Hypervisor) Pause(dom DomID) error {
 	d, err := h.lookup(dom)
 	if err != nil {
 		return err
 	}
 	d.paused = true
-	h.sched.remove(d)
 	if h.current == d {
 		h.current = nil
 	}
@@ -77,7 +76,7 @@ func (h *Hypervisor) Pause(dom DomID) error {
 	return nil
 }
 
-// Unpause puts the domain back on the run queue.
+// Unpause resumes a paused domain.
 func (h *Hypervisor) Unpause(dom DomID) error {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -87,7 +86,6 @@ func (h *Hypervisor) Unpause(dom DomID) error {
 		return nil
 	}
 	d.paused = false
-	h.sched.add(d)
 	h.M.CPU.Work(h.comp, 200)
 	return nil
 }
@@ -144,7 +142,6 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 	d.frames = frames
 	// Shells start paused, like migrated VMs pre-resume.
 	d.paused = true
-	h.sched.remove(d)
 	return d, nil
 }
 
@@ -471,8 +468,8 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	}
 	if opts.Transport != nil {
 		// The link can fail inside the blackout too — the worst case, since
-		// the guest is already off the source's run queue. The abort path
-		// resumes it.
+		// the guest is already paused on the source. The abort path resumes
+		// it.
 		if err := opts.Transport(0, len(toSend)); err != nil {
 			return abort(err)
 		}

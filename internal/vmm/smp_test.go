@@ -51,73 +51,6 @@ func TestPlaceVCPUsValidation(t *testing.T) {
 	}
 }
 
-// TestVCPUNeverOnTwoPCPUs runs credit epochs over a mixed placement and
-// asserts that no (domain, vCPU) pair is ever installed on two pCPUs.
-func TestVCPUNeverOnTwoPCPUs(t *testing.T) {
-	const ncpus = 4
-	_, h, _ := smpHyp(t, ncpus)
-	a, err := h.CreateDomain("a", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.CreateDomain("b", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PlaceVCPUs(a.ID, 0, 1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PlaceVCPUs(b.ID, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	for epoch := 0; epoch < 8; epoch++ {
-		h.ScheduleSMP()
-		type slot struct {
-			dom  DomID
-			vcpu int
-		}
-		seen := map[slot]int{}
-		for p := 0; p < ncpus; p++ {
-			d, v := h.RunningOn(p)
-			if d == nil {
-				continue
-			}
-			s := slot{d.ID, v}
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("epoch %d: %s vCPU%d on pCPUs %d and %d at once",
-					epoch, d.Name, v, prev, p)
-			}
-			seen[s] = p
-		}
-	}
-}
-
-// TestScheduleSMPPlacesByPlacement: every pCPU with candidates gets one,
-// and a pCPU nobody is placed on idles.
-func TestScheduleSMPPlacesByPlacement(t *testing.T) {
-	_, h, _ := smpHyp(t, 3)
-	g, err := h.CreateDomain("g", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PlaceVCPUs(g.ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	picks := h.ScheduleSMP()
-	if picks[0] == nil {
-		t.Fatal("boot pCPU idle despite dom0 being unplaced (implicit pCPU 0)")
-	}
-	if picks[1] == nil || picks[1].ID != g.ID {
-		t.Fatalf("pCPU 1 ran %v, want domain g", picks[1])
-	}
-	if picks[2] != nil {
-		t.Fatalf("pCPU 2 ran %s with nothing placed there", picks[2].Name)
-	}
-	if d, v := h.RunningOn(1); d == nil || d.ID != g.ID || v != 0 {
-		t.Fatal("RunningOn(1) does not report g's vCPU0")
-	}
-}
-
 // TestShadowInvalidationShootsDown: with a guest's vCPUs placed on other
 // pCPUs, shadow-page-table invalidation (trap-and-emulate write and
 // paravirtual unmap alike) broadcasts a shootdown to each of them.
@@ -222,89 +155,6 @@ func TestEventDeliveryKicksRemoteDomain(t *testing.T) {
 	}
 }
 
-// TestDestroyedDomainLeavesNoSMPResidue: destroying a placed, running
-// domain clears its pCPU installations, and a later epoch never resurrects
-// it.
-func TestDestroyedDomainLeavesNoSMPResidue(t *testing.T) {
-	_, h, _ := smpHyp(t, 2)
-	g, err := h.CreateDomain("g", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PlaceVCPUs(g.ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	h.ScheduleSMP()
-	if d, _ := h.RunningOn(1); d == nil || d.ID != g.ID {
-		t.Fatal("setup: g not installed on pCPU 1")
-	}
-	if err := h.DestroyDomain(g.ID); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := h.RunningOn(1); d != nil {
-		t.Fatalf("destroyed domain still installed on pCPU 1: %s", d.Name)
-	}
-	picks := h.ScheduleSMP()
-	if picks[1] != nil {
-		t.Fatalf("pCPU 1 resurrected %s", picks[1].Name)
-	}
-}
-
-// TestIdlePCPUClearsInstallation: pausing or re-placing a domain must not
-// leave its vCPU reported as installed on a pCPU it no longer runs on —
-// RunningOn goes nil once the pCPU's next epoch finds nothing to run, and
-// a re-placed vCPU never shows up on two pCPUs.
-func TestIdlePCPUClearsInstallation(t *testing.T) {
-	_, h, _ := smpHyp(t, 2)
-	g, err := h.CreateDomain("g", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PlaceVCPUs(g.ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	h.ScheduleSMP()
-	if d, _ := h.RunningOn(1); d == nil || d.ID != g.ID {
-		t.Fatal("setup: g not installed on pCPU 1")
-	}
-
-	if err := h.Pause(g.ID); err != nil {
-		t.Fatal(err)
-	}
-	h.ScheduleSMP()
-	if d, _ := h.RunningOn(1); d != nil {
-		t.Fatalf("paused domain still installed on pCPU 1: %s", d.Name)
-	}
-	if err := h.Unpause(g.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-placement: the vCPU moves from pCPU 1 to pCPU 0; its old
-	// installation must be descheduled immediately, not shadow-owned.
-	h.ScheduleSMP()
-	if err := h.PlaceVCPUs(g.ID, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := h.RunningOn(1); d != nil {
-		t.Fatalf("re-placed domain still installed on pCPU 1: %s", d.Name)
-	}
-	h.ScheduleSMP()
-	type slot struct {
-		dom  DomID
-		vcpu int
-	}
-	seen := map[slot]int{}
-	for p := 0; p < 2; p++ {
-		if d, v := h.RunningOn(p); d != nil {
-			s := slot{d.ID, v}
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("%s vCPU%d on pCPUs %d and %d after re-placement", d.Name, v, prev, p)
-			}
-			seen[s] = p
-		}
-	}
-}
-
 // TestUniprocessorHypervisorChargesNoSMP mirrors the mk-side guard: a full
 // hypercall + event + shadow workout on a 1-CPU machine leaves every SMP
 // counter at zero.
@@ -328,7 +178,6 @@ func TestUniprocessorHypervisorChargesNoSMP(t *testing.T) {
 		if err := h.MMUUnmap(g.ID, hw.VPN(0x20+i)); err != nil {
 			t.Fatal(err)
 		}
-		h.ScheduleNext()
 	}
 	if m.Rec.Counts(trace.KIPI) != 0 || m.Rec.Counts(trace.KTLBShootdown) != 0 {
 		t.Fatal("uniprocessor hypervisor counted SMP events")

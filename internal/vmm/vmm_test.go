@@ -145,23 +145,6 @@ func TestEventChannelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventMaskingDefersDelivery(t *testing.T) {
-	r := newVrig(t, hw.X86())
-	n := 0
-	r.domU.SetHooks(GuestHooks{OnEvent: func(p Port) { n++ }})
-	p0, _, _ := r.h.BindChannel(r.dom0.ID, r.domU.ID)
-	r.h.MaskEvents(r.domU.ID)
-	r.h.NotifyChannel(r.dom0.ID, p0)
-	r.h.NotifyChannel(r.dom0.ID, p0)
-	if n != 0 {
-		t.Fatal("masked events delivered")
-	}
-	r.h.UnmaskEvents(r.domU.ID)
-	if n != 2 {
-		t.Fatalf("deferred deliveries = %d, want 2", n)
-	}
-}
-
 func TestNotifyDeadRemote(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	p0, _, _ := r.h.BindChannel(r.dom0.ID, r.domU.ID)
@@ -579,8 +562,8 @@ func TestDestroyDomainDoesNotFreeFlippedFrames(t *testing.T) {
 func TestDomainChurnReturnsToBaseline(t *testing.T) {
 	// The churn regression: a create -> bind -> destroy loop must leave no
 	// per-domain residue in the monitor — domain map, creation order,
-	// scheduler weight/credit maps, run queue, channel table and physical
-	// memory all return to their baseline sizes.
+	// channel table and physical memory all return to their baseline
+	// sizes.
 	r := newVrig(t, hw.X86())
 	livePorts := func() int {
 		n := 0
@@ -602,9 +585,6 @@ func TestDomainChurnReturnsToBaseline(t *testing.T) {
 	}
 	baseDomains := liveDomains()
 	baseOrder := len(r.h.order)
-	baseWeights := len(r.h.sched.weights)
-	baseCredits := len(r.h.sched.credits)
-	baseRun := len(r.h.sched.run)
 	basePorts := livePorts()
 	baseFree := r.m.Mem.FreeFrames()
 
@@ -635,15 +615,6 @@ func TestDomainChurnReturnsToBaseline(t *testing.T) {
 	if n := len(r.h.order); n != baseOrder {
 		t.Errorf("creation-order list grew: %d -> %d", baseOrder, n)
 	}
-	if n := len(r.h.sched.weights); n != baseWeights {
-		t.Errorf("scheduler weights grew: %d -> %d", baseWeights, n)
-	}
-	if n := len(r.h.sched.credits); n != baseCredits {
-		t.Errorf("scheduler credits grew: %d -> %d", baseCredits, n)
-	}
-	if n := len(r.h.sched.run); n != baseRun {
-		t.Errorf("run queue grew: %d -> %d", baseRun, n)
-	}
 	if n := livePorts(); n != basePorts {
 		t.Errorf("live channels grew: %d -> %d", basePorts, n)
 	}
@@ -664,6 +635,42 @@ func TestDomainChurnReturnsToBaseline(t *testing.T) {
 	if err := r.h.Hypercall(9999, "x", 0); !errors.Is(err, ErrNoSuchDomain) {
 		t.Errorf("unknown id err = %v, want ErrNoSuchDomain", err)
 	}
+}
+
+// TestDomIDExhaustionRefusesBuild: ids are never reused, so once all 2^16
+// have been handed out the next build is refused. It must not wrap to
+// Dom0's id and replace Dom0 in the domain table.
+func TestDomIDExhaustionRefusesBuild(t *testing.T) {
+	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 64})
+	h, d0, err := New(m, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last DomID
+	builds := 0
+	for ; builds <= 1<<16; builds++ {
+		d, err := h.CreateDomain("churn", 1)
+		if errors.Is(err, ErrDomIDsExhausted) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = d.ID
+		if err := h.DestroyDomain(d.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 1<<16-1 {
+		t.Fatalf("build refused after %d guests, want %d (every id but Dom0's)", builds, 1<<16-1)
+	}
+	if h.Domain(Dom0) != d0 {
+		t.Fatal("Dom0's id resolves to another domain")
+	}
+	if err := h.Hypercall(last, "x", 0); !errors.Is(err, ErrDomainDead) {
+		t.Fatalf("destroyed id %d: err = %v, want ErrDomainDead", last, err)
+	}
+	audit(t, h)
 }
 
 func TestStalePortCannotAliasReusedChannelSlot(t *testing.T) {
@@ -758,39 +765,6 @@ func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
 	audit(t, r.h)
 	if len(d.holes) != 0 || countHoles() != 0 {
 		t.Fatalf("hole not pruned after fill: list=%d real=%d", len(d.holes), countHoles())
-	}
-}
-
-func TestSchedulerWeightedRoundRobin(t *testing.T) {
-	r := newVrig(t, hw.X86())
-	r.h.SetWeight(r.dom0.ID, 2)
-	counts := map[DomID]int{}
-	for i := 0; i < 9; i++ {
-		d := r.h.ScheduleNext()
-		if d == nil {
-			t.Fatal("no runnable domain")
-		}
-		counts[d.ID]++
-	}
-	if counts[r.dom0.ID] <= counts[r.domU.ID] {
-		t.Fatalf("weighting ignored: %v", counts)
-	}
-	if counts[r.domU.ID] == 0 {
-		t.Fatal("starvation: domU never ran")
-	}
-	if r.h.Decisions() != 9 {
-		t.Fatalf("decisions = %d, want 9", r.h.Decisions())
-	}
-}
-
-func TestSchedulerSkipsDeadDomains(t *testing.T) {
-	r := newVrig(t, hw.X86())
-	r.h.DestroyDomain(r.domU.ID)
-	for i := 0; i < 5; i++ {
-		d := r.h.ScheduleNext()
-		if d == nil || d.ID != r.dom0.ID {
-			t.Fatalf("scheduled %v, want dom0 only", d)
-		}
 	}
 }
 

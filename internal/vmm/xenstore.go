@@ -2,15 +2,14 @@ package vmm
 
 import (
 	"errors"
-	"sort"
 	"strings"
 )
 
 // Store is the hypervisor's shared configuration tree — the XenStore role:
-// a hierarchical key-value space domains use to advertise backends, find
-// frontends and watch for changes. Every access is a hypercall-priced
-// operation with per-path ownership: a domain may write only under its own
-// prefix unless privileged.
+// a hierarchical key-value space domains use to advertise backends and find
+// frontends. Every access is a hypercall-priced operation with per-path
+// ownership: a domain may write only under its own prefix unless
+// privileged, and a path belongs to the domain that first wrote it.
 //
 // In the real system XenStore lives in Dom0; hosting it in the monitor here
 // trades a little fidelity for not entangling the control plane with the
@@ -21,12 +20,6 @@ type Store struct {
 	h       *Hypervisor
 	entries map[string]string
 	owners  map[string]DomID
-	watches map[string][]watch
-}
-
-type watch struct {
-	dom DomID
-	fn  func(path, value string)
 }
 
 // Store errors.
@@ -42,7 +35,6 @@ func NewStore(h *Hypervisor) *Store {
 		h:       h,
 		entries: make(map[string]string),
 		owners:  make(map[string]DomID),
-		watches: make(map[string][]watch),
 	}
 }
 
@@ -85,8 +77,7 @@ func (s *Store) mayWrite(dom DomID, path string) bool {
 }
 
 // Write sets path to value. Unprivileged domains write only under their
-// home prefix or paths granted to them. Watches on the path and its
-// ancestors fire synchronously.
+// home prefix, and never a path another domain wrote first.
 func (s *Store) Write(dom DomID, path, value string) error {
 	if !validPath(path) {
 		return ErrStoreBadPath
@@ -105,7 +96,6 @@ func (s *Store) Write(dom DomID, path, value string) error {
 		s.owners[path] = dom
 	}
 	s.h.M.CPU.Work(s.h.comp, 150)
-	s.fire(path, value)
 	return nil
 }
 
@@ -124,90 +114,4 @@ func (s *Store) Read(dom DomID, path string) (string, error) {
 	}
 	s.h.M.CPU.Work(s.h.comp, 100)
 	return v, nil
-}
-
-// GrantWrite lets a privileged domain hand write access on one path to
-// another domain (how Dom0 sets up frontend directories for new guests).
-func (s *Store) GrantWrite(granter, to DomID, path string) error {
-	d, err := s.h.lookup(granter)
-	if err != nil {
-		return err
-	}
-	if !d.Privileged {
-		return ErrNotPrivileged
-	}
-	if !validPath(path) {
-		return ErrStoreBadPath
-	}
-	s.owners[path] = to
-	s.h.M.CPU.Work(s.h.comp, 120)
-	return nil
-}
-
-// List returns the direct children of prefix, sorted.
-func (s *Store) List(dom DomID, prefix string) ([]string, error) {
-	d, err := s.h.lookup(dom)
-	if err != nil {
-		return nil, err
-	}
-	s.h.hypercallEntry(d)
-	defer s.h.hypercallExit(d)
-	s.h.M.CPU.Work(s.h.comp, 150)
-	if !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	seen := map[string]bool{}
-	for p := range s.entries {
-		if !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(p, prefix)
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			rest = rest[:i]
-		}
-		seen[rest] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Watch registers fn to run when path (or anything under it) changes. The
-// callback runs in the watcher's context: delivery world-switches to the
-// watcher like an event upcall.
-func (s *Store) Watch(dom DomID, path string, fn func(path, value string)) error {
-	if _, err := s.h.lookup(dom); err != nil {
-		return err
-	}
-	if !validPath(path) {
-		return ErrStoreBadPath
-	}
-	s.watches[path] = append(s.watches[path], watch{dom: dom, fn: fn})
-	s.h.M.CPU.Work(s.h.comp, 120)
-	return nil
-}
-
-// fire delivers watch callbacks for path and every ancestor prefix.
-func (s *Store) fire(path, value string) {
-	for watched, ws := range s.watches {
-		if path != watched && !strings.HasPrefix(path, watched+"/") {
-			continue
-		}
-		for _, w := range ws {
-			wd := s.h.dom(w.dom)
-			if wd == nil || wd.Dead {
-				continue
-			}
-			prev := s.h.current
-			s.h.switchTo(wd)
-			s.h.M.CPU.Work(s.h.comp, 80)
-			w.fn(path, value)
-			if prev != nil && prev != wd && !prev.Dead {
-				s.h.switchTo(prev)
-			}
-		}
-	}
 }

@@ -61,8 +61,6 @@ type GuestKernel struct {
 
 	console []byte
 
-	syscallWork hw.Cycles // per-syscall in-kernel work, tunable per workload
-
 	argScratch []uint64 // reused Syscall argument buffer (see Syscall)
 	zeroTx     []byte   // reused all-zero TX payload (see SysNetSend)
 }
@@ -80,12 +78,11 @@ func (gk *GuestKernel) zeroBuf(n int) []byte {
 // NewGuestKernel boots a guest kernel into dom, installing its hooks.
 func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 	gk := &GuestKernel{
-		H:           h,
-		Dom:         dom,
-		procs:       make(map[PID]*Process),
-		nextPID:     1,
-		syscallWork: 150,
-		ExtraEvent:  make(map[vmm.Port]func()),
+		H:          h,
+		Dom:        dom,
+		procs:      make(map[PID]*Process),
+		nextPID:    1,
+		ExtraEvent: make(map[vmm.Port]func()),
 	}
 	dom.SetHooks(vmm.GuestHooks{
 		OnSyscall: gk.handleSyscall,
@@ -102,9 +99,6 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 
 // Comp returns the interned trace attribution handle.
 func (gk *GuestKernel) Comp() trace.Comp { return gk.Dom.Comp() }
-
-// SetSyscallWork tunes the modelled in-kernel work per syscall.
-func (gk *GuestKernel) SetSyscallWork(c hw.Cycles) { gk.syscallWork = c }
 
 // Place gives the guest one vCPU per argument, pinned to the named
 // physical CPUs (a pass-through to vmm.PlaceVCPUs). A placed guest's
@@ -141,11 +135,14 @@ func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, er
 	return gk.H.GuestSyscall(gk.Dom.ID, no, buf)
 }
 
+// syscallWork is the modelled in-kernel work of one system call.
+const syscallWork hw.Cycles = 150
+
 // handleSyscall is the guest kernel's trap entry (registered as the
 // domain's OnSyscall hook). args[0] is the calling PID by convention.
 func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 	comp := gk.Comp()
-	gk.H.M.CPU.Work(comp, gk.syscallWork)
+	gk.H.M.CPU.Work(comp, syscallWork)
 	var pid PID
 	if len(args) > 0 {
 		pid = PID(args[0])

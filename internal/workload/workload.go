@@ -1,50 +1,11 @@
 // Package workload generates the deterministic operation streams the
-// experiments replay against both systems: packet arrival schedules with
-// controlled sizes and rates, system-call mixes, block-I/O patterns and a
-// composite web-serving request stream. Identical seeds yield identical
-// streams, so the two platforms always see exactly the same input.
+// experiments replay against both systems: packet arrival rates,
+// system-call mixes, block-I/O patterns and a composite web-serving
+// request stream. Identical seeds yield identical streams, so the two
+// platforms always see exactly the same input.
 package workload
 
-import (
-	"fmt"
-
-	"vmmk/internal/simrand"
-)
-
-// PacketStream describes a network receive workload: count packets of a
-// fixed size addressed to a destination index, the Cherkasova-Gardner
-// sweep's unit of work.
-type PacketStream struct {
-	Count int
-	Size  int
-	Dest  byte
-}
-
-// Packets materialises the stream. Each packet's first byte is the
-// destination index (the demux key both netback and the mk net driver use);
-// the rest is a deterministic pattern for integrity checks.
-func (ps PacketStream) Packets() [][]byte {
-	out := make([][]byte, ps.Count)
-	for i := range out {
-		p := make([]byte, ps.Size)
-		if len(p) > 0 {
-			p[0] = ps.Dest
-		}
-		for j := 1; j < len(p); j++ {
-			p[j] = byte(i + j)
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// Validate checks stream parameters.
-func (ps PacketStream) Validate() error {
-	if ps.Count < 0 || ps.Size < 1 {
-		return fmt.Errorf("workload: invalid packet stream %+v", ps)
-	}
-	return nil
-}
+import "vmmk/internal/simrand"
 
 // SyscallMix is a weighted system-call workload.
 type SyscallMix struct {

@@ -5,38 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestPacketStreamShape(t *testing.T) {
-	ps := PacketStream{Count: 5, Size: 64, Dest: 3}
-	if err := ps.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pkts := ps.Packets()
-	if len(pkts) != 5 {
-		t.Fatalf("count = %d", len(pkts))
-	}
-	for i, p := range pkts {
-		if len(p) != 64 {
-			t.Fatalf("packet %d size %d", i, len(p))
-		}
-		if p[0] != 3 {
-			t.Fatalf("packet %d dest %d", i, p[0])
-		}
-	}
-	// Payloads differ between packets (integrity patterns).
-	if string(pkts[0][1:]) == string(pkts[1][1:]) {
-		t.Fatal("payload pattern not per-packet")
-	}
-}
-
-func TestPacketStreamValidate(t *testing.T) {
-	if err := (PacketStream{Count: 1, Size: 0}).Validate(); err == nil {
-		t.Fatal("zero size must be invalid")
-	}
-	if err := (PacketStream{Count: -1, Size: 64}).Validate(); err == nil {
-		t.Fatal("negative count must be invalid")
-	}
-}
-
 func TestSyscallMixDeterministic(t *testing.T) {
 	a := DefaultMix.Sequence(100, 42)
 	b := DefaultMix.Sequence(100, 42)
