@@ -338,7 +338,16 @@ func BenchmarkResultJSON(b *testing.B) {
 
 // BenchmarkMKIPCCall measures the wall-clock cost of one simulated IPC
 // round trip.
-func BenchmarkMKIPCCall(b *testing.B) {
+func BenchmarkMKIPCCall(b *testing.B) { benchMKIPCCall(b, mk.Msg{Words: []uint64{1}}) }
+
+// BenchmarkMKIPCCallString is BenchmarkMKIPCCall with a string item of the
+// io workload's packet size, copied into the server and back.
+func BenchmarkMKIPCCallString(b *testing.B) {
+	benchMKIPCCall(b, mk.Msg{Words: []uint64{1}, Data: make([]byte, 1500)})
+}
+
+// benchMKIPCCall times Calls carrying msg to an echo server.
+func benchMKIPCCall(b *testing.B, msg mk.Msg) {
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
 	k := mk.New(m)
 	cs, err := k.NewSpace("c", mk.NilThread)
@@ -355,7 +364,7 @@ func BenchmarkMKIPCCall(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Call(cl.ID, srv.ID, mk.Msg{Words: []uint64{1}}); err != nil {
+		if _, err := k.Call(cl.ID, srv.ID, msg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Clock is the single virtual time source. All costs in the simulation
 // advance it; nothing reads wall-clock time.
@@ -38,32 +35,22 @@ type event struct {
 	seq  uint64 // tie-breaker for deterministic ordering
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by due time, then by scheduling order. Sequence
+// numbers are unique, so this is a total order and the pop order does not
+// depend on the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // EventQueue is a deterministic discrete-event scheduler. Events at the same
 // cycle fire in scheduling order.
 type EventQueue struct {
-	clock *Clock
-	heap  eventHeap
-	seq   uint64
+	clock  *Clock
+	events []event // binary min-heap on (at, seq), stored by value
+	seq    uint64
 }
 
 // NewEventQueue returns an empty queue bound to clock.
@@ -77,8 +64,49 @@ func (q *EventQueue) Schedule(at Cycles, name string, fn func()) {
 	if at < q.clock.Now() {
 		at = q.clock.Now()
 	}
-	heap.Push(&q.heap, &event{at: at, name: name, fn: fn, seq: q.seq})
+	q.push(event{at: at, name: name, fn: fn, seq: q.seq})
 	q.seq++
+}
+
+// push adds e to the heap and sifts it up.
+func (q *EventQueue) push(e event) {
+	q.events = append(q.events, e)
+	h := q.events
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event. The vacated slot is cleared
+// so the queue holds no reference to a fired callback.
+func (q *EventQueue) pop() event {
+	h := q.events
+	n := len(h) - 1
+	e := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	q.events = h
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(&h[j]) {
+			j = r
+		}
+		if !h[j].before(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return e
 }
 
 // ScheduleAfter arranges for fn to run d cycles from now.
@@ -87,14 +115,14 @@ func (q *EventQueue) ScheduleAfter(d Cycles, name string, fn func()) {
 }
 
 // Pending returns the number of queued events.
-func (q *EventQueue) Pending() int { return len(q.heap) }
+func (q *EventQueue) Pending() int { return len(q.events) }
 
 // Reset drops every queued event and rewinds the sequence counter, so a
 // reused machine schedules from the same deterministic starting point as a
 // fresh one.
 func (q *EventQueue) Reset() {
-	clear(q.heap)
-	q.heap = q.heap[:0]
+	clear(q.events)
+	q.events = q.events[:0]
 	q.seq = 0
 }
 
@@ -103,11 +131,11 @@ func (q *EventQueue) Reset() {
 // It returns the number of events fired.
 func (q *EventQueue) RunUntilIdle(maxEvents int) int {
 	n := 0
-	for len(q.heap) > 0 {
+	for len(q.events) > 0 {
 		if maxEvents > 0 && n >= maxEvents {
 			break
 		}
-		e := heap.Pop(&q.heap).(*event)
+		e := q.pop()
 		if e.at > q.clock.Now() {
 			q.clock.AdvanceTo(e.at)
 		}
@@ -121,8 +149,8 @@ func (q *EventQueue) RunUntilIdle(maxEvents int) int {
 // strictly after t remain queued and the clock is left at t.
 func (q *EventQueue) RunUntil(t Cycles) int {
 	n := 0
-	for len(q.heap) > 0 && q.heap[0].at <= t {
-		e := heap.Pop(&q.heap).(*event)
+	for len(q.events) > 0 && q.events[0].at <= t {
+		e := q.pop()
 		if e.at > q.clock.Now() {
 			q.clock.AdvanceTo(e.at)
 		}

@@ -37,6 +37,72 @@ func TestNICRxPath(t *testing.T) {
 	}
 }
 
+// TestReapedCompletionsSurviveNewArrivals: a reaped slice stays intact
+// while the device completes more work; only the next reap reuses it.
+func TestReapedCompletionsSurviveNewArrivals(t *testing.T) {
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
+	drv := m.Rec.Intern("drv")
+	for i := 0; i < 4; i++ {
+		f, _ := m.Mem.Alloc(drv)
+		nic.PostRxBuffer(f)
+	}
+	nic.Inject([]byte("a"))
+	nic.Inject([]byte("bb"))
+	first := nic.ReapRx()
+	nic.Inject([]byte("ccc"))
+	if len(first) != 2 || first[0].Len != 1 || first[1].Len != 2 {
+		t.Fatalf("reaped completions changed under a new arrival: %+v", first)
+	}
+	if second := nic.ReapRx(); len(second) != 1 || second[0].Len != 3 {
+		t.Fatalf("second reap %+v, want one 3-byte completion", second)
+	}
+
+	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 10})
+	f, _ := m.Mem.Alloc(drv)
+	d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: f, Tag: 1})
+	m.Events.RunUntilIdle(0)
+	done := d.Reap()
+	d.Submit(DiskReq{Op: DiskRead, Block: 2, Frame: f, Tag: 2})
+	m.Events.RunUntilIdle(0)
+	if len(done) != 1 || done[0].Req.Tag != 1 {
+		t.Fatalf("reaped disk completions changed under a new one: %+v", done)
+	}
+	if next := d.Reap(); len(next) != 1 || next[0].Req.Tag != 2 {
+		t.Fatalf("second disk reap %+v, want tag 2", next)
+	}
+}
+
+// TestNICSteadyStateAllocatesNothing: the NIC keeps its completion buffers
+// between reaps, so receiving into recycled buffers allocates nothing.
+func TestNICSteadyStateAllocatesNothing(t *testing.T) {
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
+	drv := m.Rec.Intern("drv")
+	for i := 0; i < 4; i++ {
+		f, _ := m.Mem.Alloc(drv)
+		nic.PostRxBuffer(f)
+	}
+	pkt := make([]byte, 1500)
+	received := 0
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			nic.Inject(pkt)
+		}
+		for _, c := range nic.ReapRx() {
+			received++
+			nic.PostRxBuffer(c.Frame)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Inject + ReapRx allocates %.1f times per 4 packets", n)
+	}
+	if received != 4*102 {
+		t.Fatalf("received %d packets, want %d", received, 4*102)
+	}
+}
+
 func TestNICDropWithoutBuffers(t *testing.T) {
 	m := devMachine(t)
 	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})

@@ -57,7 +57,8 @@ type Disk struct {
 	latency   hw.Cycles
 	blocks    uint64
 	store     map[uint64][]byte
-	completed []DiskCompletion
+	completed []DiskCompletion // filled by finished requests
+	reaped    []DiskCompletion // returned by the last Reap; the next fill buffer
 	inFlight  int
 	served    uint64
 }
@@ -115,10 +116,12 @@ func (d *Disk) Submit(req DiskReq) {
 	})
 }
 
-// Reap returns and clears completed requests.
+// Reap returns and clears completed requests. The returned slice is valid
+// until the next Reap, which refills it: the device keeps two completion
+// buffers and swaps them on each reap.
 func (d *Disk) Reap() []DiskCompletion {
 	out := d.completed
-	d.completed = nil
+	d.completed, d.reaped = d.reaped[:0], out
 	return out
 }
 

@@ -34,7 +34,8 @@ type NIC struct {
 	rxHead    int // next buffer to fill
 	rxTail    int // next buffer for the driver to reap
 	rxCount   int
-	completed []RxCompletion
+	completed []RxCompletion // filled by Inject
+	reaped    []RxCompletion // returned by the last ReapRx; the next fill buffer
 
 	txInFlight int
 	txDone     uint64
@@ -159,10 +160,12 @@ func (n *NIC) InjectAt(at hw.Cycles, data []byte) {
 	n.m.Events.Schedule(at, "nic.rx", func() { n.Inject(data) })
 }
 
-// ReapRx returns and clears the completed receive descriptors.
+// ReapRx returns and clears the completed receive descriptors. The
+// returned slice is valid until the next ReapRx, which refills it: the
+// device keeps two completion buffers and swaps them on each reap.
 func (n *NIC) ReapRx() []RxCompletion {
 	out := n.completed
-	n.completed = nil
+	n.completed, n.reaped = n.reaped[:0], out
 	return out
 }
 

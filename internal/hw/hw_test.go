@@ -119,6 +119,72 @@ func TestEventQueueRunUntil(t *testing.T) {
 	}
 }
 
+// TestQuickEventQueueOrder: events, including ones scheduled by firing
+// events, fire in (due time, scheduling order) order.
+func TestQuickEventQueueOrder(t *testing.T) {
+	type key struct {
+		at  Cycles
+		seq int
+	}
+	f := func(delays []uint8, spawn []bool) bool {
+		clock := &Clock{}
+		q := NewEventQueue(clock)
+		var fired []key
+		seq := 0
+		var sched func(d uint8)
+		sched = func(d uint8) {
+			k := key{at: clock.Now() + Cycles(d%16), seq: seq}
+			seq++
+			q.ScheduleAfter(Cycles(d%16), "e", func() {
+				fired = append(fired, k)
+				if k.seq < len(spawn) && spawn[k.seq] {
+					sched(d / 2)
+				}
+			})
+		}
+		for _, d := range delays {
+			sched(d)
+		}
+		q.RunUntilIdle(0)
+		if len(fired) != seq || q.Pending() != 0 {
+			return false
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventQueueAllocatesNothing: the queue stores events by value, so
+// scheduling a prebuilt func and firing it allocates nothing once the
+// heap has grown.
+func TestEventQueueAllocatesNothing(t *testing.T) {
+	clock := &Clock{}
+	q := NewEventQueue(clock)
+	fired := 0
+	fn := func() { fired++ }
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			q.Schedule(clock.Now()+Cycles(8-i), "tick", fn)
+		}
+		q.RunUntilIdle(0)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Schedule + RunUntilIdle allocates %.1f times per 8 events", n)
+	}
+	if fired != 8*102 {
+		t.Fatalf("fired %d events, want %d", fired, 8*102)
+	}
+}
+
 func TestPhysMemAllocFree(t *testing.T) {
 	m := NewPhysMem(4, 4096)
 	a := trace.NewRegistry().Intern("a")

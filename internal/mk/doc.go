@@ -21,6 +21,19 @@
 // while preserving exactly what they do depend on: who crosses which
 // protection boundary, how often, and at what cost.
 //
+// Message lifetime: IPC copies a message into kernel-owned message
+// registers, as L4 copies into the receiver's UTCB, instead of allocating a
+// fresh one. A handler's message — from Call, from Send to a thread with a
+// handler, or synthesised for an interrupt, page fault or exception — lives
+// in the request registers of its call level and is valid until the
+// handler returns. A Call's reply lives in the calling thread's reply
+// registers and is valid until that thread's next IPC. Requests are per
+// level because a thread's handler can be active at several levels at once
+// (two servers calling each other); replies are per thread because a
+// client may hold its reply while another thread's call at the same level
+// completes. A receiver that keeps bytes copies them, as an L4 server
+// does; an envelope queued in an inbox is an owning copy.
+//
 // Multiprocessor model: threads have a home CPU (Thread.Affinity, set by
 // SetAffinity) and each CPU schedules from its own run queue (ScheduleOn),
 // stealing work from other CPUs — a charged migration — when its queue

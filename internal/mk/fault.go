@@ -64,12 +64,8 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 	k.M.CPU.SwitchSpace(k.comp, pager.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 
-	k.callDepth++
-	reply, herr := pager.Handler(k, t.ID, Msg{
-		Label: LabelPageFault,
-		Words: []uint64{uint64(vpn), uint64(want)},
-	})
-	k.callDepth--
+	words := [2]uint64{uint64(vpn), uint64(want)}
+	reply, herr := k.deliver(pager.Handler, t.ID, Msg{Label: LabelPageFault, Words: words[:]})
 
 	k.M.CPU.Trap(k.comp, false)
 	if herr == nil && len(reply.Map) > 0 {
@@ -122,12 +118,8 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 	k.M.CPU.Charge(k.comp, trace.KIPCSend, 30)
 	k.M.CPU.SwitchSpace(k.comp, handler.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-	k.callDepth++
-	reply, herr := handler.Handler(k, tid, Msg{
-		Label: LabelException,
-		Words: []uint64{uint64(vector)},
-	})
-	k.callDepth--
+	words := [1]uint64{uint64(vector)}
+	reply, herr := k.deliver(handler.Handler, tid, Msg{Label: LabelException, Words: words[:]})
 	k.M.CPU.Trap(k.comp, false)
 	k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -154,17 +146,17 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		}
 		// Interrupt IPC: conceptually from the "hardware thread".
 		k.M.CPU.Charge(k.comp, trace.KIPCSend, 20)
+		words := [1]uint64{uint64(l)}
+		msg := Msg{Label: LabelIRQ, Words: words[:]}
 		if t.Handler != nil {
 			prev := k.M.CPU.PageTable()
 			k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
-			k.callDepth++
-			_, _ = t.Handler(k, NilThread, Msg{Label: LabelIRQ, Words: []uint64{uint64(l)}})
-			k.callDepth--
+			_, _ = k.deliver(t.Handler, NilThread, msg)
 			if prev != nil {
 				k.M.CPU.SwitchSpace(k.comp, prev)
 			}
 		} else {
-			t.Inbox = append(t.Inbox, Envelope{From: NilThread, Msg: Msg{Label: LabelIRQ, Words: []uint64{uint64(l)}}})
+			t.Inbox = append(t.Inbox, Envelope{From: NilThread, Msg: msg.clone()})
 		}
 		t.ipcIn++
 		k.ipcSends++

@@ -34,19 +34,56 @@ type MapItem struct {
 // part; register words are free beyond the base IPC cost).
 func (m Msg) Size() int { return len(m.Data) }
 
-// clone deep-copies the message so sender and receiver cannot alias.
+// clone deep-copies the message into fresh memory, for an envelope that
+// outlives the send.
 func (m Msg) clone() Msg {
+	var r msgRegs
+	return r.load(m)
+}
+
+// msgRegs is one set of message registers: kernel-owned buffers a message
+// is copied into on delivery, as L4 copies into the receiver's UTCB, so
+// sender and receiver never alias and a warm transfer allocates nothing.
+type msgRegs struct {
+	words []uint64
+	data  []byte
+	items []MapItem
+}
+
+// load copies m into the registers and returns a view of the copy. The
+// view's slices are capped at their length, so a receiver that appends to
+// them reallocates instead of writing into register capacity.
+func (r *msgRegs) load(m Msg) Msg {
 	out := Msg{Label: m.Label}
-	if len(m.Words) > 0 {
-		out.Words = append([]uint64(nil), m.Words...)
+	if n := len(m.Words); n > 0 {
+		r.words = append(r.words[:0], m.Words...)
+		out.Words = r.words[:n:n]
 	}
-	if len(m.Data) > 0 {
-		out.Data = append([]byte(nil), m.Data...)
+	if n := len(m.Data); n > 0 {
+		r.data = append(r.data[:0], m.Data...)
+		out.Data = r.data[:n:n]
 	}
-	if len(m.Map) > 0 {
-		out.Map = append([]MapItem(nil), m.Map...)
+	if n := len(m.Map); n > 0 {
+		r.items = append(r.items[:0], m.Map...)
+		out.Map = r.items[:n:n]
 	}
 	return out
+}
+
+// deliver runs handler h on msg one call level deeper. msg is copied into
+// the request registers of the current level, so the handler's view is
+// valid until it returns. Deliveries at one level never overlap, because a
+// handler delivered at level L runs at depth L+1. The levels grow on first
+// use: interrupt, page-fault and exception deliveries have no depth check.
+func (k *Kernel) deliver(h Handler, from ThreadID, msg Msg) (Msg, error) {
+	for len(k.requests) <= k.callDepth {
+		k.requests = append(k.requests, msgRegs{})
+	}
+	req := k.requests[k.callDepth].load(msg)
+	k.callDepth++
+	reply, err := h(k, from, req)
+	k.callDepth--
+	return reply, err
 }
 
 // maxStringTransfer bounds one string item, mirroring L4's transfer limits.
@@ -142,6 +179,10 @@ func (k *Kernel) ipcPreamble(from, to ThreadID) (*Thread, *Thread, error) {
 // transfer the reply back. Cycle charges: kernel entry/exit, message
 // transfer, two address-space switches, and whatever the handler itself
 // charges. This is the microkernel's only extensibility primitive.
+//
+// The handler reads the message from the request registers of its call
+// level, valid until it returns. The reply is copied into the calling
+// thread's reply registers and is valid until that thread's next IPC.
 func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	src, dst, err := k.ipcPreamble(from, to)
 	if err != nil {
@@ -183,9 +224,7 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	dst.ipcIn++
 	k.ipcCalls++
 
-	k.callDepth++
-	reply, herr := dst.Handler(k, from, msg.clone())
-	k.callDepth--
+	reply, herr := k.deliver(dst.Handler, from, msg)
 
 	// Reply path: kernel entry from the server, transfer, switch back —
 	// and the return kick when the caller waits on another CPU.
@@ -209,13 +248,14 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	if herr != nil {
 		return Msg{}, herr
 	}
-	return reply.clone(), nil
+	return src.replies.load(reply), nil
 }
 
 // Send performs a one-way send. If the destination has a handler it is
-// delivered immediately (the handler's reply is discarded); otherwise it is
-// queued in the destination's inbox for its next activation. Either way the
-// sender does not wait for a reply.
+// delivered immediately through the request registers, as by Call (the
+// handler's reply is discarded); otherwise an owning copy is queued in the
+// destination's inbox for its next activation. Either way the sender does
+// not wait for a reply.
 func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 	src, dst, err := k.ipcPreamble(from, to)
 	if err != nil {
@@ -246,9 +286,7 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 		if k.callDepth >= maxCallDepth {
 			return ErrCallDepth
 		}
-		k.callDepth++
-		_, herr := dst.Handler(k, from, msg.clone())
-		k.callDepth--
+		_, herr := k.deliver(dst.Handler, from, msg)
 		// One-way: handler errors do not propagate to the sender, but a
 		// crash of the handler is a real event.
 		_ = herr

@@ -59,6 +59,7 @@ type Kernel struct {
 	rights *rightsTable
 
 	callDepth int
+	requests  []msgRegs // request registers, one set per call level (deliver)
 
 	// stats
 	ipcCalls    uint64
@@ -173,6 +174,11 @@ type Thread struct {
 
 	// Inbox holds one-way sends awaiting the thread's next activation.
 	Inbox []Envelope
+
+	// replies receives the reply of each Call the thread makes. Replies
+	// are per thread, not per call level: a caller may hold one reply
+	// while another thread's call at the same level completes.
+	replies msgRegs
 
 	ipcIn  uint64
 	ipcOut uint64

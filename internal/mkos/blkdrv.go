@@ -21,7 +21,7 @@ type BlkDriver struct {
 	inflight map[uint64]*blkPending
 
 	served   uint64
-	replyBuf []byte // reused read-reply staging page (kernel clones replies)
+	replyBuf []byte // reused read-reply staging page (the kernel copies replies)
 }
 
 type partition struct {
@@ -121,8 +121,8 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 		d.served++
 		if op == dev.DiskRead {
 			ps := k.M.Mem.PageSize()
-			// Reused scratch: the kernel clones the reply before the
-			// client sees it.
+			// Reused scratch: the kernel copies the reply into the
+			// client's registers.
 			if cap(d.replyBuf) < int(ps) {
 				d.replyBuf = make([]byte, ps)
 			}
@@ -152,7 +152,8 @@ func (d *BlkDriver) NewBlkClient(client mk.ThreadID, size uint64) *BlkClient {
 	return &BlkClient{drv: d, client: client}
 }
 
-// Read fetches one block via IPC to the driver.
+// Read fetches one block via IPC to the driver. The returned bytes are the
+// client thread's reply registers, valid until that thread's next IPC.
 func (c *BlkClient) Read(block uint64) ([]byte, error) {
 	reply, err := c.drv.K.Call(c.client, c.drv.Thread.ID, mk.Msg{Label: LabelBlkRead, Words: []uint64{block}})
 	if err != nil {

@@ -84,7 +84,8 @@ func kvMsg(label uint32, key string, value []byte) mk.Msg {
 	return mk.Msg{Label: label, Data: data}
 }
 
-// Get fetches a key on behalf of client thread from.
+// Get fetches a key on behalf of client thread from. The returned value is
+// the client thread's reply registers, valid until that thread's next IPC.
 func (s *KVServer) Get(from mk.ThreadID, key string) ([]byte, bool, error) {
 	reply, err := s.K.Call(from, s.Thread.ID, kvMsg(LabelKVGet, key, nil))
 	if err != nil {

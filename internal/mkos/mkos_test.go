@@ -99,6 +99,20 @@ func TestSyscallBadProcess(t *testing.T) {
 	}
 }
 
+// TestSyscallWithoutArgumentRefused: every call that reads an argument
+// refuses a request without one, and the server keeps serving.
+func TestSyscallWithoutArgumentRefused(t *testing.T) {
+	s := newMStack(t, RxGrant)
+	for _, no := range []uint32{SysWrite, SysNetSend, SysBlockRead, SysBlockWrite} {
+		if _, err := s.os.Syscall(s.proc.PID, no); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("syscall %d without an argument: err = %v, want ErrBadRequest", no, err)
+		}
+	}
+	if ret, err := s.os.Syscall(s.proc.PID, SysGetPID); err != nil || PID(ret[0]) != s.proc.PID {
+		t.Fatalf("getpid after refused calls = %v, %v", ret, err)
+	}
+}
+
 func TestConsoleWrite(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	for _, b := range []byte("ok") {

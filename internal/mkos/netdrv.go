@@ -160,9 +160,9 @@ func (d *NetDriver) rx(k *mk.Kernel) {
 			k.M.Mem.Free(c.Frame)
 			continue
 		}
-		// The kernel clones message bodies on delivery, so the frame's
-		// live bytes can ride in the descriptor directly — one copy per
-		// packet (the clone), not two.
+		// The kernel copies message bodies into its registers on
+		// delivery, so the frame's live bytes can ride in the descriptor
+		// directly — one copy per packet (the kernel's), not two.
 		payload := k.M.Mem.Bytes(c.Frame)[:c.Len]
 		switch d.Mode {
 		case RxGrant:

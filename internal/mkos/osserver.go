@@ -74,10 +74,11 @@ type OSServer struct {
 	Blk BlockService
 
 	console    []byte
-	rxQueue    [][]byte
-	argScratch []uint64 // reused Syscall word buffer (see Syscall)
-	zeroTx     []byte   // reused all-zero TX payload (see SysNetSend)
-	homeCPU    int      // CPU the server and its processes are pinned to (Pin)
+	rxQueue    []int     // lengths of undelivered packets, in arrival order
+	argScratch []uint64  // reused Syscall word buffer (see Syscall)
+	replyWord  [1]uint64 // reused one-word syscall reply (see errno)
+	zeroTx     []byte    // reused all-zero TX payload (see SysNetSend)
+	homeCPU    int       // CPU the server and its processes are pinned to (Pin)
 
 	pagerWindow hw.VPN // next free window page for fault service
 }
@@ -152,8 +153,9 @@ func (os *OSServer) Pin(cpu int) error {
 }
 
 // zeroBuf returns a reusable all-zero buffer of length n. Synthetic
-// workloads transmit blank payloads; the IPC layer clones the message
-// before anyone could mutate it, so one grow-only buffer serves all sends.
+// workloads transmit blank payloads; IPC copies the message into the
+// kernel's registers before anyone could mutate it, so one grow-only buffer
+// serves all sends.
 func (os *OSServer) zeroBuf(n int) []byte {
 	if cap(os.zeroTx) < n {
 		os.zeroTx = make([]byte, n)
@@ -166,14 +168,16 @@ func (os *OSServer) Proc(pid PID) *Proc { return os.procs[pid] }
 
 // Syscall issues a system call from process pid: one IPC call to the OS
 // server — the L4Linux structure the paper's §3.2 equates with Xen's
-// bounced syscalls.
+// bounced syscalls. The returned words are the process thread's reply
+// registers, valid until that thread's next IPC.
 func (os *OSServer) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
 	p := os.procs[pid]
 	if p == nil {
 		return nil, ErrNoSuchProcess
 	}
-	// Reused scratch: Call clones the message before the handler sees it
-	// and never retains the original, so one buffer serves every syscall.
+	// Reused scratch: Call copies the message into the kernel's registers
+	// before the handler sees it and never retains the original, so one
+	// buffer serves every syscall.
 	words := append(os.argScratch[:0], uint64(no))
 	words = append(words, args...)
 	os.argScratch = words
@@ -195,10 +199,10 @@ func (os *OSServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 	case LabelNetRxDeliver:
 		// One packet from the driver; payload already in msg.Data
 		// (string transfer) or granted via map items + Words[0]=len.
+		// No process reads the bytes, so the queue keeps the length alone
+		// (the message is the kernel's until this handler returns).
 		k.M.CPU.Work(comp, 250)
-		// The kernel delivered a private clone of the message; its Data is
-		// ours to keep without another copy.
-		os.rxQueue = append(os.rxQueue, msg.Data)
+		os.rxQueue = append(os.rxQueue, len(msg.Data))
 		return mk.Msg{}, nil
 	case LabelSyscall:
 		return os.handleSyscall(k, from, msg)
@@ -229,7 +233,12 @@ func (os *OSServer) handleFault(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.
 	}, nil
 }
 
-func errno(v uint64) mk.Msg { return mk.Msg{Words: []uint64{v}} }
+// errno builds a one-word syscall reply in a reused word: the kernel copies
+// every reply into the caller's registers before the server runs again.
+func (os *OSServer) errno(v uint64) mk.Msg {
+	os.replyWord[0] = v
+	return mk.Msg{Words: os.replyWord[:]}
+}
 
 // syscallWork is the modelled in-server work of one system call.
 const syscallWork hw.Cycles = 150
@@ -243,58 +252,61 @@ func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (m
 	}
 	no := uint32(msg.Words[0])
 	args := msg.Words[1:]
+	switch no {
+	case SysWrite, SysNetSend, SysBlockRead, SysBlockWrite: // read args[0]
+		if len(args) < 1 {
+			return mk.Msg{}, ErrBadRequest
+		}
+	}
 	p := os.byTID[from]
 	switch no {
 	case SysGetPID:
 		if p == nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
-		return errno(uint64(p.PID)), nil
+		return os.errno(uint64(p.PID)), nil
 	case SysWrite:
-		if len(args) < 1 {
-			return mk.Msg{}, ErrBadRequest
-		}
 		os.console = append(os.console, byte(args[0]))
-		return errno(1), nil
+		return os.errno(1), nil
 	case SysYield:
 		return mk.Msg{}, nil
 	case SysNetSend:
 		if os.Net == nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
 		n := int(args[0])
 		if err := os.Net.Send(os.zeroBuf(n)); err != nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
-		return errno(uint64(n)), nil
+		return os.errno(uint64(n)), nil
 	case SysNetRecv:
 		if len(os.rxQueue) == 0 {
-			return errno(0), nil
+			return os.errno(0), nil
 		}
-		pkt := os.rxQueue[0]
+		n := os.rxQueue[0]
 		os.rxQueue = os.rxQueue[1:]
 		if p != nil {
 			p.rxDelivered++
 		}
-		return errno(uint64(len(pkt))), nil
+		return os.errno(uint64(n)), nil
 	case SysBlockRead:
 		if os.Blk == nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
 		if _, err := os.Blk.Read(args[0]); err != nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
-		return errno(0), nil
+		return os.errno(0), nil
 	case SysBlockWrite:
 		if os.Blk == nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
 		if err := os.Blk.Write(args[0], []byte("block-data")); err != nil {
-			return errno(^uint64(0)), nil
+			return os.errno(^uint64(0)), nil
 		}
-		return errno(0), nil
+		return os.errno(0), nil
 	}
-	return errno(^uint64(0)), nil // ENOSYS
+	return os.errno(^uint64(0)), nil // ENOSYS
 }
 
 // MountFS formats and mounts an fslite filesystem over the server's block
@@ -312,9 +324,3 @@ func (os *OSServer) Console() []byte { return os.console }
 
 // PendingRx returns the number of queued received packets.
 func (os *OSServer) PendingRx() int { return len(os.rxQueue) }
-
-// DeliverPacket is the driver-facing entry: it is invoked via IPC (the
-// driver calls k.Send to our thread), but exposed for tests.
-func (os *OSServer) DeliverPacket(payload []byte) {
-	os.rxQueue = append(os.rxQueue, append([]byte(nil), payload...))
-}

@@ -23,7 +23,7 @@ type StoreServer struct {
 	blk    BlockService // write-through persistence; may be nil
 
 	requests uint64
-	replyBuf []byte // reused read-reply staging page (kernel clones replies)
+	replyBuf []byte // reused read-reply staging page (the kernel copies replies)
 }
 
 // ErrNoVDisk is returned for requests from unattached clients.
@@ -102,9 +102,9 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 				return mk.Msg{}, err
 			}
 		}
-		// Reply via a reused scratch page: the kernel clones the reply
-		// before the client sees it, so the buffer is free again as soon
-		// as Call returns.
+		// Reply via a reused scratch page: the kernel copies the reply
+		// into the client's registers, so the buffer is free again as
+		// soon as Call returns.
 		if cap(s.replyBuf) < int(k.M.Mem.PageSize()) {
 			s.replyBuf = make([]byte, k.M.Mem.PageSize())
 		}
@@ -120,9 +120,15 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		s.requests++
 		k.M.CPU.Work(comp, 500)
 		block := msg.Words[0]
-		// The kernel delivered a private clone of the message; its Data
-		// is ours to keep as the cached block without another copy.
+		// The message is the kernel's once we return, so the block is
+		// copied into its own cached buffer, reused on overwrite. A
+		// snapshot's blocks have left the live map and are never reused.
+		// An empty write caches nil, so its reads fall through to the
+		// persistent copy.
 		data := msg.Data
+		if len(data) > 0 {
+			data = append(vd.blocks[block][:0], data...)
+		}
 		vd.blocks[block] = data
 		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(data))))
 		if s.blk != nil {
@@ -177,7 +183,8 @@ type StoreClient struct {
 	client mk.ThreadID
 }
 
-// Read fetches a virtual block via IPC.
+// Read fetches a virtual block via IPC. The returned bytes are the client
+// thread's reply registers, valid until that thread's next IPC.
 func (c *StoreClient) Read(block uint64) ([]byte, error) {
 	reply, err := c.store.K.Call(c.client, c.store.Thread.ID, mk.Msg{Label: LabelStoreRead, Words: []uint64{block}})
 	if err != nil {

@@ -148,6 +148,12 @@ func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 		pid = PID(args[0])
 	}
 	switch no {
+	case SysWrite, SysNetSend, SysBlockRead, SysBlockWrite: // read args[1]
+		if len(args) < 2 {
+			return []uint64{^uint64(0)}
+		}
+	}
+	switch no {
 	case SysGetPID:
 		return []uint64{uint64(pid)}
 	case SysWrite:

@@ -88,6 +88,22 @@ func TestSyscallBadProcess(t *testing.T) {
 	}
 }
 
+// TestSyscallWithoutArgumentRefused: every call that reads an argument
+// returns the error marker for a request without one, and the guest kernel
+// keeps serving.
+func TestSyscallWithoutArgumentRefused(t *testing.T) {
+	s := newStack(t, RxFlip)
+	for _, no := range []uint32{SysWrite, SysNetSend, SysBlockRead, SysBlockWrite} {
+		ret, err := s.guest.Syscall(s.proc.PID, no)
+		if err != nil || len(ret) != 1 || ret[0] != ^uint64(0) {
+			t.Errorf("syscall %d without an argument = %v, %v; want [%d]", no, ret, err, ^uint64(0))
+		}
+	}
+	if ret, err := s.guest.Syscall(s.proc.PID, SysGetPID); err != nil || PID(ret[0]) != s.proc.PID {
+		t.Fatalf("getpid after refused calls = %v, %v", ret, err)
+	}
+}
+
 func TestConsoleWrite(t *testing.T) {
 	s := newStack(t, RxFlip)
 	for _, b := range []byte("hi") {
