@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
@@ -144,7 +146,7 @@ type Cluster struct {
 	guests []*Guest // cluster-wide, in placement order
 	byName map[string]*Guest
 	seq    int // next churn guest number; names are unique per cluster
-	log    []string
+	log    []logRecord
 	stats  Stats
 	cand   []*Host // candidates' reusable result
 }
@@ -187,9 +189,6 @@ func (c *Cluster) Close() {
 	c.hosts = nil
 }
 
-// Config returns the normalized configuration the cluster booted with.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Hosts returns the fleet in index order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
 
@@ -204,11 +203,90 @@ func (c *Cluster) Guest(name string) (*Guest, bool) {
 }
 
 // Log returns the placement decision log: one line per control-plane
-// action, in order. Two runs with the same (seed, policy, fleet) produce
-// identical logs — the reproducibility property the tests pin.
-func (c *Cluster) Log() []string { return append([]string(nil), c.log...) }
+// action of the cluster's lifetime, in order. Two runs with the same
+// (seed, policy, fleet) produce identical logs — the reproducibility
+// property the tests pin. The cluster keeps typed records and renders them
+// here, on demand: deciding costs a record append, and a run that never
+// reads its log (E13's churn) never formats a line. Each line is rendered
+// into one reused buffer and copied into a builder whose text the lines
+// share, so a call allocates a few objects, not one per line.
+func (c *Cluster) Log() []string {
+	var text strings.Builder
+	text.Grow(32 * len(c.log))
+	var line []byte
+	out := make([]string, len(c.log))
+	for i := range c.log {
+		line = c.log[i].appendTo(line[:0])
+		start := text.Len()
+		text.Write(line)
+		out[i] = text.String()[start:]
+	}
+	return out
+}
 
-// logf appends one decision to the placement log.
-func (c *Cluster) logf(format string, args ...any) {
-	c.log = append(c.log, fmt.Sprintf(format, args...))
+// logKind is what a placement-log record says happened.
+type logKind uint8
+
+// The record kinds, each with the line it renders to.
+const (
+	logPlace       logKind = iota // place <guest>(<pages>p) -> host<src>
+	logReject                     // reject <guest>(<pages>p)
+	logRemove                     // remove <guest> <- host<src>
+	logMigrate                    // migrate <guest> host<src>->host<dst>
+	logAbort                      // abort <guest> host<src>->host<dst>
+	logConsolidate                // consolidate host<src> stopped at <guest>
+	logLevel                      // level host<src>->host<dst> blocked at <guest>
+)
+
+// logRecord is one placement decision. guest is the name the caller
+// already holds, so a record allocates nothing of its own.
+type logRecord struct {
+	guest    string
+	pages    int
+	src, dst int
+	kind     logKind
+}
+
+// note appends one decision to the placement log.
+func (c *Cluster) note(kind logKind, guest string, pages, src, dst int) {
+	c.log = append(c.log, logRecord{guest: guest, pages: pages, src: src, dst: dst, kind: kind})
+}
+
+// appendTo renders the record's line onto b.
+func (r *logRecord) appendTo(b []byte) []byte {
+	switch r.kind {
+	case logPlace:
+		b = append(append(b, "place "...), r.guest...)
+		b = append(appendPages(b, r.pages), " -> "...)
+		return appendHost(b, r.src)
+	case logReject:
+		return appendPages(append(append(b, "reject "...), r.guest...), r.pages)
+	case logRemove:
+		b = append(append(b, "remove "...), r.guest...)
+		return appendHost(append(b, " <- "...), r.src)
+	case logMigrate, logAbort:
+		verb := "migrate "
+		if r.kind == logAbort {
+			verb = "abort "
+		}
+		b = append(append(append(b, verb...), r.guest...), ' ')
+		return appendHost(append(appendHost(b, r.src), "->"...), r.dst)
+	case logConsolidate:
+		b = appendHost(append(b, "consolidate "...), r.src)
+		return append(append(b, " stopped at "...), r.guest...)
+	default: // logLevel
+		b = appendHost(append(b, "level "...), r.src)
+		b = appendHost(append(b, "->"...), r.dst)
+		return append(append(b, " blocked at "...), r.guest...)
+	}
+}
+
+// appendHost renders "host<i>".
+func appendHost(b []byte, i int) []byte {
+	return strconv.AppendInt(append(b, "host"...), int64(i), 10)
+}
+
+// appendPages renders "(<n>p)".
+func appendPages(b []byte, n int) []byte {
+	return append(strconv.AppendInt(append(b, '('), int64(n), 10), "p)"...)
 }

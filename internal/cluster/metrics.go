@@ -53,17 +53,6 @@ func (s Stats) SLOViolations(slo hw.Cycles) int {
 	return n
 }
 
-// HostsInUse returns how many hosts currently run at least one guest.
-func (c *Cluster) HostsInUse() int {
-	n := 0
-	for _, h := range c.hosts {
-		if len(h.guests) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // CommittedPages returns the fleet-wide sum of placed guests' nominal
 // sizes.
 func (c *Cluster) CommittedPages() int {

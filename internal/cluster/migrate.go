@@ -63,7 +63,7 @@ func (c *Cluster) migrate(g *Guest, dst *Host, guestWork func(round int)) (*vmm.
 		// source resumed); hand any frames the squeeze freed on the
 		// destination back to its guests and report the abort.
 		c.stats.Aborted++
-		c.logf("abort %s host%d->host%d", g.Name, src.index, dst.index)
+		c.note(logAbort, g.Name, 0, src.index, dst.index)
 		if rerr := c.reflate(dst); rerr != nil {
 			return nil, rerr
 		}
@@ -84,7 +84,7 @@ func (c *Cluster) migrate(g *Guest, dst *Host, guestWork func(round int)) (*vmm.
 	}
 	c.stats.Migrations++
 	c.stats.Downtimes = append(c.stats.Downtimes, stats.Downtime)
-	c.logf("migrate %s host%d->host%d", g.Name, src.index, dst.index)
+	c.note(logMigrate, g.Name, 0, src.index, dst.index)
 	if err := c.reflate(src); err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (c *Cluster) consolidate(work workFactory) (int, error) {
 			if errors.Is(err, ErrNoHostFits) {
 				// The plan was admission-feasible but physical frames ran
 				// out (residency floors); stop consolidating this round.
-				c.logf("consolidate host%d stopped at %s", src.index, g.Name)
+				c.note(logConsolidate, g.Name, 0, src.index, 0)
 				return moved, nil
 			}
 			return moved, err
@@ -235,7 +235,7 @@ func (c *Cluster) level(work workFactory) (int, error) {
 	}
 	if _, err := c.migrate(pick, lo, hook); err != nil {
 		if errors.Is(err, ErrNoHostFits) {
-			c.logf("level host%d->host%d blocked at %s", hi.index, lo.index, pick.Name)
+			c.note(logLevel, pick.Name, 0, hi.index, lo.index)
 			return 0, nil
 		}
 		return 0, err

@@ -42,11 +42,11 @@ func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
 		c.guests = append(c.guests, g)
 		c.byName[name] = g
 		c.stats.Placed++
-		c.logf("place %s(%dp) -> host%d", name, nominal, h.index)
+		c.note(logPlace, name, nominal, h.index, 0)
 		return g, nil
 	}
 	c.stats.Rejected++
-	c.logf("reject %s(%dp)", name, nominal)
+	c.note(logReject, name, nominal, 0, 0)
 	return nil, fmt.Errorf("%w: %q (%d pages)", ErrNoHostFits, name, nominal)
 }
 
@@ -63,7 +63,7 @@ func (c *Cluster) Remove(name string) error {
 	}
 	c.drop(g)
 	c.stats.Removed++
-	c.logf("remove %s <- host%d", name, h.index)
+	c.note(logRemove, name, 0, h.index, 0)
 	return c.reflate(h)
 }
 

@@ -20,7 +20,6 @@ type Cache struct {
 	footprint map[uint16]int // asid -> declared working set
 	resident  map[uint16]int // asid -> lines currently resident
 	order     []uint16       // eviction rotation
-	refills   uint64
 }
 
 // NewCache returns a cache with the given capacity in lines and per-line
@@ -98,7 +97,6 @@ func (c *Cache) Run(asid uint16) int {
 		}
 	}
 	c.resident[asid] = want
-	c.refills += uint64(missing)
 	return missing
 }
 
@@ -107,9 +105,6 @@ func (c *Cache) RefillCost(lines int) Cycles { return Cycles(lines) * c.refill }
 
 // Resident returns the lines currently resident for asid.
 func (c *Cache) Resident(asid uint16) int { return c.resident[asid] }
-
-// Refills returns cumulative refilled lines.
-func (c *Cache) Refills() uint64 { return c.refills }
 
 // AttachCache enables cache-footprint modelling on the CPU. Subsequent
 // SwitchSpace calls charge refill costs for the incoming space.

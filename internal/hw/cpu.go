@@ -95,11 +95,6 @@ type CPU struct {
 	shootComp trace.Comp
 }
 
-// NewCPU wires the boot CPU (index 0) to its substrate.
-func NewCPU(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder) *CPU {
-	return NewCPUOn(arch, clock, mem, rec, 0)
-}
-
 // NewCPUOn wires CPU number index to its substrate. All CPUs of a machine
 // share the clock, memory and recorder; the TLB is private per CPU.
 func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index int) *CPU {
@@ -141,9 +136,6 @@ func (c *CPU) SetRing(p Priv) { c.ring = p }
 // PageTable returns the active address-space root (nil before the first
 // SwitchSpace).
 func (c *CPU) PageTable() *PageTable { return c.pt }
-
-// Seg returns the current value of a segment register.
-func (c *CPU) Seg(r SegReg) Segment { return c.segs[r] }
 
 // Charge advances the clock by cost, attributes it to component and counts
 // kind. It is the single point through which all accounted events flow.

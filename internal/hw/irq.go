@@ -53,9 +53,6 @@ func NewIRQController(cpus []*CPU, n int) *IRQController {
 	}
 }
 
-// Lines returns the number of interrupt lines.
-func (ic *IRQController) Lines() int { return ic.lines }
-
 // SetHandler installs the kernel's handler for a line.
 func (ic *IRQController) SetHandler(line IRQLine, h Handler) {
 	ic.check(line)

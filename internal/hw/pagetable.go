@@ -64,11 +64,12 @@ type densePTE struct {
 // lives in a flat array — constant-time, allocation-free, hash-free. The
 // occasional high mapping (pager and grant windows at 0x1000+) overflows
 // into a map. Map/Lookup dispatch on the VPN alone, so the split is
-// invisible to callers. A sized table allocates its whole span up front;
-// a NewPageTable table grows its array only as Map reaches into the span,
-// so a space that maps a handful of pages costs a handful of entries. A
-// VPN below the span never enters the map, so a VPN past the array's
-// current end is simply unmapped.
+// invisible to callers. A sized table allocates the entries its caller
+// said it would map up front; a NewPageTable table starts empty. Either
+// grows its array only as Map reaches past it into the span, so a space
+// that maps a handful of pages costs a handful of entries. A VPN below the
+// span never enters the map, so a VPN past the array's current end is
+// simply unmapped.
 type PageTable struct {
 	dense  []densePTE  // VPNs in [0, len(dense)); Map grows it up to span
 	sparse map[VPN]PTE // VPNs >= span; allocated on first use
@@ -107,19 +108,21 @@ func NewPageTable(asid uint16) *PageTable {
 }
 
 // NewPageTableSized is NewPageTable with a capacity hint for callers that
-// know how many pages they are about to map. It allocates the whole dense
-// region at once, because a domain build maps one entry per frame and
-// growing the tables incrementally showed up in profiles.
+// know how many pages they are about to map: a domain build maps one entry
+// per frame. It allocates hint dense entries at once, because growing them
+// incrementally showed up in profiles, but spans hint+64 VPNs: a Map into
+// the 64 beyond the hint grows the array as an unsized table's grows, so
+// the slack costs nothing until used. A hint <= 0 gives NewPageTable.
 func NewPageTableSized(asid uint16, hint int) *PageTable {
-	size := denseDefault
-	if hint > 0 {
-		size = hint + 64
+	if hint <= 0 {
+		return NewPageTable(asid)
 	}
-	return &PageTable{dense: make([]densePTE, size), span: size, asid: asid}
+	return &PageTable{dense: make([]densePTE, hint), span: hint + 64, asid: asid}
 }
 
 // growDense grows the dense array to cover vpn, which lies below the span:
-// from denseStep entries, doubling, capped at the span.
+// from its current length (at least denseStep entries), doubling, capped at
+// the span.
 func (pt *PageTable) growDense(vpn VPN) {
 	n := max(len(pt.dense), denseStep)
 	for VPN(n) <= vpn {

@@ -58,6 +58,43 @@ func TestPageTableUnmapFramesKeepsIndex(t *testing.T) {
 	}
 }
 
+// TestSizedPageTableGrowsIntoItsSlack: a sized table allocates the hint's
+// entries and nothing more. Its span reaches 64 VPNs past the hint, and
+// the dense array grows into that slack only when Map reaches past the
+// hint; VPNs at or past the span still go to the sparse map.
+func TestSizedPageTableGrowsIntoItsSlack(t *testing.T) {
+	const hint = 40
+	pt := NewPageTableSized(1, hint)
+	for v := range VPN(hint) {
+		pt.Map(v, PTE{Frame: FrameID(v), Perms: PermRW})
+	}
+	if len(pt.dense) != hint || pt.span != hint+64 {
+		t.Fatalf("after mapping the hint: %d dense entries spanning %d VPNs, want %d spanning %d",
+			len(pt.dense), pt.span, hint, hint+64)
+	}
+	pt.Map(hint, PTE{Frame: 1, Perms: PermR})
+	if n := len(pt.dense); n <= hint || n > hint+64 {
+		t.Fatalf("a map at VPN %d left %d dense entries, want more than %d and at most %d", hint, n, hint, hint+64)
+	}
+	pt.Map(hint+63, PTE{Frame: 2, Perms: PermR})
+	if n := len(pt.dense); n != hint+64 {
+		t.Fatalf("a map at the span's last VPN left %d dense entries, want %d", n, hint+64)
+	}
+	pt.Map(hint+64, PTE{Frame: 3, Perms: PermR})
+	if len(pt.dense) != hint+64 || len(pt.sparse) != 1 {
+		t.Fatalf("a map at the span went to %d dense entries and %d sparse ones, want %d and 1",
+			len(pt.dense), len(pt.sparse), hint+64)
+	}
+	for _, v := range []VPN{0, hint - 1, hint, hint + 63, hint + 64} {
+		if _, ok := pt.Lookup(v); !ok {
+			t.Fatalf("VPN %d is not mapped", v)
+		}
+	}
+	if pt.Len() != hint+3 {
+		t.Fatalf("Len = %d, want %d", pt.Len(), hint+3)
+	}
+}
+
 // ptModel is the reference page table: a plain map.
 type ptModel map[VPN]PTE
 
@@ -76,9 +113,9 @@ func (m ptModel) unmapFrame(f FrameID) int {
 // over dense, boundary and sparse VPNs with aliased frames, before and
 // after the reverse index is built, and checks the whole table against a
 // plain-map model after every op. Each stream runs on two tables at once:
-// a sized one, whose dense region is VPNs 0..71, and a NewPageTable one,
-// whose dense array grows from 16 entries as Map reaches into its 256-VPN
-// span.
+// a sized one, whose dense array grows from its hint's 8 entries as Map
+// reaches into its 72-VPN span, and a NewPageTable one, whose dense array
+// grows from 16 entries as Map reaches into its 256-VPN span.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 2, 2, 3, 4, 1, 2, 3, 0, 9, 2, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 0x80, 2, 1, 5, 2, 0, 0, 0, 0x50, 2, 3, 4, 2, 5, 1})
@@ -88,11 +125,12 @@ func FuzzPageTable(f *testing.F) {
 		tables := []*PageTable{NewPageTableSized(asid, hint), NewPageTable(asid)}
 		models := []ptModel{{}, {}}
 		indexed := false
-		// VPNs below 0x80 cover the sized table's dense region, its edge
-		// and the sparse map just past it, and the unsized table's growth
-		// steps. Bytes 0xa8..0xb7 give VPNs 248..263, astride the unsized
-		// table's span; no committed seed uses that window for a VPN, so
-		// they decode as before. The rest land far out in the sparse map.
+		// VPNs below 0x80 cover the sized table's hint, its growth into
+		// the span, the span's edge and the sparse map just past it, and
+		// the unsized table's growth steps. Bytes 0xa8..0xb7 give VPNs
+		// 248..263, astride the unsized table's span; no committed seed
+		// uses that window for a VPN, so they decode as before. The rest
+		// land far out in the sparse map.
 		vpn := func(b byte) VPN {
 			switch {
 			case b < 0x80:

@@ -37,9 +37,6 @@ func NewTLB(capacity int, tagged bool) *TLB {
 	}
 }
 
-// Tagged reports whether the TLB distinguishes address spaces.
-func (t *TLB) Tagged() bool { return t.tagged }
-
 // Capacity returns the entry capacity.
 func (t *TLB) Capacity() int { return t.capacity }
 

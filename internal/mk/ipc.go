@@ -30,10 +30,6 @@ type MapItem struct {
 	Grant  bool // grant removes the sender's own mapping (ownership moves)
 }
 
-// Size returns the message's memory-transfer size in bytes (the string
-// part; register words are free beyond the base IPC cost).
-func (m Msg) Size() int { return len(m.Data) }
-
 // clone deep-copies the message into fresh memory, for an envelope that
 // outlives the send.
 func (m Msg) clone() Msg {

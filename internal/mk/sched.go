@@ -148,9 +148,6 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 	return next
 }
 
-// Current returns the thread last chosen by Schedule on the boot CPU.
-func (k *Kernel) Current() *Thread { return k.CurrentOn(0) }
-
 // CurrentOn returns the thread currently installed on the given CPU.
 func (k *Kernel) CurrentOn(cpu int) *Thread { return k.sched.cpus[cpu].current }
 

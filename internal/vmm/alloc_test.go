@@ -1,0 +1,111 @@
+package vmm
+
+import (
+	"fmt"
+	"testing"
+
+	"vmmk/internal/hw"
+)
+
+// allocSizes are the guest sizes the allocation gates compare: a guest's
+// page count must not show in what one operation allocates.
+var allocSizes = []int{16, 64, 256}
+
+// sizedHost boots a hypervisor with room for a 256-page guest and its
+// migration shell.
+func sizedHost(t *testing.T) *Hypervisor {
+	t.Helper()
+	h, _, err := New(hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 640}), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestMigrateLiveAllocatesPerDomainNotPerPage: one live migration, with
+// the guest dirtying pages in every pre-copy round, allocates the same
+// number of objects whatever the guest's size. Its allocations are the
+// shell domain's and the round lists', not one per page.
+func TestMigrateLiveAllocatesPerDomainNotPerPage(t *testing.T) {
+	counts := make([]float64, len(allocSizes))
+	for k, pages := range allocSizes {
+		hs := [2]*Hypervisor{sizedHost(t), sizedHost(t)}
+		d, err := hs[0].CreateDomain("guest", pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every page holds bytes, so every frame either host hands the
+		// guest has a content buffer once it has held a page: the count
+		// sees the migration's own allocations, not first writes.
+		for gpn := 0; gpn < pages; gpn++ {
+			if err := hs[0].GuestMemWrite(d.ID, gpn, 0, []byte("page")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		var src *Hypervisor
+		opts := LiveOpts{MaxRounds: 3, GuestWork: func(round int) {
+			for gpn := 0; gpn < 4; gpn++ {
+				_ = src.GuestMemWrite(d.ID, gpn, 0, []byte{byte(round)})
+			}
+		}}
+		var migErr error
+		migrate := func() {
+			src = hs[i%2]
+			if d, _, err = MigrateLive(src, d.ID, hs[(i+1)%2], opts); err != nil {
+				migErr = err
+			}
+			i++
+		}
+		migrate() // both hosts have held the guest before the count starts
+		counts[k] = testing.AllocsPerRun(20, migrate)
+		if migErr != nil {
+			t.Fatal(migErr)
+		}
+		audit(t, hs[0], hs[1])
+	}
+	t.Logf("objects per migration for guests of %v pages: %v", allocSizes, counts)
+	for k := range counts {
+		if counts[k] != counts[0] {
+			t.Fatalf("one live migration allocates %v objects for guests of %v pages, want the same at every size",
+				counts, allocSizes)
+		}
+	}
+}
+
+// TestDirtyLogCycleAllocates pins what one enable/write/rearm/disable
+// cycle allocates at most: the log, its per-page state and the dirty list
+// Rearm returns, whatever the guest's size.
+func TestDirtyLogCycleAllocates(t *testing.T) {
+	const limit = 3
+	for _, pages := range allocSizes {
+		t.Run(fmt.Sprint(pages), func(t *testing.T) {
+			h := sizedHost(t)
+			d, err := h.CreateDomain("guest", pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cycleErr error
+			b := []byte{1}
+			n := testing.AllocsPerRun(20, func() {
+				dl, err := h.EnableDirtyLog(d.ID)
+				if err != nil {
+					cycleErr = err
+					return
+				}
+				if err := h.GuestMemWrite(d.ID, pages/2, 0, b); err != nil {
+					cycleErr = err
+				}
+				dl.Rearm()
+				h.DisableDirtyLog(d.ID)
+			})
+			if cycleErr != nil {
+				t.Fatal(cycleErr)
+			}
+			audit(t, h)
+			if n > limit {
+				t.Fatalf("a dirty-log cycle on a %d-page guest allocates %v objects, want at most %d", pages, n, limit)
+			}
+		})
+	}
+}

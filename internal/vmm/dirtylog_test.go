@@ -35,8 +35,13 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 	if n := writable(); n != 0 {
 		t.Fatalf("%d aliases still writable after arm", n)
 	}
-	if got := dl.protected(6); len(got) != 3 {
-		t.Fatalf("log recorded %v as protected, want all three aliases", got)
+	for _, vpn := range aliases {
+		if !dl.stripped(6, vpn) {
+			t.Fatalf("log has no record of protecting alias %#x, want all three aliases", vpn)
+		}
+	}
+	if n := dl.pages[6].nstripped; n != 3 {
+		t.Fatalf("log recorded %d protected mappings of gpn 6, want 3", n)
 	}
 	before := r.m.Rec.Cycles(HypervisorComponent)
 	faults0 := r.m.Rec.Counts(trace.KDirtyLogFault)
@@ -66,6 +71,43 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 	audit(t, r.h)
 	if n := writable(); n != 3 {
 		t.Fatalf("disable restored %d of 3 aliases", n)
+	}
+}
+
+// TestDirtyLogFaultChargesEachStrippedMapping: a write fault re-enables
+// every mapping the log write-protected, one PTE update each. A page with
+// three writable aliases costs exactly two PTE updates more than a page
+// with one, and a page with none still pays one.
+func TestDirtyLogFaultChargesEachStrippedMapping(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	for _, vpn := range []hw.VPN{0xB00, 0xB01} { // gpn 6: three writable aliases
+		if err := r.h.MMUUpdate(r.domU.ID, vpn, 6, hw.PermRW, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.h.MMUUnmap(r.domU.ID, 9); err != nil { // gpn 9: no mapping
+		t.Fatal(err)
+	}
+	if _, err := r.h.EnableDirtyLog(r.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The first fault also switches to the domain; the ones measured don't.
+	if err := r.h.GuestMemWrite(r.domU.ID, 7, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	cost := func(gpn int) uint64 {
+		t.Helper()
+		before := r.m.Rec.Cycles(HypervisorComponent)
+		if err := r.h.GuestMemWrite(r.domU.ID, gpn, 0, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		return r.m.Rec.Cycles(HypervisorComponent) - before
+	}
+	one, three, none := cost(8), cost(6), cost(9)
+	pte := uint64(r.m.Arch.Costs.PTEUpdate)
+	if three != one+2*pte || none != one {
+		t.Fatalf("faults cost %d (one mapping), %d (three), %d (none); want %d, %d, %d",
+			one, three, none, one, one+2*pte, one)
 	}
 }
 
@@ -247,4 +289,39 @@ func TestMigrateOntoRecycledFrames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDirtyLogForgetsPagesThatLeaveTheP2M: a page ballooned out while the
+// log is armed takes its mappings with it, so the log must forget which
+// ones it write-protected. Otherwise, once the slot is refilled and
+// written, the fault would grant PermW to whatever those VPNs map by then:
+// here a read-only alias of another page.
+func TestDirtyLogForgetsPagesThatLeaveTheP2M(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	if _, err := r.h.EnableDirtyLog(r.domU.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.h.BalloonOut(r.domU.ID, 1); err != nil || n != 1 { // gpn 63 leaves the P2M
+		t.Fatalf("BalloonOut = %d, %v", n, err)
+	}
+	if err := r.h.MMUUpdate(r.domU.ID, 63, 5, hw.PermR, true); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.h.BalloonIn(r.domU.ID, 1); err != nil || n != 1 { // refills gpn 63, armed
+		t.Fatalf("BalloonIn = %d, %v", n, err)
+	}
+	audit(t, r.h)
+	check := func(when string) {
+		t.Helper()
+		if e, ok := r.domU.PT.Lookup(63); !ok || e.Perms != hw.PermR {
+			t.Fatalf("%s: read-only alias at VPN 63 is %v (mapped %v), want %v", when, e.Perms, ok, hw.PermR)
+		}
+	}
+	if err := r.h.GuestMemWrite(r.domU.ID, 63, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	audit(t, r.h)
+	check("after the refilled page's fault")
+	r.h.DisableDirtyLog(r.domU.ID)
+	check("after disable")
 }

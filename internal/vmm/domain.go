@@ -30,10 +30,12 @@ type Domain struct {
 
 	Hooks GuestHooks
 
-	frames   []hw.FrameID // the P2M: guest page -> machine frame
-	holes    []int        // free P2M slots (frames[i] == NoFrame), reused on fill
-	resident int          // P2M slots holding a frame
-	grants   *grantTable
+	frames []hw.FrameID // the P2M: guest page -> machine frame
+	// holes lists free P2M slots (frames[i] == NoFrame), reused on fill.
+	// BalloonOut grows it once per batch before it punches.
+	holes    []int
+	resident int // P2M slots holding a frame
+	grants   grantTable
 	hyp      *Hypervisor
 
 	// fastPathOK tracks whether the trap-gate syscall shortcut is
@@ -107,6 +109,9 @@ func (d *Domain) punch(gpn int) {
 	d.frames[gpn] = hw.NoFrame
 	d.holes = append(d.holes, gpn)
 	d.resident--
+	if dl := d.dirtyLog; dl != nil {
+		dl.forget(gpn)
+	}
 }
 
 // OwnsFrame reports whether the machine frame currently belongs to d

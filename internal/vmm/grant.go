@@ -27,8 +27,6 @@ type grantTable struct {
 	entries []grantEntry
 }
 
-func newGrantTable() *grantTable { return &grantTable{} }
-
 func (g *grantTable) revokeAll() {
 	for i := range g.entries {
 		g.entries[i].revoked = true

@@ -134,12 +134,11 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 	// their slots.
 	h.domains = append(h.domains, nil)
 	d := &Domain{
-		ID:     id,
-		Name:   name,
-		PT:     hw.NewPageTableSized(uint16(id)+100, frames), // ASIDs disjoint from mk's
-		grants: newGrantTable(),
-		hyp:    h,
-		comp:   h.M.Rec.Intern("vmm." + name),
+		ID:   id,
+		Name: name,
+		PT:   hw.NewPageTableSized(uint16(id)+100, frames), // ASIDs disjoint from mk's
+		hyp:  h,
+		comp: h.M.Rec.Intern("vmm." + name),
 	}
 	mem, err := h.M.Mem.AllocN(d.comp, frames)
 	if err != nil {
@@ -218,9 +217,6 @@ func (h *Hypervisor) Domains() []*Domain {
 	}
 	return out
 }
-
-// Current returns the domain whose context is on the CPU (nil at boot).
-func (h *Hypervisor) Current() *Domain { return h.current }
 
 // switchTo installs dom's context: a world switch with full state
 // save/restore, address-space switch, and (on untagged TLBs) a flush. A

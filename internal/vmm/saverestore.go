@@ -377,7 +377,7 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	// Destination shell with the same pseudo-physical layout; it stays
 	// paused while pages stream in. Its page table is rebuilt in the
 	// blackout.
-	var all []int // gpns that exist at the source
+	all := make([]int, 0, d.resident) // gpns that exist at the source
 	exists := make([]bool, len(d.frames))
 	for gpn, f := range d.frames {
 		if f != hw.NoFrame {
@@ -487,11 +487,8 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 		perms := e.Perms
 		// Mappings still write-protected by the log regain PermW on the
 		// destination: the protection was the log's, not the guest's.
-		for _, v := range dl.protected(e.GPN) {
-			if v == e.VPN {
-				perms |= hw.PermW
-				break
-			}
+		if dl.stripped(e.GPN, e.VPN) {
+			perms |= hw.PermW
 		}
 		shell.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: perms, User: e.User})
 		rebuilt++

@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
@@ -102,19 +103,29 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 var ErrDirtyLogActive = errors.New("vmm: dirty log already enabled")
 
 // DirtyLog tracks which guest pages a domain wrote since the last (re)arm.
-// Its state is dense, indexed by guest page number: the slices grow with
-// the domain's P2M and are reused from round to round, so once the first
-// round has sized them a round allocates only the list Rearm returns.
+// Its state is one pointer-free slice indexed by guest page number, which
+// grows with the domain's P2M and is reused from round to round: once the
+// first round has sized it, a round allocates only the list Rearm returns.
+// Each page keeps the first mapping the log write-protected inline; a page
+// mapped writable at several VPNs keeps the others in a map allocated on
+// first use, the shape hw.PageTable's reverse index uses for aliases.
 type DirtyLog struct {
 	h *Hypervisor
 	d *Domain
 
-	armed  []bool     // gpn -> write-protected, next store faults
-	dirty  []bool     // gpn -> written since the last (re)arm
-	ndirty int        // how many dirty entries are set
-	wprot  [][]hw.VPN // gpn -> mappings whose PermW the log removed
+	pages  []dirtyPage      // gpn -> the log's state for that page
+	more   map[int][]hw.VPN // gpn -> stripped mappings after the first
+	ndirty int              // how many pages are dirty
 
 	faults uint64
+}
+
+// dirtyPage is the log's state for one guest page.
+type dirtyPage struct {
+	vpn       hw.VPN // the first mapping whose PermW the log removed
+	nstripped uint32 // how many mappings the log removed PermW from
+	armed     bool   // write-protected: the next store faults
+	dirty     bool   // written since the last (re)arm
 }
 
 // EnableDirtyLog arms write-fault-driven dirty-page tracking on a domain
@@ -143,28 +154,34 @@ func (h *Hypervisor) DisableDirtyLog(dom DomID) {
 		return
 	}
 	dl := d.dirtyLog
-	for gpn, armed := range dl.armed {
-		if armed {
+	for gpn := range dl.pages {
+		if dl.pages[gpn].armed {
 			dl.disarm(gpn)
 		}
 	}
 	d.dirtyLog = nil
 }
 
-// grow extends the per-gpn state to cover n guest pages.
+// grow extends the per-gpn state to cover n guest pages, in one
+// allocation whether or not the race detector instruments the build (it
+// splits an append of a make into two). Entries past the length are
+// always zero: the state never shrinks.
 func (dl *DirtyLog) grow(n int) {
-	if n <= len(dl.armed) {
+	if n <= len(dl.pages) {
 		return
 	}
-	dl.armed = append(dl.armed, make([]bool, n-len(dl.armed))...)
-	dl.dirty = append(dl.dirty, make([]bool, n-len(dl.dirty))...)
-	dl.wprot = append(dl.wprot, make([][]hw.VPN, n-len(dl.wprot))...)
+	if n > cap(dl.pages) {
+		p := make([]dirtyPage, len(dl.pages), max(n, 2*cap(dl.pages)))
+		copy(p, dl.pages)
+		dl.pages = p
+	}
+	dl.pages = dl.pages[:n]
 }
 
 // arm write-protects every owned page not already protected. Pages still
 // armed from a previous round are skipped — their write permissions are
-// already stripped, and their wprot record (which mappings to restore on
-// disarm) must survive untouched. One pass over the page table strips
+// already stripped, and their record of which mappings to restore on
+// disarm must survive untouched. One pass over the page table strips
 // PermW from the writable mappings of the pages this round protects,
 // resolving each mapped frame to its gpn through the monitor's M2P
 // (read-only mappings stay read-only when the log disarms), so a round
@@ -177,17 +194,17 @@ func (dl *DirtyLog) arm() {
 			return
 		}
 		g := d.gpnOf(e.Frame)
-		if g < 0 || dl.armed[g] {
+		if g < 0 || dl.pages[g].armed {
 			return
 		}
 		e.Perms &^= hw.PermW
 		d.PT.Map(vpn, e)
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
-		dl.wprot[g] = append(dl.wprot[g], vpn)
+		dl.strip(g, vpn)
 	})
 	for gpn, f := range d.frames {
 		if f != hw.NoFrame {
-			dl.armed[gpn] = true
+			dl.pages[gpn].armed = true
 		}
 	}
 	// Stale writable translations must go before protection is real — on
@@ -198,34 +215,73 @@ func (dl *DirtyLog) arm() {
 	h.shootdownAll(d)
 }
 
+// strip records that the log removed PermW from gpn's mapping at vpn.
+func (dl *DirtyLog) strip(gpn int, vpn hw.VPN) {
+	p := &dl.pages[gpn]
+	if p.nstripped == 0 {
+		p.vpn = vpn
+	} else {
+		if dl.more == nil {
+			dl.more = make(map[int][]hw.VPN)
+		}
+		dl.more[gpn] = append(dl.more[gpn], vpn)
+	}
+	p.nstripped++
+}
+
 // armNew protects a page BalloonIn just installed at gpn. It has no
 // mappings yet, so there is nothing to strip: the guest's first store to
 // it faults and is logged like any other armed page's.
 func (dl *DirtyLog) armNew(gpn int) {
 	dl.grow(gpn + 1)
-	dl.armed[gpn] = true
+	dl.pages[gpn].armed = true
 }
 
-// protected returns the mappings of gpn whose PermW the log removed.
-func (dl *DirtyLog) protected(gpn int) []hw.VPN {
-	if gpn < len(dl.wprot) {
-		return dl.wprot[gpn]
+// forget drops the log's record of gpn's protection when the page leaves
+// the P2M (balloon-out, release, a flip's donor side). Its mappings went
+// with its frame, so there is nothing left to restore: keeping the record
+// would hand PermW to whatever those VPNs map once the slot is refilled.
+func (dl *DirtyLog) forget(gpn int) {
+	if gpn >= len(dl.pages) {
+		return
 	}
-	return nil
+	p := &dl.pages[gpn]
+	if p.nstripped > 1 {
+		delete(dl.more, gpn)
+	}
+	p.nstripped, p.armed = 0, false
+}
+
+// stripped reports whether the log removed PermW from gpn's mapping at
+// vpn.
+func (dl *DirtyLog) stripped(gpn int, vpn hw.VPN) bool {
+	if gpn >= len(dl.pages) || dl.pages[gpn].nstripped == 0 {
+		return false
+	}
+	return dl.pages[gpn].vpn == vpn || slices.Contains(dl.more[gpn], vpn)
 }
 
 // disarm restores the write permissions the log removed from gpn's
 // mappings and takes the page off the armed set.
 func (dl *DirtyLog) disarm(gpn int) {
-	d := dl.d
-	for _, vpn := range dl.wprot[gpn] {
-		if e, ok := d.PT.Lookup(vpn); ok {
-			e.Perms |= hw.PermW
-			d.PT.Map(vpn, e)
+	p := dl.pages[gpn]
+	if p.nstripped > 0 {
+		dl.restore(p.vpn)
+	}
+	if p.nstripped > 1 {
+		for _, vpn := range dl.more[gpn] {
+			dl.restore(vpn)
 		}
 	}
-	dl.wprot[gpn] = dl.wprot[gpn][:0]
-	dl.armed[gpn] = false
+	dl.forget(gpn)
+}
+
+// restore gives the mapping at vpn its PermW back.
+func (dl *DirtyLog) restore(vpn hw.VPN) {
+	if e, ok := dl.d.PT.Lookup(vpn); ok {
+		e.Perms |= hw.PermW
+		dl.d.PT.Map(vpn, e)
+	}
 }
 
 // fault is the write-protect fault path: trap, decode, log, unprotect.
@@ -236,15 +292,13 @@ func (dl *DirtyLog) fault(gpn int) {
 	h.M.CPU.Trap(h.comp, false)
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	h.M.CPU.Work(h.comp, 120) // decode + log-dirty bookkeeping
-	if !dl.dirty[gpn] {
-		dl.dirty[gpn] = true
+	p := &dl.pages[gpn]
+	if !p.dirty {
+		p.dirty = true
 		dl.ndirty++
 	}
-	nvpns := len(dl.wprot[gpn])
+	nvpns := max(p.nstripped, 1)
 	dl.disarm(gpn) // later stores to this page are full speed until re-arm
-	if nvpns == 0 {
-		nvpns = 1
-	}
 	h.M.CPU.Charge(h.comp, trace.KDirtyLogFault,
 		hw.Cycles(nvpns)*h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.ReturnTo(h.comp, hw.Ring1)
@@ -253,8 +307,8 @@ func (dl *DirtyLog) fault(gpn int) {
 // Dirty returns the pages written since the last (re)arm, ascending.
 func (dl *DirtyLog) Dirty() []int {
 	out := make([]int, 0, dl.ndirty)
-	for gpn, dirty := range dl.dirty {
-		if dirty {
+	for gpn := range dl.pages {
+		if dl.pages[gpn].dirty {
 			out = append(out, gpn)
 		}
 	}
@@ -266,7 +320,9 @@ func (dl *DirtyLog) Dirty() []int {
 // dirtied since the previous arm, ascending.
 func (dl *DirtyLog) Rearm() []int {
 	out := dl.Dirty()
-	clear(dl.dirty)
+	for gpn := range dl.pages {
+		dl.pages[gpn].dirty = false
+	}
 	dl.ndirty = 0
 	dl.arm()
 	return out
@@ -291,7 +347,7 @@ func (h *Hypervisor) GuestMemWrite(dom DomID, gpn, off int, data []byte) error {
 	if off < 0 || uint64(off+len(data)) > h.M.Mem.PageSize() {
 		return fmt.Errorf("vmm: guest write [%d,%d) outside page", off, off+len(data))
 	}
-	if dl := d.dirtyLog; dl != nil && gpn < len(dl.armed) && dl.armed[gpn] {
+	if dl := d.dirtyLog; dl != nil && gpn < len(dl.pages) && dl.pages[gpn].armed {
 		dl.fault(gpn)
 	}
 	h.M.CPU.Work(d.comp, h.M.CPU.CopyCost(uint64(len(data))))
