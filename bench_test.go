@@ -33,7 +33,7 @@ var (
 // BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.
 func BenchmarkE1Dom0Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E1(core.E1Config{Sizes: []int{64, 1500, 4096}, Packets: 50})
+		rows, err := serialEng.E1(50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,11 +43,11 @@ func BenchmarkE1Dom0Overhead(b *testing.B) {
 	}
 }
 
-// BenchmarkE1Dom0OverheadParallel fans the sweep's six cells across the
+// BenchmarkE1Dom0OverheadParallel fans the sweep's ten cells across the
 // worker pool.
 func BenchmarkE1Dom0OverheadParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E1(core.E1Config{Sizes: []int{64, 1500, 4096}, Packets: 50})
+		rows, err := parallelEng.E1(50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,18 +166,14 @@ func BenchmarkE10Extension(b *testing.B) {
 	}
 }
 
-// benchE11Config is a trimmed migration sweep sized for benchmarking.
-var benchE11Config = core.E11Config{
-	Frames:     64,
-	DirtyRates: []int{0, 16},
-	Budgets:    []int{0, 2},
-	Cutoff:     2,
-}
+// A trimmed migration sweep sized for benchmarking: 64 pages, budgets
+// {0, 1, 2} and dirty rates {0, 2, 16}.
+const benchE11Frames, benchE11Rounds, benchE11Dirty = 64, 2, 16
 
 // BenchmarkE11LiveMig regenerates the live-migration downtime sweep.
 func BenchmarkE11LiveMig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E11(benchE11Config)
+		rows, err := serialEng.E11(benchE11Frames, benchE11Rounds, benchE11Dirty)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +187,7 @@ func BenchmarkE11LiveMig(b *testing.B) {
 // across the worker pool.
 func BenchmarkE11LiveMigParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E11(benchE11Config)
+		rows, err := parallelEng.E11(benchE11Frames, benchE11Rounds, benchE11Dirty)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,18 +197,13 @@ func BenchmarkE11LiveMigParallel(b *testing.B) {
 	}
 }
 
-// benchE12Config is a trimmed SMP sweep sized for benchmarking.
-var benchE12Config = core.E12Config{
-	CPUCounts: []int{1, 4},
-	Ops:       120,
-	Pages:     32,
-	Packets:   12,
-}
+// benchE12CPUs is a trimmed SMP sweep sized for benchmarking.
+var benchE12CPUs = []int{1, 4}
 
 // BenchmarkE12SMP regenerates the SMP scaling sweep.
 func BenchmarkE12SMP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E12(benchE12Config)
+		rows, err := serialEng.E12(benchE12CPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +216,7 @@ func BenchmarkE12SMP(b *testing.B) {
 // BenchmarkE12SMPParallel fans the SMP cells across the worker pool.
 func BenchmarkE12SMPParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E12(benchE12Config)
+		rows, err := parallelEng.E12(benchE12CPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,17 +226,15 @@ func BenchmarkE12SMPParallel(b *testing.B) {
 	}
 }
 
-// benchE13Config is a trimmed fleet sweep sized for benchmarking.
-var benchE13Config = core.E13Config{
-	Fleets:     []int{2, 4},
-	Churns:     []int{32},
-	HostFrames: 160,
-}
+// A trimmed fleet sweep sized for benchmarking.
+var benchE13Fleets, benchE13Churns = []int{2, 4}, []int{32}
+
+const benchE13HostFrames = 160
 
 // BenchmarkE13Cluster regenerates the fleet placement-and-migration sweep.
 func BenchmarkE13Cluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E13(benchE13Config)
+		rows, err := serialEng.E13(benchE13Fleets, benchE13Churns, benchE13HostFrames)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +248,7 @@ func BenchmarkE13Cluster(b *testing.B) {
 // cluster of pooled hosts) across the worker pool.
 func BenchmarkE13ClusterParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E13(benchE13Config)
+		rows, err := parallelEng.E13(benchE13Fleets, benchE13Churns, benchE13HostFrames)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -476,7 +465,7 @@ func BenchmarkChargeN(b *testing.B) {
 
 // BenchmarkXenStackRxPacket measures the full end-to-end receive path.
 func BenchmarkXenStackRxPacket(b *testing.B) {
-	s, err := core.NewXenStack(core.Config{Frames: 16384})
+	s, err := core.NewXenStack(core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,7 +480,7 @@ func BenchmarkXenStackRxPacket(b *testing.B) {
 
 // BenchmarkMKStackRxPacket measures the microkernel's receive path.
 func BenchmarkMKStackRxPacket(b *testing.B) {
-	s, err := core.NewMKStack(core.Config{Frames: 16384})
+	s, err := core.NewMKStack(core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,22 +11,9 @@
 // Experiments are e1 through e13 (see EXPERIMENTS.md for the index). The
 // parameter flags are generated from the experiment registry
 // (internal/core): each registered parameter becomes one flag, shared by
-// every experiment that declares it. Run `vmmklab -h` for the generated
-// list; at the time of writing:
-//
-//	-packets n   packet count for E1 sweeps (default 100)
-//	-syscalls n  iteration count for E3/E7/E10 (default 200)
-//	-guests n    guest count for E4 (default 3)
-//	-requests n  request count for E8 (default 50)
-//	-frames n    guest memory pages for E11 migrations (default 96)
-//	-rounds n    max pre-copy round budget for E11 (default 4)
-//	-dirty n     peak dirty rate (pages/round) for E11 (default 48)
-//	-cpus list   comma-separated core counts for the E12 SMP sweep
-//	             (default 1,2,4,8)
-//	-fleet list  comma-separated host counts for the E13 fleet sweep
-//	             (default 2,4,8)
-//	-churn list  comma-separated churn event counts for E13 (default 24,96)
-//	-hostframes n  physical pages per E13 host (default 192)
+// every experiment that declares it, with the default its declaration
+// gives. Run `vmmklab -h` for the generated list, or read the table
+// EXPERIMENTS.md embeds from the registry.
 //
 // Engine and output flags (not experiment parameters):
 //

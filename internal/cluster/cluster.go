@@ -22,19 +22,8 @@ type Config struct {
 	Hosts int
 	// HostFrames is the physical memory of each host in pages (default 192).
 	HostFrames int
-	// Dom0Frames is the control-domain size each host's hypervisor boots
-	// with (default 32).
-	Dom0Frames int
 	// Policy selects the placement policy (default BinPack).
 	Policy Policy
-	// OvercommitPct is the admission bound in percent of host capacity:
-	// a host admits a guest while committed nominal pages stay within
-	// cap*OvercommitPct/100 (default 150). Physical shortfall under
-	// overcommit is resolved by ballooning placed guests down.
-	OvercommitPct int
-	// MinResident is the floor (in pages) below which the balloon squeeze
-	// never takes a guest (default 8).
-	MinResident int
 	// LinkPerPage is the migration link's bandwidth term in cycles per
 	// page (default 2).
 	LinkPerPage hw.Cycles
@@ -45,10 +34,25 @@ type Config struct {
 	// link carries before it goes down — the fault-injection knob the
 	// scenario matrix arms.
 	LinkBudget int
-	// MaxRounds is the pre-copy round budget for live migrations
-	// (default 3).
-	MaxRounds int
 }
+
+// The fleet's fixed shape: every host boots the same control domain, and
+// every placement and migration obeys the same bounds.
+const (
+	// dom0Frames is the control-domain size each host's hypervisor boots
+	// with.
+	dom0Frames = 32
+	// overcommitPct is the admission bound in percent of host capacity: a
+	// host admits a guest while committed nominal pages stay within
+	// cap*overcommitPct/100. Physical shortfall under overcommit is
+	// resolved by ballooning placed guests down.
+	overcommitPct = 150
+	// minResident is the floor (in pages) below which the balloon squeeze
+	// never takes a guest.
+	minResident = 8
+	// maxRounds is the pre-copy round budget for live migrations.
+	maxRounds = 3
+)
 
 // defaults normalizes zero fields in place.
 func (c *Config) defaults() {
@@ -58,23 +62,11 @@ func (c *Config) defaults() {
 	if c.HostFrames <= 0 {
 		c.HostFrames = 192
 	}
-	if c.Dom0Frames <= 0 {
-		c.Dom0Frames = 32
-	}
-	if c.OvercommitPct <= 0 {
-		c.OvercommitPct = 150
-	}
-	if c.MinResident <= 0 {
-		c.MinResident = 8
-	}
 	if c.LinkPerPage <= 0 {
 		c.LinkPerPage = 2
 	}
 	if c.LinkLatency <= 0 {
 		c.LinkLatency = 400
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 3
 	}
 }
 
@@ -158,7 +150,7 @@ func New(cfg Config, src MachineSource) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, byName: make(map[string]*Guest)}
 	for i := 0; i < cfg.Hosts; i++ {
 		m, release := obtain(src, &hw.MachineConfig{Frames: cfg.HostFrames})
-		hv, _, err := vmm.New(m, cfg.Dom0Frames)
+		hv, _, err := vmm.New(m, dom0Frames)
 		if err != nil {
 			release()
 			c.Close()

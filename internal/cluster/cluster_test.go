@@ -103,7 +103,7 @@ func TestPlaceTypedErrors(t *testing.T) {
 // can exceed physical memory, with placed guests squeezed down to make
 // real frames, and removal reflating them back toward nominal.
 func TestOvercommitSqueezes(t *testing.T) {
-	c, err := New(Config{Hosts: 1, HostFrames: 96, Dom0Frames: 16, Policy: BinPack}, nil)
+	c, err := New(Config{Hosts: 1, HostFrames: 96, Policy: BinPack}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

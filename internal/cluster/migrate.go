@@ -53,7 +53,7 @@ func (c *Cluster) migrate(g *Guest, dst *Host, guestWork func(round int)) (*vmm.
 		Budget:  c.cfg.LinkBudget,
 	}
 	shell, stats, err := vmm.MigrateLive(src.hv, g.dom, dst.hv, vmm.LiveOpts{
-		MaxRounds: c.cfg.MaxRounds,
+		MaxRounds: maxRounds,
 		WSSCutoff: 2,
 		GuestWork: guestWork,
 		Transport: link.Transport(src.m, dst.m),
@@ -184,7 +184,7 @@ func (c *Cluster) evacuationPlan(src *Host) ([]int, bool) {
 			if h == src || g.Nominal > h.cap {
 				continue
 			}
-			if sim[h.index]+g.Nominal > h.cap*c.cfg.OvercommitPct/100 {
+			if sim[h.index]+g.Nominal > h.cap*overcommitPct/100 {
 				continue
 			}
 			if best < 0 || sim[h.index] > sim[best] {

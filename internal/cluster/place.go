@@ -12,7 +12,7 @@ const squeezeChunk = 8
 // Place admits a guest of nominal pages under the cluster's policy and
 // creates its domain. Under overcommit the chosen host may be physically
 // short; the control plane then balloons placed guests down (never below
-// MinResident) to free real frames. Placement failures are typed:
+// minResident) to free real frames. Placement failures are typed:
 // ErrAlreadyPlaced for a duplicate name, ErrNoHostFits when no host can
 // admit the guest either by commitment or physically.
 func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
@@ -87,12 +87,12 @@ func (c *Cluster) drop(g *Guest) {
 }
 
 // reclaimable returns how many pages the squeeze could balloon out of h's
-// guests without pushing any below MinResident.
+// guests without pushing any below minResident.
 func (c *Cluster) reclaimable(h *Host) int {
 	total := 0
 	for _, g := range h.guests {
-		if own := g.Resident(); own > c.cfg.MinResident {
-			total += own - c.cfg.MinResident
+		if own := g.Resident(); own > minResident {
+			total += own - minResident
 		}
 	}
 	return total
@@ -105,7 +105,7 @@ func (c *Cluster) reclaimable(h *Host) int {
 func (c *Cluster) squeeze(h *Host, need int) error {
 	for need > 0 {
 		var victim *Guest
-		most := c.cfg.MinResident
+		most := minResident
 		for _, g := range h.guests {
 			if own := g.Resident(); own > most {
 				victim, most = g, own
@@ -114,7 +114,7 @@ func (c *Cluster) squeeze(h *Host, need int) error {
 		if victim == nil {
 			return fmt.Errorf("cluster: host%d squeeze ran dry with %d pages still needed", h.index, need)
 		}
-		take := most - c.cfg.MinResident
+		take := most - minResident
 		if take > need {
 			take = need
 		}

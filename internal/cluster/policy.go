@@ -54,7 +54,7 @@ func (c *Cluster) admits(h *Host, nominal int) bool {
 	if nominal > h.cap {
 		return false
 	}
-	return h.committed+nominal <= h.cap*c.cfg.OvercommitPct/100
+	return h.committed+nominal <= h.cap*overcommitPct/100
 }
 
 // candidates returns the hosts that admit nominal pages, best-preference

@@ -64,10 +64,12 @@ func TestPlatformGuestIndexValidation(t *testing.T) {
 // --- E1 ------------------------------------------------------------------
 
 func TestE1FlipCostFlatInSize(t *testing.T) {
-	rows, err := NewRunner(0).E1(E1Config{Sizes: []int{64, 4096}, Packets: 40})
+	rows, err := NewRunner(0).E1(40)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The smallest and the largest packet size of the sweep.
+	first, last := 0, len(e1Sizes)-1
 	var flip []E1Row
 	var cp []E1Row
 	for _, r := range rows {
@@ -79,8 +81,8 @@ func TestE1FlipCostFlatInSize(t *testing.T) {
 	}
 	// CG05's headline: flip-mode driver cost per packet is independent of
 	// message size.
-	if flip[0].PerPktCyc != flip[1].PerPktCyc {
-		t.Errorf("flip per-packet cost varies with size: %d vs %d", flip[0].PerPktCyc, flip[1].PerPktCyc)
+	if flip[first].PerPktCyc != flip[last].PerPktCyc {
+		t.Errorf("flip per-packet cost varies with size: %d vs %d", flip[first].PerPktCyc, flip[last].PerPktCyc)
 	}
 	// One flip per packet.
 	for _, r := range flip {
@@ -94,8 +96,8 @@ func TestE1FlipCostFlatInSize(t *testing.T) {
 			t.Errorf("copy mode flipped %d times", r.Flips)
 		}
 	}
-	if cp[1].PerPktCyc <= cp[0].PerPktCyc {
-		t.Errorf("copy per-packet cost not increasing: %d -> %d", cp[0].PerPktCyc, cp[1].PerPktCyc)
+	if cp[last].PerPktCyc <= cp[first].PerPktCyc {
+		t.Errorf("copy per-packet cost not increasing: %d -> %d", cp[first].PerPktCyc, cp[last].PerPktCyc)
 	}
 	// Dom0+monitor dominate CPU under I/O load ("almost all of the CPU
 	// load of the system under test").
@@ -591,13 +593,15 @@ func TestE10ExtensionComplexity(t *testing.T) {
 // --- E11 -----------------------------------------------------------------
 
 func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
-	cfg := E11Config{Frames: 64, DirtyRates: []int{0, 4, 16}, Budgets: []int{0, 1, 4}, Cutoff: 2}
-	rows, err := NewRunner(0).E11(cfg)
+	// 64 pages, budgets {0, 1, 4}, and dirty rates {0, 24/6, 24}.
+	const frames = 64
+	rates, budgets := []int{0, 4, 24}, []int{0, 1, 4}
+	rows, err := NewRunner(0).E11(frames, 4, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.DirtyRates)*len(cfg.Budgets) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(cfg.DirtyRates)*len(cfg.Budgets))
+	if len(rows) != len(rates)*len(budgets) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(rates)*len(budgets))
 	}
 	get := func(rate, budget int) E11Row {
 		for _, r := range rows {
@@ -608,7 +612,7 @@ func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 		t.Fatalf("missing cell rate=%d budget=%d", rate, budget)
 		return E11Row{}
 	}
-	for _, rate := range cfg.DirtyRates {
+	for _, rate := range rates {
 		stop := get(rate, 0)
 		live := get(rate, 4)
 		// The acceptance criterion: pre-copy's blackout is strictly shorter
@@ -626,16 +630,16 @@ func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 	}
 	// A clean guest converges after one full round with nothing to re-send.
 	clean := get(0, 4)
-	if clean.Rounds != 1 || clean.PagesMoved != cfg.Frames {
+	if clean.Rounds != 1 || clean.PagesMoved != frames {
 		t.Errorf("clean guest: rounds=%d moved=%d, want 1 round, %d pages",
-			clean.Rounds, clean.PagesMoved, cfg.Frames)
+			clean.Rounds, clean.PagesMoved, frames)
 	}
 	// A writing guest re-sends: strictly more transfers than memory size.
-	if hot := get(16, 4); hot.PagesMoved <= cfg.Frames {
+	if hot := get(24, 4); hot.PagesMoved <= frames {
 		t.Errorf("hot guest moved only %d pages across %d rounds", hot.PagesMoved, hot.Rounds)
 	}
 	// More budget at the same rate must not lengthen the blackout.
-	for _, rate := range []int{4, 16} {
+	for _, rate := range rates[1:] {
 		if get(rate, 4).DowntimeCyc > get(rate, 1).DowntimeCyc {
 			t.Errorf("rate %d: budget 4 downtime %d exceeds budget 1's %d",
 				rate, get(rate, 4).DowntimeCyc, get(rate, 1).DowntimeCyc)

@@ -17,7 +17,10 @@
 // experiment implements the uniform entry point
 // Run(ctx, *Runner, Params) (*Result, error); Result (result.go) is the
 // single typed result model — column schema with units, rows, echoed
-// params — rendering as aligned text, CSV and stable JSON. Each experiment
+// params — rendering as aligned text, CSV and stable JSON. The typed
+// entry points (Runner.E1 … Runner.E13) take exactly the parameters their
+// Spec declares and validate them through the declaring Param, which holds
+// each parameter's only default. Each experiment
 // decomposes into independent cells — one freshly booted Platform or
 // hw.Machine per (platform, parameter-point) pair — executed by the
 // parallel engine in runner.go: results land at their cell's index and

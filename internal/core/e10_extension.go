@@ -46,8 +46,8 @@ type E10Row struct {
 
 // E10 boots each platform's extension in its own cell.
 func (r *Runner) E10(n int) ([]E10Row, error) {
-	if n <= 0 {
-		n = 100
+	if err := paramSyscalls.Validate(n); err != nil {
+		return nil, err
 	}
 	cells := []func(context.Context) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.

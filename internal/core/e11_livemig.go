@@ -19,92 +19,40 @@ import (
 // reports downtime cycles, total pages transferred and rounds used per
 // (dirty rate × round budget) cell.
 
+// E11's parameters, in declaration order.
+var (
+	paramFrames = Param{
+		Name: "frames", Kind: ParamInt, DefaultInt: 96, Max: 1 << 20,
+		Unit: "pages", Help: "guest memory pages for E11 migrations",
+	}
+	paramRounds = Param{
+		Name: "rounds", Kind: ParamInt, DefaultInt: 4, Max: 64,
+		Unit: "rounds", Help: "max pre-copy round budget for E11",
+	}
+	paramDirty = Param{
+		Name: "dirty", Kind: ParamInt, DefaultInt: 48, Max: 1 << 20,
+		Unit: "pages/round", Help: "peak dirty rate (pages/round) for E11",
+	}
+	e11Params = []Param{paramFrames, paramRounds, paramDirty}
+)
+
+// e11WSSCutoff is the writable-working-set cutoff every pre-copy cell
+// converges early at.
+const e11WSSCutoff = 2
+
 func init() {
 	Register(Spec{
-		ID:    "e11",
-		Title: "live pre-copy migration downtime",
-		Params: []Param{
-			{Name: "frames", Kind: ParamInt, DefaultInt: 96, Max: 1 << 20,
-				Unit: "pages", Help: "guest memory pages for E11 migrations"},
-			{Name: "rounds", Kind: ParamInt, DefaultInt: 4, Max: 64,
-				Unit: "rounds", Help: "max pre-copy round budget for E11"},
-			{Name: "dirty", Kind: ParamInt, DefaultInt: 48, Max: 1 << 20,
-				Unit: "pages/round", Help: "peak dirty rate (pages/round) for E11"},
-		},
+		ID:     "e11",
+		Title:  "live pre-copy migration downtime",
+		Params: e11Params,
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			cfg := E11Config{
-				Frames:    p.Int("frames"),
-				MaxRounds: p.Int("rounds"),
-				PeakDirty: p.Int("dirty"),
-			}
-			rows, err := r.E11(cfg)
+			rows, err := r.E11(p.Int("frames"), p.Int("rounds"), p.Int("dirty"))
 			if err != nil {
 				return nil, err
 			}
 			return NewResult(e11Table(rows)), nil
 		},
 	})
-}
-
-// E11Config parameterises the migration sweep. Zero fields are normalized
-// by the same derivation everywhere, so the CLI and direct API callers get
-// identical defaults.
-type E11Config struct {
-	Frames     int   // guest pseudo-physical memory in pages
-	DirtyRates []int // pages the guest writes per pre-copy round
-	Budgets    []int // pre-copy round budgets; 0 = stop-and-copy baseline
-	// Cutoff is the writable-working-set cutoff for early convergence.
-	// Zero means the published default of 2; pass a negative value for
-	// "no cutoff" (pre-copy stops only when the dirty set is empty or
-	// stops shrinking).
-	Cutoff int
-	// PeakDirty derives DirtyRates when that slice is empty: the sweep is
-	// {0, max(1, PeakDirty/6), PeakDirty}. Zero means the published 48.
-	PeakDirty int
-	// MaxRounds derives Budgets when that slice is empty: the sweep is
-	// {0, 1, MaxRounds}. Zero means the published 4.
-	MaxRounds int
-}
-
-// E11Defaults returns the fully normalized default sweep — the same
-// configuration `vmmklab e11` runs with default flags.
-func E11Defaults() E11Config {
-	var c E11Config
-	c.defaults()
-	return c
-}
-
-// defaults normalizes zero fields in place: the quiet/medium/peak dirty
-// sweep is derived from PeakDirty (the medium rate is PeakDirty/6, clamped
-// to at least one page), the budget sweep from MaxRounds, and a zero
-// writable-working-set cutoff lands at the published 2 (negative Cutoff
-// normalizes to 0: no early-convergence cutoff).
-func (c *E11Config) defaults() {
-	if c.Frames <= 0 {
-		c.Frames = 96
-	}
-	if c.PeakDirty <= 0 {
-		c.PeakDirty = 48
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 4
-	}
-	if len(c.DirtyRates) == 0 {
-		low := c.PeakDirty / 6
-		if low < 1 {
-			low = 1
-		}
-		c.DirtyRates = []int{0, low, c.PeakDirty}
-	}
-	if len(c.Budgets) == 0 {
-		c.Budgets = []int{0, 1, c.MaxRounds}
-	}
-	switch {
-	case c.Cutoff == 0:
-		c.Cutoff = 2
-	case c.Cutoff < 0:
-		c.Cutoff = 0
-	}
 }
 
 // E11Row is one migration cell's measurement.
@@ -118,21 +66,26 @@ type E11Row struct {
 	TotalCyc    uint64 // whole-migration cycles, both machines
 }
 
-// E11 fans one cell out per (dirty rate, round budget) pair. Every cell
-// boots its own source and destination machines and seeds its own write
-// stream, so the table is byte-identical at any -parallel width.
-func (r *Runner) E11(cfg E11Config) ([]E11Row, error) {
-	cfg.defaults()
+// E11 migrates a guest of frames pages once per (dirty rate, round
+// budget) pair. The rates are quiet, medium and peak: 0, dirty/6 (at least
+// one page) and dirty pages per round. The budgets are 0 (the stop-and-copy
+// baseline), 1 and rounds. Every cell boots its own source and destination
+// machines and seeds its own write stream, so the table is byte-identical
+// at any -parallel width.
+func (r *Runner) E11(frames, rounds, dirty int) ([]E11Row, error) {
+	if err := checkArgs(e11Params, frames, rounds, dirty); err != nil {
+		return nil, err
+	}
 	type cellCfg struct{ rate, budget int }
 	var cells []cellCfg
-	for _, rate := range cfg.DirtyRates {
-		for _, budget := range cfg.Budgets {
+	for _, rate := range []int{0, max(1, dirty/6), dirty} {
+		for _, budget := range []int{0, 1, rounds} {
 			cells = append(cells, cellCfg{rate, budget})
 		}
 	}
 	return RunCells(r, len(cells), func(ctx context.Context, i int) (E11Row, error) {
 		c := cells[i]
-		return e11Cell(ctx, cfg.Frames, c.rate, c.budget, cfg.Cutoff)
+		return e11Cell(ctx, frames, c.rate, c.budget)
 	})
 }
 
@@ -149,7 +102,7 @@ func e11Mach(frames int) *hw.MachineConfig {
 
 // e11Cell boots a source stack with one guest and an empty destination
 // hypervisor, then migrates the guest while it writes rate pages per round.
-func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, error) {
+func e11Cell(ctx context.Context, frames, rate, budget int) (E11Row, error) {
 	srcM, releaseSrc := AcquireMachine(ctx, hw.X86(), e11Mach(frames))
 	defer releaseSrc()
 	srcH, _, err := vmm.New(srcM, 64)
@@ -206,7 +159,7 @@ func e11Cell(ctx context.Context, frames, rate, budget, cutoff int) (E11Row, err
 		var stats *vmm.LiveStats
 		moved, stats, err = vmm.MigrateLive(srcH, dom.ID, dstH, vmm.LiveOpts{
 			MaxRounds: budget,
-			WSSCutoff: cutoff,
+			WSSCutoff: e11WSSCutoff,
 			GuestWork: work,
 		})
 		if err != nil {

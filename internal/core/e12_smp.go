@@ -35,18 +35,19 @@ import (
 // shows zero IPIs and shootdowns — the regression guard that E1–E11's
 // uniprocessor accounting is untouched.
 
+// paramCPUs is E12's list of machine sizes to sweep.
+var paramCPUs = Param{
+	Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: MaxCPUs,
+	Unit: "cores", Help: "comma-separated core counts for the E12 SMP sweep",
+}
+
 func init() {
 	Register(Spec{
-		ID:    "e12",
-		Title: "SMP scaling: IPIs and TLB shootdown vs cores",
-		Params: []Param{{
-			Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: MaxCPUs,
-			Unit: "cores", Help: "comma-separated core counts for the E12 SMP sweep",
-		}},
+		ID:     "e12",
+		Title:  "SMP scaling: IPIs and TLB shootdown vs cores",
+		Params: []Param{paramCPUs},
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			cfg := E12Defaults()
-			cfg.CPUCounts = p.IntList("cpus")
-			rows, err := r.E12(cfg)
+			rows, err := r.E12(p.IntList("cpus"))
 			if err != nil {
 				return nil, err
 			}
@@ -59,34 +60,12 @@ func init() {
 // four-digit core count is a typo, not an experiment.
 const MaxCPUs = 64
 
-// E12Config parameterises the SMP sweep.
-type E12Config struct {
-	CPUCounts []int // machine sizes to sweep (each >= 1)
-	Ops       int   // ping-pong round trips per cell
-	Pages     int   // dirty-scan pages per round (two rounds per cell)
-	Packets   int   // driver-io RX packets per guest
-}
-
-// E12Defaults returns the published sweep.
-func E12Defaults() E12Config {
-	return E12Config{CPUCounts: []int{1, 2, 4, 8}, Ops: 240, Pages: 64, Packets: 24}
-}
-
-func (c *E12Config) defaults() {
-	d := E12Defaults()
-	if len(c.CPUCounts) == 0 {
-		c.CPUCounts = d.CPUCounts
-	}
-	if c.Ops <= 0 {
-		c.Ops = d.Ops
-	}
-	if c.Pages <= 0 {
-		c.Pages = d.Pages
-	}
-	if c.Packets <= 0 {
-		c.Packets = d.Packets
-	}
-}
+// The workloads' fixed sizes.
+const (
+	e12Ops     = 240 // ping-pong round trips per cell
+	e12Pages   = 64  // dirty-scan pages per round (two rounds per cell)
+	e12Packets = 24  // driver-io RX packets per guest
+)
 
 // E12Row is one (workload, platform, core count) measurement.
 type E12Row struct {
@@ -100,10 +79,13 @@ type E12Row struct {
 	TotalCyc   uint64 // whole-machine virtual time consumed
 }
 
-// E12 fans one cell out per (workload, platform, core count) triple. Rows
-// group each (workload, platform) pair's cores-vs-cost curve contiguously.
-func (r *Runner) E12(cfg E12Config) ([]E12Row, error) {
-	cfg.defaults()
+// E12 fans one cell out per (workload, platform, core count) triple, one
+// core count per entry of cpus. Rows group each (workload, platform) pair's
+// cores-vs-cost curve contiguously.
+func (r *Runner) E12(cpus []int) ([]E12Row, error) {
+	if err := paramCPUs.Validate(cpus); err != nil {
+		return nil, err
+	}
 	type cellCfg struct {
 		workload, platform string
 		ncpus              int
@@ -111,37 +93,34 @@ func (r *Runner) E12(cfg E12Config) ([]E12Row, error) {
 	var cells []cellCfg
 	for _, w := range []string{"ipc-pingpong", "dirty-scan", "driver-io"} {
 		for _, p := range []string{"vmm", "mk", "native"} {
-			for _, n := range cfg.CPUCounts {
+			for _, n := range cpus {
 				cells = append(cells, cellCfg{w, p, n})
 			}
 		}
 	}
 	return RunCells(r, len(cells), func(ctx context.Context, i int) (E12Row, error) {
 		c := cells[i]
-		if c.ncpus < 1 {
-			return E12Row{}, fmt.Errorf("E12: core count must be positive (got %d)", c.ncpus)
-		}
 		switch c.workload {
 		case "ipc-pingpong":
 			switch c.platform {
 			case "vmm":
-				return e12PingPongVMM(ctx, c.ncpus, cfg.Ops)
+				return e12PingPongVMM(ctx, c.ncpus, e12Ops)
 			case "mk":
-				return e12PingPongMK(ctx, c.ncpus, cfg.Ops)
+				return e12PingPongMK(ctx, c.ncpus, e12Ops)
 			default:
-				return e12PingPongNative(ctx, c.ncpus, cfg.Ops)
+				return e12PingPongNative(ctx, c.ncpus, e12Ops)
 			}
 		case "dirty-scan":
 			switch c.platform {
 			case "vmm":
-				return e12DirtyScanVMM(ctx, c.ncpus, cfg.Pages)
+				return e12DirtyScanVMM(ctx, c.ncpus, e12Pages)
 			case "mk":
-				return e12DirtyScanMK(ctx, c.ncpus, cfg.Pages)
+				return e12DirtyScanMK(ctx, c.ncpus, e12Pages)
 			default:
-				return e12DirtyScanNative(ctx, c.ncpus, cfg.Pages)
+				return e12DirtyScanNative(ctx, c.ncpus, e12Pages)
 			}
 		default:
-			return e12DriverIO(ctx, c.platform, c.ncpus, cfg.Packets)
+			return e12DriverIO(ctx, c.platform, c.ncpus, e12Packets)
 		}
 	})
 }

@@ -19,68 +19,40 @@ import (
 // migrations cost in guest-observable downtime (p99), and how often the
 // fleet broke service (rejections + downtime SLO misses).
 
+// E13's parameters, in declaration order.
+var (
+	paramFleet = Param{
+		Name: "fleet", Kind: ParamIntList, DefaultList: []int{2, 4, 8}, Max: 64,
+		Unit: "hosts", Help: "comma-separated fleet sizes for the E13 cluster sweep",
+	}
+	paramChurn = Param{
+		Name: "churn", Kind: ParamIntList, DefaultList: []int{24, 96}, Max: 1 << 16,
+		Unit: "events", Help: "comma-separated churn event counts for E13",
+	}
+	paramHostFrames = Param{
+		Name: "hostframes", Kind: ParamInt, DefaultInt: 192, Max: 1 << 20,
+		Unit: "pages", Help: "physical memory pages per E13 host",
+	}
+	e13Params = []Param{paramFleet, paramChurn, paramHostFrames}
+)
+
+// e13SLO is the downtime service-level objective: migrations whose
+// blackout exceeds it count as violations.
+const e13SLO hw.Cycles = 10000
+
 func init() {
 	Register(Spec{
-		ID:    "e13",
-		Title: "fleet placement, overcommit and cross-host migration",
-		Params: []Param{
-			{Name: "fleet", Kind: ParamIntList, DefaultList: []int{2, 4, 8}, Max: 64,
-				Unit: "hosts", Help: "comma-separated fleet sizes for the E13 cluster sweep"},
-			{Name: "churn", Kind: ParamIntList, DefaultList: []int{24, 96}, Max: 1 << 16,
-				Unit: "events", Help: "comma-separated churn event counts for E13"},
-			{Name: "hostframes", Kind: ParamInt, DefaultInt: 192, Max: 1 << 20,
-				Unit: "pages", Help: "physical memory pages per E13 host"},
-		},
+		ID:     "e13",
+		Title:  "fleet placement, overcommit and cross-host migration",
+		Params: e13Params,
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			cfg := E13Config{
-				Fleets:     p.IntList("fleet"),
-				Churns:     p.IntList("churn"),
-				HostFrames: p.Int("hostframes"),
-			}
-			rows, err := r.E13(cfg)
+			rows, err := r.E13(p.IntList("fleet"), p.IntList("churn"), p.Int("hostframes"))
 			if err != nil {
 				return nil, err
 			}
 			return NewResult(e13Table(rows)), nil
 		},
 	})
-}
-
-// E13Config parameterises the fleet sweep. Zero fields are normalized by
-// the same derivation everywhere, so the CLI and direct API callers get
-// identical defaults.
-type E13Config struct {
-	Fleets     []int // fleet sizes (hosts per cell); default {2, 4, 8}
-	Churns     []int // churn event counts; default {24, 96}
-	HostFrames int   // physical pages per host; default 192
-	// SLO is the downtime service-level objective in cycles; migrations
-	// whose blackout exceeds it count as violations. Zero means the
-	// published default of 10000.
-	SLO hw.Cycles
-}
-
-// E13Defaults returns the fully normalized default sweep — the same
-// configuration `vmmklab e13` runs with default flags.
-func E13Defaults() E13Config {
-	var c E13Config
-	c.defaults()
-	return c
-}
-
-// defaults normalizes zero fields in place.
-func (c *E13Config) defaults() {
-	if len(c.Fleets) == 0 {
-		c.Fleets = []int{2, 4, 8}
-	}
-	if len(c.Churns) == 0 {
-		c.Churns = []int{24, 96}
-	}
-	if c.HostFrames <= 0 {
-		c.HostFrames = 192
-	}
-	if c.SLO <= 0 {
-		c.SLO = 10000
-	}
 }
 
 // E13Row is one fleet cell's measurement.
@@ -96,19 +68,21 @@ type E13Row struct {
 	SLOViol    int     // rejections + downtime SLO misses
 }
 
-// E13 fans one cell out per (fleet size, churn count, policy) triple.
-// Every cell boots its own fleet from the worker's machine pool and seeds
-// its own churn stream from the cell parameters, so the table is
-// byte-identical at any -parallel width.
-func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
-	cfg.defaults()
+// E13 fans one cell out per (fleet size, churn count, policy) triple, with
+// hostFrames pages on every host. Every cell boots its own fleet from the
+// worker's machine pool and seeds its own churn stream from the cell
+// parameters, so the table is byte-identical at any -parallel width.
+func (r *Runner) E13(fleets, churns []int, hostFrames int) ([]E13Row, error) {
+	if err := checkArgs(e13Params, fleets, churns, hostFrames); err != nil {
+		return nil, err
+	}
 	type cellCfg struct {
 		fleet, churn int
 		policy       cluster.Policy
 	}
 	var cells []cellCfg
-	for _, fleet := range cfg.Fleets {
-		for _, churn := range cfg.Churns {
+	for _, fleet := range fleets {
+		for _, churn := range churns {
 			for _, pol := range cluster.Policies {
 				cells = append(cells, cellCfg{fleet, churn, pol})
 			}
@@ -116,12 +90,12 @@ func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
 	}
 	return RunCells(r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
 		c := cells[i]
-		return e13Cell(ctx, c.fleet, c.churn, cfg.HostFrames, c.policy, cfg.SLO)
+		return e13Cell(ctx, c.fleet, c.churn, hostFrames, c.policy)
 	})
 }
 
 // e13Cell boots one fleet, runs its churn, and reads the meters.
-func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Policy, slo hw.Cycles) (E13Row, error) {
+func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Policy) (E13Row, error) {
 	src := func(mc *hw.MachineConfig) (*hw.Machine, func()) {
 		return AcquireMachine(ctx, hw.X86(), mc)
 	}
@@ -152,7 +126,7 @@ func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Poli
 		Migrations: s.Migrations,
 		ConsolPct:  cl.ConsolidationPct(),
 		P99Cyc:     uint64(s.DowntimeP99()),
-		SLOViol:    s.SLOViolations(slo),
+		SLOViol:    s.SLOViolations(e13SLO),
 	}, nil
 }
 

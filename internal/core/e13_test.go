@@ -5,21 +5,18 @@ import (
 	"testing"
 )
 
-// e13SmallConfig is the trimmed sweep the differential tests run.
-func e13SmallConfig() E13Config {
-	return E13Config{Fleets: []int{2, 3}, Churns: []int{32}, HostFrames: 160}
-}
-
 // TestE13SerialMatchesParallel is the fleet sweep's determinism
 // differential: one worker and many workers must produce identical rows,
 // even though the parallel run slices the fleet boots across per-worker
 // machine pools.
 func TestE13SerialMatchesParallel(t *testing.T) {
-	serial, err := NewRunner(1).E13(e13SmallConfig())
+	// A trimmed sweep.
+	fleets, churns, hostFrames := []int{2, 3}, []int{32}, 160
+	serial, err := NewRunner(1).E13(fleets, churns, hostFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewRunner(8).E13(e13SmallConfig())
+	parallel, err := NewRunner(8).E13(fleets, churns, hostFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +29,12 @@ func TestE13SerialMatchesParallel(t *testing.T) {
 // churn, policy) cell present, churn placing guests, and the consolidation
 // column distinguishing the two policies somewhere in the sweep.
 func TestE13RowsShaped(t *testing.T) {
-	cfg := E13Defaults()
-	rows, err := NewRunner(1).E13(cfg)
+	fleets, churns := paramFleet.DefaultList, paramChurn.DefaultList
+	rows, err := NewRunner(1).E13(fleets, churns, paramHostFrames.DefaultInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(cfg.Fleets) * len(cfg.Churns) * 2
+	want := len(fleets) * len(churns) * 2
 	if len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}

@@ -15,18 +15,22 @@ import (
 // its per-packet cost tracks the number of page flips, not the number of
 // payload bytes.
 
+// paramPackets is E1's packet count per sweep point.
+var paramPackets = Param{
+	Name: "packets", Kind: ParamInt, DefaultInt: 100, Max: 1 << 20,
+	Unit: "packets", Help: "packet count for E1 sweeps",
+}
+
+// e1Sizes is the sweep's packet sizes: small to MTU-and-beyond messages.
+var e1Sizes = []int{64, 256, 1024, 1500, 4096}
+
 func init() {
 	Register(Spec{
-		ID:    "e1",
-		Title: "Dom0 CPU overhead under I/O load (CG05 shape)",
-		Params: []Param{{
-			Name: "packets", Kind: ParamInt, DefaultInt: 100, Max: 1 << 20,
-			Unit: "packets", Help: "packet count for E1 sweeps",
-		}},
+		ID:     "e1",
+		Title:  "Dom0 CPU overhead under I/O load (CG05 shape)",
+		Params: []Param{paramPackets},
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			cfg := E1Defaults()
-			cfg.Packets = p.Int("packets")
-			rows, err := r.E1(cfg)
+			rows, err := r.E1(p.Int("packets"))
 			if err != nil {
 				return nil, err
 			}
@@ -48,27 +52,17 @@ type E1Row struct {
 	PerFlipCyc  uint64  // driver-side cycles per flip (0 in copy mode)
 }
 
-// E1Config parameterises the sweep.
-type E1Config struct {
-	Sizes   []int
-	Packets int
-}
-
-// E1Defaults is the published sweep: small to MTU-and-beyond messages.
-func E1Defaults() E1Config {
-	return E1Config{Sizes: []int{64, 256, 1024, 1500, 4096}, Packets: 100}
-}
-
 // E1 runs the sweep on this runner's worker pool: one cell per
-// (delivery mode, packet size) point, each booting its own stack.
-func (r *Runner) E1(cfg E1Config) ([]E1Row, error) {
-	if cfg.Packets <= 0 {
-		cfg.Packets = E1Defaults().Packets
+// (delivery mode, packet size) point, each booting its own stack and
+// delivering that many packets to its guest.
+func (r *Runner) E1(packets int) ([]E1Row, error) {
+	if err := paramPackets.Validate(packets); err != nil {
+		return nil, err
 	}
 	modes := []bool{false, true}
-	return RunCells(r, len(modes)*len(cfg.Sizes), func(ctx context.Context, i int) (E1Row, error) {
-		copyMode := modes[i/len(cfg.Sizes)]
-		size := cfg.Sizes[i%len(cfg.Sizes)]
+	return RunCells(r, len(modes)*len(e1Sizes), func(ctx context.Context, i int) (E1Row, error) {
+		copyMode := modes[i/len(e1Sizes)]
+		size := e1Sizes[i%len(e1Sizes)]
 		s, err := NewXenStack(Config{CopyMode: copyMode}.WithPool(ctx))
 		if err != nil {
 			return E1Row{}, err
@@ -80,7 +74,7 @@ func (r *Runner) E1(cfg E1Config) ([]E1Row, error) {
 		guest0 := rec.CyclesPrefix("vmm.domU")
 		total0 := rec.TotalCycles()
 
-		s.InjectPackets(cfg.Packets, size, 0)
+		s.InjectPackets(packets, size, 0)
 		s.DrainRx(0)
 
 		flips := rec.CountsSince(snap, trace.KPageFlip)
@@ -90,11 +84,11 @@ func (r *Runner) E1(cfg E1Config) ([]E1Row, error) {
 		row := E1Row{
 			Mode:      map[bool]string{false: "flip", true: "copy"}[copyMode],
 			PktSize:   size,
-			Packets:   cfg.Packets,
+			Packets:   packets,
 			Flips:     flips,
 			DriverCyc: driver,
 			GuestCyc:  guest,
-			PerPktCyc: driver / uint64(cfg.Packets),
+			PerPktCyc: driver / uint64(packets),
 		}
 		if total > 0 {
 			row.DriverShare = float64(driver) / float64(total)
@@ -118,14 +112,9 @@ type E1RateRow struct {
 	Delivered     int
 }
 
-// E1Rates runs the offered-load sweep, one cell per rate point.
+// E1Rates runs the offered-load sweep, one cell per rate point: packets
+// packets of size bytes arrive at each rate in packets per second.
 func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
-	if len(rates) == 0 {
-		rates = []int{1000, 5000, 20000, 50000, 100000}
-	}
-	if packets <= 0 {
-		packets = 100
-	}
 	return RunCells(r, len(rates), func(ctx context.Context, i int) (E1RateRow, error) {
 		rate := rates[i]
 		s, err := NewXenStack(Config{}.WithPool(ctx))

@@ -39,10 +39,10 @@ type E3Row struct {
 }
 
 // E3 runs the four configurations as independent cells, each on its own
-// freshly booted stack.
+// freshly booted stack and issuing n syscalls.
 func (r *Runner) E3(n int) ([]E3Row, error) {
-	if n <= 0 {
-		n = 200
+	if err := paramSyscalls.Validate(n); err != nil {
+		return nil, err
 	}
 	cells := []func(context.Context) ([]E3Row, error){
 		// Native baseline.

@@ -12,14 +12,17 @@ import (
 // identically on both systems. The native baseline shows the structural
 // alternative: an in-kernel service's death is everyone's death.
 
+// paramGuests is E4's guest count per booted system.
+var paramGuests = Param{
+	Name: "guests", Kind: ParamInt, DefaultInt: 3, Max: 256,
+	Unit: "guests", Help: "guest count for E4",
+}
+
 func init() {
 	Register(Spec{
-		ID:    "e4",
-		Title: "failure blast radius",
-		Params: []Param{{
-			Name: "guests", Kind: ParamInt, DefaultInt: 3, Max: 256,
-			Unit: "guests", Help: "guest count for E4",
-		}},
+		ID:     "e4",
+		Title:  "failure blast radius",
+		Params: []Param{paramGuests},
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
 			rows, err := r.E4(p.Int("guests"))
 			if err != nil {
@@ -44,8 +47,8 @@ type E4Row struct {
 // E4 runs the scenario × platform grid as independent cells: each crash
 // happens on its own freshly booted system.
 func (r *Runner) E4(nGuests int) ([]E4Row, error) {
-	if nGuests <= 0 {
-		nGuests = 3
+	if err := paramGuests.Validate(nGuests); err != nil {
+		return nil, err
 	}
 	type scenario struct {
 		name string

@@ -40,8 +40,8 @@ type E7Row struct {
 // hardware — as independent cells, each on its own machine. Primitives
 // within a block stay sequential because they share that block's stack.
 func (r *Runner) E7(n int) ([]E7Row, error) {
-	if n <= 0 {
-		n = 100
+	if err := paramSyscalls.Validate(n); err != nil {
+		return nil, err
 	}
 	mean := func(rows *[]E7Row) func(op, sys string, total hw.Cycles) {
 		return func(op, sys string, total hw.Cycles) {

@@ -14,14 +14,17 @@ import (
 // each system's relative slowdown so the "OS as component works on both"
 // claim is checkable.
 
+// paramRequests is E8's request count per platform.
+var paramRequests = Param{
+	Name: "requests", Kind: ParamInt, DefaultInt: 50, Max: 1 << 20,
+	Unit: "requests", Help: "request count for E8",
+}
+
 func init() {
 	Register(Spec{
-		ID:    "e8",
-		Title: "web-serving macro benchmark",
-		Params: []Param{{
-			Name: "requests", Kind: ParamInt, DefaultInt: 50, Max: 1 << 20,
-			Unit: "requests", Help: "request count for E8",
-		}},
+		ID:     "e8",
+		Title:  "web-serving macro benchmark",
+		Params: []Param{paramRequests},
 		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
 			rows, err := r.E8(p.Int("requests"))
 			if err != nil {
@@ -52,8 +55,8 @@ const thinkCycles = 100_000
 // relative-cost column is derived from the native row after the cells join,
 // so it is independent of which platform finishes first.
 func (r *Runner) E8(n int) ([]E8Row, error) {
-	if n <= 0 {
-		n = 50
+	if err := paramRequests.Validate(n); err != nil {
+		return nil, err
 	}
 	reqs := (workload.WebStream{N: n, WSBlocks: 32, Seed: 11}).Requests()
 	serve := func(p Platform) (uint64, error) {

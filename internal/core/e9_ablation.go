@@ -245,7 +245,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// as a metric here; the count is the point).
 	for _, batch := range []int{1, 8} {
 		one(func(ctx context.Context) (E9Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 2048, IRQLines: 16})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 2048})
 			defer release()
 			h, d0, err := vmm.New(m, 128)
 			if err != nil {

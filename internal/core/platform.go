@@ -14,16 +14,24 @@ import (
 	"vmmk/internal/vmmos"
 )
 
+// Every platform stack boots with the same machine size, disk and
+// per-guest virtual disk.
+const (
+	// stackFrames is the stack machine's physical memory in pages.
+	stackFrames = 4096
+	// diskLatency is the physical disk's per-request service time.
+	diskLatency hw.Cycles = 5000
+	// storeBlocks is each guest's virtual disk size in blocks.
+	storeBlocks = 256
+)
+
 // Config sizes and parameterises a platform boot.
 type Config struct {
-	Arch        *hw.Arch
-	Frames      int  // physical memory in pages
-	Guests      int  // guest OS instances (>= 1)
-	CopyMode    bool // I/O delivery by copy instead of flip/grant
-	FastPath    bool // enable the VMM trap-gate shortcut where legal
-	DiskLatency hw.Cycles
-	StoreBlocks uint64 // per-guest virtual disk size
-	LogCap      int    // trace event-log capacity (0 = counters only)
+	Arch     *hw.Arch
+	Guests   int  // guest OS instances (>= 1)
+	CopyMode bool // I/O delivery by copy instead of flip/grant
+	FastPath bool // enable the VMM trap-gate shortcut where legal
+	LogCap   int  // trace event-log capacity (0 = counters only)
 	// NCPUs is the machine's processor count (default 1). With more than
 	// one CPU the stacks spread their guests over the non-boot CPUs —
 	// vCPU placement on the VMM side, thread affinity on the mk side —
@@ -51,7 +59,7 @@ func (c Config) WithPool(ctx context.Context) Config {
 
 // machine acquires the stack's machine, pooled or fresh.
 func (c *Config) machine() *hw.Machine {
-	return c.pool.Get(c.Arch, &hw.MachineConfig{Frames: c.Frames, IRQLines: 16, LogCap: c.LogCap, NCPUs: c.NCPUs})
+	return c.pool.Get(c.Arch, &hw.MachineConfig{Frames: stackFrames, LogCap: c.LogCap, NCPUs: c.NCPUs})
 }
 
 // Defaults fills zero fields.
@@ -59,17 +67,8 @@ func (c *Config) defaults() {
 	if c.Arch == nil {
 		c.Arch = hw.X86()
 	}
-	if c.Frames == 0 {
-		c.Frames = 4096
-	}
 	if c.Guests == 0 {
 		c.Guests = 1
-	}
-	if c.DiskLatency == 0 {
-		c.DiskLatency = 5000
-	}
-	if c.StoreBlocks == 0 {
-		c.StoreBlocks = 256
 	}
 	if c.NCPUs == 0 {
 		c.NCPUs = 1
@@ -83,6 +82,28 @@ func (c *Config) guestCPU(i int) int {
 		return 0
 	}
 	return 1 + i%(c.NCPUs-1)
+}
+
+// pumpRounds bounds one Pump: the stacks drive events and interrupts to
+// quiescence in at most this many rounds.
+const pumpRounds = 256
+
+// injectPackets is every stack's InjectPackets: n packets of size bytes
+// addressed to guest dest arrive at nic one at a time, and after each the
+// machine fields the interrupt on comp, the component that handles the
+// stack's interrupts, and pumps to quiescence.
+func injectPackets(m *hw.Machine, nic *dev.NIC, comp trace.Comp, n, size, dest int) {
+	// One buffer for the whole burst: the NIC DMAs the bytes into a posted
+	// frame on Inject, so the source can be reused.
+	pkt := make([]byte, size)
+	if size > 0 {
+		pkt[0] = byte(dest)
+	}
+	for i := 0; i < n; i++ {
+		nic.Inject(pkt)
+		m.IRQ.DispatchPending(comp)
+		m.PumpIO(comp, pumpRounds)
+	}
 }
 
 // ErrGuestIndex is returned for out-of-range guest references.
@@ -161,7 +182,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 	}
 	h.FastPathPolicy = cfg.FastPath
 	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: cfg.DiskLatency})
+	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
 	dd, err := vmmos.NewDriverDomain(h, d0, nic, disk)
 	if err != nil {
 		return nil, err
@@ -171,14 +192,14 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 	}
 	var px *vmmos.Parallax
 	if cfg.Consolidated {
-		px, err = vmmos.NewParallaxOn(dd.GK, dd, cfg.StoreBlocks*uint64(cfg.Guests)+64)
+		px, err = vmmos.NewParallaxOn(dd.GK, dd, storeBlocks*uint64(cfg.Guests)+64)
 	} else {
 		var pxDom *vmm.Domain
 		pxDom, err = h.CreateDomain("parallax", 128)
 		if err != nil {
 			return nil, err
 		}
-		px, err = vmmos.NewParallax(h, pxDom, dd, cfg.StoreBlocks*uint64(cfg.Guests)+64)
+		px, err = vmmos.NewParallax(h, pxDom, dd, storeBlocks*uint64(cfg.Guests)+64)
 	}
 	if err != nil {
 		return nil, err
@@ -200,7 +221,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		if _, err := vmmos.ConnectNet(dd, gk); err != nil {
 			return nil, err
 		}
-		if _, err := px.AttachClient(gk, cfg.StoreBlocks); err != nil {
+		if _, err := px.AttachClient(gk, storeBlocks); err != nil {
 			return nil, err
 		}
 		// The guest advertises its connected frontends, XenStore style.
@@ -250,21 +271,11 @@ func (s *XenStack) Close() { s.Cfg.pool.Put(s.Mach) }
 func (s *XenStack) M() *hw.Machine { return s.Mach }
 
 // Pump implements Platform.
-func (s *XenStack) Pump() { s.H.PumpIO(256) }
+func (s *XenStack) Pump() { s.H.PumpIO(pumpRounds) }
 
 // InjectPackets implements Platform.
 func (s *XenStack) InjectPackets(n, size, dest int) {
-	// One buffer for the whole burst: the NIC DMAs the bytes into a posted
-	// frame on Inject, so the source can be reused.
-	pkt := make([]byte, size)
-	if size > 0 {
-		pkt[0] = byte(dest)
-	}
-	for i := 0; i < n; i++ {
-		s.NIC.Inject(pkt)
-		s.Mach.IRQ.DispatchPending(s.H.Comp())
-		s.Pump()
-	}
+	injectPackets(s.Mach, s.NIC, s.H.Comp(), n, size, dest)
 }
 
 // DrainRx implements Platform.
@@ -378,7 +389,7 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 	m := cfg.machine()
 	k := mk.New(m)
 	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: cfg.DiskLatency})
+	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
 	nd, err := mkos.NewNetDriver(k, nic)
 	if err != nil {
 		return nil, err
@@ -392,14 +403,14 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 	}
 	var store *mkos.StoreServer
 	if cfg.Consolidated {
-		store, err = mkos.NewStoreServerIn(k, bd.Space, "srv.blk.store", nil)
+		store, err = mkos.NewStoreServerIn(k, bd.Space, "srv.blk.store")
 	} else {
-		store, err = mkos.NewStoreServer(k, nil)
+		store, err = mkos.NewStoreServer(k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	store.SetPersistence(bd.NewBlkClient(store.Thread.ID, cfg.StoreBlocks*uint64(cfg.Guests)+64))
+	store.SetPersistence(bd.NewBlkClient(store.Thread.ID, storeBlocks*uint64(cfg.Guests)+64))
 	s := &MKStack{Cfg: cfg, Mach: m, K: k, NIC: nic, Disk: disk, Net: nd, Blk: bd, Store: store}
 	for i := 0; i < cfg.Guests; i++ {
 		osrv, err := mkos.NewOSServer(k, fmt.Sprintf("linux%d", i+1))
@@ -407,7 +418,7 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 			return nil, err
 		}
 		nd.Attach(osrv)
-		store.Attach(osrv, cfg.StoreBlocks)
+		store.Attach(osrv, storeBlocks)
 		// Mirror the VMM-side placement: each guest OS instance (server
 		// thread plus its processes) homes on a non-boot CPU while the
 		// driver and store servers keep the boot CPU, so guest⇄driver
@@ -437,21 +448,11 @@ func (s *MKStack) Close() { s.Cfg.pool.Put(s.Mach) }
 func (s *MKStack) M() *hw.Machine { return s.Mach }
 
 // Pump implements Platform.
-func (s *MKStack) Pump() { s.K.PumpIO(256) }
+func (s *MKStack) Pump() { s.K.PumpIO(pumpRounds) }
 
 // InjectPackets implements Platform.
 func (s *MKStack) InjectPackets(n, size, dest int) {
-	// One buffer for the whole burst: the NIC DMAs the bytes into a posted
-	// frame on Inject, so the source can be reused.
-	pkt := make([]byte, size)
-	if size > 0 {
-		pkt[0] = byte(dest)
-	}
-	for i := 0; i < n; i++ {
-		s.NIC.Inject(pkt)
-		s.Mach.IRQ.DispatchPending(s.K.Comp())
-		s.Pump()
-	}
+	injectPackets(s.Mach, s.NIC, s.K.Comp(), n, size, dest)
 }
 
 // DrainRx implements Platform.
@@ -573,7 +574,7 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 	m := cfg.machine()
 	s := &NativeStack{Cfg: cfg, Mach: m, comp: m.Rec.Intern(NativeComponent), store: make(map[uint64][]byte)}
 	s.NIC = dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	s.Disk = dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: cfg.DiskLatency})
+	s.Disk = dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
 	m.IRQ.SetHandler(1, func(hw.IRQLine) {
 		// In-kernel driver: reap and queue, no domain crossings.
 		m.CPU.Charge(s.comp, trace.KIRQ, 0)
@@ -614,15 +615,7 @@ func (s *NativeStack) Close() { s.Cfg.pool.Put(s.Mach) }
 func (s *NativeStack) M() *hw.Machine { return s.Mach }
 
 // Pump implements Platform.
-func (s *NativeStack) Pump() {
-	for i := 0; i < 256; i++ {
-		n := s.Mach.Events.RunUntilIdle(1024)
-		n += s.Mach.IRQ.DispatchPending(s.comp)
-		if n == 0 {
-			break
-		}
-	}
-}
+func (s *NativeStack) Pump() { s.Mach.PumpIO(s.comp, pumpRounds) }
 
 // syscall charges the native syscall path: one trap, kernel work, return.
 func (s *NativeStack) syscall(work hw.Cycles) {
@@ -634,17 +627,7 @@ func (s *NativeStack) syscall(work hw.Cycles) {
 
 // InjectPackets implements Platform.
 func (s *NativeStack) InjectPackets(n, size, dest int) {
-	// One buffer for the whole burst: the NIC DMAs the bytes into a posted
-	// frame on Inject, so the source can be reused.
-	pkt := make([]byte, size)
-	if size > 0 {
-		pkt[0] = byte(dest)
-	}
-	for i := 0; i < n; i++ {
-		s.NIC.Inject(pkt)
-		s.Mach.IRQ.DispatchPending(s.comp)
-		s.Pump()
-	}
+	injectPackets(s.Mach, s.NIC, s.comp, n, size, dest)
 }
 
 // appCPU is the core the application runs on in the SMP model: the last

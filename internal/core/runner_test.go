@@ -136,12 +136,11 @@ func TestRunFlatConcatenatesInOrder(t *testing.T) {
 func TestSerialParallelIdentical(t *testing.T) {
 	serial, par := NewRunner(1), NewRunner(4)
 
-	cfg := E1Config{Sizes: []int{64, 1500, 4096}, Packets: 30}
-	s1, err := serial.E1(cfg)
+	s1, err := serial.E1(30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := par.E1(cfg)
+	p1, err := par.E1(30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +174,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 
 	// E11's cells pair two machines each and seed per-cell write streams;
 	// the migration sweep must still be order-independent.
-	cfg11 := E11Config{Frames: 48, DirtyRates: []int{0, 8}, Budgets: []int{0, 2}, Cutoff: 2}
-	s11, err := serial.E11(cfg11)
+	s11, err := serial.E11(48, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p11, err := par.E11(cfg11)
+	p11, err := par.E11(48, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

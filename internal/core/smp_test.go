@@ -8,17 +8,17 @@ import (
 	"vmmk/internal/trace"
 )
 
-// e12TestConfig is a trimmed sweep sized for the unit tests.
-var e12TestConfig = E12Config{CPUCounts: []int{1, 2, 4}, Ops: 60, Pages: 16, Packets: 8}
+// e12TestCPUs is a trimmed core-count sweep sized for the unit tests.
+var e12TestCPUs = []int{1, 2, 4}
 
 // TestE12SerialParallelIdentical extends the engine determinism guard to
 // the SMP sweep: the table must be deeply equal at any worker width.
 func TestE12SerialParallelIdentical(t *testing.T) {
-	s, err := NewRunner(1).E12(e12TestConfig)
+	s, err := NewRunner(1).E12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewRunner(4).E12(e12TestConfig)
+	p, err := NewRunner(4).E12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestE12SerialParallelIdentical(t *testing.T) {
 // platform pair appears once per core count, 1-CPU rows carry zero SMP
 // tax, and the tax grows with core count on the scaling workloads.
 func TestE12Shape(t *testing.T) {
-	rows, err := NewRunner(1).E12(e12TestConfig)
+	rows, err := NewRunner(1).E12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := 3 * 3 * len(e12TestConfig.CPUCounts)
+	wantRows := 3 * 3 * len(e12TestCPUs)
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
@@ -59,7 +59,7 @@ func TestE12Shape(t *testing.T) {
 		for _, p := range []string{"vmm", "mk", "native"} {
 			c := tax[curve{w, p}]
 			prev := uint64(0)
-			for _, n := range e12TestConfig.CPUCounts {
+			for _, n := range e12TestCPUs {
 				if n > 1 && c[n] <= prev {
 					t.Errorf("%s/%s SMP tax not growing: %d CPUs -> %d (prev %d)", w, p, n, c[n], prev)
 				}

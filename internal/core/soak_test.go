@@ -18,8 +18,8 @@ func TestSoakBothStacks(t *testing.T) {
 		t.Skip("long soak")
 	}
 	for _, build := range []func() (Platform, error){
-		func() (Platform, error) { return NewMKStack(Config{Guests: 2, Frames: 4096}) },
-		func() (Platform, error) { return NewXenStack(Config{Guests: 2, Frames: 4096}) },
+		func() (Platform, error) { return NewMKStack(Config{Guests: 2}) },
+		func() (Platform, error) { return NewXenStack(Config{Guests: 2}) },
 	} {
 		p, err := build()
 		if err != nil {

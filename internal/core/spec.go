@@ -236,6 +236,18 @@ var paramSyscalls = Param{
 	Unit: "ops", Help: "iteration count for E3/E7/E10",
 }
 
+// checkArgs validates a typed entry point's arguments through the Params
+// that declare them, in declaration order, and returns the first usage
+// error: a direct call refuses exactly what the registry refuses.
+func checkArgs(ps []Param, args ...any) error {
+	for i, p := range ps {
+		if err := p.Validate(args[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Spec{}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -191,8 +192,7 @@ func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
 		t.Errorf("e3 registry CSV diverged from the typed rows:\n%s\nvs\n%s", got, want)
 	}
 
-	cfg := E12Config{CPUCounts: []int{1, 2}}
-	rows12, err := r.E12(cfg)
+	rows12, err := r.E12([]int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,39 +271,88 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestE11DefaultsIdenticalForCLIAndAPI pins the satellite fix: the dirty-
-// rate/budget derivation (including the PeakDirty/6 clamp and the cutoff of
-// 2) lives in E11Config normalization, so a zero-value config, E11Defaults
-// and the CLI's default flags all describe the same sweep.
+// TestE11DefaultsIdenticalForCLIAndAPI pins the sweep E11 derives from its
+// parameters: at the declared defaults (96 pages, 4 rounds, 48 dirty
+// pages) the typed entry point runs dirty rates {0, 8, 48} x budgets
+// {0, 1, 4}, and renders exactly what the CLI's default flags render. A
+// peak dirty rate below 6 clamps the middle rate to one page.
 func TestE11DefaultsIdenticalForCLIAndAPI(t *testing.T) {
-	d := E11Defaults()
-	if !reflect.DeepEqual(d.DirtyRates, []int{0, 8, 48}) {
-		t.Errorf("default dirty rates = %v", d.DirtyRates)
+	r := NewRunner(1)
+	sweep := func(rows []E11Row) (rates, budgets []int) {
+		for _, row := range rows {
+			if !slices.Contains(rates, row.DirtyRate) {
+				rates = append(rates, row.DirtyRate)
+			}
+			if !slices.Contains(budgets, row.Budget) {
+				budgets = append(budgets, row.Budget)
+			}
+		}
+		return rates, budgets
 	}
-	if !reflect.DeepEqual(d.Budgets, []int{0, 1, 4}) {
-		t.Errorf("default budgets = %v", d.Budgets)
+	rows, err := r.E11(96, 4, 48)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Cutoff != 2 || d.Frames != 96 {
-		t.Errorf("defaults = %+v", d)
+	if rates, budgets := sweep(rows); len(rows) != 9 ||
+		!reflect.DeepEqual(rates, []int{0, 8, 48}) || !reflect.DeepEqual(budgets, []int{0, 1, 4}) {
+		t.Errorf("E11(96, 4, 48): %d rows over rates %v x budgets %v, want 9 over {0, 8, 48} x {0, 1, 4}",
+			len(rows), rates, budgets)
+	}
+	res, err := r.RunExperiment(context.Background(), "e11", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Text(), e11Table(rows).String()+"\n"; got != want {
+		t.Errorf("the CLI defaults and E11(96, 4, 48) diverge:\n%s\nvs\n%s", got, want)
 	}
 	// The clamp: a peak dirty rate below 6 still yields a positive middle
 	// rate.
-	c := E11Config{PeakDirty: 4}
-	c.defaults()
-	if !reflect.DeepEqual(c.DirtyRates, []int{0, 1, 4}) {
-		t.Errorf("clamped dirty rates = %v", c.DirtyRates)
+	rows, err = r.E11(8, 1, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A zero cutoff normalizes to the published 2 for API callers too,
-	// while a negative cutoff stays expressible as "no cutoff at all".
-	c2 := E11Config{Frames: 8, DirtyRates: []int{0}, Budgets: []int{0}}
-	c2.defaults()
-	if c2.Cutoff != 2 {
-		t.Errorf("cutoff = %d, want 2", c2.Cutoff)
+	if rates, _ := sweep(rows); !reflect.DeepEqual(rates, []int{0, 1, 4}) {
+		t.Errorf("clamped dirty rates = %v, want [0 1 4]", rates)
 	}
-	c3 := E11Config{Frames: 8, DirtyRates: []int{0}, Budgets: []int{0}, Cutoff: -1}
-	c3.defaults()
-	if c3.Cutoff != 0 {
-		t.Errorf("negative cutoff normalized to %d, want 0 (no cutoff)", c3.Cutoff)
+}
+
+// TestTypedEntryPointsRefuseWhatTheRegistryRefuses: every typed entry
+// point that takes a parameter refuses a zero value, or an empty list,
+// with the registry's own usage error naming the flag. None of them falls
+// back to a default of its own.
+func TestTypedEntryPointsRefuseWhatTheRegistryRefuses(t *testing.T) {
+	r := NewRunner(1)
+	errOf := func(_ any, err error) error { return err }
+	cases := []struct {
+		id, flag string
+		zero     any
+		call     func() error
+		want     string
+	}{
+		{"e1", "packets", 0, func() error { return errOf(r.E1(0)) }, "usage: -packets must be positive (got 0)"},
+		{"e3", "syscalls", 0, func() error { return errOf(r.E3(0)) }, "usage: -syscalls must be positive (got 0)"},
+		{"e4", "guests", 0, func() error { return errOf(r.E4(0)) }, "usage: -guests must be positive (got 0)"},
+		{"e7", "syscalls", 0, func() error { return errOf(r.E7(0)) }, "usage: -syscalls must be positive (got 0)"},
+		{"e8", "requests", 0, func() error { return errOf(r.E8(0)) }, "usage: -requests must be positive (got 0)"},
+		{"e10", "syscalls", 0, func() error { return errOf(r.E10(0)) }, "usage: -syscalls must be positive (got 0)"},
+		{"e11", "frames", 0, func() error { return errOf(r.E11(0, 4, 48)) }, "usage: -frames must be positive (got 0)"},
+		{"e11", "rounds", 0, func() error { return errOf(r.E11(96, 0, 48)) }, "usage: -rounds must be positive (got 0)"},
+		{"e11", "dirty", 0, func() error { return errOf(r.E11(96, 4, 0)) }, "usage: -dirty must be positive (got 0)"},
+		{"e12", "cpus", []int{}, func() error { return errOf(r.E12(nil)) }, "usage: -cpus needs at least one value"},
+		{"e13", "fleet", []int{}, func() error { return errOf(r.E13(nil, []int{24}, 192)) }, "usage: -fleet needs at least one value"},
+		{"e13", "churn", []int{}, func() error { return errOf(r.E13([]int{2}, nil, 192)) }, "usage: -churn needs at least one value"},
+		{"e13", "hostframes", 0, func() error { return errOf(r.E13([]int{2}, []int{24}, 0)) }, "usage: -hostframes must be positive (got 0)"},
+	}
+	for _, c := range cases {
+		err := c.call()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s with a zero -%s: err = %v, want %q", c.id, c.flag, err, c.want)
+			continue
+		}
+		spec, _ := Lookup(c.id)
+		if _, rerr := spec.Normalize(Params{c.flag: c.zero}); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s with a zero -%s: entry point says %q, registry says %v", c.id, c.flag, err, rerr)
+		}
 	}
 }
 

@@ -29,10 +29,9 @@ func (c *Clock) Reset() { c.now = 0 }
 
 // event is a scheduled callback in the discrete-event queue.
 type event struct {
-	at   Cycles
-	name string
-	fn   func()
-	seq  uint64 // tie-breaker for deterministic ordering
+	at  Cycles
+	fn  func()
+	seq uint64 // tie-breaker for deterministic ordering
 }
 
 // before orders events by due time, then by scheduling order. Sequence
@@ -60,11 +59,11 @@ func NewEventQueue(clock *Clock) *EventQueue {
 
 // Schedule arranges for fn to run at absolute cycle time at. Scheduling in
 // the past clamps to now.
-func (q *EventQueue) Schedule(at Cycles, name string, fn func()) {
+func (q *EventQueue) Schedule(at Cycles, fn func()) {
 	if at < q.clock.Now() {
 		at = q.clock.Now()
 	}
-	q.push(event{at: at, name: name, fn: fn, seq: q.seq})
+	q.push(event{at: at, fn: fn, seq: q.seq})
 	q.seq++
 }
 
@@ -110,8 +109,8 @@ func (q *EventQueue) pop() event {
 }
 
 // ScheduleAfter arranges for fn to run d cycles from now.
-func (q *EventQueue) ScheduleAfter(d Cycles, name string, fn func()) {
-	q.Schedule(q.clock.Now()+d, name, fn)
+func (q *EventQueue) ScheduleAfter(d Cycles, fn func()) {
+	q.Schedule(q.clock.Now()+d, fn)
 }
 
 // Pending returns the number of queued events.

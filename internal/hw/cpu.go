@@ -84,9 +84,8 @@ type CPU struct {
 	pt   *PageTable
 	segs [NumSegRegs]Segment
 
-	traps      uint64
-	walkCharge bool   // charge page-walk cost on TLB miss
-	cache      *Cache // optional cache-footprint model (AttachCache)
+	traps uint64
+	cache *Cache // optional cache-footprint model (AttachCache)
 
 	// SMP attribution handles ("cpu<n>.ipi", "cpu<n>.shootdown"),
 	// interned at construction and charged only by the cross-CPU paths,
@@ -99,29 +98,27 @@ type CPU struct {
 // share the clock, memory and recorder; the TLB is private per CPU.
 func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index int) *CPU {
 	return &CPU{
-		Arch:       arch,
-		Clock:      clock,
-		TLB:        NewTLB(arch.TLBEntries, arch.HasASID),
-		Mem:        mem,
-		Rec:        rec,
-		Index:      index,
-		ring:       Ring0,
-		walkCharge: true,
-		ipiComp:    rec.Intern(fmt.Sprintf("cpu%d.ipi", index)),
-		shootComp:  rec.Intern(fmt.Sprintf("cpu%d.shootdown", index)),
+		Arch:      arch,
+		Clock:     clock,
+		TLB:       NewTLB(arch.TLBEntries, arch.HasASID),
+		Mem:       mem,
+		Rec:       rec,
+		Index:     index,
+		ring:      Ring0,
+		ipiComp:   rec.Intern(fmt.Sprintf("cpu%d.ipi", index)),
+		shootComp: rec.Intern(fmt.Sprintf("cpu%d.shootdown", index)),
 	}
 }
 
 // Reset restores the CPU to its post-NewCPUOn state: ring 0, no address
-// space, zeroed segments, no trap history, page-walk charging on, no cache
-// model, and an empty TLB. The interned attribution handles survive — they
-// are registry identities, not state.
+// space, zeroed segments, no trap history, no cache model, and an empty
+// TLB. The interned attribution handles survive — they are registry
+// identities, not state.
 func (c *CPU) Reset() {
 	c.ring = Ring0
 	c.pt = nil
 	c.segs = [NumSegRegs]Segment{}
 	c.traps = 0
-	c.walkCharge = true
 	c.cache = nil
 	c.TLB.Reset()
 }

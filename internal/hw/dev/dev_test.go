@@ -9,7 +9,7 @@ import (
 
 func devMachine(t testing.TB) *hw.Machine {
 	t.Helper()
-	return hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 64, IRQLines: 8})
+	return hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 64})
 }
 
 func TestNICRxPath(t *testing.T) {
@@ -131,14 +131,18 @@ func TestNICRingFull(t *testing.T) {
 
 func TestNICTxCompletes(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, WireLatency: 500})
+	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Write(f, 0, []byte("pong"))
 	nic.Transmit(f, 4)
+	m.Events.RunUntil(WireLatency - 1)
 	if len(nic.Transmitted()) != 0 {
 		t.Fatal("tx completed before wire latency")
 	}
 	m.Events.RunUntilIdle(0)
+	if m.Clock.Now() != WireLatency {
+		t.Fatalf("tx completed at %d, want the wire latency %d", m.Clock.Now(), WireLatency)
+	}
 	pkts := nic.Transmitted()
 	if len(pkts) != 1 || !bytes.Equal(pkts[0].Data, []byte("pong")) {
 		t.Fatalf("bad tx %+v", pkts)

@@ -22,15 +22,6 @@ func (op DiskOp) String() string {
 	return "write"
 }
 
-// eventLabel is the completion event's queue label, precomputed: Submit is
-// hot enough that formatting it per request showed up in profiles.
-func (op DiskOp) eventLabel() string {
-	if op == DiskRead {
-		return "disk.read"
-	}
-	return "disk.write"
-}
-
 // DiskReq is one block request: move one block between the platter and a
 // physical frame.
 type DiskReq struct {
@@ -93,7 +84,7 @@ func (d *Disk) Blocks() uint64 { return d.blocks }
 // the completion IRQ. Out-of-range blocks complete with OK=false.
 func (d *Disk) Submit(req DiskReq) {
 	d.inFlight++
-	d.m.Events.ScheduleAfter(d.latency, req.Op.eventLabel(), func() {
+	d.m.Events.ScheduleAfter(d.latency, func() {
 		d.inFlight--
 		ok := req.Block < d.blocks
 		if ok {

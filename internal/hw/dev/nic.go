@@ -27,7 +27,6 @@ type NIC struct {
 	comp    trace.Comp // "hw.nic", interned at construction
 	rxIRQ   hw.IRQLine
 	txIRQ   hw.IRQLine
-	wire    hw.Cycles // serialisation latency per packet
 	dmaWord hw.Cycles // DMA cost per word moved
 
 	rxRing    []hw.FrameID
@@ -37,8 +36,7 @@ type NIC struct {
 	completed []RxCompletion // filled by Inject
 	reaped    []RxCompletion // returned by the last ReapRx; the next fill buffer
 
-	txInFlight int
-	txDone     uint64
+	txDone uint64
 
 	rxDrops uint64
 	rxSeq   uint64
@@ -58,11 +56,13 @@ type RxCompletion struct {
 	Seq   uint64
 }
 
+// WireLatency is every NIC's per-packet transmit serialisation latency.
+const WireLatency hw.Cycles = 2000
+
 // NICConfig sizes a NIC.
 type NICConfig struct {
 	RxIRQ, TxIRQ hw.IRQLine
-	RingSize     int       // rx descriptor ring entries (default 64)
-	WireLatency  hw.Cycles // per-packet latency (default 2000)
+	RingSize     int // rx descriptor ring entries (default 64)
 	// CoalesceRx batches receive interrupts: the RX line is raised only
 	// every n completions (default 1 = interrupt per packet). Drivers
 	// must call FlushRxIRQ when going idle to claim the remainder —
@@ -76,10 +76,6 @@ func NewNIC(m *hw.Machine, cfg NICConfig) *NIC {
 	if ring <= 0 {
 		ring = 64
 	}
-	wire := cfg.WireLatency
-	if wire == 0 {
-		wire = 2000
-	}
 	co := cfg.CoalesceRx
 	if co <= 0 {
 		co = 1
@@ -89,7 +85,6 @@ func NewNIC(m *hw.Machine, cfg NICConfig) *NIC {
 		comp:     m.Rec.Intern("hw.nic"),
 		rxIRQ:    cfg.RxIRQ,
 		txIRQ:    cfg.TxIRQ,
-		wire:     wire,
 		dmaWord:  1,
 		rxRing:   make([]hw.FrameID, ring),
 		coalesce: co,
@@ -157,7 +152,7 @@ func (n *NIC) RxIRQsRaised() uint64 { return n.rxIRQsRaised }
 
 // InjectAt schedules a packet arrival at absolute time at.
 func (n *NIC) InjectAt(at hw.Cycles, data []byte) {
-	n.m.Events.Schedule(at, "nic.rx", func() { n.Inject(data) })
+	n.m.Events.Schedule(at, func() { n.Inject(data) })
 }
 
 // ReapRx returns and clears the completed receive descriptors. The
@@ -179,9 +174,7 @@ func (n *NIC) Transmit(f hw.FrameID, length int) {
 	n.m.Mem.Read(f, 0, data)
 	words := hw.Cycles((length + 7) / 8)
 	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words*n.dmaWord))
-	n.txInFlight++
-	n.m.Events.ScheduleAfter(n.wire, "nic.tx-done", func() {
-		n.txInFlight--
+	n.m.Events.ScheduleAfter(WireLatency, func() {
 		n.txDone++
 		n.transmitted = append(n.transmitted, Packet{Data: data, Seq: n.txDone})
 		n.m.IRQ.Raise(n.txIRQ)

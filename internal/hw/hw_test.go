@@ -9,7 +9,7 @@ import (
 
 func testMachine(t testing.TB) *Machine {
 	t.Helper()
-	return NewMachine(X86(), &MachineConfig{Frames: 128, IRQLines: 8})
+	return NewMachine(X86(), &MachineConfig{Frames: 128})
 }
 
 func TestAllArchsCount(t *testing.T) {
@@ -64,10 +64,10 @@ func TestEventQueueOrdering(t *testing.T) {
 	clock := &Clock{}
 	q := NewEventQueue(clock)
 	var got []int
-	q.Schedule(30, "c", func() { got = append(got, 3) })
-	q.Schedule(10, "a", func() { got = append(got, 1) })
-	q.Schedule(10, "b", func() { got = append(got, 2) }) // same time: scheduling order
-	q.Schedule(20, "d", func() { got = append(got, 4) })
+	q.Schedule(30, func() { got = append(got, 3) })
+	q.Schedule(10, func() { got = append(got, 1) })
+	q.Schedule(10, func() { got = append(got, 2) }) // same time: scheduling order
+	q.Schedule(20, func() { got = append(got, 4) })
 	n := q.RunUntilIdle(0)
 	if n != 4 {
 		t.Fatalf("fired %d events, want 4", n)
@@ -91,10 +91,10 @@ func TestEventQueueCascade(t *testing.T) {
 	recurse = func() {
 		if depth < 5 {
 			depth++
-			q.ScheduleAfter(1, "r", recurse)
+			q.ScheduleAfter(1, recurse)
 		}
 	}
-	q.Schedule(0, "seed", recurse)
+	q.Schedule(0, recurse)
 	q.RunUntilIdle(0)
 	if depth != 5 {
 		t.Fatalf("cascade depth = %d, want 5", depth)
@@ -105,8 +105,8 @@ func TestEventQueueRunUntil(t *testing.T) {
 	clock := &Clock{}
 	q := NewEventQueue(clock)
 	var got []string
-	q.Schedule(10, "a", func() { got = append(got, "a") })
-	q.Schedule(20, "b", func() { got = append(got, "b") })
+	q.Schedule(10, func() { got = append(got, "a") })
+	q.Schedule(20, func() { got = append(got, "b") })
 	q.RunUntil(15)
 	if len(got) != 1 || got[0] != "a" {
 		t.Fatalf("got %v, want [a]", got)
@@ -135,7 +135,7 @@ func TestQuickEventQueueOrder(t *testing.T) {
 		sched = func(d uint8) {
 			k := key{at: clock.Now() + Cycles(d%16), seq: seq}
 			seq++
-			q.ScheduleAfter(Cycles(d%16), "e", func() {
+			q.ScheduleAfter(Cycles(d%16), func() {
 				fired = append(fired, k)
 				if k.seq < len(spawn) && spawn[k.seq] {
 					sched(d / 2)
@@ -172,7 +172,7 @@ func TestEventQueueAllocatesNothing(t *testing.T) {
 	fn := func() { fired++ }
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			q.Schedule(clock.Now()+Cycles(8-i), "tick", fn)
+			q.Schedule(clock.Now()+Cycles(8-i), fn)
 		}
 		q.RunUntilIdle(0)
 	}
@@ -273,18 +273,13 @@ func TestPageTableMapUnmap(t *testing.T) {
 	if !ok || e.Frame != 9 {
 		t.Fatal("lookup after map failed")
 	}
-	ep1 := pt.Epoch()
 	pt.Unmap(5)
 	if _, ok := pt.Lookup(5); ok {
 		t.Fatal("entry survived unmap")
 	}
-	if pt.Epoch() == ep1 {
-		t.Fatal("epoch did not advance on unmap")
-	}
-	ep2 := pt.Epoch()
 	pt.Unmap(5) // no-op
-	if pt.Epoch() != ep2 {
-		t.Fatal("no-op unmap advanced epoch")
+	if pt.Len() != 0 {
+		t.Fatalf("len %d after a no-op unmap, want 0", pt.Len())
 	}
 }
 

@@ -25,32 +25,22 @@ type Handler func(line IRQLine)
 type IRQController struct {
 	cpu      *CPU       // boot CPU: fields all external interrupts
 	comp     trace.Comp // "hw.irq", interned at construction
-	lines    int
-	pending  []bool
-	handlers []Handler
+	pending  [IRQLines]bool
+	handlers [IRQLines]Handler
 	raised   uint64
 	spurious uint64
 	ipis     uint64
 }
 
-// NewIRQController returns a controller with n lines, none pending and
-// without handlers, fielding external interrupts on cpus[0]. (IPIs are
+// NewIRQController returns a controller with IRQLines lines, none pending
+// and without handlers, fielding external interrupts on cpus[0]. (IPIs are
 // point-to-point — deliverIPI takes both endpoints — so the controller
 // itself only needs the boot CPU.)
-func NewIRQController(cpus []*CPU, n int) *IRQController {
-	if n <= 0 {
-		panic("hw: controller needs at least one line")
-	}
+func NewIRQController(cpus []*CPU) *IRQController {
 	if len(cpus) == 0 {
 		panic("hw: controller needs at least one CPU")
 	}
-	return &IRQController{
-		cpu:      cpus[0],
-		comp:     cpus[0].Rec.Intern("hw.irq"),
-		lines:    n,
-		pending:  make([]bool, n),
-		handlers: make([]Handler, n),
-	}
+	return &IRQController{cpu: cpus[0], comp: cpus[0].Rec.Intern("hw.irq")}
 }
 
 // SetHandler installs the kernel's handler for a line.
@@ -79,7 +69,7 @@ func (ic *IRQController) Pending(line IRQLine) bool {
 // are counted as spurious and dropped. It returns the number delivered.
 func (ic *IRQController) DispatchPending(component trace.Comp) int {
 	n := 0
-	for i := 0; i < ic.lines; i++ {
+	for i := range IRQLines {
 		if !ic.pending[i] {
 			continue
 		}
@@ -122,8 +112,8 @@ func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
 // Reset restores the controller to its post-NewIRQController state: no
 // pending lines, no handlers, statistics cleared.
 func (ic *IRQController) Reset() {
-	clear(ic.pending)
-	clear(ic.handlers)
+	ic.pending = [IRQLines]bool{}
+	ic.handlers = [IRQLines]Handler{}
 	ic.raised, ic.spurious, ic.ipis = 0, 0, 0
 }
 
@@ -134,7 +124,7 @@ func (ic *IRQController) IPIs() uint64 { return ic.ipis }
 func (ic *IRQController) Stats() (raised, spurious uint64) { return ic.raised, ic.spurious }
 
 func (ic *IRQController) check(line IRQLine) {
-	if line < 0 || int(line) >= ic.lines {
-		panic(fmt.Sprintf("hw: IRQ line %d out of range (%d lines)", line, ic.lines))
+	if line < 0 || line >= IRQLines {
+		panic(fmt.Sprintf("hw: IRQ line %d out of range (%d lines)", line, IRQLines))
 	}
 }

@@ -29,22 +29,21 @@ type Machine struct {
 
 // MachineConfig sizes a Machine.
 type MachineConfig struct {
-	Frames   int // physical memory size in pages (default 4096)
-	IRQLines int // interrupt lines (default 16)
-	LogCap   int // trace event log capacity (default 0 = counters only)
-	NCPUs    int // processor count (default 1)
+	Frames int // physical memory size in pages (default 4096)
+	LogCap int // trace event log capacity (default 0 = counters only)
+	NCPUs  int // processor count (default 1)
 }
+
+// IRQLines is every machine's interrupt-line count.
+const IRQLines = 16
 
 // normalized returns the config with defaults applied — the canonical form
 // NewMachine builds from and the pool keys by.
 func (c *MachineConfig) normalized() MachineConfig {
-	n := MachineConfig{Frames: 4096, IRQLines: 16, NCPUs: 1}
+	n := MachineConfig{Frames: 4096, NCPUs: 1}
 	if c != nil {
 		if c.Frames > 0 {
 			n.Frames = c.Frames
-		}
-		if c.IRQLines > 0 {
-			n.IRQLines = c.IRQLines
 		}
 		if c.NCPUs > 0 {
 			n.NCPUs = c.NCPUs
@@ -71,7 +70,7 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 		CPU:    cpus[0],
 		CPUs:   cpus,
 		Mem:    mem,
-		IRQ:    NewIRQController(cpus, c.IRQLines),
+		IRQ:    NewIRQController(cpus),
 		Rec:    rec,
 		Cfg:    c,
 	}
@@ -107,6 +106,23 @@ func (m *Machine) Run(until Cycles) int { return m.Events.RunUntil(until) }
 // RunUntilIdle drains the event queue completely (advancing the clock to
 // each event in turn), bounded by maxEvents (0 = unlimited).
 func (m *Machine) RunUntilIdle(maxEvents int) int { return m.Events.RunUntilIdle(maxEvents) }
+
+// PumpIO drives the machine until quiescent or maxRounds: fire every due
+// scheduled event, then dispatch pending interrupts, charging each dispatch
+// to comp — the idle loop of whichever kernel fields the interrupts. It
+// returns the total number of events plus interrupts processed.
+func (m *Machine) PumpIO(comp trace.Comp, maxRounds int) int {
+	total := 0
+	for range maxRounds {
+		n := m.Events.RunUntilIdle(1024)
+		n += m.IRQ.DispatchPending(comp)
+		total += n
+		if n == 0 {
+			break
+		}
+	}
+	return total
+}
 
 // AdvanceTo skips idle virtual time: the clock jumps straight to t, firing
 // any events that become due on the way. Unlike Clock.AdvanceTo it is safe

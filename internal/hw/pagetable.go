@@ -86,9 +86,8 @@ type PageTable struct {
 	// multiply-mapped frame.
 	byFrame map[FrameID]frameRef
 
-	asid  uint16
-	top   int32  // dense[top:] has never been mapped, so scans stop at top
-	epoch uint64 // bumped on any mutation; lets shadow tables detect drift
+	asid uint16
+	top  int32 // dense[top:] has never been mapped, so scans stop at top
 }
 
 // denseDefault is the dense-region span for tables built without a hint
@@ -190,9 +189,6 @@ func (pt *PageTable) unindex(f FrameID, v VPN) {
 // ASID returns the table's address-space identifier.
 func (pt *PageTable) ASID() uint16 { return pt.asid }
 
-// Epoch returns the mutation counter.
-func (pt *PageTable) Epoch() uint64 { return pt.epoch }
-
 // Map installs or replaces the entry for vpn.
 func (pt *PageTable) Map(vpn VPN, e PTE) {
 	if vpn >= VPN(len(pt.dense)) && vpn < VPN(pt.span) {
@@ -211,7 +207,6 @@ func (pt *PageTable) Map(vpn VPN, e PTE) {
 			pt.top = max(pt.top, int32(vpn)+1)
 		}
 		d.frame, d.perms, d.user, d.present = e.Frame, e.Perms, e.User, true
-		pt.epoch++
 		return
 	}
 	if old, ok := pt.sparse[vpn]; ok {
@@ -227,7 +222,6 @@ func (pt *PageTable) Map(vpn VPN, e PTE) {
 		pt.sparse = make(map[VPN]PTE)
 	}
 	pt.sparse[vpn] = e
-	pt.epoch++
 }
 
 // Unmap removes the entry for vpn; removing a missing entry is a no-op.
@@ -238,7 +232,6 @@ func (pt *PageTable) Unmap(vpn VPN) {
 			pt.unindex(d.frame, vpn)
 			*d = densePTE{}
 			pt.n--
-			pt.epoch++
 		}
 		return
 	}
@@ -246,7 +239,6 @@ func (pt *PageTable) Unmap(vpn VPN) {
 		delete(pt.sparse, vpn)
 		pt.unindex(e.Frame, vpn)
 		pt.n--
-		pt.epoch++
 	}
 }
 
@@ -312,7 +304,6 @@ func (pt *PageTable) UnmapFrame(f FrameID) int {
 		}
 	}
 	delete(pt.byFrame, f)
-	pt.epoch++
 	return n
 }
 
@@ -346,10 +337,7 @@ func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 			n++
 		}
 	}
-	if n > 0 {
-		pt.n -= n
-		pt.epoch++
-	}
+	pt.n -= n
 	return n
 }
 

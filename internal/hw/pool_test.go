@@ -36,7 +36,7 @@ func exercise(t *testing.T, m *Machine) {
 	}
 	m.IRQ.SetHandler(3, func(IRQLine) {})
 	m.IRQ.Raise(3)
-	m.Events.ScheduleAfter(10_000, "never", func() { t.Error("stale event fired") })
+	m.Events.ScheduleAfter(10_000, func() { t.Error("stale event fired") })
 	m.Mem.Free(frames[0])
 	if err := m.Mem.Audit(); err != nil {
 		t.Fatalf("after exercise: %v", err)
@@ -187,7 +187,7 @@ func TestMachinePoolReuse(t *testing.T) {
 	// Defaults normalize: nil config and explicit defaults share a key.
 	p2 := NewMachinePool()
 	p2.Put(p2.Get(X86(), nil))
-	if m5 := p2.Get(X86(), &MachineConfig{Frames: 4096, IRQLines: 16, NCPUs: 1}); m5 == nil {
+	if m5 := p2.Get(X86(), &MachineConfig{Frames: 4096, NCPUs: 1}); m5 == nil {
 		t.Fatal("nil get")
 	} else if hits, _ := p2.Stats(); hits != 1 {
 		t.Fatal("normalized config did not hit the nil-config entry")
@@ -288,9 +288,9 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 func TestMachineRunSkipsIdleTime(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 16})
 	var fired []string
-	m.Events.Schedule(1_000, "a", func() { fired = append(fired, "a") })
-	m.Events.Schedule(500_000, "b", func() { fired = append(fired, "b") })
-	m.Events.Schedule(2_000_000, "late", func() { fired = append(fired, "late") })
+	m.Events.Schedule(1_000, func() { fired = append(fired, "a") })
+	m.Events.Schedule(500_000, func() { fired = append(fired, "b") })
+	m.Events.Schedule(2_000_000, func() { fired = append(fired, "late") })
 
 	if n := m.Run(1_000_000); n != 2 {
 		t.Fatalf("Run fired %d events, want 2", n)

@@ -38,7 +38,7 @@ func observe(m *hw.Machine) observed {
 // the guest dying between rounds — then recycles both machines and checks
 // them against fresh boots.
 func TestPoolCleanAfterAbortedMigration(t *testing.T) {
-	cfg := &hw.MachineConfig{Frames: 1024, IRQLines: 16}
+	cfg := &hw.MachineConfig{Frames: 1024}
 	linkDown := errors.New("link down")
 
 	abortOnce := func(t *testing.T, opts vmm.LiveOpts, wire func(h *vmm.Hypervisor, d vmm.DomID, o *vmm.LiveOpts)) {

@@ -158,7 +158,6 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		} else {
 			t.Inbox = append(t.Inbox, Envelope{From: NilThread, Msg: msg.clone()})
 		}
-		t.ipcIn++
 		k.ipcSends++
 	})
 	k.M.CPU.Work(k.comp, 100)

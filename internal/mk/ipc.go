@@ -216,8 +216,6 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	k.M.CPU.Charge(k.comp, trace.KIPCCall, k.M.Arch.Costs.CtxSave)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 
-	src.ipcOut++
-	dst.ipcIn++
 	k.ipcCalls++
 
 	reply, herr := k.deliver(dst.Handler, from, msg)
@@ -267,8 +265,6 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 			return err
 		}
 	}
-	src.ipcOut++
-	dst.ipcIn++
 	k.ipcSends++
 	if src.Affinity != dst.Affinity {
 		k.ipcCrossCPU++

@@ -180,9 +180,6 @@ type Thread struct {
 	// while another thread's call at the same level completes.
 	replies msgRegs
 
-	ipcIn  uint64
-	ipcOut uint64
-
 	comp trace.Comp // "mk."+Name, interned at creation
 }
 
@@ -269,21 +266,10 @@ func (k *Kernel) AllocAndMap(s *Space, base hw.VPN, n int, perms hw.Perm) ([]hw.
 	return frames, nil
 }
 
-// PumpIO drives the machine until quiescent or maxRounds: fire every due
-// scheduled event, then dispatch pending interrupts (which become IPCs to
-// driver threads). Returns the number of events plus interrupts processed.
-func (k *Kernel) PumpIO(maxRounds int) int {
-	total := 0
-	for round := 0; round < maxRounds; round++ {
-		n := k.M.Events.RunUntilIdle(1024)
-		n += k.M.IRQ.DispatchPending(k.comp)
-		total += n
-		if n == 0 {
-			break
-		}
-	}
-	return total
-}
+// PumpIO drives the machine until quiescent or maxRounds, the kernel
+// fielding each interrupt (interrupts become IPCs to driver threads). See
+// hw.Machine.PumpIO.
+func (k *Kernel) PumpIO(maxRounds int) int { return k.M.PumpIO(k.comp, maxRounds) }
 
 // Stats returns cumulative IPC operation counts.
 func (k *Kernel) Stats() (calls, sends, faultIPCs uint64) {

@@ -27,7 +27,7 @@ type mstack struct {
 
 func newMStack(t testing.TB, mode RxMode) *mstack {
 	t.Helper()
-	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 2048, IRQLines: 16})
+	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 2048})
 	k := mk.New(m)
 	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 64})
 	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: 5000})
@@ -45,7 +45,7 @@ func newMStack(t testing.TB, mode RxMode) *mstack {
 		t.Fatal(err)
 	}
 	nd.Attach(osrv)
-	store, err := NewStoreServer(k, nil)
+	store, err := NewStoreServer(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestStoreInDriverSpaceConsolidated(t *testing.T) {
 	// The mk-side super-server: storage colocated with the disk driver.
 	// It works — and dies with the driver, unlike the decomposed layout.
 	s := newMStack(t, RxGrant)
-	colo, err := NewStoreServerIn(s.k, s.blk.Space, "srv.blk.store", nil)
+	colo, err := NewStoreServerIn(s.k, s.blk.Space, "srv.blk.store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCrossArchStackBoots(t *testing.T) {
 	for _, arch := range hw.AllArchs() {
 		arch := arch
 		t.Run(arch.Name, func(t *testing.T) {
-			m := hw.NewMachine(arch, &hw.MachineConfig{Frames: 1024, IRQLines: 16})
+			m := hw.NewMachine(arch, &hw.MachineConfig{Frames: 1024})
 			k := mk.New(m)
 			nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2})
 			nd, err := NewNetDriver(k, nic)

@@ -37,23 +37,22 @@ type StoreDisk struct {
 	size     uint64
 }
 
-// NewStoreServer boots the storage server in its own protection domain;
-// blk (if non-nil) is its persistence path, typically a BlkClient on the
-// disk driver.
-func NewStoreServer(k *mk.Kernel, blk BlockService) (*StoreServer, error) {
+// NewStoreServer boots the storage server in its own protection domain,
+// without persistence until SetPersistence installs it.
+func NewStoreServer(k *mk.Kernel) (*StoreServer, error) {
 	sp, err := k.NewSpace("srv.store", mk.NilThread)
 	if err != nil {
 		return nil, err
 	}
-	return NewStoreServerIn(k, sp, "srv.store", blk)
+	return NewStoreServerIn(k, sp, "srv.store")
 }
 
 // NewStoreServerIn boots the storage server as a thread named name inside
 // an existing space — the consolidated arrangement (storage colocated with
 // a driver) whose widened blast radius the E9d ablation measures.
 // Decomposed callers should use NewStoreServer.
-func NewStoreServerIn(k *mk.Kernel, sp *mk.Space, name string, blk BlockService) (*StoreServer, error) {
-	s := &StoreServer{K: k, Space: sp, vdisks: make(map[mk.ThreadID]*StoreDisk), blk: blk}
+func NewStoreServerIn(k *mk.Kernel, sp *mk.Space, name string) (*StoreServer, error) {
+	s := &StoreServer{K: k, Space: sp, vdisks: make(map[mk.ThreadID]*StoreDisk)}
 	s.Thread = k.NewThread(sp, name, 6, s.handle)
 	return s, nil
 }
@@ -61,8 +60,9 @@ func NewStoreServerIn(k *mk.Kernel, sp *mk.Space, name string, blk BlockService)
 // Comp returns the server's interned trace attribution handle.
 func (s *StoreServer) Comp() trace.Comp { return s.Thread.Comp() }
 
-// SetPersistence installs (or replaces) the server's write-through path.
-// Pass a BlkClient bound to this server's thread ID.
+// SetPersistence installs (or replaces) the server's write-through path,
+// typically a BlkClient on the disk driver bound to this server's thread
+// ID.
 func (s *StoreServer) SetPersistence(blk BlockService) { s.blk = blk }
 
 // Attach creates a virtual disk of size blocks for a client OS server and

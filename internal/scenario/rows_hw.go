@@ -13,7 +13,7 @@ import (
 // bad device requests through typed errors and completion status.
 
 // smpConfig is the machine shape for the rows that need more than one CPU.
-var smpConfig = &hw.MachineConfig{Frames: 1024, IRQLines: 16, NCPUs: 4}
+var smpConfig = &hw.MachineConfig{Frames: 1024, NCPUs: 4}
 
 // hwState carries expectations from Run to Check.
 type hwState struct {

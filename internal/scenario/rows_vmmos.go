@@ -15,7 +15,7 @@ import (
 // missing, the guest must get a typed error, not a hang or a corpse.
 
 // vmmosConfig is the machine shape for the full split-driver stack.
-var vmmosConfig = &hw.MachineConfig{Frames: 2048, IRQLines: 16}
+var vmmosConfig = &hw.MachineConfig{Frames: 2048}
 
 // vmmosState carries the stack under test to Check.
 type vmmosState struct {

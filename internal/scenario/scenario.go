@@ -87,7 +87,7 @@ func (e *Env) Machine(cfg *hw.MachineConfig) *hw.Machine {
 }
 
 // DefaultConfig is the machine shape rows get when they declare no Cfg.
-var DefaultConfig = &hw.MachineConfig{Frames: 1024, IRQLines: 16}
+var DefaultConfig = &hw.MachineConfig{Frames: 1024}
 
 // registry holds the matrix rows, kept sorted by ID.
 var registry []S

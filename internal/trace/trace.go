@@ -196,7 +196,6 @@ type Record struct {
 	Component string
 	Cycles    uint64 // total cycles across the aggregated events
 	Count     uint64 // events this record stands for (>= 1)
-	Note      string
 }
 
 // NewRecorder returns an empty recorder with a fresh Registry. logCap > 0

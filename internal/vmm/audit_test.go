@@ -91,6 +91,34 @@ func TestMigrateOutOfMemoryResumesSource(t *testing.T) {
 	audit(t, r.h, dst)
 }
 
+// TestMigrateWithinOneHypervisorRefused: both migrations build the copy
+// under the guest's own name, so a migration onto the source's own
+// hypervisor is refused with ErrDomainExists and leaves the guest where it
+// was: running, with the same frames and memory.
+func TestMigrateWithinOneHypervisorRefused(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	f := r.domU.FrameAt(0)
+	r.m.Mem.Write(f, 0, []byte("stays put"))
+	free, domains := r.m.Mem.FreeFrames(), len(r.h.Domains())
+	if _, err := Migrate(r.h, r.domU.ID, r.h); !errors.Is(err, ErrDomainExists) {
+		t.Fatalf("Migrate onto its own hypervisor: err = %v, want ErrDomainExists", err)
+	}
+	if _, _, err := MigrateLive(r.h, r.domU.ID, r.h, LiveOpts{}); !errors.Is(err, ErrDomainExists) {
+		t.Fatalf("MigrateLive onto its own hypervisor: err = %v, want ErrDomainExists", err)
+	}
+	if !r.h.Alive(r.domU.ID) || r.h.Paused(r.domU.ID) {
+		t.Fatal("a refused migration left the source paused or dead")
+	}
+	if r.domU.FrameAt(0) != f || string(readFrame(r.m.Mem, f, 9)) != "stays put" {
+		t.Fatal("a refused migration moved the guest's memory")
+	}
+	if r.m.Mem.FreeFrames() != free || len(r.h.Domains()) != domains {
+		t.Fatalf("a refused migration left %d free frames and %d domains, want %d and %d",
+			r.m.Mem.FreeFrames(), len(r.h.Domains()), free, domains)
+	}
+	audit(t, r.h)
+}
+
 // TestStaleDomainOwnsNothing: a destroyed domain's handle must not reach
 // the frames of a new domain that reuses its name (and so its ledger
 // owner). The LIFO free list hands the new domain the same frames at the

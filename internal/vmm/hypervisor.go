@@ -289,21 +289,9 @@ func (h *Hypervisor) hypercallExit(d *Domain) {
 	h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 }
 
-// PumpIO drives the machine until quiescent or maxRounds: fire every due
-// scheduled event, then field pending interrupts (the monitor's idle loop).
-// It returns the total number of events plus interrupts processed.
-func (h *Hypervisor) PumpIO(maxRounds int) int {
-	total := 0
-	for round := 0; round < maxRounds; round++ {
-		n := h.M.Events.RunUntilIdle(1024)
-		n += h.M.IRQ.DispatchPending(h.comp)
-		total += n
-		if n == 0 {
-			break
-		}
-	}
-	return total
-}
+// PumpIO drives the machine until quiescent or maxRounds, the monitor
+// fielding each interrupt (its idle loop). See hw.Machine.PumpIO.
+func (h *Hypervisor) PumpIO(maxRounds int) int { return h.M.PumpIO(h.comp, maxRounds) }
 
 // Stats returns cumulative hypercall and world-switch counts.
 func (h *Hypervisor) Stats() (hypercalls, worldSwitches uint64) {

@@ -237,34 +237,18 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 // returns the new domain on dst. The guest is frozen for the entire copy —
 // the stop-and-copy baseline MigrateLive improves on.
 //
-// Between two distinct hypervisors the pages stream frame-to-frame without
-// materialising a DomainImage: each machine's charge sequence (pause, copy
-// work, destroy on the source; domain build, copy work, page-table rebuild
-// on the destination) is identical to the save/restore path, so the
-// accounting cannot differ — only the simulator's own buffering does.
-// Same-hypervisor migration still round-trips through the image, because
-// there the source must be torn down before its frames can back the copy.
-// A cross-hypervisor migration the destination refuses (pages of another
-// size, a live domain of that name, or too little memory) leaves the source
-// as it found it.
+// The pages stream frame-to-frame without materialising a DomainImage:
+// each machine's charge sequence (pause, copy work, destroy on the source;
+// domain build, copy work, page-table rebuild on the destination) is
+// identical to the save/restore path, so the accounting cannot differ —
+// only the simulator's own buffering does. A migration the destination
+// refuses (pages of another size, a live domain of that name, or too little
+// memory) leaves the source as it found it. That includes a migration onto
+// the source's own hypervisor, where the guest's own name is taken.
 func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 	if err := checkPageSize(src.M.Mem.PageSize(), dst.M.Mem.PageSize()); err != nil {
 		return nil, err
 	}
-	if src == dst {
-		if err := src.Pause(dom); err != nil {
-			return nil, err
-		}
-		img, err := src.SaveDomain(dom)
-		if err != nil {
-			return nil, err
-		}
-		if err := src.DestroyDomain(dom); err != nil {
-			return nil, err
-		}
-		return dst.RestoreDomain(img)
-	}
-
 	d, err := src.lookup(dom)
 	if err != nil {
 		return nil, err

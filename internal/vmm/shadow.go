@@ -33,7 +33,6 @@ type ShadowMMU struct {
 type shadowGPTE struct {
 	gpn   int
 	perms hw.Perm
-	user  bool
 }
 
 // EnableShadowMMU switches a domain to trap-and-emulate paging. The guest
@@ -66,7 +65,7 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	// Instruction decode + emulation of the store.
 	h.M.CPU.Work(h.comp, 180)
-	s.gpt[vpn] = shadowGPTE{gpn: gpn, perms: perms, user: user}
+	s.gpt[vpn] = shadowGPTE{gpn: gpn, perms: perms}
 	// Validation identical to the paravirtual path's.
 	f := d.FrameAt(gpn)
 	if f == hw.NoFrame || !d.OwnsFrame(f) {

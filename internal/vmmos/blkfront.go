@@ -38,7 +38,6 @@ func ConnectBlk(dd *DriverDomain, gk *GuestKernel, blocks uint64) (*BlkFront, er
 		backPort:  backPort,
 		frontPort: frontPort,
 		inflight:  make(map[uint64]*blkReq),
-		front:     bf,
 		base:      dd.nextBlkBase,
 		size:      blocks,
 	}

@@ -49,7 +49,6 @@ type netConn struct {
 	frontPort vmm.Port // guest's port
 	rxRing    []rxSlot
 	txRing    []txSlot
-	front     *NetFront
 }
 
 // blkReq is one outstanding block request.
@@ -70,7 +69,6 @@ type blkConn struct {
 	frontPort vmm.Port
 	reqs      []*blkReq
 	inflight  map[uint64]*blkReq
-	front     *BlkFront
 	base      uint64 // partition offset on the physical disk
 	size      uint64 // partition length in blocks
 }

@@ -31,7 +31,6 @@ type kvConn struct {
 	appPort   vmm.Port
 	frontPort vmm.Port
 	req       *kvReq
-	front     *KVClient
 }
 
 type kvReq struct {
@@ -71,7 +70,7 @@ func (a *KVAppliance) Connect(gk *GuestKernel) (*KVClient, error) {
 		return nil, err
 	}
 	c := &KVClient{gk: gk, app: a, localPort: frontPort, buf: buf}
-	conn := &kvConn{client: gk.Dom.ID, appPort: appPort, frontPort: frontPort, front: c}
+	conn := &kvConn{client: gk.Dom.ID, appPort: appPort, frontPort: frontPort}
 	c.conn = conn
 	a.conns[gk.Dom.ID] = conn
 	a.GK.ExtraEvent[appPort] = func() { a.serve(conn) }

@@ -21,7 +21,6 @@ type NetFront struct {
 	rxQueue []int      // lengths of undelivered packets, in arrival order
 	rxBuf   hw.FrameID // copy-mode landing buffer
 	txBuf   hw.FrameID
-	txNext  hw.VPN
 
 	rxFlips  uint64
 	rxCopies uint64
@@ -47,7 +46,7 @@ func ConnectNet(dd *DriverDomain, gk *GuestKernel) (*NetFront, error) {
 	}
 	nf.rxBuf, nf.txBuf = rxb, txb
 	// Make the guest kernel the legal owner list holder of these frames.
-	conn := &netConn{guest: gk.Dom.ID, backPort: backPort, frontPort: frontPort, front: nf}
+	conn := &netConn{guest: gk.Dom.ID, backPort: backPort, frontPort: frontPort}
 	nf.conn = conn
 	dd.netConns = append(dd.netConns, conn)
 	dd.GK.ExtraEvent[backPort] = func() { dd.netbackTx(conn) }

@@ -29,7 +29,6 @@ type Parallax struct {
 	vdisks map[vmm.DomID]*VDisk
 
 	requests uint64
-	faults   uint64
 }
 
 // ErrVDiskUnknown is returned for requests on an unattached client.
@@ -38,7 +37,6 @@ var ErrVDiskUnknown = errors.New("vmmos: no virtual disk for this domain")
 // VDisk is one client's virtual disk: a block map supporting copy-on-write
 // snapshots. Unwritten blocks read as zeros.
 type VDisk struct {
-	owner    vmm.DomID
 	blocks   map[uint64][]byte
 	snapshot map[uint64][]byte // frozen view; nil when no snapshot taken
 	persist  uint64            // physical partition offset for write-through
@@ -51,7 +49,6 @@ type pxConn struct {
 	pxPort    vmm.Port
 	frontPort vmm.Port
 	reqs      []*pxReq
-	front     *PxFront
 }
 
 type pxReq struct {
@@ -108,10 +105,10 @@ func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*PxFront, error)
 	if err != nil {
 		return nil, err
 	}
-	vd := &VDisk{owner: gk.Dom.ID, blocks: make(map[uint64][]byte), size: size, persist: uint64(len(px.vdisks)) * size}
+	vd := &VDisk{blocks: make(map[uint64][]byte), size: size, persist: uint64(len(px.vdisks)) * size}
 	px.vdisks[gk.Dom.ID] = vd
 	pf := &PxFront{gk: gk, px: px, localPort: frontPort, buf: buf}
-	conn := &pxConn{client: gk.Dom.ID, pxPort: pxPort, frontPort: frontPort, front: pf}
+	conn := &pxConn{client: gk.Dom.ID, pxPort: pxPort, frontPort: frontPort}
 	pf.conn = conn
 	px.GK.ExtraEvent[pxPort] = func() { px.serve(conn) }
 	gk.Blk = pf

@@ -25,7 +25,7 @@ type stack struct {
 
 func newStack(t testing.TB, mode RxMode) *stack {
 	t.Helper()
-	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 2048, IRQLines: 16})
+	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 2048})
 	h, d0, err := vmm.New(m, 128)
 	if err != nil {
 		t.Fatal(err)
