@@ -15,7 +15,7 @@
 // registry (spec.go); the CLI's flags and validation, the `list` output,
 // the `all` sweep and the benchmarks are all generated from Specs(). Every
 // experiment implements the uniform entry point
-// Run(ctx, *Runner, Params) (*Result, error); Result (result.go) is the
+// Run(*Runner, Params) (*Result, error); Result (result.go) is the
 // single typed result model — column schema with units, rows, echoed
 // params — rendering as aligned text, CSV and stable JSON. The typed
 // entry points (Runner.E1 … Runner.E13) take exactly the parameters their
@@ -23,9 +23,11 @@
 // each parameter's only default. Each experiment
 // decomposes into independent cells — one freshly booted Platform or
 // hw.Machine per (platform, parameter-point) pair — executed by the
-// parallel engine in runner.go: results land at their cell's index and
-// every random stream is seeded inside the cell that consumes it, so any
-// worker count yields byte-identical tables.
+// parallel engine in runner.go: each cell takes its machines from the
+// worker's hw.MachinePool, which RunCells passes it as an argument, and
+// puts them back when its row is computed; results land at their cell's
+// index and every random stream is seeded inside the cell that consumes
+// it, so any worker count yields byte-identical tables.
 //
 // E1–E11 always boot 1-CPU machines. Config.NCPUs sizes the machine for
 // E12's SMP sweep: guests spread over non-boot CPUs (vCPU placement on the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/hw"
@@ -25,7 +24,7 @@ func init() {
 		ID:     "e10",
 		Title:  "minimal-extension interface complexity",
 		Params: []Param{paramSyscalls},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E10(p.Int("syscalls"))
 			if err != nil {
 				return nil, err
@@ -49,11 +48,11 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 	if err := paramSyscalls.Validate(n); err != nil {
 		return nil, err
 	}
-	cells := []func(context.Context) ([]E10Row, error){
+	cells := []func(*hw.MachinePool) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.
-		func(ctx context.Context) ([]E10Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
-			defer release()
+		func(pool *hw.MachinePool) ([]E10Row, error) {
+			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 512})
+			defer pool.Put(m)
 			k := mk.New(m)
 			snap := m.Rec.Snapshot()
 			kv, err := mkos.NewKVServer(k)
@@ -87,9 +86,9 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 			}}, nil
 		},
 		// --- VMM: a domain with hooks, channels and grants.
-		func(ctx context.Context) ([]E10Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 1024})
-			defer release()
+		func(pool *hw.MachinePool) ([]E10Row, error) {
+			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 1024})
+			defer pool.Put(m)
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
 				return nil, err

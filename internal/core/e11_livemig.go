@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/hw"
@@ -45,7 +44,7 @@ func init() {
 		ID:     "e11",
 		Title:  "live pre-copy migration downtime",
 		Params: e11Params,
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E11(p.Int("frames"), p.Int("rounds"), p.Int("dirty"))
 			if err != nil {
 				return nil, err
@@ -83,9 +82,9 @@ func (r *Runner) E11(frames, rounds, dirty int) ([]E11Row, error) {
 			cells = append(cells, cellCfg{rate, budget})
 		}
 	}
-	return RunCells(r, len(cells), func(ctx context.Context, i int) (E11Row, error) {
+	return RunCells(r, len(cells), func(pool *hw.MachinePool, i int) (E11Row, error) {
 		c := cells[i]
-		return e11Cell(ctx, frames, c.rate, c.budget)
+		return e11Cell(pool, frames, c.rate, c.budget)
 	})
 }
 
@@ -102,9 +101,9 @@ func e11Mach(frames int) *hw.MachineConfig {
 
 // e11Cell boots a source stack with one guest and an empty destination
 // hypervisor, then migrates the guest while it writes rate pages per round.
-func e11Cell(ctx context.Context, frames, rate, budget int) (E11Row, error) {
-	srcM, releaseSrc := AcquireMachine(ctx, hw.X86(), e11Mach(frames))
-	defer releaseSrc()
+func e11Cell(pool *hw.MachinePool, frames, rate, budget int) (E11Row, error) {
+	srcM := pool.Get(hw.X86(), e11Mach(frames))
+	defer pool.Put(srcM)
 	srcH, _, err := vmm.New(srcM, 64)
 	if err != nil {
 		return E11Row{}, err
@@ -121,8 +120,8 @@ func e11Cell(ctx context.Context, frames, rate, budget int) (E11Row, error) {
 	}
 	srcM.Mem.Write(dom.FrameAt(frames-1), 16, []byte(marker))
 
-	dstM, releaseDst := AcquireMachine(ctx, hw.X86(), e11Mach(frames))
-	defer releaseDst()
+	dstM := pool.Get(hw.X86(), e11Mach(frames))
+	defer pool.Put(dstM)
 	dstH, _, err := vmm.New(dstM, 64)
 	if err != nil {
 		return E11Row{}, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/hw"
@@ -46,7 +45,7 @@ func init() {
 		ID:     "e12",
 		Title:  "SMP scaling: IPIs and TLB shootdown vs cores",
 		Params: []Param{paramCPUs},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E12(p.IntList("cpus"))
 			if err != nil {
 				return nil, err
@@ -98,55 +97,48 @@ func (r *Runner) E12(cpus []int) ([]E12Row, error) {
 			}
 		}
 	}
-	return RunCells(r, len(cells), func(ctx context.Context, i int) (E12Row, error) {
+	return RunCells(r, len(cells), func(pool *hw.MachinePool, i int) (E12Row, error) {
 		c := cells[i]
 		switch c.workload {
 		case "ipc-pingpong":
 			switch c.platform {
 			case "vmm":
-				return e12PingPongVMM(ctx, c.ncpus, e12Ops)
+				return e12PingPongVMM(pool, c.ncpus)
 			case "mk":
-				return e12PingPongMK(ctx, c.ncpus, e12Ops)
+				return e12PingPongMK(pool, c.ncpus)
 			default:
-				return e12PingPongNative(ctx, c.ncpus, e12Ops)
+				return e12PingPongNative(pool, c.ncpus)
 			}
 		case "dirty-scan":
 			switch c.platform {
 			case "vmm":
-				return e12DirtyScanVMM(ctx, c.ncpus, e12Pages)
+				return e12DirtyScanVMM(pool, c.ncpus)
 			case "mk":
-				return e12DirtyScanMK(ctx, c.ncpus, e12Pages)
+				return e12DirtyScanMK(pool, c.ncpus)
 			default:
-				return e12DirtyScanNative(ctx, c.ncpus, e12Pages)
+				return e12DirtyScanNative(pool, c.ncpus)
 			}
 		default:
-			return e12DriverIO(ctx, c.platform, c.ncpus, e12Packets)
+			return e12DriverIO(pool, c.platform, c.ncpus)
 		}
 	})
 }
 
 // Machine geometries for the E12 cells, hoisted to named package-level
-// configurations (with the pages-derived ones as functions of their named
-// headroom) so every cell of a workload/platform pair presents the same
-// machine-pool identity and reuse actually hits. Only NCPUs varies per
+// configurations so every cell of a workload/platform pair presents the
+// same machine-pool identity and reuse actually hits. Only NCPUs varies per
 // cell, applied by e12Mach.
 var (
 	e12PingPongMKMach  = hw.MachineConfig{Frames: 1024}
 	e12PingPongVMMMach = hw.MachineConfig{Frames: 2048}
 	e12NativeMach      = hw.MachineConfig{Frames: 256}
+	e12ScanVMMMach     = hw.MachineConfig{Frames: e12Pages + e12ScanHeadroom}
+	e12ScanMKMach      = hw.MachineConfig{Frames: 2*e12Pages + e12ScanHeadroom}
 )
 
 // e12ScanHeadroom is the frame slack the dirty-scan machines add over the
-// swept page count (hypervisor/kernel metadata plus the mapped pool).
+// scanned page count (hypervisor/kernel metadata plus the mapped pool).
 const e12ScanHeadroom = 512
-
-func e12ScanVMMMach(pages int) hw.MachineConfig {
-	return hw.MachineConfig{Frames: pages + e12ScanHeadroom}
-}
-
-func e12ScanMKMach(pages int) hw.MachineConfig {
-	return hw.MachineConfig{Frames: 2*pages + e12ScanHeadroom}
-}
 
 // e12Mach binds a hoisted geometry to the cell's core count.
 func e12Mach(base hw.MachineConfig, ncpus int) *hw.MachineConfig {
@@ -171,9 +163,9 @@ func e12Row(m *hw.Machine, workload, platform string, ncpus, ops int) E12Row {
 // e12PingPongMK: a client thread on the boot CPU calls one echo server per
 // CPU, round-robin. Calls to servers homed on other CPUs pay the wake and
 // reply IPIs the kernel's cross-CPU IPC path charges.
-func e12PingPongMK(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12PingPongMKMach, ncpus))
-	defer release()
+func e12PingPongMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12PingPongMKMach, ncpus))
+	defer pool.Put(m)
 	k := mk.New(m)
 	cs, err := k.NewSpace("client", mk.NilThread)
 	if err != nil {
@@ -199,20 +191,20 @@ func e12PingPongMK(ctx context.Context, ncpus, ops int) (E12Row, error) {
 		servers[c] = t
 	}
 	msg := mk.Msg{Label: 1, Words: []uint64{0xE12}}
-	for j := 0; j < ops; j++ {
+	for j := 0; j < e12Ops; j++ {
 		if _, err := k.Call(client.ID, servers[j%ncpus].ID, msg); err != nil {
 			return E12Row{}, err
 		}
 	}
-	return e12Row(m, "ipc-pingpong", "mk", ncpus, ops), nil
+	return e12Row(m, "ipc-pingpong", "mk", ncpus, e12Ops), nil
 }
 
 // e12PingPongVMM: Dom0 notifies an event channel to one peer domain per
 // CPU, round-robin. Delivery into a domain whose vCPU is placed on another
 // pCPU pays the kick IPI.
-func e12PingPongVMM(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12PingPongVMMMach, ncpus))
-	defer release()
+func e12PingPongVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12PingPongVMMMach, ncpus))
+	defer pool.Put(m)
 	h, _, err := vmm.New(m, 128)
 	if err != nil {
 		return E12Row{}, err
@@ -234,52 +226,52 @@ func e12PingPongVMM(ctx context.Context, ncpus, ops int) (E12Row, error) {
 		}
 		ports[c] = px
 	}
-	for j := 0; j < ops; j++ {
+	for j := 0; j < e12Ops; j++ {
 		if err := h.NotifyChannel(vmm.Dom0, ports[j%ncpus]); err != nil {
 			return E12Row{}, err
 		}
 	}
-	return e12Row(m, "ipc-pingpong", "vmm", ncpus, ops), nil
+	return e12Row(m, "ipc-pingpong", "vmm", ncpus, e12Ops), nil
 }
 
 // e12PingPongNative: a monolithic kernel's cross-core pipe ping-pong — one
 // syscall per round trip plus, for a partner on another core, the
 // reschedule IPI each direction. No protection-domain crossing, but the
 // hardware coordination cost is the same order as the structured systems'.
-func e12PingPongNative(ctx context.Context, ncpus, ops int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
-	defer release()
+func e12PingPongNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12NativeMach, ncpus))
+	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
 	// The per-round-trip costs are uniform, so the whole run lands as
 	// aggregates: ops trap/return pairs, ops quanta of pipe work, and per
 	// remote partner the wake/reply IPI pairs its share of the round-robin
 	// earns. Totals match the per-item loop exactly.
 	m.CPU.SetRing(hw.Ring3)
-	m.CPU.TrapReturnN(comp, m.Arch.HasFastSyscall, hw.Ring3, uint64(ops))
-	m.CPU.WorkN(comp, 200, uint64(ops))
+	m.CPU.TrapReturnN(comp, m.Arch.HasFastSyscall, hw.Ring3, e12Ops)
+	m.CPU.WorkN(comp, 200, e12Ops)
 	for t := 1; t < ncpus; t++ {
-		rounds := uint64(ops / ncpus)
-		if t < ops%ncpus {
+		rounds := uint64(e12Ops / ncpus)
+		if t < e12Ops%ncpus {
 			rounds++
 		}
 		m.SendIPIN(0, t, rounds) // wake the partner's core
 		m.SendIPIN(t, 0, rounds) // its reply wakes ours
 	}
-	return e12Row(m, "ipc-pingpong", "native", ncpus, ops), nil
+	return e12Row(m, "ipc-pingpong", "native", ncpus, e12Ops), nil
 }
 
 // e12DirtyScanVMM: a guest with one vCPU per pCPU runs two log-dirty
 // rounds over its pages. Each (re)arm write-protects the guest and must
 // shoot the stale writable translations out of every pCPU hosting one of
 // its vCPUs — Xen's log-dirty broadcast, growing linearly with placement.
-func e12DirtyScanVMM(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12ScanVMMMach(pages), ncpus))
-	defer release()
+func e12DirtyScanVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12ScanVMMMach, ncpus))
+	defer pool.Put(m)
 	h, _, err := vmm.New(m, 64)
 	if err != nil {
 		return E12Row{}, err
 	}
-	d, err := h.CreateDomain("smpguest", pages)
+	d, err := h.CreateDomain("smpguest", e12Pages)
 	if err != nil {
 		return E12Row{}, err
 	}
@@ -297,22 +289,22 @@ func e12DirtyScanVMM(ctx context.Context, ncpus, pages int) (E12Row, error) {
 		return E12Row{}, err
 	}
 	for round := 0; round < 2; round++ {
-		for p := 0; p < pages; p++ {
+		for p := 0; p < e12Pages; p++ {
 			if err := h.GuestMemWrite(d.ID, p, 0, []byte{byte(round)}); err != nil {
 				return E12Row{}, err
 			}
 		}
 		dl.Rearm()
 	}
-	return e12Row(m, "dirty-scan", "vmm", ncpus, 2*pages), nil
+	return e12Row(m, "dirty-scan", "vmm", ncpus, 2*e12Pages), nil
 }
 
 // e12DirtyScanMK: a space with one worker thread installed per CPU has
 // pages mapped and unmapped under it, twice. Each unmap invalidates
 // locally and shoots down every other CPU currently running the space.
-func e12DirtyScanMK(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12ScanMKMach(pages), ncpus))
-	defer release()
+func e12DirtyScanMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12ScanMKMach, ncpus))
+	defer pool.Put(m)
 	k := mk.New(m)
 	s, err := k.NewSpace("scan", mk.NilThread)
 	if err != nil {
@@ -331,29 +323,29 @@ func e12DirtyScanMK(ctx context.Context, ncpus, pages int) (E12Row, error) {
 	}
 	const base = hw.VPN(0x1000)
 	for round := 0; round < 2; round++ {
-		if _, err := k.AllocAndMap(s, base, pages, hw.PermRW); err != nil {
+		if _, err := k.AllocAndMap(s, base, e12Pages, hw.PermRW); err != nil {
 			return E12Row{}, err
 		}
-		for p := 0; p < pages; p++ {
+		for p := 0; p < e12Pages; p++ {
 			k.UnmapPage(s, base+hw.VPN(p))
 		}
 	}
-	return e12Row(m, "dirty-scan", "mk", ncpus, 2*pages), nil
+	return e12Row(m, "dirty-scan", "mk", ncpus, 2*e12Pages), nil
 }
 
 // e12DirtyScanNative: the monolithic baseline tears down a kernel buffer
 // pool — per-page PTE update, local invalidation, and on SMP a
 // single-entry shootdown broadcast to every other core.
-func e12DirtyScanNative(ctx context.Context, ncpus, pages int) (E12Row, error) {
-	m, release := AcquireMachine(ctx, hw.X86(), e12Mach(e12NativeMach, ncpus))
-	defer release()
+func e12DirtyScanNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
+	m := pool.Get(hw.X86(), e12Mach(e12NativeMach, ncpus))
+	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
 	var targets []int
 	for i := 1; i < ncpus; i++ {
 		targets = append(targets, i)
 	}
 	const base = hw.VPN(0x1000)
-	vpns := make([]hw.VPN, pages)
+	vpns := make([]hw.VPN, e12Pages)
 	for p := range vpns {
 		vpns[p] = base + hw.VPN(p)
 	}
@@ -362,24 +354,24 @@ func e12DirtyScanNative(ctx context.Context, ncpus, pages int) (E12Row, error) {
 	// remote shootdown broadcast — with the local TLB state still
 	// invalidated entry by entry. Totals match the per-page loop exactly.
 	for round := 0; round < 2; round++ {
-		m.CPU.WorkN(comp, m.Arch.Costs.PTEUpdate, uint64(pages))
+		m.CPU.WorkN(comp, m.Arch.Costs.PTEUpdate, e12Pages)
 		for _, vpn := range vpns {
 			m.CPU.TLB.FlushEntry(0, vpn)
 		}
-		m.CPU.WorkN(comp, m.Arch.Costs.TLBFlushEntry, uint64(pages))
+		m.CPU.WorkN(comp, m.Arch.Costs.TLBFlushEntry, e12Pages)
 		if len(targets) > 0 {
 			m.ShootdownEntries(0, targets, 0, vpns)
 		}
 	}
-	return e12Row(m, "dirty-scan", "native", ncpus, 2*pages), nil
+	return e12Row(m, "dirty-scan", "native", ncpus, 2*e12Pages), nil
 }
 
 // e12DriverIO: the full platform stacks under the E1-style I/O workload,
 // with guests spread over non-boot CPUs (Config.NCPUs) and the drivers on
 // the boot CPU: RX delivery, drain and storage writes pay whatever
 // cross-CPU coordination each structure implies.
-func e12DriverIO(ctx context.Context, platform string, ncpus, packets int) (E12Row, error) {
-	cfg := Config{Guests: 2, NCPUs: ncpus}.WithPool(ctx)
+func e12DriverIO(pool *hw.MachinePool, platform string, ncpus int) (E12Row, error) {
+	cfg := Config{Guests: 2, NCPUs: ncpus, pool: pool}
 	var (
 		p   Platform
 		err error
@@ -402,7 +394,7 @@ func e12DriverIO(ctx context.Context, platform string, ncpus, packets int) (E12R
 	}
 	ops := 0
 	for g := 0; g < guests; g++ {
-		p.InjectPackets(packets, 256, g)
+		p.InjectPackets(e12Packets, 256, g)
 		ops += p.DrainRx(g)
 		for b := 0; b < 4; b++ {
 			if err := p.StorageWrite(g, uint64(b+1), []byte("e12-smp")); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/cluster"
@@ -45,7 +44,7 @@ func init() {
 		ID:     "e13",
 		Title:  "fleet placement, overcommit and cross-host migration",
 		Params: e13Params,
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E13(p.IntList("fleet"), p.IntList("churn"), p.Int("hostframes"))
 			if err != nil {
 				return nil, err
@@ -88,16 +87,17 @@ func (r *Runner) E13(fleets, churns []int, hostFrames int) ([]E13Row, error) {
 			}
 		}
 	}
-	return RunCells(r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
+	return RunCells(r, len(cells), func(pool *hw.MachinePool, i int) (E13Row, error) {
 		c := cells[i]
-		return e13Cell(ctx, c.fleet, c.churn, hostFrames, c.policy)
+		return e13Cell(pool, c.fleet, c.churn, hostFrames, c.policy)
 	})
 }
 
 // e13Cell boots one fleet, runs its churn, and reads the meters.
-func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Policy) (E13Row, error) {
+func e13Cell(pool *hw.MachinePool, fleet, churn, hostFrames int, pol cluster.Policy) (E13Row, error) {
 	src := func(mc *hw.MachineConfig) (*hw.Machine, func()) {
-		return AcquireMachine(ctx, hw.X86(), mc)
+		m := pool.Get(hw.X86(), mc)
+		return m, func() { pool.Put(m) }
 	}
 	cl, err := cluster.New(cluster.Config{
 		Hosts:      fleet,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/hw"
@@ -29,7 +28,7 @@ func init() {
 		ID:     "e1",
 		Title:  "Dom0 CPU overhead under I/O load (CG05 shape)",
 		Params: []Param{paramPackets},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E1(p.Int("packets"))
 			if err != nil {
 				return nil, err
@@ -60,10 +59,10 @@ func (r *Runner) E1(packets int) ([]E1Row, error) {
 		return nil, err
 	}
 	modes := []bool{false, true}
-	return RunCells(r, len(modes)*len(e1Sizes), func(ctx context.Context, i int) (E1Row, error) {
+	return RunCells(r, len(modes)*len(e1Sizes), func(pool *hw.MachinePool, i int) (E1Row, error) {
 		copyMode := modes[i/len(e1Sizes)]
 		size := e1Sizes[i%len(e1Sizes)]
-		s, err := NewXenStack(Config{CopyMode: copyMode}.WithPool(ctx))
+		s, err := NewXenStack(Config{CopyMode: copyMode, pool: pool})
 		if err != nil {
 			return E1Row{}, err
 		}
@@ -115,9 +114,9 @@ type E1RateRow struct {
 // E1Rates runs the offered-load sweep, one cell per rate point: packets
 // packets of size bytes arrive at each rate in packets per second.
 func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
-	return RunCells(r, len(rates), func(ctx context.Context, i int) (E1RateRow, error) {
+	return RunCells(r, len(rates), func(pool *hw.MachinePool, i int) (E1RateRow, error) {
 		rate := rates[i]
-		s, err := NewXenStack(Config{}.WithPool(ctx))
+		s, err := NewXenStack(Config{pool: pool})
 		if err != nil {
 			return E1RateRow{}, err
 		}

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
+	"vmmk/internal/hw"
 	"vmmk/internal/workload"
 )
 
@@ -17,7 +17,7 @@ func init() {
 	Register(Spec{
 		ID:    "e2",
 		Title: "IPC-equivalent operation counts",
-		Run: func(_ context.Context, r *Runner, _ Params) (*Result, error) {
+		Run: func(r *Runner, _ Params) (*Result, error) {
 			rows, err := r.E2()
 			if err != nil {
 				return nil, err
@@ -106,14 +106,14 @@ func E2Workloads() []E2Workload {
 // workload, each booting a fresh pair of stacks.
 func (r *Runner) E2() ([]E2Row, error) {
 	ws := E2Workloads()
-	return RunCells(r, len(ws), func(ctx context.Context, i int) (E2Row, error) {
+	return RunCells(r, len(ws), func(pool *hw.MachinePool, i int) (E2Row, error) {
 		w := ws[i]
 		counts := map[string]uint64{}
 		for _, build := range []func(Config) (Platform, error){
 			func(c Config) (Platform, error) { return NewMKStack(c) },
 			func(c Config) (Platform, error) { return NewXenStack(c) },
 		} {
-			p, err := build(Config{}.WithPool(ctx))
+			p, err := build(Config{pool: pool})
 			if err != nil {
 				return E2Row{}, err
 			}

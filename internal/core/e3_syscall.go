@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
@@ -20,7 +18,7 @@ func init() {
 		ID:     "e3",
 		Title:  "guest system-call paths",
 		Params: []Param{paramSyscalls},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E3(p.Int("syscalls"))
 			if err != nil {
 				return nil, err
@@ -44,10 +42,10 @@ func (r *Runner) E3(n int) ([]E3Row, error) {
 	if err := paramSyscalls.Validate(n); err != nil {
 		return nil, err
 	}
-	cells := []func(context.Context) ([]E3Row, error){
+	cells := []func(*hw.MachinePool) ([]E3Row, error){
 		// Native baseline.
-		func(ctx context.Context) ([]E3Row, error) {
-			s, err := NewNativeStack(Config{}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E3Row, error) {
+			s, err := NewNativeStack(Config{pool: pool})
 			if err != nil {
 				return nil, err
 			}
@@ -64,8 +62,8 @@ func (r *Runner) E3(n int) ([]E3Row, error) {
 			}}, nil
 		},
 		// Xen fast path: fresh stack, pristine segments.
-		func(ctx context.Context) ([]E3Row, error) {
-			s, err := NewXenStack(Config{FastPath: true}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E3Row, error) {
+			s, err := NewXenStack(Config{FastPath: true, pool: pool})
 			if err != nil {
 				return nil, err
 			}
@@ -85,8 +83,8 @@ func (r *Runner) E3(n int) ([]E3Row, error) {
 			}}, nil
 		},
 		// Xen after glibc TLS: load a flat GS segment, fast path dies.
-		func(ctx context.Context) ([]E3Row, error) {
-			s, err := NewXenStack(Config{FastPath: true}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E3Row, error) {
+			s, err := NewXenStack(Config{FastPath: true, pool: pool})
 			if err != nil {
 				return nil, err
 			}
@@ -110,8 +108,8 @@ func (r *Runner) E3(n int) ([]E3Row, error) {
 			}}, nil
 		},
 		// Microkernel: syscall as one IPC call to the OS server.
-		func(ctx context.Context) ([]E3Row, error) {
-			s, err := NewMKStack(Config{}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E3Row, error) {
+			s, err := NewMKStack(Config{pool: pool})
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"context"
 	"strconv"
+
+	"vmmk/internal/hw"
 )
 
 // E4 measures failure blast radii, §3.1's liability-inversion argument:
@@ -23,7 +24,7 @@ func init() {
 		ID:     "e4",
 		Title:  "failure blast radius",
 		Params: []Param{paramGuests},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E4(p.Int("guests"))
 			if err != nil {
 				return nil, err
@@ -63,9 +64,9 @@ func (r *Runner) E4(nGuests int) ([]E4Row, error) {
 		func(c Config) (Platform, error) { return NewXenStack(c) },
 		func(c Config) (Platform, error) { return NewNativeStack(c) },
 	}
-	return RunCells(r, len(scenarios)*len(builders), func(ctx context.Context, i int) (E4Row, error) {
+	return RunCells(r, len(scenarios)*len(builders), func(pool *hw.MachinePool, i int) (E4Row, error) {
 		sc := scenarios[i/len(builders)]
-		p, err := builders[i%len(builders)](Config{Guests: nGuests}.WithPool(ctx))
+		p, err := builders[i%len(builders)](Config{Guests: nGuests, pool: pool})
 		if err != nil {
 			return E4Row{}, err
 		}

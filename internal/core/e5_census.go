@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"strings"
 
+	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
 
@@ -18,7 +18,7 @@ func init() {
 	Register(Spec{
 		ID:    "e5",
 		Title: "privileged-primitive census",
-		Run: func(_ context.Context, r *Runner, _ Params) (*Result, error) {
+		Run: func(r *Runner, _ Params) (*Result, error) {
 			rows, err := r.E5()
 			if err != nil {
 				return nil, err
@@ -101,10 +101,10 @@ func censusWorkload(p Platform) error {
 
 // E5 runs the two platform censuses as independent cells.
 func (r *Runner) E5() ([]E5Row, error) {
-	cells := []func(context.Context) ([]E5Row, error){
+	cells := []func(*hw.MachinePool) ([]E5Row, error){
 		// Microkernel.
-		func(ctx context.Context) ([]E5Row, error) {
-			s, err := NewMKStack(Config{}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E5Row, error) {
+			s, err := NewMKStack(Config{pool: pool})
 			if err != nil {
 				return nil, err
 			}
@@ -125,8 +125,8 @@ func (r *Runner) E5() ([]E5Row, error) {
 			}}, nil
 		},
 		// VMM.
-		func(ctx context.Context) ([]E5Row, error) {
-			s, err := NewXenStack(Config{FastPath: true}.WithPool(ctx))
+		func(pool *hw.MachinePool) ([]E5Row, error) {
+			s, err := NewXenStack(Config{FastPath: true, pool: pool})
 			if err != nil {
 				return nil, err
 			}

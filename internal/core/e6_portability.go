@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strconv"
 	"strings"
 
@@ -23,7 +22,7 @@ func init() {
 	Register(Spec{
 		ID:    "e6",
 		Title: "nine-architecture portability",
-		Run: func(_ context.Context, r *Runner, _ Params) (*Result, error) {
+		Run: func(r *Runner, _ Params) (*Result, error) {
 			rows, err := r.E6()
 			if err != nil {
 				return nil, err
@@ -75,10 +74,10 @@ func vmmInterfaceDeltas(base, a *hw.Arch) []string {
 func (r *Runner) E6() ([]E6Row, error) {
 	base := hw.X86()
 	archs := hw.AllArchs()
-	return RunCells(r, len(archs), func(ctx context.Context, i int) (E6Row, error) {
+	return RunCells(r, len(archs), func(pool *hw.MachinePool, i int) (E6Row, error) {
 		arch := archs[i]
 		row := E6Row{Arch: arch.Name}
-		s, err := NewMKStack(Config{Arch: arch}.WithPool(ctx))
+		s, err := NewMKStack(Config{Arch: arch, pool: pool})
 		if err != nil {
 			return E6Row{}, err
 		}

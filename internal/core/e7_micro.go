@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
 	"vmmk/internal/vmm"
@@ -19,7 +17,7 @@ func init() {
 		ID:     "e7",
 		Title:  "primitive microbenchmarks",
 		Params: []Param{paramSyscalls},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E7(p.Int("syscalls"))
 			if err != nil {
 				return nil, err
@@ -50,11 +48,11 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	}
 
 	// --- Microkernel primitives.
-	mkCell := func(ctx context.Context) ([]E7Row, error) {
+	mkCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := AcquireMachine(ctx, hw.X86(), &e7MKMach)
-		defer release()
+		m := pool.Get(hw.X86(), &e7MKMach)
+		defer pool.Put(m)
 		k := mk.New(m)
 		cs, err := k.NewSpace("c", mk.NilThread)
 		if err != nil {
@@ -119,11 +117,11 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	}
 
 	// --- VMM primitives.
-	vmmCell := func(ctx context.Context) ([]E7Row, error) {
+	vmmCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := AcquireMachine(ctx, hw.X86(), &e7VMMMach)
-		defer release()
+		m := pool.Get(hw.X86(), &e7VMMMach)
+		defer pool.Put(m)
 		h, d0, err := vmm.New(m, 300)
 		if err != nil {
 			return nil, err
@@ -203,11 +201,11 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	}
 
 	// --- Shared hardware costs for context.
-	hwCell := func(ctx context.Context) ([]E7Row, error) {
+	hwCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m, release := AcquireMachine(ctx, hw.X86(), nil)
-		defer release()
+		m := pool.Get(hw.X86(), nil)
+		defer pool.Put(m)
 		hwc := m.Rec.Intern("hw")
 		t0 := m.Now()
 		// One aggregate for the whole batch: n sysenter-style entries (the
@@ -226,7 +224,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 		return rows, nil
 	}
 
-	return runFuncs(r, []func(context.Context) ([]E7Row, error){mkCell, vmmCell, hwCell})
+	return runFuncs(r, []func(*hw.MachinePool) ([]E7Row, error){mkCell, vmmCell, hwCell})
 }
 
 // Machine geometries for the E7 measurement blocks, hoisted so repeated

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
+	"vmmk/internal/hw"
 	"vmmk/internal/workload"
 )
 
@@ -25,7 +25,7 @@ func init() {
 		ID:     "e8",
 		Title:  "web-serving macro benchmark",
 		Params: []Param{paramRequests},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(r *Runner, p Params) (*Result, error) {
 			rows, err := r.E8(p.Int("requests"))
 			if err != nil {
 				return nil, err
@@ -96,8 +96,8 @@ func (r *Runner) E8(n int) ([]E8Row, error) {
 		func(c Config) (Platform, error) { return NewMKStack(c) },
 		func(c Config) (Platform, error) { return NewXenStack(c) },
 	}
-	rows, err := RunCells(r, len(builders), func(ctx context.Context, i int) (E8Row, error) {
-		p, err := builders[i](Config{}.WithPool(ctx))
+	rows, err := RunCells(r, len(builders), func(pool *hw.MachinePool, i int) (E8Row, error) {
+		p, err := builders[i](Config{pool: pool})
 		if err != nil {
 			return E8Row{}, err
 		}

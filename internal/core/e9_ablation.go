@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vmmk/internal/hw"
@@ -26,7 +25,7 @@ func init() {
 	Register(Spec{
 		ID:    "e9",
 		Title: "design-decision ablations",
-		Run: func(_ context.Context, r *Runner, _ Params) (*Result, error) {
+		Run: func(r *Runner, _ Params) (*Result, error) {
 			rows, err := r.E9()
 			if err != nil {
 				return nil, err
@@ -47,10 +46,10 @@ type E9Row struct {
 // E9 runs every ablation variant as its own cell — each builds its own
 // machine, so the whole table fans out at once.
 func (r *Runner) E9() ([]E9Row, error) {
-	var cells []func(context.Context) ([]E9Row, error)
-	one := func(cell func(ctx context.Context) (E9Row, error)) {
-		cells = append(cells, func(ctx context.Context) ([]E9Row, error) {
-			row, err := cell(ctx)
+	var cells []func(*hw.MachinePool) ([]E9Row, error)
+	one := func(cell func(pool *hw.MachinePool) (E9Row, error)) {
+		cells = append(cells, func(pool *hw.MachinePool) ([]E9Row, error) {
+			row, err := cell(pool)
 			if err != nil {
 				return nil, err
 			}
@@ -61,8 +60,8 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// (a) flip vs copy per packet size: driver-side cycles per packet.
 	for _, size := range []int{64, 1500, 4096} {
 		for _, copyMode := range []bool{false, true} {
-			one(func(ctx context.Context) (E9Row, error) {
-				s, err := NewXenStack(Config{CopyMode: copyMode}.WithPool(ctx))
+			one(func(pool *hw.MachinePool) (E9Row, error) {
+				s, err := NewXenStack(Config{CopyMode: copyMode, pool: pool})
 				if err != nil {
 					return E9Row{}, err
 				}
@@ -88,14 +87,14 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// (b) ASID on/off for IPC round-trip cost. Take the x86 descriptor
 	// and graft a tagged TLB onto it, holding everything else fixed.
 	for _, tagged := range []bool{false, true} {
-		one(func(ctx context.Context) (E9Row, error) {
+		one(func(pool *hw.MachinePool) (E9Row, error) {
 			arch := hw.X86()
 			arch.HasASID = tagged
 			if tagged {
 				arch.Costs.ASSwitch = 150 // no full flush needed
 			}
-			m, release := AcquireMachine(ctx, arch, &hw.MachineConfig{Frames: 256})
-			defer release()
+			m := pool.Get(arch, &hw.MachineConfig{Frames: 256})
+			defer pool.Put(m)
 			k := mk.New(m)
 			cs, err := k.NewSpace("c", mk.NilThread)
 			if err != nil {
@@ -130,8 +129,8 @@ func (r *Runner) E9() ([]E9Row, error) {
 
 	// (c) fast path on/off: syscall cost.
 	for _, fast := range []bool{true, false} {
-		one(func(ctx context.Context) (E9Row, error) {
-			s, err := NewXenStack(Config{FastPath: fast}.WithPool(ctx))
+		one(func(pool *hw.MachinePool) (E9Row, error) {
+			s, err := NewXenStack(Config{FastPath: fast, pool: pool})
 			if err != nil {
 				return E9Row{}, err
 			}
@@ -160,8 +159,8 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// the *storage host* is killed; the metric is how many of the two
 	// services (network, storage) still work afterwards.
 	for _, consolidated := range []bool{false, true} {
-		one(func(ctx context.Context) (E9Row, error) {
-			s, err := NewXenStack(Config{Guests: 2, Consolidated: consolidated}.WithPool(ctx))
+		one(func(pool *hw.MachinePool) (E9Row, error) {
+			s, err := NewXenStack(Config{Guests: 2, Consolidated: consolidated, pool: pool})
 			if err != nil {
 				return E9Row{}, err
 			}
@@ -192,9 +191,9 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// comparing a small-footprint server (fits beside the client) against
 	// a large-footprint one (thrashes the cache on every switch).
 	for _, fat := range []bool{false, true} {
-		one(func(ctx context.Context) (E9Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 256})
-			defer release()
+		one(func(pool *hw.MachinePool) (E9Row, error) {
+			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 256})
+			defer pool.Put(m)
 			cache := hw.NewCache(512, 10)
 			serverLines := 120 // small server: both fit in 512
 			if fat {
@@ -244,9 +243,9 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// driver-side cost, at the price of delivery latency (not modelled
 	// as a metric here; the count is the point).
 	for _, batch := range []int{1, 8} {
-		one(func(ctx context.Context) (E9Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 2048})
-			defer release()
+		one(func(pool *hw.MachinePool) (E9Row, error) {
+			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 2048})
+			defer pool.Put(m)
 			h, d0, err := vmm.New(m, 128)
 			if err != nil {
 				return E9Row{}, err
@@ -291,9 +290,9 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// cost gap §2.2 says drove VMMs away from "faithful representation
 	// of the underlying hardware".
 	for _, shadowMode := range []bool{true, false} {
-		one(func(ctx context.Context) (E9Row, error) {
-			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
-			defer release()
+		one(func(pool *hw.MachinePool) (E9Row, error) {
+			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 512})
+			defer pool.Put(m)
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
 				return E9Row{}, err

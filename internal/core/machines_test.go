@@ -20,7 +20,8 @@ import (
 // Any state Reset failed to clear — a leftover cycle, a dirty page, a stale
 // TLB entry or queued event — shows up as a table diff. Every machine a
 // probe cell releases must also pass the frame allocator's conservation
-// audit, before its Reset and after it.
+// audit, before its Reset and after it, and every experiment must put back
+// as many machines as it took.
 func TestExperimentsPooledVsFresh(t *testing.T) {
 	var fresh *Runner
 	baseline := map[string]string{}
@@ -34,10 +35,10 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 
 	r := NewRunner(1)
 	var cell string
-	audited := 0
+	puts := 0
 	pool := hw.NewMachinePool()
 	pool.Inspect(func(m *hw.Machine) {
-		audited++
+		puts++
 		if err := m.Mem.Audit(); err != nil {
 			t.Errorf("%s: released machine fails the frame audit: %v", cell, err)
 		}
@@ -50,9 +51,15 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	for sweep := 1; sweep <= 2; sweep++ {
 		for _, s := range Specs() {
 			cell = fmt.Sprintf("%s (sweep %d)", s.ID, sweep)
+			hits0, misses0 := pool.Stats()
+			puts0 := puts
 			res, err := r.RunExperiment(context.Background(), s.ID, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", cell, err)
+			}
+			hits, misses := pool.Stats()
+			if gets := hits - hits0 + misses - misses0; uint64(puts-puts0) != gets {
+				t.Errorf("%s: took %d machines from the pool and put back %d", cell, gets, puts-puts0)
 			}
 			if got := res.Text(); got != baseline[s.ID] {
 				t.Errorf("%s: sweep %d on pooled machines diverged from fresh machines\nfresh:\n%s\npooled:\n%s",
@@ -71,8 +78,8 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	if hits, _ := r.pools[0].Stats(); hits == 0 {
 		t.Error("two sweeps never reused a pooled machine — the differential test tested nothing")
 	}
-	if audited == 0 {
+	if puts == 0 {
 		t.Error("no released machine was audited")
 	}
-	t.Logf("audited %d released machines", audited)
+	t.Logf("audited %d released machines", puts)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -45,16 +44,8 @@ type Config struct {
 	Consolidated bool
 
 	// pool, when set, supplies (and on Close reclaims) the stack's machine.
-	// Cells populate it from their worker's context via poolFrom; a nil
-	// pool boots fresh, the pre-pool behaviour.
+	// Cells set it to the pool RunCells hands them; a nil pool boots fresh.
 	pool *hw.MachinePool
-}
-
-// WithPool returns the config bound to the cell context's machine pool —
-// the one line every stack-booting cell adds to join the reuse scheme.
-func (c Config) WithPool(ctx context.Context) Config {
-	c.pool = poolFrom(ctx)
-	return c
 }
 
 // machine acquires the stack's machine, pooled or fresh.

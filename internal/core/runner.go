@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -14,17 +13,28 @@ import (
 // cells share no state and any interleaving yields the same table — results
 // land at their cell's index, and every simrand stream is seeded inside the
 // cell that consumes it, so serial and parallel runs are byte-identical.
+//
+// Machine pooling. Booting a hw.Machine is the dominant fixed cost of a
+// cell, and cells are done with their machine the moment the row is
+// computed. Every worker therefore owns a hw.MachinePool and hands it to
+// each cell it runs as an argument: the cell takes its machines with Get (a
+// Reset one when the pool has seen the same architecture/config identity
+// before, a fresh boot otherwise) and gives each back with Put. Pools are
+// strictly per worker, so the hot path takes no lock and each worker's
+// get/put sequence is deterministic. Because a Reset machine is observably
+// identical to a new one (the contract hw.Machine.Reset pins, and
+// TestExperimentsPooledVsFresh verifies per experiment), cells need not
+// care which kind they got: the tables are byte-identical either way, at
+// any -parallel width.
 type Runner struct {
 	// Parallel caps the number of cells in flight; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Ctx, when non-nil, cancels an in-progress experiment early.
-	Ctx context.Context
 
 	// poolMu guards pools, the idle machine pools handed to workers. Each
 	// worker borrows one pool for the duration of an experiment (so the
-	// per-cell acquire/release path is lock-free) and returns it when the
-	// fan-out joins, which lets machines warm in one experiment be reused
-	// by the next on the same Runner.
+	// per-cell get/put path is lock-free) and returns it when the fan-out
+	// joins, which lets machines warm in one experiment be reused by the
+	// next on the same Runner.
 	poolMu sync.Mutex
 	pools  []*hw.MachinePool
 }
@@ -39,15 +49,8 @@ func (r *Runner) workers() int {
 	return r.Parallel
 }
 
-func (r *Runner) ctx() context.Context {
-	if r == nil || r.Ctx == nil {
-		return context.Background()
-	}
-	return r.Ctx
-}
-
 // borrowPool hands a worker an idle machine pool, creating one when all are
-// in use. A nil Runner gets a nil pool, which AcquireMachine treats as
+// in use. A nil Runner gets a nil pool, which hw.MachinePool.Get treats as
 // "always build fresh".
 func (r *Runner) borrowPool() *hw.MachinePool {
 	if r == nil {
@@ -76,96 +79,83 @@ func (r *Runner) returnPool(p *hw.MachinePool) {
 }
 
 // RunCells executes n independent cells on up to r.Parallel workers and
-// returns their results in cell order. Each worker carries its own machine
-// pool in the cell context (AcquireMachine), so serial and parallel runs are
+// returns their results in cell order. Each cell gets its worker's own
+// machine pool as an argument (see Runner), so serial and parallel runs are
 // identical. Every experiment fans out through it, and so does any
 // deterministic harness outside the registry (the scenario matrix). A
-// failure cancels the cells not yet started; the lowest-indexed failure
-// actually observed is returned after in-flight cells drain. Cancellation
-// of the runner's own context wins only when no cell failed outright.
-func RunCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// failure stops the cells not yet started; the lowest-indexed failure
+// actually observed is returned after in-flight cells drain.
+func RunCells[T any](r *Runner, n int, cell func(pool *hw.MachinePool, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	workers := r.workers()
-	if workers > n {
-		workers = n
-	}
-	ctx, cancel := context.WithCancel(r.ctx())
-	defer cancel()
-
 	out := make([]T, n)
-	var (
-		mu      sync.Mutex
-		errIdx  = n
-		cellErr error
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			errIdx, cellErr = i, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
+	workers := min(r.workers(), n)
 	if workers == 1 {
 		// Serial fast path: no goroutines, deterministic by construction.
 		pool := r.borrowPool()
-		cctx := withPool(ctx, pool)
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			v, err := cell(cctx, i)
+		defer r.returnPool(pool)
+		for i := range out {
+			v, err := cell(pool, i)
 			if err != nil {
-				fail(i, err)
-				break
+				return nil, err
 			}
 			out[i] = v
 		}
-		r.returnPool(pool)
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				// Each worker owns a machine pool for the whole fan-out:
-				// per-cell reuse stays lock-free and deterministic.
-				pool := r.borrowPool()
-				defer r.returnPool(pool)
-				cctx := withPool(ctx, pool)
-				for i := range idx {
-					if ctx.Err() != nil {
-						continue // drain the channel without running cells
-					}
-					v, err := cell(cctx, i)
-					if err != nil {
-						fail(i, err)
-						continue
-					}
-					out[i] = v
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		return out, nil
 	}
 
+	var (
+		mu      sync.Mutex
+		errIdx  = n
+		cellErr error // non-nil stops the cells not yet started
+	)
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return cellErr != nil
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			// Each worker owns a machine pool for the whole fan-out:
+			// per-cell reuse stays lock-free and deterministic.
+			pool := r.borrowPool()
+			defer r.returnPool(pool)
+			for i := range idx {
+				if failed() {
+					continue // drain the channel without running cells
+				}
+				v, err := cell(pool, i)
+				if err != nil {
+					mu.Lock()
+					if i < errIdx {
+						errIdx, cellErr = i, err
+					}
+					mu.Unlock()
+					continue
+				}
+				out[i] = v
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	if cellErr != nil {
 		return nil, cellErr
-	}
-	if err := r.ctx().Err(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
 // runFlat is RunCells for experiments whose cells each yield a slice of
 // rows: the per-cell groups are concatenated in cell order.
-func runFlat[T any](r *Runner, n int, cell func(ctx context.Context, i int) ([]T, error)) ([]T, error) {
+func runFlat[T any](r *Runner, n int, cell func(pool *hw.MachinePool, i int) ([]T, error)) ([]T, error) {
 	groups, err := RunCells(r, n, cell)
 	if err != nil {
 		return nil, err
@@ -180,8 +170,8 @@ func runFlat[T any](r *Runner, n int, cell func(ctx context.Context, i int) ([]T
 // runFuncs executes a fixed list of heterogeneous cells (each already bound
 // to its parameters) and concatenates their row groups in list order — the
 // shape E3, E7 and E9 decompose into.
-func runFuncs[T any](r *Runner, cells []func(ctx context.Context) ([]T, error)) ([]T, error) {
-	return runFlat(r, len(cells), func(ctx context.Context, i int) ([]T, error) {
-		return cells[i](ctx)
+func runFuncs[T any](r *Runner, cells []func(pool *hw.MachinePool) ([]T, error)) ([]T, error) {
+	return runFlat(r, len(cells), func(pool *hw.MachinePool, i int) ([]T, error) {
+		return cells[i](pool)
 	})
 }

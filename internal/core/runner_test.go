@@ -1,13 +1,14 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"vmmk/internal/hw"
 )
 
 // TestRunCellsOrderAndValues checks that results land at their cell's index
@@ -15,7 +16,7 @@ import (
 func TestRunCellsOrderAndValues(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8, 64} {
 		r := NewRunner(parallel)
-		out, err := RunCells(r, 100, func(_ context.Context, i int) (int, error) {
+		out, err := RunCells(r, 100, func(_ *hw.MachinePool, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -34,7 +35,7 @@ func TestRunCellsOrderAndValues(t *testing.T) {
 
 // TestRunCellsEmpty checks the degenerate case.
 func TestRunCellsEmpty(t *testing.T) {
-	out, err := RunCells(NewRunner(4), 0, func(_ context.Context, i int) (int, error) {
+	out, err := RunCells(NewRunner(4), 0, func(_ *hw.MachinePool, i int) (int, error) {
 		t.Fatal("cell ran for n=0")
 		return 0, nil
 	})
@@ -50,7 +51,7 @@ func TestRunCellsFirstError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("cell %d exploded", i) }
 	for _, parallel := range []int{1, 4} {
 		r := NewRunner(parallel)
-		_, err := RunCells(r, 50, func(_ context.Context, i int) (int, error) {
+		_, err := RunCells(r, 50, func(_ *hw.MachinePool, i int) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, boom(i)
 			}
@@ -59,58 +60,42 @@ func TestRunCellsFirstError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("parallel=%d: expected error", parallel)
 		}
-		if errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%d: cancellation masked the real error: %v", parallel, err)
-		}
 		if parallel == 1 && err.Error() != "cell 3 exploded" {
 			t.Fatalf("serial: got %q, want the first failing cell", err)
 		}
 	}
 }
 
-// TestRunCellsErrorStopsLaterCells checks cancellation actually prunes
-// work: with one worker, nothing after the failing cell may run.
+// TestRunCellsErrorStopsLaterCells checks a failure actually prunes work:
+// with one worker, nothing after the failing cell may run; with four, the
+// cells not yet started when the failure lands are skipped.
 func TestRunCellsErrorStopsLaterCells(t *testing.T) {
-	var ran atomic.Int32
-	_, err := RunCells(NewRunner(1), 100, func(_ context.Context, i int) (int, error) {
-		ran.Add(1)
-		if i == 5 {
-			return 0, errors.New("stop here")
+	for _, parallel := range []int{1, 4} {
+		var ran atomic.Int32
+		_, err := RunCells(NewRunner(parallel), 1000, func(_ *hw.MachinePool, i int) (int, error) {
+			ran.Add(1)
+			if i == 5 {
+				return 0, errors.New("stop here")
+			}
+			return 0, nil
+		})
+		if err == nil {
+			t.Fatalf("parallel=%d: expected error", parallel)
 		}
-		return 0, nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if got := ran.Load(); got != 6 {
-		t.Fatalf("ran %d cells, want 6 (0..5)", got)
-	}
-}
-
-// TestRunCellsContextCancel checks an externally cancelled runner context
-// surfaces as its error and stops scheduling cells.
-func TestRunCellsContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Runner{Parallel: 4, Ctx: ctx}
-	var ran atomic.Int32
-	_, err := RunCells(r, 1000, func(_ context.Context, i int) (int, error) {
-		if ran.Add(1) == 10 {
-			cancel()
+		got := ran.Load()
+		if parallel == 1 && got != 6 {
+			t.Fatalf("serial: ran %d cells, want 6 (0..5)", got)
 		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got >= 1000 {
-		t.Fatalf("cancellation did not prune work: all %d cells ran", got)
+		if got >= 1000 {
+			t.Fatalf("parallel=%d: the failure did not prune work: all %d cells ran", parallel, got)
+		}
 	}
 }
 
 // TestRunFlatConcatenatesInOrder checks the flattening helper preserves
 // group order.
 func TestRunFlatConcatenatesInOrder(t *testing.T) {
-	out, err := runFlat(NewRunner(8), 10, func(_ context.Context, i int) ([]int, error) {
+	out, err := runFlat(NewRunner(8), 10, func(_ *hw.MachinePool, i int) ([]int, error) {
 		return []int{i * 10, i*10 + 1}, nil
 	})
 	if err != nil {

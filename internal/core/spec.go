@@ -139,8 +139,8 @@ func (p Param) Validate(v any) error {
 }
 
 // Params carries one experiment invocation's parameter values by name.
-// Values are int or []int (string values are accepted by Normalize, which
-// parses them through the declaring Param — what the CLI feeds in).
+// Values are int or []int; flag text becomes a typed value through the
+// declaring Param's Parse before it gets here.
 type Params map[string]any
 
 // Int returns the named int parameter, or 0 when absent.
@@ -169,7 +169,7 @@ type Spec struct {
 	// Run executes the experiment on the given runner with normalized
 	// parameters and returns its tables. RunExperiment stamps the Result
 	// with the spec's id, title and the echoed params.
-	Run func(ctx context.Context, r *Runner, p Params) (*Result, error)
+	Run func(r *Runner, p Params) (*Result, error)
 }
 
 // Param returns the declaration of the named parameter.
@@ -192,9 +192,8 @@ func (s Spec) Defaults() Params {
 }
 
 // Normalize fills missing parameters with their defaults and validates
-// everything through the shared validator. String values are parsed as flag
-// text; unknown parameter names are usage errors. The input map is not
-// modified.
+// everything through the shared validator; unknown parameter names and
+// values of the wrong type are usage errors. The input map is not modified.
 func (s Spec) Normalize(p Params) (Params, error) {
 	// Sorted so the error names the alphabetically first unknown parameter,
 	// not whichever one map iteration happened to visit first.
@@ -208,14 +207,6 @@ func (s Spec) Normalize(p Params) (Params, error) {
 		v, ok := p[d.Name]
 		if !ok || v == nil {
 			out[d.Name] = d.Default()
-			continue
-		}
-		if text, isText := v.(string); isText {
-			parsed, err := d.Parse(text)
-			if err != nil {
-				return nil, err
-			}
-			out[d.Name] = parsed
 			continue
 		}
 		if err := d.Validate(v); err != nil {
@@ -369,9 +360,10 @@ func FlagParams() []Param {
 
 // RunExperiment normalizes p against the experiment's spec, runs it on this
 // runner and returns the Result stamped with the experiment's id, title and
-// the echoed normalized parameters. A non-background ctx cancels in-flight
-// cells. A nil Runner runs GOMAXPROCS-wide with no machine pool, so every
-// cell boots fresh machines; it ignores ctx.
+// the echoed normalized parameters. A ctx that is already done returns its
+// error before anything runs; a run that has started finishes. A nil Runner
+// runs GOMAXPROCS-wide with no machine pool, so every cell boots fresh
+// machines.
 func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Result, error) {
 	s, ok := Lookup(id)
 	if !ok {
@@ -381,17 +373,10 @@ func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if r != nil && ctx != context.Background() {
-		// Rebind the context on a fresh Runner rather than copying r: a
-		// Runner now owns a mutex-guarded machine-pool stack and must not
-		// be duplicated. The bound runner starts with cold pools, which
-		// only costs the first cell per worker a machine boot.
-		r = &Runner{Parallel: r.Parallel, Ctx: ctx}
-	}
-	res, err := s.Run(ctx, r, np)
+	res, err := s.Run(r, np)
 	if err != nil {
 		return nil, err
 	}

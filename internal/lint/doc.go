@@ -16,7 +16,7 @@
 //     22 -> 4.2 ns/op charge path); component names may not be built with
 //     fmt.Sprintf or string concatenation at a charge site.
 //   - boundedgo: all parallelism goes through the bounded worker pool in
-//     internal/core/runner.go, so cancellation and the serial==parallel
+//     internal/core/runner.go, so stop-on-failure and the serial==parallel
 //     determinism guarantee hold; naked go statements are forbidden
 //     elsewhere.
 //   - regspec: the experiment registry conventions from the declarative

@@ -4,11 +4,7 @@
 // file under the one-registration-per-file rule.
 package a
 
-import (
-	"context"
-
-	core "vmmk/internal/core"
-)
+import core "vmmk/internal/core"
 
 func init() {
 	core.Register(core.Spec{
@@ -22,6 +18,6 @@ func init() {
 	})
 }
 
-func run90(_ context.Context, _ *core.Runner, _ core.Params) (*core.Result, error) {
+func run90(_ *core.Runner, _ core.Params) (*core.Result, error) {
 	return nil, nil
 }

@@ -1,10 +1,6 @@
 package a
 
-import (
-	"context"
-
-	core "vmmk/internal/core"
-)
+import core "vmmk/internal/core"
 
 func init() {
 	core.Register(core.Spec{ // want `missing Title` `missing Run`
@@ -25,6 +21,6 @@ func alsoRegisters() {
 	})
 }
 
-func run91(_ context.Context, _ *core.Runner, _ core.Params) (*core.Result, error) {
+func run91(_ *core.Runner, _ core.Params) (*core.Result, error) {
 	return nil, nil
 }

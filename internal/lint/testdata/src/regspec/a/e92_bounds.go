@@ -1,10 +1,6 @@
 package a
 
-import (
-	"context"
-
-	core "vmmk/internal/core"
-)
+import core "vmmk/internal/core"
 
 func init() {
 	core.Register(core.Spec{
@@ -21,6 +17,6 @@ func init() {
 	})
 }
 
-func run92(_ context.Context, _ *core.Runner, _ core.Params) (*core.Result, error) {
+func run92(_ *core.Runner, _ core.Params) (*core.Result, error) {
 	return nil, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,7 +51,7 @@ type Options struct {
 // Run executes the matrix and returns one result per row, in row order.
 // Each row runs both legs — disarmed control first (the identical path with
 // injection off must pass cleanly), then armed (the fault must produce the
-// declared outcome) — on machines acquired from the worker's pool.
+// declared outcome) — on machines taken from the worker's pool.
 func Run(opts Options) ([]RowResult, error) {
 	var rows []S
 	if len(opts.IDs) == 0 {
@@ -67,22 +66,22 @@ func Run(opts Options) ([]RowResult, error) {
 		}
 	}
 	r := core.NewRunner(opts.Parallel)
-	return core.RunCells(r, len(rows), func(ctx context.Context, i int) (RowResult, error) {
-		return execute(ctx, rows[i]), nil
+	return core.RunCells(r, len(rows), func(pool *hw.MachinePool, i int) (RowResult, error) {
+		return execute(pool, rows[i]), nil
 	})
 }
 
-// execute runs one row's two legs and folds them into a result. When the
-// row declares a Compare, both legs' Envs are retained and the cross-leg
-// invariant is graded after both legs pass on their own.
-func execute(ctx context.Context, s S) RowResult {
+// execute runs one row's two legs on machines from pool and folds them into
+// a result. When the row declares a Compare, both legs' Envs are retained
+// and the cross-leg invariant is graded after both legs pass on their own.
+func execute(pool *hw.MachinePool, s S) RowResult {
 	res := RowResult{
 		ID: s.ID, Subsystem: s.Subsystem, Fault: s.Fault,
 		Expect: s.Expect.Desc, Status: StatusPass,
 	}
 	var legs [2]*Env
 	for i, armed := range []bool{false, true} {
-		env, detail, skip := runLeg(ctx, s, armed)
+		env, detail, skip := runLeg(pool, s, armed)
 		if skip != "" {
 			res.Status, res.Detail = StatusSkip, skip
 			return res
@@ -104,27 +103,15 @@ func execute(ctx context.Context, s S) RowResult {
 }
 
 // runLeg executes one leg of a row on a pooled machine, grades it, and
-// returns the leg's Env for cross-leg comparison.
-func runLeg(ctx context.Context, s S, armed bool) (env *Env, detail, skip string) {
+// returns the leg's Env for cross-leg comparison. The leg's machines go
+// back to the pool after its Check.
+func runLeg(pool *hw.MachinePool, s S, armed bool) (env *Env, detail, skip string) {
 	cfg := s.Cfg
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	m, release := core.AcquireMachine(ctx, hw.X86(), cfg)
-	releases := []func(){release}
-	defer func() {
-		// Release in reverse acquisition order, mirroring the pool's
-		// LIFO reuse so repeated legs see the same machine sequence.
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}()
-	env = &Env{M: m, Armed: armed}
-	env.acquire = func(c *hw.MachineConfig) *hw.Machine {
-		extra, rel := core.AcquireMachine(ctx, hw.X86(), c)
-		releases = append(releases, rel)
-		return extra
-	}
+	env = &Env{M: pool.Get(hw.X86(), cfg), Armed: armed, pool: pool}
+	defer env.release()
 	err, panicMsg := invoke(s.Run, env)
 	var sk *skipError
 	if errors.As(err, &sk) {

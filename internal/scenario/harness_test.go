@@ -1,12 +1,13 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"vmmk/internal/hw"
 )
 
 // TestMatrixAllPass runs the whole matrix and requires every row to pass —
@@ -24,6 +25,33 @@ func TestMatrixAllPass(t *testing.T) {
 	}
 	pass, fail, skip := Summarize(results)
 	t.Logf("matrix: %d pass, %d fail, %d skip", pass, fail, skip)
+}
+
+// TestMatrixReturnsEveryMachine is the scenario twin of core's
+// TestExperimentsPooledVsFresh balance check: every row runs on one pool,
+// each row's legs must put back every machine they took, and every machine
+// must come back with its frame books balanced.
+func TestMatrixReturnsEveryMachine(t *testing.T) {
+	pool := hw.NewMachinePool()
+	var row string
+	puts := 0
+	pool.Inspect(func(m *hw.Machine) {
+		puts++
+		if err := m.Mem.Audit(); err != nil {
+			t.Errorf("%s: returned machine fails the frame audit: %v", row, err)
+		}
+	})
+	for _, s := range Rows() {
+		row = s.ID
+		hits0, misses0 := pool.Stats()
+		puts0 := puts
+		execute(pool, s)
+		hits, misses := pool.Stats()
+		if gets := hits - hits0 + misses - misses0; gets == 0 || uint64(puts-puts0) != gets {
+			t.Errorf("%s: took %d machines from the pool and put back %d", row, gets, puts-puts0)
+		}
+	}
+	t.Logf("audited %d returned machines", puts)
 }
 
 // TestMatrixCoverage pins the matrix floor: at least 30 rows overall and at
@@ -116,7 +144,7 @@ func fabricate(expect Outcome, run func(*Env) error) S {
 // regression in the test, not a pass.
 func TestHarnessFaultMustFire(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "sentinel", Err: sentinel},
 		func(env *Env) error { return nil }, // fault never fires
 	))
@@ -128,7 +156,7 @@ func TestHarnessFaultMustFire(t *testing.T) {
 // TestHarnessWrongError: the armed leg returning a different error than
 // declared must fail the row.
 func TestHarnessWrongError(t *testing.T) {
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "sentinel", Err: errors.New("declared")},
 		func(env *Env) error {
 			if env.Armed {
@@ -147,7 +175,7 @@ func TestHarnessWrongError(t *testing.T) {
 // the armed leg's result means nothing.
 func TestHarnessControlMustPass(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "sentinel", Err: sentinel},
 		func(env *Env) error { return sentinel }, // fails both legs
 	))
@@ -159,7 +187,7 @@ func TestHarnessControlMustPass(t *testing.T) {
 // TestHarnessUnexpectedPanic: a panic in a row that declared no panic must
 // fail that row (and only that row).
 func TestHarnessUnexpectedPanic(t *testing.T) {
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "sentinel", Err: errors.New("declared")},
 		func(env *Env) error { panic("boom") },
 	))
@@ -171,7 +199,7 @@ func TestHarnessUnexpectedPanic(t *testing.T) {
 // TestHarnessExpectedPanic: a declared panic substring must match the armed
 // leg's panic, and the control leg must still run clean.
 func TestHarnessExpectedPanic(t *testing.T) {
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "panic: boom", Panic: "boom"},
 		func(env *Env) error {
 			if env.Armed {
@@ -187,7 +215,7 @@ func TestHarnessExpectedPanic(t *testing.T) {
 
 // TestHarnessPanicMismatch: an armed panic with the wrong message must fail.
 func TestHarnessPanicMismatch(t *testing.T) {
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "panic: boom", Panic: "boom"},
 		func(env *Env) error {
 			if env.Armed {
@@ -205,7 +233,7 @@ func TestHarnessPanicMismatch(t *testing.T) {
 // fail) in the control leg too — predicates assert both sides of the fault.
 func TestHarnessCheckRunsBothLegs(t *testing.T) {
 	var legs []bool
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "check", Check: func(env *Env) error {
 			legs = append(legs, env.Armed)
 			return nil
@@ -219,7 +247,7 @@ func TestHarnessCheckRunsBothLegs(t *testing.T) {
 		t.Fatalf("check ran for legs %v, want [false true]", legs)
 	}
 
-	res = execute(context.Background(), fabricate(
+	res = execute(nil, fabricate(
 		Outcome{Desc: "check", Check: func(env *Env) error {
 			if !env.Armed {
 				return fmt.Errorf("control state wrong")
@@ -236,7 +264,7 @@ func TestHarnessCheckRunsBothLegs(t *testing.T) {
 // TestHarnessSkip: a row that returns Skip is reported as skipped, with the
 // reason, and does not fail the matrix.
 func TestHarnessSkip(t *testing.T) {
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "never", Err: errors.New("never")},
 		func(env *Env) error { return Skip("needs 8 CPUs") },
 	))
@@ -250,7 +278,7 @@ func TestHarnessSkip(t *testing.T) {
 // the row with a cross-leg detail.
 func TestHarnessCompare(t *testing.T) {
 	ran := 0
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			ran++
 			if control.Armed || !armed.Armed {
@@ -270,7 +298,7 @@ func TestHarnessCompare(t *testing.T) {
 		t.Fatalf("Compare ran %d times, want 1", ran)
 	}
 
-	res = execute(context.Background(), fabricate(
+	res = execute(nil, fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			return fmt.Errorf("delta out of bounds")
 		}},
@@ -286,7 +314,7 @@ func TestHarnessCompare(t *testing.T) {
 // what the matrix reports.
 func TestHarnessCompareSkippedOnLegFailure(t *testing.T) {
 	ran := false
-	res := execute(context.Background(), fabricate(
+	res := execute(nil, fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			ran = true
 			return nil

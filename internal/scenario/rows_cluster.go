@@ -36,7 +36,7 @@ type clusterState struct {
 // rows exercise the same machine recycling as everything else.
 func pooledHosts(env *Env) cluster.MachineSource {
 	return func(cfg *hw.MachineConfig) (*hw.Machine, func()) {
-		// The harness releases every acquired machine when the leg ends.
+		// The harness puts every machine the leg took back when it ends.
 		return env.Machine(cfg), func() {}
 	}
 }

@@ -70,20 +70,34 @@ type Env struct {
 	// legs or repeated matrix runs.
 	State any
 
-	// acquire hands out an extra pooled machine (migration rows need a
-	// destination host). The harness installs it and releases every
-	// machine when the leg ends.
-	acquire func(cfg *hw.MachineConfig) *hw.Machine
+	// pool is the worker's machine pool the leg takes its machines from,
+	// and extra the machines Machine handed out beyond M. The harness puts
+	// them all back when the leg ends.
+	pool  *hw.MachinePool
+	extra []*hw.Machine
 }
 
-// Machine acquires an additional pooled machine for this leg (beyond
-// env.M) — e.g. the destination host of a migration row. It is released
-// back to the worker's pool with the rest of the leg's machines.
+// Machine takes an additional pooled machine for this leg (beyond env.M) —
+// e.g. the destination host of a migration row. It goes back to the
+// worker's pool with the rest of the leg's machines.
 func (e *Env) Machine(cfg *hw.MachineConfig) *hw.Machine {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	return e.acquire(cfg)
+	m := e.pool.Get(hw.X86(), cfg)
+	e.extra = append(e.extra, m)
+	return m
+}
+
+// release puts the leg's machines back in the reverse of the order they
+// were taken, mirroring the pool's LIFO reuse so repeated legs see the same
+// machine sequence.
+func (e *Env) release() {
+	for i := len(e.extra) - 1; i >= 0; i-- {
+		e.pool.Put(e.extra[i])
+	}
+	e.pool.Put(e.M)
+	e.extra = nil
 }
 
 // DefaultConfig is the machine shape rows get when they declare no Cfg.

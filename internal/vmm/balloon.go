@@ -65,16 +65,9 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 	defer h.hypercallExit(d)
 	got := 0
 	fill := func(gpn int) bool {
-		f, err := h.M.Mem.Alloc(d.comp)
-		if err != nil {
+		if _, err := d.fill(gpn); err != nil {
 			return false
 		}
-		if gpn < len(d.frames) {
-			// The slot is no longer a hole: prune it from the free list so
-			// churn does not accumulate stale entries for addFrame to skip.
-			d.pruneHole(gpn)
-		}
-		d.install(gpn, f)
 		if dl := d.dirtyLog; dl != nil {
 			dl.armNew(gpn)
 		}

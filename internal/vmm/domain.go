@@ -92,6 +92,8 @@ func (d *Domain) gpnOf(f hw.FrameID) int {
 }
 
 // install puts frame f in P2M slot gpn, which must be a hole or the end.
+// With a dirty log enabled the slot is logged dirty, so a live migration in
+// progress sends the new page.
 func (d *Domain) install(gpn int, f hw.FrameID) {
 	if gpn == len(d.frames) {
 		d.frames = append(d.frames, f)
@@ -100,10 +102,36 @@ func (d *Domain) install(gpn int, f hw.FrameID) {
 	}
 	d.hyp.setM2P(f, gpn)
 	d.resident++
+	if dl := d.dirtyLog; dl != nil {
+		dl.mark(gpn)
+	}
+}
+
+// fill allocates a frame for d and installs it in P2M slot gpn, which must
+// be a hole or lie at or past the end; the slots it skips past the end
+// become holes.
+func (d *Domain) fill(gpn int) (hw.FrameID, error) {
+	f, err := d.hyp.M.Mem.Alloc(d.comp)
+	if err != nil {
+		return hw.NoFrame, err
+	}
+	for len(d.frames) < gpn {
+		d.holes = append(d.holes, len(d.frames))
+		d.frames = append(d.frames, hw.NoFrame)
+	}
+	if gpn < len(d.frames) {
+		// The slot is no longer a hole: prune it from the free list so
+		// churn does not accumulate stale entries for addFrame to skip.
+		d.pruneHole(gpn)
+	}
+	d.install(gpn, f)
+	return f, nil
 }
 
 // punch empties P2M slot gpn and remembers it as a hole for reuse. The
-// frame it held is the caller's to release or hand on.
+// frame it held is the caller's to release or hand on. With a dirty log
+// enabled the slot is logged dirty, so a live migration in progress clears
+// it on the destination too.
 func (d *Domain) punch(gpn int) {
 	d.hyp.m2p[d.frames[gpn]] = 0
 	d.frames[gpn] = hw.NoFrame
@@ -111,6 +139,7 @@ func (d *Domain) punch(gpn int) {
 	d.resident--
 	if dl := d.dirtyLog; dl != nil {
 		dl.forget(gpn)
+		dl.mark(gpn)
 	}
 }
 

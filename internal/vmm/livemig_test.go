@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -275,6 +276,123 @@ func TestMigrateLivePreservesP2MHoles(t *testing.T) {
 	}
 	if d2.FrameAt(3) == hw.NoFrame {
 		t.Fatal("neighbouring page lost")
+	}
+}
+
+// flipIn hands Dom0's page gpn, holding marker, to the guest by page flip;
+// the guest installs it in a P2M hole, or past the end.
+func flipIn(t *testing.T, r *liveRig, gpn int, marker string) {
+	t.Helper()
+	f := r.dom0.FrameAt(gpn)
+	r.m.Mem.Write(f, 0, []byte(marker))
+	ref, err := r.h.GrantAccess(r.dom0.ID, f, r.domU.ID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.h.GrantTransfer(r.domU.ID, r.dom0.ID, ref); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrateLiveMirrorsP2MChanges changes the guest's P2M between pre-copy
+// rounds and requires the destination to hold exactly the pages the source
+// holds at the blackout, with the same contents.
+func TestMigrateLiveMirrorsP2MChanges(t *testing.T) {
+	// pages reads every page d's P2M holds, by gpn.
+	pages := func(m *hw.Machine, d *Domain) map[int]string {
+		out := map[int]string{}
+		for gpn, f := range d.Frames() {
+			if f != hw.NoFrame {
+				out[gpn] = string(readFrame(m.Mem, f, int(m.Mem.PageSize())))
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		change func(t *testing.T, r *liveRig)
+	}{
+		{"flip past the end of the P2M", func(t *testing.T, r *liveRig) {
+			flipIn(t, r, 2, "past-the-end")
+		}},
+		{"flip into a hole punched after round 1", func(t *testing.T, r *liveRig) {
+			if _, err := r.h.BalloonOut(r.domU.ID, 1); err != nil {
+				t.Fatal(err)
+			}
+			flipIn(t, r, 3, "into-the-hole")
+		}},
+		{"balloon out", func(t *testing.T, r *liveRig) {
+			if n, err := r.h.BalloonOut(r.domU.ID, 4); err != nil || n != 4 {
+				t.Fatalf("BalloonOut = %d, %v", n, err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLiveRig(t)
+			var want map[int]string
+			opts := LiveOpts{
+				MaxRounds: 3,
+				GuestWork: func(round int) {
+					switch round {
+					case 1: // a write keeps the pre-copy going into round 2
+						if err := r.h.GuestMemWrite(r.domU.ID, 0, 0, []byte("r1")); err != nil {
+							t.Fatal(err)
+						}
+					case 2:
+						tc.change(t, r)
+					}
+					audit(t, r.h, r.dstH)
+				},
+				Transport: func(round, _ int) error {
+					if round == 0 { // the blackout: the source's P2M is final
+						want = pages(r.m, r.domU)
+					}
+					return nil
+				},
+			}
+			d2, _, err := MigrateLive(r.h, r.domU.ID, r.dstH, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audit(t, r.h, r.dstH)
+			if got := pages(r.m2, d2); !maps.Equal(got, want) {
+				t.Errorf("destination holds %d pages, source held %d at the blackout", len(got), len(want))
+				for gpn := range max(len(d2.Frames()), len(r.domU.Frames())) {
+					if got[gpn] != want[gpn] {
+						t.Errorf("gpn %d differs", gpn)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMigrateLiveShellOutOfMemoryAborts: a page the guest gains
+// mid-migration needs a destination frame, and with none free the
+// migration aborts cleanly, as it does when the link fails.
+func TestMigrateLiveShellOutOfMemoryAborts(t *testing.T) {
+	r := newLiveRig(t)
+	// Leave the destination exactly the frames the shell is built with.
+	filler := r.m2.Rec.Intern("filler")
+	if _, err := r.m2.Mem.AllocN(filler, r.m2.Mem.FreeFrames()-r.domU.OwnedPages()); err != nil {
+		t.Fatal(err)
+	}
+	dstDomains := len(r.dstH.Domains())
+	_, _, err := MigrateLive(r.h, r.domU.ID, r.dstH, LiveOpts{GuestWork: func(round int) {
+		if round == 1 {
+			flipIn(t, r, 2, "no-room")
+		}
+	}})
+	if !errors.Is(err, ErrMigrationAborted) || !errors.Is(err, hw.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrMigrationAborted wrapping hw.ErrOutOfMemory", err)
+	}
+	audit(t, r.h, r.dstH)
+	if got := len(r.dstH.Domains()); got != dstDomains {
+		t.Errorf("destination holds %d domains after abort, want %d", got, dstDomains)
+	}
+	if !r.h.Alive(r.domU.ID) || r.h.Paused(r.domU.ID) || r.domU.dirtyLog != nil {
+		t.Fatal("abort left the source dead, paused or logging")
 	}
 }
 

@@ -395,13 +395,27 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	// as a single batch per machine: both ends pay a fixed cost per page,
 	// so the round's aggregate is cycle-identical to charging page by
 	// page (the two machines' clocks are independent, and nothing inside
-	// a round observes either clock).
-	sendAll := func(gpns []int) {
+	// a round observes either clock). The dirty log names every P2M slot
+	// the guest changed as well as the pages it wrote, so each slot sent
+	// also mirrors the source's P2M: a slot filled since the shell was
+	// built gets a shell frame, and a slot punched since is punched on the
+	// shell too.
+	sendAll := func(gpns []int) error {
 		moved := uint64(0)
 		for _, gpn := range gpns {
 			sf, df := d.frames[gpn], shell.FrameAt(gpn)
-			if sf == hw.NoFrame || df == hw.NoFrame {
+			switch {
+			case sf == hw.NoFrame:
+				if df != hw.NoFrame {
+					shell.punch(gpn)
+					dst.M.Mem.Free(df)
+				}
 				continue
+			case df == hw.NoFrame:
+				var err error
+				if df, err = shell.fill(gpn); err != nil {
+					return err
+				}
 			}
 			dst.M.Mem.CopyPage(df, src.M.Mem, sf)
 			moved++
@@ -410,6 +424,7 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 		src.M.CPU.WorkN(src.comp, src.M.CPU.CopyCost(ps), moved)
 		dst.M.CPU.WorkN(dst.comp, dst.M.CPU.CopyCost(ps), moved)
 		stats.PagesMoved += int(moved)
+		return nil
 	}
 
 	// Pre-copy rounds: the guest runs (and dirties pages) while each
@@ -433,7 +448,9 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 				return abort(err)
 			}
 		}
-		sendAll(toSend)
+		if err := sendAll(toSend); err != nil {
+			return abort(err)
+		}
 		dirty := dl.Rearm()
 		prev := len(toSend)
 		toSend = dirty
@@ -458,7 +475,9 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 			return abort(err)
 		}
 	}
-	sendAll(toSend)
+	if err := sendAll(toSend); err != nil {
+		return abort(err)
+	}
 	stats.PagesFinal = len(toSend)
 
 	// Page-table skeleton travels in guest terms, like SaveDomain's.

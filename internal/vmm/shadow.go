@@ -228,6 +228,15 @@ func (dl *DirtyLog) strip(gpn int, vpn hw.VPN) {
 	p.nstripped++
 }
 
+// mark logs gpn dirty: the guest wrote the page, or its P2M slot changed.
+func (dl *DirtyLog) mark(gpn int) {
+	dl.grow(gpn + 1)
+	if p := &dl.pages[gpn]; !p.dirty {
+		p.dirty = true
+		dl.ndirty++
+	}
+}
+
 // armNew protects a page BalloonIn just installed at gpn. It has no
 // mappings yet, so there is nothing to strip: the guest's first store to
 // it faults and is logged like any other armed page's.
@@ -291,12 +300,8 @@ func (dl *DirtyLog) fault(gpn int) {
 	h.M.CPU.Trap(h.comp, false)
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	h.M.CPU.Work(h.comp, 120) // decode + log-dirty bookkeeping
-	p := &dl.pages[gpn]
-	if !p.dirty {
-		p.dirty = true
-		dl.ndirty++
-	}
-	nvpns := max(p.nstripped, 1)
+	dl.mark(gpn)
+	nvpns := max(dl.pages[gpn].nstripped, 1)
 	dl.disarm(gpn) // later stores to this page are full speed until re-arm
 	h.M.CPU.Charge(h.comp, trace.KDirtyLogFault,
 		hw.Cycles(nvpns)*h.M.Arch.Costs.PTEUpdate)
