@@ -15,11 +15,13 @@ package vmmk
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
 	"vmmk/internal/core"
 	"vmmk/internal/hw"
+	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
 	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
@@ -489,6 +491,106 @@ func BenchmarkMKStackRxPacket(b *testing.B) {
 		s.InjectPackets(1, 512, 0)
 		if s.DrainRx(0) != 1 {
 			b.Fatal("packet lost")
+		}
+	}
+}
+
+// BenchmarkStackIO issues each request kind of vmmkbench's io workload on
+// each stack, the way that workload issues it: a 4×1500 B receive burst
+// drained with DrainRx, a 4×1500 B send drained from the wire, a syscall,
+// and a page-sized write or read of one of 256 blocks the boot's warm-up
+// wrote. Run it with -benchmem: a warm request allocates nothing, except
+// native rx, whose RX handler leaks a frame per packet. For the same leak
+// the stack reboots every 512 requests, outside the timer.
+func BenchmarkStackIO(b *testing.B) {
+	const (
+		burst  = 4
+		packet = 1500
+		blocks = 256
+		epoch  = 512
+	)
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(i) | 1
+	}
+	kinds := []struct {
+		name string
+		op   func(p core.Platform, nic *dev.NIC, i int) error
+	}{
+		{"rx", func(p core.Platform, _ *dev.NIC, _ int) error {
+			p.InjectPackets(burst, packet, 0)
+			if n := p.DrainRx(0); n != burst {
+				return fmt.Errorf("drained %d packets, injected %d", n, burst)
+			}
+			return nil
+		}},
+		{"tx", func(p core.Platform, nic *dev.NIC, _ int) error {
+			if err := p.SendPackets(burst, packet, 0); err != nil {
+				return err
+			}
+			if n := len(nic.Transmitted()); n != burst {
+				return fmt.Errorf("wire saw %d packets, sent %d", n, burst)
+			}
+			return nil
+		}},
+		{"syscall", func(p core.Platform, _ *dev.NIC, _ int) error {
+			return p.DoSyscall(0, 1, 0)
+		}},
+		{"blk_write", func(p core.Platform, _ *dev.NIC, i int) error {
+			return p.StorageWrite(0, uint64(i%blocks), page)
+		}},
+		{"blk_read", func(p core.Platform, _ *dev.NIC, i int) error {
+			_, err := p.StorageRead(0, uint64(i%blocks))
+			return err
+		}},
+	}
+	boot := func(b *testing.B, stack string) (core.Platform, *dev.NIC) {
+		var (
+			p   core.Platform
+			nic *dev.NIC
+			err error
+		)
+		switch stack {
+		case "vmm":
+			var s *core.XenStack
+			s, err = core.NewXenStack(core.Config{})
+			p, nic = s, s.NIC
+		case "mk":
+			var s *core.MKStack
+			s, err = core.NewMKStack(core.Config{})
+			p, nic = s, s.NIC
+		default:
+			var s *core.NativeStack
+			s, err = core.NewNativeStack(core.Config{})
+			p, nic = s, s.NIC
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range blocks {
+			if err := p.StorageWrite(0, uint64(i), page); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return p, nic
+	}
+	for _, stack := range []string{"vmm", "mk", "native"} {
+		for _, kind := range kinds {
+			b.Run(stack+"/"+kind.name, func(b *testing.B) {
+				p, nic := boot(b, stack)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%epoch == 0 {
+						b.StopTimer()
+						p.Close()
+						p, nic = boot(b, stack)
+						b.StartTimer()
+					}
+					if err := kind.op(p, nic, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -82,11 +82,16 @@ const pumpRounds = 256
 // injectPackets is every stack's InjectPackets: n packets of size bytes
 // addressed to guest dest arrive at nic one at a time, and after each the
 // machine fields the interrupt on comp, the component that handles the
-// stack's interrupts, and pumps to quiescence.
-func injectPackets(m *hw.Machine, nic *dev.NIC, comp trace.Comp, n, size, dest int) {
-	// One buffer for the whole burst: the NIC DMAs the bytes into a posted
-	// frame on Inject, so the source can be reused.
-	pkt := make([]byte, size)
+// stack's interrupts, and pumps to quiescence. burst is the stack's own
+// packet buffer (cells run in parallel, so stacks never share one): the
+// NIC DMAs the bytes into a posted frame on Inject, so the source is
+// reused for the whole burst and by the stack's next burst.
+func injectPackets(m *hw.Machine, nic *dev.NIC, comp trace.Comp, burst *[]byte, n, size, dest int) {
+	// Only byte 0 is ever written, so the rest of the buffer stays zero.
+	if cap(*burst) < size {
+		*burst = make([]byte, size)
+	}
+	pkt := (*burst)[:size]
 	if size > 0 {
 		pkt[0] = byte(dest)
 	}
@@ -120,7 +125,8 @@ type Platform interface {
 	DoSyscall(from int, no uint32, arg uint64) error
 	// StorageWrite / StorageRead exercise the guest's storage service.
 	// The block StorageRead returns is valid until the stack's next
-	// StorageRead: the Xen stack hands out PxFront's reused buffer.
+	// StorageRead: every stack hands out a reused buffer (PxFront's, the
+	// OS server thread's reply registers, the native kernel's page).
 	StorageWrite(from int, block uint64, data []byte) error
 	StorageRead(from int, block uint64) ([]byte, error)
 	// KillStorage crashes the shared storage service (Parallax / store
@@ -161,6 +167,8 @@ type XenStack struct {
 
 	Guests []*vmmos.GuestKernel
 	Procs  []vmmos.PID
+
+	burst []byte // InjectPackets' packet buffer
 }
 
 // NewXenStack boots the full VMM-side system.
@@ -266,7 +274,7 @@ func (s *XenStack) Pump() { s.H.PumpIO(pumpRounds) }
 
 // InjectPackets implements Platform.
 func (s *XenStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.H.Comp(), n, size, dest)
+	injectPackets(s.Mach, s.NIC, s.H.Comp(), &s.burst, n, size, dest)
 }
 
 // DrainRx implements Platform.
@@ -372,6 +380,8 @@ type MKStack struct {
 
 	OSes  []*mkos.OSServer
 	Procs []mkos.PID
+
+	burst []byte // InjectPackets' packet buffer
 }
 
 // NewMKStack boots the full microkernel-side system.
@@ -443,7 +453,7 @@ func (s *MKStack) Pump() { s.K.PumpIO(pumpRounds) }
 
 // InjectPackets implements Platform.
 func (s *MKStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.K.Comp(), n, size, dest)
+	injectPackets(s.Mach, s.NIC, s.K.Comp(), &s.burst, n, size, dest)
 }
 
 // DrainRx implements Platform.
@@ -554,6 +564,8 @@ type NativeStack struct {
 	rxQueue int
 	store   map[uint64][]byte
 	dead    bool
+	burst   []byte // InjectPackets' packet buffer
+	readBuf []byte // StorageRead's page, valid until the next StorageRead
 }
 
 // NativeComponent is the baseline's attribution name.
@@ -618,7 +630,7 @@ func (s *NativeStack) syscall(work hw.Cycles) {
 
 // InjectPackets implements Platform.
 func (s *NativeStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.comp, n, size, dest)
+	injectPackets(s.Mach, s.NIC, s.comp, &s.burst, n, size, dest)
 }
 
 // appCPU is the core the application runs on in the SMP model: the last
@@ -706,7 +718,8 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 	s.Mach.Mem.Write(f, 0, data)
 	s.Disk.Submit(dev.DiskReq{Op: dev.DiskWrite, Block: block, Frame: f})
 	s.Pump()
-	s.store[block] = append([]byte(nil), data...)
+	// The block keeps its own cached buffer, reused on overwrite.
+	s.store[block] = append(s.store[block][:0], data...)
 	return nil
 }
 
@@ -724,8 +737,12 @@ func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
 	defer s.smpUnmapBuffer(f)
 	s.Disk.Submit(dev.DiskReq{Op: dev.DiskRead, Block: block, Frame: f})
 	s.Pump()
-	out := make([]byte, s.Mach.Mem.PageSize())
-	copy(out, s.store[block])
+	ps := int(s.Mach.Mem.PageSize())
+	if cap(s.readBuf) < ps {
+		s.readBuf = make([]byte, ps)
+	}
+	out := s.readBuf[:ps]
+	clear(out[copy(out, s.store[block]):])
 	return out, nil
 }
 

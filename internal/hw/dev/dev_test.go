@@ -2,6 +2,7 @@ package dev
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -282,5 +283,146 @@ func TestDiskPeekBlock(t *testing.T) {
 	got[0] = 'z' // must be a copy
 	if string(d.PeekBlock(5)[:3]) != "abc" {
 		t.Fatal("PeekBlock leaked internal storage")
+	}
+}
+
+// TestNICTransmitAllocatesNothing: a warm NIC transmits from recycled
+// payload buffers through one bound completion callback, so a burst plus
+// its Transmitted drain allocates nothing.
+func TestNICTransmitAllocatesNothing(t *testing.T) {
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
+	m.Mem.Write(f, 0, bytes.Repeat([]byte{0x5A}, 1500))
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			nic.Transmit(f, 1500)
+		}
+		m.Events.RunUntilIdle(0)
+		if n := len(nic.Transmitted()); n != 4 {
+			t.Fatalf("wire saw %d packets, sent 4", n)
+		}
+	}
+	// The second burst still allocates: the first one's payloads are the
+	// caller's until the next Transmitted.
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Transmit + Transmitted allocates %.1f times per 4 packets", n)
+	}
+}
+
+// TestDiskSubmitAllocatesNothing: a warm disk completes requests through
+// one bound callback and keeps each block's stored buffer, so a write and
+// a read of a block written before allocate nothing.
+func TestDiskSubmitAllocatesNothing(t *testing.T) {
+	m := devMachine(t)
+	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	drv := m.Rec.Intern("drv")
+	fw, _ := m.Mem.Alloc(drv)
+	fr, _ := m.Mem.Alloc(drv)
+	m.Mem.Write(fw, 0, bytes.Repeat([]byte{0xA5}, int(m.Mem.PageSize())))
+	cycle := func() {
+		d.Submit(DiskReq{Op: DiskWrite, Block: 1, Frame: fw, Tag: 1})
+		d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: fr, Tag: 2})
+		m.Events.RunUntilIdle(0)
+		if n := len(d.Reap()); n != 2 {
+			t.Fatalf("%d completions, want 2", n)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Submit + Reap allocates %.1f times per write and read", n)
+	}
+}
+
+// TestNICRecycledPayloadsReadFresh: a payload buffer recycled by
+// Transmitted reads exactly as a fresh one would, whatever it held and
+// whatever its last owner wrote into it: a short packet after a full-page
+// one, and a packet longer than the page, whose bytes past the page end
+// read zero. Sequence numbers stay in submit order.
+func TestNICRecycledPayloadsReadFresh(t *testing.T) {
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	drv := m.Rec.Intern("drv")
+	page := int(m.Mem.PageSize())
+	full, _ := m.Mem.Alloc(drv)
+	short, _ := m.Mem.Alloc(drv)
+	m.Mem.Write(full, 0, bytes.Repeat([]byte{0xAA}, page))
+	m.Mem.Write(short, 0, []byte("hi"))
+	seq := uint64(0)
+	send := func(f hw.FrameID, lengths ...int) []Packet {
+		t.Helper()
+		for _, n := range lengths {
+			nic.Transmit(f, n)
+		}
+		m.Events.RunUntilIdle(0)
+		pkts := nic.Transmitted()
+		if len(pkts) != len(lengths) {
+			t.Fatalf("wire saw %d packets, sent %d", len(pkts), len(lengths))
+		}
+		for i, p := range pkts {
+			if seq++; p.Seq != seq {
+				t.Fatalf("packet %d has Seq %d, want %d", i, p.Seq, seq)
+			}
+		}
+		return pkts
+	}
+	// A caller owns the packets until its next Transmitted, and may write
+	// into them.
+	for _, p := range send(full, page, page+904) {
+		for i := range p.Data {
+			p.Data[i] = 0xFF
+		}
+	}
+	if len(nic.Transmitted()) != 0 { // recycles the two payloads above
+		t.Fatal("nothing was sent, yet the wire saw packets")
+	}
+	lengths := []int{page + 904, 100}
+	for i, p := range send(short, lengths...) {
+		want := make([]byte, lengths[i])
+		copy(want, "hi")
+		if !bytes.Equal(p.Data, want) {
+			t.Errorf("%d-byte packet from a recycled buffer differs from a fresh one", lengths[i])
+		}
+	}
+}
+
+// TestDiskCompletesInSubmitOrder interleaves submits with time advancing:
+// each request completes exactly one latency after its own submit, in
+// submit order, carrying its own request.
+func TestDiskCompletesInSubmitOrder(t *testing.T) {
+	m := devMachine(t)
+	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
+	var done []uint64
+	runTo := func(at hw.Cycles, want ...uint64) {
+		t.Helper()
+		m.Events.RunUntil(at)
+		for _, c := range d.Reap() {
+			if c.Req.Block != 10*c.Req.Tag {
+				t.Fatalf("completion of tag %d carries block %d", c.Req.Tag, c.Req.Block)
+			}
+			done = append(done, c.Req.Tag)
+		}
+		if !slices.Equal(done, want) {
+			t.Fatalf("at cycle %d completed %v, want %v", at, done, want)
+		}
+	}
+	submit := func(tag uint64) {
+		d.Submit(DiskReq{Op: DiskWrite, Block: 10 * tag, Frame: f, Tag: tag})
+	}
+	submit(1) // due at 100
+	runTo(30)
+	submit(2) // due at 130
+	runTo(120, 1)
+	submit(3) // both due at 220
+	submit(4)
+	runTo(129, 1)
+	runTo(130, 1, 2)
+	runTo(219, 1, 2)
+	runTo(220, 1, 2, 3, 4)
+	if d.InFlight() != 0 {
+		t.Fatalf("in flight = %d after every completion", d.InFlight())
 	}
 }

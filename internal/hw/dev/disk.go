@@ -42,15 +42,19 @@ type DiskCompletion struct {
 // simulation, which lets storage servers (Parallax-like) be checked for
 // end-to-end data integrity.
 type Disk struct {
-	m         *hw.Machine
-	comp      trace.Comp // "hw.disk", interned at construction
-	irq       hw.IRQLine
-	latency   hw.Cycles
-	blocks    uint64
-	store     map[uint64][]byte
+	m       *hw.Machine
+	comp    trace.Comp // "hw.disk", interned at construction
+	irq     hw.IRQLine
+	latency hw.Cycles
+	blocks  uint64
+	store   map[uint64][]byte
+	// Every request waits the same latency, so requests complete in
+	// submit order: one FIFO of in-flight requests and one completion
+	// callback, bound at construction, serve them all.
+	inFlight  hw.Queue[DiskReq]
+	complete  func()
 	completed []DiskCompletion // filled by finished requests
 	reaped    []DiskCompletion // returned by the last Reap; the next fill buffer
-	inFlight  int
 	served    uint64
 }
 
@@ -71,7 +75,9 @@ func NewDisk(m *hw.Machine, cfg DiskConfig) *Disk {
 	if lat == 0 {
 		lat = 50000
 	}
-	return &Disk{m: m, comp: m.Rec.Intern("hw.disk"), irq: cfg.IRQ, latency: lat, blocks: blocks, store: make(map[uint64][]byte)}
+	d := &Disk{m: m, comp: m.Rec.Intern("hw.disk"), irq: cfg.IRQ, latency: lat, blocks: blocks, store: make(map[uint64][]byte)}
+	d.complete = d.completeOldest
+	return d
 }
 
 // IRQ returns the completion interrupt line.
@@ -83,28 +89,30 @@ func (d *Disk) Blocks() uint64 { return d.blocks }
 // Submit queues a request; it completes after the device latency and raises
 // the completion IRQ. Out-of-range blocks complete with OK=false.
 func (d *Disk) Submit(req DiskReq) {
-	d.inFlight++
-	d.m.Events.ScheduleAfter(d.latency, func() {
-		d.inFlight--
-		ok := req.Block < d.blocks
-		if ok {
-			ps := d.m.Mem.PageSize()
-			switch req.Op {
-			case DiskRead:
-				d.m.Mem.Load(req.Frame, d.store[req.Block])
-			case DiskWrite:
-				// The store keeps only the frame's written prefix, and
-				// reads load it back with its zero tail. Purely a
-				// simulator-memory optimisation: the DMA charge below is
-				// per page either way.
-				d.store[req.Block] = append(d.store[req.Block][:0], d.m.Mem.Bytes(req.Frame)...)
-			}
-			d.m.CPU.Rec.Charge(uint64(d.m.Clock.Now()), trace.KDMATransfer, d.comp, uint64(ps/8))
-			d.served++
+	d.inFlight.Push(req)
+	d.m.Events.ScheduleAfter(d.latency, d.complete)
+}
+
+// completeOldest is the latency event of the oldest in-flight request.
+func (d *Disk) completeOldest() {
+	req, _ := d.inFlight.Pop()
+	ok := req.Block < d.blocks
+	if ok {
+		ps := d.m.Mem.PageSize()
+		switch req.Op {
+		case DiskRead:
+			d.m.Mem.Load(req.Frame, d.store[req.Block])
+		case DiskWrite:
+			// The store keeps only the frame's written prefix, and reads
+			// load it back with its zero tail. Purely a simulator-memory
+			// optimisation: the DMA charge below is per page either way.
+			d.store[req.Block] = append(d.store[req.Block][:0], d.m.Mem.Bytes(req.Frame)...)
 		}
-		d.completed = append(d.completed, DiskCompletion{Req: req, OK: ok})
-		d.m.IRQ.Raise(d.irq)
-	})
+		d.m.CPU.Rec.Charge(uint64(d.m.Clock.Now()), trace.KDMATransfer, d.comp, uint64(ps/8))
+		d.served++
+	}
+	d.completed = append(d.completed, DiskCompletion{Req: req, OK: ok})
+	d.m.IRQ.Raise(d.irq)
 }
 
 // Reap returns and clears completed requests. The returned slice is valid
@@ -117,7 +125,7 @@ func (d *Disk) Reap() []DiskCompletion {
 }
 
 // InFlight returns the number of submitted, un-completed requests.
-func (d *Disk) InFlight() int { return d.inFlight }
+func (d *Disk) InFlight() int { return d.inFlight.Len() }
 
 // Served returns the number of successfully completed requests.
 func (d *Disk) Served() uint64 { return d.served }

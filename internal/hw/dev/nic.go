@@ -23,11 +23,10 @@ type Packet struct {
 // buffer and the RX interrupt is raised. Transmits complete after a fixed
 // wire latency and raise the TX interrupt.
 type NIC struct {
-	m       *hw.Machine
-	comp    trace.Comp // "hw.nic", interned at construction
-	rxIRQ   hw.IRQLine
-	txIRQ   hw.IRQLine
-	dmaWord hw.Cycles // DMA cost per word moved
+	m     *hw.Machine
+	comp  trace.Comp // "hw.nic", interned at construction
+	rxIRQ hw.IRQLine
+	txIRQ hw.IRQLine
 
 	rxRing    []hw.FrameID
 	rxHead    int // next buffer to fill
@@ -36,8 +35,6 @@ type NIC struct {
 	completed []RxCompletion // filled by Inject
 	reaped    []RxCompletion // returned by the last ReapRx; the next fill buffer
 
-	txDone uint64
-
 	rxDrops uint64
 	rxSeq   uint64
 
@@ -45,7 +42,15 @@ type NIC struct {
 	sinceIRQ     int
 	rxIRQsRaised uint64
 
-	transmitted []Packet
+	// Every transmit waits the same WireLatency, so completions fire in
+	// submit order: one FIFO of in-flight payloads and one completion
+	// callback, bound at construction, serve every packet.
+	txInFlight  hw.Queue[[]byte]
+	txComplete  func()
+	txDone      uint64
+	transmitted []Packet // filled by completions
+	wire        []Packet // returned by the last Transmitted; the next fill buffer
+	txFree      [][]byte // payload buffers no caller can still see
 }
 
 // RxCompletion describes one received packet: which posted frame holds it
@@ -80,15 +85,16 @@ func NewNIC(m *hw.Machine, cfg NICConfig) *NIC {
 	if co <= 0 {
 		co = 1
 	}
-	return &NIC{
+	n := &NIC{
 		m:        m,
 		comp:     m.Rec.Intern("hw.nic"),
 		rxIRQ:    cfg.RxIRQ,
 		txIRQ:    cfg.TxIRQ,
-		dmaWord:  1,
 		rxRing:   make([]hw.FrameID, ring),
 		coalesce: co,
 	}
+	n.txComplete = n.completeTx
+	return n
 }
 
 // RxIRQ returns the receive interrupt line.
@@ -126,8 +132,8 @@ func (n *NIC) Inject(data []byte) bool {
 	nn := n.m.Mem.Write(f, 0, data)
 	n.rxSeq++
 	n.completed = append(n.completed, RxCompletion{Frame: f, Len: nn, Seq: n.rxSeq})
-	words := hw.Cycles((nn + 7) / 8)
-	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words*n.dmaWord))
+	words := (nn + 7) / 8
+	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words))
 	n.sinceIRQ++
 	if n.sinceIRQ >= n.coalesce {
 		n.sinceIRQ = 0
@@ -165,27 +171,56 @@ func (n *NIC) ReapRx() []RxCompletion {
 }
 
 // Transmit queues a packet for transmission; completion raises the TX IRQ
-// after the wire latency. The packet payload is read from frame f.
+// after the wire latency. The packet payload is read from frame f when
+// Transmit is called, so the caller may free or reuse f at once.
 func (n *NIC) Transmit(f hw.FrameID, length int) {
 	if length < 0 {
 		panic(fmt.Sprintf("dev: negative tx length %d", length))
 	}
-	data := make([]byte, length)
-	n.m.Mem.Read(f, 0, data)
-	words := hw.Cycles((length + 7) / 8)
-	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words*n.dmaWord))
-	n.m.Events.ScheduleAfter(WireLatency, func() {
-		n.txDone++
-		n.transmitted = append(n.transmitted, Packet{Data: data, Seq: n.txDone})
-		n.m.IRQ.Raise(n.txIRQ)
-	})
+	data := n.payload(length)
+	// Read fills no further than the page end; a recycled buffer must read
+	// zero past it, as a fresh one does.
+	clear(data[n.m.Mem.Read(f, 0, data):])
+	words := (length + 7) / 8
+	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words))
+	n.txInFlight.Push(data)
+	n.m.Events.ScheduleAfter(WireLatency, n.txComplete)
+}
+
+// payload returns a length-byte buffer for an outgoing packet, recycled
+// from a packet a caller of Transmitted can no longer see when one is big
+// enough.
+func (n *NIC) payload(length int) []byte {
+	if k := len(n.txFree); k > 0 {
+		buf := n.txFree[k-1]
+		n.txFree = n.txFree[:k-1]
+		if cap(buf) >= length {
+			return buf[:length]
+		}
+	}
+	return make([]byte, length)
+}
+
+// completeTx is the wire-latency event of the oldest in-flight packet.
+func (n *NIC) completeTx() {
+	data, _ := n.txInFlight.Pop()
+	n.txDone++
+	n.transmitted = append(n.transmitted, Packet{Data: data, Seq: n.txDone})
+	n.m.IRQ.Raise(n.txIRQ)
 }
 
 // Transmitted returns and clears the packets that completed transmission —
-// the experiment harness's view of "the wire".
+// the experiment harness's view of "the wire". The returned packets, and
+// their payloads, are valid until the next Transmitted, which recycles
+// them: the NIC keeps two packet buffers and swaps them on each call, as
+// ReapRx does.
 func (n *NIC) Transmitted() []Packet {
+	for i, p := range n.wire {
+		n.txFree = append(n.txFree, p.Data)
+		n.wire[i] = Packet{}
+	}
 	out := n.transmitted
-	n.transmitted = nil
+	n.transmitted, n.wire = n.wire[:0], out
 	return out
 }
 

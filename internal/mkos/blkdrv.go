@@ -19,9 +19,11 @@ type BlkDriver struct {
 	nextBase uint64
 	nextTag  uint64
 	inflight map[uint64]*blkPending
+	last     *blkPending // the latest request's record, reused once it has completed
 
-	served   uint64
-	replyBuf []byte // reused read-reply staging page (the kernel copies replies)
+	served    uint64
+	replyBuf  []byte    // reused read-reply staging page (the kernel copies replies)
+	replyWord [1]uint64 // reused one-word write reply, always 0 (likewise)
 }
 
 type partition struct {
@@ -105,7 +107,14 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 		}
 		d.nextTag++
 		tag := d.nextTag
-		pend := &blkPending{}
+		// A request that timed out may still complete later through its
+		// tag, so only a completed record is reused.
+		pend := d.last
+		if pend == nil || !pend.done {
+			pend = new(blkPending)
+			d.last = pend
+		}
+		*pend = blkPending{}
 		d.inflight[tag] = pend
 		d.Disk.Submit(dev.DiskReq{Op: op, Block: part.base + block, Frame: f, Tag: tag})
 		// "Block" until the completion interrupt lands (delivered to this
@@ -131,7 +140,7 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			k.M.CPU.Work(comp, k.M.CPU.CopyCost(ps))
 			return mk.Msg{Data: out}, nil
 		}
-		return mk.Msg{Words: []uint64{0}}, nil
+		return mk.Msg{Words: d.replyWord[:]}, nil
 	}
 	return mk.Msg{}, ErrBadRequest
 }

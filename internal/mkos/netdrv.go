@@ -44,6 +44,7 @@ type NetDriver struct {
 
 	rxHandled uint64
 	txHandled uint64
+	txReply   [1]uint64 // reused one-word TX reply (the kernel copies replies)
 }
 
 // NetClient is one OS server's connection to the driver.
@@ -139,7 +140,8 @@ func (d *NetDriver) tx(k *mk.Kernel, msg mk.Msg) (mk.Msg, error) {
 	// The NIC copied the payload out during Transmit; release the staging
 	// frame immediately.
 	k.M.Mem.Free(f)
-	return mk.Msg{Words: []uint64{uint64(len(msg.Data))}}, nil
+	d.txReply[0] = uint64(len(msg.Data))
+	return mk.Msg{Words: d.txReply[:]}, nil
 }
 
 // rx drains the NIC and forwards each packet to its client via IPC.

@@ -74,11 +74,11 @@ type OSServer struct {
 	Blk BlockService
 
 	console    []byte
-	rxQueue    []int     // lengths of undelivered packets, in arrival order
-	argScratch []uint64  // reused Syscall word buffer (see Syscall)
-	replyWord  [1]uint64 // reused one-word syscall reply (see errno)
-	zeroTx     []byte    // reused all-zero TX payload (see SysNetSend)
-	homeCPU    int       // CPU the server and its processes are pinned to (Pin)
+	rxQueue    hw.Queue[int] // lengths of undelivered packets, in arrival order
+	argScratch []uint64      // reused Syscall word buffer (see Syscall)
+	replyWord  [1]uint64     // reused one-word syscall reply (see errno)
+	zeroTx     []byte        // reused all-zero TX payload (see SysNetSend)
+	homeCPU    int           // CPU the server and its processes are pinned to (Pin)
 
 	pagerWindow hw.VPN // next free window page for fault service
 }
@@ -202,7 +202,7 @@ func (os *OSServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 		// No process reads the bytes, so the queue keeps the length alone
 		// (the message is the kernel's until this handler returns).
 		k.M.CPU.Work(comp, 250)
-		os.rxQueue = append(os.rxQueue, len(msg.Data))
+		os.rxQueue.Push(len(msg.Data))
 		return mk.Msg{}, nil
 	case LabelSyscall:
 		return os.handleSyscall(k, from, msg)
@@ -280,11 +280,10 @@ func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (m
 		}
 		return os.errno(uint64(n)), nil
 	case SysNetRecv:
-		if len(os.rxQueue) == 0 {
+		n, ok := os.rxQueue.Pop()
+		if !ok {
 			return os.errno(0), nil
 		}
-		n := os.rxQueue[0]
-		os.rxQueue = os.rxQueue[1:]
 		if p != nil {
 			p.rxDelivered++
 		}
@@ -323,4 +322,4 @@ func (os *OSServer) MountFS(blocks uint64) (*fslite.FS, error) {
 func (os *OSServer) Console() []byte { return os.console }
 
 // PendingRx returns the number of queued received packets.
-func (os *OSServer) PendingRx() int { return len(os.rxQueue) }
+func (os *OSServer) PendingRx() int { return os.rxQueue.Len() }

@@ -22,8 +22,9 @@ type StoreServer struct {
 	vdisks map[mk.ThreadID]*StoreDisk
 	blk    BlockService // write-through persistence; may be nil
 
-	requests uint64
-	replyBuf []byte // reused read-reply staging page (the kernel copies replies)
+	requests  uint64
+	replyBuf  []byte    // reused read-reply staging page (the kernel copies replies)
+	replyWord [1]uint64 // reused one-word write reply, always 0 (likewise)
 }
 
 // ErrNoVDisk is returned for requests from unattached clients.
@@ -136,7 +137,7 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 				return mk.Msg{}, err
 			}
 		}
-		return mk.Msg{Words: []uint64{0}}, nil
+		return mk.Msg{Words: s.replyWord[:]}, nil
 	case LabelStoreSnapshot:
 		k.M.CPU.Work(comp, 800)
 		if vd.snapshot == nil {

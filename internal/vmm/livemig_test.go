@@ -132,22 +132,24 @@ func TestDirtyLogLifecycleErrors(t *testing.T) {
 
 // --- live pre-copy migration ------------------------------------------------
 
-// liveRig is a source rig plus an empty destination hypervisor.
+// liveRig is a source rig plus a destination hypervisor holding only its
+// Dom0.
 type liveRig struct {
 	*vrig
-	m2   *hw.Machine
-	dstH *Hypervisor
+	m2      *hw.Machine
+	dstH    *Hypervisor
+	dstDom0 *Domain
 }
 
 func newLiveRig(t *testing.T) *liveRig {
 	t.Helper()
 	src := newVrig(t, hw.X86())
 	m2 := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512})
-	dstH, _, err := New(m2, 64)
+	dstH, d0, err := New(m2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &liveRig{vrig: src, m2: m2, dstH: dstH}
+	return &liveRig{vrig: src, m2: m2, dstH: dstH, dstDom0: d0}
 }
 
 func TestMigrateLiveMovesMemoryAndMappings(t *testing.T) {

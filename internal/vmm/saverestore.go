@@ -112,7 +112,11 @@ func capturePT(d *Domain) []savedPTE {
 
 // allocShell creates a paused domain with one fresh frame per true slot in
 // exists, holes preserved at the false slots, and an empty page table —
-// the receiving half of restore and live migration.
+// the receiving half of restore and live migration. Each hole is recorded
+// in the shell's hole list, in ascending gpn order, so a page later flipped
+// into the shell refills a hole as it would on the source instead of
+// landing past the end of the P2M. Without holes, the P2M buildDomain laid
+// out is already the shell's.
 func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*Domain, error) {
 	n := 0
 	for _, ok := range exists {
@@ -128,18 +132,22 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 		return nil, err
 	}
 	d.Privileged = privileged
-	frames := make([]hw.FrameID, len(exists))
-	next := 0
-	for gpn, ok := range exists {
-		if !ok {
-			frames[gpn] = hw.NoFrame
-			continue
+	if n < len(exists) {
+		frames := make([]hw.FrameID, len(exists))
+		d.holes = make([]int, 0, len(exists)-n)
+		next := 0
+		for gpn, ok := range exists {
+			if !ok {
+				frames[gpn] = hw.NoFrame
+				d.holes = append(d.holes, gpn)
+				continue
+			}
+			frames[gpn] = d.frames[next]
+			h.setM2P(frames[gpn], gpn)
+			next++
 		}
-		frames[gpn] = d.frames[next]
-		h.setM2P(frames[gpn], gpn)
-		next++
+		d.frames = frames
 	}
-	d.frames = frames
 	// Shells start paused, like migrated VMs pre-resume.
 	d.paused = true
 	return d, nil

@@ -326,3 +326,72 @@ func TestSaveDropsForeignGrantMappings(t *testing.T) {
 		}
 	}
 }
+
+// TestMovedGuestRefillsP2MHoles moves a guest with a hole at gpn 2 by each
+// route that builds a shell, then flips a Dom0 page into it on its new
+// hypervisor: the page must refill the hole, as it would have on the
+// source, not land past the end of the P2M.
+func TestMovedGuestRefillsP2MHoles(t *testing.T) {
+	cases := []struct {
+		name string
+		// move takes the guest off r and returns the hypervisor holding
+		// it, that hypervisor's Dom0, and the moved guest.
+		move func(t *testing.T, r *liveRig) (*Hypervisor, *Domain, *Domain)
+	}{
+		{"Migrate", func(t *testing.T, r *liveRig) (*Hypervisor, *Domain, *Domain) {
+			d2, err := Migrate(r.h, r.domU.ID, r.dstH)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.dstH, r.dstDom0, d2
+		}},
+		{"MigrateLive", func(t *testing.T, r *liveRig) (*Hypervisor, *Domain, *Domain) {
+			d2, _, err := MigrateLive(r.h, r.domU.ID, r.dstH, LiveOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.dstH, r.dstDom0, d2
+		}},
+		{"RestoreDomain", func(t *testing.T, r *liveRig) (*Hypervisor, *Domain, *Domain) {
+			if err := r.h.Pause(r.domU.ID); err != nil {
+				t.Fatal(err)
+			}
+			img, err := r.h.SaveDomain(r.domU.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.h.DestroyDomain(r.domU.ID)
+			d2, err := r.h.RestoreDomain(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.h, r.dom0, d2
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLiveRig(t)
+			slots := len(r.domU.Frames())
+			if err := r.domU.ReleaseFrame(r.domU.FrameAt(2)); err != nil {
+				t.Fatal(err)
+			}
+			h, dom0, d2 := tc.move(t, r)
+			audit(t, r.h, r.dstH)
+			f := dom0.FrameAt(0)
+			ref, err := h.GrantAccess(dom0.ID, f, d2.ID, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.GrantTransfer(d2.ID, dom0.ID, ref); err != nil {
+				t.Fatal(err)
+			}
+			audit(t, r.h, r.dstH)
+			if n := len(d2.Frames()); n != slots {
+				t.Errorf("P2M grew from %d to %d slots", slots, n)
+			}
+			if d2.FrameAt(2) != f {
+				t.Errorf("gpn 2 holds frame %d, want the flipped-in frame %d", d2.FrameAt(2), f)
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ type BlkFront struct {
 	conn      *blkConn
 	localPort vmm.Port
 	buf       hw.FrameID
+	last      *blkReq // the latest request, reused once it has completed
 
 	reads  uint64
 	writes uint64
@@ -69,8 +70,15 @@ func (bf *BlkFront) submit(op dev.DiskOp, block uint64) (*blkReq, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &blkReq{op: op, block: block, ref: ref, frame: bf.buf}
-	bf.conn.reqs = append(bf.conn.reqs, req)
+	// A request that timed out may still complete later through its tag,
+	// so only a completed record is reused.
+	req := bf.last
+	if req == nil || !req.done {
+		req = new(blkReq)
+		bf.last = req
+	}
+	*req = blkReq{op: op, block: block, ref: ref, frame: bf.buf}
+	bf.conn.reqs.push(req)
 	if err := h.NotifyChannel(bf.gk.Dom.ID, bf.conn.frontPort); err != nil {
 		return nil, err
 	}

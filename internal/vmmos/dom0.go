@@ -41,14 +41,43 @@ type txSlot struct {
 	len int
 }
 
+// ring is a list of requests one side publishes and the other drains in
+// its event handler. It is double-buffered: a drain takes the published
+// list and installs the spare for the publisher, and hands the list back
+// as the spare only once it has finished iterating. A drain that runs
+// meanwhile (a re-entrant one) finds no spare, and the publisher grows a
+// fresh list, so no array is reused while a drain further up the stack
+// may still be iterating it.
+type ring[T any] struct {
+	items []T // published, not yet taken
+	spare []T // an emptied list no drain is iterating, or nil
+}
+
+// push publishes x.
+func (r *ring[T]) push(x T) { r.items = append(r.items, x) }
+
+// take returns the published list for the caller to drain; the caller
+// gives it back with done.
+func (r *ring[T]) take() []T {
+	items := r.items
+	r.items, r.spare = r.spare, nil
+	return items
+}
+
+// done returns a list take handed out, once its drain has finished.
+func (r *ring[T]) done(items []T) {
+	clear(items)
+	r.spare = items[:0]
+}
+
 // netConn is the shared state of one netback/netfront pair (the moral
 // equivalent of the shared ring page plus its two event-channel ports).
 type netConn struct {
 	guest     vmm.DomID
 	backPort  vmm.Port // dom0's port
 	frontPort vmm.Port // guest's port
-	rxRing    []rxSlot
-	txRing    []txSlot
+	rxRing    ring[rxSlot]
+	txRing    ring[txSlot]
 }
 
 // blkReq is one outstanding block request.
@@ -67,7 +96,7 @@ type blkConn struct {
 	guest     vmm.DomID
 	backPort  vmm.Port
 	frontPort vmm.Port
-	reqs      []*blkReq
+	reqs      ring[*blkReq]
 	inflight  map[uint64]*blkReq
 	base      uint64 // partition offset on the physical disk
 	size      uint64 // partition length in blocks
@@ -183,7 +212,7 @@ func (dd *DriverDomain) netbackRx() {
 			dd.H.M.Mem.Free(c.Frame)
 			continue
 		}
-		conn.rxRing = append(conn.rxRing, rxSlot{ref: ref, frame: c.Frame, len: c.Len})
+		conn.rxRing.push(rxSlot{ref: ref, frame: c.Frame, len: c.Len})
 		// The notification: asynchronous IPC in all but name.
 		if err := dd.H.NotifyChannel(dd.GK.Dom.ID, conn.backPort); err != nil {
 			continue
@@ -196,10 +225,10 @@ func (dd *DriverDomain) netbackRx() {
 // packet page, hand it to the NIC, unmap.
 func (dd *DriverDomain) netbackTx(conn *netConn) {
 	comp := dd.Comp()
-	ring := conn.txRing
-	conn.txRing = nil
+	slots := conn.txRing.take()
+	defer conn.txRing.done(slots)
 	const txWindow = hw.VPN(0xD000)
-	for _, slot := range ring {
+	for _, slot := range slots {
 		dd.txHandled++
 		dd.H.M.CPU.Work(comp, 350) // driver TX path
 		if err := dd.H.GrantMap(dd.GK.Dom.ID, conn.guest, slot.ref, txWindow); err != nil {
@@ -218,8 +247,8 @@ func (dd *DriverDomain) netbackTx(conn *netConn) {
 // guest's granted frame as the DMA target.
 func (dd *DriverDomain) blkbackSubmit(conn *blkConn) {
 	comp := dd.Comp()
-	reqs := conn.reqs
-	conn.reqs = nil
+	reqs := conn.reqs.take()
+	defer conn.reqs.done(reqs)
 	for _, r := range reqs {
 		dd.H.M.CPU.Work(comp, 300) // request validation and translation
 		if r.block >= conn.size {

@@ -61,8 +61,9 @@ type GuestKernel struct {
 
 	console []byte
 
-	argScratch []uint64 // reused Syscall argument buffer (see Syscall)
-	zeroTx     []byte   // reused all-zero TX payload (see SysNetSend)
+	argScratch []uint64  // reused Syscall argument buffer (see Syscall)
+	replyWord  [1]uint64 // reused one-word syscall reply (see errno)
+	zeroTx     []byte    // reused all-zero TX payload (see SysNetSend)
 }
 
 // zeroBuf returns a reusable all-zero buffer of length n. The synthetic
@@ -122,7 +123,8 @@ func (gk *GuestKernel) Spawn(name string) *Process {
 func (gk *GuestKernel) Process(pid PID) *Process { return gk.procs[pid] }
 
 // Syscall issues a system call from process pid through the hypervisor's
-// guest-syscall path (fast or bounced, whichever is live).
+// guest-syscall path (fast or bounced, whichever is live). The returned
+// words are valid until the kernel's next system call.
 func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
 	if gk.procs[pid] == nil {
 		return nil, ErrNoSuchProcess
@@ -138,6 +140,14 @@ func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, er
 // syscallWork is the modelled in-kernel work of one system call.
 const syscallWork hw.Cycles = 150
 
+// errno builds a one-word syscall reply in a reused word, valid until the
+// kernel's next system call. Handlers build the reply as they return, so a
+// system call nested inside another cannot clobber the outer reply.
+func (gk *GuestKernel) errno(v uint64) []uint64 {
+	gk.replyWord[0] = v
+	return gk.replyWord[:]
+}
+
 // handleSyscall is the guest kernel's trap entry (registered as the
 // domain's OnSyscall hook). args[0] is the calling PID by convention.
 func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
@@ -150,41 +160,41 @@ func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 	switch no {
 	case SysWrite, SysNetSend, SysBlockRead, SysBlockWrite: // read args[1]
 		if len(args) < 2 {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
 	}
 	switch no {
 	case SysGetPID:
-		return []uint64{uint64(pid)}
+		return gk.errno(uint64(pid))
 	case SysWrite:
 		gk.console = append(gk.console, byte(args[1]))
-		return []uint64{1}
+		return gk.errno(1)
 	case SysYield:
 		return nil
 	case SysNetSend:
 		if gk.Net == nil {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
 		n := int(args[1])
 		if err := gk.Net.Send(gk.zeroBuf(n)); err != nil {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
-		return []uint64{uint64(n)}
+		return gk.errno(uint64(n))
 	case SysNetRecv:
 		if gk.Net == nil {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
 		n, ok := gk.Net.RecvLen()
 		if !ok {
-			return []uint64{0}
+			return gk.errno(0)
 		}
 		if p := gk.procs[pid]; p != nil {
 			p.rxDelivered++
 		}
-		return []uint64{uint64(n)}
+		return gk.errno(uint64(n))
 	case SysBlockRead, SysBlockWrite:
 		if gk.Blk == nil {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
 		var err error
 		if no == SysBlockRead {
@@ -193,11 +203,11 @@ func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 			err = gk.Blk.Write(args[1], []byte(fmt.Sprintf("pid%d-block%d", pid, args[1])))
 		}
 		if err != nil {
-			return []uint64{^uint64(0)}
+			return gk.errno(^uint64(0))
 		}
-		return []uint64{0}
+		return gk.errno(0)
 	}
-	return []uint64{^uint64(0)} // ENOSYS
+	return gk.errno(^uint64(0)) // ENOSYS
 }
 
 // handleEvent demultiplexes event-channel upcalls to the frontends and any

@@ -18,8 +18,8 @@ type NetFront struct {
 	localPort vmm.Port
 	mode      RxMode
 
-	rxQueue []int      // lengths of undelivered packets, in arrival order
-	rxBuf   hw.FrameID // copy-mode landing buffer
+	rxQueue hw.Queue[int] // lengths of undelivered packets, in arrival order
+	rxBuf   hw.FrameID    // copy-mode landing buffer
 	txBuf   hw.FrameID
 
 	rxFlips  uint64
@@ -58,9 +58,9 @@ func ConnectNet(dd *DriverDomain, gk *GuestKernel) (*NetFront, error) {
 func (nf *NetFront) onEvent() {
 	comp := nf.gk.Comp()
 	h := nf.gk.H
-	ring := nf.conn.rxRing
-	nf.conn.rxRing = nil
-	for _, slot := range ring {
+	slots := nf.conn.rxRing.take()
+	defer nf.conn.rxRing.done(slots)
+	for _, slot := range slots {
 		h.M.CPU.Work(comp, 250) // frontend RX path: ring walk, skb alloc
 		switch nf.mode {
 		case RxFlip:
@@ -72,7 +72,7 @@ func (nf *NetFront) onEvent() {
 			// The flipped page IS the packet (zero-copy); only the
 			// descriptor outlives this upcall, since user space consumes
 			// packets by length (RecvLen).
-			nf.rxQueue = append(nf.rxQueue, slot.len)
+			nf.rxQueue.Push(slot.len)
 			// Return the page to the machine pool; dom0 balloons a
 			// replacement for its NIC pool. (Xen 2.x exchanged pages;
 			// the flip count per packet — the measured quantity — is
@@ -85,7 +85,7 @@ func (nf *NetFront) onEvent() {
 			nf.rxCopies++
 			// GrantCopy has already landed the bytes in rxBuf and charged
 			// the copy; queue the descriptor.
-			nf.rxQueue = append(nf.rxQueue, slot.len)
+			nf.rxQueue.Push(slot.len)
 			// Backend keeps its page: revoke the grant and let dom0
 			// recycle the frame straight back into the NIC pool.
 			h.GrantRevoke(nf.dd.GK.Dom.ID, slot.ref)
@@ -99,17 +99,10 @@ func (nf *NetFront) onEvent() {
 // side; SysNetRecv calls this). Packets are delivered to user space as
 // descriptors — the simulation accounts the data movement in cycles, so
 // the queue carries lengths, not materialized payload bytes.
-func (nf *NetFront) RecvLen() (int, bool) {
-	if len(nf.rxQueue) == 0 {
-		return 0, false
-	}
-	n := nf.rxQueue[0]
-	nf.rxQueue = nf.rxQueue[1:]
-	return n, true
-}
+func (nf *NetFront) RecvLen() (int, bool) { return nf.rxQueue.Pop() }
 
 // Pending returns the number of undelivered received packets.
-func (nf *NetFront) Pending() int { return len(nf.rxQueue) }
+func (nf *NetFront) Pending() int { return nf.rxQueue.Len() }
 
 // Send transmits one packet: stage into the TX buffer, grant it to Dom0,
 // kick the channel.
@@ -125,7 +118,7 @@ func (nf *NetFront) Send(data []byte) error {
 	if err != nil {
 		return err
 	}
-	nf.conn.txRing = append(nf.conn.txRing, txSlot{ref: ref, len: len(data)})
+	nf.conn.txRing.push(txSlot{ref: ref, len: len(data)})
 	nf.sent++
 	return h.NotifyChannel(nf.gk.Dom.ID, nf.conn.frontPort)
 }

@@ -48,7 +48,7 @@ type pxConn struct {
 	client    vmm.DomID
 	pxPort    vmm.Port
 	frontPort vmm.Port
-	reqs      []*pxReq
+	reqs      ring[*pxReq]
 }
 
 type pxReq struct {
@@ -120,8 +120,8 @@ func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*PxFront, error)
 func (px *Parallax) serve(conn *pxConn) {
 	comp := px.Comp()
 	h := px.H
-	reqs := conn.reqs
-	conn.reqs = nil
+	reqs := conn.reqs.take()
+	defer conn.reqs.done(reqs)
 	const window = hw.VPN(0xE000)
 	for _, r := range reqs {
 		px.requests++
@@ -140,10 +140,13 @@ func (px *Parallax) serve(conn *pxConn) {
 		ps := h.M.Mem.PageSize()
 		if r.write {
 			// Cache only the page's written prefix (reads load the zero
-			// tail back); the write-through passes the same prefix, which
-			// BlkFront loads into its own frame before returning.
+			// tail back), in the block's own cached buffer, reused on
+			// overwrite: a snapshot's blocks have left the live map, so
+			// no snapshot ever sees the overwrite. The write-through
+			// passes the same prefix, which BlkFront loads into its own
+			// frame before returning.
 			src := h.M.Mem.Bytes(e.Frame)
-			vd.write(r.block, append([]byte(nil), src...))
+			vd.write(r.block, append(vd.blocks[r.block][:0], src...))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 			if px.blk != nil {
 				// Write-through to the physical partition via Dom0.
@@ -221,6 +224,7 @@ type PxFront struct {
 	conn      *pxConn
 	localPort vmm.Port
 	buf       hw.FrameID
+	last      *pxReq // the latest request, reused once it has completed
 
 	reads   uint64
 	writes  uint64
@@ -243,8 +247,15 @@ func (pf *PxFront) submit(write bool, block uint64) (*pxReq, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &pxReq{write: write, block: block, ref: ref, frame: pf.buf}
-	pf.conn.reqs = append(pf.conn.reqs, req)
+	// A request that timed out may still be served later, so only a
+	// completed record is reused.
+	req := pf.last
+	if req == nil || !req.done {
+		req = new(pxReq)
+		pf.last = req
+	}
+	*req = pxReq{write: write, block: block, ref: ref, frame: pf.buf}
+	pf.conn.reqs.push(req)
 	if err := h.NotifyChannel(pf.gk.Dom.ID, pf.conn.frontPort); err != nil {
 		return nil, err
 	}
