@@ -250,8 +250,8 @@ func (r *Runner) E9() ([]E9Row, error) {
 			if err != nil {
 				return E9Row{}, err
 			}
-			nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128, CoalesceRx: batch})
-			disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3})
+			nic := dev.NewNIC(m, dev.NICConfig{RingSize: 128, CoalesceRx: batch})
+			disk := dev.NewDisk(m, dev.DiskConfig{})
 			dd, err := vmmos.NewDriverDomain(h, d0, nic, disk)
 			if err != nil {
 				return E9Row{}, err

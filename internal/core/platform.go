@@ -79,26 +79,63 @@ func (c *Config) guestCPU(i int) int {
 // quiescence in at most this many rounds.
 const pumpRounds = 256
 
-// injectPackets is every stack's InjectPackets: n packets of size bytes
-// addressed to guest dest arrive at nic one at a time, and after each the
-// machine fields the interrupt on comp, the component that handles the
-// stack's interrupts, and pumps to quiescence. burst is the stack's own
-// packet buffer (cells run in parallel, so stacks never share one): the
-// NIC DMAs the bytes into a posted frame on Inject, so the source is
-// reused for the whole burst and by the stack's next burst.
-func injectPackets(m *hw.Machine, nic *dev.NIC, comp trace.Comp, burst *[]byte, n, size, dest int) {
-	// Only byte 0 is ever written, so the rest of the buffer stays zero.
-	if cap(*burst) < size {
-		*burst = make([]byte, size)
+// stack is the body the three platform stacks share: the machine and the
+// pool it goes back to, the NIC and the disk, the component that fields
+// the machine's interrupts (the hypervisor, the microkernel or the native
+// kernel), and InjectPackets' packet buffer (cells run in parallel, so
+// stacks never share one).
+type stack struct {
+	Mach *hw.Machine
+	NIC  *dev.NIC
+	Disk *dev.Disk
+
+	pool  *hw.MachinePool
+	comp  trace.Comp
+	burst []byte
+}
+
+// attach builds the stack body on machine m, whose interrupts comp fields,
+// and attaches its NIC and disk. Every stack calls it right after its
+// kernel boots, so components are interned in the same order on every
+// boot.
+func (c *Config) attach(m *hw.Machine, comp trace.Comp) stack {
+	return stack{
+		Mach: m,
+		NIC:  dev.NewNIC(m, dev.NICConfig{RingSize: 128}),
+		Disk: dev.NewDisk(m, dev.DiskConfig{Latency: diskLatency}),
+		pool: c.pool,
+		comp: comp,
 	}
-	pkt := (*burst)[:size]
+}
+
+// M implements Platform.
+func (s *stack) M() *hw.Machine { return s.Mach }
+
+// Close implements Platform: the machine goes back to the pool it came
+// from (Reset), ready for the next cell. No-op when booted without a pool.
+func (s *stack) Close() { s.pool.Put(s.Mach) }
+
+// Pump implements Platform.
+func (s *stack) Pump() { s.Mach.PumpIO(s.comp, pumpRounds) }
+
+// InjectPackets implements Platform: n packets of size bytes addressed to
+// guest dest arrive at the NIC one at a time, and after each the machine
+// fields the interrupt and pumps to quiescence. The NIC DMAs the bytes
+// into a posted frame on Inject, so the burst buffer is reused for the
+// whole burst and by the stack's next burst.
+func (s *stack) InjectPackets(n, size, dest int) {
+	// Only byte 0 is ever written, so the rest of the buffer stays zero.
+	if cap(s.burst) < size {
+		s.burst = make([]byte, size)
+	}
+	pkt := s.burst[:size]
 	if size > 0 {
 		pkt[0] = byte(dest)
 	}
 	for i := 0; i < n; i++ {
-		nic.Inject(pkt)
-		m.IRQ.DispatchPending(comp)
-		m.PumpIO(comp, pumpRounds)
+		s.NIC.Inject(pkt)
+		s.Mach.IRQ.DispatchPending(s.comp)
+		s.Mach.PumpIO(s.comp, pumpRounds)
 	}
 }
 
@@ -125,8 +162,9 @@ type Platform interface {
 	DoSyscall(from int, no uint32, arg uint64) error
 	// StorageWrite / StorageRead exercise the guest's storage service.
 	// The block StorageRead returns is valid until the stack's next
-	// StorageRead: every stack hands out a reused buffer (PxFront's, the
-	// OS server thread's reply registers, the native kernel's page).
+	// StorageRead: every stack hands out a reused buffer (the guest
+	// BlkFront's read page, the OS server thread's reply registers, the
+	// native kernel's page).
 	StorageWrite(from int, block uint64, data []byte) error
 	StorageRead(from int, block uint64) ([]byte, error)
 	// KillStorage crashes the shared storage service (Parallax / store
@@ -156,19 +194,14 @@ type ComponentStatus struct {
 // drivers, N guests with net frontends, and a Parallax appliance backing
 // every guest's storage.
 type XenStack struct {
-	Cfg  Config
-	Mach *hw.Machine
-	H    *vmm.Hypervisor
-	DD   *vmmos.DriverDomain
-	NIC  *dev.NIC
-	Disk *dev.Disk
-	PX   *vmmos.Parallax
-	ST   *vmm.Store // control plane: domain and device registry
+	stack
+	H  *vmm.Hypervisor
+	DD *vmmos.DriverDomain
+	PX *vmmos.Parallax
+	ST *vmm.Store // control plane: domain and device registry
 
 	Guests []*vmmos.GuestKernel
 	Procs  []vmmos.PID
-
-	burst []byte // InjectPackets' packet buffer
 }
 
 // NewXenStack boots the full VMM-side system.
@@ -180,9 +213,8 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		return nil, err
 	}
 	h.FastPathPolicy = cfg.FastPath
-	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
-	dd, err := vmmos.NewDriverDomain(h, d0, nic, disk)
+	s := &XenStack{stack: cfg.attach(m, h.Comp()), H: h}
+	dd, err := vmmos.NewDriverDomain(h, d0, s.NIC, s.Disk)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +236,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		return nil, err
 	}
 	st := vmm.NewStore(h)
-	s := &XenStack{Cfg: cfg, Mach: m, H: h, DD: dd, NIC: nic, Disk: disk, PX: px, ST: st}
+	s.DD, s.PX, s.ST = dd, px, st
 	if err := st.Write(vmm.Dom0, "/vm/dom0/name", "driver domain"); err != nil {
 		return nil, err
 	}
@@ -261,21 +293,6 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 
 // Name implements Platform.
 func (s *XenStack) Name() string { return "vmm" }
-
-// Close implements Platform: the machine goes back to the pool it came
-// from (Reset), ready for the next cell. No-op when booted without a pool.
-func (s *XenStack) Close() { s.Cfg.pool.Put(s.Mach) }
-
-// M implements Platform.
-func (s *XenStack) M() *hw.Machine { return s.Mach }
-
-// Pump implements Platform.
-func (s *XenStack) Pump() { s.H.PumpIO(pumpRounds) }
-
-// InjectPackets implements Platform.
-func (s *XenStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.H.Comp(), &s.burst, n, size, dest)
-}
 
 // DrainRx implements Platform.
 func (s *XenStack) DrainRx(dest int) int {
@@ -369,19 +386,14 @@ func (s *XenStack) DriverSideCycles() uint64 {
 // MKStack is the booted L4-like system: microkernel, user-level NIC and
 // disk driver servers, a storage server, and N OS server instances.
 type MKStack struct {
-	Cfg   Config
-	Mach  *hw.Machine
+	stack
 	K     *mk.Kernel
-	NIC   *dev.NIC
-	Disk  *dev.Disk
 	Net   *mkos.NetDriver
 	Blk   *mkos.BlkDriver
 	Store *mkos.StoreServer
 
 	OSes  []*mkos.OSServer
 	Procs []mkos.PID
-
-	burst []byte // InjectPackets' packet buffer
 }
 
 // NewMKStack boots the full microkernel-side system.
@@ -389,16 +401,15 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 	cfg.defaults()
 	m := cfg.machine()
 	k := mk.New(m)
-	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
-	nd, err := mkos.NewNetDriver(k, nic)
+	s := &MKStack{stack: cfg.attach(m, k.Comp()), K: k}
+	nd, err := mkos.NewNetDriver(k, s.NIC)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.CopyMode {
 		nd.Mode = mkos.RxStringCopy
 	}
-	bd, err := mkos.NewBlkDriver(k, disk)
+	bd, err := mkos.NewBlkDriver(k, s.Disk)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +423,7 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 		return nil, err
 	}
 	store.SetPersistence(bd.NewBlkClient(store.Thread.ID, storeBlocks*uint64(cfg.Guests)+64))
-	s := &MKStack{Cfg: cfg, Mach: m, K: k, NIC: nic, Disk: disk, Net: nd, Blk: bd, Store: store}
+	s.Net, s.Blk, s.Store = nd, bd, store
 	for i := 0; i < cfg.Guests; i++ {
 		osrv, err := mkos.NewOSServer(k, fmt.Sprintf("linux%d", i+1))
 		if err != nil {
@@ -441,20 +452,6 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 
 // Name implements Platform.
 func (s *MKStack) Name() string { return "mk" }
-
-// Close implements Platform.
-func (s *MKStack) Close() { s.Cfg.pool.Put(s.Mach) }
-
-// M implements Platform.
-func (s *MKStack) M() *hw.Machine { return s.Mach }
-
-// Pump implements Platform.
-func (s *MKStack) Pump() { s.K.PumpIO(pumpRounds) }
-
-// InjectPackets implements Platform.
-func (s *MKStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.K.Comp(), &s.burst, n, size, dest)
-}
 
 // DrainRx implements Platform.
 func (s *MKStack) DrainRx(dest int) int {
@@ -554,17 +551,11 @@ func (s *MKStack) DriverSideCycles() uint64 {
 // the macro experiment (E8) can report both systems' overhead relative to
 // an unvirtualised OS, as HHL+97 did for L4Linux.
 type NativeStack struct {
-	Cfg  Config
-	Mach *hw.Machine
-	NIC  *dev.NIC
-	Disk *dev.Disk
-
-	comp trace.Comp // NativeComponent, interned at boot
+	stack // its comp is NativeComponent: the kernel pays for everything
 
 	rxQueue int
 	store   map[uint64][]byte
 	dead    bool
-	burst   []byte // InjectPackets' packet buffer
 	readBuf []byte // StorageRead's page, valid until the next StorageRead
 }
 
@@ -575,10 +566,8 @@ const NativeComponent = "native.kernel"
 func NewNativeStack(cfg Config) (*NativeStack, error) {
 	cfg.defaults()
 	m := cfg.machine()
-	s := &NativeStack{Cfg: cfg, Mach: m, comp: m.Rec.Intern(NativeComponent), store: make(map[uint64][]byte)}
-	s.NIC = dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 128})
-	s.Disk = dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: diskLatency})
-	m.IRQ.SetHandler(1, func(hw.IRQLine) {
+	s := &NativeStack{stack: cfg.attach(m, m.Rec.Intern(NativeComponent)), store: make(map[uint64][]byte)}
+	m.IRQ.SetHandler(dev.RxIRQ, func(hw.IRQLine) {
 		// In-kernel driver: reap and queue, no domain crossings.
 		m.CPU.Charge(s.comp, trace.KIRQ, 0)
 		for range s.NIC.ReapRx() {
@@ -596,8 +585,8 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 			}
 		}
 	})
-	m.IRQ.SetHandler(2, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
-	m.IRQ.SetHandler(3, func(hw.IRQLine) { m.CPU.Work(s.comp, 200) })
+	m.IRQ.SetHandler(dev.TxIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
+	m.IRQ.SetHandler(dev.DiskIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 200) })
 	for i := 0; i < 32; i++ {
 		f, err := m.Mem.Alloc(s.comp)
 		if err != nil {
@@ -611,26 +600,12 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 // Name implements Platform.
 func (s *NativeStack) Name() string { return "native" }
 
-// Close implements Platform.
-func (s *NativeStack) Close() { s.Cfg.pool.Put(s.Mach) }
-
-// M implements Platform.
-func (s *NativeStack) M() *hw.Machine { return s.Mach }
-
-// Pump implements Platform.
-func (s *NativeStack) Pump() { s.Mach.PumpIO(s.comp, pumpRounds) }
-
 // syscall charges the native syscall path: one trap, kernel work, return.
 func (s *NativeStack) syscall(work hw.Cycles) {
 	s.Mach.CPU.SetRing(hw.Ring3)
 	s.Mach.CPU.Trap(s.comp, s.Mach.Arch.HasFastSyscall)
 	s.Mach.CPU.Work(s.comp, 150+work)
 	s.Mach.CPU.ReturnTo(s.comp, hw.Ring3)
-}
-
-// InjectPackets implements Platform.
-func (s *NativeStack) InjectPackets(n, size, dest int) {
-	injectPackets(s.Mach, s.NIC, s.comp, &s.burst, n, size, dest)
 }
 
 // appCPU is the core the application runs on in the SMP model: the last

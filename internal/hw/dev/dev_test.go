@@ -15,7 +15,7 @@ func devMachine(t testing.TB) *hw.Machine {
 
 func TestNICRxPath(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
+	nic := NewNIC(m, NICConfig{RingSize: 4})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	if !nic.PostRxBuffer(f) {
 		t.Fatal("post failed")
@@ -42,7 +42,7 @@ func TestNICRxPath(t *testing.T) {
 // while the device completes more work; only the next reap reuses it.
 func TestReapedCompletionsSurviveNewArrivals(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
+	nic := NewNIC(m, NICConfig{RingSize: 4})
 	drv := m.Rec.Intern("drv")
 	for i := 0; i < 4; i++ {
 		f, _ := m.Mem.Alloc(drv)
@@ -59,7 +59,7 @@ func TestReapedCompletionsSurviveNewArrivals(t *testing.T) {
 		t.Fatalf("second reap %+v, want one 3-byte completion", second)
 	}
 
-	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 10})
+	d := NewDisk(m, DiskConfig{Latency: 10})
 	f, _ := m.Mem.Alloc(drv)
 	d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: f, Tag: 1})
 	m.Events.RunUntilIdle(0)
@@ -78,7 +78,7 @@ func TestReapedCompletionsSurviveNewArrivals(t *testing.T) {
 // between reaps, so receiving into recycled buffers allocates nothing.
 func TestNICSteadyStateAllocatesNothing(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 4})
+	nic := NewNIC(m, NICConfig{RingSize: 4})
 	drv := m.Rec.Intern("drv")
 	for i := 0; i < 4; i++ {
 		f, _ := m.Mem.Alloc(drv)
@@ -106,7 +106,7 @@ func TestNICSteadyStateAllocatesNothing(t *testing.T) {
 
 func TestNICDropWithoutBuffers(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	nic := NewNIC(m, NICConfig{})
 	if nic.Inject([]byte("x")) {
 		t.Fatal("packet accepted with no posted buffer")
 	}
@@ -118,7 +118,7 @@ func TestNICDropWithoutBuffers(t *testing.T) {
 
 func TestNICRingFull(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 2})
+	nic := NewNIC(m, NICConfig{RingSize: 2})
 	f1, _ := m.Mem.Alloc(m.Rec.Intern("d"))
 	f2, _ := m.Mem.Alloc(m.Rec.Intern("d"))
 	f3, _ := m.Mem.Alloc(m.Rec.Intern("d"))
@@ -132,7 +132,7 @@ func TestNICRingFull(t *testing.T) {
 
 func TestNICTxCompletes(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	nic := NewNIC(m, NICConfig{})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Write(f, 0, []byte("pong"))
 	nic.Transmit(f, 4)
@@ -155,7 +155,7 @@ func TestNICTxCompletes(t *testing.T) {
 
 func TestNICInjectAt(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	nic := NewNIC(m, NICConfig{})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	nic.PostRxBuffer(f)
 	nic.InjectAt(1000, []byte("later"))
@@ -170,7 +170,7 @@ func TestNICInjectAt(t *testing.T) {
 
 func TestNICCoalescing(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 16, CoalesceRx: 4})
+	nic := NewNIC(m, NICConfig{RingSize: 16, CoalesceRx: 4})
 	for i := 0; i < 16; i++ {
 		f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 		nic.PostRxBuffer(f)
@@ -197,7 +197,7 @@ func TestNICCoalescing(t *testing.T) {
 
 func TestDiskWriteReadRoundTrip(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	d := NewDisk(m, DiskConfig{Latency: 100})
 	fw, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	fr, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Write(fw, 0, []byte("block-7-data"))
@@ -220,7 +220,7 @@ func TestDiskWriteReadRoundTrip(t *testing.T) {
 
 func TestDiskReadUnwrittenIsZero(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3})
+	d := NewDisk(m, DiskConfig{})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Write(f, 0, []byte{0xFF})
 	d.Submit(DiskReq{Op: DiskRead, Block: 1, Frame: f})
@@ -233,7 +233,7 @@ func TestDiskReadUnwrittenIsZero(t *testing.T) {
 
 func TestDiskOutOfRange(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3, Blocks: 8})
+	d := NewDisk(m, DiskConfig{Blocks: 8})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	d.Submit(DiskReq{Op: DiskRead, Block: 8, Frame: f})
 	m.Events.RunUntilIdle(0)
@@ -248,7 +248,7 @@ func TestDiskOutOfRange(t *testing.T) {
 
 func TestDiskLatencyOrdering(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	d := NewDisk(m, DiskConfig{Latency: 100})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 1, Frame: f, Tag: 1})
 	m.Clock.Advance(50)
@@ -268,7 +268,7 @@ func TestDiskLatencyOrdering(t *testing.T) {
 
 func TestDiskPeekBlock(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3})
+	d := NewDisk(m, DiskConfig{})
 	if d.PeekBlock(5) != nil {
 		t.Fatal("unwritten block should peek nil")
 	}
@@ -291,7 +291,7 @@ func TestDiskPeekBlock(t *testing.T) {
 // its Transmitted drain allocates nothing.
 func TestNICTransmitAllocatesNothing(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	nic := NewNIC(m, NICConfig{})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	m.Mem.Write(f, 0, bytes.Repeat([]byte{0x5A}, 1500))
 	cycle := func() {
@@ -317,7 +317,7 @@ func TestNICTransmitAllocatesNothing(t *testing.T) {
 // a read of a block written before allocate nothing.
 func TestDiskSubmitAllocatesNothing(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	d := NewDisk(m, DiskConfig{Latency: 100})
 	drv := m.Rec.Intern("drv")
 	fw, _ := m.Mem.Alloc(drv)
 	fr, _ := m.Mem.Alloc(drv)
@@ -343,7 +343,7 @@ func TestDiskSubmitAllocatesNothing(t *testing.T) {
 // read zero. Sequence numbers stay in submit order.
 func TestNICRecycledPayloadsReadFresh(t *testing.T) {
 	m := devMachine(t)
-	nic := NewNIC(m, NICConfig{RxIRQ: 1, TxIRQ: 2})
+	nic := NewNIC(m, NICConfig{})
 	drv := m.Rec.Intern("drv")
 	page := int(m.Mem.PageSize())
 	full, _ := m.Mem.Alloc(drv)
@@ -393,7 +393,7 @@ func TestNICRecycledPayloadsReadFresh(t *testing.T) {
 // submit order, carrying its own request.
 func TestDiskCompletesInSubmitOrder(t *testing.T) {
 	m := devMachine(t)
-	d := NewDisk(m, DiskConfig{IRQ: 3, Latency: 100})
+	d := NewDisk(m, DiskConfig{Latency: 100})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	var done []uint64
 	runTo := func(at hw.Cycles, want ...uint64) {

@@ -44,7 +44,6 @@ type DiskCompletion struct {
 type Disk struct {
 	m       *hw.Machine
 	comp    trace.Comp // "hw.disk", interned at construction
-	irq     hw.IRQLine
 	latency hw.Cycles
 	blocks  uint64
 	store   map[uint64][]byte
@@ -60,7 +59,6 @@ type Disk struct {
 
 // DiskConfig sizes a Disk.
 type DiskConfig struct {
-	IRQ     hw.IRQLine
 	Blocks  uint64    // capacity in blocks (default 65536)
 	Latency hw.Cycles // per-request service time (default 50000, i.e. "fast disk")
 }
@@ -75,13 +73,10 @@ func NewDisk(m *hw.Machine, cfg DiskConfig) *Disk {
 	if lat == 0 {
 		lat = 50000
 	}
-	d := &Disk{m: m, comp: m.Rec.Intern("hw.disk"), irq: cfg.IRQ, latency: lat, blocks: blocks, store: make(map[uint64][]byte)}
+	d := &Disk{m: m, comp: m.Rec.Intern("hw.disk"), latency: lat, blocks: blocks, store: make(map[uint64][]byte)}
 	d.complete = d.completeOldest
 	return d
 }
-
-// IRQ returns the completion interrupt line.
-func (d *Disk) IRQ() hw.IRQLine { return d.irq }
 
 // Blocks returns the device capacity in blocks.
 func (d *Disk) Blocks() uint64 { return d.blocks }
@@ -112,7 +107,7 @@ func (d *Disk) completeOldest() {
 		d.served++
 	}
 	d.completed = append(d.completed, DiskCompletion{Req: req, OK: ok})
-	d.m.IRQ.Raise(d.irq)
+	d.m.IRQ.Raise(DiskIRQ)
 }
 
 // Reap returns and clears completed requests. The returned slice is valid

@@ -12,6 +12,14 @@ import (
 	"vmmk/internal/trace"
 )
 
+// The interrupt lines the devices raise. No machine carries more than one
+// NIC or disk, so the lines are fixed and drivers name them directly.
+const (
+	RxIRQ   hw.IRQLine = 1 // NIC: packets received
+	TxIRQ   hw.IRQLine = 2 // NIC: transmits completed
+	DiskIRQ hw.IRQLine = 3 // disk: requests completed
+)
+
 // Packet is a network frame in flight.
 type Packet struct {
 	Data []byte
@@ -23,10 +31,8 @@ type Packet struct {
 // buffer and the RX interrupt is raised. Transmits complete after a fixed
 // wire latency and raise the TX interrupt.
 type NIC struct {
-	m     *hw.Machine
-	comp  trace.Comp // "hw.nic", interned at construction
-	rxIRQ hw.IRQLine
-	txIRQ hw.IRQLine
+	m    *hw.Machine
+	comp trace.Comp // "hw.nic", interned at construction
 
 	rxRing    []hw.FrameID
 	rxHead    int // next buffer to fill
@@ -66,8 +72,7 @@ const WireLatency hw.Cycles = 2000
 
 // NICConfig sizes a NIC.
 type NICConfig struct {
-	RxIRQ, TxIRQ hw.IRQLine
-	RingSize     int // rx descriptor ring entries (default 64)
+	RingSize int // rx descriptor ring entries (default 64)
 	// CoalesceRx batches receive interrupts: the RX line is raised only
 	// every n completions (default 1 = interrupt per packet). Drivers
 	// must call FlushRxIRQ when going idle to claim the remainder —
@@ -88,20 +93,12 @@ func NewNIC(m *hw.Machine, cfg NICConfig) *NIC {
 	n := &NIC{
 		m:        m,
 		comp:     m.Rec.Intern("hw.nic"),
-		rxIRQ:    cfg.RxIRQ,
-		txIRQ:    cfg.TxIRQ,
 		rxRing:   make([]hw.FrameID, ring),
 		coalesce: co,
 	}
 	n.txComplete = n.completeTx
 	return n
 }
-
-// RxIRQ returns the receive interrupt line.
-func (n *NIC) RxIRQ() hw.IRQLine { return n.rxIRQ }
-
-// TxIRQ returns the transmit-complete interrupt line.
-func (n *NIC) TxIRQ() hw.IRQLine { return n.txIRQ }
 
 // PostRxBuffer gives the NIC a frame to DMA a future packet into. It
 // returns false if the descriptor ring is full.
@@ -138,7 +135,7 @@ func (n *NIC) Inject(data []byte) bool {
 	if n.sinceIRQ >= n.coalesce {
 		n.sinceIRQ = 0
 		n.rxIRQsRaised++
-		n.m.IRQ.Raise(n.rxIRQ)
+		n.m.IRQ.Raise(RxIRQ)
 	}
 	return true
 }
@@ -149,7 +146,7 @@ func (n *NIC) FlushRxIRQ() {
 	if n.sinceIRQ > 0 {
 		n.sinceIRQ = 0
 		n.rxIRQsRaised++
-		n.m.IRQ.Raise(n.rxIRQ)
+		n.m.IRQ.Raise(RxIRQ)
 	}
 }
 
@@ -206,7 +203,7 @@ func (n *NIC) completeTx() {
 	data, _ := n.txInFlight.Pop()
 	n.txDone++
 	n.transmitted = append(n.transmitted, Packet{Data: data, Seq: n.txDone})
-	n.m.IRQ.Raise(n.txIRQ)
+	n.m.IRQ.Raise(TxIRQ)
 }
 
 // Transmitted returns and clears the packets that completed transmission —

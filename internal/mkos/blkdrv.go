@@ -49,7 +49,7 @@ func NewBlkDriver(k *mk.Kernel, disk *dev.Disk) (*BlkDriver, error) {
 		inflight: make(map[uint64]*blkPending),
 	}
 	d.Thread = k.NewThread(sp, "srv.blk", 8, d.handle)
-	if err := k.RegisterIRQ(disk.IRQ(), d.Thread.ID); err != nil {
+	if err := k.RegisterIRQ(dev.DiskIRQ, d.Thread.ID); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -29,8 +29,8 @@ func newMStack(t testing.TB, mode RxMode) *mstack {
 	t.Helper()
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 2048})
 	k := mk.New(m)
-	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 64})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: 5000})
+	nic := dev.NewNIC(m, dev.NICConfig{RingSize: 64})
+	disk := dev.NewDisk(m, dev.DiskConfig{Latency: 5000})
 	nd, err := NewNetDriver(k, nic)
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestCrossArchStackBoots(t *testing.T) {
 		t.Run(arch.Name, func(t *testing.T) {
 			m := hw.NewMachine(arch, &hw.MachineConfig{Frames: 1024})
 			k := mk.New(m)
-			nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2})
+			nic := dev.NewNIC(m, dev.NICConfig{})
 			nd, err := NewNetDriver(k, nic)
 			if err != nil {
 				t.Fatal(err)

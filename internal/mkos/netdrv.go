@@ -68,10 +68,10 @@ func NewNetDriver(k *mk.Kernel, nic *dev.NIC) (*NetDriver, error) {
 		ringVPN:      0xA000,
 	}
 	d.Thread = k.NewThread(sp, "srv.net", 8, d.handle)
-	if err := k.RegisterIRQ(nic.RxIRQ(), d.Thread.ID); err != nil {
+	if err := k.RegisterIRQ(dev.RxIRQ, d.Thread.ID); err != nil {
 		return nil, err
 	}
-	if err := k.RegisterIRQ(nic.TxIRQ(), d.Thread.ID); err != nil {
+	if err := k.RegisterIRQ(dev.TxIRQ, d.Thread.ID); err != nil {
 		return nil, err
 	}
 	d.replenish()
@@ -114,9 +114,9 @@ func (d *NetDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			return mk.Msg{}, ErrBadRequest
 		}
 		switch hw.IRQLine(msg.Words[0]) {
-		case d.NIC.RxIRQ():
+		case dev.RxIRQ:
 			d.rx(k)
-		case d.NIC.TxIRQ():
+		case dev.TxIRQ:
 			k.M.CPU.Work(d.Comp(), 150) // reap TX descriptors
 		}
 		return mk.Msg{}, nil

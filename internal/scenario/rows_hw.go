@@ -124,7 +124,7 @@ func init() {
 			},
 		},
 		Run: func(env *Env) error {
-			disk := dev.NewDisk(env.M, dev.DiskConfig{IRQ: 3, Blocks: 128, Latency: 1000})
+			disk := dev.NewDisk(env.M, dev.DiskConfig{Blocks: 128, Latency: 1000})
 			f, err := env.M.Mem.Alloc(env.M.Rec.Intern("scenario"))
 			if err != nil {
 				return err

@@ -24,7 +24,7 @@ type mkosState struct {
 // mkosBlkRig builds kernel + disk + block driver + a client thread.
 func mkosBlkRig(env *Env) (*mkosState, error) {
 	k := mk.New(env.M)
-	disk := dev.NewDisk(env.M, dev.DiskConfig{IRQ: 3, Blocks: 512, Latency: 2000})
+	disk := dev.NewDisk(env.M, dev.DiskConfig{Blocks: 512, Latency: 2000})
 	drv, err := mkos.NewBlkDriver(k, disk)
 	if err != nil {
 		return nil, err

@@ -31,8 +31,8 @@ func vmmosRig(env *Env) (*vmm.Hypervisor, *vmmos.DriverDomain, *vmmos.GuestKerne
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	nic := dev.NewNIC(env.M, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 64})
-	disk := dev.NewDisk(env.M, dev.DiskConfig{IRQ: 3, Latency: 5000})
+	nic := dev.NewNIC(env.M, dev.NICConfig{RingSize: 64})
+	disk := dev.NewDisk(env.M, dev.DiskConfig{Latency: 5000})
 	dd, err := vmmos.NewDriverDomain(h, d0, nic, disk)
 	if err != nil {
 		return nil, nil, nil, err

@@ -187,12 +187,21 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		"stale M2P entry": func(r *vrig) {
 			f := r.domU.FrameAt(3)
 			r.domU.frames[3] = hw.NoFrame
+			r.domU.holes = append(r.domU.holes, 3)
 			r.domU.resident--
 			r.m.Mem.Free(f)
 		},
 		"resident count drift": func(r *vrig) { r.domU.resident++ },
 		"hole list names a filled slot": func(r *vrig) {
 			r.domU.holes = append(r.domU.holes, 3)
+		},
+		"hole missing from the list": func(r *vrig) {
+			r.h.BalloonOut(r.domU.ID, 2)
+			r.domU.holes = r.domU.holes[:len(r.domU.holes)-1]
+		},
+		"hole listed twice": func(r *vrig) {
+			r.h.BalloonOut(r.domU.ID, 1)
+			r.domU.holes = append(r.domU.holes, r.domU.holes[0])
 		},
 		"two live domains share a name": func(r *vrig) {
 			r.domU.Name, r.domU.comp = r.dom0.Name, r.dom0.Comp()

@@ -1,9 +1,10 @@
 // Package vmmos provides the operating-system personalities that run on
 // the vmm hypervisor: a paravirtualised guest kernel (XenoLinux-like) with
 // a small process and syscall model, the Dom0 driver domain with netback
-// and blkback backends, the matching netfront/blkfront frontends, a
+// and blkback backends, the matching netfront and blkfront frontends, a
 // Parallax-like storage appliance domain that serves virtual disks to
-// other guests, and the KV appliance (E10's minimal extension).
+// other guests through the same blkfront, and the KV appliance (E10's
+// minimal extension).
 //
 // Together with package vmm this is "system B" of the paper's comparison —
 // the structural twin of package mkos on the microkernel side. The I/O

@@ -80,28 +80,6 @@ type netConn struct {
 	txRing    ring[txSlot]
 }
 
-// blkReq is one outstanding block request.
-type blkReq struct {
-	op    dev.DiskOp
-	block uint64
-	ref   vmm.GrantRef
-	frame hw.FrameID // guest's buffer frame (granted)
-	tag   uint64
-	done  bool
-	ok    bool
-}
-
-// blkConn is the shared state of one blkback/blkfront pair.
-type blkConn struct {
-	guest     vmm.DomID
-	backPort  vmm.Port
-	frontPort vmm.Port
-	reqs      ring[*blkReq]
-	inflight  map[uint64]*blkReq
-	base      uint64 // partition offset on the physical disk
-	size      uint64 // partition length in blocks
-}
-
 // DriverDomain is Dom0: the privileged domain that encapsulates the legacy
 // device drivers, exactly the structure §3.2 discusses ("Xen uses a
 // separate virtual machine (called Dom0) to encapsulate legacy device
@@ -117,7 +95,7 @@ type DriverDomain struct {
 	Mode RxMode
 
 	netConns []*netConn
-	blkConns map[vmm.DomID]*blkConn
+	inflight map[uint64]inflightReq // blkback's requests on the disk, by tag
 
 	rxPoolTarget int
 	nextBlkBase  uint64
@@ -135,21 +113,21 @@ func NewDriverDomain(h *vmm.Hypervisor, d0 *vmm.Domain, nic *dev.NIC, disk *dev.
 		GK:           NewGuestKernel(h, d0),
 		NIC:          nic,
 		Disk:         disk,
-		blkConns:     make(map[vmm.DomID]*blkConn),
+		inflight:     make(map[uint64]inflightReq),
 		rxPoolTarget: 32,
 	}
 	dd.GK.ExtraVIRQ = dd.handleIRQ
 	if nic != nil {
-		if err := h.RouteIRQ(nic.RxIRQ(), d0.ID); err != nil {
+		if err := h.RouteIRQ(dev.RxIRQ, d0.ID); err != nil {
 			return nil, err
 		}
-		if err := h.RouteIRQ(nic.TxIRQ(), d0.ID); err != nil {
+		if err := h.RouteIRQ(dev.TxIRQ, d0.ID); err != nil {
 			return nil, err
 		}
 		dd.replenishRxPool()
 	}
 	if disk != nil {
-		if err := h.RouteIRQ(disk.IRQ(), d0.ID); err != nil {
+		if err := h.RouteIRQ(dev.DiskIRQ, d0.ID); err != nil {
 			return nil, err
 		}
 	}
@@ -178,11 +156,11 @@ func (dd *DriverDomain) replenishRxPool() {
 // handleIRQ is Dom0's physical interrupt handler (injected by the monitor).
 func (dd *DriverDomain) handleIRQ(virq int) {
 	switch {
-	case dd.NIC != nil && virq == int(dd.NIC.RxIRQ()):
+	case dd.NIC != nil && virq == int(dev.RxIRQ):
 		dd.netbackRx()
-	case dd.NIC != nil && virq == int(dd.NIC.TxIRQ()):
+	case dd.NIC != nil && virq == int(dev.TxIRQ):
 		dd.H.M.CPU.Work(dd.Comp(), 150) // reap TX descriptors
-	case dd.Disk != nil && virq == int(dd.Disk.IRQ()):
+	case dd.Disk != nil && virq == int(dev.DiskIRQ):
 		dd.blkbackComplete()
 	}
 }
@@ -242,24 +220,35 @@ func (dd *DriverDomain) netbackTx(conn *netConn) {
 	}
 }
 
+// inflightReq is a block request on the physical disk and the backend
+// port its completion notifies the frontend through.
+type inflightReq struct {
+	req  *blkReq
+	port vmm.Port
+}
+
 // blkbackSubmit is dom0's event handler for a guest's block kick: validate,
-// translate partition-relative blocks, submit to the physical disk with the
-// guest's granted frame as the DMA target.
-func (dd *DriverDomain) blkbackSubmit(conn *blkConn) {
+// translate partition-relative blocks (the partition starts at base and
+// holds size blocks), submit to the physical disk with the guest's granted
+// frame as the DMA target.
+func (dd *DriverDomain) blkbackSubmit(r *blkRing, base, size uint64) {
 	comp := dd.Comp()
-	reqs := conn.reqs.take()
-	defer conn.reqs.done(reqs)
-	for _, r := range reqs {
+	reqs := r.reqs.take()
+	defer r.reqs.done(reqs)
+	for _, req := range reqs {
 		dd.H.M.CPU.Work(comp, 300) // request validation and translation
-		if r.block >= conn.size {
-			r.done, r.ok = true, false
-			dd.H.NotifyChannel(dd.GK.Dom.ID, conn.backPort)
+		if req.block >= size {
+			req.done, req.ok = true, false
+			dd.H.NotifyChannel(dd.GK.Dom.ID, r.backPort)
 			continue
 		}
+		op := dev.DiskRead
+		if req.write {
+			op = dev.DiskWrite
+		}
 		dd.nextTag++
-		r.tag = dd.nextTag
-		conn.inflight[r.tag] = r
-		dd.Disk.Submit(dev.DiskReq{Op: r.op, Block: conn.base + r.block, Frame: r.frame, Tag: r.tag})
+		dd.inflight[dd.nextTag] = inflightReq{req: req, port: r.backPort}
+		dd.Disk.Submit(dev.DiskReq{Op: op, Block: base + req.block, Frame: req.frame, Tag: dd.nextTag})
 	}
 }
 
@@ -269,13 +258,10 @@ func (dd *DriverDomain) blkbackComplete() {
 	comp := dd.Comp()
 	for _, c := range dd.Disk.Reap() {
 		dd.H.M.CPU.Work(comp, 200)
-		for _, conn := range dd.blkConns {
-			if r, ok := conn.inflight[c.Req.Tag]; ok {
-				r.done, r.ok = true, c.OK
-				delete(conn.inflight, c.Req.Tag)
-				dd.H.NotifyChannel(dd.GK.Dom.ID, conn.backPort)
-				break
-			}
+		if p, ok := dd.inflight[c.Req.Tag]; ok {
+			p.req.done, p.req.ok = true, c.OK
+			delete(dd.inflight, c.Req.Tag)
+			dd.H.NotifyChannel(dd.GK.Dom.ID, p.port)
 		}
 	}
 }

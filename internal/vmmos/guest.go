@@ -51,7 +51,7 @@ type GuestKernel struct {
 	nextPID PID
 
 	Net *NetFront
-	Blk BlockDevice
+	Blk *BlkFront
 
 	// ExtraEvent lets backends (netback, blkback, Parallax) claim ports
 	// on this kernel's domain; ExtraVIRQ chains physical-interrupt
@@ -218,7 +218,7 @@ func (gk *GuestKernel) handleEvent(port vmm.Port) {
 		gk.Net.onEvent()
 		return
 	}
-	if gk.Blk != nil && port == gk.Blk.port() {
+	if gk.Blk != nil && port == gk.Blk.ring.frontPort {
 		gk.Blk.onEvent()
 		return
 	}
@@ -236,18 +236,8 @@ func (gk *GuestKernel) handleVIRQ(virq int) {
 	}
 }
 
-// BlockDevice is the guest-side view of a block service: the real blkfront
-// talking to Dom0, or a Parallax-backed virtual disk. Read returns the
-// block's contents; Write stores them.
-type BlockDevice interface {
-	Read(block uint64) ([]byte, error)
-	Write(block uint64, data []byte) error
-	port() vmm.Port
-	onEvent()
-}
-
 // MountFS formats and mounts an fslite filesystem over the guest's block
-// device (blkfront or a Parallax virtual disk) — the identical filesystem
+// frontend (served by blkback or by Parallax) — the identical filesystem
 // code package mkos mounts over its storage server.
 func (gk *GuestKernel) MountFS(blocks uint64) (*fslite.FS, error) {
 	if gk.Blk == nil {

@@ -23,7 +23,6 @@ import (
 type Parallax struct {
 	H   *vmm.Hypervisor
 	GK  *GuestKernel
-	dd  *DriverDomain
 	blk *BlkFront // write-through persistence, may be nil
 
 	vdisks map[vmm.DomID]*VDisk
@@ -43,23 +42,6 @@ type VDisk struct {
 	size     uint64
 }
 
-// pxConn is the ring between a client guest and Parallax.
-type pxConn struct {
-	client    vmm.DomID
-	pxPort    vmm.Port
-	frontPort vmm.Port
-	reqs      ring[*pxReq]
-}
-
-type pxReq struct {
-	write bool
-	block uint64
-	ref   vmm.GrantRef
-	frame hw.FrameID
-	done  bool
-	ok    bool
-}
-
 // NewParallax boots the appliance in its own domain — the decomposed
 // structure the real Parallax paper advocates. When dd is non-nil the
 // appliance connects a blkfront for write-through persistence.
@@ -75,7 +57,6 @@ func NewParallaxOn(gk *GuestKernel, dd *DriverDomain, persistBlocks uint64) (*Pa
 	px := &Parallax{
 		H:      gk.H,
 		GK:     gk,
-		dd:     dd,
 		vdisks: make(map[vmm.DomID]*VDisk),
 	}
 	if dd != nil && dd.Disk != nil && persistBlocks > 0 {
@@ -93,52 +74,43 @@ func NewParallaxOn(gk *GuestKernel, dd *DriverDomain, persistBlocks uint64) (*Pa
 // Comp returns the interned trace attribution handle.
 func (px *Parallax) Comp() trace.Comp { return px.GK.Comp() }
 
-// AttachClient creates a virtual disk for a client guest and wires its
-// event channel; the returned PxFront plugs into the client kernel as its
-// BlockDevice.
-func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*PxFront, error) {
-	pxPort, frontPort, err := px.H.BindChannel(px.GK.Dom.ID, gk.Dom.ID)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := px.H.M.Mem.Alloc(gk.Comp())
+// AttachClient creates a virtual disk for a client guest and connects the
+// guest's block frontend to it.
+func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*BlkFront, error) {
+	bf, err := newBlkFront(px.GK, gk)
 	if err != nil {
 		return nil, err
 	}
 	vd := &VDisk{blocks: make(map[uint64][]byte), size: size, persist: uint64(len(px.vdisks)) * size}
 	px.vdisks[gk.Dom.ID] = vd
-	pf := &PxFront{gk: gk, px: px, localPort: frontPort, buf: buf}
-	conn := &pxConn{client: gk.Dom.ID, pxPort: pxPort, frontPort: frontPort}
-	pf.conn = conn
-	px.GK.ExtraEvent[pxPort] = func() { px.serve(conn) }
-	gk.Blk = pf
-	return pf, nil
+	r, client := bf.ring, gk.Dom.ID
+	px.GK.ExtraEvent[r.backPort] = func() { px.serve(r, client, vd) }
+	return bf, nil
 }
 
 // serve handles a client kick: pop requests, run the block map, move data
 // through the granted page, notify completion.
-func (px *Parallax) serve(conn *pxConn) {
+func (px *Parallax) serve(r *blkRing, client vmm.DomID, vd *VDisk) {
 	comp := px.Comp()
 	h := px.H
-	reqs := conn.reqs.take()
-	defer conn.reqs.done(reqs)
+	reqs := r.reqs.take()
+	defer r.reqs.done(reqs)
 	const window = hw.VPN(0xE000)
-	for _, r := range reqs {
+	for _, req := range reqs {
 		px.requests++
 		h.M.CPU.Work(comp, 500) // block-map lookup, CoW bookkeeping
-		vd := px.vdisks[conn.client]
-		if vd == nil || r.block >= vd.size {
-			r.done, r.ok = true, false
-			h.NotifyChannel(px.GK.Dom.ID, conn.pxPort)
+		if req.block >= vd.size {
+			req.done, req.ok = true, false
+			h.NotifyChannel(px.GK.Dom.ID, r.backPort)
 			continue
 		}
-		if err := h.GrantMap(px.GK.Dom.ID, conn.client, r.ref, window); err != nil {
-			r.done, r.ok = true, false
+		if err := h.GrantMap(px.GK.Dom.ID, client, req.ref, window); err != nil {
+			req.done, req.ok = true, false
 			continue
 		}
 		e, _ := px.GK.Dom.PT.Lookup(window)
 		ps := h.M.Mem.PageSize()
-		if r.write {
+		if req.write {
 			// Cache only the page's written prefix (reads load the zero
 			// tail back), in the block's own cached buffer, reused on
 			// overwrite: a snapshot's blocks have left the live map, so
@@ -146,24 +118,24 @@ func (px *Parallax) serve(conn *pxConn) {
 			// passes the same prefix, which BlkFront loads into its own
 			// frame before returning.
 			src := h.M.Mem.Bytes(e.Frame)
-			vd.write(r.block, append(vd.blocks[r.block][:0], src...))
+			vd.write(req.block, append(vd.blocks[req.block][:0], src...))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 			if px.blk != nil {
 				// Write-through to the physical partition via Dom0.
-				if err := px.blk.Write(vd.persist+r.block, src); err != nil {
-					r.done, r.ok = true, false
-					h.GrantUnmap(px.GK.Dom.ID, conn.client, r.ref, window)
-					h.NotifyChannel(px.GK.Dom.ID, conn.pxPort)
+				if err := px.blk.Write(vd.persist+req.block, src); err != nil {
+					req.done, req.ok = true, false
+					h.GrantUnmap(px.GK.Dom.ID, client, req.ref, window)
+					h.NotifyChannel(px.GK.Dom.ID, r.backPort)
 					continue
 				}
 			}
 		} else {
-			h.M.Mem.Load(e.Frame, vd.read(r.block))
+			h.M.Mem.Load(e.Frame, vd.read(req.block))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 		}
-		h.GrantUnmap(px.GK.Dom.ID, conn.client, r.ref, window)
-		r.done, r.ok = true, true
-		h.NotifyChannel(px.GK.Dom.ID, conn.pxPort)
+		h.GrantUnmap(px.GK.Dom.ID, client, req.ref, window)
+		req.done, req.ok = true, true
+		h.NotifyChannel(px.GK.Dom.ID, r.backPort)
 	}
 }
 
@@ -215,86 +187,3 @@ func (px *Parallax) SnapshotRead(client vmm.DomID, block uint64) []byte {
 
 // Requests returns the number of client requests served.
 func (px *Parallax) Requests() uint64 { return px.requests }
-
-// PxFront is the client-side stub for a Parallax virtual disk; it satisfies
-// BlockDevice so guests use it exactly like a blkfront.
-type PxFront struct {
-	gk        *GuestKernel
-	px        *Parallax
-	conn      *pxConn
-	localPort vmm.Port
-	buf       hw.FrameID
-	last      *pxReq // the latest request, reused once it has completed
-
-	reads   uint64
-	writes  uint64
-	readBuf []byte // reused Read result buffer, valid until the next Read
-}
-
-func (pf *PxFront) port() vmm.Port { return pf.localPort }
-
-func (pf *PxFront) onEvent() {
-	pf.gk.H.M.CPU.Work(pf.gk.Comp(), 150)
-}
-
-func (pf *PxFront) submit(write bool, block uint64) (*pxReq, error) {
-	h := pf.gk.H
-	if !h.Alive(pf.px.GK.Dom.ID) {
-		return nil, ErrBackendDead
-	}
-	h.M.CPU.Work(pf.gk.Comp(), 250)
-	ref, err := h.GrantAccess(pf.gk.Dom.ID, pf.buf, pf.px.GK.Dom.ID, false)
-	if err != nil {
-		return nil, err
-	}
-	// A request that timed out may still be served later, so only a
-	// completed record is reused.
-	req := pf.last
-	if req == nil || !req.done {
-		req = new(pxReq)
-		pf.last = req
-	}
-	*req = pxReq{write: write, block: block, ref: ref, frame: pf.buf}
-	pf.conn.reqs.push(req)
-	if err := h.NotifyChannel(pf.gk.Dom.ID, pf.conn.frontPort); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 64 && !req.done; i++ {
-		if h.PumpIO(8) == 0 {
-			break
-		}
-	}
-	if !req.done || !req.ok {
-		return nil, ErrIOTimeout
-	}
-	return req, nil
-}
-
-// Read returns the contents of a virtual block. The returned slice is a
-// reused buffer, valid until the frontend's next Read.
-func (pf *PxFront) Read(block uint64) ([]byte, error) {
-	if _, err := pf.submit(false, block); err != nil {
-		return nil, err
-	}
-	pf.reads++
-	ps := pf.gk.H.M.Mem.PageSize()
-	if cap(pf.readBuf) < int(ps) {
-		pf.readBuf = make([]byte, ps)
-	}
-	out := pf.readBuf[:ps]
-	pf.gk.H.M.Mem.Read(pf.buf, 0, out)
-	return out, nil
-}
-
-// Write stores data into a virtual block.
-func (pf *PxFront) Write(block uint64, data []byte) error {
-	pf.gk.H.M.Mem.Load(pf.buf, data)
-	if _, err := pf.submit(true, block); err != nil {
-		return err
-	}
-	pf.writes++
-	return nil
-}
-
-// Stats returns completed read/write counts.
-func (pf *PxFront) Stats() (reads, writes uint64) { return pf.reads, pf.writes }

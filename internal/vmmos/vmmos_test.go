@@ -30,8 +30,8 @@ func newStack(t testing.TB, mode RxMode) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic := dev.NewNIC(m, dev.NICConfig{RxIRQ: 1, TxIRQ: 2, RingSize: 64})
-	disk := dev.NewDisk(m, dev.DiskConfig{IRQ: 3, Latency: 5000})
+	nic := dev.NewNIC(m, dev.NICConfig{RingSize: 64})
+	disk := dev.NewDisk(m, dev.DiskConfig{Latency: 5000})
 	dd, err := NewDriverDomain(h, d0, nic, disk)
 	if err != nil {
 		t.Fatal(err)
@@ -241,24 +241,93 @@ func TestNetSendToDeadDom0Fails(t *testing.T) {
 	}
 }
 
-func TestBlockWriteReadRoundTrip(t *testing.T) {
-	s := newStack(t, RxFlip)
-	want := []byte("persistent-data-123")
-	if err := s.guest.Blk.Write(7, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.guest.Blk.Read(7)
+// blockBackends are the two services a guest's BlkFront connects to:
+// Dom0's blkback, serving a partition of the physical disk, and a Parallax
+// virtual disk written through to Dom0. The block frontend tests run over
+// both. connect returns the frontend and its disk size in blocks.
+var blockBackends = []struct {
+	name    string
+	connect func(t *testing.T, s *stack) (*BlkFront, uint64)
+}{
+	{"blkback", func(t *testing.T, s *stack) (*BlkFront, uint64) { return s.guest.Blk, 256 }},
+	{"parallax", func(t *testing.T, s *stack) (*BlkFront, uint64) {
+		_, bf := attachParallax(t, s)
+		return bf, 128
+	}},
+}
+
+// attachParallax boots Parallax in its own domain, writing through to
+// Dom0's disk, and attaches a fresh client guest to a 128-block virtual
+// disk.
+func attachParallax(t *testing.T, s *stack) (*Parallax, *BlkFront) {
+	t.Helper()
+	pxDom, err := s.h.CreateDomain("parallax", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got[:len(want)], want) {
-		t.Fatalf("read back %q, want %q", got[:len(want)], want)
+	px, err := NewParallax(s.h, pxDom, s.dd, 512)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bf := s.guest.Blk.(*BlkFront)
-	r, w := bf.Stats()
-	if r != 1 || w != 1 {
-		t.Fatalf("stats = %d/%d, want 1/1", r, w)
+	cd, err := s.h.CreateDomain("client", 64)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bf, err := px.AttachClient(NewGuestKernel(s.h, cd), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return px, bf
+}
+
+// forEachBlockBackend runs check on a fresh stack and frontend for each
+// backend.
+func forEachBlockBackend(t *testing.T, check func(t *testing.T, s *stack, bf *BlkFront, blocks uint64)) {
+	for _, b := range blockBackends {
+		t.Run(b.name, func(t *testing.T) {
+			s := newStack(t, RxFlip)
+			bf, blocks := b.connect(t, s)
+			check(t, s, bf, blocks)
+		})
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockWriteReadRoundTrip: a read returns a whole page, the written
+// bytes followed by zeros; an unwritten block reads as zeros; Stats counts
+// the completed requests.
+func TestBlockWriteReadRoundTrip(t *testing.T) {
+	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
+		want := []byte("persistent-data-123")
+		if err := bf.Write(7, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := bf.Read(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(got)) != s.m.Mem.PageSize() || !bytes.Equal(got[:len(want)], want) || !allZero(got[len(want):]) {
+			t.Fatalf("read back %d bytes starting %q, want a page of %q and zeros", len(got), got[:len(want)], want)
+		}
+		z, err := bf.Read(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !allZero(z) {
+			t.Fatal("unwritten block not zero")
+		}
+		if r, w := bf.Stats(); r != 2 || w != 1 {
+			t.Fatalf("stats = %d/%d, want 2/1", r, w)
+		}
+	})
 }
 
 func TestBlockPartitionIsolation(t *testing.T) {
@@ -285,45 +354,99 @@ func TestBlockPartitionIsolation(t *testing.T) {
 	}
 }
 
+// TestBlockOutOfRange: a request past the end of the frontend's disk
+// fails with ErrIOTimeout, and the frontend keeps serving.
 func TestBlockOutOfRange(t *testing.T) {
-	s := newStack(t, RxFlip)
-	if _, err := s.guest.Blk.Read(9999); err == nil {
-		t.Fatal("out-of-partition read must fail")
-	}
+	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, blocks uint64) {
+		if _, err := bf.Read(blocks); !errors.Is(err, ErrIOTimeout) {
+			t.Fatalf("out-of-range read err = %v, want ErrIOTimeout", err)
+		}
+		if err := bf.Write(blocks, []byte("x")); !errors.Is(err, ErrIOTimeout) {
+			t.Fatalf("out-of-range write err = %v, want ErrIOTimeout", err)
+		}
+		if err := bf.Write(blocks-1, []byte("last")); err != nil {
+			t.Fatalf("last block after refused requests: %v", err)
+		}
+		if r, w := bf.Stats(); r != 0 || w != 1 {
+			t.Fatalf("stats = %d/%d, want 0/1: a refused request is not counted", r, w)
+		}
+	})
 }
 
+// TestBlockBackendDestroyed: once the backend's domain is gone, requests
+// fail with ErrBackendDead, and the guest itself survives.
+func TestBlockBackendDestroyed(t *testing.T) {
+	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
+		if err := bf.Write(1, []byte("pre-crash")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.h.DestroyDomain(bf.back); err != nil {
+			t.Fatal(err)
+		}
+		if err := bf.Write(2, []byte("post-crash")); !errors.Is(err, ErrBackendDead) {
+			t.Fatalf("write err = %v, want ErrBackendDead", err)
+		}
+		if _, err := bf.Read(1); !errors.Is(err, ErrBackendDead) {
+			t.Fatalf("read err = %v, want ErrBackendDead", err)
+		}
+		if !s.h.Alive(bf.gk.Dom.ID) {
+			t.Fatal("guest died with its backend")
+		}
+	})
+}
+
+// TestBlockReadReusesBuffer pins Read's lifetime: the page it returns is
+// the frontend's own buffer, overwritten by its next Read.
+func TestBlockReadReusesBuffer(t *testing.T) {
+	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
+		if err := bf.Write(1, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if err := bf.Write(2, []byte("two")); err != nil {
+			t.Fatal(err)
+		}
+		first, err := bf.Read(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := bf.Read(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &first[0] != &second[0] || string(first[:3]) != "two" {
+			t.Fatalf("second Read returned a fresh page; the first still reads %q", first[:3])
+		}
+	})
+}
+
+// TestBlockViaSyscall: the guest kernel's block system calls drive its
+// frontend.
 func TestBlockViaSyscall(t *testing.T) {
-	s := newStack(t, RxFlip)
-	ret, err := s.guest.Syscall(s.proc.PID, SysBlockWrite, 3)
-	if err != nil || ret[0] != 0 {
-		t.Fatalf("block write syscall failed: %v %v", ret, err)
-	}
-	ret, err = s.guest.Syscall(s.proc.PID, SysBlockRead, 3)
-	if err != nil || ret[0] != 0 {
-		t.Fatalf("block read syscall failed: %v %v", ret, err)
-	}
+	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
+		p := bf.gk.Spawn("app")
+		ret, err := bf.gk.Syscall(p.PID, SysBlockWrite, 3)
+		if err != nil || ret[0] != 0 {
+			t.Fatalf("block write syscall failed: %v %v", ret, err)
+		}
+		ret, err = bf.gk.Syscall(p.PID, SysBlockRead, 3)
+		if err != nil || ret[0] != 0 {
+			t.Fatalf("block read syscall failed: %v %v", ret, err)
+		}
+		if r, w := bf.Stats(); r != 1 || w != 1 {
+			t.Fatalf("stats = %d/%d, want 1/1", r, w)
+		}
+	})
 }
 
+// TestParallaxServesClients: Parallax serves every client request itself,
+// from its block map.
 func TestParallaxServesClients(t *testing.T) {
 	s := newStack(t, RxFlip)
-	pxDom, err := s.h.CreateDomain("parallax", 128)
-	if err != nil {
+	px, bf := attachParallax(t, s)
+	if err := bf.Write(5, []byte("via-parallax")); err != nil {
 		t.Fatal(err)
 	}
-	px, err := NewParallax(s.h, pxDom, s.dd, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Client guest whose block device is Parallax-backed.
-	cd, _ := s.h.CreateDomain("client", 64)
-	cgk := NewGuestKernel(s.h, cd)
-	if _, err := px.AttachClient(cgk, 128); err != nil {
-		t.Fatal(err)
-	}
-	if err := cgk.Blk.Write(5, []byte("via-parallax")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cgk.Blk.Read(5)
+	got, err := bf.Read(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,16 +455,6 @@ func TestParallaxServesClients(t *testing.T) {
 	}
 	if px.Requests() != 2 {
 		t.Fatalf("parallax served %d requests, want 2", px.Requests())
-	}
-	// Unwritten blocks read as zeros.
-	z, err := cgk.Blk.Read(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range z {
-		if b != 0 {
-			t.Fatal("unwritten block not zero")
-		}
 	}
 }
 
@@ -380,28 +493,18 @@ func TestParallaxCopyOnWriteSnapshot(t *testing.T) {
 
 func TestParallaxDeathBlastRadius(t *testing.T) {
 	// The E4 scenario from §3.1: Parallax fails; its clients lose
-	// storage; the monitor, Dom0 and non-client domains are unaffected.
+	// storage (TestBlockBackendDestroyed); the monitor, Dom0 and
+	// non-client domains are unaffected.
 	s := newStack(t, RxFlip)
-	pxDom, _ := s.h.CreateDomain("parallax", 128)
-	px, err := NewParallax(s.h, pxDom, s.dd, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd, _ := s.h.CreateDomain("client", 64)
-	cgk := NewGuestKernel(s.h, cd)
-	px.AttachClient(cgk, 128)
-	if err := cgk.Blk.Write(1, []byte("pre-crash")); err != nil {
+	_, bf := attachParallax(t, s)
+	if err := bf.Write(1, []byte("pre-crash")); err != nil {
 		t.Fatal(err)
 	}
 
-	s.h.DestroyDomain(pxDom.ID)
+	s.h.DestroyDomain(bf.back)
 
-	if err := cgk.Blk.Write(2, []byte("post-crash")); !errors.Is(err, ErrBackendDead) {
+	if err := bf.Write(2, []byte("post-crash")); !errors.Is(err, ErrBackendDead) {
 		t.Fatalf("client write err = %v, want ErrBackendDead", err)
-	}
-	// Client domain itself is alive; only its storage service is gone.
-	if !s.h.Alive(cd.ID) {
-		t.Fatal("client domain died")
 	}
 	// Dom0's own storage path is unaffected.
 	if err := s.guest.Blk.Write(9, []byte("still-works")); err != nil {
