@@ -23,6 +23,7 @@ import (
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
+	"vmmk/internal/scenario"
 	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 )
@@ -290,6 +291,24 @@ func BenchmarkAllExperimentsParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := parallelEng.RunAll(io.Discard); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScenarioMatrix runs every registered fault-injection row, both
+// legs, on one worker per iteration: the in-repo counterpart of the
+// benchmark's faults workload, which runs the pinned rows in a seeded order.
+func BenchmarkScenarioMatrix(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.Run(scenario.Options{Parallel: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Status != scenario.StatusPass {
+				b.Fatalf("row %s: %s: %s", r.ID, r.Status, r.Detail)
+			}
 		}
 	}
 }

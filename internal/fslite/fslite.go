@@ -15,7 +15,9 @@ import (
 )
 
 // BlockDev is the device contract: read a whole block, write a whole block.
-// Both OS personalities' storage clients satisfy it.
+// Both OS personalities' storage clients satisfy it. The slice Read returns
+// is valid until the device's next call, and Write must not keep data: the
+// filesystem hands it the same buffers again.
 type BlockDev interface {
 	Read(block uint64) ([]byte, error)
 	Write(block uint64, data []byte) error
@@ -47,9 +49,14 @@ type FS struct {
 	dev       BlockDev
 	blockSize uint64
 	nblocks   uint64
-	ninodes   int
 	inodes    []inode
-	bitmap    []byte
+	// meta is the metadata image laid out as on disk: the superblock, the
+	// inode table and the bitmap, blocks 0 to firstDataBlk-1. A change
+	// re-encodes only the inode it touched, and Sync writes the blocks
+	// straight from it.
+	meta   []byte
+	bitmap []byte // meta's bitmap block
+	blk    []byte // WriteFile's staging buffer for one data block
 }
 
 type inode struct {
@@ -68,14 +75,7 @@ func Mkfs(dev BlockDev, blockSize, nblocks uint64) (*FS, error) {
 	if blockSize < 512 || nblocks <= firstDataBlk {
 		return nil, fmt.Errorf("fslite: bad geometry %d x %d", blockSize, nblocks)
 	}
-	fs := &FS{
-		dev:       dev,
-		blockSize: blockSize,
-		nblocks:   nblocks,
-		ninodes:   int(inodeBlocks * blockSize / inodeSize),
-	}
-	fs.inodes = make([]inode, fs.ninodes)
-	fs.bitmap = make([]byte, blockSize)
+	fs := layout(dev, blockSize, nblocks)
 	for b := uint64(0); b < firstDataBlk; b++ {
 		fs.setUsed(b, true)
 	}
@@ -98,14 +98,10 @@ func Mount(dev BlockDev, blockSize uint64) (*FS, error) {
 	if bs != blockSize {
 		return nil, fmt.Errorf("fslite: superblock block size %d, mounted with %d", bs, blockSize)
 	}
-	fs := &FS{
-		dev:       dev,
-		blockSize: blockSize,
-		nblocks:   binary.LittleEndian.Uint64(sb[16:]),
-		ninodes:   int(inodeBlocks * blockSize / inodeSize),
-	}
-	fs.inodes = make([]inode, fs.ninodes)
-	// Inode table.
+	fs := layout(dev, blockSize, binary.LittleEndian.Uint64(sb[16:]))
+	// Inode table. Each inode is re-encoded into the image, not copied, so
+	// Sync writes the bytes the filesystem would write for it, not the
+	// padding or stale name bytes the device held.
 	per := int(blockSize) / inodeSize
 	for blk := 0; blk < inodeBlocks; blk++ {
 		data, err := dev.Read(uint64(1 + blk))
@@ -114,18 +110,35 @@ func Mount(dev BlockDev, blockSize uint64) (*FS, error) {
 		}
 		for j := 0; j < per; j++ {
 			idx := blk*per + j
-			if idx >= fs.ninodes {
-				break
-			}
 			fs.inodes[idx] = decodeInode(data[j*inodeSize : (j+1)*inodeSize])
+			fs.encode(idx)
 		}
 	}
 	bm, err := dev.Read(bitmapBlock)
 	if err != nil {
 		return nil, err
 	}
-	fs.bitmap = append([]byte(nil), bm[:blockSize]...)
+	copy(fs.bitmap, bm[:blockSize])
 	return fs, nil
+}
+
+// layout returns a filesystem of the given geometry with no files: its
+// image holds the superblock and an empty inode table and bitmap. The
+// table holds only whole inodes, blockSize/inodeSize to a block.
+func layout(dev BlockDev, blockSize, nblocks uint64) *FS {
+	fs := &FS{
+		dev:       dev,
+		blockSize: blockSize,
+		nblocks:   nblocks,
+		inodes:    make([]inode, inodeBlocks*(blockSize/inodeSize)),
+		meta:      make([]byte, firstDataBlk*blockSize),
+		blk:       make([]byte, blockSize),
+	}
+	fs.bitmap = fs.meta[bitmapBlock*blockSize:]
+	binary.LittleEndian.PutUint32(fs.meta, magic)
+	binary.LittleEndian.PutUint64(fs.meta[8:], blockSize)
+	binary.LittleEndian.PutUint64(fs.meta[16:], nblocks)
+	return fs
 }
 
 func decodeInode(b []byte) inode {
@@ -163,30 +176,23 @@ func encodeInode(in inode, b []byte) {
 	}
 }
 
-// Sync writes superblock, inode table and bitmap to the device.
-func (fs *FS) Sync() error {
-	sb := make([]byte, fs.blockSize)
-	binary.LittleEndian.PutUint32(sb, magic)
-	binary.LittleEndian.PutUint64(sb[8:], fs.blockSize)
-	binary.LittleEndian.PutUint64(sb[16:], fs.nblocks)
-	if err := fs.dev.Write(0, sb); err != nil {
-		return err
-	}
+// encode re-encodes inode idx into its slot of the metadata image.
+func (fs *FS) encode(idx int) {
 	per := int(fs.blockSize) / inodeSize
-	for blk := 0; blk < inodeBlocks; blk++ {
-		data := make([]byte, fs.blockSize)
-		for j := 0; j < per; j++ {
-			idx := blk*per + j
-			if idx >= fs.ninodes {
-				break
-			}
-			encodeInode(fs.inodes[idx], data[j*inodeSize:])
-		}
-		if err := fs.dev.Write(uint64(1+blk), data); err != nil {
+	off := (1+idx/per)*int(fs.blockSize) + idx%per*inodeSize
+	encodeInode(fs.inodes[idx], fs.meta[off:])
+}
+
+// Sync writes superblock, inode table and bitmap to the device: every
+// metadata block, in block order, straight from the image.
+func (fs *FS) Sync() error {
+	bs := fs.blockSize
+	for b := uint64(0); b < firstDataBlk; b++ {
+		if err := fs.dev.Write(b, fs.meta[b*bs:(b+1)*bs:(b+1)*bs]); err != nil {
 			return err
 		}
 	}
-	return fs.dev.Write(bitmapBlock, fs.bitmap)
+	return nil
 }
 
 func (fs *FS) setUsed(block uint64, used bool) {
@@ -232,6 +238,7 @@ func (fs *FS) Create(name string) error {
 	for i := range fs.inodes {
 		if !fs.inodes[i].used {
 			fs.inodes[i] = inode{used: true, name: name}
+			fs.encode(i)
 			return fs.Sync()
 		}
 	}
@@ -272,17 +279,13 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 		}
 		newPtrs[nNew] = b
 		nNew++
-		chunk := remaining
-		if uint64(len(chunk)) > fs.blockSize {
-			chunk = chunk[:fs.blockSize]
-		}
-		buf := make([]byte, fs.blockSize)
-		copy(buf, chunk)
-		if err := fs.dev.Write(b, buf); err != nil {
+		n := copy(fs.blk, remaining)
+		clear(fs.blk[n:])
+		if err := fs.dev.Write(b, fs.blk); err != nil {
 			rollback()
 			return err
 		}
-		remaining = remaining[len(chunk):]
+		remaining = remaining[n:]
 	}
 	// Commit: release the old blocks, install the new pointers and size.
 	for _, p := range in.ptrs {
@@ -292,6 +295,7 @@ func (fs *FS) WriteFile(name string, data []byte) error {
 	}
 	in.ptrs = newPtrs
 	in.size = uint64(len(data))
+	fs.encode(idx)
 	return fs.Sync()
 }
 
@@ -350,6 +354,7 @@ func (fs *FS) Remove(name string) error {
 		}
 	}
 	fs.inodes[idx] = inode{}
+	fs.encode(idx)
 	return fs.Sync()
 }
 

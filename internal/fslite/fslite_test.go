@@ -2,8 +2,13 @@ package fslite
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,12 +16,15 @@ import (
 
 // memDev is an in-memory block device for unit tests (the cross-stack
 // integration tests in internal/core mount fslite over the real simulated
-// storage paths).
+// storage paths). Like the real devices it returns reads in one reused
+// buffer, so a test fails if the filesystem holds on to a read past the
+// device's next call, and it writes a block in place once it holds it.
 type memDev struct {
 	blocks    map[uint64][]byte
 	blockSize uint64
 	failAfter int // inject a failure after this many ops (0 = never)
 	ops       int
+	buf       []byte
 }
 
 func newMemDev(blockSize uint64) *memDev {
@@ -28,12 +36,13 @@ func (d *memDev) Read(block uint64) ([]byte, error) {
 	if d.failAfter > 0 && d.ops > d.failAfter {
 		return nil, errors.New("memdev: injected failure")
 	}
-	if b, ok := d.blocks[block]; ok {
-		out := make([]byte, d.blockSize)
-		copy(out, b)
-		return out, nil
+	if uint64(cap(d.buf)) < d.blockSize {
+		d.buf = make([]byte, d.blockSize)
 	}
-	return make([]byte, d.blockSize), nil
+	out := d.buf[:d.blockSize]
+	n := copy(out, d.blocks[block])
+	clear(out[n:])
+	return out, nil
 }
 
 func (d *memDev) Write(block uint64, data []byte) error {
@@ -41,9 +50,13 @@ func (d *memDev) Write(block uint64, data []byte) error {
 	if d.failAfter > 0 && d.ops > d.failAfter {
 		return errors.New("memdev: injected failure")
 	}
-	b := make([]byte, d.blockSize)
-	copy(b, data)
-	d.blocks[block] = b
+	b, ok := d.blocks[block]
+	if !ok {
+		b = make([]byte, d.blockSize)
+		d.blocks[block] = b
+	}
+	n := copy(b, data)
+	clear(b[n:])
 	return nil
 }
 
@@ -374,5 +387,161 @@ func TestNoSpaceRollsBackAllocation(t *testing.T) {
 	}
 	if err := fs.CheckConsistency(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFullInodeTableSurvivesRemount fills the inode table of a 4 KiB-block
+// filesystem and remounts it: every file Create accepted must come back.
+// The table holds only whole inodes, 25 to a 4 KiB block.
+func TestFullInodeTableSurvivesRemount(t *testing.T) {
+	fs, dev := newFS(t)
+	var created []string
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("f%03d", i)
+		err := fs.Create(name)
+		if errors.Is(err, ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		created = append(created, name)
+	}
+	if want := inodeBlocks * 25; len(created) != want {
+		t.Errorf("created %d files, want %d", len(created), want)
+	}
+	fs2, err := Mount(dev, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs2.List(); !slices.Equal(got, created) {
+		t.Errorf("remount lists %d files, created %d", len(got), len(created))
+	}
+}
+
+// recDev hashes every Read and Write the filesystem issues, in order: the
+// operation, the block number and the bytes moved.
+type recDev struct {
+	inner BlockDev
+	h     hash.Hash
+}
+
+func (d *recDev) log(op byte, block uint64, data []byte) {
+	var hdr [17]byte
+	hdr[0] = op
+	binary.LittleEndian.PutUint64(hdr[1:], block)
+	binary.LittleEndian.PutUint64(hdr[9:], uint64(len(data)))
+	d.h.Write(hdr[:])
+	d.h.Write(data)
+}
+
+func (d *recDev) Read(block uint64) ([]byte, error) {
+	b, err := d.inner.Read(block)
+	if err == nil {
+		d.log('R', block, b)
+	}
+	return b, err
+}
+
+func (d *recDev) Write(block uint64, data []byte) error {
+	d.log('W', block, data)
+	return d.inner.Write(block, data)
+}
+
+// pattern returns n bytes that differ from position to position, tagged by
+// seed, so a reordered or shifted block changes the traffic digest.
+func pattern(seed byte, n uint64) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*7)
+	}
+	return b
+}
+
+// trafficDigest runs a scripted session over a recording device and
+// returns the digest of every Read and Write it issued: two new files, a
+// rewrite that shrinks one, a Create and a Remove, a remount and a read,
+// and a write after the remount.
+func trafficDigest(t *testing.T, bs uint64) string {
+	t.Helper()
+	dev := &recDev{inner: newMemDev(bs), h: sha256.New()}
+	fs, err := Mkfs(dev, bs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(fs.WriteFile("alpha", pattern('a', 2*bs+100)))
+	step(fs.WriteFile("beta", pattern('b', bs/2)))
+	step(fs.WriteFile("alpha", pattern('A', bs/3)))
+	step(fs.Create("gamma"))
+	step(fs.Remove("beta"))
+	fs2, err := Mount(dev, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs2.ReadFile("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pattern('A', bs/3)) {
+		t.Fatalf("remounted alpha: %d bytes differ from what was written", len(got))
+	}
+	step(fs2.WriteFile("delta", pattern('d', bs+7)))
+	return hex.EncodeToString(dev.h.Sum(nil))
+}
+
+// TestDeviceTrafficPinned pins every block number, the order and the bytes
+// of the filesystem's device traffic. FaultDev numbers writes, and over a
+// simulated storage stack each Read and Write is a request, so a change to
+// how fslite builds its blocks must not move any of them.
+func TestDeviceTrafficPinned(t *testing.T) {
+	for _, tc := range []struct {
+		bs   uint64
+		want string
+	}{
+		{512, "9100a02df487ae4011329d4c590bf89215b4b2963ec30fdb2df373def96e05bc"},
+		{4096, "61015ad8060887ba590c58a6e78dbd2e9839e92f69d74d6f6f08ec3417d333f7"},
+	} {
+		if got := trafficDigest(t, tc.bs); got != tc.want {
+			t.Errorf("%d-byte blocks: traffic digest %s, want %s", tc.bs, got, tc.want)
+		}
+	}
+}
+
+// TestSyncAllocatesNothing: Sync writes the metadata blocks straight from
+// the image, so over a device that writes in place it allocates nothing.
+func TestSyncAllocatesNothing(t *testing.T) {
+	fs, _ := newFS(t)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Sync allocates %.1f times", n)
+	}
+}
+
+// TestWriteFileRewriteAllocatesNothing: replacing an existing 3-block file
+// stages its data through the filesystem's one block buffer and re-encodes
+// one inode, so it allocates nothing once the device holds both block sets
+// the copy-on-write rewrite alternates between.
+func TestWriteFileRewriteAllocatesNothing(t *testing.T) {
+	fs, _ := newFS(t)
+	data := pattern('r', 3*4096)
+	rewrite := func() {
+		if err := fs.WriteFile("f", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		rewrite()
+	}
+	if n := testing.AllocsPerRun(100, rewrite); n != 0 {
+		t.Errorf("WriteFile rewrite allocates %.1f times", n)
 	}
 }

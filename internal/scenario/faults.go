@@ -19,25 +19,32 @@ var ErrDeviceFault = errors.New("scenario: injected device fault")
 type MemDev struct {
 	blocks    map[uint64][]byte
 	blockSize uint64
+	buf       []byte // Read's result, reused
 }
 
 // NewMemDev returns an empty in-memory device.
 func NewMemDev(blockSize uint64) *MemDev {
-	return &MemDev{blocks: make(map[uint64][]byte), blockSize: blockSize}
+	return &MemDev{blocks: make(map[uint64][]byte), blockSize: blockSize, buf: make([]byte, blockSize)}
 }
 
-// Read returns a copy of the block (all-zero when never written).
+// Read returns the block's contents (all-zero when never written) in a
+// buffer the device reuses, valid until its next call.
 func (d *MemDev) Read(block uint64) ([]byte, error) {
-	out := make([]byte, d.blockSize)
-	copy(out, d.blocks[block])
-	return out, nil
+	n := copy(d.buf, d.blocks[block])
+	clear(d.buf[n:])
+	return d.buf, nil
 }
 
-// Write stores a copy of the block.
+// Write stores a copy of the block, zero-padded to the block size. A block
+// gets its storage on its first write and is overwritten in place after.
 func (d *MemDev) Write(block uint64, data []byte) error {
-	b := make([]byte, d.blockSize)
-	copy(b, data)
-	d.blocks[block] = b
+	b, ok := d.blocks[block]
+	if !ok {
+		b = make([]byte, d.blockSize)
+		d.blocks[block] = b
+	}
+	n := copy(b, data)
+	clear(b[n:])
 	return nil
 }
 

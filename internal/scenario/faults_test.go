@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"vmmk/internal/core"
+	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
 )
@@ -93,6 +95,74 @@ func TestFaultDevZeroValueTransparent(t *testing.T) {
 		if _, err := fd.Read(uint64(i)); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
+	}
+}
+
+// TestBlockDevsCopyWrites holds every fslite.BlockDev in the tree to the
+// half of the device contract the filesystem leans on: Write must not keep
+// the caller's buffer. Each device writes a block, the caller overwrites
+// its buffer, and the block must still read back as written.
+func TestBlockDevsCopyWrites(t *testing.T) {
+	xen, err := core.NewXenStack(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mks, err := core.NewMKStack(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := mks.OSes[0]
+	for _, tc := range []struct {
+		name string
+		dev  fslite.BlockDev
+		bs   uint64
+	}{
+		{"MemDev", NewMemDev(512), 512},
+		{"FaultDev", &FaultDev{Inner: NewMemDev(512)}, 512},
+		{"BlkFront", xen.Guests[0].Blk, xen.M().Mem.PageSize()},
+		{"StoreClient", osrv.Blk, mks.M().Mem.PageSize()},
+		{"BlkClient", mks.Blk.NewBlkClient(osrv.Thread.ID, 8), mks.M().Mem.PageSize()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := make([]byte, tc.bs)
+			for i := range buf {
+				buf[i] = byte(i*13 + 1)
+			}
+			want := bytes.Clone(buf)
+			if err := tc.dev.Write(3, buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			got, err := tc.dev.Read(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("block 3 reads back %d bytes that differ from the %d written: the device kept the caller's buffer", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestMemDevRewriteAllocatesNothing: MemDev overwrites a block it already
+// holds in place and returns reads in its one reused buffer.
+func TestMemDevRewriteAllocatesNothing(t *testing.T) {
+	d := NewMemDev(512)
+	data := bytes.Repeat([]byte{0x3C}, 512)
+	if err := d.Write(9, data); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := d.Write(9, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Read(9); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("rewriting and reading a held block allocates %.1f times", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
@@ -24,6 +25,11 @@ type mkState struct {
 func mkEcho(_ *mk.Kernel, _ mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
 	return msg, nil
 }
+
+// oversizedPayload is the armed leg of mk/ipc-oversized-payload: one byte
+// over the 1 MiB string-transfer limit. The kernel rejects it by its length
+// without reading a byte, so every leg shares one read-only copy.
+var oversizedPayload = sync.OnceValue(func() []byte { return make([]byte, 1<<20+1) })
 
 // mkKernelStillWorks probes that the kernel survived the row's fault: a
 // fresh space, thread and IPC round trip must all succeed.
@@ -107,11 +113,13 @@ func init() {
 			srv := k.NewThread(sp, "server", 5, mkEcho)
 			cl := k.NewThread(sp, "client", 5, nil)
 			env.State = &mkState{k: k, client: cl.ID, victim: srv.ID}
-			size := 1024
+			var payload []byte
 			if env.Armed {
-				size = 1<<20 + 1
+				payload = oversizedPayload()
+			} else {
+				payload = make([]byte, 1024)
 			}
-			_, err = k.Call(cl.ID, srv.ID, mk.Msg{Data: make([]byte, size)})
+			_, err = k.Call(cl.ID, srv.ID, mk.Msg{Data: payload})
 			return err
 		},
 	})
