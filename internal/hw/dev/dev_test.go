@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vmmk/internal/hw"
+	"vmmk/internal/trace"
 )
 
 func devMachine(t testing.TB) *hw.Machine {
@@ -425,4 +426,87 @@ func TestDiskCompletesInSubmitOrder(t *testing.T) {
 	if d.InFlight() != 0 {
 		t.Fatalf("in flight = %d after every completion", d.InFlight())
 	}
+}
+
+// TestZeroFrameTransmitAllocatesNothing: the wire tap keeps only the bytes
+// a packet's frame held, so 200 transmits from a frame that reads zero,
+// which nobody drains, allocate nothing once the tap's record list has
+// grown to hold them.
+func TestZeroFrameTransmitAllocatesNothing(t *testing.T) {
+	const packets = 200
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{})
+	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
+	m.Mem.Write(f, 0, make([]byte, 1500))
+	burst := func() {
+		for range packets {
+			nic.Transmit(f, 1500)
+		}
+		m.Events.RunUntilIdle(0)
+	}
+	// Grow the in-flight queue, the event queue and the tap's record list
+	// to hold two bursts, then drain the tap. AllocsPerRun's warm-up run
+	// and its measured run leave two bursts undrained.
+	burst()
+	burst()
+	nic.Transmitted()
+	if n := testing.AllocsPerRun(1, burst); n != 0 {
+		t.Errorf("%d undrained transmits from a zero frame allocate %.0f times", packets, n)
+	}
+	if _, done := nic.Stats(); done != 4*packets {
+		t.Fatalf("%d transmits completed, want %d", done, 4*packets)
+	}
+}
+
+// TestNICWireTapKeepsPrefixes: packets that nobody drains while they pile
+// up, from a zero frame, a short-prefix frame and a full one, come back
+// from Transmitted at full length, prefix then zeros, in submit order.
+func TestNICWireTapKeepsPrefixes(t *testing.T) {
+	m := devMachine(t)
+	nic := NewNIC(m, NICConfig{})
+	drv := m.Rec.Intern("drv")
+	page := int(m.Mem.PageSize())
+	zero, short, full := mustAllocFrame(t, m, drv), mustAllocFrame(t, m, drv), mustAllocFrame(t, m, drv)
+	m.Mem.Write(short, 0, []byte("hi"))
+	m.Mem.Write(full, 0, bytes.Repeat([]byte{0xAB}, page))
+	type sentPkt struct {
+		f hw.FrameID
+		n int
+	}
+	var sends []sentPkt
+	for round := 0; round < 3; round++ {
+		for _, p := range []sentPkt{{zero, 1500}, {short, 1}, {short, 600}, {full, 1500}, {full, page + 100}, {zero, 0}} {
+			nic.Transmit(p.f, p.n)
+			sends = append(sends, p)
+		}
+		m.Events.RunUntilIdle(0)
+	}
+	// Rewriting a frame after its transmit does not reach the tap.
+	m.Mem.Write(zero, 0, []byte{1})
+	pkts := nic.Transmitted()
+	if len(pkts) != len(sends) {
+		t.Fatalf("wire saw %d packets, sent %d", len(pkts), len(sends))
+	}
+	for i, p := range pkts {
+		s := sends[i]
+		want := make([]byte, s.n)
+		switch s.f {
+		case short:
+			copy(want, "hi")
+		case full:
+			copy(want, bytes.Repeat([]byte{0xAB}, page))
+		}
+		if p.Seq != uint64(i+1) || !bytes.Equal(p.Data, want) {
+			t.Errorf("packet %d: Seq %d, %d bytes %.8x…; want Seq %d, %d bytes %.8x…", i, p.Seq, len(p.Data), p.Data, i+1, s.n, want)
+		}
+	}
+}
+
+func mustAllocFrame(t *testing.T, m *hw.Machine, owner trace.Comp) hw.FrameID {
+	t.Helper()
+	f, err := m.Mem.Alloc(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

@@ -49,14 +49,24 @@ type NIC struct {
 	rxIRQsRaised uint64
 
 	// Every transmit waits the same WireLatency, so completions fire in
-	// submit order: one FIFO of in-flight payloads and one completion
+	// submit order: one FIFO of in-flight packets and one completion
 	// callback, bound at construction, serve every packet.
-	txInFlight  hw.Queue[[]byte]
+	txInFlight  hw.Queue[sent]
 	txComplete  func()
 	txDone      uint64
-	transmitted []Packet // filled by completions
-	wire        []Packet // returned by the last Transmitted; the next fill buffer
-	txFree      [][]byte // payload buffers no caller can still see
+	transmitted []sent   // the wire tap: filled by completions
+	wire        []Packet // returned by the last Transmitted
+	txFree      [][]byte // buffers no caller can still see
+}
+
+// sent is a packet as the wire tap keeps it: the bytes its frame held,
+// which is the frame's prefix cut at the packet length, and that length.
+// The rest of the packet is zeros, so a packet from a frame that reads
+// zero keeps no bytes at all.
+type sent struct {
+	prefix []byte
+	n      int
+	seq    uint64 // set on completion
 }
 
 // RxCompletion describes one received packet: which posted frame holds it
@@ -169,25 +179,27 @@ func (n *NIC) ReapRx() []RxCompletion {
 
 // Transmit queues a packet for transmission; completion raises the TX IRQ
 // after the wire latency. The packet payload is read from frame f when
-// Transmit is called, so the caller may free or reuse f at once.
+// Transmit is called, so the caller may free or reuse f at once. The NIC
+// keeps only the bytes f holds, in a recycled buffer: a transmit from a
+// frame that reads zero allocates nothing.
 func (n *NIC) Transmit(f hw.FrameID, length int) {
 	if length < 0 {
 		panic(fmt.Sprintf("dev: negative tx length %d", length))
 	}
-	data := n.payload(length)
-	// Read fills no further than the page end; a recycled buffer must read
-	// zero past it, as a fresh one does.
-	clear(data[n.m.Mem.Read(f, 0, data):])
+	var prefix []byte
+	if p := n.m.Mem.Bytes(f); len(p) > 0 {
+		p = p[:min(len(p), length)]
+		prefix = append(n.buffer(len(p))[:0], p...)
+	}
 	words := (length + 7) / 8
 	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words))
-	n.txInFlight.Push(data)
+	n.txInFlight.Push(sent{prefix: prefix, n: length})
 	n.m.Events.ScheduleAfter(WireLatency, n.txComplete)
 }
 
-// payload returns a length-byte buffer for an outgoing packet, recycled
-// from a packet a caller of Transmitted can no longer see when one is big
-// enough.
-func (n *NIC) payload(length int) []byte {
+// buffer returns a buffer of length bytes, recycled from one a caller of
+// Transmitted can no longer see when one is big enough.
+func (n *NIC) buffer(length int) []byte {
 	if k := len(n.txFree); k > 0 {
 		buf := n.txFree[k-1]
 		n.txFree = n.txFree[:k-1]
@@ -200,25 +212,42 @@ func (n *NIC) payload(length int) []byte {
 
 // completeTx is the wire-latency event of the oldest in-flight packet.
 func (n *NIC) completeTx() {
-	data, _ := n.txInFlight.Pop()
+	p, _ := n.txInFlight.Pop()
 	n.txDone++
-	n.transmitted = append(n.transmitted, Packet{Data: data, Seq: n.txDone})
+	p.seq = n.txDone
+	n.transmitted = append(n.transmitted, p)
 	n.m.IRQ.Raise(TxIRQ)
 }
 
 // Transmitted returns and clears the packets that completed transmission —
-// the experiment harness's view of "the wire". The returned packets, and
-// their payloads, are valid until the next Transmitted, which recycles
-// them: the NIC keeps two packet buffers and swaps them on each call, as
-// ReapRx does.
+// the experiment harness's view of "the wire". Each packet's Data is its
+// full length: the bytes its frame held, then zeros. The returned packets,
+// and their payloads, are valid until the next Transmitted, which reuses
+// them: the NIC builds the payloads in recycled buffers, and the packets
+// in the slice it returned last time.
 func (n *NIC) Transmitted() []Packet {
-	for i, p := range n.wire {
+	for _, p := range n.wire {
 		n.txFree = append(n.txFree, p.Data)
-		n.wire[i] = Packet{}
 	}
-	out := n.transmitted
-	n.transmitted, n.wire = n.wire[:0], out
-	return out
+	n.wire = n.wire[:0]
+	for i, p := range n.transmitted {
+		data := p.prefix
+		if cap(data) < p.n {
+			data = n.buffer(p.n)
+			copy(data, p.prefix)
+			if p.prefix != nil {
+				n.txFree = append(n.txFree, p.prefix)
+			}
+		}
+		data = data[:p.n]
+		// A recycled buffer must read zero past the prefix, as a fresh
+		// one does.
+		clear(data[len(p.prefix):])
+		n.wire = append(n.wire, Packet{Data: data, Seq: p.seq})
+		n.transmitted[i] = sent{}
+	}
+	n.transmitted = n.transmitted[:0]
+	return n.wire
 }
 
 // Stats returns drops and completed transmit count.

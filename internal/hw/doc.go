@@ -33,14 +33,23 @@
 // a boot costs nothing per installed frame and Reset costs what the
 // machine touched. A frame's contents are stored as a prefix: the bytes up
 // to the furthest one written since the frame was last freed, with the rest
-// of the page reading zero. Callers store and fetch bytes through Write,
-// Read, Load and Bytes; nothing hands out a writable whole page. Free and
-// Reset truncate the prefix and keep its buffer. CopyPage moves a frame's
-// prefix to another frame, across machines too, and a source that reads
-// zero costs neither an allocation nor a copy. The simulated costs never
-// read a prefix's length. PhysMem.Audit checks the allocator's
-// conservation laws for tests. Page tables built without a size hint and
-// TLB entry maps likewise grow with use.
+// of the page reading zero. A write of zero bytes only that starts at or
+// past the prefix's end stores nothing, so host memory follows the
+// simulated content: a blank packet or a zeroed page costs no buffer.
+// Callers store and fetch bytes through Write, Read, Load, Bytes (the
+// prefix) and View (exactly n bytes, zero tail included); nothing hands
+// out a writable whole page. Free and Reset truncate the prefix and keep
+// its buffer. CopyPage moves a frame's prefix to another frame, across
+// machines too, and a source that reads zero costs neither an allocation
+// nor a copy. The simulated costs never read a prefix's length.
+// PhysMem.Audit checks the allocator's conservation laws for tests. Page
+// tables built without a size hint and TLB entry maps likewise grow with
+// use. A page table answers reverse lookups (UnmapFrame, FramesMapped)
+// through a frame filter first, one bit per frame it may map, and builds
+// its frame-to-VPN index only for a frame whose bit is set, so a page
+// flip of a frame the donor never mapped builds no index. The NIC's wire
+// tap (hw/dev) likewise keeps each transmitted packet's prefix and
+// length, not its zero tail.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

@@ -25,6 +25,8 @@ type Machine struct {
 	// (defaults applied). It is the machine's pool identity: two machines
 	// with equal Arch values and equal Cfg are interchangeable after Reset.
 	Cfg MachineConfig
+
+	shootMarks []bool // shootdown targets by CPU, reused; see remoteTargets
 }
 
 // MachineConfig sizes a Machine.
@@ -201,14 +203,7 @@ func (m *Machine) ShootdownEntries(from int, targets []int, asid uint16, vpns []
 		return
 	}
 	src := m.checkCPU(from)
-	want := make([]bool, len(m.CPUs))
-	for _, t := range targets {
-		if t == from {
-			continue // the initiator flushes locally, not via IPI
-		}
-		m.checkCPU(t)
-		want[t] = true
-	}
+	want := m.remoteTargets(from, targets)
 	n := uint64(len(vpns))
 	for i, dst := range m.CPUs {
 		if !want[i] {
@@ -224,18 +219,30 @@ func (m *Machine) ShootdownEntries(from int, targets []int, asid uint16, vpns []
 	}
 }
 
-// shootdown interrupts each distinct remote target in ascending CPU order
-// (determinism), runs the invalidation on it and charges the costs.
-func (m *Machine) shootdown(from int, targets []int, invalidate func(*CPU)) {
-	src := m.checkCPU(from)
-	want := make([]bool, len(m.CPUs))
+// remoteTargets marks each CPU in targets other than from, checking it, in
+// a slice indexed by CPU, which the machine reuses: it is valid until the
+// next shootdown.
+func (m *Machine) remoteTargets(from int, targets []int) []bool {
+	if m.shootMarks == nil {
+		m.shootMarks = make([]bool, len(m.CPUs))
+	} else {
+		clear(m.shootMarks)
+	}
 	for _, t := range targets {
 		if t == from {
 			continue // the initiator flushes locally, not via IPI
 		}
 		m.checkCPU(t)
-		want[t] = true
+		m.shootMarks[t] = true
 	}
+	return m.shootMarks
+}
+
+// shootdown interrupts each distinct remote target in ascending CPU order
+// (determinism), runs the invalidation on it and charges the costs.
+func (m *Machine) shootdown(from int, targets []int, invalidate func(*CPU)) {
+	src := m.checkCPU(from)
+	want := m.remoteTargets(from, targets)
 	for i, dst := range m.CPUs {
 		if !want[i] {
 			continue

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,12 +44,16 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // Contents are stored as prefixes. A frame keeps only the bytes up to the
 // furthest one written since it was last freed, and everything past them
 // reads as zero, so a guest that stores one byte into a page costs the
-// host a few dozen bytes, not a page. Free and Reset truncate the prefix
-// and keep its buffer for the frame's next writer; an empty prefix is what
-// a zero page is. A frame's first write allocates a buffer of its own
-// length (at least minPrefix bytes), and any later growth past it
-// allocates the whole page. Growth inside a buffer zeroes only the bytes it
-// adds. The simulated costs never depend on a prefix's length.
+// host a few dozen bytes, not a page. A write of zero bytes only that
+// starts at or past the prefix's end stores nothing: those bytes read zero
+// already. So a prefix may end before the last write did, and only a
+// nonzero byte, or a write that starts inside the prefix, extends it. Free
+// and Reset truncate the prefix and keep its buffer for the frame's next
+// writer; an empty prefix is what a zero page is. A frame's first write
+// allocates a buffer of its own length (at least minPrefix bytes), and any
+// later growth past it allocates the whole page. Growth inside a buffer
+// zeroes only the bytes it adds. The simulated costs never depend on a
+// prefix's length.
 type PhysMem struct {
 	pageSize uint64
 	frames   int
@@ -270,10 +275,32 @@ func (m *PhysMem) span(f FrameID, off, n int) int {
 	return min(n, int(m.pageSize)-off)
 }
 
+// zeros is a page of zero bytes for every Arch page size: the reference
+// the zero check compares against, and the bytes View hands out for a
+// frame that reads zero. Nothing ever writes it.
+var zeros [1 << 16]byte
+
+// isZero reports whether b holds only zero bytes. It compares whole chunks
+// against zeros, which stops at the first chunk holding a nonzero byte,
+// and tests each chunk's first byte before, which settles most written
+// data at once.
+func isZero(b []byte) bool {
+	for len(b) > 0 {
+		k := min(len(b), len(zeros))
+		if b[0] != 0 || !bytes.Equal(b[:k], zeros[:k]) {
+			return false
+		}
+		b = b[k:]
+	}
+	return true
+}
+
 // Write stores b into f at byte offset off, extending the prefix if b
-// ends past it, and returns the number of bytes stored: b is cut at the
-// page end, as copy would cut it. An offset past the page end panics. A
-// write to a frame past the per-frame slices extends them.
+// ends past it, and returns the number of bytes it covered: b is cut at
+// the page end, as copy would cut it. A b of zero bytes only that starts
+// at or past the prefix's end stores nothing, since f reads zero there
+// already. An offset past the page end panics. A write that stores bytes
+// into a frame past the per-frame slices extends them.
 func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 	n := m.span(f, off, len(b))
 	if n == 0 {
@@ -281,6 +308,9 @@ func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 	}
 	p := m.prefix(f)
 	if end := off + n; end > len(p) {
+		if off >= len(p) && isZero(b[:n]) {
+			return n
+		}
 		if int(f) >= len(m.data) {
 			m.extend(f)
 		}
@@ -314,12 +344,31 @@ func (m *PhysMem) Load(f FrameID, b []byte) {
 }
 
 // Bytes returns f's prefix: its contents without the zero tail, possibly
-// empty. The slice is a read-only view, valid until f is next written,
-// loaded or freed.
+// empty. The prefix may end before the last write did, when that write's
+// tail was zeros (see Write), so a caller that needs n bytes uses View.
+// The slice is a read-only view, valid until f is next written, loaded or
+// freed.
 func (m *PhysMem) Bytes(f FrameID) []byte {
 	m.checkFrame(f)
 	p := m.prefix(f)
 	return p[:len(p):len(p)]
+}
+
+// View returns f's first n bytes, zero tail included, as a read-only
+// slice, valid until f is next written, loaded or freed: the prefix cut at
+// n when it reaches n, shared zero bytes when f reads zero, and otherwise
+// a copy.
+func (m *PhysMem) View(f FrameID, n int) []byte {
+	p := m.Bytes(f)
+	switch {
+	case n <= len(p):
+		return p[:n:n]
+	case len(p) == 0 && n <= len(zeros):
+		return zeros[:n:n]
+	}
+	b := make([]byte, n)
+	copy(b, p)
+	return b
 }
 
 // Copy copies the first min(n, pageSize) bytes of src over dst and returns

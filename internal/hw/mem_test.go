@@ -198,7 +198,7 @@ func TestPhysMemBufferSizing(t *testing.T) {
 	a := trace.NewRegistry().Intern("a")
 	small, packet, grown := mustAlloc(t, m, a), mustAlloc(t, m, a), mustAlloc(t, m, a)
 	m.Write(small, 1, []byte{1})
-	m.Write(packet, 0, make([]byte, 1500))
+	m.Write(packet, 0, bytes.Repeat([]byte{1}, 1500))
 	m.Write(grown, 0, []byte{1})
 	m.Write(grown, 100, []byte{1})
 	for _, tc := range []struct {
@@ -296,7 +296,8 @@ func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
 		t.Fatalf("per-frame slices grew through %v entries, want %v", steps, want)
 	}
 	for i := range used {
-		if got := m.Bytes(FrameID(i)); !bytes.Equal(got, []byte{byte(i), byte(i >> 8)}) {
+		got := make([]byte, 2)
+		if m.Read(FrameID(i), 0, got); !bytes.Equal(got, []byte{byte(i), byte(i >> 8)}) {
 			t.Fatalf("frame %d reads %x after the slices grew", i, got)
 		}
 	}
@@ -477,12 +478,16 @@ func (pm *physModel) release(f FrameID) {
 // a probe of any frame and AllocN, and after every op checks contents,
 // owners, per-owner counts, the free count and Audit. Write, Read and Load
 // take random offsets and lengths, empty ones and ones that cross the page
-// end included. The probe reaches one frame past the end too, and frames
-// a memory has not touched yet.
+// end included. Some Writes carry zero bytes only, inside and past the
+// prefix; one past it must leave the prefix as it was. Bytes must be a
+// prefix of the model's page with zeros beyond it. The probe reaches one
+// frame past the end too, and frames a memory has not touched yet.
 func FuzzPhysMem(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 0, 5, 9, 5, 0, 0, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 1, 0, 7, 1, 0, 1, 0, 5, 1, 0, 0, 1, 6, 0})
 	f.Add([]byte{0, 0, 0, 3, 0, 0, 1, 8, 5, 0, 0, 0, 0, 6, 1, 2, 0, 0, 3})
+	// Zero writes past an empty prefix, then past and inside a 10-byte one.
+	f.Add([]byte{0, 0, 0, 0, 0, 7, 2, 0, 4, 9, 7, 0, 0, 1, 9, 7, 2, 0, 20, 30, 7, 2, 0, 3, 4, 10, 0, 0, 0, 0})
 	const frames, pageSize = 6, 32
 	names := []string{"vmm.dom0", "vmm.domU1", "mk.srv"}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -566,16 +571,26 @@ func FuzzPhysMem(f *testing.F) {
 				m.Reset()
 				pm.reset()
 				desc = "reset"
-			case 7: // Write
+			case 7: // Write, of zero bytes only when bit 1 of the memory byte is set
 				if pm.owner[f1] == "" {
 					break
 				}
 				off, b := arg(i+3)%(pageSize+1), fuzzBytes(arg(i+3), arg(i+4), pageSize)
+				zero := arg(i+1)&2 != 0
+				if zero {
+					clear(b)
+				}
+				before := len(m.Bytes(f1))
 				if got, want := m.Write(f1, off, b), min(len(b), pageSize-off); got != want {
 					t.Fatalf("op %d: Write of %d bytes at %d stored %d, want %d", i, len(b), off, got, want)
 				}
 				copy(pm.pages[f1][off:], b)
-				desc = fmt.Sprintf("write %d[%d:] %d bytes", f1, off, len(b))
+				// Zero bytes at or past the prefix's end read zero already,
+				// so writing them stores nothing.
+				if after := len(m.Bytes(f1)); zero && off >= before && after != before {
+					t.Fatalf("op %d: zero Write of %d bytes at %d moved the prefix's end from %d to %d", i, len(b), off, before, after)
+				}
+				desc = fmt.Sprintf("write %d[%d:] %d bytes (zero %v)", f1, off, len(b), zero)
 			case 8: // Read, of any frame
 				off, n := arg(i+3)%(pageSize+1), arg(i+4)%(pageSize+8)
 				b := bytes.Repeat([]byte{0xEE}, n)
@@ -741,5 +756,81 @@ func BenchmarkCopyPage(b *testing.B) {
 				dst.CopyPage(df, src, sf)
 			}
 		})
+	}
+}
+
+// TestZeroWriteAllocatesNothing: zero bytes written at or past a frame's
+// prefix read zero already, so the write stores nothing. Each run writes
+// zeros to fresh frames: one with a short prefix, one never written, and
+// one past the per-frame slices, none of which the write may extend.
+func TestZeroWriteAllocatesNothing(t *testing.T) {
+	const runs = 101 // AllocsPerRun's warm-up run, then 100
+	m := NewPhysMem(4*runs, 4096)
+	a := trace.NewRegistry().Intern("a")
+	touched, _ := m.AllocN(a, runs)
+	blank, _ := m.AllocN(a, runs)
+	for _, f := range touched {
+		m.Write(f, 0, []byte("prefix"))
+	}
+	slices := len(m.owner)
+	zeros := make([]byte, 4096)
+	i := 0
+	if n := testing.AllocsPerRun(runs-1, func() {
+		m.Write(touched[i], 6, zeros[:1500])
+		m.Write(touched[i], 100, zeros)
+		m.Write(blank[i], 0, zeros)
+		m.Write(FrameID(4*runs-1-i), 0, zeros[:64])
+		i++
+	}); n != 0 {
+		t.Errorf("zero writes past the prefix allocate %.1f times per run", n)
+	}
+	if got, want := m.Write(touched[0], 100, zeros), 4096-100; got != want {
+		t.Errorf("a zero Write at offset 100 reports %d bytes, want %d", got, want)
+	}
+	page := make([]byte, 4096)
+	copy(page, "prefix")
+	for j := range runs {
+		if len(m.Bytes(touched[j])) != 6 || len(m.Bytes(blank[j])) != 0 {
+			t.Fatalf("run %d: zero writes left %d- and %d-byte prefixes", j, len(m.Bytes(touched[j])), len(m.Bytes(blank[j])))
+		}
+		if !bytes.Equal(peek(m, touched[j]), page) || !bytes.Equal(peek(m, FrameID(4*runs-1-j)), zeros) {
+			t.Fatalf("run %d: a frame reads differently after zero writes past its prefix", j)
+		}
+	}
+	if len(m.owner) != slices {
+		t.Fatalf("zero writes grew the per-frame slices from %d to %d entries", slices, len(m.owner))
+	}
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPhysMemView: View hands out exactly n bytes, zero tail included: the
+// prefix itself when it reaches n, shared zeros for a frame that reads
+// zero, and a copy otherwise; none of them writable into the frame.
+func TestPhysMemView(t *testing.T) {
+	m := NewPhysMem(3, 4096)
+	a := trace.NewRegistry().Intern("a")
+	long, short, blank := mustAlloc(t, m, a), mustAlloc(t, m, a), mustAlloc(t, m, a)
+	m.Write(long, 0, bytes.Repeat([]byte{7}, 100))
+	m.Write(short, 0, []byte{1, 2})
+	m.Write(blank, 0, make([]byte, 1500))
+	for _, tc := range []struct {
+		f    FrameID
+		n    int
+		want []byte
+	}{
+		{long, 50, bytes.Repeat([]byte{7}, 50)},
+		{short, 5, []byte{1, 2, 0, 0, 0}},
+		{blank, 1500, make([]byte, 1500)},
+		{blank, 0, []byte{}},
+	} {
+		v := m.View(tc.f, tc.n)
+		if !bytes.Equal(v, tc.want) || cap(v) != tc.n {
+			t.Errorf("View(%d, %d) = %x (cap %d), want %x", tc.f, tc.n, v, cap(v), tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { m.View(blank, 1500); m.View(long, 100) }); n != 0 {
+		t.Errorf("View of a prefix and of a zero frame allocates %.1f times", n)
 	}
 }

@@ -76,15 +76,9 @@ type PageTable struct {
 	n      int         // total live mappings across both regions
 	span   int         // the dense region's reach
 
-	// byFrame is the reverse index frame -> VPNs mapping it. Page flipping
-	// revokes by frame on every packet, so revocation must not scan the
-	// whole table; but most tables (identity-mapped domains that never
-	// flip) pay for the index without ever consulting it, so it is built
-	// lazily on the first reverse lookup and kept in lockstep only from
-	// then on. Almost every frame has exactly one mapping, so the index
-	// stores that VPN inline and only allocates a set for the rare
-	// multiply-mapped frame.
-	byFrame map[FrameID]frameRef
+	// rev is the reverse lookup state, nil until the first reverse lookup
+	// (see frameIndex). One pointer keeps the table at 64 bytes.
+	rev *frameIndex
 
 	asid uint16
 	top  int32 // dense[top:] has never been mapped, so scans stop at top
@@ -132,6 +126,42 @@ func (pt *PageTable) growDense(vpn VPN) {
 	pt.dense = d
 }
 
+// frameIndex answers the reverse lookups, frame -> VPNs mapping it. Page
+// flipping revokes by frame on every packet, so revocation must not scan
+// the whole table. But most tables (identity-mapped domains that never
+// flip) never look a frame up, and most lookups that do happen ask about a
+// frame the table does not map: a flip of a driver buffer that came from
+// the allocator, not from the donor's memory, or a guest releasing a
+// flipped frame it never mapped. So both halves are built lazily.
+//
+// The first reverse lookup builds the filter, one bit per frame, set for
+// every frame in the table, in one pass; from then on Map sets the bit of
+// each frame it maps, and nothing clears one. A clear bit proves the frame
+// is not mapped, and the lookup answers at once. Only a lookup whose bit
+// is set builds byFrame, the index proper, and from then on every mutation
+// keeps it in lockstep. Almost every frame has exactly one mapping, so the
+// index stores that VPN inline and only allocates a set for the rare
+// multiply-mapped frame.
+type frameIndex struct {
+	mapped  []uint64             // the filter: bit f set for any frame Map may have mapped
+	byFrame map[FrameID]frameRef // nil until a lookup's bit is set
+}
+
+// mark sets f's bit, growing the filter to reach it.
+func (x *frameIndex) mark(f FrameID) {
+	w := int(f / 64)
+	if w >= len(x.mapped) {
+		x.mapped = append(x.mapped, make([]uint64, w+1-len(x.mapped))...)
+	}
+	x.mapped[w] |= 1 << (f % 64)
+}
+
+// mayMap reports whether f's bit is set: false proves f is not mapped.
+func (x *frameIndex) mayMap(f FrameID) bool {
+	w := int(f / 64)
+	return w < len(x.mapped) && x.mapped[w]&(1<<(f%64)) != 0
+}
+
 // frameRef is one reverse-index slot: the single mapping inline (the
 // overwhelmingly common case — no allocation), or the full set once a
 // second VPN maps the same frame.
@@ -140,49 +170,77 @@ type frameRef struct {
 	multi  map[VPN]struct{} // nil unless the frame is multiply mapped
 }
 
-// ensureIndex builds the reverse index on first demand; after this every
-// mutation maintains it incrementally.
-func (pt *PageTable) ensureIndex() {
-	if pt.byFrame != nil {
-		return
+// mappings returns the reverse-index slot of f, and false when f is not
+// mapped. It builds the filter on the table's first reverse lookup, sized
+// to the highest frame mapped, and the index on the first lookup the
+// filter cannot answer.
+func (pt *PageTable) mappings(f FrameID) (frameRef, bool) {
+	if pt.rev == nil {
+		hi := FrameID(0)
+		pt.Each(func(_ VPN, e PTE) { hi = max(hi, e.Frame) })
+		pt.rev = &frameIndex{mapped: make([]uint64, hi/64+1)}
+		pt.Each(func(_ VPN, e PTE) { pt.rev.mark(e.Frame) })
 	}
-	pt.byFrame = make(map[FrameID]frameRef, pt.n)
-	pt.Each(func(v VPN, e PTE) { pt.index(e.Frame, v) })
+	if !pt.rev.mayMap(f) {
+		return frameRef{}, false
+	}
+	if pt.rev.byFrame == nil {
+		pt.rev.byFrame = make(map[FrameID]frameRef, pt.n)
+		pt.Each(func(v VPN, e PTE) { pt.index(e.Frame, v) })
+	}
+	ref, ok := pt.rev.byFrame[f]
+	return ref, ok
 }
 
+// index records that v maps f, once the table has reverse lookup state.
+// Tables without it, almost all of them, pay a nil check.
 func (pt *PageTable) index(f FrameID, v VPN) {
-	if pt.byFrame == nil {
+	if pt.rev != nil {
+		pt.rev.add(f, v)
+	}
+}
+
+// unindex drops v's mapping of f from the reverse index, once it exists.
+func (pt *PageTable) unindex(f FrameID, v VPN) {
+	if pt.rev != nil && pt.rev.byFrame != nil {
+		pt.rev.remove(f, v)
+	}
+}
+
+// add records that v maps f: in the filter, and in the index once it
+// exists.
+func (x *frameIndex) add(f FrameID, v VPN) {
+	x.mark(f)
+	if x.byFrame == nil {
 		return
 	}
-	ref, ok := pt.byFrame[f]
+	ref, ok := x.byFrame[f]
 	switch {
 	case !ok:
-		pt.byFrame[f] = frameRef{single: v}
+		x.byFrame[f] = frameRef{single: v}
 	case ref.multi != nil:
 		ref.multi[v] = struct{}{}
 	case ref.single != v:
 		ref.multi = map[VPN]struct{}{ref.single: {}, v: {}}
-		pt.byFrame[f] = ref
+		x.byFrame[f] = ref
 	}
 }
 
-func (pt *PageTable) unindex(f FrameID, v VPN) {
-	if pt.byFrame == nil {
-		return
-	}
-	ref, ok := pt.byFrame[f]
+// remove drops v's mapping of f from the index. The filter keeps f's bit.
+func (x *frameIndex) remove(f FrameID, v VPN) {
+	ref, ok := x.byFrame[f]
 	if !ok {
 		return
 	}
 	if ref.multi == nil {
 		if ref.single == v {
-			delete(pt.byFrame, f)
+			delete(x.byFrame, f)
 		}
 		return
 	}
 	delete(ref.multi, v)
 	if len(ref.multi) == 0 {
-		delete(pt.byFrame, f)
+		delete(x.byFrame, f)
 	}
 }
 
@@ -274,12 +332,11 @@ func (pt *PageTable) Each(fn func(VPN, PTE)) {
 // FramesMapped returns how many entries reference frame f (used to verify
 // revocation: after an unmap-all, the count must be zero).
 func (pt *PageTable) FramesMapped(f FrameID) int {
-	pt.ensureIndex()
-	ref, ok := pt.byFrame[f]
-	if !ok {
+	ref, ok := pt.mappings(f)
+	switch {
+	case !ok:
 		return 0
-	}
-	if ref.multi == nil {
+	case ref.multi == nil:
 		return 1
 	}
 	return len(ref.multi)
@@ -287,10 +344,10 @@ func (pt *PageTable) FramesMapped(f FrameID) int {
 
 // UnmapFrame removes every mapping of frame f and returns how many were
 // removed. Page flipping and grant revocation use this on every packet, so
-// it walks the reverse index — O(mappings of f), not O(table).
+// it asks the frame filter and then the reverse index — O(mappings of f),
+// not O(table) — and a frame the table never mapped costs a bit test.
 func (pt *PageTable) UnmapFrame(f FrameID) int {
-	pt.ensureIndex()
-	ref, ok := pt.byFrame[f]
+	ref, ok := pt.mappings(f)
 	if !ok {
 		return 0
 	}
@@ -303,16 +360,16 @@ func (pt *PageTable) UnmapFrame(f FrameID) int {
 			pt.removeMapping(v)
 		}
 	}
-	delete(pt.byFrame, f)
+	delete(pt.rev.byFrame, f)
 	return n
 }
 
 // UnmapFrames removes every mapping of every frame in fs and returns how
 // many were removed. It clears them in one pass over the table and never
-// builds the reverse index (it keeps one current if it exists), so a table
-// that is only ever unmapped in batches (ballooning) never pays for it. The
-// pass tests each entry against fs linearly, which suits the small batches
-// ballooning hands it.
+// builds the frame filter or the reverse index (it keeps the index current
+// if it exists), so a table that is only ever unmapped in batches
+// (ballooning) never pays for them. The pass tests each entry against fs
+// linearly, which suits the small batches ballooning hands it.
 func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	if len(fs) == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"testing"
+	"unsafe"
 )
 
 // TestPageTableUnmapFramesWithoutIndex pins the batch unmap's contract:
@@ -19,8 +20,8 @@ func TestPageTableUnmapFramesWithoutIndex(t *testing.T) {
 	if n := pt.UnmapFrames([]FrameID{9, 3}); n != 4 {
 		t.Fatalf("unmapped %d entries, want 4", n)
 	}
-	if pt.byFrame != nil {
-		t.Fatal("batch unmap built the reverse index")
+	if pt.rev != nil {
+		t.Fatal("batch unmap built the frame filter or the reverse index")
 	}
 	if pt.Len() != 1 {
 		t.Fatalf("len %d after the batch, want 1", pt.Len())
@@ -93,6 +94,59 @@ func TestSizedPageTableGrowsIntoItsSlack(t *testing.T) {
 	}
 }
 
+// TestUnmappedFrameUnmapAllocatesNothing: UnmapFrame of a frame the table
+// never mapped answers from the frame filter, so it builds no reverse
+// index. The first lookup on a table allocates the filter and nothing
+// else; later ones allocate nothing at all.
+func TestUnmappedFrameUnmapAllocatesNothing(t *testing.T) {
+	const entries, runs = 256, 101 // AllocsPerRun's warm-up run, then 100
+	table := func() *PageTable {
+		pt := NewPageTableSized(1, entries)
+		for v := range VPN(entries) {
+			pt.Map(v, PTE{Frame: FrameID(v), Perms: PermRW})
+		}
+		return pt
+	}
+	fresh := make([]*PageTable, runs)
+	for i := range fresh {
+		fresh[i] = table()
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs-1, func() {
+		if fresh[i].UnmapFrame(entries+FrameID(i)) != 0 {
+			t.Fatal("UnmapFrame removed a mapping of a frame the table never mapped")
+		}
+		i++
+	}); n > 2 {
+		t.Errorf("the first UnmapFrame on a table allocates %.1f times, want at most 2 (the filter)", n)
+	}
+	pt := table()
+	if n := testing.AllocsPerRun(runs-1, func() {
+		if pt.UnmapFrame(entries+FrameID(i)) != 0 || pt.FramesMapped(NoFrame) != 0 {
+			t.Fatal("a frame the table never mapped has mappings")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("UnmapFrame of a never-mapped frame allocates %.1f times", n)
+	}
+	for _, p := range append(fresh, pt) {
+		if p.rev == nil || p.rev.byFrame != nil {
+			t.Fatal("an UnmapFrame of a never-mapped frame built the reverse index, or no filter")
+		}
+	}
+	if n := pt.UnmapFrame(7); n != 1 || pt.Len() != entries-1 {
+		t.Fatalf("UnmapFrame of a mapped frame removed %d mappings, leaving %d", n, pt.Len())
+	}
+}
+
+// TestPageTableSize: the frame filter and the reverse index hang off one
+// pointer, so the table a domain or space carries stays 64 bytes.
+func TestPageTableSize(t *testing.T) {
+	if n := unsafe.Sizeof(PageTable{}); n != 64 {
+		t.Fatalf("PageTable is %d bytes, want 64", n)
+	}
+}
+
 // ptModel is the reference page table: a plain map.
 type ptModel map[VPN]PTE
 
@@ -109,11 +163,15 @@ func (m ptModel) unmapFrame(f FrameID) int {
 
 // FuzzPageTable runs Map/Unmap/Lookup/Len/UnmapFrame/UnmapFrames streams
 // over dense, boundary and sparse VPNs with aliased frames, before and
-// after the reverse index is built, and checks the whole table against a
-// plain-map model after every op. Each stream runs on two tables at once:
-// a sized one, whose dense array grows from its hint's 8 entries as Map
-// reaches into its 72-VPN span, and a NewPageTable one, whose dense array
-// grows from 16 entries as Map reaches into its 256-VPN span.
+// after the frame filter and the reverse index are built, and checks the
+// whole table against a plain-map model after every op. The Len op also
+// looks up frames the stream never maps, which builds the filter but must
+// not build the index; from then on every op repeats those lookups, and
+// the frame counts checked once the index exists catch a Map that left a
+// filter bit clear. Each stream runs on two tables at once: a sized one,
+// whose dense array grows from its hint's 8 entries as Map reaches into
+// its 72-VPN span, and a NewPageTable one, whose dense array grows from 16
+// entries as Map reaches into its 256-VPN span.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 2, 2, 3, 4, 1, 2, 3, 0, 9, 2, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 0x80, 2, 1, 5, 2, 0, 0, 0, 0x50, 2, 3, 4, 2, 5, 1})
@@ -122,7 +180,10 @@ func FuzzPageTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tables := []*PageTable{NewPageTableSized(asid, hint), NewPageTable(asid)}
 		models := []ptModel{{}, {}}
-		indexed := false
+		indexed, filtered := false, false
+		// Frames the stream never maps: one in the filter's first word,
+		// one past the words the mapped frames need, and NoFrame.
+		unmapped := []FrameID{frames, 64*4 + 1, NoFrame}
 		// VPNs below 0x80 cover the sized table's hint, its growth into
 		// the span, the span's edge and the sparse map just past it, and
 		// the unsized table's growth steps. Bytes 0xa8..0xb7 give VPNs
@@ -176,8 +237,8 @@ func FuzzPageTable(f *testing.F) {
 					if got := pt.UnmapFrames(fs); got != want {
 						t.Fatalf("op %d, table %d: UnmapFrames(%v) removed %d, model %d", i, k, fs, got, want)
 					}
-					if !indexed && pt.byFrame != nil {
-						t.Fatalf("op %d, table %d: UnmapFrames built the reverse index", i, k)
+					if !indexed && !filtered && pt.rev != nil {
+						t.Fatalf("op %d, table %d: UnmapFrames built the frame filter or the reverse index", i, k)
 					}
 					desc = fmt.Sprintf("unmap frames %v", fs)
 				case 5:
@@ -187,9 +248,20 @@ func FuzzPageTable(f *testing.F) {
 					if pt.Len() != len(model) {
 						t.Fatalf("op %d, table %d: Len = %d, model %d", i, k, pt.Len(), len(model))
 					}
-					desc = "len"
+					filtered = true // the lookups below build the filter
+					desc = "len, look up unmapped frames"
 				}
 				where := fmt.Sprintf("op %d, table %d (%s)", i, k, desc)
+				if filtered {
+					for _, f := range unmapped {
+						if n, m := pt.UnmapFrame(f), pt.FramesMapped(f); n != 0 || m != 0 {
+							t.Fatalf("%s: never-mapped frame %d: UnmapFrame = %d, FramesMapped = %d", where, f, n, m)
+						}
+					}
+					if !indexed && pt.rev.byFrame != nil {
+						t.Fatalf("%s: looking up never-mapped frames built the reverse index", where)
+					}
+				}
 				if indexed {
 					for f := range FrameID(frames) {
 						want := 0

@@ -17,9 +17,10 @@ import (
 // real migration paid for with an IPI. A 1-CPU machine collapses to the
 // single global queue the macro experiments (E8) were calibrated on.
 type scheduler struct {
-	k      *Kernel
-	cpus   []*cpuQueue // one per machine CPU; index == hw CPU index
-	steals uint64
+	k       *Kernel
+	cpus    []*cpuQueue // one per machine CPU; index == hw CPU index
+	steals  uint64
+	targets []int // cpusRunningSpace's result, reused
 }
 
 // cpuQueue is one CPU's run queue: priority classes in FIFO order plus the
@@ -196,9 +197,11 @@ func (k *Kernel) SetAffinity(tid ThreadID, cpu int) error {
 
 // cpusRunningSpace returns the CPUs (ascending, excluding except) whose
 // installed thread belongs to space s — the set whose TLBs may cache the
-// space's translations and therefore the target list for a shootdown.
+// space's translations and therefore the target list for a shootdown. The
+// list is the scheduler's scratch slice, valid until the next call; its
+// caller hands it straight to the shootdown.
 func (k *Kernel) cpusRunningSpace(s *Space, except int) []int {
-	var out []int
+	out := k.sched.targets[:0]
 	for i, q := range k.sched.cpus {
 		if i == except {
 			continue
@@ -207,5 +210,6 @@ func (k *Kernel) cpusRunningSpace(s *Space, except int) []int {
 			out = append(out, i)
 		}
 	}
+	k.sched.targets = out
 	return out
 }

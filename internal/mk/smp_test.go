@@ -222,3 +222,39 @@ func TestUniprocessorKernelChargesNoSMP(t *testing.T) {
 		t.Fatal("uniprocessor kernel recorded cross-CPU activity")
 	}
 }
+
+// TestUnmapPageAllocatesNothing: unmapping a page of a space that runs on
+// every CPU of a 4-CPU kernel finds the shootdown targets and interrupts
+// them without allocating.
+func TestUnmapPageAllocatesNothing(t *testing.T) {
+	m, k, _, _ := smpRig(t, 4)
+	sp, err := k.NewSpace("shared", NilThread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 4; c++ {
+		w := k.NewThread(sp, fmt.Sprintf("w%d", c), 5, nil)
+		if err := k.SetAffinity(w.ID, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < 4; c++ {
+		k.ScheduleOn(c)
+	}
+	frames, err := k.AllocAndMap(sp, 0x100, 1, hw.PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Rec.Counts(trace.KTLBShootdown)
+	if n := testing.AllocsPerRun(100, func() {
+		k.MapPage(sp, 0x100, frames[0], hw.PermRW)
+		k.UnmapPage(sp, 0x100)
+	}); n != 0 {
+		t.Errorf("map + unmap of a page live on 4 CPUs allocates %.1f times", n)
+	}
+	// 101 unmaps (AllocsPerRun's warm-up included), each shooting down the
+	// three CPUs other than the initiator.
+	if got := m.Rec.Counts(trace.KTLBShootdown) - before; got != 101*3 {
+		t.Fatalf("%d shootdowns, want %d", got, 101*3)
+	}
+}

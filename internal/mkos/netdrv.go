@@ -164,8 +164,9 @@ func (d *NetDriver) rx(k *mk.Kernel) {
 		}
 		// The kernel copies message bodies into its registers on
 		// delivery, so the frame's live bytes can ride in the descriptor
-		// directly — one copy per packet (the kernel's), not two.
-		payload := k.M.Mem.Bytes(c.Frame)[:c.Len]
+		// directly — one copy per packet (the kernel's), not two. A
+		// frame that reads zero rides as shared zero bytes.
+		payload := k.M.Mem.View(c.Frame, c.Len)
 		switch d.Mode {
 		case RxGrant:
 			// Zero-copy delivery: grant the packet page to the client

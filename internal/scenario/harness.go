@@ -65,23 +65,28 @@ func Run(opts Options) ([]RowResult, error) {
 			rows = append(rows, s)
 		}
 	}
+	// Every leg runs on this one descriptor. No row writes to its
+	// machine's Arch, so the legs share it, and the pools, which key
+	// machines by the Arch's value, reuse machines as before.
+	arch := hw.X86()
 	r := core.NewRunner(opts.Parallel)
 	return core.RunCells(r, len(rows), func(pool *hw.MachinePool, i int) (RowResult, error) {
-		return execute(pool, rows[i]), nil
+		return execute(pool, arch, rows[i]), nil
 	})
 }
 
-// execute runs one row's two legs on machines from pool and folds them into
-// a result. When the row declares a Compare, both legs' Envs are retained
-// and the cross-leg invariant is graded after both legs pass on their own.
-func execute(pool *hw.MachinePool, s S) RowResult {
+// execute runs one row's two legs on arch machines from pool and folds them
+// into a result. When the row declares a Compare, both legs' Envs are
+// retained and the cross-leg invariant is graded after both legs pass on
+// their own.
+func execute(pool *hw.MachinePool, arch *hw.Arch, s S) RowResult {
 	res := RowResult{
 		ID: s.ID, Subsystem: s.Subsystem, Fault: s.Fault,
 		Expect: s.Expect.Desc, Status: StatusPass,
 	}
 	var legs [2]*Env
 	for i, armed := range []bool{false, true} {
-		env, detail, skip := runLeg(pool, s, armed)
+		env, detail, skip := runLeg(pool, arch, s, armed)
 		if skip != "" {
 			res.Status, res.Detail = StatusSkip, skip
 			return res
@@ -102,20 +107,24 @@ func execute(pool *hw.MachinePool, s S) RowResult {
 	return res
 }
 
-// runLeg executes one leg of a row on a pooled machine, grades it, and
-// returns the leg's Env for cross-leg comparison. The leg's machines go
+// runLeg executes one leg of a row on a pooled arch machine, grades it,
+// and returns the leg's Env for cross-leg comparison. The leg's machines go
 // back to the pool after its Check.
-func runLeg(pool *hw.MachinePool, s S, armed bool) (env *Env, detail, skip string) {
+func runLeg(pool *hw.MachinePool, arch *hw.Arch, s S, armed bool) (env *Env, detail, skip string) {
 	cfg := s.Cfg
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	env = &Env{M: pool.Get(hw.X86(), cfg), Armed: armed, pool: pool}
+	env = &Env{M: pool.Get(arch, cfg), Armed: armed, pool: pool, arch: arch}
 	defer env.release()
 	err, panicMsg := invoke(s.Run, env)
-	var sk *skipError
-	if errors.As(err, &sk) {
-		return env, "", sk.reason
+	if err != nil {
+		// Declared here, errors.As's target reaches the heap only on a leg
+		// that failed.
+		var sk *skipError
+		if errors.As(err, &sk) {
+			return env, "", sk.reason
+		}
 	}
 	leg := "control"
 	if armed {

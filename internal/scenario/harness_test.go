@@ -45,7 +45,7 @@ func TestMatrixReturnsEveryMachine(t *testing.T) {
 		row = s.ID
 		hits0, misses0 := pool.Stats()
 		puts0 := puts
-		execute(pool, s)
+		execute(pool, hw.X86(), s)
 		hits, misses := pool.Stats()
 		if gets := hits - hits0 + misses - misses0; gets == 0 || uint64(puts-puts0) != gets {
 			t.Errorf("%s: took %d machines from the pool and put back %d", row, gets, puts-puts0)
@@ -144,7 +144,7 @@ func fabricate(expect Outcome, run func(*Env) error) S {
 // regression in the test, not a pass.
 func TestHarnessFaultMustFire(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "sentinel", Err: sentinel},
 		func(env *Env) error { return nil }, // fault never fires
 	))
@@ -156,7 +156,7 @@ func TestHarnessFaultMustFire(t *testing.T) {
 // TestHarnessWrongError: the armed leg returning a different error than
 // declared must fail the row.
 func TestHarnessWrongError(t *testing.T) {
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "sentinel", Err: errors.New("declared")},
 		func(env *Env) error {
 			if env.Armed {
@@ -175,7 +175,7 @@ func TestHarnessWrongError(t *testing.T) {
 // the armed leg's result means nothing.
 func TestHarnessControlMustPass(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "sentinel", Err: sentinel},
 		func(env *Env) error { return sentinel }, // fails both legs
 	))
@@ -187,7 +187,7 @@ func TestHarnessControlMustPass(t *testing.T) {
 // TestHarnessUnexpectedPanic: a panic in a row that declared no panic must
 // fail that row (and only that row).
 func TestHarnessUnexpectedPanic(t *testing.T) {
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "sentinel", Err: errors.New("declared")},
 		func(env *Env) error { panic("boom") },
 	))
@@ -199,7 +199,7 @@ func TestHarnessUnexpectedPanic(t *testing.T) {
 // TestHarnessExpectedPanic: a declared panic substring must match the armed
 // leg's panic, and the control leg must still run clean.
 func TestHarnessExpectedPanic(t *testing.T) {
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "panic: boom", Panic: "boom"},
 		func(env *Env) error {
 			if env.Armed {
@@ -215,7 +215,7 @@ func TestHarnessExpectedPanic(t *testing.T) {
 
 // TestHarnessPanicMismatch: an armed panic with the wrong message must fail.
 func TestHarnessPanicMismatch(t *testing.T) {
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "panic: boom", Panic: "boom"},
 		func(env *Env) error {
 			if env.Armed {
@@ -233,7 +233,7 @@ func TestHarnessPanicMismatch(t *testing.T) {
 // fail) in the control leg too — predicates assert both sides of the fault.
 func TestHarnessCheckRunsBothLegs(t *testing.T) {
 	var legs []bool
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "check", Check: func(env *Env) error {
 			legs = append(legs, env.Armed)
 			return nil
@@ -247,7 +247,7 @@ func TestHarnessCheckRunsBothLegs(t *testing.T) {
 		t.Fatalf("check ran for legs %v, want [false true]", legs)
 	}
 
-	res = execute(nil, fabricate(
+	res = execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "check", Check: func(env *Env) error {
 			if !env.Armed {
 				return fmt.Errorf("control state wrong")
@@ -264,7 +264,7 @@ func TestHarnessCheckRunsBothLegs(t *testing.T) {
 // TestHarnessSkip: a row that returns Skip is reported as skipped, with the
 // reason, and does not fail the matrix.
 func TestHarnessSkip(t *testing.T) {
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "never", Err: errors.New("never")},
 		func(env *Env) error { return Skip("needs 8 CPUs") },
 	))
@@ -278,7 +278,7 @@ func TestHarnessSkip(t *testing.T) {
 // the row with a cross-leg detail.
 func TestHarnessCompare(t *testing.T) {
 	ran := 0
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			ran++
 			if control.Armed || !armed.Armed {
@@ -298,7 +298,7 @@ func TestHarnessCompare(t *testing.T) {
 		t.Fatalf("Compare ran %d times, want 1", ran)
 	}
 
-	res = execute(nil, fabricate(
+	res = execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			return fmt.Errorf("delta out of bounds")
 		}},
@@ -314,7 +314,7 @@ func TestHarnessCompare(t *testing.T) {
 // what the matrix reports.
 func TestHarnessCompareSkippedOnLegFailure(t *testing.T) {
 	ran := false
-	res := execute(nil, fabricate(
+	res := execute(nil, hw.X86(), fabricate(
 		Outcome{Desc: "trace invariant", Compare: func(control, armed *Env) error {
 			ran = true
 			return nil

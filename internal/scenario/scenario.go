@@ -71,9 +71,11 @@ type Env struct {
 	State any
 
 	// pool is the worker's machine pool the leg takes its machines from,
-	// and extra the machines Machine handed out beyond M. The harness puts
-	// them all back when the leg ends.
+	// arch the descriptor they are built for, and extra the machines
+	// Machine handed out beyond M. The harness puts them all back when the
+	// leg ends.
 	pool  *hw.MachinePool
+	arch  *hw.Arch
 	extra []*hw.Machine
 }
 
@@ -84,7 +86,7 @@ func (e *Env) Machine(cfg *hw.MachineConfig) *hw.Machine {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	m := e.pool.Get(hw.X86(), cfg)
+	m := e.pool.Get(e.arch, cfg)
 	e.extra = append(e.extra, m)
 	return m
 }

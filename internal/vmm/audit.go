@@ -14,7 +14,9 @@ import (
 //   - the M2P and the live P2Ms agree in both directions;
 //   - each domain's resident count equals a scan of its P2M;
 //   - the hole list names every empty P2M slot exactly once, and nothing
-//     else.
+//     else;
+//   - the grant table's free list names every revoked grant no foreign
+//     mapping holds exactly once, and nothing else.
 //
 // Audit allocates and walks every table, so it is a test oracle, not
 // something the simulation calls.
@@ -56,6 +58,9 @@ func (h *Hypervisor) Audit() error {
 		if holes := len(d.frames) - n; len(d.holes) != holes {
 			return fmt.Errorf("vmm audit: %s has %d P2M holes, its hole list names %d", d.Name, holes, len(d.holes))
 		}
+		if err := d.grants.audit(); err != nil {
+			return fmt.Errorf("vmm audit: %s %w", d.Name, err)
+		}
 	}
 	for f, g := range h.m2p {
 		if g == 0 {
@@ -64,6 +69,28 @@ func (h *Hypervisor) Audit() error {
 		d := byComp[h.M.Mem.Owner(hw.FrameID(f))]
 		if d == nil || d.FrameAt(int(g)-1) != hw.FrameID(f) {
 			return fmt.Errorf("vmm audit: M2P maps frame %d to gpn %d, which no live P2M holds", f, g-1)
+		}
+	}
+	return nil
+}
+
+// audit checks a live domain's grant table: the free list names each
+// revoked entry without foreign mappings once, and no other entry.
+func (g *grantTable) audit() error {
+	listed := make([]bool, len(g.entries))
+	for next := g.free; next != 0; next = int(g.entries[next-1].frame) {
+		slot := next - 1
+		if slot < 0 || slot >= len(g.entries) {
+			return fmt.Errorf("grant free list names slot %d of %d", slot, len(g.entries))
+		}
+		if listed[slot] {
+			return fmt.Errorf("grant free list names slot %d twice", slot)
+		}
+		listed[slot] = true
+	}
+	for slot, e := range g.entries {
+		if free := e.revoked && e.mapped == 0; free != listed[slot] {
+			return fmt.Errorf("grant slot %d (revoked %v, %d mappings) is listed free: %v", slot, e.revoked, e.mapped, listed[slot])
 		}
 	}
 	return nil

@@ -5,16 +5,27 @@ import (
 	"vmmk/internal/trace"
 )
 
-// GrantRef names an entry in a domain's grant table.
+// GrantRef names an entry in a domain's grant table: the entry's slot,
+// plus its generation times grantRefStride.
 type GrantRef int
 
-// grantEntry is one granted page.
+// grantRefStride separates the refs of successive occupants of one grant
+// slot, as chanPortStride separates channel ports. Every ref below it
+// names generation 0, and slot indexes stay far below it in any realistic
+// run.
+const grantRefStride = 1 << 24
+
+// grantEntry is one granted page. Nothing reads a freed entry's frame, so
+// while the slot is free its frame field links the free list instead, and
+// an entry stays 16 bytes: guest-issued grants, which nothing frees, still
+// cost one entry per request.
 type grantEntry struct {
-	frame    hw.FrameID
+	frame    hw.FrameID // the granted page; while free, 1 + the next free slot, 0 at the list's end
 	to       DomID
 	readOnly bool
 	revoked  bool
-	mapped   int // active foreign mappings
+	mapped   int32 // active foreign mappings
+	gen      int32 // the slot's generation: bumped when the slot is freed
 }
 
 // grantTable is a domain's table of pages it has offered to other domains.
@@ -23,8 +34,18 @@ type grantEntry struct {
 // lookup helpers hand out are into the slice and stay valid only until the
 // next GrantAccess, which every caller satisfies by finishing its hypercall
 // before issuing another grant.
+//
+// A slot whose entry is revoked with no foreign mapping left goes on the
+// free list, and GrantAccess reuses it, so a driver that grants each
+// packet's page and has it flipped or revoked keeps a table of a few
+// entries, not one per packet. The list is LIFO and runs through the free
+// entries themselves, so it costs the Domain one word. Freeing a slot
+// bumps its generation, which every ref encodes, so a ref to an earlier
+// occupant stays stale: it gets ErrGrantRevoked, as a revoked entry does,
+// and never reaches the slot's next grant.
 type grantTable struct {
 	entries []grantEntry
+	free    int // 1 + the first free slot, 0 when none is free
 }
 
 func (g *grantTable) revokeAll() {
@@ -33,8 +54,37 @@ func (g *grantTable) revokeAll() {
 	}
 }
 
+// entry resolves ref to its slot's entry, and reports whether ref names the
+// slot's current occupant rather than an earlier one. A ref that names no
+// slot, or a generation the slot has not reached, resolves to nil.
+func (g *grantTable) entry(ref GrantRef) (e *grantEntry, current bool) {
+	if ref < 0 {
+		return nil, false
+	}
+	slot, gen := int(ref%grantRefStride), int(ref/grantRefStride)
+	if slot >= len(g.entries) || gen > int(g.entries[slot].gen) {
+		return nil, false
+	}
+	e = &g.entries[slot]
+	return e, gen == int(e.gen)
+}
+
+// release frees the slot of the entry ref currently names once that entry
+// is revoked and no foreign mapping is left. Every caller has just revoked
+// the entry or dropped one of its mappings, and a revoked entry gains no
+// mapping, so each occupant frees its slot once.
+func (g *grantTable) release(ref GrantRef) {
+	slot := int(ref % grantRefStride)
+	if e := &g.entries[slot]; e.revoked && e.mapped == 0 {
+		e.gen++
+		e.frame = hw.FrameID(g.free)
+		g.free = slot + 1
+	}
+}
+
 // GrantAccess creates a grant of the owner's frame to domain to. The owner
 // must actually own the frame; this is the monitor's validation burden.
+// The grant takes a freed slot when there is one.
 func (h *Hypervisor) GrantAccess(owner DomID, frame hw.FrameID, to DomID, readOnly bool) (GrantRef, error) {
 	d, err := h.lookup(owner)
 	if err != nil {
@@ -45,10 +95,24 @@ func (h *Hypervisor) GrantAccess(owner DomID, frame hw.FrameID, to DomID, readOn
 	}
 	h.hypercallEntry(d)
 	defer h.hypercallExit(d)
-	d.grants.entries = append(d.grants.entries, grantEntry{frame: frame, to: to, readOnly: readOnly})
+	g := &d.grants
+	slot := len(g.entries)
+	if g.free > 0 {
+		slot = g.free - 1
+		g.free = int(g.entries[slot].frame)
+	} else {
+		g.entries = append(g.entries, grantEntry{})
+	}
+	gen := g.entries[slot].gen
+	g.entries[slot] = grantEntry{frame: frame, to: to, readOnly: readOnly, gen: gen}
 	h.M.CPU.Work(h.comp, 60)
-	return GrantRef(len(d.grants.entries) - 1), nil
+	return GrantRef(int(gen)*grantRefStride + slot), nil
 }
+
+// GrantSlots returns how many slots the domain's grant table holds, free
+// ones included: the table's size, which the slot reuse bounds by the
+// grants outstanding at once.
+func (d *Domain) GrantSlots() int { return len(d.grants.entries) }
 
 // lookupGrant validates a (owner, ref) pair for use by domain user.
 func (h *Hypervisor) lookupGrant(owner DomID, ref GrantRef, user DomID) (*Domain, *grantEntry, error) {
@@ -56,11 +120,11 @@ func (h *Hypervisor) lookupGrant(owner DomID, ref GrantRef, user DomID) (*Domain
 	if d == nil || d.Dead {
 		return nil, nil, ErrDomainDead
 	}
-	if ref < 0 || int(ref) >= len(d.grants.entries) {
+	e, current := d.grants.entry(ref)
+	if e == nil {
 		return nil, nil, ErrBadGrant
 	}
-	e := &d.grants.entries[ref]
-	if e.revoked {
+	if !current || e.revoked {
 		return nil, nil, ErrGrantRevoked
 	}
 	if e.to != user {
@@ -100,18 +164,26 @@ func (h *Hypervisor) GrantMap(user DomID, owner DomID, ref GrantRef, vpn hw.VPN)
 // GrantUnmap removes a previously mapped grant from the user domain. The
 // owner may already be dead or destroyed — tearing down one's own mapping
 // of a defunct peer's page must always succeed (frontends unmap after a
-// backend crash); only the grant's map count is then left unadjusted.
+// backend crash); only the grant's map count is then left unadjusted. So
+// is it for a stale ref, whose slot another grant may hold by now. The
+// last unmap of a revoked grant frees its slot.
 func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VPN) error {
 	ud, err := h.lookup(user)
 	if err != nil {
 		return err
 	}
-	var e *grantEntry
+	var (
+		g *grantTable
+		e *grantEntry
+	)
 	if d := h.dom(owner); d != nil {
-		if ref < 0 || int(ref) >= len(d.grants.entries) {
+		ge, current := d.grants.entry(ref)
+		if ge == nil {
 			return ErrBadGrant
 		}
-		e = &d.grants.entries[ref]
+		if current {
+			g, e = &d.grants, ge
+		}
 	} else if int(owner) >= len(h.domains) {
 		return ErrNoSuchDomain
 	}
@@ -120,6 +192,7 @@ func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VP
 	ud.PT.Unmap(vpn)
 	if e != nil && e.mapped > 0 {
 		e.mapped--
+		g.release(ref)
 	}
 	h.M.CPU.Work(h.comp, h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.FlushTLBEntry(h.comp, ud.PT.ASID(), vpn)
@@ -180,19 +253,23 @@ func (h *Hypervisor) GrantTransfer(user DomID, owner DomID, ref GrantRef) (hw.Fr
 	h.hypercallEntry(ud)
 	defer h.hypercallExit(ud)
 
+	// The flip consumes the grant, and a freed slot's frame field links
+	// the free list, so the frame is read once, here.
+	f := e.frame
+	e.revoked = true
+	od.grants.release(ref)
 	// Tear down the previous owner's mappings of the frame.
-	removed := od.PT.UnmapFrame(e.frame)
+	removed := od.PT.UnmapFrame(f)
 	h.M.CPU.Work(h.comp, hw.Cycles(removed)*h.M.Arch.Costs.PTEUpdate)
 	// Ownership moves in the physical ledger and in both frame lists.
-	h.M.Mem.Transfer(e.frame, ud.comp)
-	od.removeFrame(e.frame)
-	ud.addFrame(e.frame)
-	e.revoked = true
+	h.M.Mem.Transfer(f, ud.comp)
+	od.removeFrame(f)
+	ud.addFrame(f)
 	// TLB shootdown: the flip invalidates translations machine-wide.
 	h.M.CPU.FlushTLB(h.comp)
 	h.M.CPU.Charge(h.comp, trace.KPageFlip,
 		2*h.M.Arch.Costs.PTEUpdate+h.M.Arch.Costs.TLBFlushAll+200)
-	return e.frame, nil
+	return f, nil
 }
 
 // removeFrame punches a hole in the pseudo-physical map: after a flip the
@@ -235,18 +312,24 @@ func (d *Domain) pruneHole(gpn int) {
 	}
 }
 
-// GrantRevoke withdraws a grant the owner previously issued.
+// GrantRevoke withdraws a grant the owner previously issued. Revoking a
+// revoked grant, or through a stale ref, changes nothing but still costs
+// the hypercall. A revoked grant nobody has mapped frees its slot.
 func (h *Hypervisor) GrantRevoke(owner DomID, ref GrantRef) error {
 	d, err := h.lookup(owner)
 	if err != nil {
 		return err
 	}
-	if ref < 0 || int(ref) >= len(d.grants.entries) {
+	e, current := d.grants.entry(ref)
+	if e == nil {
 		return ErrBadGrant
 	}
 	h.hypercallEntry(d)
 	defer h.hypercallExit(d)
-	d.grants.entries[ref].revoked = true
+	if current && !e.revoked {
+		e.revoked = true
+		d.grants.release(ref)
+	}
 	h.M.CPU.Work(h.comp, 40)
 	return nil
 }

@@ -818,3 +818,71 @@ func TestTenPrimitivesAllObservable(t *testing.T) {
 		t.Fatalf("census sees %d distinct VMM primitives, want 10", got)
 	}
 }
+
+// TestGrantSlotReuseKeepsStaleRefsDead: a revoked, unmapped grant frees its
+// slot and the next grant takes it under a new ref. The old ref stays dead
+// for every operation and never reaches the new grant: map, copy and
+// transfer refuse it as revoked, and a revoke or unmap through it leaves
+// the new grant and its mapping count alone. A grant revoked while mapped
+// keeps its slot until the last unmap.
+func TestGrantSlotReuseKeepsStaleRefsDead(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	h, d0, dU := r.h, r.dom0.ID, r.domU.ID
+	stale, err := h.GrantAccess(d0, r.dom0.FrameAt(0), dU, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.GrantRevoke(d0, stale); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := h.GrantAccess(d0, r.dom0.FrameAt(1), dU, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref == stale || r.dom0.GrantSlots() != 1 {
+		t.Fatalf("second grant got ref %d (first %d) in a %d-slot table; want a new ref in the freed slot", ref, stale, r.dom0.GrantSlots())
+	}
+	audit(t, h)
+	if err := h.GrantMap(dU, d0, stale, 0x300); !errors.Is(err, ErrGrantRevoked) {
+		t.Fatalf("map through a stale ref: %v, want ErrGrantRevoked", err)
+	}
+	if err := h.GrantCopy(dU, d0, stale, r.domU.FrameAt(0), 16); !errors.Is(err, ErrGrantRevoked) {
+		t.Fatalf("copy through a stale ref: %v, want ErrGrantRevoked", err)
+	}
+	if _, err := h.GrantTransfer(dU, d0, stale); !errors.Is(err, ErrGrantRevoked) {
+		t.Fatalf("transfer through a stale ref: %v, want ErrGrantRevoked", err)
+	}
+	for _, bad := range []GrantRef{-1, 1, 1<<20 + 5, ref + grantRefStride} {
+		if err := h.GrantMap(dU, d0, bad, 0x300); !errors.Is(err, ErrBadGrant) {
+			t.Fatalf("map through ref %d, never issued: %v, want ErrBadGrant", bad, err)
+		}
+	}
+	if err := h.GrantMap(dU, d0, ref, 0x300); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.GrantRevoke(d0, stale); err != nil {
+		t.Fatalf("revoke through a stale ref: %v", err)
+	}
+	if err := h.GrantUnmap(dU, d0, stale, 0x301); err != nil {
+		t.Fatalf("unmap through a stale ref: %v", err)
+	}
+	if err := h.GrantCopy(dU, d0, ref, r.domU.FrameAt(0), 16); err != nil {
+		t.Fatalf("the slot's grant stopped working after stale-ref calls: %v", err)
+	}
+	audit(t, h)
+	// Revoked while mapped: the slot stays taken until the unmap.
+	if err := h.GrantRevoke(d0, ref); err != nil {
+		t.Fatal(err)
+	}
+	if next, _ := h.GrantAccess(d0, r.dom0.FrameAt(2), dU, false); r.dom0.GrantSlots() != 2 {
+		t.Fatalf("a grant revoked while mapped gave up its slot to ref %d", next)
+	}
+	audit(t, h)
+	if err := h.GrantUnmap(dU, d0, ref, 0x300); err != nil {
+		t.Fatal(err)
+	}
+	audit(t, h)
+	if _, err := h.GrantAccess(d0, r.dom0.FrameAt(3), dU, false); err != nil || r.dom0.GrantSlots() != 2 {
+		t.Fatalf("the last unmap of a revoked grant did not free its slot: %d slots, %v", r.dom0.GrantSlots(), err)
+	}
+}

@@ -96,7 +96,7 @@ func (a *KVAppliance) serve(conn *kvConn) {
 		return
 	}
 	e, _ := a.Dom.PT.Lookup(window)
-	key, value := splitKVPage(h.M.Mem.Bytes(e.Frame)[:r.n])
+	key, value := splitKVPage(h.M.Mem.View(e.Frame, r.n))
 	switch r.op {
 	case 0x200: // get
 		if v, ok := a.data[key]; ok {
