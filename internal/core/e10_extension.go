@@ -6,7 +6,6 @@ import (
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
 	"vmmk/internal/mkos"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
 )
@@ -51,7 +50,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 	cells := []func(*hw.MachinePool) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.
 		func(pool *hw.MachinePool) ([]E10Row, error) {
-			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 512})
+			m := pool.Get(x86, &hw.MachineConfig{Frames: 512})
 			defer pool.Put(m)
 			k := mk.New(m)
 			snap := m.Rec.Snapshot()
@@ -67,7 +66,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 			if err := kv.Put(client.ID, "k", []byte("v")); err != nil {
 				return nil, err
 			}
-			boot := distinctSince(m.Rec, snap)
+			boot := m.Rec.DistinctPrimitives(snap, "")
 
 			snap2 := m.Rec.Snapshot()
 			t0 := m.Now()
@@ -76,7 +75,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 					return nil, fmt.Errorf("E10 mk get: ok=%v err=%v", ok, err)
 				}
 			}
-			serve := distinctSince(m.Rec, snap2)
+			serve := m.Rec.DistinctPrimitives(snap2, "")
 			return []E10Row{{
 				Platform:        "mk",
 				BootPrimitives:  len(boot),
@@ -87,7 +86,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 		},
 		// --- VMM: a domain with hooks, channels and grants.
 		func(pool *hw.MachinePool) ([]E10Row, error) {
-			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 1024})
+			m := pool.Get(x86, &hw.MachineConfig{Frames: 1024})
 			defer pool.Put(m)
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
@@ -111,7 +110,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 			if err := cl.Put("k", []byte("v")); err != nil {
 				return nil, err
 			}
-			boot := distinctSince(m.Rec, snap)
+			boot := m.Rec.DistinctPrimitives(snap, "")
 
 			snap2 := m.Rec.Snapshot()
 			t0 := m.Now()
@@ -120,7 +119,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 					return nil, fmt.Errorf("E10 vmm get: ok=%v err=%v", ok, err)
 				}
 			}
-			serve := distinctSince(m.Rec, snap2)
+			serve := m.Rec.DistinctPrimitives(snap2, "")
 			return []E10Row{{
 				Platform:        "vmm",
 				BootPrimitives:  len(boot),
@@ -131,21 +130,6 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 		},
 	}
 	return runFuncs(r, cells)
-}
-
-// distinctSince returns the primitive kinds whose counters moved since the
-// snapshot.
-func distinctSince(rec *trace.Recorder, snap trace.Snapshot) []trace.Kind {
-	var out []trace.Kind
-	for k := trace.Kind(0); int(k) < trace.NKinds; k++ {
-		if !k.IsMKPrimitive() && !k.IsVMMPrimitive() {
-			continue
-		}
-		if rec.CountsSince(snap, k) > 0 {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // e10Table builds the registry table.

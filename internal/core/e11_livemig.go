@@ -102,7 +102,7 @@ func e11Mach(frames int) *hw.MachineConfig {
 // e11Cell boots a source stack with one guest and an empty destination
 // hypervisor, then migrates the guest while it writes rate pages per round.
 func e11Cell(pool *hw.MachinePool, frames, rate, budget int) (E11Row, error) {
-	srcM := pool.Get(hw.X86(), e11Mach(frames))
+	srcM := pool.Get(x86, e11Mach(frames))
 	defer pool.Put(srcM)
 	srcH, _, err := vmm.New(srcM, 64)
 	if err != nil {
@@ -120,7 +120,7 @@ func e11Cell(pool *hw.MachinePool, frames, rate, budget int) (E11Row, error) {
 	}
 	srcM.Mem.Write(dom.FrameAt(frames-1), 16, []byte(marker))
 
-	dstM := pool.Get(hw.X86(), e11Mach(frames))
+	dstM := pool.Get(x86, e11Mach(frames))
 	defer pool.Put(dstM)
 	dstH, _, err := vmm.New(dstM, 64)
 	if err != nil {

@@ -164,7 +164,7 @@ func e12Row(m *hw.Machine, workload, platform string, ncpus, ops int) E12Row {
 // CPU, round-robin. Calls to servers homed on other CPUs pay the wake and
 // reply IPIs the kernel's cross-CPU IPC path charges.
 func e12PingPongMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12PingPongMKMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12PingPongMKMach, ncpus))
 	defer pool.Put(m)
 	k := mk.New(m)
 	cs, err := k.NewSpace("client", mk.NilThread)
@@ -203,7 +203,7 @@ func e12PingPongMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 // CPU, round-robin. Delivery into a domain whose vCPU is placed on another
 // pCPU pays the kick IPI.
 func e12PingPongVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12PingPongVMMMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12PingPongVMMMach, ncpus))
 	defer pool.Put(m)
 	h, _, err := vmm.New(m, 128)
 	if err != nil {
@@ -239,7 +239,7 @@ func e12PingPongVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 // reschedule IPI each direction. No protection-domain crossing, but the
 // hardware coordination cost is the same order as the structured systems'.
 func e12PingPongNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12NativeMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12NativeMach, ncpus))
 	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
 	// The per-round-trip costs are uniform, so the whole run lands as
@@ -265,7 +265,7 @@ func e12PingPongNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 // shoot the stale writable translations out of every pCPU hosting one of
 // its vCPUs — Xen's log-dirty broadcast, growing linearly with placement.
 func e12DirtyScanVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12ScanVMMMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12ScanVMMMach, ncpus))
 	defer pool.Put(m)
 	h, _, err := vmm.New(m, 64)
 	if err != nil {
@@ -303,7 +303,7 @@ func e12DirtyScanVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 // pages mapped and unmapped under it, twice. Each unmap invalidates
 // locally and shoots down every other CPU currently running the space.
 func e12DirtyScanMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12ScanMKMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12ScanMKMach, ncpus))
 	defer pool.Put(m)
 	k := mk.New(m)
 	s, err := k.NewSpace("scan", mk.NilThread)
@@ -337,7 +337,7 @@ func e12DirtyScanMK(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 // pool — per-page PTE update, local invalidation, and on SMP a
 // single-entry shootdown broadcast to every other core.
 func e12DirtyScanNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
-	m := pool.Get(hw.X86(), e12Mach(e12NativeMach, ncpus))
+	m := pool.Get(x86, e12Mach(e12NativeMach, ncpus))
 	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
 	var targets []int

@@ -96,7 +96,7 @@ func (r *Runner) E13(fleets, churns []int, hostFrames int) ([]E13Row, error) {
 // e13Cell boots one fleet, runs its churn, and reads the meters.
 func e13Cell(pool *hw.MachinePool, fleet, churn, hostFrames int, pol cluster.Policy) (E13Row, error) {
 	src := func(mc *hw.MachineConfig) (*hw.Machine, func()) {
-		m := pool.Get(hw.X86(), mc)
+		m := pool.Get(x86, mc)
 		return m, func() { pool.Put(m) }
 	}
 	cl, err := cluster.New(cluster.Config{

@@ -44,8 +44,7 @@ type E1Row struct {
 	PktSize     int
 	Packets     int
 	Flips       uint64
-	DriverCyc   uint64 // Dom0 + monitor cycles in the window
-	GuestCyc    uint64
+	DriverCyc   uint64  // Dom0 + monitor cycles in the window
 	DriverShare float64 // driver-side fraction of total window cycles
 	PerPktCyc   uint64  // driver-side cycles per packet
 	PerFlipCyc  uint64  // driver-side cycles per flip (0 in copy mode)
@@ -70,7 +69,6 @@ func (r *Runner) E1(packets int) ([]E1Row, error) {
 		rec := s.M().Rec
 		snap := rec.Snapshot()
 		driver0 := s.DriverSideCycles()
-		guest0 := rec.CyclesPrefix("vmm.domU")
 		total0 := rec.TotalCycles()
 
 		s.InjectPackets(packets, size, 0)
@@ -78,7 +76,6 @@ func (r *Runner) E1(packets int) ([]E1Row, error) {
 
 		flips := rec.CountsSince(snap, trace.KPageFlip)
 		driver := s.DriverSideCycles() - driver0
-		guest := rec.CyclesPrefix("vmm.domU") - guest0
 		total := rec.TotalCycles() - total0
 		row := E1Row{
 			Mode:      map[bool]string{false: "flip", true: "copy"}[copyMode],
@@ -86,7 +83,6 @@ func (r *Runner) E1(packets int) ([]E1Row, error) {
 			Packets:   packets,
 			Flips:     flips,
 			DriverCyc: driver,
-			GuestCyc:  guest,
 			PerPktCyc: driver / uint64(packets),
 		}
 		if total > 0 {

@@ -116,7 +116,7 @@ func (r *Runner) E5() ([]E5Row, error) {
 			if _, err := s.K.Touch(s.OSes[0].Proc(s.Procs[0]).Thread.ID, 0x123, 2); err != nil {
 				return nil, err
 			}
-			kinds := s.M().Rec.DistinctPrimitives("mk")
+			kinds := s.M().Rec.DistinctPrimitives(trace.Snapshot{}, "mk")
 			return []E5Row{{
 				Platform:   "mk",
 				Count:      len(kinds),
@@ -143,7 +143,7 @@ func (r *Runner) E5() ([]E5Row, error) {
 			if err := s.H.VirtDeviceOp(s.Guests[0].Dom.ID, "console", 20); err != nil {
 				return nil, err
 			}
-			kinds := s.M().Rec.DistinctPrimitives("vmm")
+			kinds := s.M().Rec.DistinctPrimitives(trace.Snapshot{}, "vmm")
 			return []E5Row{{
 				Platform:   "vmm",
 				Count:      len(kinds),

@@ -72,7 +72,7 @@ func vmmInterfaceDeltas(base, a *hw.Arch) []string {
 
 // E6 boots each architecture in its own cell.
 func (r *Runner) E6() ([]E6Row, error) {
-	base := hw.X86()
+	base := x86
 	archs := hw.AllArchs()
 	return RunCells(r, len(archs), func(pool *hw.MachinePool, i int) (E6Row, error) {
 		arch := archs[i]

@@ -51,7 +51,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	mkCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m := pool.Get(hw.X86(), &e7MKMach)
+		m := pool.Get(x86, &e7MKMach)
 		defer pool.Put(m)
 		k := mk.New(m)
 		cs, err := k.NewSpace("c", mk.NilThread)
@@ -120,7 +120,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	vmmCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m := pool.Get(hw.X86(), &e7VMMMach)
+		m := pool.Get(x86, &e7VMMMach)
 		defer pool.Put(m)
 		h, d0, err := vmm.New(m, 300)
 		if err != nil {
@@ -204,7 +204,7 @@ func (r *Runner) E7(n int) ([]E7Row, error) {
 	hwCell := func(pool *hw.MachinePool) ([]E7Row, error) {
 		var rows []E7Row
 		add := mean(&rows)
-		m := pool.Get(hw.X86(), nil)
+		m := pool.Get(x86, nil)
 		defer pool.Put(m)
 		hwc := m.Rec.Intern("hw")
 		t0 := m.Now()

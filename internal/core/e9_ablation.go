@@ -192,7 +192,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// a large-footprint one (thrashes the cache on every switch).
 	for _, fat := range []bool{false, true} {
 		one(func(pool *hw.MachinePool) (E9Row, error) {
-			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 256})
+			m := pool.Get(x86, &hw.MachineConfig{Frames: 256})
 			defer pool.Put(m)
 			cache := hw.NewCache(512, 10)
 			serverLines := 120 // small server: both fit in 512
@@ -244,7 +244,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// as a metric here; the count is the point).
 	for _, batch := range []int{1, 8} {
 		one(func(pool *hw.MachinePool) (E9Row, error) {
-			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 2048})
+			m := pool.Get(x86, &hw.MachineConfig{Frames: 2048})
 			defer pool.Put(m)
 			h, d0, err := vmm.New(m, 128)
 			if err != nil {
@@ -291,7 +291,7 @@ func (r *Runner) E9() ([]E9Row, error) {
 	// of the underlying hardware".
 	for _, shadowMode := range []bool{true, false} {
 		one(func(pool *hw.MachinePool) (E9Row, error) {
-			m := pool.Get(hw.X86(), &hw.MachineConfig{Frames: 512})
+			m := pool.Get(x86, &hw.MachineConfig{Frames: 512})
 			defer pool.Put(m)
 			h, _, err := vmm.New(m, 64)
 			if err != nil {

@@ -53,10 +53,17 @@ func (c *Config) machine() *hw.Machine {
 	return c.pool.Get(c.Arch, &hw.MachineConfig{Frames: stackFrames, LogCap: c.LogCap, NCPUs: c.NCPUs})
 }
 
+// x86 is the descriptor every cell and stack in this package boots on
+// unless it names another architecture. Nothing writes to it, so cells on
+// every worker share it; the pools key machines by the descriptor's value,
+// not its address. E9's ASID ablation changes its descriptor, so it builds
+// its own.
+var x86 = hw.X86()
+
 // Defaults fills zero fields.
 func (c *Config) defaults() {
 	if c.Arch == nil {
-		c.Arch = hw.X86()
+		c.Arch = x86
 	}
 	if c.Guests == 0 {
 		c.Guests = 1

@@ -22,7 +22,7 @@ func BenchmarkRecorderCharge(b *testing.B) {
 
 // BenchmarkTraceHotPath mimics one bounced guest syscall's charge pattern:
 // monitor entry, bounce, guest-kernel work, exit — four attributions across
-// two components plus a windowed query every 1024 ops.
+// two components plus a windowed count and a prefix sum every 1024 ops.
 func BenchmarkTraceHotPath(b *testing.B) {
 	r := NewRecorder(0)
 	xen := r.Intern("vmm.xen")
@@ -37,7 +37,7 @@ func BenchmarkTraceHotPath(b *testing.B) {
 		r.ChargeCycles(domU, 500)
 		r.Charge(at, KKernelExit, xen, 120)
 		if i%1024 == 0 {
-			_ = r.CyclesSinceComp(s, domU)
+			_ = r.CountsSince(s, KExceptionBounce)
 			_ = r.CyclesPrefix("vmm.domU")
 		}
 	}

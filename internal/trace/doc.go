@@ -15,12 +15,11 @@
 // constructors all store their handle) and charge through the handle
 // thereafter. That makes the hot path — Charge/ChargeCycles under every
 // simulated privileged operation — two array increments into a flat
-// ledger, with no hashing and no allocation. Interning also records dotted
-// parent links and maintains prefix-group membership, so aggregate queries
-// (CyclesPrefix) are sums over member slices computed at intern time
-// rather than scans of all names. String-keyed queries (Cycles,
-// CyclesSince) remain for rendering and tests; they resolve through the
-// registry once per call.
+// ledger, with no hashing and no allocation. The registry keeps names and
+// nothing else, and the recorder keeps the counters and that one ledger:
+// every query (Cycles, CyclesPrefix, the primitive census) is worked out
+// from them when it is asked, and a Snapshot is a copy of the counters
+// alone.
 //
 // The optional bounded event log is a ring buffer (cmd/tracedump prints
 // it).

@@ -1,7 +1,5 @@
 package trace
 
-import "strings"
-
 // Comp is an interned component handle: a small dense integer standing for a
 // dotted component name ("vmm.dom0", "mk.srv.net"). Handles are minted by a
 // Registry at boot/registration time and are then the only currency the
@@ -16,45 +14,25 @@ type Comp int32
 // root slot rather than to another component — visible in summaries as "".
 const CompNone Comp = 0
 
-// Registry interns dotted component names into Comp handles. Interning a
-// name also interns its dotted ancestors ("mk.srv.net" brings "mk.srv" and
-// "mk") and records a parent link per handle, so hierarchy queries are
-// answered from links computed once at intern time rather than by scanning
-// names per query.
-//
-// A Registry additionally maintains prefix groups: CyclesPrefix-style string
-// prefixes ("vmm.domU") mapped to the member handles whose names start with
-// the prefix. Membership is updated as names are interned, making a prefix
-// query a sum over a precomputed member slice.
+// Registry interns dotted component names into Comp handles, in the order
+// the names are first seen. It keeps the names and nothing else: a dotted
+// name's parent is the name cut at its last dot.
 //
 // Like the Recorder that owns it, a Registry is not safe for concurrent use;
 // the simulation is single-threaded per machine.
 type Registry struct {
-	byName  map[string]Comp
-	names   []string // indexed by Comp; names[CompNone] = ""
-	parents []Comp   // indexed by Comp; dotted parent, CompNone at the root
-
-	prefixes map[string]*prefixGroup
-}
-
-type prefixGroup struct {
-	prefix  string
-	members []Comp
+	byName map[string]Comp
+	names  []string // indexed by Comp; names[CompNone] = ""
 }
 
 // NewRegistry returns an empty registry containing only the root handle.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName:   make(map[string]Comp),
-		names:    []string{""},
-		parents:  []Comp{CompNone},
-		prefixes: make(map[string]*prefixGroup),
-	}
+	return &Registry{byName: make(map[string]Comp), names: []string{""}}
 }
 
-// Intern returns the handle for name, minting it (and handles for its dotted
-// ancestors) on first use. Interning is idempotent: the same name always
-// yields the same handle. The empty name is the root, CompNone.
+// Intern returns the handle for name, minting it on first use. Interning is
+// idempotent: the same name always yields the same handle. The empty name is
+// the root, CompNone.
 func (g *Registry) Intern(name string) Comp {
 	if name == "" {
 		return CompNone
@@ -62,19 +40,9 @@ func (g *Registry) Intern(name string) Comp {
 	if c, ok := g.byName[name]; ok {
 		return c
 	}
-	parent := CompNone
-	if i := strings.LastIndexByte(name, '.'); i > 0 {
-		parent = g.Intern(name[:i])
-	}
 	c := Comp(len(g.names))
 	g.names = append(g.names, name)
-	g.parents = append(g.parents, parent)
 	g.byName[name] = c
-	for _, pg := range g.prefixes {
-		if strings.HasPrefix(name, pg.prefix) {
-			pg.members = append(pg.members, c)
-		}
-	}
 	return c
 }
 
@@ -93,31 +61,5 @@ func (g *Registry) Name(c Comp) string {
 	return g.names[c]
 }
 
-// Parent returns the dotted parent of c ("mk.srv" for "mk.srv.net"), or
-// CompNone for top-level components and the root.
-func (g *Registry) Parent(c Comp) Comp {
-	if c <= CompNone || int(c) >= len(g.parents) {
-		return CompNone
-	}
-	return g.parents[c]
-}
-
 // Len returns the number of interned components, excluding the root.
 func (g *Registry) Len() int { return len(g.names) - 1 }
-
-// prefixMembers returns (creating on first use) the member handles of the
-// prefix group for prefix. Creation scans the names interned so far; from
-// then on Intern keeps the group current.
-func (g *Registry) prefixMembers(prefix string) []Comp {
-	if pg, ok := g.prefixes[prefix]; ok {
-		return pg.members
-	}
-	pg := &prefixGroup{prefix: prefix}
-	for c := Comp(1); int(c) < len(g.names); c++ {
-		if strings.HasPrefix(g.names[c], prefix) {
-			pg.members = append(pg.members, c)
-		}
-	}
-	g.prefixes[prefix] = pg
-	return pg.members
-}

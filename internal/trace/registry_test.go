@@ -30,24 +30,8 @@ func TestInternIdempotent(t *testing.T) {
 	if g.Intern("") != CompNone {
 		t.Fatal("empty name should intern to CompNone")
 	}
-}
-
-func TestInternParentLinks(t *testing.T) {
-	g := NewRegistry()
-	leaf := g.Intern("mk.srv.net")
-	srv, ok := g.Lookup("mk.srv")
-	if !ok {
-		t.Fatal("interning a leaf did not intern its dotted parent")
-	}
-	mk, ok := g.Lookup("mk")
-	if !ok {
-		t.Fatal("interning a leaf did not intern its dotted root")
-	}
-	if g.Parent(leaf) != srv || g.Parent(srv) != mk || g.Parent(mk) != CompNone {
-		t.Fatalf("parent chain %d->%d->%d->%d broken", leaf, g.Parent(leaf), g.Parent(srv), g.Parent(mk))
-	}
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", g.Len())
+	if g.Len() != 1 {
+		t.Fatalf("Len = %d after re-interning one name, want 1", g.Len())
 	}
 }
 
@@ -66,8 +50,9 @@ func TestCyclesPrefixEquivalence(t *testing.T) {
 		"mk.srv.blk":    70,
 		"native.kernel": 900,
 	}
-	// Pre-register one prefix before any charge so both creation orders
-	// (group-then-members and members-then-group) are exercised.
+	// Ask before any charge, and again once names interned after the
+	// first query have been charged: the answer is worked out per query,
+	// so neither order may change it.
 	if got := r.CyclesPrefix("vmm.domU"); got != 0 {
 		t.Fatalf("empty recorder prefix sum = %d", got)
 	}
@@ -85,37 +70,10 @@ func TestCyclesPrefixEquivalence(t *testing.T) {
 			t.Errorf("CyclesPrefix(%q) = %d, want %d", prefix, got, want)
 		}
 	}
-	// Members interned after the group was created must join it.
+	// A name interned after the first query must count in the next one.
 	r.ChargeCycles(r.Intern("vmm.domU3"), 7)
 	if got := r.CyclesPrefix("vmm.domU"); got != 30+40+7 {
-		t.Errorf("late-interned member missing from prefix group: got %d", got)
-	}
-}
-
-func TestSnapshotFlatLedger(t *testing.T) {
-	r := NewRecorder(0)
-	a := r.Intern("a")
-	r.ChargeCycles(a, 10)
-	s := r.Snapshot()
-	r.ChargeCycles(a, 5)
-	b := r.Intern("b") // interned after the snapshot
-	r.ChargeCycles(b, 3)
-	if got := r.CyclesSinceComp(s, a); got != 5 {
-		t.Errorf("delta a = %d, want 5", got)
-	}
-	if got := r.CyclesSinceComp(s, b); got != 3 {
-		t.Errorf("delta for post-snapshot component = %d, want 3", got)
-	}
-	if got := r.CyclesSince(s, "b"); got != 3 {
-		t.Errorf("string delta for post-snapshot component = %d, want 3", got)
-	}
-	if got := r.CyclesSince(s, "never-charged"); got != 0 {
-		t.Errorf("delta for unknown component = %d, want 0", got)
-	}
-	// The snapshot is immutable: further charges must not leak into it.
-	r.ChargeCycles(a, 100)
-	if got := r.CyclesSinceComp(s, a); got != 105 {
-		t.Errorf("delta a after more charges = %d, want 105", got)
+		t.Errorf("late-interned component missing from prefix sum: got %d", got)
 	}
 }
 
@@ -143,7 +101,7 @@ func TestQuickHandleNameAgree(t *testing.T) {
 				return false
 			}
 			c, ok := r.Registry().Lookup(name)
-			if !ok || r.CyclesComp(c) != w || r.Registry().Name(c) != name {
+			if !ok || r.cycles[c] != w || r.Registry().Name(c) != name {
 				return false
 			}
 		}

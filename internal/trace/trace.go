@@ -168,10 +168,11 @@ func (k Kind) IsMKPrimitive() bool {
 // Recorder accumulates event counts and per-component cycle attribution.
 // The cycle ledger is a flat slice indexed by Comp handle; all charge-path
 // methods deal in handles minted by the recorder's Registry (Intern), so a
-// charge is two array increments with no hashing and no allocation. The
-// string-keyed query methods (Cycles, CyclesPrefix, CyclesSince) remain for
-// report rendering and tests; they resolve names through the registry once
-// per call. The zero value is not ready to use; call NewRecorder.
+// charge is two array increments with no hashing and no allocation. Every
+// query is worked out from the counters and that one ledger when it is
+// asked: the string-keyed ones (Cycles, CyclesPrefix) resolve names through
+// the registry per call. The zero value is not ready to use; call
+// NewRecorder.
 type Recorder struct {
 	reg     *Registry
 	counts  [kindCount]uint64
@@ -227,12 +228,6 @@ func (r *Recorder) ensure(c Comp) {
 	r.cycles = append(r.cycles, make([]uint64, n-len(r.cycles))...)
 	r.seen = append(r.seen, make([]bool, n-len(r.seen))...)
 }
-
-// Count increments the counter for kind.
-func (r *Recorder) Count(kind Kind) { r.counts[kind]++ }
-
-// CountN increments the counter for kind by n.
-func (r *Recorder) CountN(kind Kind, n uint64) { r.counts[kind] += n }
 
 // Charge attributes cycles to the component and increments the kind counter.
 func (r *Recorder) Charge(at uint64, kind Kind, c Comp, cycles uint64) {
@@ -297,28 +292,20 @@ func (r *Recorder) Counts(kind Kind) uint64 { return r.counts[kind] }
 // Cycles returns the cycles charged to the named component.
 func (r *Recorder) Cycles(component string) uint64 {
 	c, ok := r.reg.Lookup(component)
-	if !ok {
-		return 0
-	}
-	return r.CyclesComp(c)
-}
-
-// CyclesComp returns the cycles charged to handle c.
-func (r *Recorder) CyclesComp(c Comp) uint64 {
-	if c < 0 || int(c) >= len(r.cycles) {
+	if !ok || int(c) >= len(r.cycles) {
 		return 0
 	}
 	return r.cycles[c]
 }
 
 // CyclesPrefix sums cycles over all components whose name starts with
-// prefix. The member set is computed once per distinct prefix (and kept
-// current as new components intern), so the query is a sum over a
-// precomputed slice, not a scan of all names.
+// prefix. Only charged components hold cycles, so it scans those.
 func (r *Recorder) CyclesPrefix(prefix string) uint64 {
 	var sum uint64
-	for _, c := range r.reg.prefixMembers(prefix) {
-		sum += r.CyclesComp(c)
+	for _, c := range r.charged {
+		if strings.HasPrefix(r.reg.names[c], prefix) {
+			sum += r.cycles[c]
+		}
 	}
 	return sum
 }
@@ -352,13 +339,14 @@ func (r *Recorder) IPCEquivalentOps() uint64 {
 	return sum
 }
 
-// DistinctPrimitives returns the distinct primitive kinds with non-zero
-// counts, filtered by class ("mk", "vmm" or "" for both) — the raw material
-// of the E5 census.
-func (r *Recorder) DistinctPrimitives(class string) []Kind {
+// DistinctPrimitives returns the distinct primitive kinds whose counters
+// moved since the snapshot, filtered by class ("mk", "vmm" or "" for both) —
+// the raw material of the E5 and E10 censuses. The zero Snapshot counts
+// everything since the last Reset.
+func (r *Recorder) DistinctPrimitives(since Snapshot, class string) []Kind {
 	var out []Kind
 	for k := Kind(0); k < kindCount; k++ {
-		if r.counts[k] == 0 {
+		if r.counts[k] == since.counts[k] {
 			continue
 		}
 		switch class {
@@ -402,41 +390,18 @@ func (r *Recorder) Reset() {
 
 // Snapshot captures the current counter values so a caller can later compute
 // a delta over a measurement window.
-func (r *Recorder) Snapshot() Snapshot {
-	s := Snapshot{counts: r.counts, cycles: make([]uint64, len(r.cycles))}
-	copy(s.cycles, r.cycles)
-	return s
-}
+func (r *Recorder) Snapshot() Snapshot { return Snapshot{counts: r.counts} }
 
-// Snapshot is a point-in-time copy of a Recorder's ledgers.
+// Snapshot is a point-in-time copy of a Recorder's event counters. The zero
+// Snapshot stands for a recorder fresh from Reset.
 type Snapshot struct {
 	counts [kindCount]uint64
-	cycles []uint64
 }
 
 // CountsSince returns the count delta for kind between s and the recorder's
 // current state.
 func (r *Recorder) CountsSince(s Snapshot, kind Kind) uint64 {
 	return r.counts[kind] - s.counts[kind]
-}
-
-// CyclesSince returns the cycle delta for the named component between s and
-// now. Components interned after the snapshot was taken had zero cycles then.
-func (r *Recorder) CyclesSince(s Snapshot, component string) uint64 {
-	c, ok := r.reg.Lookup(component)
-	if !ok {
-		return 0
-	}
-	return r.CyclesSinceComp(s, c)
-}
-
-// CyclesSinceComp returns the cycle delta for handle c between s and now.
-func (r *Recorder) CyclesSinceComp(s Snapshot, c Comp) uint64 {
-	var was uint64
-	if c >= 0 && int(c) < len(s.cycles) {
-		was = s.cycles[c]
-	}
-	return r.CyclesComp(c) - was
 }
 
 // IPCEquivalentSince returns the IPC-equivalent op delta since s.

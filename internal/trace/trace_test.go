@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,10 +180,11 @@ func TestComponentsOrder(t *testing.T) {
 
 func TestIPCEquivalentOps(t *testing.T) {
 	r := NewRecorder(0)
-	r.Count(KIPCCall)
-	r.Count(KPageFlip)
-	r.Count(KTLBFlush) // not IPC-equivalent
-	r.Count(KHypercall)
+	x := r.Intern("x")
+	r.Charge(0, KIPCCall, x, 0)
+	r.Charge(0, KPageFlip, x, 0)
+	r.Charge(0, KTLBFlush, x, 0) // not IPC-equivalent
+	r.Charge(0, KHypercall, x, 0)
 	// KHypercall is resource allocation, not a domain-crossing data/control
 	// transfer in the E2 sense.
 	if KHypercall.IsIPCEquivalent() {
@@ -195,18 +197,26 @@ func TestIPCEquivalentOps(t *testing.T) {
 
 func TestDistinctPrimitives(t *testing.T) {
 	r := NewRecorder(0)
-	r.Count(KIPCCall)
-	r.Count(KIPCSend)
-	r.Count(KHypercall)
-	r.Count(KPageFlip)
-	if got := len(r.DistinctPrimitives("mk")); got != 2 {
+	x := r.Intern("x")
+	r.Charge(0, KIPCCall, x, 0)
+	r.Charge(0, KIPCSend, x, 0)
+	r.Charge(0, KHypercall, x, 0)
+	r.Charge(0, KPageFlip, x, 0)
+	if got := len(r.DistinctPrimitives(Snapshot{}, "mk")); got != 2 {
 		t.Errorf("mk primitives = %d, want 2", got)
 	}
-	if got := len(r.DistinctPrimitives("vmm")); got != 2 {
+	if got := len(r.DistinctPrimitives(Snapshot{}, "vmm")); got != 2 {
 		t.Errorf("vmm primitives = %d, want 2", got)
 	}
-	if got := len(r.DistinctPrimitives("")); got != 4 {
+	if got := len(r.DistinctPrimitives(Snapshot{}, "")); got != 4 {
 		t.Errorf("all primitives = %d, want 4", got)
+	}
+	// A window counts only the kinds that moved inside it.
+	s := r.Snapshot()
+	r.Charge(0, KIPCCall, x, 0)
+	r.Charge(0, KTrap, x, 0) // not a primitive
+	if got := r.DistinctPrimitives(s, ""); len(got) != 1 || got[0] != KIPCCall {
+		t.Errorf("primitives since snapshot = %v, want [%v]", got, KIPCCall)
 	}
 }
 
@@ -233,11 +243,25 @@ func TestSnapshotDelta(t *testing.T) {
 	if got := r.CountsSince(s, KIPCCall); got != 2 {
 		t.Errorf("delta counts = %d, want 2", got)
 	}
-	if got := r.CyclesSince(s, "mk.kernel"); got != 20 {
-		t.Errorf("delta cycles = %d, want 20", got)
-	}
 	if got := r.IPCEquivalentSince(s); got != 2 {
 		t.Errorf("delta ipc-equiv = %d, want 2", got)
+	}
+}
+
+// TestSnapshotAllocatesNothing pins a snapshot to the event counters: taking
+// one copies no per-component ledger, however many components have been
+// charged.
+func TestSnapshotAllocatesNothing(t *testing.T) {
+	r := NewRecorder(0)
+	for i := 0; i < 64; i++ {
+		r.Charge(0, KTrap, r.Intern(fmt.Sprintf("c%d", i)), 1)
+	}
+	var s Snapshot
+	if n := testing.AllocsPerRun(100, func() { s = r.Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot allocates %v times per call, want 0", n)
+	}
+	if got := r.CountsSince(s, KTrap); got != 0 {
+		t.Fatalf("delta since a fresh snapshot = %d, want 0", got)
 	}
 }
 

@@ -38,9 +38,10 @@
 // Hypervisor.Audit checks these invariants; it is a test oracle.
 //
 // Mobility moves page contents as hw.PhysMem prefixes (a DomainImage holds
-// each page's written bytes, and migration copies frame to frame), while
-// every copy is still charged per whole page. Guest page numbers name pages
-// of one size, so RestoreDomain, Migrate and MigrateLive refuse a machine
-// whose pages differ in size with ErrPageSize, before the source is paused
-// or logged and before any shell is built.
+// each page's written bytes; Migrate is SaveDomain then RestoreDomain, and
+// MigrateLive copies frame to frame), while every copy is still charged per
+// whole page. Guest page numbers name pages of one size, so RestoreDomain,
+// Migrate and MigrateLive refuse a machine whose pages differ in size with
+// ErrPageSize, before the source is paused or logged and before any shell
+// is built.
 package vmm

@@ -17,8 +17,7 @@ const grantRefStride = 1 << 24
 
 // grantEntry is one granted page. Nothing reads a freed entry's frame, so
 // while the slot is free its frame field links the free list instead, and
-// an entry stays 16 bytes: guest-issued grants, which nothing frees, still
-// cost one entry per request.
+// an entry stays 16 bytes.
 type grantEntry struct {
 	frame    hw.FrameID // the granted page; while free, 1 + the next free slot, 0 at the list's end
 	to       DomID
@@ -316,6 +315,21 @@ func (d *Domain) pruneHole(gpn int) {
 // revoked grant, or through a stale ref, changes nothing but still costs
 // the hypercall. A revoked grant nobody has mapped frees its slot.
 func (h *Hypervisor) GrantRevoke(owner DomID, ref GrantRef) error {
+	return h.endGrant(owner, ref, true)
+}
+
+// GrantEnd is GrantRevoke issued by the guest without the hypercall: the
+// owner's frontend ends its grant once the request it was made for has
+// completed, and the slot is freed once no foreign mapping is left. It
+// charges nothing, because in Xen (gnttab_end_foreign_access) the guest
+// just writes its own grant entry.
+func (h *Hypervisor) GrantEnd(owner DomID, ref GrantRef) error {
+	return h.endGrant(owner, ref, false)
+}
+
+// endGrant revokes the owner's grant that ref names, if it is the slot's
+// current occupant, and pays for the hypercall when hypercall is set.
+func (h *Hypervisor) endGrant(owner DomID, ref GrantRef, hypercall bool) error {
 	d, err := h.lookup(owner)
 	if err != nil {
 		return err
@@ -324,12 +338,14 @@ func (h *Hypervisor) GrantRevoke(owner DomID, ref GrantRef) error {
 	if e == nil {
 		return ErrBadGrant
 	}
-	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
 	if current && !e.revoked {
 		e.revoked = true
 		d.grants.release(ref)
 	}
-	h.M.CPU.Work(h.comp, 40)
+	if hypercall {
+		h.hypercallEntry(d)
+		h.M.CPU.Work(h.comp, 40)
+		h.hypercallExit(d)
+	}
 	return nil
 }

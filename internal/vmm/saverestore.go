@@ -226,82 +226,68 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 		pages++
 	}
 	h.M.CPU.WorkN(h.comp, h.M.CPU.CopyCost(ps), pages)
-	// Rebuild the page table through the validated path.
+	h.mapSaved(d, img.PT, nil)
+	return d, nil
+}
+
+// mapSaved rebuilds a shell's page table from a skeleton in guest terms,
+// through the validated path, and charges one PTE update per entry mapped.
+// An entry whose page the shell lacks is skipped. When the skeleton comes
+// from a source whose dirty log is armed, dl names the mappings the log
+// write-protected there: they regain PermW, since the protection was the
+// log's, not the guest's. Restore passes nil.
+func (h *Hypervisor) mapSaved(d *Domain, pt []savedPTE, dl *DirtyLog) {
 	mapped := uint64(0)
-	for _, e := range img.PT {
+	for _, e := range pt {
 		f := d.FrameAt(e.GPN)
 		if f == hw.NoFrame {
 			continue
 		}
-		d.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: e.Perms, User: e.User})
+		perms := e.Perms
+		if dl != nil && dl.stripped(e.GPN, e.VPN) {
+			perms |= hw.PermW
+		}
+		d.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: perms, User: e.User})
 		mapped++
 	}
 	h.M.CPU.WorkN(h.comp, h.M.Arch.Costs.PTEUpdate, mapped)
-	return d, nil
 }
 
-// Migrate is save + destroy + restore onto a destination hypervisor: the
-// whole-OS mobility that §3.3's "treat the OS as a component" enables. It
-// returns the new domain on dst. The guest is frozen for the entire copy —
-// the stop-and-copy baseline MigrateLive improves on.
+// Migrate is pause + save + restore onto a destination hypervisor +
+// destroy: the whole-OS mobility that §3.3's "treat the OS as a component"
+// enables. It returns the new domain on dst, paused like RestoreDomain's.
+// The guest is frozen for the entire copy — the stop-and-copy baseline
+// MigrateLive improves on.
 //
-// The pages stream frame-to-frame without materialising a DomainImage:
-// each machine's charge sequence (pause, copy work, destroy on the source;
-// domain build, copy work, page-table rebuild on the destination) is
-// identical to the save/restore path, so the accounting cannot differ —
-// only the simulator's own buffering does. A migration the destination
-// refuses (pages of another size, a live domain of that name, or too little
-// memory) leaves the source as it found it. That includes a migration onto
-// the source's own hypervisor, where the guest's own name is taken.
+// A migration the destination refuses (a live domain of that name, or too
+// little memory) resumes a source it paused, after the source has paid for
+// the image copy; the source's state is as it found it. That includes a
+// migration onto the source's own hypervisor, where the guest's own name is
+// taken. Machines whose pages differ in size refuse the move before the
+// source is paused.
 func Migrate(src *Hypervisor, dom DomID, dst *Hypervisor) (*Domain, error) {
 	if err := checkPageSize(src.M.Mem.PageSize(), dst.M.Mem.PageSize()); err != nil {
 		return nil, err
 	}
-	d, err := src.lookup(dom)
-	if err != nil {
-		return nil, err
-	}
-	wasPaused := d.paused
+	wasPaused := src.Paused(dom)
 	if err := src.Pause(dom); err != nil {
 		return nil, err
 	}
-	pt := capturePT(d)
-	exists := make([]bool, len(d.frames))
-	for gpn, f := range d.frames {
-		exists[gpn] = f != hw.NoFrame
+	img, err := src.SaveDomain(dom)
+	if err != nil {
+		return nil, err
 	}
-	shell, err := dst.allocShell(d.Name, d.Privileged, exists)
+	d, err := dst.RestoreDomain(img)
 	if err != nil {
 		if !wasPaused {
 			src.Unpause(dom)
 		}
 		return nil, err
 	}
-	ps := src.M.Mem.PageSize()
-	pages := uint64(0)
-	for gpn, sf := range d.frames {
-		if sf == hw.NoFrame {
-			continue
-		}
-		dst.M.Mem.CopyPage(shell.frames[gpn], src.M.Mem, sf)
-		pages++
-	}
-	src.M.CPU.WorkN(src.comp, src.M.CPU.CopyCost(ps), pages)
-	dst.M.CPU.WorkN(dst.comp, dst.M.CPU.CopyCost(ps), pages)
-	mapped := uint64(0)
-	for _, e := range pt {
-		f := shell.FrameAt(e.GPN)
-		if f == hw.NoFrame {
-			continue
-		}
-		shell.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: e.Perms, User: e.User})
-		mapped++
-	}
-	dst.M.CPU.WorkN(dst.comp, dst.M.Arch.Costs.PTEUpdate, mapped)
 	if err := src.DestroyDomain(dom); err != nil {
 		return nil, err
 	}
-	return shell, nil
+	return d, nil
 }
 
 // ErrMigrationAborted is returned when a live migration cannot finish —
@@ -489,22 +475,7 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	stats.PagesFinal = len(toSend)
 
 	// Page-table skeleton travels in guest terms, like SaveDomain's.
-	rebuilt := uint64(0)
-	for _, e := range capturePT(d) {
-		f := shell.FrameAt(e.GPN)
-		if f == hw.NoFrame {
-			continue
-		}
-		perms := e.Perms
-		// Mappings still write-protected by the log regain PermW on the
-		// destination: the protection was the log's, not the guest's.
-		if dl.stripped(e.GPN, e.VPN) {
-			perms |= hw.PermW
-		}
-		shell.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: perms, User: e.User})
-		rebuilt++
-	}
-	dst.M.CPU.WorkN(dst.comp, dst.M.Arch.Costs.PTEUpdate, rebuilt)
+	dst.mapSaved(shell, capturePT(d), dl)
 	src.DisableDirtyLog(dom)
 	if err := src.DestroyDomain(dom); err != nil {
 		return nil, nil, err

@@ -814,7 +814,7 @@ func TestTenPrimitivesAllObservable(t *testing.T) {
 			t.Errorf("primitive %v never observed", k)
 		}
 	}
-	if got := len(r.m.Rec.DistinctPrimitives("vmm")); got != 10 {
+	if got := len(r.m.Rec.DistinctPrimitives(trace.Snapshot{}, "vmm")); got != 10 {
 		t.Fatalf("census sees %d distinct VMM primitives, want 10", got)
 	}
 }

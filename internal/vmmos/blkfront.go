@@ -117,7 +117,12 @@ func (bf *BlkFront) submit(write bool, block uint64) error {
 			break
 		}
 	}
-	if !req.done || !req.ok {
+	if !req.done {
+		// The grant stays: a late completion may still DMA into the page.
+		return ErrIOTimeout
+	}
+	h.GrantEnd(bf.gk.Dom.ID, ref)
+	if !req.ok {
 		return ErrIOTimeout
 	}
 	return nil

@@ -164,6 +164,7 @@ func (c *KVClient) call(op uint32, key string, value []byte) (*kvReq, error) {
 	if !req.done {
 		return nil, ErrIOTimeout
 	}
+	h.GrantEnd(c.gk.Dom.ID, ref)
 	return req, nil
 }
 

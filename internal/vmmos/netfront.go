@@ -105,7 +105,8 @@ func (nf *NetFront) RecvLen() (int, bool) { return nf.rxQueue.Pop() }
 func (nf *NetFront) Pending() int { return nf.rxQueue.Len() }
 
 // Send transmits one packet: stage into the TX buffer, grant it to Dom0,
-// kick the channel.
+// kick the channel. Netback transmits from the event handler the kick
+// runs, so once the kick returns the guest ends its grant.
 func (nf *NetFront) Send(data []byte) error {
 	comp := nf.gk.Comp()
 	h := nf.gk.H
@@ -120,7 +121,11 @@ func (nf *NetFront) Send(data []byte) error {
 	}
 	nf.conn.txRing.push(txSlot{ref: ref, len: len(data)})
 	nf.sent++
-	return h.NotifyChannel(nf.gk.Dom.ID, nf.conn.frontPort)
+	if err := h.NotifyChannel(nf.gk.Dom.ID, nf.conn.frontPort); err != nil {
+		return err
+	}
+	h.GrantEnd(nf.gk.Dom.ID, ref)
+	return nil
 }
 
 // Stats returns flip/copy/sent counters.
