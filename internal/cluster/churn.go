@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"vmmk/internal/simrand"
 )
@@ -84,7 +85,7 @@ func (ch *churn) event(i int) error {
 	arrival := len(c.guests) == 0 || int(rng.Uint64n(100)) < o.ArrivalPct
 	if arrival {
 		pages := o.MinPages + rng.Intn(o.MaxPages-o.MinPages+1)
-		name := fmt.Sprintf("d%03d", c.seq)
+		name := guestName(c.seq)
 		c.seq++
 		if _, err := c.Place(name, pages); err != nil && !errors.Is(err, ErrNoHostFits) {
 			return fmt.Errorf("cluster: churn event %d: %w", i, err)
@@ -99,6 +100,20 @@ func (ch *churn) event(i int) error {
 		return fmt.Errorf("cluster: churn event %d rebalance: %w", i, err)
 	}
 	return nil
+}
+
+// guestName names arrival seq (seq >= 0): "d" and seq zero-padded to at
+// least three digits, the string fmt's "d%03d" makes, built without fmt.
+func guestName(seq int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'd')
+	if seq < 100 {
+		b = append(b, '0')
+	}
+	if seq < 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // dirt is the churn's workFactory: the migrating guest writes

@@ -36,6 +36,16 @@ func TestLogRecordsRender(t *testing.T) {
 	}
 }
 
+// TestGuestNameMatchesFormat: churn names each arrival with the string
+// fmt's "d%03d" makes, padded below a thousand and unpadded past it.
+func TestGuestNameMatchesFormat(t *testing.T) {
+	for _, seq := range []int{0, 7, 9, 10, 42, 99, 100, 999, 1000, 65535, 1 << 40} {
+		if got, want := guestName(seq), fmt.Sprintf("d%03d", seq); got != want {
+			t.Errorf("guestName(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}
+
 // TestLogDigestPinned pins the SHA-256 of a 48-event churn's placement log
 // (each line newline-terminated) for both policies, so a drift in how
 // records render fails here and not only in the benchmark's fleet oracle.

@@ -29,9 +29,16 @@
 // trace.Comp handles of the components holding the frames, with an O(1)
 // per-owner count. It keeps per-frame state only below a watermark: Alloc
 // pops the LIFO of freed frames, or else hands out the watermark frame and
-// advances it, which is the ID sequence a full free stack would yield. So
-// a boot costs nothing per installed frame and Reset costs what the
-// machine touched. A frame's contents are stored as a prefix: the bytes up
+// advances it, which is the ID sequence a full free stack would yield, and
+// AllocN takes the same IDs in one pass. So a boot costs nothing per
+// installed frame and Reset costs what the machine touched. That state is
+// the frame table: one 12-byte, pointer-free record per frame, holding its
+// owner, its contents slot and its M2P word, the machine-to-phys entry
+// the Xen-style monitor (package vmm) keeps through SetM2P and M2P, as Xen
+// keeps its M2P beside its frame table. Only an owned frame carries an
+// M2P word; Free and Reset clear it. Contents buffers live apart, one per
+// frame ever written, and stay with their frame across Free and Reset. A
+// frame's contents are stored as a prefix: the bytes up
 // to the furthest one written since the frame was last freed, with the rest
 // of the page reading zero. A write of zero bytes only that starts at or
 // past the prefix's end stores nothing, so host memory follows the

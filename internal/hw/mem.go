@@ -19,10 +19,10 @@ const NoFrame FrameID = ^FrameID(0)
 var ErrOutOfMemory = errors.New("hw: out of physical frames")
 
 // PhysMem is the machine's physical memory: a frame allocator plus frame
-// contents and ownership. Ownership is bookkeeping for the experiments
-// (page flipping literally transfers ownership between domains; the E1
-// analysis attributes flips to owners); the kernels enforce their own
-// policy on top.
+// contents, ownership and the machine-to-phys (M2P) table. Ownership is
+// bookkeeping for the experiments (page flipping literally transfers
+// ownership between domains; the E1 analysis attributes flips to owners);
+// the kernels enforce their own policy on top.
 //
 // Owners are the trace.Comp handles of the components holding the frames,
 // so ownership checks are integer compares; trace.CompNone marks a free
@@ -35,11 +35,22 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // advances the watermark. Those are the IDs a stack of every free frame,
 // built in descending order, would hand out, because such a stack always
 // holds the untouched frames in descending order beneath the freed ones.
-// Frames at or past the watermark are free, unowned and read zero. The
-// per-frame slices grow in steps as the watermark advances, and the free
-// stack grows to their length when a Free first needs room, so a boot
-// allocates nothing per frame, a machine that never frees has no free
-// stack, and Reset walks only the frames handed out since the last one.
+// AllocN takes the same IDs in one pass: the freed frames it needs off the
+// stack, then one run from the watermark. Frames at or past the watermark
+// are free, unowned and read zero. Each frame below it has a record in the
+// frame table: its owner, its M2P word and its contents slot, 12 bytes
+// and no pointer, so the garbage collector never scans the table. The
+// table grows in steps as the watermark advances, and the free stack grows
+// to its length when a Free first needs room, so a boot allocates nothing
+// per frame, a machine that never frees has no free stack, and Reset walks
+// only the frames handed out since the last one.
+//
+// The M2P word is Xen's machine-to-phys entry, kept where Xen keeps it,
+// beside the frame's owner: 1 + the guest page a hypervisor's P2M maps to
+// the frame, or 0. The hypervisor sets and clears it (SetM2P) and looks it
+// up (M2P); only an owned frame carries one. Free and Reset clear it,
+// Transfer keeps it, and a hypervisor booted on a Reset machine starts
+// from an empty M2P in the table the machine already has.
 //
 // Contents are stored as prefixes. A frame keeps only the bytes up to the
 // furthest one written since it was last freed, and everything past them
@@ -47,23 +58,33 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // host a few dozen bytes, not a page. A write of zero bytes only that
 // starts at or past the prefix's end stores nothing: those bytes read zero
 // already. So a prefix may end before the last write did, and only a
-// nonzero byte, or a write that starts inside the prefix, extends it. Free
-// and Reset truncate the prefix and keep its buffer for the frame's next
-// writer; an empty prefix is what a zero page is. A frame's first write
-// allocates a buffer of its own length (at least minPrefix bytes), and any
-// later growth past it allocates the whole page. Growth inside a buffer
-// zeroes only the bytes it adds. The simulated costs never depend on a
-// prefix's length.
+// nonzero byte, or a write that starts inside the prefix, extends it. A
+// frame's buffer lives in bufs, at the slot its record names: the frame
+// takes a slot at the first write that stores a byte and keeps it, so bufs
+// holds one entry per frame ever written. Free and Reset truncate the
+// prefix and keep the slot and its buffer for the frame's next writer; an
+// empty prefix is what a zero page is. A frame's first write allocates a
+// buffer of its own length (at least minPrefix bytes), and any later
+// growth past it allocates the whole page. Growth inside a buffer zeroes
+// only the bytes it adds. The simulated costs never depend on a prefix's
+// length.
 type PhysMem struct {
 	pageSize uint64
 	frames   int
-	next     int          // the watermark: frames at or past it have never been handed out
-	data     [][]byte     // frame contents: the written prefix; the rest reads zero
-	owner    []trace.Comp // CompNone = free; as long as data
-	owned    []int        // frames held per owner, indexed by Comp
-	free     []FrameID    // freed frames below the watermark, LIFO
+	next     int        // the watermark: frames at or past it have never been handed out
+	table    []frameRec // the frame table, at least next records long
+	bufs     [][]byte   // contents buffers, named by the records' slots: the written prefix
+	owned    []int      // frames held per owner, indexed by Comp
+	free     []FrameID  // freed frames below the watermark, LIFO
 	allocs   uint64
 	flips    uint64
+}
+
+// frameRec is one frame's record in the frame table.
+type frameRec struct {
+	owner trace.Comp // CompNone = free
+	m2p   uint32     // 1 + the guest page a P2M maps to the frame; 0 = none
+	slot  uint32     // 1 + the index of the frame's buffer in bufs; 0 = never written
 }
 
 // NewPhysMem returns a memory of frames pages of pageSize bytes each. It
@@ -78,19 +99,17 @@ func NewPhysMem(frames int, pageSize uint64) *PhysMem {
 	return &PhysMem{pageSize: pageSize, frames: frames}
 }
 
-// extendStep is the fewest frames the per-frame slices grow by.
+// extendStep is the fewest frames the frame table grows by.
 const extendStep = 256
 
-// extend grows the per-frame slices to cover frame f: to max(twice their
-// length, f+1, extendStep) entries, capped at the frame count, so a machine
-// that touches its frames one by one reallocates them O(log frames) times.
+// extend grows the frame table to cover frame f: to max(twice its length,
+// f+1, extendStep) records, capped at the frame count, so a machine that
+// touches its frames one by one reallocates it O(log frames) times.
 func (m *PhysMem) extend(f FrameID) {
-	n := min(max(2*len(m.owner), int(f)+1, extendStep), m.frames)
-	data := make([][]byte, n)
-	copy(data, m.data)
-	owner := make([]trace.Comp, n)
-	copy(owner, m.owner)
-	m.data, m.owner = data, owner
+	n := min(max(2*len(m.table), int(f)+1, extendStep), m.frames)
+	table := make([]frameRec, n)
+	copy(table, m.table)
+	m.table = table
 }
 
 // PageSize returns the frame size in bytes.
@@ -116,47 +135,64 @@ func (m *PhysMem) Alloc(owner trace.Comp) (FrameID, error) {
 		m.free = m.free[:n-1]
 	} else if m.next < m.frames {
 		f = FrameID(m.next)
-		if m.next == len(m.owner) {
+		if m.next == len(m.table) {
 			m.extend(f)
 		}
 		m.next++
 	} else {
 		return NoFrame, ErrOutOfMemory
 	}
-	m.own(f, owner)
+	m.count(owner, 1)
+	m.table[f].owner = owner
 	m.allocs++
 	return f, nil
 }
 
-// AllocN allocates n frames for owner, or fails atomically.
+// AllocN allocates n frames for owner, or fails atomically. It hands out
+// the frame IDs n Alloc calls would, in one pass: the freed frames it
+// needs, popped in LIFO order, then one run from the watermark, for which
+// the frame table grows in the steps Alloc's would.
 func (m *PhysMem) AllocN(owner trace.Comp, n int) ([]FrameID, error) {
+	if owner == trace.CompNone {
+		panic("hw: allocating a frame to no owner")
+	}
 	if n > m.FreeFrames() {
 		return nil, ErrOutOfMemory
 	}
 	out := make([]FrameID, n)
-	for i := range out {
-		f, err := m.Alloc(owner)
-		if err != nil { // cannot happen after the length check
-			return nil, err
-		}
-		out[i] = f
+	k := min(n, len(m.free))
+	for i := range k {
+		out[i] = m.free[len(m.free)-1-i]
 	}
+	m.free = m.free[:len(m.free)-k]
+	for len(m.table) < m.next+n-k {
+		m.extend(FrameID(len(m.table)))
+	}
+	for i := k; i < n; i++ {
+		out[i] = FrameID(m.next)
+		m.next++
+	}
+	for _, f := range out {
+		m.table[f].owner = owner
+	}
+	m.count(owner, n)
+	m.allocs += uint64(n)
 	return out, nil
 }
 
-// own records f as held by owner, growing the per-owner counts on demand.
-func (m *PhysMem) own(f FrameID, owner trace.Comp) {
+// count adds n frames to owner's count, growing the per-owner counts on
+// demand.
+func (m *PhysMem) count(owner trace.Comp, n int) {
 	if int(owner) >= len(m.owned) {
 		m.owned = append(m.owned, make([]int, int(owner)+1-len(m.owned))...)
 	}
-	m.owner[f] = owner
-	m.owned[owner]++
+	m.owned[owner] += n
 }
 
-// Free returns a frame to the allocator and clears its owner. Its contents
-// read as zero from now on: the prefix is truncated, not cleared, and its
-// buffer stays with the frame. A frame that was never written costs no
-// write at all.
+// Free returns a frame to the allocator and clears its owner and its M2P
+// word. Its contents read as zero from now on: the prefix is truncated,
+// not cleared, and its buffer stays with the frame. A frame that was never
+// written costs no write at all.
 func (m *PhysMem) Free(f FrameID) {
 	m.checkFrame(f)
 	o := m.Owner(f)
@@ -164,31 +200,41 @@ func (m *PhysMem) Free(f FrameID) {
 		panic(fmt.Sprintf("hw: double free of frame %d", f))
 	}
 	m.owned[o]--
-	m.owner[f] = trace.CompNone
-	if len(m.data[f]) != 0 {
-		m.data[f] = m.data[f][:0]
-	}
+	r := &m.table[f]
+	r.owner, r.m2p = trace.CompNone, 0
+	m.truncate(r.slot)
 	if len(m.free) == cap(m.free) {
-		// Only frames below the watermark are ever freed, so the
-		// per-frame slices' length bounds the stack until they grow.
-		m.free = slices.Grow(m.free, len(m.owner)-len(m.free))
+		// Only frames below the watermark are ever freed, so the frame
+		// table's length bounds the stack until it grows.
+		m.free = slices.Grow(m.free, len(m.table)-len(m.free))
 	}
 	m.free = append(m.free, f)
 }
 
-// Reset restores the memory to its post-NewPhysMem state: every frame free
-// and unowned and reading zero, statistics cleared, the free stack empty
-// and the watermark back at frame 0, so a reused machine allocates the same
-// frame IDs as a fresh one. It walks only the frames below the watermark,
-// the ones handed out since the last Reset, truncating the owned ones'
-// prefixes; it keeps their buffers, the per-frame slices and the free
-// stack's capacity.
-func (m *PhysMem) Reset() {
-	for f, o := range m.owner[:m.next] {
-		if o != trace.CompNone {
-			m.owner[f] = trace.CompNone
-			m.data[f] = m.data[f][:0]
+// truncate empties the prefix in contents slot s, keeping its buffer. Slot
+// 0, a frame never written, and an empty prefix cost no write.
+func (m *PhysMem) truncate(s uint32) {
+	if s != 0 {
+		if b := &m.bufs[s-1]; len(*b) != 0 {
+			*b = (*b)[:0]
 		}
+	}
+}
+
+// Reset restores the memory to its post-NewPhysMem state: every frame free
+// and unowned and reading zero, no M2P word set, statistics cleared, the
+// free stack empty and the watermark back at frame 0, so a reused machine
+// allocates the same frame IDs as a fresh one. It walks only the records
+// below the watermark, the frames handed out since the last Reset,
+// truncating the owned ones' prefixes; it keeps their buffers, the frame
+// table and the free stack's capacity.
+func (m *PhysMem) Reset() {
+	for i := range m.table[:m.next] {
+		r := &m.table[i]
+		if r.owner != trace.CompNone {
+			m.truncate(r.slot)
+		}
+		r.owner, r.m2p = trace.CompNone, 0
 	}
 	clear(m.owned)
 	m.free = m.free[:0]
@@ -198,10 +244,10 @@ func (m *PhysMem) Reset() {
 
 // Owner returns the bookkeeping owner of f (CompNone if free). It is the
 // ownership check on every page-table update and packet, so it stays
-// inlinable: a frame past the per-frame slices is free if it exists at all.
+// inlinable: a frame past the frame table is free if it exists at all.
 func (m *PhysMem) Owner(f FrameID) trace.Comp {
-	if int(f) < len(m.owner) {
-		return m.owner[f]
+	if int(f) < len(m.table) {
+		return m.table[f].owner
 	}
 	if int(f) >= m.frames {
 		panic("hw: owner of an out-of-range frame")
@@ -209,8 +255,29 @@ func (m *PhysMem) Owner(f FrameID) trace.Comp {
 	return trace.CompNone
 }
 
+// M2P returns the guest page f's M2P word names, or -1 when it names none,
+// as for every free frame. A frame past the frame table, or past the
+// machine, names none either.
+func (m *PhysMem) M2P(f FrameID) int {
+	if int(f) < len(m.table) {
+		return int(m.table[f].m2p) - 1
+	}
+	return -1
+}
+
+// SetM2P records in f's M2P word that a P2M maps guest page gpn to f, or
+// clears the word when gpn is negative. Only an owned frame backs a guest
+// page, so it panics if f is free.
+func (m *PhysMem) SetM2P(f FrameID, gpn int) {
+	if m.Owner(f) == trace.CompNone {
+		panic(fmt.Sprintf("hw: M2P entry for free frame %d", f))
+	}
+	m.table[f].m2p = uint32(max(gpn, -1) + 1)
+}
+
 // Transfer reassigns ownership of f to newOwner, modelling a page flip. It
 // panics if the frame is free: flipping an unowned page is a kernel bug.
+// The M2P word stays: the hypervisor moves it with the P2M slots.
 func (m *PhysMem) Transfer(f FrameID, newOwner trace.Comp) {
 	m.checkFrame(f)
 	o := m.Owner(f)
@@ -221,7 +288,8 @@ func (m *PhysMem) Transfer(f FrameID, newOwner trace.Comp) {
 		panic(fmt.Sprintf("hw: transferring frame %d to no owner", f))
 	}
 	m.owned[o]--
-	m.own(f, newOwner)
+	m.count(newOwner, 1)
+	m.table[f].owner = newOwner
 	m.flips++
 }
 
@@ -235,15 +303,22 @@ const minPrefix = 64
 // overwrites bytes from off onward, so only the bytes between the old
 // prefix's end and off are cleared; a new buffer arrives zeroed. A frame's
 // first buffer is the write's own length (at least minPrefix bytes), and
-// any later one the whole page. f must lie within the per-frame slices.
+// any later one the whole page. f must lie within the frame table; a
+// frame without a contents slot takes the next one.
 func (m *PhysMem) grow(f FrameID, off, end int) []byte {
-	p := m.data[f]
+	r := &m.table[f]
+	if r.slot == 0 {
+		m.bufs = append(m.bufs, nil)
+		r.slot = uint32(len(m.bufs))
+	}
+	b := &m.bufs[r.slot-1]
+	p := *b
 	if end <= cap(p) {
 		q := p[:end]
 		if off > len(p) {
 			clear(q[len(p):off])
 		}
-		m.data[f] = q
+		*b = q
 		return q
 	}
 	size := int(m.pageSize)
@@ -252,15 +327,17 @@ func (m *PhysMem) grow(f FrameID, off, end int) []byte {
 	}
 	q := make([]byte, end, size)
 	copy(q, p)
-	m.data[f] = q
+	*b = q
 	return q
 }
 
-// prefix returns f's written prefix, empty for a frame past the per-frame
-// slices. f must be in range.
+// prefix returns f's written prefix, empty for a frame without a contents
+// slot. f must be in range.
 func (m *PhysMem) prefix(f FrameID) []byte {
-	if int(f) < len(m.data) {
-		return m.data[f]
+	if int(f) < len(m.table) {
+		if s := m.table[f].slot; s != 0 {
+			return m.bufs[s-1]
+		}
 	}
 	return nil
 }
@@ -300,7 +377,7 @@ func isZero(b []byte) bool {
 // the page end, as copy would cut it. A b of zero bytes only that starts
 // at or past the prefix's end stores nothing, since f reads zero there
 // already. An offset past the page end panics. A write that stores bytes
-// into a frame past the per-frame slices extends them.
+// into a frame past the frame table extends it.
 func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 	n := m.span(f, off, len(b))
 	if n == 0 {
@@ -311,7 +388,7 @@ func (m *PhysMem) Write(f FrameID, off int, b []byte) int {
 		if off >= len(p) && isZero(b[:n]) {
 			return n
 		}
-		if int(f) >= len(m.data) {
+		if int(f) >= len(m.table) {
 			m.extend(f)
 		}
 		p = m.grow(f, off, end)
@@ -337,8 +414,8 @@ func (m *PhysMem) Read(f FrameID, off int, b []byte) int {
 // the frame without allocating.
 func (m *PhysMem) Load(f FrameID, b []byte) {
 	m.checkFrame(f)
-	if len(m.prefix(f)) != 0 {
-		m.data[f] = m.data[f][:0]
+	if int(f) < len(m.table) {
+		m.truncate(m.table[f].slot)
 	}
 	m.Write(f, 0, b)
 }
@@ -417,12 +494,15 @@ func (m *PhysMem) OwnedBy(owner trace.Comp) int {
 // free stack holds no other frame. At or past it, no frame is owned or
 // holds a prefix. So free plus owned frames equal the total. Each
 // per-owner count equals a scan of the owners, no prefix outgrows its
-// page, and every free frame's prefix is empty, so it reads zero. Audit
-// allocates in proportion to the watermark, not to the frames installed.
-// It is a test oracle and never runs on the simulation path.
+// page, and every free frame's prefix is empty, so it reads zero. No free
+// frame, and no frame at or past the watermark, carries an M2P word. Every
+// contents slot a record names is in range and named by that record only,
+// and every buffer in bufs has its frame. Audit allocates in proportion to
+// the frame table and bufs, not to the frames installed. It is a test
+// oracle and never runs on the simulation path.
 func (m *PhysMem) Audit() error {
-	if len(m.data) != len(m.owner) || m.next > len(m.owner) || len(m.owner) > m.frames {
-		return fmt.Errorf("hw: %d contents and %d owners for a watermark at %d of %d frames", len(m.data), len(m.owner), m.next, m.frames)
+	if m.next > len(m.table) || len(m.table) > m.frames {
+		return fmt.Errorf("hw: %d frame records for a watermark at %d of %d frames", len(m.table), m.next, m.frames)
 	}
 	onStack := make([]bool, m.next)
 	for _, f := range m.free {
@@ -433,38 +513,61 @@ func (m *PhysMem) Audit() error {
 			return fmt.Errorf("hw: frame %d is on the free stack twice", f)
 		}
 		onStack[f] = true
-		if o := m.owner[f]; o != trace.CompNone {
+		if o := m.table[f].owner; o != trace.CompNone {
 			return fmt.Errorf("hw: free-stack frame %d is owned by component %d", f, o)
 		}
 	}
 	owned := make([]int, len(m.owned))
-	for f, o := range m.owner {
-		n := len(m.data[f])
+	named := make([]bool, len(m.bufs))
+	for f, r := range m.table {
+		n := 0
+		if r.slot != 0 {
+			s := int(r.slot) - 1
+			if s >= len(m.bufs) {
+				return fmt.Errorf("hw: frame %d names contents slot %d of %d", f, s, len(m.bufs))
+			}
+			if named[s] {
+				return fmt.Errorf("hw: frame %d names contents slot %d, which another frame holds", f, s)
+			}
+			named[s] = true
+			n = len(m.bufs[s])
+		}
 		if uint64(n) > m.pageSize {
 			return fmt.Errorf("hw: frame %d holds a %d-byte prefix in a %d-byte page", f, n, m.pageSize)
 		}
 		if f >= m.next {
-			if o != trace.CompNone {
-				return fmt.Errorf("hw: untouched frame %d (watermark %d) is owned by component %d", f, m.next, o)
+			if r.owner != trace.CompNone {
+				return fmt.Errorf("hw: untouched frame %d (watermark %d) is owned by component %d", f, m.next, r.owner)
+			}
+			if r.m2p != 0 {
+				return fmt.Errorf("hw: untouched frame %d (watermark %d) carries M2P word %d", f, m.next, r.m2p)
 			}
 			if n != 0 {
 				return fmt.Errorf("hw: untouched frame %d holds a %d-byte prefix", f, n)
 			}
 			continue
 		}
-		if o == trace.CompNone {
+		if r.owner == trace.CompNone {
 			if !onStack[f] {
 				return fmt.Errorf("hw: frame %d is neither owned nor free", f)
+			}
+			if r.m2p != 0 {
+				return fmt.Errorf("hw: free frame %d carries M2P word %d", f, r.m2p)
 			}
 			if n != 0 {
 				return fmt.Errorf("hw: free frame %d holds a %d-byte prefix", f, n)
 			}
 			continue
 		}
-		if o < 0 || int(o) >= len(owned) {
-			return fmt.Errorf("hw: frame %d owned by uncounted component %d", f, o)
+		if r.owner < 0 || int(r.owner) >= len(owned) {
+			return fmt.Errorf("hw: frame %d owned by uncounted component %d", f, r.owner)
 		}
-		owned[o]++
+		owned[r.owner]++
+	}
+	for s, ok := range named {
+		if !ok {
+			return fmt.Errorf("hw: contents slot %d belongs to no frame", s)
+		}
 	}
 	for c, n := range owned {
 		if n != m.owned[c] {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vmmk/internal/trace"
 )
@@ -23,7 +24,8 @@ func TestPhysMemFreedFrameReadsZeroWithoutNewPage(t *testing.T) {
 	a := trace.NewRegistry().Intern("a")
 	f, _ := m.Alloc(a)
 	m.Write(f, 0, []byte("secret"))
-	buf := m.data[f][:cap(m.data[f])]
+	p := m.prefix(f)
+	buf := p[:cap(p)]
 	m.Free(f)
 	if n := len(m.Bytes(f)); n != 0 {
 		t.Fatalf("Free left a %d-byte prefix", n)
@@ -39,7 +41,7 @@ func TestPhysMemFreedFrameReadsZeroWithoutNewPage(t *testing.T) {
 		t.Fatalf("free stack is not LIFO: got frame %d, want %d", g, f)
 	}
 	m.Write(g, 3, []byte{'x'})
-	if &m.data[g][0] != &buf[0] {
+	if &m.prefix(g)[0] != &buf[0] {
 		t.Fatal("a write allocated a new buffer for a recycled frame")
 	}
 	if got := m.Bytes(g); string(got) != "\x00\x00\x00x" {
@@ -64,8 +66,8 @@ func TestPhysMemResetTruncatesOwnedPrefixes(t *testing.T) {
 		t.Fatalf("after Reset: free %d, a %d, b %d", m.FreeFrames(), m.OwnedBy(a), m.OwnedBy(b))
 	}
 	for _, f := range fs {
-		if len(m.data[f]) != 0 || cap(m.data[f]) == 0 {
-			t.Fatalf("frame %d after Reset: %d-byte prefix in a %d-byte buffer; want empty, kept", f, len(m.data[f]), cap(m.data[f]))
+		if p := m.prefix(f); len(p) != 0 || cap(p) == 0 {
+			t.Fatalf("frame %d after Reset: %d-byte prefix in a %d-byte buffer; want empty, kept", f, len(p), cap(p))
 		}
 	}
 	if err := m.Audit(); err != nil {
@@ -96,10 +98,10 @@ func TestPhysMemCopyPage(t *testing.T) {
 	// bufferless, the written one only loses its prefix.
 	dst.CopyPage(d0, src, untouched)
 	dst.CopyPage(d1, src, freed)
-	if dst.data[d0] != nil {
+	if dst.prefix(d0) != nil {
 		t.Fatal("zero-source copy allocated a buffer")
 	}
-	if len(dst.data[d1]) != 0 || !bytes.Equal(peek(dst, d1), make([]byte, 64)) {
+	if len(dst.prefix(d1)) != 0 || !bytes.Equal(peek(dst, d1), make([]byte, 64)) {
 		t.Fatal("zero-source copy left old bytes readable")
 	}
 	// A written source moves its prefix and overwrites whatever the
@@ -179,9 +181,9 @@ func TestPhysMemGrowthInsideBufferHidesOldBytes(t *testing.T) {
 			f := mustAlloc(t, m, a)
 			m.Write(f, 0, bytes.Repeat([]byte{0xFF}, 64))
 			m.Load(f, []byte{9})
-			buf := m.data[f]
+			buf := m.prefix(f)
 			tc.grow(m, f)
-			if &m.data[f][0] != &buf[0] {
+			if &m.prefix(f)[0] != &buf[0] {
 				t.Fatal("growth inside the buffer allocated a new one")
 			}
 			for i, b := range peek(m, f) {
@@ -205,7 +207,7 @@ func TestPhysMemBufferSizing(t *testing.T) {
 		f           FrameID
 		prefix, buf int
 	}{{small, 2, minPrefix}, {packet, 1500, 1500}, {grown, 101, 4096}} {
-		if p := m.data[tc.f]; len(p) != tc.prefix || cap(p) != tc.buf {
+		if p := m.prefix(tc.f); len(p) != tc.prefix || cap(p) != tc.buf {
 			t.Errorf("frame %d: %d-byte prefix in a %d-byte buffer, want %d in %d", tc.f, len(p), cap(p), tc.prefix, tc.buf)
 		}
 	}
@@ -213,7 +215,7 @@ func TestPhysMemBufferSizing(t *testing.T) {
 	tiny := NewPhysMem(1, 32)
 	f := mustAlloc(t, tiny, a)
 	tiny.Write(f, 0, []byte{1})
-	if c := cap(tiny.data[f]); c != 32 {
+	if c := cap(tiny.prefix(f)); c != 32 {
 		t.Fatalf("32-byte page got a %d-byte buffer", c)
 	}
 }
@@ -271,10 +273,11 @@ func mustAlloc(t *testing.T, m *PhysMem, owner trace.Comp) FrameID {
 }
 
 // TestPhysMemWatermarkGrowsInSteps hands out the frames of a memory bigger
-// than one growth step one by one. The per-frame slices grow in steps,
-// every frame keeps its contents across them, frames past the watermark
-// stay free and read zero, the free stack grows once to the slices' length
-// when frees need it, and Reset keeps what was grown.
+// than one growth step one by one. The frame table grows in steps, every
+// frame keeps its contents across them, each written frame takes one
+// contents slot, frames past the watermark stay free and read zero, the
+// free stack grows once to the table's length when frees need it, and
+// Reset keeps what was grown.
 func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
 	const frames, used = 1000, 600
 	m := NewPhysMem(frames, 64)
@@ -285,20 +288,22 @@ func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
 			t.Fatalf("allocation %d handed out frame %d", i, f)
 		}
 		m.Write(FrameID(i), 0, []byte{byte(i), byte(i >> 8)})
-		if n := len(m.owner); len(steps) == 0 || steps[len(steps)-1] != n {
+		if n := len(m.table); len(steps) == 0 || steps[len(steps)-1] != n {
 			steps = append(steps, n)
 		}
-		if len(m.data) != len(m.owner) || m.free != nil {
-			t.Fatalf("after %d frames: %d contents, %d owners, free stack %v", i+1, len(m.data), len(m.owner), m.free)
+		// Frame 0 is written zeros, which store nothing, so it takes no
+		// contents slot; every later frame takes one.
+		if len(m.bufs) != i || m.free != nil {
+			t.Fatalf("after %d frames: %d contents slots, %d records, free stack %v", i+1, len(m.bufs), len(m.table), m.free)
 		}
 	}
 	if want := []int{256, 512, frames}; !slices.Equal(steps, want) {
-		t.Fatalf("per-frame slices grew through %v entries, want %v", steps, want)
+		t.Fatalf("frame table grew through %v records, want %v", steps, want)
 	}
 	for i := range used {
 		got := make([]byte, 2)
 		if m.Read(FrameID(i), 0, got); !bytes.Equal(got, []byte{byte(i), byte(i >> 8)}) {
-			t.Fatalf("frame %d reads %x after the slices grew", i, got)
+			t.Fatalf("frame %d reads %x after the frame table grew", i, got)
 		}
 	}
 	if m.FreeFrames() != frames-used || m.Owner(used) != trace.CompNone || len(m.Bytes(frames-1)) != 0 {
@@ -313,11 +318,11 @@ func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
 		m.Free(f)
 	}
 	if stack < frames || cap(m.free) != stack {
-		t.Fatalf("the first free grew the free stack to %d entries and %d frees to %d; want the slices' %d, once", stack, used, cap(m.free), frames)
+		t.Fatalf("the first free grew the free stack to %d entries and %d frees to %d; want the table's %d, once", stack, used, cap(m.free), frames)
 	}
 	m.Reset()
-	if len(m.owner) != frames || cap(m.free) < frames || m.next != 0 || m.FreeFrames() != frames {
-		t.Fatalf("after Reset: %d-entry slices, free stack capacity %d, watermark %d, %d free", len(m.owner), cap(m.free), m.next, m.FreeFrames())
+	if len(m.table) != frames || cap(m.free) < frames || m.next != 0 || m.FreeFrames() != frames {
+		t.Fatalf("after Reset: %d-record table, free stack capacity %d, watermark %d, %d free", len(m.table), cap(m.free), m.next, m.FreeFrames())
 	}
 	if err := m.Audit(); err != nil {
 		t.Fatal(err)
@@ -325,28 +330,30 @@ func TestPhysMemWatermarkGrowsInSteps(t *testing.T) {
 }
 
 // TestPhysMemFramesPastTheSlices pins what a frame the memory has never
-// touched looks like: free and zero, with the free-frame panics of Free and
-// Transfer, and the out-of-range panic one frame past the end. A Write to
-// one extends the slices to it, and Audit reports the write.
+// touched looks like: free and zero, naming no guest page, with the
+// free-frame panics of Free, Transfer and SetM2P, and the out-of-range
+// panic one frame past the end. A Write to one extends the frame table to
+// it, and Audit reports the write.
 func TestPhysMemFramesPastTheSlices(t *testing.T) {
 	const frames = 1 << 20
 	m := NewPhysMem(frames, 4096)
 	a := trace.NewRegistry().Intern("a")
 	m.Write(mustAlloc(t, m, a), 0, []byte("touched"))
 	far := FrameID(frames - 1)
-	if int(far) < len(m.owner) {
-		t.Fatalf("frame %d lies within %d-entry slices", far, len(m.owner))
+	if int(far) < len(m.table) {
+		t.Fatalf("frame %d lies within a %d-record frame table", far, len(m.table))
 	}
 	page := bytes.Repeat([]byte{0xEE}, 4096)
 	if m.Read(far, 0, page); !bytes.Equal(page, make([]byte, 4096)) {
 		t.Fatal("an untouched frame does not read zero")
 	}
-	if m.Owner(far) != trace.CompNone || len(m.Bytes(far)) != 0 {
-		t.Fatalf("untouched frame owned by %d with a %d-byte prefix", m.Owner(far), len(m.Bytes(far)))
+	if m.Owner(far) != trace.CompNone || len(m.Bytes(far)) != 0 || m.M2P(far) != -1 || m.M2P(frames) != -1 {
+		t.Fatalf("untouched frame owned by %d with a %d-byte prefix, naming guest page %d", m.Owner(far), len(m.Bytes(far)), m.M2P(far))
 	}
 	for name, op := range map[string]func(){
 		"Free of an untouched frame":     func() { m.Free(far) },
 		"Transfer of an untouched frame": func() { m.Transfer(far, a) },
+		"SetM2P of an untouched frame":   func() { m.SetM2P(far, 0) },
 		"Owner past the end":             func() { m.Owner(frames) },
 		"Transfer past the end":          func() { m.Transfer(frames, a) },
 	} {
@@ -355,8 +362,8 @@ func TestPhysMemFramesPastTheSlices(t *testing.T) {
 		}
 	}
 	m.Write(5000, 1, []byte{7})
-	if len(m.owner) != 5001 || len(m.data) != 5001 || string(m.Bytes(5000)) != "\x00\x07" {
-		t.Fatalf("write past the slices: %d-entry slices, frame reads %x", len(m.owner), m.Bytes(5000))
+	if len(m.table) != 5001 || record(m, 5000).slot != 2 || string(m.Bytes(5000)) != "\x00\x07" {
+		t.Fatalf("write past the table: %d-record table, contents slot %d, frame reads %x", len(m.table), record(m, 5000).slot, m.Bytes(5000))
 	}
 	if err := m.Audit(); err == nil || !strings.Contains(err.Error(), "untouched frame 5000 holds a 2-byte prefix") {
 		t.Fatalf("Audit after writing an untouched frame = %v", err)
@@ -379,7 +386,7 @@ func TestNewPhysMemRejectsNoFrameIDs(t *testing.T) {
 // TestPhysMemAuditCatchesCorruption breaks each conservation law by hand
 // and checks Audit names it. The memory has four frames: frame 0 is owned
 // and written, frame 1 was freed, so the watermark is at 2, and frames 2
-// and 3 are untouched but inside the per-frame slices.
+// and 3 are untouched but inside the frame table.
 func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 	a := trace.NewRegistry().Intern("a")
 	const untouched = FrameID(3)
@@ -389,21 +396,36 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 		want    string
 	}{
 		{"dirty free frame", func(m *PhysMem, _, freed FrameID) {
-			m.data[freed] = []byte{0, 1}
+			setContents(m, freed, []byte{0, 1})
 		}, "free frame 1 holds a 2-byte prefix"},
 		{"prefix past the page", func(m *PhysMem, owned, _ FrameID) {
-			m.data[owned] = make([]byte, m.pageSize+1)
+			setContents(m, owned, make([]byte, m.pageSize+1))
 		}, "in a 64-byte page"},
 		{"free-stack entry past the watermark", func(m *PhysMem, _, _ FrameID) {
 			m.free = append(m.free, untouched)
 		}, "free stack holds untouched frame 3"},
 		{"owned frame past the watermark", func(m *PhysMem, _, _ FrameID) {
-			m.owner[untouched] = a
+			record(m, untouched).owner = a
 			m.owned[a]++
 		}, "untouched frame 3 (watermark 2) is owned"},
 		{"prefix on an untouched frame", func(m *PhysMem, _, _ FrameID) {
-			m.data[untouched] = []byte{0, 1}
+			setContents(m, untouched, []byte{0, 1})
 		}, "untouched frame 3 holds a 2-byte prefix"},
+		{"M2P word on a free frame", func(m *PhysMem, _, freed FrameID) {
+			record(m, freed).m2p = 5
+		}, "free frame 1 carries M2P word 5"},
+		{"M2P word past the watermark", func(m *PhysMem, _, _ FrameID) {
+			record(m, untouched).m2p = 1
+		}, "untouched frame 3 (watermark 2) carries M2P word 1"},
+		{"contents slot out of range", func(m *PhysMem, _, freed FrameID) {
+			record(m, freed).slot = 3
+		}, "frame 1 names contents slot 2 of 1"},
+		{"contents slot shared", func(m *PhysMem, owned, freed FrameID) {
+			record(m, freed).slot = record(m, owned).slot
+		}, "frame 1 names contents slot 0, which another frame holds"},
+		{"contents slot without a frame", func(m *PhysMem, _, _ FrameID) {
+			m.bufs = append(m.bufs, nil)
+		}, "contents slot 1 belongs to no frame"},
 		{"duplicate on free stack", func(m *PhysMem, _, freed FrameID) {
 			m.free = append(m.free, freed)
 		}, "twice"},
@@ -421,12 +443,13 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 			m := NewPhysMem(4, 64)
 			owned, freed := mustAlloc(t, m, a), mustAlloc(t, m, a)
 			m.Write(owned, 0, []byte{1})
+			m.SetM2P(owned, 0)
 			m.Free(freed)
 			if err := m.Audit(); err != nil {
 				t.Fatalf("clean memory: %v", err)
 			}
-			if m.next != 2 || len(m.owner) != 4 {
-				t.Fatalf("watermark %d with %d-entry slices, want 2 with 4", m.next, len(m.owner))
+			if m.next != 2 || len(m.table) != 4 {
+				t.Fatalf("watermark %d with a %d-record table, want 2 with 4", m.next, len(m.table))
 			}
 			tc.corrupt(m, owned, freed)
 			err := m.Audit()
@@ -437,19 +460,44 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 	}
 }
 
+// record returns f's record in m's frame table, for the white-box tests
+// that read or corrupt it.
+func record(m *PhysMem, f FrameID) *frameRec { return &m.table[f] }
+
+// setContents puts b in f's contents slot, taking a new slot when f has
+// none: how the corruption tests plant a prefix.
+func setContents(m *PhysMem, f FrameID, b []byte) {
+	r := record(m, f)
+	if r.slot == 0 {
+		m.bufs = append(m.bufs, nil)
+		r.slot = uint32(len(m.bufs))
+	}
+	m.bufs[r.slot-1] = b
+}
+
+// TestFrameRecordSize: a frame's record is its owner, its M2P word and its
+// contents slot, with no pointer for the garbage collector to scan.
+func TestFrameRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(frameRec{}); n != 12 {
+		t.Fatalf("frameRec is %d bytes, want 12", n)
+	}
+}
+
 // physModel is FuzzPhysMem's reference: the plainest memory that meets
 // PhysMem's contract. It keeps every page whole, zeroes it the moment it
-// is freed, names owners by string and keeps a free stack of every free
+// is freed, names owners by string, keeps each frame's M2P entry as a
+// plain guest page number (-1 for none) and a free stack of every free
 // frame, untouched ones included, so any difference from PhysMem is a
-// prefix, owner-handle or watermark bug.
+// prefix, owner-handle, M2P or watermark bug.
 type physModel struct {
 	pages [][]byte
 	owner []string
+	m2p   []int
 	free  []FrameID
 }
 
 func newPhysModel(frames, pageSize int) *physModel {
-	pm := &physModel{pages: make([][]byte, frames), owner: make([]string, frames)}
+	pm := &physModel{pages: make([][]byte, frames), owner: make([]string, frames), m2p: make([]int, frames)}
 	for i := range pm.pages {
 		pm.pages[i] = make([]byte, pageSize)
 	}
@@ -462,26 +510,53 @@ func (pm *physModel) reset() {
 	for i := len(pm.pages) - 1; i >= 0; i-- {
 		pm.free = append(pm.free, FrameID(i))
 		pm.owner[i] = ""
+		pm.m2p[i] = -1
 		clear(pm.pages[i])
 	}
 }
 
+// take pops n frames off the free stack for owner, one at a time.
+func (pm *physModel) take(n int, owner string) []FrameID {
+	out := make([]FrameID, n)
+	for j := range out {
+		out[j] = pm.free[len(pm.free)-1]
+		pm.free = pm.free[:len(pm.free)-1]
+		pm.owner[out[j]] = owner
+	}
+	return out
+}
+
 func (pm *physModel) release(f FrameID) {
 	pm.owner[f] = ""
+	pm.m2p[f] = -1
 	clear(pm.pages[f])
 	pm.free = append(pm.free, f)
+}
+
+// twin returns a copy of m with allocator state of its own, to check one
+// allocation path against another. It shares m's contents buffers, so it
+// must not be written.
+func twin(m *PhysMem) *PhysMem {
+	c := *m
+	c.table = slices.Clone(m.table)
+	c.owned = slices.Clone(m.owned)
+	c.free = slices.Clone(m.free)
+	return &c
 }
 
 // FuzzPhysMem drives two memories and their reference models through a
 // byte-decoded sequence of Alloc, Free, Transfer, one-byte Write, Copy,
 // CopyPage (within and across memories), Reset, Write, Read, Load, Bytes,
-// a probe of any frame and AllocN, and after every op checks contents,
-// owners, per-owner counts, the free count and Audit. Write, Read and Load
-// take random offsets and lengths, empty ones and ones that cross the page
-// end included. Some Writes carry zero bytes only, inside and past the
-// prefix; one past it must leave the prefix as it was. Bytes must be a
-// prefix of the model's page with zeros beyond it. The probe reaches one
-// frame past the end too, and frames a memory has not touched yet.
+// a probe of any frame, AllocN against the model, AllocN against n single
+// Allocs on a twin of the memory, and SetM2P, and after every op checks
+// contents, owners, M2P entries, per-owner counts, the free count and
+// Audit. Write, Read and Load take random offsets and lengths, empty ones
+// and ones that cross the page end included. Some Writes carry zero bytes
+// only, inside and past the prefix; one past it must leave the prefix as
+// it was. Bytes must be a prefix of the model's page with zeros beyond it.
+// The probe reaches one frame past the end too, and frames a memory has
+// not touched yet. SetM2P sets or clears an owned frame's entry and must
+// panic on a free one.
 func FuzzPhysMem(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 0, 5, 9, 5, 0, 0, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 1, 0, 7, 1, 0, 1, 0, 5, 1, 0, 0, 1, 6, 0})
@@ -505,7 +580,7 @@ func FuzzPhysMem(f *testing.F) {
 			return 0
 		}
 		for i := 0; i < len(ops); i += 5 {
-			op, k := ops[i]%13, arg(i+1)%2
+			op, k := ops[i]%15, arg(i+1)%2
 			m, pm := mems[k], models[k]
 			f1, f2 := FrameID(arg(i+2)%frames), FrameID(arg(i+3)%frames)
 			var desc string
@@ -519,10 +594,7 @@ func FuzzPhysMem(f *testing.F) {
 					}
 					break
 				}
-				want := pm.free[len(pm.free)-1]
-				pm.free = pm.free[:len(pm.free)-1]
-				pm.owner[want] = names[o]
-				if err != nil || got != want {
+				if want := pm.take(1, names[o])[0]; err != nil || got != want {
 					t.Fatalf("op %d: Alloc = %d, %v; want frame %d", i, got, err, want)
 				}
 				desc = fmt.Sprintf("alloc %d to %s", got, names[o])
@@ -619,13 +691,17 @@ func FuzzPhysMem(f *testing.F) {
 				f := FrameID(arg(i+2) % (frames + 1))
 				if f == frames {
 					for name, probe := range map[string]func(){
-						"Owner": func() { m.Owner(f) },
-						"Read":  func() { m.Read(f, 0, nil) },
-						"Bytes": func() { m.Bytes(f) },
+						"Owner":  func() { m.Owner(f) },
+						"Read":   func() { m.Read(f, 0, nil) },
+						"Bytes":  func() { m.Bytes(f) },
+						"SetM2P": func() { m.SetM2P(f, 0) },
 					} {
 						if !panics(probe) {
 							t.Fatalf("op %d: %s of out-of-range frame %d did not panic", i, name, f)
 						}
+					}
+					if g := m.M2P(f); g != -1 {
+						t.Fatalf("op %d: out-of-range frame %d names guest page %d", i, f, g)
 					}
 					desc = fmt.Sprintf("probe out-of-range %d", f)
 					break
@@ -647,16 +723,42 @@ func FuzzPhysMem(f *testing.F) {
 					desc = fmt.Sprintf("allocN %d refused", n)
 					break
 				}
-				want := make([]FrameID, n)
-				for j := range want {
-					want[j] = pm.free[len(pm.free)-1]
-					pm.free = pm.free[:len(pm.free)-1]
-					pm.owner[want[j]] = names[o]
-				}
-				if err != nil || !slices.Equal(got, want) {
+				if want := pm.take(n, names[o]); err != nil || !slices.Equal(got, want) {
 					t.Fatalf("op %d: AllocN(%d) = %v, %v; want %v", i, n, got, err, want)
 				}
 				desc = fmt.Sprintf("allocN %v to %s", got, names[o])
+			case 13: // AllocN, against n single Allocs on a twin
+				o, n := arg(i+2)%len(names), arg(i+3)%(frames+2)
+				tw, free := twin(m), m.FreeFrames()
+				got, err := m.AllocN(comps[o], n)
+				if n > free {
+					if err != ErrOutOfMemory || got != nil || !sameAllocator(m, tw, comps) {
+						t.Fatalf("op %d: AllocN(%d) with %d free = %v, %v; the refusal must take nothing", i, n, free, got, err)
+					}
+					desc = fmt.Sprintf("allocN %d against Allocs refused", n)
+					break
+				}
+				want := make([]FrameID, n)
+				for j := range want {
+					want[j], _ = tw.Alloc(comps[o])
+				}
+				if err != nil || !slices.Equal(got, want) || !sameAllocator(m, tw, comps) {
+					t.Fatalf("op %d: AllocN(%d) = %v, %v; %d Allocs took %v", i, n, got, err, n, want)
+				}
+				pm.take(n, names[o])
+				desc = fmt.Sprintf("allocN %v to %s against Allocs", got, names[o])
+			case 14: // SetM2P: set or clear an owned frame's entry
+				gpn := arg(i+3)%8 - 1
+				if pm.owner[f1] == "" {
+					if !panics(func() { m.SetM2P(f1, gpn) }) {
+						t.Fatalf("op %d: SetM2P(%d, %d) of a free frame did not panic", i, f1, gpn)
+					}
+					desc = fmt.Sprintf("setM2P %d refused", f1)
+					break
+				}
+				m.SetM2P(f1, gpn)
+				pm.m2p[f1] = gpn
+				desc = fmt.Sprintf("setM2P %d = %d", f1, gpn)
 			}
 			for j, m := range mems {
 				checkAgainstModel(t, fmt.Sprintf("op %d (mem%d %s), mem%d", i, k, desc, j), m, models[j], reg, comps)
@@ -689,6 +791,9 @@ func checkAgainstModel(t *testing.T, where string, m *PhysMem, pm *physModel, re
 		if got := reg.Name(m.Owner(FrameID(f))); got != pm.owner[f] {
 			t.Fatalf("%s: frame %d owned by %q, model %q", where, f, got, pm.owner[f])
 		}
+		if got := m.M2P(FrameID(f)); got != pm.m2p[f] {
+			t.Fatalf("%s: frame %d names guest page %d, model %d", where, f, got, pm.m2p[f])
+		}
 		count[pm.owner[f]]++
 		if got := peek(m, FrameID(f)); !bytes.Equal(got, pm.pages[f]) {
 			t.Fatalf("%s: frame %d reads %x, model %x", where, f, got, pm.pages[f])
@@ -698,6 +803,87 @@ func checkAgainstModel(t *testing.T, where string, m *PhysMem, pm *physModel, re
 		if got, want := m.OwnedBy(c), count[reg.Name(c)]; got != want {
 			t.Fatalf("%s: %s owns %d frames, model %d", where, reg.Name(c), got, want)
 		}
+	}
+}
+
+// sameAllocator reports whether a and b hold the same allocator state: the
+// watermark, the frame table's length, every record's owner and M2P word,
+// the free stack, each component's count and the allocation count.
+func sameAllocator(a, b *PhysMem, comps []trace.Comp) bool {
+	if a.next != b.next || len(a.table) != len(b.table) || !slices.Equal(a.free, b.free) {
+		return false
+	}
+	for f, r := range a.table {
+		if r.owner != b.table[f].owner || r.m2p != b.table[f].m2p {
+			return false
+		}
+	}
+	for _, c := range comps {
+		if a.OwnedBy(c) != b.OwnedBy(c) {
+			return false
+		}
+	}
+	na, _ := a.Stats()
+	nb, _ := b.Stats()
+	return na == nb
+}
+
+// TestPhysMemAllocNMatchesAlloc runs one schedule of AllocN calls, frees
+// between them, on a memory bigger than one growth step, and the same
+// schedule as single Allocs on a twin. Each AllocN must take the IDs the
+// Allocs do, freed frames first and then a run from the watermark, and
+// leave the same allocator behind, its frame table grown through the same
+// steps; one that asks for more than is free takes nothing.
+func TestPhysMemAllocNMatchesAlloc(t *testing.T) {
+	const frames = 1000
+	reg := trace.NewRegistry()
+	a, b := reg.Intern("a"), reg.Intern("b")
+	comps := []trace.Comp{a, b}
+	m, tw := NewPhysMem(frames, 64), NewPhysMem(frames, 64)
+	var steps []int
+	for _, step := range []struct {
+		owner trace.Comp
+		n     int
+		free  []FrameID
+	}{
+		{a, 300, []FrameID{7, 250, 3}},
+		{b, 2, nil},
+		{b, 400, []FrameID{0, 299, 100, 1}},
+		{a, frames, nil},
+		{a, 298, []FrameID{700, 5}},
+		{b, 2, nil},
+		{a, 7, nil},
+		{b, 1, nil},
+	} {
+		got, err := m.AllocN(step.owner, step.n)
+		var want []FrameID
+		if step.n <= tw.FreeFrames() {
+			for range step.n {
+				f, _ := tw.Alloc(step.owner)
+				want = append(want, f)
+			}
+		} else if err != ErrOutOfMemory {
+			t.Fatalf("AllocN(%d) with %d free: err = %v, want ErrOutOfMemory", step.n, tw.FreeFrames(), err)
+		}
+		if !slices.Equal(got, want) || !sameAllocator(m, tw, comps) {
+			t.Fatalf("AllocN(%d) = %v; %d Allocs took %v", step.n, got, step.n, want)
+		}
+		if n := len(m.table); len(steps) == 0 || steps[len(steps)-1] != n {
+			steps = append(steps, n)
+		}
+		for _, f := range step.free {
+			m.Free(f)
+			tw.Free(f)
+		}
+		if err := m.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{512, frames}; !slices.Equal(steps, want) {
+		t.Fatalf("frame table grew through %v records, want %v", steps, want)
+	}
+	if m.FreeFrames() != 0 {
+		t.Fatalf("%d frames left free, want none", m.FreeFrames())
 	}
 }
 
@@ -762,7 +948,7 @@ func BenchmarkCopyPage(b *testing.B) {
 // TestZeroWriteAllocatesNothing: zero bytes written at or past a frame's
 // prefix read zero already, so the write stores nothing. Each run writes
 // zeros to fresh frames: one with a short prefix, one never written, and
-// one past the per-frame slices, none of which the write may extend.
+// one past the frame table, none of which the write may extend.
 func TestZeroWriteAllocatesNothing(t *testing.T) {
 	const runs = 101 // AllocsPerRun's warm-up run, then 100
 	m := NewPhysMem(4*runs, 4096)
@@ -772,7 +958,7 @@ func TestZeroWriteAllocatesNothing(t *testing.T) {
 	for _, f := range touched {
 		m.Write(f, 0, []byte("prefix"))
 	}
-	slices := len(m.owner)
+	slices := len(m.table)
 	zeros := make([]byte, 4096)
 	i := 0
 	if n := testing.AllocsPerRun(runs-1, func() {
@@ -797,8 +983,8 @@ func TestZeroWriteAllocatesNothing(t *testing.T) {
 			t.Fatalf("run %d: a frame reads differently after zero writes past its prefix", j)
 		}
 	}
-	if len(m.owner) != slices {
-		t.Fatalf("zero writes grew the per-frame slices from %d to %d entries", slices, len(m.owner))
+	if len(m.table) != slices || len(m.bufs) != runs {
+		t.Fatalf("zero writes grew the frame table from %d to %d records and took %d contents slots for %d written frames", slices, len(m.table), len(m.bufs), runs)
 	}
 	if err := m.Audit(); err != nil {
 		t.Fatal(err)

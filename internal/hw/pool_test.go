@@ -157,8 +157,8 @@ func TestBootAndResetCostWhatAMachineUses(t *testing.T) {
 	if n := testing.AllocsPerRun(10, touch); n != 0 {
 		t.Errorf("touching 300 frames and resetting allocates %.1f times", n)
 	}
-	if n := len(m.Mem.owner); n > 512 {
-		t.Errorf("a machine that touched 300 frames keeps %d entries of per-frame state", n)
+	if n := len(m.Mem.table); n > 512 {
+		t.Errorf("a machine that touched 300 frames keeps %d frame records", n)
 	}
 }
 

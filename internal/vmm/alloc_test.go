@@ -109,3 +109,33 @@ func TestDirtyLogCycleAllocates(t *testing.T) {
 		})
 	}
 }
+
+// TestHypervisorBootAllocates pins what a warm boot allocates: a
+// hypervisor with a 256-page Dom0 and two 128-page guests on a Reset
+// 1,024-frame machine. The M2P lives in the machine's frame table, which
+// the machine keeps across Reset, so the boot allocates the domains' own
+// state and nothing for the M2P.
+func TestHypervisorBootAllocates(t *testing.T) {
+	const want = 20
+	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 1024})
+	var bootErr error
+	boot := func() {
+		m.Reset()
+		h, _, err := New(m, 256)
+		for _, name := range []string{"a", "b"} {
+			if err == nil {
+				_, err = h.CreateDomain(name, 128)
+			}
+		}
+		if err != nil {
+			bootErr = err
+		}
+	}
+	n := testing.AllocsPerRun(20, boot)
+	if bootErr != nil {
+		t.Fatal(bootErr)
+	}
+	if n != want {
+		t.Fatalf("a warm boot allocates %v objects, want %d", n, want)
+	}
+}

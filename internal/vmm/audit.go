@@ -18,8 +18,8 @@ import (
 //   - the grant table's free list names every revoked grant no foreign
 //     mapping holds exactly once, and nothing else.
 //
-// Audit allocates and walks every table, so it is a test oracle, not
-// something the simulation calls.
+// Audit allocates and walks every table and every frame of the machine,
+// so it is a test oracle, not something the simulation calls.
 func (h *Hypervisor) Audit() error {
 	byComp := make(map[trace.Comp]*Domain, len(h.order))
 	for _, id := range h.order {
@@ -38,7 +38,7 @@ func (h *Hypervisor) Audit() error {
 				return fmt.Errorf("vmm audit: %s gpn %d: frame %d is owned by %q",
 					d.Name, gpn, f, h.M.Rec.Registry().Name(o))
 			}
-			if int(f) >= len(h.m2p) || int(h.m2p[f]) != gpn+1 {
+			if h.M.Mem.M2P(f) != gpn {
 				return fmt.Errorf("vmm audit: %s gpn %d: frame %d is missing from the M2P", d.Name, gpn, f)
 			}
 		}
@@ -62,13 +62,13 @@ func (h *Hypervisor) Audit() error {
 			return fmt.Errorf("vmm audit: %s %w", d.Name, err)
 		}
 	}
-	for f, g := range h.m2p {
-		if g == 0 {
+	for f := range hw.FrameID(h.M.Mem.TotalFrames()) {
+		g := h.M.Mem.M2P(f)
+		if g < 0 {
 			continue
 		}
-		d := byComp[h.M.Mem.Owner(hw.FrameID(f))]
-		if d == nil || d.FrameAt(int(g)-1) != hw.FrameID(f) {
-			return fmt.Errorf("vmm audit: M2P maps frame %d to gpn %d, which no live P2M holds", f, g-1)
+		if d := byComp[h.M.Mem.Owner(f)]; d == nil || d.FrameAt(g) != f {
+			return fmt.Errorf("vmm audit: M2P maps frame %d to gpn %d, which no live P2M holds", f, g)
 		}
 	}
 	return nil

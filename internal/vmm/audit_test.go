@@ -179,17 +179,17 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(r *vrig){
 		"frame owned elsewhere": func(r *vrig) { r.m.Mem.Transfer(r.domU.FrameAt(3), r.dom0.Comp()) },
 		"P2M frame missing from the M2P": func(r *vrig) {
-			r.h.m2p[r.domU.FrameAt(3)] = 0
+			r.m.Mem.SetM2P(r.domU.FrameAt(3), -1)
 		},
 		"M2P names the wrong gpn": func(r *vrig) {
-			r.h.m2p[r.domU.FrameAt(3)] = 5
+			r.m.Mem.SetM2P(r.domU.FrameAt(3), 4)
 		},
 		"stale M2P entry": func(r *vrig) {
+			// The slot empties properly; the frame table then names it
+			// again for the frame the domain still owns.
 			f := r.domU.FrameAt(3)
-			r.domU.frames[3] = hw.NoFrame
-			r.domU.holes = append(r.domU.holes, 3)
-			r.domU.resident--
-			r.m.Mem.Free(f)
+			r.domU.punch(3)
+			r.m.Mem.SetM2P(f, 3)
 		},
 		"resident count drift": func(r *vrig) { r.domU.resident++ },
 		"hole list names a filled slot": func(r *vrig) {

@@ -78,14 +78,10 @@ func (d *Domain) FrameAt(gpn int) hw.FrameID {
 }
 
 // gpnOf returns the guest page f backs in d's P2M, or -1 when f is not in
-// it. The monitor's M2P names a gpn for every frame some live P2M holds;
+// it. The machine's M2P names a gpn for every frame some live P2M holds;
 // the P2M check confirms that the P2M is d's.
 func (d *Domain) gpnOf(f hw.FrameID) int {
-	m2p := d.hyp.m2p
-	if int(f) >= len(m2p) || m2p[f] == 0 {
-		return -1
-	}
-	if g := int(m2p[f]) - 1; g < len(d.frames) && d.frames[g] == f {
+	if g := d.hyp.M.Mem.M2P(f); g >= 0 && g < len(d.frames) && d.frames[g] == f {
 		return g
 	}
 	return -1
@@ -100,7 +96,7 @@ func (d *Domain) install(gpn int, f hw.FrameID) {
 	} else {
 		d.frames[gpn] = f
 	}
-	d.hyp.setM2P(f, gpn)
+	d.hyp.M.Mem.SetM2P(f, gpn)
 	d.resident++
 	if dl := d.dirtyLog; dl != nil {
 		dl.mark(gpn)
@@ -133,7 +129,7 @@ func (d *Domain) fill(gpn int) (hw.FrameID, error) {
 // enabled the slot is logged dirty, so a live migration in progress clears
 // it on the destination too.
 func (d *Domain) punch(gpn int) {
-	d.hyp.m2p[d.frames[gpn]] = 0
+	d.hyp.M.Mem.SetM2P(d.frames[gpn], -1)
 	d.frames[gpn] = hw.NoFrame
 	d.holes = append(d.holes, gpn)
 	d.resident--

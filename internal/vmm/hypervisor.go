@@ -72,13 +72,6 @@ type Hypervisor struct {
 	hypercalls uint64
 	worldSw    uint64
 
-	// m2p is the machine-to-phys table: frame -> 1 + the guest page it
-	// backs in whichever live P2M holds it, 0 for a frame no P2M holds.
-	// The P2M mutators keep it current, so frame -> gpn lookups (dirty-log
-	// arming, page-table capture, flips) are O(1). It grows on demand to
-	// the highest frame a P2M has held, not to the machine's size.
-	m2p []int32
-
 	// victims is BalloonOut's reusable list of frames to release.
 	victims []hw.FrameID
 }
@@ -146,32 +139,14 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 	}
 	d.frames = mem
 	d.resident = len(mem)
-	top := hw.FrameID(0)
-	for _, f := range mem {
-		top = max(top, f)
-	}
-	h.growM2P(top) // one growth for the batch, not one per frame
 	for gpn, f := range mem {
-		h.m2p[f] = int32(gpn) + 1
+		h.M.Mem.SetM2P(f, gpn)
 	}
 	h.M.CPU.Charge(h.comp, trace.KHypercall, 600) // domain-build hypercall
 	h.hypercalls++
 	h.domains[id] = d
 	h.order = append(h.order, id)
 	return d, nil
-}
-
-// growM2P extends the M2P to cover frame f.
-func (h *Hypervisor) growM2P(f hw.FrameID) {
-	if int(f) >= len(h.m2p) {
-		h.m2p = append(h.m2p, make([]int32, int(f)+1-len(h.m2p))...)
-	}
-}
-
-// setM2P records that frame f backs guest page gpn.
-func (h *Hypervisor) setM2P(f hw.FrameID, gpn int) {
-	h.growM2P(f)
-	h.m2p[f] = int32(gpn) + 1
 }
 
 // Comp returns the monitor's interned trace attribution handle.
@@ -338,12 +313,8 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 	d.grants.revokeAll()
 	for _, f := range d.frames {
 		// Flipped-away slots are holes; only release what the domain
-		// still owns.
-		if f == hw.NoFrame {
-			continue
-		}
-		h.m2p[f] = 0
-		if h.M.Mem.Owner(f) == d.comp {
+		// still owns. Free clears the frame's M2P word.
+		if f != hw.NoFrame && h.M.Mem.Owner(f) == d.comp {
 			h.M.Mem.Free(f)
 		}
 	}

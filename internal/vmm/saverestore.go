@@ -143,7 +143,7 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 				continue
 			}
 			frames[gpn] = d.frames[next]
-			h.setM2P(frames[gpn], gpn)
+			h.M.Mem.SetM2P(frames[gpn], gpn)
 			next++
 		}
 		d.frames = frames

@@ -182,7 +182,7 @@ func (dl *DirtyLog) grow(n int) {
 // already stripped, and their record of which mappings to restore on
 // disarm must survive untouched. One pass over the page table strips
 // PermW from the writable mappings of the pages this round protects,
-// resolving each mapped frame to its gpn through the monitor's M2P
+// resolving each mapped frame to its gpn through the machine's M2P
 // (read-only mappings stay read-only when the log disarms), so a round
 // costs O(frames + entries), not O(frames × entries).
 func (dl *DirtyLog) arm() {
