@@ -25,7 +25,7 @@ func BenchmarkChurnEvent(b *testing.B) {
 			if c, err = New(Config{Hosts: 16, HostFrames: 192, Policy: Policies[seed%2]}, nil); err != nil {
 				b.Fatal(err)
 			}
-			ch = c.newChurn(ChurnOpts{Events: epoch, Seed: seed, MinPages: 12, MaxPages: 44})
+			ch = c.newChurn(seed)
 		}
 		if err := ch.event(i % epoch); err != nil {
 			b.Fatal(err)

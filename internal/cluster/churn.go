@@ -8,56 +8,32 @@ import (
 	"vmmk/internal/simrand"
 )
 
-// ChurnOpts parameterises a churn run. The zero value is normalized to the
-// published defaults; only Seed has no default — equal seeds mean equal
-// runs, which is the point.
-type ChurnOpts struct {
-	// Events is how many arrival/departure events to draw (default 32).
-	Events int
-	// Seed seeds the churn's simrand stream. Every decision — arrival vs
-	// departure, guest size, which guest departs, migration dirtying —
-	// draws from this one stream, so (Seed, Policy, fleet) reproduces the
-	// run exactly.
-	Seed uint64
-	// MinPages/MaxPages bound arriving guests' nominal sizes
-	// (defaults 8 and 24).
-	MinPages, MaxPages int
-	// ArrivalPct is the percentage of events that are arrivals
-	// (default 60); an empty cluster always takes an arrival.
-	ArrivalPct int
-	// DirtyPerRound is how many pages a migrating guest writes per
-	// pre-copy round while its memory crosses (default 4).
-	DirtyPerRound int
-}
+// Churn's fixed shape. Arriving guests are sized a healthy fraction of a
+// host (churnMinPages to churnMaxPages), so admission control and the
+// balloon squeeze work for their keep: small fleets run out of commitment
+// headroom under sustained churn. churnArrivalPct of events are arrivals
+// (an empty cluster always takes one), and a migrating guest writes
+// churnDirtyPerRound pages per pre-copy round while its memory crosses.
+const (
+	churnMinPages      = 12
+	churnMaxPages      = 44
+	churnArrivalPct    = 60
+	churnDirtyPerRound = 4
+)
 
-// defaults normalizes zero fields in place.
-func (o *ChurnOpts) defaults() {
-	if o.Events <= 0 {
-		o.Events = 32
-	}
-	if o.MinPages <= 0 {
-		o.MinPages = 8
-	}
-	if o.MaxPages < o.MinPages {
-		o.MaxPages = o.MinPages + 16
-	}
-	if o.ArrivalPct <= 0 {
-		o.ArrivalPct = 60
-	}
-	if o.DirtyPerRound <= 0 {
-		o.DirtyPerRound = 4
-	}
-}
-
-// RunChurn drives the cluster through a seeded arrival/departure workload:
-// arrivals place a guest of random size (admission rejections are counted,
-// not fatal); departures remove a random guest and then rebalance under
-// the cluster's policy — consolidation migrations for BinPack, leveling
-// for Spread — with the departing workload's neighbours dirtying pages
-// while they move. Stats() and Log() record what happened.
-func (c *Cluster) RunChurn(o ChurnOpts) error {
-	ch := c.newChurn(o)
-	for i := 0; i < ch.o.Events; i++ {
+// RunChurn drives the cluster through a seeded arrival/departure workload
+// of the given number of events: arrivals place a guest of random size
+// (admission rejections are counted, not fatal); departures remove a
+// random guest and then rebalance under the cluster's policy —
+// consolidation migrations for BinPack, leveling for Spread — with the
+// departing workload's neighbours dirtying pages while they move. Every
+// decision — arrival vs departure, guest size, which guest departs,
+// migration dirtying — draws from one simrand stream seeded with seed, so
+// (seed, policy, fleet) reproduces the run exactly. Stats() and Log()
+// record what happened.
+func (c *Cluster) RunChurn(events int, seed uint64) error {
+	ch := c.newChurn(seed)
+	for i := 0; i < events; i++ {
 		if err := ch.event(i); err != nil {
 			return err
 		}
@@ -65,26 +41,24 @@ func (c *Cluster) RunChurn(o ChurnOpts) error {
 	return nil
 }
 
-// churn is a churn run in progress: the normalized options and the one
-// simrand stream every decision draws from.
+// churn is a churn run in progress: the one simrand stream every decision
+// draws from.
 type churn struct {
 	c   *Cluster
-	o   ChurnOpts
 	rng *simrand.Rand
 }
 
-func (c *Cluster) newChurn(o ChurnOpts) *churn {
-	o.defaults()
-	return &churn{c: c, o: o, rng: simrand.New(o.Seed)}
+func (c *Cluster) newChurn(seed uint64) *churn {
+	return &churn{c: c, rng: simrand.New(seed)}
 }
 
 // event draws and runs churn event i: one arrival, or one departure and
 // the rebalance pass after it.
 func (ch *churn) event(i int) error {
-	c, o, rng := ch.c, ch.o, ch.rng
-	arrival := len(c.guests) == 0 || int(rng.Uint64n(100)) < o.ArrivalPct
+	c, rng := ch.c, ch.rng
+	arrival := len(c.guests) == 0 || int(rng.Uint64n(100)) < churnArrivalPct
 	if arrival {
-		pages := o.MinPages + rng.Intn(o.MaxPages-o.MinPages+1)
+		pages := churnMinPages + rng.Intn(churnMaxPages-churnMinPages+1)
 		name := guestName(c.seq)
 		c.seq++
 		if _, err := c.Place(name, pages); err != nil && !errors.Is(err, ErrNoHostFits) {
@@ -117,7 +91,7 @@ func guestName(seq int) string {
 }
 
 // dirt is the churn's workFactory: the migrating guest writes
-// DirtyPerRound random pages per pre-copy round.
+// churnDirtyPerRound random pages per pre-copy round.
 func (ch *churn) dirt(g *Guest) func(round int) {
 	// Capture the guest's placement at migration start; the writes go
 	// through the source hypervisor, where the dirty log sees them.
@@ -131,7 +105,7 @@ func (ch *churn) dirt(g *Guest) func(round int) {
 		if span == 0 {
 			return
 		}
-		for k := 0; k < ch.o.DirtyPerRound; k++ {
+		for k := 0; k < churnDirtyPerRound; k++ {
 			gpn := ch.rng.Intn(span)
 			// Writes to ballooned-out holes fail by design; the draw
 			// still advances the stream deterministically.

@@ -25,10 +25,10 @@ func auditHosts(t *testing.T, c *Cluster, when string) {
 
 // churnAudited runs a churn event by event, auditing every host after
 // each one.
-func churnAudited(t *testing.T, c *Cluster, o ChurnOpts) {
+func churnAudited(t *testing.T, c *Cluster, events int, seed uint64) {
 	t.Helper()
-	ch := c.newChurn(o)
-	for i := 0; i < ch.o.Events; i++ {
+	ch := c.newChurn(seed)
+	for i := 0; i < events; i++ {
 		if err := ch.event(i); err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestChurnRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		churnAudited(t, c, ChurnOpts{Events: 64, Seed: 7, MinPages: 12, MaxPages: 44})
+		churnAudited(t, c, 64, 7)
 		s := c.Stats()
 		if s.Placed == 0 || s.Removed == 0 {
 			t.Fatalf("%s churn did nothing: %+v", p, s)

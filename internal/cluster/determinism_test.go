@@ -17,7 +17,7 @@ func churnRun(t *testing.T, fleet int, p Policy, seed uint64, src MachineSource)
 		t.Fatal(err)
 	}
 	defer c.Close()
-	churnAudited(t, c, ChurnOpts{Events: 48, Seed: seed, MinPages: 12, MaxPages: 44})
+	churnAudited(t, c, 48, seed)
 	clocks := make([]hw.Cycles, 0, fleet)
 	for _, h := range c.Hosts() {
 		clocks = append(clocks, h.Machine().Now())

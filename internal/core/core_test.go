@@ -108,6 +108,33 @@ func TestE1FlipCostFlatInSize(t *testing.T) {
 	}
 }
 
+func TestE1RateSchedule(t *testing.T) {
+	// Arrivals are spaced on the nominal 2 GHz clock: 1,000 pkt/s puts
+	// them 2,000,000 cycles apart, and a non-positive rate means 1 pkt/s.
+	// The work after the last arrival is the same at every such rate, so
+	// each window is the schedule's span plus one shared tail.
+	const packets = 8
+	rates := []int{-5, 0, 1, 1000, 100000}
+	gaps := []uint64{2_000_000_000, 2_000_000_000, 2_000_000_000, 2_000_000}
+	rows, err := NewRunner(0).E1Rates(rates, packets, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(rates) {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	tail := rows[0].WindowCyc - packets*gaps[0]
+	for i, gap := range gaps {
+		if got := rows[i].WindowCyc; got != packets*gap+tail || tail >= gap {
+			t.Errorf("rate %d: window %d cycles, want %d arrivals %d cycles apart plus the %d-cycle tail",
+				rates[i], got, packets, gap, tail)
+		}
+	}
+	if hi, lo := rows[4].WindowCyc, rows[3].WindowCyc; hi >= lo {
+		t.Errorf("100k pkt/s window %d cycles not shorter than 1k pkt/s window %d", hi, lo)
+	}
+}
+
 func TestE1RateSweepShape(t *testing.T) {
 	rows, err := NewRunner(0).E1Rates([]int{1000, 20000, 100000}, 80, 1500)
 	if err != nil {

@@ -109,11 +109,7 @@ func e13Cell(pool *hw.MachinePool, fleet, churn, hostFrames int, pol cluster.Pol
 	}
 	defer cl.Close()
 	seed := 0xE13 ^ uint64(fleet)<<32 ^ uint64(churn)<<12 ^ uint64(pol)
-	// Guests sized a healthy fraction of a host make admission control and
-	// the balloon squeeze actually work for their keep: small fleets run
-	// out of commitment headroom under sustained churn.
-	opts := cluster.ChurnOpts{Events: churn, Seed: seed, MinPages: 12, MaxPages: 44}
-	if err := cl.RunChurn(opts); err != nil {
+	if err := cl.RunChurn(churn, seed); err != nil {
 		return E13Row{}, fmt.Errorf("E13 fleet=%d churn=%d %s: %w", fleet, churn, pol, err)
 	}
 	s := cl.Stats()

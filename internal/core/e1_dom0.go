@@ -5,7 +5,6 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
-	"vmmk/internal/workload"
 )
 
 // E1 reproduces the shape of Cherkasova & Gardner's measurement that the
@@ -117,7 +116,9 @@ func (r *Runner) E1Rates(rates []int, packets, size int) ([]E1RateRow, error) {
 			return E1RateRow{}, err
 		}
 		defer s.Close()
-		gap := hw.Cycles(workload.RateSchedule(rate))
+		// 2e9 cycles is one second of the model's nominal 2 GHz clock; the
+		// experiment reports shapes, not wall-clock throughput.
+		gap := hw.Cycles(2_000_000_000 / max(rate, 1))
 		start := s.M().Now()
 		driver0 := s.DriverSideCycles()
 		for i := 0; i < packets; i++ {

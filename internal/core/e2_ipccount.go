@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"vmmk/internal/hw"
-	"vmmk/internal/workload"
+	"vmmk/internal/simrand"
+	"vmmk/internal/vmmos"
 )
 
 // E2 tests the rebuttal's central quantitative claim (§3.2): "A Xen-based
@@ -35,79 +36,77 @@ type E2Row struct {
 	Ratio    float64 // VMM / MK
 }
 
-// E2Workload names a canned workload.
-type E2Workload struct {
-	Name string
-	Run  func(p Platform) error
-}
-
-// E2Workloads returns the canonical set: network echo, syscall mix, storage
-// I/O, and the composite web serve.
-func E2Workloads() []E2Workload {
-	return []E2Workload{
-		{"net-echo-64B", func(p Platform) error {
-			p.InjectPackets(50, 64, 0)
+// e2Workloads is the canonical set: network echo, syscall mix, storage I/O,
+// and the composite web serve. Each seeded stream is drawn afresh per
+// platform, so both stacks replay exactly the same operations.
+var e2Workloads = []struct {
+	name string
+	run  func(p Platform) error
+}{
+	{"net-echo-64B", func(p Platform) error {
+		p.InjectPackets(50, 64, 0)
+		p.DrainRx(0)
+		return p.SendPackets(50, 64, 0)
+	}},
+	{"net-echo-1500B", func(p Platform) error {
+		p.InjectPackets(50, 1500, 0)
+		p.DrainRx(0)
+		return p.SendPackets(50, 1500, 0)
+	}},
+	{"syscall-mix", func(p Platform) error {
+		// A getpid-heavy 8:1:1 mix of getpid, console write and yield,
+		// approximating a syscall microbenchmark.
+		r := simrand.New(42)
+		for i := 0; i < 200; i++ {
+			no, arg := vmmos.SysGetPID, uint64(0)
+			switch r.Intn(10) {
+			case 8:
+				no, arg = vmmos.SysWrite, uint64('a'+r.Intn(26))
+			case 9:
+				no = vmmos.SysYield
+			}
+			if err := p.DoSyscall(0, no, arg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"storage-io", func(p Platform) error {
+		r := simrand.New(7)
+		for i := 0; i < 30; i++ {
+			block := r.Uint64n(16)
+			var err error
+			if r.Bool(0.5) {
+				err = p.StorageWrite(0, block, []byte("e2"))
+			} else {
+				_, err = p.StorageRead(0, block)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"web-serve", func(p Platform) error {
+		for _, req := range webStream(20, 16, 3) {
+			p.InjectPackets(1, req.reqSize, 0)
 			p.DrainRx(0)
-			return p.SendPackets(50, 64, 0)
-		}},
-		{"net-echo-1500B", func(p Platform) error {
-			p.InjectPackets(50, 1500, 0)
-			p.DrainRx(0)
-			return p.SendPackets(50, 1500, 0)
-		}},
-		{"syscall-mix", func(p Platform) error {
-			for _, op := range workload.DefaultMix.Sequence(200, 42) {
-				var no uint32
-				switch op.Kind {
-				case workload.OpGetPID:
-					no = 1
-				case workload.OpWrite:
-					no = 2
-				default:
-					no = 3
-				}
-				if err := p.DoSyscall(0, no, op.Arg); err != nil {
-					return err
-				}
+			if _, err := p.StorageRead(0, req.block); err != nil {
+				return err
 			}
-			return nil
-		}},
-		{"storage-io", func(p Platform) error {
-			for _, op := range (workload.BlockPattern{N: 30, WSBlocks: 16, WriteFrac: 0.5, Seed: 7}).Ops() {
-				var err error
-				if op.Kind == workload.OpBlockWrite {
-					err = p.StorageWrite(0, op.Arg, []byte("e2"))
-				} else {
-					_, err = p.StorageRead(0, op.Arg)
-				}
-				if err != nil {
-					return err
-				}
+			if err := p.SendPackets(1, req.respSize, 0); err != nil {
+				return err
 			}
-			return nil
-		}},
-		{"web-serve", func(p Platform) error {
-			for _, req := range (workload.WebStream{N: 20, WSBlocks: 16, Seed: 3}).Requests() {
-				p.InjectPackets(1, req.ReqSize, 0)
-				p.DrainRx(0)
-				if _, err := p.StorageRead(0, req.Block); err != nil {
-					return err
-				}
-				if err := p.SendPackets(1, req.RespSize, 0); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	}
+		}
+		return nil
+	}},
 }
 
 // E2 runs the comparison on this runner's worker pool: one cell per
 // workload, each booting a fresh pair of stacks.
 func (r *Runner) E2() ([]E2Row, error) {
-	ws := E2Workloads()
-	return RunCells(r, len(ws), func(pool *hw.MachinePool, i int) (E2Row, error) {
-		w := ws[i]
+	return RunCells(r, len(e2Workloads), func(pool *hw.MachinePool, i int) (E2Row, error) {
+		w := e2Workloads[i]
 		counts := map[string]uint64{}
 		for _, build := range []func(Config) (Platform, error){
 			func(c Config) (Platform, error) { return NewMKStack(c) },
@@ -118,13 +117,13 @@ func (r *Runner) E2() ([]E2Row, error) {
 				return E2Row{}, err
 			}
 			snap := p.M().Rec.Snapshot()
-			if err := w.Run(p); err != nil {
-				return E2Row{}, fmt.Errorf("E2 %s on %s: %w", w.Name, p.Name(), err)
+			if err := w.run(p); err != nil {
+				return E2Row{}, fmt.Errorf("E2 %s on %s: %w", w.name, p.Name(), err)
 			}
 			counts[p.Name()] = p.M().Rec.IPCEquivalentSince(snap)
 			p.Close()
 		}
-		row := E2Row{Workload: w.Name, MKOps: counts["mk"], VMMOps: counts["vmm"]}
+		row := E2Row{Workload: w.name, MKOps: counts["mk"], VMMOps: counts["vmm"]}
 		if row.MKOps > 0 {
 			row.Ratio = float64(row.VMMOps) / float64(row.MKOps)
 		}

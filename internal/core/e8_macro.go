@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"vmmk/internal/hw"
-	"vmmk/internal/workload"
+	"vmmk/internal/simrand"
 )
 
 // E8 is the macro-benchmark of §3.3: a composite web-serving workload
@@ -44,6 +44,30 @@ type E8Row struct {
 	RelativeCost float64 // vs native (1.0 = native speed)
 }
 
+// webRequest is one request of the composite web-serving workload motivated
+// by the paper's I/O arguments: receive a request packet, consult storage,
+// send a response packet.
+type webRequest struct {
+	reqSize, respSize int
+	block             uint64
+}
+
+// webStream draws n web requests over a working set of ws blocks from one
+// seeded stream. Request sizes model small HTTP GETs; response sizes are
+// bimodal (small dynamic pages and larger static ones).
+func webStream(n int, ws, seed uint64) []webRequest {
+	r := simrand.New(seed)
+	out := make([]webRequest, n)
+	for i := range out {
+		resp := 512
+		if r.Bool(0.3) {
+			resp = 4096
+		}
+		out[i] = webRequest{reqSize: 128 + r.Intn(256), respSize: resp, block: r.Uint64n(ws)}
+	}
+	return out
+}
+
 // thinkCycles is the per-request application work (page rendering, string
 // handling). Macro benchmarks are compute-diluted — this is what lets
 // HHL+97 report few-percent overheads despite multi-x syscall
@@ -58,7 +82,7 @@ func (r *Runner) E8(n int) ([]E8Row, error) {
 	if err := paramRequests.Validate(n); err != nil {
 		return nil, err
 	}
-	reqs := (workload.WebStream{N: n, WSBlocks: 32, Seed: 11}).Requests()
+	reqs := webStream(n, 32, 11)
 	serve := func(p Platform) (uint64, error) {
 		// The per-request think-time charge goes to the app's own
 		// component; intern its handle once, not per request.
@@ -71,14 +95,14 @@ func (r *Runner) E8(n int) ([]E8Row, error) {
 		}
 		t0 := p.M().Now()
 		for _, r := range reqs {
-			p.InjectPackets(1, r.ReqSize, 0)
+			p.InjectPackets(1, r.reqSize, 0)
 			if p.DrainRx(0) != 1 {
 				return 0, fmt.Errorf("E8: request packet lost on %s", p.Name())
 			}
-			if _, err := p.StorageRead(0, r.Block); err != nil {
+			if _, err := p.StorageRead(0, r.block); err != nil {
 				return 0, err
 			}
-			if err := p.SendPackets(1, r.RespSize, 0); err != nil {
+			if err := p.SendPackets(1, r.respSize, 0); err != nil {
 				return 0, err
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -36,9 +37,14 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	r := NewRunner(1)
 	var cell string
 	puts := 0
+	// ledgers[i] lists, machine by machine, the components sweep i+1's
+	// released machines charged, in the order each first charged them.
+	var ledgers [2][][]string
+	sweep := 1
 	pool := hw.NewMachinePool()
 	pool.Inspect(func(m *hw.Machine) {
 		puts++
+		ledgers[sweep-1] = append(ledgers[sweep-1], m.Rec.Components())
 		if err := m.Mem.Audit(); err != nil {
 			t.Errorf("%s: released machine fails the frame audit: %v", cell, err)
 		}
@@ -48,7 +54,7 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 		}
 	})
 	r.pools = []*hw.MachinePool{pool}
-	for sweep := 1; sweep <= 2; sweep++ {
+	for ; sweep <= 2; sweep++ {
 		for _, s := range Specs() {
 			cell = fmt.Sprintf("%s (sweep %d)", s.ID, sweep)
 			hits0, misses0 := pool.Stats()
@@ -81,5 +87,11 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	if puts == 0 {
 		t.Error("no released machine was audited")
 	}
-	t.Logf("audited %d released machines", puts)
+	// No table prints the order components first paid in, so the sweeps
+	// compare it directly: map-order charging would show here.
+	if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
+		t.Errorf("the two sweeps' released machines charged their components in different orders (%d and %d machines)",
+			len(ledgers[0]), len(ledgers[1]))
+	}
+	t.Logf("audited %d released machines (%d per sweep)", puts, len(ledgers[0]))
 }

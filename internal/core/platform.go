@@ -569,6 +569,10 @@ type NativeStack struct {
 // NativeComponent is the baseline's attribution name.
 const NativeComponent = "native.kernel"
 
+// nativeRxPool is how many receive buffers the in-kernel driver keeps
+// posted to the NIC.
+const nativeRxPool = 32
+
 // NewNativeStack boots the baseline.
 func NewNativeStack(cfg Config) (*NativeStack, error) {
 	cfg.defaults()
@@ -581,7 +585,7 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 			m.CPU.Work(s.comp, 400)
 			s.rxQueue++
 		}
-		for s.NIC.PostedBuffers() < 32 {
+		for s.NIC.PostedBuffers() < nativeRxPool {
 			f, err := m.Mem.Alloc(s.comp)
 			if err != nil {
 				break
@@ -594,7 +598,7 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 	})
 	m.IRQ.SetHandler(dev.TxIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
 	m.IRQ.SetHandler(dev.DiskIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 200) })
-	for i := 0; i < 32; i++ {
+	for i := 0; i < nativeRxPool; i++ {
 		f, err := m.Mem.Alloc(s.comp)
 		if err != nil {
 			break

@@ -110,8 +110,8 @@ func newInfo() *types.Info {
 	}
 }
 
-// checkFiles parses and type-checks one package's files against imp.
-func checkFiles(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
+// parseFiles parses the named files of dir, comments included.
+func parseFiles(fset *token.FileSet, dir string, goFiles []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(goFiles))
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -120,6 +120,11 @@ func checkFiles(fset *token.FileSet, imp types.Importer, importPath, dir string,
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// checkFiles type-checks one package's parsed files against imp.
+func checkFiles(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string, files []*ast.File) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, fset, files, info)
@@ -163,7 +168,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles, files)
 		if err != nil {
 			return nil, err
 		}
@@ -197,14 +206,12 @@ func LoadDir(moduleRoot, dir string) (*Package, error) {
 	// Parse first to discover the imports the fixture needs, then ask the
 	// go tool for their export data (std and module packages alike).
 	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(goFiles))
+	files, err := parseFiles(fset, dir, goFiles)
+	if err != nil {
+		return nil, err
+	}
 	imports := map[string]bool{}
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	for _, f := range files {
 		for _, spec := range f.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
@@ -225,20 +232,5 @@ func LoadDir(moduleRoot, dir string) (*Package, error) {
 		}
 	}
 	imp := importer.ForCompiler(fset, "gc", exportLookup(listed))
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	importPath := "fixture/" + filepath.Base(dir)
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %v", dir, err)
-	}
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		GoFiles:    goFiles,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	return checkFiles(fset, imp, "fixture/"+filepath.Base(dir), dir, goFiles, files)
 }

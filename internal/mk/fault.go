@@ -178,20 +178,21 @@ func (k *Kernel) KillThread(tid ThreadID) {
 	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, t.comp, 0)
 }
 
-// KillSpace kills a whole protection domain: every thread in it dies and
-// its mappings are torn down. Other spaces' mappings of shared frames are
-// untouched — exactly the isolation property E4 measures.
+// KillSpace kills a whole protection domain: every thread in it dies, in
+// thread-ID order, so the fault charges land in the same order every run.
+// The dead space's page table stays as it was. Other spaces' mappings of
+// shared frames are untouched — exactly the isolation property E4
+// measures.
 func (k *Kernel) KillSpace(s *Space) {
 	if s.Dead {
 		return
 	}
 	s.Dead = true
-	for _, t := range k.threads {
-		if t.Space == s {
-			k.KillThread(t.ID)
+	for tid := ThreadID(1); tid < k.nextTID; tid++ {
+		if t := k.threads[tid]; t != nil && t.Space == s {
+			k.KillThread(tid)
 		}
 	}
-	s.PT.Each(func(v hw.VPN, _ hw.PTE) {})
 	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, s.comp, 0)
 }
 

@@ -2,6 +2,7 @@ package mk
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -414,6 +415,27 @@ func TestKillSpaceKillsAllItsThreads(t *testing.T) {
 	}
 }
 
+// TestKillSpaceChargesInThreadOrder: KillSpace kills a space's threads in
+// thread-ID order, so the components its fault charges first touch join
+// the recorder's ledger in the same order on every kernel.
+func TestKillSpaceChargesInThreadOrder(t *testing.T) {
+	want := []string{"mk.v1", "mk.v2", "mk.v3", "mk.v4", "mk.victim"}
+	for run := 0; run < 20; run++ {
+		m := hw.NewMachine(hw.X86(), nil)
+		k := New(m)
+		s, _ := k.NewSpace("victim", NilThread)
+		for _, name := range []string{"v1", "v2", "v3", "v4"} {
+			k.NewThread(s, name, 1, nil)
+		}
+		before := len(m.Rec.Components())
+		k.KillSpace(s)
+		got := m.Rec.Components()[before:]
+		if !slices.Equal(got, want) {
+			t.Fatalf("kernel %d: KillSpace charged %v, want %v", run, got, want)
+		}
+	}
+}
+
 func TestSchedulerPriorityAndRoundRobin(t *testing.T) {
 	m := hw.NewMachine(hw.X86(), nil)
 	k := New(m)
@@ -422,9 +444,9 @@ func TestSchedulerPriorityAndRoundRobin(t *testing.T) {
 	hi1 := k.NewThread(s, "hi1", 5, nil)
 	hi2 := k.NewThread(s, "hi2", 5, nil)
 
-	first := k.Schedule()
-	second := k.Schedule()
-	third := k.Schedule()
+	first := k.ScheduleOn(0)
+	second := k.ScheduleOn(0)
+	third := k.ScheduleOn(0)
 	if first.Prio != 5 || second.Prio != 5 {
 		t.Fatal("high priority threads must run first")
 	}
@@ -439,7 +461,7 @@ func TestSchedulerPriorityAndRoundRobin(t *testing.T) {
 	// Kill the high-priority threads; low must finally run.
 	k.KillThread(hi1.ID)
 	k.KillThread(hi2.ID)
-	if got := k.Schedule(); got == nil || got.Prio != 1 {
+	if got := k.ScheduleOn(0); got == nil || got.Prio != 1 {
 		t.Fatal("low priority thread never scheduled after highs died")
 	}
 }
@@ -451,8 +473,8 @@ func TestScheduleChargesSwitch(t *testing.T) {
 	s2, _ := k.NewSpace("s2", NilThread)
 	k.NewThread(s1, "a", 1, nil)
 	k.NewThread(s2, "b", 1, nil)
-	k.Schedule()
-	k.Schedule()
+	k.ScheduleOn(0)
+	k.ScheduleOn(0)
 	if k.Switches() != 2 {
 		t.Fatalf("switches = %d, want 2", k.Switches())
 	}

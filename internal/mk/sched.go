@@ -115,10 +115,6 @@ func (s *scheduler) steal(cpu int) *Thread {
 	return nil
 }
 
-// Schedule runs one scheduling decision on the boot CPU — the uniprocessor
-// entry point every pre-SMP caller uses. See ScheduleOn.
-func (k *Kernel) Schedule() *Thread { return k.ScheduleOn(0) }
-
 // ScheduleOn runs one scheduling decision on the given CPU: dispatch
 // pending interrupts (boot CPU only — external interrupts are routed
 // there), then switch to the next ready thread, charging the switch to

@@ -204,7 +204,7 @@ func TestUniprocessorKernelChargesNoSMP(t *testing.T) {
 		if _, err := k.Call(client.ID, server.ID, Msg{Label: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
-		k.Schedule()
+		k.ScheduleOn(0)
 	}
 	if _, err := k.AllocAndMap(server.Space, 0x200, 4, hw.PermRW); err != nil {
 		t.Fatal(err)

@@ -148,33 +148,33 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 // Served returns the number of completed client requests.
 func (d *BlkDriver) Served() uint64 { return d.served }
 
-// BlkClient adapts the driver to the BlockService interface for one client
-// thread.
+// BlkClient is one client thread's handle on an mk block server: the disk
+// driver (BlkDriver.NewBlkClient) or the storage server
+// (StoreServer.Attach), which both answer LabelBlkRead and LabelBlkWrite.
 type BlkClient struct {
-	drv    *BlkDriver
+	k      *mk.Kernel
+	server mk.ThreadID
 	client mk.ThreadID
 }
 
 // NewBlkClient grants the client a partition and returns its handle.
 func (d *BlkDriver) NewBlkClient(client mk.ThreadID, size uint64) *BlkClient {
 	d.GrantPartition(client, size)
-	return &BlkClient{drv: d, client: client}
+	return &BlkClient{k: d.K, server: d.Thread.ID, client: client}
 }
 
-// Read fetches one block via IPC to the driver. The returned bytes are the
+// Read fetches one block via IPC to the server. The returned bytes are the
 // client thread's reply registers, valid until that thread's next IPC.
 func (c *BlkClient) Read(block uint64) ([]byte, error) {
-	reply, err := c.drv.K.Call(c.client, c.drv.Thread.ID, mk.Msg{Label: LabelBlkRead, Words: []uint64{block}})
+	reply, err := c.k.Call(c.client, c.server, mk.Msg{Label: LabelBlkRead, Words: []uint64{block}})
 	if err != nil {
 		return nil, err
 	}
 	return reply.Data, nil
 }
 
-// Write stores one block via IPC to the driver.
+// Write stores one block via IPC to the server.
 func (c *BlkClient) Write(block uint64, data []byte) error {
-	_, err := c.drv.K.Call(c.client, c.drv.Thread.ID, mk.Msg{Label: LabelBlkWrite, Words: []uint64{block}, Data: data})
+	_, err := c.k.Call(c.client, c.server, mk.Msg{Label: LabelBlkWrite, Words: []uint64{block}, Data: data})
 	return err
 }
-
-var _ BlockService = (*BlkClient)(nil)

@@ -292,11 +292,11 @@ func TestStoreServesViaSyscall(t *testing.T) {
 
 func TestStoreCopyOnWriteSnapshot(t *testing.T) {
 	s := newMStack(t, RxGrant)
-	client := s.os.Blk.(*StoreClient)
+	client := s.os.Blk
 	if err := client.Write(1, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	n, err := client.Snapshot()
+	n, err := s.store.Snapshot(s.os.Thread.ID)
 	if err != nil || n != 1 {
 		t.Fatalf("snapshot captured %d, err %v", n, err)
 	}
@@ -317,7 +317,7 @@ func TestStoreCopyOnWriteSnapshot(t *testing.T) {
 
 func TestStoreReadThroughPersistence(t *testing.T) {
 	s := newMStack(t, RxGrant)
-	client := s.os.Blk.(*StoreClient)
+	client := s.os.Blk
 	if err := client.Write(9, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestStoreDeathBlastRadius(t *testing.T) {
 	// storage, the kernel and other servers are unaffected. Identical in
 	// structure to Parallax's failure on the VMM side.
 	s := newMStack(t, RxGrant)
-	client := s.os.Blk.(*StoreClient)
+	client := s.os.Blk
 	if err := client.Write(1, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestStoreInDriverSpaceConsolidated(t *testing.T) {
 func TestStoreUnattachedClientRejected(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	os2, _ := NewOSServer(s.k, "intruder")
-	_, err := s.k.Call(os2.Thread.ID, s.store.Thread.ID, mk.Msg{Label: LabelStoreRead, Words: []uint64{0}})
+	_, err := s.k.Call(os2.Thread.ID, s.store.Thread.ID, mk.Msg{Label: LabelBlkRead, Words: []uint64{0}})
 	if !errors.Is(err, ErrNoVDisk) {
 		t.Fatalf("err = %v, want ErrNoVDisk", err)
 	}

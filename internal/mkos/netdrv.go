@@ -38,14 +38,17 @@ type NetDriver struct {
 	Thread *mk.Thread
 	Mode   RxMode
 
-	clients      []*NetClient
-	rxPoolTarget int
-	ringVPN      hw.VPN
+	clients []*NetClient
+	ringVPN hw.VPN
 
 	rxHandled uint64
 	txHandled uint64
 	txReply   [1]uint64 // reused one-word TX reply (the kernel copies replies)
 }
+
+// rxPoolTarget is how many receive buffers the driver keeps posted to the
+// NIC.
+const rxPoolTarget = 32
 
 // NetClient is one OS server's connection to the driver.
 type NetClient struct {
@@ -60,12 +63,11 @@ func NewNetDriver(k *mk.Kernel, nic *dev.NIC) (*NetDriver, error) {
 		return nil, err
 	}
 	d := &NetDriver{
-		K:            k,
-		NIC:          nic,
-		Space:        sp,
-		Mode:         RxGrant,
-		rxPoolTarget: 32,
-		ringVPN:      0xA000,
+		K:       k,
+		NIC:     nic,
+		Space:   sp,
+		Mode:    RxGrant,
+		ringVPN: 0xA000,
 	}
 	d.Thread = k.NewThread(sp, "srv.net", 8, d.handle)
 	if err := k.RegisterIRQ(dev.RxIRQ, d.Thread.ID); err != nil {
@@ -92,7 +94,7 @@ func (d *NetDriver) Attach(os *OSServer) *NetClient {
 
 // replenish posts driver-owned frames to the NIC.
 func (d *NetDriver) replenish() {
-	for d.NIC.PostedBuffers() < d.rxPoolTarget {
+	for d.NIC.PostedBuffers() < rxPoolTarget {
 		f, err := d.K.M.Mem.Alloc(d.Comp())
 		if err != nil {
 			return

@@ -31,8 +31,6 @@ const (
 	LabelNetRxDeliver
 	LabelBlkRead
 	LabelBlkWrite
-	LabelStoreRead
-	LabelStoreWrite
 	LabelStoreSnapshot
 )
 
@@ -71,7 +69,7 @@ type OSServer struct {
 	nextPID PID
 
 	Net *NetClient
-	Blk BlockService
+	Blk *BlkClient
 
 	console    []byte
 	rxQueue    hw.Queue[int] // lengths of undelivered packets, in arrival order
@@ -81,13 +79,6 @@ type OSServer struct {
 	homeCPU    int           // CPU the server and its processes are pinned to (Pin)
 
 	pagerWindow hw.VPN // next free window page for fault service
-}
-
-// BlockService is the OS server's view of block storage: direct to the
-// disk driver or through the storage server.
-type BlockService interface {
-	Read(block uint64) ([]byte, error)
-	Write(block uint64, data []byte) error
 }
 
 // NewOSServer boots an OS server named name on kernel k.

@@ -20,7 +20,7 @@ type StoreServer struct {
 	Thread *mk.Thread
 
 	vdisks map[mk.ThreadID]*StoreDisk
-	blk    BlockService // write-through persistence; may be nil
+	blk    *BlkClient // write-through persistence; may be nil
 
 	requests  uint64
 	replyBuf  []byte    // reused read-reply staging page (the kernel copies replies)
@@ -64,19 +64,18 @@ func (s *StoreServer) Comp() trace.Comp { return s.Thread.Comp() }
 // SetPersistence installs (or replaces) the server's write-through path,
 // typically a BlkClient on the disk driver bound to this server's thread
 // ID.
-func (s *StoreServer) SetPersistence(blk BlockService) { s.blk = blk }
+func (s *StoreServer) SetPersistence(blk *BlkClient) { s.blk = blk }
 
 // Attach creates a virtual disk of size blocks for a client OS server and
 // installs the store as the client's block service.
-func (s *StoreServer) Attach(os *OSServer, size uint64) *StoreClient {
+func (s *StoreServer) Attach(os *OSServer, size uint64) *BlkClient {
 	s.vdisks[os.Thread.ID] = &StoreDisk{
 		blocks:  make(map[uint64][]byte),
 		persist: uint64(len(s.vdisks)) * size,
 		size:    size,
 	}
-	c := &StoreClient{store: s, client: os.Thread.ID}
-	os.Blk = c
-	return c
+	os.Blk = &BlkClient{k: s.K, server: s.Thread.ID, client: os.Thread.ID}
+	return os.Blk
 }
 
 // handle serves read/write/snapshot requests from clients.
@@ -87,7 +86,7 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		return mk.Msg{}, ErrNoVDisk
 	}
 	switch msg.Label {
-	case LabelStoreRead:
+	case LabelBlkRead:
 		if len(msg.Words) < 1 || msg.Words[0] >= vd.size {
 			return mk.Msg{}, ErrBadRequest
 		}
@@ -114,7 +113,7 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		copy(out, data)
 		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(out))))
 		return mk.Msg{Data: out}, nil
-	case LabelStoreWrite:
+	case LabelBlkWrite:
 		if len(msg.Words) < 1 || msg.Words[0] >= vd.size {
 			return mk.Msg{}, ErrBadRequest
 		}
@@ -165,6 +164,16 @@ func (vd *StoreDisk) read(block uint64) []byte {
 	return nil
 }
 
+// Snapshot freezes a client's disk, returning the captured block count. It
+// sends the client thread's snapshot IPC, the mk twin of Parallax.Snapshot.
+func (s *StoreServer) Snapshot(client mk.ThreadID) (uint64, error) {
+	reply, err := s.K.Call(client, s.Thread.ID, mk.Msg{Label: LabelStoreSnapshot})
+	if err != nil {
+		return 0, err
+	}
+	return reply.Words[0], nil
+}
+
 // SnapshotRead returns the frozen view of a client's block (test hook,
 // symmetric with Parallax.SnapshotRead).
 func (s *StoreServer) SnapshotRead(client mk.ThreadID, block uint64) []byte {
@@ -177,36 +186,3 @@ func (s *StoreServer) SnapshotRead(client mk.ThreadID, block uint64) []byte {
 
 // Requests returns the number of served client requests.
 func (s *StoreServer) Requests() uint64 { return s.requests }
-
-// StoreClient adapts the store to BlockService for one client.
-type StoreClient struct {
-	store  *StoreServer
-	client mk.ThreadID
-}
-
-// Read fetches a virtual block via IPC. The returned bytes are the client
-// thread's reply registers, valid until that thread's next IPC.
-func (c *StoreClient) Read(block uint64) ([]byte, error) {
-	reply, err := c.store.K.Call(c.client, c.store.Thread.ID, mk.Msg{Label: LabelStoreRead, Words: []uint64{block}})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Data, nil
-}
-
-// Write stores a virtual block via IPC.
-func (c *StoreClient) Write(block uint64, data []byte) error {
-	_, err := c.store.K.Call(c.client, c.store.Thread.ID, mk.Msg{Label: LabelStoreWrite, Words: []uint64{block}, Data: data})
-	return err
-}
-
-// Snapshot freezes the client's disk, returning captured block count.
-func (c *StoreClient) Snapshot() (uint64, error) {
-	reply, err := c.store.K.Call(c.client, c.store.Thread.ID, mk.Msg{Label: LabelStoreSnapshot})
-	if err != nil {
-		return 0, err
-	}
-	return reply.Words[0], nil
-}
-
-var _ BlockService = (*StoreClient)(nil)

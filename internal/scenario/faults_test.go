@@ -120,7 +120,7 @@ func TestBlockDevsCopyWrites(t *testing.T) {
 		{"MemDev", NewMemDev(512), 512},
 		{"FaultDev", &FaultDev{Inner: NewMemDev(512)}, 512},
 		{"BlkFront", xen.Guests[0].Blk, xen.M().Mem.PageSize()},
-		{"StoreClient", osrv.Blk, mks.M().Mem.PageSize()},
+		{"StoreServer", osrv.Blk, mks.M().Mem.PageSize()},
 		{"BlkClient", mks.Blk.NewBlkClient(osrv.Thread.ID, 8), mks.M().Mem.PageSize()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

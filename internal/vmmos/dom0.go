@@ -97,24 +97,25 @@ type DriverDomain struct {
 	netConns []*netConn
 	inflight map[uint64]inflightReq // blkback's requests on the disk, by tag
 
-	rxPoolTarget int
-	nextBlkBase  uint64
-	nextTag      uint64
+	nextBlkBase uint64
+	nextTag     uint64
 
 	rxHandled uint64
 	txHandled uint64
 }
 
+// rxPoolTarget is how many receive buffers Dom0's NIC driver keeps posted.
+const rxPoolTarget = 32
+
 // NewDriverDomain boots Dom0's kernel and its physical drivers, routing the
 // device interrupts to the domain.
 func NewDriverDomain(h *vmm.Hypervisor, d0 *vmm.Domain, nic *dev.NIC, disk *dev.Disk) (*DriverDomain, error) {
 	dd := &DriverDomain{
-		H:            h,
-		GK:           NewGuestKernel(h, d0),
-		NIC:          nic,
-		Disk:         disk,
-		inflight:     make(map[uint64]inflightReq),
-		rxPoolTarget: 32,
+		H:        h,
+		GK:       NewGuestKernel(h, d0),
+		NIC:      nic,
+		Disk:     disk,
+		inflight: make(map[uint64]inflightReq),
 	}
 	dd.GK.ExtraVIRQ = dd.handleIRQ
 	if nic != nil {
@@ -140,7 +141,7 @@ func (dd *DriverDomain) Comp() trace.Comp { return dd.GK.Comp() }
 // replenishRxPool posts fresh dom0-owned frames to the NIC until the target
 // depth is reached. Pool management is real driver work and is charged.
 func (dd *DriverDomain) replenishRxPool() {
-	for dd.NIC.PostedBuffers() < dd.rxPoolTarget {
+	for dd.NIC.PostedBuffers() < rxPoolTarget {
 		f, err := dd.H.M.Mem.Alloc(dd.Comp())
 		if err != nil {
 			return // memory pressure: run with a shallower pool
