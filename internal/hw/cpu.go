@@ -88,26 +88,31 @@ type CPU struct {
 	cache *Cache // optional cache-footprint model (AttachCache)
 
 	// SMP attribution handles ("cpu<n>.ipi", "cpu<n>.shootdown"),
-	// interned at construction and charged only by the cross-CPU paths,
-	// so a uniprocessor run never touches them.
+	// charged only by the cross-CPU paths. Only a multiprocessor interns
+	// them: a uniprocessor's self-IPI is free and it has no other CPU to
+	// shoot down, so its handles stay CompNone.
 	ipiComp   trace.Comp
 	shootComp trace.Comp
 }
 
-// NewCPUOn wires CPU number index to its substrate. All CPUs of a machine
-// share the clock, memory and recorder; the TLB is private per CPU.
-func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index int) *CPU {
-	return &CPU{
-		Arch:      arch,
-		Clock:     clock,
-		TLB:       NewTLB(arch.TLBEntries, arch.HasASID),
-		Mem:       mem,
-		Rec:       rec,
-		Index:     index,
-		ring:      Ring0,
-		ipiComp:   rec.Intern(fmt.Sprintf("cpu%d.ipi", index)),
-		shootComp: rec.Intern(fmt.Sprintf("cpu%d.shootdown", index)),
+// NewCPUOn wires CPU number index of an ncpus-CPU machine to its
+// substrate. All CPUs of a machine share the clock, memory and recorder;
+// the TLB is private per CPU.
+func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index, ncpus int) *CPU {
+	c := &CPU{
+		Arch:  arch,
+		Clock: clock,
+		TLB:   NewTLB(arch.TLBEntries, arch.HasASID),
+		Mem:   mem,
+		Rec:   rec,
+		Index: index,
+		ring:  Ring0,
 	}
+	if ncpus > 1 {
+		c.ipiComp = rec.Intern(fmt.Sprintf("cpu%d.ipi", index))
+		c.shootComp = rec.Intern(fmt.Sprintf("cpu%d.shootdown", index))
+	}
+	return c
 }
 
 // Reset restores the CPU to its post-NewCPUOn state: ring 0, no address

@@ -51,12 +51,12 @@
 // nor a copy. The simulated costs never read a prefix's length.
 // PhysMem.Audit checks the allocator's conservation laws for tests. Page
 // tables built without a size hint and TLB entry maps likewise grow with
-// use. A page table answers reverse lookups (UnmapFrame, FramesMapped)
-// through a frame filter first, one bit per frame it may map, and builds
-// its frame-to-VPN index only for a frame whose bit is set, so a page
-// flip of a frame the donor never mapped builds no index. The NIC's wire
-// tap (hw/dev) likewise keeps each transmitted packet's prefix and
-// length, not its zero tail.
+// use. A page table keeps no frame-to-VPN index: it answers reverse
+// lookups (UnmapFrame, FramesMapped) through a frame filter, one bit per
+// frame it may map, so a page flip of a frame the donor never mapped costs
+// a bit test, and only a frame whose bit is set costs a scan of the
+// table. The NIC's wire tap (hw/dev) likewise keeps each transmitted
+// packet's prefix and length, not its zero tail.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

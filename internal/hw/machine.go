@@ -63,7 +63,7 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 	mem := NewPhysMem(c.Frames, arch.PageSize())
 	cpus := make([]*CPU, c.NCPUs)
 	for i := range cpus {
-		cpus[i] = NewCPUOn(arch, clock, mem, rec, i)
+		cpus[i] = NewCPUOn(arch, clock, mem, rec, i, c.NCPUs)
 	}
 	return &Machine{
 		Arch:   arch,

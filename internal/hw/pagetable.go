@@ -76,9 +76,9 @@ type PageTable struct {
 	n      int         // total live mappings across both regions
 	span   int         // the dense region's reach
 
-	// rev is the reverse lookup state, nil until the first reverse lookup
-	// (see frameIndex). One pointer keeps the table at 64 bytes.
-	rev *frameIndex
+	// filter is the reverse lookups' frame filter, nil until the first
+	// one (see frameFilter). One pointer keeps the table at 64 bytes.
+	filter *frameFilter
 
 	asid uint16
 	top  int32 // dense[top:] has never been mapped, so scans stop at top
@@ -126,29 +126,23 @@ func (pt *PageTable) growDense(vpn VPN) {
 	pt.dense = d
 }
 
-// frameIndex answers the reverse lookups, frame -> VPNs mapping it. Page
-// flipping revokes by frame on every packet, so revocation must not scan
-// the whole table. But most tables (identity-mapped domains that never
-// flip) never look a frame up, and most lookups that do happen ask about a
-// frame the table does not map: a flip of a driver buffer that came from
-// the allocator, not from the donor's memory, or a guest releasing a
-// flipped frame it never mapped. So both halves are built lazily.
-//
-// The first reverse lookup builds the filter, one bit per frame, set for
-// every frame in the table, in one pass; from then on Map sets the bit of
-// each frame it maps, and nothing clears one. A clear bit proves the frame
-// is not mapped, and the lookup answers at once. Only a lookup whose bit
-// is set builds byFrame, the index proper, and from then on every mutation
-// keeps it in lockstep. Almost every frame has exactly one mapping, so the
-// index stores that VPN inline and only allocates a set for the rare
-// multiply-mapped frame.
-type frameIndex struct {
-	mapped  []uint64             // the filter: bit f set for any frame Map may have mapped
-	byFrame map[FrameID]frameRef // nil until a lookup's bit is set
+// frameFilter answers the reverse lookups' first question: might the table
+// map frame f? Page flipping and grant revocation revoke by frame, but most
+// tables (identity-mapped domains that never flip) never look a frame up,
+// and most lookups that do happen ask about a frame the table does not
+// map: a flip of a driver buffer that came from the allocator, not from
+// the donor's memory, or a guest releasing a flipped frame it never
+// mapped. So the filter is built lazily, by the table's first reverse
+// lookup, in one pass: one bit per frame, set for every frame in the
+// table. From then on Map sets the bit of each frame it maps, and nothing
+// clears one. A clear bit proves the frame is not mapped, and the lookup
+// answers at once; a set bit sends it to a scan of the table.
+type frameFilter struct {
+	mapped []uint64 // bit f set for any frame Map may have mapped
 }
 
 // mark sets f's bit, growing the filter to reach it.
-func (x *frameIndex) mark(f FrameID) {
+func (x *frameFilter) mark(f FrameID) {
 	w := int(f / 64)
 	if w >= len(x.mapped) {
 		x.mapped = append(x.mapped, make([]uint64, w+1-len(x.mapped))...)
@@ -156,92 +150,18 @@ func (x *frameIndex) mark(f FrameID) {
 	x.mapped[w] |= 1 << (f % 64)
 }
 
-// mayMap reports whether f's bit is set: false proves f is not mapped.
-func (x *frameIndex) mayMap(f FrameID) bool {
-	w := int(f / 64)
-	return w < len(x.mapped) && x.mapped[w]&(1<<(f%64)) != 0
-}
-
-// frameRef is one reverse-index slot: the single mapping inline (the
-// overwhelmingly common case — no allocation), or the full set once a
-// second VPN maps the same frame.
-type frameRef struct {
-	single VPN
-	multi  map[VPN]struct{} // nil unless the frame is multiply mapped
-}
-
-// mappings returns the reverse-index slot of f, and false when f is not
-// mapped. It builds the filter on the table's first reverse lookup, sized
-// to the highest frame mapped, and the index on the first lookup the
-// filter cannot answer.
-func (pt *PageTable) mappings(f FrameID) (frameRef, bool) {
-	if pt.rev == nil {
+// mayMap reports whether the table may map f: false proves it does not. It
+// builds the filter on the table's first reverse lookup, sized to the
+// highest frame mapped.
+func (pt *PageTable) mayMap(f FrameID) bool {
+	if pt.filter == nil {
 		hi := FrameID(0)
 		pt.Each(func(_ VPN, e PTE) { hi = max(hi, e.Frame) })
-		pt.rev = &frameIndex{mapped: make([]uint64, hi/64+1)}
-		pt.Each(func(_ VPN, e PTE) { pt.rev.mark(e.Frame) })
+		pt.filter = &frameFilter{mapped: make([]uint64, hi/64+1)}
+		pt.Each(func(_ VPN, e PTE) { pt.filter.mark(e.Frame) })
 	}
-	if !pt.rev.mayMap(f) {
-		return frameRef{}, false
-	}
-	if pt.rev.byFrame == nil {
-		pt.rev.byFrame = make(map[FrameID]frameRef, pt.n)
-		pt.Each(func(v VPN, e PTE) { pt.index(e.Frame, v) })
-	}
-	ref, ok := pt.rev.byFrame[f]
-	return ref, ok
-}
-
-// index records that v maps f, once the table has reverse lookup state.
-// Tables without it, almost all of them, pay a nil check.
-func (pt *PageTable) index(f FrameID, v VPN) {
-	if pt.rev != nil {
-		pt.rev.add(f, v)
-	}
-}
-
-// unindex drops v's mapping of f from the reverse index, once it exists.
-func (pt *PageTable) unindex(f FrameID, v VPN) {
-	if pt.rev != nil && pt.rev.byFrame != nil {
-		pt.rev.remove(f, v)
-	}
-}
-
-// add records that v maps f: in the filter, and in the index once it
-// exists.
-func (x *frameIndex) add(f FrameID, v VPN) {
-	x.mark(f)
-	if x.byFrame == nil {
-		return
-	}
-	ref, ok := x.byFrame[f]
-	switch {
-	case !ok:
-		x.byFrame[f] = frameRef{single: v}
-	case ref.multi != nil:
-		ref.multi[v] = struct{}{}
-	case ref.single != v:
-		ref.multi = map[VPN]struct{}{ref.single: {}, v: {}}
-		x.byFrame[f] = ref
-	}
-}
-
-// remove drops v's mapping of f from the index. The filter keeps f's bit.
-func (x *frameIndex) remove(f FrameID, v VPN) {
-	ref, ok := x.byFrame[f]
-	if !ok {
-		return
-	}
-	if ref.multi == nil {
-		if ref.single == v {
-			delete(x.byFrame, f)
-		}
-		return
-	}
-	delete(ref.multi, v)
-	if len(ref.multi) == 0 {
-		delete(x.byFrame, f)
-	}
+	w := int(f / 64)
+	return w < len(pt.filter.mapped) && pt.filter.mapped[w]&(1<<(f%64)) != 0
 }
 
 // ASID returns the table's address-space identifier.
@@ -249,32 +169,23 @@ func (pt *PageTable) ASID() uint16 { return pt.asid }
 
 // Map installs or replaces the entry for vpn.
 func (pt *PageTable) Map(vpn VPN, e PTE) {
+	if pt.filter != nil {
+		pt.filter.mark(e.Frame)
+	}
 	if vpn >= VPN(len(pt.dense)) && vpn < VPN(pt.span) {
 		pt.growDense(vpn)
 	}
 	if vpn < VPN(len(pt.dense)) {
 		d := &pt.dense[vpn]
-		if d.present {
-			if d.frame != e.Frame {
-				pt.unindex(d.frame, vpn)
-				pt.index(e.Frame, vpn)
-			}
-		} else {
+		if !d.present {
 			pt.n++
-			pt.index(e.Frame, vpn)
 			pt.top = max(pt.top, int32(vpn)+1)
 		}
 		d.frame, d.perms, d.user, d.present = e.Frame, e.Perms, e.User, true
 		return
 	}
-	if old, ok := pt.sparse[vpn]; ok {
-		if old.Frame != e.Frame {
-			pt.unindex(old.Frame, vpn)
-			pt.index(e.Frame, vpn)
-		}
-	} else {
+	if _, ok := pt.sparse[vpn]; !ok {
 		pt.n++
-		pt.index(e.Frame, vpn)
 	}
 	if pt.sparse == nil {
 		pt.sparse = make(map[VPN]PTE)
@@ -287,15 +198,13 @@ func (pt *PageTable) Unmap(vpn VPN) {
 	if vpn < VPN(len(pt.dense)) {
 		d := &pt.dense[vpn]
 		if d.present {
-			pt.unindex(d.frame, vpn)
 			*d = densePTE{}
 			pt.n--
 		}
 		return
 	}
-	if e, ok := pt.sparse[vpn]; ok {
+	if _, ok := pt.sparse[vpn]; ok {
 		delete(pt.sparse, vpn)
-		pt.unindex(e.Frame, vpn)
 		pt.n--
 	}
 }
@@ -331,45 +240,49 @@ func (pt *PageTable) Each(fn func(VPN, PTE)) {
 
 // FramesMapped returns how many entries reference frame f (used to verify
 // revocation: after an unmap-all, the count must be zero).
-func (pt *PageTable) FramesMapped(f FrameID) int {
-	ref, ok := pt.mappings(f)
-	switch {
-	case !ok:
-		return 0
-	case ref.multi == nil:
-		return 1
-	}
-	return len(ref.multi)
-}
+func (pt *PageTable) FramesMapped(f FrameID) int { return pt.scanFrame(f, false) }
 
 // UnmapFrame removes every mapping of frame f and returns how many were
-// removed. Page flipping and grant revocation use this on every packet, so
-// it asks the frame filter and then the reverse index — O(mappings of f),
-// not O(table) — and a frame the table never mapped costs a bit test.
-func (pt *PageTable) UnmapFrame(f FrameID) int {
-	ref, ok := pt.mappings(f)
-	if !ok {
+// removed. Page flipping and grant revocation use this on every packet,
+// and almost every frame they name is one the table never mapped, which
+// costs a bit test in the frame filter.
+func (pt *PageTable) UnmapFrame(f FrameID) int { return pt.scanFrame(f, true) }
+
+// scanFrame counts the mappings of f, removing them when unmap is set. A
+// frame the filter rules out costs a bit test; any other costs one pass
+// over the table, which allocates nothing.
+func (pt *PageTable) scanFrame(f FrameID, unmap bool) int {
+	if !pt.mayMap(f) {
 		return 0
 	}
-	n := 1
-	if ref.multi == nil {
-		pt.removeMapping(ref.single)
-	} else {
-		n = len(ref.multi)
-		for v := range ref.multi {
-			pt.removeMapping(v)
+	n := 0
+	for v := range pt.top {
+		if d := &pt.dense[v]; d.present && d.frame == f {
+			if unmap {
+				*d = densePTE{}
+			}
+			n++
 		}
 	}
-	delete(pt.rev.byFrame, f)
+	for v, e := range pt.sparse {
+		if e.Frame == f {
+			if unmap {
+				delete(pt.sparse, v)
+			}
+			n++
+		}
+	}
+	if unmap {
+		pt.n -= n
+	}
 	return n
 }
 
 // UnmapFrames removes every mapping of every frame in fs and returns how
 // many were removed. It clears them in one pass over the table and never
-// builds the frame filter or the reverse index (it keeps the index current
-// if it exists), so a table that is only ever unmapped in batches
-// (ballooning) never pays for them. The pass tests each entry against fs
-// linearly, which suits the small batches ballooning hands it.
+// builds the frame filter, so a table that is only ever unmapped in
+// batches (ballooning) never pays for it. The pass tests each entry
+// against fs linearly, which suits the small batches ballooning hands it.
 func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	if len(fs) == 0 {
 		return 0
@@ -382,36 +295,18 @@ func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	n := 0
 	for v := range pt.top {
 		if d := &pt.dense[v]; d.present && hit(d.frame) {
-			pt.unindex(d.frame, VPN(v))
 			*d = densePTE{}
 			n++
 		}
 	}
 	for v, e := range pt.sparse {
 		if hit(e.Frame) {
-			pt.unindex(e.Frame, v)
 			delete(pt.sparse, v)
 			n++
 		}
 	}
 	pt.n -= n
 	return n
-}
-
-// removeMapping deletes the forward entry for vpn without touching the
-// reverse index (UnmapFrame clears the whole slot itself).
-func (pt *PageTable) removeMapping(vpn VPN) {
-	if vpn < VPN(len(pt.dense)) {
-		if pt.dense[vpn].present {
-			pt.dense[vpn] = densePTE{}
-			pt.n--
-		}
-		return
-	}
-	if _, ok := pt.sparse[vpn]; ok {
-		delete(pt.sparse, vpn)
-		pt.n--
-	}
 }
 
 // String summarises the table for debugging output.

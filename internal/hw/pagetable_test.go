@@ -9,7 +9,7 @@ import (
 
 // TestPageTableUnmapFramesWithoutIndex pins the batch unmap's contract:
 // every mapping of every listed frame goes (aliases and sparse entries
-// included), the count comes back, and the reverse index stays unbuilt.
+// included), the count comes back, and the frame filter stays unbuilt.
 func TestPageTableUnmapFramesWithoutIndex(t *testing.T) {
 	pt := NewPageTableSized(1, 8)
 	pt.Map(1, PTE{Frame: 3, Perms: PermRW})
@@ -20,8 +20,8 @@ func TestPageTableUnmapFramesWithoutIndex(t *testing.T) {
 	if n := pt.UnmapFrames([]FrameID{9, 3}); n != 4 {
 		t.Fatalf("unmapped %d entries, want 4", n)
 	}
-	if pt.rev != nil {
-		t.Fatal("batch unmap built the frame filter or the reverse index")
+	if pt.filter != nil {
+		t.Fatal("batch unmap built the frame filter")
 	}
 	if pt.Len() != 1 {
 		t.Fatalf("len %d after the batch, want 1", pt.Len())
@@ -34,9 +34,11 @@ func TestPageTableUnmapFramesWithoutIndex(t *testing.T) {
 	}
 }
 
-// TestPageTableUnmapFramesKeepsIndex: on a table whose reverse index a
-// flip already built, the batch unmap keeps the index current.
-func TestPageTableUnmapFramesKeepsIndex(t *testing.T) {
+// TestPageTableUnmapFramesThenReverseLookups: on a table whose frame
+// filter a reverse lookup already built, the reverse lookups after a batch
+// unmap see exactly what the batch left, and a frame the batch unmapped
+// and Map then mapped again is found.
+func TestPageTableUnmapFramesThenReverseLookups(t *testing.T) {
 	pt := NewPageTableSized(1, 8)
 	pt.Map(1, PTE{Frame: 3, Perms: PermRW})
 	pt.Map(2, PTE{Frame: 3, Perms: PermR})
@@ -49,7 +51,7 @@ func TestPageTableUnmapFramesKeepsIndex(t *testing.T) {
 		t.Fatalf("unmapped %d entries, want 3", n)
 	}
 	if pt.FramesMapped(3) != 0 || pt.FramesMapped(8) != 1 {
-		t.Fatalf("index after the batch: frame 3 x%d, frame 8 x%d", pt.FramesMapped(3), pt.FramesMapped(8))
+		t.Fatalf("after the batch: frame 3 x%d, frame 8 x%d", pt.FramesMapped(3), pt.FramesMapped(8))
 	}
 	pt.Map(5, PTE{Frame: 3, Perms: PermR})
 	if n := pt.UnmapFrame(3); n != 1 {
@@ -95,9 +97,9 @@ func TestSizedPageTableGrowsIntoItsSlack(t *testing.T) {
 }
 
 // TestUnmappedFrameUnmapAllocatesNothing: UnmapFrame of a frame the table
-// never mapped answers from the frame filter, so it builds no reverse
-// index. The first lookup on a table allocates the filter and nothing
-// else; later ones allocate nothing at all.
+// never mapped answers from the frame filter. The first lookup on a table
+// allocates the filter and nothing else; later ones allocate nothing at
+// all.
 func TestUnmappedFrameUnmapAllocatesNothing(t *testing.T) {
 	const entries, runs = 256, 101 // AllocsPerRun's warm-up run, then 100
 	table := func() *PageTable {
@@ -130,8 +132,8 @@ func TestUnmappedFrameUnmapAllocatesNothing(t *testing.T) {
 		t.Errorf("UnmapFrame of a never-mapped frame allocates %.1f times", n)
 	}
 	for _, p := range append(fresh, pt) {
-		if p.rev == nil || p.rev.byFrame != nil {
-			t.Fatal("an UnmapFrame of a never-mapped frame built the reverse index, or no filter")
+		if p.filter == nil {
+			t.Fatal("an UnmapFrame of a never-mapped frame built no frame filter")
 		}
 	}
 	if n := pt.UnmapFrame(7); n != 1 || pt.Len() != entries-1 {
@@ -139,8 +141,46 @@ func TestUnmappedFrameUnmapAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPageTableSize: the frame filter and the reverse index hang off one
-// pointer, so the table a domain or space carries stays 64 bytes.
+// TestMappedFrameUnmapAllocatesNothing: on tables whose frame filter
+// exists, UnmapFrame of a mapped frame scans the table in place, so it
+// allocates nothing, and it removes exactly that frame's mappings: its
+// dense entry and its alias in the sparse map.
+func TestMappedFrameUnmapAllocatesNothing(t *testing.T) {
+	const entries, runs, alias = 64, 101, VPN(0x1000) // AllocsPerRun's warm-up run, then 100
+	tables := make([]*PageTable, runs)
+	for i := range tables {
+		pt := NewPageTableSized(1, entries)
+		for v := range VPN(entries) {
+			pt.Map(v, PTE{Frame: FrameID(v), Perms: PermRW})
+		}
+		pt.Map(alias, PTE{Frame: FrameID(i % entries), Perms: PermR})
+		if pt.FramesMapped(NoFrame) != 0 { // builds the filter
+			t.Fatal("NoFrame is mapped")
+		}
+		tables[i] = pt
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs-1, func() {
+		if tables[i].UnmapFrame(FrameID(i%entries)) != 2 {
+			t.Fatal("UnmapFrame did not remove both mappings of its frame")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("UnmapFrame of a mapped frame allocates %.1f times", n)
+	}
+	for i, pt := range tables {
+		f := FrameID(i % entries)
+		_, dense := pt.Lookup(VPN(f))
+		_, sparse := pt.Lookup(alias)
+		if dense || sparse || pt.FramesMapped(f) != 0 || pt.Len() != entries-1 {
+			t.Fatalf("table %d after UnmapFrame(%d): VPN %d mapped %v, alias mapped %v, %d mappings left",
+				i, f, f, dense, sparse, pt.Len())
+		}
+	}
+}
+
+// TestPageTableSize: the frame filter hangs off one pointer, so the table
+// a domain or space carries stays 64 bytes.
 func TestPageTableSize(t *testing.T) {
 	if n := unsafe.Sizeof(PageTable{}); n != 64 {
 		t.Fatalf("PageTable is %d bytes, want 64", n)
@@ -163,15 +203,16 @@ func (m ptModel) unmapFrame(f FrameID) int {
 
 // FuzzPageTable runs Map/Unmap/Lookup/Len/UnmapFrame/UnmapFrames streams
 // over dense, boundary and sparse VPNs with aliased frames, before and
-// after the frame filter and the reverse index are built, and checks the
-// whole table against a plain-map model after every op. The Len op also
-// looks up frames the stream never maps, which builds the filter but must
-// not build the index; from then on every op repeats those lookups, and
-// the frame counts checked once the index exists catch a Map that left a
-// filter bit clear. Each stream runs on two tables at once: a sized one,
-// whose dense array grows from its hint's 8 entries as Map reaches into
-// its 72-VPN span, and a NewPageTable one, whose dense array grows from 16
-// entries as Map reaches into its 256-VPN span.
+// after the frame filter is built, and checks the whole table against a
+// plain-map model after every op. The Len op also looks up frames the
+// stream never maps, which builds the filter; from then on every op
+// repeats those lookups. Once an UnmapFrame or a sweep op has run, every
+// op counts each frame's mappings with FramesMapped against the model,
+// which catches a Map that left a filter bit clear. Each stream runs on
+// two tables at once: a sized one, whose dense array grows from its hint's
+// 8 entries as Map reaches into its 72-VPN span, and a NewPageTable one,
+// whose dense array grows from 16 entries as Map reaches into its 256-VPN
+// span.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 2, 2, 3, 4, 1, 2, 3, 0, 9, 2, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 0x80, 2, 1, 5, 2, 0, 0, 0, 0x50, 2, 3, 4, 2, 5, 1})
@@ -180,7 +221,7 @@ func FuzzPageTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tables := []*PageTable{NewPageTableSized(asid, hint), NewPageTable(asid)}
 		models := []ptModel{{}, {}}
-		indexed, filtered := false, false
+		swept, filtered := false, false
 		// Frames the stream never maps: one in the filter's first word,
 		// one past the words the mapped frames need, and NoFrame.
 		unmapped := []FrameID{frames, 64*4 + 1, NoFrame}
@@ -226,7 +267,7 @@ func FuzzPageTable(f *testing.F) {
 					if got, want := pt.UnmapFrame(frame(a)), model.unmapFrame(frame(a)); got != want {
 						t.Fatalf("op %d, table %d: UnmapFrame(%d) removed %d, model %d", i, k, frame(a), got, want)
 					}
-					indexed = true
+					swept = true
 					desc = fmt.Sprintf("unmap frame %d", frame(a))
 				case 4:
 					fs := []FrameID{frame(a), frame(b), frame(c)}[:1+op/7%3]
@@ -237,13 +278,13 @@ func FuzzPageTable(f *testing.F) {
 					if got := pt.UnmapFrames(fs); got != want {
 						t.Fatalf("op %d, table %d: UnmapFrames(%v) removed %d, model %d", i, k, fs, got, want)
 					}
-					if !indexed && !filtered && pt.rev != nil {
-						t.Fatalf("op %d, table %d: UnmapFrames built the frame filter or the reverse index", i, k)
+					if !swept && !filtered && pt.filter != nil {
+						t.Fatalf("op %d, table %d: UnmapFrames built the frame filter", i, k)
 					}
 					desc = fmt.Sprintf("unmap frames %v", fs)
 				case 5:
-					indexed = true // FramesMapped builds the index
-					desc = "build index"
+					swept = true // the FramesMapped sweep below builds the filter
+					desc = "sweep frames"
 				case 6:
 					if pt.Len() != len(model) {
 						t.Fatalf("op %d, table %d: Len = %d, model %d", i, k, pt.Len(), len(model))
@@ -258,11 +299,8 @@ func FuzzPageTable(f *testing.F) {
 							t.Fatalf("%s: never-mapped frame %d: UnmapFrame = %d, FramesMapped = %d", where, f, n, m)
 						}
 					}
-					if !indexed && pt.rev.byFrame != nil {
-						t.Fatalf("%s: looking up never-mapped frames built the reverse index", where)
-					}
 				}
-				if indexed {
+				if swept {
 					for f := range FrameID(frames) {
 						want := 0
 						for _, e := range model {

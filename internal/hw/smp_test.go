@@ -140,11 +140,18 @@ func TestShootdownEntryIsTargeted(t *testing.T) {
 	}
 }
 
-// TestUniprocessorInternsButNeverCharges: the SMP components exist on a
-// 1-CPU machine (interned at boot) but a full uniprocessor workout leaves
-// them at zero — the accounting-level guarantee that E1–E11 are untouched.
+// TestUniprocessorInternsButNeverCharges: a full uniprocessor workout
+// leaves the SMP components at zero — the accounting-level guarantee that
+// E1–E11 are untouched. A 1-CPU machine does not even intern their names,
+// which only a multiprocessor charges; a 2-CPU machine does.
 func TestUniprocessorInternsButNeverCharges(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 64})
+	if _, ok := m.Rec.Registry().Lookup("cpu0.ipi"); ok {
+		t.Fatal("a uniprocessor interned cpu0.ipi")
+	}
+	if _, ok := NewMachine(X86(), &MachineConfig{Frames: 64, NCPUs: 2}).Rec.Registry().Lookup("cpu0.ipi"); !ok {
+		t.Fatal("a 2-CPU machine did not intern cpu0.ipi")
+	}
 	comp := m.Rec.Intern("test.kern")
 	m.CPU.Trap(comp, false)
 	m.CPU.FlushTLB(comp)

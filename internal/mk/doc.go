@@ -34,8 +34,13 @@
 // completes. A receiver that keeps bytes copies them, as an L4 server
 // does; an envelope queued in an inbox is an owning copy.
 //
+// Kernel objects: threads and spaces are named by IDs handed out in order
+// from 1 and never reused, so the kernel keeps each kind in a slice
+// indexed by ID, as package vmm keeps its domains.
+//
 // Multiprocessor model: threads have a home CPU (Thread.Affinity, set by
 // SetAffinity) and each CPU schedules from its own run queue (ScheduleOn),
+// one FIFO picked in priority order, round robin within a priority,
 // stealing work from other CPUs — a charged migration — when its queue
 // runs dry. IPC between threads homed on different CPUs pays wake and
 // reply IPIs, and unmapping a page of a space installed on other CPUs

@@ -20,7 +20,7 @@ const (
 // rights: translate, and on failure run the pager protocol and retry. It
 // returns the resolved PTE.
 func (k *Kernel) Touch(tid ThreadID, vpn hw.VPN, want hw.Perm) (hw.PTE, error) {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	if t == nil {
 		return hw.PTE{}, ErrNoSuchThread
 	}
@@ -50,7 +50,7 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 		return ErrNoPager
 	}
-	pager := k.threads[pagerID]
+	pager := k.Thread(pagerID)
 	if pager == nil || pager.State == StateDead || pager.Space.Dead || pager.Handler == nil {
 		// Pager gone: the fault cannot be resolved. The faulting thread
 		// is the casualty; the kernel and everyone else survive.
@@ -86,7 +86,7 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 // exception virtualisation (primitive 7). A space without a handler kills
 // the faulting thread.
 func (k *Kernel) SetExceptionHandler(s *Space, handler ThreadID) error {
-	if handler != NilThread && k.threads[handler] == nil {
+	if handler != NilThread && k.Thread(handler) == nil {
 		return ErrNoSuchThread
 	}
 	s.ExcHandler = handler
@@ -99,7 +99,7 @@ func (k *Kernel) SetExceptionHandler(s *Space, handler ThreadID) error {
 // exception handler; the handler's reply resumes the thread (true) or the
 // kernel kills it (false, or no handler).
 func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err error) {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	if t == nil {
 		return false, ErrNoSuchThread
 	}
@@ -107,7 +107,7 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 	k.M.CPU.Work(k.comp, k.M.Arch.Costs.PrivCheck)
 
 	hid := t.Space.ExcHandler
-	handler := k.threads[hid]
+	handler := k.Thread(hid)
 	if handler == nil || handler.State == StateDead || handler.Space.Dead || handler.Handler == nil {
 		// Unhandled: the faulter dies; nobody else is touched.
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -134,14 +134,12 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 // kernel's interrupt handler becomes a synthesised IPC send, which is how
 // L4 delivers device interrupts to user-level drivers.
 func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
-	if k.threads[tid] == nil {
+	t := k.Thread(tid)
+	if t == nil {
 		return ErrNoSuchThread
 	}
-	k.irqOwner[line] = tid
 	k.M.IRQ.SetHandler(line, func(l hw.IRQLine) {
-		owner := k.irqOwner[l]
-		t := k.threads[owner]
-		if t == nil || t.State == StateDead || t.Space.Dead {
+		if t.State == StateDead || t.Space.Dead {
 			return // driver died; interrupt is dropped, kernel unharmed
 		}
 		// Interrupt IPC: conceptually from the "hardware thread".
@@ -167,7 +165,7 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 // KillThread marks a thread dead (fault injection / crash). Its queued
 // messages are discarded; future IPC to it fails with ErrDeadPartner.
 func (k *Kernel) KillThread(tid ThreadID) {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	if t == nil || t.State == StateDead {
 		return
 	}
@@ -188,9 +186,9 @@ func (k *Kernel) KillSpace(s *Space) {
 		return
 	}
 	s.Dead = true
-	for tid := ThreadID(1); tid < k.nextTID; tid++ {
-		if t := k.threads[tid]; t != nil && t.Space == s {
-			k.KillThread(tid)
+	for _, t := range k.threads[1:] {
+		if t.Space == s {
+			k.KillThread(t.ID)
 		}
 	}
 	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, s.comp, 0)
@@ -198,6 +196,6 @@ func (k *Kernel) KillSpace(s *Space) {
 
 // Alive reports whether the thread exists and is not dead.
 func (k *Kernel) Alive(tid ThreadID) bool {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	return t != nil && t.State != StateDead && !t.Space.Dead
 }

@@ -149,8 +149,8 @@ func (k *Kernel) applyMapItems(src, dst *Space, items []MapItem) error {
 // ipcPreamble validates the partner and charges kernel entry. It returns
 // the destination thread.
 func (k *Kernel) ipcPreamble(from, to ThreadID) (*Thread, *Thread, error) {
-	src := k.threads[from]
-	dst := k.threads[to]
+	src := k.Thread(from)
+	dst := k.Thread(to)
 	if src == nil || dst == nil {
 		return nil, nil, ErrNoSuchThread
 	}
@@ -297,7 +297,7 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 // (modelled as a polling receive; blocking is a scheduler concern the
 // simulation resolves synchronously).
 func (k *Kernel) Receive(tid ThreadID) (Envelope, bool) {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	if t == nil || len(t.Inbox) == 0 {
 		return Envelope{}, false
 	}

@@ -2,6 +2,7 @@ package mk
 
 import (
 	"errors"
+	"math"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
@@ -46,17 +47,15 @@ type Kernel struct {
 
 	comp trace.Comp // KernelComponent, interned at boot
 
-	threads map[ThreadID]*Thread
-	spaces  map[SpaceID]*Space
+	// threads and spaces are indexed by ID. IDs are handed out in order
+	// from 1 and never reused, so slot 0 stays empty and the next ID is
+	// the table's length.
+	threads []*Thread
+	spaces  []*Space
 
-	nextTID  ThreadID
-	nextASID SpaceID
-
-	irqOwner map[hw.IRQLine]ThreadID
-
-	sched  *scheduler
-	mapdb  *mapDB
-	rights *rightsTable
+	sched  scheduler
+	mapdb  mapDB
+	rights map[ThreadID]map[ThreadID]bool // per-sender IPC whitelists; nil until the first (rights.go)
 
 	callDepth int
 	requests  []msgRegs // request registers, one set per call level (deliver)
@@ -72,17 +71,12 @@ type Kernel struct {
 // itself; user spaces start at 1.
 func New(m *hw.Machine) *Kernel {
 	k := &Kernel{
-		M:        m,
-		comp:     m.Rec.Intern(KernelComponent),
-		threads:  make(map[ThreadID]*Thread),
-		spaces:   make(map[SpaceID]*Space),
-		nextTID:  1,
-		nextASID: 1,
-		irqOwner: make(map[hw.IRQLine]ThreadID),
+		M:       m,
+		comp:    m.Rec.Intern(KernelComponent),
+		threads: []*Thread{nil},
+		spaces:  []*Space{nil},
+		sched:   scheduler{cpus: make([]cpuQueue, m.NCPUs())},
 	}
-	k.sched = newScheduler(k)
-	k.mapdb = newMapDB()
-	k.rights = newRightsTable()
 	// Boot cost: set up kernel space, IDT-equivalent, etc.
 	m.CPU.Work(k.comp, 5000)
 	return k
@@ -110,18 +104,18 @@ func (s *Space) Comp() trace.Comp { return s.comp }
 // NewSpace creates an empty address space. Pager may be NilThread for
 // spaces that must never fault (drivers with pinned memory).
 func (k *Kernel) NewSpace(name string, pager ThreadID) (*Space, error) {
-	if k.nextASID == 0 { // wrapped
+	if len(k.spaces) > math.MaxUint16 {
 		return nil, ErrSpaceExhausted
 	}
+	id := SpaceID(len(k.spaces))
 	s := &Space{
-		ID:    k.nextASID,
+		ID:    id,
 		Name:  name,
-		PT:    hw.NewPageTable(uint16(k.nextASID)),
+		PT:    hw.NewPageTable(uint16(id)),
 		Pager: pager,
 		comp:  k.M.Rec.Intern("mk." + name),
 	}
-	k.nextASID++
-	k.spaces[s.ID] = s
+	k.spaces = append(k.spaces, s)
 	k.M.CPU.Work(k.comp, 300) // space construction
 	return s, nil
 }
@@ -196,7 +190,7 @@ func (t *Thread) Comp() trace.Comp { return t.comp }
 // (nil for pure client threads that only originate IPC).
 func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thread {
 	t := &Thread{
-		ID:      k.nextTID,
+		ID:      ThreadID(len(k.threads)),
 		Name:    name,
 		Space:   space,
 		Prio:    prio,
@@ -205,8 +199,7 @@ func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thre
 		onCPU:   -1,
 		comp:    k.M.Rec.Intern("mk." + name),
 	}
-	k.nextTID++
-	k.threads[t.ID] = t
+	k.threads = append(k.threads, t)
 	k.sched.add(t)
 	k.M.CPU.Work(k.comp, 400) // TCB allocation and setup
 	return t
@@ -216,12 +209,17 @@ func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thre
 func (k *Kernel) Comp() trace.Comp { return k.comp }
 
 // Thread returns the thread for id, or nil.
-func (k *Kernel) Thread(id ThreadID) *Thread { return k.threads[id] }
+func (k *Kernel) Thread(id ThreadID) *Thread {
+	if int(id) >= len(k.threads) {
+		return nil
+	}
+	return k.threads[id]
+}
 
 // Threads returns the number of live threads.
 func (k *Kernel) Threads() int {
 	n := 0
-	for _, t := range k.threads {
+	for _, t := range k.threads[1:] {
 		if t.State != StateDead {
 			n++
 		}

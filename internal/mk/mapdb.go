@@ -22,17 +22,11 @@ type mapNode struct {
 	vpn   hw.VPN
 }
 
-// mapDB is the kernel's derivation forest.
+// mapDB is the kernel's derivation forest. Its zero value is empty: only
+// record writes to it, and record makes the maps on first use.
 type mapDB struct {
 	children map[mapNode][]mapNode
 	parent   map[mapNode]mapNode
-}
-
-func newMapDB() *mapDB {
-	return &mapDB{
-		children: make(map[mapNode][]mapNode),
-		parent:   make(map[mapNode]mapNode),
-	}
 }
 
 // record notes that dst was derived from src by a map (not grant) item.
@@ -42,6 +36,10 @@ func newMapDB() *mapDB {
 // revocable through this slot).
 func (db *mapDB) record(src, dst mapNode) {
 	db.drop(dst)
+	if db.children == nil {
+		db.children = make(map[mapNode][]mapNode)
+		db.parent = make(map[mapNode]mapNode)
+	}
 	db.children[src] = append(db.children[src], dst)
 	db.parent[dst] = src
 }
@@ -100,13 +98,11 @@ func (k *Kernel) UnmapRecursive(s *Space, vpn hw.VPN, revokeSelf bool) int {
 	for i := len(victims) - 1; i >= 0; i-- { // leaves first
 		v := victims[i]
 		vs := k.spaces[v.space]
-		if vs != nil {
-			if _, ok := vs.PT.Lookup(v.vpn); ok {
-				vs.PT.Unmap(v.vpn)
-				k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
-				k.M.CPU.FlushTLBEntry(k.comp, uint16(vs.ID), v.vpn)
-				n++
-			}
+		if _, ok := vs.PT.Lookup(v.vpn); ok {
+			vs.PT.Unmap(v.vpn)
+			k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
+			k.M.CPU.FlushTLBEntry(k.comp, uint16(vs.ID), v.vpn)
+			n++
 		}
 		k.mapdb.drop(v)
 	}

@@ -588,3 +588,51 @@ func TestIPCCostVariesByArch(t *testing.T) {
 		t.Fatalf("ARM IPC (%d) should be cheaper than x86 (%d)", arm, x86)
 	}
 }
+
+// TestKernelBootAllocates pins what a small kernel boot allocates on a
+// pooled (Reset) machine: the kernel, two spaces, four threads of mixed
+// priority on their run queue, and one interrupt route. The object tables
+// and the run queue are slices, and the mapping database and the IPC
+// rights make their maps on first write, so the boot builds no map.
+func TestKernelBootAllocates(t *testing.T) {
+	const want = 27
+	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
+	n := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		k := New(m)
+		a, err := k.NewSpace("a", NilThread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := k.NewSpace("b", NilThread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.NewThread(a, "a0", 1, nil)
+		k.NewThread(a, "a1", 3, nil)
+		drv := k.NewThread(b, "drv", 5, nil)
+		k.NewThread(b, "b1", 1, nil)
+		if err := k.RegisterIRQ(1, drv.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != want {
+		t.Errorf("a kernel boot allocates %.0f objects, want %d", n, want)
+	}
+}
+
+// TestNewSpaceExhaustsASIDs: space IDs are 16-bit hardware ASIDs, 0 being
+// the kernel's, so the 65,536th NewSpace fails and every earlier one got
+// the next ID.
+func TestNewSpaceExhaustsASIDs(t *testing.T) {
+	k := New(hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 16}))
+	for id := SpaceID(1); id != 0; id++ {
+		s, err := k.NewSpace("s", NilThread)
+		if err != nil || s.ID != id || s.PT.ASID() != uint16(id) {
+			t.Fatalf("space %d: got %v, %v", id, s, err)
+		}
+	}
+	if _, err := k.NewSpace("s", NilThread); !errors.Is(err, ErrSpaceExhausted) {
+		t.Fatalf("NewSpace past the last ASID: %v, want ErrSpaceExhausted", err)
+	}
+}

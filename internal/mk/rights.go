@@ -13,24 +13,28 @@ import "errors"
 // ErrIPCDenied is returned when an IPC is blocked by rights.
 var ErrIPCDenied = errors.New("mk: IPC denied by rights restriction")
 
-// rightsTable holds per-sender whitelists; absence means unrestricted.
-type rightsTable struct {
-	allowed map[ThreadID]map[ThreadID]bool
-}
-
-func newRightsTable() *rightsTable {
-	return &rightsTable{allowed: make(map[ThreadID]map[ThreadID]bool)}
+// whitelist returns sender's whitelist, putting sender under the
+// whitelist regime if it was not yet. The table of whitelists
+// (Kernel.rights) is made on the kernel's first restriction.
+func (k *Kernel) whitelist(sender ThreadID) map[ThreadID]bool {
+	wl := k.rights[sender]
+	if wl == nil {
+		if k.rights == nil {
+			k.rights = make(map[ThreadID]map[ThreadID]bool)
+		}
+		wl = make(map[ThreadID]bool)
+		k.rights[sender] = wl
+	}
+	return wl
 }
 
 // RestrictIPC puts sender under a whitelist regime (initially empty: it can
 // reach nobody until AllowIPC is called).
 func (k *Kernel) RestrictIPC(sender ThreadID) error {
-	if k.threads[sender] == nil {
+	if k.Thread(sender) == nil {
 		return ErrNoSuchThread
 	}
-	if k.rights.allowed[sender] == nil {
-		k.rights.allowed[sender] = make(map[ThreadID]bool)
-	}
+	k.whitelist(sender)
 	k.M.CPU.Work(k.comp, 100)
 	return nil
 }
@@ -38,20 +42,17 @@ func (k *Kernel) RestrictIPC(sender ThreadID) error {
 // AllowIPC whitelists receiver for a restricted sender (and restricts the
 // sender if it was not yet).
 func (k *Kernel) AllowIPC(sender, receiver ThreadID) error {
-	if k.threads[sender] == nil || k.threads[receiver] == nil {
+	if k.Thread(sender) == nil || k.Thread(receiver) == nil {
 		return ErrNoSuchThread
 	}
-	if k.rights.allowed[sender] == nil {
-		k.rights.allowed[sender] = make(map[ThreadID]bool)
-	}
-	k.rights.allowed[sender][receiver] = true
+	k.whitelist(sender)[receiver] = true
 	k.M.CPU.Work(k.comp, 100)
 	return nil
 }
 
 // RevokeIPC removes receiver from a restricted sender's whitelist.
 func (k *Kernel) RevokeIPC(sender, receiver ThreadID) {
-	if wl := k.rights.allowed[sender]; wl != nil {
+	if wl := k.rights[sender]; wl != nil {
 		delete(wl, receiver)
 		k.M.CPU.Work(k.comp, 80)
 	}
@@ -59,12 +60,12 @@ func (k *Kernel) RevokeIPC(sender, receiver ThreadID) {
 
 // UnrestrictIPC returns the sender to the default allow-all regime.
 func (k *Kernel) UnrestrictIPC(sender ThreadID) {
-	delete(k.rights.allowed, sender)
+	delete(k.rights, sender)
 }
 
 // ipcAllowed is the enforcement point, consulted in the IPC preamble.
 func (k *Kernel) ipcAllowed(sender, receiver ThreadID) bool {
-	wl, restricted := k.rights.allowed[sender]
+	wl, restricted := k.rights[sender]
 	if !restricted {
 		return true
 	}

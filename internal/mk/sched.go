@@ -2,7 +2,7 @@ package mk
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
@@ -17,45 +17,25 @@ import (
 // real migration paid for with an IPI. A 1-CPU machine collapses to the
 // single global queue the macro experiments (E8) were calibrated on.
 type scheduler struct {
-	k       *Kernel
-	cpus    []*cpuQueue // one per machine CPU; index == hw CPU index
+	cpus    []cpuQueue // one per machine CPU; index == hw CPU index
 	steals  uint64
 	targets []int // cpusRunningSpace's result, reused
 }
 
-// cpuQueue is one CPU's run queue: priority classes in FIFO order plus the
-// thread currently installed on that CPU.
+// cpuQueue is one CPU's run queue: its threads in one FIFO, plus the
+// thread currently installed on that CPU. Run queues hold a handful of
+// threads, so a pick scans the whole FIFO for the highest priority.
 type cpuQueue struct {
-	queues   map[int][]*Thread // priority -> FIFO
-	prios    []int             // sorted descending
+	fifo     []*Thread
 	current  *Thread
 	switches uint64
 }
 
-func newScheduler(k *Kernel) *scheduler {
-	s := &scheduler{k: k, cpus: make([]*cpuQueue, k.M.NCPUs())}
-	for i := range s.cpus {
-		s.cpus[i] = &cpuQueue{queues: make(map[int][]*Thread)}
-	}
-	return s
-}
-
-func (q *cpuQueue) add(t *Thread) {
-	fifo, ok := q.queues[t.Prio]
-	if !ok {
-		q.prios = append(q.prios, t.Prio)
-		sort.Sort(sort.Reverse(sort.IntSlice(q.prios)))
-	}
-	q.queues[t.Prio] = append(fifo, t)
-}
+func (q *cpuQueue) add(t *Thread) { q.fifo = append(q.fifo, t) }
 
 func (q *cpuQueue) remove(t *Thread) {
-	fifo := q.queues[t.Prio]
-	for i, x := range fifo {
-		if x == t {
-			q.queues[t.Prio] = append(fifo[:i], fifo[i+1:]...)
-			break
-		}
+	if i := slices.Index(q.fifo, t); i >= 0 {
+		q.fifo = slices.Delete(q.fifo, i, i+1)
 	}
 	if q.current == t {
 		q.current = nil
@@ -63,54 +43,64 @@ func (q *cpuQueue) remove(t *Thread) {
 	}
 }
 
+// next returns the position of the ready thread with the highest Prio,
+// the earliest among equals, that is not installed on a CPU other than
+// cpu (a cpu of -1 admits only threads installed nowhere), or -1 when no
+// thread qualifies.
+func (q *cpuQueue) next(cpu int) int {
+	best := -1
+	for i, t := range q.fifo {
+		if t.State != StateReady || t.onCPU >= 0 && t.onCPU != cpu {
+			continue
+		}
+		if best < 0 || t.Prio > q.fifo[best].Prio {
+			best = i
+		}
+	}
+	return best
+}
+
 func (s *scheduler) add(t *Thread)    { s.cpus[t.Affinity].add(t) }
 func (s *scheduler) remove(t *Thread) { s.cpus[t.Affinity].remove(t) }
 
-// pick returns the next ready thread for cpu in priority order, rotating
-// the winner's queue for round-robin fairness. Threads currently installed
-// on another CPU are skipped — a thread never runs on two CPUs at once.
-// An empty queue falls back to stealing.
-func (s *scheduler) pick(cpu int) *Thread {
-	q := s.cpus[cpu]
-	for _, p := range q.prios {
-		fifo := q.queues[p]
-		for i, t := range fifo {
-			if t.State != StateReady {
-				continue
-			}
-			if t.onCPU >= 0 && t.onCPU != cpu {
-				continue
-			}
-			// Rotate: move to the back of its priority class.
-			q.queues[p] = append(append(append([]*Thread{}, fifo[:i]...), fifo[i+1:]...), t)
-			return t
-		}
+// pick returns the next ready thread for cpu in priority order and
+// rotates it to the back of the queue: behind every thread of its
+// priority, which is round robin within each priority class. Threads
+// currently installed on another CPU are skipped — a thread never runs on
+// two CPUs at once. An empty queue falls back to stealing.
+func (k *Kernel) pick(cpu int) *Thread {
+	q := &k.sched.cpus[cpu]
+	i := q.next(cpu)
+	if i < 0 {
+		return k.steal(cpu)
 	}
-	return s.steal(cpu)
+	t := q.fifo[i]
+	q.fifo = append(slices.Delete(q.fifo, i, i+1), t)
+	return t
 }
 
-// steal migrates the first stealable thread from another CPU's queue
-// (victims scanned in ascending CPU order, each in its own priority order)
-// to cpu, paying a reschedule IPI toward the victim. It returns nil when
-// no CPU has spare ready work.
-func (s *scheduler) steal(cpu int) *Thread {
-	for v, vq := range s.cpus {
+// steal migrates a stealable thread from another CPU's queue to cpu,
+// paying a reschedule IPI toward the victim: victims are scanned in
+// ascending CPU order, and each gives up the thread its own pick would
+// choose among those installed nowhere. It returns nil when no CPU has
+// spare ready work.
+func (k *Kernel) steal(cpu int) *Thread {
+	for v := range k.sched.cpus {
 		if v == cpu {
 			continue
 		}
-		for _, p := range vq.prios {
-			for _, t := range vq.queues[p] {
-				if t.State != StateReady || t.onCPU >= 0 {
-					continue
-				}
-				vq.remove(t)
-				t.Affinity = cpu
-				s.cpus[cpu].add(t)
-				s.steals++
-				s.k.M.SendIPI(cpu, v)
-				return t
-			}
+		vq := &k.sched.cpus[v]
+		i := vq.next(-1)
+		if i < 0 {
+			continue
 		}
+		t := vq.fifo[i]
+		vq.fifo = slices.Delete(vq.fifo, i, i+1)
+		t.Affinity = cpu
+		k.sched.cpus[cpu].add(t)
+		k.sched.steals++
+		k.M.SendIPI(cpu, v)
+		return t
 	}
 	return nil
 }
@@ -124,12 +114,12 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 		panic(fmt.Sprintf("mk: schedule on nonexistent CPU %d", cpu))
 	}
 	c := k.M.CPUs[cpu]
-	q := k.sched.cpus[cpu]
+	q := &k.sched.cpus[cpu]
 	c.Trap(k.comp, false)
 	if cpu == 0 {
 		k.M.IRQ.DispatchPending(k.comp)
 	}
-	next := k.sched.pick(cpu)
+	next := k.pick(cpu)
 	if next != nil && next != q.current {
 		q.switches++
 		if old := q.current; old != nil {
@@ -171,7 +161,7 @@ func (k *Kernel) Steals() uint64 { return k.sched.steals }
 // CPU with a reschedule IPI. The boot-time pinning a platform does before
 // any thread has run charges nothing.
 func (k *Kernel) SetAffinity(tid ThreadID, cpu int) error {
-	t := k.threads[tid]
+	t := k.Thread(tid)
 	if t == nil || t.State == StateDead {
 		return ErrNoSuchThread
 	}

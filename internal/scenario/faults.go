@@ -166,13 +166,3 @@ func FuzzHypercalls(h *vmm.Hypervisor, victim vmm.DomID, n int, seed uint64) err
 	}
 	return nil
 }
-
-// callRecovered runs one fuzz op, converting a panic into a message.
-func callRecovered(fn func() error) (err error, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
-		}
-	}()
-	return fn(), ""
-}

@@ -117,7 +117,7 @@ func runLeg(pool *hw.MachinePool, arch *hw.Arch, s S, armed bool) (env *Env, det
 	}
 	env = &Env{M: pool.Get(arch, cfg), Armed: armed, pool: pool, arch: arch}
 	defer env.release()
-	err, panicMsg := invoke(s.Run, env)
+	err, panicMsg := callRecovered(func() error { return s.Run(env) })
 	if err != nil {
 		// Declared here, errors.As's target reaches the heap only on a leg
 		// that failed.
@@ -158,16 +158,17 @@ func runLeg(pool *hw.MachinePool, arch *hw.Arch, s S, armed bool) (env *Env, det
 	return env, "", ""
 }
 
-// invoke runs fn with panics converted to a message — expected panics are a
-// legitimate outcome (hw contract violations), and an unexpected panic in
-// one row must fail that row, not the whole matrix.
-func invoke(fn func(*Env) error, env *Env) (err error, panicMsg string) {
+// callRecovered runs fn with a panic converted to its message. A leg's
+// expected panics are a legitimate outcome (hw contract violations), an
+// unexpected panic in one row must fail that row, not the whole matrix,
+// and a hypercall fuzz op that panics fails its storm by name.
+func callRecovered(fn func() error) (err error, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicMsg = fmt.Sprint(r)
 		}
 	}()
-	return fn(env), ""
+	return fn(), ""
 }
 
 // Summarize counts results by status.

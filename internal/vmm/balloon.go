@@ -20,7 +20,7 @@ var ErrBalloonEmpty = errors.New("vmm: no free machine memory to balloon in")
 // BalloonOut releases n owned pages (highest guest page numbers first) to
 // the machine pool. It returns how many were actually released — holes and
 // flipped-away slots are skipped. The released frames leave the page table
-// in one batch unmap, which never builds the table's reverse index.
+// in one batch unmap, which never builds the table's frame filter.
 func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 	d, err := h.lookup(dom)
 	if err != nil {

@@ -107,7 +107,7 @@ var ErrDirtyLogActive = errors.New("vmm: dirty log already enabled")
 // first round has sized it, a round allocates only the list Rearm returns.
 // Each page keeps the first mapping the log write-protected inline; a page
 // mapped writable at several VPNs keeps the others in a map allocated on
-// first use, the shape hw.PageTable's reverse index uses for aliases.
+// first use.
 type DirtyLog struct {
 	h *Hypervisor
 	d *Domain
