@@ -26,8 +26,9 @@
 // did before SMP support existed; only experiment E12 sweeps NCPUs.
 //
 // Physical memory (PhysMem) is a frame allocator whose owners are the
-// trace.Comp handles of the components holding the frames, with an O(1)
-// per-owner count. It keeps per-frame state only below a watermark: Alloc
+// trace.Comp handles of the components holding the frames. The frame table
+// is the only record of who owns what: OwnedBy counts an owner's frames by
+// scanning it, for tests, and each kernel keeps its own resident count. It keeps per-frame state only below a watermark: Alloc
 // pops the LIFO of freed frames, or else hands out the watermark frame and
 // advances it, which is the ID sequence a full free stack would yield, and
 // AllocN takes the same IDs in one pass. So a boot costs nothing per

@@ -74,7 +74,6 @@ type PhysMem struct {
 	next     int        // the watermark: frames at or past it have never been handed out
 	table    []frameRec // the frame table, at least next records long
 	bufs     [][]byte   // contents buffers, named by the records' slots: the written prefix
-	owned    []int      // frames held per owner, indexed by Comp
 	free     []FrameID  // freed frames below the watermark, LIFO
 	allocs   uint64
 	flips    uint64
@@ -142,7 +141,6 @@ func (m *PhysMem) Alloc(owner trace.Comp) (FrameID, error) {
 	} else {
 		return NoFrame, ErrOutOfMemory
 	}
-	m.count(owner, 1)
 	m.table[f].owner = owner
 	m.allocs++
 	return f, nil
@@ -175,18 +173,8 @@ func (m *PhysMem) AllocN(owner trace.Comp, n int) ([]FrameID, error) {
 	for _, f := range out {
 		m.table[f].owner = owner
 	}
-	m.count(owner, n)
 	m.allocs += uint64(n)
 	return out, nil
-}
-
-// count adds n frames to owner's count, growing the per-owner counts on
-// demand.
-func (m *PhysMem) count(owner trace.Comp, n int) {
-	if int(owner) >= len(m.owned) {
-		m.owned = append(m.owned, make([]int, int(owner)+1-len(m.owned))...)
-	}
-	m.owned[owner] += n
 }
 
 // Free returns a frame to the allocator and clears its owner and its M2P
@@ -195,11 +183,9 @@ func (m *PhysMem) count(owner trace.Comp, n int) {
 // written costs no write at all.
 func (m *PhysMem) Free(f FrameID) {
 	m.checkFrame(f)
-	o := m.Owner(f)
-	if o == trace.CompNone {
+	if m.Owner(f) == trace.CompNone {
 		panic(fmt.Sprintf("hw: double free of frame %d", f))
 	}
-	m.owned[o]--
 	r := &m.table[f]
 	r.owner, r.m2p = trace.CompNone, 0
 	m.truncate(r.slot)
@@ -236,7 +222,6 @@ func (m *PhysMem) Reset() {
 		}
 		r.owner, r.m2p = trace.CompNone, 0
 	}
-	clear(m.owned)
 	m.free = m.free[:0]
 	m.next = 0
 	m.allocs, m.flips = 0, 0
@@ -280,15 +265,12 @@ func (m *PhysMem) SetM2P(f FrameID, gpn int) {
 // The M2P word stays: the hypervisor moves it with the P2M slots.
 func (m *PhysMem) Transfer(f FrameID, newOwner trace.Comp) {
 	m.checkFrame(f)
-	o := m.Owner(f)
-	if o == trace.CompNone {
+	if m.Owner(f) == trace.CompNone {
 		panic(fmt.Sprintf("hw: transferring free frame %d", f))
 	}
 	if newOwner == trace.CompNone {
 		panic(fmt.Sprintf("hw: transferring frame %d to no owner", f))
 	}
-	m.owned[o]--
-	m.count(newOwner, 1)
 	m.table[f].owner = newOwner
 	m.flips++
 }
@@ -481,20 +463,27 @@ func (m *PhysMem) CopyPage(df FrameID, src *PhysMem, sf FrameID) {
 // Stats returns cumulative allocation and ownership-transfer counts.
 func (m *PhysMem) Stats() (allocs, transfers uint64) { return m.allocs, m.flips }
 
-// OwnedBy returns the number of frames currently owned by owner.
+// OwnedBy returns the number of frames currently owned by owner, counted
+// by a scan of the frame table below the watermark. Only tests call it; a
+// kernel keeps its own resident count.
 func (m *PhysMem) OwnedBy(owner trace.Comp) int {
-	if owner <= trace.CompNone || int(owner) >= len(m.owned) {
-		return 0
+	n := 0
+	if owner != trace.CompNone {
+		for _, r := range m.table[:m.next] {
+			if r.owner == owner {
+				n++
+			}
+		}
 	}
-	return m.owned[owner]
+	return n
 }
 
 // Audit checks the allocator's conservation laws. Below the watermark,
 // every frame is either owned or on the free stack, exactly once, and the
 // free stack holds no other frame. At or past it, no frame is owned or
-// holds a prefix. So free plus owned frames equal the total. Each
-// per-owner count equals a scan of the owners, no prefix outgrows its
-// page, and every free frame's prefix is empty, so it reads zero. No free
+// holds a prefix. So free plus owned frames equal the total. No prefix
+// outgrows its page, and every free frame's prefix is empty, so it reads
+// zero. No free
 // frame, and no frame at or past the watermark, carries an M2P word. Every
 // contents slot a record names is in range and named by that record only,
 // and every buffer in bufs has its frame. Audit allocates in proportion to
@@ -517,7 +506,6 @@ func (m *PhysMem) Audit() error {
 			return fmt.Errorf("hw: free-stack frame %d is owned by component %d", f, o)
 		}
 	}
-	owned := make([]int, len(m.owned))
 	named := make([]bool, len(m.bufs))
 	for f, r := range m.table {
 		n := 0
@@ -557,21 +545,11 @@ func (m *PhysMem) Audit() error {
 			if n != 0 {
 				return fmt.Errorf("hw: free frame %d holds a %d-byte prefix", f, n)
 			}
-			continue
 		}
-		if r.owner < 0 || int(r.owner) >= len(owned) {
-			return fmt.Errorf("hw: frame %d owned by uncounted component %d", f, r.owner)
-		}
-		owned[r.owner]++
 	}
 	for s, ok := range named {
 		if !ok {
 			return fmt.Errorf("hw: contents slot %d belongs to no frame", s)
-		}
-	}
-	for c, n := range owned {
-		if n != m.owned[c] {
-			return fmt.Errorf("hw: component %d owns %d frames but is counted at %d", c, n, m.owned[c])
 		}
 	}
 	return nil

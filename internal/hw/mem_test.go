@@ -406,7 +406,6 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 		}, "free stack holds untouched frame 3"},
 		{"owned frame past the watermark", func(m *PhysMem, _, _ FrameID) {
 			record(m, untouched).owner = a
-			m.owned[a]++
 		}, "untouched frame 3 (watermark 2) is owned"},
 		{"prefix on an untouched frame", func(m *PhysMem, _, _ FrameID) {
 			setContents(m, untouched, []byte{0, 1})
@@ -435,9 +434,6 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 		{"lost frame", func(m *PhysMem, _, _ FrameID) {
 			m.free = m.free[:0]
 		}, "neither owned nor free"},
-		{"miscounted owner", func(m *PhysMem, _, _ FrameID) {
-			m.owned[a]++
-		}, "counted at"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewPhysMem(4, 64)
@@ -539,7 +535,6 @@ func (pm *physModel) release(f FrameID) {
 func twin(m *PhysMem) *PhysMem {
 	c := *m
 	c.table = slices.Clone(m.table)
-	c.owned = slices.Clone(m.owned)
 	c.free = slices.Clone(m.free)
 	return &c
 }
@@ -732,7 +727,7 @@ func FuzzPhysMem(f *testing.F) {
 				tw, free := twin(m), m.FreeFrames()
 				got, err := m.AllocN(comps[o], n)
 				if n > free {
-					if err != ErrOutOfMemory || got != nil || !sameAllocator(m, tw, comps) {
+					if err != ErrOutOfMemory || got != nil || !sameAllocator(m, tw) {
 						t.Fatalf("op %d: AllocN(%d) with %d free = %v, %v; the refusal must take nothing", i, n, free, got, err)
 					}
 					desc = fmt.Sprintf("allocN %d against Allocs refused", n)
@@ -742,7 +737,7 @@ func FuzzPhysMem(f *testing.F) {
 				for j := range want {
 					want[j], _ = tw.Alloc(comps[o])
 				}
-				if err != nil || !slices.Equal(got, want) || !sameAllocator(m, tw, comps) {
+				if err != nil || !slices.Equal(got, want) || !sameAllocator(m, tw) {
 					t.Fatalf("op %d: AllocN(%d) = %v, %v; %d Allocs took %v", i, n, got, err, n, want)
 				}
 				pm.take(n, names[o])
@@ -808,18 +803,13 @@ func checkAgainstModel(t *testing.T, where string, m *PhysMem, pm *physModel, re
 
 // sameAllocator reports whether a and b hold the same allocator state: the
 // watermark, the frame table's length, every record's owner and M2P word,
-// the free stack, each component's count and the allocation count.
-func sameAllocator(a, b *PhysMem, comps []trace.Comp) bool {
+// the free stack and the allocation count.
+func sameAllocator(a, b *PhysMem) bool {
 	if a.next != b.next || len(a.table) != len(b.table) || !slices.Equal(a.free, b.free) {
 		return false
 	}
 	for f, r := range a.table {
 		if r.owner != b.table[f].owner || r.m2p != b.table[f].m2p {
-			return false
-		}
-	}
-	for _, c := range comps {
-		if a.OwnedBy(c) != b.OwnedBy(c) {
 			return false
 		}
 	}
@@ -838,7 +828,6 @@ func TestPhysMemAllocNMatchesAlloc(t *testing.T) {
 	const frames = 1000
 	reg := trace.NewRegistry()
 	a, b := reg.Intern("a"), reg.Intern("b")
-	comps := []trace.Comp{a, b}
 	m, tw := NewPhysMem(frames, 64), NewPhysMem(frames, 64)
 	var steps []int
 	for _, step := range []struct {
@@ -865,7 +854,7 @@ func TestPhysMemAllocNMatchesAlloc(t *testing.T) {
 		} else if err != ErrOutOfMemory {
 			t.Fatalf("AllocN(%d) with %d free: err = %v, want ErrOutOfMemory", step.n, tw.FreeFrames(), err)
 		}
-		if !slices.Equal(got, want) || !sameAllocator(m, tw, comps) {
+		if !slices.Equal(got, want) || !sameAllocator(m, tw) {
 			t.Fatalf("AllocN(%d) = %v; %d Allocs took %v", step.n, got, step.n, want)
 		}
 		if n := len(m.table); len(steps) == 0 || steps[len(steps)-1] != n {

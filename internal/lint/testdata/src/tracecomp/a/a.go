@@ -32,6 +32,7 @@ func (s *srv) bad(name string, i int) {
 	s.rec.Charge(0, trace.KTrap, s.rec.Intern(name), 10)          // want `inline Intern call`
 	s.rec.ChargeCycles(s.rec.Intern("srv."+name), 5)              // want `inline Intern call`
 	s.rec.ChargeCycles(s.rec.Intern(fmt.Sprintf("srv.%d", i)), 5) // want `inline Intern call`
+	s.rec.ChargeCycles(s.rec.InternJoin("srv.", name), 5)         // want `inline InternJoin call`
 	// Batching a loop's charges does not license building the handle there.
 	s.rec.ChargeN(0, trace.KTrap, s.rec.Intern(name), 10, 64)            // want `inline Intern call`
 	s.rec.ChargeN(0, trace.KTrap, handleFor(s.rec, "srv."+name), 10, 64) // want `string concatenation at the charge site`

@@ -8,8 +8,8 @@ import (
 
 // AnalyzerTracecomp enforces the flat-ledger charging invariant: every
 // charge site passes a trace.Comp handle that was interned at construction
-// time. Building the component at the charge site — an inline Intern call, a
-// fmt.Sprintf, or string concatenation — reintroduces the hashing and
+// time. Building the component at the charge site — an inline Intern or
+// InternJoin call, a fmt.Sprintf, or string concatenation — reintroduces the hashing and
 // allocation the handle refactor removed from the hot path (22 -> 4.2
 // ns/op), so it is forbidden wherever a Comp flows into a Charge* method —
 // the batched ChargeN included: one aggregate call per loop makes the
@@ -17,7 +17,7 @@ import (
 var AnalyzerTracecomp = &Analyzer{
 	Name: "tracecomp",
 	Doc: "forbid component names built at Recorder/CPU charge sites " +
-		"(inline Intern, fmt.Sprintf, string concatenation); intern a " +
+		"(inline Intern or InternJoin, fmt.Sprintf, string concatenation); intern a " +
 		"trace.Comp once at construction and charge through the stored handle",
 	Run: runTracecomp,
 }
@@ -58,8 +58,8 @@ func builtAtChargeSite(pass *Pass, arg ast.Expr) (bool, string) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if fn := calleeFunc(pass.Info, n); fn != nil {
-				if fn.Name() == "Intern" {
-					what = "inline Intern call"
+				if fn.Name() == "Intern" || fn.Name() == "InternJoin" {
+					what = "inline " + fn.Name() + " call"
 					return false
 				}
 				if isPkgFunc(fn, "fmt", "Sprintf") || isPkgFunc(fn, "fmt", "Sprint") {

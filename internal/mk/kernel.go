@@ -113,7 +113,7 @@ func (k *Kernel) NewSpace(name string, pager ThreadID) (*Space, error) {
 		Name:  name,
 		PT:    hw.NewPageTable(uint16(id)),
 		Pager: pager,
-		comp:  k.M.Rec.Intern("mk." + name),
+		comp:  k.M.Rec.InternJoin("mk.", name),
 	}
 	k.spaces = append(k.spaces, s)
 	k.M.CPU.Work(k.comp, 300) // space construction
@@ -197,7 +197,7 @@ func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thre
 		State:   StateReady,
 		Handler: h,
 		onCPU:   -1,
-		comp:    k.M.Rec.Intern("mk." + name),
+		comp:    k.M.Rec.InternJoin("mk.", name),
 	}
 	k.threads = append(k.threads, t)
 	k.sched.add(t)

@@ -593,9 +593,11 @@ func TestIPCCostVariesByArch(t *testing.T) {
 // pooled (Reset) machine: the kernel, two spaces, four threads of mixed
 // priority on their run queue, and one interrupt route. The object tables
 // and the run queue are slices, and the mapping database and the IPC
-// rights make their maps on first write, so the boot builds no map.
+// rights make their maps on first write, so the boot builds no map. The
+// machine's registry already holds every component name, and interning a
+// known name builds no string.
 func TestKernelBootAllocates(t *testing.T) {
-	const want = 27
+	const want = 21
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
 	n := testing.AllocsPerRun(100, func() {
 		m.Reset()

@@ -1,6 +1,7 @@
 package mkos
 
 import (
+	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
 	"vmmk/internal/trace"
@@ -17,8 +18,9 @@ type BlkDriver struct {
 
 	parts    map[mk.ThreadID]*partition
 	nextBase uint64
-	nextTag  uint64
-	inflight map[uint64]*blkPending
+	// inflight holds the records of the requests on the disk, oldest
+	// first: the disk completes them in submit order.
+	inflight hw.Queue[*blkPending]
 	last     *blkPending // the latest request's record, reused once it has completed
 
 	served    uint64
@@ -42,11 +44,10 @@ func NewBlkDriver(k *mk.Kernel, disk *dev.Disk) (*BlkDriver, error) {
 		return nil, err
 	}
 	d := &BlkDriver{
-		K:        k,
-		Disk:     disk,
-		Space:    sp,
-		parts:    make(map[mk.ThreadID]*partition),
-		inflight: make(map[uint64]*blkPending),
+		K:     k,
+		Disk:  disk,
+		Space: sp,
+		parts: make(map[mk.ThreadID]*partition),
 	}
 	d.Thread = k.NewThread(sp, "srv.blk", 8, d.handle)
 	if err := k.RegisterIRQ(dev.DiskIRQ, d.Thread.ID); err != nil {
@@ -73,9 +74,8 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 	case mk.LabelIRQ:
 		for _, c := range d.Disk.Reap() {
 			k.M.CPU.Work(comp, 200)
-			if p, ok := d.inflight[c.Req.Tag]; ok {
+			if p, ok := d.inflight.Pop(); ok {
 				p.done, p.ok = true, c.OK
-				delete(d.inflight, c.Req.Tag)
 			}
 		}
 		return mk.Msg{}, nil
@@ -105,18 +105,16 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			k.M.Mem.Write(f, 0, msg.Data)
 			k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(msg.Data))))
 		}
-		d.nextTag++
-		tag := d.nextTag
-		// A request that timed out may still complete later through its
-		// tag, so only a completed record is reused.
+		// A request that timed out stays in flight and may complete
+		// later, so only a completed record is reused.
 		pend := d.last
 		if pend == nil || !pend.done {
 			pend = new(blkPending)
 			d.last = pend
 		}
 		*pend = blkPending{}
-		d.inflight[tag] = pend
-		d.Disk.Submit(dev.DiskReq{Op: op, Block: part.base + block, Frame: f, Tag: tag})
+		d.inflight.Push(pend)
+		d.Disk.Submit(dev.DiskReq{Op: op, Block: part.base + block, Frame: f})
 		// "Block" until the completion interrupt lands (delivered to this
 		// same thread as an IRQ IPC by the pump).
 		for i := 0; i < 64 && !pend.done; i++ {

@@ -23,6 +23,7 @@ const CompNone Comp = 0
 type Registry struct {
 	byName map[string]Comp
 	names  []string // indexed by Comp; names[CompNone] = ""
+	join   []byte   // InternJoin's reused buffer
 }
 
 // NewRegistry returns an empty registry containing only the root handle.
@@ -44,6 +45,17 @@ func (g *Registry) Intern(name string) Comp {
 	g.names = append(g.names, name)
 	g.byName[name] = c
 	return c
+}
+
+// InternJoin returns Intern(prefix + name). It joins the two in a buffer it
+// reuses and looks the result up without converting it, which allocates
+// nothing, so it builds the joined string only for a name not yet interned.
+func (g *Registry) InternJoin(prefix, name string) Comp {
+	g.join = append(append(g.join[:0], prefix...), name...)
+	if c, ok := g.byName[string(g.join)]; ok {
+		return c
+	}
+	return g.Intern(string(g.join))
 }
 
 // Lookup returns the handle for name without interning it.

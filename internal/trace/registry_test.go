@@ -35,6 +35,38 @@ func TestInternIdempotent(t *testing.T) {
 	}
 }
 
+// TestInternJoinKnownNameAllocatesNothing checks that InternJoin names the
+// component Intern of the joined string does, and that joining a name the
+// registry already holds allocates nothing, through the Registry and
+// through the Recorder.
+func TestInternJoinKnownNameAllocatesNothing(t *testing.T) {
+	r := NewRecorder(0)
+	g := r.Registry()
+	known := g.Intern("mk.srv.net")
+	if c := r.InternJoin("mk.", "srv.net"); c != known {
+		t.Fatalf("InternJoin(mk., srv.net) = %d, Intern gave %d", c, known)
+	}
+	fresh := r.InternJoin("vmm.", "domU1")
+	if c, ok := g.Lookup("vmm.domU1"); !ok || c != fresh || g.Name(fresh) != "vmm.domU1" {
+		t.Fatalf("InternJoin(vmm., domU1) = %d named %q; Lookup = (%d, %v)", fresh, g.Name(fresh), c, ok)
+	}
+	if c := g.InternJoin("", ""); c != CompNone {
+		t.Fatalf("InternJoin of two empty strings = %d, want CompNone", c)
+	}
+	prefix, name := "mk.", strings.Repeat("s", 40) // past the 32-byte stack buffer a string conversion may use
+	long := r.InternJoin(prefix, name)
+	if n := testing.AllocsPerRun(100, func() {
+		if g.InternJoin("mk.", "srv.net") != known || r.InternJoin(prefix, name) != long {
+			t.Fatal("InternJoin changed its answer")
+		}
+	}); n != 0 {
+		t.Fatalf("InternJoin of known names allocated %.0f times per run, want 0", n)
+	}
+	if g.Len() != 3 {
+		t.Fatalf("Len = %d, want 3: mk.srv.net, vmm.domU1 and the long name", g.Len())
+	}
+}
+
 // TestCyclesPrefixEquivalence pins the handle-backed CyclesPrefix to the old
 // string-scanning semantics: the sum over every charged component whose name
 // has the given string prefix.

@@ -217,6 +217,14 @@ func (r *Recorder) Intern(name string) Comp {
 	return c
 }
 
+// InternJoin is Intern(prefix + name), without building the joined name
+// when it is already interned (see Registry.InternJoin).
+func (r *Recorder) InternJoin(prefix, name string) Comp {
+	c := r.reg.InternJoin(prefix, name)
+	r.ensure(c)
+	return c
+}
+
 // ensure grows the ledger to cover handle c. Growth goes through append, so
 // a stream of freshly interned names (a fleet's guests) costs amortized
 // constant time per name, not a copy of the whole ledger each.

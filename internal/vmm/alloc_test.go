@@ -25,44 +25,19 @@ func sizedHost(t *testing.T) *Hypervisor {
 // TestMigrateLiveAllocatesPerDomainNotPerPage: one live migration, with
 // the guest dirtying pages in every pre-copy round, allocates the same
 // number of objects whatever the guest's size. Its allocations are the
-// shell domain's and the round lists', not one per page.
+// shell domain's and the round lists', not one per page. A guest with 8
+// pages ballooned out allocates exactly one object more, at every size:
+// the shell's P2M, which it lays out around the holes. The holes are
+// NoFrame slots in that P2M and cost nothing more.
 func TestMigrateLiveAllocatesPerDomainNotPerPage(t *testing.T) {
+	const holes = 8
 	counts := make([]float64, len(allocSizes))
 	for k, pages := range allocSizes {
-		hs := [2]*Hypervisor{sizedHost(t), sizedHost(t)}
-		d, err := hs[0].CreateDomain("guest", pages)
-		if err != nil {
-			t.Fatal(err)
+		counts[k] = liveMigrationAllocs(t, pages, 0)
+		if n := liveMigrationAllocs(t, pages, holes); n != counts[k]+1 {
+			t.Fatalf("a %d-page guest with %d holes allocates %v objects per migration, want %v: one more than without holes",
+				pages, holes, n, counts[k]+1)
 		}
-		// Every page holds bytes, so every frame either host hands the
-		// guest has a content buffer once it has held a page: the count
-		// sees the migration's own allocations, not first writes.
-		for gpn := 0; gpn < pages; gpn++ {
-			if err := hs[0].GuestMemWrite(d.ID, gpn, 0, []byte("page")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		var src *Hypervisor
-		opts := LiveOpts{MaxRounds: 3, GuestWork: func(round int) {
-			for gpn := 0; gpn < 4; gpn++ {
-				_ = src.GuestMemWrite(d.ID, gpn, 0, []byte{byte(round)})
-			}
-		}}
-		var migErr error
-		migrate := func() {
-			src = hs[i%2]
-			if d, _, err = MigrateLive(src, d.ID, hs[(i+1)%2], opts); err != nil {
-				migErr = err
-			}
-			i++
-		}
-		migrate() // both hosts have held the guest before the count starts
-		counts[k] = testing.AllocsPerRun(20, migrate)
-		if migErr != nil {
-			t.Fatal(migErr)
-		}
-		audit(t, hs[0], hs[1])
 	}
 	t.Logf("objects per migration for guests of %v pages: %v", allocSizes, counts)
 	for k := range counts {
@@ -71,6 +46,54 @@ func TestMigrateLiveAllocatesPerDomainNotPerPage(t *testing.T) {
 				counts, allocSizes)
 		}
 	}
+}
+
+// liveMigrationAllocs returns what one live migration of a pages-page
+// guest with its top holes pages ballooned out allocates, the guest
+// bouncing between two hosts that have both held it before the count.
+func liveMigrationAllocs(t *testing.T, pages, holes int) float64 {
+	t.Helper()
+	hs := [2]*Hypervisor{sizedHost(t), sizedHost(t)}
+	d, err := hs[0].CreateDomain("guest", pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every page holds bytes, so every frame either host hands the guest
+	// has a content buffer once it has held a page: the count sees the
+	// migration's own allocations, not first writes.
+	for gpn := 0; gpn < pages; gpn++ {
+		if err := hs[0].GuestMemWrite(d.ID, gpn, 0, []byte("page")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := hs[0].BalloonOut(d.ID, holes); n != holes || err != nil {
+		t.Fatalf("ballooned out %d of %d pages: %v", n, holes, err)
+	}
+	i := 0
+	var src *Hypervisor
+	opts := LiveOpts{MaxRounds: 3, GuestWork: func(round int) {
+		for gpn := 0; gpn < 4; gpn++ {
+			_ = src.GuestMemWrite(d.ID, gpn, 0, []byte{byte(round)})
+		}
+	}}
+	var migErr error
+	migrate := func() {
+		src = hs[i%2]
+		if d, _, err = MigrateLive(src, d.ID, hs[(i+1)%2], opts); err != nil {
+			migErr = err
+		}
+		i++
+	}
+	migrate() // both hosts have held the guest before the count starts
+	n := testing.AllocsPerRun(20, migrate)
+	if migErr != nil {
+		t.Fatal(migErr)
+	}
+	audit(t, hs[0], hs[1])
+	if got := len(d.Frames()) - d.OwnedPages(); got != holes {
+		t.Fatalf("the migrated guest has %d P2M holes, want %d", got, holes)
+	}
+	return n
 }
 
 // TestDirtyLogCycleAllocates pins what one enable/write/rearm/disable
@@ -114,9 +137,10 @@ func TestDirtyLogCycleAllocates(t *testing.T) {
 // hypervisor with a 256-page Dom0 and two 128-page guests on a Reset
 // 1,024-frame machine. The M2P lives in the machine's frame table, which
 // the machine keeps across Reset, so the boot allocates the domains' own
-// state and nothing for the M2P.
+// state and nothing for the M2P, and the machine's registry already holds
+// every domain's name, so interning one builds no string.
 func TestHypervisorBootAllocates(t *testing.T) {
-	const want = 20
+	const want = 17
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 1024})
 	var bootErr error
 	boot := func() {

@@ -13,8 +13,6 @@ import (
 //   - every frame in a live P2M is owned by its domain;
 //   - the M2P and the live P2Ms agree in both directions;
 //   - each domain's resident count equals a scan of its P2M;
-//   - the hole list names every empty P2M slot exactly once, and nothing
-//     else;
 //   - the grant table's free list names every revoked grant no foreign
 //     mapping holds exactly once, and nothing else.
 //
@@ -44,19 +42,6 @@ func (h *Hypervisor) Audit() error {
 		}
 		if n != d.resident {
 			return fmt.Errorf("vmm audit: %s holds %d frames, resident count says %d", d.Name, n, d.resident)
-		}
-		listed := make([]bool, len(d.frames))
-		for _, gpn := range d.holes {
-			if gpn < 0 || gpn >= len(d.frames) || d.frames[gpn] != hw.NoFrame {
-				return fmt.Errorf("vmm audit: %s hole list names gpn %d, which is not a hole", d.Name, gpn)
-			}
-			if listed[gpn] {
-				return fmt.Errorf("vmm audit: %s hole list names gpn %d twice", d.Name, gpn)
-			}
-			listed[gpn] = true
-		}
-		if holes := len(d.frames) - n; len(d.holes) != holes {
-			return fmt.Errorf("vmm audit: %s has %d P2M holes, its hole list names %d", d.Name, holes, len(d.holes))
 		}
 		if err := d.grants.audit(); err != nil {
 			return fmt.Errorf("vmm audit: %s %w", d.Name, err)

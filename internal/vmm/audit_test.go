@@ -192,17 +192,6 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			r.m.Mem.SetM2P(f, 3)
 		},
 		"resident count drift": func(r *vrig) { r.domU.resident++ },
-		"hole list names a filled slot": func(r *vrig) {
-			r.domU.holes = append(r.domU.holes, 3)
-		},
-		"hole missing from the list": func(r *vrig) {
-			r.h.BalloonOut(r.domU.ID, 2)
-			r.domU.holes = r.domU.holes[:len(r.domU.holes)-1]
-		},
-		"hole listed twice": func(r *vrig) {
-			r.h.BalloonOut(r.domU.ID, 1)
-			r.domU.holes = append(r.domU.holes, r.domU.holes[0])
-		},
 		"two live domains share a name": func(r *vrig) {
 			r.domU.Name, r.domU.comp = r.dom0.Name, r.dom0.Comp()
 		},

@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"errors"
-	"slices"
 
 	"vmmk/internal/hw"
 )
@@ -28,8 +27,6 @@ func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 	}
 	h.hypercallEntry(d)
 	defer h.hypercallExit(d)
-	// The batch punches at most min(n, resident) holes: grow the list once.
-	d.holes = slices.Grow(d.holes, max(0, min(n, d.resident)))
 	victims := h.victims[:0]
 	for gpn := len(d.frames) - 1; gpn >= 0 && len(victims) < n; gpn-- {
 		f := d.frames[gpn]

@@ -25,21 +25,26 @@
 // E12 sweeps core counts.
 //
 // Memory model: each domain's P2M (Domain.Frames) maps its guest page
-// numbers to machine frames, with NoFrame holes where pages were
-// ballooned out or flipped away. The inverse, Xen's machine-to-phys (M2P)
-// table, maps each frame a live P2M holds to its guest page number. Like
-// Xen's, it is machine-wide and sits beside the frame owners: it is the
-// M2P word in the record of hw.PhysMem's frame table, which the monitor
-// sets and clears through PhysMem.SetM2P and reads through PhysMem.M2P,
-// and which PhysMem clears when it frees or resets a frame. The monitor
-// keeps no per-frame table of its own, only a per-domain count of P2M
-// frames. Every P2M mutation (domain build, restore and migration shells,
-// BalloonIn and BalloonOut, page flips, DestroyDomain) updates both, so
-// frame -> gpn lookups and OwnedPages are O(1). Live domain names are
-// unique, because a domain's name is its frames' owner in the
-// physical-memory ledger. Domain IDs are handed out in sequence and never
-// reused; once all 2^16 are spent, a build fails with ErrDomIDsExhausted.
-// Hypervisor.Audit checks these invariants; it is a test oracle.
+// numbers to machine frames, with NoFrame holes where pages were ballooned
+// out or flipped away. A hole is recorded nowhere else: a page flipped in
+// takes the highest hole, or lands past the end when the resident count
+// says there is none, and BalloonIn fills the lowest holes first. The
+// inverse, Xen's machine-to-phys (M2P) table, maps each frame a live P2M
+// holds to its guest page number. Like Xen's, it is machine-wide and sits
+// beside the frame owners: it is the M2P word in the record of hw.PhysMem's
+// frame table, which the monitor sets and clears through PhysMem.SetM2P and
+// reads through PhysMem.M2P, and which PhysMem clears when it frees or
+// resets a frame. The monitor keeps no per-frame table of its own, only a
+// per-domain count of P2M frames. Every P2M mutation (domain build, restore
+// and migration shells, BalloonIn and BalloonOut, page flips,
+// DestroyDomain) updates both, so frame -> gpn lookups and OwnedPages are
+// O(1). Live domain names are unique, because a domain's name is its
+// frames' owner in the physical-memory ledger. Domain IDs are handed out in
+// sequence and never reused; once all 2^16 are spent, a build fails with
+// ErrDomIDsExhausted. Hypervisor.Audit checks these invariants; it is a
+// test oracle. An event-channel port names its channel's slot and
+// generation, so signalling one indexes the channel table instead of
+// searching it.
 //
 // Mobility moves page contents as hw.PhysMem prefixes (a DomainImage holds
 // each page's written bytes; Migrate is SaveDomain then RestoreDomain, and

@@ -1,6 +1,8 @@
 package vmm
 
 import (
+	"slices"
+
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
@@ -25,16 +27,13 @@ type Domain struct {
 	Name       string
 	PT         *hw.PageTable
 	Privileged bool // Dom0: may touch real devices and other domains
-	Dead       bool
+	Dead       bool // destroyed; only a stale *Domain can see it set
 	paused     bool // not running, state intact (save/migrate)
 
 	Hooks GuestHooks
 
-	frames []hw.FrameID // the P2M: guest page -> machine frame
-	// holes lists free P2M slots (frames[i] == NoFrame), reused on fill.
-	// BalloonOut grows it once per batch before it punches.
-	holes    []int
-	resident int // P2M slots holding a frame
+	frames   []hw.FrameID // the P2M: guest page -> machine frame; NoFrame marks a hole
+	resident int          // P2M slots holding a frame
 	grants   grantTable
 	hyp      *Hypervisor
 
@@ -50,16 +49,15 @@ type Domain struct {
 	// uniprocessor arrangement every pre-SMP caller gets: one implicit
 	// vCPU on pCPU 0, no IPIs, no shootdowns. PlaceVCPUs sets it.
 	placement []int
+	// remote lists the distinct pCPUs other than 0 hosting one of its
+	// vCPUs, ascending: the monitor runs on pCPU 0, so shootdowns and
+	// event-delivery kicks target these. PlaceVCPUs sets it.
+	remote []int
 
 	syscalls     uint64
 	fastSyscalls uint64
 
 	comp trace.Comp // "vmm."+Name, interned at creation; owns its frames
-
-	// remote0 caches remotePCPUs(0) — the shootdown/kick target set every
-	// hypervisor-side caller wants — invalidated when placement changes.
-	remote0   []int
-	remote0OK bool
 }
 
 // Comp returns the domain's interned trace attribution handle.
@@ -112,26 +110,19 @@ func (d *Domain) fill(gpn int) (hw.FrameID, error) {
 		return hw.NoFrame, err
 	}
 	for len(d.frames) < gpn {
-		d.holes = append(d.holes, len(d.frames))
 		d.frames = append(d.frames, hw.NoFrame)
-	}
-	if gpn < len(d.frames) {
-		// The slot is no longer a hole: prune it from the free list so
-		// churn does not accumulate stale entries for addFrame to skip.
-		d.pruneHole(gpn)
 	}
 	d.install(gpn, f)
 	return f, nil
 }
 
-// punch empties P2M slot gpn and remembers it as a hole for reuse. The
-// frame it held is the caller's to release or hand on. With a dirty log
-// enabled the slot is logged dirty, so a live migration in progress clears
-// it on the destination too.
+// punch empties P2M slot gpn, leaving a hole for reuse. The frame it held
+// is the caller's to release or hand on. With a dirty log enabled the slot
+// is logged dirty, so a live migration in progress clears it on the
+// destination too.
 func (d *Domain) punch(gpn int) {
 	d.hyp.M.Mem.SetM2P(d.frames[gpn], -1)
 	d.frames[gpn] = hw.NoFrame
-	d.holes = append(d.holes, gpn)
 	d.resident--
 	if dl := d.dirtyLog; dl != nil {
 		dl.forget(gpn)
@@ -188,37 +179,6 @@ func (d *Domain) VCPUPlacement() []int {
 	return append([]int(nil), d.placement...)
 }
 
-// remotePCPUs returns the distinct physical CPUs other than except that
-// host one of d's vCPUs, ascending — the target set for a TLB shootdown
-// after one of the domain's shadow translations changes, and the CPUs an
-// event delivery may need to kick. Unplaced domains live entirely on pCPU
-// 0 and return nothing.
-func (d *Domain) remotePCPUs(except int) []int {
-	if len(d.placement) == 0 {
-		return nil
-	}
-	if except == 0 && d.remote0OK {
-		return d.remote0
-	}
-	n := d.hyp.M.NCPUs()
-	seen := make([]bool, n)
-	for _, p := range d.placement {
-		if p != except && p >= 0 && p < n {
-			seen[p] = true
-		}
-	}
-	var out []int
-	for p, ok := range seen {
-		if ok {
-			out = append(out, p)
-		}
-	}
-	if except == 0 {
-		d.remote0, d.remote0OK = out, true
-	}
-	return out
-}
-
 // PlaceVCPUs gives a domain one virtual CPU per argument, each pinned to
 // the named physical CPU (vCPU i on pcpus[i]). Placement is the SMP
 // control-plane operation Dom0's toolstack performs at domain build:
@@ -235,12 +195,15 @@ func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
 			return ErrBadPCPU
 		}
 	}
-	d.remote0, d.remote0OK = nil, false
 	if len(pcpus) == 0 {
-		d.placement = nil
+		d.placement, d.remote = nil, nil
 		return nil
 	}
 	d.placement = append([]int(nil), pcpus...)
+	d.remote = slices.Compact(slices.Sorted(slices.Values(pcpus)))
+	if d.remote[0] == 0 {
+		d.remote = d.remote[1:]
+	}
 	h.M.CPU.Work(h.comp, 200) // toolstack placement hypercall
 	return nil
 }

@@ -21,13 +21,14 @@ type endpoint struct {
 // "simple asynchronous unidirectional event mechanism" the original paper
 // described and the rebuttal identifies as asynchronous IPC.
 type channel struct {
-	a, b   endpoint
-	closed bool
-	sends  uint64
+	a, b  endpoint
+	sends uint64
 }
 
 // chanPortStride separates the port numbers of successive occupants of
 // one channel slot. Slot indexes stay far below it in any realistic run.
+// A port names its slot and generation: the two ends of the channel in
+// slot s, generation g, use ports g*chanPortStride + 2*s + 1 and + 2.
 const chanPortStride = 1 << 20
 
 // BindChannel creates a channel between two domains and returns the local
@@ -63,15 +64,15 @@ func (h *Hypervisor) BindChannel(x, y DomID) (Port, Port, error) {
 }
 
 // findChannel locates the channel and the remote endpoint for (dom, port).
+// The port names its channel's slot, and the endpoint stored there must
+// match it exactly, which rejects any other generation and the other end.
 func (h *Hypervisor) findChannel(dom DomID, port Port) (*channel, endpoint, bool) {
-	for _, ch := range h.ports {
-		if ch == nil {
-			continue
-		}
-		if ch.a.dom == dom && ch.a.port == port {
+	if slot := int(port%chanPortStride-1) / 2; port > 0 && slot < len(h.ports) && h.ports[slot] != nil {
+		ch := h.ports[slot]
+		switch (endpoint{dom, port}) {
+		case ch.a:
 			return ch, ch.b, true
-		}
-		if ch.b.dom == dom && ch.b.port == port {
+		case ch.b:
 			return ch, ch.a, true
 		}
 	}
@@ -91,11 +92,8 @@ func (h *Hypervisor) NotifyChannel(from DomID, port Port) error {
 	if !ok {
 		return ErrBadPort
 	}
-	if ch.closed {
-		return ErrPortUnbound
-	}
 	rd := h.dom(remote.dom)
-	if rd == nil || rd.Dead {
+	if rd == nil {
 		return ErrDomainDead
 	}
 
@@ -159,7 +157,7 @@ func (h *Hypervisor) RouteIRQ(line hw.IRQLine, dom DomID) error {
 	}
 	h.M.IRQ.SetHandler(line, func(l hw.IRQLine) {
 		owner := h.dom(dom)
-		if owner == nil || owner.Dead {
+		if owner == nil {
 			return // driver domain died; interrupt dropped, monitor fine
 		}
 		h.M.CPU.Charge(h.comp, trace.KHardIRQInject, h.M.Arch.Costs.IRQDispatch)

@@ -47,12 +47,6 @@ type grantTable struct {
 	free    int // 1 + the first free slot, 0 when none is free
 }
 
-func (g *grantTable) revokeAll() {
-	for i := range g.entries {
-		g.entries[i].revoked = true
-	}
-}
-
 // entry resolves ref to its slot's entry, and reports whether ref names the
 // slot's current occupant rather than an earlier one. A ref that names no
 // slot, or a generation the slot has not reached, resolves to nil.
@@ -116,7 +110,7 @@ func (d *Domain) GrantSlots() int { return len(d.grants.entries) }
 // lookupGrant validates a (owner, ref) pair for use by domain user.
 func (h *Hypervisor) lookupGrant(owner DomID, ref GrantRef, user DomID) (*Domain, *grantEntry, error) {
 	d := h.dom(owner)
-	if d == nil || d.Dead {
+	if d == nil {
 		return nil, nil, ErrDomainDead
 	}
 	e, current := d.grants.entry(ref)
@@ -273,42 +267,29 @@ func (h *Hypervisor) GrantTransfer(user DomID, owner DomID, ref GrantRef) (hw.Fr
 
 // removeFrame punches a hole in the pseudo-physical map: after a flip the
 // donor's guest page number maps to nothing until a replacement page is
-// ballooned in, exactly like Xen's physical-to-machine table. The slot is
-// remembered for reuse. A frame outside the P2M (a ring or driver buffer
-// the domain allocated directly) leaves the map untouched.
+// ballooned in, exactly like Xen's physical-to-machine table. A frame
+// outside the P2M (a ring or driver buffer the domain allocated directly)
+// leaves the map untouched.
 func (d *Domain) removeFrame(f hw.FrameID) {
 	if gpn := d.gpnOf(f); gpn >= 0 {
 		d.punch(gpn)
 	}
 }
 
-// addFrame installs an incoming frame, reusing a P2M hole when one exists.
-// It returns the guest page number.
+// addFrame installs an incoming frame in the P2M's highest hole, or past
+// its end when it has none, and returns the guest page number. The
+// resident count tells whether a hole exists, so a hole-free P2M costs no
+// scan, and in the flip steady state the only hole is the last slot.
 func (d *Domain) addFrame(f hw.FrameID) int {
-	for len(d.holes) > 0 {
-		i := d.holes[len(d.holes)-1]
-		d.holes = d.holes[:len(d.holes)-1]
-		// BalloonIn prunes the holes it fills, so entries here should
-		// always be genuine; the check stays as a defensive guard.
-		if d.frames[i] == hw.NoFrame {
-			d.install(i, f)
-			return i
+	gpn := len(d.frames)
+	if d.resident < gpn {
+		gpn--
+		for d.frames[gpn] != hw.NoFrame {
+			gpn--
 		}
 	}
-	d.install(len(d.frames), f)
-	return len(d.frames) - 1
-}
-
-// pruneHole removes gpn from the free-slot list after the hole is filled
-// by a path that addresses slots directly (BalloonIn) rather than popping
-// them (addFrame).
-func (d *Domain) pruneHole(gpn int) {
-	for i, g := range d.holes {
-		if g == gpn {
-			d.holes = append(d.holes[:i], d.holes[i+1:]...)
-			return
-		}
-	}
+	d.install(gpn, f)
+	return gpn
 }
 
 // GrantRevoke withdraws a grant the owner previously issued. Revoking a

@@ -23,7 +23,6 @@ var (
 	ErrGrantRevoked  = errors.New("vmm: grant revoked")
 	ErrGrantReadOnly = errors.New("vmm: write through read-only grant")
 	ErrBadPort       = errors.New("vmm: invalid event-channel port")
-	ErrPortUnbound   = errors.New("vmm: event-channel port not bound")
 	ErrBadPTE        = errors.New("vmm: page-table update failed validation")
 	ErrNotPrivileged = errors.New("vmm: operation requires Dom0 privilege")
 	ErrNoFastPath    = errors.New("vmm: fast path unavailable")
@@ -131,7 +130,7 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 		Name: name,
 		PT:   hw.NewPageTableSized(uint16(id)+100, frames), // ASIDs disjoint from mk's
 		hyp:  h,
-		comp: h.M.Rec.Intern("vmm." + name),
+		comp: h.M.Rec.InternJoin("vmm.", name),
 	}
 	mem, err := h.M.Mem.AllocN(d.comp, frames)
 	if err != nil {
@@ -171,9 +170,6 @@ func (h *Hypervisor) dom(id DomID) *Domain {
 // never existed reports ErrNoSuchDomain.
 func (h *Hypervisor) lookup(id DomID) (*Domain, error) {
 	if d := h.dom(id); d != nil {
-		if d.Dead {
-			return nil, ErrDomainDead
-		}
 		return d, nil
 	}
 	if int(id) < len(h.domains) {
@@ -186,9 +182,7 @@ func (h *Hypervisor) lookup(id DomID) (*Domain, error) {
 func (h *Hypervisor) Domains() []*Domain {
 	out := make([]*Domain, 0, len(h.order))
 	for _, id := range h.order {
-		if d := h.dom(id); d != nil && !d.Dead {
-			out = append(out, d)
-		}
+		out = append(out, h.domains[id])
 	}
 	return out
 }
@@ -211,16 +205,16 @@ func (h *Hypervisor) switchTo(d *Domain) {
 // caller has already flushed directly; unplaced domains (every
 // uniprocessor caller) cost nothing.
 func (h *Hypervisor) shootdownEntry(d *Domain, vpn hw.VPN) {
-	if targets := d.remotePCPUs(0); len(targets) > 0 {
-		h.M.ShootdownEntry(0, targets, d.PT.ASID(), vpn)
+	if len(d.remote) > 0 {
+		h.M.ShootdownEntry(0, d.remote, d.PT.ASID(), vpn)
 	}
 }
 
 // shootdownAll is the full-flush variant of shootdownEntry (dirty-log
 // arming and other whole-table invalidations).
 func (h *Hypervisor) shootdownAll(d *Domain) {
-	if targets := d.remotePCPUs(0); len(targets) > 0 {
-		h.M.ShootdownAll(0, targets)
+	if len(d.remote) > 0 {
+		h.M.ShootdownAll(0, d.remote)
 	}
 }
 
@@ -228,8 +222,8 @@ func (h *Hypervisor) shootdownAll(d *Domain) {
 // event into a domain whose vCPUs live on other pCPUs: the monitor (boot
 // CPU) pokes the domain's first remote pCPU so its vCPU takes the upcall.
 func (h *Hypervisor) kickDomain(d *Domain) {
-	if targets := d.remotePCPUs(0); len(targets) > 0 {
-		h.M.SendIPI(0, targets[0])
+	if len(d.remote) > 0 {
+		h.M.SendIPI(0, d.remote[0])
 	}
 }
 
@@ -274,16 +268,18 @@ func (h *Hypervisor) Stats() (hypercalls, worldSwitches uint64) {
 }
 
 // DestroyDomain kills a domain outright (crash injection or shutdown): its
-// vCPU never runs again, its event channels are closed, its grants are
-// revoked, and its memory is released. Other domains observe failures only
+// vCPU never runs again, its event channels are closed, and its memory is
+// released. Its grants die with its slot: every grant operation reaches a
+// table through the domain table. Other domains observe failures only
 // through their own references to it — the E4 blast-radius property.
 //
 // All per-domain monitor state is reclaimed here, not just marked dead:
-// the domain map and creation-order entries, and the channel slots of
+// the domain's slot and creation-order entry, and the channel slots of
 // every event channel either of whose endpoints was this domain. A
 // create/destroy churn loop therefore returns the monitor to its baseline
-// footprint (the churn regression test asserts exactly this). Holders of a
-// stale *Domain still observe Dead.
+// footprint (the churn regression test asserts exactly this). Dead is set
+// in the same call that empties the slot, so a domain found through the
+// table is never dead; holders of a stale *Domain still observe Dead.
 func (h *Hypervisor) DestroyDomain(id DomID) error {
 	d := h.dom(id)
 	if d == nil {
@@ -292,16 +288,12 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		}
 		return ErrNoSuchDomain
 	}
-	if d.Dead {
-		return nil
-	}
 	d.Dead = true
 	for i, ch := range h.ports {
 		if ch == nil {
 			continue
 		}
 		if ch.a.dom == id || ch.b.dom == id {
-			ch.closed = true
 			h.ports[i] = nil
 			// Bump the slot's generation so the surviving peer's stale
 			// port numbers can never resolve to whatever channel reuses
@@ -310,7 +302,6 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 			h.freeChans = append(h.freeChans, i)
 		}
 	}
-	d.grants.revokeAll()
 	for _, f := range d.frames {
 		// Flipped-away slots are holes; only release what the domain
 		// still owns. Free clears the frame's M2P word.
@@ -335,10 +326,7 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 }
 
 // Alive reports whether the domain exists and is not dead.
-func (h *Hypervisor) Alive(id DomID) bool {
-	d := h.dom(id)
-	return d != nil && !d.Dead
-}
+func (h *Hypervisor) Alive(id DomID) bool { return h.dom(id) != nil }
 
 // String summarises the monitor for debugging output.
 func (h *Hypervisor) String() string {

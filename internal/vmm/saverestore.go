@@ -112,8 +112,7 @@ func capturePT(d *Domain) []savedPTE {
 
 // allocShell creates a paused domain with one fresh frame per true slot in
 // exists, holes preserved at the false slots, and an empty page table —
-// the receiving half of restore and live migration. Each hole is recorded
-// in the shell's hole list, in ascending gpn order, so a page later flipped
+// the receiving half of restore and live migration. A page later flipped
 // into the shell refills a hole as it would on the source instead of
 // landing past the end of the P2M. Without holes, the P2M buildDomain laid
 // out is already the shell's.
@@ -134,12 +133,10 @@ func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*D
 	d.Privileged = privileged
 	if n < len(exists) {
 		frames := make([]hw.FrameID, len(exists))
-		d.holes = make([]int, 0, len(exists)-n)
 		next := 0
 		for gpn, ok := range exists {
 			if !ok {
 				frames[gpn] = hw.NoFrame
-				d.holes = append(d.holes, gpn)
 				continue
 			}
 			frames[gpn] = d.frames[next]

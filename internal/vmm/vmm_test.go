@@ -715,10 +715,11 @@ func TestStalePortCannotAliasReusedChannelSlot(t *testing.T) {
 }
 
 func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
-	// BalloonIn must prune the P2M holes it fills; an out/in churn loop
-	// otherwise accumulates stale entries without bound.
+	// BalloonIn must fill the P2M holes BalloonOut punched before it
+	// appends; an out/in churn loop otherwise grows the P2M without bound.
 	r := newVrig(t, hw.X86())
 	d := r.domU
+	size := len(d.frames)
 	countHoles := func() int {
 		n := 0
 		for _, f := range d.frames {
@@ -734,19 +735,19 @@ func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
 			t.Fatalf("cycle %d: ballooned out %d, %v", i, out, err)
 		}
 		audit(t, r.h)
+		if n := countHoles(); n != 8 {
+			t.Fatalf("cycle %d: %d P2M holes after ballooning out 8", i, n)
+		}
 		in, err := r.h.BalloonIn(d.ID, 8)
 		if err != nil || in != 8 {
 			t.Fatalf("cycle %d: ballooned in %d, %v", i, in, err)
 		}
 		audit(t, r.h)
-		if got, want := len(d.holes), countHoles(); got != want {
-			t.Fatalf("cycle %d: hole list has %d entries for %d real holes", i, got, want)
+		if n := countHoles(); n != 0 || len(d.frames) != size {
+			t.Fatalf("cycle %d: %d P2M holes in %d slots after balanced churn, want 0 in %d", i, n, len(d.frames), size)
 		}
 	}
-	if len(d.holes) != 0 {
-		t.Fatalf("hole list not empty after balanced churn: %d", len(d.holes))
-	}
-	// A flip-punched hole is pruned the same way once ballooned full.
+	// A flip-punched hole is filled the same way once ballooned full.
 	f := d.FrameAt(3)
 	ref, err := r.h.GrantAccess(d.ID, f, r.dom0.ID, false)
 	if err != nil {
@@ -756,15 +757,95 @@ func TestBalloonChurnKeepsHolesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	audit(t, r.h)
-	if len(d.holes) != 1 {
-		t.Fatalf("flip should punch one hole, have %d", len(d.holes))
+	if n := countHoles(); n != 1 {
+		t.Fatalf("flip should punch one hole, have %d", n)
 	}
 	if _, err := r.h.BalloonIn(d.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	audit(t, r.h)
-	if len(d.holes) != 0 || countHoles() != 0 {
-		t.Fatalf("hole not pruned after fill: list=%d real=%d", len(d.holes), countHoles())
+	if n := countHoles(); n != 0 || len(d.frames) != size {
+		t.Fatalf("%d P2M holes in %d slots after the fill, want 0 in %d", n, len(d.frames), size)
+	}
+}
+
+// flip moves frame f from domain from to domain to through a grant and a
+// page flip.
+func flip(t *testing.T, h *Hypervisor, from, to DomID, f hw.FrameID) {
+	t.Helper()
+	ref, err := h.GrantAccess(from, f, to, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.GrantTransfer(to, from, ref); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlipFillsHighestHole: a hole is a NoFrame slot of the P2M, and a
+// page flipped in takes the highest one, then lands past the end once
+// none is left.
+func TestFlipFillsHighestHole(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	d := r.domU
+	size := len(d.Frames())
+	for _, gpn := range []int{5, 2} {
+		flip(t, r.h, d.ID, r.dom0.ID, d.FrameAt(gpn))
+	}
+	audit(t, r.h)
+	for _, want := range []int{5, 2, size} {
+		f, err := r.m.Mem.Alloc(r.dom0.Comp()) // a Dom0 buffer outside its P2M
+		if err != nil {
+			t.Fatal(err)
+		}
+		flip(t, r.h, r.dom0.ID, d.ID, f)
+		if got := d.gpnOf(f); got != want {
+			t.Fatalf("flipped-in frame %d landed at gpn %d, want %d", f, got, want)
+		}
+		audit(t, r.h)
+	}
+	if len(d.Frames()) != size+1 || d.OwnedPages() != size+1 {
+		t.Fatalf("P2M of %d slots holding %d frames, want %d full", len(d.Frames()), d.OwnedPages(), size+1)
+	}
+}
+
+// TestNotifyChannelRejectsMalformedPorts: a port names its channel's slot
+// and generation, so a port that names no slot, a generation the slot
+// never reached, or the other end of a live channel is refused with
+// ErrBadPort and delivers nothing, and the live channel still works.
+func TestNotifyChannelRejectsMalformedPorts(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	hits := 0
+	r.domU.SetHooks(GuestHooks{OnEvent: func(Port) { hits++ }})
+	p0, pU, err := r.h.BindChannel(r.dom0.ID, r.domU.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		from DomID
+		port Port
+	}{
+		{"port 0", r.dom0.ID, 0},
+		{"negative port", r.dom0.ID, -1},
+		{"the stride itself", r.dom0.ID, chanPortStride},
+		{"a generation the slot never reached", r.dom0.ID, p0 + chanPortStride},
+		{"a slot past the table", r.dom0.ID, p0 + 2*Port(len(r.h.ports))},
+		{"the peer's port from the wrong domain", r.dom0.ID, pU},
+		{"own port from the wrong domain", r.domU.ID, p0},
+	} {
+		if err := r.h.NotifyChannel(tc.from, tc.port); !errors.Is(err, ErrBadPort) {
+			t.Errorf("%s: NotifyChannel(%d, %d) = %v, want ErrBadPort", tc.name, tc.from, tc.port, err)
+		}
+	}
+	if hits != 0 {
+		t.Fatalf("malformed ports delivered %d upcalls", hits)
+	}
+	if err := r.h.NotifyChannel(r.dom0.ID, p0); err != nil || hits != 1 {
+		t.Fatalf("live channel: err = %v, %d upcalls, want one", err, hits)
+	}
+	if n := r.h.ChannelSends(r.dom0.ID, p0); n != 1 {
+		t.Fatalf("channel counts %d sends, want 1", n)
 	}
 }
 

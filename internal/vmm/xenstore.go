@@ -64,7 +64,7 @@ func itoa(n int) string {
 // mayWrite reports whether dom can write path.
 func (s *Store) mayWrite(dom DomID, path string) bool {
 	d := s.h.dom(dom)
-	if d == nil || d.Dead {
+	if d == nil {
 		return false
 	}
 	if d.Privileged {

@@ -95,10 +95,11 @@ type DriverDomain struct {
 	Mode RxMode
 
 	netConns []*netConn
-	inflight map[uint64]inflightReq // blkback's requests on the disk, by tag
+	// inflight holds blkback's requests on the disk, oldest first: the
+	// disk completes them in submit order.
+	inflight hw.Queue[inflightReq]
 
 	nextBlkBase uint64
-	nextTag     uint64
 
 	rxHandled uint64
 	txHandled uint64
@@ -111,11 +112,10 @@ const rxPoolTarget = 32
 // device interrupts to the domain.
 func NewDriverDomain(h *vmm.Hypervisor, d0 *vmm.Domain, nic *dev.NIC, disk *dev.Disk) (*DriverDomain, error) {
 	dd := &DriverDomain{
-		H:        h,
-		GK:       NewGuestKernel(h, d0),
-		NIC:      nic,
-		Disk:     disk,
-		inflight: make(map[uint64]inflightReq),
+		H:    h,
+		GK:   NewGuestKernel(h, d0),
+		NIC:  nic,
+		Disk: disk,
 	}
 	dd.GK.ExtraVIRQ = dd.handleIRQ
 	if nic != nil {
@@ -247,21 +247,20 @@ func (dd *DriverDomain) blkbackSubmit(r *blkRing, base, size uint64) {
 		if req.write {
 			op = dev.DiskWrite
 		}
-		dd.nextTag++
-		dd.inflight[dd.nextTag] = inflightReq{req: req, port: r.backPort}
-		dd.Disk.Submit(dev.DiskReq{Op: op, Block: base + req.block, Frame: req.frame, Tag: dd.nextTag})
+		dd.inflight.Push(inflightReq{req: req, port: r.backPort})
+		dd.Disk.Submit(dev.DiskReq{Op: op, Block: base + req.block, Frame: req.frame})
 	}
 }
 
-// blkbackComplete handles the physical disk's completion interrupt: match
-// tags, notify the owning guests.
+// blkbackComplete handles the physical disk's completion interrupt: each
+// completion finishes the oldest request in flight, whose guest it
+// notifies.
 func (dd *DriverDomain) blkbackComplete() {
 	comp := dd.Comp()
 	for _, c := range dd.Disk.Reap() {
 		dd.H.M.CPU.Work(comp, 200)
-		if p, ok := dd.inflight[c.Req.Tag]; ok {
+		if p, ok := dd.inflight.Pop(); ok {
 			p.req.done, p.req.ok = true, c.OK
-			delete(dd.inflight, c.Req.Tag)
 			dd.H.NotifyChannel(dd.GK.Dom.ID, p.port)
 		}
 	}

@@ -19,8 +19,7 @@ type KVAppliance struct {
 	GK  *GuestKernel
 	Dom *vmm.Domain
 
-	data  map[string][]byte
-	conns map[vmm.DomID]*kvConn
+	data map[string][]byte
 
 	gets, puts uint64
 }
@@ -45,14 +44,12 @@ type kvReq struct {
 
 // NewKVAppliance boots the extension as a domain.
 func NewKVAppliance(h *vmm.Hypervisor, dom *vmm.Domain) *KVAppliance {
-	a := &KVAppliance{
-		H:     h,
-		GK:    NewGuestKernel(h, dom), // kernel hooks: syscall/event/virq
-		Dom:   dom,
-		data:  make(map[string][]byte),
-		conns: make(map[vmm.DomID]*kvConn),
+	return &KVAppliance{
+		H:    h,
+		GK:   NewGuestKernel(h, dom), // kernel hooks: syscall/event/virq
+		Dom:  dom,
+		data: make(map[string][]byte),
 	}
-	return a
 }
 
 // Comp returns the interned trace attribution handle.
@@ -72,7 +69,6 @@ func (a *KVAppliance) Connect(gk *GuestKernel) (*KVClient, error) {
 	c := &KVClient{gk: gk, app: a, localPort: frontPort, buf: buf}
 	conn := &kvConn{client: gk.Dom.ID, appPort: appPort, frontPort: frontPort}
 	c.conn = conn
-	a.conns[gk.Dom.ID] = conn
 	a.GK.ExtraEvent[appPort] = func() { a.serve(conn) }
 	gk.ExtraEvent[frontPort] = func() { gk.H.M.CPU.Work(gk.Comp(), 100) }
 	return c, nil

@@ -375,6 +375,63 @@ func TestBlockOutOfRange(t *testing.T) {
 
 // TestBlockBackendDestroyed: once the backend's domain is gone, requests
 // fail with ErrBackendDead, and the guest itself survives.
+// TestBlkbackCompletesEachRequestInFlight: the disk completes requests in
+// submit order, and blkback finishes the oldest request it has in flight
+// on each completion. Two requests go in flight in one kick, one of them
+// to a block inside the guest's partition but past the end of the
+// physical disk. Each frontend record must get its own outcome, in either
+// order.
+func TestBlkbackCompletesEachRequestInFlight(t *testing.T) {
+	for _, badFirst := range []bool{false, true} {
+		m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512})
+		h, d0, err := vmm.New(m, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk := dev.NewDisk(m, dev.DiskConfig{Blocks: 8, Latency: 5000})
+		dd, err := NewDriverDomain(h, d0, nil, disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dU, err := h.CreateDomain("domU1", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gk := NewGuestKernel(h, dU)
+		bf, err := ConnectBlk(dd, gk, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Mem.Write(bf.buf, 0, []byte("on the disk"))
+		good := &blkReq{write: true, block: 3, frame: bf.buf}
+		past := &blkReq{write: true, block: 12, frame: bf.buf} // partition block 12, disk block 12 of 8
+		reqs := []*blkReq{good, past}
+		if badFirst {
+			reqs[0], reqs[1] = past, good
+		}
+		for _, r := range reqs {
+			bf.ring.reqs.push(r)
+		}
+		if err := h.NotifyChannel(dU.ID, bf.ring.frontPort); err != nil {
+			t.Fatal(err)
+		}
+		if n := disk.InFlight(); n != 2 {
+			t.Fatalf("badFirst=%v: %d requests on the disk, want 2", badFirst, n)
+		}
+		h.PumpIO(64)
+		if !good.done || !good.ok || !past.done || past.ok {
+			t.Fatalf("badFirst=%v: in-range request done=%v ok=%v, past-the-disk request done=%v ok=%v; want both done, only the first ok",
+				badFirst, good.done, good.ok, past.done, past.ok)
+		}
+		if got := disk.PeekBlock(3); !bytes.HasPrefix(got, []byte("on the disk")) {
+			t.Fatalf("badFirst=%v: disk block 3 holds %q", badFirst, bytes.TrimRight(got, "\x00"))
+		}
+		if n := dd.inflight.Len(); n != 0 {
+			t.Fatalf("badFirst=%v: blkback still holds %d requests", badFirst, n)
+		}
+	}
+}
+
 func TestBlockBackendDestroyed(t *testing.T) {
 	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
 		if err := bf.Write(1, []byte("pre-crash")); err != nil {
