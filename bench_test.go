@@ -1,9 +1,9 @@
 package vmmk
 
 // One benchmark per experiment table (see DESIGN.md's experiment index),
-// plus primitive micro-benchmarks. Each BenchmarkE* regenerates its table's
-// underlying measurement; `go test -bench=. -benchmem` is the paper's whole
-// evaluation section.
+// plus primitive micro-benchmarks. Each BenchmarkE* regenerates its table
+// through RunExperiment, the experiment's one entry point; `go test
+// -bench=. -benchmem` is the paper's whole evaluation section.
 //
 // The serial benchmarks pin the engine to one worker so they measure the
 // experiments themselves; the *Parallel variants run the same tables on a
@@ -33,233 +33,111 @@ var (
 	parallelEng = core.NewRunner(0) // GOMAXPROCS workers
 )
 
-// BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.
-func BenchmarkE1Dom0Overhead(b *testing.B) {
+// benchExperiment runs experiment id with parameters p on eng once per
+// iteration, through its one entry point.
+func benchExperiment(b *testing.B, eng *core.Runner, id string, p core.Params) {
 	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E1(50)
+		res, err := eng.RunExperiment(context.Background(), id, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) == 0 {
+		if len(res.Tables[0].Rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
+}
+
+// BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.
+func BenchmarkE1Dom0Overhead(b *testing.B) {
+	benchExperiment(b, serialEng, "e1", core.Params{"packets": 50})
 }
 
 // BenchmarkE1Dom0OverheadParallel fans the sweep's ten cells across the
 // worker pool.
 func BenchmarkE1Dom0OverheadParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E1(50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
+	benchExperiment(b, parallelEng, "e1", core.Params{"packets": 50})
 }
 
 // BenchmarkE2IPCCount regenerates the IPC-equivalence comparison.
-func BenchmarkE2IPCCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE2IPCCount(b *testing.B) { benchExperiment(b, serialEng, "e2", nil) }
 
 // BenchmarkE3SyscallPath regenerates the syscall-path table.
 func BenchmarkE3SyscallPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E3(100); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, serialEng, "e3", core.Params{"syscalls": 100})
 }
 
 // BenchmarkE4BlastRadius regenerates the fault-isolation table.
 func BenchmarkE4BlastRadius(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E4(3); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, serialEng, "e4", core.Params{"guests": 3})
 }
 
 // BenchmarkE5Census regenerates the primitive census.
-func BenchmarkE5Census(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE5Census(b *testing.B) { benchExperiment(b, serialEng, "e5", nil) }
 
 // BenchmarkE6Portability regenerates the nine-architecture table.
-func BenchmarkE6Portability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE6Portability(b *testing.B) { benchExperiment(b, serialEng, "e6", nil) }
 
 // BenchmarkE7Micro regenerates the primitive microbenchmarks.
 func BenchmarkE7Micro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E7(100); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, serialEng, "e7", core.Params{"syscalls": 100})
 }
 
 // BenchmarkE7MicroParallel runs the three measurement blocks concurrently.
 func BenchmarkE7MicroParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E7(100); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, parallelEng, "e7", core.Params{"syscalls": 100})
 }
 
 // BenchmarkE8Macro regenerates the web-serving macro comparison.
 func BenchmarkE8Macro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E8(20); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, serialEng, "e8", core.Params{"requests": 20})
 }
 
 // BenchmarkE8MacroParallel serves the three platforms' request streams
 // concurrently.
 func BenchmarkE8MacroParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E8(20); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, parallelEng, "e8", core.Params{"requests": 20})
 }
 
 // BenchmarkE9Ablation regenerates the ablation table.
-func BenchmarkE9Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE9Ablation(b *testing.B) { benchExperiment(b, serialEng, "e9", nil) }
 
 // BenchmarkE9AblationParallel fans all eighteen ablation cells out at once.
-func BenchmarkE9AblationParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE9AblationParallel(b *testing.B) { benchExperiment(b, parallelEng, "e9", nil) }
 
 // BenchmarkE10Extension regenerates the minimal-extension complexity table.
 func BenchmarkE10Extension(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E10(50); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, serialEng, "e10", core.Params{"syscalls": 50})
 }
 
-// A trimmed migration sweep sized for benchmarking: 64 pages, budgets
-// {0, 1, 2} and dirty rates {0, 2, 16}.
-const benchE11Frames, benchE11Rounds, benchE11Dirty = 64, 2, 16
+// benchE11 is a trimmed migration sweep sized for benchmarking: 64 pages,
+// budgets {0, 1, 2} and dirty rates {0, 2, 16}.
+var benchE11 = core.Params{"frames": 64, "rounds": 2, "dirty": 16}
 
 // BenchmarkE11LiveMig regenerates the live-migration downtime sweep.
-func BenchmarkE11LiveMig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E11(benchE11Frames, benchE11Rounds, benchE11Dirty)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE11LiveMig(b *testing.B) { benchExperiment(b, serialEng, "e11", benchE11) }
 
 // BenchmarkE11LiveMigParallel fans the migration cells (two machines each)
 // across the worker pool.
-func BenchmarkE11LiveMigParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E11(benchE11Frames, benchE11Rounds, benchE11Dirty)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE11LiveMigParallel(b *testing.B) { benchExperiment(b, parallelEng, "e11", benchE11) }
 
-// benchE12CPUs is a trimmed SMP sweep sized for benchmarking.
-var benchE12CPUs = []int{1, 4}
+// benchE12 is a trimmed SMP sweep sized for benchmarking.
+var benchE12 = core.Params{"cpus": []int{1, 4}}
 
 // BenchmarkE12SMP regenerates the SMP scaling sweep.
-func BenchmarkE12SMP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E12(benchE12CPUs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE12SMP(b *testing.B) { benchExperiment(b, serialEng, "e12", benchE12) }
 
 // BenchmarkE12SMPParallel fans the SMP cells across the worker pool.
-func BenchmarkE12SMPParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E12(benchE12CPUs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE12SMPParallel(b *testing.B) { benchExperiment(b, parallelEng, "e12", benchE12) }
 
-// A trimmed fleet sweep sized for benchmarking.
-var benchE13Fleets, benchE13Churns = []int{2, 4}, []int{32}
-
-const benchE13HostFrames = 160
+// benchE13 is a trimmed fleet sweep sized for benchmarking.
+var benchE13 = core.Params{"fleet": []int{2, 4}, "churn": []int{32}, "hostframes": 160}
 
 // BenchmarkE13Cluster regenerates the fleet placement-and-migration sweep.
-func BenchmarkE13Cluster(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E13(benchE13Fleets, benchE13Churns, benchE13HostFrames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE13Cluster(b *testing.B) { benchExperiment(b, serialEng, "e13", benchE13) }
 
 // BenchmarkE13ClusterParallel fans the fleet cells (each booting a whole
 // cluster of pooled hosts) across the worker pool.
-func BenchmarkE13ClusterParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E13(benchE13Fleets, benchE13Churns, benchE13HostFrames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkE13ClusterParallel(b *testing.B) { benchExperiment(b, parallelEng, "e13", benchE13) }
 
 // BenchmarkAllExperiments runs the entire evaluation once per iteration —
 // the end-to-end "reproduce the paper" cost.
@@ -309,21 +187,6 @@ func BenchmarkScenarioMatrix(b *testing.B) {
 			if r.Status != scenario.StatusPass {
 				b.Fatalf("row %s: %s: %s", r.ID, r.Status, r.Detail)
 			}
-		}
-	}
-}
-
-// BenchmarkRegistryE7 runs E7 through the registry's uniform entry point
-// (normalization, the experiment, Result assembly) — the path the CLI and
-// every future plug-in experiment use.
-func BenchmarkRegistryE7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := serialEng.RunExperiment(context.Background(), "e7", core.Params{"syscalls": 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Tables) == 0 {
-			b.Fatal("no tables")
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //
 // Experiments are e1 through e13 (see EXPERIMENTS.md for the index). The
 // parameter flags are generated from the experiment registry
-// (internal/core): each registered parameter becomes one flag, shared by
+// (internal/core): each declared parameter becomes one flag, shared by
 // every experiment that declares it, with the default its declaration
 // gives. Run `vmmklab -h` for the generated list, or read the table
 // EXPERIMENTS.md embeds from the registry.
@@ -27,8 +27,10 @@
 // reports the declared typed error, panic, post-mortem state or cross-leg
 // trace invariant. `scenarios list` prints the declared rows; -run selects
 // a subset; -shuffle <seed> runs the whole matrix in a seeded
-// pseudo-random order (the same seed always yields the same order). A
-// failing row exits nonzero — the CI scenarios job keys on that.
+// pseudo-random order (the same seed always yields the same order). -run
+// and -shuffle apply only to a scenarios run: with an experiment, with
+// `scenarios list` or with each other they are usage errors. A failing row
+// exits nonzero — the CI scenarios job keys on that.
 //
 // Flags may appear before or after experiment names (vmmklab e12 -cpus 2
 // works). Every parameter flag must be positive (each -cpus entry likewise);
@@ -138,9 +140,12 @@ func run(args []string) error {
 		return fmt.Errorf("no experiment given; try 'vmmklab list'")
 	}
 	// The scenario matrix is a subcommand, not an experiment: it has its
-	// own registry (internal/scenario) and pass/fail semantics.
+	// own table (internal/scenario) and pass/fail semantics.
 	if positional[0] == "scenarios" {
 		return runScenarios(positional[1:], *runIDs, *shuffle, *parallel, *csv, *jsonOut)
+	}
+	if *runIDs != "" || *shuffle != 0 {
+		return fmt.Errorf("usage: -run and -shuffle select scenario rows; they apply only to the scenarios subcommand")
 	}
 
 	var ids []string

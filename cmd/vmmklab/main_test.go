@@ -479,3 +479,23 @@ func TestScenariosUnknownArgument(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-argument error", err)
 	}
 }
+
+// TestScenarioFlagsRefusedElsewhere: -run and -shuffle select scenario
+// rows, so an experiment run and `scenarios list`, which take neither,
+// refuse them with a usage error instead of ignoring them.
+func TestScenarioFlagsRefusedElsewhere(t *testing.T) {
+	for _, args := range [][]string{
+		{"e4", "-shuffle", "7"},
+		{"e4", "-run", "hw/x"},
+		{"scenarios", "list", "-run", "hw/alloc-beyond-physmem"},
+		{"scenarios", "list", "-shuffle", "7"},
+	} {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "usage") {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if out != "" {
+			t.Errorf("%v printed output before refusing:\n%s", args, out)
+		}
+	}
+}

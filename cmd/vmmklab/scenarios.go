@@ -30,6 +30,9 @@ func runScenarios(positional []string, runIDs string, shuffle uint64, parallel i
 	if shuffle != 0 && (list || runIDs != "") {
 		return fmt.Errorf("usage: -shuffle runs the whole matrix; it cannot combine with list or -run")
 	}
+	if list && runIDs != "" {
+		return fmt.Errorf("usage: list prints every row; it cannot combine with -run")
+	}
 
 	var res *core.Result
 	var failed int

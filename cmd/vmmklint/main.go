@@ -2,7 +2,10 @@
 // the internal/lint analyzer suite (detrand, maporder, tracecomp, boundedgo,
 // regspec) over the given package patterns and exits non-zero on any
 // finding. CI runs `go run ./cmd/vmmklint ./...` on every push; the repo
-// must stay clean.
+// must stay clean. The experiment and scenario declarations are values in
+// literal tables, so their rules are tests, not analyzers:
+// TestSpecsWellFormed (internal/core) and TestRowsWellFormed
+// (internal/scenario).
 //
 // Usage:
 //

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"vmmk/internal/core"
@@ -22,22 +24,23 @@ func main() {
 	fmt.Println("portability — one component, nine architectures")
 	fmt.Println()
 
-	rows, err := core.NewRunner(0).E6()
+	res, err := core.NewRunner(0).RunExperiment(context.Background(), "e6", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	e6 := res.Tables[0]
+	col := func(name string) int {
+		return slices.IndexFunc(e6.Columns, func(c core.Column) bool { return c.Name == name })
+	}
+	arch, status, which := col("arch"), col("mk component"), col("which")
 	table := core.NewResultTable("",
 		core.Col("architecture", ""), core.Col("mk personality", ""), core.Col("VMM guest port items", "items"))
-	for _, r := range rows {
-		status := "runs unchanged"
-		if !r.MKRuns {
-			status = "FAILED"
-		}
+	for _, r := range e6.Rows {
 		items := "(baseline)"
-		if len(r.VMMDeltaNames) > 0 {
-			items = strings.Join(r.VMMDeltaNames, "; ")
+		if w := r[which].(string); w != "" {
+			items = strings.ReplaceAll(w, ", ", "; ")
 		}
-		table.AddRow(r.Arch, status, items)
+		table.AddRow(r[arch], r[status], items)
 	}
 	fmt.Println(table)
 

@@ -64,7 +64,7 @@ func TestPlatformGuestIndexValidation(t *testing.T) {
 // --- E1 ------------------------------------------------------------------
 
 func TestE1FlipCostFlatInSize(t *testing.T) {
-	rows, err := NewRunner(0).E1(40)
+	rows, err := NewRunner(0).e1(40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestE1RateSweepShape(t *testing.T) {
 // --- E2 ------------------------------------------------------------------
 
 func TestE2CountsEssentiallyEqual(t *testing.T) {
-	rows, err := NewRunner(0).E2()
+	rows, err := NewRunner(0).e2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestE2CountsEssentiallyEqual(t *testing.T) {
 // --- E3 ------------------------------------------------------------------
 
 func TestE3FastPathStory(t *testing.T) {
-	rows, err := NewRunner(0).E3(100)
+	rows, err := NewRunner(0).e3(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestE3FastPathStory(t *testing.T) {
 // --- E4 ------------------------------------------------------------------
 
 func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
-	rows, err := NewRunner(0).E4(3)
+	rows, err := NewRunner(0).e4(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
 // --- E5 ------------------------------------------------------------------
 
 func TestE5CensusOneVsTen(t *testing.T) {
-	rows, err := NewRunner(0).E5()
+	rows, err := NewRunner(0).e5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestE5CensusOneVsTen(t *testing.T) {
 // --- E6 ------------------------------------------------------------------
 
 func TestE6NinePlatformsUnchanged(t *testing.T) {
-	rows, err := NewRunner(0).E6()
+	rows, err := NewRunner(0).e6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestE6NinePlatformsUnchanged(t *testing.T) {
 // --- E7 ------------------------------------------------------------------
 
 func TestE7CostStructure(t *testing.T) {
-	rows, err := NewRunner(0).E7(50)
+	rows, err := NewRunner(0).e7(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestE7OrderingHoldsOnAllArchitectures(t *testing.T) {
 // --- E8 ------------------------------------------------------------------
 
 func TestE8BothParavirtStacksViable(t *testing.T) {
-	rows, err := NewRunner(0).E8(20)
+	rows, err := NewRunner(0).e8(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestE8BothParavirtStacksViable(t *testing.T) {
 // --- E9 ------------------------------------------------------------------
 
 func TestE9Ablations(t *testing.T) {
-	rows, err := NewRunner(0).E9()
+	rows, err := NewRunner(0).e9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestConsolidatedStorageStillWorks(t *testing.T) {
 // --- E10 -----------------------------------------------------------------
 
 func TestE10ExtensionComplexity(t *testing.T) {
-	rows, err := NewRunner(0).E10(50)
+	rows, err := NewRunner(0).e10(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 	// 64 pages, budgets {0, 1, 4}, and dirty rates {0, 24/6, 24}.
 	const frames = 64
 	rates, budgets := []int{0, 4, 24}, []int{0, 1, 4}
-	rows, err := NewRunner(0).E11(frames, 4, 24)
+	rows, err := NewRunner(0).e11(frames, 4, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,17 @@
 // blast radii, primitive censuses, portability deltas, migration downtime
 // and — on multiprocessors — IPI and TLB-shootdown burden.
 //
-// The experiments are E1–E12, one file each (e1_dom0.go … e12_smp.go),
+// The experiments are E1–E13, one file each (e1_dom0.go … e13_cluster.go),
 // documented in EXPERIMENTS.md. Each file declares a Spec — id, title,
-// typed parameters — and self-registers at init into the declarative
-// registry (spec.go); the CLI's flags and validation, the `list` output,
-// the `all` sweep and the benchmarks are all generated from Specs(). Every
-// experiment implements the uniform entry point
-// Run(*Runner, Params) (*Result, error); Result (result.go) is the
-// single typed result model — column schema with units, rows, echoed
-// params — rendering as aligned text, CSV and stable JSON. The typed
-// entry points (Runner.E1 … Runner.E13) take exactly the parameters their
-// Spec declares and validate them through the declaring Param, which holds
-// each parameter's only default. Each experiment
+// typed parameters — as a package variable, and the declarative registry
+// (spec.go) is one literal table of the thirteen; the CLI's flags and
+// validation, the `list` output, the `all` sweep and the benchmarks are
+// all generated from Specs(). Runner.RunExperiment is each experiment's
+// one entry point: it normalizes the parameters through the declaring
+// Param, which holds each parameter's only default and bound, then calls
+// the Spec's Run(*Runner, Params) (*Result, error); Result (result.go) is
+// the single typed result model — column schema with units, rows, echoed
+// params — rendering as aligned text, CSV and stable JSON. Each experiment
 // decomposes into independent cells — one freshly booted Platform or
 // hw.Machine per (platform, parameter-point) pair — executed by the
 // parallel engine in runner.go: each cell takes its machines from the

@@ -18,19 +18,18 @@ import (
 // vmmos.KVAppliance); the experiment counts the kernel interface surface
 // each must program against to boot and to serve, plus per-request cost.
 
-func init() {
-	Register(Spec{
-		ID:     "e10",
-		Title:  "minimal-extension interface complexity",
-		Params: []Param{paramSyscalls},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E10(p.Int("syscalls"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e10Table(rows)), nil
-		},
-	})
+// e10Spec is E10's entry in the experiment table.
+var e10Spec = Spec{
+	ID:     "e10",
+	Title:  "minimal-extension interface complexity",
+	Params: []Param{paramSyscalls},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e10(p.Int("syscalls"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e10Table(rows)), nil
+	},
 }
 
 // E10Row is one platform's measurement.
@@ -42,11 +41,8 @@ type E10Row struct {
 	CyclesPerGet    uint64
 }
 
-// E10 boots each platform's extension in its own cell.
-func (r *Runner) E10(n int) ([]E10Row, error) {
-	if err := paramSyscalls.Validate(n); err != nil {
-		return nil, err
-	}
+// e10 boots each platform's extension in its own cell.
+func (r *Runner) e10(n int) ([]E10Row, error) {
 	cells := []func(*hw.MachinePool) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.
 		func(pool *hw.MachinePool) ([]E10Row, error) {

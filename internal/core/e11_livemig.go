@@ -18,40 +18,31 @@ import (
 // reports downtime cycles, total pages transferred and rounds used per
 // (dirty rate × round budget) cell.
 
-// E11's parameters, in declaration order.
-var (
-	paramFrames = Param{
-		Name: "frames", Kind: ParamInt, DefaultInt: 96, Max: 1 << 20,
-		Unit: "pages", Help: "guest memory pages for E11 migrations",
-	}
-	paramRounds = Param{
-		Name: "rounds", Kind: ParamInt, DefaultInt: 4, Max: 64,
-		Unit: "rounds", Help: "max pre-copy round budget for E11",
-	}
-	paramDirty = Param{
-		Name: "dirty", Kind: ParamInt, DefaultInt: 48, Max: 1 << 20,
-		Unit: "pages/round", Help: "peak dirty rate (pages/round) for E11",
-	}
-	e11Params = []Param{paramFrames, paramRounds, paramDirty}
-)
-
 // e11WSSCutoff is the writable-working-set cutoff every pre-copy cell
 // converges early at.
 const e11WSSCutoff = 2
 
-func init() {
-	Register(Spec{
-		ID:     "e11",
-		Title:  "live pre-copy migration downtime",
-		Params: e11Params,
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E11(p.Int("frames"), p.Int("rounds"), p.Int("dirty"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e11Table(rows)), nil
-		},
-	})
+// e11Spec is E11's entry in the experiment table.
+var e11Spec = Spec{
+	ID:    "e11",
+	Title: "live pre-copy migration downtime",
+	Params: []Param{{
+		Name: "frames", Kind: ParamInt, DefaultInt: 96, Max: 1 << 20,
+		Unit: "pages", Help: "guest memory pages for E11 migrations",
+	}, {
+		Name: "rounds", Kind: ParamInt, DefaultInt: 4, Max: 64,
+		Unit: "rounds", Help: "max pre-copy round budget for E11",
+	}, {
+		Name: "dirty", Kind: ParamInt, DefaultInt: 48, Max: 1 << 20,
+		Unit: "pages/round", Help: "peak dirty rate (pages/round) for E11",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e11(p.Int("frames"), p.Int("rounds"), p.Int("dirty"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e11Table(rows)), nil
+	},
 }
 
 // E11Row is one migration cell's measurement.
@@ -65,16 +56,13 @@ type E11Row struct {
 	TotalCyc    uint64 // whole-migration cycles, both machines
 }
 
-// E11 migrates a guest of frames pages once per (dirty rate, round
+// e11 migrates a guest of frames pages once per (dirty rate, round
 // budget) pair. The rates are quiet, medium and peak: 0, dirty/6 (at least
 // one page) and dirty pages per round. The budgets are 0 (the stop-and-copy
 // baseline), 1 and rounds. Every cell boots its own source and destination
 // machines and seeds its own write stream, so the table is byte-identical
 // at any -parallel width.
-func (r *Runner) E11(frames, rounds, dirty int) ([]E11Row, error) {
-	if err := checkArgs(e11Params, frames, rounds, dirty); err != nil {
-		return nil, err
-	}
+func (r *Runner) e11(frames, rounds, dirty int) ([]E11Row, error) {
 	type cellCfg struct{ rate, budget int }
 	var cells []cellCfg
 	for _, rate := range []int{0, max(1, dirty/6), dirty} {

@@ -34,25 +34,21 @@ import (
 // shows zero IPIs and shootdowns — the regression guard that E1–E11's
 // uniprocessor accounting is untouched.
 
-// paramCPUs is E12's list of machine sizes to sweep.
-var paramCPUs = Param{
-	Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: MaxCPUs,
-	Unit: "cores", Help: "comma-separated core counts for the E12 SMP sweep",
-}
-
-func init() {
-	Register(Spec{
-		ID:     "e12",
-		Title:  "SMP scaling: IPIs and TLB shootdown vs cores",
-		Params: []Param{paramCPUs},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E12(p.IntList("cpus"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e12Table(rows)), nil
-		},
-	})
+// e12Spec is E12's entry in the experiment table.
+var e12Spec = Spec{
+	ID:    "e12",
+	Title: "SMP scaling: IPIs and TLB shootdown vs cores",
+	Params: []Param{{
+		Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: MaxCPUs,
+		Unit: "cores", Help: "comma-separated core counts for the E12 SMP sweep",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e12(p.IntList("cpus"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e12Table(rows)), nil
+	},
 }
 
 // MaxCPUs bounds the E12 sweep; the simulation is exact, not sampled, so a
@@ -78,13 +74,10 @@ type E12Row struct {
 	TotalCyc   uint64 // whole-machine virtual time consumed
 }
 
-// E12 fans one cell out per (workload, platform, core count) triple, one
+// e12 fans one cell out per (workload, platform, core count) triple, one
 // core count per entry of cpus. Rows group each (workload, platform) pair's
 // cores-vs-cost curve contiguously.
-func (r *Runner) E12(cpus []int) ([]E12Row, error) {
-	if err := paramCPUs.Validate(cpus); err != nil {
-		return nil, err
-	}
+func (r *Runner) e12(cpus []int) ([]E12Row, error) {
 	type cellCfg struct {
 		workload, platform string
 		ncpus              int

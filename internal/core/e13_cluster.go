@@ -18,40 +18,31 @@ import (
 // migrations cost in guest-observable downtime (p99), and how often the
 // fleet broke service (rejections + downtime SLO misses).
 
-// E13's parameters, in declaration order.
-var (
-	paramFleet = Param{
-		Name: "fleet", Kind: ParamIntList, DefaultList: []int{2, 4, 8}, Max: 64,
-		Unit: "hosts", Help: "comma-separated fleet sizes for the E13 cluster sweep",
-	}
-	paramChurn = Param{
-		Name: "churn", Kind: ParamIntList, DefaultList: []int{24, 96}, Max: 1 << 16,
-		Unit: "events", Help: "comma-separated churn event counts for E13",
-	}
-	paramHostFrames = Param{
-		Name: "hostframes", Kind: ParamInt, DefaultInt: 192, Max: 1 << 20,
-		Unit: "pages", Help: "physical memory pages per E13 host",
-	}
-	e13Params = []Param{paramFleet, paramChurn, paramHostFrames}
-)
-
 // e13SLO is the downtime service-level objective: migrations whose
 // blackout exceeds it count as violations.
 const e13SLO hw.Cycles = 10000
 
-func init() {
-	Register(Spec{
-		ID:     "e13",
-		Title:  "fleet placement, overcommit and cross-host migration",
-		Params: e13Params,
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E13(p.IntList("fleet"), p.IntList("churn"), p.Int("hostframes"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e13Table(rows)), nil
-		},
-	})
+// e13Spec is E13's entry in the experiment table.
+var e13Spec = Spec{
+	ID:    "e13",
+	Title: "fleet placement, overcommit and cross-host migration",
+	Params: []Param{{
+		Name: "fleet", Kind: ParamIntList, DefaultList: []int{2, 4, 8}, Max: 64,
+		Unit: "hosts", Help: "comma-separated fleet sizes for the E13 cluster sweep",
+	}, {
+		Name: "churn", Kind: ParamIntList, DefaultList: []int{24, 96}, Max: 1 << 16,
+		Unit: "events", Help: "comma-separated churn event counts for E13",
+	}, {
+		Name: "hostframes", Kind: ParamInt, DefaultInt: 192, Max: 1 << 20,
+		Unit: "pages", Help: "physical memory pages per E13 host",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e13(p.IntList("fleet"), p.IntList("churn"), p.Int("hostframes"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e13Table(rows)), nil
+	},
 }
 
 // E13Row is one fleet cell's measurement.
@@ -67,14 +58,11 @@ type E13Row struct {
 	SLOViol    int     // rejections + downtime SLO misses
 }
 
-// E13 fans one cell out per (fleet size, churn count, policy) triple, with
+// e13 fans one cell out per (fleet size, churn count, policy) triple, with
 // hostFrames pages on every host. Every cell boots its own fleet from the
 // worker's machine pool and seeds its own churn stream from the cell
 // parameters, so the table is byte-identical at any -parallel width.
-func (r *Runner) E13(fleets, churns []int, hostFrames int) ([]E13Row, error) {
-	if err := checkArgs(e13Params, fleets, churns, hostFrames); err != nil {
-		return nil, err
-	}
+func (r *Runner) e13(fleets, churns []int, hostFrames int) ([]E13Row, error) {
 	type cellCfg struct {
 		fleet, churn int
 		policy       cluster.Policy

@@ -12,11 +12,11 @@ import (
 func TestE13SerialMatchesParallel(t *testing.T) {
 	// A trimmed sweep.
 	fleets, churns, hostFrames := []int{2, 3}, []int{32}, 160
-	serial, err := NewRunner(1).E13(fleets, churns, hostFrames)
+	serial, err := NewRunner(1).e13(fleets, churns, hostFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewRunner(8).E13(fleets, churns, hostFrames)
+	parallel, err := NewRunner(8).e13(fleets, churns, hostFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,12 @@ func TestE13SerialMatchesParallel(t *testing.T) {
 // churn, policy) cell present, churn placing guests, and the consolidation
 // column distinguishing the two policies somewhere in the sweep.
 func TestE13RowsShaped(t *testing.T) {
-	fleets, churns := paramFleet.DefaultList, paramChurn.DefaultList
-	rows, err := NewRunner(1).E13(fleets, churns, paramHostFrames.DefaultInt)
+	d, err := e13Spec.Normalize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets, churns := d.IntList("fleet"), d.IntList("churn")
+	rows, err := NewRunner(1).e13(fleets, churns, d.Int("hostframes"))
 	if err != nil {
 		t.Fatal(err)
 	}

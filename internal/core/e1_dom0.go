@@ -13,28 +13,24 @@ import (
 // its per-packet cost tracks the number of page flips, not the number of
 // payload bytes.
 
-// paramPackets is E1's packet count per sweep point.
-var paramPackets = Param{
-	Name: "packets", Kind: ParamInt, DefaultInt: 100, Max: 1 << 20,
-	Unit: "packets", Help: "packet count for E1 sweeps",
-}
-
 // e1Sizes is the sweep's packet sizes: small to MTU-and-beyond messages.
 var e1Sizes = []int{64, 256, 1024, 1500, 4096}
 
-func init() {
-	Register(Spec{
-		ID:     "e1",
-		Title:  "Dom0 CPU overhead under I/O load (CG05 shape)",
-		Params: []Param{paramPackets},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E1(p.Int("packets"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e1Table(rows)), nil
-		},
-	})
+// e1Spec is E1's entry in the experiment table.
+var e1Spec = Spec{
+	ID:    "e1",
+	Title: "Dom0 CPU overhead under I/O load (CG05 shape)",
+	Params: []Param{{
+		Name: "packets", Kind: ParamInt, DefaultInt: 100, Max: 1 << 20,
+		Unit: "packets", Help: "packet count for E1 sweeps",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e1(p.Int("packets"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e1Table(rows)), nil
+	},
 }
 
 // E1Row is one point of the sweep.
@@ -49,13 +45,10 @@ type E1Row struct {
 	PerFlipCyc  uint64  // driver-side cycles per flip (0 in copy mode)
 }
 
-// E1 runs the sweep on this runner's worker pool: one cell per
+// e1 runs the sweep on this runner's worker pool: one cell per
 // (delivery mode, packet size) point, each booting its own stack and
 // delivering that many packets to its guest.
-func (r *Runner) E1(packets int) ([]E1Row, error) {
-	if err := paramPackets.Validate(packets); err != nil {
-		return nil, err
-	}
+func (r *Runner) e1(packets int) ([]E1Row, error) {
 	modes := []bool{false, true}
 	return RunCells(r, len(modes)*len(e1Sizes), func(pool *hw.MachinePool, i int) (E1Row, error) {
 		copyMode := modes[i/len(e1Sizes)]
@@ -76,8 +69,12 @@ func (r *Runner) E1(packets int) ([]E1Row, error) {
 		flips := rec.CountsSince(snap, trace.KPageFlip)
 		driver := s.DriverSideCycles() - driver0
 		total := rec.TotalCycles() - total0
+		mode := "flip"
+		if copyMode {
+			mode = "copy"
+		}
 		row := E1Row{
-			Mode:      map[bool]string{false: "flip", true: "copy"}[copyMode],
+			Mode:      mode,
 			PktSize:   size,
 			Packets:   packets,
 			Flips:     flips,

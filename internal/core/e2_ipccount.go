@@ -14,18 +14,17 @@ import (
 // stacks; the recorder counts every IPC-equivalent boundary crossing
 // (defined in trace.Kind.IsIPCEquivalent) on each.
 
-func init() {
-	Register(Spec{
-		ID:    "e2",
-		Title: "IPC-equivalent operation counts",
-		Run: func(r *Runner, _ Params) (*Result, error) {
-			rows, err := r.E2()
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e2Table(rows)), nil
-		},
-	})
+// e2Spec is E2's entry in the experiment table.
+var e2Spec = Spec{
+	ID:    "e2",
+	Title: "IPC-equivalent operation counts",
+	Run: func(r *Runner, _ Params) (*Result, error) {
+		rows, err := r.e2()
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e2Table(rows)), nil
+	},
 }
 
 // E2Row is one workload's comparison.
@@ -102,9 +101,9 @@ var e2Workloads = []struct {
 	}},
 }
 
-// E2 runs the comparison on this runner's worker pool: one cell per
+// e2 runs the comparison on this runner's worker pool: one cell per
 // workload, each booting a fresh pair of stacks.
-func (r *Runner) E2() ([]E2Row, error) {
+func (r *Runner) e2() ([]E2Row, error) {
 	return RunCells(r, len(e2Workloads), func(pool *hw.MachinePool, i int) (E2Row, error) {
 		w := e2Workloads[i]
 		counts := map[string]uint64{}

@@ -13,19 +13,18 @@ import (
 // server) and the native trap are measured on the same hardware model for
 // comparison.
 
-func init() {
-	Register(Spec{
-		ID:     "e3",
-		Title:  "guest system-call paths",
-		Params: []Param{paramSyscalls},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E3(p.Int("syscalls"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e3Table(rows)), nil
-		},
-	})
+// e3Spec is E3's entry in the experiment table.
+var e3Spec = Spec{
+	ID:     "e3",
+	Title:  "guest system-call paths",
+	Params: []Param{paramSyscalls},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e3(p.Int("syscalls"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e3Table(rows)), nil
+	},
 }
 
 // E3Row is one configuration's per-syscall cost.
@@ -36,12 +35,9 @@ type E3Row struct {
 	FastPathLive bool
 }
 
-// E3 runs the four configurations as independent cells, each on its own
+// e3 runs the four configurations as independent cells, each on its own
 // freshly booted stack and issuing n syscalls.
-func (r *Runner) E3(n int) ([]E3Row, error) {
-	if err := paramSyscalls.Validate(n); err != nil {
-		return nil, err
-	}
+func (r *Runner) e3(n int) ([]E3Row, error) {
 	cells := []func(*hw.MachinePool) ([]E3Row, error){
 		// Native baseline.
 		func(pool *hw.MachinePool) ([]E3Row, error) {

@@ -13,25 +13,21 @@ import (
 // identically on both systems. The native baseline shows the structural
 // alternative: an in-kernel service's death is everyone's death.
 
-// paramGuests is E4's guest count per booted system.
-var paramGuests = Param{
-	Name: "guests", Kind: ParamInt, DefaultInt: 3, Max: 256,
-	Unit: "guests", Help: "guest count for E4",
-}
-
-func init() {
-	Register(Spec{
-		ID:     "e4",
-		Title:  "failure blast radius",
-		Params: []Param{paramGuests},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E4(p.Int("guests"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e4Table(rows)), nil
-		},
-	})
+// e4Spec is E4's entry in the experiment table.
+var e4Spec = Spec{
+	ID:    "e4",
+	Title: "failure blast radius",
+	Params: []Param{{
+		Name: "guests", Kind: ParamInt, DefaultInt: 3, Max: 256,
+		Unit: "guests", Help: "guest count for E4",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e4(p.Int("guests"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e4Table(rows)), nil
+	},
 }
 
 // E4Row is one platform × scenario outcome.
@@ -45,12 +41,9 @@ type E4Row struct {
 	GuestsTotal   int
 }
 
-// E4 runs the scenario × platform grid as independent cells: each crash
+// e4 runs the scenario × platform grid as independent cells: each crash
 // happens on its own freshly booted system.
-func (r *Runner) E4(nGuests int) ([]E4Row, error) {
-	if err := paramGuests.Validate(nGuests); err != nil {
-		return nil, err
-	}
+func (r *Runner) e4(nGuests int) ([]E4Row, error) {
 	type scenario struct {
 		name string
 		kill func(Platform)

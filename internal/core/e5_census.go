@@ -14,18 +14,17 @@ import (
 // "each requiring a dedicated set of security mechanisms, resources, and
 // kernel code".
 
-func init() {
-	Register(Spec{
-		ID:    "e5",
-		Title: "privileged-primitive census",
-		Run: func(r *Runner, _ Params) (*Result, error) {
-			rows, err := r.E5()
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e5Table(rows)), nil
-		},
-	})
+// e5Spec is E5's entry in the experiment table.
+var e5Spec = Spec{
+	ID:    "e5",
+	Title: "privileged-primitive census",
+	Run: func(r *Runner, _ Params) (*Result, error) {
+		rows, err := r.e5()
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e5Table(rows)), nil
+	},
 }
 
 // E5Row is one platform's census.
@@ -99,8 +98,8 @@ func censusWorkload(p Platform) error {
 	return nil
 }
 
-// E5 runs the two platform censuses as independent cells.
-func (r *Runner) E5() ([]E5Row, error) {
+// e5 runs the two platform censuses as independent cells.
+func (r *Runner) e5() ([]E5Row, error) {
 	cells := []func(*hw.MachinePool) ([]E5Row, error){
 		// Microkernel.
 		func(pool *hw.MachinePool) ([]E5Row, error) {

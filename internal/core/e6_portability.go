@@ -18,18 +18,17 @@ import (
 // side, count the raw-interface properties a guest must be rewritten
 // against when moving from the x86 baseline to each architecture.
 
-func init() {
-	Register(Spec{
-		ID:    "e6",
-		Title: "nine-architecture portability",
-		Run: func(r *Runner, _ Params) (*Result, error) {
-			rows, err := r.E6()
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e6Table(rows)), nil
-		},
-	})
+// e6Spec is E6's entry in the experiment table.
+var e6Spec = Spec{
+	ID:    "e6",
+	Title: "nine-architecture portability",
+	Run: func(r *Runner, _ Params) (*Result, error) {
+		rows, err := r.e6()
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e6Table(rows)), nil
+	},
 }
 
 // E6Row is one architecture's result.
@@ -70,8 +69,8 @@ func vmmInterfaceDeltas(base, a *hw.Arch) []string {
 	return deltas
 }
 
-// E6 boots each architecture in its own cell.
-func (r *Runner) E6() ([]E6Row, error) {
+// e6 boots each architecture in its own cell.
+func (r *Runner) e6() ([]E6Row, error) {
 	base := x86
 	archs := hw.AllArchs()
 	return RunCells(r, len(archs), func(pool *hw.MachinePool, i int) (E6Row, error) {

@@ -12,19 +12,18 @@ import (
 // notifications, page flips, grant copies and world switches, measured
 // directly.
 
-func init() {
-	Register(Spec{
-		ID:     "e7",
-		Title:  "primitive microbenchmarks",
-		Params: []Param{paramSyscalls},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E7(p.Int("syscalls"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e7Table(rows)), nil
-		},
-	})
+// e7Spec is E7's entry in the experiment table.
+var e7Spec = Spec{
+	ID:     "e7",
+	Title:  "primitive microbenchmarks",
+	Params: []Param{paramSyscalls},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e7(p.Int("syscalls"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e7Table(rows)), nil
+	},
 }
 
 // E7Row is one primitive's cost.
@@ -34,13 +33,10 @@ type E7Row struct {
 	Cycles uint64
 }
 
-// E7 runs the three measurement blocks — microkernel, VMM and bare
+// e7 runs the three measurement blocks — microkernel, VMM and bare
 // hardware — as independent cells, each on its own machine. Primitives
 // within a block stay sequential because they share that block's stack.
-func (r *Runner) E7(n int) ([]E7Row, error) {
-	if err := paramSyscalls.Validate(n); err != nil {
-		return nil, err
-	}
+func (r *Runner) e7(n int) ([]E7Row, error) {
 	mean := func(rows *[]E7Row) func(op, sys string, total hw.Cycles) {
 		return func(op, sys string, total hw.Cycles) {
 			*rows = append(*rows, E7Row{Op: op, System: sys, Cycles: uint64(total) / uint64(n)})

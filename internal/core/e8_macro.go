@@ -14,25 +14,21 @@ import (
 // each system's relative slowdown so the "OS as component works on both"
 // claim is checkable.
 
-// paramRequests is E8's request count per platform.
-var paramRequests = Param{
-	Name: "requests", Kind: ParamInt, DefaultInt: 50, Max: 1 << 20,
-	Unit: "requests", Help: "request count for E8",
-}
-
-func init() {
-	Register(Spec{
-		ID:     "e8",
-		Title:  "web-serving macro benchmark",
-		Params: []Param{paramRequests},
-		Run: func(r *Runner, p Params) (*Result, error) {
-			rows, err := r.E8(p.Int("requests"))
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e8Table(rows)), nil
-		},
-	})
+// e8Spec is E8's entry in the experiment table.
+var e8Spec = Spec{
+	ID:    "e8",
+	Title: "web-serving macro benchmark",
+	Params: []Param{{
+		Name: "requests", Kind: ParamInt, DefaultInt: 50, Max: 1 << 20,
+		Unit: "requests", Help: "request count for E8",
+	}},
+	Run: func(r *Runner, p Params) (*Result, error) {
+		rows, err := r.e8(p.Int("requests"))
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e8Table(rows)), nil
+	},
 }
 
 // E8Row is one platform's macro result.
@@ -75,13 +71,10 @@ func webStream(n int, ws, seed uint64) []webRequest {
 // crossing overhead, which is E7's job.
 const thinkCycles = 100_000
 
-// E8 serves the same request stream on each platform in its own cell; the
+// e8 serves the same request stream on each platform in its own cell; the
 // relative-cost column is derived from the native row after the cells join,
 // so it is independent of which platform finishes first.
-func (r *Runner) E8(n int) ([]E8Row, error) {
-	if err := paramRequests.Validate(n); err != nil {
-		return nil, err
-	}
+func (r *Runner) e8(n int) ([]E8Row, error) {
 	reqs := webStream(n, 32, 11)
 	serve := func(p Platform) (uint64, error) {
 		// The per-request think-time charge goes to the app's own

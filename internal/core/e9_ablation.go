@@ -21,18 +21,17 @@ import (
 //  d. consolidated "super-VM" (storage in Dom0) vs decomposed servers,
 //     measured by blast radius — §2.2's single-point-of-failure warning.
 
-func init() {
-	Register(Spec{
-		ID:    "e9",
-		Title: "design-decision ablations",
-		Run: func(r *Runner, _ Params) (*Result, error) {
-			rows, err := r.E9()
-			if err != nil {
-				return nil, err
-			}
-			return NewResult(e9Table(rows)), nil
-		},
-	})
+// e9Spec is E9's entry in the experiment table.
+var e9Spec = Spec{
+	ID:    "e9",
+	Title: "design-decision ablations",
+	Run: func(r *Runner, _ Params) (*Result, error) {
+		rows, err := r.e9()
+		if err != nil {
+			return nil, err
+		}
+		return NewResult(e9Table(rows)), nil
+	},
 }
 
 // E9Row is one ablation measurement.
@@ -43,9 +42,9 @@ type E9Row struct {
 	Value    float64
 }
 
-// E9 runs every ablation variant as its own cell — each builds its own
+// e9 runs every ablation variant as its own cell — each builds its own
 // machine, so the whole table fans out at once.
-func (r *Runner) E9() ([]E9Row, error) {
+func (r *Runner) e9() ([]E9Row, error) {
 	var cells []func(*hw.MachinePool) ([]E9Row, error)
 	one := func(cell func(pool *hw.MachinePool) (E9Row, error)) {
 		cells = append(cells, func(pool *hw.MachinePool) ([]E9Row, error) {

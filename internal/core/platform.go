@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
@@ -248,12 +248,12 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Guests; i++ {
-		dU, err := h.CreateDomain(fmt.Sprintf("domU%d", i+1), 128)
+		dU, err := h.CreateDomain("domU"+strconv.Itoa(i+1), 128)
 		if err != nil {
 			return nil, err
 		}
 		gk := vmmos.NewGuestKernel(h, dU)
-		if err := st.Write(vmm.Dom0, fmt.Sprintf("/vm/%s/name", dU.Name), dU.Name); err != nil {
+		if err := st.Write(vmm.Dom0, "/vm/"+dU.Name+"/name", dU.Name); err != nil {
 			return nil, err
 		}
 		if _, err := vmmos.ConnectNet(dd, gk); err != nil {
@@ -263,7 +263,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 			return nil, err
 		}
 		// The guest advertises its connected frontends, XenStore style.
-		home := fmt.Sprintf("/local/domain/%d/", dU.ID)
+		home := "/local/domain/" + strconv.Itoa(int(dU.ID)) + "/"
 		if err := st.Write(dU.ID, home+"device/vif/0/state", "connected"); err != nil {
 			return nil, err
 		}
@@ -376,7 +376,7 @@ func (s *XenStack) Alive() []ComponentStatus {
 		{"storage(parallax)", s.H.Alive(s.PX.GK.Dom.ID)},
 	}
 	for i, gk := range s.Guests {
-		out = append(out, ComponentStatus{fmt.Sprintf("guest%d", i+1), s.H.Alive(gk.Dom.ID)})
+		out = append(out, ComponentStatus{"guest" + strconv.Itoa(i+1), s.H.Alive(gk.Dom.ID)})
 	}
 	return out
 }
@@ -432,7 +432,7 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 	store.SetPersistence(bd.NewBlkClient(store.Thread.ID, storeBlocks*uint64(cfg.Guests)+64))
 	s.Net, s.Blk, s.Store = nd, bd, store
 	for i := 0; i < cfg.Guests; i++ {
-		osrv, err := mkos.NewOSServer(k, fmt.Sprintf("linux%d", i+1))
+		osrv, err := mkos.NewOSServer(k, "linux"+strconv.Itoa(i+1))
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +539,7 @@ func (s *MKStack) Alive() []ComponentStatus {
 		{"storage(store)", s.K.Alive(s.Store.Thread.ID)},
 	}
 	for i, osrv := range s.OSes {
-		out = append(out, ComponentStatus{fmt.Sprintf("guest%d", i+1), s.K.Alive(osrv.Thread.ID)})
+		out = append(out, ComponentStatus{"guest" + strconv.Itoa(i+1), s.K.Alive(osrv.Thread.ID)})
 	}
 	return out
 }

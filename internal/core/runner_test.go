@@ -121,11 +121,11 @@ func TestRunFlatConcatenatesInOrder(t *testing.T) {
 func TestSerialParallelIdentical(t *testing.T) {
 	serial, par := NewRunner(1), NewRunner(4)
 
-	s1, err := serial.E1(30)
+	s1, err := serial.e1(30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := par.E1(30)
+	p1, err := par.e1(30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 		t.Errorf("E1 diverges:\nserial:   %+v\nparallel: %+v", s1, p1)
 	}
 
-	s7, err := serial.E7(40)
+	s7, err := serial.e7(40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p7, err := par.E7(40)
+	p7, err := par.e7(40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 		t.Errorf("E7 diverges:\nserial:   %+v\nparallel: %+v", s7, p7)
 	}
 
-	s8, err := serial.E8(15)
+	s8, err := serial.e8(15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := par.E8(15)
+	p8, err := par.e8(15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 
 	// E11's cells pair two machines each and seed per-cell write streams;
 	// the migration sweep must still be order-independent.
-	s11, err := serial.E11(48, 2, 8)
+	s11, err := serial.e11(48, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p11, err := par.E11(48, 2, 8)
+	p11, err := par.e11(48, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

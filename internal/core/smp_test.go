@@ -14,11 +14,11 @@ var e12TestCPUs = []int{1, 2, 4}
 // TestE12SerialParallelIdentical extends the engine determinism guard to
 // the SMP sweep: the table must be deeply equal at any worker width.
 func TestE12SerialParallelIdentical(t *testing.T) {
-	s, err := NewRunner(1).E12(e12TestCPUs)
+	s, err := NewRunner(1).e12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewRunner(4).E12(e12TestCPUs)
+	p, err := NewRunner(4).e12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestE12SerialParallelIdentical(t *testing.T) {
 // platform pair appears once per core count, 1-CPU rows carry zero SMP
 // tax, and the tax grows with core count on the scaling workloads.
 func TestE12Shape(t *testing.T) {
-	rows, err := NewRunner(1).E12(e12TestCPUs)
+	rows, err := NewRunner(1).e12(e12TestCPUs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestExplicitOneCPUMatchesDefault(t *testing.T) {
 // checks the global counters never see an IPI or shootdown — the
 // accounting-level proof that E1–E11 output is untouched by the SMP layer.
 func TestUniprocessorExperimentsCountNoSMPEvents(t *testing.T) {
-	rows, err := NewRunner(1).E2()
+	rows, err := NewRunner(1).e2()
 	if err != nil {
 		t.Fatal(err)
 	}

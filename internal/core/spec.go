@@ -2,10 +2,11 @@ package core
 
 // spec.go is the declarative experiment registry — the single source of
 // truth the CLI, the report harness and the benchmarks all generate from.
-// Each experiment file declares a Spec (id, title, typed parameters) and
-// self-registers at init; adding experiment thirteen is one new file with
-// one Register call, and the flag surface, validation, `list` output and
-// the `all` sweep follow without touching cmd/vmmklab.
+// Each experiment file declares its Spec (id, title, typed parameters) as
+// a package variable, and the specs table lists them in id order; adding
+// an experiment is one new file and one table entry, and the flag surface,
+// validation, `list` output and the `all` sweep follow without touching
+// cmd/vmmklab.
 
 import (
 	"context"
@@ -14,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // ParamKind discriminates the value type of a Param.
@@ -156,10 +156,10 @@ func (ps Params) IntList(name string) []int {
 }
 
 // Spec declares one experiment: identifier, human title, typed parameters
-// and the uniform entry point every experiment implements. Experiments
-// self-register at init via Register.
+// and the uniform entry point every experiment implements. The specs table
+// lists every experiment's Spec.
 type Spec struct {
-	// ID is the experiment identifier ("e1" ... "e12").
+	// ID is the experiment identifier ("e1" ... "e13").
 	ID string
 	// Title is the one-line description `list` and the report headers show.
 	Title string
@@ -180,15 +180,6 @@ func (s Spec) Param(name string) (Param, bool) {
 		}
 	}
 	return Param{}, false
-}
-
-// Defaults returns a fresh Params holding every declared default.
-func (s Spec) Defaults() Params {
-	out := make(Params, len(s.Params))
-	for _, p := range s.Params {
-		out[p.Name] = p.Default()
-	}
-	return out
 }
 
 // Normalize fills missing parameters with their defaults and validates
@@ -227,49 +218,10 @@ var paramSyscalls = Param{
 	Unit: "ops", Help: "iteration count for E3/E7/E10",
 }
 
-// checkArgs validates a typed entry point's arguments through the Params
-// that declare them, in declaration order, and returns the first usage
-// error: a direct call refuses exactly what the registry refuses.
-func checkArgs(ps []Param, args ...any) error {
-	for i, p := range ps {
-		if err := p.Validate(args[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Spec{}
-)
-
-// Register adds a Spec to the experiment registry. It panics on a malformed
-// spec, a duplicate id, or a parameter redeclared with a different shape
-// than another spec's — the registry keeps exactly one flag per parameter
-// name, so shared parameters must agree everywhere.
-func Register(s Spec) {
-	if s.ID == "" || s.Title == "" || s.Run == nil {
-		panic(fmt.Sprintf("core: Register(%q): id, title and run are all required", s.ID))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[s.ID]; dup {
-		panic(fmt.Sprintf("core: experiment %q registered twice", s.ID))
-	}
-	for _, p := range s.Params {
-		if p.Name == "" {
-			panic(fmt.Sprintf("core: experiment %q declares an unnamed parameter", s.ID))
-		}
-		// Sorted so a conflicting redeclaration panics with a stable
-		// message naming the same prior experiment on every run.
-		for _, id := range sortedKeys(registry) {
-			if q, ok := registry[id].Param(p.Name); ok && !sameParamShape(p, q) {
-				panic(fmt.Sprintf("core: parameter -%s declared differently by %q and %q", p.Name, s.ID, id))
-			}
-		}
-	}
-	registry[s.ID] = s
+// specs is the experiment table, in id order.
+var specs = []Spec{
+	e1Spec, e2Spec, e3Spec, e4Spec, e5Spec, e6Spec, e7Spec,
+	e8Spec, e9Spec, e10Spec, e11Spec, e12Spec, e13Spec,
 }
 
 // sortedKeys returns a map's keys in sorted order, for iteration whose
@@ -283,71 +235,27 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// sameParamShape reports whether two declarations of a shared parameter
-// agree on everything a single CLI flag must agree on.
-func sameParamShape(a, b Param) bool {
-	if a.Kind != b.Kind || a.DefaultInt != b.DefaultInt || a.Max != b.Max ||
-		a.Unit != b.Unit || a.Help != b.Help || len(a.DefaultList) != len(b.DefaultList) {
-		return false
-	}
-	for i := range a.DefaultList {
-		if a.DefaultList[i] != b.DefaultList[i] {
-			return false
+// Specs returns every experiment in id order (e2 before e10).
+func Specs() []Spec {
+	return append([]Spec(nil), specs...)
+}
+
+// Lookup returns the spec of experiment id.
+func Lookup(id string) (Spec, bool) {
+	for _, s := range specs {
+		if s.ID == id {
+			return s, true
 		}
 	}
-	return true
+	return Spec{}, false
 }
 
-// Specs returns every registered experiment in natural id order (e2 before
-// e10).
-func Specs() []Spec {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return specLess(out[i].ID, out[j].ID) })
-	return out
-}
-
-// Lookup returns the spec registered under id.
-func Lookup(id string) (Spec, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[id]
-	return s, ok
-}
-
-// specLess orders experiment ids by alphabetic prefix, then numeric suffix.
-func specLess(a, b string) bool {
-	pa, na := splitID(a)
-	pb, nb := splitID(b)
-	if pa != pb {
-		return pa < pb
-	}
-	if na != nb {
-		return na < nb
-	}
-	return a < b
-}
-
-// splitID separates an id's alphabetic prefix from its numeric suffix.
-func splitID(id string) (string, int) {
-	i := len(id)
-	for i > 0 && id[i-1] >= '0' && id[i-1] <= '9' {
-		i--
-	}
-	n, _ := strconv.Atoi(id[i:])
-	return id[:i], n
-}
-
-// FlagParams returns the union of every registered parameter, one entry per
-// name, in registry order — what a data-driven CLI binds its flags from.
+// FlagParams returns the union of every declared parameter, one entry per
+// name, in table order — what a data-driven CLI binds its flags from.
 func FlagParams() []Param {
 	seen := map[string]bool{}
 	var out []Param
-	for _, s := range Specs() {
+	for _, s := range specs {
 		for _, p := range s.Params {
 			if !seen[p.Name] {
 				seen[p.Name] = true
@@ -386,12 +294,12 @@ func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Resul
 	return res, nil
 }
 
-// RunAll runs every registered experiment at its defaults on this runner,
-// writing each one's header line and text tables to w. Experiments run one
-// after another; parallelism lives inside each, across its cells, so the
-// tables stream out in their canonical order.
+// RunAll runs every experiment at its defaults on this runner, writing each
+// one's header line and text tables to w. Experiments run one after
+// another; parallelism lives inside each, across its cells, so the tables
+// stream out in their canonical order.
 func (r *Runner) RunAll(w io.Writer) error {
-	for _, s := range Specs() {
+	for _, s := range specs {
 		res, err := r.RunExperiment(context.Background(), s.ID, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.ID, err)
@@ -403,15 +311,15 @@ func (r *Runner) RunAll(w io.Writer) error {
 	return nil
 }
 
-// RegistryMarkdown renders the registered experiments and their parameters
-// as the markdown table EXPERIMENTS.md embeds between its registry markers;
-// the docs test pins the embedded copy to this output so the documentation
-// can never drift from the registry.
+// RegistryMarkdown renders the experiments and their parameters as the
+// markdown table EXPERIMENTS.md embeds between its registry markers; the
+// docs test pins the embedded copy to this output so the documentation can
+// never drift from the registry.
 func RegistryMarkdown() string {
 	var b strings.Builder
 	b.WriteString("| id | experiment | parameters |\n")
 	b.WriteString("|----|------------|------------|\n")
-	for _, s := range Specs() {
+	for _, s := range specs {
 		var ps []string
 		for _, p := range s.Params {
 			unit := p.Unit

@@ -4,29 +4,27 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// TestRegistryHasAllExperiments pins the registry's contents and natural
-// ordering: all thirteen experiments, e2 before e10.
+// TestRegistryHasAllExperiments pins the experiment table's contents and
+// natural ordering: all thirteen experiments, e2 before e10.
 func TestRegistryHasAllExperiments(t *testing.T) {
 	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"}
 	specs := Specs()
 	if len(specs) != len(want) {
-		t.Fatalf("registry holds %d experiments, want %d", len(specs), len(want))
+		t.Fatalf("table holds %d experiments, want %d", len(specs), len(want))
 	}
 	for i, s := range specs {
 		if s.ID != want[i] {
 			t.Errorf("Specs()[%d] = %s, want %s", i, s.ID, want[i])
 		}
-		if s.Title == "" || s.Run == nil {
-			t.Errorf("%s: degenerate spec", s.ID)
-		}
 		if _, ok := Lookup(s.ID); !ok {
-			t.Errorf("Lookup(%s) missed a registered spec", s.ID)
+			t.Errorf("Lookup(%s) missed a declared spec", s.ID)
 		}
 	}
 	if _, ok := Lookup("e99"); ok {
@@ -34,8 +32,76 @@ func TestRegistryHasAllExperiments(t *testing.T) {
 	}
 }
 
+// checkSpecs returns the first declaration rule specs break. Each id is
+// declared once, with a title and a Run. Each parameter has a name, help
+// text, a unit and a positive Max, and its own Validate accepts its
+// default. A parameter name several experiments share is one CLI flag, so
+// its declarations must be identical.
+func checkSpecs(specs []Spec) error {
+	ids := map[string]bool{}
+	params := map[string]Param{}
+	for _, s := range specs {
+		if s.ID == "" || s.Title == "" || s.Run == nil {
+			return fmt.Errorf("spec %q: id, title and run are all required", s.ID)
+		}
+		if ids[s.ID] {
+			return fmt.Errorf("experiment %s is declared twice", s.ID)
+		}
+		ids[s.ID] = true
+		for _, p := range s.Params {
+			if p.Name == "" || p.Help == "" || p.Unit == "" || p.Max <= 0 {
+				return fmt.Errorf("%s: parameter %q needs a name, help, a unit and a positive Max", s.ID, p.Name)
+			}
+			if err := p.Validate(p.Default()); err != nil {
+				return fmt.Errorf("%s: default rejected: %w", s.ID, err)
+			}
+			if q, ok := params[p.Name]; ok && !reflect.DeepEqual(p, q) {
+				return fmt.Errorf("%s: parameter -%s is declared differently by another experiment", s.ID, p.Name)
+			}
+			params[p.Name] = p
+		}
+	}
+	return nil
+}
+
+// TestSpecsWellFormed holds the experiment table to every declaration
+// rule, and shows that checkSpecs refuses a table breaking each one.
+func TestSpecsWellFormed(t *testing.T) {
+	if err := checkSpecs(Specs()); err != nil {
+		t.Fatal(err)
+	}
+	run := func(*Runner, Params) (*Result, error) { return nil, nil }
+	n := Param{Name: "n", Kind: ParamInt, DefaultInt: 1, Max: 8, Unit: "ops", Help: "count"}
+	spec := func(id string, mutate func(*Param)) Spec {
+		p := n
+		mutate(&p)
+		return Spec{ID: id, Title: "t", Params: []Param{p}, Run: run}
+	}
+	same := func(*Param) {}
+	cases := []struct {
+		name  string
+		specs []Spec
+		want  string
+	}{
+		{"no run", []Spec{{ID: "x", Title: "t"}}, "run are all required"},
+		{"duplicate id", []Spec{spec("x", same), spec("x", same)}, "declared twice"},
+		{"unnamed parameter", []Spec{spec("x", func(p *Param) { p.Name = "" })}, "needs a name"},
+		{"no help", []Spec{spec("x", func(p *Param) { p.Help = "" })}, "needs a name"},
+		{"no unit", []Spec{spec("x", func(p *Param) { p.Unit = "" })}, "needs a name"},
+		{"no bound", []Spec{spec("x", func(p *Param) { p.Max = 0 })}, "positive Max"},
+		{"default above bound", []Spec{spec("x", func(p *Param) { p.DefaultInt = 9 })}, "default rejected"},
+		{"empty default list", []Spec{spec("x", func(p *Param) { p.Kind = ParamIntList })}, "default rejected"},
+		{"shared name differs", []Spec{spec("x", same), spec("y", func(p *Param) { p.Help = "other" })}, "declared differently"},
+	}
+	for _, c := range cases {
+		if err := checkSpecs(c.specs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestSharedValidatorRejectsNonPositive is the core half of the validation
-// property: every registered parameter's Validate — the one validator the
+// property: every declared parameter's Validate — the one validator the
 // CLI and Normalize share — rejects zero and negative values, and list
 // parameters reject empty lists and out-of-bound entries.
 func TestSharedValidatorRejectsNonPositive(t *testing.T) {
@@ -72,13 +138,10 @@ func TestSharedValidatorRejectsNonPositive(t *testing.T) {
 					}
 				}
 			}
-			if err := p.Validate(p.Default()); err != nil {
-				t.Errorf("%s -%s: default rejected: %v", s.ID, p.Name, err)
-			}
 		}
 	}
 	if checked == 0 {
-		t.Fatal("no parameters registered — property test is vacuous")
+		t.Fatal("no parameters declared — property test is vacuous")
 	}
 }
 
@@ -88,14 +151,14 @@ func TestSharedValidatorRejectsNonPositive(t *testing.T) {
 func TestSpecNormalize(t *testing.T) {
 	s, ok := Lookup("e11")
 	if !ok {
-		t.Fatal("e11 not registered")
+		t.Fatal("e11 not declared")
 	}
 	np, err := s.Normalize(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(np, s.Defaults()) {
-		t.Errorf("Normalize(nil) = %v, want the defaults %v", np, s.Defaults())
+	if want := (Params{"frames": 96, "rounds": 4, "dirty": 48}); !reflect.DeepEqual(np, want) {
+		t.Errorf("Normalize(nil) = %v, want the defaults %v", np, want)
 	}
 
 	in := Params{"frames": 32}
@@ -168,41 +231,6 @@ func TestRunExperimentHonorsContext(t *testing.T) {
 	}
 }
 
-// TestRegistryTextMatchesLegacyBuilders: the registry's entry point and the
-// typed-row API (Runner.En, rendered through the experiment's table builder)
-// must agree byte for byte — the in-package half of the byte-identity
-// guarantee the CLI golden files pin end to end.
-func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
-	r := NewRunner(1)
-
-	rows3, err := r.E3(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := r.RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res3.Text(), e3Table(rows3).String()+"\n"; got != want {
-		t.Errorf("e3 registry text diverged from the typed rows:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := res3.CSV(), e3Table(rows3).CSV(); got != want {
-		t.Errorf("e3 registry CSV diverged from the typed rows:\n%s\nvs\n%s", got, want)
-	}
-
-	rows12, err := r.E12([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res12, err := r.RunExperiment(context.Background(), "e12", Params{"cpus": []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res12.Text(), e12Table(rows12).String()+"\n"; got != want {
-		t.Errorf("e12 registry text diverged from the typed rows:\n%s\nvs\n%s", got, want)
-	}
-}
-
 // TestResultJSONRoundTrip is the acceptance check for the machine-readable
 // encoding: params, units and rows survive encoding/json intact, and the
 // encoding is stable across runs.
@@ -271,8 +299,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 
 // TestE11DefaultsIdenticalForCLIAndAPI pins the sweep E11 derives from its
 // parameters: at the declared defaults (96 pages, 4 rounds, 48 dirty
-// pages) the typed entry point runs dirty rates {0, 8, 48} x budgets
-// {0, 1, 4}, and renders exactly what the CLI's default flags render. A
+// pages) e11 runs dirty rates {0, 8, 48} x budgets {0, 1, 4}, and
+// renders exactly what the CLI's default flags render. A
 // peak dirty rate below 6 clamps the middle rate to one page.
 func TestE11DefaultsIdenticalForCLIAndAPI(t *testing.T) {
 	r := NewRunner(1)
@@ -287,13 +315,13 @@ func TestE11DefaultsIdenticalForCLIAndAPI(t *testing.T) {
 		}
 		return rates, budgets
 	}
-	rows, err := r.E11(96, 4, 48)
+	rows, err := r.e11(96, 4, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rates, budgets := sweep(rows); len(rows) != 9 ||
 		!reflect.DeepEqual(rates, []int{0, 8, 48}) || !reflect.DeepEqual(budgets, []int{0, 1, 4}) {
-		t.Errorf("E11(96, 4, 48): %d rows over rates %v x budgets %v, want 9 over {0, 8, 48} x {0, 1, 4}",
+		t.Errorf("e11(96, 4, 48): %d rows over rates %v x budgets %v, want 9 over {0, 8, 48} x {0, 1, 4}",
 			len(rows), rates, budgets)
 	}
 	res, err := r.RunExperiment(context.Background(), "e11", nil)
@@ -301,11 +329,11 @@ func TestE11DefaultsIdenticalForCLIAndAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := res.Text(), e11Table(rows).String()+"\n"; got != want {
-		t.Errorf("the CLI defaults and E11(96, 4, 48) diverge:\n%s\nvs\n%s", got, want)
+		t.Errorf("the CLI defaults and e11(96, 4, 48) diverge:\n%s\nvs\n%s", got, want)
 	}
 	// The clamp: a peak dirty rate below 6 still yields a positive middle
 	// rate.
-	rows, err = r.E11(8, 1, 4)
+	rows, err = r.e11(8, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,42 +342,35 @@ func TestE11DefaultsIdenticalForCLIAndAPI(t *testing.T) {
 	}
 }
 
-// TestTypedEntryPointsRefuseWhatTheRegistryRefuses: every typed entry
-// point that takes a parameter refuses a zero value, or an empty list,
-// with the registry's own usage error naming the flag. None of them falls
-// back to a default of its own.
+// TestTypedEntryPointsRefuseWhatTheRegistryRefuses: RunExperiment, each
+// experiment's one entry point, refuses a zero value, or an empty list,
+// for every parameter with the usage error naming the flag, before any
+// cell runs. No experiment falls back to a default of its own.
 func TestTypedEntryPointsRefuseWhatTheRegistryRefuses(t *testing.T) {
 	r := NewRunner(1)
-	errOf := func(_ any, err error) error { return err }
 	cases := []struct {
 		id, flag string
 		zero     any
-		call     func() error
 		want     string
 	}{
-		{"e1", "packets", 0, func() error { return errOf(r.E1(0)) }, "usage: -packets must be positive (got 0)"},
-		{"e3", "syscalls", 0, func() error { return errOf(r.E3(0)) }, "usage: -syscalls must be positive (got 0)"},
-		{"e4", "guests", 0, func() error { return errOf(r.E4(0)) }, "usage: -guests must be positive (got 0)"},
-		{"e7", "syscalls", 0, func() error { return errOf(r.E7(0)) }, "usage: -syscalls must be positive (got 0)"},
-		{"e8", "requests", 0, func() error { return errOf(r.E8(0)) }, "usage: -requests must be positive (got 0)"},
-		{"e10", "syscalls", 0, func() error { return errOf(r.E10(0)) }, "usage: -syscalls must be positive (got 0)"},
-		{"e11", "frames", 0, func() error { return errOf(r.E11(0, 4, 48)) }, "usage: -frames must be positive (got 0)"},
-		{"e11", "rounds", 0, func() error { return errOf(r.E11(96, 0, 48)) }, "usage: -rounds must be positive (got 0)"},
-		{"e11", "dirty", 0, func() error { return errOf(r.E11(96, 4, 0)) }, "usage: -dirty must be positive (got 0)"},
-		{"e12", "cpus", []int{}, func() error { return errOf(r.E12(nil)) }, "usage: -cpus needs at least one value"},
-		{"e13", "fleet", []int{}, func() error { return errOf(r.E13(nil, []int{24}, 192)) }, "usage: -fleet needs at least one value"},
-		{"e13", "churn", []int{}, func() error { return errOf(r.E13([]int{2}, nil, 192)) }, "usage: -churn needs at least one value"},
-		{"e13", "hostframes", 0, func() error { return errOf(r.E13([]int{2}, []int{24}, 0)) }, "usage: -hostframes must be positive (got 0)"},
+		{"e1", "packets", 0, "usage: -packets must be positive (got 0)"},
+		{"e3", "syscalls", 0, "usage: -syscalls must be positive (got 0)"},
+		{"e4", "guests", 0, "usage: -guests must be positive (got 0)"},
+		{"e7", "syscalls", 0, "usage: -syscalls must be positive (got 0)"},
+		{"e8", "requests", 0, "usage: -requests must be positive (got 0)"},
+		{"e10", "syscalls", 0, "usage: -syscalls must be positive (got 0)"},
+		{"e11", "frames", 0, "usage: -frames must be positive (got 0)"},
+		{"e11", "rounds", 0, "usage: -rounds must be positive (got 0)"},
+		{"e11", "dirty", 0, "usage: -dirty must be positive (got 0)"},
+		{"e12", "cpus", []int{}, "usage: -cpus needs at least one value"},
+		{"e13", "fleet", []int{}, "usage: -fleet needs at least one value"},
+		{"e13", "churn", []int{}, "usage: -churn needs at least one value"},
+		{"e13", "hostframes", 0, "usage: -hostframes must be positive (got 0)"},
 	}
 	for _, c := range cases {
-		err := c.call()
+		_, err := r.RunExperiment(context.Background(), c.id, Params{c.flag: c.zero})
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s with a zero -%s: err = %v, want %q", c.id, c.flag, err, c.want)
-			continue
-		}
-		spec, _ := Lookup(c.id)
-		if _, rerr := spec.Normalize(Params{c.flag: c.zero}); rerr == nil || rerr.Error() != err.Error() {
-			t.Errorf("%s with a zero -%s: entry point says %q, registry says %v", c.id, c.flag, err, rerr)
 		}
 	}
 }

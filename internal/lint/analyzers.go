@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		AnalyzerDetrand,
 		AnalyzerMaporder,
 		AnalyzerRegspec,
-		AnalyzerScenrow,
 		AnalyzerTracecomp,
 	}
 }

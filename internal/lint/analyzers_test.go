@@ -30,7 +30,3 @@ func TestBoundedgoFixture(t *testing.T) {
 func TestRegspecFixture(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/regspec/a", lint.AnalyzerRegspec)
 }
-
-func TestScenrowFixture(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/scenrow/a", lint.AnalyzerScenrow)
-}

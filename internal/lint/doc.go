@@ -19,10 +19,8 @@
 //     internal/core/runner.go, so stop-on-failure and the serial==parallel
 //     determinism guarantee hold; naked go statements are forbidden
 //     elsewhere.
-//   - regspec: the experiment registry conventions from the declarative
-//     registry refactor — every internal/core/eN_*.go registers exactly one
-//     core.Spec in init, every core.Param declares a unit and bounds, every
-//     result column schema is a compile-time constant.
+//   - regspec: every result column schema is a compile-time constant:
+//     core.Col's name and unit are string constants, never computed.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) but is self-contained: packages are loaded with

@@ -3,166 +3,30 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"path/filepath"
-	"regexp"
 )
 
-// AnalyzerRegspec enforces the declarative experiment-registry conventions:
-// every internal/core/eN_*.go file registers exactly one core.Spec from an
-// init function; every core.Param literal declares a non-empty Unit and Help
-// and a positive Max bound (with constant defaults inside those bounds); and
-// every Col(...) column schema is built from compile-time string constants,
+// AnalyzerRegspec enforces the result-schema convention: every Col(...)
+// column of a core.ResultTable is built from compile-time string constants,
 // so the machine-readable output schema can never depend on runtime state.
 var AnalyzerRegspec = &Analyzer{
 	Name: "regspec",
-	Doc: "registry conventions: one core.Spec registration per eN file " +
-		"(from init), units and bounds on every core.Param, constant " +
-		"column schemas via Col",
-	Run: runRegspec,
+	Doc:  "constant column schemas: core.Col's name and unit are string constants",
+	Run:  runRegspec,
 }
-
-// experimentFile matches the per-experiment source files the registry
-// convention applies to (e1_dom0.go, e12_smp.go, ...).
-var experimentFile = regexp.MustCompile(`^e[0-9]+_.+\.go$`)
 
 const corePath = "vmmk/internal/core"
 
 func runRegspec(pass *Pass) error {
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if experimentFile.MatchString(base) {
-			checkExperimentFile(pass, f, base)
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if isNamedType(pass.TypeOf(n), corePath, "Param") {
-					checkParamLit(pass, n)
-				}
-			case *ast.CallExpr:
-				if fn := calleeFunc(pass.Info, n); isPkgFunc(fn, corePath, "Col") && len(n.Args) == 2 {
-					checkColCall(pass, n)
-				}
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 2 &&
+				isPkgFunc(calleeFunc(pass.Info, call), corePath, "Col") {
+				checkColCall(pass, call)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkExperimentFile enforces the one-registration-per-file shape: exactly
-// one core.Register call, lexically inside an init function, with an inline
-// Spec literal whose ID, Title and Run are all present.
-func checkExperimentFile(pass *Pass, f *ast.File, base string) {
-	type regCall struct {
-		call   *ast.CallExpr
-		inInit bool
-	}
-	var regs []regCall
-	for _, decl := range f.Decls {
-		fd, isFunc := decl.(*ast.FuncDecl)
-		inInit := isFunc && fd.Recv == nil && fd.Name.Name == "init"
-		ast.Inspect(decl, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calleeFunc(pass.Info, call); isPkgFunc(fn, corePath, "Register") {
-				regs = append(regs, regCall{call, inInit})
-			}
-			return true
-		})
-	}
-	switch len(regs) {
-	case 0:
-		pass.Reportf(f.Pos(), "experiment file %s registers no core.Spec; every eN_*.go must call Register exactly once from init", base)
-		return
-	case 1:
-	default:
-		pass.Reportf(regs[1].call.Pos(), "experiment file %s registers %d core.Specs; every eN_*.go must call Register exactly once from init", base, len(regs))
-	}
-	for _, r := range regs {
-		if !r.inInit {
-			pass.Reportf(r.call.Pos(), "core.Register call outside init; experiments self-register at package init so the CLI and the sweep see one consistent registry")
-		}
-		checkSpecArg(pass, r.call)
-	}
-}
-
-// checkSpecArg validates the inline Spec literal of a Register call.
-func checkSpecArg(pass *Pass, call *ast.CallExpr) {
-	if len(call.Args) != 1 {
-		return
-	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit)
-	if !ok || !isNamedType(pass.TypeOf(lit), corePath, "Spec") {
-		pass.Reportf(call.Args[0].Pos(), "Register wants an inline core.Spec literal so the registration is statically auditable")
-		return
-	}
-	fields := keyedFields(lit)
-	for _, name := range []string{"ID", "Title"} {
-		v, present := fields[name]
-		if !present {
-			pass.Reportf(lit.Pos(), "core.Spec literal is missing %s", name)
-			continue
-		}
-		if s, isConst := constString(pass, v); !isConst || s == "" {
-			pass.Reportf(v.Pos(), "core.Spec %s must be a non-empty string constant", name)
-		}
-	}
-	if _, present := fields["Run"]; !present {
-		pass.Reportf(lit.Pos(), "core.Spec literal is missing Run")
-	}
-}
-
-// checkParamLit validates one core.Param composite literal: named, helped,
-// united and bounded, with constant defaults inside the bounds.
-func checkParamLit(pass *Pass, lit *ast.CompositeLit) {
-	if len(lit.Elts) == 0 {
-		return // the zero Param is a not-found sentinel, not a declaration
-	}
-	if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
-		pass.Reportf(lit.Pos(), "core.Param literal must use keyed fields so the declaration is auditable")
-		return
-	}
-	fields := keyedFields(lit)
-	for _, name := range []string{"Name", "Help", "Unit"} {
-		v, present := fields[name]
-		if !present {
-			pass.Reportf(lit.Pos(), "core.Param literal is missing %s; every parameter declares its flag name, help text and unit", name)
-			continue
-		}
-		if s, isConst := constString(pass, v); isConst && s == "" {
-			pass.Reportf(v.Pos(), "core.Param %s must not be empty", name)
-		}
-	}
-	maxExpr, present := fields["Max"]
-	if !present {
-		pass.Reportf(lit.Pos(), "core.Param literal is missing Max; every parameter declares an explicit upper bound (pick a generous one rather than none)")
-		return
-	}
-	max, maxConst := constInt(pass, maxExpr)
-	if maxConst && max <= 0 {
-		pass.Reportf(maxExpr.Pos(), "core.Param Max must be positive (got %d)", max)
-		return
-	}
-	if !maxConst {
-		return
-	}
-	if d, ok := fields["DefaultInt"]; ok {
-		if v, isConst := constInt(pass, d); isConst && (v < 1 || v > max) {
-			pass.Reportf(d.Pos(), "core.Param DefaultInt %d is outside [1, Max=%d]", v, max)
-		}
-	}
-	if d, ok := fields["DefaultList"]; ok {
-		if dl, isLit := ast.Unparen(d).(*ast.CompositeLit); isLit {
-			for _, e := range dl.Elts {
-				if v, isConst := constInt(pass, e); isConst && (v < 1 || v > max) {
-					pass.Reportf(e.Pos(), "core.Param DefaultList entry %d is outside [1, Max=%d]", v, max)
-				}
-			}
-		}
-	}
 }
 
 // checkColCall requires Col's name and unit to be compile-time string
@@ -180,21 +44,6 @@ func checkColCall(pass *Pass, call *ast.CallExpr) {
 	}
 }
 
-// keyedFields maps a composite literal's keyed field names to their values.
-func keyedFields(lit *ast.CompositeLit) map[string]ast.Expr {
-	out := map[string]ast.Expr{}
-	for _, e := range lit.Elts {
-		kv, ok := e.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); ok {
-			out[id.Name] = kv.Value
-		}
-	}
-	return out
-}
-
 // constString evaluates e as a compile-time string constant.
 func constString(pass *Pass, e ast.Expr) (string, bool) {
 	tv, ok := pass.Info.Types[e]
@@ -202,17 +51,4 @@ func constString(pass *Pass, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	return constant.StringVal(tv.Value), true
-}
-
-// constInt evaluates e as a compile-time integer constant.
-func constInt(pass *Pass, e ast.Expr) (int64, bool) {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
-	if !exact {
-		return 0, false
-	}
-	return v, true
 }

@@ -64,9 +64,7 @@ type OSServer struct {
 	Space  *mk.Space
 	Thread *mk.Thread
 
-	procs   map[PID]*Proc
-	byTID   map[mk.ThreadID]*Proc
-	nextPID PID
+	procs []*Proc // PID n at index n-1; processes are never removed
 
 	Net *NetClient
 	Blk *BlkClient
@@ -90,9 +88,6 @@ func NewOSServer(k *mk.Kernel, name string) (*OSServer, error) {
 	os := &OSServer{
 		K:           k,
 		Space:       sp,
-		procs:       make(map[PID]*Proc),
-		byTID:       make(map[mk.ThreadID]*Proc),
-		nextPID:     1,
 		pagerWindow: 0x9000,
 	}
 	os.Thread = k.NewThread(sp, name, 5, os.handle)
@@ -115,10 +110,8 @@ func (os *OSServer) Spawn(name string) (*Proc, error) {
 			return nil, err
 		}
 	}
-	p := &Proc{PID: os.nextPID, Name: name, Thread: t, Space: sp}
-	os.nextPID++
-	os.procs[p.PID] = p
-	os.byTID[t.ID] = p
+	p := &Proc{PID: PID(len(os.procs) + 1), Name: name, Thread: t, Space: sp}
+	os.procs = append(os.procs, p)
 	os.K.M.CPU.Work(os.Comp(), 500)
 	return p, nil
 }
@@ -132,11 +125,9 @@ func (os *OSServer) Pin(cpu int) error {
 	if err := os.K.SetAffinity(os.Thread.ID, cpu); err != nil {
 		return err
 	}
-	for pid := PID(1); pid < os.nextPID; pid++ {
-		if p := os.procs[pid]; p != nil {
-			if err := os.K.SetAffinity(p.Thread.ID, cpu); err != nil {
-				return err
-			}
+	for _, p := range os.procs {
+		if err := os.K.SetAffinity(p.Thread.ID, cpu); err != nil {
+			return err
 		}
 	}
 	os.homeCPU = cpu
@@ -155,14 +146,30 @@ func (os *OSServer) zeroBuf(n int) []byte {
 }
 
 // Proc returns the process for pid, or nil.
-func (os *OSServer) Proc(pid PID) *Proc { return os.procs[pid] }
+func (os *OSServer) Proc(pid PID) *Proc {
+	if pid == 0 || int(pid) > len(os.procs) {
+		return nil
+	}
+	return os.procs[pid-1]
+}
+
+// byTID returns the process whose thread is tid, or nil. A server runs
+// one or two processes, so a scan beats an index.
+func (os *OSServer) byTID(tid mk.ThreadID) *Proc {
+	for _, p := range os.procs {
+		if p.Thread.ID == tid {
+			return p
+		}
+	}
+	return nil
+}
 
 // Syscall issues a system call from process pid: one IPC call to the OS
 // server — the L4Linux structure the paper's §3.2 equates with Xen's
 // bounced syscalls. The returned words are the process thread's reply
 // registers, valid until that thread's next IPC.
 func (os *OSServer) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
-	p := os.procs[pid]
+	p := os.Proc(pid)
 	if p == nil {
 		return nil, ErrNoSuchProcess
 	}
@@ -249,7 +256,7 @@ func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (m
 			return mk.Msg{}, ErrBadRequest
 		}
 	}
-	p := os.byTID[from]
+	p := os.byTID(from)
 	switch no {
 	case SysGetPID:
 		if p == nil {

@@ -8,7 +8,9 @@
 // armed run must return (matched with errors.Is), an expected panic (for
 // hw-contract violations, which panic by design), and/or a post-mortem
 // state predicate run after the fault (trace invariants, ledger
-// consistency, filesystem bitmap/inode agreement).
+// consistency, filesystem bitmap/inode agreement). Each layer declares its
+// rows in one literal table (rows_<subsystem>.go), and the matrix is the
+// seven tables sorted by id.
 //
 // The harness asserts every row both ways: once armed (the fault fires and
 // the outcome must match) and once disarmed (the same Run with injection

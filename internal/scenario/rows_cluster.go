@@ -53,8 +53,9 @@ func clusterStillPlaces(c *cluster.Cluster) error {
 	return nil
 }
 
-func init() {
-	Register(S{
+// clusterRows is the cluster layer's share of the matrix.
+var clusterRows = []S{
+	{
 		ID:        "cluster/admission-no-host-fits",
 		Subsystem: "cluster",
 		Fault:     "guest demands more pages than any host's whole capacity",
@@ -87,9 +88,9 @@ func init() {
 			_, err = c.Place("greedy", nominal)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "cluster/double-place",
 		Subsystem: "cluster",
 		Fault:     "the same guest name placed a second time",
@@ -132,9 +133,9 @@ func init() {
 			_, err = c.Place(name, 16)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "cluster/migration-dead-link",
 		Subsystem: "cluster",
 		Fault:     "cross-host migration over a link whose budget cannot carry the guest",
@@ -195,9 +196,9 @@ func init() {
 			_, err = c.MigrateGuest("mover", dst)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "cluster/link-cost-accounting",
 		Subsystem: "cluster",
 		Fault:     "migration link priced at 50x the control leg's bandwidth and latency",
@@ -255,5 +256,5 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 }

@@ -58,8 +58,9 @@ func fsCheckIntact(env *Env) error {
 	return nil
 }
 
-func init() {
-	Register(S{
+// fsliteRows is the fslite layer's share of the matrix.
+var fsliteRows = []S{
+	{
 		ID:        "fslite/write-device-error-midfile",
 		Subsystem: "fslite",
 		Fault:     "block device dies on the 2nd write of a 3-block file rewrite",
@@ -86,9 +87,9 @@ func init() {
 			}
 			return fs.WriteFile("f", st.fresh)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "fslite/write-torn-multiblock",
 		Subsystem: "fslite",
 		Fault:     "torn write: the 3rd block of a rewrite lands half-written, then the device errors",
@@ -143,9 +144,9 @@ func init() {
 			}
 			return fs.WriteFile("f", st.fresh)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "fslite/write-no-space-midfile",
 		Subsystem: "fslite",
 		Fault:     "file data exceeds the blocks left on a nearly full disk",
@@ -204,9 +205,9 @@ func init() {
 			}
 			return fs.WriteFile("b", fsFill('b', blocks))
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "fslite/sync-torn-metadata",
 		Subsystem: "fslite",
 		Fault:     "device dies on the superblock write of the commit Sync",
@@ -258,9 +259,9 @@ func init() {
 			}
 			return fs.WriteFile("f", st.fresh)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "fslite/read-device-error",
 		Subsystem: "fslite",
 		Fault:     "block device dies before a file read",
@@ -295,9 +296,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "fslite/mount-corrupt-superblock",
 		Subsystem: "fslite",
 		Fault:     "superblock overwritten with garbage before mount",
@@ -337,5 +338,5 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 }

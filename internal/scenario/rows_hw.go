@@ -22,8 +22,9 @@ type hwState struct {
 	comps []dev.DiskCompletion
 }
 
-func init() {
-	Register(S{
+// hwRows is the hw layer's share of the matrix.
+var hwRows = []S{
+	{
 		ID:        "hw/ipi-nonexistent-cpu",
 		Subsystem: "hw",
 		Fault:     "IPI aimed at CPU 9 of a 4-CPU machine",
@@ -50,9 +51,9 @@ func init() {
 			env.M.SendIPI(0, to)
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "hw/shootdown-nonexistent-cpu",
 		Subsystem: "hw",
 		Fault:     "TLB shootdown targeting CPU 9 of a 4-CPU machine",
@@ -69,9 +70,9 @@ func init() {
 			env.M.ShootdownAll(0, []int{target})
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "hw/alloc-beyond-physmem",
 		Subsystem: "hw",
 		Fault:     "frame allocation asks for one frame more than physical memory holds",
@@ -100,9 +101,9 @@ func init() {
 			_, err := env.M.Mem.AllocN(env.M.Rec.Intern("scenario"), n)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "hw/disk-request-beyond-capacity",
 		Subsystem: "hw",
 		Fault:     "disk read submitted for a block past the device's last block",
@@ -138,9 +139,9 @@ func init() {
 			env.State = &hwState{comps: disk.Reap()}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "hw/ipi-storm-smp",
 		Subsystem: "hw",
 		Fault:     "100k back-to-back cross-CPU IPIs around a 4-CPU ring",
@@ -170,5 +171,5 @@ func init() {
 			env.State = &hwState{want: per * uint64(ncpu)}
 			return nil
 		},
-	})
+	},
 }

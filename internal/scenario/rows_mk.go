@@ -50,8 +50,9 @@ func mkKernelStillWorks(k *mk.Kernel) error {
 	return nil
 }
 
-func init() {
-	Register(S{
+// mkRows is the mk layer's share of the matrix.
+var mkRows = []S{
+	{
 		ID:        "mk/ipc-dead-partner",
 		Subsystem: "mk",
 		Fault:     "server thread killed before the client's call",
@@ -87,9 +88,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mk/ipc-oversized-payload",
 		Subsystem: "mk",
 		Fault:     "string transfer one byte over the 1 MiB IPC limit",
@@ -122,9 +123,9 @@ func init() {
 			_, err = k.Call(cl.ID, srv.ID, mk.Msg{Data: payload})
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mk/call-chain-overflow",
 		Subsystem: "mk",
 		Fault:     "two servers forward a call back and forth 40 levels deep",
@@ -162,9 +163,9 @@ func init() {
 			_, err = k.Call(cl.ID, ta.ID, mk.Msg{Words: []uint64{depth}})
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mk/page-fault-pager-dead",
 		Subsystem: "mk",
 		Fault:     "external pager killed before its client faults",
@@ -216,9 +217,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mk/map-rights-amplification",
 		Subsystem: "mk",
 		Fault:     "map item tries to delegate read-write from a read-only mapping",
@@ -263,9 +264,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mk/exception-unhandled",
 		Subsystem: "mk",
 		Fault:     "thread raises an exception with no exception handler registered",
@@ -311,5 +312,5 @@ func init() {
 			env.State = &mkState{k: k, victim: victim.ID, resumed: resumed}
 			return nil
 		},
-	})
+	},
 }

@@ -37,8 +37,9 @@ func mkosBlkRig(env *Env) (*mkosState, error) {
 	return &mkosState{k: k, drv: drv, client: cl.ID}, nil
 }
 
-func init() {
-	Register(S{
+// mkosRows is the mkos layer's share of the matrix.
+var mkosRows = []S{
+	{
 		ID:        "mkos/blk-read-beyond-partition",
 		Subsystem: "mkos",
 		Fault:     "block read at offset 100 of a 64-block partition (disk itself is larger)",
@@ -70,9 +71,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mkos/blk-request-without-partition",
 		Subsystem: "mkos",
 		Fault:     "block request from a thread that was never granted a partition",
@@ -99,9 +100,9 @@ func init() {
 				mk.Msg{Label: mkos.LabelBlkRead, Words: []uint64{1}})
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mkos/blk-driver-killed-mid-service",
 		Subsystem: "mkos",
 		Fault:     "disk driver thread killed between client requests",
@@ -133,9 +134,9 @@ func init() {
 			_, err = bc.Read(3)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mkos/blk-malformed-request",
 		Subsystem: "mkos",
 		Fault:     "block request IPC with no block number word",
@@ -166,9 +167,9 @@ func init() {
 				mk.Msg{Label: mkos.LabelBlkRead, Words: words})
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "mkos/syscall-unknown-process",
 		Subsystem: "mkos",
 		Fault:     "syscall issued with a PID the OS server never spawned",
@@ -199,5 +200,5 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 }

@@ -46,8 +46,9 @@ func vmmStillWorks(h *vmm.Hypervisor) error {
 	return nil
 }
 
-func init() {
-	Register(S{
+// vmmRows is the vmm layer's share of the matrix.
+var vmmRows = []S{
+	{
 		ID:        "vmm/hypercall-dead-domain",
 		Subsystem: "vmm",
 		Fault:     "hypercall issued by a destroyed domain",
@@ -75,9 +76,9 @@ func init() {
 			}
 			return h.Hypercall(d.ID, "probe", 100)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/hypercall-unknown-domain",
 		Subsystem: "vmm",
 		Fault:     "hypercall names a domain id that was never created",
@@ -100,9 +101,9 @@ func init() {
 			}
 			return h.Hypercall(target, "probe", 100)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/grant-revoked-while-mapped",
 		Subsystem: "vmm",
 		Fault:     "owner revokes a grant the peer still has mapped, then the peer copies",
@@ -146,9 +147,9 @@ func init() {
 			}
 			return copyErr
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/grant-dangling-after-flip",
 		Subsystem: "vmm",
 		Fault:     "second grant of a frame used after the first was page-flipped away",
@@ -186,9 +187,9 @@ func init() {
 			}
 			return h.GrantMap(db.ID, da.ID, ref2, 0x40)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/stale-port-after-rebind",
 		Subsystem: "vmm",
 		Fault:     "peer destroyed, channel slot rebound to a new domain, old port reused",
@@ -228,9 +229,9 @@ func init() {
 			}
 			return h.NotifyChannel(da.ID, pa)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/notify-after-peer-destroyed",
 		Subsystem: "vmm",
 		Fault:     "event-channel notify after the peer domain was destroyed",
@@ -266,9 +267,9 @@ func init() {
 			}
 			return h.NotifyChannel(da.ID, pa)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/balloon-in-exhausted",
 		Subsystem: "vmm",
 		Fault:     "balloon-in demands more frames than the machine has free",
@@ -309,9 +310,9 @@ func init() {
 			_, err = h.BalloonIn(d.ID, n)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/mmu-map-beyond-p2m",
 		Subsystem: "vmm",
 		Fault:     "MMU update maps a guest page number past the domain's P2M",
@@ -334,9 +335,9 @@ func init() {
 			}
 			return h.MMUUpdate(d.ID, 0xA00, gpn, hw.PermRW, true)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/save-running-domain",
 		Subsystem: "vmm",
 		Fault:     "checkpoint attempted without pausing the domain first",
@@ -361,9 +362,9 @@ func init() {
 			_, err = h.SaveDomain(d.ID)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/dirty-log-double-enable",
 		Subsystem: "vmm",
 		Fault:     "dirty logging enabled twice without an intervening disable",
@@ -389,9 +390,9 @@ func init() {
 			_, err = h.EnableDirtyLog(d.ID)
 			return err
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/place-vcpus-bad-pcpu",
 		Subsystem: "vmm",
 		Fault:     "vCPU placement names a physical CPU the machine does not have",
@@ -415,9 +416,9 @@ func init() {
 			}
 			return h.PlaceVCPUs(d.ID, pcpu)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/hypercall-fuzz-storm",
 		Subsystem: "vmm",
 		Fault:     "300 malformed hypercalls: bogus domains, wild grant refs, ports, GPNs, pCPUs",
@@ -450,9 +451,9 @@ func init() {
 			}
 			return FuzzHypercalls(h, d.ID, 300, 0x5EEDBEEF)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/migration-source-dies-midcopy",
 		Subsystem: "vmm",
 		Fault:     "source domain destroyed during pre-copy round 2 of a live migration",
@@ -518,9 +519,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/migration-link-exhausted",
 		Subsystem: "vmm",
 		Fault:     "migration link drops after carrying 16 pages of a 48-page guest",
@@ -586,9 +587,9 @@ func init() {
 			}
 			return dst.Unpause(mig.ID)
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/dirty-log-fault-accounting",
 		Subsystem: "vmm",
 		Fault:     "dirty logging armed across repeated stores to 6 guest pages",
@@ -636,9 +637,9 @@ func init() {
 			env.State = &vmmState{dirtyFaults: env.M.Rec.Counts(trace.KDirtyLogFault) - before}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmm/migration-abort-cost",
 		Subsystem: "vmm",
 		Fault:     "link budget below the first pre-copy batch; the completed control run is the baseline",
@@ -687,5 +688,5 @@ func init() {
 			}
 			return dst.Unpause(mig.ID)
 		},
-	})
+	},
 }

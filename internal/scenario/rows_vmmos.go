@@ -45,8 +45,9 @@ func vmmosRig(env *Env) (*vmm.Hypervisor, *vmmos.DriverDomain, *vmmos.GuestKerne
 	return h, dd, gk, nil
 }
 
-func init() {
-	Register(S{
+// vmmosRows is the vmmos layer's share of the matrix.
+var vmmosRows = []S{
+	{
 		ID:        "vmmos/blk-backend-destroyed",
 		Subsystem: "vmmos",
 		Fault:     "dom0 destroyed while the guest's block frontend is connected",
@@ -90,9 +91,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmmos/fs-without-block-frontend",
 		Subsystem: "vmmos",
 		Fault:     "guest mounts a filesystem with no block frontend connected",
@@ -127,9 +128,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmmos/syscall-unknown-process",
 		Subsystem: "vmmos",
 		Fault:     "guest syscall issued with a PID the guest kernel never spawned",
@@ -162,9 +163,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmmos/net-send-without-frontend",
 		Subsystem: "vmmos",
 		Fault:     "guest process sends on the network with no net frontend connected",
@@ -204,9 +205,9 @@ func init() {
 			env.State = &vmmosState{h: h, domU: gk.Dom.ID, ret: ret}
 			return nil
 		},
-	})
+	},
 
-	Register(S{
+	{
 		ID:        "vmmos/parallax-snapshot-unattached",
 		Subsystem: "vmmos",
 		Fault:     "snapshot requested for a domain with no attached virtual disk",
@@ -236,5 +237,5 @@ func init() {
 			_, err = px.Snapshot(gk.Dom.ID)
 			return err
 		},
-	})
+	},
 }

@@ -1,8 +1,7 @@
 package scenario
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"vmmk/internal/hw"
@@ -17,8 +16,7 @@ var Subsystems = []string{"cluster", "fslite", "hw", "mk", "mkos", "vmm", "vmmos
 // sentinel error, an expected panic, a post-mortem state predicate, and/or
 // a cross-leg comparison. Desc is the short human-readable label the
 // listings and result tables show. At least one of Err, Panic, Check or
-// Compare must be set (enforced at registration and statically by
-// vmmklint's scenrow analyzer).
+// Compare must be set (TestRowsWellFormed enforces it).
 type Outcome struct {
 	// Desc is the short label for the expected outcome ("ErrGrantRevoked",
 	// "panic: CPU index out of range", "bitmap consistent, old data intact").
@@ -105,52 +103,21 @@ func (e *Env) release() {
 // DefaultConfig is the machine shape rows get when they declare no Cfg.
 var DefaultConfig = &hw.MachineConfig{Frames: 1024}
 
-// registry holds the matrix rows, kept sorted by ID.
-var registry []S
-
-// Register adds one row to the matrix (called from the rows_*.go init
-// functions). Malformed or duplicate rows panic at init: the matrix is
-// declarative and must be wholly well-formed before anything runs.
-func Register(s S) {
-	if s.ID == "" || s.Subsystem == "" || s.Fault == "" {
-		panic(fmt.Sprintf("scenario: row %+v missing id, subsystem or fault", s))
-	}
-	if !strings.HasPrefix(s.ID, s.Subsystem+"/") {
-		panic(fmt.Sprintf("scenario: id %q must start with %q", s.ID, s.Subsystem+"/"))
-	}
-	known := false
-	for _, sub := range Subsystems {
-		if s.Subsystem == sub {
-			known = true
-		}
-	}
-	if !known {
-		panic(fmt.Sprintf("scenario: %s names unknown subsystem %q", s.ID, s.Subsystem))
-	}
-	if s.Expect.Desc == "" || (s.Expect.Err == nil && s.Expect.Panic == "" &&
-		s.Expect.Check == nil && s.Expect.Compare == nil) {
-		panic(fmt.Sprintf("scenario: %s declares no expected outcome", s.ID))
-	}
-	if s.Run == nil {
-		panic(fmt.Sprintf("scenario: %s has no Run", s.ID))
-	}
-	for _, r := range registry {
-		if r.ID == s.ID {
-			panic(fmt.Sprintf("scenario: duplicate id %q", s.ID))
-		}
-	}
-	registry = append(registry, s)
-	sort.Slice(registry, func(i, j int) bool { return registry[i].ID < registry[j].ID })
-}
+// matrix holds every layer's rows, sorted by ID.
+var matrix = func() []S {
+	rows := slices.Concat(clusterRows, fsliteRows, hwRows, mkRows, mkosRows, vmmRows, vmmosRows)
+	slices.SortFunc(rows, func(a, b S) int { return strings.Compare(a.ID, b.ID) })
+	return rows
+}()
 
 // Rows returns the full matrix, sorted by ID.
 func Rows() []S {
-	return append([]S(nil), registry...)
+	return slices.Clone(matrix)
 }
 
 // Lookup returns the row with the given id.
 func Lookup(id string) (S, bool) {
-	for _, s := range registry {
+	for _, s := range matrix {
 		if s.ID == id {
 			return s, true
 		}
@@ -164,11 +131,10 @@ func Lookup(id string) (S, bool) {
 // point is to prove no row depends on its neighbours' pool residue, not to
 // add nondeterminism.
 func ShuffledIDs(seed uint64) []string {
-	rows := Rows()
-	perm := simrand.New(seed).Perm(len(rows))
-	ids := make([]string, len(rows))
+	perm := simrand.New(seed).Perm(len(matrix))
+	ids := make([]string, len(matrix))
 	for i, j := range perm {
-		ids[i] = rows[j].ID
+		ids[i] = matrix[j].ID
 	}
 	return ids
 }

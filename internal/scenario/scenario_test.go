@@ -1,31 +1,60 @@
 package scenario
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// mustPanic runs fn and returns the panic message, failing the test if fn
-// returns normally.
-func mustPanic(t *testing.T, fn func()) string {
-	t.Helper()
-	var msg string
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = r.(string)
-			}
-		}()
-		fn()
-		t.Fatal("expected panic, got normal return")
-	}()
-	return msg
+// checkRows returns the first declaration rule rows break. Every row
+// names its id, subsystem and injected fault; its subsystem is one of
+// Subsystems and prefixes its id; it declares an expected outcome with a
+// Desc and at least one of Err, Panic, Check or Compare; it has a Run; and
+// no two rows share an id.
+func checkRows(rows []S) error {
+	seen := map[string]bool{}
+	for _, s := range rows {
+		if s.ID == "" || s.Subsystem == "" || s.Fault == "" {
+			return fmt.Errorf("row %+v missing id, subsystem or fault", s)
+		}
+		if !strings.HasPrefix(s.ID, s.Subsystem+"/") {
+			return fmt.Errorf("id %q must start with %q", s.ID, s.Subsystem+"/")
+		}
+		if !slices.Contains(Subsystems, s.Subsystem) {
+			return fmt.Errorf("%s names unknown subsystem %q", s.ID, s.Subsystem)
+		}
+		if s.Expect.Desc == "" || (s.Expect.Err == nil && s.Expect.Panic == "" &&
+			s.Expect.Check == nil && s.Expect.Compare == nil) {
+			return fmt.Errorf("%s declares no expected outcome", s.ID)
+		}
+		if s.Run == nil {
+			return fmt.Errorf("%s has no Run", s.ID)
+		}
+		if seen[s.ID] {
+			return fmt.Errorf("duplicate id %q", s.ID)
+		}
+		seen[s.ID] = true
+	}
+	return nil
 }
 
-// validRow is a well-formed fixture the rejection tests mutate. Its ID
-// collides with a registered row on purpose, so even a test bug that
-// reaches the duplicate check cannot pollute the registry.
+// TestRowsWellFormed holds the whole matrix to checkRows, and requires
+// every subsystem to contribute at least one row.
+func TestRowsWellFormed(t *testing.T) {
+	rows := Rows()
+	if err := checkRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range Subsystems {
+		if !slices.ContainsFunc(rows, func(s S) bool { return s.Subsystem == sub }) {
+			t.Errorf("subsystem %s has no rows", sub)
+		}
+	}
+}
+
+// validRow is a well-formed fixture the rejection tests mutate.
 func validRow() S {
 	return S{
 		ID: "hw/alloc-beyond-physmem", Subsystem: "hw", Fault: "fixture",
@@ -34,8 +63,9 @@ func validRow() S {
 	}
 }
 
-// TestRegisterRejectsMalformed pins every registration invariant: the
-// matrix must be wholly well-formed before anything runs.
+// TestRegisterRejectsMalformed shows that checkRows, the declaration check
+// TestRowsWellFormed applies to the matrix, refuses a row breaking each
+// rule.
 func TestRegisterRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -55,9 +85,11 @@ func TestRegisterRejectsMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validRow()
 			tc.mutate(&s)
-			msg := mustPanic(t, func() { Register(s) })
-			if !strings.Contains(msg, tc.want) {
-				t.Errorf("panic %q, want substring %q", msg, tc.want)
+			// The fixture's id is the matrix's own, so an unmutated row
+			// collides with it.
+			err := checkRows(append(Rows(), s))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
@@ -73,11 +105,11 @@ func TestRowsSortedAndCopied(t *testing.T) {
 	first := rows[0].ID
 	rows[0].ID = "mutated"
 	if Rows()[0].ID != first {
-		t.Error("mutating Rows() result leaked into the registry")
+		t.Error("mutating Rows() result leaked into the matrix")
 	}
 }
 
-// TestLookup finds every registered row and nothing else.
+// TestLookup finds every declared row and nothing else.
 func TestLookup(t *testing.T) {
 	for _, s := range Rows() {
 		got, ok := Lookup(s.ID)
@@ -86,7 +118,7 @@ func TestLookup(t *testing.T) {
 		}
 	}
 	if _, ok := Lookup("hw/absent"); ok {
-		t.Error("Lookup found a row that was never registered")
+		t.Error("Lookup found a row that was never declared")
 	}
 }
 

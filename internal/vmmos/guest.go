@@ -47,8 +47,7 @@ type GuestKernel struct {
 	H   *vmm.Hypervisor
 	Dom *vmm.Domain
 
-	procs   map[PID]*Process
-	nextPID PID
+	procs []*Process // PID n at index n-1; processes are never removed
 
 	Net *NetFront
 	Blk *BlkFront
@@ -81,8 +80,6 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 	gk := &GuestKernel{
 		H:          h,
 		Dom:        dom,
-		procs:      make(map[PID]*Process),
-		nextPID:    1,
 		ExtraEvent: make(map[vmm.Port]func()),
 	}
 	dom.SetHooks(vmm.GuestHooks{
@@ -112,21 +109,25 @@ func (gk *GuestKernel) Place(pcpus ...int) error {
 
 // Spawn creates a guest process.
 func (gk *GuestKernel) Spawn(name string) *Process {
-	p := &Process{PID: gk.nextPID, Name: name}
-	gk.nextPID++
-	gk.procs[p.PID] = p
+	p := &Process{PID: PID(len(gk.procs) + 1), Name: name}
+	gk.procs = append(gk.procs, p)
 	gk.H.M.CPU.Work(gk.Comp(), 500) // fork+exec stand-in
 	return p
 }
 
 // Process returns the process for pid, or nil.
-func (gk *GuestKernel) Process(pid PID) *Process { return gk.procs[pid] }
+func (gk *GuestKernel) Process(pid PID) *Process {
+	if pid == 0 || int(pid) > len(gk.procs) {
+		return nil
+	}
+	return gk.procs[pid-1]
+}
 
 // Syscall issues a system call from process pid through the hypervisor's
 // guest-syscall path (fast or bounced, whichever is live). The returned
 // words are valid until the kernel's next system call.
 func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
-	if gk.procs[pid] == nil {
+	if gk.Process(pid) == nil {
 		return nil, ErrNoSuchProcess
 	}
 	// Reused scratch: GuestSyscall consumes args synchronously (the hook
@@ -188,7 +189,7 @@ func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 		if !ok {
 			return gk.errno(0)
 		}
-		if p := gk.procs[pid]; p != nil {
+		if p := gk.Process(pid); p != nil {
 			p.rxDelivered++
 		}
 		return gk.errno(uint64(n))

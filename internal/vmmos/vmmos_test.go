@@ -81,10 +81,17 @@ func TestSyscallUnknownIsENOSYS(t *testing.T) {
 	}
 }
 
+// TestSyscallBadProcess: PID 0, the PID one past the last spawned and a
+// far one name no process.
 func TestSyscallBadProcess(t *testing.T) {
 	s := newStack(t, RxFlip)
-	if _, err := s.guest.Syscall(999, SysGetPID); !errors.Is(err, ErrNoSuchProcess) {
-		t.Fatalf("err = %v, want ErrNoSuchProcess", err)
+	for _, pid := range []PID{0, s.proc.PID + 1, 999} {
+		if _, err := s.guest.Syscall(pid, SysGetPID); !errors.Is(err, ErrNoSuchProcess) {
+			t.Errorf("pid %d: err = %v, want ErrNoSuchProcess", pid, err)
+		}
+		if p := s.guest.Process(pid); p != nil {
+			t.Errorf("Process(%d) = %+v, want nil", pid, p)
+		}
 	}
 }
 
