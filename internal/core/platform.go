@@ -561,7 +561,6 @@ type NativeStack struct {
 	stack // its comp is NativeComponent: the kernel pays for everything
 
 	rxQueue int
-	store   map[uint64][]byte
 	dead    bool
 	readBuf []byte // StorageRead's page, valid until the next StorageRead
 }
@@ -577,7 +576,7 @@ const nativeRxPool = 32
 func NewNativeStack(cfg Config) (*NativeStack, error) {
 	cfg.defaults()
 	m := cfg.machine()
-	s := &NativeStack{stack: cfg.attach(m, m.Rec.Intern(NativeComponent)), store: make(map[uint64][]byte)}
+	s := &NativeStack{stack: cfg.attach(m, m.Rec.Intern(NativeComponent))}
 	m.IRQ.SetHandler(dev.RxIRQ, func(hw.IRQLine) {
 		// In-kernel driver: reap and queue, no domain crossings.
 		m.CPU.Charge(s.comp, trace.KIRQ, 0)
@@ -597,7 +596,12 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 		}
 	})
 	m.IRQ.SetHandler(dev.TxIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
-	m.IRQ.SetHandler(dev.DiskIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 200) })
+	m.IRQ.SetHandler(dev.DiskIRQ, func(hw.IRQLine) {
+		// In-kernel driver: the requester waits on its own frame, so the
+		// completions are only reaped.
+		m.CPU.Work(s.comp, 200)
+		s.Disk.Reap()
+	})
 	for i := 0; i < nativeRxPool; i++ {
 		f, err := m.Mem.Alloc(s.comp)
 		if err != nil {
@@ -704,8 +708,6 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 	s.Mach.Mem.Write(f, 0, data)
 	s.Disk.Submit(dev.DiskReq{Op: dev.DiskWrite, Block: block, Frame: f})
 	s.Pump()
-	// The block keeps its own cached buffer, reused on overwrite.
-	s.store[block] = append(s.store[block][:0], data...)
 	return nil
 }
 
@@ -728,7 +730,7 @@ func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
 		s.readBuf = make([]byte, ps)
 	}
 	out := s.readBuf[:ps]
-	clear(out[copy(out, s.store[block]):])
+	clear(out[copy(out, s.Mach.Mem.Bytes(f)):])
 	return out, nil
 }
 

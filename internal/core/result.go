@@ -9,6 +9,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -55,6 +56,8 @@ func (t *ResultTable) CSV() string { return string(t.appendCSV(nil)) }
 
 // cells returns the header row followed by every row formatted the way all
 // renderers print it: floats with two decimals, everything else as %v.
+// Strings and plain integers, most cells, skip fmt: %v renders them just as
+// they are and as strconv does.
 func (t *ResultTable) cells() [][]string {
 	out := make([][]string, 1, 1+len(t.Rows))
 	out[0] = make([]string, len(t.Columns))
@@ -69,6 +72,12 @@ func (t *ResultTable) cells() [][]string {
 				r[i] = fmt.Sprintf("%.2f", v)
 			case float32:
 				r[i] = fmt.Sprintf("%.2f", v)
+			case string:
+				r[i] = v
+			case int:
+				r[i] = strconv.Itoa(v)
+			case uint64:
+				r[i] = strconv.FormatUint(v, 10)
 			default:
 				r[i] = fmt.Sprint(c)
 			}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -235,13 +236,25 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// Specs returns every experiment in id order (e2 before e10).
+// Specs returns every experiment in id order (e2 before e10). The specs
+// are copies that share no memory with the experiment table, so a caller
+// that edits one changes no later Lookup, Normalize or run.
 func Specs() []Spec {
-	return append([]Spec(nil), specs...)
+	out := make([]Spec, len(specs))
+	for i, s := range specs {
+		out[i] = s.clone()
+	}
+	return out
 }
 
-// Lookup returns the spec of experiment id.
+// Lookup returns a copy of the spec of experiment id, as Specs does.
 func Lookup(id string) (Spec, bool) {
+	s, ok := lookup(id)
+	return s.clone(), ok
+}
+
+// lookup returns the table's own entry for experiment id.
+func lookup(id string) (Spec, bool) {
 	for _, s := range specs {
 		if s.ID == id {
 			return s, true
@@ -250,8 +263,24 @@ func Lookup(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
+// clone returns s with its own Params slice and list defaults.
+func (s Spec) clone() Spec {
+	s.Params = slices.Clone(s.Params)
+	for i := range s.Params {
+		s.Params[i] = s.Params[i].clone()
+	}
+	return s
+}
+
+// clone returns p with its own list default.
+func (p Param) clone() Param {
+	p.DefaultList = slices.Clone(p.DefaultList)
+	return p
+}
+
 // FlagParams returns the union of every declared parameter, one entry per
-// name, in table order — what a data-driven CLI binds its flags from.
+// name, in table order — what a data-driven CLI binds its flags from. Like
+// Specs, it returns copies.
 func FlagParams() []Param {
 	seen := map[string]bool{}
 	var out []Param
@@ -259,7 +288,7 @@ func FlagParams() []Param {
 		for _, p := range s.Params {
 			if !seen[p.Name] {
 				seen[p.Name] = true
-				out = append(out, p)
+				out = append(out, p.clone())
 			}
 		}
 	}
@@ -273,7 +302,7 @@ func FlagParams() []Param {
 // runs GOMAXPROCS-wide with no machine pool, so every cell boots fresh
 // machines.
 func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Result, error) {
-	s, ok := Lookup(id)
+	s, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (try 'list')", id)
 	}

@@ -199,6 +199,46 @@ func TestSpecNormalize(t *testing.T) {
 	}
 }
 
+// TestSpecsHandOutCopies: the declarations Specs, Lookup and FlagParams
+// return share no memory with the experiment table, so editing one leaves
+// every later Lookup and Normalize as it was.
+func TestSpecsHandOutCopies(t *testing.T) {
+	defaults := func(id string) Params {
+		t.Helper()
+		s, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not declared", id)
+		}
+		np, err := s.Normalize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return np
+	}
+	e1, e12 := defaults("e1"), defaults("e12")
+	s1, _ := Lookup("e1")
+	packets := s1.Params[0].DefaultInt
+
+	Specs()[0].Params[0].DefaultInt = 7
+	s12, _ := Lookup("e12")
+	s12.Params[0].DefaultList[0] = 99
+	for _, p := range FlagParams() {
+		if p.Kind == ParamIntList {
+			p.DefaultList[0] = 99
+		}
+	}
+
+	if got, _ := Lookup("e1"); got.Params[0].DefaultInt != packets {
+		t.Errorf("Lookup(e1) declares default %d after edits to returned copies, want %d", got.Params[0].DefaultInt, packets)
+	}
+	if got := defaults("e1"); !reflect.DeepEqual(got, e1) {
+		t.Errorf("e1 Normalize(nil) = %v after edits to returned copies, want %v", got, e1)
+	}
+	if got := defaults("e12"); !reflect.DeepEqual(got, e12) {
+		t.Errorf("e12 Normalize(nil) = %v after edits to returned copies, want %v", got, e12)
+	}
+}
+
 // TestRunExperimentStampsResult checks the uniform entry point: the Result
 // carries the spec's id and title and echoes the normalized params.
 func TestRunExperimentStampsResult(t *testing.T) {

@@ -84,7 +84,6 @@ type CPU struct {
 	pt   *PageTable
 	segs [NumSegRegs]Segment
 
-	traps uint64
 	cache *Cache // optional cache-footprint model (AttachCache)
 
 	// SMP attribution handles ("cpu<n>.ipi", "cpu<n>.shootdown"),
@@ -116,16 +115,14 @@ func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index
 }
 
 // Reset restores the CPU to its post-NewCPUOn state: ring 0, no address
-// space, zeroed segments, no trap history, no cache model, and an empty
-// TLB. The interned attribution handles survive — they are registry
-// identities, not state.
+// space, zeroed segments, no cache model, and an empty TLB. The interned
+// attribution handles survive — they are registry identities, not state.
 func (c *CPU) Reset() {
 	c.ring = Ring0
 	c.pt = nil
 	c.segs = [NumSegRegs]Segment{}
-	c.traps = 0
 	c.cache = nil
-	c.TLB.Reset()
+	c.TLB.FlushAll()
 }
 
 // Ring returns the current privilege level.
@@ -182,7 +179,6 @@ func (c *CPU) Trap(component trace.Comp, fast bool) {
 	if fast && c.Arch.HasFastSyscall {
 		cost = c.Arch.Costs.FastSyscall
 	}
-	c.traps++
 	c.ring = Ring0
 	c.Charge(component, trace.KTrap, cost)
 }
@@ -196,8 +192,7 @@ func (c *CPU) ReturnTo(component trace.Comp, p Priv) {
 // TrapReturnN charges n complete trap/return round trips (enter ring 0,
 // leave for ring p) as two aggregate events. It is the batched form of n
 // Trap/ReturnTo pairs for loops whose bodies do nothing else privileged:
-// counters, trap statistics, cycle totals and the final ring all match the
-// per-item loop.
+// counters, cycle totals and the final ring all match the per-item loop.
 func (c *CPU) TrapReturnN(component trace.Comp, fast bool, p Priv, n uint64) {
 	if n == 0 {
 		return
@@ -206,7 +201,6 @@ func (c *CPU) TrapReturnN(component trace.Comp, fast bool, p Priv, n uint64) {
 	if fast && c.Arch.HasFastSyscall {
 		entry = c.Arch.Costs.FastSyscall
 	}
-	c.traps += n
 	c.ChargeN(component, trace.KTrap, entry, n)
 	c.ring = p
 	c.ChargeN(component, trace.KKernelExit, c.Arch.Costs.KernelExit, n)
@@ -340,6 +334,3 @@ func (c *CPU) CopyCost(n uint64) Cycles {
 	words := (n + uint64(c.Arch.WordBytes()) - 1) / uint64(c.Arch.WordBytes())
 	return Cycles(words) * c.Arch.Costs.MemCopyWord
 }
-
-// Traps returns the number of kernel entries taken so far.
-func (c *CPU) Traps() uint64 { return c.traps }

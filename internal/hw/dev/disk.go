@@ -54,7 +54,6 @@ type Disk struct {
 	complete  func()
 	completed []DiskCompletion // filled by finished requests
 	reaped    []DiskCompletion // returned by the last Reap; the next fill buffer
-	served    uint64
 }
 
 // DiskConfig sizes a Disk.
@@ -104,7 +103,6 @@ func (d *Disk) completeOldest() {
 			d.store[req.Block] = append(d.store[req.Block][:0], d.m.Mem.Bytes(req.Frame)...)
 		}
 		d.m.CPU.Rec.Charge(uint64(d.m.Clock.Now()), trace.KDMATransfer, d.comp, uint64(ps/8))
-		d.served++
 	}
 	d.completed = append(d.completed, DiskCompletion{Req: req, OK: ok})
 	d.m.IRQ.Raise(DiskIRQ)
@@ -121,9 +119,6 @@ func (d *Disk) Reap() []DiskCompletion {
 
 // InFlight returns the number of submitted, un-completed requests.
 func (d *Disk) InFlight() int { return d.inFlight.Len() }
-
-// Served returns the number of successfully completed requests.
-func (d *Disk) Served() uint64 { return d.served }
 
 // PeekBlock returns a copy of a block's stored contents (nil if never
 // written) — test/verification hook, not a device register.

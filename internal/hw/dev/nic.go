@@ -42,7 +42,6 @@ type NIC struct {
 	reaped    []RxCompletion // returned by the last ReapRx; the next fill buffer
 
 	rxDrops uint64
-	rxSeq   uint64
 
 	coalesce     int
 	sinceIRQ     int
@@ -74,7 +73,6 @@ type sent struct {
 type RxCompletion struct {
 	Frame hw.FrameID
 	Len   int
-	Seq   uint64
 }
 
 // WireLatency is every NIC's per-packet transmit serialisation latency.
@@ -137,8 +135,7 @@ func (n *NIC) Inject(data []byte) bool {
 	n.rxTail = (n.rxTail + 1) % len(n.rxRing)
 	n.rxCount--
 	nn := n.m.Mem.Write(f, 0, data)
-	n.rxSeq++
-	n.completed = append(n.completed, RxCompletion{Frame: f, Len: nn, Seq: n.rxSeq})
+	n.completed = append(n.completed, RxCompletion{Frame: f, Len: nn})
 	words := (nn + 7) / 8
 	n.m.CPU.Rec.Charge(uint64(n.m.Clock.Now()), trace.KDMATransfer, n.comp, uint64(words))
 	n.sinceIRQ++

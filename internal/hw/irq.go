@@ -27,9 +27,6 @@ type IRQController struct {
 	comp     trace.Comp // "hw.irq", interned at construction
 	pending  [IRQLines]bool
 	handlers [IRQLines]Handler
-	raised   uint64
-	spurious uint64
-	ipis     uint64
 }
 
 // NewIRQController returns a controller with IRQLines lines, none pending
@@ -53,7 +50,6 @@ func (ic *IRQController) SetHandler(line IRQLine, h Handler) {
 // event is recorded; delivery happens at the next DispatchPending.
 func (ic *IRQController) Raise(line IRQLine) {
 	ic.check(line)
-	ic.raised++
 	ic.pending[line] = true
 	ic.cpu.Rec.Charge(uint64(ic.cpu.Clock.Now()), trace.KIRQ, ic.comp, 0)
 }
@@ -66,7 +62,8 @@ func (ic *IRQController) Pending(line IRQLine) bool {
 
 // DispatchPending delivers every pending line in ascending order,
 // charging dispatch cost to component per delivery. Lines without handlers
-// are counted as spurious and dropped. It returns the number delivered.
+// are spurious: they are cleared without a delivery. It returns the number
+// delivered.
 func (ic *IRQController) DispatchPending(component trace.Comp) int {
 	n := 0
 	for i := range IRQLines {
@@ -76,7 +73,6 @@ func (ic *IRQController) DispatchPending(component trace.Comp) int {
 		ic.pending[i] = false
 		h := ic.handlers[i]
 		if h == nil {
-			ic.spurious++
 			continue
 		}
 		ic.cpu.Charge(component, trace.KIRQ, ic.cpu.Arch.Costs.IRQDispatch)
@@ -101,7 +97,6 @@ func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
 	if n == 0 {
 		return
 	}
-	ic.ipis += n
 	costs := src.Arch.Costs
 	src.Clock.Advance(costs.IPI * Cycles(n))
 	src.Rec.ChargeN(uint64(src.Clock.Now()), trace.KIPI, src.ipiComp, uint64(costs.IPI), n)
@@ -110,18 +105,11 @@ func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
 }
 
 // Reset restores the controller to its post-NewIRQController state: no
-// pending lines, no handlers, statistics cleared.
+// pending lines and no handlers.
 func (ic *IRQController) Reset() {
 	ic.pending = [IRQLines]bool{}
 	ic.handlers = [IRQLines]Handler{}
-	ic.raised, ic.spurious, ic.ipis = 0, 0, 0
 }
-
-// IPIs returns how many inter-processor interrupts have been delivered.
-func (ic *IRQController) IPIs() uint64 { return ic.ipis }
-
-// Stats returns cumulative raised and spurious counts.
-func (ic *IRQController) Stats() (raised, spurious uint64) { return ic.raised, ic.spurious }
 
 func (ic *IRQController) check(line IRQLine) {
 	if line < 0 || line >= IRQLines {

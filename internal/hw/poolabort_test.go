@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vmmk/internal/hw"
+	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 )
 
@@ -29,7 +30,7 @@ func observe(m *hw.Machine) observed {
 		free:    m.Mem.FreeFrames(),
 		total:   m.Rec.TotalCycles(),
 		pending: m.Events.Pending(),
-		traps:   m.CPU.Traps(),
+		traps:   m.Rec.Counts(trace.KTrap),
 	}
 }
 

@@ -17,9 +17,6 @@ type TLB struct {
 	tagged   bool
 	entries  map[tlbKey]PTE
 	fifo     []tlbKey
-	hits     uint64
-	misses   uint64
-	flushes  uint64
 }
 
 // NewTLB returns a TLB of the given capacity. tagged selects ASID tagging.
@@ -47,14 +44,9 @@ func (t *TLB) key(asid uint16, vpn VPN) tlbKey {
 	return tlbKey{asid, vpn}
 }
 
-// Lookup probes the TLB and updates hit/miss statistics.
+// Lookup probes the TLB; the bool reports a hit.
 func (t *TLB) Lookup(asid uint16, vpn VPN) (PTE, bool) {
 	e, ok := t.entries[t.key(asid, vpn)]
-	if ok {
-		t.hits++
-	} else {
-		t.misses++
-	}
 	return e, ok
 }
 
@@ -80,16 +72,6 @@ func (t *TLB) Insert(asid uint16, vpn VPN, e PTE) {
 func (t *TLB) FlushAll() {
 	clear(t.entries)
 	t.fifo = t.fifo[:0]
-	t.flushes++
-}
-
-// Reset restores the TLB to its post-NewTLB state: no entries, no
-// statistics. Capacity and tagging are construction-time properties and
-// survive.
-func (t *TLB) Reset() {
-	clear(t.entries)
-	t.fifo = t.fifo[:0]
-	t.hits, t.misses, t.flushes = 0, 0, 0
 }
 
 // FlushASID removes all entries for one address space. On an untagged TLB
@@ -108,7 +90,6 @@ func (t *TLB) FlushASID(asid uint16) {
 		}
 	}
 	t.fifo = kept
-	t.flushes++
 }
 
 // FlushEntry removes one translation if present.
@@ -118,6 +99,3 @@ func (t *TLB) FlushEntry(asid uint16, vpn VPN) {
 
 // Len returns the number of live entries.
 func (t *TLB) Len() int { return len(t.entries) }
-
-// Stats returns cumulative hits, misses and flushes.
-func (t *TLB) Stats() (hits, misses, flushes uint64) { return t.hits, t.misses, t.flushes }

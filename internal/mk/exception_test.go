@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmmk/internal/hw"
+	"vmmk/internal/trace"
 )
 
 // excRig: a user thread whose space has an exception-handler server.
@@ -46,8 +47,6 @@ func newExcRig(t *testing.T) *excRig {
 
 func TestExceptionForwardedAsIPC(t *testing.T) {
 	r := newExcRig(t)
-	sends0, _, _ := r.k.Stats()
-	_ = sends0
 	resumed, err := r.k.RaiseException(r.user.ID, 6) // illegal instruction
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +56,9 @@ func TestExceptionForwardedAsIPC(t *testing.T) {
 	}
 	if len(r.seen) != 1 || r.seen[0] != 6 {
 		t.Fatalf("handler saw %v", r.seen)
+	}
+	if got := r.m.Rec.Counts(trace.KIPCSend); got != 1 {
+		t.Fatalf("KIPCSend = %d, want 1 (the exception IPC)", got)
 	}
 	if !r.k.Alive(r.user.ID) {
 		t.Fatal("resumed thread is dead")

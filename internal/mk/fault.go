@@ -59,7 +59,6 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 	}
 
 	// Fault IPC: kernel-synthesised message on behalf of the faulter.
-	k.faultsIPCd++
 	k.M.CPU.Charge(k.comp, trace.KPagerFault, 30)
 	k.M.CPU.SwitchSpace(k.comp, pager.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -156,7 +155,6 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		} else {
 			t.Inbox = append(t.Inbox, Envelope{From: NilThread, Msg: msg.clone()})
 		}
-		k.ipcSends++
 	})
 	k.M.CPU.Work(k.comp, 100)
 	return nil

@@ -209,14 +209,11 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	// cross-CPU IPC surcharge the SMP experiment (E12) measures; same-CPU
 	// rendezvous (and every uniprocessor call) pays nothing here.
 	if src.Affinity != dst.Affinity {
-		k.ipcCrossCPU++
 		k.M.SendIPI(src.Affinity, dst.Affinity)
 	}
 	k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
 	k.M.CPU.Charge(k.comp, trace.KIPCCall, k.M.Arch.Costs.CtxSave)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-
-	k.ipcCalls++
 
 	reply, herr := k.deliver(dst.Handler, from, msg)
 
@@ -265,9 +262,7 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 			return err
 		}
 	}
-	k.ipcSends++
 	if src.Affinity != dst.Affinity {
-		k.ipcCrossCPU++
 		k.M.SendIPI(src.Affinity, dst.Affinity)
 	}
 	k.M.CPU.Charge(k.comp, trace.KIPCSend, 10)

@@ -59,12 +59,6 @@ type Kernel struct {
 
 	callDepth int
 	requests  []msgRegs // request registers, one set per call level (deliver)
-
-	// stats
-	ipcCalls    uint64
-	ipcSends    uint64
-	ipcCrossCPU uint64
-	faultsIPCd  uint64
 }
 
 // New boots a microkernel on machine m. The kernel reserves ASID 0 for
@@ -268,12 +262,3 @@ func (k *Kernel) AllocAndMap(s *Space, base hw.VPN, n int, perms hw.Perm) ([]hw.
 // fielding each interrupt (interrupts become IPCs to driver threads). See
 // hw.Machine.PumpIO.
 func (k *Kernel) PumpIO(maxRounds int) int { return k.M.PumpIO(k.comp, maxRounds) }
-
-// Stats returns cumulative IPC operation counts.
-func (k *Kernel) Stats() (calls, sends, faultIPCs uint64) {
-	return k.ipcCalls, k.ipcSends, k.faultsIPCd
-}
-
-// CrossCPUIPC returns how many IPC operations crossed a CPU boundary (and
-// therefore paid the IPI surcharge).
-func (k *Kernel) CrossCPUIPC() uint64 { return k.ipcCrossCPU }

@@ -51,10 +51,6 @@ func TestCallRoundTrip(t *testing.T) {
 	if r.m.Rec.Counts(trace.KIPCCall) != 1 {
 		t.Fatalf("KIPCCall = %d, want 1", r.m.Rec.Counts(trace.KIPCCall))
 	}
-	calls, _, _ := r.k.Stats()
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
 }
 
 func TestCallChargesKernelAndServer(t *testing.T) {
@@ -228,9 +224,8 @@ func TestSendDeliversToHandler(t *testing.T) {
 	if got != 1 {
 		t.Fatal("handler not invoked on send")
 	}
-	_, sends, _ := r.k.Stats()
-	if sends != 1 {
-		t.Fatalf("sends = %d, want 1", sends)
+	if sends := r.m.Rec.Counts(trace.KIPCSend); sends != 1 {
+		t.Fatalf("KIPCSend = %d, want 1", sends)
 	}
 }
 
@@ -258,9 +253,8 @@ func TestNestedCallsServerToServer(t *testing.T) {
 	if reply.Words[0] != 42 {
 		t.Fatalf("nested call reply = %d, want 42", reply.Words[0])
 	}
-	calls, _, _ := k.Stats()
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
+	if calls := m.Rec.Counts(trace.KIPCCall); calls != 2 {
+		t.Fatalf("KIPCCall = %d, want 2", calls)
 	}
 }
 
@@ -375,8 +369,7 @@ func TestIRQDeliveredAsIPC(t *testing.T) {
 	if gotLine != 5 {
 		t.Fatalf("driver saw line %d, want 5", gotLine)
 	}
-	_, sends, _ := k.Stats()
-	if sends != 1 {
+	if sends := m.Rec.Counts(trace.KIPCSend); sends != 1 {
 		t.Fatalf("IRQ should count as one IPC send, got %d", sends)
 	}
 }
@@ -475,11 +468,8 @@ func TestScheduleChargesSwitch(t *testing.T) {
 	k.NewThread(s2, "b", 1, nil)
 	k.ScheduleOn(0)
 	k.ScheduleOn(0)
-	if k.Switches() != 2 {
-		t.Fatalf("switches = %d, want 2", k.Switches())
-	}
-	if m.Rec.Counts(trace.KContextSwitch) != 2 {
-		t.Fatal("context switches not recorded")
+	if got := m.Rec.Counts(trace.KContextSwitch); got != 2 {
+		t.Fatalf("KContextSwitch = %d, want 2", got)
 	}
 	// Switching spaces on untagged x86 must have flushed the TLB.
 	if m.Rec.Counts(trace.KTLBFlush) == 0 {

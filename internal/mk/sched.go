@@ -18,17 +18,15 @@ import (
 // single global queue the macro experiments (E8) were calibrated on.
 type scheduler struct {
 	cpus    []cpuQueue // one per machine CPU; index == hw CPU index
-	steals  uint64
-	targets []int // cpusRunningSpace's result, reused
+	targets []int      // cpusRunningSpace's result, reused
 }
 
 // cpuQueue is one CPU's run queue: its threads in one FIFO, plus the
 // thread currently installed on that CPU. Run queues hold a handful of
 // threads, so a pick scans the whole FIFO for the highest priority.
 type cpuQueue struct {
-	fifo     []*Thread
-	current  *Thread
-	switches uint64
+	fifo    []*Thread
+	current *Thread
 }
 
 func (q *cpuQueue) add(t *Thread) { q.fifo = append(q.fifo, t) }
@@ -98,7 +96,6 @@ func (k *Kernel) steal(cpu int) *Thread {
 		vq.fifo = slices.Delete(vq.fifo, i, i+1)
 		t.Affinity = cpu
 		k.sched.cpus[cpu].add(t)
-		k.sched.steals++
 		k.M.SendIPI(cpu, v)
 		return t
 	}
@@ -121,7 +118,6 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 	}
 	next := k.pick(cpu)
 	if next != nil && next != q.current {
-		q.switches++
 		if old := q.current; old != nil {
 			old.onCPU = -1
 		}
@@ -137,23 +133,6 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 
 // CurrentOn returns the thread currently installed on the given CPU.
 func (k *Kernel) CurrentOn(cpu int) *Thread { return k.sched.cpus[cpu].current }
-
-// Switches returns the number of thread switches performed, summed over
-// all CPUs — stealing moves where a switch happens, never how many there
-// are (the invariant TestWorkStealingPreservesSwitches pins).
-func (k *Kernel) Switches() uint64 {
-	var n uint64
-	for _, q := range k.sched.cpus {
-		n += q.switches
-	}
-	return n
-}
-
-// SwitchesOn returns the thread switches performed by one CPU.
-func (k *Kernel) SwitchesOn(cpu int) uint64 { return k.sched.cpus[cpu].switches }
-
-// Steals returns how many cross-CPU work-steal migrations have happened.
-func (k *Kernel) Steals() uint64 { return k.sched.steals }
 
 // SetAffinity re-homes a thread onto the given CPU. Re-homing to the
 // thread's current CPU is free; an actual migration moves the thread's

@@ -6,6 +6,7 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/simrand"
+	"vmmk/internal/trace"
 )
 
 // classModel is a reference scheduler: per CPU, one FIFO per priority
@@ -128,7 +129,8 @@ func (m *classModel) kill(t *modelThread) {
 // TestSchedulerMatchesClassQueues runs seeded streams of thread creation,
 // kills, re-homing and scheduling decisions on 1–4 CPUs against the
 // per-class reference model: every ScheduleOn must return the model's
-// pick, and the steals, switches and IPIs must agree after every op.
+// pick, and every thread's CPU, the switches and the IPIs must agree after
+// every op.
 func TestSchedulerMatchesClassQueues(t *testing.T) {
 	const seeds, ops = 300, 200
 	var steals uint64
@@ -172,9 +174,14 @@ func TestSchedulerMatchesClassQueues(t *testing.T) {
 			for i := range model.cpus {
 				switches += model.cpus[i].switches
 			}
-			if k.Steals() != model.steals || k.Switches() != switches || m.IRQ.IPIs() != model.ipis {
-				t.Fatalf("seed %d op %d: %d steals, %d switches, %d IPIs; model %d, %d, %d",
-					seed, op, k.Steals(), k.Switches(), m.IRQ.IPIs(), model.steals, switches, model.ipis)
+			if got, ipis := m.Rec.Counts(trace.KContextSwitch), m.Rec.Counts(trace.KIPI); got != switches || ipis != model.ipis {
+				t.Fatalf("seed %d op %d: %d switches, %d IPIs; model %d, %d",
+					seed, op, got, ipis, switches, model.ipis)
+			}
+			for _, mt := range threads {
+				if got := k.Thread(mt.id).Affinity; got != mt.affinity {
+					t.Fatalf("seed %d op %d: thread %d on CPU %d, model CPU %d", seed, op, mt.id, got, mt.affinity)
+				}
 			}
 		}
 		steals += model.steals

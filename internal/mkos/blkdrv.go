@@ -23,7 +23,6 @@ type BlkDriver struct {
 	inflight hw.Queue[*blkPending]
 	last     *blkPending // the latest request's record, reused once it has completed
 
-	served    uint64
 	replyBuf  []byte    // reused read-reply staging page (the kernel copies replies)
 	replyWord [1]uint64 // reused one-word write reply, always 0 (likewise)
 }
@@ -125,7 +124,6 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 		if !pend.done || !pend.ok {
 			return mk.Msg{}, ErrBadRequest
 		}
-		d.served++
 		if op == dev.DiskRead {
 			ps := k.M.Mem.PageSize()
 			// Reused scratch: the kernel copies the reply into the
@@ -142,9 +140,6 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 	}
 	return mk.Msg{}, ErrBadRequest
 }
-
-// Served returns the number of completed client requests.
-func (d *BlkDriver) Served() uint64 { return d.served }
 
 // BlkClient is one client thread's handle on an mk block server: the disk
 // driver (BlkDriver.NewBlkClient) or the storage server

@@ -18,8 +18,6 @@ type KVServer struct {
 	Thread *mk.Thread
 
 	data map[string][]byte
-
-	gets, puts uint64
 }
 
 // KV protocol labels.
@@ -55,10 +53,8 @@ func (s *KVServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, e
 		if !ok {
 			return mk.Msg{Words: []uint64{0}}, nil
 		}
-		s.gets++
 		return mk.Msg{Words: []uint64{1}, Data: v}, nil
 	case LabelKVPut:
-		s.puts++
 		s.data[key] = append([]byte(nil), value...)
 		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(value))))
 		return mk.Msg{Words: []uint64{1}}, nil
@@ -108,6 +104,3 @@ func (s *KVServer) Delete(from mk.ThreadID, key string) error {
 	_, err := s.K.Call(from, s.Thread.ID, kvMsg(LabelKVDelete, key, nil))
 	return err
 }
-
-// Stats returns served get/put counts.
-func (s *KVServer) Stats() (gets, puts uint64) { return s.gets, s.puts }

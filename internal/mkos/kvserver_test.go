@@ -6,6 +6,7 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
+	"vmmk/internal/trace"
 )
 
 func kvRig(t *testing.T) (*mk.Kernel, *KVServer, *mk.Thread) {
@@ -25,7 +26,8 @@ func kvRig(t *testing.T) (*mk.Kernel, *KVServer, *mk.Thread) {
 }
 
 func TestKVPutGetDelete(t *testing.T) {
-	_, kv, cl := kvRig(t)
+	k, kv, cl := kvRig(t)
+	snap := k.M.Rec.Snapshot()
 	if err := kv.Put(cl.ID, "alpha", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +41,9 @@ func TestKVPutGetDelete(t *testing.T) {
 	if _, ok, _ := kv.Get(cl.ID, "alpha"); ok {
 		t.Fatal("deleted key found")
 	}
-	gets, puts := kv.Stats()
-	if gets != 1 || puts != 1 {
-		t.Fatalf("stats = %d/%d", gets, puts)
+	// The extension's whole interface is IPC: one call per request.
+	if calls := k.M.Rec.CountsSince(snap, trace.KIPCCall); calls != 4 {
+		t.Fatalf("KIPCCall = %d for 4 requests", calls)
 	}
 }
 

@@ -67,6 +67,7 @@ func (s *mstack) inject(size int) {
 
 func TestSyscallGetPID(t *testing.T) {
 	s := newMStack(t, RxGrant)
+	snap := s.m.Rec.Snapshot()
 	ret, err := s.os.Syscall(s.proc.PID, SysGetPID)
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +76,8 @@ func TestSyscallGetPID(t *testing.T) {
 		t.Fatalf("getpid = %d, want %d", ret[0], s.proc.PID)
 	}
 	// The syscall was exactly one IPC call.
-	calls, _, _ := s.k.Stats()
-	if calls == 0 {
-		t.Fatal("syscall did not go through IPC")
+	if calls := s.m.Rec.CountsSince(snap, trace.KIPCCall); calls != 1 {
+		t.Fatalf("KIPCCall = %d, want 1", calls)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestNetRxGrantEndToEnd(t *testing.T) {
 	if s.m.Rec.Counts(trace.KIPCMapTransfer) == 0 {
 		t.Fatal("grant mode must use map transfer")
 	}
-	if s.proc.RxDelivered() != 1 {
-		t.Fatal("delivery count wrong")
+	if s.os.PendingRx() != 0 {
+		t.Fatalf("pending = %d after recv, want 0", s.os.PendingRx())
 	}
 }
 
@@ -204,6 +204,7 @@ func TestNetRxBurstConservesMemory(t *testing.T) {
 
 func TestNetTxEndToEnd(t *testing.T) {
 	s := newMStack(t, RxGrant)
+	snap := s.m.Rec.Snapshot()
 	ret, err := s.os.Syscall(s.proc.PID, SysNetSend, 900)
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +217,9 @@ func TestNetTxEndToEnd(t *testing.T) {
 	if len(pkts) != 1 || len(pkts[0].Data) != 900 {
 		t.Fatalf("wire saw %v packets", len(pkts))
 	}
-	_, tx := s.net.Stats()
-	if tx != 1 {
-		t.Fatalf("driver tx = %d, want 1", tx)
+	// One call to the OS server, and one from it to the driver.
+	if calls := s.m.Rec.CountsSince(snap, trace.KIPCCall); calls != 2 {
+		t.Fatalf("KIPCCall = %d, want 2", calls)
 	}
 }
 
@@ -237,6 +238,7 @@ func TestNetSendToDeadDriverFails(t *testing.T) {
 func TestBlkDriverDirectReadWrite(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	osClient := s.blk.NewBlkClient(s.os.Thread.ID, 128)
+	snap := s.m.Rec.Snapshot()
 	want := []byte("mk-block-data")
 	if err := osClient.Write(3, want); err != nil {
 		t.Fatal(err)
@@ -248,8 +250,9 @@ func TestBlkDriverDirectReadWrite(t *testing.T) {
 	if !bytes.Equal(got[:len(want)], want) {
 		t.Fatalf("read %q, want %q", got[:len(want)], want)
 	}
-	if s.blk.Served() < 2 {
-		t.Fatalf("driver served %d", s.blk.Served())
+	// The disk charges one DMA transfer per block it serves.
+	if got := s.m.Rec.CountsSince(snap, trace.KDMATransfer); got != 2 {
+		t.Fatalf("disk served %d blocks, want 2", got)
 	}
 }
 
@@ -284,6 +287,7 @@ func TestBlkOutOfRange(t *testing.T) {
 
 func TestStoreServesViaSyscall(t *testing.T) {
 	s := newMStack(t, RxGrant)
+	snap := s.m.Rec.Snapshot()
 	ret, err := s.os.Syscall(s.proc.PID, SysBlockWrite, 5)
 	if err != nil || ret[0] != 0 {
 		t.Fatalf("block write failed: %v %v", ret, err)
@@ -292,8 +296,10 @@ func TestStoreServesViaSyscall(t *testing.T) {
 	if err != nil || ret[0] != 0 {
 		t.Fatalf("block read failed: %v %v", ret, err)
 	}
-	if s.store.Requests() != 2 {
-		t.Fatalf("store served %d, want 2", s.store.Requests())
+	// Each syscall is one call to the OS server and one from it to the
+	// store; the write also persists through the disk driver.
+	if calls := s.m.Rec.CountsSince(snap, trace.KIPCCall); calls != 5 {
+		t.Fatalf("KIPCCall = %d, want 5", calls)
 	}
 }
 
@@ -421,9 +427,8 @@ func TestRxToDeadOSServerDropped(t *testing.T) {
 	s.k.KillThread(s.os.Thread.ID)
 	s.inject(64)
 	s.pump()
-	rx, _ := s.net.Stats()
-	if rx != 1 {
-		t.Fatalf("driver handled %d, want 1 (dropped)", rx)
+	if n := len(s.nic.ReapRx()); n != 0 {
+		t.Fatalf("%d packets left on the NIC, want 0 (reaped and dropped)", n)
 	}
 	if !s.k.Alive(s.net.Thread.ID) {
 		t.Fatal("driver harmed by dead client")

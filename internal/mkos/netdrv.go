@@ -40,10 +40,7 @@ type NetDriver struct {
 
 	clients []*NetClient
 	ringVPN hw.VPN
-
-	rxHandled uint64
-	txHandled uint64
-	txReply   [1]uint64 // reused one-word TX reply (the kernel copies replies)
+	txReply [1]uint64 // reused one-word TX reply (the kernel copies replies)
 }
 
 // rxPoolTarget is how many receive buffers the driver keeps posted to the
@@ -138,7 +135,6 @@ func (d *NetDriver) tx(k *mk.Kernel, msg mk.Msg) (mk.Msg, error) {
 	}
 	k.M.Mem.Write(f, 0, msg.Data)
 	d.NIC.Transmit(f, len(msg.Data))
-	d.txHandled++
 	// The NIC copied the payload out during Transmit; release the staging
 	// frame immediately.
 	k.M.Mem.Free(f)
@@ -150,7 +146,6 @@ func (d *NetDriver) tx(k *mk.Kernel, msg mk.Msg) (mk.Msg, error) {
 func (d *NetDriver) rx(k *mk.Kernel) {
 	comp := d.Comp()
 	for _, c := range d.NIC.ReapRx() {
-		d.rxHandled++
 		k.M.CPU.Work(comp, 400) // driver RX path: demux, checksum
 		if len(d.clients) == 0 {
 			k.M.Mem.Free(c.Frame)
@@ -221,6 +216,3 @@ func (c *NetClient) Send(data []byte) error {
 	_, err := k.Call(c.os.Thread.ID, c.drv.Thread.ID, mk.Msg{Label: LabelNetTx, Data: data})
 	return err
 }
-
-// Stats returns packets handled.
-func (d *NetDriver) Stats() (rx, tx uint64) { return d.rxHandled, d.txHandled }

@@ -49,12 +49,7 @@ type Proc struct {
 	Name   string
 	Thread *mk.Thread
 	Space  *mk.Space
-
-	rxDelivered uint64
 }
-
-// RxDelivered returns how many packets the process has consumed.
-func (p *Proc) RxDelivered() uint64 { return p.rxDelivered }
 
 // OSServer is the paravirtualised guest OS: one server thread that
 // implements the syscall interface for its processes, holding a network
@@ -256,9 +251,9 @@ func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (m
 			return mk.Msg{}, ErrBadRequest
 		}
 	}
-	p := os.byTID(from)
 	switch no {
 	case SysGetPID:
+		p := os.byTID(from)
 		if p == nil {
 			return os.errno(^uint64(0)), nil
 		}
@@ -281,9 +276,6 @@ func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (m
 		n, ok := os.rxQueue.Pop()
 		if !ok {
 			return os.errno(0), nil
-		}
-		if p != nil {
-			p.rxDelivered++
 		}
 		return os.errno(uint64(n)), nil
 	case SysBlockRead:

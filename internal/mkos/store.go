@@ -22,7 +22,6 @@ type StoreServer struct {
 	vdisks map[mk.ThreadID]*StoreDisk
 	blk    *BlkClient // write-through persistence; may be nil
 
-	requests  uint64
 	replyBuf  []byte    // reused read-reply staging page (the kernel copies replies)
 	replyWord [1]uint64 // reused one-word write reply, always 0 (likewise)
 }
@@ -90,7 +89,6 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		if len(msg.Words) < 1 || msg.Words[0] >= vd.size {
 			return mk.Msg{}, ErrBadRequest
 		}
-		s.requests++
 		k.M.CPU.Work(comp, 500) // block-map lookup
 		block := msg.Words[0]
 		data := vd.read(block)
@@ -117,7 +115,6 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		if len(msg.Words) < 1 || msg.Words[0] >= vd.size {
 			return mk.Msg{}, ErrBadRequest
 		}
-		s.requests++
 		k.M.CPU.Work(comp, 500)
 		block := msg.Words[0]
 		// The message is the kernel's once we return, so the block is
@@ -183,6 +180,3 @@ func (s *StoreServer) SnapshotRead(client mk.ThreadID, block uint64) []byte {
 	}
 	return vd.snapshot[block]
 }
-
-// Requests returns the number of served client requests.
-func (s *StoreServer) Requests() uint64 { return s.requests }

@@ -5,6 +5,7 @@ import (
 
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
+	"vmmk/internal/trace"
 )
 
 // hw rows: contract violations against the bare machine. The hardware layer
@@ -37,7 +38,7 @@ var hwRows = []S{
 				if env.Armed {
 					return nil // the send never reached the controller
 				}
-				if got := env.M.IRQ.IPIs(); got != 1 {
+				if got := env.M.Rec.Counts(trace.KIPI); got != 1 {
 					return fmt.Errorf("IPIs = %d, want 1", got)
 				}
 				return nil
@@ -150,7 +151,7 @@ var hwRows = []S{
 			Desc: "trace invariant: delivered == sent, clock strictly advances",
 			Check: func(env *Env) error {
 				st := env.State.(*hwState)
-				if got := env.M.IRQ.IPIs(); got != st.want {
+				if got := env.M.Rec.Counts(trace.KIPI); got != st.want {
 					return fmt.Errorf("IPIs delivered %d, want %d (storm lost interrupts)", got, st.want)
 				}
 				if env.M.Now() == 0 {

@@ -158,12 +158,12 @@ func TestDirtyLogLogsPagesBalloonedInWhileArmed(t *testing.T) {
 	}
 	audit(t, r.h)
 	for _, gpn := range []int{65, 63} {
-		faults := dl.Faults()
+		faults := r.m.Rec.Counts(trace.KDirtyLogFault)
 		if err := r.h.GuestMemWrite(r.domU.ID, gpn, 0, []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 		audit(t, r.h)
-		if dl.Faults() != faults+1 {
+		if r.m.Rec.Counts(trace.KDirtyLogFault) != faults+1 {
 			t.Fatalf("store to ballooned-in gpn %d did not fault", gpn)
 		}
 	}

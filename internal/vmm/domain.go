@@ -54,9 +54,6 @@ type Domain struct {
 	// event-delivery kicks target these. PlaceVCPUs sets it.
 	remote []int
 
-	syscalls     uint64
-	fastSyscalls uint64
-
 	comp trace.Comp // "vmm."+Name, interned at creation; owns its frames
 }
 
@@ -157,9 +154,6 @@ func (d *Domain) ReleaseFrame(f hw.FrameID) error {
 	d.hyp.M.CPU.Work(d.comp, 60)
 	return nil
 }
-
-// Syscalls returns total and fast-path guest syscall counts.
-func (d *Domain) Syscalls() (total, fast uint64) { return d.syscalls, d.fastSyscalls }
 
 // VCPUs returns the domain's virtual CPU count: the length of its
 // placement, or 1 for an unplaced (uniprocessor-style) domain.

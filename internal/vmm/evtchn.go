@@ -21,8 +21,7 @@ type endpoint struct {
 // "simple asynchronous unidirectional event mechanism" the original paper
 // described and the rebuttal identifies as asynchronous IPC.
 type channel struct {
-	a, b  endpoint
-	sends uint64
+	a, b endpoint
 }
 
 // chanPortStride separates the port numbers of successive occupants of
@@ -63,20 +62,20 @@ func (h *Hypervisor) BindChannel(x, y DomID) (Port, Port, error) {
 	return px, py, nil
 }
 
-// findChannel locates the channel and the remote endpoint for (dom, port).
+// remoteEnd locates the other endpoint of the channel bound to (dom, port).
 // The port names its channel's slot, and the endpoint stored there must
 // match it exactly, which rejects any other generation and the other end.
-func (h *Hypervisor) findChannel(dom DomID, port Port) (*channel, endpoint, bool) {
+func (h *Hypervisor) remoteEnd(dom DomID, port Port) (endpoint, bool) {
 	if slot := int(port%chanPortStride-1) / 2; port > 0 && slot < len(h.ports) && h.ports[slot] != nil {
 		ch := h.ports[slot]
 		switch (endpoint{dom, port}) {
 		case ch.a:
-			return ch, ch.b, true
+			return ch.b, true
 		case ch.b:
-			return ch, ch.a, true
+			return ch.a, true
 		}
 	}
-	return nil, endpoint{}, false
+	return endpoint{}, false
 }
 
 // NotifyChannel signals the channel bound to (from, port). The sending side
@@ -88,7 +87,7 @@ func (h *Hypervisor) NotifyChannel(from DomID, port Port) error {
 	if err != nil {
 		return err
 	}
-	ch, remote, ok := h.findChannel(from, port)
+	remote, ok := h.remoteEnd(from, port)
 	if !ok {
 		return ErrBadPort
 	}
@@ -98,7 +97,6 @@ func (h *Hypervisor) NotifyChannel(from DomID, port Port) error {
 	}
 
 	h.hypercallEntry(d)
-	ch.sends++
 	h.M.CPU.Charge(h.comp, trace.KEvtchnSend, 80)
 	h.hypercallExit(d)
 
@@ -172,14 +170,4 @@ func (h *Hypervisor) RouteIRQ(line hw.IRQLine, dom DomID) error {
 	})
 	h.M.CPU.Work(h.comp, 100)
 	return nil
-}
-
-// ChannelSends returns how many notifications have crossed the channel
-// owning (dom, port).
-func (h *Hypervisor) ChannelSends(dom DomID, port Port) uint64 {
-	ch, _, ok := h.findChannel(dom, port)
-	if !ok {
-		return 0
-	}
-	return ch.sends
 }

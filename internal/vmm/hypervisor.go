@@ -68,9 +68,6 @@ type Hypervisor struct {
 	// (ablation switch for E9; per-domain validity is tracked separately).
 	FastPathPolicy bool
 
-	hypercalls uint64
-	worldSw    uint64
-
 	// victims is BalloonOut's reusable list of frames to release.
 	victims []hw.FrameID
 }
@@ -142,7 +139,6 @@ func (h *Hypervisor) buildDomain(name string, frames int) (*Domain, error) {
 		h.M.Mem.SetM2P(f, gpn)
 	}
 	h.M.CPU.Charge(h.comp, trace.KHypercall, 600) // domain-build hypercall
-	h.hypercalls++
 	h.domains[id] = d
 	h.order = append(h.order, id)
 	return d, nil
@@ -194,7 +190,6 @@ func (h *Hypervisor) switchTo(d *Domain) {
 	if h.current == d {
 		return
 	}
-	h.worldSw++
 	h.M.CPU.Charge(h.comp, trace.KWorldSwitch, h.M.Arch.Costs.WorldSwitch)
 	h.M.CPU.SwitchSpace(h.comp, d.PT)
 	h.current = d
@@ -249,7 +244,6 @@ func (h *Hypervisor) hypercallEntry(d *Domain) {
 	h.switchTo(d) // hypercalls execute in the caller's context
 	h.M.CPU.Trap(h.comp, h.M.Arch.HasFastSyscall)
 	h.M.CPU.Charge(h.comp, trace.KHypercall, h.M.Arch.Costs.PrivCheck)
-	h.hypercalls++
 }
 
 // hypercallExit returns to the guest kernel ring.
@@ -261,11 +255,6 @@ func (h *Hypervisor) hypercallExit(d *Domain) {
 // PumpIO drives the machine until quiescent or maxRounds, the monitor
 // fielding each interrupt (its idle loop). See hw.Machine.PumpIO.
 func (h *Hypervisor) PumpIO(maxRounds int) int { return h.M.PumpIO(h.comp, maxRounds) }
-
-// Stats returns cumulative hypercall and world-switch counts.
-func (h *Hypervisor) Stats() (hypercalls, worldSwitches uint64) {
-	return h.hypercalls, h.worldSw
-}
 
 // DestroyDomain kills a domain outright (crash injection or shutdown): its
 // vCPU never runs again, its event channels are closed, and its memory is

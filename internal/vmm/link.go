@@ -37,20 +37,11 @@ type Link struct {
 	// before going down — a round that would exceed it fails whole.
 	Budget int
 
-	pages  int
-	rounds int
+	pages int
 }
 
 // Pages returns how many page transfers the link has carried.
 func (l *Link) Pages() int { return l.pages }
-
-// Rounds returns how many transfer rounds the link has carried.
-func (l *Link) Rounds() int { return l.rounds }
-
-// Cost returns the link cycles charged to each endpoint so far.
-func (l *Link) Cost() hw.Cycles {
-	return l.Latency*hw.Cycles(l.rounds) + l.PerPage*hw.Cycles(l.pages)
-}
 
 // Transport binds the link to a source and destination machine and returns
 // the LiveOpts.Transport hook for a migration between them. Both endpoint
@@ -66,7 +57,6 @@ func (l *Link) Transport(src, dst *hw.Machine) func(round, pages int) error {
 			return fmt.Errorf("%w: round %d needs %d pages, %d of %d remain",
 				ErrLinkDown, round, pages, l.Budget-l.pages, l.Budget)
 		}
-		l.rounds++
 		l.pages += pages
 		if l.Latency > 0 {
 			src.CPU.Work(srcComp, l.Latency)

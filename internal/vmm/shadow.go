@@ -19,20 +19,12 @@ import (
 // of the underlying hardware) to paravirtualisation" (§2.2). Ablation E9g
 // measures it.
 
-// ShadowMMU tracks one domain's guest-visible page table and its shadow.
+// ShadowMMU is one domain's trap-and-emulate paging. The shadow itself is
+// the domain's real PT (d.PT), which holds only the guest entries the
+// monitor has validated.
 type ShadowMMU struct {
-	h   *Hypervisor
-	d   *Domain
-	gpt map[hw.VPN]shadowGPTE // what the guest thinks it wrote
-	// The shadow itself is the domain's real PT (d.PT), rebuilt from gpt
-	// entries the monitor has validated.
-	emulated uint64
-	rejected uint64
-}
-
-type shadowGPTE struct {
-	gpn   int
-	perms hw.Perm
+	h *Hypervisor
+	d *Domain
 }
 
 // EnableShadowMMU switches a domain to trap-and-emulate paging. The guest
@@ -46,14 +38,14 @@ func (h *Hypervisor) EnableShadowMMU(dom DomID) (*ShadowMMU, error) {
 	}
 	// Write-protecting the PT pages is itself monitor work.
 	h.M.CPU.Work(h.comp, 800)
-	return &ShadowMMU{h: h, d: d, gpt: make(map[hw.VPN]shadowGPTE)}, nil
+	return &ShadowMMU{h: h, d: d}, nil
 }
 
 // GuestPTWrite emulates one guest PTE store: the store faults (the page is
 // write-protected), the monitor decodes the instruction, validates the new
-// entry exactly as MMUUpdate would, updates the guest view and the shadow,
-// and resumes the guest. Invalid entries are dropped from the shadow (the
-// guest sees its write "succeed" — real hardware would fault on use).
+// entry exactly as MMUUpdate would, updates the shadow, and resumes the
+// guest. Invalid entries are dropped from the shadow (the guest sees its
+// write "succeed" — real hardware would fault on use).
 func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) error {
 	h, d := s.h, s.d
 	if d.Dead {
@@ -65,18 +57,15 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	// Instruction decode + emulation of the store.
 	h.M.CPU.Work(h.comp, 180)
-	s.gpt[vpn] = shadowGPTE{gpn: gpn, perms: perms}
 	// Validation identical to the paravirtual path's.
 	f := d.FrameAt(gpn)
 	if f == hw.NoFrame || !d.OwnsFrame(f) {
-		s.rejected++
 		d.PT.Unmap(vpn) // shadow must not map what the guest may not have
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PrivCheck)
 		h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 		return nil // the *guest* write succeeded; the shadow just ignores it
 	}
 	d.PT.Map(vpn, hw.PTE{Frame: f, Perms: perms, User: user})
-	s.emulated++
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)
 	// A shadow entry changed under every vCPU of the domain: pCPUs other
@@ -115,8 +104,6 @@ type DirtyLog struct {
 	pages  []dirtyPage      // gpn -> the log's state for that page
 	more   map[int][]hw.VPN // gpn -> stripped mappings after the first
 	ndirty int              // how many pages are dirty
-
-	faults uint64
 }
 
 // dirtyPage is the log's state for one guest page.
@@ -295,7 +282,6 @@ func (dl *DirtyLog) restore(vpn hw.VPN) {
 // fault is the write-protect fault path: trap, decode, log, unprotect.
 func (dl *DirtyLog) fault(gpn int) {
 	h, d := dl.h, dl.d
-	dl.faults++
 	h.switchTo(d)
 	h.M.CPU.Trap(h.comp, false)
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
@@ -332,9 +318,6 @@ func (dl *DirtyLog) Rearm() []int {
 	return out
 }
 
-// Faults returns how many write-protect faults the log has taken.
-func (dl *DirtyLog) Faults() uint64 { return dl.faults }
-
 // GuestMemWrite models a guest store of data into its page gpn at byte
 // offset off. With an armed dirty log the first store to a page takes the
 // write-protect fault above; otherwise it is ordinary guest work. This is
@@ -358,15 +341,3 @@ func (h *Hypervisor) GuestMemWrite(dom DomID, gpn, off int, data []byte) error {
 	h.M.Mem.Write(f, off, data)
 	return nil
 }
-
-// GuestPTEntry returns what the guest believes it wrote at vpn.
-func (s *ShadowMMU) GuestPTEntry(vpn hw.VPN) (gpn int, perms hw.Perm, ok bool) {
-	e, found := s.gpt[vpn]
-	if !found {
-		return 0, 0, false
-	}
-	return e.gpn, e.perms, true
-}
-
-// Stats returns emulated and rejected update counts.
-func (s *ShadowMMU) Stats() (emulated, rejected uint64) { return s.emulated, s.rejected }

@@ -82,13 +82,11 @@ func (h *Hypervisor) GuestSyscall(dom DomID, no uint32, args []uint64) ([]uint64
 		return nil, err
 	}
 	h.switchTo(d)
-	d.syscalls++
 
 	fast := d.fastPathOK && h.FastPathPolicy && h.M.Arch.HasSegmentation
 	if fast {
 		// Trap gate: direct ring3 -> ring1 transition at hardware trap
 		// cost, charged to the *guest*, since the monitor is not involved.
-		d.fastSyscalls++
 		h.M.CPU.Clock.Advance(h.M.Arch.Costs.KernelEntry)
 		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KSyscallFastPath, d.comp, uint64(h.M.Arch.Costs.KernelEntry))
 		h.M.CPU.SetRing(hw.Ring1)

@@ -66,14 +66,13 @@ func TestBootCreatesDom0Privileged(t *testing.T) {
 
 func TestHypercallCharges(t *testing.T) {
 	r := newVrig(t, hw.X86())
-	hc0, _ := r.h.Stats()
+	snap := r.m.Rec.Snapshot()
 	c0 := r.m.Rec.Cycles(HypervisorComponent)
 	if err := r.h.Hypercall(r.domU.ID, "test", 100); err != nil {
 		t.Fatal(err)
 	}
-	hc1, _ := r.h.Stats()
-	if hc1 != hc0+1 {
-		t.Fatalf("hypercalls = %d, want %d", hc1, hc0+1)
+	if got := r.m.Rec.CountsSince(snap, trace.KHypercall); got != 1 {
+		t.Fatalf("hypercalls = %d, want 1", got)
 	}
 	if r.m.Rec.Cycles(HypervisorComponent) <= c0 {
 		t.Fatal("monitor cycles not charged")
@@ -139,9 +138,6 @@ func TestEventChannelRoundTrip(t *testing.T) {
 	}
 	if r.m.Rec.Counts(trace.KEvtchnSend) != 1 {
 		t.Fatal("event send not recorded")
-	}
-	if r.h.ChannelSends(r.dom0.ID, p0) != 1 {
-		t.Fatal("channel send counter wrong")
 	}
 }
 
@@ -391,11 +387,7 @@ func TestFastPathLifecycle(t *testing.T) {
 	if r.m.Rec.Cycles(HypervisorComponent) != mon0 {
 		t.Fatal("fast path must not charge the monitor")
 	}
-	if r.m.Rec.Counts(trace.KSyscallFastPath) != 1 {
-		t.Fatal("fast path not recorded")
-	}
-	total, fast := r.domU.Syscalls()
-	if total != 1 || fast != 1 {
+	if total, fast := r.m.Rec.Counts(trace.KGuestUserToKernel), r.m.Rec.Counts(trace.KSyscallFastPath); total != 1 || fast != 1 {
 		t.Fatalf("syscall counts = %d/%d, want 1/1", total, fast)
 	}
 
@@ -844,8 +836,8 @@ func TestNotifyChannelRejectsMalformedPorts(t *testing.T) {
 	if err := r.h.NotifyChannel(r.dom0.ID, p0); err != nil || hits != 1 {
 		t.Fatalf("live channel: err = %v, %d upcalls, want one", err, hits)
 	}
-	if n := r.h.ChannelSends(r.dom0.ID, p0); n != 1 {
-		t.Fatalf("channel counts %d sends, want 1", n)
+	if n := r.m.Rec.Counts(trace.KEvtchnSend); n != 1 {
+		t.Fatalf("recorder counts %d event sends, want 1", n)
 	}
 }
 

@@ -38,8 +38,6 @@ type BlkFront struct {
 	buf  hw.FrameID
 	last *blkReq // the latest request, reused once it has completed
 
-	reads   uint64
-	writes  uint64
 	readBuf []byte // reused Read result buffer, valid until the next Read
 }
 
@@ -134,7 +132,6 @@ func (bf *BlkFront) Read(block uint64) ([]byte, error) {
 	if err := bf.submit(false, block); err != nil {
 		return nil, err
 	}
-	bf.reads++
 	ps := bf.gk.H.M.Mem.PageSize()
 	if cap(bf.readBuf) < int(ps) {
 		bf.readBuf = make([]byte, ps)
@@ -147,12 +144,5 @@ func (bf *BlkFront) Read(block uint64) ([]byte, error) {
 // Write stores data into a block.
 func (bf *BlkFront) Write(block uint64, data []byte) error {
 	bf.gk.H.M.Mem.Load(bf.buf, data)
-	if err := bf.submit(true, block); err != nil {
-		return err
-	}
-	bf.writes++
-	return nil
+	return bf.submit(true, block)
 }
-
-// Stats returns completed read and write counts.
-func (bf *BlkFront) Stats() (reads, writes uint64) { return bf.reads, bf.writes }

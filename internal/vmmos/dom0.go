@@ -100,9 +100,6 @@ type DriverDomain struct {
 	inflight hw.Queue[inflightReq]
 
 	nextBlkBase uint64
-
-	rxHandled uint64
-	txHandled uint64
 }
 
 // rxPoolTarget is how many receive buffers Dom0's NIC driver keeps posted.
@@ -171,7 +168,6 @@ func (dd *DriverDomain) handleIRQ(virq int) {
 func (dd *DriverDomain) netbackRx() {
 	comp := dd.Comp()
 	for _, c := range dd.NIC.ReapRx() {
-		dd.rxHandled++
 		dd.H.M.CPU.Work(comp, 400) // driver RX path: demux, checksum, skb
 		if len(dd.netConns) == 0 {
 			dd.H.M.Mem.Free(c.Frame) // nobody to deliver to
@@ -208,7 +204,6 @@ func (dd *DriverDomain) netbackTx(conn *netConn) {
 	defer conn.txRing.done(slots)
 	const txWindow = hw.VPN(0xD000)
 	for _, slot := range slots {
-		dd.txHandled++
 		dd.H.M.CPU.Work(comp, 350) // driver TX path
 		if err := dd.H.GrantMap(dd.GK.Dom.ID, conn.guest, slot.ref, txWindow); err != nil {
 			continue
@@ -265,6 +260,3 @@ func (dd *DriverDomain) blkbackComplete() {
 		}
 	}
 }
-
-// Stats returns packets handled by netback.
-func (dd *DriverDomain) Stats() (rx, tx uint64) { return dd.rxHandled, dd.txHandled }

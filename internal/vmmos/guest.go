@@ -37,8 +37,6 @@ var (
 type Process struct {
 	PID  PID
 	Name string
-
-	rxDelivered uint64
 }
 
 // GuestKernel is a paravirtualised kernel running in a domain at ring 1.
@@ -189,9 +187,6 @@ func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
 		if !ok {
 			return gk.errno(0)
 		}
-		if p := gk.Process(pid); p != nil {
-			p.rxDelivered++
-		}
 		return gk.errno(uint64(n))
 	case SysBlockRead, SysBlockWrite:
 		if gk.Blk == nil {
@@ -258,6 +253,3 @@ func (gk *GuestKernel) WriteMemory(gpn, off int, data []byte) error {
 
 // Console returns what guest processes wrote with SysWrite.
 func (gk *GuestKernel) Console() []byte { return gk.console }
-
-// RxDelivered returns how many packets pid has consumed.
-func (p *Process) RxDelivered() uint64 { return p.rxDelivered }

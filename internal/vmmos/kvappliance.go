@@ -20,8 +20,6 @@ type KVAppliance struct {
 	Dom *vmm.Domain
 
 	data map[string][]byte
-
-	gets, puts uint64
 }
 
 // kvConn is the per-client channel + shared-page state.
@@ -96,13 +94,11 @@ func (a *KVAppliance) serve(conn *kvConn) {
 	switch r.op {
 	case 0x200: // get
 		if v, ok := a.data[key]; ok {
-			a.gets++
 			r.found = true
 			r.respN = h.M.Mem.Write(e.Frame, 0, v)
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(uint64(r.respN)))
 		}
 	case 0x201: // put
-		a.puts++
 		a.data[key] = append([]byte(nil), value...)
 		h.M.CPU.Work(comp, h.M.CPU.CopyCost(uint64(len(value))))
 		r.found = true
@@ -123,9 +119,6 @@ func splitKVPage(data []byte) (string, []byte) {
 	}
 	return string(data), nil
 }
-
-// Stats returns served get/put counts.
-func (a *KVAppliance) Stats() (gets, puts uint64) { return a.gets, a.puts }
 
 // KVClient is a guest's stub for the appliance.
 type KVClient struct {

@@ -35,7 +35,8 @@ func kvVRig(t *testing.T) (*vmm.Hypervisor, *KVAppliance, *KVClient) {
 }
 
 func TestKVAppliancePutGetDelete(t *testing.T) {
-	_, app, cl := kvVRig(t)
+	h, _, cl := kvVRig(t)
+	snap := h.M.Rec.Snapshot()
 	if err := cl.Put("alpha", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +50,9 @@ func TestKVAppliancePutGetDelete(t *testing.T) {
 	if _, ok, _ := cl.Get("alpha"); ok {
 		t.Fatal("deleted key found")
 	}
-	gets, puts := app.Stats()
-	if gets != 1 || puts != 1 {
-		t.Fatalf("stats = %d/%d", gets, puts)
+	// The appliance maps the client's granted page once per request.
+	if maps := h.M.Rec.CountsSince(snap, trace.KGrantMap); maps != 4 {
+		t.Fatalf("KGrantMap = %d for 4 requests", maps)
 	}
 }
 

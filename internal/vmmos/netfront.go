@@ -21,10 +21,6 @@ type NetFront struct {
 	rxQueue hw.Queue[int] // lengths of undelivered packets, in arrival order
 	rxBuf   hw.FrameID    // copy-mode landing buffer
 	txBuf   hw.FrameID
-
-	rxFlips  uint64
-	rxCopies uint64
-	sent     uint64
 }
 
 // ConnectNet wires a guest kernel to the driver domain's netback, creating
@@ -68,7 +64,6 @@ func (nf *NetFront) onEvent() {
 			if err != nil {
 				continue
 			}
-			nf.rxFlips++
 			// The flipped page IS the packet (zero-copy); only the
 			// descriptor outlives this upcall, since user space consumes
 			// packets by length (RecvLen).
@@ -82,7 +77,6 @@ func (nf *NetFront) onEvent() {
 			if err := h.GrantCopy(nf.gk.Dom.ID, nf.dd.GK.Dom.ID, slot.ref, nf.rxBuf, uint64(slot.len)); err != nil {
 				continue
 			}
-			nf.rxCopies++
 			// GrantCopy has already landed the bytes in rxBuf and charged
 			// the copy; queue the descriptor.
 			nf.rxQueue.Push(slot.len)
@@ -120,15 +114,9 @@ func (nf *NetFront) Send(data []byte) error {
 		return err
 	}
 	nf.conn.txRing.push(txSlot{ref: ref, len: len(data)})
-	nf.sent++
 	if err := h.NotifyChannel(nf.gk.Dom.ID, nf.conn.frontPort); err != nil {
 		return err
 	}
 	h.GrantEnd(nf.gk.Dom.ID, ref)
 	return nil
-}
-
-// Stats returns flip/copy/sent counters.
-func (nf *NetFront) Stats() (flips, copies, sent uint64) {
-	return nf.rxFlips, nf.rxCopies, nf.sent
 }

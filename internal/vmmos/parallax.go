@@ -26,8 +26,6 @@ type Parallax struct {
 	blk *BlkFront // write-through persistence, may be nil
 
 	vdisks map[vmm.DomID]*VDisk
-
-	requests uint64
 }
 
 // ErrVDiskUnknown is returned for requests on an unattached client.
@@ -97,7 +95,6 @@ func (px *Parallax) serve(r *blkRing, client vmm.DomID, vd *VDisk) {
 	defer r.reqs.done(reqs)
 	const window = hw.VPN(0xE000)
 	for _, req := range reqs {
-		px.requests++
 		h.M.CPU.Work(comp, 500) // block-map lookup, CoW bookkeeping
 		if req.block >= vd.size {
 			req.done, req.ok = true, false
@@ -184,6 +181,3 @@ func (px *Parallax) SnapshotRead(client vmm.DomID, block uint64) []byte {
 	}
 	return vd.snapshot[block]
 }
-
-// Requests returns the number of client requests served.
-func (px *Parallax) Requests() uint64 { return px.requests }

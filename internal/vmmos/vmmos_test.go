@@ -3,6 +3,7 @@ package vmmos
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -57,6 +58,7 @@ func (s *stack) pump() { s.h.PumpIO(64) }
 
 func TestSyscallGetPID(t *testing.T) {
 	s := newStack(t, RxFlip)
+	snap := s.m.Rec.Snapshot()
 	ret, err := s.guest.Syscall(s.proc.PID, SysGetPID)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +66,7 @@ func TestSyscallGetPID(t *testing.T) {
 	if PID(ret[0]) != s.proc.PID {
 		t.Fatalf("getpid = %d, want %d", ret[0], s.proc.PID)
 	}
-	total, _ := s.guest.Dom.Syscalls()
-	if total != 1 {
+	if total := s.m.Rec.CountsSince(snap, trace.KGuestUserToKernel); total != 1 {
 		t.Fatalf("syscalls = %d, want 1", total)
 	}
 }
@@ -144,15 +145,11 @@ func TestNetRxFlipEndToEnd(t *testing.T) {
 	if ret[0] != 1500 {
 		t.Fatalf("recv len = %d, want 1500", ret[0])
 	}
-	flips, copies, _ := s.guest.Net.Stats()
-	if flips != 1 || copies != 0 {
+	if flips, copies := s.m.Rec.Counts(trace.KPageFlip), s.m.Rec.Counts(trace.KGrantCopy); flips != 1 || copies != 0 {
 		t.Fatalf("flips/copies = %d/%d, want 1/0", flips, copies)
 	}
-	if s.m.Rec.Counts(trace.KPageFlip) != 1 {
-		t.Fatal("page flip not recorded")
-	}
-	if s.proc.RxDelivered() != 1 {
-		t.Fatal("process delivery count wrong")
+	if s.guest.Net.Pending() != 0 {
+		t.Fatalf("pending = %d after recv, want 0", s.guest.Net.Pending())
 	}
 }
 
@@ -163,15 +160,8 @@ func TestNetRxCopyEndToEnd(t *testing.T) {
 	if s.guest.Net.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s.guest.Net.Pending())
 	}
-	flips, copies, _ := s.guest.Net.Stats()
-	if flips != 0 || copies != 1 {
+	if flips, copies := s.m.Rec.Counts(trace.KPageFlip), s.m.Rec.Counts(trace.KGrantCopy); flips != 0 || copies != 1 {
 		t.Fatalf("flips/copies = %d/%d, want 0/1", flips, copies)
-	}
-	if s.m.Rec.Counts(trace.KGrantCopy) != 1 {
-		t.Fatal("grant copy not recorded")
-	}
-	if s.m.Rec.Counts(trace.KPageFlip) != 0 {
-		t.Fatal("copy mode must not flip")
 	}
 }
 
@@ -217,6 +207,7 @@ func TestNetRxEvtchnPerPacket(t *testing.T) {
 
 func TestNetTxEndToEnd(t *testing.T) {
 	s := newStack(t, RxFlip)
+	snap := s.m.Rec.Snapshot()
 	ret, err := s.guest.Syscall(s.proc.PID, SysNetSend, 900)
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +220,9 @@ func TestNetTxEndToEnd(t *testing.T) {
 	if len(pkts) != 1 || len(pkts[0].Data) != 900 {
 		t.Fatalf("wire saw %d packets", len(pkts))
 	}
-	_, tx := s.dd.Stats()
-	if tx != 1 {
-		t.Fatalf("netback tx = %d, want 1", tx)
+	// Netback maps each granted TX page once.
+	if maps := s.m.Rec.CountsSince(snap, trace.KGrantMap); maps != 1 {
+		t.Fatalf("netback mapped %d TX pages, want 1", maps)
 	}
 }
 
@@ -309,8 +300,7 @@ func allZero(b []byte) bool {
 }
 
 // TestBlockWriteReadRoundTrip: a read returns a whole page, the written
-// bytes followed by zeros; an unwritten block reads as zeros; Stats counts
-// the completed requests.
+// bytes followed by zeros; an unwritten block reads as zeros.
 func TestBlockWriteReadRoundTrip(t *testing.T) {
 	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
 		want := []byte("persistent-data-123")
@@ -330,9 +320,6 @@ func TestBlockWriteReadRoundTrip(t *testing.T) {
 		}
 		if !allZero(z) {
 			t.Fatal("unwritten block not zero")
-		}
-		if r, w := bf.Stats(); r != 2 || w != 1 {
-			t.Fatalf("stats = %d/%d, want 2/1", r, w)
 		}
 	})
 }
@@ -374,8 +361,9 @@ func TestBlockOutOfRange(t *testing.T) {
 		if err := bf.Write(blocks-1, []byte("last")); err != nil {
 			t.Fatalf("last block after refused requests: %v", err)
 		}
-		if r, w := bf.Stats(); r != 0 || w != 1 {
-			t.Fatalf("stats = %d/%d, want 0/1: a refused request is not counted", r, w)
+		got, err := bf.Read(blocks - 1)
+		if err != nil || string(got[:4]) != "last" {
+			t.Fatalf("last block reads %q, %v after refused requests", got[:4], err)
 		}
 	})
 }
@@ -496,8 +484,10 @@ func TestBlockViaSyscall(t *testing.T) {
 		if err != nil || ret[0] != 0 {
 			t.Fatalf("block read syscall failed: %v %v", ret, err)
 		}
-		if r, w := bf.Stats(); r != 1 || w != 1 {
-			t.Fatalf("stats = %d/%d, want 1/1", r, w)
+		want := fmt.Sprintf("pid%d-block3", p.PID)
+		got, err := bf.Read(3)
+		if err != nil || string(got[:len(want)]) != want {
+			t.Fatalf("block 3 reads %q, %v after the write syscall, want %q", got[:len(want)], err, want)
 		}
 	})
 }
@@ -506,7 +496,8 @@ func TestBlockViaSyscall(t *testing.T) {
 // from its block map.
 func TestParallaxServesClients(t *testing.T) {
 	s := newStack(t, RxFlip)
-	px, bf := attachParallax(t, s)
+	_, bf := attachParallax(t, s)
+	snap := s.m.Rec.Snapshot()
 	if err := bf.Write(5, []byte("via-parallax")); err != nil {
 		t.Fatal(err)
 	}
@@ -517,8 +508,10 @@ func TestParallaxServesClients(t *testing.T) {
 	if string(got[:12]) != "via-parallax" {
 		t.Fatalf("read %q", got[:12])
 	}
-	if px.Requests() != 2 {
-		t.Fatalf("parallax served %d requests, want 2", px.Requests())
+	// The write goes through to the disk; the read is served from the
+	// block map and touches the disk not at all.
+	if got := s.m.Rec.CountsSince(snap, trace.KDMATransfer); got != 1 {
+		t.Fatalf("disk served %d blocks, want 1", got)
 	}
 }
 
@@ -649,9 +642,8 @@ func TestRxToDeadGuestDropped(t *testing.T) {
 	if !s.h.Alive(vmm.Dom0) {
 		t.Fatal("dom0 harmed by dead guest")
 	}
-	rx, _ := s.dd.Stats()
-	if rx != 1 {
-		t.Fatalf("netback handled %d packets, want 1 (dropped)", rx)
+	if n := len(s.nic.ReapRx()); n != 0 {
+		t.Fatalf("%d packets left on the NIC, want 0 (reaped and dropped)", n)
 	}
 }
 
