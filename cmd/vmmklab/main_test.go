@@ -192,11 +192,13 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenWideSweeps pins two sweeps wider than the trimmed goldens
-// above, as text: E12 from 1 to 16 CPUs, and E13 on 16 hosts of 2^20
-// frames each. Each runs in about 10 ms.
+// TestGoldenWideSweeps pins three sweeps wider than the trimmed goldens
+// above, as text: E12 from 1 to 16 CPUs, E12 at MaxCPUs (the longest
+// ScheduleOn scan and the widest shootdown fan-out), and E13 on 16 hosts
+// of 2^20 frames each. Each runs in about 10 ms.
 func TestGoldenWideSweeps(t *testing.T) {
 	checkGolden(t, "e12-cpus16.txt.golden", []string{"e12", "-cpus", "1,2,4,8,16"})
+	checkGolden(t, "e12-cpus64.txt.golden", []string{"e12", "-cpus", "64"})
 	checkGolden(t, "e13-fleet16.txt.golden", []string{"e13", "-fleet", "16", "-churn", "1024", "-hostframes", "1048576"})
 }
 

@@ -48,16 +48,60 @@ func TestPlatformsBootAndProbe(t *testing.T) {
 	}
 }
 
+// TestPlatformGuestIndexValidation: every stack refuses each request from
+// a guest it does not run with ErrGuestIndex, and drains nothing for one.
+// The native kernel runs one application, guest 0.
 func TestPlatformGuestIndexValidation(t *testing.T) {
-	p, err := NewMKStack(Config{Guests: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"vmm", "mk", "native"} {
+		p, _, _ := bootIOStack(t, name) // one guest
+		for _, g := range []int{1, 5} {
+			if err := p.DoSyscall(g, 1, 0); err != ErrGuestIndex {
+				t.Errorf("%s: DoSyscall from guest %d = %v, want ErrGuestIndex", name, g, err)
+			}
+			if err := p.SendPackets(1, 64, g); err != ErrGuestIndex {
+				t.Errorf("%s: SendPackets from guest %d = %v, want ErrGuestIndex", name, g, err)
+			}
+			if err := p.StorageWrite(g, 1, []byte("x")); err != ErrGuestIndex {
+				t.Errorf("%s: StorageWrite from guest %d = %v, want ErrGuestIndex", name, g, err)
+			}
+			if _, err := p.StorageRead(g, 1); err != ErrGuestIndex {
+				t.Errorf("%s: StorageRead from guest %d = %v, want ErrGuestIndex", name, g, err)
+			}
+		}
+		p.InjectPackets(2, 64, 0)
+		if n := p.DrainRx(1); n != 0 {
+			t.Errorf("%s: guest 1 drained %d packets, want 0", name, n)
+		}
+		if n := p.DrainRx(0); n != 2 {
+			t.Errorf("%s: guest 0 drained %d packets, want 2", name, n)
+		}
+		p.Close()
 	}
-	if err := p.DoSyscall(5, 1, 0); err != ErrGuestIndex {
-		t.Fatalf("err = %v, want ErrGuestIndex", err)
-	}
-	if err := p.SendPackets(1, 64, 5); err != ErrGuestIndex {
-		t.Fatalf("err = %v, want ErrGuestIndex", err)
+}
+
+// TestStorageRefusesBlocksPastTheDisk: a write and a read of a block past
+// the disk's last fail on every stack, and the next request in range
+// still succeeds.
+func TestStorageRefusesBlocksPastTheDisk(t *testing.T) {
+	const block = 70000
+	for _, name := range []string{"vmm", "mk", "native"} {
+		p, _, disk := bootIOStack(t, name)
+		if disk.Blocks() > block {
+			t.Fatalf("%s: the disk holds %d blocks, block %d is not past it", name, disk.Blocks(), block)
+		}
+		if err := p.StorageWrite(0, block, []byte("past")); err == nil {
+			t.Errorf("%s: write of block %d succeeded", name, block)
+		}
+		if _, err := p.StorageRead(0, block); err == nil {
+			t.Errorf("%s: read of block %d succeeded", name, block)
+		}
+		if err := p.StorageWrite(0, 1, []byte("in")); err != nil {
+			t.Errorf("%s: write of block 1 after the refusals: %v", name, err)
+		}
+		if data, err := p.StorageRead(0, 1); err != nil || string(data[:2]) != "in" {
+			t.Errorf("%s: read of block 1 after the refusals: %q, %v", name, data, err)
+		}
+		p.Close()
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 )
 
 // E12 measures what E1–E11 deliberately hold at zero: the cost of cross-CPU
-// coordination. The paper's comparison — per-domain vCPUs multiplexed by a
-// VMM versus a global thread pool scheduled by a microkernel — only
-// separates on multiprocessors, where the two structures pay differently
-// for IPIs, TLB shootdowns and run-queue placement. Three workloads sweep
-// core count on all three platform stacks:
+// coordination. The paper's comparison — a VMM's per-domain vCPUs versus a
+// microkernel's threads, each placed on CPUs — only separates on
+// multiprocessors, where the two structures pay differently for IPIs and
+// TLB shootdowns. Neither kernel moves work between CPUs on its own, so
+// every cost follows placement. Three workloads sweep core count on all
+// three platform stacks:
 //
 //   - ipc-pingpong: a client on the boot CPU round-robins synchronous
 //     round trips over one partner per core. Cross-CPU rendezvous pays

@@ -562,11 +562,18 @@ type NativeStack struct {
 
 	rxQueue int
 	dead    bool
+	diskOK  bool   // whether the disk served the last request it completed
 	readBuf []byte // StorageRead's page, valid until the next StorageRead
 }
 
 // NativeComponent is the baseline's attribution name.
 const NativeComponent = "native.kernel"
+
+// The native stack's refusals.
+var (
+	errNativeDead = errors.New("core: native kernel dead")
+	errNativeDisk = errors.New("core: native disk refused the request")
+)
 
 // nativeRxPool is how many receive buffers the in-kernel driver keeps
 // posted to the NIC.
@@ -598,9 +605,11 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 	m.IRQ.SetHandler(dev.TxIRQ, func(hw.IRQLine) { m.CPU.Work(s.comp, 150) })
 	m.IRQ.SetHandler(dev.DiskIRQ, func(hw.IRQLine) {
 		// In-kernel driver: the requester waits on its own frame, so the
-		// completions are only reaped.
+		// completions are reaped for their outcome alone.
 		m.CPU.Work(s.comp, 200)
-		s.Disk.Reap()
+		for _, c := range s.Disk.Reap() {
+			s.diskOK = c.OK
+		}
 	})
 	for i := 0; i < nativeRxPool; i++ {
 		f, err := m.Mem.Alloc(s.comp)
@@ -623,6 +632,18 @@ func (s *NativeStack) syscall(work hw.Cycles) {
 	s.Mach.CPU.ReturnTo(s.comp, hw.Ring3)
 }
 
+// check refuses a request from any guest but the one application the
+// native kernel runs, guest 0, and any request once the kernel is dead.
+func (s *NativeStack) check(from int) error {
+	if from != 0 {
+		return ErrGuestIndex
+	}
+	if s.dead {
+		return errNativeDead
+	}
+	return nil
+}
+
 // appCPU is the core the application runs on in the SMP model: the last
 // one, as far from the boot CPU (which fields interrupts and runs the
 // in-kernel driver) as the machine allows. 0 on a uniprocessor.
@@ -632,9 +653,9 @@ func (s *NativeStack) appCPU() int { return s.Mach.NCPUs() - 1 }
 // costs the reschedule IPI the driver core sends to wake the application
 // core — the monolithic kernel pays for cross-CPU coordination too, just
 // without any protection-domain crossing.
-func (s *NativeStack) DrainRx(int) int {
+func (s *NativeStack) DrainRx(dest int) int {
 	n := s.rxQueue
-	if n == 0 {
+	if dest != 0 || n == 0 {
 		return 0
 	}
 	s.rxQueue = 0
@@ -652,8 +673,8 @@ func (s *NativeStack) DrainRx(int) int {
 
 // SendPackets implements Platform.
 func (s *NativeStack) SendPackets(n, size, from int) error {
-	if s.dead {
-		return errors.New("core: native kernel dead")
+	if err := s.check(from); err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		s.syscall(300 + s.Mach.CPU.CopyCost(uint64(size)))
@@ -670,8 +691,8 @@ func (s *NativeStack) SendPackets(n, size, from int) error {
 
 // DoSyscall implements Platform.
 func (s *NativeStack) DoSyscall(from int, no uint32, arg uint64) error {
-	if s.dead {
-		return errors.New("core: native kernel dead")
+	if err := s.check(from); err != nil {
+		return err
 	}
 	s.syscall(150)
 	return nil
@@ -693,10 +714,22 @@ func (s *NativeStack) smpUnmapBuffer(f hw.FrameID) {
 	s.Mach.ShootdownEntry(0, targets, 0, hw.VPN(f))
 }
 
+// diskIO moves block to or from frame f and waits for the disk: the
+// in-kernel driver's DiskIRQ handler records whether the disk served it.
+func (s *NativeStack) diskIO(op dev.DiskOp, block uint64, f hw.FrameID) error {
+	s.diskOK = false
+	s.Disk.Submit(dev.DiskReq{Op: op, Block: block, Frame: f})
+	s.Pump()
+	if !s.diskOK {
+		return errNativeDisk
+	}
+	return nil
+}
+
 // StorageWrite implements Platform: an in-kernel filesystem write.
 func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
-	if s.dead {
-		return errors.New("core: native kernel dead")
+	if err := s.check(from); err != nil {
+		return err
 	}
 	s.syscall(500 + s.Mach.CPU.CopyCost(s.Mach.Mem.PageSize()))
 	f, err := s.Mach.Mem.Alloc(s.comp)
@@ -706,15 +739,13 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 	defer s.Mach.Mem.Free(f)
 	defer s.smpUnmapBuffer(f)
 	s.Mach.Mem.Write(f, 0, data)
-	s.Disk.Submit(dev.DiskReq{Op: dev.DiskWrite, Block: block, Frame: f})
-	s.Pump()
-	return nil
+	return s.diskIO(dev.DiskWrite, block, f)
 }
 
 // StorageRead implements Platform.
 func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
-	if s.dead {
-		return nil, errors.New("core: native kernel dead")
+	if err := s.check(from); err != nil {
+		return nil, err
 	}
 	s.syscall(500 + s.Mach.CPU.CopyCost(s.Mach.Mem.PageSize()))
 	f, err := s.Mach.Mem.Alloc(s.comp)
@@ -723,8 +754,9 @@ func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
 	}
 	defer s.Mach.Mem.Free(f)
 	defer s.smpUnmapBuffer(f)
-	s.Disk.Submit(dev.DiskReq{Op: dev.DiskRead, Block: block, Frame: f})
-	s.Pump()
+	if err := s.diskIO(dev.DiskRead, block, f); err != nil {
+		return nil, err
+	}
 	ps := int(s.Mach.Mem.PageSize())
 	if cap(s.readBuf) < ps {
 		s.readBuf = make([]byte, ps)

@@ -100,11 +100,6 @@ func (m *Machine) Reset() {
 // Now returns the machine's virtual time.
 func (m *Machine) Now() Cycles { return m.Clock.Now() }
 
-// Run drains, in order, every event due at or before t, then leaves the
-// clock at t — the event-driven engine's basic step. Idle gaps between
-// events are skipped, not stepped.
-func (m *Machine) Run(until Cycles) int { return m.Events.RunUntil(until) }
-
 // RunUntilIdle drains the event queue completely (advancing the clock to
 // each event in turn), bounded by maxEvents (0 = unlimited).
 func (m *Machine) RunUntilIdle(maxEvents int) int { return m.Events.RunUntilIdle(maxEvents) }
@@ -124,13 +119,6 @@ func (m *Machine) PumpIO(comp trace.Comp, maxRounds int) int {
 		}
 	}
 	return total
-}
-
-// AdvanceTo skips idle virtual time: the clock jumps straight to t, firing
-// any events that become due on the way. Unlike Clock.AdvanceTo it is safe
-// to call with pending events — they fire at their scheduled times first.
-func (m *Machine) AdvanceTo(t Cycles) {
-	m.Events.RunUntil(t)
 }
 
 // NCPUs returns the processor count.

@@ -276,9 +276,9 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	}
 }
 
-// TestMachineRunSkipsIdleTime pins the event-driven step: Run jumps the
-// clock across idle gaps instead of stepping through them, fires due events
-// in order, and leaves late events queued.
+// TestMachineRunSkipsIdleTime pins the event-driven step: the machine's
+// event queue jumps the clock across idle gaps instead of stepping through
+// them, fires due events in order, and leaves late events queued.
 func TestMachineRunSkipsIdleTime(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 16})
 	var fired []string
@@ -286,8 +286,8 @@ func TestMachineRunSkipsIdleTime(t *testing.T) {
 	m.Events.Schedule(500_000, func() { fired = append(fired, "b") })
 	m.Events.Schedule(2_000_000, func() { fired = append(fired, "late") })
 
-	if n := m.Run(1_000_000); n != 2 {
-		t.Fatalf("Run fired %d events, want 2", n)
+	if n := m.Events.RunUntil(1_000_000); n != 2 {
+		t.Fatalf("RunUntil fired %d events, want 2", n)
 	}
 	if m.Now() != 1_000_000 {
 		t.Errorf("clock = %d, want 1000000 (idle skip to the horizon)", m.Now())
@@ -298,8 +298,8 @@ func TestMachineRunSkipsIdleTime(t *testing.T) {
 	if m.Events.Pending() != 1 {
 		t.Errorf("late event lost: pending = %d", m.Events.Pending())
 	}
-	m.AdvanceTo(3_000_000)
+	m.Events.RunUntil(3_000_000)
 	if len(fired) != 3 || fired[2] != "late" {
-		t.Errorf("AdvanceTo did not fire the late event: %v", fired)
+		t.Errorf("RunUntil did not fire the late event: %v", fired)
 	}
 }

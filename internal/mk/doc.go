@@ -1,10 +1,10 @@
 // Package mk implements an L4-style microkernel over the hw substrate:
 // threads, address spaces, synchronous IPC with register/string/map
-// transfer, interrupt delivery as IPC, external pagers, and a priority
-// round-robin scheduler with per-CPU run queues. It is "system A" of the
-// paper's comparison; package vmm is its Xen-shaped counterpart, package
-// mkos the OS personality that runs on it, and package core boots and
-// measures the two side by side.
+// transfer, interrupt delivery as IPC, external pagers, and threads placed
+// on CPUs, each CPU picking among its own by priority and round robin. It
+// is "system A" of the paper's comparison; package vmm is its Xen-shaped
+// counterpart, package mkos the OS personality that runs on it, and
+// package core boots and measures the two side by side.
 //
 // Following Liedtke's dictum quoted in the paper ("minimize the kernel and
 // implement whatever possible outside of the kernel"), the kernel knows
@@ -38,13 +38,15 @@
 // from 1 and never reused, so the kernel keeps each kind in a slice
 // indexed by ID, as package vmm keeps its domains.
 //
-// Multiprocessor model: threads have a home CPU (Thread.Affinity, set by
-// SetAffinity) and each CPU schedules from its own run queue (ScheduleOn),
-// one FIFO picked in priority order, round robin within a priority,
-// stealing work from other CPUs — a charged migration — when its queue
-// runs dry. IPC between threads homed on different CPUs pays wake and
-// reply IPIs, and unmapping a page of a space installed on other CPUs
-// triggers a TLB shootdown to each of them. A thread is never installed on
-// two CPUs at once. All of this is inert on the 1-CPU machines E1–E11 use;
-// experiment E12 is what exercises it.
+// Multiprocessor model: threads are placed on CPUs, not moved between
+// them. Each thread has a home CPU (Thread.Affinity), and only SetAffinity
+// re-homes it, as on L4, where a user-level scheduler migrates threads.
+// Each CPU installs one thread at a time (ScheduleOn), chosen among the
+// live threads homed on it: the highest priority first, round robin in
+// thread-ID order within a priority. So a thread is never installed on
+// two CPUs at once. Re-homing an installed thread kicks its old CPU with
+// an IPI, IPC between threads homed on different CPUs pays wake and reply
+// IPIs, and unmapping a page of a space installed on other CPUs triggers a
+// TLB shootdown to each of them. All of this is inert on the 1-CPU
+// machines E1–E11 use; experiment E12 is what exercises it.
 package mk

@@ -51,7 +51,7 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 		return ErrNoPager
 	}
 	pager := k.Thread(pagerID)
-	if pager == nil || pager.State == StateDead || pager.Space.Dead || pager.Handler == nil {
+	if pager == nil || pager.Dead || pager.Space.Dead || pager.Handler == nil {
 		// Pager gone: the fault cannot be resolved. The faulting thread
 		// is the casualty; the kernel and everyone else survive.
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -107,7 +107,7 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 
 	hid := t.Space.ExcHandler
 	handler := k.Thread(hid)
-	if handler == nil || handler.State == StateDead || handler.Space.Dead || handler.Handler == nil {
+	if handler == nil || handler.Dead || handler.Space.Dead || handler.Handler == nil {
 		// Unhandled: the faulter dies; nobody else is touched.
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 		k.KillThread(tid)
@@ -138,7 +138,7 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		return ErrNoSuchThread
 	}
 	k.M.IRQ.SetHandler(line, func(l hw.IRQLine) {
-		if t.State == StateDead || t.Space.Dead {
+		if t.Dead || t.Space.Dead {
 			return // driver died; interrupt is dropped, kernel unharmed
 		}
 		// Interrupt IPC: conceptually from the "hardware thread".
@@ -164,13 +164,13 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 // messages are discarded; future IPC to it fails with ErrDeadPartner.
 func (k *Kernel) KillThread(tid ThreadID) {
 	t := k.Thread(tid)
-	if t == nil || t.State == StateDead {
+	if t == nil || t.Dead {
 		return
 	}
-	t.State = StateDead
+	t.Dead = true
 	t.Inbox = nil
 	t.Handler = nil
-	k.sched.remove(t)
+	k.uninstall(t)
 	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, t.comp, 0)
 }
 
@@ -195,5 +195,5 @@ func (k *Kernel) KillSpace(s *Space) {
 // Alive reports whether the thread exists and is not dead.
 func (k *Kernel) Alive(tid ThreadID) bool {
 	t := k.Thread(tid)
-	return t != nil && t.State != StateDead && !t.Space.Dead
+	return t != nil && !t.Dead && !t.Space.Dead
 }

@@ -161,7 +161,7 @@ func (k *Kernel) ipcPreamble(from, to ThreadID) (*Thread, *Thread, error) {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 		return nil, nil, ErrIPCDenied
 	}
-	if dst.State == StateDead || dst.Space.Dead {
+	if dst.Dead || dst.Space.Dead {
 		// The kernel stays correct; the failure is confined to the
 		// caller, which receives an error exactly as the paper's §3.1
 		// describes for a failed user-level server.
@@ -244,13 +244,18 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 
 // Send performs a one-way send. If the destination has a handler it is
 // delivered immediately through the request registers, as by Call (the
-// handler's reply is discarded); otherwise an owning copy is queued in the
+// handler's reply is discarded), and refused at the call-depth limit before
+// anything transfers; otherwise an owning copy is queued in the
 // destination's inbox for its next activation. Either way the sender does
 // not wait for a reply.
 func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 	src, dst, err := k.ipcPreamble(from, to)
 	if err != nil {
 		return err
+	}
+	if dst.Handler != nil && k.callDepth >= maxCallDepth {
+		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
+		return ErrCallDepth
 	}
 	if err := k.ipcTransferCost(msg); err != nil {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -270,9 +275,6 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 	if dst.Handler != nil {
 		k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		if k.callDepth >= maxCallDepth {
-			return ErrCallDepth
-		}
 		_, herr := k.deliver(dst.Handler, from, msg)
 		// One-way: handler errors do not propagate to the sender, but a
 		// crash of the handler is a real event.

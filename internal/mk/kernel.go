@@ -69,7 +69,7 @@ func New(m *hw.Machine) *Kernel {
 		comp:    m.Rec.Intern(KernelComponent),
 		threads: []*Thread{nil},
 		spaces:  []*Space{nil},
-		sched:   scheduler{cpus: make([]cpuQueue, m.NCPUs())},
+		sched:   scheduler{current: make([]*Thread, m.NCPUs())},
 	}
 	// Boot cost: set up kernel space, IDT-equivalent, etc.
 	m.CPU.Work(k.comp, 5000)
@@ -119,46 +119,19 @@ func (k *Kernel) NewSpace(name string, pager ThreadID) (*Space, error) {
 // kernel has already switched to it and charged the switch.
 type Handler func(k *Kernel, from ThreadID, msg Msg) (Msg, error)
 
-// ThreadState is a thread's scheduling state.
-type ThreadState uint8
-
-// Thread states.
-const (
-	StateReady ThreadState = iota
-	StateBlocked
-	StateDead
-)
-
-// String names the scheduling state.
-func (s ThreadState) String() string {
-	switch s {
-	case StateReady:
-		return "ready"
-	case StateBlocked:
-		return "blocked"
-	case StateDead:
-		return "dead"
-	}
-	return "invalid"
-}
-
 // Thread is a kernel-scheduled activity bound to one space.
 type Thread struct {
 	ID      ThreadID
 	Name    string
 	Space   *Space
-	Prio    int // higher runs first
-	State   ThreadState
+	Prio    int  // higher runs first
+	Dead    bool // killed; IPC to it fails and no CPU installs it
 	Handler Handler
 
-	// Affinity is the CPU whose run queue homes the thread (0 on a
-	// uniprocessor). SetAffinity re-homes it; work stealing may migrate
-	// it when its home CPU has surplus ready work.
+	// Affinity is the CPU the thread is placed on (0 on a uniprocessor):
+	// only that CPU installs it, so it never runs on two CPUs at once.
+	// Only SetAffinity re-homes it; the kernel never moves it.
 	Affinity int
-	// onCPU is the CPU the thread is currently installed on, -1 when not
-	// running anywhere — the invariant that a thread never occupies two
-	// CPUs at once is enforced through it.
-	onCPU int
 
 	// Inbox holds one-way sends awaiting the thread's next activation.
 	Inbox []Envelope
@@ -181,20 +154,19 @@ type Envelope struct {
 func (t *Thread) Comp() trace.Comp { return t.comp }
 
 // NewThread creates a thread in space with the given priority and handler
-// (nil for pure client threads that only originate IPC).
+// (nil for pure client threads that only originate IPC). The thread is
+// placed on the boot CPU until SetAffinity re-homes it; its priority
+// orders ScheduleOn's pick among the threads placed on one CPU.
 func (k *Kernel) NewThread(space *Space, name string, prio int, h Handler) *Thread {
 	t := &Thread{
 		ID:      ThreadID(len(k.threads)),
 		Name:    name,
 		Space:   space,
 		Prio:    prio,
-		State:   StateReady,
 		Handler: h,
-		onCPU:   -1,
 		comp:    k.M.Rec.InternJoin("mk.", name),
 	}
 	k.threads = append(k.threads, t)
-	k.sched.add(t)
 	k.M.CPU.Work(k.comp, 400) // TCB allocation and setup
 	return t
 }
@@ -214,7 +186,7 @@ func (k *Kernel) Thread(id ThreadID) *Thread {
 func (k *Kernel) Threads() int {
 	n := 0
 	for _, t := range k.threads[1:] {
-		if t.State != StateDead {
+		if !t.Dead {
 			n++
 		}
 	}

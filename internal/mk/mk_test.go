@@ -273,6 +273,58 @@ func TestCallDepthBounded(t *testing.T) {
 	}
 }
 
+// TestSendRefusedAtCallDepthTransfersNothing: at the call-depth limit a
+// Send to a thread with a handler is refused before it delivers anything,
+// as a Call is. A Grant item stays with the sender, the sends count no
+// ipc.send, and the CPU stays in the sender's space.
+func TestSendRefusedAtCallDepthTransfersNothing(t *testing.T) {
+	r := newRig(t, hw.X86())
+	ls, err := r.k.NewSpace("loop", NilThread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := r.k.AllocAndMap(ls, 0x100, 1, hw.PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		loopID  ThreadID
+		sendErr error
+		ptKept  bool
+		sends   uint64
+	)
+	loop := r.k.NewThread(ls, "loop", 1, func(k *Kernel, _ ThreadID, msg Msg) (Msg, error) {
+		if k.callDepth < maxCallDepth {
+			return k.Call(loopID, loopID, msg)
+		}
+		pt, snap := k.M.CPU.PageTable(), k.M.Rec.Snapshot()
+		sendErr = k.Send(loopID, r.server.ID, Msg{
+			Map: []MapItem{{SrcVPN: 0x100, DstVPN: 0x300, Count: 1, Perms: hw.PermRW, Grant: true}},
+		})
+		ptKept, sends = k.M.CPU.PageTable() == pt, k.M.Rec.CountsSince(snap, trace.KIPCSend)
+		return msg, nil
+	})
+	loopID = loop.ID
+	if _, err := r.k.Call(r.client.ID, loopID, Msg{}); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(sendErr, ErrCallDepth) {
+		t.Fatalf("Send at depth %d = %v, want ErrCallDepth", maxCallDepth, sendErr)
+	}
+	if e, ok := ls.PT.Lookup(0x100); !ok || e.Frame != frames[0] {
+		t.Fatal("refused grant removed the sender's mapping")
+	}
+	if got := r.m.Mem.Owner(frames[0]); got != ls.Comp() {
+		t.Fatalf("frame owner = %q, want mk.loop", r.m.Rec.Registry().Name(got))
+	}
+	if _, ok := r.server.Space.PT.Lookup(0x300); ok {
+		t.Fatal("refused grant mapped the page in the receiver's space")
+	}
+	if sends != 0 || !ptKept {
+		t.Fatalf("refused Send counted %d ipc.send, page table kept %v", sends, ptKept)
+	}
+}
+
 func TestPagerResolvesFault(t *testing.T) {
 	m := hw.NewMachine(hw.X86(), nil)
 	k := New(m)
@@ -581,13 +633,13 @@ func TestIPCCostVariesByArch(t *testing.T) {
 
 // TestKernelBootAllocates pins what a small kernel boot allocates on a
 // pooled (Reset) machine: the kernel, two spaces, four threads of mixed
-// priority on their run queue, and one interrupt route. The object tables
-// and the run queue are slices, and the mapping database and the IPC
-// rights make their maps on first write, so the boot builds no map. The
-// machine's registry already holds every component name, and interning a
-// known name builds no string.
+// priority, and one interrupt route. The object tables and the per-CPU
+// installed threads are slices, a thread joins no run queue, and the
+// mapping database and the IPC rights make their maps on first write, so
+// the boot builds no map. The machine's registry already holds every
+// component name, and interning a known name builds no string.
 func TestKernelBootAllocates(t *testing.T) {
-	const want = 21
+	const want = 18
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
 	n := testing.AllocsPerRun(100, func() {
 		m.Reset()

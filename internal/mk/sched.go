@@ -2,129 +2,58 @@ package mk
 
 import (
 	"fmt"
-	"slices"
 
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
 
-// scheduler distributes threads over per-CPU priority round-robin run
-// queues. The synchronous IPC model resolves most control transfer
-// directly, so the scheduler's observable job is (a) picking whom a timer
-// tick preempts to, (b) charging context-switch costs when a CPU's running
-// thread changes, and (c) on multiprocessors, placing threads by affinity
-// and stealing work across CPUs when a queue runs dry — each steal is a
-// real migration paid for with an IPI. A 1-CPU machine collapses to the
-// single global queue the macro experiments (E8) were calibrated on.
+// scheduler records which thread each CPU has installed. Threads are
+// placed on CPUs, not moved between them: a thread runs only on its home
+// CPU (Thread.Affinity), and only SetAffinity re-homes it, as on L4, where
+// a user-level scheduler migrates threads and the kernel never does. The
+// synchronous IPC model resolves most control transfer directly, so the
+// scheduler's observable job is picking whom a timer tick preempts to and
+// charging context-switch costs when a CPU's installed thread changes.
 type scheduler struct {
-	cpus    []cpuQueue // one per machine CPU; index == hw CPU index
-	targets []int      // cpusRunningSpace's result, reused
-}
-
-// cpuQueue is one CPU's run queue: its threads in one FIFO, plus the
-// thread currently installed on that CPU. Run queues hold a handful of
-// threads, so a pick scans the whole FIFO for the highest priority.
-type cpuQueue struct {
-	fifo    []*Thread
-	current *Thread
-}
-
-func (q *cpuQueue) add(t *Thread) { q.fifo = append(q.fifo, t) }
-
-func (q *cpuQueue) remove(t *Thread) {
-	if i := slices.Index(q.fifo, t); i >= 0 {
-		q.fifo = slices.Delete(q.fifo, i, i+1)
-	}
-	if q.current == t {
-		q.current = nil
-		t.onCPU = -1
-	}
-}
-
-// next returns the position of the ready thread with the highest Prio,
-// the earliest among equals, that is not installed on a CPU other than
-// cpu (a cpu of -1 admits only threads installed nowhere), or -1 when no
-// thread qualifies.
-func (q *cpuQueue) next(cpu int) int {
-	best := -1
-	for i, t := range q.fifo {
-		if t.State != StateReady || t.onCPU >= 0 && t.onCPU != cpu {
-			continue
-		}
-		if best < 0 || t.Prio > q.fifo[best].Prio {
-			best = i
-		}
-	}
-	return best
-}
-
-func (s *scheduler) add(t *Thread)    { s.cpus[t.Affinity].add(t) }
-func (s *scheduler) remove(t *Thread) { s.cpus[t.Affinity].remove(t) }
-
-// pick returns the next ready thread for cpu in priority order and
-// rotates it to the back of the queue: behind every thread of its
-// priority, which is round robin within each priority class. Threads
-// currently installed on another CPU are skipped — a thread never runs on
-// two CPUs at once. An empty queue falls back to stealing.
-func (k *Kernel) pick(cpu int) *Thread {
-	q := &k.sched.cpus[cpu]
-	i := q.next(cpu)
-	if i < 0 {
-		return k.steal(cpu)
-	}
-	t := q.fifo[i]
-	q.fifo = append(slices.Delete(q.fifo, i, i+1), t)
-	return t
-}
-
-// steal migrates a stealable thread from another CPU's queue to cpu,
-// paying a reschedule IPI toward the victim: victims are scanned in
-// ascending CPU order, and each gives up the thread its own pick would
-// choose among those installed nowhere. It returns nil when no CPU has
-// spare ready work.
-func (k *Kernel) steal(cpu int) *Thread {
-	for v := range k.sched.cpus {
-		if v == cpu {
-			continue
-		}
-		vq := &k.sched.cpus[v]
-		i := vq.next(-1)
-		if i < 0 {
-			continue
-		}
-		t := vq.fifo[i]
-		vq.fifo = slices.Delete(vq.fifo, i, i+1)
-		t.Affinity = cpu
-		k.sched.cpus[cpu].add(t)
-		k.M.SendIPI(cpu, v)
-		return t
-	}
-	return nil
+	current []*Thread // one per machine CPU; index == hw CPU index
+	targets []int     // cpusRunningSpace's result, reused
 }
 
 // ScheduleOn runs one scheduling decision on the given CPU: dispatch
 // pending interrupts (boot CPU only — external interrupts are routed
-// there), then switch to the next ready thread, charging the switch to
-// that CPU. It returns the chosen thread (nil if none ready anywhere).
+// there), then install the live thread homed on cpu with the highest Prio,
+// charging the switch to that CPU. Among equals it takes the first after
+// the installed thread in thread-ID order, wrapping around: round robin
+// within each priority. It returns the installed thread (nil if no live
+// thread is homed on cpu).
 func (k *Kernel) ScheduleOn(cpu int) *Thread {
-	if cpu < 0 || cpu >= len(k.sched.cpus) {
+	if cpu < 0 || cpu >= len(k.sched.current) {
 		panic(fmt.Sprintf("mk: schedule on nonexistent CPU %d", cpu))
 	}
 	c := k.M.CPUs[cpu]
-	q := &k.sched.cpus[cpu]
 	c.Trap(k.comp, false)
 	if cpu == 0 {
 		k.M.IRQ.DispatchPending(k.comp)
 	}
-	next := k.pick(cpu)
-	if next != nil && next != q.current {
-		if old := q.current; old != nil {
-			old.onCPU = -1
+	// One pass over the thread table (IDs 1 to n), starting after the
+	// installed thread and wrapping around.
+	cur := k.sched.current[cpu]
+	after := 0
+	if cur != nil {
+		after = int(cur.ID)
+	}
+	n := len(k.threads) - 1
+	var next *Thread
+	for i := range n {
+		t := k.threads[(after+i)%n+1]
+		if !t.Dead && t.Affinity == cpu && (next == nil || t.Prio > next.Prio) {
+			next = t
 		}
+	}
+	if next != nil && next != cur {
 		c.Charge(k.comp, trace.KContextSwitch, k.M.Arch.Costs.CtxSave)
 		c.SwitchSpace(k.comp, next.Space.PT)
-		q.current = next
-		next.onCPU = cpu
+		k.sched.current[cpu] = next
 	}
 	c.Charge(k.comp, trace.KSchedule, 50)
 	c.ReturnTo(k.comp, hw.Ring3)
@@ -132,16 +61,26 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 }
 
 // CurrentOn returns the thread currently installed on the given CPU.
-func (k *Kernel) CurrentOn(cpu int) *Thread { return k.sched.cpus[cpu].current }
+func (k *Kernel) CurrentOn(cpu int) *Thread { return k.sched.current[cpu] }
+
+// uninstall takes t off its home CPU if it is installed there, and
+// reports whether it was.
+func (k *Kernel) uninstall(t *Thread) bool {
+	if k.sched.current[t.Affinity] != t {
+		return false
+	}
+	k.sched.current[t.Affinity] = nil
+	return true
+}
 
 // SetAffinity re-homes a thread onto the given CPU. Re-homing to the
-// thread's current CPU is free; an actual migration moves the thread's
-// queue entry and, if the thread is installed on its old CPU, kicks that
-// CPU with a reschedule IPI. The boot-time pinning a platform does before
-// any thread has run charges nothing.
+// thread's current CPU is free; re-homing a thread installed on its old
+// CPU takes it off that CPU and kicks it with a reschedule IPI. The
+// boot-time pinning a platform does before any thread has run charges
+// nothing.
 func (k *Kernel) SetAffinity(tid ThreadID, cpu int) error {
 	t := k.Thread(tid)
-	if t == nil || t.State == StateDead {
+	if t == nil || t.Dead {
 		return ErrNoSuchThread
 	}
 	if cpu < 0 || cpu >= k.M.NCPUs() {
@@ -150,13 +89,10 @@ func (k *Kernel) SetAffinity(tid ThreadID, cpu int) error {
 	if t.Affinity == cpu {
 		return nil
 	}
-	wasOn := t.onCPU
-	k.sched.cpus[t.Affinity].remove(t)
-	t.Affinity = cpu
-	k.sched.cpus[cpu].add(t)
-	if wasOn >= 0 {
-		k.M.SendIPI(cpu, wasOn)
+	if k.uninstall(t) {
+		k.M.SendIPI(cpu, t.Affinity)
 	}
+	t.Affinity = cpu
 	return nil
 }
 
@@ -167,11 +103,8 @@ func (k *Kernel) SetAffinity(tid ThreadID, cpu int) error {
 // caller hands it straight to the shootdown.
 func (k *Kernel) cpusRunningSpace(s *Space, except int) []int {
 	out := k.sched.targets[:0]
-	for i, q := range k.sched.cpus {
-		if i == except {
-			continue
-		}
-		if q.current != nil && q.current.Space == s {
+	for i, t := range k.sched.current {
+		if i != except && t != nil && t.Space == s {
 			out = append(out, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package mk
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -9,21 +10,18 @@ import (
 	"vmmk/internal/trace"
 )
 
-// classModel is a reference scheduler: per CPU, one FIFO per priority
-// class, visited from the highest class down, with a pick rotating its
-// winner to the back of its class. A steal scans the other CPUs in
-// ascending order, each in the same class order.
+// classModel is a reference scheduler: a pick groups the live threads
+// placed on the CPU into priority classes, takes the highest class, and
+// within it the first thread whose ID follows the installed thread's,
+// wrapping to the class's lowest ID. Only re-homing an installed thread
+// sends an IPI.
 type classModel struct {
-	cpus   []classCPU
-	steals uint64
-	ipis   uint64
-}
-
-type classCPU struct {
-	queues   map[int][]*modelThread // priority -> FIFO
-	prios    []int                  // descending
-	current  *modelThread
+	threads  []*modelThread // in ID order
+	current  []*modelThread // per CPU
 	switches uint64
+	ipis     uint64
+
+	rotations, killsInstalled uint64 // what the streams exercised
 }
 
 type modelThread struct {
@@ -31,76 +29,29 @@ type modelThread struct {
 	prio     int
 	dead     bool
 	affinity int
-	onCPU    int
-}
-
-func newClassModel(ncpus int) *classModel {
-	m := &classModel{cpus: make([]classCPU, ncpus)}
-	for i := range m.cpus {
-		m.cpus[i].queues = map[int][]*modelThread{}
-	}
-	return m
-}
-
-func (q *classCPU) add(t *modelThread) {
-	if _, ok := q.queues[t.prio]; !ok {
-		q.prios = append(q.prios, t.prio)
-		slices.SortFunc(q.prios, func(a, b int) int { return b - a })
-	}
-	q.queues[t.prio] = append(q.queues[t.prio], t)
-}
-
-func (q *classCPU) remove(t *modelThread) {
-	q.queues[t.prio] = slices.DeleteFunc(q.queues[t.prio], func(x *modelThread) bool { return x == t })
-	if q.current == t {
-		q.current = nil
-		t.onCPU = -1
-	}
-}
-
-func (m *classModel) pick(cpu int) *modelThread {
-	q := &m.cpus[cpu]
-	for _, p := range q.prios {
-		for i, t := range q.queues[p] {
-			if t.dead || t.onCPU >= 0 && t.onCPU != cpu {
-				continue
-			}
-			q.queues[p] = append(slices.Delete(q.queues[p], i, i+1), t)
-			return t
-		}
-	}
-	for v := range m.cpus {
-		if v == cpu {
-			continue
-		}
-		vq := &m.cpus[v]
-		for _, p := range vq.prios {
-			for _, t := range vq.queues[p] {
-				if t.dead || t.onCPU >= 0 {
-					continue
-				}
-				vq.remove(t)
-				t.affinity = cpu
-				q.add(t)
-				m.steals++
-				m.ipis++
-				return t
-			}
-		}
-	}
-	return nil
 }
 
 func (m *classModel) schedule(cpu int) *modelThread {
-	q := &m.cpus[cpu]
-	next := m.pick(cpu)
-	if next != nil && next != q.current {
-		q.switches++
-		if q.current != nil {
-			q.current.onCPU = -1
+	classes := map[int][]*modelThread{}
+	for _, t := range m.threads {
+		if !t.dead && t.affinity == cpu {
+			classes[t.prio] = append(classes[t.prio], t)
 		}
-		q.current = next
-		next.onCPU = cpu
+	}
+	if len(classes) == 0 {
+		return nil
+	}
+	class := classes[slices.Max(slices.Collect(maps.Keys(classes)))]
+	next := class[0]
+	if cur := m.current[cpu]; cur != nil {
+		if i := slices.IndexFunc(class, func(t *modelThread) bool { return t.id > cur.id }); i > 0 {
+			next = class[i]
+			m.rotations++
+		}
+	}
+	if next != m.current[cpu] {
+		m.switches++
+		m.current[cpu] = next
 	}
 	return next
 }
@@ -109,13 +60,11 @@ func (m *classModel) setAffinity(t *modelThread, cpu int) {
 	if t.dead || t.affinity == cpu {
 		return
 	}
-	wasOn := t.onCPU
-	m.cpus[t.affinity].remove(t)
-	t.affinity = cpu
-	m.cpus[cpu].add(t)
-	if wasOn >= 0 {
+	if m.current[t.affinity] == t {
+		m.current[t.affinity] = nil
 		m.ipis++
 	}
+	t.affinity = cpu
 }
 
 func (m *classModel) kill(t *modelThread) {
@@ -123,17 +72,21 @@ func (m *classModel) kill(t *modelThread) {
 		return
 	}
 	t.dead = true
-	m.cpus[t.affinity].remove(t)
+	if m.current[t.affinity] == t {
+		m.current[t.affinity] = nil
+		m.killsInstalled++
+	}
 }
 
 // TestSchedulerMatchesClassQueues runs seeded streams of thread creation,
 // kills, re-homing and scheduling decisions on 1–4 CPUs against the
 // per-class reference model: every ScheduleOn must return the model's
-// pick, and every thread's CPU, the switches and the IPIs must agree after
-// every op.
+// pick, and after every op every thread's CPU, every CPU's installed
+// thread, the context switches and the IPIs must agree. A thread is
+// installed only on the CPU it is placed on, so never on two at once.
 func TestSchedulerMatchesClassQueues(t *testing.T) {
 	const seeds, ops = 300, 200
-	var steals uint64
+	var rotations, ipis, killsInstalled uint64
 	for seed := uint64(1); seed <= seeds; seed++ {
 		r := simrand.New(seed)
 		ncpus := 1 + r.Intn(4)
@@ -143,21 +96,18 @@ func TestSchedulerMatchesClassQueues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := newClassModel(ncpus)
-		var threads []*modelThread
+		model := &classModel{current: make([]*modelThread, ncpus)}
 		for op := range ops {
 			switch n := r.Intn(10); {
-			case n < 3 || len(threads) == 0:
+			case n < 3 || len(model.threads) == 0:
 				th := k.NewThread(sp, "t", r.Intn(4), nil)
-				mt := &modelThread{id: th.ID, prio: th.Prio, onCPU: -1}
-				threads = append(threads, mt)
-				model.cpus[0].add(mt)
+				model.threads = append(model.threads, &modelThread{id: th.ID, prio: th.Prio})
 			case n < 4:
-				mt := threads[r.Intn(len(threads))]
+				mt := model.threads[r.Intn(len(model.threads))]
 				k.KillThread(mt.id)
 				model.kill(mt)
 			case n < 6:
-				mt, cpu := threads[r.Intn(len(threads))], r.Intn(ncpus)
+				mt, cpu := model.threads[r.Intn(len(model.threads))], r.Intn(ncpus)
 				err := k.SetAffinity(mt.id, cpu)
 				if (err != nil) != mt.dead {
 					t.Fatalf("seed %d op %d: SetAffinity(%d, %d) = %v, thread dead %v", seed, op, mt.id, cpu, err, mt.dead)
@@ -170,23 +120,55 @@ func TestSchedulerMatchesClassQueues(t *testing.T) {
 					t.Fatalf("seed %d op %d: ScheduleOn(%d) = %v, model %v", seed, op, cpu, got, want)
 				}
 			}
-			var switches uint64
-			for i := range model.cpus {
-				switches += model.cpus[i].switches
-			}
-			if got, ipis := m.Rec.Counts(trace.KContextSwitch), m.Rec.Counts(trace.KIPI); got != switches || ipis != model.ipis {
+			if got, ipis := m.Rec.Counts(trace.KContextSwitch), m.Rec.Counts(trace.KIPI); got != model.switches || ipis != model.ipis {
 				t.Fatalf("seed %d op %d: %d switches, %d IPIs; model %d, %d",
-					seed, op, got, ipis, switches, model.ipis)
+					seed, op, got, ipis, model.switches, model.ipis)
 			}
-			for _, mt := range threads {
+			for _, mt := range model.threads {
 				if got := k.Thread(mt.id).Affinity; got != mt.affinity {
 					t.Fatalf("seed %d op %d: thread %d on CPU %d, model CPU %d", seed, op, mt.id, got, mt.affinity)
 				}
 			}
+			for cpu, want := range model.current {
+				got := k.CurrentOn(cpu)
+				if (got == nil) != (want == nil) || got != nil && (got.ID != want.id || got.Affinity != cpu) {
+					t.Fatalf("seed %d op %d: CPU %d runs %v, model %v", seed, op, cpu, got, want)
+				}
+			}
 		}
-		steals += model.steals
+		rotations += model.rotations
+		ipis += model.ipis
+		killsInstalled += model.killsInstalled
 	}
-	if steals == 0 {
-		t.Fatal("no stream stole work")
+	if rotations == 0 || ipis == 0 || killsInstalled == 0 {
+		t.Fatalf("streams exercised %d round-robin rotations, %d re-homing IPIs, %d kills of installed threads; want each > 0",
+			rotations, ipis, killsInstalled)
+	}
+}
+
+// TestScheduleOnIdleCPUInstallsNothing: a CPU with no live thread placed
+// on it installs nothing, and it takes no thread from another CPU, so it
+// charges no IPI and no context switch.
+func TestScheduleOnIdleCPUInstallsNothing(t *testing.T) {
+	m, k, client, server := smpRig(t, 3)
+	sp, err := k.NewSpace("gone", NilThread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := k.NewThread(sp, "gone", 9, nil)
+	if err := k.SetAffinity(gone.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	k.KillThread(gone.ID)
+	for _, cpu := range []int{1, 2} { // nothing placed; a dead thread
+		if got := k.ScheduleOn(cpu); got != nil || k.CurrentOn(cpu) != nil {
+			t.Fatalf("ScheduleOn(%d) installed %v", cpu, got)
+		}
+	}
+	if ipis, switches := m.Rec.Counts(trace.KIPI), m.Rec.Counts(trace.KContextSwitch); ipis != 0 || switches != 0 {
+		t.Fatalf("idle CPUs charged %d IPIs and %d context switches", ipis, switches)
+	}
+	if client.Affinity != 0 || server.Affinity != 0 {
+		t.Fatalf("threads moved to CPUs %d and %d", client.Affinity, server.Affinity)
 	}
 }

@@ -82,86 +82,6 @@ func TestCrossCPUIPCChargesIPIs(t *testing.T) {
 	}
 }
 
-// TestThreadNeverOnTwoCPUs schedules every CPU many times over a small
-// thread pool (forcing steals) and asserts the cardinal invariant: no
-// thread is installed on two CPUs at once.
-func TestThreadNeverOnTwoCPUs(t *testing.T) {
-	const ncpus = 4
-	_, k, client, server := smpRig(t, ncpus)
-	// Two more threads, all homed on CPU 0, so CPUs 1-3 must steal.
-	sp, err := k.NewSpace("pool", NilThread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threads := []*Thread{client, server}
-	for i := 0; i < 2; i++ {
-		threads = append(threads, k.NewThread(sp, fmt.Sprintf("pool%d", i), 3, nil))
-	}
-	for round := 0; round < 8; round++ {
-		for cpu := 0; cpu < ncpus; cpu++ {
-			k.ScheduleOn(cpu)
-			seen := map[*Thread]int{}
-			for c := 0; c < ncpus; c++ {
-				cur := k.CurrentOn(c)
-				if cur == nil {
-					continue
-				}
-				if prev, dup := seen[cur]; dup {
-					t.Fatalf("round %d: thread %q on CPUs %d and %d at once",
-						round, cur.Name, prev, c)
-				}
-				seen[cur] = c
-			}
-		}
-	}
-	if !stole(threads) {
-		t.Fatal("scenario did not exercise work stealing")
-	}
-}
-
-// stole reports whether a thread has left CPU 0, where every thread of
-// these tests starts and which only a steal moves it from.
-func stole(threads []*Thread) bool {
-	for _, th := range threads {
-		if th.Affinity != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// TestWorkStealingPreservesSwitches: stealing moves where a switch happens
-// but never mints or loses one — every installation of a new thread is
-// counted exactly once.
-func TestWorkStealingPreservesSwitches(t *testing.T) {
-	const ncpus = 3
-	m, k, client, server := smpRig(t, ncpus)
-	sp, err := k.NewSpace("pool", NilThread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threads := []*Thread{client, server}
-	for i := 0; i < 4; i++ {
-		threads = append(threads, k.NewThread(sp, fmt.Sprintf("pool%d", i), 3, nil))
-	}
-	snap := m.Rec.Snapshot()
-	installs := uint64(0)
-	for round := 0; round < 6; round++ {
-		for cpu := 0; cpu < ncpus; cpu++ {
-			before := k.CurrentOn(cpu)
-			if got := k.ScheduleOn(cpu); got != nil && got != before {
-				installs++
-			}
-		}
-	}
-	if got := m.Rec.CountsSince(snap, trace.KContextSwitch); got != installs {
-		t.Fatalf("KContextSwitch = %d but observed %d installations", got, installs)
-	}
-	if !stole(threads) {
-		t.Fatal("scenario did not exercise work stealing")
-	}
-}
-
 // TestUnmapShootsDownRunningSpaces: unmapping a page of a space that is
 // installed on other CPUs invalidates their TLBs by shootdown; a space
 // running nowhere else costs nothing.

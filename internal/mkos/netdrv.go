@@ -9,8 +9,9 @@ import (
 
 // RxMode selects how the driver moves received packets to a client OS
 // server: by granting the packet page through a map item (the zero-copy
-// analogue of Xen's page flip) or by a string-transfer copy. The E9
-// ablation compares the two, mirroring the flip/copy study on the VMM side.
+// analogue of Xen's page flip) or by a string-transfer copy, the mk twin
+// of netback's copy mode. TestGrantVsCopyCPUProportionality compares the
+// two, mirroring the flip/copy study on the VMM side.
 type RxMode int
 
 // Receive modes.

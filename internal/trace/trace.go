@@ -59,7 +59,7 @@ const (
 	KDirtyLogFault
 
 	// KIPI is one inter-processor interrupt: a cross-CPU kick for remote
-	// wakeup, rescheduling, work stealing or shootdown initiation. Like
+	// wakeup, re-homing a running thread or shootdown initiation. Like
 	// KDirtyLogFault it sits outside the E5 primitive ranges — an IPI is
 	// hardware plumbing both kernel structures pay for, not a new
 	// extensibility primitive — and outside the E2 IPC-equivalent set,

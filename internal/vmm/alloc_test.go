@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"vmmk/internal/hw"
 )
@@ -161,5 +162,14 @@ func TestHypervisorBootAllocates(t *testing.T) {
 	}
 	if n != want {
 		t.Fatalf("a warm boot allocates %v objects, want %d", n, want)
+	}
+}
+
+// TestDomainSize: a domain keeps only the pCPUs its shootdowns and kicks
+// target, not a per-vCPU placement list, so every domain built, migrated
+// or restored stays within 192 bytes.
+func TestDomainSize(t *testing.T) {
+	if n := unsafe.Sizeof(Domain{}); n > 192 {
+		t.Fatalf("Domain is %d bytes, want at most 192", n)
 	}
 }

@@ -45,13 +45,11 @@ type Domain struct {
 	// guest stores (live pre-copy migration; see shadow.go).
 	dirtyLog *DirtyLog
 
-	// placement maps vCPU index -> physical CPU. Empty means the
-	// uniprocessor arrangement every pre-SMP caller gets: one implicit
-	// vCPU on pCPU 0, no IPIs, no shootdowns. PlaceVCPUs sets it.
-	placement []int
 	// remote lists the distinct pCPUs other than 0 hosting one of its
 	// vCPUs, ascending: the monitor runs on pCPU 0, so shootdowns and
-	// event-delivery kicks target these. PlaceVCPUs sets it.
+	// event-delivery kicks target these. PlaceVCPUs sets it; empty is the
+	// uniprocessor arrangement every unplaced domain has, one implicit
+	// vCPU on pCPU 0 with no IPIs and no shootdowns.
 	remote []int
 
 	comp trace.Comp // "vmm."+Name, interned at creation; owns its frames
@@ -155,30 +153,14 @@ func (d *Domain) ReleaseFrame(f hw.FrameID) error {
 	return nil
 }
 
-// VCPUs returns the domain's virtual CPU count: the length of its
-// placement, or 1 for an unplaced (uniprocessor-style) domain.
-func (d *Domain) VCPUs() int {
-	if len(d.placement) == 0 {
-		return 1
-	}
-	return len(d.placement)
-}
-
-// VCPUPlacement returns a copy of the vCPU -> pCPU placement (nil when the
-// domain is unplaced).
-func (d *Domain) VCPUPlacement() []int {
-	if len(d.placement) == 0 {
-		return nil
-	}
-	return append([]int(nil), d.placement...)
-}
-
 // PlaceVCPUs gives a domain one virtual CPU per argument, each pinned to
 // the named physical CPU (vCPU i on pcpus[i]). Placement is the SMP
 // control-plane operation Dom0's toolstack performs at domain build:
 // shadow-page-table invalidation shoots down every placed pCPU, and event
-// delivery to a remotely placed domain pays an IPI. Calling it with no
-// arguments resets the domain to the unplaced uniprocessor arrangement.
+// delivery to a remotely placed domain pays an IPI. Those costs read only
+// which pCPUs host a vCPU, so that set is all the monitor keeps. Calling
+// it with no arguments resets the domain to the unplaced uniprocessor
+// arrangement.
 func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -190,10 +172,9 @@ func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
 		}
 	}
 	if len(pcpus) == 0 {
-		d.placement, d.remote = nil, nil
+		d.remote = nil
 		return nil
 	}
-	d.placement = append([]int(nil), pcpus...)
 	d.remote = slices.Compact(slices.Sorted(slices.Values(pcpus)))
 	if d.remote[0] == 0 {
 		d.remote = d.remote[1:]

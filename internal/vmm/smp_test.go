@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -31,23 +32,20 @@ func TestPlaceVCPUsValidation(t *testing.T) {
 	if err := h.PlaceVCPUs(DomID(99), 0); !errors.Is(err, ErrNoSuchDomain) {
 		t.Fatalf("missing domain: got %v, want ErrNoSuchDomain", err)
 	}
-	if d.VCPUs() != 1 || d.VCPUPlacement() != nil {
-		t.Fatal("unplaced domain should report one implicit vCPU")
+	if d.remote != nil {
+		t.Fatalf("unplaced or refused domain has remote pCPUs %v", d.remote)
 	}
-	if err := h.PlaceVCPUs(d.ID, 0, 1, 1); err != nil {
+	if err := h.PlaceVCPUs(d.ID, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d.VCPUs() != 3 {
-		t.Fatalf("VCPUs = %d, want 3", d.VCPUs())
-	}
-	if got := d.VCPUPlacement(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("placement = %v", got)
+	if !slices.Equal(d.remote, []int{1}) {
+		t.Fatalf("remote pCPUs = %v, want [1]", d.remote)
 	}
 	if err := h.PlaceVCPUs(d.ID); err != nil {
 		t.Fatal(err)
 	}
-	if d.VCPUs() != 1 {
-		t.Fatal("PlaceVCPUs() did not reset to the uniprocessor arrangement")
+	if d.remote != nil {
+		t.Fatalf("PlaceVCPUs() left remote pCPUs %v, want the uniprocessor arrangement", d.remote)
 	}
 }
 
