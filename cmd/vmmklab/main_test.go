@@ -193,7 +193,7 @@ func TestGoldenJSON(t *testing.T) {
 }
 
 // TestGoldenWideSweeps pins three sweeps wider than the trimmed goldens
-// above, as text: E12 from 1 to 16 CPUs, E12 at MaxCPUs (the longest
+// above, as text: E12 from 1 to 16 CPUs, E12 at hw.MaxCPUs (the longest
 // ScheduleOn scan and the widest shootdown fan-out), and E13 on 16 hosts
 // of 2^20 frames each. Each runs in about 10 ms.
 func TestGoldenWideSweeps(t *testing.T) {

@@ -53,7 +53,7 @@ func TestPlatformsBootAndProbe(t *testing.T) {
 // The native kernel runs one application, guest 0.
 func TestPlatformGuestIndexValidation(t *testing.T) {
 	for _, name := range []string{"vmm", "mk", "native"} {
-		p, _, _ := bootIOStack(t, name) // one guest
+		p, _, _ := bootIOStack(t, name, 1) // one guest
 		for _, g := range []int{1, 5} {
 			if err := p.DoSyscall(g, 1, 0); err != ErrGuestIndex {
 				t.Errorf("%s: DoSyscall from guest %d = %v, want ErrGuestIndex", name, g, err)
@@ -79,13 +79,33 @@ func TestPlatformGuestIndexValidation(t *testing.T) {
 	}
 }
 
+// TestKilledDriverDeliversNothing: once its network driver is killed, no
+// stack delivers a packet injected afterwards. The native driver is the
+// kernel itself, so its drain is refused like any other request to a dead
+// kernel and charges nothing.
+func TestKilledDriverDeliversNothing(t *testing.T) {
+	for _, name := range []string{"vmm", "mk", "native"} {
+		p, _, _ := bootIOStack(t, name, 1)
+		p.KillDriver()
+		p.InjectPackets(3, 64, 0)
+		before := p.M().Now()
+		if n := p.DrainRx(0); n != 0 {
+			t.Errorf("%s: drained %d packets after the driver was killed, want 0", name, n)
+		}
+		if name == "native" && p.M().Now() != before {
+			t.Errorf("native: the dead kernel's drain charged %d cycles", p.M().Now()-before)
+		}
+		p.Close()
+	}
+}
+
 // TestStorageRefusesBlocksPastTheDisk: a write and a read of a block past
 // the disk's last fail on every stack, and the next request in range
 // still succeeds.
 func TestStorageRefusesBlocksPastTheDisk(t *testing.T) {
 	const block = 70000
 	for _, name := range []string{"vmm", "mk", "native"} {
-		p, _, disk := bootIOStack(t, name)
+		p, _, disk := bootIOStack(t, name, 1)
 		if disk.Blocks() > block {
 			t.Fatalf("%s: the disk holds %d blocks, block %d is not past it", name, disk.Blocks(), block)
 		}

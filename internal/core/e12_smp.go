@@ -40,7 +40,7 @@ var e12Spec = Spec{
 	ID:    "e12",
 	Title: "SMP scaling: IPIs and TLB shootdown vs cores",
 	Params: []Param{{
-		Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: MaxCPUs,
+		Name: "cpus", Kind: ParamIntList, DefaultList: []int{1, 2, 4, 8}, Max: hw.MaxCPUs,
 		Unit: "cores", Help: "comma-separated core counts for the E12 SMP sweep",
 	}},
 	Run: func(r *Runner, p Params) (*Result, error) {
@@ -51,10 +51,6 @@ var e12Spec = Spec{
 		return NewResult(e12Table(rows)), nil
 	},
 }
-
-// MaxCPUs bounds the E12 sweep; the simulation is exact, not sampled, so a
-// four-digit core count is a typo, not an experiment.
-const MaxCPUs = 64
 
 // The workloads' fixed sizes.
 const (
@@ -210,7 +206,7 @@ func e12PingPongVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 			return E12Row{}, err
 		}
 		if c > 0 {
-			if err := h.PlaceVCPUs(d.ID, c); err != nil {
+			if err := h.PlaceVCPUs(d.ID, hw.CPUSet(1)<<c); err != nil {
 				return E12Row{}, err
 			}
 		}
@@ -270,11 +266,7 @@ func e12DirtyScanVMM(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 		return E12Row{}, err
 	}
 	if ncpus > 1 {
-		place := make([]int, ncpus)
-		for i := range place {
-			place[i] = i
-		}
-		if err := h.PlaceVCPUs(d.ID, place...); err != nil {
+		if err := h.PlaceVCPUs(d.ID, m.AllCPUs()); err != nil {
 			return E12Row{}, err
 		}
 	}
@@ -334,10 +326,6 @@ func e12DirtyScanNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 	m := pool.Get(x86, e12Mach(e12NativeMach, ncpus))
 	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
-	var targets []int
-	for i := 1; i < ncpus; i++ {
-		targets = append(targets, i)
-	}
 	const base = hw.VPN(0x1000)
 	vpns := make([]hw.VPN, e12Pages)
 	for p := range vpns {
@@ -353,9 +341,7 @@ func e12DirtyScanNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 			m.CPU.TLB.FlushEntry(0, vpn)
 		}
 		m.CPU.WorkN(comp, m.Arch.Costs.TLBFlushEntry, e12Pages)
-		if len(targets) > 0 {
-			m.ShootdownEntries(0, targets, 0, vpns)
-		}
+		m.ShootdownEntries(0, m.AllCPUs(), 0, vpns)
 	}
 	return e12Row(m, "dirty-scan", "native", ncpus, 2*e12Pages), nil
 }

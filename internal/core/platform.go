@@ -263,7 +263,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 			return nil, err
 		}
 		// The guest advertises its connected frontends, XenStore style.
-		home := "/local/domain/" + strconv.Itoa(int(dU.ID)) + "/"
+		home := vmm.HomePrefix(dU.ID)
 		if err := st.Write(dU.ID, home+"device/vif/0/state", "connected"); err != nil {
 			return nil, err
 		}
@@ -287,7 +287,7 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		// event deliveries to it pay IPIs and its shadow invalidations
 		// shoot down its pCPU.
 		if cfg.NCPUs > 1 {
-			if err := gk.Place(cfg.guestCPU(i)); err != nil {
+			if err := h.PlaceVCPUs(dU.ID, hw.CPUSet(1)<<cfg.guestCPU(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -649,13 +649,15 @@ func (s *NativeStack) check(from int) error {
 // in-kernel driver) as the machine allows. 0 on a uniprocessor.
 func (s *NativeStack) appCPU() int { return s.Mach.NCPUs() - 1 }
 
-// DrainRx implements Platform. On a multiprocessor each delivered packet
-// costs the reschedule IPI the driver core sends to wake the application
-// core — the monolithic kernel pays for cross-CPU coordination too, just
-// without any protection-domain crossing.
+// DrainRx implements Platform. It drains nothing for a guest other than
+// 0 or once the kernel is dead, as every other request is refused. On a
+// multiprocessor each delivered packet costs the reschedule IPI the driver
+// core sends to wake the application core — the monolithic kernel pays
+// for cross-CPU coordination too, just without any protection-domain
+// crossing.
 func (s *NativeStack) DrainRx(dest int) int {
 	n := s.rxQueue
-	if dest != 0 || n == 0 {
+	if s.check(dest) != nil || n == 0 {
 		return 0
 	}
 	s.rxQueue = 0
@@ -703,15 +705,7 @@ func (s *NativeStack) DoSyscall(from int, no uint32, arg uint64) error {
 // of every other core's TLB before the frame can be reused. Free on a
 // uniprocessor.
 func (s *NativeStack) smpUnmapBuffer(f hw.FrameID) {
-	n := s.Mach.NCPUs()
-	if n <= 1 {
-		return
-	}
-	targets := make([]int, 0, n-1)
-	for i := 1; i < n; i++ {
-		targets = append(targets, i)
-	}
-	s.Mach.ShootdownEntry(0, targets, 0, hw.VPN(f))
+	s.Mach.ShootdownEntries(0, s.Mach.AllCPUs(), 0, []hw.VPN{hw.VPN(f)})
 }
 
 // diskIO moves block to or from frame f and waits for the disk: the

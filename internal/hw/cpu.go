@@ -68,7 +68,8 @@ func (s Segment) Covers(addr uint64) bool {
 // sharing its clock, memory and recorder; CPU 0 is the boot processor that
 // every uniprocessor code path runs on. Per-CPU state (ring, segments,
 // page-table root, TLB) is never shared, which is exactly why cross-CPU
-// invalidation needs explicit shootdown (Machine.ShootdownAll/Entry).
+// invalidation needs explicit shootdown (Machine.ShootdownAll and
+// ShootdownEntries, whose targets are a CPUSet).
 type CPU struct {
 	Arch  *Arch
 	Clock *Clock
@@ -76,8 +77,8 @@ type CPU struct {
 	Mem   *PhysMem
 	Rec   *trace.Recorder
 
-	// Index is the CPU's position in its Machine's CPU slice; 0 is the
-	// boot processor.
+	// Index is the CPU's position in its Machine's CPU slice and its bit
+	// in a CPUSet; 0 is the boot processor.
 	Index int
 
 	ring Priv

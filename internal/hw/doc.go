@@ -14,16 +14,20 @@
 // arguments depend on: segmentation, ASID-tagged TLBs, page-table depth,
 // trap mechanisms, endianness, word width.
 //
-// Multiprocessor model: a Machine may have several CPUs (MachineConfig.
-// NCPUs) sharing the clock, memory, recorder and IRQ controller; each CPU
-// keeps private privilege state, address-space root and TLB. Cross-CPU
-// coordination is explicit and charged: SendIPI delivers one
-// inter-processor interrupt (cost split between "cpu<n>.ipi" components of
-// sender and target), and ShootdownAll/ShootdownEntry interrupt target
-// CPUs to invalidate their TLBs ("cpu<n>.shootdown"). CPU 0 is the boot
-// processor every uniprocessor path uses, so a 1-CPU machine — the
-// configuration experiments E1–E11 always run — behaves bit-for-bit as it
-// did before SMP support existed; only experiment E12 sweeps NCPUs.
+// Multiprocessor model: a Machine may have up to MaxCPUs CPUs
+// (MachineConfig.NCPUs) sharing the clock, memory, recorder and IRQ
+// controller; each CPU keeps private privilege state, address-space root
+// and TLB. A set of CPUs is a CPUSet, one machine word with bit i for CPU
+// i, and AllCPUs is every CPU of a machine. Cross-CPU coordination is
+// explicit and charged: SendIPI delivers one inter-processor interrupt
+// (cost split between "cpu<n>.ipi" components of sender and target), and
+// ShootdownAll and ShootdownEntries interrupt every CPU of a CPUSet but
+// the initiator, in ascending order, to invalidate their TLBs
+// ("cpu<n>.shootdown"); a set naming a CPU the machine lacks panics
+// before any IPI is sent. CPU 0 is the boot processor every uniprocessor
+// path uses, so a 1-CPU machine — the configuration experiments E1–E11
+// always run — behaves bit-for-bit as it did before SMP support existed;
+// only experiment E12 sweeps NCPUs.
 //
 // Physical memory (PhysMem) is a frame allocator whose owners are the
 // trace.Comp handles of the components holding the frames. The frame table

@@ -1,6 +1,11 @@
 package hw
 
-import "vmmk/internal/trace"
+import (
+	"fmt"
+	"math/bits"
+
+	"vmmk/internal/trace"
+)
 
 // Machine bundles one complete simulated computer: architecture, clock,
 // event queue, one or more CPUs, physical memory and interrupt controller.
@@ -25,16 +30,25 @@ type Machine struct {
 	// (defaults applied). It is the machine's pool identity: two machines
 	// with equal Arch values and equal Cfg are interchangeable after Reset.
 	Cfg MachineConfig
-
-	shootMarks []bool // shootdown targets by CPU, reused; see remoteTargets
 }
 
 // MachineConfig sizes a Machine.
 type MachineConfig struct {
 	Frames int // physical memory size in pages (default 4096)
 	LogCap int // trace event log capacity (default 0 = counters only)
-	NCPUs  int // processor count (default 1)
+	NCPUs  int // processor count (default 1, at most MaxCPUs)
 }
+
+// MaxCPUs is the most processors a machine has: one per bit of a CPUSet.
+const MaxCPUs = 64
+
+// CPUSet is a set of a machine's CPUs: bit i stands for CPU i. Every
+// cross-CPU operation that reaches several CPUs takes its targets as one
+// CPUSet, passed by value.
+type CPUSet uint64
+
+// First returns the lowest CPU in a non-empty set.
+func (s CPUSet) First() int { return bits.TrailingZeros64(uint64(s)) }
 
 // IRQLines is every machine's interrupt-line count.
 const IRQLines = 16
@@ -55,9 +69,13 @@ func (c *MachineConfig) normalized() MachineConfig {
 	return n
 }
 
-// NewMachine builds a machine for arch. A nil cfg uses defaults.
+// NewMachine builds a machine for arch. A nil cfg uses defaults. It
+// panics when asked for more than MaxCPUs processors.
 func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 	c := cfg.normalized()
+	if c.NCPUs > MaxCPUs {
+		panic(fmt.Sprintf("hw: %d CPUs, a machine has at most %d", c.NCPUs, MaxCPUs))
+	}
 	clock := &Clock{}
 	rec := trace.NewRecorder(c.LogCap)
 	mem := NewPhysMem(c.Frames, arch.PageSize())
@@ -124,6 +142,9 @@ func (m *Machine) PumpIO(comp trace.Comp, maxRounds int) int {
 // NCPUs returns the processor count.
 func (m *Machine) NCPUs() int { return len(m.CPUs) }
 
+// AllCPUs returns the set of every CPU of the machine.
+func (m *Machine) AllCPUs() CPUSet { return CPUSet(1)<<len(m.CPUs) - 1 }
+
 // checkCPU panics on an out-of-range CPU index — always a kernel bug, the
 // moral equivalent of programming a nonexistent APIC ID.
 func (m *Machine) checkCPU(i int) *CPU {
@@ -160,85 +181,57 @@ func (m *Machine) SendIPIN(from, to int, n uint64) {
 }
 
 // ShootdownAll performs a full TLB shootdown: CPU from interrupts every
-// target CPU, which flushes its entire TLB and charges the handling cost to
-// its own "cpu<n>.shootdown" component. The initiator's IPIs are charged
-// per target; targets equal to from (or duplicated) are skipped, so callers
-// may pass conservative target sets.
-func (m *Machine) ShootdownAll(from int, targets []int) {
-	m.shootdown(from, targets, func(c *CPU) {
-		c.TLB.FlushAll()
-	})
+// CPU in cpus but itself, in ascending order, and each flushes its entire
+// TLB and charges the handling cost to its own "cpu<n>.shootdown"
+// component. The initiator's IPIs are charged per target; it flushes
+// locally, not by IPI, so callers may pass a set that holds it.
+func (m *Machine) ShootdownAll(from int, cpus CPUSet) {
+	src, targets := m.shootdownTargets(from, cpus)
+	for ; targets != 0; targets &= targets - 1 {
+		dst := m.CPUs[targets.First()]
+		dst.TLB.FlushAll()
+		m.chargeShootdown(src, dst, 1)
+	}
 }
 
-// ShootdownEntry is the single-entry variant of ShootdownAll: every target
-// CPU invalidates just (asid, vpn). The IPI round trip dominates — the
-// reason real kernels batch invalidations — so it costs the same shootdown
-// handling as a full flush minus the refill misses the full flush causes.
-func (m *Machine) ShootdownEntry(from int, targets []int, asid uint16, vpn VPN) {
-	m.shootdown(from, targets, func(c *CPU) {
-		c.TLB.FlushEntry(asid, vpn)
-	})
-}
-
-// ShootdownEntries is the batched form of ShootdownEntry for a run of
+// ShootdownEntries is the targeted form of ShootdownAll for a run of
 // invalidations initiated back-to-back by the same CPU: every target CPU
 // takes len(vpns) IPIs and invalidates each (asid, vpn) in order, with the
-// per-target costs landed as aggregates. Counters, cycle totals and clock
-// movement match the equivalent ShootdownEntry loop; only log timestamps
-// coalesce (an aggregate is stamped at its last event).
-func (m *Machine) ShootdownEntries(from int, targets []int, asid uint16, vpns []VPN) {
+// per-target costs landed as aggregates. The IPI round trip dominates —
+// the reason real kernels batch invalidations — so each entry costs the
+// same shootdown handling as a full flush minus the refill misses the full
+// flush causes. Counters, cycle totals and clock movement match one
+// single-entry shootdown per vpn; only log timestamps coalesce (an
+// aggregate is stamped at its last event).
+func (m *Machine) ShootdownEntries(from int, cpus CPUSet, asid uint16, vpns []VPN) {
 	if len(vpns) == 0 {
 		return
 	}
-	src := m.checkCPU(from)
-	want := m.remoteTargets(from, targets)
-	n := uint64(len(vpns))
-	for i, dst := range m.CPUs {
-		if !want[i] {
-			continue
-		}
-		m.IRQ.deliverIPIN(src, dst, n)
+	src, targets := m.shootdownTargets(from, cpus)
+	for ; targets != 0; targets &= targets - 1 {
+		dst := m.CPUs[targets.First()]
 		for _, vpn := range vpns {
 			dst.TLB.FlushEntry(asid, vpn)
 		}
-		m.Clock.Advance(m.Arch.Costs.TLBShootdown * Cycles(n))
-		m.Rec.ChargeN(uint64(m.Clock.Now()), trace.KTLBShootdown, dst.shootComp,
-			uint64(m.Arch.Costs.TLBShootdown), n)
+		m.chargeShootdown(src, dst, uint64(len(vpns)))
 	}
 }
 
-// remoteTargets marks each CPU in targets other than from, checking it, in
-// a slice indexed by CPU, which the machine reuses: it is valid until the
-// next shootdown.
-func (m *Machine) remoteTargets(from int, targets []int) []bool {
-	if m.shootMarks == nil {
-		m.shootMarks = make([]bool, len(m.CPUs))
-	} else {
-		clear(m.shootMarks)
-	}
-	for _, t := range targets {
-		if t == from {
-			continue // the initiator flushes locally, not via IPI
-		}
-		m.checkCPU(t)
-		m.shootMarks[t] = true
-	}
-	return m.shootMarks
-}
-
-// shootdown interrupts each distinct remote target in ascending CPU order
-// (determinism), runs the invalidation on it and charges the costs.
-func (m *Machine) shootdown(from int, targets []int, invalidate func(*CPU)) {
+// shootdownTargets checks the initiator and every CPU in cpus, before any
+// IPI is sent, and returns the initiator with the CPUs it interrupts.
+func (m *Machine) shootdownTargets(from int, cpus CPUSet) (*CPU, CPUSet) {
 	src := m.checkCPU(from)
-	want := m.remoteTargets(from, targets)
-	for i, dst := range m.CPUs {
-		if !want[i] {
-			continue
-		}
-		m.IRQ.deliverIPI(src, dst)
-		invalidate(dst)
-		m.Clock.Advance(m.Arch.Costs.TLBShootdown)
-		m.Rec.Charge(uint64(m.Clock.Now()), trace.KTLBShootdown, dst.shootComp,
-			uint64(m.Arch.Costs.TLBShootdown))
+	if cpus&^m.AllCPUs() != 0 {
+		panic("hw: CPU index out of range")
 	}
+	return src, cpus &^ (1 << from)
+}
+
+// chargeShootdown charges n shootdown IPIs from src to dst, and dst's
+// handling of each to its "cpu<n>.shootdown" component.
+func (m *Machine) chargeShootdown(src, dst *CPU, n uint64) {
+	m.IRQ.deliverIPIN(src, dst, n)
+	m.Clock.Advance(m.Arch.Costs.TLBShootdown * Cycles(n))
+	m.Rec.ChargeN(uint64(m.Clock.Now()), trace.KTLBShootdown, dst.shootComp,
+		uint64(m.Arch.Costs.TLBShootdown), n)
 }

@@ -32,7 +32,7 @@ func exercise(t *testing.T, m *Machine) {
 	m.CPU.ReturnTo(comp, Ring3)
 	if m.NCPUs() > 1 {
 		m.SendIPI(0, 1)
-		m.ShootdownAll(0, []int{1})
+		m.ShootdownAll(0, 1<<1)
 	}
 	m.IRQ.SetHandler(3, func(IRQLine) {})
 	m.IRQ.Raise(3)
@@ -228,8 +228,8 @@ func TestNilPoolFallsBack(t *testing.T) {
 }
 
 // TestBatchedChargeHelpersMatchLoops pins that the aggregate hw charge paths
-// (ChargeN, WorkN, TrapReturnN, SendIPIN, ShootdownEntries) leave counters,
-// cycles and the clock exactly where the per-item loops do.
+// (ChargeN, WorkN, TrapReturnN, SendIPIN, ShootdownEntries of many VPNs)
+// leave counters, cycles and the clock exactly where the per-item loops do.
 func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	const n = 9
 	cfg := &MachineConfig{Frames: 64, NCPUs: 3}
@@ -250,7 +250,7 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	vpns := make([]VPN, n)
 	for i := range vpns {
 		vpns[i] = VPN(i)
-		loop.ShootdownEntry(0, []int{1, 2}, 1, VPN(i))
+		loop.ShootdownEntries(0, 1<<1|1<<2, 1, vpns[i:i+1])
 	}
 
 	batch := NewMachine(X86(), cfg)
@@ -259,7 +259,7 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	batch.CPU.WorkN(bc, 7, n)
 	batch.CPU.TrapReturnN(bc, true, Ring3, n)
 	batch.SendIPIN(0, 1, n)
-	batch.ShootdownEntries(0, []int{1, 2}, 1, vpns)
+	batch.ShootdownEntries(0, 1<<1|1<<2, 1, vpns)
 
 	if loop.Now() != batch.Now() {
 		t.Errorf("clock: loop %d, batch %d", loop.Now(), batch.Now())

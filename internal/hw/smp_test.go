@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"strings"
 	"testing"
 
 	"vmmk/internal/trace"
@@ -94,7 +95,7 @@ func TestShootdownAllFlushesTargets(t *testing.T) {
 		c.TLB.Insert(7, 0x40, pte)
 	}
 
-	m.ShootdownAll(0, []int{1, 2, 0, 2}) // duplicates and self tolerated
+	m.ShootdownAll(0, m.AllCPUs()) // the initiator is in the set
 	if m.CPUs[0].TLB.Len() != 1 {
 		t.Fatal("initiator's TLB was flushed; shootdown is remote-only")
 	}
@@ -117,7 +118,7 @@ func TestShootdownAllFlushesTargets(t *testing.T) {
 	}
 }
 
-// TestShootdownEntryIsTargeted: the single-entry variant removes only the
+// TestShootdownEntryIsTargeted: a targeted shootdown removes only the
 // named translation on the targets.
 func TestShootdownEntryIsTargeted(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 64, NCPUs: 2})
@@ -125,7 +126,7 @@ func TestShootdownEntryIsTargeted(t *testing.T) {
 	m.CPUs[1].TLB.Insert(7, 0x40, pte)
 	m.CPUs[1].TLB.Insert(7, 0x41, pte)
 
-	m.ShootdownEntry(0, []int{1}, 7, 0x40)
+	m.ShootdownEntries(0, 1<<1, 7, []VPN{0x40})
 	if _, ok := m.CPUs[1].TLB.Lookup(7, 0x40); ok {
 		t.Fatal("shot-down entry survived")
 	}
@@ -134,6 +135,66 @@ func TestShootdownEntryIsTargeted(t *testing.T) {
 	}
 	if got := m.Rec.Counts(trace.KTLBShootdown); got != 1 {
 		t.Fatalf("KTLBShootdown count = %d, want 1", got)
+	}
+}
+
+// TestMachineHoldsAtMostMaxCPUs: a CPUSet has one bit per CPU, so a
+// machine with more CPUs than the word has bits cannot be built.
+func TestMachineHoldsAtMostMaxCPUs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a machine with MaxCPUs+1 CPUs was built")
+		}
+	}()
+	NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: MaxCPUs + 1})
+}
+
+// TestShootdownReachesTheTopCPU: on a machine with MaxCPUs CPUs, a
+// shootdown of every CPU interrupts all but the initiator, the CPU on the
+// word's top bit included.
+func TestShootdownReachesTheTopCPU(t *testing.T) {
+	m := NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: MaxCPUs})
+	pte := PTE{Frame: 1, Perms: PermRW}
+	for _, c := range m.CPUs {
+		c.TLB.Insert(7, 0x40, pte)
+	}
+	m.ShootdownAll(0, m.AllCPUs())
+	if got := m.Rec.Counts(trace.KTLBShootdown); got != MaxCPUs-1 {
+		t.Fatalf("KTLBShootdown count = %d, want %d", got, MaxCPUs-1)
+	}
+	if m.CPUs[0].TLB.Len() != 1 {
+		t.Fatal("initiator's TLB was flushed; shootdown is remote-only")
+	}
+	for i, c := range m.CPUs[1:] {
+		if c.TLB.Len() != 0 {
+			t.Fatalf("CPU %d TLB survived the shootdown", i+1)
+		}
+	}
+}
+
+// TestShootdownOfAMissingCPUPanicsFirst: a set that names a CPU the
+// machine lacks panics before any IPI is sent, even to the CPUs it names
+// that exist, on both shootdown paths.
+func TestShootdownOfAMissingCPUPanicsFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shoot func(*Machine, CPUSet)
+	}{
+		{"ShootdownAll", func(m *Machine, s CPUSet) { m.ShootdownAll(0, s) }},
+		{"ShootdownEntries", func(m *Machine, s CPUSet) { m.ShootdownEntries(0, s, 7, []VPN{0x40}) }},
+	} {
+		m := NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: 3})
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "CPU index out of range") {
+					t.Errorf("%s: panic %q, want CPU index out of range", tc.name, r)
+				}
+			}()
+			tc.shoot(m, 1<<1|1<<5)
+		}()
+		if got := m.Rec.Counts(trace.KIPI); got != 0 {
+			t.Errorf("%s: %d IPIs counted before the panic", tc.name, got)
+		}
 	}
 }
 

@@ -53,9 +53,14 @@ type Kernel struct {
 	threads []*Thread
 	spaces  []*Space
 
-	sched  scheduler
-	mapdb  mapDB
-	rights map[ThreadID]map[ThreadID]bool // per-sender IPC whitelists; nil until the first (rights.go)
+	// current is the thread each CPU has installed, by hw CPU index (nil
+	// for none). The synchronous IPC model resolves most control transfer
+	// directly, so scheduling's observable job is picking whom a timer
+	// tick preempts to and charging context switches when this changes
+	// (sched.go).
+	current []*Thread
+	mapdb   mapDB
+	rights  map[ThreadID]map[ThreadID]bool // per-sender IPC whitelists; nil until the first (rights.go)
 
 	callDepth int
 	requests  []msgRegs // request registers, one set per call level (deliver)
@@ -69,7 +74,7 @@ func New(m *hw.Machine) *Kernel {
 		comp:    m.Rec.Intern(KernelComponent),
 		threads: []*Thread{nil},
 		spaces:  []*Space{nil},
-		sched:   scheduler{current: make([]*Thread, m.NCPUs())},
+		current: make([]*Thread, m.NCPUs()),
 	}
 	// Boot cost: set up kernel space, IDT-equivalent, etc.
 	m.CPU.Work(k.comp, 5000)
@@ -211,9 +216,7 @@ func (k *Kernel) UnmapPage(s *Space, vpn hw.VPN) {
 	s.PT.Unmap(vpn)
 	k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
 	k.M.CPU.FlushTLBEntry(k.comp, uint16(s.ID), vpn)
-	if targets := k.cpusRunningSpace(s, 0); len(targets) > 0 {
-		k.M.ShootdownEntry(0, targets, uint16(s.ID), vpn)
-	}
+	k.M.ShootdownEntries(0, k.cpusRunningSpace(s), uint16(s.ID), []hw.VPN{vpn})
 	k.mapdb.drop(mapNode{space: s.ID, vpn: vpn})
 }
 

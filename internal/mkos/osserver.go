@@ -113,9 +113,10 @@ func (os *OSServer) Spawn(name string) (*Proc, error) {
 
 // Pin re-homes the OS server thread and every one of its processes onto
 // cpu; later Spawns inherit the placement. This is the mk-side analogue of
-// vmm.PlaceVCPUs: the SMP experiment (E12) pins each guest OS instance to
-// its own CPU while the driver servers stay on the boot CPU, so syscalls
-// stay CPU-local and driver IPC pays the cross-CPU IPI surcharge.
+// vmm.PlaceVCPUs, with a thread homed on one CPU where a domain's vCPUs
+// span an hw.CPUSet: the SMP experiment (E12) pins each guest OS instance
+// to its own CPU while the driver servers stay on the boot CPU, so
+// syscalls stay CPU-local and driver IPC pays the cross-CPU IPI surcharge.
 func (os *OSServer) Pin(cpu int) error {
 	if err := os.K.SetAffinity(os.Thread.ID, cpu); err != nil {
 		return err

@@ -145,7 +145,7 @@ func FuzzHypercalls(h *vmm.Hypervisor, victim vmm.DomID, n int, seed uint64) err
 			return err
 		}},
 		{"place-bad-pcpu", func() error {
-			return h.PlaceVCPUs(victim, h.M.NCPUs()+1+r.Intn(64))
+			return h.PlaceVCPUs(victim, hw.CPUSet(1+r.Intn(64))<<h.M.NCPUs())
 		}},
 		{"route-irq-unprivileged", func() error {
 			return h.RouteIRQ(hw.IRQLine(1+r.Intn(8)), victim)

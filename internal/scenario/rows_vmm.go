@@ -414,7 +414,7 @@ var vmmRows = []S{
 			if env.Armed {
 				pcpu = env.M.NCPUs() + 3
 			}
-			return h.PlaceVCPUs(d.ID, pcpu)
+			return h.PlaceVCPUs(d.ID, hw.CPUSet(1)<<pcpu)
 		},
 	},
 

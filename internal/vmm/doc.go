@@ -15,12 +15,13 @@
 // where one IPC primitive carries everything. Experiment E5 counts exactly
 // this difference.
 //
-// Multiprocessor model: a domain may be given several virtual CPUs, each
-// pinned to a physical CPU (PlaceVCPUs). Placement alone decides the SMP
+// Multiprocessor model: a domain may be given one virtual CPU on each
+// physical CPU of an hw.CPUSet (PlaceVCPUs), and the monitor keeps that
+// set minus the boot CPU it runs on. Placement alone decides the SMP
 // costs: shadow-page-table invalidation (trap-and-emulate writes,
-// MMUUnmap, dirty-log arming) shoots down every pCPU hosting one of the
-// domain's vCPUs, and event delivery into a remotely placed domain pays a
-// kick IPI. Domains that are never placed keep the free uniprocessor
+// MMUUnmap, dirty-log arming) shoots down every pCPU of the set, and
+// event delivery into a remotely placed domain pays a kick IPI to its
+// lowest pCPU. Domains that are never placed keep the free uniprocessor
 // arrangement, which is how E1–E11 stay bit-for-bit unchanged; experiment
 // E12 sweeps core counts.
 //

@@ -1,8 +1,6 @@
 package vmm
 
 import (
-	"slices"
-
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
@@ -45,12 +43,12 @@ type Domain struct {
 	// guest stores (live pre-copy migration; see shadow.go).
 	dirtyLog *DirtyLog
 
-	// remote lists the distinct pCPUs other than 0 hosting one of its
-	// vCPUs, ascending: the monitor runs on pCPU 0, so shootdowns and
-	// event-delivery kicks target these. PlaceVCPUs sets it; empty is the
-	// uniprocessor arrangement every unplaced domain has, one implicit
-	// vCPU on pCPU 0 with no IPIs and no shootdowns.
-	remote []int
+	// remote is the set of pCPUs other than 0 hosting one of its vCPUs:
+	// the monitor runs on pCPU 0, so shootdowns and event-delivery kicks
+	// target these. PlaceVCPUs sets it; empty is the uniprocessor
+	// arrangement every unplaced domain has, one implicit vCPU on pCPU 0
+	// with no IPIs and no shootdowns.
+	remote hw.CPUSet
 
 	comp trace.Comp // "vmm."+Name, interned at creation; owns its frames
 }
@@ -153,33 +151,25 @@ func (d *Domain) ReleaseFrame(f hw.FrameID) error {
 	return nil
 }
 
-// PlaceVCPUs gives a domain one virtual CPU per argument, each pinned to
-// the named physical CPU (vCPU i on pcpus[i]). Placement is the SMP
-// control-plane operation Dom0's toolstack performs at domain build:
-// shadow-page-table invalidation shoots down every placed pCPU, and event
-// delivery to a remotely placed domain pays an IPI. Those costs read only
-// which pCPUs host a vCPU, so that set is all the monitor keeps. Calling
-// it with no arguments resets the domain to the unplaced uniprocessor
-// arrangement.
-func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus ...int) error {
+// PlaceVCPUs gives a domain one virtual CPU pinned to each physical CPU
+// in pcpus. Placement is the SMP control-plane operation Dom0's toolstack
+// performs at domain build: shadow-page-table invalidation shoots down
+// every placed pCPU, and event delivery to a remotely placed domain pays
+// an IPI. Those costs read only which pCPUs host a vCPU, so that set is
+// all the monitor keeps. An empty set resets the domain to the unplaced
+// uniprocessor arrangement.
+func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus hw.CPUSet) error {
 	d, err := h.lookup(dom)
 	if err != nil {
 		return err
 	}
-	for _, p := range pcpus {
-		if p < 0 || p >= h.M.NCPUs() {
-			return ErrBadPCPU
-		}
+	if pcpus&^h.M.AllCPUs() != 0 {
+		return ErrBadPCPU
 	}
-	if len(pcpus) == 0 {
-		d.remote = nil
-		return nil
+	d.remote = pcpus &^ 1
+	if pcpus != 0 {
+		h.M.CPU.Work(h.comp, 200) // toolstack placement hypercall
 	}
-	d.remote = slices.Compact(slices.Sorted(slices.Values(pcpus)))
-	if d.remote[0] == 0 {
-		d.remote = d.remote[1:]
-	}
-	h.M.CPU.Work(h.comp, 200) // toolstack placement hypercall
 	return nil
 }
 

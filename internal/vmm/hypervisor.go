@@ -200,25 +200,15 @@ func (h *Hypervisor) switchTo(d *Domain) {
 // caller has already flushed directly; unplaced domains (every
 // uniprocessor caller) cost nothing.
 func (h *Hypervisor) shootdownEntry(d *Domain, vpn hw.VPN) {
-	if len(d.remote) > 0 {
-		h.M.ShootdownEntry(0, d.remote, d.PT.ASID(), vpn)
-	}
-}
-
-// shootdownAll is the full-flush variant of shootdownEntry (dirty-log
-// arming and other whole-table invalidations).
-func (h *Hypervisor) shootdownAll(d *Domain) {
-	if len(d.remote) > 0 {
-		h.M.ShootdownAll(0, d.remote)
-	}
+	h.M.ShootdownEntries(0, d.remote, d.PT.ASID(), []hw.VPN{vpn})
 }
 
 // kickDomain sends the IPI that accompanies delivering an asynchronous
 // event into a domain whose vCPUs live on other pCPUs: the monitor (boot
-// CPU) pokes the domain's first remote pCPU so its vCPU takes the upcall.
+// CPU) pokes the domain's lowest remote pCPU so its vCPU takes the upcall.
 func (h *Hypervisor) kickDomain(d *Domain) {
-	if len(d.remote) > 0 {
-		h.M.SendIPI(0, d.remote[0])
+	if d.remote != 0 {
+		h.M.SendIPI(0, d.remote.First())
 	}
 }
 

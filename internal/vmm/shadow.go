@@ -198,7 +198,7 @@ func (dl *DirtyLog) arm() {
 	// the monitor runs on. This per-round broadcast is why log-dirty mode
 	// gets more expensive with core count (E12's dirty-scan workload).
 	h.M.CPU.FlushTLB(h.comp)
-	h.shootdownAll(d)
+	h.M.ShootdownAll(0, d.remote)
 }
 
 // strip records that the log removed PermW from gpn's mapping at vpn.

@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"errors"
-	"slices"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -26,26 +25,26 @@ func TestPlaceVCPUsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PlaceVCPUs(d.ID, 0, 2); !errors.Is(err, ErrBadPCPU) {
+	if err := h.PlaceVCPUs(d.ID, 1<<0|1<<2); !errors.Is(err, ErrBadPCPU) {
 		t.Fatalf("out-of-range pCPU: got %v, want ErrBadPCPU", err)
 	}
-	if err := h.PlaceVCPUs(DomID(99), 0); !errors.Is(err, ErrNoSuchDomain) {
+	if err := h.PlaceVCPUs(DomID(99), 1<<0); !errors.Is(err, ErrNoSuchDomain) {
 		t.Fatalf("missing domain: got %v, want ErrNoSuchDomain", err)
 	}
-	if d.remote != nil {
-		t.Fatalf("unplaced or refused domain has remote pCPUs %v", d.remote)
+	if d.remote != 0 {
+		t.Fatalf("unplaced or refused domain has remote pCPUs %b", d.remote)
 	}
-	if err := h.PlaceVCPUs(d.ID, 1, 0, 1); err != nil {
+	if err := h.PlaceVCPUs(d.ID, 1<<0|1<<1); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(d.remote, []int{1}) {
-		t.Fatalf("remote pCPUs = %v, want [1]", d.remote)
+	if d.remote != 1<<1 {
+		t.Fatalf("remote pCPUs = %b, want pCPU 1", d.remote)
 	}
-	if err := h.PlaceVCPUs(d.ID); err != nil {
+	if err := h.PlaceVCPUs(d.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.remote != nil {
-		t.Fatalf("PlaceVCPUs() left remote pCPUs %v, want the uniprocessor arrangement", d.remote)
+	if d.remote != 0 {
+		t.Fatalf("an empty placement left remote pCPUs %b, want the uniprocessor arrangement", d.remote)
 	}
 }
 
@@ -69,7 +68,7 @@ func TestShadowInvalidationShootsDown(t *testing.T) {
 		t.Fatalf("unplaced guest caused %d shootdowns", got)
 	}
 
-	if err := h.PlaceVCPUs(g.ID, 1, 2); err != nil {
+	if err := h.PlaceVCPUs(g.ID, 1<<1|1<<2); err != nil {
 		t.Fatal(err)
 	}
 	if err := sm.GuestPTWrite(0x11, 2, hw.PermRW, true); err != nil {
@@ -97,7 +96,7 @@ func TestDirtyLogArmBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.PlaceVCPUs(g.ID, 0, 1, 2, 3); err != nil {
+	if err := h.PlaceVCPUs(g.ID, m.AllCPUs()); err != nil {
 		t.Fatal(err)
 	}
 	dl, err := h.EnableDirtyLog(g.ID)
@@ -136,7 +135,7 @@ func TestEventDeliveryKicksRemoteDomain(t *testing.T) {
 	if got := m.Rec.Counts(trace.KIPI); got != 0 {
 		t.Fatalf("unplaced remote cost %d IPIs", got)
 	}
-	if err := h.PlaceVCPUs(g.ID, 1); err != nil {
+	if err := h.PlaceVCPUs(g.ID, 1<<1); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.NotifyChannel(Dom0, p0); err != nil {

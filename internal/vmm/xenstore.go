@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 )
 
@@ -42,23 +43,11 @@ func validPath(path string) bool {
 	return strings.HasPrefix(path, "/") && !strings.Contains(path, "//") && len(path) > 1
 }
 
-// homePrefix is the subtree a domain owns by default.
-func homePrefix(dom DomID) string {
-	return "/local/domain/" + itoa(int(dom)) + "/"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+// HomePrefix is the subtree a domain owns by default: an unprivileged
+// domain may write only below it, and only paths no other domain wrote
+// first.
+func HomePrefix(dom DomID) string {
+	return "/local/domain/" + strconv.Itoa(int(dom)) + "/"
 }
 
 // mayWrite reports whether dom can write path.
@@ -73,7 +62,7 @@ func (s *Store) mayWrite(dom DomID, path string) bool {
 	if owner, ok := s.owners[path]; ok {
 		return owner == dom
 	}
-	return strings.HasPrefix(path, homePrefix(dom))
+	return strings.HasPrefix(path, HomePrefix(dom))
 }
 
 // Write sets path to value. Unprivileged domains write only under their

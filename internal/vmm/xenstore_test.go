@@ -15,7 +15,7 @@ func storeRig(t *testing.T) (*vrig, *Store) {
 
 func TestStoreHomePrefixWrite(t *testing.T) {
 	r, st := storeRig(t)
-	home := homePrefix(r.domU.ID)
+	home := HomePrefix(r.domU.ID)
 	if err := st.Write(r.domU.ID, home+"device/vif/0/state", "connected"); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestStoreDeniesForeignWrite(t *testing.T) {
 	}
 	// A path belongs to its first writer, even inside another domain's
 	// home prefix.
-	path := homePrefix(r.domU.ID) + "backend"
+	path := HomePrefix(r.domU.ID) + "backend"
 	if err := st.Write(r.dom0.ID, path, "dom0's"); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestStoreBadPaths(t *testing.T) {
 func TestStoreDeadDomainOps(t *testing.T) {
 	r, st := storeRig(t)
 	r.h.DestroyDomain(r.domU.ID)
-	if err := st.Write(r.domU.ID, homePrefix(r.domU.ID)+"x", "y"); !errors.Is(err, ErrDomainDead) {
+	if err := st.Write(r.domU.ID, HomePrefix(r.domU.ID)+"x", "y"); !errors.Is(err, ErrDomainDead) {
 		t.Fatalf("err = %v, want ErrDomainDead", err)
 	}
 	if _, err := st.Read(r.domU.ID, "/x"); !errors.Is(err, ErrDomainDead) {

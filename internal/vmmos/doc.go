@@ -14,9 +14,9 @@
 // grant-copy mode available as the ablation E9 studies. Package core boots
 // this stack as XenStack next to mkos's MKStack on identical hw machines.
 //
-// On a multiprocessor, GuestKernel.Place pins a guest's vCPUs to physical
-// CPUs (vmm.PlaceVCPUs under the hood); the driver domain stays on the
-// boot CPU, so backend→frontend event deliveries pay kick IPIs and the
-// guest's shadow invalidations shoot down its pCPUs — the costs experiment
-// E12 sweeps against core count.
+// On a multiprocessor, the toolstack places a guest's vCPUs on a set of
+// physical CPUs (vmm.PlaceVCPUs, given an hw.CPUSet); the driver domain
+// stays on the boot CPU, so backend→frontend event deliveries pay kick
+// IPIs and the guest's shadow invalidations shoot down its pCPUs — the
+// costs experiment E12 sweeps against core count.
 package vmmos

@@ -96,15 +96,6 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 // Comp returns the interned trace attribution handle.
 func (gk *GuestKernel) Comp() trace.Comp { return gk.Dom.Comp() }
 
-// Place gives the guest one vCPU per argument, pinned to the named
-// physical CPUs (a pass-through to vmm.PlaceVCPUs). A placed guest's
-// shadow-page-table invalidations shoot down every placed pCPU and event
-// deliveries to it pay an IPI — the SMP costs E12 sweeps. Guests that are
-// never placed keep the free uniprocessor arrangement.
-func (gk *GuestKernel) Place(pcpus ...int) error {
-	return gk.H.PlaceVCPUs(gk.Dom.ID, pcpus...)
-}
-
 // Spawn creates a guest process.
 func (gk *GuestKernel) Spawn(name string) *Process {
 	p := &Process{PID: PID(len(gk.procs) + 1), Name: name}
