@@ -43,7 +43,6 @@ type E5Row struct {
 var securityMechanisms = map[trace.Kind][]string{
 	// mk: every facet rides the same three checks.
 	trace.KIPCSend:           {"partner-validation", "ipc-rights", "mapdb"},
-	trace.KIPCReceive:        {"partner-validation", "ipc-rights", "mapdb"},
 	trace.KIPCCall:           {"partner-validation", "ipc-rights", "mapdb"},
 	trace.KIPCMapTransfer:    {"partner-validation", "ipc-rights", "mapdb"},
 	trace.KIPCStringTransfer: {"partner-validation", "ipc-rights", "mapdb"},

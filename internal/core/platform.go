@@ -303,7 +303,7 @@ func (s *XenStack) Name() string { return "vmm" }
 
 // DrainRx implements Platform.
 func (s *XenStack) DrainRx(dest int) int {
-	if dest >= len(s.Guests) {
+	if dest < 0 || dest >= len(s.Guests) {
 		return 0
 	}
 	gk := s.Guests[dest]
@@ -320,7 +320,7 @@ func (s *XenStack) DrainRx(dest int) int {
 
 // SendPackets implements Platform.
 func (s *XenStack) SendPackets(n, size, from int) error {
-	if from >= len(s.Guests) {
+	if from < 0 || from >= len(s.Guests) {
 		return ErrGuestIndex
 	}
 	gk := s.Guests[from]
@@ -339,7 +339,7 @@ func (s *XenStack) SendPackets(n, size, from int) error {
 
 // DoSyscall implements Platform.
 func (s *XenStack) DoSyscall(from int, no uint32, arg uint64) error {
-	if from >= len(s.Guests) {
+	if from < 0 || from >= len(s.Guests) {
 		return ErrGuestIndex
 	}
 	_, err := s.Guests[from].Syscall(s.Procs[from], no, arg)
@@ -348,7 +348,7 @@ func (s *XenStack) DoSyscall(from int, no uint32, arg uint64) error {
 
 // StorageWrite implements Platform.
 func (s *XenStack) StorageWrite(from int, block uint64, data []byte) error {
-	if from >= len(s.Guests) {
+	if from < 0 || from >= len(s.Guests) {
 		return ErrGuestIndex
 	}
 	return s.Guests[from].Blk.Write(block, data)
@@ -356,7 +356,7 @@ func (s *XenStack) StorageWrite(from int, block uint64, data []byte) error {
 
 // StorageRead implements Platform.
 func (s *XenStack) StorageRead(from int, block uint64) ([]byte, error) {
-	if from >= len(s.Guests) {
+	if from < 0 || from >= len(s.Guests) {
 		return nil, ErrGuestIndex
 	}
 	return s.Guests[from].Blk.Read(block)
@@ -462,7 +462,7 @@ func (s *MKStack) Name() string { return "mk" }
 
 // DrainRx implements Platform.
 func (s *MKStack) DrainRx(dest int) int {
-	if dest >= len(s.OSes) {
+	if dest < 0 || dest >= len(s.OSes) {
 		return 0
 	}
 	osrv := s.OSes[dest]
@@ -479,7 +479,7 @@ func (s *MKStack) DrainRx(dest int) int {
 
 // SendPackets implements Platform.
 func (s *MKStack) SendPackets(n, size, from int) error {
-	if from >= len(s.OSes) {
+	if from < 0 || from >= len(s.OSes) {
 		return ErrGuestIndex
 	}
 	for i := 0; i < n; i++ {
@@ -497,7 +497,7 @@ func (s *MKStack) SendPackets(n, size, from int) error {
 
 // DoSyscall implements Platform.
 func (s *MKStack) DoSyscall(from int, no uint32, arg uint64) error {
-	if from >= len(s.OSes) {
+	if from < 0 || from >= len(s.OSes) {
 		return ErrGuestIndex
 	}
 	_, err := s.OSes[from].Syscall(s.Procs[from], no, arg)
@@ -506,7 +506,7 @@ func (s *MKStack) DoSyscall(from int, no uint32, arg uint64) error {
 
 // StorageWrite implements Platform.
 func (s *MKStack) StorageWrite(from int, block uint64, data []byte) error {
-	if from >= len(s.OSes) {
+	if from < 0 || from >= len(s.OSes) {
 		return ErrGuestIndex
 	}
 	return s.OSes[from].Blk.Write(block, data)
@@ -514,7 +514,7 @@ func (s *MKStack) StorageWrite(from int, block uint64, data []byte) error {
 
 // StorageRead implements Platform.
 func (s *MKStack) StorageRead(from int, block uint64) ([]byte, error) {
-	if from >= len(s.OSes) {
+	if from < 0 || from >= len(s.OSes) {
 		return nil, ErrGuestIndex
 	}
 	return s.OSes[from].Blk.Read(block)
@@ -585,6 +585,10 @@ func NewNativeStack(cfg Config) (*NativeStack, error) {
 	m := cfg.machine()
 	s := &NativeStack{stack: cfg.attach(m, m.Rec.Intern(NativeComponent))}
 	m.IRQ.SetHandler(dev.RxIRQ, func(hw.IRQLine) {
+		// A dead kernel fields nothing: the packets stay on the NIC.
+		if s.dead {
+			return
+		}
 		// In-kernel driver: reap and queue, no domain crossings.
 		m.CPU.Charge(s.comp, trace.KIRQ, 0)
 		for range s.NIC.ReapRx() {

@@ -5,6 +5,10 @@
 // filesystem code mounts over the microkernel's storage server, over the
 // VMM's blkfront, and over a Parallax virtual disk, because all it needs is
 // the two-method block contract both personalities already provide.
+//
+// MemDev, the one in-memory block device, runs that reuse the other way:
+// Parallax and the mk store server, the §3.1 twins, keep each client's
+// virtual disk in one.
 package fslite
 
 import (

@@ -14,50 +14,38 @@ import (
 	"testing/quick"
 )
 
-// memDev is an in-memory block device for unit tests (the cross-stack
+// memDev is the MemDev the unit tests mount over, failing every read and
+// write after failAfter operations (0 = never). The cross-stack
 // integration tests in internal/core mount fslite over the real simulated
-// storage paths). Like the real devices it returns reads in one reused
-// buffer, so a test fails if the filesystem holds on to a read past the
-// device's next call, and it writes a block in place once it holds it.
+// storage paths. Like them MemDev returns reads in one reused buffer, so a
+// test fails if the filesystem holds on to a read past the device's next
+// call.
 type memDev struct {
-	blocks    map[uint64][]byte
-	blockSize uint64
-	failAfter int // inject a failure after this many ops (0 = never)
+	*MemDev
+	failAfter int
 	ops       int
-	buf       []byte
 }
 
-func newMemDev(blockSize uint64) *memDev {
-	return &memDev{blocks: make(map[uint64][]byte), blockSize: blockSize}
+func newMemDev(blockSize uint64) *memDev { return &memDev{MemDev: NewMemDev(blockSize)} }
+
+// fail counts an operation and reports whether it is past failAfter.
+func (d *memDev) fail() bool {
+	d.ops++
+	return d.failAfter > 0 && d.ops > d.failAfter
 }
 
 func (d *memDev) Read(block uint64) ([]byte, error) {
-	d.ops++
-	if d.failAfter > 0 && d.ops > d.failAfter {
+	if d.fail() {
 		return nil, errors.New("memdev: injected failure")
 	}
-	if uint64(cap(d.buf)) < d.blockSize {
-		d.buf = make([]byte, d.blockSize)
-	}
-	out := d.buf[:d.blockSize]
-	n := copy(out, d.blocks[block])
-	clear(out[n:])
-	return out, nil
+	return d.MemDev.Read(block)
 }
 
 func (d *memDev) Write(block uint64, data []byte) error {
-	d.ops++
-	if d.failAfter > 0 && d.ops > d.failAfter {
+	if d.fail() {
 		return errors.New("memdev: injected failure")
 	}
-	b, ok := d.blocks[block]
-	if !ok {
-		b = make([]byte, d.blockSize)
-		d.blocks[block] = b
-	}
-	n := copy(b, data)
-	clear(b[n:])
-	return nil
+	return d.MemDev.Write(block, data)
 }
 
 func newFS(t testing.TB) (*FS, *memDev) {
@@ -244,7 +232,7 @@ func TestMountWrongBlockSize(t *testing.T) {
 	if _, err := Mount(dev, 4096); err != nil {
 		t.Fatal(err)
 	}
-	dev.blockSize = 8192
+	dev.size = 8192
 	if _, err := Mount(dev, 8192); err == nil {
 		t.Fatal("mismatched block size accepted")
 	}

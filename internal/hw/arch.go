@@ -34,7 +34,6 @@ type CostModel struct {
 // over each of these descriptors.
 type Arch struct {
 	Name      string
-	Family    string // isa family, e.g. "x86", "arm", "power"
 	WordBits  int
 	PageShift uint // log2 of the page size
 
@@ -46,11 +45,6 @@ type Arch struct {
 	// HasSegmentation: the arch has loadable segment registers with limit
 	// checks. Only x86; Xen's trap-gate syscall shortcut depends on it.
 	HasSegmentation bool
-	// SegRegisters is the number of segment selectors; x86 has six, and
-	// its trap mechanism reloads only two (CS, SS) — the root cause of
-	// the fast-path fragility examined in experiment E3.
-	SegRegisters      int
-	SegReloadedOnTrap int
 	// HasFastSyscall: a sysenter-like kernel entry exists.
 	HasFastSyscall bool
 	// SyscallInstr names the native syscall trap mechanism; differences
@@ -103,9 +97,8 @@ func baseCosts() CostModel {
 // fast path) is about.
 func X86() *Arch {
 	return &Arch{
-		Name: "x86", Family: "x86", WordBits: 32, PageShift: 12,
+		Name: "x86", WordBits: 32, PageShift: 12,
 		TLBEntries: 64, HasASID: false, HasSegmentation: true,
-		SegRegisters: 6, SegReloadedOnTrap: 2,
 		HasFastSyscall: true, SyscallInstr: "int/sysenter",
 		PTLevels: 2, RegisterIPCWords: 3, BigEndian: false,
 		Costs: baseCosts(),
@@ -118,9 +111,8 @@ func AMD64() *Arch {
 	c := baseCosts()
 	c.FastSyscall = 60
 	return &Arch{
-		Name: "amd64", Family: "x86", WordBits: 64, PageShift: 12,
+		Name: "amd64", WordBits: 64, PageShift: 12,
 		TLBEntries: 128, HasASID: false, HasSegmentation: false,
-		SegRegisters: 6, SegReloadedOnTrap: 2,
 		HasFastSyscall: true, SyscallInstr: "syscall",
 		PTLevels: 4, RegisterIPCWords: 6, BigEndian: false,
 		Costs: c,
@@ -134,7 +126,7 @@ func ARM() *Arch {
 	c.KernelEntry, c.KernelExit = 90, 70
 	c.ASSwitch, c.TLBFlushAll = 120, 300
 	return &Arch{
-		Name: "arm", Family: "arm", WordBits: 32, PageShift: 12,
+		Name: "arm", WordBits: 32, PageShift: 12,
 		TLBEntries: 32, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "swi",
 		PTLevels: 2, RegisterIPCWords: 4, BigEndian: false,
@@ -149,7 +141,7 @@ func PPC32() *Arch {
 	c.KernelEntry, c.KernelExit = 110, 90
 	c.ASSwitch = 150
 	return &Arch{
-		Name: "ppc32", Family: "power", WordBits: 32, PageShift: 12,
+		Name: "ppc32", WordBits: 32, PageShift: 12,
 		TLBEntries: 64, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "sc",
 		PTLevels: 1, RegisterIPCWords: 8, BigEndian: true,
@@ -165,7 +157,7 @@ func PPC64() *Arch {
 	c.ASSwitch = 140
 	c.MemCopyWord = 1
 	return &Arch{
-		Name: "ppc64", Family: "power", WordBits: 64, PageShift: 16,
+		Name: "ppc64", WordBits: 64, PageShift: 16,
 		TLBEntries: 256, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "sc",
 		PTLevels: 1, RegisterIPCWords: 8, BigEndian: true,
@@ -180,7 +172,7 @@ func Itanium() *Arch {
 	c.FastSyscall = 40 // epc promotion is famously cheap
 	c.ASSwitch = 100
 	return &Arch{
-		Name: "itanium", Family: "ia64", WordBits: 64, PageShift: 14,
+		Name: "itanium", WordBits: 64, PageShift: 14,
 		TLBEntries: 128, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: true, SyscallInstr: "epc/break",
 		PTLevels: 3, RegisterIPCWords: 8, BigEndian: false,
@@ -195,7 +187,7 @@ func MIPS64() *Arch {
 	c.TLBMiss = 120 // software refill handler
 	c.ASSwitch = 60
 	return &Arch{
-		Name: "mips64", Family: "mips", WordBits: 64, PageShift: 12,
+		Name: "mips64", WordBits: 64, PageShift: 12,
 		TLBEntries: 48, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "syscall",
 		PTLevels: 0, RegisterIPCWords: 8, BigEndian: true,
@@ -209,7 +201,7 @@ func Alpha() *Arch {
 	c.KernelEntry, c.KernelExit = 70, 50
 	c.ASSwitch = 80
 	return &Arch{
-		Name: "alpha", Family: "alpha", WordBits: 64, PageShift: 13,
+		Name: "alpha", WordBits: 64, PageShift: 13,
 		TLBEntries: 128, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "call_pal",
 		PTLevels: 3, RegisterIPCWords: 6, BigEndian: false,
@@ -224,7 +216,7 @@ func SPARC64() *Arch {
 	c.CtxSave = 250 // register-window spill
 	c.ASSwitch = 90
 	return &Arch{
-		Name: "sparc64", Family: "sparc", WordBits: 64, PageShift: 13,
+		Name: "sparc64", WordBits: 64, PageShift: 13,
 		TLBEntries: 64, HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "ta",
 		PTLevels: 0, RegisterIPCWords: 6, BigEndian: true,

@@ -3,7 +3,9 @@ package hw
 import "fmt"
 
 // Clock is the single virtual time source. All costs in the simulation
-// advance it; nothing reads wall-clock time.
+// advance it; nothing reads wall-clock time. Only package hw moves it: a
+// CPU's charging helpers by the cost they charge, and the event queue to
+// the next event's cycle.
 type Clock struct {
 	now Cycles
 }
@@ -11,12 +13,12 @@ type Clock struct {
 // Now returns the current virtual time.
 func (c *Clock) Now() Cycles { return c.now }
 
-// Advance moves time forward by d cycles.
-func (c *Clock) Advance(d Cycles) { c.now += d }
+// advance moves time forward by d cycles.
+func (c *Clock) advance(d Cycles) { c.now += d }
 
-// AdvanceTo moves time forward to t. It panics if t is in the past, which
+// advanceTo moves time forward to t. It panics if t is in the past, which
 // would indicate a broken event ordering.
-func (c *Clock) AdvanceTo(t Cycles) {
+func (c *Clock) advanceTo(t Cycles) {
 	if t < c.now {
 		panic(fmt.Sprintf("hw: clock moving backwards: now=%d target=%d", c.now, t))
 	}
@@ -136,7 +138,7 @@ func (q *EventQueue) RunUntilIdle(maxEvents int) int {
 		}
 		e := q.pop()
 		if e.at > q.clock.Now() {
-			q.clock.AdvanceTo(e.at)
+			q.clock.advanceTo(e.at)
 		}
 		e.fn()
 		n++
@@ -151,13 +153,13 @@ func (q *EventQueue) RunUntil(t Cycles) int {
 	for len(q.events) > 0 && q.events[0].at <= t {
 		e := q.pop()
 		if e.at > q.clock.Now() {
-			q.clock.AdvanceTo(e.at)
+			q.clock.advanceTo(e.at)
 		}
 		e.fn()
 		n++
 	}
 	if q.clock.Now() < t {
-		q.clock.AdvanceTo(t)
+		q.clock.advanceTo(t)
 	}
 	return n
 }

@@ -140,14 +140,14 @@ func (c *CPU) PageTable() *PageTable { return c.pt }
 // Charge advances the clock by cost, attributes it to component and counts
 // kind. It is the single point through which all accounted events flow.
 func (c *CPU) Charge(component trace.Comp, kind trace.Kind, cost Cycles) {
-	c.Clock.Advance(cost)
+	c.Clock.advance(cost)
 	c.Rec.Charge(uint64(c.Clock.Now()), kind, component, uint64(cost))
 }
 
 // Work advances the clock by cost and attributes it to component without
 // counting a kernel event — ordinary computation.
 func (c *CPU) Work(component trace.Comp, cost Cycles) {
-	c.Clock.Advance(cost)
+	c.Clock.advance(cost)
 	c.Rec.ChargeCycles(component, uint64(cost))
 }
 
@@ -159,7 +159,7 @@ func (c *CPU) ChargeN(component trace.Comp, kind trace.Kind, cost Cycles, n uint
 	if n == 0 {
 		return
 	}
-	c.Clock.Advance(cost * Cycles(n))
+	c.Clock.advance(cost * Cycles(n))
 	c.Rec.ChargeN(uint64(c.Clock.Now()), kind, component, uint64(cost), n)
 }
 
@@ -168,7 +168,7 @@ func (c *CPU) WorkN(component trace.Comp, cost Cycles, n uint64) {
 	if n == 0 {
 		return
 	}
-	c.Clock.Advance(cost * Cycles(n))
+	c.Clock.advance(cost * Cycles(n))
 	c.Rec.ChargeCycles(component, uint64(cost)*n)
 }
 
@@ -246,8 +246,7 @@ func (c *CPU) SwitchSpace(component trace.Comp, pt *PageTable) {
 		return
 	}
 	c.pt = pt
-	c.Clock.Advance(c.Arch.Costs.ASSwitch)
-	c.Rec.ChargeCycles(component, uint64(c.Arch.Costs.ASSwitch))
+	c.Work(component, c.Arch.Costs.ASSwitch)
 	if !c.Arch.HasASID {
 		c.TLB.FlushAll()
 		c.Charge(component, trace.KTLBFlush, c.Arch.Costs.TLBFlushAll)

@@ -249,7 +249,7 @@ func TestDiskLatencyOrdering(t *testing.T) {
 	d := NewDisk(m, DiskConfig{Latency: 100})
 	f, _ := m.Mem.Alloc(m.Rec.Intern("drv"))
 	d.Submit(DiskReq{Op: DiskWrite, Block: 1, Frame: f, Tag: 1})
-	m.Clock.Advance(50)
+	m.Events.RunUntil(50)
 	d.Submit(DiskReq{Op: DiskWrite, Block: 2, Frame: f, Tag: 2})
 	if d.InFlight() != 2 {
 		t.Fatalf("in flight = %d, want 2", d.InFlight())

@@ -3,6 +3,12 @@
 // machine only through the event queue, DMA into physical frames, and
 // interrupt lines — the same contract real devices have with a real
 // kernel.
+//
+// A DMA transfer is the one charge that does not move the clock: the
+// device moves the words while the CPU runs on, so each transfer lands on
+// the recorder directly (KDMATransfer, its words as the device's cycles),
+// stamped at the current cycle. Device time passes only through the event
+// queue, as a completion scheduled after the device's latency.
 package dev
 
 import (

@@ -14,20 +14,28 @@
 // arguments depend on: segmentation, ASID-tagged TLBs, page-table depth,
 // trap mechanisms, endianness, word width.
 //
+// Only package hw moves the clock, in two ways. A CPU's four charging
+// helpers (Charge, Work, ChargeN and WorkN) advance it by exactly the cost
+// they record, so every cycle that passes on a CPU is charged to some
+// component; and the event queue skips idle time to the next event's
+// cycle (RunUntilIdle, and RunUntil, the one way to step the clock to a
+// given cycle). Device DMA is the one recorder charge that leaves the
+// clock alone (see hw/dev).
+//
 // Multiprocessor model: a Machine may have up to MaxCPUs CPUs
 // (MachineConfig.NCPUs) sharing the clock, memory, recorder and IRQ
 // controller; each CPU keeps private privilege state, address-space root
 // and TLB. A set of CPUs is a CPUSet, one machine word with bit i for CPU
 // i, and AllCPUs is every CPU of a machine. Cross-CPU coordination is
-// explicit and charged: SendIPI delivers one inter-processor interrupt
-// (cost split between "cpu<n>.ipi" components of sender and target), and
-// ShootdownAll and ShootdownEntries interrupt every CPU of a CPUSet but
-// the initiator, in ascending order, to invalidate their TLBs
-// ("cpu<n>.shootdown"); a set naming a CPU the machine lacks panics
-// before any IPI is sent. CPU 0 is the boot processor every uniprocessor
-// path uses, so a 1-CPU machine — the configuration experiments E1–E11
-// always run — behaves bit-for-bit as it did before SMP support existed;
-// only experiment E12 sweeps NCPUs.
+// explicit and charged: SendIPIN delivers n inter-processor interrupts
+// between two CPUs (SendIPI delivers one), the cost split between the
+// "cpu<n>.ipi" components of sender and target, and ShootdownAll and
+// ShootdownEntries interrupt every CPU of a CPUSet but the initiator, in
+// ascending order, to invalidate their TLBs ("cpu<n>.shootdown"); a set
+// naming a CPU the machine lacks panics before any IPI is sent. CPU 0 is
+// the boot processor every uniprocessor path uses, so a 1-CPU machine —
+// the configuration experiments E1–E11 always run — behaves bit-for-bit
+// as it did before SMP support existed; only experiment E12 sweeps NCPUs.
 //
 // Physical memory (PhysMem) is a frame allocator whose owners are the
 // trace.Comp handles of the components holding the frames. The frame table

@@ -47,17 +47,17 @@ func TestOnlyX86HasSegmentation(t *testing.T) {
 
 func TestClockAdvance(t *testing.T) {
 	var c Clock
-	c.Advance(10)
-	c.AdvanceTo(50)
+	c.advance(10)
+	c.advanceTo(50)
 	if c.Now() != 50 {
 		t.Fatalf("clock = %d, want 50", c.Now())
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("backwards AdvanceTo did not panic")
+			t.Fatal("backwards advanceTo did not panic")
 		}
 	}()
-	c.AdvanceTo(49)
+	c.advanceTo(49)
 }
 
 func TestEventQueueOrdering(t *testing.T) {

@@ -21,7 +21,7 @@ type Handler func(line IRQLine)
 // On a multi-CPU machine the controller doubles as the local-APIC mesh:
 // external device interrupts are routed to the boot CPU (CPUs[0], the
 // common x86 arrangement of the paper's era), while inter-processor
-// interrupts go point-to-point between any two CPUs via Machine.SendIPI.
+// interrupts go point-to-point between any two CPUs via Machine.SendIPIN.
 type IRQController struct {
 	cpu      *CPU       // boot CPU: fields all external interrupts
 	comp     trace.Comp // "hw.irq", interned at construction
@@ -31,7 +31,7 @@ type IRQController struct {
 
 // NewIRQController returns a controller with IRQLines lines, none pending
 // and without handlers, fielding external interrupts on cpus[0]. (IPIs are
-// point-to-point — deliverIPI takes both endpoints — so the controller
+// point-to-point — deliverIPIN takes both endpoints — so the controller
 // itself only needs the boot CPU.)
 func NewIRQController(cpus []*CPU) *IRQController {
 	if len(cpus) == 0 {
@@ -51,7 +51,7 @@ func (ic *IRQController) SetHandler(line IRQLine, h Handler) {
 func (ic *IRQController) Raise(line IRQLine) {
 	ic.check(line)
 	ic.pending[line] = true
-	ic.cpu.Rec.Charge(uint64(ic.cpu.Clock.Now()), trace.KIRQ, ic.comp, 0)
+	ic.cpu.Charge(ic.comp, trace.KIRQ, 0)
 }
 
 // Pending reports whether a line is asserted.
@@ -82,26 +82,16 @@ func (ic *IRQController) DispatchPending(component trace.Comp) int {
 	return n
 }
 
-// deliverIPI is the inter-processor interrupt path (Machine.SendIPI and
-// the shootdown helpers route through it): the sender pays the APIC write
-// plus the cross-CPU interrupt latency, the target pays acceptance and
+// deliverIPIN is the inter-processor interrupt path (Machine.SendIPIN and
+// the shootdown helpers route through it), for n back-to-back IPIs between
+// the same two CPUs as one aggregate: the sender pays the APIC write plus
+// the cross-CPU interrupt latency, the target pays acceptance and
 // vectoring. Both halves advance the one shared clock — the simulation
 // serialises the machine — but each half lands on its own CPU's component
 // ("cpu<n>.ipi"), so the E12 tables can show where the SMP tax falls.
-func (ic *IRQController) deliverIPI(src, dst *CPU) { ic.deliverIPIN(src, dst, 1) }
-
-// deliverIPIN delivers n back-to-back IPIs between the same two CPUs as one
-// aggregate: identical counters, cycle totals and clock movement to n
-// deliverIPI calls, in O(1) recorder work.
 func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
-	if n == 0 {
-		return
-	}
-	costs := src.Arch.Costs
-	src.Clock.Advance(costs.IPI * Cycles(n))
-	src.Rec.ChargeN(uint64(src.Clock.Now()), trace.KIPI, src.ipiComp, uint64(costs.IPI), n)
-	dst.Clock.Advance(costs.IRQDispatch * Cycles(n))
-	dst.Rec.ChargeCycles(dst.ipiComp, uint64(costs.IRQDispatch)*n)
+	src.ChargeN(src.ipiComp, trace.KIPI, src.Arch.Costs.IPI, n)
+	dst.WorkN(dst.ipiComp, dst.Arch.Costs.IRQDispatch, n)
 }
 
 // Reset restores the controller to its post-NewIRQController state: no

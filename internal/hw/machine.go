@@ -159,14 +159,7 @@ func (m *Machine) checkCPU(i int) *CPU {
 // "cpu<from>.ipi" component and the target's acceptance to
 // "cpu<to>.ipi". Sending to yourself is free and uncounted (kernels
 // short-circuit self-IPIs), so uniprocessor paths may call this blindly.
-func (m *Machine) SendIPI(from, to int) {
-	src := m.checkCPU(from)
-	dst := m.checkCPU(to)
-	if src == dst {
-		return
-	}
-	m.IRQ.deliverIPI(src, dst)
-}
+func (m *Machine) SendIPI(from, to int) { m.SendIPIN(from, to, 1) }
 
 // SendIPIN sends n back-to-back IPIs from CPU from to CPU to as one
 // aggregate — same counters, cycles and clock movement as n SendIPI calls.
@@ -231,7 +224,5 @@ func (m *Machine) shootdownTargets(from int, cpus CPUSet) (*CPU, CPUSet) {
 // handling of each to its "cpu<n>.shootdown" component.
 func (m *Machine) chargeShootdown(src, dst *CPU, n uint64) {
 	m.IRQ.deliverIPIN(src, dst, n)
-	m.Clock.Advance(m.Arch.Costs.TLBShootdown * Cycles(n))
-	m.Rec.ChargeN(uint64(m.Clock.Now()), trace.KTLBShootdown, dst.shootComp,
-		uint64(m.Arch.Costs.TLBShootdown), n)
+	dst.ChargeN(dst.shootComp, trace.KTLBShootdown, m.Arch.Costs.TLBShootdown, n)
 }

@@ -19,20 +19,24 @@
 // reply — charging every step to the right component. This collapses
 // scheduling interleavings that the paper's arguments do not depend on
 // while preserving exactly what they do depend on: who crosses which
-// protection boundary, how often, and at what cost.
+// protection boundary, how often, and at what cost. IPC is delivered one
+// way, to a handler: Call and Send run it at once, and an interrupt, a page
+// fault or an exception is a kernel-synthesised message to one. No message
+// waits in a queue, so a thread without a handler only originates IPC:
+// Call and Send to it are refused with ErrNotResponding before anything
+// transfers, and RegisterIRQ refuses to route an interrupt line to it.
 //
 // Message lifetime: IPC copies a message into kernel-owned message
 // registers, as L4 copies into the receiver's UTCB, instead of allocating a
-// fresh one. A handler's message — from Call, from Send to a thread with a
-// handler, or synthesised for an interrupt, page fault or exception — lives
-// in the request registers of its call level and is valid until the
-// handler returns. A Call's reply lives in the calling thread's reply
+// fresh one. A handler's message — from Call or Send, or synthesised for an
+// interrupt, page fault or exception — lives in the request registers of
+// its call level and is valid until the handler returns. A Call's reply lives in the calling thread's reply
 // registers and is valid until that thread's next IPC. Requests are per
 // level because a thread's handler can be active at several levels at once
 // (two servers calling each other); replies are per thread because a
 // client may hold its reply while another thread's call at the same level
 // completes. A receiver that keeps bytes copies them, as an L4 server
-// does; an envelope queued in an inbox is an owning copy.
+// does.
 //
 // Kernel objects: threads and spaces are named by IDs handed out in order
 // from 1 and never reused, so the kernel keeps each kind in a slice

@@ -130,12 +130,17 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 }
 
 // RegisterIRQ routes a hardware interrupt line to a driver thread: the
-// kernel's interrupt handler becomes a synthesised IPC send, which is how
-// L4 delivers device interrupts to user-level drivers.
+// kernel's interrupt handler becomes a synthesised IPC send to the
+// thread's handler, which is how L4 delivers device interrupts to
+// user-level drivers. A thread without a handler cannot take one and is
+// refused with ErrNotResponding.
 func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 	t := k.Thread(tid)
 	if t == nil {
 		return ErrNoSuchThread
+	}
+	if t.Handler == nil {
+		return ErrNotResponding
 	}
 	k.M.IRQ.SetHandler(line, func(l hw.IRQLine) {
 		if t.Dead || t.Space.Dead {
@@ -144,34 +149,28 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		// Interrupt IPC: conceptually from the "hardware thread".
 		k.M.CPU.Charge(k.comp, trace.KIPCSend, 20)
 		words := [1]uint64{uint64(l)}
-		msg := Msg{Label: LabelIRQ, Words: words[:]}
-		if t.Handler != nil {
-			prev := k.M.CPU.PageTable()
-			k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
-			_, _ = k.deliver(t.Handler, NilThread, msg)
-			if prev != nil {
-				k.M.CPU.SwitchSpace(k.comp, prev)
-			}
-		} else {
-			t.Inbox = append(t.Inbox, Envelope{From: NilThread, Msg: msg.clone()})
+		prev := k.M.CPU.PageTable()
+		k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
+		_, _ = k.deliver(t.Handler, NilThread, Msg{Label: LabelIRQ, Words: words[:]})
+		if prev != nil {
+			k.M.CPU.SwitchSpace(k.comp, prev)
 		}
 	})
 	k.M.CPU.Work(k.comp, 100)
 	return nil
 }
 
-// KillThread marks a thread dead (fault injection / crash). Its queued
-// messages are discarded; future IPC to it fails with ErrDeadPartner.
+// KillThread marks a thread dead (fault injection / crash): future IPC to
+// it fails with ErrDeadPartner.
 func (k *Kernel) KillThread(tid ThreadID) {
 	t := k.Thread(tid)
 	if t == nil || t.Dead {
 		return
 	}
 	t.Dead = true
-	t.Inbox = nil
 	t.Handler = nil
 	k.uninstall(t)
-	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, t.comp, 0)
+	k.M.CPU.Charge(t.comp, trace.KFault, 0)
 }
 
 // KillSpace kills a whole protection domain: every thread in it dies, in
@@ -189,7 +188,7 @@ func (k *Kernel) KillSpace(s *Space) {
 			k.KillThread(t.ID)
 		}
 	}
-	k.M.Rec.Charge(uint64(k.M.Clock.Now()), trace.KFault, s.comp, 0)
+	k.M.CPU.Charge(s.comp, trace.KFault, 0)
 }
 
 // Alive reports whether the thread exists and is not dead.

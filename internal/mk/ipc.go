@@ -30,13 +30,6 @@ type MapItem struct {
 	Grant  bool // grant removes the sender's own mapping (ownership moves)
 }
 
-// clone deep-copies the message into fresh memory, for an envelope that
-// outlives the send.
-func (m Msg) clone() Msg {
-	var r msgRegs
-	return r.load(m)
-}
-
 // msgRegs is one set of message registers: kernel-owned buffers a message
 // is copied into on delivery, as L4 copies into the receiver's UTCB, so
 // sender and receiver never alias and a warm transfer allocates nothing.
@@ -146,8 +139,11 @@ func (k *Kernel) applyMapItems(src, dst *Space, items []MapItem) error {
 	return nil
 }
 
-// ipcPreamble validates the partner and charges kernel entry. It returns
-// the destination thread.
+// ipcPreamble charges kernel entry and validates the transfer: the sender
+// may reach the partner, the partner lives and has a handler to deliver
+// to, and the call chain is below its depth limit. It returns the sender
+// and the destination thread; a refusal returns to the sender before
+// anything transfers.
 func (k *Kernel) ipcPreamble(from, to ThreadID) (*Thread, *Thread, error) {
 	src := k.Thread(from)
 	dst := k.Thread(to)
@@ -168,6 +164,14 @@ func (k *Kernel) ipcPreamble(from, to ThreadID) (*Thread, *Thread, error) {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 		return nil, nil, ErrDeadPartner
 	}
+	if dst.Handler == nil {
+		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
+		return nil, nil, ErrNotResponding
+	}
+	if k.callDepth >= maxCallDepth {
+		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
+		return nil, nil, ErrCallDepth
+	}
 	return src, dst, nil
 }
 
@@ -184,15 +188,6 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	if err != nil {
 		return Msg{}, err
 	}
-	if dst.Handler == nil {
-		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		return Msg{}, ErrNotResponding
-	}
-	if k.callDepth >= maxCallDepth {
-		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		return Msg{}, ErrCallDepth
-	}
-
 	if err := k.ipcTransferCost(msg); err != nil {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 		return Msg{}, err
@@ -242,20 +237,16 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	return src.replies.load(reply), nil
 }
 
-// Send performs a one-way send. If the destination has a handler it is
-// delivered immediately through the request registers, as by Call (the
-// handler's reply is discarded), and refused at the call-depth limit before
-// anything transfers; otherwise an owning copy is queued in the
-// destination's inbox for its next activation. Either way the sender does
-// not wait for a reply.
+// Send performs a one-way send: the message is delivered to the
+// destination's handler through the request registers, as by Call, and the
+// handler's reply is discarded, so the sender does not wait for one. A
+// destination without a handler is refused with ErrNotResponding, and any
+// destination at the call-depth limit with ErrCallDepth, before anything
+// transfers, as Call refuses them.
 func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 	src, dst, err := k.ipcPreamble(from, to)
 	if err != nil {
 		return err
-	}
-	if dst.Handler != nil && k.callDepth >= maxCallDepth {
-		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		return ErrCallDepth
 	}
 	if err := k.ipcTransferCost(msg); err != nil {
 		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
@@ -271,37 +262,12 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 		k.M.SendIPI(src.Affinity, dst.Affinity)
 	}
 	k.M.CPU.Charge(k.comp, trace.KIPCSend, 10)
-
-	if dst.Handler != nil {
-		k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
-		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		_, herr := k.deliver(dst.Handler, from, msg)
-		// One-way: handler errors do not propagate to the sender, but a
-		// crash of the handler is a real event.
-		_ = herr
-		k.M.CPU.Trap(k.comp, k.M.Arch.HasFastSyscall)
-		k.M.CPU.SwitchSpace(k.comp, src.Space.PT)
-		k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-		return nil
-	}
-	dst.Inbox = append(dst.Inbox, Envelope{From: from, Msg: msg.clone()})
+	k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
+	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
+	// One-way: handler errors do not propagate to the sender.
+	_, _ = k.deliver(dst.Handler, from, msg)
+	k.M.CPU.Trap(k.comp, k.M.Arch.HasFastSyscall)
+	k.M.CPU.SwitchSpace(k.comp, src.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	return nil
-}
-
-// Receive drains one queued envelope from the thread's inbox, charging the
-// receive half of the IPC path. ok is false when the inbox is empty
-// (modelled as a polling receive; blocking is a scheduler concern the
-// simulation resolves synchronously).
-func (k *Kernel) Receive(tid ThreadID) (Envelope, bool) {
-	t := k.Thread(tid)
-	if t == nil || len(t.Inbox) == 0 {
-		return Envelope{}, false
-	}
-	k.M.CPU.Trap(k.comp, k.M.Arch.HasFastSyscall)
-	env := t.Inbox[0]
-	t.Inbox = t.Inbox[1:]
-	k.M.CPU.Charge(k.comp, trace.KIPCReceive, 10)
-	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
-	return env, true
 }

@@ -138,21 +138,12 @@ type Thread struct {
 	// Only SetAffinity re-homes it; the kernel never moves it.
 	Affinity int
 
-	// Inbox holds one-way sends awaiting the thread's next activation.
-	Inbox []Envelope
-
 	// replies receives the reply of each Call the thread makes. Replies
 	// are per thread, not per call level: a caller may hold one reply
 	// while another thread's call at the same level completes.
 	replies msgRegs
 
 	comp trace.Comp // "mk."+Name, interned at creation
-}
-
-// Envelope is a queued one-way message.
-type Envelope struct {
-	From ThreadID
-	Msg  Msg
 }
 
 // Comp returns the thread's interned trace attribution handle.

@@ -196,17 +196,53 @@ func TestMapItemUnmappedSource(t *testing.T) {
 	}
 }
 
-func TestSendQueuesToHandlerless(t *testing.T) {
+// TestSendRefusedToHandlerless: IPC is delivered only to handlers, so a
+// Send to a thread without one is refused with ErrNotResponding, as a Call
+// is, before anything transfers: a Grant item stays with the sender, no
+// string is copied and no ipc.send is counted.
+func TestSendRefusedToHandlerless(t *testing.T) {
 	r := newRig(t, hw.X86())
-	if err := r.k.Send(r.server.ID, r.client.ID, Msg{Label: 7}); err != nil {
+	frames, err := r.k.AllocAndMap(r.server.Space, 0x100, 1, hw.PermRW)
+	if err != nil {
 		t.Fatal(err)
 	}
-	env, ok := r.k.Receive(r.client.ID)
-	if !ok || env.Msg.Label != 7 || env.From != r.server.ID {
-		t.Fatalf("bad envelope %+v ok=%v", env, ok)
+	snap := r.m.Rec.Snapshot()
+	err = r.k.Send(r.server.ID, r.client.ID, Msg{
+		Label: 7,
+		Data:  []byte("never copied"),
+		Map:   []MapItem{{SrcVPN: 0x100, DstVPN: 0x300, Count: 1, Perms: hw.PermRW, Grant: true}},
+	})
+	if !errors.Is(err, ErrNotResponding) {
+		t.Fatalf("Send to a handlerless thread = %v, want ErrNotResponding", err)
 	}
-	if _, ok := r.k.Receive(r.client.ID); ok {
-		t.Fatal("inbox should be empty")
+	for _, kind := range []trace.Kind{trace.KIPCSend, trace.KIPCStringTransfer, trace.KIPCMapTransfer} {
+		if n := r.m.Rec.CountsSince(snap, kind); n != 0 {
+			t.Errorf("refused Send counted %d %v", n, kind)
+		}
+	}
+	if got := r.m.Mem.Owner(frames[0]); got != r.server.Space.Comp() {
+		t.Fatalf("frame owner = %q, want mk.server", r.m.Rec.Registry().Name(got))
+	}
+	if _, ok := r.client.Space.PT.Lookup(0x300); ok {
+		t.Fatal("refused grant mapped the page in the receiver's space")
+	}
+}
+
+// TestRegisterIRQRefusedToHandlerless: an interrupt is a message to a
+// handler, so RegisterIRQ refuses a thread without one with
+// ErrNotResponding and installs no route: a raised line then delivers
+// nothing and counts no ipc.send.
+func TestRegisterIRQRefusedToHandlerless(t *testing.T) {
+	r := newRig(t, hw.X86())
+	if err := r.k.RegisterIRQ(5, r.client.ID); !errors.Is(err, ErrNotResponding) {
+		t.Fatalf("RegisterIRQ to a handlerless thread = %v, want ErrNotResponding", err)
+	}
+	r.m.IRQ.Raise(5)
+	if n := r.m.IRQ.DispatchPending(r.k.Comp()); n != 0 {
+		t.Errorf("refused line dispatched %d interrupts", n)
+	}
+	if n := r.m.Rec.Counts(trace.KIPCSend); n != 0 {
+		t.Errorf("refused line counted %d ipc.send", n)
 	}
 }
 
@@ -633,8 +669,9 @@ func TestIPCCostVariesByArch(t *testing.T) {
 
 // TestKernelBootAllocates pins what a small kernel boot allocates on a
 // pooled (Reset) machine: the kernel, two spaces, four threads of mixed
-// priority, and one interrupt route. The object tables and the per-CPU
-// installed threads are slices, a thread joins no run queue, and the
+// priority, and one interrupt route to a driver thread whose handler
+// captures nothing, so it is no allocation. The object tables and the
+// per-CPU installed threads are slices, a thread joins no run queue, and the
 // mapping database and the IPC rights make their maps on first write, so
 // the boot builds no map. The machine's registry already holds every
 // component name, and interning a known name builds no string.
@@ -654,7 +691,7 @@ func TestKernelBootAllocates(t *testing.T) {
 		}
 		k.NewThread(a, "a0", 1, nil)
 		k.NewThread(a, "a1", 3, nil)
-		drv := k.NewThread(b, "drv", 5, nil)
+		drv := k.NewThread(b, "drv", 5, func(*Kernel, ThreadID, Msg) (Msg, error) { return Msg{}, nil })
 		k.NewThread(b, "b1", 1, nil)
 		if err := k.RegisterIRQ(1, drv.ID); err != nil {
 			t.Fatal(err)

@@ -51,35 +51,6 @@ func TestHandlerMessageSurvivesReentry(t *testing.T) {
 	}
 }
 
-// TestInboxEnvelopeOwnsBytes: a send to a handlerless thread queues an
-// owning copy, so the sender may reuse its buffers at once.
-func TestInboxEnvelopeOwnsBytes(t *testing.T) {
-	r := newRig(t, hw.X86())
-	ds, err := r.k.NewSpace("dst", NilThread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := r.k.NewThread(ds, "dst", 1, nil)
-	words := []uint64{1, 2, 3}
-	data := []byte("queued")
-	if err := r.k.Send(r.client.ID, dst.ID, Msg{Label: 9, Words: words, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	words[0], data[0] = 99, 'X'
-	// Register traffic between the send and the receive must not reach
-	// the envelope either.
-	if _, err := r.k.Call(r.client.ID, r.server.ID, Msg{Words: []uint64{7, 7, 7}, Data: []byte("noise!")}); err != nil {
-		t.Fatal(err)
-	}
-	env, ok := r.k.Receive(dst.ID)
-	if !ok {
-		t.Fatal("inbox empty")
-	}
-	if env.Msg.Label != 9 || fmt.Sprint(env.Msg.Words) != "[1 2 3]" || string(env.Msg.Data) != "queued" {
-		t.Fatalf("envelope changed under the sender: %+v", env.Msg)
-	}
-}
-
 // TestRepliesArePerThread pins why replies live in per-thread registers,
 // not per-level ones: two clients' replies are both intact when read after
 // both calls.

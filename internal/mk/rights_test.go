@@ -54,9 +54,14 @@ func TestUnrestrictRestoresAllowAll(t *testing.T) {
 
 func TestRestrictionIsPerSender(t *testing.T) {
 	r := newRig(t, hw.X86())
+	ss, err := r.k.NewSpace("sink", NilThread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := r.k.NewThread(ss, "sink", 1, func(*Kernel, ThreadID, Msg) (Msg, error) { return Msg{}, nil })
 	// Restricting the client must not affect the server's own sends.
 	r.k.RestrictIPC(r.client.ID)
-	if err := r.k.Send(r.server.ID, r.client.ID, Msg{Label: 9}); err != nil {
+	if err := r.k.Send(r.server.ID, sink.ID, Msg{Label: 9}); err != nil {
 		t.Fatalf("unrestricted sender blocked: %v", err)
 	}
 }

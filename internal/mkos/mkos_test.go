@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
@@ -336,7 +337,7 @@ func TestStoreReadThroughPersistence(t *testing.T) {
 	}
 	// Clear the in-memory cache to force read-through from the disk
 	// driver (simulating a store restart with warm persistence).
-	s.store.vdisks[s.os.Thread.ID].blocks = make(map[uint64][]byte)
+	s.store.vdisks[s.os.Thread.ID].MemDev = fslite.MemDev{}
 	got, err := client.Read(9)
 	if err != nil {
 		t.Fatal(err)

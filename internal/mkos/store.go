@@ -3,6 +3,7 @@ package mkos
 import (
 	"errors"
 
+	"vmmk/internal/fslite"
 	"vmmk/internal/mk"
 	"vmmk/internal/trace"
 )
@@ -29,12 +30,12 @@ type StoreServer struct {
 // ErrNoVDisk is returned for requests from unattached clients.
 var ErrNoVDisk = errors.New("mkos: no virtual disk for this client")
 
-// StoreDisk is one client's virtual disk.
+// StoreDisk is one client's virtual disk, with the partition it writes
+// through to.
 type StoreDisk struct {
-	blocks   map[uint64][]byte
-	snapshot map[uint64][]byte
-	persist  uint64
-	size     uint64
+	fslite.MemDev
+	persist uint64
+	size    uint64
 }
 
 // NewStoreServer boots the storage server in its own protection domain,
@@ -68,11 +69,7 @@ func (s *StoreServer) SetPersistence(blk *BlkClient) { s.blk = blk }
 // Attach creates a virtual disk of size blocks for a client OS server and
 // installs the store as the client's block service.
 func (s *StoreServer) Attach(os *OSServer, size uint64) *BlkClient {
-	s.vdisks[os.Thread.ID] = &StoreDisk{
-		blocks:  make(map[uint64][]byte),
-		persist: uint64(len(s.vdisks)) * size,
-		size:    size,
-	}
+	s.vdisks[os.Thread.ID] = &StoreDisk{persist: uint64(len(s.vdisks)) * size, size: size}
 	os.Blk = &BlkClient{k: s.K, server: s.Thread.ID, client: os.Thread.ID}
 	return os.Blk
 }
@@ -91,7 +88,7 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		}
 		k.M.CPU.Work(comp, 500) // block-map lookup
 		block := msg.Words[0]
-		data := vd.read(block)
+		data := vd.Block(block)
 		if data == nil && s.blk != nil {
 			// Fall through to the persistent copy.
 			var err error
@@ -117,48 +114,22 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		}
 		k.M.CPU.Work(comp, 500)
 		block := msg.Words[0]
-		// The message is the kernel's once we return, so the block is
-		// copied into its own cached buffer, reused on overwrite. A
-		// snapshot's blocks have left the live map and are never reused.
-		// An empty write caches nil, so its reads fall through to the
-		// persistent copy.
-		data := msg.Data
-		if len(data) > 0 {
-			data = append(vd.blocks[block][:0], data...)
-		}
-		vd.blocks[block] = data
-		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(data))))
+		// The message is the kernel's once we return, so the disk copies
+		// the block. An empty write caches nil, so its reads fall through
+		// to the persistent copy.
+		vd.Write(block, msg.Data)
+		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(msg.Data))))
 		if s.blk != nil {
-			if err := s.blk.Write(vd.persist+block, data); err != nil {
+			if err := s.blk.Write(vd.persist+block, msg.Data); err != nil {
 				return mk.Msg{}, err
 			}
 		}
 		return mk.Msg{Words: s.replyWord[:]}, nil
 	case LabelStoreSnapshot:
 		k.M.CPU.Work(comp, 800)
-		if vd.snapshot == nil {
-			vd.snapshot = make(map[uint64][]byte)
-		}
-		n := uint64(len(vd.blocks))
-		for b, d := range vd.blocks {
-			vd.snapshot[b] = d
-		}
-		vd.blocks = make(map[uint64][]byte)
-		return mk.Msg{Words: []uint64{n}}, nil
+		return mk.Msg{Words: []uint64{uint64(vd.Snapshot())}}, nil
 	}
 	return mk.Msg{}, ErrBadRequest
-}
-
-func (vd *StoreDisk) read(block uint64) []byte {
-	if b, ok := vd.blocks[block]; ok {
-		return b
-	}
-	if vd.snapshot != nil {
-		if b, ok := vd.snapshot[block]; ok {
-			return b
-		}
-	}
-	return nil
 }
 
 // Snapshot freezes a client's disk, returning the captured block count. It
@@ -175,8 +146,8 @@ func (s *StoreServer) Snapshot(client mk.ThreadID) (uint64, error) {
 // symmetric with Parallax.SnapshotRead).
 func (s *StoreServer) SnapshotRead(client mk.ThreadID, block uint64) []byte {
 	vd := s.vdisks[client]
-	if vd == nil || vd.snapshot == nil {
+	if vd == nil {
 		return nil
 	}
-	return vd.snapshot[block]
+	return vd.Frozen(block)
 }

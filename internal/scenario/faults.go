@@ -14,40 +14,6 @@ import (
 // Rows declare it as an expected outcome.
 var ErrDeviceFault = errors.New("scenario: injected device fault")
 
-// MemDev is a deterministic in-memory block device — the substrate FaultDev
-// wraps for the fslite rows.
-type MemDev struct {
-	blocks    map[uint64][]byte
-	blockSize uint64
-	buf       []byte // Read's result, reused
-}
-
-// NewMemDev returns an empty in-memory device.
-func NewMemDev(blockSize uint64) *MemDev {
-	return &MemDev{blocks: make(map[uint64][]byte), blockSize: blockSize, buf: make([]byte, blockSize)}
-}
-
-// Read returns the block's contents (all-zero when never written) in a
-// buffer the device reuses, valid until its next call.
-func (d *MemDev) Read(block uint64) ([]byte, error) {
-	n := copy(d.buf, d.blocks[block])
-	clear(d.buf[n:])
-	return d.buf, nil
-}
-
-// Write stores a copy of the block, zero-padded to the block size. A block
-// gets its storage on its first write and is overwritten in place after.
-func (d *MemDev) Write(block uint64, data []byte) error {
-	b, ok := d.blocks[block]
-	if !ok {
-		b = make([]byte, d.blockSize)
-		d.blocks[block] = b
-	}
-	n := copy(b, data)
-	clear(b[n:])
-	return nil
-}
-
 // FaultDev wraps a fslite.BlockDev and injects device failures: an error on
 // the Nth write or read (1-based, sticky — a died device stays dead), and
 // optionally a torn write, where the failing write lands only the first
@@ -83,10 +49,9 @@ func (d *FaultDev) Write(block uint64, data []byte) error {
 	d.writes++
 	if d.FailWrite > 0 && d.writes >= d.FailWrite {
 		if d.Torn && d.writes == d.FailWrite {
-			half := make([]byte, len(data))
-			copy(half, data[:len(data)/2])
-			// The torn half lands; the device then reports the failure.
-			if err := d.Inner.Write(block, half); err != nil {
+			// The first half lands, and the block reads zero past it;
+			// the device then reports the failure.
+			if err := d.Inner.Write(block, data[:len(data)/2]); err != nil {
 				return err
 			}
 		}

@@ -17,7 +17,7 @@ import (
 type fsState struct {
 	fs    *fslite.FS
 	fd    *FaultDev
-	inner *MemDev
+	inner *fslite.MemDev
 	free0 uint64 // FreeBlocks before the faulted operation
 	old   []byte // the file's committed contents before the fault
 	fresh []byte // the contents the non-faulted write installs
@@ -70,7 +70,7 @@ var fsliteRows = []S{
 			Check: fsCheckIntact,
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fd := &FaultDev{Inner: inner}
 			fs, err := fslite.Mkfs(fd, fsBlock, 128)
 			if err != nil {
@@ -127,7 +127,7 @@ var fsliteRows = []S{
 			},
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fd := &FaultDev{Inner: inner, Torn: true}
 			fs, err := fslite.Mkfs(fd, fsBlock, 128)
 			if err != nil {
@@ -177,7 +177,7 @@ var fsliteRows = []S{
 			},
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fd := &FaultDev{Inner: inner}
 			fs, err := fslite.Mkfs(fd, fsBlock, 64)
 			if err != nil {
@@ -241,7 +241,7 @@ var fsliteRows = []S{
 			},
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fd := &FaultDev{Inner: inner}
 			fs, err := fslite.Mkfs(fd, fsBlock, 128)
 			if err != nil {
@@ -273,7 +273,7 @@ var fsliteRows = []S{
 			},
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fd := &FaultDev{Inner: inner}
 			fs, err := fslite.Mkfs(fd, fsBlock, 64)
 			if err != nil {
@@ -307,7 +307,7 @@ var fsliteRows = []S{
 			Err:  fslite.ErrNotFormatted,
 		},
 		Run: func(env *Env) error {
-			inner := NewMemDev(fsBlock)
+			inner := fslite.NewMemDev(fsBlock)
 			fs, err := fslite.Mkfs(inner, fsBlock, 64)
 			if err != nil {
 				return err

@@ -18,6 +18,9 @@ type Kind uint8
 const (
 	// Microkernel primitives.
 	KIPCSend Kind = iota
+	// KIPCReceive is charged by nothing: mk delivers every message to a
+	// handler, so no thread polls for one. It keeps its slot because the
+	// kinds' numbering and names are part of recorded counts.
 	KIPCReceive
 	KIPCCall // send+receive rendezvous counted once per round trip
 	KIPCMapTransfer

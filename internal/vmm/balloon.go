@@ -26,7 +26,7 @@ func (h *Hypervisor) BalloonOut(dom DomID, n int) (int, error) {
 		return 0, err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	victims := h.victims[:0]
 	for gpn := len(d.frames) - 1; gpn >= 0 && len(victims) < n; gpn-- {
 		f := d.frames[gpn]
@@ -59,7 +59,7 @@ func (h *Hypervisor) BalloonIn(dom DomID, n int) (int, error) {
 		return 0, err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	got := 0
 	fill := func(gpn int) bool {
 		if _, err := d.fill(gpn); err != nil {

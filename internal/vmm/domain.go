@@ -184,7 +184,7 @@ func (h *Hypervisor) MMUUpdate(dom DomID, vpn hw.VPN, gpn int, perms hw.Perm, us
 		return err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 
 	f := d.FrameAt(gpn)
 	if f == hw.NoFrame || !d.OwnsFrame(f) {
@@ -205,7 +205,7 @@ func (h *Hypervisor) MMUUnmap(dom DomID, vpn hw.VPN) error {
 		return err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	d.PT.Unmap(vpn)
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)

@@ -58,7 +58,7 @@ func (h *Hypervisor) BindChannel(x, y DomID) (Port, Port, error) {
 	px := Port(base + slot*2 + 1)
 	py := Port(base + slot*2 + 2)
 	h.ports[slot] = &channel{a: endpoint{x, px}, b: endpoint{y, py}}
-	h.hypercallExit(dx)
+	h.hypercallExit()
 	return px, py, nil
 }
 
@@ -98,7 +98,7 @@ func (h *Hypervisor) NotifyChannel(from DomID, port Port) error {
 
 	h.hypercallEntry(d)
 	h.M.CPU.Charge(h.comp, trace.KEvtchnSend, 80)
-	h.hypercallExit(d)
+	h.hypercallExit()
 
 	h.deliverEvent(rd, remote.port)
 	return nil

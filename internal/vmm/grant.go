@@ -87,7 +87,7 @@ func (h *Hypervisor) GrantAccess(owner DomID, frame hw.FrameID, to DomID, readOn
 		return 0, ErrFrameNotOwned
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	g := &d.grants
 	slot := len(g.entries)
 	if g.free > 0 {
@@ -143,7 +143,7 @@ func (h *Hypervisor) GrantMap(user DomID, owner DomID, ref GrantRef, vpn hw.VPN)
 		return ErrGrantRevoked
 	}
 	h.hypercallEntry(ud)
-	defer h.hypercallExit(ud)
+	defer h.hypercallExit()
 	perms := hw.PermRW
 	if e.readOnly {
 		perms = hw.PermR
@@ -181,7 +181,7 @@ func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VP
 		return ErrNoSuchDomain
 	}
 	h.hypercallEntry(ud)
-	defer h.hypercallExit(ud)
+	defer h.hypercallExit()
 	ud.PT.Unmap(vpn)
 	if e != nil && e.mapped > 0 {
 		e.mapped--
@@ -212,7 +212,7 @@ func (h *Hypervisor) GrantCopy(user DomID, owner DomID, ref GrantRef, dst hw.Fra
 		return ErrGrantRevoked // dangling: the frame was flipped away
 	}
 	h.hypercallEntry(ud)
-	defer h.hypercallExit(ud)
+	defer h.hypercallExit()
 	copied := h.M.Mem.Copy(dst, e.frame, n)
 	h.M.CPU.Charge(h.comp, trace.KGrantCopy, 120+h.M.CPU.CopyCost(copied))
 	return nil
@@ -244,7 +244,7 @@ func (h *Hypervisor) GrantTransfer(user DomID, owner DomID, ref GrantRef) (hw.Fr
 		return hw.NoFrame, ErrGrantRevoked
 	}
 	h.hypercallEntry(ud)
-	defer h.hypercallExit(ud)
+	defer h.hypercallExit()
 
 	// The flip consumes the grant, and a freed slot's frame field links
 	// the free list, so the frame is read once, here.
@@ -326,7 +326,7 @@ func (h *Hypervisor) endGrant(owner DomID, ref GrantRef, hypercall bool) error {
 	if hypercall {
 		h.hypercallEntry(d)
 		h.M.CPU.Work(h.comp, 40)
-		h.hypercallExit(d)
+		h.hypercallExit()
 	}
 	return nil
 }

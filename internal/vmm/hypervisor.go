@@ -224,7 +224,7 @@ func (h *Hypervisor) Hypercall(dom DomID, op string, workCost hw.Cycles) error {
 	}
 	h.hypercallEntry(d)
 	h.M.CPU.Work(h.comp, workCost)
-	h.hypercallExit(d)
+	h.hypercallExit()
 	_ = op
 	return nil
 }
@@ -237,8 +237,7 @@ func (h *Hypervisor) hypercallEntry(d *Domain) {
 }
 
 // hypercallExit returns to the guest kernel ring.
-func (h *Hypervisor) hypercallExit(d *Domain) {
-	_ = d
+func (h *Hypervisor) hypercallExit() {
 	h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 }
 
@@ -300,7 +299,7 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 			break
 		}
 	}
-	h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KFault, d.comp, 0)
+	h.M.CPU.Charge(d.comp, trace.KFault, 0)
 	return nil
 }
 

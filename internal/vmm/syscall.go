@@ -31,7 +31,7 @@ func (h *Hypervisor) EnableFastPath(dom DomID) (bool, error) {
 		return false, err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	if !h.M.Arch.HasSegmentation || !h.FastPathPolicy {
 		d.fastPathOK = false
 		return false, nil
@@ -54,7 +54,7 @@ func (h *Hypervisor) LoadGuestSegment(dom DomID, reg hw.SegReg, seg hw.Segment) 
 	if d.fastPathOK && !h.M.CPU.SegmentsExclude(VMMBase) {
 		d.fastPathOK = false
 	}
-	h.hypercallExit(d)
+	h.hypercallExit()
 	return nil
 }
 
@@ -87,10 +87,8 @@ func (h *Hypervisor) GuestSyscall(dom DomID, no uint32, args []uint64) ([]uint64
 	if fast {
 		// Trap gate: direct ring3 -> ring1 transition at hardware trap
 		// cost, charged to the *guest*, since the monitor is not involved.
-		h.M.CPU.Clock.Advance(h.M.Arch.Costs.KernelEntry)
-		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KSyscallFastPath, d.comp, uint64(h.M.Arch.Costs.KernelEntry))
+		h.M.CPU.Charge(d.comp, trace.KSyscallFastPath, h.M.Arch.Costs.KernelEntry)
 		h.M.CPU.SetRing(hw.Ring1)
-		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KGuestUserToKernel, d.comp, 0)
 	} else {
 		// Bounce: monitor entry, validation, reflected into the guest
 		// kernel (primitive 7), which is an accounted exception bounce.
@@ -98,8 +96,8 @@ func (h *Hypervisor) GuestSyscall(dom DomID, no uint32, args []uint64) ([]uint64
 		h.M.CPU.Work(h.comp, h.M.Arch.Costs.PrivCheck)
 		h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 		h.M.CPU.ReturnTo(h.comp, hw.Ring1)
-		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KGuestUserToKernel, d.comp, 0)
 	}
+	h.M.CPU.Charge(d.comp, trace.KGuestUserToKernel, 0)
 
 	// Guest kernel executes the system call.
 	var ret []uint64
@@ -110,13 +108,12 @@ func (h *Hypervisor) GuestSyscall(dom DomID, no uint32, args []uint64) ([]uint64
 	// Return to guest user (primitive 2). The fast path irets directly;
 	// the bounced path needs the monitor again for the privileged iret.
 	if fast {
-		h.M.CPU.Clock.Advance(h.M.Arch.Costs.KernelExit)
-		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KGuestKernelToUser, d.comp, uint64(h.M.Arch.Costs.KernelExit))
+		h.M.CPU.Charge(d.comp, trace.KGuestKernelToUser, h.M.Arch.Costs.KernelExit)
 		h.M.CPU.SetRing(hw.Ring3)
 	} else {
 		h.M.CPU.Trap(h.comp, h.M.Arch.HasFastSyscall)
 		h.M.CPU.ReturnTo(h.comp, hw.Ring3)
-		h.M.Rec.Charge(uint64(h.M.Clock.Now()), trace.KGuestKernelToUser, d.comp, 0)
+		h.M.CPU.Charge(d.comp, trace.KGuestKernelToUser, 0)
 	}
 	return ret, nil
 }
@@ -158,7 +155,7 @@ func (h *Hypervisor) VirtDeviceOp(dom DomID, device string, cost hw.Cycles) erro
 		return err
 	}
 	h.hypercallEntry(d)
-	defer h.hypercallExit(d)
+	defer h.hypercallExit()
 	h.M.CPU.Charge(h.comp, trace.KVirtDeviceOp, h.M.Arch.Costs.DeviceMMIO+cost)
 	_ = device
 	return nil

@@ -76,7 +76,7 @@ func (s *Store) Write(dom DomID, path, value string) error {
 		return err
 	}
 	s.h.hypercallEntry(d)
-	defer s.h.hypercallExit(d)
+	defer s.h.hypercallExit()
 	if !s.mayWrite(dom, path) {
 		return ErrStorePerm
 	}
@@ -96,7 +96,7 @@ func (s *Store) Read(dom DomID, path string) (string, error) {
 		return "", err
 	}
 	s.h.hypercallEntry(d)
-	defer s.h.hypercallExit(d)
+	defer s.h.hypercallExit()
 	v, ok := s.entries[path]
 	if !ok {
 		return "", ErrStoreNoEntry

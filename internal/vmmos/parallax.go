@@ -3,6 +3,7 @@ package vmmos
 import (
 	"errors"
 
+	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
@@ -32,12 +33,12 @@ type Parallax struct {
 var ErrVDiskUnknown = errors.New("vmmos: no virtual disk for this domain")
 
 // VDisk is one client's virtual disk: a block map supporting copy-on-write
-// snapshots. Unwritten blocks read as zeros.
+// snapshots, with the partition it writes through to. Unwritten blocks
+// read as zeros.
 type VDisk struct {
-	blocks   map[uint64][]byte
-	snapshot map[uint64][]byte // frozen view; nil when no snapshot taken
-	persist  uint64            // physical partition offset for write-through
-	size     uint64
+	fslite.MemDev
+	persist uint64 // physical partition offset for write-through
+	size    uint64
 }
 
 // NewParallax boots the appliance in its own domain — the decomposed
@@ -79,7 +80,7 @@ func (px *Parallax) AttachClient(gk *GuestKernel, size uint64) (*BlkFront, error
 	if err != nil {
 		return nil, err
 	}
-	vd := &VDisk{blocks: make(map[uint64][]byte), size: size, persist: uint64(len(px.vdisks)) * size}
+	vd := &VDisk{size: size, persist: uint64(len(px.vdisks)) * size}
 	px.vdisks[gk.Dom.ID] = vd
 	r, client := bf.ring, gk.Dom.ID
 	px.GK.ExtraEvent[r.backPort] = func() { px.serve(r, client, vd) }
@@ -109,13 +110,10 @@ func (px *Parallax) serve(r *blkRing, client vmm.DomID, vd *VDisk) {
 		ps := h.M.Mem.PageSize()
 		if req.write {
 			// Cache only the page's written prefix (reads load the zero
-			// tail back), in the block's own cached buffer, reused on
-			// overwrite: a snapshot's blocks have left the live map, so
-			// no snapshot ever sees the overwrite. The write-through
-			// passes the same prefix, which BlkFront loads into its own
-			// frame before returning.
+			// tail back). The write-through passes the same prefix,
+			// which BlkFront loads into its own frame before returning.
 			src := h.M.Mem.Bytes(e.Frame)
-			vd.write(req.block, append(vd.blocks[req.block][:0], src...))
+			vd.Write(req.block, src)
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 			if px.blk != nil {
 				// Write-through to the physical partition via Dom0.
@@ -127,29 +125,13 @@ func (px *Parallax) serve(r *blkRing, client vmm.DomID, vd *VDisk) {
 				}
 			}
 		} else {
-			h.M.Mem.Load(e.Frame, vd.read(req.block))
+			h.M.Mem.Load(e.Frame, vd.Block(req.block))
 			h.M.CPU.Work(comp, h.M.CPU.CopyCost(ps))
 		}
 		h.GrantUnmap(px.GK.Dom.ID, client, req.ref, window)
 		req.done, req.ok = true, true
 		h.NotifyChannel(px.GK.Dom.ID, r.backPort)
 	}
-}
-
-func (vd *VDisk) read(block uint64) []byte {
-	if b, ok := vd.blocks[block]; ok {
-		return b
-	}
-	if vd.snapshot != nil {
-		if b, ok := vd.snapshot[block]; ok {
-			return b
-		}
-	}
-	return nil
-}
-
-func (vd *VDisk) write(block uint64, data []byte) {
-	vd.blocks[block] = data
 }
 
 // Snapshot freezes the current state of a client's disk; later writes go to
@@ -161,23 +143,15 @@ func (px *Parallax) Snapshot(client vmm.DomID) (int, error) {
 		return 0, ErrVDiskUnknown
 	}
 	px.H.M.CPU.Work(px.Comp(), 800)
-	if vd.snapshot == nil {
-		vd.snapshot = make(map[uint64][]byte)
-	}
-	for b, data := range vd.blocks {
-		vd.snapshot[b] = data
-	}
-	n := len(vd.blocks)
-	vd.blocks = make(map[uint64][]byte)
-	return n, nil
+	return vd.Snapshot(), nil
 }
 
 // SnapshotRead reads from the frozen view (nil if block unwritten at
 // snapshot time or no snapshot exists).
 func (px *Parallax) SnapshotRead(client vmm.DomID, block uint64) []byte {
 	vd := px.vdisks[client]
-	if vd == nil || vd.snapshot == nil {
+	if vd == nil {
 		return nil
 	}
-	return vd.snapshot[block]
+	return vd.Frozen(block)
 }
