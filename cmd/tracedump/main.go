@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"vmmk/internal/core"
+	"vmmk/internal/guestos"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func run(args []string) error {
 	}
 
 	for i := 0; i < *syscalls; i++ {
-		if err := p.DoSyscall(0, 1, 0); err != nil {
+		if err := p.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 			return err
 		}
 	}

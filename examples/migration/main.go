@@ -18,6 +18,7 @@ import (
 	"log"
 
 	"vmmk/internal/core"
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
@@ -36,7 +37,7 @@ func main() {
 	guest := src.Guests[0]
 
 	// The guest does some work and writes state it will need later.
-	if _, err := guest.Syscall(src.Procs[0], vmmos.SysGetPID); err != nil {
+	if _, err := guest.Syscall(src.Procs[0], guestos.SysGetPID); err != nil {
 		log.Fatal(err)
 	}
 	if err := guest.Blk.Write(3, []byte("pre-migration state")); err != nil {
@@ -87,7 +88,7 @@ func main() {
 		log.Fatal(err)
 	}
 	p := gk2.Spawn("app")
-	if _, err := gk2.Syscall(p.PID, vmmos.SysGetPID); err != nil {
+	if _, err := gk2.Syscall(p.PID, guestos.SysGetPID); err != nil {
 		log.Fatal(err)
 	}
 	if err := gk2.Blk.Write(4, []byte("post-migration write")); err != nil {

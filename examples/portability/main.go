@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"vmmk/internal/core"
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 )
 
@@ -53,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := s.M().Now()
-		if err := s.DoSyscall(0, 1, 0); err != nil {
+		if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-8s %6d cycles\n", arch.Name, s.M().Now()-t0)

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"vmmk/internal/core"
+	"vmmk/internal/guestos"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 	// The workload: 20 received packets, 20 syscalls, 5 storage writes.
 	drive := func(p core.Platform) {
 		for i := 0; i < 20; i++ {
-			if err := p.DoSyscall(0, 1, 0); err != nil {
+			if err := p.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 				log.Fatalf("%s syscall: %v", p.Name(), err)
 			}
 		}

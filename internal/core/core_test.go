@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
 	"vmmk/internal/vmm"
@@ -137,6 +140,96 @@ func TestStorageRefusesBlocksPastTheDisk(t *testing.T) {
 			t.Errorf("%s: read of block 1 after the refusals: %q, %v", name, data, err)
 		}
 		p.Close()
+	}
+}
+
+// TestPlatformSendSizeValidation: every stack stages a packet in one page,
+// so a send of a negative length or of more than a page is refused with
+// one error and puts nothing on the wire (the native kernel refuses it
+// before any work), and a 64-byte send still works afterwards. A guest
+// process that passes ^0 as SysNetSend's length is refused too.
+func TestPlatformSendSizeValidation(t *testing.T) {
+	for _, name := range []string{"vmm", "mk", "native"} {
+		p, nic, _ := bootIOStack(t, name, 1)
+		page := int(p.M().Mem.PageSize())
+		for _, size := range []int{-1, page + 1} {
+			before := p.M().Now()
+			if err := p.SendPackets(1, size, 0); !errors.Is(err, errSendRefused) {
+				t.Errorf("%s: send of %d bytes: err = %v, want errSendRefused", name, size, err)
+			}
+			if name == "native" && p.M().Now() != before {
+				t.Errorf("native: the refused send of %d bytes charged %d cycles", size, p.M().Now()-before)
+			}
+		}
+		if err := p.DoSyscall(0, guestos.SysNetSend, ^uint64(0)); err != nil {
+			t.Errorf("%s: SysNetSend of length ^0: %v", name, err)
+		}
+		if wire := nic.Transmitted(); len(wire) != 0 {
+			t.Errorf("%s: the refused sends put %d packets on the wire", name, len(wire))
+		}
+		if err := p.SendPackets(1, 64, 0); err != nil {
+			t.Errorf("%s: 64-byte send after the refusals: %v", name, err)
+		}
+		if wire := nic.Transmitted(); len(wire) != 1 || len(wire[0].Data) != 64 {
+			t.Errorf("%s: the 64-byte send put %d packets on the wire", name, len(wire))
+		}
+		p.Close()
+	}
+}
+
+// TestGuestOSAnswersAlikeOnBothStacks: the vmm and mk stacks run one guest
+// OS, so one script of system calls, refused ones included, gets the same
+// reply words from a XenStack guest as from an MKStack guest.
+func TestGuestOSAnswersAlikeOnBothStacks(t *testing.T) {
+	type call struct {
+		no   uint32
+		args []uint64
+	}
+	script := []call{
+		{guestos.SysGetPID, nil},
+		{guestos.SysWrite, []uint64{'a'}},
+		{guestos.SysWrite, nil}, // missing argument
+		{guestos.SysYield, nil},
+		{guestos.SysNetRecv, nil}, // empty queue
+		{guestos.SysNetSend, []uint64{64}},
+		{guestos.SysNetSend, []uint64{8192}}, // more than a page
+		{guestos.SysNetSend, nil},            // missing argument
+		{99, []uint64{1}},                    // unknown number
+	}
+	fail := fmt.Sprint([]uint64{guestos.Fail}, nil)
+	want := []string{"[1] <nil>", "[1] <nil>", fail, "[] <nil>", "[0] <nil>", "[64] <nil>", fail, fail, fail,
+		"[100] <nil>", "[100] <nil>", "[0] <nil>"}
+	run := func(p Platform, g guestPort, pid guestos.PID) []string {
+		var out []string
+		do := func(c call) {
+			ret, err := g.Syscall(pid, c.no, c.args...)
+			out = append(out, fmt.Sprint(ret, err))
+		}
+		for _, c := range script {
+			do(c)
+		}
+		p.InjectPackets(2, 100, 0)
+		for range 3 {
+			do(call{guestos.SysNetRecv, nil})
+		}
+		return out
+	}
+	xen, err := NewXenStack(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xen.Close()
+	mks, err := NewMKStack(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mks.Close()
+	vmmOut := run(xen, xen.Guests[0], xen.Procs[0])
+	mkOut := run(mks, mks.Guests[0], mks.Procs[0])
+	for i := range want {
+		if vmmOut[i] != want[i] || mkOut[i] != want[i] {
+			t.Errorf("call %d: vmm replies %s, mk replies %s, want %s", i, vmmOut[i], mkOut[i], want[i])
+		}
 	}
 }
 
@@ -792,7 +885,7 @@ func TestPersonalityMountFSHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mfs, err := mkStack.OSes[0].MountFS(64)
+	mfs, err := mkStack.Guests[0].MountFS(64)
 	if err != nil {
 		t.Fatal(err)
 	}

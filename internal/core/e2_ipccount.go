@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/simrand"
-	"vmmk/internal/vmmos"
 )
 
 // E2 tests the rebuttal's central quantitative claim (§3.2): "A Xen-based
@@ -57,12 +57,12 @@ var e2Workloads = []struct {
 		// approximating a syscall microbenchmark.
 		r := simrand.New(42)
 		for i := 0; i < 200; i++ {
-			no, arg := vmmos.SysGetPID, uint64(0)
+			no, arg := guestos.SysGetPID, uint64(0)
 			switch r.Intn(10) {
 			case 8:
-				no, arg = vmmos.SysWrite, uint64('a'+r.Intn(26))
+				no, arg = guestos.SysWrite, uint64('a'+r.Intn(26))
 			case 9:
-				no = vmmos.SysYield
+				no = guestos.SysYield
 			}
 			if err := p.DoSyscall(0, no, arg); err != nil {
 				return err

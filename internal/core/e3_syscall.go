@@ -1,9 +1,9 @@
 package core
 
 import (
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
-	"vmmk/internal/vmmos"
 )
 
 // E3 reproduces the trap-gate story of §3.2: Xen's int-0x80 shortcut makes
@@ -48,7 +48,7 @@ func (r *Runner) e3(n int) ([]E3Row, error) {
 			defer s.Close()
 			t0 := s.M().Now()
 			for i := 0; i < n; i++ {
-				if err := s.DoSyscall(0, 1, 0); err != nil {
+				if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 					return nil, err
 				}
 			}
@@ -67,7 +67,7 @@ func (r *Runner) e3(n int) ([]E3Row, error) {
 			mon0 := s.M().Rec.Cycles(vmm.HypervisorComponent)
 			t0 := s.M().Now()
 			for i := 0; i < n; i++ {
-				if err := s.DoSyscall(0, vmmos.SysGetPID, 0); err != nil {
+				if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 					return nil, err
 				}
 			}
@@ -92,7 +92,7 @@ func (r *Runner) e3(n int) ([]E3Row, error) {
 			mon0 := s.M().Rec.Cycles(vmm.HypervisorComponent)
 			t0 := s.M().Now()
 			for i := 0; i < n; i++ {
-				if err := s.DoSyscall(0, vmmos.SysGetPID, 0); err != nil {
+				if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 					return nil, err
 				}
 			}
@@ -113,7 +113,7 @@ func (r *Runner) e3(n int) ([]E3Row, error) {
 			kc0 := s.M().Rec.Cycles("mk.kernel")
 			t0 := s.M().Now()
 			for i := 0; i < n; i++ {
-				if err := s.DoSyscall(0, 1, 0); err != nil {
+				if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 					return nil, err
 				}
 			}

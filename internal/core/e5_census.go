@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 )
@@ -79,7 +80,7 @@ func distinctMechanisms(kinds []trace.Kind) int {
 // and a page fault (on mk).
 func censusWorkload(p Platform) error {
 	for i := 0; i < 5; i++ {
-		if err := p.DoSyscall(0, 1, 0); err != nil {
+		if err := p.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 			return err
 		}
 	}
@@ -111,7 +112,7 @@ func (r *Runner) e5() ([]E5Row, error) {
 				return nil, err
 			}
 			// Also provoke a page fault so the pager facet shows up.
-			if _, err := s.K.Touch(s.OSes[0].Proc(s.Procs[0]).Thread.ID, 0x123, 2); err != nil {
+			if _, err := s.K.Touch(s.Guests[0].Proc(s.Procs[0]).Thread.ID, 0x123, 2); err != nil {
 				return nil, err
 			}
 			kinds := s.M().Rec.DistinctPrimitives(trace.Snapshot{}, "mk")
@@ -134,11 +135,11 @@ func (r *Runner) e5() ([]E5Row, error) {
 			}
 			// Provoke an exception bounce so primitive 7 shows up even with
 			// the syscall fast path live.
-			if _, err := s.H.GuestException(s.Guests[0].Dom.ID, 14, func() {}); err != nil {
+			if _, err := s.H.GuestException(s.Guests[0].Dom.ID, func() {}); err != nil {
 				return nil, err
 			}
 			// Monitor-provided virtual device (primitive 10): console write.
-			if err := s.H.VirtDeviceOp(s.Guests[0].Dom.ID, "console", 20); err != nil {
+			if err := s.H.VirtDeviceOp(s.Guests[0].Dom.ID, 20); err != nil {
 				return nil, err
 			}
 			kinds := s.M().Rec.DistinctPrimitives(trace.Snapshot{}, "vmm")

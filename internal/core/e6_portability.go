@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 )
 
@@ -83,7 +84,7 @@ func (r *Runner) e6() ([]E6Row, error) {
 		defer s.Close()
 		// The probe: a syscall, a packet, a storage op — the whole
 		// personality, unchanged.
-		probeOK := s.DoSyscall(0, 1, 0) == nil
+		probeOK := s.DoSyscall(0, guestos.SysGetPID, 0) == nil
 		s.InjectPackets(1, 128, 0)
 		probeOK = probeOK && s.DrainRx(0) == 1
 		probeOK = probeOK && s.StorageWrite(0, 0, []byte("p")) == nil

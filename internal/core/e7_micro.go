@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
 	"vmmk/internal/vmm"
@@ -188,7 +189,7 @@ func (r *Runner) e7(n int) ([]E7Row, error) {
 
 		t0 = m.Now()
 		for i := 0; i < n; i++ {
-			if _, err := h.GuestSyscall(dU.ID, 1, nil); err != nil {
+			if _, err := h.GuestSyscall(dU.ID, guestos.SysGetPID, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
@@ -136,7 +137,7 @@ func (r *Runner) e9() ([]E9Row, error) {
 			defer s.Close()
 			t0 := s.M().Now()
 			for i := 0; i < 100; i++ {
-				if err := s.DoSyscall(0, 1, 0); err != nil {
+				if err := s.DoSyscall(0, guestos.SysGetPID, 0); err != nil {
 					return E9Row{}, err
 				}
 			}

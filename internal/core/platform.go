@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
@@ -194,21 +195,101 @@ type ComponentStatus struct {
 	Alive bool
 }
 
+// guestPort is what the vmm and mk stacks' shared request body needs of a
+// port of the guest OS: a system call from one of its processes.
+type guestPort interface {
+	Syscall(pid guestos.PID, no uint32, args ...uint64) ([]uint64, error)
+}
+
+// guestStack is the body the vmm and mk stacks add to stack: the guest OS
+// ports, the one process each runs, and the requests that process makes.
+// Both stacks serve DrainRx, SendPackets and DoSyscall through it, so the
+// same request meets the same guest OS on both kernels. StorageWrite and
+// StorageRead stay typed on each stack: called through the type
+// parameter, every caller's data would escape to the heap.
+type guestStack[G guestPort] struct {
+	stack
+	Guests []G
+	Procs  []guestos.PID
+
+	// arg carries a request's one argument. A variadic argument passed
+	// through the type parameter escapes, so a fresh one would allocate
+	// on every call; each port copies its arguments before it returns.
+	arg [1]uint64
+}
+
+// errSendRefused is SendPackets' error when a guest OS refuses a send:
+// the packet does not fit in a page, or the network service is gone.
+var errSendRefused = errors.New("core: guest OS refused the send")
+
+// proc returns guest i's port and its process, or ErrGuestIndex.
+func (s *guestStack[G]) proc(i int) (g G, pid guestos.PID, err error) {
+	if i < 0 || i >= len(s.Guests) {
+		return g, 0, ErrGuestIndex
+	}
+	return s.Guests[i], s.Procs[i], nil
+}
+
+// DrainRx implements Platform.
+func (s *guestStack[G]) DrainRx(dest int) int {
+	g, pid, err := s.proc(dest)
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for {
+		ret, err := g.Syscall(pid, guestos.SysNetRecv)
+		if err != nil || len(ret) == 0 || ret[0] == 0 {
+			return n
+		}
+		n++
+	}
+}
+
+// SendPackets implements Platform.
+func (s *guestStack[G]) SendPackets(n, size, from int) error {
+	g, pid, err := s.proc(from)
+	if err != nil {
+		return err
+	}
+	s.arg[0] = uint64(size)
+	for i := 0; i < n; i++ {
+		ret, err := g.Syscall(pid, guestos.SysNetSend, s.arg[:]...)
+		if err != nil {
+			return err
+		}
+		if ret[0] == guestos.Fail {
+			return errSendRefused
+		}
+		s.Pump()
+	}
+	return nil
+}
+
+// DoSyscall implements Platform.
+func (s *guestStack[G]) DoSyscall(from int, no uint32, arg uint64) error {
+	g, pid, err := s.proc(from)
+	if err != nil {
+		return err
+	}
+	s.arg[0] = arg
+	_, err = g.Syscall(pid, no, s.arg[:]...)
+	return err
+}
+
 // ---------------------------------------------------------------------------
 // VMM platform
 
 // XenStack is the booted Xen-like system: hypervisor, Dom0 with physical
 // drivers, N guests with net frontends, and a Parallax appliance backing
-// every guest's storage.
+// every guest's storage. Guests holds the guest kernels, the vmm ports of
+// the guest OS.
 type XenStack struct {
-	stack
+	guestStack[*vmmos.GuestKernel]
 	H  *vmm.Hypervisor
 	DD *vmmos.DriverDomain
 	PX *vmmos.Parallax
 	ST *vmm.Store // control plane: domain and device registry
-
-	Guests []*vmmos.GuestKernel
-	Procs  []vmmos.PID
 }
 
 // NewXenStack boots the full VMM-side system.
@@ -220,7 +301,8 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 		return nil, err
 	}
 	h.FastPathPolicy = cfg.FastPath
-	s := &XenStack{stack: cfg.attach(m, h.Comp()), H: h}
+	s := &XenStack{H: h}
+	s.stack = cfg.attach(m, h.Comp())
 	dd, err := vmmos.NewDriverDomain(h, d0, s.NIC, s.Disk)
 	if err != nil {
 		return nil, err
@@ -301,51 +383,6 @@ func NewXenStack(cfg Config) (*XenStack, error) {
 // Name implements Platform.
 func (s *XenStack) Name() string { return "vmm" }
 
-// DrainRx implements Platform.
-func (s *XenStack) DrainRx(dest int) int {
-	if dest < 0 || dest >= len(s.Guests) {
-		return 0
-	}
-	gk := s.Guests[dest]
-	n := 0
-	for {
-		ret, err := gk.Syscall(s.Procs[dest], vmmos.SysNetRecv)
-		if err != nil || len(ret) == 0 || ret[0] == 0 || ret[0] == ^uint64(0) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// SendPackets implements Platform.
-func (s *XenStack) SendPackets(n, size, from int) error {
-	if from < 0 || from >= len(s.Guests) {
-		return ErrGuestIndex
-	}
-	gk := s.Guests[from]
-	for i := 0; i < n; i++ {
-		ret, err := gk.Syscall(s.Procs[from], vmmos.SysNetSend, uint64(size))
-		if err != nil {
-			return err
-		}
-		if ret[0] == ^uint64(0) {
-			return vmmos.ErrBackendDead
-		}
-		s.Pump()
-	}
-	return nil
-}
-
-// DoSyscall implements Platform.
-func (s *XenStack) DoSyscall(from int, no uint32, arg uint64) error {
-	if from < 0 || from >= len(s.Guests) {
-		return ErrGuestIndex
-	}
-	_, err := s.Guests[from].Syscall(s.Procs[from], no, arg)
-	return err
-}
-
 // StorageWrite implements Platform.
 func (s *XenStack) StorageWrite(from int, block uint64, data []byte) error {
 	if from < 0 || from >= len(s.Guests) {
@@ -391,16 +428,14 @@ func (s *XenStack) DriverSideCycles() uint64 {
 // Microkernel platform
 
 // MKStack is the booted L4-like system: microkernel, user-level NIC and
-// disk driver servers, a storage server, and N OS server instances.
+// disk driver servers, a storage server, and N OS server instances, the
+// mk ports of the guest OS, in Guests.
 type MKStack struct {
-	stack
+	guestStack[*mkos.OSServer]
 	K     *mk.Kernel
 	Net   *mkos.NetDriver
 	Blk   *mkos.BlkDriver
 	Store *mkos.StoreServer
-
-	OSes  []*mkos.OSServer
-	Procs []mkos.PID
 }
 
 // NewMKStack boots the full microkernel-side system.
@@ -408,7 +443,8 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 	cfg.defaults()
 	m := cfg.machine()
 	k := mk.New(m)
-	s := &MKStack{stack: cfg.attach(m, k.Comp()), K: k}
+	s := &MKStack{K: k}
+	s.stack = cfg.attach(m, k.Comp())
 	nd, err := mkos.NewNetDriver(k, s.NIC)
 	if err != nil {
 		return nil, err
@@ -451,7 +487,7 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.OSes = append(s.OSes, osrv)
+		s.Guests = append(s.Guests, osrv)
 		s.Procs = append(s.Procs, p.PID)
 	}
 	return s, nil
@@ -460,64 +496,20 @@ func NewMKStack(cfg Config) (*MKStack, error) {
 // Name implements Platform.
 func (s *MKStack) Name() string { return "mk" }
 
-// DrainRx implements Platform.
-func (s *MKStack) DrainRx(dest int) int {
-	if dest < 0 || dest >= len(s.OSes) {
-		return 0
-	}
-	osrv := s.OSes[dest]
-	n := 0
-	for {
-		ret, err := osrv.Syscall(s.Procs[dest], mkos.SysNetRecv)
-		if err != nil || len(ret) == 0 || ret[0] == 0 || ret[0] == ^uint64(0) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// SendPackets implements Platform.
-func (s *MKStack) SendPackets(n, size, from int) error {
-	if from < 0 || from >= len(s.OSes) {
-		return ErrGuestIndex
-	}
-	for i := 0; i < n; i++ {
-		ret, err := s.OSes[from].Syscall(s.Procs[from], mkos.SysNetSend, uint64(size))
-		if err != nil {
-			return err
-		}
-		if ret[0] == ^uint64(0) {
-			return mk.ErrDeadPartner
-		}
-		s.Pump()
-	}
-	return nil
-}
-
-// DoSyscall implements Platform.
-func (s *MKStack) DoSyscall(from int, no uint32, arg uint64) error {
-	if from < 0 || from >= len(s.OSes) {
-		return ErrGuestIndex
-	}
-	_, err := s.OSes[from].Syscall(s.Procs[from], no, arg)
-	return err
-}
-
 // StorageWrite implements Platform.
 func (s *MKStack) StorageWrite(from int, block uint64, data []byte) error {
-	if from < 0 || from >= len(s.OSes) {
+	if from < 0 || from >= len(s.Guests) {
 		return ErrGuestIndex
 	}
-	return s.OSes[from].Blk.Write(block, data)
+	return s.Guests[from].Blk.Write(block, data)
 }
 
 // StorageRead implements Platform.
 func (s *MKStack) StorageRead(from int, block uint64) ([]byte, error) {
-	if from < 0 || from >= len(s.OSes) {
+	if from < 0 || from >= len(s.Guests) {
 		return nil, ErrGuestIndex
 	}
-	return s.OSes[from].Blk.Read(block)
+	return s.Guests[from].Blk.Read(block)
 }
 
 // KillStorage implements Platform: crash the storage server.
@@ -538,7 +530,7 @@ func (s *MKStack) Alive() []ComponentStatus {
 		{"driver(blk)", s.K.Alive(s.Blk.Thread.ID)},
 		{"storage(store)", s.K.Alive(s.Store.Thread.ID)},
 	}
-	for i, osrv := range s.OSes {
+	for i, osrv := range s.Guests {
 		out = append(out, ComponentStatus{"guest" + strconv.Itoa(i+1), s.K.Alive(osrv.Thread.ID)})
 	}
 	return out
@@ -677,10 +669,15 @@ func (s *NativeStack) DrainRx(dest int) int {
 	return n
 }
 
-// SendPackets implements Platform.
+// SendPackets implements Platform. Like the guest OS, the kernel stages a
+// packet in one page, so it refuses a longer one, or a negative length,
+// before any work.
 func (s *NativeStack) SendPackets(n, size, from int) error {
 	if err := s.check(from); err != nil {
 		return err
+	}
+	if size < 0 || uint64(size) > s.Mach.Mem.PageSize() {
+		return errSendRefused
 	}
 	for i := 0; i < n; i++ {
 		s.syscall(300 + s.Mach.CPU.CopyCost(uint64(size)))

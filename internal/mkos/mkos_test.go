@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vmmk/internal/fslite"
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
@@ -69,11 +70,11 @@ func (s *mstack) inject(size int) {
 func TestSyscallGetPID(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	snap := s.m.Rec.Snapshot()
-	ret, err := s.os.Syscall(s.proc.PID, SysGetPID)
+	ret, err := s.os.Syscall(s.proc.PID, guestos.SysGetPID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PID(ret[0]) != s.proc.PID {
+	if guestos.PID(ret[0]) != s.proc.PID {
 		t.Fatalf("getpid = %d, want %d", ret[0], s.proc.PID)
 	}
 	// The syscall was exactly one IPC call.
@@ -88,7 +89,7 @@ func TestSyscallUnknownIsENOSYS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ret[0] != ^uint64(0) {
+	if ret[0] != guestos.Fail {
 		t.Fatal("unknown syscall should return ENOSYS marker")
 	}
 }
@@ -97,8 +98,8 @@ func TestSyscallUnknownIsENOSYS(t *testing.T) {
 // far one name no process.
 func TestSyscallBadProcess(t *testing.T) {
 	s := newMStack(t, RxGrant)
-	for _, pid := range []PID{0, s.proc.PID + 1, 999} {
-		if _, err := s.os.Syscall(pid, SysGetPID); !errors.Is(err, ErrNoSuchProcess) {
+	for _, pid := range []guestos.PID{0, s.proc.PID + 1, 999} {
+		if _, err := s.os.Syscall(pid, guestos.SysGetPID); !errors.Is(err, guestos.ErrNoSuchProcess) {
 			t.Errorf("pid %d: err = %v, want ErrNoSuchProcess", pid, err)
 		}
 		if p := s.os.Proc(pid); p != nil {
@@ -107,16 +108,21 @@ func TestSyscallBadProcess(t *testing.T) {
 	}
 }
 
-// TestSyscallWithoutArgumentRefused: every call that reads an argument
-// refuses a request without one, and the server keeps serving.
+// TestSyscallWithoutArgumentRefused: a call that reads an argument
+// replies Fail without one, a syscall IPC without even a number is a
+// malformed request, and the server keeps serving.
 func TestSyscallWithoutArgumentRefused(t *testing.T) {
 	s := newMStack(t, RxGrant)
-	for _, no := range []uint32{SysWrite, SysNetSend, SysBlockRead, SysBlockWrite} {
-		if _, err := s.os.Syscall(s.proc.PID, no); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("syscall %d without an argument: err = %v, want ErrBadRequest", no, err)
+	for _, no := range []uint32{guestos.SysWrite, guestos.SysNetSend} {
+		ret, err := s.os.Syscall(s.proc.PID, no)
+		if err != nil || len(ret) != 1 || ret[0] != guestos.Fail {
+			t.Errorf("syscall %d without an argument = %v, %v; want [Fail]", no, ret, err)
 		}
 	}
-	if ret, err := s.os.Syscall(s.proc.PID, SysGetPID); err != nil || PID(ret[0]) != s.proc.PID {
+	if _, err := s.k.Call(s.proc.Thread.ID, s.os.Thread.ID, mk.Msg{Label: LabelSyscall}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("syscall IPC without words: err = %v, want ErrBadRequest", err)
+	}
+	if ret, err := s.os.Syscall(s.proc.PID, guestos.SysGetPID); err != nil || guestos.PID(ret[0]) != s.proc.PID {
 		t.Fatalf("getpid after refused calls = %v, %v", ret, err)
 	}
 }
@@ -124,7 +130,7 @@ func TestSyscallWithoutArgumentRefused(t *testing.T) {
 func TestConsoleWrite(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	for _, b := range []byte("ok") {
-		if _, err := s.os.Syscall(s.proc.PID, SysWrite, uint64(b)); err != nil {
+		if _, err := s.os.Syscall(s.proc.PID, guestos.SysWrite, uint64(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +160,7 @@ func TestNetRxGrantEndToEnd(t *testing.T) {
 	if s.os.PendingRx() != 1 {
 		t.Fatalf("pending = %d, want 1", s.os.PendingRx())
 	}
-	ret, err := s.os.Syscall(s.proc.PID, SysNetRecv)
+	ret, err := s.os.Syscall(s.proc.PID, guestos.SysNetRecv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +199,7 @@ func TestNetRxBurstConservesMemory(t *testing.T) {
 		s.pump()
 	}
 	for s.os.PendingRx() > 0 {
-		if _, err := s.os.Syscall(s.proc.PID, SysNetRecv); err != nil {
+		if _, err := s.os.Syscall(s.proc.PID, guestos.SysNetRecv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +212,7 @@ func TestNetRxBurstConservesMemory(t *testing.T) {
 func TestNetTxEndToEnd(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	snap := s.m.Rec.Snapshot()
-	ret, err := s.os.Syscall(s.proc.PID, SysNetSend, 900)
+	ret, err := s.os.Syscall(s.proc.PID, guestos.SysNetSend, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,21 +292,21 @@ func TestBlkOutOfRange(t *testing.T) {
 	}
 }
 
+// TestStoreServesViaSyscall: the OS server's block service is the store:
+// each request is one IPC call from the server to the store, and the
+// write also persists through the disk driver.
 func TestStoreServesViaSyscall(t *testing.T) {
 	s := newMStack(t, RxGrant)
 	snap := s.m.Rec.Snapshot()
-	ret, err := s.os.Syscall(s.proc.PID, SysBlockWrite, 5)
-	if err != nil || ret[0] != 0 {
-		t.Fatalf("block write failed: %v %v", ret, err)
+	if err := s.os.Blk.Write(5, []byte("block-data")); err != nil {
+		t.Fatalf("block write failed: %v", err)
 	}
-	ret, err = s.os.Syscall(s.proc.PID, SysBlockRead, 5)
-	if err != nil || ret[0] != 0 {
-		t.Fatalf("block read failed: %v %v", ret, err)
+	got, err := s.os.Blk.Read(5)
+	if err != nil || string(got[:10]) != "block-data" {
+		t.Fatalf("block read = %q, %v", got[:10], err)
 	}
-	// Each syscall is one call to the OS server and one from it to the
-	// store; the write also persists through the disk driver.
-	if calls := s.m.Rec.CountsSince(snap, trace.KIPCCall); calls != 5 {
-		t.Fatalf("KIPCCall = %d, want 5", calls)
+	if calls := s.m.Rec.CountsSince(snap, trace.KIPCCall); calls != 3 {
+		t.Fatalf("KIPCCall = %d, want 3", calls)
 	}
 }
 
@@ -365,7 +371,7 @@ func TestStoreDeathBlastRadius(t *testing.T) {
 		t.Fatal("client killed by server death")
 	}
 	// Unrelated services still work.
-	if _, err := s.os.Syscall(s.proc.PID, SysGetPID); err != nil {
+	if _, err := s.os.Syscall(s.proc.PID, guestos.SysGetPID); err != nil {
 		t.Fatalf("kernel/OS path broken: %v", err)
 	}
 	direct := s.blk.NewBlkClient(s.os.Thread.ID, 32)
@@ -485,7 +491,7 @@ func TestCrossArchStackBoots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := osrv.Syscall(p.PID, SysGetPID); err != nil {
+			if _, err := osrv.Syscall(p.PID, guestos.SysGetPID); err != nil {
 				t.Fatal(err)
 			}
 			nic.Inject(make([]byte, 256))

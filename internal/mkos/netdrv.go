@@ -20,14 +20,6 @@ const (
 	RxStringCopy
 )
 
-// String names the receive delivery mode.
-func (m RxMode) String() string {
-	if m == RxGrant {
-		return "grant"
-	}
-	return "copy"
-}
-
 // NetDriver is the user-level NIC driver server: a thread that receives the
 // NIC's interrupts as IPC, reaps the device, and forwards each packet to
 // the owning client with one IPC. It is exactly the Dom0-encapsulated

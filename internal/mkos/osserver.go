@@ -4,24 +4,10 @@ import (
 	"errors"
 
 	"vmmk/internal/fslite"
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
 	"vmmk/internal/trace"
-)
-
-// PID identifies a process of the OS server.
-type PID uint32
-
-// Syscall numbers, deliberately identical to package vmmos so the same
-// workloads run on both systems.
-const (
-	SysGetPID uint32 = iota + 1
-	SysWrite
-	SysYield
-	SysNetSend
-	SysNetRecv
-	SysBlockRead
-	SysBlockWrite
 )
 
 // IPC protocol labels used between the servers.
@@ -36,25 +22,26 @@ const (
 
 // Errors surfaced by the OS personality.
 var (
-	ErrNoSuchProcess = errors.New("mkos: no such process")
-	ErrNoNetwork     = errors.New("mkos: no network driver attached")
-	ErrNoBlock       = errors.New("mkos: no block service attached")
-	ErrBadRequest    = errors.New("mkos: malformed request")
+	ErrNoBlock    = errors.New("mkos: no block service attached")
+	ErrBadRequest = errors.New("mkos: malformed request")
 )
 
 // Proc is one user process: its own address space (paged by the OS server)
 // and a client thread.
 type Proc struct {
-	PID    PID
+	PID    guestos.PID
 	Name   string
 	Thread *mk.Thread
 	Space  *mk.Space
 }
 
-// OSServer is the paravirtualised guest OS: one server thread that
-// implements the syscall interface for its processes, holding a network
-// connection to the driver server and a block service (driver or store).
+// OSServer is the paravirtualised guest OS: the mk port of package
+// guestos's OS, which it embeds. One server thread serves its processes'
+// system calls, each one IPC call, and holds a network connection to the
+// driver server and a block service (driver or store).
 type OSServer struct {
+	guestos.OS
+
 	K      *mk.Kernel
 	Space  *mk.Space
 	Thread *mk.Thread
@@ -64,12 +51,8 @@ type OSServer struct {
 	Net *NetClient
 	Blk *BlkClient
 
-	console    []byte
-	rxQueue    hw.Queue[int] // lengths of undelivered packets, in arrival order
-	argScratch []uint64      // reused Syscall word buffer (see Syscall)
-	replyWord  [1]uint64     // reused one-word syscall reply (see errno)
-	zeroTx     []byte        // reused all-zero TX payload (see SysNetSend)
-	homeCPU    int           // CPU the server and its processes are pinned to (Pin)
+	argScratch []uint64 // reused Syscall word buffer (see Syscall)
+	homeCPU    int      // CPU the server and its processes are pinned to (Pin)
 
 	pagerWindow hw.VPN // next free window page for fault service
 }
@@ -86,11 +69,29 @@ func NewOSServer(k *mk.Kernel, name string) (*OSServer, error) {
 		pagerWindow: 0x9000,
 	}
 	os.Thread = k.NewThread(sp, name, 5, os.handle)
+	os.OS = guestos.New(k.M, os.Thread.Comp(), os)
 	return os, nil
 }
 
 // Comp returns the server's interned trace attribution handle.
 func (os *OSServer) Comp() trace.Comp { return os.Thread.Comp() }
+
+// NetDev implements guestos.Port: the connection to the net driver, or
+// nil.
+func (os *OSServer) NetDev() guestos.NetDev {
+	if os.Net == nil {
+		return nil
+	}
+	return os.Net
+}
+
+// BlockDev implements guestos.Port: the block service, or nil.
+func (os *OSServer) BlockDev() fslite.BlockDev {
+	if os.Blk == nil {
+		return nil
+	}
+	return os.Blk
+}
 
 // Spawn creates a process: a fresh space paged by the OS server, plus its
 // thread.
@@ -105,7 +106,7 @@ func (os *OSServer) Spawn(name string) (*Proc, error) {
 			return nil, err
 		}
 	}
-	p := &Proc{PID: PID(len(os.procs) + 1), Name: name, Thread: t, Space: sp}
+	p := &Proc{PID: guestos.PID(len(os.procs) + 1), Name: name, Thread: t, Space: sp}
 	os.procs = append(os.procs, p)
 	os.K.M.CPU.Work(os.Comp(), 500)
 	return p, nil
@@ -130,19 +131,8 @@ func (os *OSServer) Pin(cpu int) error {
 	return nil
 }
 
-// zeroBuf returns a reusable all-zero buffer of length n. Synthetic
-// workloads transmit blank payloads; IPC copies the message into the
-// kernel's registers before anyone could mutate it, so one grow-only buffer
-// serves all sends.
-func (os *OSServer) zeroBuf(n int) []byte {
-	if cap(os.zeroTx) < n {
-		os.zeroTx = make([]byte, n)
-	}
-	return os.zeroTx[:n]
-}
-
 // Proc returns the process for pid, or nil.
-func (os *OSServer) Proc(pid PID) *Proc {
+func (os *OSServer) Proc(pid guestos.PID) *Proc {
 	if pid == 0 || int(pid) > len(os.procs) {
 		return nil
 	}
@@ -164,10 +154,10 @@ func (os *OSServer) byTID(tid mk.ThreadID) *Proc {
 // server — the L4Linux structure the paper's §3.2 equates with Xen's
 // bounced syscalls. The returned words are the process thread's reply
 // registers, valid until that thread's next IPC.
-func (os *OSServer) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
+func (os *OSServer) Syscall(pid guestos.PID, no uint32, args ...uint64) ([]uint64, error) {
 	p := os.Proc(pid)
 	if p == nil {
-		return nil, ErrNoSuchProcess
+		return nil, guestos.ErrNoSuchProcess
 	}
 	// Reused scratch: Call copies the message into the kernel's registers
 	// before the handler sees it and never retains the original, so one
@@ -186,20 +176,28 @@ func (os *OSServer) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error
 // packet deliveries from the net driver, and page faults from its
 // processes (the server is their external pager).
 func (os *OSServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
-	comp := os.Comp()
 	switch msg.Label {
 	case mk.LabelPageFault:
 		return os.handleFault(k, from, msg)
 	case LabelNetRxDeliver:
 		// One packet from the driver; payload already in msg.Data
 		// (string transfer) or granted via map items + Words[0]=len.
-		// No process reads the bytes, so the queue keeps the length alone
+		// No process reads the bytes, so the OS queues the length alone
 		// (the message is the kernel's until this handler returns).
-		k.M.CPU.Work(comp, 250)
-		os.rxQueue.Push(len(msg.Data))
+		k.M.CPU.Work(os.Comp(), 250)
+		os.Deliver(len(msg.Data))
 		return mk.Msg{}, nil
 	case LabelSyscall:
-		return os.handleSyscall(k, from, msg)
+		// Words[0] is the number and the call's arguments follow it; the
+		// caller is named by its thread.
+		if len(msg.Words) == 0 {
+			return mk.Msg{}, ErrBadRequest
+		}
+		var pid guestos.PID
+		if p := os.byTID(from); p != nil {
+			pid = p.PID
+		}
+		return mk.Msg{Words: os.Serve(pid, uint32(msg.Words[0]), msg.Words[1:])}, nil
 	}
 	return mk.Msg{}, ErrBadRequest
 }
@@ -226,91 +224,3 @@ func (os *OSServer) handleFault(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.
 		Map:   []mk.MapItem{{SrcVPN: window, DstVPN: vpn, Count: 1, Perms: hw.PermRW}},
 	}, nil
 }
-
-// errno builds a one-word syscall reply in a reused word: the kernel copies
-// every reply into the caller's registers before the server runs again.
-func (os *OSServer) errno(v uint64) mk.Msg {
-	os.replyWord[0] = v
-	return mk.Msg{Words: os.replyWord[:]}
-}
-
-// syscallWork is the modelled in-server work of one system call.
-const syscallWork hw.Cycles = 150
-
-// handleSyscall dispatches one system call inside the OS server.
-func (os *OSServer) handleSyscall(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
-	comp := os.Comp()
-	k.M.CPU.Work(comp, syscallWork)
-	if len(msg.Words) == 0 {
-		return mk.Msg{}, ErrBadRequest
-	}
-	no := uint32(msg.Words[0])
-	args := msg.Words[1:]
-	switch no {
-	case SysWrite, SysNetSend, SysBlockRead, SysBlockWrite: // read args[0]
-		if len(args) < 1 {
-			return mk.Msg{}, ErrBadRequest
-		}
-	}
-	switch no {
-	case SysGetPID:
-		p := os.byTID(from)
-		if p == nil {
-			return os.errno(^uint64(0)), nil
-		}
-		return os.errno(uint64(p.PID)), nil
-	case SysWrite:
-		os.console = append(os.console, byte(args[0]))
-		return os.errno(1), nil
-	case SysYield:
-		return mk.Msg{}, nil
-	case SysNetSend:
-		if os.Net == nil {
-			return os.errno(^uint64(0)), nil
-		}
-		n := int(args[0])
-		if err := os.Net.Send(os.zeroBuf(n)); err != nil {
-			return os.errno(^uint64(0)), nil
-		}
-		return os.errno(uint64(n)), nil
-	case SysNetRecv:
-		n, ok := os.rxQueue.Pop()
-		if !ok {
-			return os.errno(0), nil
-		}
-		return os.errno(uint64(n)), nil
-	case SysBlockRead:
-		if os.Blk == nil {
-			return os.errno(^uint64(0)), nil
-		}
-		if _, err := os.Blk.Read(args[0]); err != nil {
-			return os.errno(^uint64(0)), nil
-		}
-		return os.errno(0), nil
-	case SysBlockWrite:
-		if os.Blk == nil {
-			return os.errno(^uint64(0)), nil
-		}
-		if err := os.Blk.Write(args[0], []byte("block-data")); err != nil {
-			return os.errno(^uint64(0)), nil
-		}
-		return os.errno(0), nil
-	}
-	return os.errno(^uint64(0)), nil // ENOSYS
-}
-
-// MountFS formats and mounts an fslite filesystem over the server's block
-// service — the same filesystem code the VMM personality mounts, which is
-// the §2.2 component-reuse claim in action.
-func (os *OSServer) MountFS(blocks uint64) (*fslite.FS, error) {
-	if os.Blk == nil {
-		return nil, ErrNoBlock
-	}
-	return fslite.Mkfs(os.Blk, os.K.M.Mem.PageSize(), blocks)
-}
-
-// Console returns bytes written with SysWrite.
-func (os *OSServer) Console() []byte { return os.console }
-
-// PendingRx returns the number of queued received packets.
-func (os *OSServer) PendingRx() int { return os.rxQueue.Len() }

@@ -111,7 +111,7 @@ func TestBlockDevsCopyWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	osrv := mks.OSes[0]
+	osrv := mks.Guests[0]
 	for _, tc := range []struct {
 		name string
 		dev  fslite.BlockDev

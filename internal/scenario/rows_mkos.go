@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
 	"vmmk/internal/mkos"
@@ -175,7 +176,7 @@ var mkosRows = []S{
 		Fault:     "syscall issued with a PID the OS server never spawned",
 		Expect: Outcome{
 			Desc: "ErrNoSuchProcess",
-			Err:  mkos.ErrNoSuchProcess,
+			Err:  guestos.ErrNoSuchProcess,
 		},
 		Run: func(env *Env) error {
 			k := mk.New(env.M)
@@ -189,9 +190,9 @@ var mkosRows = []S{
 			}
 			pid := p.PID
 			if env.Armed {
-				pid = mkos.PID(999)
+				pid = guestos.PID(999)
 			}
-			ret, err := srv.Syscall(pid, mkos.SysGetPID)
+			ret, err := srv.Syscall(pid, guestos.SysGetPID)
 			if err != nil {
 				return err
 			}

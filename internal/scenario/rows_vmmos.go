@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/vmm"
@@ -100,7 +101,7 @@ var vmmosRows = []S{
 		Cfg:       vmmosConfig,
 		Expect: Outcome{
 			Desc: "ErrNoBlock from MountFS",
-			Err:  vmmos.ErrNoBlock,
+			Err:  guestos.ErrNoBlock,
 		},
 		Run: func(env *Env) error {
 			_, dd, gk, err := vmmosRig(env)
@@ -137,7 +138,7 @@ var vmmosRows = []S{
 		Cfg:       vmmosConfig,
 		Expect: Outcome{
 			Desc: "ErrNoSuchProcess",
-			Err:  vmmos.ErrNoSuchProcess,
+			Err:  guestos.ErrNoSuchProcess,
 		},
 		Run: func(env *Env) error {
 			h, _, err := vmm.New(env.M, 128)
@@ -152,9 +153,9 @@ var vmmosRows = []S{
 			p := gk.Spawn("app")
 			pid := p.PID
 			if env.Armed {
-				pid = vmmos.PID(4242)
+				pid = guestos.PID(4242)
 			}
-			ret, err := gk.Syscall(pid, vmmos.SysGetPID)
+			ret, err := gk.Syscall(pid, guestos.SysGetPID)
 			if err != nil {
 				return err
 			}
@@ -178,7 +179,7 @@ var vmmosRows = []S{
 					return fmt.Errorf("syscall returned %v", st.ret)
 				}
 				if env.Armed {
-					if st.ret[0] != ^uint64(0) {
+					if st.ret[0] != guestos.Fail {
 						return fmt.Errorf("send without frontend returned %d, want ^0", st.ret[0])
 					}
 				} else if st.ret[0] != 64 {
@@ -198,7 +199,7 @@ var vmmosRows = []S{
 				}
 			}
 			p := gk.Spawn("app")
-			ret, err := gk.Syscall(p.PID, vmmos.SysNetSend, 64)
+			ret, err := gk.Syscall(p.PID, guestos.SysNetSend, 64)
 			if err != nil {
 				return err
 			}

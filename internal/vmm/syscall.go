@@ -123,7 +123,7 @@ func (h *Hypervisor) GuestSyscall(dom DomID, no uint32, args []uint64) ([]uint64
 // and exception handling via exception virtualisation"). The handler
 // argument is the guest kernel's response; a nil handler models an
 // unhandled exception and returns false.
-func (h *Hypervisor) GuestException(dom DomID, vector int, handle func()) (bool, error) {
+func (h *Hypervisor) GuestException(dom DomID, handle func()) (bool, error) {
 	d, err := h.lookup(dom)
 	if err != nil {
 		return false, err
@@ -140,7 +140,6 @@ func (h *Hypervisor) GuestException(dom DomID, vector int, handle func()) (bool,
 	handle()
 	h.M.CPU.Trap(h.comp, h.M.Arch.HasFastSyscall)
 	h.M.CPU.ReturnTo(h.comp, hw.Ring3)
-	_ = vector
 	return true, nil
 }
 
@@ -149,7 +148,7 @@ func (h *Hypervisor) GuestException(dom DomID, vector int, handle func()) (bool,
 // In Xen proper the split-driver model pushes most of this to Dom0, but
 // the monitor still owns the console, the domain control interface and
 // emergency devices.
-func (h *Hypervisor) VirtDeviceOp(dom DomID, device string, cost hw.Cycles) error {
+func (h *Hypervisor) VirtDeviceOp(dom DomID, cost hw.Cycles) error {
 	d, err := h.lookup(dom)
 	if err != nil {
 		return err
@@ -157,6 +156,5 @@ func (h *Hypervisor) VirtDeviceOp(dom DomID, device string, cost hw.Cycles) erro
 	h.hypercallEntry(d)
 	defer h.hypercallExit()
 	h.M.CPU.Charge(h.comp, trace.KVirtDeviceOp, h.M.Arch.Costs.DeviceMMIO+cost)
-	_ = device
 	return nil
 }

@@ -457,7 +457,7 @@ func TestSyscallCostOrdering(t *testing.T) {
 func TestGuestException(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	handled := false
-	ok, err := r.h.GuestException(r.domU.ID, 14, func() {
+	ok, err := r.h.GuestException(r.domU.ID, func() {
 		handled = true
 		r.m.CPU.Work(r.domU.Comp(), 50)
 	})
@@ -468,7 +468,7 @@ func TestGuestException(t *testing.T) {
 		t.Fatal("bounce not recorded")
 	}
 	// Unhandled exception.
-	ok, err = r.h.GuestException(r.domU.ID, 6, nil)
+	ok, err = r.h.GuestException(r.domU.ID, nil)
 	if err != nil || ok {
 		t.Fatal("nil handler must report unhandled")
 	}
@@ -875,7 +875,7 @@ func TestTenPrimitivesAllObservable(t *testing.T) {
 	r.h.RouteIRQ(2, r.dom0.ID)                                   // 9 setup
 	r.m.IRQ.Raise(2)                                             //
 	r.m.IRQ.DispatchPending(r.m.Rec.Intern(HypervisorComponent)) // 9
-	r.h.VirtDeviceOp(r.domU.ID, "console", 10)                   // 10
+	r.h.VirtDeviceOp(r.domU.ID, 10)                              // 10
 
 	want := []trace.Kind{
 		trace.KGuestUserToKernel, trace.KGuestKernelToUser, trace.KEvtchnSend,

@@ -1,10 +1,14 @@
 // Package vmmos provides the operating-system personalities that run on
-// the vmm hypervisor: a paravirtualised guest kernel (XenoLinux-like) with
-// a small process and syscall model, the Dom0 driver domain with netback
-// and blkback backends, the matching netfront and blkfront frontends, a
-// Parallax-like storage appliance domain that serves virtual disks to
-// other guests through the same blkfront, and the KV appliance (E10's
-// minimal extension).
+// the vmm hypervisor: a paravirtualised guest kernel (XenoLinux-like),
+// the Dom0 driver domain with netback and blkback backends, the matching
+// netfront and blkfront frontends, a Parallax-like storage appliance
+// domain that serves virtual disks to other guests through the same
+// blkfront, and the KV appliance (E10's minimal extension).
+//
+// The guest kernel is the vmm port of package guestos's guest OS: it
+// embeds the OS and keeps only the transport, a trapped system call whose
+// first word names the calling process, and the frontends that deliver
+// received packets to the OS and serve its network and block devices.
 //
 // Together with package vmm this is "system B" of the paper's comparison —
 // the structural twin of package mkos on the microkernel side. The I/O

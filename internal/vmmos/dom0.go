@@ -18,14 +18,6 @@ const (
 	RxCopy
 )
 
-// String names the receive delivery mode.
-func (m RxMode) String() string {
-	if m == RxFlip {
-		return "flip"
-	}
-	return "copy"
-}
-
 // rxSlot is one packet the backend has published to a frontend: a grant on
 // the page holding it, the page itself (so copy mode can recycle it into
 // the NIC pool), and the payload length.

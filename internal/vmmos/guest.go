@@ -2,46 +2,32 @@ package vmmos
 
 import (
 	"errors"
-	"fmt"
 
 	"vmmk/internal/fslite"
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 )
 
-// PID identifies a guest process.
-type PID uint32
-
-// Syscall numbers implemented by the guest kernel.
-const (
-	SysGetPID uint32 = iota + 1
-	SysWrite
-	SysYield
-	SysNetSend
-	SysNetRecv
-	SysBlockRead
-	SysBlockWrite
-)
-
-// Errors surfaced by the guest kernel and drivers.
+// Errors surfaced by the guest kernel's drivers.
 var (
-	ErrNoSuchProcess = errors.New("vmmos: no such process")
-	ErrNoNetwork     = errors.New("vmmos: no network frontend configured")
-	ErrNoBlock       = errors.New("vmmos: no block frontend configured")
-	ErrBackendDead   = errors.New("vmmos: backend domain is dead")
-	ErrIOTimeout     = errors.New("vmmos: I/O did not complete")
+	ErrBackendDead = errors.New("vmmos: backend domain is dead")
+	ErrIOTimeout   = errors.New("vmmos: I/O did not complete")
 )
 
 // Process is one guest user process.
 type Process struct {
-	PID  PID
+	PID  guestos.PID
 	Name string
 }
 
-// GuestKernel is a paravirtualised kernel running in a domain at ring 1.
-// It registers the domain's hypervisor hooks at construction.
+// GuestKernel is a paravirtualised kernel running in a domain at ring 1:
+// the vmm port of the guest OS (package guestos), which it embeds. It
+// registers the domain's hypervisor hooks at construction.
 type GuestKernel struct {
+	guestos.OS
+
 	H   *vmm.Hypervisor
 	Dom *vmm.Domain
 
@@ -56,21 +42,7 @@ type GuestKernel struct {
 	ExtraEvent map[vmm.Port]func()
 	ExtraVIRQ  func(virq int)
 
-	console []byte
-
-	argScratch []uint64  // reused Syscall argument buffer (see Syscall)
-	replyWord  [1]uint64 // reused one-word syscall reply (see errno)
-	zeroTx     []byte    // reused all-zero TX payload (see SysNetSend)
-}
-
-// zeroBuf returns a reusable all-zero buffer of length n. The synthetic
-// workloads transmit blank payloads, and every consumer below only reads
-// them, so one grow-only buffer serves all sends.
-func (gk *GuestKernel) zeroBuf(n int) []byte {
-	if cap(gk.zeroTx) < n {
-		gk.zeroTx = make([]byte, n)
-	}
-	return gk.zeroTx[:n]
+	argScratch []uint64 // reused Syscall argument buffer (see Syscall)
 }
 
 // NewGuestKernel boots a guest kernel into dom, installing its hooks.
@@ -80,6 +52,7 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 		Dom:        dom,
 		ExtraEvent: make(map[vmm.Port]func()),
 	}
+	gk.OS = guestos.New(h.M, dom.Comp(), gk)
 	dom.SetHooks(vmm.GuestHooks{
 		OnSyscall: gk.handleSyscall,
 		OnEvent:   gk.handleEvent,
@@ -96,16 +69,32 @@ func NewGuestKernel(h *vmm.Hypervisor, dom *vmm.Domain) *GuestKernel {
 // Comp returns the interned trace attribution handle.
 func (gk *GuestKernel) Comp() trace.Comp { return gk.Dom.Comp() }
 
+// NetDev implements guestos.Port: the net frontend, or nil.
+func (gk *GuestKernel) NetDev() guestos.NetDev {
+	if gk.Net == nil {
+		return nil
+	}
+	return gk.Net
+}
+
+// BlockDev implements guestos.Port: the block frontend, or nil.
+func (gk *GuestKernel) BlockDev() fslite.BlockDev {
+	if gk.Blk == nil {
+		return nil
+	}
+	return gk.Blk
+}
+
 // Spawn creates a guest process.
 func (gk *GuestKernel) Spawn(name string) *Process {
-	p := &Process{PID: PID(len(gk.procs) + 1), Name: name}
+	p := &Process{PID: guestos.PID(len(gk.procs) + 1), Name: name}
 	gk.procs = append(gk.procs, p)
 	gk.H.M.CPU.Work(gk.Comp(), 500) // fork+exec stand-in
 	return p
 }
 
 // Process returns the process for pid, or nil.
-func (gk *GuestKernel) Process(pid PID) *Process {
+func (gk *GuestKernel) Process(pid guestos.PID) *Process {
 	if pid == 0 || int(pid) > len(gk.procs) {
 		return nil
 	}
@@ -115,9 +104,9 @@ func (gk *GuestKernel) Process(pid PID) *Process {
 // Syscall issues a system call from process pid through the hypervisor's
 // guest-syscall path (fast or bounced, whichever is live). The returned
 // words are valid until the kernel's next system call.
-func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, error) {
+func (gk *GuestKernel) Syscall(pid guestos.PID, no uint32, args ...uint64) ([]uint64, error) {
 	if gk.Process(pid) == nil {
-		return nil, ErrNoSuchProcess
+		return nil, guestos.ErrNoSuchProcess
 	}
 	// Reused scratch: GuestSyscall consumes args synchronously (the hook
 	// chain never re-enters Syscall), so one buffer serves every call.
@@ -127,74 +116,15 @@ func (gk *GuestKernel) Syscall(pid PID, no uint32, args ...uint64) ([]uint64, er
 	return gk.H.GuestSyscall(gk.Dom.ID, no, buf)
 }
 
-// syscallWork is the modelled in-kernel work of one system call.
-const syscallWork hw.Cycles = 150
-
-// errno builds a one-word syscall reply in a reused word, valid until the
-// kernel's next system call. Handlers build the reply as they return, so a
-// system call nested inside another cannot clobber the outer reply.
-func (gk *GuestKernel) errno(v uint64) []uint64 {
-	gk.replyWord[0] = v
-	return gk.replyWord[:]
-}
-
 // handleSyscall is the guest kernel's trap entry (registered as the
-// domain's OnSyscall hook). args[0] is the calling PID by convention.
+// domain's OnSyscall hook). By the guest ABI args[0] is the calling PID
+// and the call's own arguments follow it.
 func (gk *GuestKernel) handleSyscall(no uint32, args []uint64) []uint64 {
-	comp := gk.Comp()
-	gk.H.M.CPU.Work(comp, syscallWork)
-	var pid PID
+	var pid guestos.PID
 	if len(args) > 0 {
-		pid = PID(args[0])
+		pid, args = guestos.PID(args[0]), args[1:]
 	}
-	switch no {
-	case SysWrite, SysNetSend, SysBlockRead, SysBlockWrite: // read args[1]
-		if len(args) < 2 {
-			return gk.errno(^uint64(0))
-		}
-	}
-	switch no {
-	case SysGetPID:
-		return gk.errno(uint64(pid))
-	case SysWrite:
-		gk.console = append(gk.console, byte(args[1]))
-		return gk.errno(1)
-	case SysYield:
-		return nil
-	case SysNetSend:
-		if gk.Net == nil {
-			return gk.errno(^uint64(0))
-		}
-		n := int(args[1])
-		if err := gk.Net.Send(gk.zeroBuf(n)); err != nil {
-			return gk.errno(^uint64(0))
-		}
-		return gk.errno(uint64(n))
-	case SysNetRecv:
-		if gk.Net == nil {
-			return gk.errno(^uint64(0))
-		}
-		n, ok := gk.Net.RecvLen()
-		if !ok {
-			return gk.errno(0)
-		}
-		return gk.errno(uint64(n))
-	case SysBlockRead, SysBlockWrite:
-		if gk.Blk == nil {
-			return gk.errno(^uint64(0))
-		}
-		var err error
-		if no == SysBlockRead {
-			_, err = gk.Blk.Read(args[1])
-		} else {
-			err = gk.Blk.Write(args[1], []byte(fmt.Sprintf("pid%d-block%d", pid, args[1])))
-		}
-		if err != nil {
-			return gk.errno(^uint64(0))
-		}
-		return gk.errno(0)
-	}
-	return gk.errno(^uint64(0)) // ENOSYS
+	return gk.Serve(pid, no, args)
 }
 
 // handleEvent demultiplexes event-channel upcalls to the frontends and any
@@ -223,16 +153,6 @@ func (gk *GuestKernel) handleVIRQ(virq int) {
 	}
 }
 
-// MountFS formats and mounts an fslite filesystem over the guest's block
-// frontend (served by blkback or by Parallax) — the identical filesystem
-// code package mkos mounts over its storage server.
-func (gk *GuestKernel) MountFS(blocks uint64) (*fslite.FS, error) {
-	if gk.Blk == nil {
-		return nil, ErrNoBlock
-	}
-	return fslite.Mkfs(gk.Blk, gk.H.M.Mem.PageSize(), blocks)
-}
-
 // WriteMemory models guest code storing data into its own page gpn at
 // byte offset off. When the hypervisor has the domain's dirty log armed
 // (live pre-copy migration in flight), the first store per page per round
@@ -241,6 +161,3 @@ func (gk *GuestKernel) MountFS(blocks uint64) (*fslite.FS, error) {
 func (gk *GuestKernel) WriteMemory(gpn, off int, data []byte) error {
 	return gk.H.GuestMemWrite(gk.Dom.ID, gpn, off, data)
 }
-
-// Console returns what guest processes wrote with SysWrite.
-func (gk *GuestKernel) Console() []byte { return gk.console }

@@ -18,9 +18,8 @@ type NetFront struct {
 	localPort vmm.Port
 	mode      RxMode
 
-	rxQueue hw.Queue[int] // lengths of undelivered packets, in arrival order
-	rxBuf   hw.FrameID    // copy-mode landing buffer
-	txBuf   hw.FrameID
+	rxBuf hw.FrameID // copy-mode landing buffer
+	txBuf hw.FrameID
 }
 
 // ConnectNet wires a guest kernel to the driver domain's netback, creating
@@ -66,8 +65,8 @@ func (nf *NetFront) onEvent() {
 			}
 			// The flipped page IS the packet (zero-copy); only the
 			// descriptor outlives this upcall, since user space consumes
-			// packets by length (RecvLen).
-			nf.rxQueue.Push(slot.len)
+			// packets by length (SysNetRecv).
+			nf.gk.Deliver(slot.len)
 			// Return the page to the machine pool; dom0 balloons a
 			// replacement for its NIC pool. (Xen 2.x exchanged pages;
 			// the flip count per packet — the measured quantity — is
@@ -79,7 +78,7 @@ func (nf *NetFront) onEvent() {
 			}
 			// GrantCopy has already landed the bytes in rxBuf and charged
 			// the copy; queue the descriptor.
-			nf.rxQueue.Push(slot.len)
+			nf.gk.Deliver(slot.len)
 			// Backend keeps its page: revoke the grant and let dom0
 			// recycle the frame straight back into the NIC pool.
 			h.GrantRevoke(nf.dd.GK.Dom.ID, slot.ref)
@@ -88,15 +87,6 @@ func (nf *NetFront) onEvent() {
 		}
 	}
 }
-
-// RecvLen pops one received packet and returns its length (guest-kernel
-// side; SysNetRecv calls this). Packets are delivered to user space as
-// descriptors — the simulation accounts the data movement in cycles, so
-// the queue carries lengths, not materialized payload bytes.
-func (nf *NetFront) RecvLen() (int, bool) { return nf.rxQueue.Pop() }
-
-// Pending returns the number of undelivered received packets.
-func (nf *NetFront) Pending() int { return nf.rxQueue.Len() }
 
 // Send transmits one packet: stage into the TX buffer, grant it to Dom0,
 // kick the channel. Netback transmits from the event handler the kick

@@ -3,9 +3,9 @@ package vmmos
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
+	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/trace"
@@ -59,11 +59,11 @@ func (s *stack) pump() { s.h.PumpIO(64) }
 func TestSyscallGetPID(t *testing.T) {
 	s := newStack(t, RxFlip)
 	snap := s.m.Rec.Snapshot()
-	ret, err := s.guest.Syscall(s.proc.PID, SysGetPID)
+	ret, err := s.guest.Syscall(s.proc.PID, guestos.SysGetPID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PID(ret[0]) != s.proc.PID {
+	if guestos.PID(ret[0]) != s.proc.PID {
 		t.Fatalf("getpid = %d, want %d", ret[0], s.proc.PID)
 	}
 	if total := s.m.Rec.CountsSince(snap, trace.KGuestUserToKernel); total != 1 {
@@ -77,7 +77,7 @@ func TestSyscallUnknownIsENOSYS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ret[0] != ^uint64(0) {
+	if ret[0] != guestos.Fail {
 		t.Fatal("unknown syscall should return ENOSYS marker")
 	}
 }
@@ -86,8 +86,8 @@ func TestSyscallUnknownIsENOSYS(t *testing.T) {
 // far one name no process.
 func TestSyscallBadProcess(t *testing.T) {
 	s := newStack(t, RxFlip)
-	for _, pid := range []PID{0, s.proc.PID + 1, 999} {
-		if _, err := s.guest.Syscall(pid, SysGetPID); !errors.Is(err, ErrNoSuchProcess) {
+	for _, pid := range []guestos.PID{0, s.proc.PID + 1, 999} {
+		if _, err := s.guest.Syscall(pid, guestos.SysGetPID); !errors.Is(err, guestos.ErrNoSuchProcess) {
 			t.Errorf("pid %d: err = %v, want ErrNoSuchProcess", pid, err)
 		}
 		if p := s.guest.Process(pid); p != nil {
@@ -96,18 +96,23 @@ func TestSyscallBadProcess(t *testing.T) {
 	}
 }
 
-// TestSyscallWithoutArgumentRefused: every call that reads an argument
-// returns the error marker for a request without one, and the guest kernel
+// TestSyscallWithoutArgumentRefused: a call that reads an argument
+// replies Fail without one, and so does getpid when the trap carries no
+// words at all, so the guest kernel cannot name the caller; the kernel
 // keeps serving.
 func TestSyscallWithoutArgumentRefused(t *testing.T) {
 	s := newStack(t, RxFlip)
-	for _, no := range []uint32{SysWrite, SysNetSend, SysBlockRead, SysBlockWrite} {
+	for _, no := range []uint32{guestos.SysWrite, guestos.SysNetSend} {
 		ret, err := s.guest.Syscall(s.proc.PID, no)
-		if err != nil || len(ret) != 1 || ret[0] != ^uint64(0) {
-			t.Errorf("syscall %d without an argument = %v, %v; want [%d]", no, ret, err, ^uint64(0))
+		if err != nil || len(ret) != 1 || ret[0] != guestos.Fail {
+			t.Errorf("syscall %d without an argument = %v, %v; want [Fail]", no, ret, err)
 		}
 	}
-	if ret, err := s.guest.Syscall(s.proc.PID, SysGetPID); err != nil || PID(ret[0]) != s.proc.PID {
+	ret, err := s.h.GuestSyscall(s.guest.Dom.ID, guestos.SysGetPID, nil)
+	if err != nil || len(ret) != 1 || ret[0] != guestos.Fail {
+		t.Errorf("getpid trap without a PID = %v, %v; want [Fail]", ret, err)
+	}
+	if ret, err := s.guest.Syscall(s.proc.PID, guestos.SysGetPID); err != nil || guestos.PID(ret[0]) != s.proc.PID {
 		t.Fatalf("getpid after refused calls = %v, %v", ret, err)
 	}
 }
@@ -115,7 +120,7 @@ func TestSyscallWithoutArgumentRefused(t *testing.T) {
 func TestConsoleWrite(t *testing.T) {
 	s := newStack(t, RxFlip)
 	for _, b := range []byte("hi") {
-		if _, err := s.guest.Syscall(s.proc.PID, SysWrite, uint64(b)); err != nil {
+		if _, err := s.guest.Syscall(s.proc.PID, guestos.SysWrite, uint64(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,10 +140,10 @@ func TestNetRxFlipEndToEnd(t *testing.T) {
 	s := newStack(t, RxFlip)
 	injectPacket(s, 1500)
 	s.pump()
-	if s.guest.Net.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.guest.Net.Pending())
+	if s.guest.PendingRx() != 1 {
+		t.Fatalf("pending = %d, want 1", s.guest.PendingRx())
 	}
-	ret, err := s.guest.Syscall(s.proc.PID, SysNetRecv)
+	ret, err := s.guest.Syscall(s.proc.PID, guestos.SysNetRecv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +153,8 @@ func TestNetRxFlipEndToEnd(t *testing.T) {
 	if flips, copies := s.m.Rec.Counts(trace.KPageFlip), s.m.Rec.Counts(trace.KGrantCopy); flips != 1 || copies != 0 {
 		t.Fatalf("flips/copies = %d/%d, want 1/0", flips, copies)
 	}
-	if s.guest.Net.Pending() != 0 {
-		t.Fatalf("pending = %d after recv, want 0", s.guest.Net.Pending())
+	if s.guest.PendingRx() != 0 {
+		t.Fatalf("pending = %d after recv, want 0", s.guest.PendingRx())
 	}
 }
 
@@ -157,8 +162,8 @@ func TestNetRxCopyEndToEnd(t *testing.T) {
 	s := newStack(t, RxCopy)
 	injectPacket(s, 800)
 	s.pump()
-	if s.guest.Net.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.guest.Net.Pending())
+	if s.guest.PendingRx() != 1 {
+		t.Fatalf("pending = %d, want 1", s.guest.PendingRx())
 	}
 	if flips, copies := s.m.Rec.Counts(trace.KPageFlip), s.m.Rec.Counts(trace.KGrantCopy); flips != 0 || copies != 1 {
 		t.Fatalf("flips/copies = %d/%d, want 0/1", flips, copies)
@@ -173,7 +178,7 @@ func TestNetRxBurstConservesMemory(t *testing.T) {
 		s.pump()
 	}
 	for {
-		ret, err := s.guest.Syscall(s.proc.PID, SysNetRecv)
+		ret, err := s.guest.Syscall(s.proc.PID, guestos.SysNetRecv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +213,7 @@ func TestNetRxEvtchnPerPacket(t *testing.T) {
 func TestNetTxEndToEnd(t *testing.T) {
 	s := newStack(t, RxFlip)
 	snap := s.m.Rec.Snapshot()
-	ret, err := s.guest.Syscall(s.proc.PID, SysNetSend, 900)
+	ret, err := s.guest.Syscall(s.proc.PID, guestos.SysNetSend, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,27 +476,6 @@ func TestBlockReadReusesBuffer(t *testing.T) {
 	})
 }
 
-// TestBlockViaSyscall: the guest kernel's block system calls drive its
-// frontend.
-func TestBlockViaSyscall(t *testing.T) {
-	forEachBlockBackend(t, func(t *testing.T, s *stack, bf *BlkFront, _ uint64) {
-		p := bf.gk.Spawn("app")
-		ret, err := bf.gk.Syscall(p.PID, SysBlockWrite, 3)
-		if err != nil || ret[0] != 0 {
-			t.Fatalf("block write syscall failed: %v %v", ret, err)
-		}
-		ret, err = bf.gk.Syscall(p.PID, SysBlockRead, 3)
-		if err != nil || ret[0] != 0 {
-			t.Fatalf("block read syscall failed: %v %v", ret, err)
-		}
-		want := fmt.Sprintf("pid%d-block3", p.PID)
-		got, err := bf.Read(3)
-		if err != nil || string(got[:len(want)]) != want {
-			t.Fatalf("block 3 reads %q, %v after the write syscall, want %q", got[:len(want)], err, want)
-		}
-	})
-}
-
 // TestParallaxServesClients: Parallax serves every client request itself,
 // from its block map.
 func TestParallaxServesClients(t *testing.T) {
@@ -625,11 +609,11 @@ func TestRxDemuxToMultipleGuests(t *testing.T) {
 	s.nic.Inject([]byte{1, 0, 0})
 	s.m.IRQ.DispatchPending(s.m.Rec.Intern(vmm.HypervisorComponent))
 	s.pump()
-	if s.guest.Net.Pending() != 1 {
-		t.Fatalf("guest1 pending = %d, want 1", s.guest.Net.Pending())
+	if s.guest.PendingRx() != 1 {
+		t.Fatalf("guest1 pending = %d, want 1", s.guest.PendingRx())
 	}
-	if gk2.Net.Pending() != 2 {
-		t.Fatalf("guest2 pending = %d, want 2", gk2.Net.Pending())
+	if gk2.PendingRx() != 2 {
+		t.Fatalf("guest2 pending = %d, want 2", gk2.PendingRx())
 	}
 }
 
