@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +39,15 @@ func TestPlatformsBootAndProbe(t *testing.T) {
 		p.InjectPackets(3, 128, 0)
 		if got := p.DrainRx(0); got != 3 {
 			t.Fatalf("%s: drained %d packets, want 3", p.Name(), got)
+		}
+		// A zero-length packet is a packet: each drain takes every one
+		// queued, empty or not.
+		p.InjectPackets(2, 0, 0)
+		drained := []int{p.DrainRx(0)}
+		p.InjectPackets(1, 64, 0)
+		drained = append(drained, p.DrainRx(0), p.DrainRx(0))
+		if !slices.Equal(drained, []int{2, 1, 0}) {
+			t.Fatalf("%s: drains after two empty packets, then one of 64 bytes, took %v, want [2 1 0]", p.Name(), drained)
 		}
 		if err := p.StorageWrite(0, 1, []byte("probe")); err != nil {
 			t.Fatalf("%s: storage write: %v", p.Name(), err)
@@ -197,8 +207,8 @@ func TestGuestOSAnswersAlikeOnBothStacks(t *testing.T) {
 		{99, []uint64{1}},                    // unknown number
 	}
 	fail := fmt.Sprint([]uint64{guestos.Fail}, nil)
-	want := []string{"[1] <nil>", "[1] <nil>", fail, "[] <nil>", "[0] <nil>", "[64] <nil>", fail, fail, fail,
-		"[100] <nil>", "[100] <nil>", "[0] <nil>"}
+	want := []string{"[1] <nil>", "[1] <nil>", fail, "[] <nil>", fail, "[64] <nil>", fail, fail, fail,
+		"[100] <nil>", "[100] <nil>", fail}
 	run := func(p Platform, g guestPort, pid guestos.PID) []string {
 		var out []string
 		do := func(c call) {

@@ -212,10 +212,10 @@ func (r *Runner) e7(n int) ([]E7Row, error) {
 		m.CPU.TrapReturnN(hwc, true, hw.Ring3, uint64(n))
 		add("bare trap + return", "hw", m.Now()-t0)
 
-		pts := []*hw.PageTable{hw.NewPageTable(1), hw.NewPageTable(2)}
+		pts := [2]hw.PageTable{hw.NewPageTable(1), hw.NewPageTable(2)}
 		t0 = m.Now()
 		for i := 0; i < n; i++ {
-			m.CPU.SwitchSpace(hwc, pts[i%2])
+			m.CPU.SwitchSpace(hwc, &pts[i%2])
 		}
 		add("address-space switch (untagged)", "hw", m.Now()-t0)
 		return rows, nil

@@ -239,7 +239,7 @@ func (s *guestStack[G]) DrainRx(dest int) int {
 	n := 0
 	for {
 		ret, err := g.Syscall(pid, guestos.SysNetRecv)
-		if err != nil || len(ret) == 0 || ret[0] == 0 {
+		if err != nil || len(ret) == 0 || ret[0] == guestos.Fail {
 			return n
 		}
 		n++

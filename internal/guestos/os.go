@@ -18,12 +18,14 @@ const (
 	SysWrite                     // args[0]: a console byte; reply: 1
 	SysYield                     // reply: no words
 	SysNetSend                   // args[0]: a packet length; reply: the length
-	SysNetRecv                   // reply: the oldest received packet's length, 0 if none
+	SysNetRecv                   // reply: the oldest received packet's length, Fail if none
 )
 
 // Fail is the one-word reply to a system call the OS refuses: an unknown
 // number, a missing or out-of-range argument, a caller the port cannot
-// name, or a send no network device takes.
+// name, a send no network device takes, or a receive with no packet
+// queued. No length a reply carries is Fail, so a zero-length packet
+// reads as 0 and an empty queue as Fail.
 const Fail = ^uint64(0)
 
 // Errors surfaced by the guest OS and its ports.
@@ -90,7 +92,10 @@ func (o *OS) Serve(pid PID, no uint32, args []uint64) []uint64 {
 	case SysNetSend:
 		return o.word(o.send(args))
 	case SysNetRecv:
-		n, _ := o.rxQueue.Pop() // 0 when the queue is empty
+		n, ok := o.rxQueue.Pop()
+		if !ok {
+			return o.word(Fail)
+		}
 		return o.word(uint64(n))
 	}
 	return o.word(Fail)

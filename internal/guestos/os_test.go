@@ -121,18 +121,20 @@ func TestServeNetSendBound(t *testing.T) {
 	}
 }
 
+// TestServeNetRecvOrder: receives take packets in arrival order, a
+// zero-length packet replies 0, and only an empty queue replies Fail.
 func TestServeNetRecvOrder(t *testing.T) {
 	o, _ := newOS(&fakePort{})
-	if got := o.Serve(1, SysNetRecv, nil); !slices.Equal(got, []uint64{0}) {
-		t.Errorf("recv on an empty queue = %v, want [0]", got)
+	if got := o.Serve(1, SysNetRecv, nil); !slices.Equal(got, []uint64{Fail}) {
+		t.Errorf("recv on an empty queue = %v, want [Fail]", got)
 	}
-	for _, n := range []int{64, 1500, 9} {
+	for _, n := range []int{64, 0, 1500, 9} {
 		o.Deliver(n)
 	}
-	if o.PendingRx() != 3 {
-		t.Fatalf("pending = %d, want 3", o.PendingRx())
+	if o.PendingRx() != 4 {
+		t.Fatalf("pending = %d, want 4", o.PendingRx())
 	}
-	for _, want := range []uint64{64, 1500, 9, 0} {
+	for _, want := range []uint64{64, 0, 1500, 9, Fail} {
 		if got := o.Serve(1, SysNetRecv, nil); !slices.Equal(got, []uint64{want}) {
 			t.Errorf("recv = %v, want [%d]", got, want)
 		}

@@ -76,17 +76,17 @@ func TestCPUCacheIntegration(t *testing.T) {
 	m.CPU.AttachCache(cache)
 	pt1, pt2 := NewPageTable(1), NewPageTable(2)
 
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt1) // cold: 200 lines
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt1) // cold: 200 lines
 	t0 := m.Now()
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt2) // evicts 1, fills 2
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt2) // evicts 1, fills 2
 	withCache := m.Now() - t0
 
 	// Same switch without a cache attached.
 	m2 := NewMachine(X86(), &MachineConfig{Frames: 16})
 	q1, q2 := NewPageTable(1), NewPageTable(2)
-	m2.CPU.SwitchSpace(m2.Rec.Intern("k"), q1)
+	m2.CPU.SwitchSpace(m2.Rec.Intern("k"), &q1)
 	t1 := m2.Now()
-	m2.CPU.SwitchSpace(m2.Rec.Intern("k"), q2)
+	m2.CPU.SwitchSpace(m2.Rec.Intern("k"), &q2)
 	without := m2.Now() - t1
 
 	if withCache <= without {

@@ -62,9 +62,15 @@
 // its buffer. CopyPage moves a frame's prefix to another frame, across
 // machines too, and a source that reads zero costs neither an allocation
 // nor a copy. The simulated costs never read a prefix's length.
-// PhysMem.Audit checks the allocator's conservation laws for tests. Page
-// tables built without a size hint and TLB entry maps likewise grow with
-// use. A page table keeps no frame-to-VPN index: it answers reverse
+// PhysMem.Audit checks the allocator's conservation laws for tests.
+// FrameBits is the machine's physical-address width: NewPhysMem refuses a
+// memory of more than 1<<FrameBits frames, because a page-table entry
+// names its frame in that many bits. Each entry packs into 4 bytes, the
+// frame, a present bit, the user bit and the three PermRWX bits, and Map
+// panics on a frame or a permission bit the entry cannot hold. A table is
+// a value, so a domain or a space holds its own in one heap object. Page
+// tables built without a size hint and TLB entry maps grow with use. A
+// page table keeps no frame-to-VPN index: it answers reverse
 // lookups (UnmapFrame, FramesMapped) through a frame filter, one bit per
 // frame it may map, so a page flip of a frame the donor never mapped costs
 // a bit test, and only a frame whose bit is set costs a scan of the

@@ -414,9 +414,9 @@ func TestCPUFastTrapCheaper(t *testing.T) {
 func TestCPUSwitchSpaceUntaggedFlushes(t *testing.T) {
 	m := testMachine(t) // x86: untagged
 	pt1, pt2 := NewPageTable(1), NewPageTable(2)
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt1)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt1)
 	m.CPU.TLB.Insert(1, 5, PTE{Frame: 1})
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt2)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt2)
 	if m.CPU.TLB.Len() != 0 {
 		t.Fatal("untagged switch must flush the TLB")
 	}
@@ -428,9 +428,9 @@ func TestCPUSwitchSpaceUntaggedFlushes(t *testing.T) {
 func TestCPUSwitchSpaceTaggedKeepsTLB(t *testing.T) {
 	m := NewMachine(ARM(), &MachineConfig{Frames: 16})
 	pt1, pt2 := NewPageTable(1), NewPageTable(2)
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt1)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt1)
 	m.CPU.TLB.Insert(1, 5, PTE{Frame: 1})
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt2)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt2)
 	if m.CPU.TLB.Len() != 1 {
 		t.Fatal("tagged switch should keep TLB contents")
 	}
@@ -439,9 +439,9 @@ func TestCPUSwitchSpaceTaggedKeepsTLB(t *testing.T) {
 func TestCPUSwitchSpaceSameIsFree(t *testing.T) {
 	m := testMachine(t)
 	pt := NewPageTable(1)
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt)
 	before := m.Now()
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt)
 	if m.Now() != before {
 		t.Fatal("re-switching to the current space must be free")
 	}
@@ -452,7 +452,7 @@ func TestCPUTranslate(t *testing.T) {
 	pt := NewPageTable(1)
 	f, _ := m.Mem.Alloc(m.Rec.Intern("a"))
 	pt.Map(5, PTE{Frame: f, Perms: PermRW, User: true})
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt)
 	m.CPU.SetRing(Ring3)
 
 	if _, res := m.CPU.Translate(m.Rec.Intern("a"), 5, PermR); res != XlateOK {
@@ -477,7 +477,7 @@ func TestCPUTranslatePrivilege(t *testing.T) {
 	m := testMachine(t)
 	pt := NewPageTable(1)
 	pt.Map(5, PTE{Frame: 0, Perms: PermRW, User: false})
-	m.CPU.SwitchSpace(m.Rec.Intern("k"), pt)
+	m.CPU.SwitchSpace(m.Rec.Intern("k"), &pt)
 	m.CPU.SetRing(Ring3)
 	if _, res := m.CPU.Translate(m.Rec.Intern("a"), 5, PermR); res != XlatePrivilege {
 		t.Fatalf("user access to supervisor page = %v, want privilege fault", res)

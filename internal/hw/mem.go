@@ -87,13 +87,15 @@ type frameRec struct {
 }
 
 // NewPhysMem returns a memory of frames pages of pageSize bytes each. It
-// allocates no per-frame state: that comes with the frames handed out.
+// allocates no per-frame state: that comes with the frames handed out. A
+// memory of more than 1<<FrameBits frames is past the physical address
+// width a page table can map, and panics.
 func NewPhysMem(frames int, pageSize uint64) *PhysMem {
 	if frames <= 0 || pageSize == 0 {
 		panic("hw: invalid physical memory geometry")
 	}
-	if uint64(frames) > uint64(NoFrame) {
-		panic(fmt.Sprintf("hw: %d frames would reach frame ID NoFrame", frames))
+	if frames > 1<<FrameBits {
+		panic(fmt.Sprintf("hw: %d frames are past the %d-bit physical address width", frames, FrameBits))
 	}
 	return &PhysMem{pageSize: pageSize, frames: frames}
 }

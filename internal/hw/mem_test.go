@@ -370,16 +370,41 @@ func TestPhysMemFramesPastTheSlices(t *testing.T) {
 	}
 }
 
-// TestNewPhysMemRejectsNoFrameIDs: the frame IDs of a memory must stay
-// below NoFrame. The largest such memory costs nothing until used.
-func TestNewPhysMemRejectsNoFrameIDs(t *testing.T) {
-	most := int(uint64(NoFrame))
+// TestFrameBitsBoundsMemoryAndEntries: FrameBits is the physical address
+// width. NewPhysMem refuses a memory one frame past it, and the largest
+// memory it builds costs nothing until used. The highest frame a table
+// entry holds maps and reads back on dense and sparse VPNs alike, with
+// every permission bit and the user bit. A frame one past it, or a
+// permission bit outside PermRWX, panics rather than truncate, and leaves
+// the table as it was.
+func TestFrameBitsBoundsMemoryAndEntries(t *testing.T) {
+	const most = 1 << FrameBits
 	if !panics(func() { NewPhysMem(most+1, 4096) }) {
-		t.Fatal("a memory whose last frame is NoFrame was built")
+		t.Fatal("a memory one frame past the physical address width was built")
 	}
 	m := NewPhysMem(most, 4096)
 	if last := FrameID(most - 1); m.Owner(last) != trace.CompNone || m.FreeFrames() != most {
 		t.Fatalf("largest memory: frame %d owned by %d, %d free", last, m.Owner(last), m.FreeFrames())
+	}
+	const top = FrameID(most - 1)
+	pt := NewPageTableSized(1, 8)
+	for _, v := range []VPN{3, 0x1000} {
+		e := PTE{Frame: top, Perms: PermRWX, User: true}
+		pt.Map(v, e)
+		if got, ok := pt.Lookup(v); !ok || got != e {
+			t.Fatalf("VPN %#x maps %+v, %v; want %+v", v, got, ok, e)
+		}
+		for _, bad := range []PTE{{Frame: top + 1, Perms: PermR}, {Frame: NoFrame, Perms: PermR}, {Frame: 1, Perms: 1 << 3}} {
+			if !panics(func() { pt.Map(v, bad) }) {
+				t.Fatalf("VPN %#x: Map(%+v) did not panic", v, bad)
+			}
+		}
+		if got, _ := pt.Lookup(v); got != e {
+			t.Fatalf("VPN %#x maps %+v after the refused maps, want %+v", v, got, e)
+		}
+	}
+	if pt.Len() != 2 || pt.FramesMapped(top) != 2 {
+		t.Fatalf("%d entries, frame %d mapped %d times; want 2 and 2", pt.Len(), top, pt.FramesMapped(top))
 	}
 }
 

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 )
 
@@ -47,13 +48,48 @@ type PTE struct {
 // VPN is a virtual page number (virtual address >> PageShift).
 type VPN uint64
 
-// densePTE is a PTE plus a presence bit, sized so the dense region is a
-// flat pointer-free array the garbage collector never scans.
-type densePTE struct {
-	frame   FrameID
-	perms   Perm
-	user    bool
-	present bool
+// FrameBits is the machine's physical-address width, counted in frames: a
+// table entry names a frame in FrameBits bits, so a machine has at most
+// 1<<FrameBits frames (512 GiB of 4 KiB pages). NewPhysMem refuses a
+// larger memory, and Map a frame past it.
+const FrameBits = 27
+
+// pte is a PTE as the table stores it, packed in one word so the dense
+// region is a flat pointer-free array of 4 bytes a page: the frame in the
+// low FrameBits bits, then the present bit, the user bit and the three
+// PermRWX bits. The zero pte is an unmapped slot.
+type pte uint32
+
+const (
+	pteFrame   = 1<<FrameBits - 1
+	ptePresent = 1 << FrameBits
+	pteUser    = 1 << (FrameBits + 1)
+	ptePerms   = FrameBits + 2 // the shift of the PermRWX bits
+)
+
+// packPTE packs e. A frame past the physical-address width, or a
+// permission bit outside PermRWX, is no entry the MMU can hold: it panics
+// rather than truncate the field.
+func packPTE(e PTE) pte {
+	if e.Frame > pteFrame {
+		panic(fmt.Sprintf("hw: frame %d is past the %d-bit physical address width", e.Frame, FrameBits))
+	}
+	if e.Perms&^PermRWX != 0 {
+		panic(fmt.Sprintf("hw: permission bits %#x outside PermRWX", uint8(e.Perms)))
+	}
+	p := pte(e.Frame) | ptePresent | pte(e.Perms)<<ptePerms
+	if e.User {
+		p |= pteUser
+	}
+	return p
+}
+
+// frame returns the frame p maps.
+func (p pte) frame() FrameID { return FrameID(p & pteFrame) }
+
+// unpack returns p as a PTE; the zero pte unpacks to the zero PTE.
+func (p pte) unpack() PTE {
+	return PTE{Frame: p.frame(), Perms: Perm(p >> ptePerms), User: p&pteUser != 0}
 }
 
 // PageTable is a single-space page table. The simulated depth
@@ -61,18 +97,22 @@ type densePTE struct {
 //
 // Layout: domains and spaces map their pages densely from VPN 0 (identity
 // maps, process images), so the low VPN range, up to the table's span,
-// lives in a flat array — constant-time, allocation-free, hash-free. The
-// occasional high mapping (pager and grant windows at 0x1000+) overflows
-// into a map. Map/Lookup dispatch on the VPN alone, so the split is
-// invisible to callers. A sized table allocates the entries its caller
-// said it would map up front; a NewPageTable table starts empty. Either
-// grows its array only as Map reaches past it into the span, so a space
-// that maps a handful of pages costs a handful of entries. A VPN below the
-// span never enters the map, so a VPN past the array's current end is
-// simply unmapped.
+// lives in a flat array of packed entries, 4 bytes a page — constant-time,
+// allocation-free, hash-free. The occasional high mapping (pager and grant
+// windows at 0x1000+) overflows into a map. Map/Lookup dispatch on the VPN
+// alone, so the split is invisible to callers. A sized table allocates the
+// entries its caller said it would map up front; a NewPageTable table
+// starts empty. Either grows its array only as Map reaches past it into
+// the span, so a space that maps a handful of pages costs a handful of
+// entries. A VPN below the span never enters the map, so a VPN past the
+// array's current end is simply unmapped.
+//
+// A table is a value, so a domain or a space and its table are one heap
+// object. Its owner keeps it in place and hands out pointers to it: a copy
+// would share the array and the map but not the counts.
 type PageTable struct {
-	dense  []densePTE  // VPNs in [0, len(dense)); Map grows it up to span
-	sparse map[VPN]PTE // VPNs >= span; allocated on first use
+	dense  []pte       // VPNs in [0, len(dense)); Map grows it up to span
+	sparse map[VPN]pte // VPNs >= span; allocated on first use
 	n      int         // total live mappings across both regions
 	span   int         // the dense region's reach
 
@@ -86,7 +126,7 @@ type PageTable struct {
 
 // denseDefault is the dense-region span for tables built without a hint
 // (microkernel spaces): big enough for every process image the workloads
-// fault in, at most 2KB of pointer-free memory per space.
+// fault in, at most 1KB of pointer-free memory per space.
 const denseDefault = 256
 
 // denseStep is the dense array's first size once Map reaches into an
@@ -96,8 +136,8 @@ const denseStep = 16
 // NewPageTable returns an empty page table tagged with asid. Its dense
 // region spans denseDefault VPNs and allocates nothing until Map reaches
 // into it.
-func NewPageTable(asid uint16) *PageTable {
-	return &PageTable{span: denseDefault, asid: asid}
+func NewPageTable(asid uint16) PageTable {
+	return PageTable{span: denseDefault, asid: asid}
 }
 
 // NewPageTableSized is NewPageTable with a capacity hint for callers that
@@ -106,11 +146,11 @@ func NewPageTable(asid uint16) *PageTable {
 // incrementally showed up in profiles, but spans hint+64 VPNs: a Map into
 // the 64 beyond the hint grows the array as an unsized table's grows, so
 // the slack costs nothing until used. A hint <= 0 gives NewPageTable.
-func NewPageTableSized(asid uint16, hint int) *PageTable {
+func NewPageTableSized(asid uint16, hint int) PageTable {
 	if hint <= 0 {
 		return NewPageTable(asid)
 	}
-	return &PageTable{dense: make([]densePTE, hint), span: hint + 64, asid: asid}
+	return PageTable{dense: make([]pte, hint), span: hint + 64, asid: asid}
 }
 
 // growDense grows the dense array to cover vpn, which lies below the span:
@@ -121,7 +161,7 @@ func (pt *PageTable) growDense(vpn VPN) {
 	for VPN(n) <= vpn {
 		n *= 2
 	}
-	d := make([]densePTE, min(n, pt.span))
+	d := make([]pte, min(n, pt.span))
 	copy(d, pt.dense)
 	pt.dense = d
 }
@@ -156,9 +196,13 @@ func (x *frameFilter) mark(f FrameID) {
 func (pt *PageTable) mayMap(f FrameID) bool {
 	if pt.filter == nil {
 		hi := FrameID(0)
-		pt.Each(func(_ VPN, e PTE) { hi = max(hi, e.Frame) })
+		for _, e := range pt.All() {
+			hi = max(hi, e.Frame)
+		}
 		pt.filter = &frameFilter{mapped: make([]uint64, hi/64+1)}
-		pt.Each(func(_ VPN, e PTE) { pt.filter.mark(e.Frame) })
+		for _, e := range pt.All() {
+			pt.filter.mark(e.Frame)
+		}
 	}
 	w := int(f / 64)
 	return w < len(pt.filter.mapped) && pt.filter.mapped[w]&(1<<(f%64)) != 0
@@ -167,8 +211,11 @@ func (pt *PageTable) mayMap(f FrameID) bool {
 // ASID returns the table's address-space identifier.
 func (pt *PageTable) ASID() uint16 { return pt.asid }
 
-// Map installs or replaces the entry for vpn.
+// Map installs or replaces the entry for vpn. It panics on an entry no
+// MMU can hold: a frame past the FrameBits-bit physical address width, or
+// a permission bit outside PermRWX.
 func (pt *PageTable) Map(vpn VPN, e PTE) {
+	p := packPTE(e)
 	if pt.filter != nil {
 		pt.filter.mark(e.Frame)
 	}
@@ -177,28 +224,28 @@ func (pt *PageTable) Map(vpn VPN, e PTE) {
 	}
 	if vpn < VPN(len(pt.dense)) {
 		d := &pt.dense[vpn]
-		if !d.present {
+		if *d == 0 {
 			pt.n++
 			pt.top = max(pt.top, int32(vpn)+1)
 		}
-		d.frame, d.perms, d.user, d.present = e.Frame, e.Perms, e.User, true
+		*d = p
 		return
 	}
 	if _, ok := pt.sparse[vpn]; !ok {
 		pt.n++
 	}
 	if pt.sparse == nil {
-		pt.sparse = make(map[VPN]PTE)
+		pt.sparse = make(map[VPN]pte)
 	}
-	pt.sparse[vpn] = e
+	pt.sparse[vpn] = p
 }
 
 // Unmap removes the entry for vpn; removing a missing entry is a no-op.
 func (pt *PageTable) Unmap(vpn VPN) {
 	if vpn < VPN(len(pt.dense)) {
 		d := &pt.dense[vpn]
-		if d.present {
-			*d = densePTE{}
+		if *d != 0 {
+			*d = 0
 			pt.n--
 		}
 		return
@@ -211,30 +258,33 @@ func (pt *PageTable) Unmap(vpn VPN) {
 
 // Lookup returns the entry for vpn.
 func (pt *PageTable) Lookup(vpn VPN) (PTE, bool) {
+	var p pte
 	if vpn < VPN(len(pt.dense)) {
-		d := pt.dense[vpn]
-		if !d.present {
-			return PTE{}, false
-		}
-		return PTE{Frame: d.frame, Perms: d.perms, User: d.user}, true
+		p = pt.dense[vpn]
+	} else {
+		p = pt.sparse[vpn]
 	}
-	e, ok := pt.sparse[vpn]
-	return e, ok
+	return p.unpack(), p != 0
 }
 
 // Len returns the number of mapped pages.
 func (pt *PageTable) Len() int { return pt.n }
 
-// Each calls fn for every mapping. Iteration order is unspecified; callers
-// needing determinism must sort.
-func (pt *PageTable) Each(fn func(VPN, PTE)) {
-	for v := range pt.top {
-		if d := pt.dense[v]; d.present {
-			fn(VPN(v), PTE{Frame: d.frame, Perms: d.perms, User: d.user})
+// All yields every mapping. Iteration order is unspecified; callers
+// needing determinism must sort. The caller may replace the entry it is
+// handed while iterating.
+func (pt *PageTable) All() iter.Seq2[VPN, PTE] {
+	return func(yield func(VPN, PTE) bool) {
+		for v, p := range pt.dense[:pt.top] {
+			if p != 0 && !yield(VPN(v), p.unpack()) {
+				return
+			}
 		}
-	}
-	for v, e := range pt.sparse {
-		fn(v, e)
+		for v, p := range pt.sparse {
+			if !yield(v, p.unpack()) {
+				return
+			}
+		}
 	}
 }
 
@@ -257,15 +307,15 @@ func (pt *PageTable) scanFrame(f FrameID, unmap bool) int {
 	}
 	n := 0
 	for v := range pt.top {
-		if d := &pt.dense[v]; d.present && d.frame == f {
+		if d := &pt.dense[v]; *d != 0 && d.frame() == f {
 			if unmap {
-				*d = densePTE{}
+				*d = 0
 			}
 			n++
 		}
 	}
-	for v, e := range pt.sparse {
-		if e.Frame == f {
+	for v, p := range pt.sparse {
+		if p.frame() == f {
 			if unmap {
 				delete(pt.sparse, v)
 			}
@@ -294,13 +344,13 @@ func (pt *PageTable) UnmapFrames(fs []FrameID) int {
 	hit := func(f FrameID) bool { return f >= lo && f <= hi && slices.Contains(fs, f) }
 	n := 0
 	for v := range pt.top {
-		if d := &pt.dense[v]; d.present && hit(d.frame) {
-			*d = densePTE{}
+		if d := &pt.dense[v]; *d != 0 && hit(d.frame()) {
+			*d = 0
 			n++
 		}
 	}
-	for v, e := range pt.sparse {
-		if hit(e.Frame) {
+	for v, p := range pt.sparse {
+		if hit(p.frame()) {
 			delete(pt.sparse, v)
 			n++
 		}

@@ -107,7 +107,7 @@ func TestUnmappedFrameUnmapAllocatesNothing(t *testing.T) {
 		for v := range VPN(entries) {
 			pt.Map(v, PTE{Frame: FrameID(v), Perms: PermRW})
 		}
-		return pt
+		return &pt
 	}
 	fresh := make([]*PageTable, runs)
 	for i := range fresh {
@@ -157,7 +157,7 @@ func TestMappedFrameUnmapAllocatesNothing(t *testing.T) {
 		if pt.FramesMapped(NoFrame) != 0 { // builds the filter
 			t.Fatal("NoFrame is mapped")
 		}
-		tables[i] = pt
+		tables[i] = &pt
 	}
 	i := 0
 	if n := testing.AllocsPerRun(runs-1, func() {
@@ -180,10 +180,14 @@ func TestMappedFrameUnmapAllocatesNothing(t *testing.T) {
 }
 
 // TestPageTableSize: the frame filter hangs off one pointer, so the table
-// a domain or space carries stays 64 bytes.
+// a domain or space carries stays 64 bytes, and a dense entry packs a
+// page's mapping in 4 bytes.
 func TestPageTableSize(t *testing.T) {
 	if n := unsafe.Sizeof(PageTable{}); n != 64 {
 		t.Fatalf("PageTable is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(pte(0)); n != 4 {
+		t.Fatalf("a dense entry is %d bytes, want 4", n)
 	}
 }
 
@@ -212,14 +216,16 @@ func (m ptModel) unmapFrame(f FrameID) int {
 // two tables at once: a sized one, whose dense array grows from its hint's
 // 8 entries as Map reaches into its 72-VPN span, and a NewPageTable one,
 // whose dense array grows from 16 entries as Map reaches into its 256-VPN
-// span.
+// span. Frames alias among six low ones and the highest frame an entry
+// holds, whose number fills every bit of the entry's frame field.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 2, 2, 3, 4, 1, 2, 3, 0, 9, 2, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 0, 0x80, 2, 1, 5, 2, 0, 0, 0, 0x50, 2, 3, 4, 2, 5, 1})
 	f.Add([]byte{0, 71, 1, 3, 0, 72, 1, 3, 0, 0x8f, 1, 3, 11, 1, 0, 0, 6, 0, 0, 0})
-	const asid, hint, frames = 1, 8, 6
+	const asid, hint, frames, top = 1, 8, 6, FrameID(1<<FrameBits - 1)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tables := []*PageTable{NewPageTableSized(asid, hint), NewPageTable(asid)}
+		sized, unsized := NewPageTableSized(asid, hint), NewPageTable(asid)
+		tables := []*PageTable{&sized, &unsized}
 		models := []ptModel{{}, {}}
 		swept, filtered := false, false
 		// Frames the stream never maps: one in the filter's first word,
@@ -240,7 +246,18 @@ func FuzzPageTable(f *testing.F) {
 			}
 			return 0x1000 + VPN(b&0x0f)
 		}
-		frame := func(b byte) FrameID { return FrameID(b % frames) }
+		// Byte 0xff gives the top frame; no committed seed uses it for a
+		// frame, so they decode as before.
+		frame := func(b byte) FrameID {
+			if b == 0xff {
+				return top
+			}
+			return FrameID(b % frames)
+		}
+		mappable := []FrameID{top}
+		for f := range FrameID(frames) {
+			mappable = append(mappable, f)
+		}
 		for i := 0; i+4 <= len(ops); i += 4 {
 			op, a, b, c := ops[i], ops[i+1], ops[i+2], ops[i+3]
 			for k, pt := range tables {
@@ -301,7 +318,7 @@ func FuzzPageTable(f *testing.F) {
 					}
 				}
 				if swept {
-					for f := range FrameID(frames) {
+					for _, f := range mappable {
 						want := 0
 						for _, e := range model {
 							if e.Frame == f {
@@ -326,14 +343,14 @@ func checkPageTable(t *testing.T, where string, pt *PageTable, model ptModel) {
 		t.Fatalf("%s: Len = %d, model %d", where, pt.Len(), len(model))
 	}
 	seen := ptModel{}
-	pt.Each(func(v VPN, e PTE) {
+	for v, e := range pt.All() {
 		if _, dup := seen[v]; dup {
-			t.Fatalf("%s: Each visited %#x twice", where, v)
+			t.Fatalf("%s: All visited %#x twice", where, v)
 		}
 		seen[v] = e
-	})
+	}
 	if !maps.Equal(seen, model) {
-		t.Fatalf("%s: Each saw %v, model %v", where, seen, model)
+		t.Fatalf("%s: All saw %v, model %v", where, seen, model)
 	}
 	for v, want := range model {
 		if got, ok := pt.Lookup(v); !ok || got != want {

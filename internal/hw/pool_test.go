@@ -24,7 +24,7 @@ func exercise(t *testing.T, m *Machine) {
 	for i, f := range frames {
 		pt.Map(VPN(i), PTE{Frame: f, Perms: PermRW, User: true})
 	}
-	m.CPU.SwitchSpace(comp, pt)
+	m.CPU.SwitchSpace(comp, &pt)
 	for i := range frames {
 		m.CPU.Translate(comp, VPN(i), PermR)
 	}

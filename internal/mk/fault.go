@@ -24,7 +24,7 @@ func (k *Kernel) Touch(tid ThreadID, vpn hw.VPN, want hw.Perm) (hw.PTE, error) {
 	if t == nil {
 		return hw.PTE{}, ErrNoSuchThread
 	}
-	k.M.CPU.SwitchSpace(t.comp, t.Space.PT)
+	k.M.CPU.SwitchSpace(t.comp, &t.Space.PT)
 	e, res := k.M.CPU.Translate(t.comp, vpn, want)
 	if res == hw.XlateOK {
 		return e, nil
@@ -60,7 +60,7 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 
 	// Fault IPC: kernel-synthesised message on behalf of the faulter.
 	k.M.CPU.Charge(k.comp, trace.KPagerFault, 30)
-	k.M.CPU.SwitchSpace(k.comp, pager.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &pager.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 
 	words := [2]uint64{uint64(vpn), uint64(want)}
@@ -74,7 +74,7 @@ func (k *Kernel) handleFault(t *Thread, vpn hw.VPN, want hw.Perm) error {
 	} else if herr == nil {
 		herr = ErrPagerFailed
 	}
-	k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &t.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	return herr
 }
@@ -115,12 +115,12 @@ func (k *Kernel) RaiseException(tid ThreadID, vector int) (resumed bool, err err
 	}
 	// Exception IPC, kernel-synthesised on behalf of the faulter.
 	k.M.CPU.Charge(k.comp, trace.KIPCSend, 30)
-	k.M.CPU.SwitchSpace(k.comp, handler.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &handler.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	words := [1]uint64{uint64(vector)}
 	reply, herr := k.deliver(handler.Handler, tid, Msg{Label: LabelException, Words: words[:]})
 	k.M.CPU.Trap(k.comp, false)
-	k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &t.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	if herr != nil || len(reply.Words) == 0 || reply.Words[0] == 0 {
 		k.KillThread(tid)
@@ -150,7 +150,7 @@ func (k *Kernel) RegisterIRQ(line hw.IRQLine, tid ThreadID) error {
 		k.M.CPU.Charge(k.comp, trace.KIPCSend, 20)
 		words := [1]uint64{uint64(l)}
 		prev := k.M.CPU.PageTable()
-		k.M.CPU.SwitchSpace(k.comp, t.Space.PT)
+		k.M.CPU.SwitchSpace(k.comp, &t.Space.PT)
 		_, _ = k.deliver(t.Handler, NilThread, Msg{Label: LabelIRQ, Words: words[:]})
 		if prev != nil {
 			k.M.CPU.SwitchSpace(k.comp, prev)

@@ -206,7 +206,7 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 	if src.Affinity != dst.Affinity {
 		k.M.SendIPI(src.Affinity, dst.Affinity)
 	}
-	k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &dst.Space.PT)
 	k.M.CPU.Charge(k.comp, trace.KIPCCall, k.M.Arch.Costs.CtxSave)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 
@@ -227,7 +227,7 @@ func (k *Kernel) Call(from, to ThreadID, msg Msg) (Msg, error) {
 			}
 		}
 	}
-	k.M.CPU.SwitchSpace(k.comp, src.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &src.Space.PT)
 	k.M.CPU.Work(k.comp, k.M.Arch.Costs.CtxSave)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 
@@ -262,12 +262,12 @@ func (k *Kernel) Send(from, to ThreadID, msg Msg) error {
 		k.M.SendIPI(src.Affinity, dst.Affinity)
 	}
 	k.M.CPU.Charge(k.comp, trace.KIPCSend, 10)
-	k.M.CPU.SwitchSpace(k.comp, dst.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &dst.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	// One-way: handler errors do not propagate to the sender.
 	_, _ = k.deliver(dst.Handler, from, msg)
 	k.M.CPU.Trap(k.comp, k.M.Arch.HasFastSyscall)
-	k.M.CPU.SwitchSpace(k.comp, src.Space.PT)
+	k.M.CPU.SwitchSpace(k.comp, &src.Space.PT)
 	k.M.CPU.ReturnTo(k.comp, hw.Ring3)
 	return nil
 }

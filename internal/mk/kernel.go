@@ -86,7 +86,7 @@ func New(m *hw.Machine) *Kernel {
 type Space struct {
 	ID    SpaceID
 	Name  string
-	PT    *hw.PageTable
+	PT    hw.PageTable // held by value: a space is one heap object
 	Pager ThreadID
 	// ExcHandler receives the space's non-page-fault exceptions as IPC
 	// (the L4 exception protocol); NilThread means faults are fatal to

@@ -676,7 +676,7 @@ func TestIPCCostVariesByArch(t *testing.T) {
 // the boot builds no map. The machine's registry already holds every
 // component name, and interning a known name builds no string.
 func TestKernelBootAllocates(t *testing.T) {
-	const want = 18
+	const want = 16
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
 	n := testing.AllocsPerRun(100, func() {
 		m.Reset()

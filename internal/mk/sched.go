@@ -40,7 +40,7 @@ func (k *Kernel) ScheduleOn(cpu int) *Thread {
 	}
 	if next != nil && next != cur {
 		c.Charge(k.comp, trace.KContextSwitch, k.M.Arch.Costs.CtxSave)
-		c.SwitchSpace(k.comp, next.Space.PT)
+		c.SwitchSpace(k.comp, &next.Space.PT)
 		k.current[cpu] = next
 	}
 	c.Charge(k.comp, trace.KSchedule, 50)

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -23,36 +24,66 @@ func sizedHost(t *testing.T) *Hypervisor {
 	return h
 }
 
+// allocsPerRun is testing.AllocsPerRun counting bytes as well: what one
+// run of fn allocates, in whole objects and in bytes, averaged over runs
+// after one warm-up run.
+func allocsPerRun(runs int, fn func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// bytesPerPage is what each page past the smallest guest adds to what an
+// operation allocates, the largest guest against the smallest.
+func bytesPerPage(bytes []float64) float64 {
+	return (bytes[len(bytes)-1] - bytes[0]) / float64(allocSizes[len(allocSizes)-1]-allocSizes[0])
+}
+
 // TestMigrateLiveAllocatesPerDomainNotPerPage: one live migration, with
 // the guest dirtying pages in every pre-copy round, allocates the same
 // number of objects whatever the guest's size. Its allocations are the
 // shell domain's and the round lists', not one per page. A guest with 8
 // pages ballooned out allocates exactly one object more, at every size:
 // the shell's P2M, which it lays out around the holes. The holes are
-// NoFrame slots in that P2M and cost nothing more.
+// NoFrame slots in that P2M and cost nothing more. Each page adds at most
+// 24 bytes: 4 in the shell's P2M, 4 in its page table and 16 in the
+// source's dirty log. The migration reads the source's P2M and page table
+// in place, so it copies neither.
 func TestMigrateLiveAllocatesPerDomainNotPerPage(t *testing.T) {
-	const holes = 8
+	const holes, maxPerPage = 8, 24
 	counts := make([]float64, len(allocSizes))
+	bytes := make([]float64, len(allocSizes))
 	for k, pages := range allocSizes {
-		counts[k] = liveMigrationAllocs(t, pages, 0)
-		if n := liveMigrationAllocs(t, pages, holes); n != counts[k]+1 {
+		counts[k], bytes[k] = liveMigrationAllocs(t, pages, 0)
+		if n, _ := liveMigrationAllocs(t, pages, holes); n != counts[k]+1 {
 			t.Fatalf("a %d-page guest with %d holes allocates %v objects per migration, want %v: one more than without holes",
 				pages, holes, n, counts[k]+1)
 		}
 	}
-	t.Logf("objects per migration for guests of %v pages: %v", allocSizes, counts)
+	t.Logf("objects and bytes per migration for guests of %v pages: %v, %v", allocSizes, counts, bytes)
 	for k := range counts {
 		if counts[k] != counts[0] {
 			t.Fatalf("one live migration allocates %v objects for guests of %v pages, want the same at every size",
 				counts, allocSizes)
 		}
 	}
+	if b := bytesPerPage(bytes); b > maxPerPage {
+		t.Fatalf("one live migration allocates %.1f bytes per guest page, want at most %d", b, maxPerPage)
+	}
 }
 
 // liveMigrationAllocs returns what one live migration of a pages-page
-// guest with its top holes pages ballooned out allocates, the guest
-// bouncing between two hosts that have both held it before the count.
-func liveMigrationAllocs(t *testing.T, pages, holes int) float64 {
+// guest with its top holes pages ballooned out allocates, in objects and
+// in bytes, the guest bouncing between two hosts that have both held it
+// before the count.
+func liveMigrationAllocs(t *testing.T, pages, holes int) (objects, bytes float64) {
 	t.Helper()
 	hs := [2]*Hypervisor{sizedHost(t), sizedHost(t)}
 	d, err := hs[0].CreateDomain("guest", pages)
@@ -86,7 +117,7 @@ func liveMigrationAllocs(t *testing.T, pages, holes int) float64 {
 		i++
 	}
 	migrate() // both hosts have held the guest before the count starts
-	n := testing.AllocsPerRun(20, migrate)
+	objects, bytes = allocsPerRun(20, migrate)
 	if migErr != nil {
 		t.Fatal(migErr)
 	}
@@ -94,7 +125,36 @@ func liveMigrationAllocs(t *testing.T, pages, holes int) float64 {
 	if got := len(d.Frames()) - d.OwnedPages(); got != holes {
 		t.Fatalf("the migrated guest has %d P2M holes, want %d", got, holes)
 	}
-	return n
+	return objects, bytes
+}
+
+// TestDomainBuildAllocatesPerPage: a domain build on a warm hypervisor
+// allocates at most 8 bytes per page: 4 for the P2M entry and 4 for the
+// page-table entry that maps the page.
+func TestDomainBuildAllocatesPerPage(t *testing.T) {
+	const maxPerPage = 8
+	bytes := make([]float64, len(allocSizes))
+	for k, pages := range allocSizes {
+		h := sizedHost(t)
+		var buildErr error
+		_, bytes[k] = allocsPerRun(20, func() {
+			d, err := h.CreateDomain("guest", pages)
+			if err == nil {
+				err = h.DestroyDomain(d.ID)
+			}
+			if err != nil {
+				buildErr = err
+			}
+		})
+		if buildErr != nil {
+			t.Fatal(buildErr)
+		}
+		audit(t, h)
+	}
+	t.Logf("bytes per domain build and teardown for guests of %v pages: %v", allocSizes, bytes)
+	if b := bytesPerPage(bytes); b > maxPerPage {
+		t.Fatalf("a domain build allocates %.1f bytes per page, want at most %d", b, maxPerPage)
+	}
 }
 
 // TestDirtyLogCycleAllocates pins what one enable/write/rearm/disable
@@ -141,7 +201,7 @@ func TestDirtyLogCycleAllocates(t *testing.T) {
 // state and nothing for the M2P, and the machine's registry already holds
 // every domain's name, so interning one builds no string.
 func TestHypervisorBootAllocates(t *testing.T) {
-	const want = 17
+	const want = 14
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 1024})
 	var bootErr error
 	boot := func() {
@@ -165,11 +225,16 @@ func TestHypervisorBootAllocates(t *testing.T) {
 	}
 }
 
-// TestDomainSize: a domain keeps only the pCPUs its shootdowns and kicks
-// target, not a per-vCPU placement list, so every domain built, migrated
-// or restored stays within 192 bytes.
+// TestDomainSize: a domain holds its page table, not a reference to one,
+// and keeps only the pCPUs its shootdowns and kicks target, not a per-vCPU
+// placement list, so every domain built, migrated or restored is one
+// object of at most 224 bytes, its table included.
 func TestDomainSize(t *testing.T) {
-	if n := unsafe.Sizeof(Domain{}); n > 192 {
-		t.Fatalf("Domain is %d bytes, want at most 192", n)
+	var d Domain
+	if n, want := unsafe.Sizeof(d.PT), unsafe.Sizeof(hw.PageTable{}); n != want {
+		t.Fatalf("Domain.PT is %d bytes, want the %d-byte table itself", n, want)
+	}
+	if n := unsafe.Sizeof(d); n > 224 {
+		t.Fatalf("Domain is %d bytes, want at most 224", n)
 	}
 }

@@ -20,10 +20,11 @@ type GuestHooks struct {
 
 // Domain is one virtual machine: pseudo-physical memory, a validated page
 // table, a grant table, event-channel state and the guest kernel's hooks.
+// It holds its page table by value, so a domain is one heap object.
 type Domain struct {
 	ID         DomID
 	Name       string
-	PT         *hw.PageTable
+	PT         hw.PageTable
 	Privileged bool // Dom0: may touch real devices and other domains
 	Dead       bool // destroyed; only a stale *Domain can see it set
 	paused     bool // not running, state intact (save/migrate)
@@ -176,8 +177,8 @@ func (h *Hypervisor) PlaceVCPUs(dom DomID, pcpus hw.CPUSet) error {
 // MMUUpdate is the validated page-table-update hypercall (paper primitive
 // 5: "resource allocation within the VM via hardware page-table
 // virtualisation"). The monitor checks that the domain owns the frame it is
-// mapping before installing the entry — the essence of shadow/direct
-// paravirtual paging.
+// mapping, and that perms lie within PermRWX, before installing the entry —
+// the essence of shadow/direct paravirtual paging.
 func (h *Hypervisor) MMUUpdate(dom DomID, vpn hw.VPN, gpn int, perms hw.Perm, user bool) error {
 	d, err := h.lookup(dom)
 	if err != nil {
@@ -187,7 +188,7 @@ func (h *Hypervisor) MMUUpdate(dom DomID, vpn hw.VPN, gpn int, perms hw.Perm, us
 	defer h.hypercallExit()
 
 	f := d.FrameAt(gpn)
-	if f == hw.NoFrame || !d.OwnsFrame(f) {
+	if f == hw.NoFrame || !d.OwnsFrame(f) || perms&^hw.PermRWX != 0 {
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PrivCheck)
 		return ErrBadPTE
 	}

@@ -191,7 +191,7 @@ func (h *Hypervisor) switchTo(d *Domain) {
 		return
 	}
 	h.M.CPU.Charge(h.comp, trace.KWorldSwitch, h.M.Arch.Costs.WorldSwitch)
-	h.M.CPU.SwitchSpace(h.comp, d.PT)
+	h.M.CPU.SwitchSpace(h.comp, &d.PT)
 	h.current = d
 }
 

@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -275,6 +276,112 @@ func TestMigrateLivePreservesP2MHoles(t *testing.T) {
 	}
 	if d2.FrameAt(3) == hw.NoFrame {
 		t.Fatal("neighbouring page lost")
+	}
+}
+
+// TestMigrateLiveMapsWhatRestoreMaps: the shell a live migration builds
+// maps exactly the source's pre-migration entries in guest terms, as a
+// restore of the source's image does, and pays the same PTE updates for
+// them. The guest's table holds two VPNs mapping one page, a read-only
+// entry, an entry in the sparse map, a foreign grant mapping, which
+// neither carries over, and the holes of four ballooned-out pages. The
+// guest dirties pages behind each kind of entry while pre-copy runs and
+// leaves another page clean, so the shell must undo the dirty log's write
+// protection on both kinds.
+func TestMigrateLiveMapsWhatRestoreMaps(t *testing.T) {
+	const aliasVPN, roVPN, sparseVPN, grantVPN = hw.VPN(0x50), hw.VPN(0x51), hw.VPN(0x2000), hw.VPN(0x60)
+	prep := func() (*liveRig, []savedPTE) {
+		r := newLiveRig(t)
+		for _, u := range []struct {
+			vpn   hw.VPN
+			gpn   int
+			perms hw.Perm
+		}{{aliasVPN, 5, hw.PermRW}, {roVPN, 7, hw.PermR}, {sparseVPN, 6, hw.PermRW}} {
+			if err := r.h.MMUUpdate(r.domU.ID, u.vpn, u.gpn, u.perms, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := r.h.GrantAccess(r.dom0.ID, r.dom0.FrameAt(3), r.domU.ID, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.h.GrantMap(r.domU.ID, r.dom0.ID, ref, grantVPN); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := r.h.BalloonOut(r.domU.ID, 4); n != 4 || err != nil {
+			t.Fatalf("BalloonOut = %d, %v", n, err)
+		}
+		audit(t, r.h)
+		if _, ok := r.domU.PT.Lookup(grantVPN); !ok {
+			t.Fatal("the grant mapping is not in the guest's table")
+		}
+		return r, capturePT(r.domU)
+	}
+	// mapCost is the destination monitor's cycles across fn less the page
+	// copies it landed: the PTE updates mapSaved charges, and the build.
+	mapCost := func(r *liveRig, fn func() (copied int)) hw.Cycles {
+		before := r.m2.Rec.Cycles(HypervisorComponent)
+		copied := fn()
+		spent := hw.Cycles(r.m2.Rec.Cycles(HypervisorComponent) - before)
+		return spent - hw.Cycles(copied)*r.m2.CPU.CopyCost(r.m2.Mem.PageSize())
+	}
+
+	restore, want := prep()
+	if slices.ContainsFunc(want, func(e savedPTE) bool { return e.VPN == grantVPN }) {
+		t.Fatal("the grant mapping was captured")
+	}
+	if len(want) != 60+3 {
+		t.Fatalf("the guest's table holds %d own entries, want 63: 60 identity mappings and 3 more", len(want))
+	}
+	var restored *Domain
+	restoreCost := mapCost(restore, func() int {
+		if err := restore.h.Pause(restore.domU.ID); err != nil {
+			t.Fatal(err)
+		}
+		img, err := restore.h.SaveDomain(restore.domU.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored, err = restore.dstH.RestoreDomain(img); err != nil {
+			t.Fatal(err)
+		}
+		return restored.OwnedPages()
+	})
+	audit(t, restore.h, restore.dstH)
+
+	live, liveWant := prep()
+	if !slices.Equal(liveWant, want) {
+		t.Fatal("two identically prepared guests hold different tables")
+	}
+	work := func(round int) {
+		for _, gpn := range []int{5, 6, 7} {
+			if err := live.h.GuestMemWrite(live.domU.ID, gpn, 0, []byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var shell *Domain
+	liveCost := mapCost(live, func() int {
+		var stats *LiveStats
+		var err error
+		if shell, stats, err = MigrateLive(live.h, live.domU.ID, live.dstH, LiveOpts{MaxRounds: 3, GuestWork: work}); err != nil {
+			t.Fatal(err)
+		}
+		return stats.PagesMoved
+	})
+	audit(t, live.h, live.dstH)
+
+	for name, d := range map[string]*Domain{"the restored domain": restored, "the migration's shell": shell} {
+		if got := capturePT(d); !slices.Equal(got, want) {
+			t.Errorf("%s maps %v, want the source's %v", name, got, want)
+		}
+		if d.PT.Len() != len(want) {
+			t.Errorf("%s holds %d entries, want %d", name, d.PT.Len(), len(want))
+		}
+	}
+	if liveCost != restoreCost {
+		t.Fatalf("the migration's shell cost its monitor %d cycles beyond the copies, the restore %d: the PTE updates differ",
+			liveCost, restoreCost)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 
 	"vmmk/internal/hw"
@@ -96,46 +97,56 @@ func (h *Hypervisor) Paused(dom DomID) bool {
 	return d != nil && d.paused
 }
 
-// capturePT serialises a domain's page table in guest terms (gpn, not
-// machine frame), sorted by VPN. Entries referencing foreign frames
-// (grant maps) are dropped, like real migration drops grant mappings.
+// guestPTEs yields d's page-table entries in guest terms (gpn, not machine
+// frame), in the table's order. Entries referencing foreign frames (grant
+// maps) are dropped, like real migration drops grant mappings.
+func (d *Domain) guestPTEs() iter.Seq[savedPTE] {
+	return func(yield func(savedPTE) bool) {
+		for v, e := range d.PT.All() {
+			gpn := d.gpnOf(e.Frame)
+			if gpn < 0 {
+				continue
+			}
+			if !yield(savedPTE{VPN: v, GPN: gpn, Perms: e.Perms, User: e.User}) {
+				return
+			}
+		}
+	}
+}
+
+// capturePT serialises a domain's page table for SaveDomain's image: its
+// guest-terms entries, sorted by VPN, so an image does not depend on the
+// table's iteration order.
 func capturePT(d *Domain) []savedPTE {
 	out := make([]savedPTE, 0, d.PT.Len())
-	d.PT.Each(func(v hw.VPN, e hw.PTE) {
-		if gpn := d.gpnOf(e.Frame); gpn >= 0 {
-			out = append(out, savedPTE{VPN: v, GPN: gpn, Perms: e.Perms, User: e.User})
-		}
-	})
+	for e := range d.guestPTEs() {
+		out = append(out, e)
+	}
 	slices.SortFunc(out, func(a, b savedPTE) int { return cmp.Compare(a.VPN, b.VPN) })
 	return out
 }
 
-// allocShell creates a paused domain with one fresh frame per true slot in
-// exists, holes preserved at the false slots, and an empty page table —
-// the receiving half of restore and live migration. A page later flipped
-// into the shell refills a hole as it would on the source instead of
-// landing past the end of the P2M. Without holes, the P2M buildDomain laid
-// out is already the shell's.
-func (h *Hypervisor) allocShell(name string, privileged bool, exists []bool) (*Domain, error) {
-	n := 0
-	for _, ok := range exists {
-		if ok {
-			n++
-		}
-	}
-	if n == 0 {
+// allocShell creates a paused domain with an empty page table and a P2M of
+// slots guest pages, the receiving half of restore and live migration:
+// each slot hole reports true for stays a hole, and each of the other
+// resident slots gets a fresh frame. A page later flipped into the shell
+// refills a hole as it would on the source instead of landing past the
+// end of the P2M. Without holes, the P2M buildDomain laid out is already
+// the shell's.
+func (h *Hypervisor) allocShell(name string, privileged bool, slots, resident int, hole func(gpn int) bool) (*Domain, error) {
+	if resident == 0 {
 		return nil, fmt.Errorf("vmm: domain %q has no memory", name)
 	}
-	d, err := h.buildDomain(name, n)
+	d, err := h.buildDomain(name, resident)
 	if err != nil {
 		return nil, err
 	}
 	d.Privileged = privileged
-	if n < len(exists) {
-		frames := make([]hw.FrameID, len(exists))
+	if resident < slots {
+		frames := make([]hw.FrameID, slots)
 		next := 0
-		for gpn, ok := range exists {
-			if !ok {
+		for gpn := range frames {
+			if hole(gpn) {
 				frames[gpn] = hw.NoFrame
 				continue
 			}
@@ -200,14 +211,17 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 	if err := checkPageSize(img.PageSize, ps); err != nil {
 		return nil, err
 	}
-	exists := make([]bool, len(img.Memory))
+	resident := 0
 	for gpn, page := range img.Memory {
 		if uint64(len(page)) > ps {
 			return nil, fmt.Errorf("%w: page %d holds %d bytes", ErrPageSize, gpn, len(page))
 		}
-		exists[gpn] = page != nil
+		if page != nil {
+			resident++
+		}
 	}
-	d, err := h.allocShell(img.Name, img.Privileged, exists)
+	d, err := h.allocShell(img.Name, img.Privileged, len(img.Memory), resident,
+		func(gpn int) bool { return img.Memory[gpn] == nil })
 	if err != nil {
 		return nil, err
 	}
@@ -223,22 +237,24 @@ func (h *Hypervisor) RestoreDomain(img *DomainImage) (*Domain, error) {
 		pages++
 	}
 	h.M.CPU.WorkN(h.comp, h.M.CPU.CopyCost(ps), pages)
-	h.mapSaved(d, img.PT, nil)
+	h.mapSaved(d, img.PT, nil, nil)
 	return d, nil
 }
 
 // mapSaved rebuilds a shell's page table from a skeleton in guest terms,
 // through the validated path, and charges one PTE update per entry mapped.
-// An entry whose page the shell lacks is skipped. When the skeleton comes
-// from a source whose dirty log is armed, dl names the mappings the log
-// write-protected there: they regain PermW, since the protection was the
-// log's, not the guest's. Restore passes nil.
-func (h *Hypervisor) mapSaved(d *Domain, pt []savedPTE, dl *DirtyLog) {
+// The skeleton is an image's (pt) for restore, and for live migration the
+// source domain's own table (src), read in place. An entry whose page the
+// shell lacks is skipped. When the skeleton comes from a source whose
+// dirty log is armed, dl names the mappings the log write-protected there:
+// they regain PermW, since the protection was the log's, not the guest's.
+// Restore passes nil.
+func (h *Hypervisor) mapSaved(d *Domain, pt []savedPTE, src *Domain, dl *DirtyLog) {
 	mapped := uint64(0)
-	for _, e := range pt {
+	mapEntry := func(e savedPTE) {
 		f := d.FrameAt(e.GPN)
 		if f == hw.NoFrame {
-			continue
+			return
 		}
 		perms := e.Perms
 		if dl != nil && dl.stripped(e.GPN, e.VPN) {
@@ -246,6 +262,14 @@ func (h *Hypervisor) mapSaved(d *Domain, pt []savedPTE, dl *DirtyLog) {
 		}
 		d.PT.Map(e.VPN, hw.PTE{Frame: f, Perms: perms, User: e.User})
 		mapped++
+	}
+	for _, e := range pt {
+		mapEntry(e)
+	}
+	if src != nil {
+		for e := range src.guestPTEs() {
+			mapEntry(e)
+		}
 	}
 	h.M.CPU.WorkN(h.comp, h.M.Arch.Costs.PTEUpdate, mapped)
 }
@@ -349,18 +373,11 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 	}
 	srcT0, dstT0 := src.M.Now(), dst.M.Now()
 
-	// Destination shell with the same pseudo-physical layout; it stays
-	// paused while pages stream in. Its page table is rebuilt in the
-	// blackout.
-	all := make([]int, 0, d.resident) // gpns that exist at the source
-	exists := make([]bool, len(d.frames))
-	for gpn, f := range d.frames {
-		if f != hw.NoFrame {
-			exists[gpn] = true
-			all = append(all, gpn)
-		}
-	}
-	shell, err := dst.allocShell(d.Name, d.Privileged, exists)
+	// Destination shell with the source's pseudo-physical layout, read
+	// from its P2M; it stays paused while pages stream in. Its page table
+	// is rebuilt in the blackout.
+	shell, err := dst.allocShell(d.Name, d.Privileged, len(d.frames), d.resident,
+		func(gpn int) bool { return d.frames[gpn] == hw.NoFrame })
 	if err != nil {
 		src.DisableDirtyLog(dom)
 		return nil, nil, err
@@ -382,47 +399,60 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 		dst.DestroyDomain(shell.ID)
 		return nil, nil, fmt.Errorf("%w: %w", ErrMigrationAborted, cause)
 	}
-	// sendAll moves one round's worth of pages and charges the copy work
-	// as a single batch per machine: both ends pay a fixed cost per page,
-	// so the round's aggregate is cycle-identical to charging page by
-	// page (the two machines' clocks are independent, and nothing inside
-	// a round observes either clock). The dirty log names every P2M slot
-	// the guest changed as well as the pages it wrote, so each slot sent
-	// also mirrors the source's P2M: a slot filled since the shell was
-	// built gets a shell frame, and a slot punched since is punched on the
-	// shell too.
-	sendAll := func(gpns []int) error {
-		moved := uint64(0)
-		for _, gpn := range gpns {
-			sf, df := d.frames[gpn], shell.FrameAt(gpn)
-			switch {
-			case sf == hw.NoFrame:
-				if df != hw.NoFrame {
-					shell.punch(gpn)
-					dst.M.Mem.Free(df)
-				}
-				continue
-			case df == hw.NoFrame:
-				var err error
-				if df, err = shell.fill(gpn); err != nil {
-					return err
-				}
+	// send moves guest page gpn across within the round in progress. The
+	// dirty log names every P2M slot the guest changed as well as the
+	// pages it wrote, so each slot sent also mirrors the source's P2M: a
+	// slot filled since the shell was built gets a shell frame, and a slot
+	// punched since is punched on the shell too.
+	moved := uint64(0)
+	send := func(gpn int) error {
+		sf, df := d.frames[gpn], shell.FrameAt(gpn)
+		switch {
+		case sf == hw.NoFrame:
+			if df != hw.NoFrame {
+				shell.punch(gpn)
+				dst.M.Mem.Free(df)
 			}
-			dst.M.Mem.CopyPage(df, src.M.Mem, sf)
-			moved++
+			return nil
+		case df == hw.NoFrame:
+			var err error
+			if df, err = shell.fill(gpn); err != nil {
+				return err
+			}
+		}
+		dst.M.Mem.CopyPage(df, src.M.Mem, sf)
+		moved++
+		return nil
+	}
+	// sendAll sends the pages gpns lists, then charges the round's copy
+	// work as a single batch per machine: both ends pay a fixed cost per
+	// page, so the round's aggregate is cycle-identical to charging page
+	// by page (the two machines' clocks are independent, and nothing
+	// inside a round observes either clock). Round 1 sends its pages with
+	// send first and passes no list.
+	sendAll := func(gpns []int) error {
+		for _, gpn := range gpns {
+			if err := send(gpn); err != nil {
+				return err
+			}
 		}
 		// Reading out and landing the pages are monitor work on each end.
 		src.M.CPU.WorkN(src.comp, src.M.CPU.CopyCost(ps), moved)
 		dst.M.CPU.WorkN(dst.comp, dst.M.CPU.CopyCost(ps), moved)
 		stats.PagesMoved += int(moved)
+		moved = 0
 		return nil
 	}
 
 	// Pre-copy rounds: the guest runs (and dirties pages) while each
 	// round's set crosses; whatever it dirtied becomes the next round's
 	// set. Stop when the budget is spent, the dirty set is inside the
-	// cutoff, or the writable working set stops shrinking.
-	toSend := all
+	// cutoff, or the writable working set stops shrinking. Round 1 sends
+	// every page the source held when the shell was laid out: the shell's
+	// P2M, which only send changes, still names exactly those. Each later
+	// round sends the list toSend; n is how many pages a round sends.
+	var toSend []int
+	n := shell.resident
 	for round := 1; ; round++ {
 		stats.Rounds = round
 		if opts.GuestWork != nil {
@@ -435,17 +465,27 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 			}
 		}
 		if opts.Transport != nil {
-			if err := opts.Transport(round, len(toSend)); err != nil {
+			if err := opts.Transport(round, n); err != nil {
 				return abort(err)
+			}
+		}
+		if round == 1 {
+			for gpn, f := range shell.frames {
+				if f == hw.NoFrame {
+					continue
+				}
+				if err := send(gpn); err != nil {
+					return abort(err)
+				}
 			}
 		}
 		if err := sendAll(toSend); err != nil {
 			return abort(err)
 		}
-		dirty := dl.Rearm()
-		prev := len(toSend)
-		toSend = dirty
-		if round >= opts.MaxRounds || len(dirty) <= opts.WSSCutoff || len(dirty) >= prev {
+		prev := n
+		toSend = dl.Rearm()
+		n = len(toSend)
+		if round >= opts.MaxRounds || n <= opts.WSSCutoff || n >= prev {
 			break
 		}
 	}
@@ -462,17 +502,19 @@ func MigrateLive(src *Hypervisor, dom DomID, dst *Hypervisor, opts LiveOpts) (*D
 		// The link can fail inside the blackout too — the worst case, since
 		// the guest is already paused on the source. The abort path resumes
 		// it.
-		if err := opts.Transport(0, len(toSend)); err != nil {
+		if err := opts.Transport(0, n); err != nil {
 			return abort(err)
 		}
 	}
 	if err := sendAll(toSend); err != nil {
 		return abort(err)
 	}
-	stats.PagesFinal = len(toSend)
+	stats.PagesFinal = n
 
-	// Page-table skeleton travels in guest terms, like SaveDomain's.
-	dst.mapSaved(shell, capturePT(d), dl)
+	// The page table travels in guest terms, like SaveDomain's skeleton,
+	// but mapSaved reads it straight from the source's table: nothing is
+	// copied out, and the shell maps the same entries an image would hold.
+	dst.mapSaved(shell, nil, d, dl)
 	src.DisableDirtyLog(dom)
 	if err := src.DestroyDomain(dom); err != nil {
 		return nil, nil, err

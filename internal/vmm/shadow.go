@@ -59,7 +59,7 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 	h.M.CPU.Work(h.comp, 180)
 	// Validation identical to the paravirtual path's.
 	f := d.FrameAt(gpn)
-	if f == hw.NoFrame || !d.OwnsFrame(f) {
+	if f == hw.NoFrame || !d.OwnsFrame(f) || perms&^hw.PermRWX != 0 {
 		d.PT.Unmap(vpn) // shadow must not map what the guest may not have
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PrivCheck)
 		h.M.CPU.ReturnTo(h.comp, hw.Ring1)
@@ -175,19 +175,19 @@ func (dl *DirtyLog) grow(n int) {
 func (dl *DirtyLog) arm() {
 	h, d := dl.h, dl.d
 	dl.grow(len(d.frames))
-	d.PT.Each(func(vpn hw.VPN, e hw.PTE) {
+	for vpn, e := range d.PT.All() {
 		if e.Perms&hw.PermW == 0 {
-			return
+			continue
 		}
 		g := d.gpnOf(e.Frame)
 		if g < 0 || dl.pages[g].armed {
-			return
+			continue
 		}
 		e.Perms &^= hw.PermW
 		d.PT.Map(vpn, e)
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 		dl.strip(g, vpn)
-	})
+	}
 	for gpn, f := range d.frames {
 		if f != hw.NoFrame {
 			dl.pages[gpn].armed = true

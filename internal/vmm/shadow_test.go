@@ -50,11 +50,17 @@ func TestShadowMMURejectsForeignFrame(t *testing.T) {
 func TestShadowMMUOverwriteInvalidates(t *testing.T) {
 	r := newVrig(t, hw.X86())
 	s, _ := r.h.EnableShadowMMU(r.domU.ID)
-	s.GuestPTWrite(0x802, 3, hw.PermRW, true)
-	// Overwrite with an invalid entry: the shadow must drop the mapping.
-	s.GuestPTWrite(0x802, 9999, hw.PermRW, true)
-	if _, ok := r.domU.PT.Lookup(0x802); ok {
-		t.Fatal("stale shadow entry after invalid overwrite")
+	// Overwrite with an invalid entry, a foreign page or a permission bit
+	// no entry holds: the shadow must drop the mapping.
+	for _, bad := range []struct {
+		gpn   int
+		perms hw.Perm
+	}{{9999, hw.PermRW}, {3, hw.PermRWX + 1}} {
+		s.GuestPTWrite(0x802, 3, hw.PermRW, true)
+		s.GuestPTWrite(0x802, bad.gpn, bad.perms, true)
+		if _, ok := r.domU.PT.Lookup(0x802); ok {
+			t.Fatalf("stale shadow entry after invalid overwrite %+v", bad)
+		}
 	}
 }
 

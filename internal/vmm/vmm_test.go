@@ -100,6 +100,13 @@ func TestMMUUpdateValidatesOwnership(t *testing.T) {
 	if err := r.h.MMUUpdate(r.domU.ID, 0x101, 9999, hw.PermRW, true); !errors.Is(err, ErrBadPTE) {
 		t.Fatalf("err = %v, want ErrBadPTE", err)
 	}
+	// A permission bit no entry holds: rejected, not a monitor panic.
+	if err := r.h.MMUUpdate(r.domU.ID, 0x102, 5, hw.PermRWX+1, true); !errors.Is(err, ErrBadPTE) {
+		t.Fatalf("err = %v, want ErrBadPTE", err)
+	}
+	if _, ok := r.domU.PT.Lookup(0x102); ok {
+		t.Fatal("an entry with a permission bit outside PermRWX was installed")
+	}
 	if r.m.Rec.Counts(trace.KShadowPTUpdate) < 2 {
 		t.Fatal("shadow PT updates not recorded")
 	}

@@ -182,7 +182,7 @@ func TestNetRxBurstConservesMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ret[0] == 0 {
+		if ret[0] == guestos.Fail {
 			break
 		}
 	}
