@@ -77,9 +77,8 @@ func (r *Runner) e11(frames, rounds, dirty int) ([]E11Row, error) {
 }
 
 // e11MachHeadroom is the frame slack each migration machine carries over
-// the guest's pseudo-physical size (hypervisor metadata, shadow state).
-// Hoisted to a named constant so the source and destination machines — and
-// every cell of the sweep — present one machine-pool identity.
+// the guest's pseudo-physical size (hypervisor metadata, shadow state), the
+// same for the source and destination machines of every cell.
 const e11MachHeadroom = 256
 
 // e11Mach is the geometry both migration endpoints boot with.

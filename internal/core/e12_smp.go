@@ -114,10 +114,10 @@ func (r *Runner) e12(cpus []int) ([]E12Row, error) {
 	})
 }
 
-// Machine geometries for the E12 cells, hoisted to named package-level
-// configurations so every cell of a workload/platform pair presents the
-// same machine-pool identity and reuse actually hits. Only NCPUs varies per
-// cell, applied by e12Mach.
+// Machine geometries for the E12 cells, one per workload/platform pair.
+// Only NCPUs varies per cell, applied by e12Mach, and only NCPUs keys the
+// machine pool: a pooled machine of a cell's CPU count serves any of these
+// geometries.
 var (
 	e12PingPongMKMach  = hw.MachineConfig{Frames: 1024}
 	e12PingPongVMMMach = hw.MachineConfig{Frames: 2048}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -16,13 +18,16 @@ import (
 // The baseline runs each experiment on a nil *Runner, which carries no
 // machine pool: every machine a cell asks for is a fresh boot. The probe
 // runs the whole registry twice on one persistent serial Runner: the first
-// sweep already reuses machines its earlier cells released, and by the
-// second sweep every pool-keyed machine a cell asks for is a recycled one.
-// Any state Reset failed to clear — a leftover cycle, a dirty page, a stale
-// TLB entry or queued event — shows up as a table diff. Every machine a
-// probe cell releases must also pass the frame allocator's conservation
-// audit, before its Reset and after it, and every experiment must put back
-// as many machines as it took.
+// sweep in registry order already reuses machines its earlier cells
+// released, and the second runs in reverse order, so each experiment's
+// machines come from other predecessors than in the first, re-targeted
+// from other architectures and frame counts. Any state Reset or the
+// re-target failed to clear or set — a leftover cycle, a dirty page, a
+// stale TLB entry or queued event, a stale frame count or architecture —
+// shows up as a table diff. Every machine a probe cell releases
+// must also pass the frame allocator's conservation audit, before its
+// Reset and after it, and every experiment must put back as many machines
+// as it took.
 func TestExperimentsPooledVsFresh(t *testing.T) {
 	var fresh *Runner
 	baseline := map[string]string{}
@@ -35,16 +40,18 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	}
 
 	r := NewRunner(1)
-	var cell string
+	var cell, id string
 	puts := 0
-	// ledgers[i] lists, machine by machine, the components sweep i+1's
-	// released machines charged, in the order each first charged them.
-	var ledgers [2][][]string
+	// ledgers[id][i] lists, machine by machine, the components experiment
+	// id's released machines charged in sweep i+1, in the order each first
+	// charged them.
+	ledgers := map[string]*[2][][]string{}
 	sweep := 1
 	pool := hw.NewMachinePool()
 	pool.Inspect(func(m *hw.Machine) {
 		puts++
-		ledgers[sweep-1] = append(ledgers[sweep-1], m.Rec.Components())
+		l := ledgers[id]
+		l[sweep-1] = append(l[sweep-1], m.Rec.Components())
 		if err := m.Mem.Audit(); err != nil {
 			t.Errorf("%s: released machine fails the frame audit: %v", cell, err)
 		}
@@ -54,9 +61,16 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 		}
 	})
 	r.pools = []*hw.MachinePool{pool}
+	specs := Specs()
 	for ; sweep <= 2; sweep++ {
-		for _, s := range Specs() {
-			cell = fmt.Sprintf("%s (sweep %d)", s.ID, sweep)
+		if sweep == 2 {
+			slices.Reverse(specs)
+		}
+		for _, s := range specs {
+			id, cell = s.ID, fmt.Sprintf("%s (sweep %d)", s.ID, sweep)
+			if ledgers[id] == nil {
+				ledgers[id] = new([2][][]string)
+			}
 			hits0, misses0 := pool.Stats()
 			puts0 := puts
 			res, err := r.RunExperiment(context.Background(), s.ID, nil)
@@ -88,10 +102,34 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 		t.Error("no released machine was audited")
 	}
 	// No table prints the order components first paid in, so the sweeps
-	// compare it directly: map-order charging would show here.
-	if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
-		t.Errorf("the two sweeps' released machines charged their components in different orders (%d and %d machines)",
-			len(ledgers[0]), len(ledgers[1]))
+	// compare it directly, experiment by experiment: map-order charging,
+	// or a charge that depends on which machine a cell was handed, would
+	// show here.
+	for _, s := range specs {
+		if l := ledgers[s.ID]; !reflect.DeepEqual(l[0], l[1]) {
+			t.Errorf("%s: the two sweeps' released machines charged their components in different orders (%d and %d machines)",
+				s.ID, len(l[0]), len(l[1]))
+		}
 	}
-	t.Logf("audited %d released machines (%d per sweep)", puts, len(ledgers[0]))
+	t.Logf("audited %d released machines (%d per sweep)", puts, puts/2)
+}
+
+// TestRunAllAllocatesElevenMachines is the allocation gate of machine
+// pooling: a cold serial RunAll, one `vmmklab all`, boots 11 machines (E1
+// 1, E11 1, E12 3, E13 6), because a pooled machine serves any later Get
+// with its CPU count and log capacity, re-targeted to the architecture and
+// frame count asked for. Every other machine a cell takes is a pooled one.
+func TestRunAllAllocatesElevenMachines(t *testing.T) {
+	r := NewRunner(1)
+	if err := r.RunAll(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	r.poolMu.Lock()
+	defer r.poolMu.Unlock()
+	if len(r.pools) != 1 {
+		t.Fatalf("serial runner holds %d pools, want 1", len(r.pools))
+	}
+	if hits, misses := r.pools[0].Stats(); misses != 11 {
+		t.Errorf("a cold serial RunAll booted %d machines and reused %d, want 11 boots", misses, hits)
+	}
 }

@@ -56,9 +56,8 @@ func (c *Config) machine() *hw.Machine {
 
 // x86 is the descriptor every cell and stack in this package boots on
 // unless it names another architecture. Nothing writes to it, so cells on
-// every worker share it; the pools key machines by the descriptor's value,
-// not its address. E9's ASID ablation changes its descriptor, so it builds
-// its own.
+// every worker share it. E9's ASID ablation changes its descriptor, so it
+// builds its own.
 var x86 = hw.X86()
 
 // Defaults fills zero fields.

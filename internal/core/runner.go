@@ -18,8 +18,9 @@ import (
 // cell, and cells are done with their machine the moment the row is
 // computed. Every worker therefore owns a hw.MachinePool and hands it to
 // each cell it runs as an argument: the cell takes its machines with Get (a
-// Reset one when the pool has seen the same architecture/config identity
-// before, a fresh boot otherwise) and gives each back with Put. Pools are
+// Reset one, re-targeted to the cell's architecture and frame count, when
+// the pool holds one of the cell's CPU count and log capacity, a fresh
+// boot otherwise) and gives each back with Put. Pools are
 // strictly per worker, so the hot path takes no lock and each worker's
 // get/put sequence is deterministic. Because a Reset machine is observably
 // identical to a new one (the contract hw.Machine.Reset pins, and

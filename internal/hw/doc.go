@@ -72,10 +72,16 @@
 // tables built without a size hint and TLB entry maps grow with use. A
 // page table keeps no frame-to-VPN index: it answers reverse
 // lookups (UnmapFrame, FramesMapped) through a frame filter, one bit per
-// frame it may map, so a page flip of a frame the donor never mapped costs
-// a bit test, and only a frame whose bit is set costs a scan of the
-// table. The NIC's wire tap (hw/dev) likewise keeps each transmitted
+// frame it may map and at most one word per entry, so a page flip of a
+// frame the donor never mapped costs a bit test, and only a frame whose
+// bit is set costs a scan of the table; a table whose few entries map
+// frames too far apart for that bound keeps no filter and scans. The NIC's wire tap (hw/dev) likewise keeps each transmitted
 // packet's prefix and length, not its zero tail.
+//
+// A MachinePool recycles Reset machines between cells. It keys a machine
+// by what it fixes at boot, its CPU count and its trace-log capacity, and
+// re-targets a pooled machine to the architecture and frame count each Get
+// asks for; a machine sits in a pool at most once.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

@@ -26,13 +26,17 @@ type Machine struct {
 	IRQ    *IRQController
 	Rec    *trace.Recorder
 
-	// Cfg is the fully normalized configuration the machine was built with
-	// (defaults applied). It is the machine's pool identity: two machines
-	// with equal Arch values and equal Cfg are interchangeable after Reset.
+	// Cfg is the fully normalized configuration the machine runs with
+	// (defaults applied). Its NCPUs and LogCap are fixed at boot and are
+	// the machine's pool identity; a pool that recycles the machine sets
+	// Frames to the frame count each Get asks for.
 	Cfg MachineConfig
+
+	pooled bool // held by a MachinePool: set by Put, cleared by Get
 }
 
-// MachineConfig sizes a Machine.
+// MachineConfig sizes a Machine. A pooled machine keeps the CPU count and
+// log capacity it booted with and takes any frame count (MachinePool).
 type MachineConfig struct {
 	Frames int // physical memory size in pages (default 4096)
 	LogCap int // trace event log capacity (default 0 = counters only)
@@ -113,6 +117,25 @@ func (m *Machine) Reset() {
 	m.Mem.Reset()
 	m.IRQ.Reset()
 	m.Rec.Reset()
+}
+
+// retarget makes a Reset machine what NewMachine(arch, cfg) builds for a
+// cfg of frames frames and the machine's own CPU count and log capacity:
+// the pool's hit path. An architecture of another value takes over the
+// Arch pointer of the machine and of each CPU, and each TLB's capacity and
+// tagging; the memory takes the frame count and page size. Everything the
+// machine has grown stays: the frame table, the free stack's capacity, the
+// contents buffers, the TLB maps and the recorder's interned names.
+func (m *Machine) retarget(arch *Arch, frames int) {
+	m.Mem.resize(frames, arch.PageSize())
+	m.Cfg.Frames = frames
+	if *m.Arch != *arch {
+		m.Arch = arch
+		for _, c := range m.CPUs {
+			c.Arch = arch
+			c.TLB.retarget(arch.TLBEntries, arch.HasASID)
+		}
+	}
 }
 
 // Now returns the machine's virtual time.

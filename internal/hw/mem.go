@@ -43,7 +43,10 @@ var ErrOutOfMemory = errors.New("hw: out of physical frames")
 // table grows in steps as the watermark advances, and the free stack grows
 // to its length when a Free first needs room, so a boot allocates nothing
 // per frame, a machine that never frees has no free stack, and Reset walks
-// only the frames handed out since the last one.
+// only the frames handed out since the last one. A pooled machine's Reset
+// memory is resized to the next machine's frame count and page size, and
+// keeps its table, so a recycled memory's table may be longer than its
+// frame count: it keeps the longest table it has grown.
 //
 // The M2P word is Xen's machine-to-phys entry, kept where Xen keeps it,
 // beside the frame's owner: 1 + the guest page a hypervisor's P2M maps to
@@ -91,13 +94,33 @@ type frameRec struct {
 // memory of more than 1<<FrameBits frames is past the physical address
 // width a page table can map, and panics.
 func NewPhysMem(frames int, pageSize uint64) *PhysMem {
+	checkGeometry(frames, pageSize)
+	return &PhysMem{pageSize: pageSize, frames: frames}
+}
+
+// checkGeometry panics on a memory no machine can have.
+func checkGeometry(frames int, pageSize uint64) {
 	if frames <= 0 || pageSize == 0 {
 		panic("hw: invalid physical memory geometry")
 	}
 	if frames > 1<<FrameBits {
 		panic(fmt.Sprintf("hw: %d frames are past the %d-bit physical address width", frames, FrameBits))
 	}
-	return &PhysMem{pageSize: pageSize, frames: frames}
+}
+
+// resize gives a Reset memory the geometry NewPhysMem(frames, pageSize)
+// would: the pool's re-target of a recycled machine. It keeps the frame
+// table, the free stack's capacity and the contents buffers, so the table
+// may now be longer than the frame count. Its records past the count are
+// held to the rule for every record at or past the watermark: unowned,
+// with no M2P word and no prefix. It panics on a memory in use (a
+// watermark past frame 0) and on a geometry NewPhysMem refuses.
+func (m *PhysMem) resize(frames int, pageSize uint64) {
+	if m.next != 0 {
+		panic("hw: resizing a memory in use")
+	}
+	checkGeometry(frames, pageSize)
+	m.frames, m.pageSize = frames, pageSize
 }
 
 // extendStep is the fewest frames the frame table grows by.
@@ -193,8 +216,9 @@ func (m *PhysMem) Free(f FrameID) {
 	m.truncate(r.slot)
 	if len(m.free) == cap(m.free) {
 		// Only frames below the watermark are ever freed, so the frame
-		// table's length bounds the stack until it grows.
-		m.free = slices.Grow(m.free, len(m.table)-len(m.free))
+		// table's length, or the frame count where a resize left the
+		// table longer, bounds the stack until the table grows.
+		m.free = slices.Grow(m.free, min(len(m.table), m.frames)-len(m.free))
 	}
 	m.free = append(m.free, f)
 }
@@ -231,9 +255,11 @@ func (m *PhysMem) Reset() {
 
 // Owner returns the bookkeeping owner of f (CompNone if free). It is the
 // ownership check on every page-table update and packet, so it stays
-// inlinable: a frame past the frame table is free if it exists at all.
+// inlinable: a frame at or past the watermark is free if it exists at
+// all. The watermark, not the table's length, bounds the fast path,
+// because a resized memory's table may reach past its frame count.
 func (m *PhysMem) Owner(f FrameID) trace.Comp {
-	if int(f) < len(m.table) {
+	if int(f) < m.next {
 		return m.table[f].owner
 	}
 	if int(f) >= m.frames {
@@ -485,14 +511,16 @@ func (m *PhysMem) OwnedBy(owner trace.Comp) int {
 // free stack holds no other frame. At or past it, no frame is owned or
 // holds a prefix. So free plus owned frames equal the total. No prefix
 // outgrows its page, and every free frame's prefix is empty, so it reads
-// zero. No free
-// frame, and no frame at or past the watermark, carries an M2P word. Every
-// contents slot a record names is in range and named by that record only,
-// and every buffer in bufs has its frame. Audit allocates in proportion to
-// the frame table and bufs, not to the frames installed. It is a test
-// oracle and never runs on the simulation path.
+// zero. No free frame, and no frame at or past the watermark, carries an
+// M2P word. A resized memory's frame table may be longer than its frame
+// count, and the records past the count are held to the rules for those
+// at or past the watermark. Every contents slot a record names is in range
+// and named by that record only, and every buffer in bufs has its frame.
+// Audit allocates in proportion to the frame table and bufs, not to the
+// frames installed. It is a test oracle and never runs on the simulation
+// path.
 func (m *PhysMem) Audit() error {
-	if m.next > len(m.table) || len(m.table) > m.frames {
+	if m.next > len(m.table) || m.next > m.frames {
 		return fmt.Errorf("hw: %d frame records for a watermark at %d of %d frames", len(m.table), m.next, m.frames)
 	}
 	onStack := make([]bool, m.next)

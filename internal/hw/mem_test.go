@@ -481,6 +481,91 @@ func TestPhysMemAuditCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestPhysMemResizeKeepsItsBounds pins a resized memory's invariants. A
+// memory that handed out 300 of its 1024 frames, was Reset and was
+// resized down to 100 frames of another page size keeps its longer frame
+// table, yet reports the new geometry, refuses frame 100 and past in
+// checkFrame and Owner, hands out frames 0 to 99 only, and grows its free
+// stack to the frame count, not the table. Audit passes on the longer
+// table and names a record past the count that holds an owner, an M2P
+// word or a prefix. Resizing a memory in use, or to a frame count
+// NewPhysMem refuses, panics.
+func TestPhysMemResizeKeepsItsBounds(t *testing.T) {
+	a := trace.NewRegistry().Intern("a")
+	const count, past = 100, FrameID(200)
+	resized := func(t *testing.T) *PhysMem {
+		t.Helper()
+		m := NewPhysMem(1024, 64)
+		fs, err := m.AllocN(a, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fs {
+			m.Write(f, 0, []byte{byte(f) | 1})
+			m.SetM2P(f, int(f))
+		}
+		m.Reset()
+		m.resize(count, 128)
+		if err := m.Audit(); err != nil {
+			t.Fatalf("resized memory: %v", err)
+		}
+		return m
+	}
+	m := resized(t)
+	if len(m.table) <= int(past) || m.TotalFrames() != count || m.FreeFrames() != count || m.PageSize() != 128 {
+		t.Fatalf("%d records, %d frames, %d free, %d-byte pages; want more than %d records and %d frames of 128 bytes, all free",
+			len(m.table), m.TotalFrames(), m.FreeFrames(), m.PageSize(), past, count)
+	}
+	for _, f := range []FrameID{count, past, FrameID(len(m.table)), 1023} {
+		if !panics(func() { m.checkFrame(f) }) || !panics(func() { m.Owner(f) }) {
+			t.Fatalf("frame %d of a %d-frame memory passed checkFrame or Owner", f, count)
+		}
+	}
+	fs, err := m.AllocN(a, count)
+	if err != nil || fs[count-1] != count-1 {
+		t.Fatalf("AllocN(%d) = %v, %v", count, fs, err)
+	}
+	if f, err := m.Alloc(a); err != ErrOutOfMemory {
+		t.Fatalf("Alloc past the frame count = %d, %v", f, err)
+	}
+	for _, f := range fs[:count/2] {
+		m.Free(f)
+	}
+	if c := cap(m.free); c >= len(m.table) {
+		t.Errorf("the free stack of a %d-frame memory grew to %d, the %d-record table", count, c, len(m.table))
+	}
+	if err := m.Audit(); err != nil {
+		t.Fatalf("resized memory in use: %v", err)
+	}
+	if !panics(func() { m.resize(count, 64) }) {
+		t.Error("a memory in use was resized")
+	}
+	m.Reset()
+	for _, bad := range []int{0, -1, 1<<FrameBits + 1} {
+		if !panics(func() { m.resize(bad, 64) }) {
+			t.Errorf("a memory was resized to %d frames", bad)
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *PhysMem)
+		want    string
+	}{
+		{"owner past the count", func(m *PhysMem) { record(m, past).owner = a }, "untouched frame 200 (watermark 0) is owned"},
+		{"M2P word past the count", func(m *PhysMem) { record(m, past).m2p = 7 }, "untouched frame 200 (watermark 0) carries M2P word 7"},
+		{"prefix past the count", func(m *PhysMem) { setContents(m, past, []byte{1}) }, "untouched frame 200 holds a 1-byte prefix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := resized(t)
+			tc.corrupt(m)
+			if err := m.Audit(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Audit = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // record returns f's record in m's frame table, for the white-box tests
 // that read or corrupt it.
 func record(m *PhysMem, f FrameID) *frameRec { return &m.table[f] }

@@ -173,35 +173,57 @@ func (pt *PageTable) growDense(vpn VPN) {
 // map: a flip of a driver buffer that came from the allocator, not from
 // the donor's memory, or a guest releasing a flipped frame it never
 // mapped. So the filter is built lazily, by the table's first reverse
-// lookup, in one pass: one bit per frame, set for every frame in the
-// table. From then on Map sets the bit of each frame it maps, and nothing
-// clears one. A clear bit proves the frame is not mapped, and the lookup
-// answers at once; a set bit sends it to a scan of the table.
+// lookup, in one pass: one bit per frame up to the highest one mapped, set
+// for every frame in the table. From then on Map sets the bit of each
+// frame it maps, and nothing clears one. A clear bit proves the frame is
+// not mapped, and the lookup answers at once; a set bit sends it to a scan
+// of the table.
+//
+// A filter is built, and grown, to at most as many words as its table has
+// entries, so it costs at most 8 bytes a mapping. A table whose frames lie
+// too far apart for that, a few entries mapping high frames, has no
+// filter: each of its reverse lookups scans its few entries. A Map that
+// would grow the filter past the bound drops it, and the next reverse
+// lookup builds it again if the bound allows.
 type frameFilter struct {
 	mapped []uint64 // bit f set for any frame Map may have mapped
 }
 
-// mark sets f's bit, growing the filter to reach it.
-func (x *frameFilter) mark(f FrameID) {
-	w := int(f / 64)
-	if w >= len(x.mapped) {
-		x.mapped = append(x.mapped, make([]uint64, w+1-len(x.mapped))...)
+// filterWords is the words of a filter that reaches frame f.
+func filterWords(f FrameID) int { return int(f/64) + 1 }
+
+// mark sets f's bit in the table's filter, growing the filter to reach it,
+// or drops the filter when that would take more words than the table has
+// entries before the Map that calls it.
+func (pt *PageTable) mark(f FrameID) {
+	x := pt.filter
+	if n := filterWords(f); n > len(x.mapped) {
+		if n > pt.n {
+			pt.filter = nil
+			return
+		}
+		x.mapped = append(x.mapped, make([]uint64, n-len(x.mapped))...)
 	}
-	x.mapped[w] |= 1 << (f % 64)
+	x.mapped[f/64] |= 1 << (f % 64)
 }
 
-// mayMap reports whether the table may map f: false proves it does not. It
-// builds the filter on the table's first reverse lookup, sized to the
-// highest frame mapped.
+// mayMap reports whether the table may map f: false proves it does not. A
+// table without a filter builds one, sized to the highest frame mapped,
+// unless that takes more words than the table has entries; then it
+// answers true and its caller scans.
 func (pt *PageTable) mayMap(f FrameID) bool {
 	if pt.filter == nil {
 		hi := FrameID(0)
 		for _, e := range pt.All() {
 			hi = max(hi, e.Frame)
 		}
-		pt.filter = &frameFilter{mapped: make([]uint64, hi/64+1)}
+		n := filterWords(hi)
+		if n > pt.n {
+			return true
+		}
+		pt.filter = &frameFilter{mapped: make([]uint64, n)}
 		for _, e := range pt.All() {
-			pt.filter.mark(e.Frame)
+			pt.filter.mapped[e.Frame/64] |= 1 << (e.Frame % 64)
 		}
 	}
 	w := int(f / 64)
@@ -217,7 +239,7 @@ func (pt *PageTable) ASID() uint16 { return pt.asid }
 func (pt *PageTable) Map(vpn VPN, e PTE) {
 	p := packPTE(e)
 	if pt.filter != nil {
-		pt.filter.mark(e.Frame)
+		pt.mark(e.Frame)
 	}
 	if vpn >= VPN(len(pt.dense)) && vpn < VPN(pt.span) {
 		pt.growDense(vpn)

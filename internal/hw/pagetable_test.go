@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -177,6 +178,74 @@ func TestMappedFrameUnmapAllocatesNothing(t *testing.T) {
 				i, f, f, dense, sparse, pt.Len())
 		}
 	}
+}
+
+// TestTopFrameLookupAllocatesUnderOneKiB is the frame filter's size gate:
+// a filter is built and grown to at most as many words as its table has
+// entries. The first FramesMapped and UnmapFrame on a 2-entry table that
+// maps the highest frame an entry holds, twice or beside frame 0, answer
+// from a scan and allocate at most 1 KiB, where a filter reaching that
+// frame takes 16 MiB. A Map of that frame into a 64-entry table whose
+// filter is built drops the filter instead of growing it, and once the
+// mapping is gone the next lookup builds the filter again.
+func TestTopFrameLookupAllocatesUnderOneKiB(t *testing.T) {
+	const top, limit = FrameID(1<<FrameBits - 1), 1024
+	for _, other := range []FrameID{top, 0} {
+		var first, removed, after int
+		b := heapBytes(func() {
+			pt := NewPageTableSized(1, 8)
+			pt.Map(3, PTE{Frame: top, Perms: PermRW})
+			pt.Map(0x1000, PTE{Frame: other, Perms: PermR})
+			first = pt.FramesMapped(top)
+			if pt.filter != nil {
+				t.Fatalf("a 2-entry table mapping frames %d and %d built a %d-word filter", top, other, len(pt.filter.mapped))
+			}
+			removed, after = pt.UnmapFrame(top), pt.FramesMapped(top)
+		})
+		want := 1
+		if other == top {
+			want = 2
+		}
+		if first != want || removed != want || after != 0 {
+			t.Fatalf("frames %d and %d: FramesMapped %d, UnmapFrame %d, then FramesMapped %d; want %d, %d, 0",
+				top, other, first, removed, after, want, want)
+		}
+		if b > limit {
+			t.Errorf("frames %d and %d: a table and its first reverse lookups allocated %d bytes, want at most %d", top, other, b, limit)
+		}
+	}
+
+	const entries = 64
+	pt := NewPageTableSized(1, entries)
+	for v := range VPN(entries) {
+		pt.Map(v, PTE{Frame: FrameID(v), Perms: PermRW})
+	}
+	if pt.FramesMapped(1) != 1 || pt.filter == nil {
+		t.Fatal("a 64-entry identity table built no frame filter")
+	}
+	var n int
+	if b := heapBytes(func() { pt.Map(0x1000, PTE{Frame: top, Perms: PermR}); n = pt.FramesMapped(top) }); b > limit || n != 1 {
+		t.Errorf("mapping frame %d into a filtered table allocated %d bytes and maps it %d times, want at most %d and 1", top, b, n, limit)
+	}
+	if pt.filter != nil {
+		t.Fatalf("mapping frame %d grew the filter to %d words for %d entries", top, len(pt.filter.mapped), pt.Len())
+	}
+	if pt.UnmapFrame(top) != 1 || pt.FramesMapped(2) != 1 || pt.filter == nil || len(pt.filter.mapped) != 1 {
+		t.Fatal("once frame 2^27-1 was unmapped, a lookup did not build a 1-word filter again")
+	}
+}
+
+// heapBytes returns the fewest heap bytes fn allocated over three runs.
+func heapBytes(fn func()) uint64 {
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }
 
 // TestPageTableSize: the frame filter hangs off one pointer, so the table

@@ -3,8 +3,10 @@ package hw
 // MachinePool recycles Machines between experiment cells. Booting a machine
 // allocates its physical memory, CPUs, TLBs and recorder; under the runner
 // every cell used to pay that again. The pool instead hands back a Reset
-// machine whenever one with the same identity — architecture value plus
-// normalized MachineConfig — has been released before.
+// machine whenever one with the same CPU count and trace-log capacity has
+// been released before, re-targeted to the architecture and frame count
+// the Get asks for, so a Reset machine of one shape serves a cell of any
+// other.
 //
 // The pool is deliberately not thread-safe: the runner gives each worker its
 // own pool, which keeps the hot path lock-free and the reuse pattern
@@ -16,13 +18,14 @@ type MachinePool struct {
 	inspect func(*Machine) // see Inspect
 }
 
-// poolKey identifies interchangeable machines. Arch is keyed by value —
-// Arch constructors return fresh pointers per call, but equal architectures
-// compare equal as structs — and the config is keyed in normalized form so
-// zero fields and explicit defaults land on the same entry.
+// poolKey identifies interchangeable machines by what a machine fixes at
+// boot. The CPU count fixes the CPU slice and, on a multiprocessor, the
+// "cpu<n>.ipi" and "cpu<n>.shootdown" components NewMachine interns, which
+// a uniprocessor never has; the log capacity fixes the recorder's event
+// log. The architecture and the frame count are not in the key: Get
+// re-targets a pooled machine to them (Machine.retarget).
 type poolKey struct {
-	arch Arch
-	cfg  MachineConfig
+	ncpus, logCap int
 }
 
 // NewMachinePool returns an empty pool.
@@ -30,19 +33,25 @@ func NewMachinePool() *MachinePool {
 	return &MachinePool{free: make(map[poolKey][]*Machine)}
 }
 
-// Get returns a machine for arch/cfg: a pooled one (already Reset) when the
-// identity matches, a fresh NewMachine otherwise. A nil pool always builds
-// fresh, so call sites can thread an optional pool without guards.
+// Get returns a machine for arch/cfg: a pooled one (already Reset) when
+// the pool holds one with cfg's CPU count and log capacity, re-targeted to
+// arch and cfg's frame count, and a fresh NewMachine otherwise. Either way
+// the machine is observably what NewMachine(arch, cfg) builds. A nil pool
+// always builds fresh, so call sites can thread an optional pool without
+// guards.
 func (p *MachinePool) Get(arch *Arch, cfg *MachineConfig) *Machine {
 	if p == nil {
 		return NewMachine(arch, cfg)
 	}
-	k := poolKey{arch: *arch, cfg: cfg.normalized()}
+	c := cfg.normalized()
+	k := poolKey{ncpus: c.NCPUs, logCap: c.LogCap}
 	if ms := p.free[k]; len(ms) > 0 {
 		m := ms[len(ms)-1]
 		ms[len(ms)-1] = nil
 		p.free[k] = ms[:len(ms)-1]
 		p.hits++
+		m.pooled = false
+		m.retarget(arch, c.Frames)
 		return m
 	}
 	p.miss++
@@ -51,15 +60,24 @@ func (p *MachinePool) Get(arch *Arch, cfg *MachineConfig) *Machine {
 
 // Put resets m and returns it to the pool. A nil pool (or nil machine)
 // drops it for the garbage collector, matching the pre-pool lifecycle.
+//
+// A machine sits in a pool at most once: Put panics on a machine that a
+// pool holds, one put back without a Get in between. Any pooled machine
+// can serve any later Get with its CPU count and log capacity, so a
+// second Put would let two Gets hand the one machine to two live cells.
 func (p *MachinePool) Put(m *Machine) {
 	if p == nil || m == nil {
 		return
+	}
+	if m.pooled {
+		panic("hw: machine put into a pool twice")
 	}
 	if p.inspect != nil {
 		p.inspect(m)
 	}
 	m.Reset()
-	k := poolKey{arch: *m.Arch, cfg: m.Cfg}
+	m.pooled = true
+	k := poolKey{ncpus: len(m.CPUs), logCap: m.Cfg.LogCap}
 	p.free[k] = append(p.free[k], m)
 }
 

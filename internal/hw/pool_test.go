@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -162,13 +163,16 @@ func TestBootAndResetCostWhatAMachineUses(t *testing.T) {
 	}
 }
 
-// TestMachinePoolReuse pins the pool identity rule: same arch value + same
-// normalized config hits; different identities miss.
+// TestMachinePoolReuse pins the pool identity rule: a machine's CPU count
+// and log capacity are its identity. A Get for any architecture and frame
+// count with the same CPU count and log capacity takes the pooled machine,
+// which then reports what a fresh boot of that shape does; a different
+// CPU count or log capacity boots fresh.
 func TestMachinePoolReuse(t *testing.T) {
 	p := NewMachinePool()
 	m1 := p.Get(X86(), &MachineConfig{Frames: 64})
 	p.Put(m1)
-	// X86() returns a fresh pointer — the pool must key by value.
+	// X86() returns a fresh pointer — the pool must not key by address.
 	m2 := p.Get(X86(), &MachineConfig{Frames: 64})
 	if m1 != m2 {
 		t.Fatal("pool did not reuse an identical machine")
@@ -177,12 +181,36 @@ func TestMachinePoolReuse(t *testing.T) {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 
-	p.Put(m2)
-	if m3 := p.Get(ARM(), &MachineConfig{Frames: 64}); m3 == m2 {
-		t.Fatal("pool crossed architectures")
+	// Crossed architectures and frame counts take the pooled machine. Each
+	// shape dirties it before the next Get re-targets it, and the largest
+	// frame count comes between smaller ones, so a shrunk memory keeps a
+	// frame table longer than its frame count.
+	shapes := []MachineConfig{{Frames: 64}, {Frames: 128}, {Frames: 1 << 20}, {Frames: 16}, {Frames: 4096}}
+	for i, arch := range append(AllArchs(), X86()) {
+		cfg := &shapes[i%len(shapes)]
+		p.Put(m2)
+		got := p.Get(arch, cfg)
+		if got != m2 {
+			t.Fatalf("%s with %d frames: the pool booted a machine where its pooled one serves", arch.Name, cfg.Frames)
+		}
+		if diff := shapeDiff(got, NewMachine(arch, cfg)); diff != "" {
+			t.Fatalf("%s with %d frames: re-targeted machine differs from a fresh boot: %s", arch.Name, cfg.Frames, diff)
+		}
+		if err := got.Mem.Audit(); err != nil {
+			t.Fatalf("%s with %d frames: re-targeted memory: %v", arch.Name, cfg.Frames, err)
+		}
+		exercise(t, got)
 	}
-	if m4 := p.Get(X86(), &MachineConfig{Frames: 128}); m4 == m2 {
-		t.Fatal("pool crossed configs")
+	if hits, misses := p.Stats(); hits != 11 || misses != 1 {
+		t.Fatalf("hits %d and misses %d, want 11 and 1", hits, misses)
+	}
+
+	// A different CPU count or log capacity still boots fresh.
+	p.Put(m2)
+	for _, cfg := range []*MachineConfig{{Frames: 64, NCPUs: 2}, {Frames: 64, LogCap: 16}} {
+		if m := p.Get(X86(), cfg); m == m2 {
+			t.Fatalf("pool crossed CPU counts or log capacities: %+v", *cfg)
+		}
 	}
 	// Defaults normalize: nil config and explicit defaults share a key.
 	p2 := NewMachinePool()
@@ -191,6 +219,68 @@ func TestMachinePoolReuse(t *testing.T) {
 		t.Fatal("nil get")
 	} else if hits, _ := p2.Stats(); hits != 1 {
 		t.Fatal("normalized config did not hit the nil-config entry")
+	}
+}
+
+// shapeDiff names the first thing in which machine got, as a pool handed
+// it out, differs from a fresh boot: its config, its frame counts and page
+// size, its architecture's value (on the machine and on each CPU) and each
+// CPU's TLB capacity, tagging and contents.
+func shapeDiff(got, fresh *Machine) string {
+	switch {
+	case got.Cfg != fresh.Cfg:
+		return fmt.Sprintf("config %+v, fresh %+v", got.Cfg, fresh.Cfg)
+	case got.Mem.TotalFrames() != fresh.Mem.TotalFrames():
+		return fmt.Sprintf("%d frames, fresh %d", got.Mem.TotalFrames(), fresh.Mem.TotalFrames())
+	case got.Mem.FreeFrames() != fresh.Mem.FreeFrames():
+		return fmt.Sprintf("%d free frames, fresh %d", got.Mem.FreeFrames(), fresh.Mem.FreeFrames())
+	case got.Mem.PageSize() != fresh.Mem.PageSize():
+		return fmt.Sprintf("%d-byte pages, fresh %d", got.Mem.PageSize(), fresh.Mem.PageSize())
+	case *got.Arch != *fresh.Arch:
+		return fmt.Sprintf("arch %s, fresh %s", got.Arch.Name, fresh.Arch.Name)
+	case len(got.CPUs) != len(fresh.CPUs):
+		return fmt.Sprintf("%d CPUs, fresh %d", len(got.CPUs), len(fresh.CPUs))
+	}
+	for i, c := range got.CPUs {
+		f := fresh.CPUs[i].TLB
+		switch {
+		case c.Arch != got.Arch:
+			return fmt.Sprintf("CPU %d runs arch %s, its machine %s", i, c.Arch.Name, got.Arch.Name)
+		case c.TLB.Capacity() != f.Capacity() || c.TLB.tagged != f.tagged:
+			return fmt.Sprintf("CPU %d TLB of %d entries (tagged %v), fresh %d (tagged %v)",
+				i, c.TLB.Capacity(), c.TLB.tagged, f.Capacity(), f.tagged)
+		case c.TLB.Len() != 0:
+			return fmt.Sprintf("CPU %d TLB holds %d entries", i, c.TLB.Len())
+		}
+	}
+	if a, b := fingerprint(got), fingerprint(fresh); a != b {
+		return fmt.Sprintf("fingerprint %+v, fresh %+v", a, b)
+	}
+	return ""
+}
+
+// TestMachinePoolRefusesDoublePut pins Put's contract: a machine sits in a
+// pool at most once. A second Put without a Get in between panics, in the
+// same pool or another, and leaves the pool as it was; after a Get the
+// machine may be put back again.
+func TestMachinePoolRefusesDoublePut(t *testing.T) {
+	p, other := NewMachinePool(), NewMachinePool()
+	m := p.Get(X86(), &MachineConfig{Frames: 64})
+	p.Put(m)
+	for _, q := range []*MachinePool{p, other} {
+		if !panics(func() { q.Put(m) }) {
+			t.Fatal("a machine a pool holds was put into a pool again")
+		}
+	}
+	if got := p.Get(ARM(), &MachineConfig{Frames: 32}); got != m {
+		t.Fatal("the pool did not hand out its one machine")
+	}
+	if got := p.Get(X86(), &MachineConfig{Frames: 64}); got == m {
+		t.Fatal("the refused Put left a second copy of the machine in the pool")
+	}
+	p.Put(m) // taken out by Get, so it may go back
+	if got := p.Get(X86(), &MachineConfig{Frames: 64}); got != m {
+		t.Fatal("a machine put back after a Get was not pooled")
 	}
 }
 

@@ -24,14 +24,19 @@ type TLB struct {
 // translations actually inserted, which for a short-lived machine is far
 // fewer, and flushes keep what it has grown to.
 func NewTLB(capacity int, tagged bool) *TLB {
+	t := &TLB{entries: make(map[tlbKey]PTE)}
+	t.retarget(capacity, tagged)
+	return t
+}
+
+// retarget gives an empty TLB the capacity and tagging NewTLB would, and
+// keeps its entry map and FIFO buffers: the pool's re-target of a
+// recycled machine's CPUs.
+func (t *TLB) retarget(capacity int, tagged bool) {
 	if capacity <= 0 {
 		panic("hw: TLB capacity must be positive")
 	}
-	return &TLB{
-		capacity: capacity,
-		tagged:   tagged,
-		entries:  make(map[tlbKey]PTE),
-	}
+	t.capacity, t.tagged = capacity, tagged
 }
 
 // Capacity returns the entry capacity.

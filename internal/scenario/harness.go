@@ -66,8 +66,7 @@ func Run(opts Options) ([]RowResult, error) {
 		}
 	}
 	// Every leg runs on this one descriptor. No row writes to its
-	// machine's Arch, so the legs share it, and the pools, which key
-	// machines by the Arch's value, reuse machines as before.
+	// machine's Arch, so the legs share it.
 	arch := hw.X86()
 	r := core.NewRunner(opts.Parallel)
 	return core.RunCells(r, len(rows), func(pool *hw.MachinePool, i int) (RowResult, error) {
