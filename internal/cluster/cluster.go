@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -112,6 +113,7 @@ type Guest struct {
 
 	dom  vmm.DomID
 	host *Host
+	name uint32 // the name's index in the cluster's name table
 }
 
 // Host returns the fleet index of the host the guest currently runs on.
@@ -139,15 +141,32 @@ type Cluster struct {
 	byName map[string]*Guest
 	seq    int // next churn guest number; names are unique per cluster
 	log    []logRecord
+	names  []string // the log's name table: each guest Place placed or rejected, once
 	stats  Stats
-	cand   []*Host // candidates' reusable result
+	link   vmm.Link // carries one migration at a time
+
+	// Scratch reused from event to event: candidates' result, consolidate's
+	// copy of the guests it evacuates, and evacuationPlan's simulated
+	// commitments and plan.
+	cand      []*Host
+	snap      []*Guest
+	sim, plan []int
+
+	nameBuf [4]string // the name table's first entries, inside the cluster
 }
 
 // New boots a fleet of cfg.Hosts hosts on machines from src (nil src boots
-// fresh machines) and returns the cluster. Close releases the machines.
+// fresh machines) and returns the cluster. Close releases the machines. A
+// fleet too large for the placement log to name its hosts is refused with
+// ErrTooLarge before any host boots.
 func New(cfg Config, src MachineSource) (*Cluster, error) {
 	cfg.defaults()
+	if cfg.Hosts > maxHosts {
+		return nil, fmt.Errorf("%w: a fleet of %d hosts, at most %d", ErrTooLarge, cfg.Hosts, maxHosts)
+	}
 	c := &Cluster{cfg: cfg, byName: make(map[string]*Guest)}
+	c.names = c.nameBuf[:0]
+	c.link = vmm.Link{PerPage: cfg.LinkPerPage, Latency: cfg.LinkLatency, Budget: cfg.LinkBudget}
 	for i := 0; i < cfg.Hosts; i++ {
 		m, release := obtain(src, &hw.MachineConfig{Frames: cfg.HostFrames})
 		hv, _, err := vmm.New(m, dom0Frames)
@@ -208,7 +227,7 @@ func (c *Cluster) Log() []string {
 	var line []byte
 	out := make([]string, len(c.log))
 	for i := range c.log {
-		line = c.log[i].appendTo(line[:0])
+		line = c.log[i].appendTo(line[:0], c.names)
 		start := text.Len()
 		text.Write(line)
 		out[i] = text.String()[start:]
@@ -230,55 +249,76 @@ const (
 	logLevel                      // level host<src>->host<dst> blocked at <guest>
 )
 
-// logRecord is one placement decision. guest is the name the caller
-// already holds, so a record allocates nothing of its own.
+// The placement log's limits: a record holds a page count in 32 bits and
+// a host index in 16. New refuses a larger fleet and Place a larger guest,
+// with ErrTooLarge, so no record truncates what it says. E13's fleets
+// stop at 64 hosts and churn guests at 44 pages.
+const (
+	maxGuestPages = math.MaxUint32
+	maxHosts      = math.MaxUint16 + 1
+)
+
+// logRecord is one placement decision, 16 bytes with no pointer in it.
+// The guest is an index into the cluster's name table, and the page count
+// is the one Place was asked for, so a line says what was true when the
+// decision was made, whatever a caller later does to the Guest's exported
+// fields.
 type logRecord struct {
-	guest    string
-	pages    int
-	src, dst int
+	name     uint32 // index in Cluster.names
+	pages    uint32
+	src, dst uint16
 	kind     logKind
 }
 
-// note appends one decision to the placement log.
-func (c *Cluster) note(kind logKind, guest string, pages, src, dst int) {
-	c.log = append(c.log, logRecord{guest: guest, pages: pages, src: src, dst: dst, kind: kind})
+// intern adds name to the name table and returns its index. A uint32
+// indexes more names than memory holds: 2^32 entries take 64 GiB.
+func (c *Cluster) intern(name string) uint32 {
+	c.names = append(c.names, name)
+	return uint32(len(c.names) - 1)
 }
 
-// appendTo renders the record's line onto b.
-func (r *logRecord) appendTo(b []byte) []byte {
+// note appends one decision to the placement log. Callers pass what New
+// and Place have bounded: pages up to maxGuestPages, hosts below maxHosts.
+func (c *Cluster) note(kind logKind, name uint32, pages, src, dst int) {
+	c.log = append(c.log, logRecord{name: name, pages: uint32(pages), src: uint16(src), dst: uint16(dst), kind: kind})
+}
+
+// appendTo renders the record's line onto b, naming the guest from names.
+func (r *logRecord) appendTo(b []byte, names []string) []byte {
+	guest := names[r.name]
 	switch r.kind {
 	case logPlace:
-		b = append(append(b, "place "...), r.guest...)
+		b = append(append(b, "place "...), guest...)
 		b = append(appendPages(b, r.pages), " -> "...)
 		return appendHost(b, r.src)
 	case logReject:
-		return appendPages(append(append(b, "reject "...), r.guest...), r.pages)
+		return appendPages(append(append(b, "reject "...), guest...), r.pages)
 	case logRemove:
-		b = append(append(b, "remove "...), r.guest...)
+		b = append(append(b, "remove "...), guest...)
 		return appendHost(append(b, " <- "...), r.src)
 	case logMigrate, logAbort:
 		verb := "migrate "
 		if r.kind == logAbort {
 			verb = "abort "
 		}
-		b = append(append(append(b, verb...), r.guest...), ' ')
+		b = append(append(append(b, verb...), guest...), ' ')
 		return appendHost(append(appendHost(b, r.src), "->"...), r.dst)
 	case logConsolidate:
 		b = appendHost(append(b, "consolidate "...), r.src)
-		return append(append(b, " stopped at "...), r.guest...)
+		return append(append(b, " stopped at "...), guest...)
 	default: // logLevel
 		b = appendHost(append(b, "level "...), r.src)
 		b = appendHost(append(b, "->"...), r.dst)
-		return append(append(b, " blocked at "...), r.guest...)
+		return append(append(b, " blocked at "...), guest...)
 	}
 }
 
 // appendHost renders "host<i>".
-func appendHost(b []byte, i int) []byte {
-	return strconv.AppendInt(append(b, "host"...), int64(i), 10)
+func appendHost(b []byte, i uint16) []byte {
+	return strconv.AppendUint(append(b, "host"...), uint64(i), 10)
 }
 
 // appendPages renders "(<n>p)".
-func appendPages(b []byte, n int) []byte {
-	return append(strconv.AppendInt(append(b, '('), int64(n), 10), "p)"...)
+func appendPages(b []byte, n uint32) []byte {
+	return append(strconv.AppendUint(append(b, '('), uint64(n), 10), "p)"...)
 }

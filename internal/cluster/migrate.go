@@ -47,23 +47,18 @@ func (c *Cluster) migrate(g *Guest, dst *Host, guestWork func(round int)) (*vmm.
 			return nil, err
 		}
 	}
-	link := &vmm.Link{
-		PerPage: c.cfg.LinkPerPage,
-		Latency: c.cfg.LinkLatency,
-		Budget:  c.cfg.LinkBudget,
-	}
 	shell, stats, err := vmm.MigrateLive(src.hv, g.dom, dst.hv, vmm.LiveOpts{
 		MaxRounds: maxRounds,
 		WSSCutoff: 2,
 		GuestWork: guestWork,
-		Transport: link.Transport(src.m, dst.m),
+		Transport: c.link.Transport(src.m, dst.m),
 	})
 	if err != nil {
 		// MigrateLive unwound both ends (shell destroyed, dirty log off,
 		// source resumed); hand any frames the squeeze freed on the
 		// destination back to its guests and report the abort.
 		c.stats.Aborted++
-		c.note(logAbort, g.Name, 0, src.index, dst.index)
+		c.note(logAbort, g.name, 0, src.index, dst.index)
 		if rerr := c.reflate(dst); rerr != nil {
 			return nil, rerr
 		}
@@ -84,7 +79,7 @@ func (c *Cluster) migrate(g *Guest, dst *Host, guestWork func(round int)) (*vmm.
 	}
 	c.stats.Migrations++
 	c.stats.Downtimes = append(c.stats.Downtimes, stats.Downtime)
-	c.note(logMigrate, g.Name, 0, src.index, dst.index)
+	c.note(logMigrate, g.name, 0, src.index, dst.index)
 	if err := c.reflate(src); err != nil {
 		return nil, err
 	}
@@ -122,8 +117,8 @@ func (c *Cluster) consolidate(work workFactory) (int, error) {
 	}
 	moved := 0
 	// Snapshot the source's guest list: migrate mutates it.
-	guests := append([]*Guest(nil), src.guests...)
-	for i, g := range guests {
+	c.snap = append(c.snap[:0], src.guests...)
+	for i, g := range c.snap {
 		var hook func(int)
 		if work != nil {
 			hook = work(g)
@@ -132,7 +127,7 @@ func (c *Cluster) consolidate(work workFactory) (int, error) {
 			if errors.Is(err, ErrNoHostFits) {
 				// The plan was admission-feasible but physical frames ran
 				// out (residency floors); stop consolidating this round.
-				c.note(logConsolidate, g.Name, 0, src.index, 0)
+				c.note(logConsolidate, g.name, 0, src.index, 0)
 				return moved, nil
 			}
 			return moved, err
@@ -171,13 +166,15 @@ func (c *Cluster) evacuationTarget() *Host {
 // evacuationPlan simulates admitting every guest of src elsewhere, in
 // placement order, and returns the destination index per guest. It reports
 // false when any guest has no admissible destination — the evacuation is
-// all-or-nothing at admission level.
+// all-or-nothing at admission level. The plan reuses the cluster's scratch
+// slice: it is valid until the next call.
 func (c *Cluster) evacuationPlan(src *Host) ([]int, bool) {
-	sim := make([]int, len(c.hosts))
-	for i, h := range c.hosts {
-		sim[i] = h.committed
+	sim := c.sim[:0]
+	for _, h := range c.hosts {
+		sim = append(sim, h.committed)
 	}
-	plan := make([]int, 0, len(src.guests))
+	c.sim = sim
+	plan := c.plan[:0]
 	for _, g := range src.guests {
 		best := -1
 		for _, h := range c.hosts {
@@ -192,11 +189,13 @@ func (c *Cluster) evacuationPlan(src *Host) ([]int, bool) {
 			}
 		}
 		if best < 0 {
+			c.plan = plan
 			return nil, false
 		}
 		sim[best] += g.Nominal
 		plan = append(plan, best)
 	}
+	c.plan = plan
 	return plan, true
 }
 
@@ -235,7 +234,7 @@ func (c *Cluster) level(work workFactory) (int, error) {
 	}
 	if _, err := c.migrate(pick, lo, hook); err != nil {
 		if errors.Is(err, ErrNoHostFits) {
-			c.note(logLevel, pick.Name, 0, hi.index, lo.index)
+			c.note(logLevel, pick.name, 0, hi.index, lo.index)
 			return 0, nil
 		}
 		return 0, err

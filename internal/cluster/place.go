@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // squeezeChunk bounds how many pages one balloon-out takes from a single
@@ -13,11 +14,15 @@ const squeezeChunk = 8
 // creates its domain. Under overcommit the chosen host may be physically
 // short; the control plane then balloons placed guests down (never below
 // minResident) to free real frames. Placement failures are typed:
-// ErrAlreadyPlaced for a duplicate name, ErrNoHostFits when no host can
-// admit the guest either by commitment or physically.
+// ErrAlreadyPlaced for a duplicate name, ErrTooLarge for a guest past the
+// placement log's page count, ErrNoHostFits when no host can admit the
+// guest either by commitment or physically.
 func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
 	if nominal <= 0 {
 		return nil, fmt.Errorf("cluster: guest %q needs a positive size, got %d", name, nominal)
+	}
+	if uint64(nominal) > maxGuestPages {
+		return nil, fmt.Errorf("%w: guest %q of %d pages, at most %d", ErrTooLarge, name, nominal, uint64(maxGuestPages))
 	}
 	if _, dup := c.byName[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyPlaced, name)
@@ -36,19 +41,35 @@ func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: place %q on host%d: %w", name, h.index, err)
 		}
-		g := &Guest{Name: name, Nominal: nominal, dom: d.ID, host: h}
+		g := &Guest{Name: name, Nominal: nominal, dom: d.ID, host: h, name: c.intern(name)}
 		h.guests = append(h.guests, g)
 		h.committed += nominal
 		c.guests = append(c.guests, g)
 		c.byName[name] = g
 		c.stats.Placed++
-		c.note(logPlace, name, nominal, h.index, 0)
+		c.note(logPlace, g.name, nominal, h.index, 0)
 		return g, nil
 	}
 	c.stats.Rejected++
-	c.note(logReject, name, nominal, 0, 0)
-	return nil, fmt.Errorf("%w: %q (%d pages)", ErrNoHostFits, name, nominal)
+	c.note(logReject, c.intern(name), nominal, 0, 0)
+	return nil, &rejection{name: name, pages: nominal}
 }
+
+// rejection is Place's admission refusal, ErrNoHostFits for one guest. It
+// renders its text only when read, as fmt.Errorf("%w: %q (%d pages)",
+// ErrNoHostFits, name, pages) would.
+type rejection struct {
+	name  string
+	pages int
+}
+
+func (e *rejection) Error() string {
+	b := append([]byte(ErrNoHostFits.Error()), ": "...)
+	b = append(strconv.AppendQuote(b, e.name), " ("...)
+	return string(append(strconv.AppendInt(b, int64(e.pages), 10), " pages)"...))
+}
+
+func (e *rejection) Unwrap() error { return ErrNoHostFits }
 
 // Remove destroys a placed guest's domain and reflates the remaining
 // guests on its host back toward their nominal sizes.
@@ -63,7 +84,7 @@ func (c *Cluster) Remove(name string) error {
 	}
 	c.drop(g)
 	c.stats.Removed++
-	c.note(logRemove, name, 0, h.index, 0)
+	c.note(logRemove, g.name, 0, h.index, 0)
 	return c.reflate(h)
 }
 
@@ -83,7 +104,7 @@ func (c *Cluster) drop(g *Guest) {
 			break
 		}
 	}
-	delete(c.byName, g.Name)
+	delete(c.byName, c.names[g.name])
 }
 
 // reclaimable returns how many pages the squeeze could balloon out of h's

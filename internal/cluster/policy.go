@@ -45,6 +45,10 @@ var (
 	ErrUnknownGuest = errors.New("cluster: no such guest")
 	// ErrBadHost is returned for a host index outside the fleet.
 	ErrBadHost = errors.New("cluster: host index out of range")
+	// ErrTooLarge is returned for a fleet or a guest past what a
+	// placement-log record holds: more than 65,536 hosts, or a guest of
+	// more than 2^32-1 pages.
+	ErrTooLarge = errors.New("cluster: past the placement log's limits")
 )
 
 // admits reports whether h can admit nominal more pages within the

@@ -24,10 +24,11 @@ import (
 // from other architectures and frame counts. Any state Reset or the
 // re-target failed to clear or set — a leftover cycle, a dirty page, a
 // stale TLB entry or queued event, a stale frame count or architecture —
-// shows up as a table diff. Every machine a probe cell releases
-// must also pass the frame allocator's conservation audit, before its
-// Reset and after it, and every experiment must put back as many machines
-// as it took.
+// shows up as a table diff. No table reads a TLB's capacity or tagging or
+// the page size, so every machine a probe cell releases must also match
+// its own Arch in those (matchesArch). It must pass the frame allocator's
+// conservation audit, before its Reset and after it, and every experiment
+// must put back as many machines as it took.
 func TestExperimentsPooledVsFresh(t *testing.T) {
 	var fresh *Runner
 	baseline := map[string]string{}
@@ -54,6 +55,9 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 		l[sweep-1] = append(l[sweep-1], m.Rec.Components())
 		if err := m.Mem.Audit(); err != nil {
 			t.Errorf("%s: released machine fails the frame audit: %v", cell, err)
+		}
+		if err := matchesArch(m); err != nil {
+			t.Errorf("%s: released %s machine: %v", cell, m.Arch.Name, err)
 		}
 		m.Mem.Reset()
 		if err := m.Mem.Audit(); err != nil {
@@ -112,6 +116,28 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 		}
 	}
 	t.Logf("audited %d released machines (%d per sweep)", puts, puts/2)
+}
+
+// matchesArch checks the geometry a machine's Arch declares and no table
+// reads: each CPU's TLB capacity and tagging, and the memory's page size.
+// Tagging is probed: a translation inserted under one ASID hits under
+// another only in an untagged TLB. The probe leaves an entry behind, so
+// it runs on a machine about to be Reset.
+func matchesArch(m *hw.Machine) error {
+	const probe = hw.VPN(1 << 40)
+	for i, c := range m.CPUs {
+		if got, want := c.TLB.Capacity(), m.Arch.TLBEntries; got != want {
+			return fmt.Errorf("cpu%d's TLB holds %d entries, want %d", i, got, want)
+		}
+		c.TLB.Insert(1, probe, hw.PTE{Frame: 1, Perms: hw.PermR})
+		if _, shared := c.TLB.Lookup(2, probe); shared == m.Arch.HasASID {
+			return fmt.Errorf("cpu%d's TLB shares entries across ASIDs: %v, want %v", i, shared, !m.Arch.HasASID)
+		}
+	}
+	if got, want := m.Mem.PageSize(), m.Arch.PageSize(); got != want {
+		return fmt.Errorf("memory has %d-byte pages, want %d", got, want)
+	}
+	return nil
 }
 
 // TestRunAllAllocatesElevenMachines is the allocation gate of machine

@@ -40,7 +40,7 @@ func TestDirtyLogFrameMappedWritableTwice(t *testing.T) {
 			t.Fatalf("log has no record of protecting alias %#x, want all three aliases", vpn)
 		}
 	}
-	if n := dl.pages[6].nstripped; n != 3 {
+	if n := dl.nstripped(6); n != 3 {
 		t.Fatalf("log recorded %d protected mappings of gpn 6, want 3", n)
 	}
 	before := r.m.Rec.Cycles(HypervisorComponent)
@@ -323,6 +323,54 @@ func TestDirtyLogForgetsPagesThatLeaveTheP2M(t *testing.T) {
 	}
 	audit(t, r.h)
 	check("after the refilled page's fault")
+	r.h.DisableDirtyLog(r.domU.ID)
+	check("after disable")
+}
+
+// TestDirtyLogForgetsMappingsTheGuestReplaces: a mapping the log
+// write-protected that the guest then replaces is not the log's to give
+// PermW back to. Here the guest maps page 7 read-only at VPN 6, page 6's
+// stripped identity mapping, and unmaps page 8's stripped alias at 0xB00
+// before mapping page 9 read-only there; the faults and the disable that
+// follow must leave both read-only. FuzzDirtyLog checks what such faults
+// charge.
+func TestDirtyLogForgetsMappingsTheGuestReplaces(t *testing.T) {
+	r := newVrig(t, hw.X86())
+	if err := r.h.MMUUpdate(r.domU.ID, 0xB00, 8, hw.PermRW, true); err != nil {
+		t.Fatal(err)
+	}
+	dl, err := r.h.EnableDirtyLog(r.domU.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.h.MMUUpdate(r.domU.ID, 6, 7, hw.PermR, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.h.MMUUnmap(r.domU.ID, 0xB00); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.h.MMUUpdate(r.domU.ID, 0xB00, 9, hw.PermR, true); err != nil {
+		t.Fatal(err)
+	}
+	audit(t, r.h)
+	if dl.stripped(6, 6) || dl.stripped(8, 0xB00) || dl.nstripped(6) != 0 || dl.nstripped(8) != 1 {
+		t.Fatalf("the log still records replaced mappings: gpn 6 has %d, gpn 8 has %d", dl.nstripped(6), dl.nstripped(8))
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, vpn := range []hw.VPN{6, 0xB00} {
+			if e, ok := r.domU.PT.Lookup(vpn); !ok || e.Perms != hw.PermR {
+				t.Fatalf("%s: the guest's read-only mapping at %#x is %v (mapped %v)", when, vpn, e.Perms, ok)
+			}
+		}
+	}
+	for _, gpn := range []int{6, 8} {
+		if err := r.h.GuestMemWrite(r.domU.ID, gpn, 0, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	audit(t, r.h)
+	check("after the faults")
 	r.h.DisableDirtyLog(r.domU.ID)
 	check("after disable")
 }

@@ -192,6 +192,7 @@ func (h *Hypervisor) MMUUpdate(dom DomID, vpn hw.VPN, gpn int, perms hw.Perm, us
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PrivCheck)
 		return ErrBadPTE
 	}
+	d.remapping(vpn)
 	d.PT.Map(vpn, hw.PTE{Frame: f, Perms: perms, User: user})
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 	return nil
@@ -207,11 +208,21 @@ func (h *Hypervisor) MMUUnmap(dom DomID, vpn hw.VPN) error {
 	}
 	h.hypercallEntry(d)
 	defer h.hypercallExit()
+	d.remapping(vpn)
 	d.PT.Unmap(vpn)
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)
 	h.shootdownEntry(d, vpn)
 	return nil
+}
+
+// remapping tells an enabled dirty log that the guest is replacing or
+// removing its mapping at vpn: whatever protection the log put on the old
+// mapping is not the new one's to get back.
+func (d *Domain) remapping(vpn hw.VPN) {
+	if dl := d.dirtyLog; dl != nil {
+		dl.unstrip(vpn)
+	}
 }
 
 // SetHooks registers the guest kernel's entry points (done once at guest

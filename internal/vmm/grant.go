@@ -148,6 +148,7 @@ func (h *Hypervisor) GrantMap(user DomID, owner DomID, ref GrantRef, vpn hw.VPN)
 	if e.readOnly {
 		perms = hw.PermR
 	}
+	ud.remapping(vpn)
 	ud.PT.Map(vpn, hw.PTE{Frame: e.frame, Perms: perms, User: false})
 	e.mapped++
 	h.M.CPU.Charge(h.comp, trace.KGrantMap, h.M.Arch.Costs.PTEUpdate+40)
@@ -182,6 +183,7 @@ func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VP
 	}
 	h.hypercallEntry(ud)
 	defer h.hypercallExit()
+	ud.remapping(vpn)
 	ud.PT.Unmap(vpn)
 	if e != nil && e.mapped > 0 {
 		e.mapped--

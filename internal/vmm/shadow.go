@@ -60,11 +60,13 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 	// Validation identical to the paravirtual path's.
 	f := d.FrameAt(gpn)
 	if f == hw.NoFrame || !d.OwnsFrame(f) || perms&^hw.PermRWX != 0 {
+		d.remapping(vpn)
 		d.PT.Unmap(vpn) // shadow must not map what the guest may not have
 		h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PrivCheck)
 		h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 		return nil // the *guest* write succeeded; the shadow just ignores it
 	}
+	d.remapping(vpn)
 	d.PT.Map(vpn, hw.PTE{Frame: f, Perms: perms, User: user})
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)
@@ -91,28 +93,33 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 var ErrDirtyLogActive = errors.New("vmm: dirty log already enabled")
 
 // DirtyLog tracks which guest pages a domain wrote since the last (re)arm.
-// Its state is one pointer-free slice indexed by guest page number, which
-// grows with the domain's P2M and is reused from round to round: once the
-// first round has sized it, a round allocates only the list Rearm returns.
-// Each page keeps the first mapping the log write-protected inline; a page
-// mapped writable at several VPNs keeps the others in a map allocated on
-// first use.
+// Its state is one byte per guest page, in a slice indexed by guest page
+// number that grows with the domain's P2M and is reused from round to
+// round, as is the list Rearm returns: once the first round has sized
+// them, a round allocates only when it dirties more pages than any round
+// before it. A page's byte holds three flags: armed,
+// dirty, and whether the log write-protected the page's identity mapping,
+// the one at VPN == gpn, which is where a domain build maps each page.
+// Every other mapping the log write-protected is kept in a map allocated
+// on first use.
 type DirtyLog struct {
 	h *Hypervisor
 	d *Domain
 
-	pages  []dirtyPage      // gpn -> the log's state for that page
-	more   map[int][]hw.VPN // gpn -> stripped mappings after the first
+	pages  []pageLog        // gpn -> the log's flags for that page
+	more   map[int][]hw.VPN // gpn -> stripped mappings at VPNs other than gpn
 	ndirty int              // how many pages are dirty
+	round  []int            // the list Rearm returns, reused
 }
 
-// dirtyPage is the log's state for one guest page.
-type dirtyPage struct {
-	vpn       hw.VPN // the first mapping whose PermW the log removed
-	nstripped uint32 // how many mappings the log removed PermW from
-	armed     bool   // write-protected: the next store faults
-	dirty     bool   // written since the last (re)arm
-}
+// pageLog is the log's state for one guest page: a set of flags.
+type pageLog uint8
+
+const (
+	pageArmed    pageLog = 1 << iota // write-protected: the next store faults
+	pageDirty                        // written since the last (re)arm
+	pageIdentity                     // the log removed PermW from the mapping at VPN == gpn
+)
 
 // EnableDirtyLog arms write-fault-driven dirty-page tracking on a domain
 // and returns its log. The domain keeps running; only its first store to
@@ -140,8 +147,8 @@ func (h *Hypervisor) DisableDirtyLog(dom DomID) {
 		return
 	}
 	dl := d.dirtyLog
-	for gpn := range dl.pages {
-		if dl.pages[gpn].armed {
+	for gpn, p := range dl.pages {
+		if p&pageArmed != 0 {
 			dl.disarm(gpn)
 		}
 	}
@@ -157,7 +164,7 @@ func (dl *DirtyLog) grow(n int) {
 		return
 	}
 	if n > cap(dl.pages) {
-		p := make([]dirtyPage, len(dl.pages), max(n, 2*cap(dl.pages)))
+		p := make([]pageLog, len(dl.pages), max(n, 2*cap(dl.pages)))
 		copy(p, dl.pages)
 		dl.pages = p
 	}
@@ -180,7 +187,7 @@ func (dl *DirtyLog) arm() {
 			continue
 		}
 		g := d.gpnOf(e.Frame)
-		if g < 0 || dl.pages[g].armed {
+		if g < 0 || dl.pages[g]&pageArmed != 0 {
 			continue
 		}
 		e.Perms &^= hw.PermW
@@ -190,7 +197,7 @@ func (dl *DirtyLog) arm() {
 	}
 	for gpn, f := range d.frames {
 		if f != hw.NoFrame {
-			dl.pages[gpn].armed = true
+			dl.pages[gpn] |= pageArmed
 		}
 	}
 	// Stale writable translations must go before protection is real — on
@@ -203,23 +210,55 @@ func (dl *DirtyLog) arm() {
 
 // strip records that the log removed PermW from gpn's mapping at vpn.
 func (dl *DirtyLog) strip(gpn int, vpn hw.VPN) {
-	p := &dl.pages[gpn]
-	if p.nstripped == 0 {
-		p.vpn = vpn
-	} else {
-		if dl.more == nil {
-			dl.more = make(map[int][]hw.VPN)
-		}
-		dl.more[gpn] = append(dl.more[gpn], vpn)
+	if vpn == hw.VPN(gpn) {
+		dl.pages[gpn] |= pageIdentity
+		return
 	}
-	p.nstripped++
+	if dl.more == nil {
+		dl.more = make(map[int][]hw.VPN)
+	}
+	dl.more[gpn] = append(dl.more[gpn], vpn)
+}
+
+// nstripped returns how many of gpn's mappings the log write-protected.
+func (dl *DirtyLog) nstripped(gpn int) int {
+	n := len(dl.more[gpn])
+	if dl.pages[gpn]&pageIdentity != 0 {
+		n++
+	}
+	return n
+}
+
+// unstrip drops the log's record of the mapping at vpn, if it holds one:
+// the guest is replacing or removing that mapping (see Domain.remapping).
+func (dl *DirtyLog) unstrip(vpn hw.VPN) {
+	e, ok := dl.d.PT.Lookup(vpn)
+	if !ok {
+		return
+	}
+	g := dl.d.gpnOf(e.Frame)
+	if g < 0 || g >= len(dl.pages) {
+		return
+	}
+	if vpn == hw.VPN(g) {
+		dl.pages[g] &^= pageIdentity
+		return
+	}
+	vpns := dl.more[g]
+	if i := slices.Index(vpns, vpn); i >= 0 {
+		if len(vpns) == 1 {
+			delete(dl.more, g)
+		} else {
+			dl.more[g] = slices.Delete(vpns, i, i+1)
+		}
+	}
 }
 
 // mark logs gpn dirty: the guest wrote the page, or its P2M slot changed.
 func (dl *DirtyLog) mark(gpn int) {
 	dl.grow(gpn + 1)
-	if p := &dl.pages[gpn]; !p.dirty {
-		p.dirty = true
+	if p := &dl.pages[gpn]; *p&pageDirty == 0 {
+		*p |= pageDirty
 		dl.ndirty++
 	}
 }
@@ -229,7 +268,7 @@ func (dl *DirtyLog) mark(gpn int) {
 // it faults and is logged like any other armed page's.
 func (dl *DirtyLog) armNew(gpn int) {
 	dl.grow(gpn + 1)
-	dl.pages[gpn].armed = true
+	dl.pages[gpn] |= pageArmed
 }
 
 // forget drops the log's record of gpn's protection when the page leaves
@@ -240,33 +279,30 @@ func (dl *DirtyLog) forget(gpn int) {
 	if gpn >= len(dl.pages) {
 		return
 	}
-	p := &dl.pages[gpn]
-	if p.nstripped > 1 {
-		delete(dl.more, gpn)
-	}
-	p.nstripped, p.armed = 0, false
+	delete(dl.more, gpn)
+	dl.pages[gpn] &^= pageArmed | pageIdentity
 }
 
 // stripped reports whether the log removed PermW from gpn's mapping at
 // vpn.
 func (dl *DirtyLog) stripped(gpn int, vpn hw.VPN) bool {
-	if gpn >= len(dl.pages) || dl.pages[gpn].nstripped == 0 {
+	if gpn >= len(dl.pages) {
 		return false
 	}
-	return dl.pages[gpn].vpn == vpn || slices.Contains(dl.more[gpn], vpn)
+	if vpn == hw.VPN(gpn) {
+		return dl.pages[gpn]&pageIdentity != 0
+	}
+	return slices.Contains(dl.more[gpn], vpn)
 }
 
 // disarm restores the write permissions the log removed from gpn's
 // mappings and takes the page off the armed set.
 func (dl *DirtyLog) disarm(gpn int) {
-	p := dl.pages[gpn]
-	if p.nstripped > 0 {
-		dl.restore(p.vpn)
+	if dl.pages[gpn]&pageIdentity != 0 {
+		dl.restore(hw.VPN(gpn))
 	}
-	if p.nstripped > 1 {
-		for _, vpn := range dl.more[gpn] {
-			dl.restore(vpn)
-		}
+	for _, vpn := range dl.more[gpn] {
+		dl.restore(vpn)
 	}
 	dl.forget(gpn)
 }
@@ -280,6 +316,8 @@ func (dl *DirtyLog) restore(vpn hw.VPN) {
 }
 
 // fault is the write-protect fault path: trap, decode, log, unprotect.
+// Each mapping the log write-protected costs one PTE update to restore,
+// and a page it protected no mapping of still pays one.
 func (dl *DirtyLog) fault(gpn int) {
 	h, d := dl.h, dl.d
 	h.switchTo(d)
@@ -287,18 +325,23 @@ func (dl *DirtyLog) fault(gpn int) {
 	h.M.CPU.Charge(h.comp, trace.KExceptionBounce, h.M.Arch.Costs.CtxSave)
 	h.M.CPU.Work(h.comp, 120) // decode + log-dirty bookkeeping
 	dl.mark(gpn)
-	nvpns := max(dl.pages[gpn].nstripped, 1)
+	nvpns := max(dl.nstripped(gpn), 1)
 	dl.disarm(gpn) // later stores to this page are full speed until re-arm
 	h.M.CPU.Charge(h.comp, trace.KDirtyLogFault,
 		hw.Cycles(nvpns)*h.M.Arch.Costs.PTEUpdate)
 	h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 }
 
-// Dirty returns the pages written since the last (re)arm, ascending.
+// Dirty returns the pages written since the last (re)arm, ascending, in a
+// list of its own.
 func (dl *DirtyLog) Dirty() []int {
-	out := make([]int, 0, dl.ndirty)
-	for gpn := range dl.pages {
-		if dl.pages[gpn].dirty {
+	return dl.appendDirty(make([]int, 0, dl.ndirty))
+}
+
+// appendDirty appends the dirty pages to out, ascending.
+func (dl *DirtyLog) appendDirty(out []int) []int {
+	for gpn, p := range dl.pages {
+		if p&pageDirty != 0 {
 			out = append(out, gpn)
 		}
 	}
@@ -307,15 +350,20 @@ func (dl *DirtyLog) Dirty() []int {
 
 // Rearm collects the current dirty set, clears it and write-protects the
 // domain's pages again — one pre-copy round boundary. It returns the pages
-// dirtied since the previous arm, ascending.
+// dirtied since the previous arm, ascending, in a list the log reuses: it
+// stays valid until the next Rearm.
 func (dl *DirtyLog) Rearm() []int {
-	out := dl.Dirty()
+	if cap(dl.round) < dl.ndirty {
+		// One allocation under the race detector too; see grow.
+		dl.round = make([]int, 0, max(dl.ndirty, 2*cap(dl.round)))
+	}
+	dl.round = dl.appendDirty(dl.round[:0])
 	for gpn := range dl.pages {
-		dl.pages[gpn].dirty = false
+		dl.pages[gpn] &^= pageDirty
 	}
 	dl.ndirty = 0
 	dl.arm()
-	return out
+	return dl.round
 }
 
 // GuestMemWrite models a guest store of data into its page gpn at byte
@@ -334,7 +382,7 @@ func (h *Hypervisor) GuestMemWrite(dom DomID, gpn, off int, data []byte) error {
 	if off < 0 || uint64(off+len(data)) > h.M.Mem.PageSize() {
 		return fmt.Errorf("vmm: guest write [%d,%d) outside page", off, off+len(data))
 	}
-	if dl := d.dirtyLog; dl != nil && gpn < len(dl.pages) && dl.pages[gpn].armed {
+	if dl := d.dirtyLog; dl != nil && gpn < len(dl.pages) && dl.pages[gpn]&pageArmed != 0 {
 		dl.fault(gpn)
 	}
 	h.M.CPU.Work(d.comp, h.M.CPU.CopyCost(uint64(len(data))))
