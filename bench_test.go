@@ -1,17 +1,26 @@
 package vmmk
 
-// One benchmark per experiment table (see DESIGN.md's experiment index),
-// plus primitive micro-benchmarks. Each BenchmarkE* regenerates its table
-// through RunExperiment, the experiment's one entry point; `go test
-// -bench=. -benchmem` is the paper's whole evaluation section.
+// Host-cost benchmarks that nothing else measures. Each experiment's host
+// time and each layer's (the trace charge path, a machine boot, an mk IPC
+// call, a hypercall, a page flip, a received packet) has one home, the
+// benchmark module: `bash bench/run.sh`, or vmmkbench itself (see
+// bench/README.md). What stays here is what no probe or workload metric
+// records:
 //
-// The serial benchmarks pin the engine to one worker so they measure the
-// experiments themselves; the *Parallel variants run the same tables on a
-// GOMAXPROCS-wide pool, so comparing the two is the engine's speedup:
+//   - the engine's speedup: BenchmarkAllExperiments against
+//     BenchmarkAllExperimentsParallel, one sweep on one worker and on a
+//     GOMAXPROCS-wide pool, whose tables are identical (see core's
+//     determinism tests);
+//   - allocations per op of a cold sweep, of the scenario matrix and of
+//     each io request kind on each stack, which ROADMAP.md and CHANGES.md
+//     quote: BenchmarkAllExperimentsCold, BenchmarkScenarioMatrix and
+//     BenchmarkStackIO;
+//   - an mk IPC call carrying a packet-sized string, and the JSON
+//     encoding of a Result.
 //
-//	go test -bench='E7Micro|E8Macro' -run=^$
+// Run them with -benchmem:
 //
-// Both variants produce identical tables (see core's determinism tests).
+//	go test -run '^$' -bench . -benchmem
 
 import (
 	"context"
@@ -24,8 +33,6 @@ import (
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
 	"vmmk/internal/scenario"
-	"vmmk/internal/trace"
-	"vmmk/internal/vmm"
 )
 
 var (
@@ -33,114 +40,8 @@ var (
 	parallelEng = core.NewRunner(0) // GOMAXPROCS workers
 )
 
-// benchExperiment runs experiment id with parameters p on eng once per
-// iteration, through its one entry point.
-func benchExperiment(b *testing.B, eng *core.Runner, id string, p core.Params) {
-	for i := 0; i < b.N; i++ {
-		res, err := eng.RunExperiment(context.Background(), id, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Tables[0].Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.
-func BenchmarkE1Dom0Overhead(b *testing.B) {
-	benchExperiment(b, serialEng, "e1", core.Params{"packets": 50})
-}
-
-// BenchmarkE1Dom0OverheadParallel fans the sweep's ten cells across the
-// worker pool.
-func BenchmarkE1Dom0OverheadParallel(b *testing.B) {
-	benchExperiment(b, parallelEng, "e1", core.Params{"packets": 50})
-}
-
-// BenchmarkE2IPCCount regenerates the IPC-equivalence comparison.
-func BenchmarkE2IPCCount(b *testing.B) { benchExperiment(b, serialEng, "e2", nil) }
-
-// BenchmarkE3SyscallPath regenerates the syscall-path table.
-func BenchmarkE3SyscallPath(b *testing.B) {
-	benchExperiment(b, serialEng, "e3", core.Params{"syscalls": 100})
-}
-
-// BenchmarkE4BlastRadius regenerates the fault-isolation table.
-func BenchmarkE4BlastRadius(b *testing.B) {
-	benchExperiment(b, serialEng, "e4", core.Params{"guests": 3})
-}
-
-// BenchmarkE5Census regenerates the primitive census.
-func BenchmarkE5Census(b *testing.B) { benchExperiment(b, serialEng, "e5", nil) }
-
-// BenchmarkE6Portability regenerates the nine-architecture table.
-func BenchmarkE6Portability(b *testing.B) { benchExperiment(b, serialEng, "e6", nil) }
-
-// BenchmarkE7Micro regenerates the primitive microbenchmarks.
-func BenchmarkE7Micro(b *testing.B) {
-	benchExperiment(b, serialEng, "e7", core.Params{"syscalls": 100})
-}
-
-// BenchmarkE7MicroParallel runs the three measurement blocks concurrently.
-func BenchmarkE7MicroParallel(b *testing.B) {
-	benchExperiment(b, parallelEng, "e7", core.Params{"syscalls": 100})
-}
-
-// BenchmarkE8Macro regenerates the web-serving macro comparison.
-func BenchmarkE8Macro(b *testing.B) {
-	benchExperiment(b, serialEng, "e8", core.Params{"requests": 20})
-}
-
-// BenchmarkE8MacroParallel serves the three platforms' request streams
-// concurrently.
-func BenchmarkE8MacroParallel(b *testing.B) {
-	benchExperiment(b, parallelEng, "e8", core.Params{"requests": 20})
-}
-
-// BenchmarkE9Ablation regenerates the ablation table.
-func BenchmarkE9Ablation(b *testing.B) { benchExperiment(b, serialEng, "e9", nil) }
-
-// BenchmarkE9AblationParallel fans all eighteen ablation cells out at once.
-func BenchmarkE9AblationParallel(b *testing.B) { benchExperiment(b, parallelEng, "e9", nil) }
-
-// BenchmarkE10Extension regenerates the minimal-extension complexity table.
-func BenchmarkE10Extension(b *testing.B) {
-	benchExperiment(b, serialEng, "e10", core.Params{"syscalls": 50})
-}
-
-// benchE11 is a trimmed migration sweep sized for benchmarking: 64 pages,
-// budgets {0, 1, 2} and dirty rates {0, 2, 16}.
-var benchE11 = core.Params{"frames": 64, "rounds": 2, "dirty": 16}
-
-// BenchmarkE11LiveMig regenerates the live-migration downtime sweep.
-func BenchmarkE11LiveMig(b *testing.B) { benchExperiment(b, serialEng, "e11", benchE11) }
-
-// BenchmarkE11LiveMigParallel fans the migration cells (two machines each)
-// across the worker pool.
-func BenchmarkE11LiveMigParallel(b *testing.B) { benchExperiment(b, parallelEng, "e11", benchE11) }
-
-// benchE12 is a trimmed SMP sweep sized for benchmarking.
-var benchE12 = core.Params{"cpus": []int{1, 4}}
-
-// BenchmarkE12SMP regenerates the SMP scaling sweep.
-func BenchmarkE12SMP(b *testing.B) { benchExperiment(b, serialEng, "e12", benchE12) }
-
-// BenchmarkE12SMPParallel fans the SMP cells across the worker pool.
-func BenchmarkE12SMPParallel(b *testing.B) { benchExperiment(b, parallelEng, "e12", benchE12) }
-
-// benchE13 is a trimmed fleet sweep sized for benchmarking.
-var benchE13 = core.Params{"fleet": []int{2, 4}, "churn": []int{32}, "hostframes": 160}
-
-// BenchmarkE13Cluster regenerates the fleet placement-and-migration sweep.
-func BenchmarkE13Cluster(b *testing.B) { benchExperiment(b, serialEng, "e13", benchE13) }
-
-// BenchmarkE13ClusterParallel fans the fleet cells (each booting a whole
-// cluster of pooled hosts) across the worker pool.
-func BenchmarkE13ClusterParallel(b *testing.B) { benchExperiment(b, parallelEng, "e13", benchE13) }
-
-// BenchmarkAllExperiments runs the entire evaluation once per iteration —
-// the end-to-end "reproduce the paper" cost.
+// BenchmarkAllExperiments runs the entire evaluation once per iteration on
+// one worker: the serial half of the engine's speedup.
 func BenchmarkAllExperiments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := serialEng.RunAll(io.Discard); err != nil {
@@ -206,21 +107,10 @@ func BenchmarkResultJSON(b *testing.B) {
 	}
 }
 
-// --- primitive micro-benchmarks (real-time cost of the simulators
-// themselves, complementing the simulated-cycle numbers in E7) ---
-
-// BenchmarkMKIPCCall measures the wall-clock cost of one simulated IPC
-// round trip.
-func BenchmarkMKIPCCall(b *testing.B) { benchMKIPCCall(b, mk.Msg{Words: []uint64{1}}) }
-
-// BenchmarkMKIPCCallString is BenchmarkMKIPCCall with a string item of the
-// io workload's packet size, copied into the server and back.
+// BenchmarkMKIPCCallString times one mk IPC Call to an echo server with a
+// string item of the io workload's packet size, copied into the server and
+// back. The benchmark's mk.ipc_call_ns probe sends one word and no string.
 func BenchmarkMKIPCCallString(b *testing.B) {
-	benchMKIPCCall(b, mk.Msg{Words: []uint64{1}, Data: make([]byte, 1500)})
-}
-
-// benchMKIPCCall times Calls carrying msg to an echo server.
-func benchMKIPCCall(b *testing.B, msg mk.Msg) {
 	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 256})
 	k := mk.New(m)
 	cs, err := k.NewSpace("c", mk.NilThread)
@@ -235,144 +125,11 @@ func benchMKIPCCall(b *testing.B, msg mk.Msg) {
 	srv := k.NewThread(ss, "s", 2, func(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
 		return msg, nil
 	})
+	msg := mk.Msg{Words: []uint64{1}, Data: make([]byte, 1500)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.Call(cl.ID, srv.ID, msg); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVMMHypercall measures the wall-clock cost of one simulated
-// hypercall.
-func BenchmarkVMMHypercall(b *testing.B) {
-	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512})
-	h, _, err := vmm.New(m, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dU, err := h.CreateDomain("u", 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Hypercall(dU.ID, "nop", 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVMMPageFlip measures the wall-clock cost of one simulated grant
-// + flip pair, ping-ponging a single frame between two domains so the
-// benchmark is balanced at any iteration count.
-func BenchmarkVMMPageFlip(b *testing.B) {
-	m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 512})
-	h, d0, err := vmm.New(m, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dU, err := h.CreateDomain("u", 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := d0.FrameAt(0)
-	owner, peer := d0, dU
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, err := h.GrantAccess(owner.ID, f, peer.ID, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.GrantTransfer(peer.ID, owner.ID, ref); err != nil {
-			b.Fatal(err)
-		}
-		owner, peer = peer, owner
-	}
-}
-
-// BenchmarkMachinePool measures the engine's machine-recycling path — one
-// Get (a Reset machine after the first iteration) plus one Put — against
-// booting the same machine from scratch, the fixed cost every experiment
-// cell used to pay. fresh-2^20 boots a machine at E13's -hostframes
-// maximum, which costs what a small one does: per-frame state comes with
-// the frames a machine touches.
-func BenchmarkMachinePool(b *testing.B) {
-	cfg := &hw.MachineConfig{Frames: 2048}
-	b.Run("pooled", func(b *testing.B) {
-		p := hw.NewMachinePool()
-		p.Put(p.Get(hw.X86(), cfg)) // warm the pool
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Put(p.Get(hw.X86(), cfg))
-		}
-	})
-	for _, bc := range []struct {
-		name   string
-		frames int
-	}{{"fresh", cfg.Frames}, {"fresh-2^20", 1 << 20}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := &hw.MachineConfig{Frames: bc.frames}
-			for i := 0; i < b.N; i++ {
-				if m := hw.NewMachine(hw.X86(), cfg); m == nil {
-					b.Fatal("nil machine")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChargeN compares charging 64 homogeneous events through the CPU
-// one at a time against the single batched ChargeN call the hot loops now
-// use. Both leave identical counters; the gap is the engine's win.
-func BenchmarkChargeN(b *testing.B) {
-	const n = 64
-	b.Run("loop", func(b *testing.B) {
-		m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 16})
-		c := m.Rec.Intern("bench.comp")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				m.CPU.Charge(c, trace.KTrap, 100)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		m := hw.NewMachine(hw.X86(), &hw.MachineConfig{Frames: 16})
-		c := m.Rec.Intern("bench.comp")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.CPU.ChargeN(c, trace.KTrap, 100, n)
-		}
-	})
-}
-
-// BenchmarkXenStackRxPacket measures the full end-to-end receive path.
-func BenchmarkXenStackRxPacket(b *testing.B) {
-	s, err := core.NewXenStack(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InjectPackets(1, 512, 0)
-		if s.DrainRx(0) != 1 {
-			b.Fatal("packet lost")
-		}
-	}
-}
-
-// BenchmarkMKStackRxPacket measures the microkernel's receive path.
-func BenchmarkMKStackRxPacket(b *testing.B) {
-	s, err := core.NewMKStack(core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InjectPackets(1, 512, 0)
-		if s.DrainRx(0) != 1 {
-			b.Fatal("packet lost")
 		}
 	}
 }

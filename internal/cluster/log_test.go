@@ -150,6 +150,29 @@ func TestRejectionText(t *testing.T) {
 	}
 }
 
+// TestBadSizeRefused: Place refuses a size of 0 or -1 with ErrBadSize, in
+// the words fmt.Errorf gave the refusal before it was typed, and neither
+// counts nor logs it.
+func TestBadSizeRefused(t *testing.T) {
+	c, err := New(Config{Hosts: 1, HostFrames: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, pages := range []int{0, -1} {
+		_, err := c.Place("g", pages)
+		if !errors.Is(err, ErrBadSize) {
+			t.Fatalf("Place(%q, %d): err = %v, want ErrBadSize", "g", pages, err)
+		}
+		if want := fmt.Sprintf("cluster: guest %q needs a positive size, got %d", "g", pages); err.Error() != want {
+			t.Fatalf("Place(%q, %d) says %q, want %q", "g", pages, err.Error(), want)
+		}
+	}
+	if st, log := c.Stats(), c.Log(); st.Placed != 0 || st.Rejected != 0 || len(log) != 0 {
+		t.Fatalf("stats %+v and log %q after two refusals, want neither", st, log)
+	}
+}
+
 // TestGuestNameMatchesFormat: churn names each arrival with the string
 // fmt's "d%03d" makes, padded below a thousand and unpadded past it.
 func TestGuestNameMatchesFormat(t *testing.T) {

@@ -14,12 +14,13 @@ const squeezeChunk = 8
 // creates its domain. Under overcommit the chosen host may be physically
 // short; the control plane then balloons placed guests down (never below
 // minResident) to free real frames. Placement failures are typed:
-// ErrAlreadyPlaced for a duplicate name, ErrTooLarge for a guest past the
-// placement log's page count, ErrNoHostFits when no host can admit the
-// guest either by commitment or physically.
+// ErrBadSize for a size below one page, ErrAlreadyPlaced for a duplicate
+// name, ErrTooLarge for a guest past the placement log's page count,
+// ErrNoHostFits when no host can admit the guest either by commitment or
+// physically.
 func (c *Cluster) Place(name string, nominal int) (*Guest, error) {
 	if nominal <= 0 {
-		return nil, fmt.Errorf("cluster: guest %q needs a positive size, got %d", name, nominal)
+		return nil, badSize{fmt.Errorf("cluster: guest %q needs a positive size, got %d", name, nominal)}
 	}
 	if uint64(nominal) > maxGuestPages {
 		return nil, fmt.Errorf("%w: guest %q of %d pages, at most %d", ErrTooLarge, name, nominal, uint64(maxGuestPages))
@@ -70,6 +71,11 @@ func (e *rejection) Error() string {
 }
 
 func (e *rejection) Unwrap() error { return ErrNoHostFits }
+
+// badSize is Place's refusal of a size below one page, ErrBadSize.
+type badSize struct{ error }
+
+func (badSize) Unwrap() error { return ErrBadSize }
 
 // Remove destroys a placed guest's domain and reflates the remaining
 // guests on its host back toward their nominal sizes.

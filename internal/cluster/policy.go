@@ -37,6 +37,8 @@ var (
 	// guest within its overcommit bound (or physically, after squeezing
 	// placed guests to their residency floor).
 	ErrNoHostFits = errors.New("cluster: no host can admit the domain")
+	// ErrBadSize is returned for a guest of zero or negative pages.
+	ErrBadSize = errors.New("cluster: guest needs a positive size")
 	// ErrAlreadyPlaced is returned when placing a name the cluster
 	// already tracks.
 	ErrAlreadyPlaced = errors.New("cluster: domain name already placed")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmmk/internal/fslite"
 	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/mk"
@@ -182,6 +183,38 @@ func TestPlatformSendSizeValidation(t *testing.T) {
 		}
 		if wire := nic.Transmitted(); len(wire) != 1 || len(wire[0].Data) != 64 {
 			t.Errorf("%s: the 64-byte send put %d packets on the wire", name, len(wire))
+		}
+		p.Close()
+	}
+}
+
+// TestPlatformStorageSizeValidation: every stack's block device holds one
+// page a block, so a write of a page and a byte, or of 6,000 bytes, is
+// refused with fslite.ErrBlockTooLong before it charges a cycle, and the
+// block still reads what the last page-sized write stored.
+func TestPlatformStorageSizeValidation(t *testing.T) {
+	for _, name := range []string{"vmm", "mk", "native"} {
+		p, _, _ := bootIOStack(t, name, 1)
+		page := make([]byte, p.M().Mem.PageSize())
+		for i := range page {
+			page[i] = byte(i*7 + 1)
+		}
+		if err := p.StorageWrite(0, 3, page); err != nil {
+			t.Fatalf("%s: page-sized write: %v", name, err)
+		}
+		for _, size := range []int{len(page) + 1, 6000} {
+			before := p.M().Now()
+			if err := p.StorageWrite(0, 3, bytes.Repeat([]byte{0xEE}, size)); !errors.Is(err, fslite.ErrBlockTooLong) {
+				t.Errorf("%s: write of %d bytes: err = %v, want fslite.ErrBlockTooLong", name, size, err)
+			}
+			if d := p.M().Now() - before; d != 0 {
+				t.Errorf("%s: the refused write of %d bytes charged %d cycles", name, size, d)
+			}
+		}
+		if got, err := p.StorageRead(0, 3); err != nil {
+			t.Errorf("%s: read of block 3 after the refusals: %v", name, err)
+		} else if !bytes.Equal(got, page) {
+			t.Errorf("%s: block 3 no longer reads the page written before the refusals", name)
 		}
 		p.Close()
 	}

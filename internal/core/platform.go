@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 
+	"vmmk/internal/fslite"
 	"vmmk/internal/guestos"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
@@ -724,6 +725,9 @@ func (s *NativeStack) diskIO(op dev.DiskOp, block uint64, f hw.FrameID) error {
 func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 	if err := s.check(from); err != nil {
 		return err
+	}
+	if uint64(len(data)) > s.Mach.Mem.PageSize() {
+		return fslite.ErrBlockTooLong
 	}
 	s.syscall(500 + s.Mach.CPU.CopyCost(s.Mach.Mem.PageSize()))
 	f, err := s.Mach.Mem.Alloc(s.comp)

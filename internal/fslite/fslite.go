@@ -27,8 +27,10 @@ type BlockDev interface {
 	Write(block uint64, data []byte) error
 }
 
-// Errors returned by the filesystem.
+// Errors returned by the filesystem, and ErrBlockTooLong, how every stack's
+// block device refuses a write longer than its one-page block.
 var (
+	ErrBlockTooLong = errors.New("fslite: write longer than a block")
 	ErrNotFormatted = errors.New("fslite: device is not formatted")
 	ErrExists       = errors.New("fslite: file exists")
 	ErrNotFound     = errors.New("fslite: file not found")

@@ -1,6 +1,7 @@
 package mkos
 
 import (
+	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
 	"vmmk/internal/hw/dev"
 	"vmmk/internal/mk"
@@ -87,7 +88,7 @@ func (d *BlkDriver) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, 
 			return mk.Msg{}, ErrNoBlock
 		}
 		block := msg.Words[0]
-		if block >= part.size {
+		if block >= part.size || uint64(len(msg.Data)) > k.M.Mem.PageSize() {
 			return mk.Msg{}, ErrBadRequest
 		}
 		k.M.CPU.Work(comp, 300) // request validation, translation
@@ -166,8 +167,11 @@ func (c *BlkClient) Read(block uint64) ([]byte, error) {
 	return reply.Data, nil
 }
 
-// Write stores one block via IPC to the server.
+// Write stores one block, at most a page, via IPC to the server.
 func (c *BlkClient) Write(block uint64, data []byte) error {
+	if uint64(len(data)) > c.k.M.Mem.PageSize() {
+		return fslite.ErrBlockTooLong
+	}
 	_, err := c.k.Call(c.client, c.server, mk.Msg{Label: LabelBlkWrite, Words: []uint64{block}, Data: data})
 	return err
 }

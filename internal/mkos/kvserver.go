@@ -42,8 +42,11 @@ func NewKVServer(k *mk.Kernel) (*KVServer, error) {
 func (s *KVServer) Comp() trace.Comp { return s.Thread.Comp() }
 
 // handle serves get/put/delete. Keys ride in msg.Data up to the first NUL;
-// values follow it.
+// values follow it. A message past a page, which no stub sends, is refused.
 func (s *KVServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg, error) {
+	if uint64(len(msg.Data)) > k.M.Mem.PageSize() {
+		return mk.Msg{}, ErrBadRequest
+	}
 	comp := s.Comp()
 	k.M.CPU.Work(comp, 200) // hash, lookup
 	key, value := splitKV(msg.Data)
@@ -74,16 +77,20 @@ func splitKV(data []byte) (string, []byte) {
 	return string(data), nil
 }
 
-func kvMsg(label uint32, key string, value []byte) mk.Msg {
-	data := append([]byte(key), 0)
-	data = append(data, value...)
-	return mk.Msg{Label: label, Data: data}
+// call sends one request from client thread from, refusing one whose key,
+// NUL and value do not fit in a page, as vmmos.KVClient does.
+func (s *KVServer) call(from mk.ThreadID, label uint32, key string, value []byte) (mk.Msg, error) {
+	if uint64(len(key)+1+len(value)) > s.K.M.Mem.PageSize() {
+		return mk.Msg{}, ErrKVTooLong
+	}
+	data := append(append([]byte(key), 0), value...)
+	return s.K.Call(from, s.Thread.ID, mk.Msg{Label: label, Data: data})
 }
 
 // Get fetches a key on behalf of client thread from. The returned value is
 // the client thread's reply registers, valid until that thread's next IPC.
 func (s *KVServer) Get(from mk.ThreadID, key string) ([]byte, bool, error) {
-	reply, err := s.K.Call(from, s.Thread.ID, kvMsg(LabelKVGet, key, nil))
+	reply, err := s.call(from, LabelKVGet, key, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -95,12 +102,12 @@ func (s *KVServer) Get(from mk.ThreadID, key string) ([]byte, bool, error) {
 
 // Put stores a key on behalf of client thread from.
 func (s *KVServer) Put(from mk.ThreadID, key string, value []byte) error {
-	_, err := s.K.Call(from, s.Thread.ID, kvMsg(LabelKVPut, key, value))
+	_, err := s.call(from, LabelKVPut, key, value)
 	return err
 }
 
 // Delete removes a key on behalf of client thread from.
 func (s *KVServer) Delete(from mk.ThreadID, key string) error {
-	_, err := s.K.Call(from, s.Thread.ID, kvMsg(LabelKVDelete, key, nil))
+	_, err := s.call(from, LabelKVDelete, key, nil)
 	return err
 }

@@ -2,6 +2,7 @@ package mkos
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"vmmk/internal/hw"
@@ -85,5 +86,41 @@ func TestKVServerDeathConfined(t *testing.T) {
 	}
 	if !k.Alive(cl.ID) {
 		t.Fatal("client died with the extension")
+	}
+}
+
+// TestKVRequestFillsOnePage: a value that fills a page with its key and
+// NUL round-trips byte-exact; one byte more is refused with ErrKVTooLong
+// before anything is sent, so it costs no cycle, and the key keeps its
+// value. The server itself
+// refuses such a message with ErrBadRequest. vmmos.KVClient keeps the same
+// rule.
+func TestKVRequestFillsOnePage(t *testing.T) {
+	k, kv, cl := kvRig(t)
+	const key = "k"
+	full := make([]byte, int(k.M.Mem.PageSize())-len(key)-1)
+	for i := range full {
+		full[i] = byte(i*7 + 1)
+	}
+	if err := kv.Put(cl.ID, key, full); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := kv.Get(cl.ID, key); err != nil || !ok || !bytes.Equal(v, full) {
+		t.Fatalf("get of a %d-byte value: %d bytes, %v, %v; want it byte-exact", len(full), len(v), ok, err)
+	}
+	long := append(full, 0xEE)
+	before := k.M.Now()
+	if err := kv.Put(cl.ID, key, long); !errors.Is(err, ErrKVTooLong) {
+		t.Fatalf("put of a %d-byte value: err = %v, want ErrKVTooLong", len(long), err)
+	}
+	if d := k.M.Now() - before; d != 0 {
+		t.Fatalf("the refused put charged %d cycles", d)
+	}
+	msg := mk.Msg{Label: LabelKVPut, Data: append([]byte(key+"\x00"), long...)}
+	if _, err := k.Call(cl.ID, kv.Thread.ID, msg); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("a %d-byte put message sent past the stub: err = %v, want ErrBadRequest", len(msg.Data), err)
+	}
+	if v, ok, err := kv.Get(cl.ID, key); err != nil || !ok || !bytes.Equal(v, full) {
+		t.Fatalf("get after the refused puts: %d bytes, %v, %v; want the previous value", len(v), ok, err)
 	}
 }

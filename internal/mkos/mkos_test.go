@@ -292,6 +292,37 @@ func TestBlkOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBlockServersRefuseLongMessages: a block write message longer than a
+// page, sent past BlkClient's own refusal, is a malformed request to the
+// disk driver and to the store server alike, so neither stores any of it:
+// each block still reads what the last page-sized write stored.
+func TestBlockServersRefuseLongMessages(t *testing.T) {
+	s := newMStack(t, RxGrant)
+	disk := s.blk.NewBlkClient(s.os.Thread.ID, 16)
+	for _, c := range []*BlkClient{disk, s.os.Blk} {
+		if err := c.Write(3, []byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long := bytes.Repeat([]byte{0xEE}, int(s.m.Mem.PageSize())+1)
+	for _, c := range []*BlkClient{disk, s.os.Blk} {
+		msg := mk.Msg{Label: LabelBlkWrite, Words: []uint64{3}, Data: long}
+		if _, err := s.k.Call(s.os.Thread.ID, c.server, msg); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("a %d-byte write message: err = %v, want ErrBadRequest", len(long), err)
+		}
+		got, err := c.Read(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(got, []byte("kept\x00")) {
+			t.Errorf("block 3 after the refused message starts %q, want %q", got[:8], "kept")
+		}
+	}
+	if got := s.store.vdisks[s.os.Thread.ID].Block(3); string(got) != "kept" {
+		t.Errorf("the store caches %d bytes for block 3, want %q", len(got), "kept")
+	}
+}
+
 // TestStoreServesViaSyscall: the OS server's block service is the store:
 // each request is one IPC call from the server to the store, and the
 // write also persists through the disk driver.

@@ -24,6 +24,7 @@ const (
 var (
 	ErrNoBlock    = errors.New("mkos: no block service attached")
 	ErrBadRequest = errors.New("mkos: malformed request")
+	ErrKVTooLong  = errors.New("mkos: KV request does not fit in a page")
 )
 
 // Proc is one user process: its own address space (paged by the OS server)

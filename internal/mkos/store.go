@@ -109,7 +109,7 @@ func (s *StoreServer) handle(k *mk.Kernel, from mk.ThreadID, msg mk.Msg) (mk.Msg
 		k.M.CPU.Work(comp, k.M.CPU.CopyCost(uint64(len(out))))
 		return mk.Msg{Data: out}, nil
 	case LabelBlkWrite:
-		if len(msg.Words) < 1 || msg.Words[0] >= vd.size {
+		if len(msg.Words) < 1 || msg.Words[0] >= vd.size || uint64(len(msg.Data)) > k.M.Mem.PageSize() {
 			return mk.Msg{}, ErrBadRequest
 		}
 		k.M.CPU.Work(comp, 500)

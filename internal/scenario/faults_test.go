@@ -146,6 +146,56 @@ func TestBlockDevsCopyWrites(t *testing.T) {
 	}
 }
 
+// TestBlockDevsRefuseLongWrites holds each block device a stack hands out
+// (blkfront, and the mk block client on the store server and on the disk
+// driver) to its one-page block: a longer write is refused with
+// fslite.ErrBlockTooLong before it charges a cycle, and the block still
+// reads back the page written before it.
+func TestBlockDevsRefuseLongWrites(t *testing.T) {
+	xen, err := core.NewXenStack(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mks, err := core.NewMKStack(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := mks.Guests[0]
+	for _, tc := range []struct {
+		name string
+		dev  fslite.BlockDev
+		m    *hw.Machine
+	}{
+		{"BlkFront", xen.Guests[0].Blk, xen.M()},
+		{"StoreServer", osrv.Blk, mks.M()},
+		{"BlkClient", mks.Blk.NewBlkClient(osrv.Thread.ID, 8), mks.M()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			page := make([]byte, tc.m.Mem.PageSize())
+			for i := range page {
+				page[i] = byte(i*13 + 1)
+			}
+			if err := tc.dev.Write(3, page); err != nil {
+				t.Fatal(err)
+			}
+			before := tc.m.Now()
+			if err := tc.dev.Write(3, bytes.Repeat([]byte{0xEE}, len(page)+1)); !errors.Is(err, fslite.ErrBlockTooLong) {
+				t.Errorf("write of a page and a byte: err = %v, want fslite.ErrBlockTooLong", err)
+			}
+			if d := tc.m.Now() - before; d != 0 {
+				t.Errorf("the refused write charged %d cycles", d)
+			}
+			got, err := tc.dev.Read(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, page) {
+				t.Error("block 3 no longer reads the page written before the refused write")
+			}
+		})
+	}
+}
+
 // TestFuzzHypercallsRejectsAll: against a healthy hypervisor, every
 // malformed call in a long deterministic stream must come back with a typed
 // error — no panics, no silent acceptance — and the victim domain survives.

@@ -2,23 +2,11 @@ package trace
 
 import "testing"
 
-// Microbenchmarks for the charge hot path. Every simulated privileged
-// operation funnels through Charge/ChargeCycles, so these two are the
-// constant factor of the entire experiment engine. CHANGES.md's PR 3 entry
-// records the string-keyed (pre-handle) baseline, and the benchmark's
-// trace.charge_ns probe (bench/results/baseline.json) the current number.
-
-// BenchmarkRecorderCharge measures one Charge to a single component — the
-// tightest possible loop over the ledger.
-func BenchmarkRecorderCharge(b *testing.B) {
-	r := NewRecorder(0)
-	xen := r.Intern("vmm.xen")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Charge(uint64(i), KHypercall, xen, 1)
-	}
-}
+// Charge-path benchmarks that nothing else measures. One Charge and one
+// 64-event ChargeN have their home in the benchmark module, as its
+// trace.charge_ns and trace.charge_n64_ns probes (bench/README.md). These
+// two time what no probe does: a bounced syscall's charge pattern with its
+// windowed reads, and a Charge into a wrapping event log.
 
 // BenchmarkTraceHotPath mimics one bounced guest syscall's charge pattern:
 // monitor entry, bounce, guest-kernel work, exit — four attributions across
@@ -40,19 +28,6 @@ func BenchmarkTraceHotPath(b *testing.B) {
 			_ = r.CountsSince(s, KExceptionBounce)
 			_ = r.CyclesPrefix("vmm.domU")
 		}
-	}
-}
-
-// BenchmarkChargeN measures one aggregate charge standing for 64 events —
-// the batched hot path the event-driven engine funnels loops through. Divide
-// by 64 for the per-event cost to compare against BenchmarkRecorderCharge.
-func BenchmarkChargeN(b *testing.B) {
-	r := NewRecorder(0)
-	xen := r.Intern("vmm.xen")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ChargeN(uint64(i), KHypercall, xen, 1, 64)
 	}
 }
 

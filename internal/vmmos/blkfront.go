@@ -1,6 +1,7 @@
 package vmmos
 
 import (
+	"vmmk/internal/fslite"
 	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
 )
@@ -141,8 +142,11 @@ func (bf *BlkFront) Read(block uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Write stores data into a block.
+// Write stores data, at most a page, into a block.
 func (bf *BlkFront) Write(block uint64, data []byte) error {
+	if uint64(len(data)) > bf.gk.H.M.Mem.PageSize() {
+		return fslite.ErrBlockTooLong
+	}
 	bf.gk.H.M.Mem.Load(bf.buf, data)
 	return bf.submit(true, block)
 }

@@ -14,6 +14,7 @@ import (
 var (
 	ErrBackendDead = errors.New("vmmos: backend domain is dead")
 	ErrIOTimeout   = errors.New("vmmos: I/O did not complete")
+	ErrKVTooLong   = errors.New("vmmos: KV request does not fit in a page")
 )
 
 // Process is one guest user process.

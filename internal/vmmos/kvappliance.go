@@ -129,9 +129,13 @@ type KVClient struct {
 	buf       hw.FrameID
 }
 
-// call moves one request through the grant + event-channel machinery.
+// call moves one request through the grant + event-channel machinery,
+// refusing one that does not fit in the page, as mkos.KVServer does.
 func (c *KVClient) call(op uint32, key string, value []byte) (*kvReq, error) {
 	h := c.gk.H
+	if uint64(len(key)+1+len(value)) > h.M.Mem.PageSize() {
+		return nil, ErrKVTooLong
+	}
 	if !h.Alive(c.app.Dom.ID) {
 		return nil, ErrBackendDead
 	}

@@ -109,3 +109,32 @@ func TestKVApplianceUsesGrantAndEventMachinery(t *testing.T) {
 		t.Fatal("appliance served without event channels?")
 	}
 }
+
+// TestKVApplianceRequestFillsOnePage: a value that fills the request page
+// with its key and NUL round-trips byte-exact; one byte more is refused
+// with ErrKVTooLong before anything is staged or granted, so it costs no
+// cycle, and the key keeps its value. mkos.KVServer's stubs keep the same rule.
+func TestKVApplianceRequestFillsOnePage(t *testing.T) {
+	h, _, cl := kvVRig(t)
+	const key = "k"
+	full := make([]byte, int(h.M.Mem.PageSize())-len(key)-1)
+	for i := range full {
+		full[i] = byte(i*7 + 1)
+	}
+	if err := cl.Put(key, full); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := cl.Get(key); err != nil || !ok || !bytes.Equal(v, full) {
+		t.Fatalf("get of a %d-byte value: %d bytes, %v, %v; want it byte-exact", len(full), len(v), ok, err)
+	}
+	before := h.M.Now()
+	if err := cl.Put(key, append(full, 0xEE)); !errors.Is(err, ErrKVTooLong) {
+		t.Fatalf("put of a %d-byte value: err = %v, want ErrKVTooLong", len(full)+1, err)
+	}
+	if d := h.M.Now() - before; d != 0 {
+		t.Fatalf("the refused put charged %d cycles", d)
+	}
+	if v, ok, err := cl.Get(key); err != nil || !ok || !bytes.Equal(v, full) {
+		t.Fatalf("get after the refused put: %d bytes, %v, %v; want the previous value", len(v), ok, err)
+	}
+}
