@@ -158,11 +158,15 @@ type Cluster struct {
 // New boots a fleet of cfg.Hosts hosts on machines from src (nil src boots
 // fresh machines) and returns the cluster. Close releases the machines. A
 // fleet too large for the placement log to name its hosts is refused with
-// ErrTooLarge before any host boots.
+// ErrTooLarge, and one of hosts too small for the control domain with
+// ErrHostTooSmall, before any host boots.
 func New(cfg Config, src MachineSource) (*Cluster, error) {
 	cfg.defaults()
 	if cfg.Hosts > maxHosts {
 		return nil, fmt.Errorf("%w: a fleet of %d hosts, at most %d", ErrTooLarge, cfg.Hosts, maxHosts)
+	}
+	if cfg.HostFrames < dom0Frames {
+		return nil, fmt.Errorf("%w: hosts of %d frames, a control domain of %d", ErrHostTooSmall, cfg.HostFrames, dom0Frames)
 	}
 	c := &Cluster{cfg: cfg, byName: make(map[string]*Guest)}
 	c.names = c.nameBuf[:0]

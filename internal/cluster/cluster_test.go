@@ -3,8 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"vmmk/internal/hw"
 	"vmmk/internal/vmm"
 )
 
@@ -96,6 +98,38 @@ func TestPlaceTypedErrors(t *testing.T) {
 	s := c.Stats()
 	if s.Placed != 1 || s.Rejected != 1 {
 		t.Fatalf("stats = %+v, want 1 placed, 1 rejected", s)
+	}
+}
+
+// TestHostTooSmallRefused: New refuses hosts of fewer frames than the
+// control domain with ErrHostTooSmall, naming both sizes, before it takes
+// a machine from its source; hosts of exactly the control domain's size
+// boot.
+func TestHostTooSmallRefused(t *testing.T) {
+	taken := 0
+	src := func(cfg *hw.MachineConfig) (*hw.Machine, func()) {
+		taken++
+		return hw.NewMachine(hw.X86(), cfg), func() {}
+	}
+	_, err := New(Config{Hosts: 2, HostFrames: dom0Frames - 1}, src)
+	if !errors.Is(err, ErrHostTooSmall) {
+		t.Fatalf("New with %d-frame hosts: err = %v, want ErrHostTooSmall", dom0Frames-1, err)
+	}
+	for _, n := range []int{dom0Frames - 1, dom0Frames} {
+		if !strings.Contains(err.Error(), fmt.Sprint(n)) {
+			t.Errorf("refusal %q does not name %d", err, n)
+		}
+	}
+	if taken != 0 {
+		t.Fatalf("the refused fleet took %d machines", taken)
+	}
+	c, err := New(Config{Hosts: 2, HostFrames: dom0Frames}, src)
+	if err != nil {
+		t.Fatalf("New with %d-frame hosts: %v", dom0Frames, err)
+	}
+	c.Close()
+	if taken != 2 {
+		t.Fatalf("a 2-host fleet took %d machines", taken)
 	}
 }
 

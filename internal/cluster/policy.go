@@ -51,6 +51,9 @@ var (
 	// placement-log record holds: more than 65,536 hosts, or a guest of
 	// more than 2^32-1 pages.
 	ErrTooLarge = errors.New("cluster: past the placement log's limits")
+	// ErrHostTooSmall is returned for a fleet whose hosts hold fewer
+	// frames than the control domain each host's hypervisor boots.
+	ErrHostTooSmall = errors.New("cluster: host smaller than its control domain")
 )
 
 // admits reports whether h can admit nominal more pages within the

@@ -115,9 +115,8 @@ func (r *Runner) e12(cpus []int) ([]E12Row, error) {
 }
 
 // Machine geometries for the E12 cells, one per workload/platform pair.
-// Only NCPUs varies per cell, applied by e12Mach, and only NCPUs keys the
-// machine pool: a pooled machine of a cell's CPU count serves any of these
-// geometries.
+// Only NCPUs varies per cell, applied by e12Mach. A pooled machine of any
+// CPU count serves any of these geometries at any core count.
 var (
 	e12PingPongMKMach  = hw.MachineConfig{Frames: 1024}
 	e12PingPongVMMMach = hw.MachineConfig{Frames: 2048}

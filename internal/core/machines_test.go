@@ -20,15 +20,15 @@ import (
 // runs the whole registry twice on one persistent serial Runner: the first
 // sweep in registry order already reuses machines its earlier cells
 // released, and the second runs in reverse order, so each experiment's
-// machines come from other predecessors than in the first, re-targeted
-// from other architectures and frame counts. Any state Reset or the
-// re-target failed to clear or set — a leftover cycle, a dirty page, a
-// stale TLB entry or queued event, a stale frame count or architecture —
-// shows up as a table diff. No table reads a TLB's capacity or tagging or
-// the page size, so every machine a probe cell releases must also match
-// its own Arch in those (matchesArch). It must pass the frame allocator's
-// conservation audit, before its Reset and after it, and every experiment
-// must put back as many machines as it took.
+// machines come from other predecessors than in the first, re-targeted from
+// other architectures, frame counts, CPU counts and log capacities. Any
+// state Reset or the re-target failed to clear or set — a leftover cycle, a
+// dirty page, a stale TLB entry or queued event, a stale frame count, CPU
+// count or architecture — shows up as a table diff. No table reads a TLB's
+// capacity or tagging or the page size, so every machine a probe cell
+// releases must also match its own Arch in those (matchesArch). It must pass
+// the frame allocator's conservation audit, before its Reset and after it,
+// and every experiment must put back as many machines as it took.
 func TestExperimentsPooledVsFresh(t *testing.T) {
 	var fresh *Runner
 	baseline := map[string]string{}
@@ -140,12 +140,13 @@ func matchesArch(m *hw.Machine) error {
 	return nil
 }
 
-// TestRunAllAllocatesElevenMachines is the allocation gate of machine
-// pooling: a cold serial RunAll, one `vmmklab all`, boots 11 machines (E1
-// 1, E11 1, E12 3, E13 6), because a pooled machine serves any later Get
-// with its CPU count and log capacity, re-targeted to the architecture and
-// frame count asked for. Every other machine a cell takes is a pooled one.
-func TestRunAllAllocatesElevenMachines(t *testing.T) {
+// TestRunAllAllocatesEightMachines is the allocation gate of machine
+// pooling: a cold serial RunAll, one `vmmklab all`, boots 8 machines (E1
+// 1, E11 1, E13 6), because a pooled machine serves any later Get,
+// re-targeted to the architecture, frame count, CPU count and log capacity
+// asked for. E13's 8-host fleet, which holds 8 machines at once, sets that
+// floor. Every other machine a cell takes is a pooled one.
+func TestRunAllAllocatesEightMachines(t *testing.T) {
 	r := NewRunner(1)
 	if err := r.RunAll(io.Discard); err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func TestRunAllAllocatesElevenMachines(t *testing.T) {
 	if len(r.pools) != 1 {
 		t.Fatalf("serial runner holds %d pools, want 1", len(r.pools))
 	}
-	if hits, misses := r.pools[0].Stats(); misses != 11 {
-		t.Errorf("a cold serial RunAll booted %d machines and reused %d, want 11 boots", misses, hits)
+	if hits, misses := r.pools[0].Stats(); misses != 8 {
+		t.Errorf("a cold serial RunAll booted %d machines and reused %d, want 8 boots", misses, hits)
 	}
 }

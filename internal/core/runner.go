@@ -18,15 +18,14 @@ import (
 // cell, and cells are done with their machine the moment the row is
 // computed. Every worker therefore owns a hw.MachinePool and hands it to
 // each cell it runs as an argument: the cell takes its machines with Get (a
-// Reset one, re-targeted to the cell's architecture and frame count, when
-// the pool holds one of the cell's CPU count and log capacity, a fresh
-// boot otherwise) and gives each back with Put. Pools are
-// strictly per worker, so the hot path takes no lock and each worker's
-// get/put sequence is deterministic. Because a Reset machine is observably
-// identical to a new one (the contract hw.Machine.Reset pins, and
-// TestExperimentsPooledVsFresh verifies per experiment), cells need not
-// care which kind they got: the tables are byte-identical either way, at
-// any -parallel width.
+// Reset one, re-targeted to the cell's architecture, frame count, CPU count
+// and log capacity, when the pool holds any, a fresh boot otherwise) and
+// gives each back with Put. Pools are strictly per worker, so the hot path
+// takes no lock and each worker's get/put sequence is deterministic. Because
+// a Reset machine is observably identical to a new one (the contract
+// hw.Machine.Reset pins, and TestExperimentsPooledVsFresh verifies per
+// experiment), cells need not care which kind they got: the tables are
+// byte-identical either way, at any -parallel width.
 type Runner struct {
 	// Parallel caps the number of cells in flight; <= 0 means GOMAXPROCS.
 	Parallel int

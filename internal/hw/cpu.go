@@ -90,7 +90,8 @@ type CPU struct {
 	// SMP attribution handles ("cpu<n>.ipi", "cpu<n>.shootdown"),
 	// charged only by the cross-CPU paths. Only a multiprocessor interns
 	// them: a uniprocessor's self-IPI is free and it has no other CPU to
-	// shoot down, so its handles stay CompNone.
+	// shoot down, so a booted uniprocessor's handles stay CompNone, and a
+	// pooled machine shrunk to one CPU never charges its boot CPU's.
 	ipiComp   trace.Comp
 	shootComp trace.Comp
 }
@@ -109,10 +110,18 @@ func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index
 		ring:  Ring0,
 	}
 	if ncpus > 1 {
-		c.ipiComp = rec.Intern(fmt.Sprintf("cpu%d.ipi", index))
-		c.shootComp = rec.Intern(fmt.Sprintf("cpu%d.shootdown", index))
+		c.internSMP()
 	}
 	return c
+}
+
+// internSMP interns the CPU's SMP attribution handles, unless it has them:
+// a pooled uniprocessor's boot CPU gets them when its machine grows.
+func (c *CPU) internSMP() {
+	if c.ipiComp == trace.CompNone {
+		c.ipiComp = c.Rec.Intern(fmt.Sprintf("cpu%d.ipi", c.Index))
+		c.shootComp = c.Rec.Intern(fmt.Sprintf("cpu%d.shootdown", c.Index))
+	}
 }
 
 // Reset restores the CPU to its post-NewCPUOn state: ring 0, no address

@@ -78,10 +78,10 @@
 // frames too far apart for that bound keeps no filter and scans. The NIC's wire tap (hw/dev) likewise keeps each transmitted
 // packet's prefix and length, not its zero tail.
 //
-// A MachinePool recycles Reset machines between cells. It keys a machine
-// by what it fixes at boot, its CPU count and its trace-log capacity, and
-// re-targets a pooled machine to the architecture and frame count each Get
-// asks for; a machine sits in a pool at most once.
+// A MachinePool recycles Reset machines between cells. It is one stack
+// with no key: Get re-targets the top machine to the architecture, frame
+// count, CPU count and trace-log capacity it asks for, so any pooled
+// machine serves any Get; a machine sits in a pool at most once.
 //
 // Layering: package mk (the L4-style microkernel) and package vmm (the
 // Xen-style monitor) both boot directly on a Machine; package core

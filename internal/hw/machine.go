@@ -27,16 +27,19 @@ type Machine struct {
 	Rec    *trace.Recorder
 
 	// Cfg is the fully normalized configuration the machine runs with
-	// (defaults applied). Its NCPUs and LogCap are fixed at boot and are
-	// the machine's pool identity; a pool that recycles the machine sets
-	// Frames to the frame count each Get asks for.
+	// (defaults applied). A pool that recycles the machine sets it to the
+	// configuration each Get asks for.
 	Cfg MachineConfig
+
+	// cpus is every CPU the machine has had, and CPUs its first Cfg.NCPUs.
+	// A re-target to fewer CPUs hides the rest here for a later grow.
+	cpus []*CPU
 
 	pooled bool // held by a MachinePool: set by Put, cleared by Get
 }
 
-// MachineConfig sizes a Machine. A pooled machine keeps the CPU count and
-// log capacity it booted with and takes any frame count (MachinePool).
+// MachineConfig sizes a Machine. A pooled machine takes any configuration
+// (MachinePool).
 type MachineConfig struct {
 	Frames int // physical memory size in pages (default 4096)
 	LogCap int // trace event log capacity (default 0 = counters only)
@@ -58,7 +61,8 @@ func (s CPUSet) First() int { return bits.TrailingZeros64(uint64(s)) }
 const IRQLines = 16
 
 // normalized returns the config with defaults applied — the canonical form
-// NewMachine builds from and the pool keys by.
+// NewMachine builds from and a pool re-targets to. It panics when asked for
+// more than MaxCPUs processors.
 func (c *MachineConfig) normalized() MachineConfig {
 	n := MachineConfig{Frames: 4096, NCPUs: 1}
 	if c != nil {
@@ -70,6 +74,9 @@ func (c *MachineConfig) normalized() MachineConfig {
 		}
 		n.LogCap = c.LogCap
 	}
+	if n.NCPUs > MaxCPUs {
+		panic(fmt.Sprintf("hw: %d CPUs, a machine has at most %d", n.NCPUs, MaxCPUs))
+	}
 	return n
 }
 
@@ -77,9 +84,6 @@ func (c *MachineConfig) normalized() MachineConfig {
 // panics when asked for more than MaxCPUs processors.
 func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 	c := cfg.normalized()
-	if c.NCPUs > MaxCPUs {
-		panic(fmt.Sprintf("hw: %d CPUs, a machine has at most %d", c.NCPUs, MaxCPUs))
-	}
 	clock := &Clock{}
 	rec := trace.NewRecorder(c.LogCap)
 	mem := NewPhysMem(c.Frames, arch.PageSize())
@@ -97,6 +101,7 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 		IRQ:    NewIRQController(cpus),
 		Rec:    rec,
 		Cfg:    c,
+		cpus:   cpus,
 	}
 }
 
@@ -107,7 +112,9 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 // experiment cell run on a Reset machine is byte-identical to one run on a
 // fresh machine. Interned component handles survive (they are identities in
 // the recorder's registry, and components with zero cycles are invisible to
-// every table query).
+// every table query). The CPUs a re-target hid are not Reset: each was
+// Reset by the Put that preceded the re-target that hid it, and nothing
+// runs on it since.
 func (m *Machine) Reset() {
 	m.Events.Reset()
 	m.Clock.Reset()
@@ -119,23 +126,37 @@ func (m *Machine) Reset() {
 	m.Rec.Reset()
 }
 
-// retarget makes a Reset machine what NewMachine(arch, cfg) builds for a
-// cfg of frames frames and the machine's own CPU count and log capacity:
-// the pool's hit path. An architecture of another value takes over the
-// Arch pointer of the machine and of each CPU, and each TLB's capacity and
-// tagging; the memory takes the frame count and page size. Everything the
-// machine has grown stays: the frame table, the free stack's capacity, the
-// contents buffers, the TLB maps and the recorder's interned names.
-func (m *Machine) retarget(arch *Arch, frames int) {
-	m.Mem.resize(frames, arch.PageSize())
-	m.Cfg.Frames = frames
+// retarget makes a Reset machine what NewMachine(arch, &c) builds: the
+// pool's hit path. An architecture of another value takes over the Arch
+// pointer of the machine and of every CPU it has, hidden ones included, and
+// each TLB's capacity and tagging; the memory takes the frame count and
+// page size. A grow exposes hidden CPUs and then appends new ones, and on
+// a multiprocessor every CPU gets its "cpu<n>.ipi" and "cpu<n>.shootdown"
+// names, after every name the registry holds; a shrink hides CPUs. The
+// recorder takes the log capacity. Everything the machine has grown stays:
+// the frame table, the free stack's capacity, the contents buffers, the TLB
+// maps, the hidden CPUs and the recorder's interned names, which no query
+// reads until they are charged.
+func (m *Machine) retarget(arch *Arch, c MachineConfig) {
+	m.Mem.resize(c.Frames, arch.PageSize())
 	if *m.Arch != *arch {
 		m.Arch = arch
-		for _, c := range m.CPUs {
-			c.Arch = arch
-			c.TLB.retarget(arch.TLBEntries, arch.HasASID)
+		for _, cpu := range m.cpus {
+			cpu.Arch = arch
+			cpu.TLB.retarget(arch.TLBEntries, arch.HasASID)
 		}
 	}
+	for i := len(m.cpus); i < c.NCPUs; i++ {
+		m.cpus = append(m.cpus, NewCPUOn(m.Arch, m.Clock, m.Mem, m.Rec, i, c.NCPUs))
+	}
+	m.CPUs = m.cpus[:c.NCPUs]
+	if c.NCPUs > 1 {
+		for _, cpu := range m.CPUs {
+			cpu.internSMP()
+		}
+	}
+	m.Rec.SetLogCap(c.LogCap)
+	m.Cfg = c
 }
 
 // Now returns the machine's virtual time.

@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vmmk/internal/trace"
@@ -10,7 +11,8 @@ import (
 
 // exercise runs a small mixed workload on m: allocation, page writes, TLB
 // traffic, traps, IPIs and scheduled events — enough to dirty every
-// subsystem Reset must restore.
+// subsystem Reset must restore. On a multiprocessor the IPIs and the
+// shootdown reach every CPU, so each charges its "cpu<n>" components.
 func exercise(t *testing.T, m *Machine) {
 	t.Helper()
 	comp := m.Rec.Intern("test.comp")
@@ -31,9 +33,10 @@ func exercise(t *testing.T, m *Machine) {
 	}
 	m.CPU.Trap(comp, false)
 	m.CPU.ReturnTo(comp, Ring3)
-	if m.NCPUs() > 1 {
-		m.SendIPI(0, 1)
-		m.ShootdownAll(0, 1<<1)
+	if last := m.NCPUs() - 1; last > 0 {
+		m.SendIPI(0, last)
+		m.SendIPI(last, 0)
+		m.ShootdownAll(0, m.AllCPUs())
 	}
 	m.IRQ.SetHandler(3, func(IRQLine) {})
 	m.IRQ.Raise(3)
@@ -163,11 +166,24 @@ func TestBootAndResetCostWhatAMachineUses(t *testing.T) {
 	}
 }
 
-// TestMachinePoolReuse pins the pool identity rule: a machine's CPU count
-// and log capacity are its identity. A Get for any architecture and frame
-// count with the same CPU count and log capacity takes the pooled machine,
-// which then reports what a fresh boot of that shape does; a different
-// CPU count or log capacity boots fresh.
+// poolShape is the i-th machine shape the pool tests cross: frame counts,
+// CPU counts and log capacities, each cycling at its own period. The CPU
+// counts grow a machine past the spare capacity of its CPU slice, shrink
+// it, and grow it again past what it hid; the largest frame count comes
+// between smaller ones, so a shrunk memory keeps a frame table longer than
+// its frame count.
+func poolShape(i int) MachineConfig {
+	frames := []int{64, 128, 1 << 20, 16, 4096}
+	ncpus := []int{1, 3, 33, 2, 64, 1, 5}
+	logCaps := []int{0, 16, 0}
+	return MachineConfig{Frames: frames[i%len(frames)], NCPUs: ncpus[i%len(ncpus)], LogCap: logCaps[i%len(logCaps)]}
+}
+
+// TestMachinePoolReuse pins the pool's one rule: any pooled machine serves
+// any Get. A Get for any architecture, frame count, CPU count and log
+// capacity takes the machine on top of the pool, which then reports what
+// a fresh boot of that shape does, and after the same work its recorder
+// holds the same counts, cycles and components as the fresh machine's.
 func TestMachinePoolReuse(t *testing.T) {
 	p := NewMachinePool()
 	m1 := p.Get(X86(), &MachineConfig{Frames: 64})
@@ -181,51 +197,85 @@ func TestMachinePoolReuse(t *testing.T) {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 
-	// Crossed architectures and frame counts take the pooled machine. Each
-	// shape dirties it before the next Get re-targets it, and the largest
-	// frame count comes between smaller ones, so a shrunk memory keeps a
-	// frame table longer than its frame count.
-	shapes := []MachineConfig{{Frames: 64}, {Frames: 128}, {Frames: 1 << 20}, {Frames: 16}, {Frames: 4096}}
+	// Crossed shapes take the pooled machine. Each shape dirties it before
+	// the next Get re-targets it.
 	for i, arch := range append(AllArchs(), X86()) {
-		cfg := &shapes[i%len(shapes)]
+		cfg := poolShape(i)
 		p.Put(m2)
-		got := p.Get(arch, cfg)
+		got := p.Get(arch, &cfg)
 		if got != m2 {
-			t.Fatalf("%s with %d frames: the pool booted a machine where its pooled one serves", arch.Name, cfg.Frames)
+			t.Fatalf("%s %+v: the pool booted a machine where its pooled one serves", arch.Name, cfg)
 		}
-		if diff := shapeDiff(got, NewMachine(arch, cfg)); diff != "" {
-			t.Fatalf("%s with %d frames: re-targeted machine differs from a fresh boot: %s", arch.Name, cfg.Frames, diff)
+		fresh := NewMachine(arch, &cfg)
+		if diff := shapeDiff(got, fresh); diff != "" {
+			t.Fatalf("%s %+v: re-targeted machine differs from a fresh boot: %s", arch.Name, cfg, diff)
 		}
 		if err := got.Mem.Audit(); err != nil {
-			t.Fatalf("%s with %d frames: re-targeted memory: %v", arch.Name, cfg.Frames, err)
+			t.Fatalf("%s %+v: re-targeted memory: %v", arch.Name, cfg, err)
 		}
 		exercise(t, got)
+		exercise(t, fresh)
+		if diff := ledgerDiff(got, fresh); diff != "" {
+			t.Fatalf("%s %+v: after the same work, re-targeted machine differs from a fresh boot: %s", arch.Name, cfg, diff)
+		}
 	}
 	if hits, misses := p.Stats(); hits != 11 || misses != 1 {
 		t.Fatalf("hits %d and misses %d, want 11 and 1", hits, misses)
 	}
 
-	// A different CPU count or log capacity still boots fresh.
+	// Too many CPUs panic before a machine leaves the pool.
 	p.Put(m2)
-	for _, cfg := range []*MachineConfig{{Frames: 64, NCPUs: 2}, {Frames: 64, LogCap: 16}} {
-		if m := p.Get(X86(), cfg); m == m2 {
-			t.Fatalf("pool crossed CPU counts or log capacities: %+v", *cfg)
+	if !panics(func() { p.Get(X86(), &MachineConfig{NCPUs: MaxCPUs + 1}) }) {
+		t.Fatalf("a Get for %d CPUs did not panic", MaxCPUs+1)
+	}
+	if got := p.Get(X86(), &MachineConfig{Frames: 64}); got != m2 {
+		t.Fatalf("the refused Get for %d CPUs took the pooled machine", MaxCPUs+1)
+	}
+
+	// A nil config re-targets a pooled machine to the defaults.
+	p2 := NewMachinePool()
+	p2.Put(p2.Get(X86(), &MachineConfig{Frames: 64, NCPUs: 4, LogCap: 16}))
+	m5 := p2.Get(X86(), nil)
+	if hits, _ := p2.Stats(); hits != 1 {
+		t.Fatal("a nil config did not take the pooled machine")
+	}
+	if diff := shapeDiff(m5, NewMachine(X86(), nil)); diff != "" {
+		t.Fatalf("nil config: re-targeted machine differs from a fresh boot: %s", diff)
+	}
+}
+
+// TestMachinePoolRetargetAllocatesNothing pins the pool's warm path: once a
+// machine has grown to every shape poolShape crosses, a Put and Get cycle
+// through all of them, with every architecture, allocates nothing.
+func TestMachinePoolRetargetAllocatesNothing(t *testing.T) {
+	archs := append(AllArchs(), X86())
+	shapes := make([]MachineConfig, len(archs))
+	for i := range shapes {
+		shapes[i] = poolShape(i)
+	}
+	p := NewMachinePool()
+	m := p.Get(X86(), nil)
+	cycle := func() {
+		for i, arch := range archs {
+			p.Put(m)
+			m = p.Get(arch, &shapes[i])
 		}
 	}
-	// Defaults normalize: nil config and explicit defaults share a key.
-	p2 := NewMachinePool()
-	p2.Put(p2.Get(X86(), nil))
-	if m5 := p2.Get(X86(), &MachineConfig{Frames: 4096, NCPUs: 1}); m5 == nil {
-		t.Fatal("nil get")
-	} else if hits, _ := p2.Stats(); hits != 1 {
-		t.Fatal("normalized config did not hit the nil-config entry")
+	cycle()
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Errorf("a warm Put and Get cycle through %d shapes allocates %.1f times", len(shapes), n)
+	}
+	if _, misses := p.Stats(); misses != 1 {
+		t.Errorf("the cycle booted %d machines, want 1", misses)
 	}
 }
 
 // shapeDiff names the first thing in which machine got, as a pool handed
 // it out, differs from a fresh boot: its config, its frame counts and page
-// size, its architecture's value (on the machine and on each CPU) and each
-// CPU's TLB capacity, tagging and contents.
+// size, its architecture's value (on the machine and on each CPU), each
+// CPU's index, TLB capacity, tagging and contents, a multiprocessor's
+// "cpu<n>" names, and the event log, which keeps the newest LogCap of 20
+// charges.
 func shapeDiff(got, fresh *Machine) string {
 	switch {
 	case got.Cfg != fresh.Cfg:
@@ -240,10 +290,15 @@ func shapeDiff(got, fresh *Machine) string {
 		return fmt.Sprintf("arch %s, fresh %s", got.Arch.Name, fresh.Arch.Name)
 	case len(got.CPUs) != len(fresh.CPUs):
 		return fmt.Sprintf("%d CPUs, fresh %d", len(got.CPUs), len(fresh.CPUs))
+	case got.CPU != got.CPUs[0]:
+		return "the boot CPU is not CPUs[0]"
 	}
+	names := got.Rec.Registry()
 	for i, c := range got.CPUs {
 		f := fresh.CPUs[i].TLB
 		switch {
+		case c.Index != i:
+			return fmt.Sprintf("CPUs[%d] has index %d", i, c.Index)
 		case c.Arch != got.Arch:
 			return fmt.Sprintf("CPU %d runs arch %s, its machine %s", i, c.Arch.Name, got.Arch.Name)
 		case c.TLB.Capacity() != f.Capacity() || c.TLB.tagged != f.tagged:
@@ -252,9 +307,57 @@ func shapeDiff(got, fresh *Machine) string {
 		case c.TLB.Len() != 0:
 			return fmt.Sprintf("CPU %d TLB holds %d entries", i, c.TLB.Len())
 		}
+		if len(got.CPUs) == 1 {
+			continue
+		}
+		for _, n := range []struct {
+			comp trace.Comp
+			want string
+		}{{c.ipiComp, fmt.Sprintf("cpu%d.ipi", i)}, {c.shootComp, fmt.Sprintf("cpu%d.shootdown", i)}} {
+			if name := names.Name(n.comp); name != n.want {
+				return fmt.Sprintf("CPU %d charges %q for %s", i, name, n.want)
+			}
+		}
 	}
 	if a, b := fingerprint(got), fingerprint(fresh); a != b {
 		return fmt.Sprintf("fingerprint %+v, fresh %+v", a, b)
+	}
+	for _, m := range []*Machine{got, fresh} {
+		c := m.Rec.Intern("test.log")
+		for i := range 20 {
+			m.CPU.Charge(c, trace.KTrap, Cycles(i))
+		}
+	}
+	a, b := got.Rec.Log(), fresh.Rec.Log()
+	if want := min(got.Cfg.LogCap, 20); len(a) != want || !slices.Equal(a, b) {
+		return fmt.Sprintf("log of %d records, want %d, fresh %d", len(a), want, len(b))
+	}
+	if len(a) > 0 && a[0].Cycles != uint64(20-len(a)) {
+		return fmt.Sprintf("log starts at charge %d, want %d", a[0].Cycles, 20-len(a))
+	}
+	return ""
+}
+
+// ledgerDiff names the first thing in which the recorders of got and fresh
+// differ: the clock, an event counter, the components in first-charge
+// order, or a component's cycles.
+func ledgerDiff(got, fresh *Machine) string {
+	if got.Now() != fresh.Now() {
+		return fmt.Sprintf("clock %d, fresh %d", got.Now(), fresh.Now())
+	}
+	for k := trace.Kind(0); k < trace.Kind(trace.NKinds); k++ {
+		if a, b := got.Rec.Counts(k), fresh.Rec.Counts(k); a != b {
+			return fmt.Sprintf("%v count %d, fresh %d", k, a, b)
+		}
+	}
+	comps := fresh.Rec.Components()
+	if a := got.Rec.Components(); !slices.Equal(a, comps) {
+		return fmt.Sprintf("components %q, fresh %q", a, comps)
+	}
+	for _, c := range comps {
+		if a, b := got.Rec.Cycles(c), fresh.Rec.Cycles(c); a != b {
+			return fmt.Sprintf("%s: %d cycles, fresh %d", c, a, b)
+		}
 	}
 	return ""
 }

@@ -208,6 +208,11 @@ func NewRecorder(logCap int) *Recorder {
 	return &Recorder{reg: NewRegistry(), logCap: logCap}
 }
 
+// SetLogCap gives a recorder fresh from Reset the event-log capacity
+// NewRecorder(logCap) would, and keeps the log's buffer: the machine
+// pool's re-target of a recycled machine's recorder.
+func (r *Recorder) SetLogCap(logCap int) { r.logCap = logCap }
+
 // Registry returns the recorder's component registry.
 func (r *Recorder) Registry() *Registry { return r.reg }
 
