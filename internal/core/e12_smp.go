@@ -325,22 +325,13 @@ func e12DirtyScanNative(pool *hw.MachinePool, ncpus int) (E12Row, error) {
 	m := pool.Get(x86, e12Mach(e12NativeMach, ncpus))
 	defer pool.Put(m)
 	comp := m.Rec.Intern(NativeComponent)
-	const base = hw.VPN(0x1000)
-	vpns := make([]hw.VPN, e12Pages)
-	for p := range vpns {
-		vpns[p] = base + hw.VPN(p)
-	}
 	// A teardown round's per-page costs are uniform, so each round charges
 	// as three aggregates — PTE updates, local invalidations, and the
-	// remote shootdown broadcast — with the local TLB state still
-	// invalidated entry by entry. Totals match the per-page loop exactly.
+	// remote shootdown broadcast. Totals match the per-page loop exactly.
 	for round := 0; round < 2; round++ {
 		m.CPU.WorkN(comp, m.Arch.Costs.PTEUpdate, e12Pages)
-		for _, vpn := range vpns {
-			m.CPU.TLB.FlushEntry(0, vpn)
-		}
 		m.CPU.WorkN(comp, m.Arch.Costs.TLBFlushEntry, e12Pages)
-		m.ShootdownEntries(0, m.AllCPUs(), 0, vpns)
+		m.Shootdown(0, m.AllCPUs(), e12Pages)
 	}
 	return e12Row(m, "dirty-scan", "native", ncpus, 2*e12Pages), nil
 }

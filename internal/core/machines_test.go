@@ -23,9 +23,9 @@ import (
 // machines come from other predecessors than in the first, re-targeted from
 // other architectures, frame counts, CPU counts and log capacities. Any
 // state Reset or the re-target failed to clear or set — a leftover cycle, a
-// dirty page, a stale TLB entry or queued event, a stale frame count, CPU
-// count or architecture — shows up as a table diff. No table reads a TLB's
-// capacity or tagging or the page size, so every machine a probe cell
+// dirty page or queued event, a stale frame count, CPU count or
+// architecture — shows up as a table diff. No table reads the architecture
+// of a CPU no cell charged, or the page size, so every machine a probe cell
 // releases must also match its own Arch in those (matchesArch). It must pass
 // the frame allocator's conservation audit, before its Reset and after it,
 // and every experiment must put back as many machines as it took.
@@ -118,20 +118,12 @@ func TestExperimentsPooledVsFresh(t *testing.T) {
 	t.Logf("audited %d released machines (%d per sweep)", puts, puts/2)
 }
 
-// matchesArch checks the geometry a machine's Arch declares and no table
-// reads: each CPU's TLB capacity and tagging, and the memory's page size.
-// Tagging is probed: a translation inserted under one ASID hits under
-// another only in an untagged TLB. The probe leaves an entry behind, so
-// it runs on a machine about to be Reset.
+// matchesArch checks what a machine's Arch sets that a table may not read:
+// every CPU's architecture, and the memory's page size.
 func matchesArch(m *hw.Machine) error {
-	const probe = hw.VPN(1 << 40)
 	for i, c := range m.CPUs {
-		if got, want := c.TLB.Capacity(), m.Arch.TLBEntries; got != want {
-			return fmt.Errorf("cpu%d's TLB holds %d entries, want %d", i, got, want)
-		}
-		c.TLB.Insert(1, probe, hw.PTE{Frame: 1, Perms: hw.PermR})
-		if _, shared := c.TLB.Lookup(2, probe); shared == m.Arch.HasASID {
-			return fmt.Errorf("cpu%d's TLB shares entries across ASIDs: %v, want %v", i, shared, !m.Arch.HasASID)
+		if c.Arch != m.Arch {
+			return fmt.Errorf("cpu%d runs arch %s, its machine %s", i, c.Arch.Name, m.Arch.Name)
 		}
 	}
 	if got, want := m.Mem.PageSize(), m.Arch.PageSize(); got != want {

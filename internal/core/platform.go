@@ -703,10 +703,10 @@ func (s *NativeStack) DoSyscall(from int, no uint32, arg uint64) error {
 
 // smpUnmapBuffer models tearing down a transient kernel mapping on a
 // multiprocessor: the unmapping core must shoot the stale translation out
-// of every other core's TLB before the frame can be reused. Free on a
-// uniprocessor.
-func (s *NativeStack) smpUnmapBuffer(f hw.FrameID) {
-	s.Mach.ShootdownEntries(0, s.Mach.AllCPUs(), 0, []hw.VPN{hw.VPN(f)})
+// of every other core's TLB before the frame can be reused, one
+// single-entry shootdown charged to each. Free on a uniprocessor.
+func (s *NativeStack) smpUnmapBuffer() {
+	s.Mach.Shootdown(0, s.Mach.AllCPUs(), 1)
 }
 
 // diskIO moves block to or from frame f and waits for the disk: the
@@ -735,7 +735,7 @@ func (s *NativeStack) StorageWrite(from int, block uint64, data []byte) error {
 		return err
 	}
 	defer s.Mach.Mem.Free(f)
-	defer s.smpUnmapBuffer(f)
+	defer s.smpUnmapBuffer()
 	s.Mach.Mem.Write(f, 0, data)
 	return s.diskIO(dev.DiskWrite, block, f)
 }
@@ -751,7 +751,7 @@ func (s *NativeStack) StorageRead(from int, block uint64) ([]byte, error) {
 		return nil, err
 	}
 	defer s.Mach.Mem.Free(f)
-	defer s.smpUnmapBuffer(f)
+	defer s.smpUnmapBuffer()
 	if err := s.diskIO(dev.DiskRead, block, f); err != nil {
 		return nil, err
 	}

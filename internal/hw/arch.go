@@ -37,8 +37,6 @@ type Arch struct {
 	WordBits  int
 	PageShift uint // log2 of the page size
 
-	// TLBEntries is the capacity of the (simulated, unified) TLB.
-	TLBEntries int
 	// HasASID: the TLB is tagged with address-space IDs, so an address
 	// space switch needs no flush. x86 of the paper's era lacked this.
 	HasASID bool
@@ -98,7 +96,7 @@ func baseCosts() CostModel {
 func X86() *Arch {
 	return &Arch{
 		Name: "x86", WordBits: 32, PageShift: 12,
-		TLBEntries: 64, HasASID: false, HasSegmentation: true,
+		HasASID: false, HasSegmentation: true,
 		HasFastSyscall: true, SyscallInstr: "int/sysenter",
 		PTLevels: 2, RegisterIPCWords: 3, BigEndian: false,
 		Costs: baseCosts(),
@@ -112,7 +110,7 @@ func AMD64() *Arch {
 	c.FastSyscall = 60
 	return &Arch{
 		Name: "amd64", WordBits: 64, PageShift: 12,
-		TLBEntries: 128, HasASID: false, HasSegmentation: false,
+		HasASID: false, HasSegmentation: false,
 		HasFastSyscall: true, SyscallInstr: "syscall",
 		PTLevels: 4, RegisterIPCWords: 6, BigEndian: false,
 		Costs: c,
@@ -127,7 +125,7 @@ func ARM() *Arch {
 	c.ASSwitch, c.TLBFlushAll = 120, 300
 	return &Arch{
 		Name: "arm", WordBits: 32, PageShift: 12,
-		TLBEntries: 32, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "swi",
 		PTLevels: 2, RegisterIPCWords: 4, BigEndian: false,
 		Costs: c,
@@ -142,7 +140,7 @@ func PPC32() *Arch {
 	c.ASSwitch = 150
 	return &Arch{
 		Name: "ppc32", WordBits: 32, PageShift: 12,
-		TLBEntries: 64, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "sc",
 		PTLevels: 1, RegisterIPCWords: 8, BigEndian: true,
 		Costs: c,
@@ -158,7 +156,7 @@ func PPC64() *Arch {
 	c.MemCopyWord = 1
 	return &Arch{
 		Name: "ppc64", WordBits: 64, PageShift: 16,
-		TLBEntries: 256, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "sc",
 		PTLevels: 1, RegisterIPCWords: 8, BigEndian: true,
 		Costs: c,
@@ -173,7 +171,7 @@ func Itanium() *Arch {
 	c.ASSwitch = 100
 	return &Arch{
 		Name: "itanium", WordBits: 64, PageShift: 14,
-		TLBEntries: 128, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: true, SyscallInstr: "epc/break",
 		PTLevels: 3, RegisterIPCWords: 8, BigEndian: false,
 		Costs: c,
@@ -188,7 +186,7 @@ func MIPS64() *Arch {
 	c.ASSwitch = 60
 	return &Arch{
 		Name: "mips64", WordBits: 64, PageShift: 12,
-		TLBEntries: 48, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "syscall",
 		PTLevels: 0, RegisterIPCWords: 8, BigEndian: true,
 		Costs: c,
@@ -202,7 +200,7 @@ func Alpha() *Arch {
 	c.ASSwitch = 80
 	return &Arch{
 		Name: "alpha", WordBits: 64, PageShift: 13,
-		TLBEntries: 128, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "call_pal",
 		PTLevels: 3, RegisterIPCWords: 6, BigEndian: false,
 		Costs: c,
@@ -217,7 +215,7 @@ func SPARC64() *Arch {
 	c.ASSwitch = 90
 	return &Arch{
 		Name: "sparc64", WordBits: 64, PageShift: 13,
-		TLBEntries: 64, HasASID: true, HasSegmentation: false,
+		HasASID: true, HasSegmentation: false,
 		HasFastSyscall: false, SyscallInstr: "ta",
 		PTLevels: 0, RegisterIPCWords: 6, BigEndian: true,
 		Costs: c,

@@ -63,17 +63,15 @@ func (s Segment) Covers(addr uint64) bool {
 }
 
 // CPU is one simulated processor: privilege state, segment state, the
-// current address-space root, a private TLB, and the charging helpers every
-// kernel path uses to account cycles. A Machine has one or more CPUs
-// sharing its clock, memory and recorder; CPU 0 is the boot processor that
-// every uniprocessor code path runs on. Per-CPU state (ring, segments,
-// page-table root, TLB) is never shared, which is exactly why cross-CPU
-// invalidation needs explicit shootdown (Machine.ShootdownAll and
-// ShootdownEntries, whose targets are a CPUSet).
+// current address-space root, and the charging helpers every kernel path
+// uses to account cycles. A Machine has one or more CPUs sharing its clock,
+// memory and recorder; CPU 0 is the boot processor that every uniprocessor
+// code path runs on. A CPU keeps no TLB contents: every TLB operation is a
+// flat charge (SwitchSpace's untagged flush, FlushTLB, FlushTLBEntry,
+// Translate's walk, and Machine.Shootdown, whose targets are a CPUSet).
 type CPU struct {
 	Arch  *Arch
 	Clock *Clock
-	TLB   *TLB
 	Mem   *PhysMem
 	Rec   *trace.Recorder
 
@@ -97,13 +95,11 @@ type CPU struct {
 }
 
 // NewCPUOn wires CPU number index of an ncpus-CPU machine to its
-// substrate. All CPUs of a machine share the clock, memory and recorder;
-// the TLB is private per CPU.
+// substrate. All CPUs of a machine share the clock, memory and recorder.
 func NewCPUOn(arch *Arch, clock *Clock, mem *PhysMem, rec *trace.Recorder, index, ncpus int) *CPU {
 	c := &CPU{
 		Arch:  arch,
 		Clock: clock,
-		TLB:   NewTLB(arch.TLBEntries, arch.HasASID),
 		Mem:   mem,
 		Rec:   rec,
 		Index: index,
@@ -125,14 +121,13 @@ func (c *CPU) internSMP() {
 }
 
 // Reset restores the CPU to its post-NewCPUOn state: ring 0, no address
-// space, zeroed segments, no cache model, and an empty TLB. The interned
-// attribution handles survive — they are registry identities, not state.
+// space, zeroed segments and no cache model. The interned attribution
+// handles survive — they are registry identities, not state.
 func (c *CPU) Reset() {
 	c.ring = Ring0
 	c.pt = nil
 	c.segs = [NumSegRegs]Segment{}
 	c.cache = nil
-	c.TLB.FlushAll()
 }
 
 // Ring returns the current privilege level.
@@ -257,22 +252,19 @@ func (c *CPU) SwitchSpace(component trace.Comp, pt *PageTable) {
 	c.pt = pt
 	c.Work(component, c.Arch.Costs.ASSwitch)
 	if !c.Arch.HasASID {
-		c.TLB.FlushAll()
-		c.Charge(component, trace.KTLBFlush, c.Arch.Costs.TLBFlushAll)
+		c.FlushTLB(component)
 	}
 	c.CacheRun(component, pt.ASID())
 }
 
-// FlushTLB performs and charges a full TLB flush (shootdown after unmap,
-// page flip, etc.).
+// FlushTLB charges a full TLB flush (shootdown after unmap, page flip,
+// etc.).
 func (c *CPU) FlushTLB(component trace.Comp) {
-	c.TLB.FlushAll()
 	c.Charge(component, trace.KTLBFlush, c.Arch.Costs.TLBFlushAll)
 }
 
-// FlushTLBEntry invalidates one entry and charges the single-entry cost.
-func (c *CPU) FlushTLBEntry(component trace.Comp, asid uint16, vpn VPN) {
-	c.TLB.FlushEntry(asid, vpn)
+// FlushTLBEntry charges the invalidation of one entry.
+func (c *CPU) FlushTLBEntry(component trace.Comp) {
 	c.Work(component, c.Arch.Costs.TLBFlushEntry)
 }
 
@@ -303,31 +295,20 @@ func (r TranslateResult) String() string {
 }
 
 // Translate resolves vpn in the active space with the wanted access,
-// charging TLB-miss/page-walk costs to component. A failed translation is
-// the hardware half of a page fault; the caller (kernel) decides what
+// charging a TLB miss's page walk (or software refill trap) to component:
+// a CPU caches no translation, so every call walks. A failed translation
+// is the hardware half of a page fault; the caller (kernel) decides what
 // happens next.
 func (c *CPU) Translate(component trace.Comp, vpn VPN, want Perm) (PTE, TranslateResult) {
 	if c.pt == nil {
 		return PTE{}, XlateNoMapping
 	}
-	asid := c.pt.ASID()
-	if e, ok := c.TLB.Lookup(asid, vpn); ok {
-		if !e.Perms.Allows(want) {
-			return e, XlateProtection
-		}
-		if c.ring == Ring3 && !e.User {
-			return e, XlatePrivilege
-		}
-		return e, XlateOK
-	}
-	// TLB miss: walk the page table (or take the software refill trap).
 	walk := c.Arch.Costs.TLBMiss + Cycles(c.Arch.PTLevels)*c.Arch.Costs.PTEUpdate/4
 	c.Charge(component, trace.KTLBMiss, walk)
 	e, ok := c.pt.Lookup(vpn)
 	if !ok {
 		return PTE{}, XlateNoMapping
 	}
-	c.TLB.Insert(asid, vpn, e)
 	if !e.Perms.Allows(want) {
 		return e, XlateProtection
 	}

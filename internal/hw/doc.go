@@ -1,6 +1,6 @@
 // Package hw simulates the hardware substrate both kernels run on: one or
 // more CPUs with privilege rings and (on x86) segmentation, an MMU with
-// page tables and per-CPU software-visible TLBs, physical memory with frame
+// page tables whose TLB costs are flat charges, physical memory with frame
 // ownership, an interrupt controller doubling as the IPI mesh, and a
 // discrete-event queue driving devices (hw/dev).
 //
@@ -24,15 +24,17 @@
 //
 // Multiprocessor model: a Machine may have up to MaxCPUs CPUs
 // (MachineConfig.NCPUs) sharing the clock, memory, recorder and IRQ
-// controller; each CPU keeps private privilege state, address-space root
-// and TLB. A set of CPUs is a CPUSet, one machine word with bit i for CPU
-// i, and AllCPUs is every CPU of a machine. Cross-CPU coordination is
+// controller; each CPU keeps private privilege state and address-space
+// root. A set of CPUs is a CPUSet, one machine word with bit i for CPU i,
+// and AllCPUs is every CPU of a machine. Cross-CPU coordination is
 // explicit and charged: SendIPIN delivers n inter-processor interrupts
 // between two CPUs (SendIPI delivers one), the cost split between the
-// "cpu<n>.ipi" components of sender and target, and ShootdownAll and
-// ShootdownEntries interrupt every CPU of a CPUSet but the initiator, in
-// ascending order, to invalidate their TLBs ("cpu<n>.shootdown"); a set
-// naming a CPU the machine lacks panics before any IPI is sent. CPU 0 is
+// "cpu<n>.ipi" components of sender and target, and Shootdown(from, cpus,
+// n) interrupts every CPU of a CPUSet but the initiator, in ascending
+// order, to charge n TLB invalidations to each ("cpu<n>.shootdown"); a set
+// naming a CPU the machine lacks panics before any IPI is sent. No CPU
+// keeps TLB contents: a flush, local or remote, is a charge, not a change
+// of state, and Translate walks the page table on every call. CPU 0 is
 // the boot processor every uniprocessor path uses, so a 1-CPU machine —
 // the configuration experiments E1–E11 always run — behaves bit-for-bit
 // as it did before SMP support existed; only experiment E12 sweeps NCPUs.
@@ -69,14 +71,15 @@
 // frame, a present bit, the user bit and the three PermRWX bits, and Map
 // panics on a frame or a permission bit the entry cannot hold. A table is
 // a value, so a domain or a space holds its own in one heap object. Page
-// tables built without a size hint and TLB entry maps grow with use. A
-// page table keeps no frame-to-VPN index: it answers reverse
-// lookups (UnmapFrame, FramesMapped) through a frame filter, one bit per
-// frame it may map and at most one word per entry, so a page flip of a
-// frame the donor never mapped costs a bit test, and only a frame whose
-// bit is set costs a scan of the table; a table whose few entries map
-// frames too far apart for that bound keeps no filter and scans. The NIC's wire tap (hw/dev) likewise keeps each transmitted
-// packet's prefix and length, not its zero tail.
+// tables built without a size hint grow with use. A page table keeps no
+// frame-to-VPN index: it answers reverse lookups (UnmapFrame,
+// FramesMapped) through a frame filter, one bit per frame it may map and
+// at most one word per entry, so a page flip of a frame the donor never
+// mapped costs a bit test, and only a frame whose bit is set costs a scan
+// of the table; a table whose few entries map frames too far apart for
+// that bound keeps no filter and scans. The NIC's wire tap (hw/dev)
+// likewise keeps each transmitted packet's prefix and length, not its
+// zero tail.
 //
 // A MachinePool recycles Reset machines between cells. It is one stack
 // with no key: Get re-targets the top machine to the architecture, frame

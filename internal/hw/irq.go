@@ -29,15 +29,12 @@ type IRQController struct {
 	handlers [IRQLines]Handler
 }
 
-// NewIRQController returns a controller with IRQLines lines, none pending
-// and without handlers, fielding external interrupts on cpus[0]. (IPIs are
-// point-to-point — deliverIPIN takes both endpoints — so the controller
-// itself only needs the boot CPU.)
-func NewIRQController(cpus []*CPU) *IRQController {
-	if len(cpus) == 0 {
-		panic("hw: controller needs at least one CPU")
-	}
-	return &IRQController{cpu: cpus[0], comp: cpus[0].Rec.Intern("hw.irq")}
+// newIRQController returns a controller with IRQLines lines, none pending
+// and without handlers, fielding external interrupts on the boot CPU. (IPIs
+// are point-to-point — deliverIPIN takes both endpoints — so the
+// controller itself only needs the boot CPU.)
+func newIRQController(boot *CPU) *IRQController {
+	return &IRQController{cpu: boot, comp: boot.Rec.Intern("hw.irq")}
 }
 
 // SetHandler installs the kernel's handler for a line.
@@ -83,7 +80,7 @@ func (ic *IRQController) DispatchPending(component trace.Comp) int {
 }
 
 // deliverIPIN is the inter-processor interrupt path (Machine.SendIPIN and
-// the shootdown helpers route through it), for n back-to-back IPIs between
+// Machine.Shootdown route through it), for n back-to-back IPIs between
 // the same two CPUs as one aggregate: the sender pays the APIC write plus
 // the cross-CPU interrupt latency, the target pays acceptance and
 // vectoring. Both halves advance the one shared clock — the simulation
@@ -94,7 +91,7 @@ func (ic *IRQController) deliverIPIN(src, dst *CPU, n uint64) {
 	dst.WorkN(dst.ipiComp, dst.Arch.Costs.IRQDispatch, n)
 }
 
-// Reset restores the controller to its post-NewIRQController state: no
+// Reset restores the controller to its post-newIRQController state: no
 // pending lines and no handlers.
 func (ic *IRQController) Reset() {
 	ic.pending = [IRQLines]bool{}

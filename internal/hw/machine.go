@@ -13,7 +13,7 @@ import (
 // platform under test.
 //
 // All CPUs share the clock, memory, recorder and IRQ controller; each CPU
-// has its own privilege state, address-space root and TLB. CPU is the boot
+// has its own privilege state and address-space root. CPU is the boot
 // processor (CPUs[0]) and is what every uniprocessor code path uses, so a
 // 1-CPU machine behaves exactly as it did before SMP support existed.
 type Machine struct {
@@ -98,7 +98,7 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 		CPU:    cpus[0],
 		CPUs:   cpus,
 		Mem:    mem,
-		IRQ:    NewIRQController(cpus),
+		IRQ:    newIRQController(cpus[0]),
 		Rec:    rec,
 		Cfg:    c,
 		cpus:   cpus,
@@ -106,8 +106,8 @@ func NewMachine(arch *Arch, cfg *MachineConfig) *Machine {
 }
 
 // Reset restores the machine to its post-NewMachine state — clock at zero,
-// empty event queue, every CPU at ring 0 with an empty TLB, all memory free
-// and zeroed, quiescent interrupt controller, zeroed recorder counters —
+// empty event queue, every CPU at ring 0 with no address space, all memory
+// free and zeroed, quiescent interrupt controller, zeroed recorder counters —
 // without reallocating any of it. This is the machine-pool contract: an
 // experiment cell run on a Reset machine is byte-identical to one run on a
 // fresh machine. Interned component handles survive (they are identities in
@@ -128,22 +128,20 @@ func (m *Machine) Reset() {
 
 // retarget makes a Reset machine what NewMachine(arch, &c) builds: the
 // pool's hit path. An architecture of another value takes over the Arch
-// pointer of the machine and of every CPU it has, hidden ones included, and
-// each TLB's capacity and tagging; the memory takes the frame count and
-// page size. A grow exposes hidden CPUs and then appends new ones, and on
-// a multiprocessor every CPU gets its "cpu<n>.ipi" and "cpu<n>.shootdown"
-// names, after every name the registry holds; a shrink hides CPUs. The
-// recorder takes the log capacity. Everything the machine has grown stays:
-// the frame table, the free stack's capacity, the contents buffers, the TLB
-// maps, the hidden CPUs and the recorder's interned names, which no query
-// reads until they are charged.
+// pointer of the machine and of every CPU it has, hidden ones included;
+// the memory takes the frame count and page size. A grow exposes hidden
+// CPUs and then appends new ones, and on a multiprocessor every CPU gets
+// its "cpu<n>.ipi" and "cpu<n>.shootdown" names, after every name the
+// registry holds; a shrink hides CPUs. The recorder takes the log
+// capacity. Everything the machine has grown stays: the frame table, the
+// free stack's capacity, the contents buffers, the hidden CPUs and the
+// recorder's interned names, which no query reads until they are charged.
 func (m *Machine) retarget(arch *Arch, c MachineConfig) {
 	m.Mem.resize(c.Frames, arch.PageSize())
 	if *m.Arch != *arch {
 		m.Arch = arch
 		for _, cpu := range m.cpus {
 			cpu.Arch = arch
-			cpu.TLB.retarget(arch.TLBEntries, arch.HasASID)
 		}
 	}
 	for i := len(m.cpus); i < c.NCPUs; i++ {
@@ -217,56 +215,28 @@ func (m *Machine) SendIPIN(from, to int, n uint64) {
 	m.IRQ.deliverIPIN(src, dst, n)
 }
 
-// ShootdownAll performs a full TLB shootdown: CPU from interrupts every
-// CPU in cpus but itself, in ascending order, and each flushes its entire
-// TLB and charges the handling cost to its own "cpu<n>.shootdown"
-// component. The initiator's IPIs are charged per target; it flushes
-// locally, not by IPI, so callers may pass a set that holds it.
-func (m *Machine) ShootdownAll(from int, cpus CPUSet) {
-	src, targets := m.shootdownTargets(from, cpus)
-	for ; targets != 0; targets &= targets - 1 {
-		dst := m.CPUs[targets.First()]
-		dst.TLB.FlushAll()
-		m.chargeShootdown(src, dst, 1)
-	}
-}
-
-// ShootdownEntries is the targeted form of ShootdownAll for a run of
-// invalidations initiated back-to-back by the same CPU: every target CPU
-// takes len(vpns) IPIs and invalidates each (asid, vpn) in order, with the
-// per-target costs landed as aggregates. The IPI round trip dominates —
-// the reason real kernels batch invalidations — so each entry costs the
-// same shootdown handling as a full flush minus the refill misses the full
-// flush causes. Counters, cycle totals and clock movement match one
-// single-entry shootdown per vpn; only log timestamps coalesce (an
-// aggregate is stamped at its last event).
-func (m *Machine) ShootdownEntries(from int, cpus CPUSet, asid uint16, vpns []VPN) {
-	if len(vpns) == 0 {
+// Shootdown charges n TLB invalidations initiated back-to-back by CPU
+// from on every CPU in cpus but itself, in ascending order: each target
+// takes n IPIs and charges its handling of each to its own
+// "cpu<n>.shootdown" component, landed as aggregates. The initiator
+// invalidates locally, not by IPI, so callers may pass a set that holds
+// it. The IPI round trip dominates — the reason real kernels batch
+// invalidations — so a full flush and one entry cost the same, and the
+// refill misses a flush causes are not modelled. Counters, cycle totals
+// and clock movement match n calls with n = 1; only log timestamps
+// coalesce (an aggregate is stamped at its last event). n == 0 costs
+// nothing and checks nothing.
+func (m *Machine) Shootdown(from int, cpus CPUSet, n uint64) {
+	if n == 0 {
 		return
 	}
-	src, targets := m.shootdownTargets(from, cpus)
-	for ; targets != 0; targets &= targets - 1 {
-		dst := m.CPUs[targets.First()]
-		for _, vpn := range vpns {
-			dst.TLB.FlushEntry(asid, vpn)
-		}
-		m.chargeShootdown(src, dst, uint64(len(vpns)))
-	}
-}
-
-// shootdownTargets checks the initiator and every CPU in cpus, before any
-// IPI is sent, and returns the initiator with the CPUs it interrupts.
-func (m *Machine) shootdownTargets(from int, cpus CPUSet) (*CPU, CPUSet) {
 	src := m.checkCPU(from)
 	if cpus&^m.AllCPUs() != 0 {
 		panic("hw: CPU index out of range")
 	}
-	return src, cpus &^ (1 << from)
-}
-
-// chargeShootdown charges n shootdown IPIs from src to dst, and dst's
-// handling of each to its "cpu<n>.shootdown" component.
-func (m *Machine) chargeShootdown(src, dst *CPU, n uint64) {
-	m.IRQ.deliverIPIN(src, dst, n)
-	dst.ChargeN(dst.shootComp, trace.KTLBShootdown, m.Arch.Costs.TLBShootdown, n)
+	for targets := cpus &^ (1 << from); targets != 0; targets &= targets - 1 {
+		dst := m.CPUs[targets.First()]
+		m.IRQ.deliverIPIN(src, dst, n)
+		dst.ChargeN(dst.shootComp, trace.KTLBShootdown, m.Arch.Costs.TLBShootdown, n)
+	}
 }

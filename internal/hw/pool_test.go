@@ -9,8 +9,8 @@ import (
 	"vmmk/internal/trace"
 )
 
-// exercise runs a small mixed workload on m: allocation, page writes, TLB
-// traffic, traps, IPIs and scheduled events — enough to dirty every
+// exercise runs a small mixed workload on m: allocation, page writes,
+// translations, traps, IPIs and scheduled events — enough to dirty every
 // subsystem Reset must restore. On a multiprocessor the IPIs and the
 // shootdown reach every CPU, so each charges its "cpu<n>" components.
 func exercise(t *testing.T, m *Machine) {
@@ -36,7 +36,7 @@ func exercise(t *testing.T, m *Machine) {
 	if last := m.NCPUs() - 1; last > 0 {
 		m.SendIPI(0, last)
 		m.SendIPI(last, 0)
-		m.ShootdownAll(0, m.AllCPUs())
+		m.Shootdown(0, m.AllCPUs(), 1)
 	}
 	m.IRQ.SetHandler(3, func(IRQLine) {})
 	m.IRQ.Raise(3)
@@ -56,7 +56,6 @@ type machineFP struct {
 	total    uint64
 	traps    uint64
 	ring     Priv
-	tlbLen   int
 	ipis     uint64
 	frame0   FrameID
 	frame0b0 byte
@@ -75,7 +74,6 @@ func fingerprint(m *Machine) machineFP {
 		total:    m.Rec.TotalCycles(),
 		traps:    m.Rec.Counts(trace.KTrap),
 		ring:     m.CPU.Ring(),
-		tlbLen:   m.CPU.TLB.Len(),
 		ipis:     m.Rec.Counts(trace.KIPI),
 		frame0:   f,
 		frame0b0: b0,
@@ -85,7 +83,7 @@ func fingerprint(m *Machine) machineFP {
 
 // TestMachineResetRestoresFreshState pins the Reset contract: after a mixed
 // workload, Reset leaves the machine observably identical to a brand-new
-// one — same virtual time, same allocator order, zeroed memory, empty TLB,
+// one — same virtual time, same allocator order, zeroed memory, ring 0,
 // quiescent queue and recorder.
 func TestMachineResetRestoresFreshState(t *testing.T) {
 	for _, ncpus := range []int{1, 4} {
@@ -273,9 +271,8 @@ func TestMachinePoolRetargetAllocatesNothing(t *testing.T) {
 // shapeDiff names the first thing in which machine got, as a pool handed
 // it out, differs from a fresh boot: its config, its frame counts and page
 // size, its architecture's value (on the machine and on each CPU), each
-// CPU's index, TLB capacity, tagging and contents, a multiprocessor's
-// "cpu<n>" names, and the event log, which keeps the newest LogCap of 20
-// charges.
+// CPU's index, a multiprocessor's "cpu<n>" names, and the event log, which
+// keeps the newest LogCap of 20 charges.
 func shapeDiff(got, fresh *Machine) string {
 	switch {
 	case got.Cfg != fresh.Cfg:
@@ -295,17 +292,11 @@ func shapeDiff(got, fresh *Machine) string {
 	}
 	names := got.Rec.Registry()
 	for i, c := range got.CPUs {
-		f := fresh.CPUs[i].TLB
 		switch {
 		case c.Index != i:
 			return fmt.Sprintf("CPUs[%d] has index %d", i, c.Index)
 		case c.Arch != got.Arch:
 			return fmt.Sprintf("CPU %d runs arch %s, its machine %s", i, c.Arch.Name, got.Arch.Name)
-		case c.TLB.Capacity() != f.Capacity() || c.TLB.tagged != f.tagged:
-			return fmt.Sprintf("CPU %d TLB of %d entries (tagged %v), fresh %d (tagged %v)",
-				i, c.TLB.Capacity(), c.TLB.tagged, f.Capacity(), f.tagged)
-		case c.TLB.Len() != 0:
-			return fmt.Sprintf("CPU %d TLB holds %d entries", i, c.TLB.Len())
 		}
 		if len(got.CPUs) == 1 {
 			continue
@@ -421,8 +412,8 @@ func TestNilPoolFallsBack(t *testing.T) {
 }
 
 // TestBatchedChargeHelpersMatchLoops pins that the aggregate hw charge paths
-// (ChargeN, WorkN, TrapReturnN, SendIPIN, ShootdownEntries of many VPNs)
-// leave counters, cycles and the clock exactly where the per-item loops do.
+// (ChargeN, WorkN, TrapReturnN, SendIPIN, Shootdown of n entries) leave
+// counters, cycles and the clock exactly where the per-item loops do.
 func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	const n = 9
 	cfg := &MachineConfig{Frames: 64, NCPUs: 3}
@@ -440,10 +431,8 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	for i := 0; i < n; i++ {
 		loop.SendIPI(0, 1)
 	}
-	vpns := make([]VPN, n)
-	for i := range vpns {
-		vpns[i] = VPN(i)
-		loop.ShootdownEntries(0, 1<<1|1<<2, 1, vpns[i:i+1])
+	for i := 0; i < n; i++ {
+		loop.Shootdown(0, 1<<1|1<<2, 1)
 	}
 
 	batch := NewMachine(X86(), cfg)
@@ -452,7 +441,7 @@ func TestBatchedChargeHelpersMatchLoops(t *testing.T) {
 	batch.CPU.WorkN(bc, 7, n)
 	batch.CPU.TrapReturnN(bc, true, Ring3, n)
 	batch.SendIPIN(0, 1, n)
-	batch.ShootdownEntries(0, 1<<1|1<<2, 1, vpns)
+	batch.Shootdown(0, 1<<1|1<<2, n)
 
 	if loop.Now() != batch.Now() {
 		t.Errorf("clock: loop %d, batch %d", loop.Now(), batch.Now())

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,13 +37,8 @@ func TestMultiCPUMachineShape(t *testing.T) {
 		if c.Index != i {
 			t.Fatalf("CPUs[%d].Index = %d", i, c.Index)
 		}
-		if c.Clock != m.Clock || c.Mem != m.Mem || c.Rec != m.Rec {
+		if c.Arch != m.Arch || c.Clock != m.Clock || c.Mem != m.Mem || c.Rec != m.Rec {
 			t.Fatalf("CPU %d does not share the machine substrate", i)
-		}
-		for j, o := range m.CPUs {
-			if i != j && c.TLB == o.TLB {
-				t.Fatalf("CPUs %d and %d share a TLB", i, j)
-			}
 		}
 	}
 }
@@ -85,24 +81,15 @@ func TestSendIPIPanicsOnBadCPU(t *testing.T) {
 	m.SendIPI(0, 5)
 }
 
-// TestShootdownAllFlushesTargets: a full shootdown flushes exactly the
-// target CPUs' TLBs (not the initiator's), counts one KTLBShootdown per
+// TestShootdownAllFlushesTargets: a shootdown of every CPU charges exactly
+// the targets (not the initiator), counts one KTLBShootdown and one IPI per
 // target, and charges each target's cpu<n>.shootdown component.
 func TestShootdownAllFlushesTargets(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 64, NCPUs: 3})
-	pte := PTE{Frame: 1, Perms: PermRW}
-	for _, c := range m.CPUs {
-		c.TLB.Insert(7, 0x40, pte)
-	}
 
-	m.ShootdownAll(0, m.AllCPUs()) // the initiator is in the set
-	if m.CPUs[0].TLB.Len() != 1 {
-		t.Fatal("initiator's TLB was flushed; shootdown is remote-only")
-	}
-	for i := 1; i < 3; i++ {
-		if m.CPUs[i].TLB.Len() != 0 {
-			t.Fatalf("CPU %d TLB survived the shootdown", i)
-		}
+	m.Shootdown(0, m.AllCPUs(), 1) // the initiator is in the set
+	if got := m.Rec.Cycles("cpu0.shootdown"); got != 0 {
+		t.Fatalf("initiator charged %d shootdown cycles; shootdown is remote-only", got)
 	}
 	if got := m.Rec.Counts(trace.KTLBShootdown); got != 2 {
 		t.Fatalf("KTLBShootdown count = %d, want 2", got)
@@ -118,23 +105,23 @@ func TestShootdownAllFlushesTargets(t *testing.T) {
 	}
 }
 
-// TestShootdownEntryIsTargeted: a targeted shootdown removes only the
-// named translation on the targets.
+// TestShootdownEntryIsTargeted: a targeted shootdown interrupts only the
+// CPUs its set names.
 func TestShootdownEntryIsTargeted(t *testing.T) {
-	m := NewMachine(X86(), &MachineConfig{Frames: 64, NCPUs: 2})
-	pte := PTE{Frame: 1, Perms: PermRW}
-	m.CPUs[1].TLB.Insert(7, 0x40, pte)
-	m.CPUs[1].TLB.Insert(7, 0x41, pte)
+	m := NewMachine(X86(), &MachineConfig{Frames: 64, NCPUs: 3})
 
-	m.ShootdownEntries(0, 1<<1, 7, []VPN{0x40})
-	if _, ok := m.CPUs[1].TLB.Lookup(7, 0x40); ok {
-		t.Fatal("shot-down entry survived")
-	}
-	if _, ok := m.CPUs[1].TLB.Lookup(7, 0x41); !ok {
-		t.Fatal("unrelated entry was flushed")
-	}
+	m.Shootdown(0, 1<<1, 1)
 	if got := m.Rec.Counts(trace.KTLBShootdown); got != 1 {
 		t.Fatalf("KTLBShootdown count = %d, want 1", got)
+	}
+	if got := m.Rec.Counts(trace.KIPI); got != 1 {
+		t.Fatalf("shootdown IPIs = %d, want 1", got)
+	}
+	if got := m.Rec.Cycles("cpu1.shootdown"); got != uint64(m.Arch.Costs.TLBShootdown) {
+		t.Fatalf("cpu1.shootdown charged %d, want %d", got, m.Arch.Costs.TLBShootdown)
+	}
+	if got := m.Rec.Cycles("cpu2.shootdown"); got != 0 {
+		t.Fatalf("cpu2, outside the set, charged %d shootdown cycles", got)
 	}
 }
 
@@ -154,47 +141,42 @@ func TestMachineHoldsAtMostMaxCPUs(t *testing.T) {
 // word's top bit included.
 func TestShootdownReachesTheTopCPU(t *testing.T) {
 	m := NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: MaxCPUs})
-	pte := PTE{Frame: 1, Perms: PermRW}
-	for _, c := range m.CPUs {
-		c.TLB.Insert(7, 0x40, pte)
-	}
-	m.ShootdownAll(0, m.AllCPUs())
+	m.Shootdown(0, m.AllCPUs(), 1)
 	if got := m.Rec.Counts(trace.KTLBShootdown); got != MaxCPUs-1 {
 		t.Fatalf("KTLBShootdown count = %d, want %d", got, MaxCPUs-1)
 	}
-	if m.CPUs[0].TLB.Len() != 1 {
-		t.Fatal("initiator's TLB was flushed; shootdown is remote-only")
+	if got := m.Rec.Cycles("cpu0.shootdown"); got != 0 {
+		t.Fatalf("initiator charged %d shootdown cycles; shootdown is remote-only", got)
 	}
-	for i, c := range m.CPUs[1:] {
-		if c.TLB.Len() != 0 {
-			t.Fatalf("CPU %d TLB survived the shootdown", i+1)
-		}
+	top := fmt.Sprintf("cpu%d.shootdown", MaxCPUs-1)
+	if got := m.Rec.Cycles(top); got != uint64(m.Arch.Costs.TLBShootdown) {
+		t.Fatalf("%s charged %d, want %d", top, got, m.Arch.Costs.TLBShootdown)
 	}
 }
 
 // TestShootdownOfAMissingCPUPanicsFirst: a set that names a CPU the
 // machine lacks panics before any IPI is sent, even to the CPUs it names
-// that exist, on both shootdown paths.
+// that exist, for one entry and for several. A shootdown of no entries
+// costs nothing and checks nothing.
 func TestShootdownOfAMissingCPUPanicsFirst(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		shoot func(*Machine, CPUSet)
-	}{
-		{"ShootdownAll", func(m *Machine, s CPUSet) { m.ShootdownAll(0, s) }},
-		{"ShootdownEntries", func(m *Machine, s CPUSet) { m.ShootdownEntries(0, s, 7, []VPN{0x40}) }},
-	} {
+	const bad = CPUSet(1<<1 | 1<<5)
+	for _, n := range []uint64{1, 3} {
 		m := NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: 3})
 		func() {
 			defer func() {
 				if r, _ := recover().(string); !strings.Contains(r, "CPU index out of range") {
-					t.Errorf("%s: panic %q, want CPU index out of range", tc.name, r)
+					t.Errorf("n=%d: panic %q, want CPU index out of range", n, r)
 				}
 			}()
-			tc.shoot(m, 1<<1|1<<5)
+			m.Shootdown(0, bad, n)
 		}()
 		if got := m.Rec.Counts(trace.KIPI); got != 0 {
-			t.Errorf("%s: %d IPIs counted before the panic", tc.name, got)
+			t.Errorf("n=%d: %d IPIs counted before the panic", n, got)
 		}
+	}
+	m := NewMachine(X86(), &MachineConfig{Frames: 16, NCPUs: 3})
+	if panics(func() { m.Shootdown(0, bad, 0) }) || m.Now() != 0 {
+		t.Error("a shootdown of no entries checked its set or charged")
 	}
 }
 

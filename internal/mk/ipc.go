@@ -122,7 +122,7 @@ func (k *Kernel) applyMapItems(src, dst *Space, items []MapItem) error {
 			if it.Grant {
 				src.PT.Unmap(it.SrcVPN + hw.VPN(i))
 				k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
-				k.M.CPU.FlushTLBEntry(k.comp, uint16(src.ID), it.SrcVPN+hw.VPN(i))
+				k.M.CPU.FlushTLBEntry(k.comp)
 				// Frame accounting follows the grant, and the sender's
 				// node leaves the derivation tree: a gift carries no
 				// revocation authority.

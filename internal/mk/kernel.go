@@ -199,15 +199,15 @@ func (k *Kernel) MapPage(s *Space, vpn hw.VPN, f hw.FrameID, perms hw.Perm) {
 	k.mapdb.drop(mapNode{space: s.ID, vpn: vpn})
 }
 
-// UnmapPage removes a single mapping and invalidates the TLB entry, on the
-// local CPU directly and on any other CPU currently running a thread of the
-// space by cross-CPU shootdown. Derived mappings in other spaces survive
-// (use UnmapRecursive to revoke them).
+// UnmapPage removes a single mapping and charges the invalidation of its
+// TLB entry, on the local CPU directly and, by cross-CPU shootdown, on any
+// other CPU currently running a thread of the space. Derived mappings in
+// other spaces survive (use UnmapRecursive to revoke them).
 func (k *Kernel) UnmapPage(s *Space, vpn hw.VPN) {
 	s.PT.Unmap(vpn)
 	k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
-	k.M.CPU.FlushTLBEntry(k.comp, uint16(s.ID), vpn)
-	k.M.ShootdownEntries(0, k.cpusRunningSpace(s), uint16(s.ID), []hw.VPN{vpn})
+	k.M.CPU.FlushTLBEntry(k.comp)
+	k.M.Shootdown(0, k.cpusRunningSpace(s), 1)
 	k.mapdb.drop(mapNode{space: s.ID, vpn: vpn})
 }
 

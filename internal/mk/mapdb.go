@@ -101,7 +101,7 @@ func (k *Kernel) UnmapRecursive(s *Space, vpn hw.VPN, revokeSelf bool) int {
 		if _, ok := vs.PT.Lookup(v.vpn); ok {
 			vs.PT.Unmap(v.vpn)
 			k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
-			k.M.CPU.FlushTLBEntry(k.comp, uint16(vs.ID), v.vpn)
+			k.M.CPU.FlushTLBEntry(k.comp)
 			n++
 		}
 		k.mapdb.drop(v)
@@ -110,7 +110,7 @@ func (k *Kernel) UnmapRecursive(s *Space, vpn hw.VPN, revokeSelf bool) int {
 		if _, ok := s.PT.Lookup(vpn); ok {
 			s.PT.Unmap(vpn)
 			k.M.CPU.Work(k.comp, k.M.Arch.Costs.PTEUpdate)
-			k.M.CPU.FlushTLBEntry(k.comp, uint16(s.ID), vpn)
+			k.M.CPU.FlushTLBEntry(k.comp)
 			n++
 		}
 		k.mapdb.drop(root)

@@ -68,7 +68,7 @@ var hwRows = []S{
 			if env.Armed {
 				target = 9
 			}
-			env.M.ShootdownAll(0, hw.CPUSet(1)<<target)
+			env.M.Shootdown(0, hw.CPUSet(1)<<target, 1)
 			return nil
 		},
 	},

@@ -211,8 +211,8 @@ func (h *Hypervisor) MMUUnmap(dom DomID, vpn hw.VPN) error {
 	d.remapping(vpn)
 	d.PT.Unmap(vpn)
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
-	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)
-	h.shootdownEntry(d, vpn)
+	h.M.CPU.FlushTLBEntry(h.comp)
+	h.shootdownEntry(d)
 	return nil
 }
 

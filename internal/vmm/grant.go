@@ -190,7 +190,7 @@ func (h *Hypervisor) GrantUnmap(user DomID, owner DomID, ref GrantRef, vpn hw.VP
 		g.release(ref)
 	}
 	h.M.CPU.Work(h.comp, h.M.Arch.Costs.PTEUpdate)
-	h.M.CPU.FlushTLBEntry(h.comp, ud.PT.ASID(), vpn)
+	h.M.CPU.FlushTLBEntry(h.comp)
 	return nil
 }
 

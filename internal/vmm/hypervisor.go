@@ -195,12 +195,12 @@ func (h *Hypervisor) switchTo(d *Domain) {
 	h.current = d
 }
 
-// shootdownEntry invalidates one of d's translations on every other pCPU
-// hosting a vCPU of d. The monitor runs on the boot CPU, whose TLB the
-// caller has already flushed directly; unplaced domains (every
+// shootdownEntry charges the invalidation of one of d's translations on
+// every other pCPU hosting a vCPU of d. The monitor runs on the boot CPU,
+// whose flush the caller has already charged; unplaced domains (every
 // uniprocessor caller) cost nothing.
-func (h *Hypervisor) shootdownEntry(d *Domain, vpn hw.VPN) {
-	h.M.ShootdownEntries(0, d.remote, d.PT.ASID(), []hw.VPN{vpn})
+func (h *Hypervisor) shootdownEntry(d *Domain) {
+	h.M.Shootdown(0, d.remote, 1)
 }
 
 // kickDomain sends the IPI that accompanies delivering an asynchronous

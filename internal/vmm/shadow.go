@@ -69,10 +69,10 @@ func (s *ShadowMMU) GuestPTWrite(vpn hw.VPN, gpn int, perms hw.Perm, user bool) 
 	d.remapping(vpn)
 	d.PT.Map(vpn, hw.PTE{Frame: f, Perms: perms, User: user})
 	h.M.CPU.Charge(h.comp, trace.KShadowPTUpdate, h.M.Arch.Costs.PTEUpdate)
-	h.M.CPU.FlushTLBEntry(h.comp, d.PT.ASID(), vpn)
+	h.M.CPU.FlushTLBEntry(h.comp)
 	// A shadow entry changed under every vCPU of the domain: pCPUs other
 	// than the monitor's must drop their stale translation by shootdown.
-	h.shootdownEntry(d, vpn)
+	h.shootdownEntry(d)
 	h.M.CPU.ReturnTo(h.comp, hw.Ring1)
 	return nil
 }
@@ -205,7 +205,7 @@ func (dl *DirtyLog) arm() {
 	// the monitor runs on. This per-round broadcast is why log-dirty mode
 	// gets more expensive with core count (E12's dirty-scan workload).
 	h.M.CPU.FlushTLB(h.comp)
-	h.M.ShootdownAll(0, d.remote)
+	h.M.Shootdown(0, d.remote, 1)
 }
 
 // strip records that the log removed PermW from gpn's mapping at vpn.
